@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt lint bench verify determinism bench-batch profile serve-demo compact-demo fleet-demo chaos-demo grid-demo
+.PHONY: build test race vet fmt lint bench benchmark-module verify determinism bench-batch profile serve-demo compact-demo fleet-demo chaos-demo grid-demo
 
 build:
 	$(GO) build ./...
@@ -30,9 +30,16 @@ fmt:
 bench:
 	$(GO) test -bench=. -benchtime=1x .
 
-# Tier-1 gate: formatting, static checks (vet + ags-vet), and the full test
-# suite under the race detector so new concurrency is always race-checked.
-verify: fmt vet lint
+# The benchmark (BENCHMARK.json) is a module of its own under benchmarks/, so
+# `./...` from the root skips it: vet it and run its smoke test from inside.
+benchmark-module:
+	$(GO) vet -C benchmarks ./...
+	$(GO) test -C benchmarks ./...
+
+# Tier-1 gate: formatting, static checks (vet + ags-vet), the benchmark
+# module, and the full test suite under the race detector so new concurrency
+# is always race-checked.
+verify: fmt vet lint benchmark-module
 	$(GO) test -race ./...
 
 # Determinism gate: run the splat sharding equivalence tests twice so a
@@ -99,8 +106,11 @@ chaos-demo:
 grid-demo:
 	$(GO) run -race ./examples/grid_bench
 
-# Profile the splat hot path: runs the perf-render experiment under pprof so
-# perf PRs can attach flame-graph evidence instead of eyeballing wall times.
-# Inspect with: go tool pprof cpu.pprof (or mem.pprof).
+# Profile a frame the way the baseline pipeline spends it: fig4 warms one
+# full Desk/baseline run (RefineBest and full mapping on every frame, what
+# the benchmark's desk_baseline workload times) and then re-tracks its frames,
+# serially, under pprof — so a kernel PR starts from the profile the last one
+# was led by instead of a synthetic render loop.
+# Inspect with: go tool pprof -top cpu.pprof (or mem.pprof).
 profile:
-	$(GO) run ./cmd/ags-bench -exp perf-render -q -cpuprofile cpu.pprof -memprofile mem.pprof
+	$(GO) run ./cmd/ags-bench -exp fig4 -jobs 1 -workers 1 -q -cpuprofile cpu.pprof -memprofile mem.pprof

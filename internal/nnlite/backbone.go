@@ -18,21 +18,41 @@ type PoseBackbone struct {
 	GRUIters int
 }
 
-// NewPoseBackbone builds the default backbone: 3->32/2, 32->64/2, 64->96/2
-// feature pyramid and a 96-channel 3x3 ConvGRU run for 8 iterations —
-// Droid-SLAM's update operator scaled to this reproduction's frame sizes.
-func NewPoseBackbone(seed int64) *PoseBackbone {
-	rng := rand.New(rand.NewSource(seed))
-	return &PoseBackbone{
+// poseShape is the default backbone without its weights: a 3->32/2, 32->64/2,
+// 64->96/2 feature pyramid and a 96-channel 3x3 ConvGRU run for 8 iterations
+// — Droid-SLAM's update operator scaled to this reproduction's frame sizes.
+// It can count MACs but not run; NewPoseBackbone builds the runnable network
+// from the same shapes.
+var poseShape = func() PoseBackbone {
+	gru := &ConvGRU{HiddenC: 96, InputC: 96, K: 3}
+	gate := &Conv2D{InC: gru.HiddenC + gru.InputC, OutC: gru.HiddenC, K: gru.K, Stride: 1, Pad: gru.K / 2}
+	gru.convZ, gru.convR, gru.convQ = gate, gate, gate
+	return PoseBackbone{
 		Convs: []*Conv2D{
-			NewConv2D(3, 32, 3, 2, 1, rng),
-			NewConv2D(32, 64, 3, 2, 1, rng),
-			NewConv2D(64, 96, 3, 2, 1, rng),
+			{InC: 3, OutC: 32, K: 3, Stride: 2, Pad: 1},
+			{InC: 32, OutC: 64, K: 3, Stride: 2, Pad: 1},
+			{InC: 64, OutC: 96, K: 3, Stride: 2, Pad: 1},
 		},
-		GRU:      NewConvGRU(96, 96, 3, rng),
+		GRU:      gru,
 		GRUIters: 8,
 	}
+}()
+
+// NewPoseBackbone builds the default backbone with seeded weights.
+func NewPoseBackbone(seed int64) *PoseBackbone {
+	rng := rand.New(rand.NewSource(seed))
+	b := &PoseBackbone{GRUIters: poseShape.GRUIters}
+	for _, c := range poseShape.Convs {
+		b.Convs = append(b.Convs, NewConv2D(c.InC, c.OutC, c.K, c.Stride, c.Pad, rng))
+	}
+	b.GRU = NewConvGRU(poseShape.GRU.HiddenC, poseShape.GRU.InputC, poseShape.GRU.K, rng)
+	return b
 }
+
+// PoseWorkload returns the default backbone's Workload(w, h) from its layer
+// shapes alone: callers that only charge the MAC count to the hardware model
+// need not build (and seed 4 MB of weights for) a network they never run.
+func PoseWorkload(w, h int) int64 { return poseShape.Workload(w, h) }
 
 // Workload returns the MAC count of one coarse pose estimation at the given
 // input resolution: feature extraction on both frames plus GRU iterations.

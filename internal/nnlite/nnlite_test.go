@@ -181,6 +181,13 @@ func TestBackboneWorkloadAndEmbed(t *testing.T) {
 	if ratio < 3.5 || ratio > 4.5 {
 		t.Errorf("workload scaling ratio = %v, want ~4", ratio)
 	}
+	// The shape-only count is the built network's, at sizes on and off the
+	// stride grid.
+	for _, sz := range [][2]int{{64, 48}, {96, 72}, {30, 22}, {640, 480}, {7, 5}} {
+		if got, want := PoseWorkload(sz[0], sz[1]), b.Workload(sz[0], sz[1]); got != want {
+			t.Errorf("PoseWorkload(%d, %d) = %d, backbone Workload = %d", sz[0], sz[1], got, want)
+		}
+	}
 
 	im := frame.NewImage(32, 24)
 	for i := range im.Pix {

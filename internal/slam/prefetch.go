@@ -61,7 +61,7 @@ func (s *System) compareME(prev, cur *frame.Image) (covis.Score, error) {
 		s.pending = append(s.pending[:0], s.pending[i+1:]...)
 		out := <-job.ch
 		if out.err != nil {
-			return 0, fmt.Errorf("slam: prefetched ME: %w", out.err)
+			return 0, fmt.Errorf("prefetched ME: %w", out.err)
 		}
 		s.detector.LastResult = out.res
 		return s.detector.ScoreOf(out.res), nil

@@ -213,7 +213,6 @@ type System struct {
 	refiner  *tracker.GSRefiner
 	aligner  *tracker.CoarseAligner
 	detector *covis.Detector
-	backbone *nnlite.PoseBackbone
 	// pool supplies the render context ProcessFrame attaches; nil under
 	// Config.NoRenderCtx (every render then falls back to the one-shot
 	// path). Standalone systems draw from DefaultServer's pool; sessions
@@ -279,7 +278,6 @@ func newSystem(cfg Config, intr camera.Intrinsics, pool *splat.ContextPool, perS
 		refiner:  refiner,
 		aligner:  tracker.NewCoarseAligner(),
 		detector: detector,
-		backbone: nnlite.NewPoseBackbone(7),
 		pool:     pool,
 		perStep:  perStep,
 		prevRel:  vecmath.PoseIdentity(),
@@ -332,13 +330,18 @@ func (s *System) ProcessFrame(f *frame.Frame) error {
 			f.Color.W, f.Color.H, s.Intr.W, s.Intr.H)
 	}
 	s.attachCtx()
+	if s.perStep {
+		// Session mode: hand the context back between frames so an idle
+		// stream pins no render state and the pool can serve other sessions.
+		defer s.detachCtx()
+	}
 	ft := trace.FrameTrace{Index: s.frameCount}
 	var info FrameInfo
 
 	if s.frameCount == 0 {
 		s.bootstrap(f, &ft, &info)
-	} else {
-		s.step(f, &ft, &info)
+	} else if err := s.step(f, &ft, &info); err != nil {
+		return fmt.Errorf("slam: frame %d: %w", s.frameCount, err)
 	}
 
 	ft.NumGaussians = s.mapper.Cloud().NumActive()
@@ -351,11 +354,6 @@ func (s *System) ProcessFrame(f *frame.Frame) error {
 	}
 	s.maybeCompact(&ft)
 	s.traceFrames = append(s.traceFrames, ft)
-	if s.perStep {
-		// Session mode: hand the context back between frames so an idle
-		// stream pins no render state and the pool can serve other sessions.
-		s.detachCtx()
-	}
 	return nil
 }
 
@@ -446,14 +444,17 @@ func (s *System) bootstrap(f *frame.Frame, ft *trace.FrameTrace, info *FrameInfo
 	s.poses = append(s.poses, pose)
 }
 
-func (s *System) step(f *frame.Frame, ft *trace.FrameTrace, info *FrameInfo) {
+// step tracks and maps one frame after the first. A covisibility comparison
+// that fails is an internal error, not a scene change: it is returned before
+// any state is touched rather than read as "no covisibility, new key frame".
+func (s *System) step(f *frame.Frame, ft *trace.FrameTrace, info *FrameInfo) error {
 	// --- Frame covisibility detection (CODEC + FC detection engine). ---
 	// The previous-frame comparison is the one the pipelined frontend can
 	// have computed ahead of time; the key-frame comparison below depends on
 	// which frame is the current anchor, so it always runs synchronously.
 	fc, err := s.compareME(s.prevFrame.Color, f.Color)
 	if err != nil {
-		fc = 0
+		return fmt.Errorf("covisibility with the previous frame: %w", err)
 	}
 	if s.detector.LastResult != nil {
 		ft.CodecSADOps += s.detector.LastResult.SADOps
@@ -464,7 +465,7 @@ func (s *System) step(f *frame.Frame, ft *trace.FrameTrace, info *FrameInfo) {
 	// and selects the coarse-alignment anchor.
 	keyFC, err := s.detector.Compare(s.keyFrame.Color, f.Color)
 	if err != nil {
-		keyFC = 0
+		return fmt.Errorf("covisibility with the key frame: %w", err)
 	}
 	if s.detector.LastResult != nil {
 		ft.CodecSADOps += s.detector.LastResult.SADOps
@@ -481,7 +482,7 @@ func (s *System) step(f *frame.Frame, ft *trace.FrameTrace, info *FrameInfo) {
 		// anchors to it rather than to the previous frame: frame-to-frame
 		// odometry accumulates drift, and key-frame anchoring resets it —
 		// the role Droid-SLAM's local frame graph plays in the paper.
-		ft.CoarseMACs = s.backbone.Workload(s.Intr.W, s.Intr.H)
+		ft.CoarseMACs = nnlite.PoseWorkload(s.Intr.W, s.Intr.H)
 		var coarse vecmath.Pose
 		if float64(keyFC) > s.Cfg.ThreshM {
 			// Constant-velocity extrapolation on top of the key-frame anchor.
@@ -555,6 +556,7 @@ func (s *System) step(f *frame.Frame, ft *trace.FrameTrace, info *FrameInfo) {
 
 	s.prevPose = pose
 	s.poses = append(s.poses, pose)
+	return nil
 }
 
 // measureFPRate compares the skip prediction against the ground-truth

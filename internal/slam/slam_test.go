@@ -1,6 +1,7 @@
 package slam
 
 import (
+	"strings"
 	"testing"
 
 	"ags/internal/scene"
@@ -245,5 +246,42 @@ func TestScaleThreshN(t *testing.T) {
 		if got := DefaultConfig(dims[0], dims[1]).Mapper.ThreshN; got != 450 {
 			t.Errorf("DefaultConfig(%dx%d).Mapper.ThreshN = %d, want 450", dims[0], dims[1], got)
 		}
+	}
+}
+
+// TestProcessFrameSurfacesCovisibilityError: a failing covisibility
+// comparison is an internal error, not "no covisibility". ProcessFrame must
+// return it (it used to read it as a new key frame) and leave the system
+// untouched, so the stream continues bit-identically once the cause is gone.
+func TestProcessFrameSurfacesCovisibilityError(t *testing.T) {
+	seq := testSeq(t, "Desk", 4)
+	cfg := fastAGS(tw, th)
+	want, err := Run(cfg, seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sys := New(cfg, seq.Intr)
+	defer sys.Close()
+	if err := sys.ProcessFrame(seq.Frames[0]); err != nil {
+		t.Fatal(err)
+	}
+	block := sys.detector.Cfg.BlockSize
+	sys.detector.Cfg.BlockSize = 0 // the codec rejects this configuration
+	err = sys.ProcessFrame(seq.Frames[1])
+	if err == nil || !strings.Contains(err.Error(), "covisibility with the previous frame") {
+		t.Fatalf("ProcessFrame with a failing detector: err = %v", err)
+	}
+	if sys.FrameCount() != 1 {
+		t.Fatalf("failed frame advanced the stream: FrameCount = %d", sys.FrameCount())
+	}
+	sys.detector.Cfg.BlockSize = block
+	for _, f := range seq.Frames[1:] {
+		if err := sys.ProcessFrame(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := sys.Finish(seq.Name).Digest(); got != want.Digest() {
+		t.Error("the failed frame perturbed the run: digest differs from an undisturbed one")
 	}
 }

@@ -41,17 +41,27 @@ const (
 // synchronous recompute byte-identical, so a restored system simply computes
 // the next frame's covisibility inline.
 func (s *System) Snapshot(w io.Writer) error {
-	e := &snapEnc{}
+	if _, err := w.Write(s.encodeSnapshot()); err != nil {
+		return fmt.Errorf("slam: snapshot write: %w", err)
+	}
+	return nil
+}
+
+// encodeSnapshot returns the framed snapshot bytes. A counting pass sizes the
+// buffer exactly first: a snapshot is megabytes of 4- and 8-byte appends, and
+// growing the buffer through them re-allocated and copied more bytes than
+// the snapshot itself holds.
+func (s *System) encodeSnapshot() []byte {
+	size := &snapEnc{counting: true}
+	encodeSystem(size, s)
+	hdr := len(snapshotMagic) + 4
+	e := &snapEnc{buf: make([]byte, 0, hdr+size.n+sha256.Size)}
 	e.raw([]byte(snapshotMagic))
 	e.u32(SnapshotVersion)
 	encodeSystem(e, s)
 	sum := sha256.Sum256(e.buf)
 	e.raw(sum[:])
-	_, err := w.Write(e.buf)
-	if err != nil {
-		return fmt.Errorf("slam: snapshot write: %w", err)
-	}
-	return nil
+	return e.buf
 }
 
 // Restore rebuilds a standalone System from a snapshot stream. The system
@@ -96,8 +106,8 @@ func restoreSystem(r io.Reader, pool *splat.ContextPool, perStep bool) (*System,
 }
 
 // encodeSystem writes every field a restored system needs. The tracker
-// (refiner, aligner), covisibility detector and pose backbone carry no
-// cross-frame state that outputs depend on — they are rebuilt from the config.
+// (refiner, aligner) and covisibility detector carry no cross-frame state
+// that outputs depend on — they are rebuilt from the config.
 func encodeSystem(e *snapEnc, s *System) {
 	encodeConfig(e, &s.Cfg)
 	encodeIntrinsics(e, &s.Intr)
@@ -517,18 +527,35 @@ func decodeCloud(d *snapDec) *gauss.Cloud {
 }
 
 // snapEnc accumulates the little-endian payload in memory (the trailing
-// checksum needs the whole byte stream anyway).
+// checksum needs the whole byte stream anyway). In counting mode it writes
+// nothing and only adds up in n the bytes the same calls would append.
 type snapEnc struct {
-	buf []byte
+	buf      []byte
+	counting bool
+	n        int
 }
 
-func (e *snapEnc) raw(b []byte) { e.buf = append(e.buf, b...) }
+func (e *snapEnc) raw(b []byte) {
+	if e.counting {
+		e.n += len(b)
+		return
+	}
+	e.buf = append(e.buf, b...)
+}
 
 func (e *snapEnc) u32(v uint32) {
+	if e.counting {
+		e.n += 4
+		return
+	}
 	e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
 }
 
 func (e *snapEnc) u64(v uint64) {
+	if e.counting {
+		e.n += 8
+		return
+	}
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
 }
 
@@ -536,9 +563,12 @@ func (e *snapEnc) i64(v int64)   { e.u64(uint64(v)) }
 func (e *snapEnc) f64(v float64) { e.u64(math.Float64bits(v)) }
 
 func (e *snapEnc) boolv(b bool) {
-	if b {
+	switch {
+	case e.counting:
+		e.n++
+	case b:
 		e.buf = append(e.buf, 1)
-	} else {
+	default:
 		e.buf = append(e.buf, 0)
 	}
 }

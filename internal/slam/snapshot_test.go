@@ -113,6 +113,12 @@ func TestSnapshotRoundTripSystem(t *testing.T) {
 			if err := sys.Snapshot(&buf); err != nil {
 				t.Fatalf("%s split %d: snapshot: %v", scene, k, err)
 			}
+			// The counting pass sized the buffer exactly: it was never regrown
+			// (which would leave spare capacity) and it is what was written.
+			if enc := sys.encodeSnapshot(); cap(enc) != len(enc) || !bytes.Equal(enc, buf.Bytes()) {
+				t.Errorf("%s split %d: snapshot buffer len %d cap %d, wrote %d bytes",
+					scene, k, len(enc), cap(enc), buf.Len())
+			}
 			sys.Close()
 
 			restored, err := Restore(bytes.NewReader(buf.Bytes()))

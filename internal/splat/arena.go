@@ -19,6 +19,10 @@ type backwardArena struct {
 	color      []vecmath.Vec3
 	logit      []float64
 	logScale   []float64
+	// Per-splat factors hoisted out of the contribution loop (Gaussian
+	// gradients only): sigmoid'(logit) and the mean squared scale.
+	sigGrad []float64
+	scale2  []float64
 }
 
 // zeroed returns s resized to n with every element cleared, reusing its
@@ -42,6 +46,18 @@ func zeroed[T any](s []T, n int) []T {
 func resized[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// extended returns s resized to n keeping every element it ever held (those
+// past its length too): for per-worker scratch headers, whose buffers must
+// survive a call that used fewer workers.
+//
+//ags:hotpath
+func extended[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return append(s[:cap(s)], make([]T, n-cap(s))...)
 	}
 	return s[:n]
 }

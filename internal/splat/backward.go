@@ -63,21 +63,21 @@ type BackwardOptions struct {
 	NoPool bool
 }
 
-// contribution is one blending step recorded during the per-pixel forward
-// replay, consumed in reverse order for the suffix-sum alpha gradients.
-type contribution struct {
-	si    int32 // index into res.Splats
-	li    int32 // position in the tile's Gaussian table (per-tile grad slot)
+// blendStep is one blending step of the pixel being back-propagated, rebuilt
+// front-to-back from the blend log and consumed in reverse order for the
+// suffix-sum alpha gradients.
+type blendStep struct {
 	alpha float64
-	g     float64
 	t     float64 // transmittance *before* this Gaussian
 }
 
 // Backward computes the loss and its gradients for the rendered result res
-// against the target frame (step 4 of Fig. 2). It replays each pixel's
-// blending sequence front-to-back, then walks it back-to-front to form the
-// suffix terms of d(pixel)/d(alpha_i). One-shot entry point: the returned
-// Grads owns its buffers; hot loops should call (*RenderContext).Backward.
+// against the target frame (step 4 of Fig. 2). It rebuilds each pixel's
+// blending sequence front-to-back from the blend log res carries, then walks
+// it back-to-front to form the suffix terms of d(pixel)/d(alpha_i). With
+// neither gradient selected only the loss is computed. One-shot entry point:
+// the returned Grads owns its buffers; hot loops should call
+// (*RenderContext).Backward.
 func Backward(cloud *gauss.Cloud, cam camera.Camera, res *Result, target *frame.Frame, loss LossConfig, opts BackwardOptions) *Grads {
 	ctx := acquireContext(opts.NoPool)
 	ctx.Backward(cloud, cam, res, target, loss, opts)
@@ -87,11 +87,12 @@ func Backward(cloud *gauss.Cloud, cam camera.Camera, res *Result, target *frame.
 }
 
 // Backward computes loss and gradients into the context's buffers. res may
-// be any Result (from this context, another, or a one-shot Render); it is
-// only read, never written — even a Result aliasing this same context stays
-// valid, per the package aliasing rules. The returned Grads aliases the
-// context and is valid until its next Backward or Reset call. A nil context
-// falls back to the one-shot package function.
+// be any Result Render produced (from this context, another, or a one-shot
+// Render): it carries the blend log the pass walks. It is only read, never
+// written — even a Result aliasing this same context stays valid, per the
+// package aliasing rules. The returned Grads aliases the context and is valid
+// until its next Backward or Reset call. A nil context falls back to the
+// one-shot package function.
 //
 //ags:hotpath
 func (ctx *RenderContext) Backward(cloud *gauss.Cloud, cam camera.Camera, res *Result, target *frame.Frame, loss LossConfig, opts BackwardOptions) *Grads {
@@ -143,15 +144,23 @@ func (ctx *RenderContext) Backward(cloud *gauss.Cloud, cam camera.Camera, res *R
 	// in the context, reusing one allocation across mapping iterations.
 	ar := &ctx.arena
 	ar.prepare(nt, tiles.TotalEntries(), opts.GaussianGrads)
-
-	if cap(ctx.bwScratch) < len(ranges) {
-		ctx.bwScratch = append(ctx.bwScratch[:cap(ctx.bwScratch)],
-			make([][]contribution, len(ranges)-cap(ctx.bwScratch))...)
+	if opts.GaussianGrads {
+		// Per-splat factors of the logit and scale gradients, evaluated once
+		// per call rather than once per contribution (Scale is three exp).
+		ar.sigGrad = resized(ar.sigGrad, len(res.Splats))
+		ar.scale2 = resized(ar.scale2, len(res.Splats))
+		for si := range res.Splats {
+			s := &res.Splats[si]
+			ar.sigGrad[si] = gauss.SigmoidGrad(s.Opacity)
+			sc := cloud.At(s.ID).Scale()
+			ar.scale2[si] = (sc.X*sc.X + sc.Y*sc.Y + sc.Z*sc.Z) / 3
+		}
 	}
-	ctx.bwScratch = ctx.bwScratch[:len(ranges)]
+
+	ctx.bwScratch = extended(ctx.bwScratch, len(ranges))
 
 	if len(ranges) == 1 {
-		ctx.backwardShard(cloud, cam, res, target, loss, opts, ranges[0], norm, 0)
+		ctx.backwardShard(cam, res, target, loss, opts, ranges[0], norm, 0)
 	} else {
 		var wg sync.WaitGroup
 		for wi := range ranges {
@@ -159,7 +168,7 @@ func (ctx *RenderContext) Backward(cloud *gauss.Cloud, cam camera.Camera, res *R
 			//ags:allow(hotalloc, worker closures exist only on the multi-worker path; the Workers=1 path above is the one the perf-render allocation gate measures allocation-free)
 			go func(wi int) {
 				defer wg.Done()
-				ctx.backwardShard(cloud, cam, res, target, loss, opts, ranges[wi], norm, wi)
+				ctx.backwardShard(cam, res, target, loss, opts, ranges[wi], norm, wi)
 			}(wi)
 		}
 		wg.Wait()
@@ -188,12 +197,12 @@ func (ctx *RenderContext) Backward(cloud *gauss.Cloud, cam camera.Camera, res *R
 // accumulating per-tile partials into the context's arena.
 //
 //ags:hotpath
-func (ctx *RenderContext) backwardShard(cloud *gauss.Cloud, cam camera.Camera, res *Result, target *frame.Frame,
+func (ctx *RenderContext) backwardShard(cam camera.Camera, res *Result, target *frame.Frame,
 	loss LossConfig, opts BackwardOptions, span [2]int, norm float64, wi int) {
 
 	ar := &ctx.arena
 	tiles := res.Tiles
-	// The replay scratch header is copied to a local and stored back once:
+	// The step scratch header is copied to a local and stored back once:
 	// workers' headers in ctx.bwScratch are adjacent, and rewriting them per
 	// pixel through the pointer would false-share cache lines.
 	scratch := ctx.bwScratch[wi]
@@ -205,23 +214,57 @@ func (ctx *RenderContext) backwardShard(cloud *gauss.Cloud, cam camera.Camera, r
 			tMean, tColor = ar.mean[lo:hi], ar.color[lo:hi]
 			tLogit, tLogScale = ar.logit[lo:hi], ar.logScale[lo:hi]
 		}
-		backwardOneTile(cloud, cam, res, target, loss, opts, tileIdx, norm,
-			tMean, tColor, tLogit, tLogScale,
+		backwardOneTile(cam, res, target, loss, opts, tileIdx, norm,
+			tMean, tColor, tLogit, tLogScale, ar.sigGrad, ar.scale2,
 			&ar.poseByTile[tileIdx], &ar.lossByTile[tileIdx], &scratch)
 	}
 	ctx.bwScratch[wi] = scratch
 }
 
+// pixelLoss adds the weighted L1 loss of one unmasked pixel to *lossAcc and
+// returns its gradients w.r.t. the rendered color, raw depth D and
+// silhouette S.
+//
+//ags:hotpath
+func pixelLoss(res *Result, target *frame.Frame, loss LossConfig, x, y, pix int, norm float64,
+	lossAcc *float64) (dLdC vecmath.Vec3, dLdD, dLdS float64) {
+
+	cRend := res.Color.Pix[pix]
+	cGT := target.Color.Pix[pix]
+	dRend := res.Depth.D[pix]
+	sil := res.Silhouette[pix]
+	dGT := target.Depth.At(x, y)
+	diff := cRend.Sub(cGT)
+	*lossAcc += loss.ColorWeight * (math.Abs(diff.X) + math.Abs(diff.Y) + math.Abs(diff.Z)) * norm / 3
+	dLdC = vecmath.Vec3{X: sign(diff.X), Y: sign(diff.Y), Z: sign(diff.Z)}.Scale(loss.ColorWeight * norm / 3)
+	if dGT > 0 {
+		if loss.NormalizeDepth {
+			if sil > 1e-6 {
+				dHat := dRend / sil
+				*lossAcc += loss.DepthWeight * math.Abs(dHat-dGT) * norm
+				dLdHat := sign(dHat-dGT) * loss.DepthWeight * norm
+				dLdD = dLdHat / sil
+				dLdS = -dLdHat * dRend / (sil * sil)
+			}
+		} else {
+			*lossAcc += loss.DepthWeight * math.Abs(dRend-dGT) * norm
+			dLdD = sign(dRend-dGT) * loss.DepthWeight * norm
+		}
+	}
+	return dLdC, dLdD, dLdS
+}
+
 // backwardOneTile accumulates one tile's partial reductions. The Gaussian
 // gradient slices are per-tile slots indexed by position in the tile's
 // Gaussian table (NOT by Gaussian ID); Backward folds them into the per-ID
-// output buffers in fixed tile order.
+// output buffers in fixed tile order. sigGrad and scale2 are the per-splat
+// factors Backward hoisted (nil without GaussianGrads).
 //
 //ags:hotpath
-func backwardOneTile(cloud *gauss.Cloud, cam camera.Camera, res *Result, target *frame.Frame,
+func backwardOneTile(cam camera.Camera, res *Result, target *frame.Frame,
 	loss LossConfig, opts BackwardOptions, tileIdx int, norm float64,
-	gMean, gColor []vecmath.Vec3, gLogit, gLogScale []float64,
-	gPose *vecmath.Twist, lossAcc *float64, scratch *[]contribution) {
+	gMean, gColor []vecmath.Vec3, gLogit, gLogScale, sigGrad, scale2 []float64,
+	gPose *vecmath.Twist, lossAcc *float64, scratch *[]blendStep) {
 
 	w, h := cam.Intr.W, cam.Intr.H
 	tiles := res.Tiles
@@ -233,71 +276,57 @@ func backwardOneTile(cloud *gauss.Cloud, cam camera.Camera, res *Result, target 
 	x1 := min(x0+TileSize, w)
 	y1 := min(y0+TileSize, h)
 	viewRT := cam.Pose.R.Mat3().Transpose()
+	lossOnly := !opts.GaussianGrads && !opts.PoseGrads
+	ref := res.logTiles[tileIdx]
+	log := &res.logShards[ref.shard]
+	pos := int(ref.off)
+	steps := *scratch
 
 	for y := y0; y < y1; y++ {
 		for x := x0; x < x1; x++ {
 			pix := y*w + x
+			// The pixel's run of the blend log, whether or not it is masked.
+			n := int(res.PerPixelBlend[pix])
+			lis, gs := log.li[pos:pos+n], log.g[pos:pos+n]
+			pos += n
 			if loss.UseSilhouetteMask && res.Silhouette[pix] <= loss.SilThreshold {
+				continue
+			}
+			dLdC, dLdD, dLdS := pixelLoss(res, target, loss, x, y, pix, norm, lossAcc)
+			if lossOnly {
 				continue
 			}
 			px := float64(x) + 0.5
 			py := float64(y) + 0.5
 
-			// Loss gradient at this pixel (L1).
-			cRend := res.Color.Pix[pix]
-			cGT := target.Color.Pix[pix]
-			dRend := res.Depth.D[pix]
-			sil := res.Silhouette[pix]
-			dGT := target.Depth.At(x, y)
-			diff := cRend.Sub(cGT)
-			*lossAcc += loss.ColorWeight * (math.Abs(diff.X) + math.Abs(diff.Y) + math.Abs(diff.Z)) * norm / 3
-			dLdC := vecmath.Vec3{X: sign(diff.X), Y: sign(diff.Y), Z: sign(diff.Z)}.Scale(loss.ColorWeight * norm / 3)
-			var dLdD, dLdS float64 // gradients w.r.t. raw depth D and silhouette S
-			if dGT > 0 {
-				if loss.NormalizeDepth {
-					if sil > 1e-6 {
-						dHat := dRend / sil
-						*lossAcc += loss.DepthWeight * math.Abs(dHat-dGT) * norm
-						dLdHat := sign(dHat-dGT) * loss.DepthWeight * norm
-						dLdD = dLdHat / sil
-						dLdS = -dLdHat * dRend / (sil * sil)
-					}
-				} else {
-					*lossAcc += loss.DepthWeight * math.Abs(dRend-dGT) * norm
-					dLdD = sign(dRend-dGT) * loss.DepthWeight * norm
-				}
+			// Forward pass over the logged blends: alpha and the
+			// transmittance before each step, in the order Render formed them.
+			if cap(steps) < n {
+				steps = make([]blendStep, n, 2*n)
 			}
-
-			// Forward replay, recording each blending step.
-			contribs := (*scratch)[:0]
+			steps = steps[:n]
 			t := 1.0
-			for li, si := range list {
-				s := &splats[si]
-				alpha, g := s.Alpha(px, py)
-				if alpha < MinAlpha {
-					continue
-				}
-				contribs = append(contribs, contribution{si: si, li: int32(li), alpha: alpha, g: g, t: t})
+			for k, li := range lis {
+				alpha := clampAlpha(splats[list[li]].Opacity, gs[k])
+				steps[k] = blendStep{alpha: alpha, t: t}
 				t *= 1 - alpha
-				if t < TransmittanceEps {
-					break
-				}
 			}
-			*scratch = contribs
 
 			// Reverse walk with suffix accumulators:
 			// dC/dalpha_i = T_i*c_i - S_i/(1-alpha_i), S_i = sum_{j>i} T_j*alpha_j*c_j,
 			// and analogously for the depth and silhouette channels.
 			var sColor vecmath.Vec3
 			var sDepth, sSil float64
-			for k := len(contribs) - 1; k >= 0; k-- {
-				c := &contribs[k]
-				s := &splats[c.si]
+			for k := n - 1; k >= 0; k-- {
+				c := steps[k]
+				li := lis[k]
+				si := list[li]
+				s := &splats[si]
 				wgt := c.t * c.alpha
 
 				// Color gradient: dC/dcolor_i = T_i*alpha_i.
 				if opts.GaussianGrads {
-					gColor[c.li] = gColor[c.li].Add(dLdC.Scale(wgt))
+					gColor[li] = gColor[li].Add(dLdC.Scale(wgt))
 				}
 
 				inv := 1 / (1 - c.alpha)
@@ -317,7 +346,7 @@ func backwardOneTile(cloud *gauss.Cloud, cam camera.Camera, res *Result, target 
 
 				if opts.GaussianGrads {
 					// d(alpha)/d(logit) = g * sigmoid'(logit).
-					gLogit[c.li] += dLdA * c.g * gauss.SigmoidGrad(s.Opacity)
+					gLogit[li] += dLdA * gs[k] * sigGrad[si]
 				}
 
 				// d(alpha)/d(mean2D) = alpha * CovInv * (pix - mean2D),
@@ -337,13 +366,11 @@ func backwardOneTile(cloud *gauss.Cloud, cam camera.Camera, res *Result, target 
 				gpc.Z += dLdD * wgt // dD/d(depth_i) = T_i*alpha_i
 
 				if opts.GaussianGrads {
-					gMean[c.li] = gMean[c.li].Add(viewRT.MulVec(gpc))
+					gMean[li] = gMean[li].Add(viewRT.MulVec(gpc))
 					// Isotropic scale gradient through the 2D covariance:
 					// d(alpha)/d(log s) = alpha * s^2 * (CovInv d)^T JJT (CovInv d).
-					sc := cloud.At(s.ID).Scale()
-					s2 := (sc.X*sc.X + sc.Y*sc.Y + sc.Z*sc.Z) / 3
 					quad := sdx*(s.JJT.M00*sdx+s.JJT.M01*sdy) + sdy*(s.JJT.M10*sdx+s.JJT.M11*sdy)
-					gLogScale[c.li] += dLdA * c.alpha * s2 * quad
+					gLogScale[li] += dLdA * c.alpha * scale2[si] * quad
 				}
 				if opts.PoseGrads {
 					gPose.V = gPose.V.Add(gpc)
@@ -352,6 +379,7 @@ func backwardOneTile(cloud *gauss.Cloud, cam camera.Camera, res *Result, target 
 			}
 		}
 	}
+	*scratch = steps
 }
 
 func sign(x float64) float64 {

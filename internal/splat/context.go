@@ -1,6 +1,7 @@
 package splat
 
 import (
+	"slices"
 	"sync"
 
 	"ags/internal/frame"
@@ -8,11 +9,12 @@ import (
 
 // RenderContext owns every buffer the forward and backward passes touch: the
 // Result pixel planes, the contribution log and its per-worker scratch, the
-// projected-splat slice, the CSR tile tables, the backward partial-reduction
-// arena, and the gradient outputs. Reusing one context across frames makes
-// the steady-state render/backward hot path allocation-free — the property
-// the tracker's IterT refinement loop and the mapper's MapIters training
-// loop run on (see the package doc's lifecycle and aliasing rules).
+// blend log, the sub-tile cull scratch, the projected-splat slice, the CSR
+// tile tables, the backward partial-reduction arena, and the gradient outputs.
+// Reusing one context across frames makes the steady-state render/backward
+// hot path allocation-free — the property the tracker's IterT refinement loop
+// and the mapper's MapIters training loop run on (see the package doc's
+// lifecycle and aliasing rules).
 //
 // A RenderContext is not safe for concurrent use. A nil *RenderContext is
 // valid: its Render and Backward fall back to the one-shot package functions,
@@ -26,13 +28,14 @@ type RenderContext struct {
 	depth      frame.DepthMap
 	result     Result
 	ranges     [][2]int
-	ops        []int64 // per-worker {alphaOps, blendOps} pairs
-	contrib    []int32 // per-worker contribution scratch (nonContrib ++ touched)
+	ops        []int64       // per-worker {alphaOps, blendOps} pairs
+	contrib    []int32       // per-worker contribution scratch (nonContrib ++ touched)
+	cull       []tileScratch // per-worker sub-tile cull scratch
 
 	// Backward-pass state.
 	arena     backwardArena
 	grads     Grads
-	bwScratch [][]contribution // per-worker blend-replay scratch
+	bwScratch [][]blendStep // per-worker blend-step scratch
 }
 
 // NewRenderContext returns an empty context; buffers are sized lazily from
@@ -55,6 +58,7 @@ func (ctx *RenderContext) Reset() {
 	ctx.ranges = nil
 	ctx.ops = nil
 	ctx.contrib = nil
+	ctx.cull = nil
 	ctx.arena.reset()
 	ctx.grads = Grads{}
 	ctx.bwScratch = nil
@@ -88,9 +92,18 @@ func releaseContext(ctx *RenderContext, noPool bool) {
 // returned Result owns its buffers outright, and the context forgets them so
 // its next use re-allocates instead of aliasing. Internal scratch that never
 // escapes (shard ranges, op counters, contribution scratch, the CSR build
-// cursor, the backward arena) stays with the context for reuse.
+// cursor, the cull scratch, the backward arena) stays with the context for
+// reuse. So does the blend log: it is grown by reservation and doubling, so
+// the Result takes an exact-size copy and a pooled context keeps the settled
+// buffers instead of regrowing them on every one-shot call.
 func (ctx *RenderContext) detachResult() *Result {
 	out := ctx.result
+	logShards, logTiles := out.logShards, out.logTiles
+	out.logTiles = slices.Clone(logTiles)
+	out.logShards = make([]blendShard, len(logShards))
+	for i, sh := range logShards {
+		out.logShards[i] = blendShard{li: slices.Clone(sh.li), g: slices.Clone(sh.g)}
+	}
 	out.Color = &frame.Image{W: ctx.color.W, H: ctx.color.H, Pix: ctx.color.Pix}
 	out.Depth = &frame.DepthMap{W: ctx.depth.W, H: ctx.depth.H, D: ctx.depth.D}
 	out.Tiles = &Tiles{TW: ctx.tiles.TW, TH: ctx.tiles.TH, Offsets: ctx.tiles.Offsets, Entries: ctx.tiles.Entries}
@@ -98,7 +111,7 @@ func (ctx *RenderContext) detachResult() *Result {
 	ctx.depth = frame.DepthMap{}
 	ctx.tiles = Tiles{}
 	ctx.splats = nil
-	ctx.result = Result{}
+	ctx.result = Result{logShards: logShards, logTiles: logTiles}
 	return &out
 }
 

@@ -199,9 +199,20 @@ func (ctx *RenderContext) FootprintBytes() int64 {
 		sliceBytes[vecmath.Vec3](cap(ctx.grads.Color)) +
 		sliceBytes[float64](cap(ctx.grads.Logit)) +
 		sliceBytes[float64](cap(ctx.grads.LogScale)) +
-		sliceBytes[[]contribution](cap(ctx.bwScratch))
-	for _, sc := range ctx.bwScratch {
-		b += sliceBytes[contribution](cap(sc))
+		sliceBytes[float64](cap(ctx.arena.sigGrad)) +
+		sliceBytes[float64](cap(ctx.arena.scale2)) +
+		sliceBytes[[]blendStep](cap(ctx.bwScratch)) +
+		sliceBytes[tileScratch](cap(ctx.cull)) +
+		sliceBytes[blendShard](cap(ctx.result.logShards)) +
+		sliceBytes[tileLogRef](cap(ctx.result.logTiles))
+	for _, sc := range ctx.bwScratch[:cap(ctx.bwScratch)] {
+		b += sliceBytes[blendStep](cap(sc))
+	}
+	for _, sc := range ctx.cull[:cap(ctx.cull)] {
+		b += sliceBytes[cullEntry](cap(sc.ent)) + sliceBytes[rowSpan](cap(sc.row))
+	}
+	for _, sh := range ctx.result.logShards[:cap(ctx.result.logShards)] {
+		b += sliceBytes[int32](cap(sh.li)) + sliceBytes[float64](cap(sh.g))
 	}
 	return b
 }

@@ -166,11 +166,41 @@ func TestFootprintBytes(t *testing.T) {
 	if got := ctx.FootprintBytes(); got != 0 {
 		t.Errorf("fresh context footprint %d, want 0", got)
 	}
-	useContext(t, ctx, 64, 48)
+	cloud, _ := determinismScene()
+	res := ctx.Render(cloud, testCam(64, 48), Options{Workers: 1})
 	used := ctx.FootprintBytes()
 	// At least the four pixel planes must be resident.
 	if min := int64(64 * 48 * (24 + 8 + 8 + 8)); used < min {
 		t.Errorf("used context footprint %d, want >= %d", used, min)
+	}
+	// What the pool reports resident is that footprint.
+	p := NewContextPool(1)
+	p.Release(ctx)
+	if got := p.Stats().ResidentBytes; got != used {
+		t.Errorf("pool resident bytes %d, context footprint %d", got, used)
+	}
+	if p.Acquire(64, 48) != ctx {
+		t.Fatal("pool did not hand the context back")
+	}
+	// The blend log (12 B per blend) and the cull scratch are counted:
+	// dropping them lowers the footprint by exactly their bytes.
+	var logBytes, cullBytes int64
+	for i, sh := range ctx.result.logShards {
+		logBytes += int64(4*cap(sh.li) + 8*cap(sh.g))
+		ctx.result.logShards[i] = blendShard{}
+	}
+	if logBytes < 12*res.BlendOps || res.BlendOps == 0 {
+		t.Errorf("blend log holds %d bytes for %d blends", logBytes, res.BlendOps)
+	}
+	if got := used - ctx.FootprintBytes(); got != logBytes {
+		t.Errorf("dropping the blend log freed %d footprint bytes, log held %d", got, logBytes)
+	}
+	for i, sc := range ctx.cull {
+		cullBytes += sliceBytes[cullEntry](cap(sc.ent)) + sliceBytes[rowSpan](cap(sc.row))
+		ctx.cull[i] = tileScratch{}
+	}
+	if got := used - logBytes - ctx.FootprintBytes(); got != cullBytes || cullBytes == 0 {
+		t.Errorf("dropping the cull scratch freed %d footprint bytes, scratch held %d", got, cullBytes)
 	}
 	ctx.Reset()
 	if got := ctx.FootprintBytes(); got != 0 {

@@ -21,16 +21,45 @@
 // comparisons at full parallelism; Result.Digest and Grads.Digest exist to
 // assert it cheaply.
 //
+// The workload counters count modelled work, not host work. AlphaOps,
+// PerPixelAlpha and Touched count Gaussian-table visits — what the GPE array
+// walks: every entry of a tile's table at every pixel of the tile, up to and
+// including the entry that terminated the pixel — and NonContrib counts the
+// visits that stayed below ThreshAlpha. The host evaluates far fewer: an
+// entry is evaluated only at the pixels of a conservative box around the
+// ellipse where its alpha can reach the blend (or contribution) threshold,
+// the exponential only inside that ellipse, and the counters are
+// reconstructed exactly from the loop index at termination. The full-walk
+// kernels this replaced live on in reference_test.go, where every output is
+// compared with theirs byte for byte.
+//
+// # Blend log
+//
+// Render records every blend it performs — the entry's position in its tile's
+// table and the falloff G, 12 bytes — and Backward walks that log instead of
+// re-evaluating alphas: it recomputes alpha = min(Opacity*G, MaxAlpha) and the
+// transmittance in the order Render formed them, so gradients are bit for bit
+// those of a replay. The log belongs to the Result: one shard per Render
+// worker, each tile's (shard, offset), and a pixel's run length in
+// PerPixelBlend, so Render and Backward may use different Workers values and
+// Backward may take a Result from any context. It follows the Result's
+// aliasing rules below (a contexted Result's log is overwritten by the
+// context's next Render; a one-shot Result owns an exact-size copy) and
+// Backward only reads it. It holds 12 B x BlendOps; a context's shards grow by
+// doubling and are never shrunk, so a warm context retains at most twice the
+// log of its largest render (FootprintBytes counts it).
+//
 // # Render contexts
 //
 // Both passes run inside a RenderContext, which owns every buffer they touch:
 // the Result pixel planes, the contribution log and its per-worker scratch,
-// the projected-splat slice, the CSR tile tables, and the backward pass's
-// partial-reduction arena plus gradient outputs. A long-lived context makes
-// the steady-state hot path allocation-free; the package-level Render and
-// Backward functions remain as one-shot wrappers that borrow a context from
-// an internal pool (bypassed by Options.NoPool / BackwardOptions.NoPool) and
-// hand the output buffers to the caller before returning it.
+// the blend log and the per-worker cull scratch, the projected-splat slice,
+// the CSR tile tables, and the backward pass's partial-reduction arena plus
+// gradient outputs. A long-lived context makes the steady-state hot path
+// allocation-free; the package-level Render and Backward functions remain as
+// one-shot wrappers that borrow a context from an internal pool (bypassed by
+// Options.NoPool / BackwardOptions.NoPool) and hand the output buffers to the
+// caller before returning it.
 //
 // Multi-stream hosts share contexts through a ContextPool: a bounded set
 // keyed by (W, H) size class with LRU eviction and hit/miss/eviction/
@@ -220,11 +249,17 @@ func preprocessInto(splats []Splat, cloud *gauss.Cloud, cam camera.Camera, skip 
 func (s *Splat) Eval(x, y float64) float64 {
 	dx := x - s.Mean2D.X
 	dy := y - s.Mean2D.Y
-	q := dx*(s.ConA*dx+s.ConB*dy) + dy*(s.ConB*dx+s.ConC*dy)
+	return falloff(dx*(s.ConA*dx+s.ConB*dy) + dy*(s.ConB*dx+s.ConC*dy))
+}
+
+// falloff maps the squared Mahalanobis distance q to G (see Eval).
+//
+//ags:hotpath
+func falloff(q float64) float64 {
 	if q < 0 {
 		return 1 // numerical guard: q is a Mahalanobis distance, >= 0
 	}
-	if q > 12.5 {
+	if q > qCutMax {
 		return 0
 	}
 	return math.Exp(-0.5 * q)
@@ -236,9 +271,16 @@ func (s *Splat) Eval(x, y float64) float64 {
 //ags:hotpath
 func (s *Splat) Alpha(x, y float64) (alpha, g float64) {
 	g = s.Eval(x, y)
-	alpha = s.Opacity * g
+	return clampAlpha(s.Opacity, g), g
+}
+
+// clampAlpha returns the clamped occlusion factor for falloff g.
+//
+//ags:hotpath
+func clampAlpha(opacity, g float64) float64 {
+	alpha := opacity * g
 	if alpha > MaxAlpha {
 		alpha = MaxAlpha
 	}
-	return alpha, g
+	return alpha
 }

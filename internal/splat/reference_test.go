@@ -1,0 +1,465 @@
+package splat
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"ags/internal/camera"
+	"ags/internal/frame"
+	"ags/internal/gauss"
+	"ags/internal/vecmath"
+)
+
+// This file keeps the full-walk kernels the package shipped before sub-tile
+// culling and the blend log — every table entry evaluated at every pixel of
+// its tile, Backward replaying Splat.Alpha — as the reference the production
+// kernels must match byte for byte. refRenderOneTile, refBackwardOneTile and
+// refContribution are verbatim copies; only the serial drivers around them
+// are new.
+
+// refContribution is one blending step recorded during the per-pixel forward
+// replay, consumed in reverse order for the suffix-sum alpha gradients.
+type refContribution struct {
+	si    int32 // index into res.Splats
+	li    int32 // position in the tile's Gaussian table (per-tile grad slot)
+	alpha float64
+	g     float64
+	t     float64 // transmittance *before* this Gaussian
+}
+
+func refRenderOneTile(res *Result, splats []Splat, tiles *Tiles, tileIdx, w, h int, opts Options,
+	nonContrib, touched []int32, alphaOps, blendOps *int64) {
+
+	tx := tileIdx % tiles.TW
+	ty := tileIdx / tiles.TW
+	list := tiles.ListAt(tileIdx)
+	x0, y0 := tx*TileSize, ty*TileSize
+	x1 := min(x0+TileSize, w)
+	y1 := min(y0+TileSize, h)
+
+	for y := y0; y < y1; y++ {
+		for x := x0; x < x1; x++ {
+			px := float64(x) + 0.5
+			py := float64(y) + 0.5
+			t := 1.0
+			var color vecmath.Vec3
+			var depth, sil float64
+			pix := y*w + x
+			li := 0
+			for ; li < len(list); li++ {
+				s := &splats[list[li]]
+				(*alphaOps)++
+				res.PerPixelAlpha[pix]++
+				alpha, _ := s.Alpha(px, py)
+				if nonContrib != nil {
+					touched[s.ID]++
+					if alpha < opts.ThreshAlpha {
+						nonContrib[s.ID]++
+					}
+				}
+				if alpha < MinAlpha {
+					continue
+				}
+				(*blendOps)++
+				res.PerPixelBlend[pix]++
+				wgt := t * alpha
+				color = color.Add(s.Color.Scale(wgt))
+				depth += wgt * s.Depth
+				sil += wgt
+				t *= 1 - alpha
+				if t < TransmittanceEps {
+					li++
+					break
+				}
+			}
+			if nonContrib != nil {
+				// Table entries past the early-termination point were never
+				// blended, so they contributed nothing to this pixel. The
+				// hardware gets this information for free (the loop index at
+				// termination); it is where the bulk of Fig. 5's
+				// non-contributory Gaussians come from.
+				for ; li < len(list); li++ {
+					id := splats[list[li]].ID
+					touched[id]++
+					nonContrib[id]++
+				}
+			}
+			res.Color.Pix[pix] = color
+			res.Depth.D[pix] = depth
+			res.Silhouette[pix] = sil
+			res.FinalT[pix] = t
+		}
+	}
+}
+
+func refBackwardOneTile(cloud *gauss.Cloud, cam camera.Camera, res *Result, target *frame.Frame,
+	loss LossConfig, opts BackwardOptions, tileIdx int, norm float64,
+	gMean, gColor []vecmath.Vec3, gLogit, gLogScale []float64,
+	gPose *vecmath.Twist, lossAcc *float64, scratch *[]refContribution) {
+
+	w, h := cam.Intr.W, cam.Intr.H
+	tiles := res.Tiles
+	splats := res.Splats
+	tx := tileIdx % tiles.TW
+	ty := tileIdx / tiles.TW
+	list := tiles.ListAt(tileIdx)
+	x0, y0 := tx*TileSize, ty*TileSize
+	x1 := min(x0+TileSize, w)
+	y1 := min(y0+TileSize, h)
+	viewRT := cam.Pose.R.Mat3().Transpose()
+
+	for y := y0; y < y1; y++ {
+		for x := x0; x < x1; x++ {
+			pix := y*w + x
+			if loss.UseSilhouetteMask && res.Silhouette[pix] <= loss.SilThreshold {
+				continue
+			}
+			px := float64(x) + 0.5
+			py := float64(y) + 0.5
+
+			// Loss gradient at this pixel (L1).
+			cRend := res.Color.Pix[pix]
+			cGT := target.Color.Pix[pix]
+			dRend := res.Depth.D[pix]
+			sil := res.Silhouette[pix]
+			dGT := target.Depth.At(x, y)
+			diff := cRend.Sub(cGT)
+			*lossAcc += loss.ColorWeight * (math.Abs(diff.X) + math.Abs(diff.Y) + math.Abs(diff.Z)) * norm / 3
+			dLdC := vecmath.Vec3{X: sign(diff.X), Y: sign(diff.Y), Z: sign(diff.Z)}.Scale(loss.ColorWeight * norm / 3)
+			var dLdD, dLdS float64 // gradients w.r.t. raw depth D and silhouette S
+			if dGT > 0 {
+				if loss.NormalizeDepth {
+					if sil > 1e-6 {
+						dHat := dRend / sil
+						*lossAcc += loss.DepthWeight * math.Abs(dHat-dGT) * norm
+						dLdHat := sign(dHat-dGT) * loss.DepthWeight * norm
+						dLdD = dLdHat / sil
+						dLdS = -dLdHat * dRend / (sil * sil)
+					}
+				} else {
+					*lossAcc += loss.DepthWeight * math.Abs(dRend-dGT) * norm
+					dLdD = sign(dRend-dGT) * loss.DepthWeight * norm
+				}
+			}
+
+			// Forward replay, recording each blending step.
+			contribs := (*scratch)[:0]
+			t := 1.0
+			for li, si := range list {
+				s := &splats[si]
+				alpha, g := s.Alpha(px, py)
+				if alpha < MinAlpha {
+					continue
+				}
+				contribs = append(contribs, refContribution{si: si, li: int32(li), alpha: alpha, g: g, t: t})
+				t *= 1 - alpha
+				if t < TransmittanceEps {
+					break
+				}
+			}
+			*scratch = contribs
+
+			// Reverse walk with suffix accumulators:
+			// dC/dalpha_i = T_i*c_i - S_i/(1-alpha_i), S_i = sum_{j>i} T_j*alpha_j*c_j,
+			// and analogously for the depth and silhouette channels.
+			var sColor vecmath.Vec3
+			var sDepth, sSil float64
+			for k := len(contribs) - 1; k >= 0; k-- {
+				c := &contribs[k]
+				s := &splats[c.si]
+				wgt := c.t * c.alpha
+
+				// Color gradient: dC/dcolor_i = T_i*alpha_i.
+				if opts.GaussianGrads {
+					gColor[c.li] = gColor[c.li].Add(dLdC.Scale(wgt))
+				}
+
+				inv := 1 / (1 - c.alpha)
+				dCdA := s.Color.Scale(c.t).Sub(sColor.Scale(inv))
+				dDdA := c.t*s.Depth - sDepth*inv
+				dSdA := c.t - sSil*inv
+				dLdA := dLdC.Dot(dCdA) + dLdD*dDdA + dLdS*dSdA
+
+				sColor = sColor.Add(s.Color.Scale(wgt))
+				sDepth += wgt * s.Depth
+				sSil += wgt
+
+				// Through the alpha clamp: no gradient when saturated.
+				if c.alpha >= MaxAlpha {
+					continue
+				}
+
+				if opts.GaussianGrads {
+					// d(alpha)/d(logit) = g * sigmoid'(logit).
+					gLogit[c.li] += dLdA * c.g * gauss.SigmoidGrad(s.Opacity)
+				}
+
+				// d(alpha)/d(mean2D) = alpha * CovInv * (pix - mean2D),
+				// through the precomputed conic (== the symmetric inverse
+				// covariance, see Splat).
+				dx := px - s.Mean2D.X
+				dy := py - s.Mean2D.Y
+				sdx := s.ConA*dx + s.ConB*dy
+				sdy := s.ConB*dx + s.ConC*dy
+				dAdMu := vecmath.Vec2{X: c.alpha * sdx, Y: c.alpha * sdy}
+				gMu := dAdMu.Scale(dLdA)
+
+				// Into camera space through the projection Jacobian rows
+				// (d(mean2D)/d(camPt) = J), plus the depth-render dependence
+				// on the camera-space Z.
+				gpc := s.DU.Scale(gMu.X).Add(s.DV.Scale(gMu.Y))
+				gpc.Z += dLdD * wgt // dD/d(depth_i) = T_i*alpha_i
+
+				if opts.GaussianGrads {
+					gMean[c.li] = gMean[c.li].Add(viewRT.MulVec(gpc))
+					// Isotropic scale gradient through the 2D covariance:
+					// d(alpha)/d(log s) = alpha * s^2 * (CovInv d)^T JJT (CovInv d).
+					sc := cloud.At(s.ID).Scale()
+					s2 := (sc.X*sc.X + sc.Y*sc.Y + sc.Z*sc.Z) / 3
+					quad := sdx*(s.JJT.M00*sdx+s.JJT.M01*sdy) + sdy*(s.JJT.M10*sdx+s.JJT.M11*sdy)
+					gLogScale[c.li] += dLdA * c.alpha * s2 * quad
+				}
+				if opts.PoseGrads {
+					gPose.V = gPose.V.Add(gpc)
+					gPose.W = gPose.W.Add(s.CamPt.Cross(gpc))
+				}
+			}
+		}
+	}
+}
+
+// refRender walks every tile serially through the reference forward kernel
+// over already projected splats.
+func refRender(splats []Splat, nGauss int, cam camera.Camera, opts Options) *Result {
+	w, h := cam.Intr.W, cam.Intr.H
+	res := &Result{
+		Color:         frame.NewImage(w, h),
+		Depth:         frame.NewDepthMap(w, h),
+		Silhouette:    make([]float64, w*h),
+		FinalT:        make([]float64, w*h),
+		Splats:        splats,
+		Tiles:         BuildTiles(splats, cam.Intr),
+		PerPixelBlend: make([]int32, w*h),
+		PerPixelAlpha: make([]int32, w*h),
+	}
+	if opts.LogContribution {
+		res.NonContrib = make([]int32, nGauss)
+		res.Touched = make([]int32, nGauss)
+	}
+	for tileIdx := 0; tileIdx < res.Tiles.NumTiles(); tileIdx++ {
+		refRenderOneTile(res, splats, res.Tiles, tileIdx, w, h, opts, res.NonContrib, res.Touched, &res.AlphaOps, &res.BlendOps)
+	}
+	return res
+}
+
+// refBackward walks every tile serially through the reference backward
+// kernel and merges the per-tile partials in ascending tile order, as
+// Backward does.
+func refBackward(cloud *gauss.Cloud, cam camera.Camera, res *Result, target *frame.Frame, loss LossConfig, opts BackwardOptions) *Grads {
+	grads := &Grads{}
+	if opts.GaussianGrads {
+		grads.Mean = make([]vecmath.Vec3, cloud.Len())
+		grads.Color = make([]vecmath.Vec3, cloud.Len())
+		grads.Logit = make([]float64, cloud.Len())
+		grads.LogScale = make([]float64, cloud.Len())
+	}
+	for pix := range res.Silhouette {
+		if !loss.UseSilhouetteMask || res.Silhouette[pix] > loss.SilThreshold {
+			grads.Pixels++
+		}
+	}
+	if grads.Pixels == 0 {
+		return grads
+	}
+	norm := 1 / float64(grads.Pixels)
+	var scratch []refContribution
+	for tileIdx := 0; tileIdx < res.Tiles.NumTiles(); tileIdx++ {
+		n := len(res.Tiles.ListAt(tileIdx))
+		var tMean, tColor []vecmath.Vec3
+		var tLogit, tLogScale []float64
+		if opts.GaussianGrads {
+			tMean, tColor = make([]vecmath.Vec3, n), make([]vecmath.Vec3, n)
+			tLogit, tLogScale = make([]float64, n), make([]float64, n)
+		}
+		var pose vecmath.Twist
+		var tileLoss float64
+		refBackwardOneTile(cloud, cam, res, target, loss, opts, tileIdx, norm,
+			tMean, tColor, tLogit, tLogScale, &pose, &tileLoss, &scratch)
+		grads.Loss += tileLoss
+		grads.Pose = grads.Pose.Add(pose)
+		if opts.GaussianGrads {
+			for j, si := range res.Tiles.ListAt(tileIdx) {
+				id := res.Splats[si].ID
+				grads.Mean[id] = grads.Mean[id].Add(tMean[j])
+				grads.Color[id] = grads.Color[id].Add(tColor[j])
+				grads.Logit[id] += tLogit[j]
+				grads.LogScale[id] += tLogScale[j]
+			}
+		}
+	}
+	return grads
+}
+
+// renderSplats runs the production tile pass over already projected splats,
+// so tests can inject splats no projection would produce.
+func renderSplats(ctx *RenderContext, splats []Splat, cloud *gauss.Cloud, cam camera.Camera, opts Options) *Result {
+	ctx.splats = append(ctx.splats[:0], splats...)
+	buildTilesInto(&ctx.tiles, &ctx.tileCursor, ctx.splats, cam.Intr)
+	return ctx.renderTiles(cloud, cam, opts)
+}
+
+// adversarialSplats projects a random cloud and then overwrites splats with
+// the shapes the cull box must survive: needle-thin and near-singular conics,
+// conics that are not positive-definite or not finite, opacities below the
+// blend threshold or not finite, footprints far larger than the image, and
+// opaque splats that force early termination.
+func adversarialSplats(rng *rand.Rand, cloud *gauss.Cloud, cam camera.Camera) []Splat {
+	splats := Preprocess(cloud, cam, nil)
+	nan, inf := math.NaN(), math.Inf(1)
+	w, h := float64(cam.Intr.W), float64(cam.Intr.H)
+	for i := range splats {
+		s := &splats[i]
+		switch rng.Intn(17) {
+		case 0: // needle along a diagonal
+			s.ConA, s.ConC = 2, 2
+			s.ConB = 2 * (1 - 1e-4)
+			s.Radius = 3 * w
+		case 1: // so close to singular that q cancels: whole-tile fallback
+			s.ConA, s.ConC = 1, 1
+			s.ConB = -(1 - 1e-12)
+			s.Radius = 3 * w
+		case 2: // axis-aligned needle
+			s.ConA, s.ConB, s.ConC = 3, 0, 1e-6
+			s.Radius = 3 * w
+		case 3: // indefinite
+			s.ConA, s.ConB, s.ConC = 0.05, 0.2, 0.05
+		case 4: // negative-definite: q < 0 everywhere, Eval's guard returns 1
+			s.ConA, s.ConB, s.ConC = -0.1, 0, -0.2
+		case 5:
+			s.ConA = nan
+		case 6:
+			s.ConB = inf
+		case 7:
+			s.ConA, s.ConC = inf, inf
+		case 8: // never reaches MinAlpha
+			s.Opacity = 0.5 * MinAlpha
+		case 9:
+			s.Opacity = 0
+		case 10:
+			s.Opacity = nan
+		case 11: // covers the image many times over
+			s.ConA, s.ConB, s.ConC = 1e-9, 0, 2e-9
+			s.Radius = 1e5
+			s.Opacity = 0.3
+		case 12: // opaque blanket: early termination
+			s.ConA, s.ConB, s.ConC = 1e-4, 0, 1e-4
+			s.Radius = 300
+			s.Opacity = 0.999
+			s.Depth = 0.2 + 0.1*rng.Float64()
+		case 13: // center off-image, footprint reaching in
+			s.Mean2D = vecmath.Vec2{X: -0.4 * w, Y: 1.3 * h}
+			s.ConA, s.ConB, s.ConC = 4e-4, 1e-4, 3e-4
+			s.Radius = 2 * w
+		case 14:
+			s.Mean2D.X = nan
+			s.Radius = 2 * w
+		case 15: // a needle through pixel centers whose determinant is all rounding error
+			s.Mean2D = vecmath.Vec2{X: math.Floor(0.5*w) + 0.5, Y: math.Floor(0.5*h) + 0.5}
+			s.ConA, s.ConC = 5e12, 5e12
+			s.ConB = -5e12 * (1 - 1e-15)
+			s.Radius = 3 * w
+		}
+	}
+	return splats
+}
+
+// TestKernelsMatchFullWalkReference is the exactness gate of the culled
+// forward kernel and the log-driven backward kernel: on seeded random clouds
+// and on adversarial splats, for every contribution-log setting, frame sizes
+// off the tile grid, a Skip set, and mixed Render x Backward worker counts,
+// the Result digest (pixels, per-pixel and total counters, contribution log)
+// and the Grads digest equal the full-walk reference.
+func TestKernelsMatchFullWalkReference(t *testing.T) {
+	workers := []int{1, 2, 3, 7}
+	logs := []Options{
+		{},
+		{LogContribution: true, ThreshAlpha: 0},
+		{LogContribution: true, ThreshAlpha: 0.001},
+		{LogContribution: true, ThreshAlpha: MinAlpha},
+		{LogContribution: true, ThreshAlpha: 0.02},
+		{LogContribution: true, ThreshAlpha: math.NaN()},
+	}
+	bopts := []BackwardOptions{
+		{GaussianGrads: true, PoseGrads: true},
+		{GaussianGrads: true},
+		{PoseGrads: true},
+		{},
+	}
+	sizes := []struct{ w, h int }{{64, 48}, {50, 37}, {16, 16}, {97, 33}}
+	rng := rand.New(rand.NewSource(2026))
+	ctx, bctx := NewRenderContext(), NewRenderContext()
+	trial := 0
+	for _, adversarial := range []bool{false, true} {
+		for _, sz := range sizes {
+			for _, lo := range logs {
+				trial++
+				cam := testCam(sz.w, sz.h)
+				cloud := randomCloud(rng, 20+rng.Intn(60))
+				if rng.Intn(2) == 0 {
+					lo.Skip = make([]bool, cloud.Len()-rng.Intn(3)) // may be shorter than the cloud
+					for id := range lo.Skip {
+						lo.Skip[id] = rng.Intn(4) == 0
+					}
+				}
+				var splats []Splat
+				if adversarial {
+					splats = adversarialSplats(rng, cloud, cam)
+				} else {
+					splats = Preprocess(cloud, cam, lo.Skip)
+				}
+				tgt := Render(randomCloud(rng, 12), cam, Options{Workers: 1})
+				target := &frame.Frame{Color: tgt.Color, Depth: tgt.NormalizedDepth()}
+
+				want := refRender(splats, cloud.Len(), cam, lo)
+				wantDigest := want.Digest()
+				name := fmt.Sprintf("trial %d (adversarial=%v %dx%d log=%v thresh=%v)",
+					trial, adversarial, sz.w, sz.h, lo.LogContribution, lo.ThreshAlpha)
+				for i, rw := range workers {
+					lo.Workers = rw
+					var got *Result
+					switch {
+					case adversarial:
+						got = renderSplats(ctx, splats, cloud, cam, lo)
+					case i%2 == 0:
+						got = ctx.Render(cloud, cam, lo)
+					default:
+						got = Render(cloud, cam, lo) // detached one-shot Result
+					}
+					if got.AlphaOps != want.AlphaOps || got.BlendOps != want.BlendOps {
+						t.Fatalf("%s, workers %d: ops %d/%d, reference %d/%d",
+							name, rw, got.AlphaOps, got.BlendOps, want.AlphaOps, want.BlendOps)
+					}
+					if got.Digest() != wantDigest {
+						t.Fatalf("%s, workers %d: render digest differs from the full-walk reference", name, rw)
+					}
+					lc := DefaultMappingLoss()
+					if (trial+i)%2 == 0 {
+						lc = DefaultTrackingLoss()
+						lc.SilThreshold = 0.5
+					}
+					bo := bopts[(trial+i)%len(bopts)]
+					wantG := refBackward(cloud, cam, want, target, lc, bo).Digest()
+					for _, bw := range workers {
+						bo.Workers = bw
+						if bctx.Backward(cloud, cam, got, target, lc, bo).Digest() != wantG {
+							t.Fatalf("%s, render workers %d, backward workers %d, %+v: gradient digest differs from the full-walk reference",
+								name, rw, bw, bo)
+						}
+					}
+				}
+			}
+		}
+	}
+}

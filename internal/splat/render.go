@@ -44,9 +44,14 @@ type Result struct {
 
 	// Workload trace for the hardware simulator:
 	PerPixelBlend []int32 // stage-2 blending operations per pixel
-	PerPixelAlpha []int32 // stage-1 alpha evaluations per pixel
-	AlphaOps      int64   // total alpha (stage-1) evaluations
+	PerPixelAlpha []int32 // stage-1 table visits per pixel
+	AlphaOps      int64   // total alpha (stage-1) table visits
 	BlendOps      int64   // total color-blend (stage-2) operations
+
+	// Blend log for Backward (see the package doc): one shard per forward
+	// worker, and each tile's location in them.
+	logShards []blendShard
+	logTiles  []tileLogRef
 }
 
 // Render runs the full forward pipeline (steps 1-3 of Fig. 2) for the cloud
@@ -87,9 +92,9 @@ func (ctx *RenderContext) Render(cloud *gauss.Cloud, cam camera.Camera, opts Opt
 //ags:hotpath
 func (ctx *RenderContext) renderTiles(cloud *gauss.Cloud, cam camera.Camera, opts Options) *Result {
 	w, h := cam.Intr.W, cam.Intr.H
-	// The four assigned pixel planes are fully overwritten (every pixel
-	// belongs to exactly one tile), so they are resized without clearing;
-	// the accumulated counters are re-zeroed.
+	// The four assigned pixel planes and the two per-pixel counters are fully
+	// overwritten (every pixel belongs to exactly one tile), so they are
+	// resized without clearing; the accumulated counters are re-zeroed.
 	ctx.color = frame.Image{W: w, H: h, Pix: resized(ctx.color.Pix, w*h)}
 	ctx.depth = frame.DepthMap{W: w, H: h, D: resized(ctx.depth.D, w*h)}
 	res := &ctx.result
@@ -99,8 +104,8 @@ func (ctx *RenderContext) renderTiles(cloud *gauss.Cloud, cam camera.Camera, opt
 	res.FinalT = resized(res.FinalT, w*h)
 	res.Splats = ctx.splats
 	res.Tiles = &ctx.tiles
-	res.PerPixelBlend = zeroed(res.PerPixelBlend, w*h)
-	res.PerPixelAlpha = zeroed(res.PerPixelAlpha, w*h)
+	res.PerPixelBlend = resized(res.PerPixelBlend, w*h)
+	res.PerPixelAlpha = resized(res.PerPixelAlpha, w*h)
 	res.AlphaOps, res.BlendOps = 0, 0
 	if opts.LogContribution {
 		res.NonContrib = zeroed(res.NonContrib, cloud.Len())
@@ -111,17 +116,20 @@ func (ctx *RenderContext) renderTiles(cloud *gauss.Cloud, cam camera.Camera, opt
 
 	ctx.ranges = shardRangesInto(ctx.ranges[:0], ctx.tiles.NumTiles(), opts.Workers)
 	ranges := ctx.ranges
-	if len(ranges) == 1 {
+	nw := len(ranges)
+	res.logTiles = resized(res.logTiles, ctx.tiles.NumTiles())
+	res.logShards = extended(res.logShards, nw)
+	ctx.cull = extended(ctx.cull, nw)
+
+	if nw == 1 {
 		// Serial fast path: accumulate straight into the Result. The
 		// reductions are integers, so this is bit-identical to the
 		// scratch-and-merge parallel path — and it spawns nothing, keeping
 		// warm contexted renders allocation-free.
-		renderShard(res, ctx.splats, &ctx.tiles, ranges[0], w, h, opts,
-			res.NonContrib, res.Touched, &res.AlphaOps, &res.BlendOps)
+		res.AlphaOps, res.BlendOps = ctx.renderShard(0, w, h, opts, res.NonContrib, res.Touched)
 		return res
 	}
 
-	nw := len(ranges)
 	n := cloud.Len()
 	var nonContribAll, touchedAll []int32
 	if opts.LogContribution {
@@ -141,8 +149,7 @@ func (ctx *RenderContext) renderTiles(cloud *gauss.Cloud, cam camera.Camera, opt
 				nc = nonContribAll[wi*n : (wi+1)*n]
 				tc = touchedAll[wi*n : (wi+1)*n]
 			}
-			renderShard(res, ctx.splats, &ctx.tiles, ranges[wi], w, h, opts,
-				nc, tc, &ctx.ops[2*wi], &ctx.ops[2*wi+1])
+			ctx.ops[2*wi], ctx.ops[2*wi+1] = ctx.renderShard(wi, w, h, opts, nc, tc)
 		}(wi)
 	}
 	wg.Wait()
@@ -163,30 +170,45 @@ func (ctx *RenderContext) renderTiles(cloud *gauss.Cloud, cam camera.Camera, opt
 	return res
 }
 
-// renderShard renders one worker's contiguous tile span in ascending order.
-// Op counters accumulate in locals and are stored to the shared slots once
-// per shard: workers' slots in ctx.ops are adjacent, and incrementing them
-// per (pixel, splat) through the pointer would false-share cache lines on
-// the hottest increment of the pipeline.
+// renderShard renders worker wi's contiguous tile span in ascending order,
+// appending to the worker's own blend-log shard. The op counters, the cull
+// scratch and the shard headers live in locals and are stored once per shard:
+// workers' slots are adjacent in memory, and updating them per (pixel, splat)
+// through a pointer would false-share cache lines on the hottest writes of
+// the pipeline.
 //
 //ags:hotpath
-func renderShard(res *Result, splats []Splat, tiles *Tiles, span [2]int, w, h int, opts Options,
-	nonContrib, touched []int32, alphaOps, blendOps *int64) {
-	var alpha, blend int64
+func (ctx *RenderContext) renderShard(wi, w, h int, opts Options, nonContrib, touched []int32) (alphaOps, blendOps int64) {
+	res := &ctx.result
+	sc := ctx.cull[wi]
+	log := res.logShards[wi]
+	span := ctx.ranges[wi]
 	for tileIdx := span[0]; tileIdx < span[1]; tileIdx++ {
-		renderOneTile(res, splats, tiles, tileIdx, w, h, opts, nonContrib, touched, &alpha, &blend)
+		res.logTiles[tileIdx] = tileLogRef{shard: int32(wi), off: int32(blendOps)}
+		a, b := renderOneTile(res, tileIdx, w, h, opts, nonContrib, touched, &sc, &log, int(blendOps))
+		alphaOps += a
+		blendOps += b
 	}
-	*alphaOps = alpha
-	*blendOps = blend
+	log.li, log.g = log.li[:blendOps], log.g[:blendOps]
+	ctx.cull[wi] = sc
+	res.logShards[wi] = log
+	return alphaOps, blendOps
 }
 
 // renderOneTile alpha-blends one tile's pixels front-to-back with early
-// termination — the innermost forward kernel.
+// termination — the innermost forward kernel. It evaluates a table entry only
+// at the pixels of its cull box, and the exponential only within its cutoff
+// (see cullBox), and reconstructs the modelled workload counters, which count
+// table visits rather than host evaluations, from the loop index: a pixel
+// visits every entry up to and including the one that terminated it, and
+// every entry of the table is touched at every pixel of the tile. Each blend
+// is recorded at log[pos...] for Backward.
 //
 //ags:hotpath
-func renderOneTile(res *Result, splats []Splat, tiles *Tiles, tileIdx, w, h int, opts Options,
-	nonContrib, touched []int32, alphaOps, blendOps *int64) {
+func renderOneTile(res *Result, tileIdx, w, h int, opts Options,
+	nonContrib, touched []int32, sc *tileScratch, log *blendShard, pos int) (alphaOps, blendOps int64) {
 
+	splats, tiles := res.Splats, res.Tiles
 	tx := tileIdx % tiles.TW
 	ty := tileIdx / tiles.TW
 	list := tiles.ListAt(tileIdx)
@@ -194,59 +216,98 @@ func renderOneTile(res *Result, splats []Splat, tiles *Tiles, tileIdx, w, h int,
 	x1 := min(x0+TileSize, w)
 	y1 := min(y0+TileSize, h)
 
+	// The threshold an entry must be able to reach to matter at a pixel:
+	// MinAlpha to blend, and ThreshAlpha to count as contributing when that
+	// is lower (or unordered, which cullBox treats as "never cull").
+	athr := MinAlpha
+	if nonContrib != nil && !(opts.ThreshAlpha >= MinAlpha) {
+		athr = opts.ThreshAlpha
+	}
+	ent := resized(sc.ent, len(list))
+	for li, si := range list {
+		ent[li] = cullBox(&splats[si], athr, x0, y0, x1, y1)
+	}
+	sc.ent = ent
+	start := pos
+
+	row := sc.row
 	for y := y0; y < y1; y++ {
+		row = row[:0]
+		for li := range ent {
+			if e := &ent[li]; int32(y) >= e.y0 && int32(y) < e.y1 {
+				row = append(row, rowSpan{li: int32(li), x0: e.x0, x1: e.x1})
+			}
+		}
+		// A pixel blends each entry of its row at most once, so the pixel
+		// loop below writes the log by index without growing it.
+		log.reserve(pos, len(row)*(x1-x0))
+		py := float64(y) + 0.5
 		for x := x0; x < x1; x++ {
 			px := float64(x) + 0.5
-			py := float64(y) + 0.5
 			t := 1.0
 			var color vecmath.Vec3
 			var depth, sil float64
-			pix := y*w + x
-			li := 0
-			for ; li < len(list); li++ {
-				s := &splats[list[li]]
-				(*alphaOps)++
-				res.PerPixelAlpha[pix]++
-				alpha, _ := s.Alpha(px, py)
-				if nonContrib != nil {
-					touched[s.ID]++
-					if alpha < opts.ThreshAlpha {
-						nonContrib[s.ID]++
-					}
+			visited := len(list)
+			pixStart := pos
+			for _, sp := range row {
+				if int32(x) < sp.x0 || int32(x) >= sp.x1 {
+					continue
+				}
+				// Splat.Alpha on the gathered fields, cut short at qc.
+				e := &ent[sp.li]
+				dx := px - e.mx
+				dy := py - e.my
+				q := dx*(e.conA*dx+e.conB*dy) + dy*(e.conB*dx+e.conC*dy)
+				if q > e.qc {
+					continue
+				}
+				g := falloff(q)
+				alpha := clampAlpha(e.opacity, g)
+				if nonContrib != nil && !(alpha < opts.ThreshAlpha) {
+					e.contrib++
 				}
 				if alpha < MinAlpha {
 					continue
 				}
-				(*blendOps)++
-				res.PerPixelBlend[pix]++
+				log.li[pos], log.g[pos] = sp.li, g
+				pos++
+				s := &splats[list[sp.li]]
 				wgt := t * alpha
 				color = color.Add(s.Color.Scale(wgt))
 				depth += wgt * s.Depth
 				sil += wgt
 				t *= 1 - alpha
 				if t < TransmittanceEps {
-					li++
+					visited = int(sp.li) + 1
 					break
 				}
 			}
-			if nonContrib != nil {
-				// Table entries past the early-termination point were never
-				// blended, so they contributed nothing to this pixel. The
-				// hardware gets this information for free (the loop index at
-				// termination); it is where the bulk of Fig. 5's
-				// non-contributory Gaussians come from.
-				for ; li < len(list); li++ {
-					id := splats[list[li]].ID
-					touched[id]++
-					nonContrib[id]++
-				}
-			}
+			pix := y*w + x
+			res.PerPixelAlpha[pix] = int32(visited)
+			res.PerPixelBlend[pix] = int32(pos - pixStart)
+			alphaOps += int64(visited)
 			res.Color.Pix[pix] = color
 			res.Depth.D[pix] = depth
 			res.Silhouette[pix] = sil
 			res.FinalT[pix] = t
 		}
 	}
+	sc.row = row
+
+	if nonContrib != nil {
+		// Every entry is touched at every pixel of the tile; entries a pixel
+		// never evaluated — culled, or past its early-termination point —
+		// contributed nothing there. The hardware gets this for free (the loop
+		// index at termination); it is where the bulk of Fig. 5's
+		// non-contributory Gaussians come from.
+		tilePixels := int32((x1 - x0) * (y1 - y0))
+		for li, si := range list {
+			id := splats[si].ID
+			touched[id] += tilePixels
+			nonContrib[id] += tilePixels - ent[li].contrib
+		}
+	}
+	return alphaOps, int64(pos - start)
 }
 
 // TileIDLists converts the per-tile splat-index tables into stable

@@ -39,10 +39,11 @@ func NewGSRefiner() *GSRefiner {
 }
 
 // RefineBest evaluates the loss at each candidate initialization (one
-// forward render each) and refines from the best one. SplaTAM-style trackers
-// use a constant-velocity initialization that overshoots badly at motion
-// reversals; keeping the previous pose as a fallback candidate caps the
-// initial error at the true inter-frame motion.
+// forward render and one loss-only Backward each: with neither gradient
+// selected the pass stops after the loss) and refines from the best one.
+// SplaTAM-style trackers use a constant-velocity initialization that
+// overshoots badly at motion reversals; keeping the previous pose as a
+// fallback candidate caps the initial error at the true inter-frame motion.
 //
 //ags:hotpath
 func (r *GSRefiner) RefineBest(cloud *gauss.Cloud, intr camera.Intrinsics, f *frame.Frame, inits []vecmath.Pose, iters int) (vecmath.Pose, trace.RenderStats) {
