@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt lint bench benchmark-module verify determinism bench-batch profile serve-demo compact-demo fleet-demo chaos-demo grid-demo
+.PHONY: build test race vet fmt lint bench benchmark-module verify determinism bench-batch profile serve-demo
 
 build:
 	$(GO) build ./...
@@ -69,42 +69,6 @@ bench-batch:
 # the multi-session surface is race-clean.
 serve-demo:
 	$(GO) run -race ./examples/multistream
-
-# Compaction + snapshot/resume demo: prune hard, compact periodically,
-# snapshot a session mid-stream, restore it on a fresh server and finish —
-# asserting (exit non-zero otherwise) that the resumed run's Result digest
-# is bit-identical to an uninterrupted run. Runs under the race detector
-# because Session.Snapshot synchronizes with the session's pipeline loop.
-compact-demo:
-	$(GO) run -race ./examples/snapshot_resume
-
-# Fleet migration demo: three streams across two loopback fleet nodes, one
-# node drained mid-stream so its sessions snapshot over the wire and restore
-# on the peer — asserting (exit non-zero otherwise) that every stream's
-# digest is bit-identical to a sequential in-process run. Runs under the
-# race detector: it exercises the node's connection handlers, the router's
-# placement path and the migration hand-off concurrently.
-fleet-demo:
-	$(GO) run -race ./examples/fleet_migrate
-
-# Fault-tolerance demo: three streams across three loopback fleet nodes, each
-# behind a deterministic fault injector; one node is killed uncleanly
-# mid-stream (listener + every connection, no drain). Streams recover via
-# checkpoint restore + replay and every digest is asserted bit-identical to a
-# sequential run; the router's health check evicts the corpse and re-admits a
-# replacement. Runs under the race detector: recovery re-dials and replays
-# while the node's connection handlers unwind.
-chaos-demo:
-	$(GO) run -race ./examples/fleet_recover
-
-# Distributed-bench demo: table1's warm phase over a 2-worker loopback grid,
-# coordinator and workers in one race-checked process. Asserts (exit non-zero
-# otherwise) that the distributed batch renders byte-identical text to a
-# local -jobs run, that every worker ran at least one digest-verified job,
-# and that a worker killed uncleanly mid job reply only costs a retry on the
-# survivor — same bytes, exactly one eviction.
-grid-demo:
-	$(GO) run -race ./examples/grid_bench
 
 # Profile a frame the way the baseline pipeline spends it: fig4 warms one
 # full Desk/baseline run (RefineBest and full mapping on every frame, what

@@ -33,7 +33,6 @@ func main() {
 		frames   = flag.Int("frames", 24, "frames in the sequence")
 		iters    = flag.Int("iters", 30, "baseline tracking iterations (N_T)")
 		workers  = flag.Int("workers", 0, "splat render worker goroutines (0 = all cores; results are bit-identical for every value)")
-		noCtx    = flag.Bool("no-render-ctx", false, "disable the frame-persistent render context (one-shot buffers every render; bit-identical, for allocation A/Bs)")
 		listSeq  = flag.Bool("listseq", false, "list sequence names and exit")
 		traceOut = flag.String("trace", "", "write the run's operation trace as JSON to this file")
 		sessions = flag.Int("sessions", 1, "run N copies of the sequence as concurrent slam.Server sessions (digest-asserted against a sequential run)")
@@ -61,7 +60,6 @@ func main() {
 	cfg := slam.DefaultConfig(*width, *height)
 	cfg.TrackIters = *iters
 	cfg.Workers = *workers
-	cfg.NoRenderCtx = *noCtx
 	cfg.PipelineME = *pipelineME
 	cfg.CodecWorkers = *codecWorkers
 	cfg.CodecEarlyTerm = *meEarlyTerm

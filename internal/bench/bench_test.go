@@ -234,7 +234,7 @@ func TestPerfRenderExperiment(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	s := NewSuite(tinyCfg())
-	// PerfRender asserts bitwise serial/sharded and pooled/unpooled
+	// PerfRender asserts bitwise serial/sharded and contexted/one-shot
 	// equivalence internally and errors on divergence, so a clean return is
 	// the main assertion.
 	if err := s.PerfRender(&buf); err != nil {

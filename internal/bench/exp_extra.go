@@ -13,7 +13,7 @@ import (
 	"ags/internal/scene"
 )
 
-// Extra (non-paper) ablations for design choices DESIGN.md calls out.
+// Extra (non-paper) ablations of this reproduction's own design choices.
 
 func expAblCodec() Experiment {
 	return expDef{

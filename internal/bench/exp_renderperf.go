@@ -123,7 +123,7 @@ func (s *Suite) PerfRender(w io.Writer) error {
 	// tracker/mapper loops). measure reports ns/op and allocs/op of one
 	// render+backward iteration.
 	measure := func(render func() *splat.Result, back func(*splat.Result) *splat.Grads) (renderNs, backNs, renderAllocs, backAllocs float64, err error) {
-		res := render() // warm-up: prime pools / size context buffers
+		res := render() // warm-up: size context buffers
 		g := back(res)
 		wantRes, wantG := res.Digest(), g.Digest()
 		var m0, m1 runtime.MemStats
@@ -162,20 +162,9 @@ func (s *Suite) PerfRender(w io.Writer) error {
 		{"contexted (warm)",
 			func() *splat.Result { return ctx.Render(cloud, cam, renderOpts(1)) },
 			func(res *splat.Result) *splat.Grads { return ctx.Backward(cloud, cam, res, target, lc, backOpts(1)) }},
-		{"one-shot (pooled scratch)",
+		{"one-shot (fresh context)",
 			func() *splat.Result { return splat.Render(cloud, cam, renderOpts(1)) },
 			func(res *splat.Result) *splat.Grads { return splat.Backward(cloud, cam, res, target, lc, backOpts(1)) }},
-		{"one-shot (NoPool)",
-			func() *splat.Result {
-				o := renderOpts(1)
-				o.NoPool = true
-				return splat.Render(cloud, cam, o)
-			},
-			func(res *splat.Result) *splat.Grads {
-				o := backOpts(1)
-				o.NoPool = true
-				return splat.Backward(cloud, cam, res, target, lc, o)
-			}},
 	}
 	ct := NewTable("Perf: frame-persistent RenderContext vs one-shot entry points (workers=1)",
 		"Mode", "Render us/op", "Backward us/op", "Render allocs/op", "Backward allocs/op")
@@ -201,7 +190,6 @@ func (s *Suite) PerfRender(w io.Writer) error {
 		return fmt.Errorf("bench: warm context allocates %.1f/op vs %.1f one-shot (gate: <=10%%) — context reuse regressed", ctxAllocs, freeAllocs)
 	}
 	ct.AddNote("contexted output verified bitwise identical to context-free at workers ∈ %v", workerSet)
-	ct.AddNote("NoPool bypasses the scratch-context pool (fresh buffers every call) for apples-to-apples A/Bs")
 	ct.Write(w)
 	return nil
 }

@@ -31,7 +31,7 @@ type Detector struct {
 	// the inter-frame difference, so raw normalized SAD would compress all
 	// frames into the top few percent of the scale. The default of 20 maps
 	// typical SLAM frame-to-frame differences across the full [0,1] range at
-	// this reproduction's resolutions (see DESIGN.md: threshold mapping).
+	// this reproduction's resolutions (see README: threshold mapping).
 	Sensitivity float64
 
 	// LastResult is the most recent ME output (exposed so the hardware model

@@ -1,0 +1,118 @@
+package fleet
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"ags/internal/camera"
+	"ags/internal/frame"
+	"ags/internal/mapper"
+	"ags/internal/slam"
+	"ags/internal/vecmath"
+)
+
+// The golden files pin ProtocolVersion 1 byte for byte: one complete AGSF
+// message per payload-bearing verb, each framed by appendMessage. They were
+// written once, by the encoders this format was introduced with, and there is
+// no regeneration switch — a byte that moves is a wire break, which takes a
+// ProtocolVersion bump and a new set of files, not an updated one.
+// (internal/grid pins the payloads it puts inside the job verbs.)
+
+// goldenConfig sets every slam.Config field to a distinct non-zero value, so
+// a reordered, dropped or re-typed field moves a byte.
+func goldenConfig() slam.Config {
+	return slam.Config{
+		EnableMAT: true, EnableGCM: true, ForceCoarseOnly: true,
+		TrackIters: 11, IterT: 3, ThreshT: 0.875, ThreshM: 0.625,
+		Backbone: slam.BackboneGaussianSLAM,
+		Mapper: mapper.Config{
+			MapIters: 7, ThreshAlpha: 0.00390625, ThreshN: 13, ContribPixMax: 17,
+			DensifyStride: 2, SilThreshold: 0.5, DepthErrThresh: 0.25, PruneOpacity: 0.125,
+			LRMean: 0.001, LRColor: 0.002, LRLogit: 0.003, LRScale: 0.004,
+			KeyframeWindow: 5, Workers: 6, Seed: -9,
+		},
+		TrackLR: 0.0625, KeyframeEvery: 19, PruneEvery: 23, CompactEvery: 29,
+		CompactInactiveFrac: 0.75, Workers: 4,
+		EvalFPRate: true, PipelineME: true, CodecWorkers: 31, CodecEarlyTerm: true,
+	}
+}
+
+// goldenFrame builds a w x h RGB-D frame from integer arithmetic only, so its
+// float bits are the same on every platform.
+func goldenFrame(w, h int) *frame.Frame {
+	f := &frame.Frame{
+		Index: 5,
+		GTPose: vecmath.Pose{
+			R: vecmath.Quat{W: 0.5, X: -0.5, Y: 0.5, Z: -0.5},
+			T: vecmath.Vec3{X: 1.5, Y: -2.25, Z: 3.125},
+		},
+		Color: &frame.Image{W: w, H: h, Pix: make([]vecmath.Vec3, w*h)},
+		Depth: &frame.DepthMap{W: w, H: h, D: make([]float64, w*h)},
+	}
+	for i := range f.Color.Pix {
+		f.Color.Pix[i] = vecmath.Vec3{X: float64(i) / 64, Y: float64(i%7) / 8, Z: float64(i%5) / 4}
+		f.Depth.D[i] = 1 + float64(i)/16
+	}
+	return f
+}
+
+type goldenMessage struct {
+	name string
+	v    verb
+	p    []byte
+}
+
+func goldenMessages() []goldenMessage {
+	cfg := goldenConfig()
+	intr := camera.Intrinsics{Fx: 52.5, Fy: 51.25, Cx: 23.5, Cy: 17.5, W: 48, H: 36}
+	stats := NodeStats{Name: "node-a", OpenSessions: 3, Draining: true, MaxSessions: 8, MaxResidentBytes: 1 << 20}
+	stats.Pool.Capacity, stats.Pool.Idle = 4, 2
+	stats.Pool.Hits, stats.Pool.Misses, stats.Pool.Evictions = 17, 5, 1
+	stats.Pool.ResidentBytes = 123456
+	sum := ResultSummary{Frames: 16, NumGaussians: 900, ATECm: 3.25, PrunedGaussians: 4,
+		CompactedSlots: 2, ReclaimedBytes: 512, DroppedUpdates: 1}
+	for i := range sum.Digest {
+		sum.Digest[i] = byte(i * 7)
+	}
+	return []goldenMessage{
+		{"open", vOpen, encodeOpen(nil, "desk", slam.AppendConfig(nil, &cfg), slam.AppendIntrinsics(nil, &intr))},
+		{"restore", vRestore, encodeRestore(nil, "desk", []byte("AGSSNAP\x00 stand-in bytes"))},
+		{"ok", vOK, encodeOK(nil, 7)},
+		{"err", vErrReply, encodeErrReply(nil, codeAdmission, "node-a is full")},
+		{"stats", vStatsData, encodeStats(nil, &stats)},
+		{"result", vResult, encodeResult(nil, &sum)},
+		// fleet carries the job verbs' payloads opaquely; these two pin the
+		// verb bytes around them.
+		{"job", vJob, []byte("opaque job payload")},
+		{"job-result", vJobResult, []byte("opaque job-result payload")},
+	}
+}
+
+func TestGoldenMessages(t *testing.T) {
+	for _, m := range goldenMessages() {
+		want, err := os.ReadFile(filepath.Join("testdata", m.name+".golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendMessage(nil, m.v, m.p); !bytes.Equal(got, want) {
+			t.Errorf("%s: message bytes moved (%d bytes, golden %d) — a ProtocolVersion 1 wire break", m.name, len(got), len(want))
+		}
+	}
+}
+
+// TestGoldenPushFrame pins the largest message, a pushed frame, by length and
+// SHA-256.
+func TestGoldenPushFrame(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "push.sum.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := appendMessage(nil, vPush, slam.AppendFrame(nil, goldenFrame(16, 12)))
+	if got := fmt.Sprintf("%d %x\n", len(msg), sha256.Sum256(msg)); got != string(want) {
+		t.Errorf("push message moved: got %swant %s", got, want)
+	}
+}

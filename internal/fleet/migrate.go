@@ -17,8 +17,7 @@ import (
 //     the snapshot already captured everything that matters.
 //  3. restore: a placement-ordered peer rebuilds the session from the
 //     snapshot and reports its processed-frame count, which must equal the
-//     frames pushed so far — the continuity check that turns a silent
-//     half-restored stream into a loud error.
+//     frames pushed so far (restoreOn's continuity check).
 //
 // Because the snapshot codec is the determinism contract (see slam's
 // snapshot tests), the migrated stream's Close digest is bit-identical to an
@@ -60,48 +59,14 @@ func (s *Stream) migrate() error {
 	s.teardown()
 
 	// 3. Restore on the best admitting peer, placement order.
-	nodes, loads, err := s.r.reachableLoads()
-	if err != nil {
+	if err := s.reattach(snap, s.pushed); err != nil {
 		return err
 	}
-	order := Candidates(s.sizeW, s.sizeH, loads)
-	if len(order) == 0 {
-		return fmt.Errorf("no admitting peer (all draining or down)")
-	}
-	restorePayload := encodeRestore(nil, s.name, snap)
-	var lastErr error
-	for _, idx := range order {
-		w, frames, err := restoreOn(nodes[idx].addr, restorePayload)
-		if err != nil {
-			if isPlacementBounce(err) {
-				lastErr = err
-				continue
-			}
-			if isNodeLoss(err) {
-				// The peer died between the load poll and the restore; evict
-				// it and keep walking the candidate order.
-				nodes[idx].markUnreachable()
-				lastErr = err
-				continue
-			}
-			return fmt.Errorf("restore on %q: %w", nodes[idx].name, err)
-		}
-		if frames != s.pushed {
-			// The restored system disagrees about where the stream stands;
-			// pushing from here would corrupt the output, so fail loudly.
-			w.roundTrip(vClose, nil)
-			w.Close()
-			return fmt.Errorf("restore on %q: continuity check failed: node at frame %d, producer at %d",
-				nodes[idx].name, frames, s.pushed)
-		}
-		s.w, s.node = w, nodes[idx]
-		s.migrations++
-		s.r.mu.Lock()
-		s.r.migrations++
-		s.r.mu.Unlock()
-		return nil
-	}
-	return fmt.Errorf("every peer refused the restore: %w", lastErr)
+	s.migrations++
+	s.r.mu.Lock()
+	s.r.migrations++
+	s.r.mu.Unlock()
+	return nil
 }
 
 // teardown closes the stream's current connection and detaches it.
@@ -112,27 +77,25 @@ func (s *Stream) teardown() {
 	}
 }
 
-// restoreOn dials a fresh stream connection and restores a session from a
-// snapshot over it, returning the bound wire and the restored system's
-// processed-frame count.
-func restoreOn(addr string, restorePayload []byte) (*wire, int, error) {
-	w, err := dialWire(addr)
+// restoreOn restores a session from a snapshot on the node at addr. The node
+// reports the restored system's processed-frame count, which must equal
+// frames, the count the snapshot was taken at — the continuity check that
+// turns a silent half-restored stream into a loud error, because pushing on
+// from the wrong frame would corrupt the output.
+func restoreOn(addr string, restorePayload []byte, frames int) (*wire, error) {
+	w, reply, err := bindOn(addr, vRestore, restorePayload)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	rv, reply, err := w.roundTrip(vRestore, restorePayload)
-	if err != nil {
-		w.Close()
-		return nil, 0, err
-	}
-	if rv != vOK {
-		w.Close()
-		return nil, 0, fmt.Errorf("fleet: restore reply verb %s", rv)
-	}
-	frames, err := decodeOK(reply)
+	got, err := decodeOK(reply)
 	if err != nil {
 		w.Close()
-		return nil, 0, err
+		return nil, err
 	}
-	return w, frames, nil
+	if got != frames {
+		w.roundTrip(vClose, nil)
+		w.Close()
+		return nil, fmt.Errorf("%w: node at frame %d, snapshot at %d", errContinuity, got, frames)
+	}
+	return w, nil
 }

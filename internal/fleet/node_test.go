@@ -1,0 +1,65 @@
+package fleet
+
+import (
+	"encoding/binary"
+	"errors"
+	"testing"
+
+	"ags/internal/slam"
+)
+
+// TestHostilePushIsRefusedNotFatal: a checksummed push whose declared frame
+// size overflows int must come back as a protocol error on its own
+// connection. It used to panic inside the node's connection handler and take
+// every other tenant down with it, so a second stream on the same node has to
+// finish with its sequential digest.
+func TestHostilePushIsRefusedNotFatal(t *testing.T) {
+	cfg := fastCfg()
+	seq := testSeq(t, "Desk", 4)
+	want := sequentialDigest(t, cfg, seq)
+	r, _ := startFleet(t, []NodeConfig{{Name: "a"}})
+
+	tenant, err := r.Open(seq.Name, cfg, seq.Intr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range seq.Frames[:2] {
+		if err := tenant.Push(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	hostile, err := r.Open("hostile", cfg, seq.Intr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := slam.AppendFrame(nil, seq.Frames[0])
+	const sizeOff = 8 + 7*8 // index, then the ground-truth pose
+	binary.LittleEndian.PutUint64(b[sizeOff:], 3037000500)
+	binary.LittleEndian.PutUint64(b[sizeOff+8:], 3037000500)
+	_, _, err = hostile.w.roundTrip(vPush, b)
+	var re *remoteError
+	if !errors.As(err, &re) || re.code != codeProto {
+		t.Fatalf("overflowing push answered with %v, want a codeProto error reply", err)
+	}
+	// The refusal costs the hostile stream nothing but that frame.
+	if err := hostile.Push(seq.Frames[0]); err != nil {
+		t.Errorf("push after the refused frame: %v", err)
+	}
+	if _, err := hostile.Close(); err != nil {
+		t.Errorf("hostile stream close: %v", err)
+	}
+
+	for _, f := range seq.Frames[2:] {
+		if err := tenant.Push(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sum, err := tenant.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Digest != want {
+		t.Error("the other tenant's digest diverges from its sequential run")
+	}
+}

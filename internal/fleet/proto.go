@@ -18,9 +18,10 @@
 // A reader validates in a fixed order with a distinct error per failure
 // mode: magic (ErrBadMagic), version (ErrVersionSkew), length prefix
 // (ErrOversized), body completeness (ErrTruncated), checksum (ErrChecksum),
-// verb (ErrUnknownVerb). Payload encodings reuse the slam snapshot codec
-// (slam.AppendFrame and friends), so frames, configurations and session
-// snapshots cross the network bit-identically — which is what makes the
+// verb (ErrUnknownVerb). Payloads are written through the one cursor the
+// snapshot payload uses (internal/binfmt; frames, configurations and
+// intrinsics via slam.AppendFrame and friends), so frames, configurations and
+// session snapshots cross the network bit-identically — which is what makes the
 // fleet falsifiable: a fleet of nodes serving N interleaved streams,
 // including streams migrated between hosts mid-flight, must produce
 // Result.Digest values bit-identical to N sequential slam.Run calls.
@@ -45,8 +46,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
+
+	"ags/internal/binfmt"
 )
 
 // ProtocolVersion is the wire format revision this build speaks. Peers with
@@ -262,113 +264,9 @@ func (w *wire) roundTrip(v verb, payload []byte) (verb, []byte, error) {
 
 // --- payload encodings -------------------------------------------------
 //
-// The same length-prefixed little-endian style as the snapshot payload;
-// wireEnc/wireDec mirror slam's snapEnc/snapDec for the fleet-owned
-// structures (anything slam owns goes through slam.Append*/Decode*).
-
-type wireEnc struct{ buf []byte }
-
-func (e *wireEnc) u8(v byte) { e.buf = append(e.buf, v) }
-
-func (e *wireEnc) u64(v uint64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
-}
-
-func (e *wireEnc) i64(v int64)   { e.u64(uint64(v)) }
-func (e *wireEnc) f64(v float64) { e.u64(math.Float64bits(v)) }
-
-func (e *wireEnc) boolv(b bool) {
-	if b {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-}
-
-func (e *wireEnc) str(s string) {
-	e.u64(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-func (e *wireEnc) bytes(b []byte) {
-	e.u64(uint64(len(b)))
-	e.buf = append(e.buf, b...)
-}
-
-// wireDec is the sticky-error cursor over a checksum-verified payload.
-type wireDec struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *wireDec) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (d *wireDec) remaining() int { return len(d.b) - d.off }
-
-func (d *wireDec) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if d.remaining() < n {
-		d.fail("payload exhausted at offset %d (need %d bytes, have %d)", d.off, n, d.remaining())
-		return nil
-	}
-	b := d.b[d.off : d.off+n]
-	d.off += n
-	return b
-}
-
-func (d *wireDec) u8() byte {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *wireDec) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (d *wireDec) i64() int64   { return int64(d.u64()) }
-func (d *wireDec) f64() float64 { return math.Float64frombits(d.u64()) }
-
-func (d *wireDec) boolv() bool { return d.u8() != 0 }
-
-func (d *wireDec) sliceLen() int {
-	n := d.u64()
-	if d.err != nil {
-		return 0
-	}
-	if n > uint64(d.remaining()) {
-		d.fail("length %d exceeds remaining payload (%d bytes)", n, d.remaining())
-		return 0
-	}
-	return int(n)
-}
-
-func (d *wireDec) str() string { return string(d.take(d.sliceLen())) }
-
-func (d *wireDec) bytes() []byte { return d.take(d.sliceLen()) }
-
-func (d *wireDec) finish(what string) error {
-	if d.err != nil {
-		return fmt.Errorf("fleet: %s payload: %w", what, d.err)
-	}
-	if d.off != len(d.b) {
-		return fmt.Errorf("fleet: %s payload: %d trailing bytes", what, len(d.b)-d.off)
-	}
-	return nil
-}
+// The fleet-owned structures are written and read through internal/binfmt,
+// the cursor the snapshot payload uses too; anything slam owns goes through
+// slam.Append*/Decode*.
 
 // --- error replies ------------------------------------------------------
 
@@ -383,17 +281,17 @@ const (
 )
 
 func encodeErrReply(buf []byte, code byte, msg string) []byte {
-	e := wireEnc{buf: buf}
-	e.u8(code)
-	e.str(msg)
-	return e.buf
+	e := binfmt.Enc{Buf: buf}
+	e.U8(code)
+	e.Str(msg)
+	return e.Buf
 }
 
 func decodeErrReply(b []byte) error {
-	d := &wireDec{b: b}
-	code := d.u8()
-	msg := d.str()
-	if err := d.finish("err"); err != nil {
+	d := binfmt.NewDec(b)
+	code := d.U8()
+	msg := d.Str()
+	if err := d.Finish("fleet: err payload"); err != nil {
 		return err
 	}
 	switch code {
@@ -429,49 +327,49 @@ func (e *remoteError) Error() string {
 // stream's name, its pipeline configuration, and the camera intrinsics the
 // frames will match.
 func encodeOpen(buf []byte, name string, cfgBytes, intrBytes []byte) []byte {
-	e := wireEnc{buf: buf}
-	e.str(name)
-	e.bytes(cfgBytes)
-	e.bytes(intrBytes)
-	return e.buf
+	e := binfmt.Enc{Buf: buf}
+	e.Str(name)
+	e.Bytes(cfgBytes)
+	e.Bytes(intrBytes)
+	return e.Buf
 }
 
 func decodeOpen(b []byte) (name string, cfgBytes, intrBytes []byte, err error) {
-	d := &wireDec{b: b}
-	name = d.str()
-	cfgBytes = d.bytes()
-	intrBytes = d.bytes()
-	return name, cfgBytes, intrBytes, d.finish("open")
+	d := binfmt.NewDec(b)
+	name = d.Str()
+	cfgBytes = d.Bytes()
+	intrBytes = d.Bytes()
+	return name, cfgBytes, intrBytes, d.Finish("fleet: open payload")
 }
 
 // restorePayload carries a stream's name and a complete slam session
 // snapshot (AGSSNAP bytes, themselves checksummed) — the migration message a
 // router sends to the peer taking over a drained node's stream.
 func encodeRestore(buf []byte, name string, snap []byte) []byte {
-	e := wireEnc{buf: buf}
-	e.str(name)
-	e.bytes(snap)
-	return e.buf
+	e := binfmt.Enc{Buf: buf}
+	e.Str(name)
+	e.Bytes(snap)
+	return e.Buf
 }
 
 func decodeRestore(b []byte) (name string, snap []byte, err error) {
-	d := &wireDec{b: b}
-	name = d.str()
-	snap = d.bytes()
-	return name, snap, d.finish("restore")
+	d := binfmt.NewDec(b)
+	name = d.Str()
+	snap = d.Bytes()
+	return name, snap, d.Finish("fleet: restore payload")
 }
 
 // okPayload is a single counter: zero for plain acknowledgements, the
 // restored system's processed-frame count for restore replies (the index of
 // the next frame the producer must push).
 func encodeOK(buf []byte, frames int) []byte {
-	e := wireEnc{buf: buf}
-	e.u64(uint64(frames))
-	return e.buf
+	e := binfmt.Enc{Buf: buf}
+	e.U64(uint64(frames))
+	return e.Buf
 }
 
 func decodeOK(b []byte) (int, error) {
-	d := &wireDec{b: b}
-	n := d.u64()
-	return int(n), d.finish("ok")
+	d := binfmt.NewDec(b)
+	n := d.U64()
+	return int(n), d.Finish("fleet: ok payload")
 }

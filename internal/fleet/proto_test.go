@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"io"
 	"testing"
+
+	"ags/internal/binfmt"
 )
 
 // recvWire wraps raw bytes as the read side of a wire, no conn needed.
@@ -247,9 +249,9 @@ func TestPayloadDecodeRejectsTrailingBytes(t *testing.T) {
 }
 
 func TestPayloadDecodeRejectsOverlongSlice(t *testing.T) {
-	var e wireEnc
-	e.u64(1 << 40) // declared slice length far beyond the payload
-	if _, _, _, err := decodeOpen(e.buf); err == nil {
+	var e binfmt.Enc
+	e.U64(1 << 40) // declared slice length far beyond the payload
+	if _, _, _, err := decodeOpen(e.Buf); err == nil {
 		t.Fatal("decodeOpen accepted slice length beyond payload")
 	}
 }

@@ -43,18 +43,18 @@ var (
 	// wrapping it carry a *NodeLostError with the node's name and the
 	// last-acknowledged frame count.
 	ErrNodeLost = errors.New("fleet: serving node lost")
-	// ErrNoPeer: a recovery attempt found no peer that would take the
-	// stream (none reachable, or every candidate bounced). Transient: the
-	// recovery loop retries it with deterministic backoff.
-	ErrNoPeer = errors.New("fleet: no admitting peer for recovery")
+	// ErrNoPeer: a placement walk found no node that would take the stream
+	// (none reachable, or every candidate bounced). Transient: the recovery
+	// loop retries it with deterministic backoff.
+	ErrNoPeer = errors.New("fleet: no node would take the stream")
 	// ErrRecoveryExhausted: every bounded recovery attempt failed.
 	ErrRecoveryExhausted = errors.New("fleet: recovery attempts exhausted")
 )
 
-// errRecoveryFatal marks recovery failures no other candidate can fix (for
-// example a restore continuity mismatch): the attempt loop stops
-// immediately instead of walking the remaining candidates.
-var errRecoveryFatal = errors.New("fleet: recovery cannot proceed")
+// errContinuity marks a restore that came back at a different frame count
+// than the snapshot was taken at. No other candidate can fix that, so the
+// placement walk and the recovery attempt loop both stop on it.
+var errContinuity = errors.New("fleet: restore continuity check failed")
 
 // NodeLostError reports which node died under a stream and how many frames
 // it had acknowledged — the resume point a caller with its own frame source
@@ -262,7 +262,7 @@ func (s *Stream) recover(cause error) error {
 		if attempt > 0 {
 			sleep(base << (attempt - 1))
 		}
-		err := s.tryRecover()
+		err := s.reattach(s.checkpoint, s.checkpointFrames)
 		if err == nil {
 			s.recoveries++
 			s.replayed += len(s.replay)
@@ -287,66 +287,37 @@ func (s *Stream) recover(cause error) error {
 	return s.lost
 }
 
-// tryRecover is one re-placement attempt: poll reachable loads, walk the
-// candidate order, attach to the first peer that takes the stream.
-func (s *Stream) tryRecover() error {
-	nodes, loads, err := s.r.reachableLoads()
+// reattach binds the stream to a freshly placed node: the first candidate, in
+// placement order, on which attach succeeds. Migration calls it with the
+// drain snapshot, recovery with the last checkpoint (nil before the first).
+func (s *Stream) reattach(snap []byte, frames int) error {
+	var restorePayload []byte
+	if snap != nil {
+		restorePayload = encodeRestore(nil, s.name, snap)
+	}
+	node, w, _, err := s.r.place(s.sizeW, s.sizeH, func(addr string) (*wire, error) {
+		return s.attach(addr, restorePayload, frames)
+	})
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrNoPeer, err)
+		return err
 	}
-	order := Candidates(s.sizeW, s.sizeH, loads)
-	if len(order) == 0 {
-		return fmt.Errorf("%w: every reachable node is draining", ErrNoPeer)
-	}
-	var lastErr error
-	for _, idx := range order {
-		w, err := s.attachTo(nodes[idx].addr)
-		if err == nil {
-			s.w, s.node = w, nodes[idx]
-			return nil
-		}
-		switch {
-		case isPlacementBounce(err):
-			lastErr = err
-		case errors.Is(err, errRecoveryFatal):
-			return err
-		case isNodeLoss(err):
-			nodes[idx].markUnreachable()
-			lastErr = err
-		default:
-			return err // remote application error: identical anywhere
-		}
-	}
-	return fmt.Errorf("%w: every candidate refused or was unreachable: %w", ErrNoPeer, lastErr)
+	s.w, s.node = w, node
+	return nil
 }
 
-// attachTo rebuilds the stream's session on one candidate node: restore the
-// checkpoint (or open fresh when none exists yet), verify frame-count
-// continuity, then replay the buffered frames in push order. Any failure
-// leaves no connection behind.
-func (s *Stream) attachTo(addr string) (*wire, error) {
+// attach rebuilds the stream's session on one candidate node: restore the
+// snapshot (or open fresh when there is none yet), then replay the buffered
+// frames in push order. Any failure leaves no connection behind.
+func (s *Stream) attach(addr string, restorePayload []byte, frames int) (*wire, error) {
 	var w *wire
-	if s.checkpoint != nil {
-		var frames int
-		var err error
-		w, frames, err = restoreOn(addr, encodeRestore(nil, s.name, s.checkpoint))
-		if err != nil {
-			return nil, err
-		}
-		if frames != s.checkpointFrames {
-			// The restored system disagrees about where the checkpoint
-			// stands; replaying from here would corrupt the output.
-			w.roundTrip(vClose, nil)
-			w.Close()
-			return nil, fmt.Errorf("%w: restore continuity check failed on %s: node at frame %d, checkpoint at %d",
-				errRecoveryFatal, addr, frames, s.checkpointFrames)
-		}
+	var err error
+	if restorePayload != nil {
+		w, err = restoreOn(addr, restorePayload, frames)
 	} else {
-		var err error
 		w, err = openOn(addr, s.openPayload)
-		if err != nil {
-			return nil, err
-		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	for i, fb := range s.replay {
 		rv, _, err := w.roundTrip(vPush, fb)

@@ -261,70 +261,86 @@ func (r *Router) Open(name string, cfg slam.Config, intr camera.Intrinsics) (*St
 	return r.OpenWith(name, cfg, intr, StreamOptions{})
 }
 
-// OpenWith places a new stream: candidates in placement order, opened on the
-// first node that admits it. The stream's size class is the intrinsics' W x H
-// — the same key the node-side render-context pools bucket by. A non-zero
+// OpenWith places a new stream on the first node, in placement order, that
+// admits it (see place). The stream's size class is the intrinsics' W x H —
+// the same key the node-side render-context pools bucket by. A non-zero
 // opts.CheckpointEvery arms checkpoint-replay recovery (see StreamOptions).
 func (r *Router) OpenWith(name string, cfg slam.Config, intr camera.Intrinsics, opts StreamOptions) (*Stream, error) {
-	nodes, loads, err := r.reachableLoads()
-	if err != nil {
-		return nil, err
-	}
-	order := Candidates(intr.W, intr.H, loads)
-	if len(order) == 0 {
-		return nil, fmt.Errorf("fleet: open %q: no admitting nodes (all draining or down)", name)
-	}
-	var payload []byte
-	payload = encodeOpen(payload, name,
+	payload := encodeOpen(nil, name,
 		slam.AppendConfig(nil, &cfg), slam.AppendIntrinsics(nil, &intr))
-	var lastErr error
-	for rank, idx := range order {
-		w, err := openOn(nodes[idx].addr, payload)
-		if err != nil {
-			if isPlacementBounce(err) {
-				lastErr = err
-				continue
-			}
-			if isNodeLoss(err) {
-				// The node died between the load poll and the dial; evict it
-				// and keep walking the candidate order.
-				nodes[idx].markUnreachable()
-				lastErr = err
-				continue
-			}
-			return nil, fmt.Errorf("fleet: open %q on %q: %w", name, nodes[idx].name, err)
-		}
-		r.mu.Lock()
-		r.placements++
-		if rank == 0 {
-			r.primaryHits++
-		}
-		r.mu.Unlock()
-		return &Stream{
-			r: r, name: name, w: w, node: nodes[idx],
-			sizeW: intr.W, sizeH: intr.H,
-			opts: opts, openPayload: payload,
-		}, nil
+	node, w, rank, err := r.place(intr.W, intr.H, func(addr string) (*wire, error) {
+		return openOn(addr, payload)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("fleet: open %q: %w", name, err)
 	}
-	return nil, fmt.Errorf("fleet: open %q: every candidate refused: %w", name, lastErr)
+	r.mu.Lock()
+	r.placements++
+	if rank == 0 {
+		r.primaryHits++
+	}
+	r.mu.Unlock()
+	return &Stream{
+		r: r, name: name, w: w, node: node,
+		sizeW: intr.W, sizeH: intr.H,
+		opts: opts, openPayload: payload,
+	}, nil
 }
 
-// openOn dials a fresh stream connection and opens a session over it.
-func openOn(addr string, openPayload []byte) (*wire, error) {
+// place is the one candidate walk: it polls the reachable nodes' loads,
+// orders them for a w x h stream (Candidates) and hands each in turn to
+// attach, which dials the node and binds a session on it. The first success
+// wins, and its rank in the order is returned with it. A placement bounce
+// moves on to the next candidate; so does node loss — the node died between
+// the load poll and the dial — after evicting it; anything else (a remote
+// application error, a restore that came back at the wrong frame) would fail
+// the same way on every node, so it stops the walk. When no node takes the
+// stream the error wraps ErrNoPeer and the last refusal.
+func (r *Router) place(w, h int, attach func(addr string) (*wire, error)) (*routerNode, *wire, int, error) {
+	nodes, loads, err := r.reachableLoads()
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("%w: %v", ErrNoPeer, err)
+	}
+	lastErr := errors.New("every reachable node is draining")
+	for rank, idx := range Candidates(w, h, loads) {
+		conn, err := attach(nodes[idx].addr)
+		switch {
+		case err == nil:
+			return nodes[idx], conn, rank, nil
+		case isPlacementBounce(err):
+		case isNodeLoss(err) && !errors.Is(err, errContinuity):
+			nodes[idx].markUnreachable()
+		default:
+			return nil, nil, 0, fmt.Errorf("on %q: %w", nodes[idx].name, err)
+		}
+		lastErr = err
+	}
+	return nil, nil, 0, fmt.Errorf("%w: %w", ErrNoPeer, lastErr)
+}
+
+// bindOn dials a fresh stream connection and binds a session to it with an
+// open or a restore request, returning the wire and the OK reply's payload
+// (which aliases the wire's scratch).
+func bindOn(addr string, v verb, payload []byte) (*wire, []byte, error) {
 	w, err := dialWire(addr)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	rv, _, err := w.roundTrip(vOpen, openPayload)
+	rv, reply, err := w.roundTrip(v, payload)
+	if err == nil && rv != vOK {
+		err = fmt.Errorf("fleet: %s reply verb %s", v, rv)
+	}
 	if err != nil {
 		w.Close()
-		return nil, err
+		return nil, nil, err
 	}
-	if rv != vOK {
-		w.Close()
-		return nil, fmt.Errorf("fleet: open reply verb %s", rv)
-	}
-	return w, nil
+	return w, reply, nil
+}
+
+// openOn opens a fresh session on the node at addr.
+func openOn(addr string, openPayload []byte) (*wire, error) {
+	w, _, err := bindOn(addr, vOpen, openPayload)
+	return w, err
 }
 
 // isPlacementBounce reports whether an open failure means "try the next

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"ags/internal/binfmt"
 	"ags/internal/splat"
 )
 
@@ -25,36 +26,36 @@ type NodeStats struct {
 }
 
 func encodeStats(buf []byte, st *NodeStats) []byte {
-	e := wireEnc{buf: buf}
-	e.str(st.Name)
-	e.i64(int64(st.OpenSessions))
-	e.boolv(st.Draining)
-	e.i64(int64(st.MaxSessions))
-	e.i64(st.MaxResidentBytes)
-	e.i64(int64(st.Pool.Capacity))
-	e.i64(int64(st.Pool.Idle))
-	e.u64(st.Pool.Hits)
-	e.u64(st.Pool.Misses)
-	e.u64(st.Pool.Evictions)
-	e.i64(st.Pool.ResidentBytes)
-	return e.buf
+	e := binfmt.Enc{Buf: buf}
+	e.Str(st.Name)
+	e.I64(int64(st.OpenSessions))
+	e.Bool(st.Draining)
+	e.I64(int64(st.MaxSessions))
+	e.I64(st.MaxResidentBytes)
+	e.I64(int64(st.Pool.Capacity))
+	e.I64(int64(st.Pool.Idle))
+	e.U64(st.Pool.Hits)
+	e.U64(st.Pool.Misses)
+	e.U64(st.Pool.Evictions)
+	e.I64(st.Pool.ResidentBytes)
+	return e.Buf
 }
 
 func decodeStats(b []byte) (NodeStats, error) {
-	d := &wireDec{b: b}
+	d := binfmt.NewDec(b)
 	var st NodeStats
-	st.Name = d.str()
-	st.OpenSessions = int(d.i64())
-	st.Draining = d.boolv()
-	st.MaxSessions = int(d.i64())
-	st.MaxResidentBytes = d.i64()
-	st.Pool.Capacity = int(d.i64())
-	st.Pool.Idle = int(d.i64())
-	st.Pool.Hits = d.u64()
-	st.Pool.Misses = d.u64()
-	st.Pool.Evictions = d.u64()
-	st.Pool.ResidentBytes = d.i64()
-	return st, d.finish("stats")
+	st.Name = d.Str()
+	st.OpenSessions = int(d.I64())
+	st.Draining = d.Bool()
+	st.MaxSessions = int(d.I64())
+	st.MaxResidentBytes = d.I64()
+	st.Pool.Capacity = int(d.I64())
+	st.Pool.Idle = int(d.I64())
+	st.Pool.Hits = d.U64()
+	st.Pool.Misses = d.U64()
+	st.Pool.Evictions = d.U64()
+	st.Pool.ResidentBytes = d.I64()
+	return st, d.Finish("fleet: stats payload")
 }
 
 // ResultSummary is the close reply: the full Result stays on the node (maps
@@ -84,28 +85,28 @@ type ResultSummary struct {
 }
 
 func encodeResult(buf []byte, r *ResultSummary) []byte {
-	e := wireEnc{buf: buf}
-	e.buf = append(e.buf, r.Digest[:]...)
-	e.i64(int64(r.Frames))
-	e.i64(int64(r.NumGaussians))
-	e.f64(r.ATECm)
-	e.i64(int64(r.PrunedGaussians))
-	e.i64(int64(r.CompactedSlots))
-	e.i64(r.ReclaimedBytes)
-	e.u64(r.DroppedUpdates)
-	return e.buf
+	e := binfmt.Enc{Buf: buf}
+	e.Raw(r.Digest[:])
+	e.I64(int64(r.Frames))
+	e.I64(int64(r.NumGaussians))
+	e.F64(r.ATECm)
+	e.I64(int64(r.PrunedGaussians))
+	e.I64(int64(r.CompactedSlots))
+	e.I64(r.ReclaimedBytes)
+	e.U64(r.DroppedUpdates)
+	return e.Buf
 }
 
 func decodeResult(b []byte) (ResultSummary, error) {
-	d := &wireDec{b: b}
+	d := binfmt.NewDec(b)
 	var r ResultSummary
-	copy(r.Digest[:], d.take(len(r.Digest)))
-	r.Frames = int(d.i64())
-	r.NumGaussians = int(d.i64())
-	r.ATECm = d.f64()
-	r.PrunedGaussians = int(d.i64())
-	r.CompactedSlots = int(d.i64())
-	r.ReclaimedBytes = d.i64()
-	r.DroppedUpdates = d.u64()
-	return r, d.finish("result")
+	copy(r.Digest[:], d.Take(len(r.Digest)))
+	r.Frames = int(d.I64())
+	r.NumGaussians = int(d.I64())
+	r.ATECm = d.F64()
+	r.PrunedGaussians = int(d.I64())
+	r.CompactedSlots = int(d.I64())
+	r.ReclaimedBytes = d.I64()
+	r.DroppedUpdates = d.U64()
+	return r, d.Finish("fleet: result payload")
 }

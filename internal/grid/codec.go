@@ -2,18 +2,17 @@ package grid
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
-	"math"
 
+	"ags/internal/binfmt"
 	"ags/internal/scene"
 	"ags/internal/slam"
 )
 
 // Job and job-result payloads ride inside fleet vJob/vJobResult frames, which
 // already carry the magic/version/checksum armor — this codec only has to be
-// unambiguous and reject trailing or overlong content, in the same
-// length-prefixed little-endian style as the fleet and snapshot codecs.
+// unambiguous and reject trailing or overlong content; it writes and reads
+// through internal/binfmt, the cursor the fleet and snapshot payloads share.
 //
 // A job ships everything a worker needs to reproduce one bench run from
 // nothing: the spec's cache identity (for logs and error context), the
@@ -48,111 +47,31 @@ type jobResult struct {
 	Snap   []byte
 }
 
-type enc struct{ buf []byte }
-
-func (e *enc) u64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
-func (e *enc) i64(v int64)  { e.u64(uint64(v)) }
-func (e *enc) f64(v float64) {
-	e.u64(math.Float64bits(v))
-}
-
-func (e *enc) str(s string) {
-	e.u64(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-func (e *enc) bytes(b []byte) {
-	e.u64(uint64(len(b)))
-	e.buf = append(e.buf, b...)
-}
-
-// dec is the sticky-error cursor over a payload (mirroring fleet's wireDec).
-type dec struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *dec) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (d *dec) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if len(d.b)-d.off < n {
-		d.fail("payload exhausted at offset %d (need %d bytes, have %d)", d.off, n, len(d.b)-d.off)
-		return nil
-	}
-	b := d.b[d.off : d.off+n]
-	d.off += n
-	return b
-}
-
-func (d *dec) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (d *dec) i64() int64   { return int64(d.u64()) }
-func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
-
-func (d *dec) sliceLen() int {
-	n := d.u64()
-	if d.err != nil {
-		return 0
-	}
-	if n > uint64(len(d.b)-d.off) {
-		d.fail("length %d exceeds remaining payload (%d bytes)", n, len(d.b)-d.off)
-		return 0
-	}
-	return int(n)
-}
-
-func (d *dec) str() string   { return string(d.take(d.sliceLen())) }
-func (d *dec) bytes() []byte { return d.take(d.sliceLen()) }
-
-func (d *dec) finish(what string) error {
-	if d.err != nil {
-		return fmt.Errorf("grid: %s payload: %w", what, d.err)
-	}
-	if d.off != len(d.b) {
-		return fmt.Errorf("grid: %s payload: %d trailing bytes", what, len(d.b)-d.off)
-	}
-	return nil
-}
-
 func encodeJob(buf []byte, job *Job) []byte {
-	e := enc{buf: buf}
-	e.str(job.ID)
-	e.str(job.Seq)
-	e.i64(int64(job.Scene.Width))
-	e.i64(int64(job.Scene.Height))
-	e.i64(int64(job.Scene.Frames))
-	e.i64(job.Scene.Seed)
-	e.f64(job.Scene.VFoV)
-	e.bytes(slam.AppendConfig(nil, &job.Cfg))
-	return e.buf
+	e := binfmt.Enc{Buf: buf}
+	e.Str(job.ID)
+	e.Str(job.Seq)
+	e.I64(int64(job.Scene.Width))
+	e.I64(int64(job.Scene.Height))
+	e.I64(int64(job.Scene.Frames))
+	e.I64(job.Scene.Seed)
+	e.F64(job.Scene.VFoV)
+	e.Bytes(slam.AppendConfig(nil, &job.Cfg))
+	return e.Buf
 }
 
 func decodeJob(b []byte) (Job, error) {
-	d := &dec{b: b}
+	d := binfmt.NewDec(b)
 	var job Job
-	job.ID = d.str()
-	job.Seq = d.str()
-	job.Scene.Width = int(d.i64())
-	job.Scene.Height = int(d.i64())
-	job.Scene.Frames = int(d.i64())
-	job.Scene.Seed = d.i64()
-	job.Scene.VFoV = d.f64()
-	cfgBytes := d.bytes()
-	if err := d.finish("job"); err != nil {
+	job.ID = d.Str()
+	job.Seq = d.Str()
+	job.Scene.Width = int(d.I64())
+	job.Scene.Height = int(d.I64())
+	job.Scene.Frames = int(d.I64())
+	job.Scene.Seed = d.I64()
+	job.Scene.VFoV = d.F64()
+	cfgBytes := d.Bytes()
+	if err := d.Finish("grid: job payload"); err != nil {
 		return Job{}, err
 	}
 	cfg, err := slam.DecodeConfig(cfgBytes)
@@ -164,16 +83,16 @@ func decodeJob(b []byte) (Job, error) {
 }
 
 func encodeJobResult(buf []byte, r *jobResult) []byte {
-	e := enc{buf: buf}
-	e.buf = append(e.buf, r.Digest[:]...)
-	e.bytes(r.Snap)
-	return e.buf
+	e := binfmt.Enc{Buf: buf}
+	e.Raw(r.Digest[:])
+	e.Bytes(r.Snap)
+	return e.Buf
 }
 
 func decodeJobResult(b []byte) (jobResult, error) {
-	d := &dec{b: b}
+	d := binfmt.NewDec(b)
 	var r jobResult
-	copy(r.Digest[:], d.take(sha256.Size))
-	r.Snap = d.bytes()
-	return r, d.finish("job-result")
+	copy(r.Digest[:], d.Take(sha256.Size))
+	r.Snap = d.Bytes()
+	return r, d.Finish("grid: job-result payload")
 }

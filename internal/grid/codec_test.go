@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"ags/internal/binfmt"
 	"ags/internal/scene"
 	"ags/internal/slam"
 )
@@ -56,9 +57,9 @@ func TestJobDecodeRejectsTruncation(t *testing.T) {
 }
 
 func TestJobDecodeRejectsOverlongSlice(t *testing.T) {
-	var e enc
-	e.u64(1 << 40) // declared string length far beyond the payload
-	if _, err := decodeJob(e.buf); err == nil {
+	var e binfmt.Enc
+	e.U64(1 << 40) // declared string length far beyond the payload
+	if _, err := decodeJob(e.Buf); err == nil {
 		t.Fatal("decodeJob accepted slice length beyond payload")
 	}
 }

@@ -1,8 +1,8 @@
 // Package area reproduces the AGS area model of Table 3: per-module areas of
 // the FC detection engine, pose tracking engine and mapping engine for the
 // Edge and Server variants, seeded from the paper's synthesis results (28 nm,
-// 500 MHz; SRAM via CACTI scaled by DeepScaleTool — substitution #5 in
-// DESIGN.md).
+// 500 MHz; SRAM via CACTI scaled by DeepScaleTool; see README:
+// substitutions).
 package area
 
 import "fmt"

@@ -1,5 +1,5 @@
 // Package dram is a simplified banked row-buffer DRAM timing model standing
-// in for Ramulator (DESIGN.md substitution #6). It captures the two
+// in for Ramulator (see README: substitutions). It captures the two
 // first-order effects AGS's evaluation depends on: sustained bandwidth
 // differences between edge (LPDDR4-3200) and server (HBM2) memory, and the
 // row-buffer hit/miss cost of the scattered accesses made by the GS

@@ -34,7 +34,7 @@ type Config struct {
 	// SplaTAM-style pixel-scale Gaussians every contributor also has a large
 	// weak-tail footprint, so we additionally require (near-)zero
 	// contributing pixels — matching Fig. 5's "no impact on pixel color"
-	// definition and the paper's FP metric (see DESIGN.md).
+	// definition and the paper's FP metric (see README: threshold mapping).
 	ContribPixMax int
 	// DensifyStride seeds one Gaussian per stride x stride pixel block.
 	DensifyStride int

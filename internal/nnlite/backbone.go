@@ -11,7 +11,7 @@ import (
 // ConvGRU update iterations. The functional coarse pose in this reproduction
 // comes from the classical aligner (internal/tracker); the backbone supplies
 // the matching compute workload — layer shapes, MAC counts and a real forward
-// pass — that the hardware model times (DESIGN.md substitution #3).
+// pass — that the hardware model times (see README: substitutions).
 type PoseBackbone struct {
 	Convs    []*Conv2D
 	GRU      *ConvGRU

@@ -3,7 +3,7 @@
 // tracking engine runs a Droid-SLAM-style backbone (feature CNN + ConvGRU) on
 // its systolic array; this package provides that workload — real arithmetic
 // with exact MAC counts — for the coarse pose estimation stage and for the
-// hardware model's systolic-array timing (see DESIGN.md substitution #3).
+// hardware model's systolic-array timing (see README: substitutions).
 package nnlite
 
 import (

@@ -1,6 +1,6 @@
 // Package scene generates the synthetic RGB-D sequences that stand in for
-// the paper's TUM-RGBD, Replica and ScanNet++ recordings (see DESIGN.md,
-// substitution #2). A small ray tracer renders procedurally textured worlds
+// the paper's TUM-RGBD, Replica and ScanNet++ recordings (see README:
+// substitutions). A small ray tracer renders procedurally textured worlds
 // along scripted camera trajectories whose motion statistics mimic each named
 // sequence, producing ground-truth color, depth and poses for the SLAM
 // pipeline and its evaluation.

@@ -1,11 +1,6 @@
 package slam
 
-import (
-	"slices"
-	"testing"
-
-	"ags/internal/hw/trace"
-)
+import "testing"
 
 // assertSameRun checks that two runs are indistinguishable in everything the
 // CODEC frontend influences: poses, per-frame covisibility decisions, and
@@ -55,52 +50,6 @@ func TestPipelinedFrontendMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameRun(t, serial, pipelined)
-}
-
-// TestRenderContextMatchesOneShot: the frame-persistent render context must
-// not change a single bit of a run — poses, per-frame decisions, and the
-// full splat workload trace (including the representative per-pixel buffers,
-// which the context path snapshots by copy) all match the context-free path.
-func TestRenderContextMatchesOneShot(t *testing.T) {
-	seq := testSeq(t, "Desk", 8)
-	cfg := fastAGS(tw, th)
-	cfg.EvalFPRate = true // exercise the contexted FP-rate render too
-	contexted, err := Run(cfg, seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ncfg := cfg
-	ncfg.NoRenderCtx = true
-	oneShot, err := Run(ncfg, seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameRun(t, oneShot, contexted)
-	for i := range oneShot.Trace.Frames {
-		w, g := &oneShot.Trace.Frames[i], &contexted.Trace.Frames[i]
-		for _, s := range []struct {
-			name      string
-			want, got *trace.RenderStats
-		}{{"track", &w.Track, &g.Track}, {"map", &w.Map, &g.Map}} {
-			if s.want.AlphaOps != s.got.AlphaOps || s.want.BlendOps != s.got.BlendOps ||
-				s.want.TileEntries != s.got.TileEntries || s.want.Splats != s.got.Splats {
-				t.Errorf("frame %d %s: workload counters diverged (%+v vs %+v)", i, s.name, s.got, s.want)
-			}
-			if !slices.Equal(s.want.RepPerPixelAlpha, s.got.RepPerPixelAlpha) ||
-				!slices.Equal(s.want.RepPerPixelBlend, s.got.RepPerPixelBlend) {
-				t.Errorf("frame %d %s: representative per-pixel trace diverged", i, s.name)
-			}
-		}
-		if w.SkippedGaussians != g.SkippedGaussians || w.NumGaussians != g.NumGaussians {
-			t.Errorf("frame %d: gaussian counts diverged", i)
-		}
-	}
-	for i := range oneShot.Info {
-		if oneShot.Info[i].FPValid != contexted.Info[i].FPValid ||
-			oneShot.Info[i].FPRate != contexted.Info[i].FPRate {
-			t.Errorf("frame %d: FP-rate evaluation diverged", i)
-		}
-	}
 }
 
 func TestPipelinedBaselineMatchesSerial(t *testing.T) {

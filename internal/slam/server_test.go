@@ -52,7 +52,6 @@ func TestSessionMatchesDirectSystem(t *testing.T) {
 	}{
 		{"serial", func(*Config) {}},
 		{"pipelined", func(cfg *Config) { cfg.PipelineME = true; cfg.CodecWorkers = 3 }},
-		{"no-render-ctx", func(cfg *Config) { cfg.NoRenderCtx = true }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := fastAGS(tw, th)

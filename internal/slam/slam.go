@@ -83,7 +83,7 @@ type Config struct {
 	// ThreshM is the covisibility (vs the last key frame) above which a
 	// frame is a non-key frame. The paper uses 50% of its SAD scale; on this
 	// reproduction's covisibility scale the equivalent operating point is
-	// 0.75 (see DESIGN.md: threshold mapping).
+	// 0.75 (see README: threshold mapping).
 	ThreshM float64
 
 	Backbone Backbone
@@ -108,12 +108,6 @@ type Config struct {
 	// splat pipeline shards tiles deterministically, so every value produces
 	// bit-identical trajectories, maps and traces (see package splat).
 	Workers int
-	// NoRenderCtx disables the system's frame-persistent render context, so
-	// every render/backward in the tracker and mapper allocates one-shot
-	// buffers instead of reusing the context's. Outputs are bit-identical
-	// either way; the knob exists for allocation A/B runs (perf-render,
-	// ags-slam -no-render-ctx).
-	NoRenderCtx bool
 	// EvalFPRate runs an extra contribution-logged render on every non-key
 	// frame to measure the false-positive rate of the skip prediction.
 	EvalFPRate bool
@@ -133,8 +127,8 @@ type Config struct {
 }
 
 // DefaultConfig returns the paper's hyper-parameters scaled to the given
-// frame size (see DESIGN.md): N_T 200→60, N_M 30→15, Iter_T 20→6,
-// Thresh_T 90%, Thresh_M 50%, Thresh_alpha 1/255, Thresh_N 450
+// frame size (see README: threshold mapping): N_T 200→60, N_M 30→15,
+// Iter_T 20→6, Thresh_T 90%, Thresh_M 50%, Thresh_alpha 1/255, Thresh_N 450
 // (resolution-independent; see scaleThreshN).
 func DefaultConfig(w, h int) Config {
 	mc := mapper.DefaultConfig()
@@ -213,10 +207,8 @@ type System struct {
 	refiner  *tracker.GSRefiner
 	aligner  *tracker.CoarseAligner
 	detector *covis.Detector
-	// pool supplies the render context ProcessFrame attaches; nil under
-	// Config.NoRenderCtx (every render then falls back to the one-shot
-	// path). Standalone systems draw from DefaultServer's pool; sessions
-	// share their server's.
+	// pool supplies the render context ProcessFrame attaches. Standalone
+	// systems draw from DefaultServer's pool; sessions share their server's.
 	pool *splat.ContextPool
 	// perStep makes ProcessFrame release the context back to the pool after
 	// every frame instead of pinning it between frames — the multi-tenant
@@ -225,7 +217,7 @@ type System struct {
 	// renderCtx is the currently attached splat render context, shared by
 	// the tracker and mapper (they run sequentially within ProcessFrame) and
 	// sized lazily from the intrinsics on first render. Acquired from pool
-	// on demand; nil when detached or under Config.NoRenderCtx.
+	// on demand; nil when detached.
 	renderCtx *splat.RenderContext
 
 	prevFrame   *frame.Frame
@@ -268,9 +260,6 @@ func newSystem(cfg Config, intr camera.Intrinsics, pool *splat.ContextPool, perS
 	detector.Cfg.Workers = cfg.CodecWorkers
 	detector.Cfg.EarlyTerm = cfg.CodecEarlyTerm
 	m := mapper.New(mcfg)
-	if cfg.NoRenderCtx {
-		pool = nil
-	}
 	return &System{
 		Cfg:      cfg,
 		Intr:     intr,
@@ -289,9 +278,9 @@ func (s *System) Mapper() *mapper.Mapper { return s.mapper }
 
 // attachCtx acquires a render context from the pool (sized for the system's
 // camera) and threads it through the tracker and mapper. A no-op when one is
-// already attached or the system runs context-free (Config.NoRenderCtx).
+// already attached.
 func (s *System) attachCtx() {
-	if s.pool == nil || s.renderCtx != nil {
+	if s.renderCtx != nil {
 		return
 	}
 	ctx := s.pool.Acquire(s.Intr.W, s.Intr.H)

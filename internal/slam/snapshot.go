@@ -5,8 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
+	"ags/internal/binfmt"
 	"ags/internal/camera"
 	"ags/internal/covis"
 	"ags/internal/frame"
@@ -52,16 +52,16 @@ func (s *System) Snapshot(w io.Writer) error {
 // growing the buffer through them re-allocated and copied more bytes than
 // the snapshot itself holds.
 func (s *System) encodeSnapshot() []byte {
-	size := &snapEnc{counting: true}
-	encodeSystem(size, s)
+	size := binfmt.Counting()
+	encodeSystem(&size, s)
 	hdr := len(snapshotMagic) + 4
-	e := &snapEnc{buf: make([]byte, 0, hdr+size.n+sha256.Size)}
-	e.raw([]byte(snapshotMagic))
-	e.u32(SnapshotVersion)
-	encodeSystem(e, s)
-	sum := sha256.Sum256(e.buf)
-	e.raw(sum[:])
-	return e.buf
+	e := binfmt.Enc{Buf: make([]byte, 0, hdr+size.Len()+sha256.Size)}
+	e.Raw([]byte(snapshotMagic))
+	e.U32(SnapshotVersion)
+	encodeSystem(&e, s)
+	sum := sha256.Sum256(e.Buf)
+	e.Raw(sum[:])
+	return e.Buf
 }
 
 // Restore rebuilds a standalone System from a snapshot stream. The system
@@ -94,13 +94,10 @@ func restoreSystem(r io.Reader, pool *splat.ContextPool, perStep bool) (*System,
 	if got := sha256.Sum256(body); string(got[:]) != string(sum) {
 		return nil, fmt.Errorf("slam: snapshot checksum mismatch (truncated or corrupted)")
 	}
-	d := &snapDec{b: body[hdr:]}
+	d := binfmt.NewDec(body[hdr:])
 	sys := decodeSystem(d, pool, perStep)
-	if d.err != nil {
-		return nil, fmt.Errorf("slam: snapshot decode: %w", d.err)
-	}
-	if d.off != len(d.b) {
-		return nil, fmt.Errorf("slam: snapshot decode: %d trailing bytes", len(d.b)-d.off)
+	if err := d.Finish("slam: snapshot decode"); err != nil {
+		return nil, err
 	}
 	return sys, nil
 }
@@ -108,33 +105,33 @@ func restoreSystem(r io.Reader, pool *splat.ContextPool, perStep bool) (*System,
 // encodeSystem writes every field a restored system needs. The tracker
 // (refiner, aligner) and covisibility detector carry no cross-frame state
 // that outputs depend on — they are rebuilt from the config.
-func encodeSystem(e *snapEnc, s *System) {
+func encodeSystem(e *binfmt.Enc, s *System) {
 	encodeConfig(e, &s.Cfg)
 	encodeIntrinsics(e, &s.Intr)
-	e.i64(int64(s.frameCount))
-	e.pose(s.prevPose)
-	e.pose(s.prevRel)
-	e.pose(s.keyPose)
+	e.I64(int64(s.frameCount))
+	putPose(e, s.prevPose)
+	putPose(e, s.prevRel)
+	putPose(e, s.keyPose)
 
 	// Frame table: the retained frames, deduplicated by identity — the
 	// previous frame, the key frame and the mapper's keyframe window may
 	// alias, and the restored system must alias them the same way.
 	st := s.mapper.ExportState()
 	frames, index := collectFrames(s, st)
-	e.u64(uint64(len(frames)))
+	e.U64(uint64(len(frames)))
 	for _, f := range frames {
 		encodeFrame(e, f)
 	}
-	e.i64(frameRef(index, s.prevFrame))
-	e.i64(frameRef(index, s.keyFrame))
+	e.I64(frameRef(index, s.prevFrame))
+	e.I64(frameRef(index, s.keyFrame))
 
-	e.poses(s.poses)
-	e.poses(s.gt)
-	e.u64(uint64(len(s.info)))
+	putPoses(e, s.poses)
+	putPoses(e, s.gt)
+	e.U64(uint64(len(s.info)))
 	for i := range s.info {
 		encodeInfo(e, &s.info[i])
 	}
-	e.u64(uint64(len(s.traceFrames)))
+	e.U64(uint64(len(s.traceFrames)))
 	for i := range s.traceFrames {
 		encodeTrace(e, &s.traceFrames[i])
 	}
@@ -142,79 +139,79 @@ func encodeSystem(e *snapEnc, s *System) {
 	// Mapper state: cloud, contribution tables, keyframe window (as frame
 	// table references), RNG and optimizer moments.
 	encodeCloud(e, st.Cloud)
-	e.i32s(st.NonContrib)
-	e.i32s(st.Contrib)
-	e.bools(st.SkipSet)
-	e.u64(uint64(len(st.Keyframes)))
+	e.I32s(st.NonContrib)
+	e.I32s(st.Contrib)
+	e.Bools(st.SkipSet)
+	e.U64(uint64(len(st.Keyframes)))
 	for _, kf := range st.Keyframes {
-		e.i64(frameRef(index, kf.Frame))
-		e.pose(kf.Pose)
+		e.I64(frameRef(index, kf.Frame))
+		putPose(e, kf.Pose)
 	}
-	e.u64(st.RNG)
-	e.u64(uint64(len(st.Opt)))
+	e.U64(st.RNG)
+	e.U64(uint64(len(st.Opt)))
 	for _, g := range st.Opt {
-		e.str(g.Name)
-		e.i64(int64(g.Step))
-		e.f64s(g.M)
-		e.f64s(g.V)
+		e.Str(g.Name)
+		e.I64(int64(g.Step))
+		e.F64s(g.M)
+		e.F64s(g.V)
 	}
 }
 
-func decodeSystem(d *snapDec, pool *splat.ContextPool, perStep bool) *System {
+func decodeSystem(d *binfmt.Dec, pool *splat.ContextPool, perStep bool) *System {
 	var cfg Config
 	decodeConfig(d, &cfg)
 	var intr camera.Intrinsics
 	decodeIntrinsics(d, &intr)
-	if d.err != nil {
+	if d.Err() != nil {
 		return nil
 	}
 	sys := newSystem(cfg, intr, pool, perStep)
-	sys.frameCount = int(d.i64())
-	sys.prevPose = d.pose()
-	sys.prevRel = d.pose()
-	sys.keyPose = d.pose()
+	sys.frameCount = int(d.I64())
+	sys.prevPose = getPose(d)
+	sys.prevRel = getPose(d)
+	sys.keyPose = getPose(d)
 
-	frames := make([]*frame.Frame, d.sliceLen(1))
+	frames := make([]*frame.Frame, d.Len(1))
 	for i := range frames {
 		frames[i] = decodeFrame(d)
 	}
-	sys.prevFrame = deref(d, frames, d.i64())
-	sys.keyFrame = deref(d, frames, d.i64())
+	sys.prevFrame = deref(d, frames, d.I64())
+	sys.keyFrame = deref(d, frames, d.I64())
 
-	sys.poses = d.poses()
-	sys.gt = d.poses()
-	sys.info = make([]FrameInfo, d.sliceLen(8))
+	sys.poses = getPoses(d)
+	sys.gt = getPoses(d)
+	sys.info = make([]FrameInfo, d.Len(8))
 	for i := range sys.info {
 		decodeInfo(d, &sys.info[i])
 	}
-	sys.traceFrames = make([]trace.FrameTrace, d.sliceLen(8))
+	sys.traceFrames = make([]trace.FrameTrace, d.Len(8))
 	for i := range sys.traceFrames {
 		decodeTrace(d, &sys.traceFrames[i])
 	}
 
 	var st mapper.State
 	st.Cloud = decodeCloud(d)
-	st.NonContrib = d.i32s()
-	st.Contrib = d.i32s()
-	st.SkipSet = d.bools()
-	st.Keyframes = make([]mapper.Keyframe, d.sliceLen(8))
+	st.NonContrib = d.I32s()
+	st.Contrib = d.I32s()
+	st.SkipSet = d.Bools()
+	st.Keyframes = make([]mapper.Keyframe, d.Len(8))
 	for i := range st.Keyframes {
-		st.Keyframes[i].Frame = deref(d, frames, d.i64())
-		st.Keyframes[i].Pose = d.pose()
+		st.Keyframes[i].Frame = deref(d, frames, d.I64())
+		st.Keyframes[i].Pose = getPose(d)
 	}
-	st.RNG = d.u64()
-	st.Opt = make([]mapper.OptGroupState, d.sliceLen(8))
+	st.RNG = d.U64()
+	st.Opt = make([]mapper.OptGroupState, d.Len(8))
 	for i := range st.Opt {
-		st.Opt[i].Name = d.str()
-		st.Opt[i].Step = int(d.i64())
-		st.Opt[i].M = d.f64s()
-		st.Opt[i].V = d.f64s()
+		st.Opt[i].Name = d.Str()
+		st.Opt[i].Step = int(d.I64())
+		st.Opt[i].M = d.F64s()
+		st.Opt[i].V = d.F64s()
 	}
-	if d.err != nil {
+	if d.Err() != nil {
 		return nil
 	}
 	if err := sys.mapper.ImportState(st); err != nil {
-		d.fail("mapper state: %v", err)
+		d.Fail("mapper state: %v", err)
 		return nil
 	}
 	return sys
@@ -250,530 +247,341 @@ func frameRef(index map[*frame.Frame]int, f *frame.Frame) int64 {
 	return int64(index[f])
 }
 
-func deref(d *snapDec, frames []*frame.Frame, ref int64) *frame.Frame {
+func deref(d *binfmt.Dec, frames []*frame.Frame, ref int64) *frame.Frame {
 	if ref == -1 {
 		return nil
 	}
 	if ref < 0 || ref >= int64(len(frames)) {
-		d.fail("frame reference %d out of range (table has %d)", ref, len(frames))
+		d.Fail("frame reference %d out of range (table has %d)", ref, len(frames))
 		return nil
 	}
 	return frames[ref]
 }
 
-func encodeConfig(e *snapEnc, c *Config) {
-	e.boolv(c.EnableMAT)
-	e.boolv(c.EnableGCM)
-	e.boolv(c.ForceCoarseOnly)
-	e.i64(int64(c.TrackIters))
-	e.i64(int64(c.IterT))
-	e.f64(c.ThreshT)
-	e.f64(c.ThreshM)
-	e.i64(int64(c.Backbone))
+func encodeConfig(e *binfmt.Enc, c *Config) {
+	e.Bool(c.EnableMAT)
+	e.Bool(c.EnableGCM)
+	e.Bool(c.ForceCoarseOnly)
+	e.I64(int64(c.TrackIters))
+	e.I64(int64(c.IterT))
+	e.F64(c.ThreshT)
+	e.F64(c.ThreshM)
+	e.I64(int64(c.Backbone))
 	encodeMapperConfig(e, &c.Mapper)
-	e.f64(c.TrackLR)
-	e.i64(int64(c.KeyframeEvery))
-	e.i64(int64(c.PruneEvery))
-	e.i64(int64(c.CompactEvery))
-	e.f64(c.CompactInactiveFrac)
-	e.i64(int64(c.Workers))
-	e.boolv(c.NoRenderCtx)
-	e.boolv(c.EvalFPRate)
-	e.boolv(c.PipelineME)
-	e.i64(int64(c.CodecWorkers))
-	e.boolv(c.CodecEarlyTerm)
+	e.F64(c.TrackLR)
+	e.I64(int64(c.KeyframeEvery))
+	e.I64(int64(c.PruneEvery))
+	e.I64(int64(c.CompactEvery))
+	e.F64(c.CompactInactiveFrac)
+	e.I64(int64(c.Workers))
+	e.U8(0) // reserved: version 1 carried a since-removed option here
+	e.Bool(c.EvalFPRate)
+	e.Bool(c.PipelineME)
+	e.I64(int64(c.CodecWorkers))
+	e.Bool(c.CodecEarlyTerm)
 }
 
-func decodeConfig(d *snapDec, c *Config) {
-	c.EnableMAT = d.boolv()
-	c.EnableGCM = d.boolv()
-	c.ForceCoarseOnly = d.boolv()
-	c.TrackIters = int(d.i64())
-	c.IterT = int(d.i64())
-	c.ThreshT = d.f64()
-	c.ThreshM = d.f64()
-	c.Backbone = Backbone(d.i64())
+func decodeConfig(d *binfmt.Dec, c *Config) {
+	c.EnableMAT = d.Bool()
+	c.EnableGCM = d.Bool()
+	c.ForceCoarseOnly = d.Bool()
+	c.TrackIters = int(d.I64())
+	c.IterT = int(d.I64())
+	c.ThreshT = d.F64()
+	c.ThreshM = d.F64()
+	c.Backbone = Backbone(d.I64())
 	decodeMapperConfig(d, &c.Mapper)
-	c.TrackLR = d.f64()
-	c.KeyframeEvery = int(d.i64())
-	c.PruneEvery = int(d.i64())
-	c.CompactEvery = int(d.i64())
-	c.CompactInactiveFrac = d.f64()
-	c.Workers = int(d.i64())
-	c.NoRenderCtx = d.boolv()
-	c.EvalFPRate = d.boolv()
-	c.PipelineME = d.boolv()
-	c.CodecWorkers = int(d.i64())
-	c.CodecEarlyTerm = d.boolv()
+	c.TrackLR = d.F64()
+	c.KeyframeEvery = int(d.I64())
+	c.PruneEvery = int(d.I64())
+	c.CompactEvery = int(d.I64())
+	c.CompactInactiveFrac = d.F64()
+	c.Workers = int(d.I64())
+	d.U8() // reserved byte, ignored
+	c.EvalFPRate = d.Bool()
+	c.PipelineME = d.Bool()
+	c.CodecWorkers = int(d.I64())
+	c.CodecEarlyTerm = d.Bool()
 }
 
-func encodeMapperConfig(e *snapEnc, c *mapper.Config) {
-	e.i64(int64(c.MapIters))
-	e.f64(c.ThreshAlpha)
-	e.i64(int64(c.ThreshN))
-	e.i64(int64(c.ContribPixMax))
-	e.i64(int64(c.DensifyStride))
-	e.f64(c.SilThreshold)
-	e.f64(c.DepthErrThresh)
-	e.f64(c.PruneOpacity)
-	e.f64(c.LRMean)
-	e.f64(c.LRColor)
-	e.f64(c.LRLogit)
-	e.f64(c.LRScale)
-	e.i64(int64(c.KeyframeWindow))
-	e.i64(int64(c.Workers))
-	e.i64(c.Seed)
+func encodeMapperConfig(e *binfmt.Enc, c *mapper.Config) {
+	e.I64(int64(c.MapIters))
+	e.F64(c.ThreshAlpha)
+	e.I64(int64(c.ThreshN))
+	e.I64(int64(c.ContribPixMax))
+	e.I64(int64(c.DensifyStride))
+	e.F64(c.SilThreshold)
+	e.F64(c.DepthErrThresh)
+	e.F64(c.PruneOpacity)
+	e.F64(c.LRMean)
+	e.F64(c.LRColor)
+	e.F64(c.LRLogit)
+	e.F64(c.LRScale)
+	e.I64(int64(c.KeyframeWindow))
+	e.I64(int64(c.Workers))
+	e.I64(c.Seed)
 }
 
-func decodeMapperConfig(d *snapDec, c *mapper.Config) {
-	c.MapIters = int(d.i64())
-	c.ThreshAlpha = d.f64()
-	c.ThreshN = int(d.i64())
-	c.ContribPixMax = int(d.i64())
-	c.DensifyStride = int(d.i64())
-	c.SilThreshold = d.f64()
-	c.DepthErrThresh = d.f64()
-	c.PruneOpacity = d.f64()
-	c.LRMean = d.f64()
-	c.LRColor = d.f64()
-	c.LRLogit = d.f64()
-	c.LRScale = d.f64()
-	c.KeyframeWindow = int(d.i64())
-	c.Workers = int(d.i64())
-	c.Seed = d.i64()
+func decodeMapperConfig(d *binfmt.Dec, c *mapper.Config) {
+	c.MapIters = int(d.I64())
+	c.ThreshAlpha = d.F64()
+	c.ThreshN = int(d.I64())
+	c.ContribPixMax = int(d.I64())
+	c.DensifyStride = int(d.I64())
+	c.SilThreshold = d.F64()
+	c.DepthErrThresh = d.F64()
+	c.PruneOpacity = d.F64()
+	c.LRMean = d.F64()
+	c.LRColor = d.F64()
+	c.LRLogit = d.F64()
+	c.LRScale = d.F64()
+	c.KeyframeWindow = int(d.I64())
+	c.Workers = int(d.I64())
+	c.Seed = d.I64()
 }
 
-func encodeIntrinsics(e *snapEnc, in *camera.Intrinsics) {
-	e.f64(in.Fx)
-	e.f64(in.Fy)
-	e.f64(in.Cx)
-	e.f64(in.Cy)
-	e.i64(int64(in.W))
-	e.i64(int64(in.H))
+func encodeIntrinsics(e *binfmt.Enc, in *camera.Intrinsics) {
+	e.F64(in.Fx)
+	e.F64(in.Fy)
+	e.F64(in.Cx)
+	e.F64(in.Cy)
+	e.I64(int64(in.W))
+	e.I64(int64(in.H))
 }
 
-func decodeIntrinsics(d *snapDec, in *camera.Intrinsics) {
-	in.Fx = d.f64()
-	in.Fy = d.f64()
-	in.Cx = d.f64()
-	in.Cy = d.f64()
-	in.W = int(d.i64())
-	in.H = int(d.i64())
+func decodeIntrinsics(d *binfmt.Dec, in *camera.Intrinsics) {
+	in.Fx = d.F64()
+	in.Fy = d.F64()
+	in.Cx = d.F64()
+	in.Cy = d.F64()
+	in.W = int(d.I64())
+	in.H = int(d.I64())
 }
 
-func encodeFrame(e *snapEnc, f *frame.Frame) {
-	e.i64(int64(f.Index))
-	e.pose(f.GTPose)
-	e.i64(int64(f.Color.W))
-	e.i64(int64(f.Color.H))
+func encodeFrame(e *binfmt.Enc, f *frame.Frame) {
+	e.I64(int64(f.Index))
+	putPose(e, f.GTPose)
+	e.I64(int64(f.Color.W))
+	e.I64(int64(f.Color.H))
 	for _, p := range f.Color.Pix {
-		e.vec3(p)
+		putVec3(e, p)
 	}
-	e.f64s(f.Depth.D)
+	e.F64s(f.Depth.D)
 }
 
-func decodeFrame(d *snapDec) *frame.Frame {
+func decodeFrame(d *binfmt.Dec) *frame.Frame {
 	f := &frame.Frame{}
-	f.Index = int(d.i64())
-	f.GTPose = d.pose()
-	w, h := int(d.i64()), int(d.i64())
-	if d.err != nil {
-		return f
-	}
-	if w < 0 || h < 0 || w*h > d.remaining()/24 {
-		d.fail("frame size %dx%d exceeds snapshot payload", w, h)
-		return f
-	}
-	img := &frame.Image{W: w, H: h, Pix: make([]vecmath.Vec3, w*h)}
+	f.Index = int(d.I64())
+	f.GTPose = getPose(d)
+	w, h := d.I64(), d.I64()
+	// Area is zero once the cursor has failed, and for a w x h the payload
+	// cannot hold, so the allocation below is bounded by the bytes present.
+	img := &frame.Image{W: int(w), H: int(h), Pix: make([]vecmath.Vec3, d.Area(w, h, 3*8))}
 	for i := range img.Pix {
-		img.Pix[i] = d.vec3()
+		img.Pix[i] = getVec3(d)
 	}
 	f.Color = img
-	f.Depth = &frame.DepthMap{W: w, H: h, D: d.f64s()}
+	f.Depth = &frame.DepthMap{W: img.W, H: img.H, D: d.F64s()}
 	return f
 }
 
-func encodeInfo(e *snapEnc, in *FrameInfo) {
-	e.f64(float64(in.Covisibility))
-	e.f64(float64(in.KeyCovisibility))
-	e.boolv(in.IsKeyFrame)
-	e.boolv(in.CoarseOnly)
-	e.i64(int64(in.RefineIters))
-	e.f64(in.FPRate)
-	e.boolv(in.FPValid)
+func encodeInfo(e *binfmt.Enc, in *FrameInfo) {
+	e.F64(float64(in.Covisibility))
+	e.F64(float64(in.KeyCovisibility))
+	e.Bool(in.IsKeyFrame)
+	e.Bool(in.CoarseOnly)
+	e.I64(int64(in.RefineIters))
+	e.F64(in.FPRate)
+	e.Bool(in.FPValid)
 }
 
-func decodeInfo(d *snapDec, in *FrameInfo) {
-	in.Covisibility = covis.Score(d.f64())
-	in.KeyCovisibility = covis.Score(d.f64())
-	in.IsKeyFrame = d.boolv()
-	in.CoarseOnly = d.boolv()
-	in.RefineIters = int(d.i64())
-	in.FPRate = d.f64()
-	in.FPValid = d.boolv()
+func decodeInfo(d *binfmt.Dec, in *FrameInfo) {
+	in.Covisibility = covis.Score(d.F64())
+	in.KeyCovisibility = covis.Score(d.F64())
+	in.IsKeyFrame = d.Bool()
+	in.CoarseOnly = d.Bool()
+	in.RefineIters = int(d.I64())
+	in.FPRate = d.F64()
+	in.FPValid = d.Bool()
 }
 
-func encodeTrace(e *snapEnc, ft *trace.FrameTrace) {
-	e.i64(int64(ft.Index))
-	e.f64(ft.Covisibility)
-	e.boolv(ft.IsKeyFrame)
-	e.boolv(ft.CoarseOnly)
-	e.i64(ft.CodecSADOps)
-	e.i64(ft.CoarseMACs)
+func encodeTrace(e *binfmt.Enc, ft *trace.FrameTrace) {
+	e.I64(int64(ft.Index))
+	e.F64(ft.Covisibility)
+	e.Bool(ft.IsKeyFrame)
+	e.Bool(ft.CoarseOnly)
+	e.I64(ft.CodecSADOps)
+	e.I64(ft.CoarseMACs)
 	encodeStats(e, &ft.Track)
 	encodeStats(e, &ft.Map)
-	e.i64(int64(ft.NumGaussians))
-	e.i64(int64(ft.SkippedGaussians))
-	e.i64(int64(ft.PrunedGaussians))
-	e.i64(int64(ft.CompactedSlots))
-	e.i64(ft.ReclaimedBytes)
+	e.I64(int64(ft.NumGaussians))
+	e.I64(int64(ft.SkippedGaussians))
+	e.I64(int64(ft.PrunedGaussians))
+	e.I64(int64(ft.CompactedSlots))
+	e.I64(ft.ReclaimedBytes)
 	// LoggingIDs aliases Map.RepTileLists on key frames; preserve the aliasing
 	// so a restored trace compacts (remaps) exactly like the original.
 	aliased := len(ft.LoggingIDs) > 0 && len(ft.Map.RepTileLists) > 0 &&
 		&ft.LoggingIDs[0] == &ft.Map.RepTileLists[0]
-	e.boolv(aliased)
+	e.Bool(aliased)
 	if !aliased {
-		e.idLists(ft.LoggingIDs)
+		putIDLists(e, ft.LoggingIDs)
 	}
 }
 
-func decodeTrace(d *snapDec, ft *trace.FrameTrace) {
-	ft.Index = int(d.i64())
-	ft.Covisibility = d.f64()
-	ft.IsKeyFrame = d.boolv()
-	ft.CoarseOnly = d.boolv()
-	ft.CodecSADOps = d.i64()
-	ft.CoarseMACs = d.i64()
+func decodeTrace(d *binfmt.Dec, ft *trace.FrameTrace) {
+	ft.Index = int(d.I64())
+	ft.Covisibility = d.F64()
+	ft.IsKeyFrame = d.Bool()
+	ft.CoarseOnly = d.Bool()
+	ft.CodecSADOps = d.I64()
+	ft.CoarseMACs = d.I64()
 	decodeStats(d, &ft.Track)
 	decodeStats(d, &ft.Map)
-	ft.NumGaussians = int(d.i64())
-	ft.SkippedGaussians = int(d.i64())
-	ft.PrunedGaussians = int(d.i64())
-	ft.CompactedSlots = int(d.i64())
-	ft.ReclaimedBytes = d.i64()
-	if d.boolv() {
+	ft.NumGaussians = int(d.I64())
+	ft.SkippedGaussians = int(d.I64())
+	ft.PrunedGaussians = int(d.I64())
+	ft.CompactedSlots = int(d.I64())
+	ft.ReclaimedBytes = d.I64()
+	if d.Bool() {
 		ft.LoggingIDs = ft.Map.RepTileLists
 	} else {
-		ft.LoggingIDs = d.idLists()
+		ft.LoggingIDs = getIDLists(d)
 	}
 }
 
-func encodeStats(e *snapEnc, s *trace.RenderStats) {
-	e.i64(int64(s.Iters))
-	e.i64(s.AlphaOps)
-	e.i64(s.BlendOps)
-	e.i64(s.BackwardOps)
-	e.i64(s.Splats)
-	e.i64(s.TileEntries)
-	e.i64(s.Pixels)
-	e.i32s(s.RepPerPixelBlend)
-	e.i32s(s.RepPerPixelAlpha)
-	e.idLists(s.RepTileLists)
-	e.i64(int64(s.Width))
-	e.i64(int64(s.Height))
+func encodeStats(e *binfmt.Enc, s *trace.RenderStats) {
+	e.I64(int64(s.Iters))
+	e.I64(s.AlphaOps)
+	e.I64(s.BlendOps)
+	e.I64(s.BackwardOps)
+	e.I64(s.Splats)
+	e.I64(s.TileEntries)
+	e.I64(s.Pixels)
+	e.I32s(s.RepPerPixelBlend)
+	e.I32s(s.RepPerPixelAlpha)
+	putIDLists(e, s.RepTileLists)
+	e.I64(int64(s.Width))
+	e.I64(int64(s.Height))
 }
 
-func decodeStats(d *snapDec, s *trace.RenderStats) {
-	s.Iters = int(d.i64())
-	s.AlphaOps = d.i64()
-	s.BlendOps = d.i64()
-	s.BackwardOps = d.i64()
-	s.Splats = d.i64()
-	s.TileEntries = d.i64()
-	s.Pixels = d.i64()
-	s.RepPerPixelBlend = d.i32s()
-	s.RepPerPixelAlpha = d.i32s()
-	s.RepTileLists = d.idLists()
-	s.Width = int(d.i64())
-	s.Height = int(d.i64())
+func decodeStats(d *binfmt.Dec, s *trace.RenderStats) {
+	s.Iters = int(d.I64())
+	s.AlphaOps = d.I64()
+	s.BlendOps = d.I64()
+	s.BackwardOps = d.I64()
+	s.Splats = d.I64()
+	s.TileEntries = d.I64()
+	s.Pixels = d.I64()
+	s.RepPerPixelBlend = d.I32s()
+	s.RepPerPixelAlpha = d.I32s()
+	s.RepTileLists = getIDLists(d)
+	s.Width = int(d.I64())
+	s.Height = int(d.I64())
 }
 
-func encodeCloud(e *snapEnc, c *gauss.Cloud) {
-	e.u64(uint64(len(c.Gaussians)))
+func encodeCloud(e *binfmt.Enc, c *gauss.Cloud) {
+	e.U64(uint64(len(c.Gaussians)))
 	for i := range c.Gaussians {
 		g := &c.Gaussians[i]
-		e.vec3(g.Mean)
-		e.vec3(g.LogScale)
-		e.f64(g.Rot.W)
-		e.f64(g.Rot.X)
-		e.f64(g.Rot.Y)
-		e.f64(g.Rot.Z)
-		e.vec3(g.Color)
-		e.f64(g.Logit)
+		putVec3(e, g.Mean)
+		putVec3(e, g.LogScale)
+		e.F64(g.Rot.W)
+		e.F64(g.Rot.X)
+		e.F64(g.Rot.Y)
+		e.F64(g.Rot.Z)
+		putVec3(e, g.Color)
+		e.F64(g.Logit)
 	}
-	e.bools(c.Active)
+	e.Bools(c.Active)
 }
 
-func decodeCloud(d *snapDec) *gauss.Cloud {
-	n := d.sliceLen(14 * 8)
+func decodeCloud(d *binfmt.Dec) *gauss.Cloud {
+	n := d.Len(14 * 8)
 	gaussians := make([]gauss.Gaussian, n)
 	for i := range gaussians {
 		g := &gaussians[i]
-		g.Mean = d.vec3()
-		g.LogScale = d.vec3()
-		g.Rot.W = d.f64()
-		g.Rot.X = d.f64()
-		g.Rot.Y = d.f64()
-		g.Rot.Z = d.f64()
-		g.Color = d.vec3()
-		g.Logit = d.f64()
+		g.Mean = getVec3(d)
+		g.LogScale = getVec3(d)
+		g.Rot.W = d.F64()
+		g.Rot.X = d.F64()
+		g.Rot.Y = d.F64()
+		g.Rot.Z = d.F64()
+		g.Color = getVec3(d)
+		g.Logit = d.F64()
 	}
-	active := d.bools()
+	active := d.Bools()
 	c := &gauss.Cloud{}
 	if err := c.SetAll(gaussians, active); err != nil {
-		d.fail("cloud: %v", err)
+		d.Fail("cloud: %v", err)
 	}
 	return c
 }
 
-// snapEnc accumulates the little-endian payload in memory (the trailing
-// checksum needs the whole byte stream anyway). In counting mode it writes
-// nothing and only adds up in n the bytes the same calls would append.
-type snapEnc struct {
-	buf      []byte
-	counting bool
-	n        int
+// The geometry and ID-list encodings shared by the snapshot fields above.
+
+func putVec3(e *binfmt.Enc, v vecmath.Vec3) {
+	e.F64(v.X)
+	e.F64(v.Y)
+	e.F64(v.Z)
 }
 
-func (e *snapEnc) raw(b []byte) {
-	if e.counting {
-		e.n += len(b)
-		return
-	}
-	e.buf = append(e.buf, b...)
+func getVec3(d *binfmt.Dec) vecmath.Vec3 {
+	return vecmath.Vec3{X: d.F64(), Y: d.F64(), Z: d.F64()}
 }
 
-func (e *snapEnc) u32(v uint32) {
-	if e.counting {
-		e.n += 4
-		return
-	}
-	e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
+func putPose(e *binfmt.Enc, p vecmath.Pose) {
+	e.F64(p.R.W)
+	e.F64(p.R.X)
+	e.F64(p.R.Y)
+	e.F64(p.R.Z)
+	putVec3(e, p.T)
 }
 
-func (e *snapEnc) u64(v uint64) {
-	if e.counting {
-		e.n += 8
-		return
-	}
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
-}
-
-func (e *snapEnc) i64(v int64)   { e.u64(uint64(v)) }
-func (e *snapEnc) f64(v float64) { e.u64(math.Float64bits(v)) }
-
-func (e *snapEnc) boolv(b bool) {
-	switch {
-	case e.counting:
-		e.n++
-	case b:
-		e.buf = append(e.buf, 1)
-	default:
-		e.buf = append(e.buf, 0)
-	}
-}
-
-func (e *snapEnc) str(s string) {
-	e.u64(uint64(len(s)))
-	e.raw([]byte(s))
-}
-
-func (e *snapEnc) f64s(s []float64) {
-	e.u64(uint64(len(s)))
-	for _, v := range s {
-		e.f64(v)
-	}
-}
-
-func (e *snapEnc) i32s(s []int32) {
-	e.u64(uint64(len(s)))
-	for _, v := range s {
-		e.u32(uint32(v))
-	}
-}
-
-func (e *snapEnc) bools(s []bool) {
-	e.u64(uint64(len(s)))
-	for _, v := range s {
-		e.boolv(v)
-	}
-}
-
-func (e *snapEnc) idLists(lists [][]int32) {
-	e.u64(uint64(len(lists)))
-	for _, l := range lists {
-		e.i32s(l)
-	}
-}
-
-func (e *snapEnc) vec3(v vecmath.Vec3) {
-	e.f64(v.X)
-	e.f64(v.Y)
-	e.f64(v.Z)
-}
-
-func (e *snapEnc) pose(p vecmath.Pose) {
-	e.f64(p.R.W)
-	e.f64(p.R.X)
-	e.f64(p.R.Y)
-	e.f64(p.R.Z)
-	e.vec3(p.T)
-}
-
-func (e *snapEnc) poses(ps []vecmath.Pose) {
-	e.u64(uint64(len(ps)))
-	for _, p := range ps {
-		e.pose(p)
-	}
-}
-
-// snapDec is the sticky-error cursor over a checksum-verified payload. Every
-// read bounds-checks; the first failure latches and subsequent reads return
-// zero values, so decode call sites stay linear.
-type snapDec struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *snapDec) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (d *snapDec) remaining() int { return len(d.b) - d.off }
-
-func (d *snapDec) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if d.remaining() < n {
-		d.fail("payload exhausted at offset %d (need %d bytes, have %d)", d.off, n, d.remaining())
-		return nil
-	}
-	b := d.b[d.off : d.off+n]
-	d.off += n
-	return b
-}
-
-func (d *snapDec) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (d *snapDec) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (d *snapDec) i64() int64   { return int64(d.u64()) }
-func (d *snapDec) f64() float64 { return math.Float64frombits(d.u64()) }
-
-func (d *snapDec) boolv() bool {
-	b := d.take(1)
-	return b != nil && b[0] != 0
-}
-
-// sliceLen reads a length prefix and sanity-checks it against the remaining
-// payload (unit = minimum encoded bytes per element), so a logic mismatch
-// between encoder and decoder fails with an error instead of a huge make.
-func (d *snapDec) sliceLen(unit int) int {
-	n := d.u64()
-	if d.err != nil {
-		return 0
-	}
-	if unit < 1 {
-		unit = 1
-	}
-	if n > uint64(d.remaining()/unit) {
-		d.fail("length %d exceeds remaining payload (%d bytes)", n, d.remaining())
-		return 0
-	}
-	return int(n)
-}
-
-func (d *snapDec) str() string {
-	n := d.sliceLen(1)
-	return string(d.take(n))
-}
-
-func (d *snapDec) f64s() []float64 {
-	n := d.sliceLen(8)
-	if n == 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = d.f64()
-	}
-	return out
-}
-
-func (d *snapDec) i32s() []int32 {
-	n := d.sliceLen(4)
-	if n == 0 {
-		return nil
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(d.u32())
-	}
-	return out
-}
-
-func (d *snapDec) bools() []bool {
-	n := d.sliceLen(1)
-	if n == 0 {
-		return nil
-	}
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = d.boolv()
-	}
-	return out
-}
-
-func (d *snapDec) idLists() [][]int32 {
-	n := d.sliceLen(8)
-	if n == 0 {
-		return nil
-	}
-	out := make([][]int32, n)
-	for i := range out {
-		out[i] = d.i32s()
-	}
-	return out
-}
-
-func (d *snapDec) vec3() vecmath.Vec3 {
-	return vecmath.Vec3{X: d.f64(), Y: d.f64(), Z: d.f64()}
-}
-
-func (d *snapDec) pose() vecmath.Pose {
+func getPose(d *binfmt.Dec) vecmath.Pose {
 	var p vecmath.Pose
-	p.R.W = d.f64()
-	p.R.X = d.f64()
-	p.R.Y = d.f64()
-	p.R.Z = d.f64()
-	p.T = d.vec3()
+	p.R.W = d.F64()
+	p.R.X = d.F64()
+	p.R.Y = d.F64()
+	p.R.Z = d.F64()
+	p.T = getVec3(d)
 	return p
 }
 
-func (d *snapDec) poses() []vecmath.Pose {
-	n := d.sliceLen(7 * 8)
+func putPoses(e *binfmt.Enc, ps []vecmath.Pose) {
+	e.U64(uint64(len(ps)))
+	for _, p := range ps {
+		putPose(e, p)
+	}
+}
+
+func getPoses(d *binfmt.Dec) []vecmath.Pose {
+	n := d.Len(7 * 8)
 	if n == 0 {
 		return nil
 	}
 	out := make([]vecmath.Pose, n)
 	for i := range out {
-		out[i] = d.pose()
+		out[i] = getPose(d)
+	}
+	return out
+}
+
+func putIDLists(e *binfmt.Enc, lists [][]int32) {
+	e.U64(uint64(len(lists)))
+	for _, l := range lists {
+		e.I32s(l)
+	}
+}
+
+func getIDLists(d *binfmt.Dec) [][]int32 {
+	n := d.Len(8)
+	if n == 0 {
+		return nil
+	}
+	out := make([][]int32, n)
+	for i := range out {
+		out[i] = d.I32s()
 	}
 	return out
 }

@@ -8,8 +8,8 @@ import "ags/internal/vecmath"
 // Deterministic sharding sizes these O(TotalEntries) per call, which
 // dominates the mapping loop's allocation rate at experiment scale, so every
 // RenderContext embeds one arena and recycles it across calls (the one-shot
-// Backward wrapper recycles whole contexts through the package pool, unless
-// BackwardOptions.NoPool opts out). Buffers are re-zeroed on every prepare,
+// Backward runs in a fresh context and so pays for a fresh arena every
+// call). Buffers are re-zeroed on every prepare,
 // never lazily — the merge order is what guarantees bitwise determinism, and
 // a dirty buffer would break it silently.
 type backwardArena struct {
@@ -73,9 +73,4 @@ func (a *backwardArena) prepare(nt, entries int, gaussian bool) {
 		a.logit = zeroed(a.logit, entries)
 		a.logScale = zeroed(a.logScale, entries)
 	}
-}
-
-// reset drops the arena's buffers entirely (RenderContext.Reset).
-func (a *backwardArena) reset() {
-	*a = backwardArena{}
 }

@@ -55,12 +55,6 @@ type BackwardOptions struct {
 	GaussianGrads bool // color/opacity/mean/scale (mapping)
 	PoseGrads     bool // camera twist (tracking)
 	Workers       int
-	// NoPool makes the one-shot Backward allocate its scratch context
-	// (which embeds the partial-reduction arena) fresh instead of drawing
-	// it from the package pool. Gradients are bitwise identical either way;
-	// the bench perf-render experiment uses it to report allocs/op with vs
-	// without pooling. Ignored by (*RenderContext).Backward.
-	NoPool bool
 }
 
 // blendStep is one blending step of the pixel being back-propagated, rebuilt
@@ -76,14 +70,10 @@ type blendStep struct {
 // blending sequence front-to-back from the blend log res carries, then walks
 // it back-to-front to form the suffix terms of d(pixel)/d(alpha_i). With
 // neither gradient selected only the loss is computed. One-shot entry point:
-// the returned Grads owns its buffers; hot loops should call
-// (*RenderContext).Backward.
+// the returned Grads lives in a fresh context nobody else holds; hot loops
+// should call (*RenderContext).Backward.
 func Backward(cloud *gauss.Cloud, cam camera.Camera, res *Result, target *frame.Frame, loss LossConfig, opts BackwardOptions) *Grads {
-	ctx := acquireContext(opts.NoPool)
-	ctx.Backward(cloud, cam, res, target, loss, opts)
-	g := ctx.detachGrads()
-	releaseContext(ctx, opts.NoPool)
-	return g
+	return NewRenderContext().Backward(cloud, cam, res, target, loss, opts)
 }
 
 // Backward computes loss and gradients into the context's buffers. res may

@@ -38,7 +38,7 @@ func TestRenderContextAllocationFree(t *testing.T) {
 
 // TestRenderContextMixedSizeReuse drives one context through 50 renders of
 // mixed frame sizes and clouds, asserting every output (and its backward
-// gradients) is bitwise identical to a fresh, unpooled one-shot call — i.e.
+// gradients) is bitwise identical to a fresh one-shot call — i.e.
 // context reuse never leaks state between frames, including across buffer
 // shrinks and regrowths.
 func TestRenderContextMixedSizeReuse(t *testing.T) {
@@ -60,14 +60,12 @@ func TestRenderContextMixedSizeReuse(t *testing.T) {
 			opts.LogContribution = true
 			opts.ThreshAlpha = 1.0 / 255
 		}
-		bopts := BackwardOptions{GaussianGrads: i%2 == 0, PoseGrads: i%2 == 1, Workers: 1 + i%3, NoPool: true}
+		bopts := BackwardOptions{GaussianGrads: i%2 == 0, PoseGrads: i%2 == 1, Workers: 1 + i%3}
 
 		res := ctx.Render(cloud, cam, opts)
 		gotRes := res.Digest()
 
-		freshOpts := opts
-		freshOpts.NoPool = true
-		ref := Render(cloud, cam, freshOpts)
+		ref := Render(cloud, cam, opts)
 		if gotRes != ref.Digest() {
 			t.Fatalf("render %d (%dx%d): contexted digest diverged from fresh one-shot", i, cam.Intr.W, cam.Intr.H)
 		}
@@ -78,38 +76,6 @@ func TestRenderContextMixedSizeReuse(t *testing.T) {
 		if gotG != wantG {
 			t.Fatalf("backward %d (%dx%d): contexted digest diverged from fresh one-shot", i, cam.Intr.W, cam.Intr.H)
 		}
-	}
-}
-
-// TestOneShotResultsAreCallerOwned asserts the one-shot wrappers detach
-// their outputs from the pooled scratch contexts: later renders (which may
-// reuse the same pooled context) must never mutate an earlier Result or
-// Grads retained by the caller.
-func TestOneShotResultsAreCallerOwned(t *testing.T) {
-	cloud, cam := determinismScene()
-	target := determinismTarget(cloud, cam)
-	lc := DefaultMappingLoss()
-	opts := Options{Workers: 1, LogContribution: true, ThreshAlpha: 1.0 / 255}
-	bopts := BackwardOptions{GaussianGrads: true, PoseGrads: true, Workers: 1}
-
-	res := Render(cloud, cam, opts)
-	grads := Backward(cloud, cam, res, target, lc, bopts)
-	wantRes, wantG := res.Digest(), grads.Digest()
-
-	// Churn the context pool with differently-sized work.
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 4; i++ {
-		c := randomCloud(rng, 5+i)
-		cam2 := testCam(24+8*i, 24)
-		r := Render(c, cam2, opts)
-		Backward(c, cam2, r, &frame.Frame{Color: r.Color, Depth: r.NormalizedDepth()}, lc, bopts)
-	}
-
-	if res.Digest() != wantRes {
-		t.Error("retained one-shot Result was mutated by later renders")
-	}
-	if grads.Digest() != wantG {
-		t.Error("retained one-shot Grads was mutated by later backward passes")
 	}
 }
 

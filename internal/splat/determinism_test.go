@@ -110,64 +110,62 @@ func TestBackwardDeterminismAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestBackwardArenaDeterminism asserts the gradient-arena contract: pooled
-// partial buffers (including deliberately dirtied, size-mismatched reuses)
-// produce gradients bitwise identical to fresh allocations, across worker
-// counts and repeated calls.
+// TestBackwardArenaDeterminism asserts the gradient-arena contract: a
+// context's recycled partial buffers (including deliberately dirtied,
+// size-mismatched reuses) produce gradients bitwise identical to a fresh
+// one-shot call, across worker counts and repeated calls.
 func TestBackwardArenaDeterminism(t *testing.T) {
 	cloud, cam := determinismScene()
 	target := determinismTarget(cloud, cam)
 	lc := DefaultMappingLoss()
 	res := Render(cloud, cam, Options{Workers: 1})
 	ref := Backward(cloud, cam, res, target, lc,
-		BackwardOptions{GaussianGrads: true, PoseGrads: true, Workers: 1, NoPool: true})
+		BackwardOptions{GaussianGrads: true, PoseGrads: true, Workers: 1})
 	want := ref.Digest()
 
-	// A smaller companion scene dirties the pool with buffers of a different
+	// A smaller companion scene dirties the arena with buffers of a different
 	// tile/entry footprint between reference calls.
 	smallCam := testCam(32, 32)
 	smallRes := Render(cloud, smallCam, Options{Workers: 1})
 	smallTarget := &frame.Frame{Color: smallRes.Color, Depth: smallRes.NormalizedDepth()}
 
+	ctx := NewRenderContext()
 	for _, wkr := range workerCounts() {
 		t.Run(fmt.Sprintf("workers=%d", wkr), func(t *testing.T) {
 			for rep := 0; rep < 4; rep++ {
-				Backward(cloud, smallCam, smallRes, smallTarget, lc,
+				ctx.Backward(cloud, smallCam, smallRes, smallTarget, lc,
 					BackwardOptions{GaussianGrads: true, Workers: wkr})
-				g := Backward(cloud, cam, res, target, lc,
+				g := ctx.Backward(cloud, cam, res, target, lc,
 					BackwardOptions{GaussianGrads: true, PoseGrads: true, Workers: wkr})
 				if g.Digest() != want {
-					t.Fatalf("rep %d: pooled gradients diverged from unpooled reference", rep)
+					t.Fatalf("rep %d: recycled-arena gradients diverged from the fresh reference", rep)
 				}
 			}
 		})
 	}
 }
 
-// TestBackwardArenaReducesAllocs pins the point of the pool: repeated
-// backward passes allocate measurably less than the unpooled path.
+// TestBackwardArenaReducesAllocs pins the point of the arena: repeated
+// backward passes through one context allocate measurably less than one-shot
+// calls, which size a fresh arena every time.
 func TestBackwardArenaReducesAllocs(t *testing.T) {
 	cloud, cam := determinismScene()
 	target := determinismTarget(cloud, cam)
 	lc := DefaultMappingLoss()
 	res := Render(cloud, cam, Options{Workers: 1})
-	measure := func(noPool bool) float64 {
-		opts := BackwardOptions{GaussianGrads: true, PoseGrads: true, Workers: 1, NoPool: noPool}
-		// Settle the heap and re-prime the pool: a GC inside the measured
-		// window drains sync.Pool and would otherwise flake the margin.
-		runtime.GC()
+	opts := BackwardOptions{GaussianGrads: true, PoseGrads: true, Workers: 1}
+	ctx := NewRenderContext()
+	ctx.Backward(cloud, cam, res, target, lc, opts)
+	recycled := testing.AllocsPerRun(10, func() {
+		ctx.Backward(cloud, cam, res, target, lc, opts)
+	})
+	fresh := testing.AllocsPerRun(10, func() {
 		Backward(cloud, cam, res, target, lc, opts)
-		return testing.AllocsPerRun(10, func() {
-			Backward(cloud, cam, res, target, lc, opts)
-		})
-	}
-	pooled := measure(false)
-	raw := measure(true)
+	})
 	// The arena removes the offsets/loss/pose partials and all four gradient
-	// slot buffers (7 allocations) from the steady state; the margin leaves
-	// room for an occasional GC-drained pool refill.
-	if pooled > raw-3 {
-		t.Errorf("arena saves too little: %.0f allocs/op pooled vs %.0f unpooled", pooled, raw)
+	// slot buffers (7 allocations) from the steady state.
+	if recycled > fresh-3 {
+		t.Errorf("arena saves too little: %.0f allocs/op recycled vs %.0f fresh", recycled, fresh)
 	}
 }
 

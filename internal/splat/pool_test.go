@@ -106,7 +106,7 @@ func TestContextPoolConcurrentAcquire(t *testing.T) {
 	sizes := []struct{ w, h int }{{64, 48}, {32, 24}, {48, 36}, {96, 64}}
 	ref := make([][32]byte, len(sizes))
 	for i, sz := range sizes {
-		ref[i] = Render(cloud, testCam(sz.w, sz.h), Options{Workers: 1, NoPool: true}).Digest()
+		ref[i] = Render(cloud, testCam(sz.w, sz.h), Options{Workers: 1}).Digest()
 	}
 	var wg sync.WaitGroup
 	for wi := 0; wi < workers; wi++ {
@@ -136,7 +136,7 @@ func TestContextPoolConcurrentAcquire(t *testing.T) {
 
 // TestContextPoolReuseIsContentIndependent re-acquires a context that was
 // last used at a different size and by different options, and asserts its
-// output is bitwise identical to a fresh unpooled render — the property that
+// output is bitwise identical to a fresh one-shot render — the property that
 // lets sessions of different streams share one pool.
 func TestContextPoolReuseIsContentIndependent(t *testing.T) {
 	p := NewContextPool(2)
@@ -154,9 +154,7 @@ func TestContextPoolReuseIsContentIndependent(t *testing.T) {
 	}
 	opts := Options{Workers: 1}
 	res := got.Render(cloud, testCam(48, 36), opts)
-	fresh := opts
-	fresh.NoPool = true
-	if want := Render(cloud, testCam(48, 36), fresh); res.Digest() != want.Digest() {
+	if want := Render(cloud, testCam(48, 36), opts); res.Digest() != want.Digest() {
 		t.Error("re-acquired context output diverged from a fresh render")
 	}
 }

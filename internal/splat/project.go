@@ -44,8 +44,8 @@
 // PerPixelBlend, so Render and Backward may use different Workers values and
 // Backward may take a Result from any context. It follows the Result's
 // aliasing rules below (a contexted Result's log is overwritten by the
-// context's next Render; a one-shot Result owns an exact-size copy) and
-// Backward only reads it. It holds 12 B x BlendOps; a context's shards grow by
+// context's next Render; a one-shot Result's context renders nothing else)
+// and Backward only reads it. It holds 12 B x BlendOps; a context's shards grow by
 // doubling and are never shrunk, so a warm context retains at most twice the
 // log of its largest render (FootprintBytes counts it).
 //
@@ -56,10 +56,9 @@
 // the blend log and the per-worker cull scratch, the projected-splat slice,
 // the CSR tile tables, and the backward pass's partial-reduction arena plus
 // gradient outputs. A long-lived context makes the steady-state hot path
-// allocation-free; the package-level Render and Backward functions remain as
-// one-shot wrappers that borrow a context from an internal pool (bypassed by
-// Options.NoPool / BackwardOptions.NoPool) and hand the output buffers to the
-// caller before returning it.
+// allocation-free; the package-level Render and Backward functions are
+// one-shot: each runs in a fresh context of its own and returns that
+// context's output, which nothing else will ever write.
 //
 // Multi-stream hosts share contexts through a ContextPool: a bounded set
 // keyed by (W, H) size class with LRU eviction and hit/miss/eviction/
@@ -83,8 +82,7 @@
 //   - (*RenderContext).Backward likewise returns a *Grads owned by the
 //     context, valid until its next Backward or Reset call.
 //   - The one-shot package functions return caller-owned buffers with no
-//     aliasing: they detach the output from the scratch context before
-//     pooling it.
+//     aliasing: the context they ran in is dropped on return.
 //   - Reset drops every internal buffer, returning the context to its
 //     zero footprint. A context re-sizes itself lazily from the intrinsics
 //     and cloud of each call, so mixed frame sizes are safe (and tested);

@@ -21,11 +21,6 @@ type Options struct {
 	ThreshAlpha float64
 	// Workers bounds render parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// NoPool makes the one-shot Render allocate its scratch context fresh
-	// instead of drawing it from the package pool. Output is bitwise
-	// identical either way; perf experiments use it to A/B allocation
-	// counts. Ignored by (*RenderContext).Render, which owns its buffers.
-	NoPool bool
 }
 
 // Result is the output of a forward render.
@@ -56,14 +51,11 @@ type Result struct {
 
 // Render runs the full forward pipeline (steps 1-3 of Fig. 2) for the cloud
 // viewed through cam. It is the one-shot entry point: the returned Result
-// owns its buffers. Hot loops that render every iteration should hold a
-// RenderContext and call its Render instead.
+// lives in a fresh context nobody else holds, so it is the caller's outright.
+// Hot loops that render every iteration should hold a RenderContext and call
+// its Render instead.
 func Render(cloud *gauss.Cloud, cam camera.Camera, opts Options) *Result {
-	ctx := acquireContext(opts.NoPool)
-	ctx.Render(cloud, cam, opts)
-	res := ctx.detachResult()
-	releaseContext(ctx, opts.NoPool)
-	return res
+	return NewRenderContext().Render(cloud, cam, opts)
 }
 
 // Render runs the forward pipeline into the context's buffers. The returned

@@ -17,7 +17,7 @@ import (
 // with coarse-to-fine Gauss-Newton dense alignment (photometric + depth
 // residuals). It plays the role of Droid-SLAM's feature+ConvGRU tracker in
 // the AGS algorithm: a fast pose that never touches the Gaussians, good
-// enough on its own when covisibility is high (see DESIGN.md substitution #3;
+// enough on its own when covisibility is high (see README: substitutions;
 // the matching systolic-array workload is modeled by nnlite.PoseBackbone).
 type CoarseAligner struct {
 	// Levels is the number of pyramid levels (coarsest first at /2^(L-1)).
