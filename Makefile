@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt lint bench benchmark-module verify determinism bench-batch profile serve-demo
+.PHONY: build test race vet fmt lint benchmark-module verify determinism bench-batch profile serve-demo
 
 build:
 	$(GO) build ./...
@@ -27,9 +27,6 @@ lint:
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-bench:
-	$(GO) test -bench=. -benchtime=1x .
-
 # The benchmark (BENCHMARK.json) is a module of its own under benchmarks/, so
 # `./...` from the root skips it: vet it and run its smoke test from inside.
 benchmark-module:
@@ -48,21 +45,10 @@ verify: fmt vet lint benchmark-module
 determinism:
 	$(GO) test -count=2 -run Determinism ./internal/splat/...
 
-# Batch-scheduler smoke: perf-me, perf-render (which also gates the
-# contexted-vs-one-shot digests and allocation ratio), perf-serve (which
-# gates cross-session digest equality and the context-pool capacity bound),
-# perf-compact (which gates the compacted-vs-uncompacted digest equality and
-# the reclaimed-slot accounting), perf-chaos (which gates checkpoint-replay
-# recovery under injected faults: digests bit-identical to sequential runs
-# after an unclean node kill and a mid-frame sever) and a pipeline experiment
-# through the warm/render scheduler at two jobs, emitting the
-# machine-readable report (CI uploads bench.json so the perf trajectory is
-# recorded). table1 rides along because perf-me alone is dataset-only and
-# would leave the report's per-run wall-time section empty. perf-grid boots
-# its own 2-worker loopback grid and gates digest-verified distributed
-# execution plus retry over a killed worker.
+# Batch-scheduler smoke: two experiments sharing Desk runs through the
+# warm/render scheduler at two jobs.
 bench-batch:
-	$(GO) run ./cmd/ags-bench -exp perf-me,perf-render,perf-serve,perf-compact,perf-fleet,perf-chaos,perf-grid,table1 -jobs 2 -json bench.json -q
+	$(GO) run ./cmd/ags-bench -exp table1,fig18 -jobs 2 -q
 
 # Streaming-server demo: two concurrent camera streams through one
 # slam.Server under the race detector — the quickest end-to-end check that

@@ -14,9 +14,8 @@
 //	ags-bench -list            # list experiment IDs
 //	ags-bench -scale full      # larger frames/iterations (slower)
 //	ags-bench -jobs 4          # bounded pipeline-execution concurrency
-//	ags-bench -json bench.json # machine-readable per-run wall-time report
 //	ags-bench -frames 32 -w 96 -h 72   # override individual knobs
-//	ags-bench -exp perf-render -cpuprofile cpu.pprof -memprofile mem.pprof
+//	ags-bench -exp fig4 -cpuprofile cpu.pprof -memprofile mem.pprof
 //	ags-bench -grid 127.0.0.1:7070,127.0.0.1:7071   # distribute the warm
 //	                           # phase over ags-fleet serve worker nodes
 //
@@ -24,11 +23,10 @@
 // (see internal/grid): each worker regenerates the dataset deterministically,
 // runs the pipeline, and returns a digest-verified snapshot. stdout stays
 // byte-identical to local execution; per-run worker attribution and wire
-// bytes land in the -json report.
+// bytes go to the stderr progress lines.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -51,7 +49,6 @@ func main() {
 		frames  = flag.Int("frames", 0, "override frames per sequence")
 		workers = flag.Int("workers", 0, "render worker goroutines (0 = all cores; results are bit-identical for every value)")
 		jobs    = flag.Int("jobs", 0, "concurrent pipeline executions in the batch scheduler (0 = all cores; output is byte-identical for every value)")
-		jsonOut = flag.String("json", "", "write a machine-readable report (per-run wall times) to this path")
 		quiet   = flag.Bool("q", false, "suppress progress lines (stderr)")
 
 		gridAddrs  = flag.String("grid", "", "comma-separated worker node addresses: distribute pipeline executions over the fleet (see ags-fleet serve)")
@@ -161,7 +158,7 @@ func main() {
 		}
 	}
 
-	report, err := bench.RunBatchWith(suite, exps, *jobs, exec, os.Stdout)
+	err := bench.RunBatchWith(suite, exps, *jobs, exec, os.Stdout)
 	stopCPUProfile()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ags-bench: %v\n", err)
@@ -185,25 +182,7 @@ func main() {
 		}
 	}
 
-	if *jsonOut != "" {
-		blob := struct {
-			Scale      string       `json:"scale"`
-			GoMaxProcs int          `json:"gomaxprocs"`
-			Config     bench.Config `json:"config"`
-			*bench.Report
-		}{*scale, runtime.GOMAXPROCS(0), cfg, report}
-		data, err := json.MarshalIndent(blob, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ags-bench: encode report: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "ags-bench: write report: %v\n", err)
-			os.Exit(1)
-		}
-	}
-
-	fmt.Fprintf(os.Stderr, "\n# done in %s (scale=%s %dx%d, %d frames/sequence, jobs=%d, %d runs warmed in %.0fms)\n",
+	fmt.Fprintf(os.Stderr, "\n# done in %s (scale=%s %dx%d, %d frames/sequence, %d runs)\n",
 		time.Since(start).Round(time.Millisecond), *scale, cfg.Width, cfg.Height, cfg.Frames,
-		report.Jobs, len(report.Runs), report.WarmMS)
+		len(suite.Executed()))
 }

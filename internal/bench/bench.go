@@ -23,8 +23,8 @@ package bench
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
-	"time"
 
 	"ags/internal/camera"
 	"ags/internal/grid"
@@ -95,8 +95,8 @@ const (
 // if non-nil, further mutates the derived slam.Config and must be a pure
 // function of the key so that equal IDs describe equal pipelines. A zero
 // Variant marks a dataset-only spec: the scheduler generates the sequence
-// but executes no pipeline (experiments that only read frames, or that time
-// deliberately uncached runs, use this to share dataset generation).
+// but executes no pipeline (experiments that only read frames use this to
+// share dataset generation).
 type RunSpec struct {
 	Seq      string
 	Variant  Variant
@@ -141,6 +141,7 @@ type flight struct {
 	done chan struct{}
 	val  any
 	err  error
+	ok   bool // guarded by Suite.mu: fn returned without error
 }
 
 // Executor runs one resolved spec somewhere other than this process. The grid
@@ -151,16 +152,6 @@ type flight struct {
 // sampled replay verification.
 type Executor interface {
 	ExecuteSpec(job grid.Job, seq *scene.Sequence) (*slam.Result, grid.ExecInfo, error)
-}
-
-// execRecord attributes one pipeline execution: how long it took, which
-// worker ran it ("local" for in-process runs), and — for remote runs — bytes
-// over the wire and whether a sampled local replay confirmed it.
-type execRecord struct {
-	dur      time.Duration
-	worker   string
-	wire     int64
-	verified bool
 }
 
 // Suite owns the run cache. Experiment text goes to the writer passed to
@@ -175,17 +166,15 @@ type Suite struct {
 	mu    sync.Mutex
 	seqs  map[string]*flight
 	runs  map[string]*flight
-	execs map[string]execRecord
 	logMu sync.Mutex
 }
 
 // NewSuite returns an empty suite.
 func NewSuite(cfg Config) *Suite {
 	return &Suite{
-		Cfg:   cfg,
-		seqs:  make(map[string]*flight),
-		runs:  make(map[string]*flight),
-		execs: make(map[string]execRecord),
+		Cfg:  cfg,
+		seqs: make(map[string]*flight),
+		runs: make(map[string]*flight),
 	}
 }
 
@@ -218,6 +207,7 @@ func (s *Suite) doOnce(m map[string]*flight, id string, fn func() (any, error)) 
 	if f.err != nil {
 		delete(m, id) // allow retries; waiters still see this error
 	}
+	f.ok = f.err == nil
 	s.mu.Unlock()
 	close(f.done)
 	return f.val, f.err
@@ -313,9 +303,7 @@ func (s *Suite) runVia(x Executor, spec RunSpec) (*Bundle, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bench: run %s: %w", id, err)
 		}
-		start := wallNow()
 		var res *slam.Result
-		rec := execRecord{worker: "local"}
 		if x == nil {
 			s.logf("# running %s ...\n", id)
 			res, err = slam.Run(s.slamConfig(spec.Variant, spec.Override), seq)
@@ -327,7 +315,6 @@ func (s *Suite) runVia(x Executor, spec RunSpec) (*Bundle, error) {
 				Scene: s.sceneConfig(),
 				Cfg:   s.slamConfig(spec.Variant, spec.Override),
 			}, seq)
-			rec = execRecord{worker: info.Worker, wire: info.WireBytes, verified: info.Verified}
 			if err == nil {
 				// Worker attribution is only known after placement, so the
 				// grid progress line trails the run instead of leading it.
@@ -337,10 +324,6 @@ func (s *Suite) runVia(x Executor, spec RunSpec) (*Bundle, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bench: run %s: %w", id, err)
 		}
-		rec.dur = wallSince(start)
-		s.mu.Lock()
-		s.execs[id] = rec
-		s.mu.Unlock()
 		return &Bundle{Seq: seq, Result: res}, nil
 	})
 	if err != nil {
@@ -370,29 +353,20 @@ func (s *Suite) warmVia(x Executor, spec RunSpec) error {
 	return err
 }
 
-// Timings returns a copy of the wall time of every pipeline execution this
-// suite performed, keyed by RunSpec ID. Cache hits and singleflight waiters
-// do not add entries, so len(Timings()) counts actual executions.
-func (s *Suite) Timings() map[string]time.Duration {
+// Executed returns the sorted RunSpec IDs of every pipeline execution this
+// suite performed. Cache hits and singleflight waiters share the first
+// caller's cell, so len(Executed()) counts actual executions.
+func (s *Suite) Executed() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[string]time.Duration, len(s.execs))
-	for id, rec := range s.execs {
-		out[id] = rec.dur
+	ids := make([]string, 0, len(s.runs))
+	for id, f := range s.runs {
+		if f.ok { // not still in flight
+			ids = append(ids, id)
+		}
 	}
-	return out
-}
-
-// execRecords returns a copy of the per-execution attribution map, keyed by
-// RunSpec ID (the batch report reads worker names and wire bytes from it).
-func (s *Suite) execRecords() map[string]execRecord {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]execRecord, len(s.execs))
-	for id, rec := range s.execs {
-		out[id] = rec
-	}
-	return out
+	slices.Sort(ids)
+	return ids
 }
 
 // contributionStats renders frame fi of the bundle at its estimated pose

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -11,7 +12,7 @@ import (
 )
 
 // tinyCfg keeps bench tests fast; experiment correctness at scale is
-// exercised by cmd/ags-bench and the repository-level benchmarks.
+// exercised by cmd/ags-bench.
 func tinyCfg() Config {
 	return Config{
 		Width: 40, Height: 32, Frames: 6,
@@ -31,7 +32,7 @@ func TestRunCacheReuses(t *testing.T) {
 	if b3 == b1 {
 		t.Error("different variants shared a bundle")
 	}
-	if n := len(s.Timings()); n != 2 {
+	if n := len(s.Executed()); n != 2 {
 		t.Errorf("suite executed %d pipelines, want 2", n)
 	}
 }
@@ -61,7 +62,7 @@ func TestRunSingleflight(t *testing.T) {
 			t.Fatalf("caller %d received a different bundle", i)
 		}
 	}
-	if n := len(s.Timings()); n != 1 {
+	if n := len(s.Executed()); n != 1 {
 		t.Errorf("%d concurrent callers triggered %d executions, want 1", callers, n)
 	}
 }
@@ -120,8 +121,17 @@ func TestFindExperiment(t *testing.T) {
 	if _, err := Find("nope"); err == nil {
 		t.Error("unknown experiment accepted")
 	}
-	if len(Experiments()) != 30 {
-		t.Errorf("registry has %d experiments, want 30", len(Experiments()))
+	// The registry is the paper's evaluation and nothing else: 23 tables and
+	// figures, in paper order.
+	want := []string{"table1", "fig3", "fig4", "fig5", "fig6", "table2", "fig14", "fp",
+		"fig15a", "fig15b", "table3", "fig16", "fig17", "fig18", "table4", "fig19",
+		"fig20", "fig21", "fig22", "fig23", "abl-codec", "abl-tables", "abl-overlap"}
+	var got []string
+	for _, e := range Experiments() {
+		got = append(got, e.ID())
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("registry = %v, want %v", got, want)
 	}
 }
 
@@ -184,7 +194,7 @@ func TestFig22RunsOnSequencesOnly(t *testing.T) {
 	if !strings.Contains(buf.String(), "High") {
 		t.Errorf("fig22 output malformed:\n%s", buf.String())
 	}
-	if n := len(s.Timings()); n != 0 {
+	if n := len(s.Executed()); n != 0 {
 		t.Errorf("fig22 executed %d pipelines, want 0 (dataset-only)", n)
 	}
 }
@@ -209,45 +219,6 @@ func TestSpeedupExperimentEndToEnd(t *testing.T) {
 	}
 }
 
-func TestPerfMEExperiment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slam runs in short mode")
-	}
-	var buf bytes.Buffer
-	s := NewSuite(tinyCfg())
-	// PerfME verifies parallel/serial equivalence internally and errors on
-	// divergence, so a clean return is the main assertion.
-	if err := s.PerfME(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"CODEC ME wall-time", "Parallel", "Pipelined ME"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("perf-me output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestPerfRenderExperiment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slam runs in short mode")
-	}
-	var buf bytes.Buffer
-	s := NewSuite(tinyCfg())
-	// PerfRender asserts bitwise serial/sharded and contexted/one-shot
-	// equivalence internally and errors on divergence, so a clean return is
-	// the main assertion.
-	if err := s.PerfRender(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"splat render+backward", "byte-identical", "allocs/op"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("perf-render output missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestTableFormatting(t *testing.T) {
 	var buf bytes.Buffer
 	tab := NewTable("T", "A", "LongColumn")
@@ -263,14 +234,5 @@ func TestTableFormatting(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) < 5 {
 		t.Fatalf("too few lines:\n%s", out)
-	}
-}
-
-func TestTimingsReturnsACopy(t *testing.T) {
-	s := NewSuite(tinyCfg())
-	got := s.Timings()
-	got["intruder"] = 1
-	if _, ok := s.Timings()["intruder"]; ok {
-		t.Error("mutating the returned map leaked into the suite's internal timings")
 	}
 }

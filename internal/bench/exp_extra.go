@@ -94,8 +94,8 @@ func (s *Suite) AblTables(w io.Writer) error {
 	}
 	var tiles [][]int32
 	for i := len(b.Result.Trace.Frames) - 1; i >= 0; i-- {
-		if b.Result.Trace.Frames[i].LoggingIDs != nil {
-			tiles = b.Result.Trace.Frames[i].LoggingIDs
+		if f := &b.Result.Trace.Frames[i]; f.IsKeyFrame && f.Map.RepTileLists != nil {
+			tiles = f.Map.RepTileLists
 			break
 		}
 	}

@@ -88,13 +88,6 @@ func Experiments() []Experiment {
 		expAblCodec(),
 		expAblTables(),
 		expAblOverlap(),
-		expPerfME(),
-		expPerfRender(),
-		expPerfServe(),
-		expPerfCompact(),
-		expPerfFleet(),
-		expPerfChaos(),
-		expPerfGrid(),
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // PlanSpecs returns the deduplicated union of the selected experiments'
@@ -40,56 +39,13 @@ func PlanSpecs(exps []Experiment) []RunSpec {
 	return out
 }
 
-// RunReport records one pipeline execution of the warm phase.
-type RunReport struct {
-	ID       string  `json:"id"`
-	Sequence string  `json:"sequence"`
-	Variant  string  `json:"variant,omitempty"`
-	Key      string  `json:"key,omitempty"`
-	WallMS   float64 `json:"wall_ms"`
-	// Worker names the executing node: "local" for in-process runs, the
-	// worker node's self-declared name for grid runs.
-	Worker string `json:"worker"`
-	// WireBytes counts bytes both directions for grid runs (0 for local).
-	WireBytes int64 `json:"wire_bytes,omitempty"`
-	// Verified marks grid runs additionally confirmed by a sampled local
-	// replay on the coordinator.
-	Verified bool `json:"verified,omitempty"`
-	// Cached marks specs the suite had already executed before this batch
-	// (their WallMS is the original execution's, not this batch's).
-	Cached bool `json:"cached,omitempty"`
-}
-
-// ExperimentReport records one rendered experiment.
-type ExperimentReport struct {
-	ID       string  `json:"id"`
-	Paper    string  `json:"paper"`
-	RenderMS float64 `json:"render_ms"`
-}
-
-// Report is the machine-readable result of a batch: per-run and
-// per-experiment wall times plus phase totals, so the suite's performance
-// trajectory can be recorded across commits.
-type Report struct {
-	Jobs        int                `json:"jobs"`
-	Specs       int                `json:"specs"`
-	Runs        []RunReport        `json:"runs"`
-	Experiments []ExperimentReport `json:"experiments"`
-	WarmMS      float64            `json:"warm_ms"`
-	RenderMS    float64            `json:"render_ms"`
-	TotalMS     float64            `json:"total_ms"`
-	// WireBytes totals bytes over the wire across this batch's grid runs
-	// (0 for all-local batches).
-	WireBytes int64 `json:"wire_bytes"`
-}
-
 // RunBatch materializes every spec the selected experiments need across a
 // bounded pool of jobs workers (jobs <= 0 means GOMAXPROCS), then renders
 // each experiment to out in the given order. Spec execution is deduplicated
 // by the suite's singleflight cache; rendering is strictly sequential, so
 // out receives byte-identical text for every jobs value. On a failing spec
 // the batch stops before rendering and returns the plan-order-first error.
-func RunBatch(s *Suite, exps []Experiment, jobs int, out io.Writer) (*Report, error) {
+func RunBatch(s *Suite, exps []Experiment, jobs int, out io.Writer) error {
 	return RunBatchWith(s, exps, jobs, nil, out)
 }
 
@@ -98,13 +54,11 @@ func RunBatch(s *Suite, exps []Experiment, jobs int, out io.Writer) (*Report, er
 // the dedup, the singleflight semantics and the rendered text are identical
 // either way — only where pipelines execute changes — so out stays
 // byte-identical across jobs counts and venues.
-func RunBatchWith(s *Suite, exps []Experiment, jobs int, x Executor, out io.Writer) (*Report, error) {
+func RunBatchWith(s *Suite, exps []Experiment, jobs int, x Executor, out io.Writer) error {
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
 	plan := PlanSpecs(exps)
-	pre := s.Timings()
-	start := wallNow()
 
 	errs := make([]error, len(plan))
 	sem := make(chan struct{}, jobs)
@@ -130,47 +84,13 @@ func RunBatchWith(s *Suite, exps []Experiment, jobs int, x Executor, out io.Writ
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	warm := wallSince(start)
-
-	rep := &Report{Jobs: jobs, Specs: len(plan)}
-	execs := s.execRecords()
-	for _, spec := range plan {
-		if spec.DatasetOnly() {
-			continue
-		}
-		_, cached := pre[spec.ID()]
-		rec := execs[spec.ID()]
-		rep.Runs = append(rep.Runs, RunReport{
-			ID:        spec.ID(),
-			Sequence:  spec.Seq,
-			Variant:   string(spec.Variant),
-			Key:       spec.Key,
-			WallMS:    ms(rec.dur),
-			Worker:    rec.worker,
-			WireBytes: rec.wire,
-			Verified:  rec.verified,
-			Cached:    cached,
-		})
-		rep.WireBytes += rec.wire
-	}
-
-	renderStart := wallNow()
 	for _, e := range exps {
-		estart := wallNow()
 		if err := e.Render(s, out); err != nil {
-			return nil, fmt.Errorf("%s: %w", e.ID(), err)
+			return fmt.Errorf("%s: %w", e.ID(), err)
 		}
-		rep.Experiments = append(rep.Experiments, ExperimentReport{
-			ID: e.ID(), Paper: e.Paper(), RenderMS: ms(wallSince(estart)),
-		})
 	}
-	rep.WarmMS = ms(warm)
-	rep.RenderMS = ms(wallSince(renderStart))
-	rep.TotalMS = ms(wallSince(start))
-	return rep, nil
+	return nil
 }
-
-func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -79,21 +80,11 @@ func TestBatchDedupAcrossExperiments(t *testing.T) {
 	}
 	s := NewSuite(tinyCfg())
 	var buf bytes.Buffer
-	rep, err := RunBatch(s, exps, 4, &buf)
-	if err != nil {
+	if err := RunBatch(s, exps, 4, &buf); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(s.Timings()); n != 1 {
-		t.Errorf("batch executed %d pipelines, want 1", n)
-	}
-	if len(rep.Runs) != 1 || rep.Runs[0].ID != "Desk/baseline/" {
-		t.Errorf("report runs = %+v, want one Desk/baseline/", rep.Runs)
-	}
-	if rep.Runs[0].WallMS <= 0 {
-		t.Errorf("run wall time not recorded: %+v", rep.Runs[0])
-	}
-	if len(rep.Experiments) != 3 {
-		t.Errorf("report has %d experiments, want 3", len(rep.Experiments))
+	if got := s.Executed(); !slices.Equal(got, []string{"Desk/baseline/"}) {
+		t.Errorf("batch executed %v, want one Desk/baseline/", got)
 	}
 	if got := strings.Count(buf.String(), "ate="); got != 3 {
 		t.Errorf("output has %d rendered lines, want 3:\n%s", got, buf.String())
@@ -111,10 +102,10 @@ func TestBatchOutputIdenticalAcrossJobs(t *testing.T) {
 		}
 	}
 	var serial, parallel bytes.Buffer
-	if _, err := RunBatch(NewSuite(tinyCfg()), mk(), 1, &serial); err != nil {
+	if err := RunBatch(NewSuite(tinyCfg()), mk(), 1, &serial); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunBatch(NewSuite(tinyCfg()), mk(), 4, &parallel); err != nil {
+	if err := RunBatch(NewSuite(tinyCfg()), mk(), 4, &parallel); err != nil {
 		t.Fatal(err)
 	}
 	if serial.String() != parallel.String() {
@@ -134,7 +125,7 @@ func TestBatchErrorPropagation(t *testing.T) {
 		fakeExp("bad", Spec("NoSuchSeq", VarBaseline)),
 	}
 	var buf bytes.Buffer
-	_, err := RunBatch(NewSuite(tinyCfg()), exps, 2, &buf)
+	err := RunBatch(NewSuite(tinyCfg()), exps, 2, &buf)
 	if err == nil || !strings.Contains(err.Error(), "unknown sequence") {
 		t.Fatalf("batch error = %v, want unknown sequence", err)
 	}
@@ -150,7 +141,7 @@ func TestBatchRenderErrorPropagation(t *testing.T) {
 		id: "exploding", paper: "test",
 		render: func(*Suite, io.Writer) error { return boom },
 	}}
-	_, err := RunBatch(NewSuite(tinyCfg()), exps, 1, io.Discard)
+	err := RunBatch(NewSuite(tinyCfg()), exps, 1, io.Discard)
 	if err == nil || !errors.Is(err, boom) || !strings.Contains(err.Error(), "exploding") {
 		t.Fatalf("render error = %v, want wrapped boom with experiment id", err)
 	}
@@ -170,15 +161,11 @@ func TestBatchMultiExperimentRace(t *testing.T) {
 	s := NewSuite(tinyCfg())
 	s.Log = io.Discard
 	var buf bytes.Buffer
-	rep, err := RunBatch(s, exps, 4, &buf)
-	if err != nil {
+	if err := RunBatch(s, exps, 4, &buf); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(s.Timings()); n != 3 {
+	if n := len(s.Executed()); n != 3 {
 		t.Errorf("batch executed %d pipelines, want 3 unique", n)
-	}
-	if rep.Jobs != 4 || rep.Specs != 4 {
-		t.Errorf("report jobs/specs = %d/%d, want 4/4", rep.Jobs, rep.Specs)
 	}
 }
 
@@ -203,8 +190,8 @@ func startGridWorkers(t *testing.T, n int) []string {
 
 // TestBatchOutputIdenticalGridVsLocal extends the byte-equality gate to the
 // grid path: the same experiments rendered from a local warm and from a
-// two-worker distributed warm must produce byte-identical text, with the
-// report attributing every run to a named worker and accounting wire bytes.
+// two-worker distributed warm must produce byte-identical text, with every
+// run placed on a named worker and its wire bytes accounted.
 func TestBatchOutputIdenticalGridVsLocal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slam runs in short mode")
@@ -217,7 +204,7 @@ func TestBatchOutputIdenticalGridVsLocal(t *testing.T) {
 		}
 	}
 	var local bytes.Buffer
-	if _, err := RunBatch(NewSuite(tinyCfg()), mk(), 1, &local); err != nil {
+	if err := RunBatch(NewSuite(tinyCfg()), mk(), 1, &local); err != nil {
 		t.Fatal(err)
 	}
 
@@ -230,8 +217,7 @@ func TestBatchOutputIdenticalGridVsLocal(t *testing.T) {
 	var progress bytes.Buffer
 	suite.Log = &progress
 	var dist bytes.Buffer
-	rep, err := RunBatchWith(suite, mk(), 1, sch, &dist)
-	if err != nil {
+	if err := RunBatchWith(suite, mk(), 1, sch, &dist); err != nil {
 		t.Fatal(err)
 	}
 
@@ -239,23 +225,17 @@ func TestBatchOutputIdenticalGridVsLocal(t *testing.T) {
 		t.Errorf("local and grid output diverged:\n--- local\n%s--- grid\n%s",
 			local.String(), dist.String())
 	}
-	byWorker := map[string]int{}
-	for _, r := range rep.Runs {
-		if r.Worker == "" || r.Worker == "local" {
-			t.Errorf("grid run %s attributed to %q, want a worker node name", r.ID, r.Worker)
-		}
-		if r.WireBytes <= 0 {
-			t.Errorf("grid run %s accounted no wire bytes", r.ID)
-		}
-		byWorker[r.Worker]++
+	m := sch.Metrics()
+	if m.Jobs != len(suite.Executed()) {
+		t.Errorf("grid ran %d jobs, suite executed %d specs", m.Jobs, len(suite.Executed()))
 	}
-	for _, name := range []string{"wk-a", "wk-b"} {
-		if byWorker[name] < 1 {
-			t.Errorf("worker %s ran no spec (distribution %v)", name, byWorker)
+	for _, pw := range m.PerWorker {
+		if pw.Jobs < 1 {
+			t.Errorf("worker %s ran no spec (distribution %+v)", pw.Name, m.PerWorker)
 		}
 	}
-	if rep.WireBytes <= 0 {
-		t.Error("report total wire bytes not accounted")
+	if m.WireBytes <= 0 {
+		t.Error("grid wire bytes not accounted")
 	}
 	// Progress lines carry worker attribution; experiment text (stdout) must
 	// never mention workers, or byte-identity across venues would break.
@@ -284,7 +264,7 @@ func TestBatchGridRemoteFailurePropagates(t *testing.T) {
 		fakeExp("b", Spec("Desk2", VarBaseline)),
 	}
 	var buf bytes.Buffer
-	_, err := RunBatchWith(NewSuite(tinyCfg()), exps, 2, failingExec{}, &buf)
+	err := RunBatchWith(NewSuite(tinyCfg()), exps, 2, failingExec{}, &buf)
 	if err == nil || !strings.Contains(err.Error(), "worker melted running Desk/baseline/") {
 		t.Fatalf("batch error = %v, want the failing job named", err)
 	}
@@ -293,19 +273,22 @@ func TestBatchGridRemoteFailurePropagates(t *testing.T) {
 	}
 }
 
-// TestBatchMarksCachedRuns: a second batch over the same suite reports its
-// runs as cache hits.
-func TestBatchMarksCachedRuns(t *testing.T) {
+// TestBatchReusesCachedRuns: a second batch over the same suite executes
+// nothing new and renders the same text from the cache.
+func TestBatchReusesCachedRuns(t *testing.T) {
 	s := NewSuite(tinyCfg())
 	exps := []Experiment{fakeExp("a", Spec("Desk", VarBaseline))}
-	if _, err := RunBatch(s, exps, 1, io.Discard); err != nil {
+	var first, second bytes.Buffer
+	if err := RunBatch(s, exps, 1, &first); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := RunBatch(s, exps, 1, io.Discard)
-	if err != nil {
+	if err := RunBatch(s, exps, 1, &second); err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Runs) != 1 || !rep.Runs[0].Cached {
-		t.Errorf("second batch runs = %+v, want cached", rep.Runs)
+	if n := len(s.Executed()); n != 1 {
+		t.Errorf("two batches executed %d pipelines, want 1", n)
+	}
+	if first.String() != second.String() {
+		t.Errorf("cached batch rendered different text:\n%s---\n%s", first.String(), second.String())
 	}
 }

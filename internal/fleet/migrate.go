@@ -21,8 +21,7 @@ import (
 //
 // Because the snapshot codec is the determinism contract (see slam's
 // snapshot tests), the migrated stream's Close digest is bit-identical to an
-// uninterrupted run — asserted end-to-end by the fleet tests and the
-// perf-fleet experiment.
+// uninterrupted run — asserted end-to-end by TestFleetMigrationKeepsDigest.
 
 // migrate moves the stream off its (draining) current node onto the best
 // admitting peer. On failure the stream is left closed-over — its connection

@@ -63,3 +63,54 @@ func TestHostilePushIsRefusedNotFatal(t *testing.T) {
 		t.Error("the other tenant's digest diverges from its sequential run")
 	}
 }
+
+// TestKeyframeEveryZeroOpenIsNotFatal: an open whose config carries
+// KeyframeEvery 0 with both AGS switches off passes DecodeConfig. The baseline
+// mapping path used to take frameCount modulo it, so the second push panicked
+// inside the session goroutine and took the node down. Zero means "never", as
+// for PruneEvery: the stream runs, the node still answers PING, and a second
+// stream finishes with its sequential digest.
+func TestKeyframeEveryZeroOpenIsNotFatal(t *testing.T) {
+	seq := testSeq(t, "Desk", 3)
+	r, _ := startFleet(t, []NodeConfig{{Name: "a"}})
+
+	hostileCfg := fastCfg()
+	hostileCfg.EnableMAT, hostileCfg.EnableGCM = false, false
+	hostileCfg.KeyframeEvery = 0
+	hostile, err := r.Open("hostile", hostileCfg, seq.Intr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range seq.Frames[:2] {
+		if err := hostile.Push(f); err != nil {
+			t.Fatalf("push %d: %v", i, err)
+		}
+	}
+	if sum, err := hostile.Close(); err != nil || sum.Frames != 2 {
+		t.Fatalf("hostile stream close: %d frames, %v", sum.Frames, err)
+	}
+
+	for _, h := range r.CheckHealth() {
+		if !h.Reachable || h.Evicted {
+			t.Errorf("node %q after the hostile stream: %+v", h.Name, h)
+		}
+	}
+	cfg := fastCfg()
+	want := sequentialDigest(t, cfg, seq)
+	tenant, err := r.Open(seq.Name, cfg, seq.Intr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range seq.Frames {
+		if err := tenant.Push(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sum, err := tenant.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Digest != want {
+		t.Error("the second stream's digest diverges from its sequential run")
+	}
+}

@@ -29,7 +29,8 @@ import (
 // in order, and continues as if nothing happened. Because the snapshot codec
 // is the determinism contract, the recovered stream's Close digest is
 // bit-identical to an undisturbed sequential run — asserted under -race by
-// the recovery tests and gated continuously by the perf-chaos experiment.
+// the recovery tests (TestRecoverKillDuringPush, TestRecoverKillDuringSnapshot,
+// TestSeverOnlyConnRecoversInPlace).
 //
 // Transient placement failures (every reachable peer bounced the restore, or
 // no peer is reachable yet) are retried with a bounded, deterministic

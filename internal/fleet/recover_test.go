@@ -109,10 +109,13 @@ func TestRecoverKillDuringPush(t *testing.T) {
 	if kills := injs[home].Stats().Kills; kills != 1 {
 		t.Errorf("injector kills = %d, want 1", kills)
 	}
-	// The corpse is out of the ring.
+	// The corpse, and only the corpse, is out of the ring.
 	for _, h := range r.CheckHealth() {
 		if h.Name == home && (!h.Evicted || h.Reachable) {
 			t.Errorf("killed node %q not evicted: %+v", home, h)
+		}
+		if h.Name != home && (h.Evicted || !h.Reachable) {
+			t.Errorf("surviving node %q evicted by its peer's death: %+v", h.Name, h)
 		}
 	}
 }
@@ -374,6 +377,10 @@ func TestSeverOnlyConnRecoversInPlace(t *testing.T) {
 	}
 	for i, f := range seq.Frames {
 		if i == 3 {
+			// Up to here the injector only passed bytes through.
+			if st.Recoveries() != 0 {
+				t.Errorf("unarmed injector caused %d recoveries", st.Recoveries())
+			}
 			injs[st.Node()].ArmSever(1)
 		}
 		if err := st.Push(f); err != nil {

@@ -8,7 +8,7 @@ import (
 // NodeStats is one node's self-report: the placement inputs (open sessions,
 // pool counters) plus the admission budgets, polled by routers over the
 // control connection before every placement decision and surfaced by the
-// ags-fleet CLI and the perf-fleet experiment.
+// ags-fleet CLI.
 type NodeStats struct {
 	// Name is the node's configured identity (its consistent-hash key).
 	Name string

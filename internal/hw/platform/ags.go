@@ -156,8 +156,8 @@ func (a *AGS) Frame(f *trace.FrameTrace) Breakdown {
 
 	// Mapping engine.
 	mapNs, mapBytes := a.gsTaskNs(&f.Map, a.MapArrays)
-	if f.IsKeyFrame && f.LoggingIDs != nil {
-		lg := engines.SimulateLogging(f.LoggingIDs, a.Tables, a.Mem)
+	if f.IsKeyFrame && f.Map.RepTileLists != nil {
+		lg := engines.SimulateLogging(f.Map.RepTileLists, a.Tables, a.Mem)
 		mapNs += lg.OptNs
 		b.Bytes += lg.OptAccesses * int64(a.Tables.EntryBytes)
 	} else if !f.IsKeyFrame && f.Map.RepTileLists != nil {

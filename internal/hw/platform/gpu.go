@@ -105,15 +105,13 @@ func (g *GPU) Frame(f *trace.FrameTrace) Breakdown {
 	if g.RunsAGSAlgorithm {
 		// Contribution-table maintenance in global memory: scattered atomic
 		// read-modify-writes achieve a few percent of peak bandwidth.
+		perEntry := int64(8)
+		if f.IsKeyFrame {
+			perEntry = 16 // logging is a read-modify-write of the 8-byte record
+		}
 		tableBytes := int64(0)
-		if f.IsKeyFrame && f.LoggingIDs != nil {
-			for _, l := range f.LoggingIDs {
-				tableBytes += int64(len(l)) * 16 // RMW of an 8-byte record
-			}
-		} else if f.Map.RepTileLists != nil {
-			for _, l := range f.Map.RepTileLists {
-				tableBytes += int64(len(l)) * 8
-			}
+		for _, l := range f.Map.RepTileLists {
+			tableBytes += int64(len(l)) * perEntry
 		}
 		mapNs += float64(tableBytes) / (g.BWGBs * 0.04)
 		b.Bytes += tableBytes

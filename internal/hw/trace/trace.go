@@ -56,11 +56,6 @@ type FrameTrace struct {
 	PrunedGaussians int   // slots deactivated by this frame's opacity prune
 	CompactedSlots  int   // dead slots reclaimed by this frame's compaction
 	ReclaimedBytes  int64 // CompactedSlots in bytes (slot parameter footprint)
-
-	// LoggingIDs is the per-tile Gaussian ID sequence of one full-mapping
-	// iteration (key frames only) — the access stream the GS logging table
-	// hot/cold model replays.
-	LoggingIDs [][]int32
 }
 
 // Run is a complete SLAM execution trace.

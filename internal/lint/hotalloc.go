@@ -19,8 +19,8 @@ const (
 //
 //   - make and new, UNLESS inside the body of an `if cap(buf) < n` guard —
 //     the repo's lazy-grow idiom, which allocates only until buffers reach
-//     their high-water mark and is exactly what the perf-render allocation
-//     gate measures as free;
+//     their high-water mark and is exactly what
+//     TestRenderContextAllocationFree measures as free;
 //   - slice and map composite literals (struct values and arrays live on
 //     the stack and are fine);
 //   - &T{...} — conservatively treated as escaping;

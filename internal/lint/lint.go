@@ -40,8 +40,8 @@
 //
 // The analysis is intraprocedural: a call into another function is trusted
 // (hotalloc does not follow calls; maprange conservatively rejects calls it
-// cannot prove harmless). The dynamic gates — digest equality in the bench
-// experiments, the -race suite, the allocation-ratio gate in perf-render —
+// cannot prove harmless). The dynamic gates — the digest-equality tests, the
+// -race suite, the allocation budget in TestRenderContextAllocationFree —
 // remain the ground truth; ags-vet exists to catch the regression classes
 // they historically caught (map-iteration-order nondeterminism in
 // engines.SimulateLogging, allocation creep in the splat kernels) before a

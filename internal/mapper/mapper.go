@@ -52,8 +52,8 @@ type Config struct {
 	// reproduction's sequence lengths, so pruning never fires unless the
 	// threshold is raised (or LRLogit turned up) explicitly. Runs that want
 	// real prune pressure must override it — see ags-slam's -prune-opacity
-	// flag and the perf-compact experiment's override (PruneOpacity 0.25
-	// with LRLogit 0.2).
+	// flag and the compaction tests' override (PruneOpacity 0.25 with
+	// LRLogit 0.2).
 	PruneOpacity float64
 	// Learning rates per parameter group.
 	LRMean, LRColor, LRLogit, LRScale float64
@@ -227,9 +227,8 @@ func (m *Mapper) Densify(f *frame.Frame, intr camera.Intrinsics, pose vecmath.Po
 			s := 0.6 * d * float64(stride) / intr.Fx
 			g.SetScale(vecmath.Vec3{X: s, Y: s, Z: s})
 			g.SetOpacity(0.999)
-			id := m.cloud.Add(g)
+			m.cloud.Add(g)
 			added++
-			_ = id
 		}
 	}
 	if added > 0 {
@@ -307,26 +306,23 @@ func (m *Mapper) Compact() (remap []int32, freed int) {
 // FullMapping runs N_M training iterations with every active Gaussian (key
 // frames, path C of Fig. 7), recording contribution information on the last
 // iteration and refreshing the skip set for subsequent non-key frames.
-// It returns the workload stats and the Gaussian-table access stream for the
-// hardware model's GS logging table.
-func (m *Mapper) FullMapping(f *frame.Frame, intr camera.Intrinsics, pose vecmath.Pose) (trace.RenderStats, [][]int32) {
-	stats, logIDs := m.optimize(f, intr, pose, nil, true)
-	return stats, logIDs
+// The returned stats' RepTileLists is the Gaussian-table access stream the
+// hardware model's GS logging table replays.
+func (m *Mapper) FullMapping(f *frame.Frame, intr camera.Intrinsics, pose vecmath.Pose) trace.RenderStats {
+	return m.optimize(f, intr, pose, nil, true)
 }
 
 // SelectiveMapping runs N_M training iterations with the predicted
 // non-contributory Gaussians skipped (non-key frames, path D of Fig. 7).
 func (m *Mapper) SelectiveMapping(f *frame.Frame, intr camera.Intrinsics, pose vecmath.Pose) trace.RenderStats {
-	stats, _ := m.optimize(f, intr, pose, m.skipSet, false)
-	return stats
+	return m.optimize(f, intr, pose, m.skipSet, false)
 }
 
 // optimize is the shared mapping loop.
 //
 //ags:hotpath
-func (m *Mapper) optimize(f *frame.Frame, intr camera.Intrinsics, pose vecmath.Pose, skip []bool, logContrib bool) (trace.RenderStats, [][]int32) {
+func (m *Mapper) optimize(f *frame.Frame, intr camera.Intrinsics, pose vecmath.Pose, skip []bool, logContrib bool) trace.RenderStats {
 	var stats trace.RenderStats
-	var logIDs [][]int32
 	loss := splat.DefaultMappingLoss()
 	for i := 0; i < m.Cfg.MapIters; i++ {
 		// Mapping uses the current frame plus previous keyframes
@@ -359,11 +355,10 @@ func (m *Mapper) optimize(f *frame.Frame, intr camera.Intrinsics, pose vecmath.P
 			stats.Width, stats.Height = intr.W, intr.H
 			if logContrib {
 				m.recordContribution(res)
-				logIDs = stats.RepTileLists
 			}
 		}
 	}
-	return stats, logIDs
+	return stats
 }
 
 // recordContribution updates the stored contribution info and skip set from

@@ -64,7 +64,7 @@ func TestFullMappingImprovesPSNR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, logIDs := m.FullMapping(f, seq.Intr, f.GTPose)
+	stats := m.FullMapping(f, seq.Intr, f.GTPose)
 	after := splat.Render(m.Cloud(), cam, splat.Options{})
 	psnrAfter, err := metrics.PSNR(after.Color, f.Color)
 	if err != nil {
@@ -76,8 +76,8 @@ func TestFullMappingImprovesPSNR(t *testing.T) {
 	if stats.Iters != 8 {
 		t.Errorf("iters = %d", stats.Iters)
 	}
-	if logIDs == nil {
-		t.Error("full mapping did not emit logging IDs")
+	if stats.RepTileLists == nil {
+		t.Error("full mapping did not emit the logging-table access stream")
 	}
 	if err := m.Cloud().Validate(); err != nil {
 		t.Fatal(err)
@@ -136,7 +136,7 @@ func TestSelectiveMappingDoesLessWork(t *testing.T) {
 	cfg.ThreshN = 3
 	m := New(cfg)
 	m.Densify(f0, seq.Intr, f0.GTPose)
-	fullStats, _ := m.FullMapping(f0, seq.Intr, f0.GTPose)
+	fullStats := m.FullMapping(f0, seq.Intr, f0.GTPose)
 	if m.NumSkipped() == 0 {
 		t.Skip("no gaussians predicted non-contributory at this threshold")
 	}

@@ -14,8 +14,8 @@ import (
 // covers: the estimated and ground-truth trajectories, every per-frame
 // algorithm decision, the live Gaussian map, and the per-frame workload
 // scalars of the trace. Two runs of the same frames are equivalent exactly
-// when their digests match, so the cross-session regression tests,
-// perf-serve, and ags-slam -sessions compare digests instead of walking the
+// when their digests match, so the cross-session regression tests, the
+// benchmark and ags-slam -sessions compare digests instead of walking the
 // structures.
 //
 // The map hash is remap-aware: it covers the active Gaussians in packed

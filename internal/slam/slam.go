@@ -89,7 +89,8 @@ type Config struct {
 	Backbone Backbone
 	Mapper   mapper.Config
 	TrackLR  float64
-	// KeyframeEvery adds every k-th frame to the multi-view mapping window.
+	// KeyframeEvery adds every k-th frame to the multi-view mapping window
+	// on the baseline mapping path (0 = never).
 	KeyframeEvery int
 	// PruneEvery runs opacity pruning every k frames (0 = never).
 	PruneEvery int
@@ -387,19 +388,13 @@ func (s *System) maybeCompact(cur *trace.FrameTrace) {
 // remapTrace rewrites the Gaussian-ID streams a FrameTrace retains (the
 // tracker's and mapper's per-tile logging lists) through the compaction
 // permutation, keeping each frame's lists consistent with the live map's IDs.
-// LoggingIDs aliases Map.RepTileLists on key frames, so it is only walked
-// when it is a distinct set of lists. IDs at or beyond the permutation's
+// IDs at or beyond the permutation's
 // range — dead-slot sentinels from an earlier compaction of a then-larger
 // cloud — are left as they are; each frame's lists stay internally
 // consistent, which is all the per-frame hardware-table models consume.
 func remapTrace(ft *trace.FrameTrace, remap []int32) {
-	aliased := len(ft.LoggingIDs) > 0 && len(ft.Map.RepTileLists) > 0 &&
-		&ft.LoggingIDs[0] == &ft.Map.RepTileLists[0]
 	remapIDLists(ft.Track.RepTileLists, remap)
 	remapIDLists(ft.Map.RepTileLists, remap)
-	if !aliased {
-		remapIDLists(ft.LoggingIDs, remap)
-	}
 }
 
 // remapIDLists applies the permutation in place to every list.
@@ -419,10 +414,8 @@ func remapIDLists(lists [][]int32, remap []int32) {
 func (s *System) bootstrap(f *frame.Frame, ft *trace.FrameTrace, info *FrameInfo) {
 	pose := f.GTPose
 	s.mapper.Densify(f, s.Intr, pose)
-	mapStats, logIDs := s.mapper.FullMapping(f, s.Intr, pose)
+	ft.Map = s.mapper.FullMapping(f, s.Intr, pose)
 	s.mapper.AddKeyframe(f, pose)
-	ft.Map = mapStats
-	ft.LoggingIDs = logIDs
 	ft.IsKeyFrame = true
 	info.IsKeyFrame = true
 	info.Covisibility = 1
@@ -515,10 +508,8 @@ func (s *System) step(f *frame.Frame, ft *trace.FrameTrace, info *FrameInfo) err
 		} else {
 			// New key frame: densify, full mapping, refresh contribution.
 			s.mapper.Densify(f, s.Intr, pose)
-			mapStats, logIDs := s.mapper.FullMapping(f, s.Intr, pose)
+			ft.Map = s.mapper.FullMapping(f, s.Intr, pose)
 			s.mapper.AddKeyframe(f, pose)
-			ft.Map = mapStats
-			ft.LoggingIDs = logIDs
 			ft.IsKeyFrame = true
 			info.IsKeyFrame = true
 			s.keyFrame = f
@@ -527,12 +518,10 @@ func (s *System) step(f *frame.Frame, ft *trace.FrameTrace, info *FrameInfo) err
 	} else {
 		// Baseline mapping: densify + full mapping every frame.
 		s.mapper.Densify(f, s.Intr, pose)
-		mapStats, logIDs := s.mapper.FullMapping(f, s.Intr, pose)
-		ft.Map = mapStats
-		ft.LoggingIDs = logIDs
+		ft.Map = s.mapper.FullMapping(f, s.Intr, pose)
 		ft.IsKeyFrame = true
 		info.IsKeyFrame = true
-		if s.frameCount%s.Cfg.KeyframeEvery == 0 {
+		if s.Cfg.KeyframeEvery > 0 && s.frameCount%s.Cfg.KeyframeEvery == 0 {
 			s.mapper.AddKeyframe(f, pose)
 		}
 		// The anchor key frame advances whenever covisibility with the old
@@ -598,8 +587,17 @@ func Run(cfg Config, seq *scene.Sequence) (*Result, error) {
 // returns the mean PSNR against the observed images (Fig. 14's metric). The
 // render context comes from DefaultServer's pool (reused across frames; PSNR
 // reads each render before the next), so evaluation allocates no private
-// context per call.
+// context per call. A sequence with no frames has no mean, and a result with
+// fewer poses than the sequence has frames (a partial run) cannot be rendered
+// against it; both are errors.
 func EvaluatePSNR(res *Result, seq *scene.Sequence, stride int) (float64, error) {
+	if len(seq.Frames) == 0 {
+		return 0, fmt.Errorf("slam: evaluate PSNR: sequence %q has no frames", seq.Name)
+	}
+	if len(res.Poses) < len(seq.Frames) {
+		return 0, fmt.Errorf("slam: evaluate PSNR: result holds %d poses for the %d frames of %q",
+			len(res.Poses), len(seq.Frames), seq.Name)
+	}
 	if stride < 1 {
 		stride = 1
 	}

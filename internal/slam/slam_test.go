@@ -156,11 +156,8 @@ func TestTraceRecordsCodecAndCoarseWork(t *testing.T) {
 	// Key frames carry logging-table access streams.
 	foundLog := false
 	for _, f := range res.Trace.Frames {
-		if f.IsKeyFrame && f.LoggingIDs != nil {
+		if f.IsKeyFrame && f.Map.RepTileLists != nil {
 			foundLog = true
-		}
-		if !f.IsKeyFrame && f.LoggingIDs != nil {
-			t.Error("non-key frame has logging IDs")
 		}
 	}
 	if !foundLog {
@@ -183,13 +180,34 @@ func TestEvaluatePSNRReasonable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	psnr, err := EvaluatePSNR(res, seq, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Even the fast test config must reconstruct something recognizable.
-	if psnr < 15 {
-		t.Errorf("PSNR = %.2f dB", psnr)
+	empty := *seq
+	empty.Frames = nil
+	short := *res
+	short.Poses = res.Poses[:2] // what a failed third push leaves behind
+	for _, tc := range []struct {
+		name    string
+		res     *Result
+		seq     *scene.Sequence
+		wantErr string
+	}{
+		{"full run", res, seq, ""},
+		{"no frames", res, &empty, "no frames"},
+		{"fewer poses than frames", &short, seq, "2 poses for the 4 frames"},
+	} {
+		psnr, err := EvaluatePSNR(tc.res, tc.seq, 1)
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%s: PSNR = %v, err = %v; want an error naming %q", tc.name, psnr, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		// Even the fast test config must reconstruct something recognizable.
+		if psnr < 15 {
+			t.Errorf("%s: PSNR = %.2f dB", tc.name, psnr)
+		}
 	}
 }
 

@@ -419,13 +419,12 @@ func encodeTrace(e *binfmt.Enc, ft *trace.FrameTrace) {
 	e.I64(int64(ft.PrunedGaussians))
 	e.I64(int64(ft.CompactedSlots))
 	e.I64(ft.ReclaimedBytes)
-	// LoggingIDs aliases Map.RepTileLists on key frames; preserve the aliasing
-	// so a restored trace compacts (remaps) exactly like the original.
-	aliased := len(ft.LoggingIDs) > 0 && len(ft.Map.RepTileLists) > 0 &&
-		&ft.LoggingIDs[0] == &ft.Map.RepTileLists[0]
+	// Format slot of the key frame's logging-table stream: one byte saying it
+	// is Map.RepTileLists (it always is, on key frames), else an empty list.
+	aliased := ft.IsKeyFrame && len(ft.Map.RepTileLists) > 0
 	e.Bool(aliased)
 	if !aliased {
-		putIDLists(e, ft.LoggingIDs)
+		e.U64(0)
 	}
 }
 
@@ -443,10 +442,9 @@ func decodeTrace(d *binfmt.Dec, ft *trace.FrameTrace) {
 	ft.PrunedGaussians = int(d.I64())
 	ft.CompactedSlots = int(d.I64())
 	ft.ReclaimedBytes = d.I64()
-	if d.Bool() {
-		ft.LoggingIDs = ft.Map.RepTileLists
-	} else {
-		ft.LoggingIDs = getIDLists(d)
+	aliased := d.Bool()
+	if aliased != (ft.IsKeyFrame && len(ft.Map.RepTileLists) > 0) || (!aliased && d.U64() != 0) {
+		d.Fail("trace frame %d: logging stream is not the key frame's mapping tile lists", ft.Index)
 	}
 }
 

@@ -133,7 +133,7 @@ func (ctx *RenderContext) renderTiles(cloud *gauss.Cloud, cam camera.Camera, opt
 	var wg sync.WaitGroup
 	for wi := range ranges {
 		wg.Add(1)
-		//ags:allow(hotalloc, worker closures exist only on the multi-worker path; the Workers=1 path above is the one the perf-render allocation gate measures allocation-free)
+		//ags:allow(hotalloc, worker closures exist only on the multi-worker path; the Workers=1 path above is the one TestRenderContextAllocationFree measures allocation-free)
 		go func(wi int) {
 			defer wg.Done()
 			var nc, tc []int32
