@@ -1,17 +1,12 @@
 GO ?= go
 
-.PHONY: build test race vet fmt lint benchmark-module verify determinism bench-batch profile serve-demo
+.PHONY: build test vet fmt lint benchmark-module verify determinism bench-batch profile serve-demo
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
-
-# Race-check the packages that own goroutines (codec worker pool, slam ME
-# prefetch, splat render workers ride along via slam).
-race:
-	$(GO) test -race ./internal/codec ./internal/slam
 
 vet:
 	$(GO) vet ./...

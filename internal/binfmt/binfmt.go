@@ -39,6 +39,21 @@ func (e *Enc) Len() int {
 	return len(e.Buf)
 }
 
+// Grow returns buf with room for n more bytes past its length. When it has to
+// reallocate it at least doubles the capacity, so a buffer that is reused for
+// a payload that keeps getting larger (a session's checkpoint) is re-made
+// O(log) times and not once per payload.
+//
+//ags:hotpath
+func Grow(buf []byte, n int) []byte {
+	if cap(buf)-len(buf) < n {
+		grown := make([]byte, len(buf), max(len(buf)+n, 2*cap(buf)))
+		copy(grown, buf)
+		return grown
+	}
+	return buf
+}
+
 // Raw appends b as is, with no length prefix.
 func (e *Enc) Raw(b []byte) {
 	if e.counting {

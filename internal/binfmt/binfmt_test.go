@@ -187,3 +187,21 @@ func TestStickyErrorAndFinish(t *testing.T) {
 		t.Error("negative Take did not fail")
 	}
 }
+
+// TestGrow: room is made once, contents and length are kept, a buffer with
+// room is returned as it is, and a re-made one at least doubles.
+func TestGrow(t *testing.T) {
+	buf := append(make([]byte, 0, 8), "abc"...)
+	if same := Grow(buf, 5); &same[0] != &buf[0] || len(same) != 3 || cap(same) != 8 {
+		t.Errorf("Grow re-made a buffer that had room: len %d cap %d", len(same), cap(same))
+	}
+	if doubled := Grow(buf, 6); string(doubled) != "abc" || cap(doubled) != 16 {
+		t.Errorf("Grow(cap 8, len 3, +6) = %q cap %d, want \"abc\" cap 16", doubled, cap(doubled))
+	}
+	if exact := Grow(buf, 100); string(exact) != "abc" || cap(exact) != 103 {
+		t.Errorf("Grow(cap 8, len 3, +100) = %q cap %d, want \"abc\" cap 103", exact, cap(exact))
+	}
+	if fresh := Grow(nil, 7); len(fresh) != 0 || cap(fresh) != 7 {
+		t.Errorf("Grow(nil, 7): len %d cap %d", len(fresh), cap(fresh))
+	}
+}

@@ -131,7 +131,8 @@ func TestFleetDigestsMatchSequential(t *testing.T) {
 // TestFleetMigrationKeepsDigest drains a live stream's node mid-stream: the
 // session snapshots over the wire, restores on the peer, the remaining
 // frames push there, and the final digest still matches the uninterrupted
-// sequential run.
+// sequential run. With recovery armed the drain snapshot is also adopted as
+// the stream's checkpoint, and checkpointing goes on over the new connection.
 func TestFleetMigrationKeepsDigest(t *testing.T) {
 	cfg := fastCfg()
 	seq := testSeq(t, "Desk", 6)
@@ -139,41 +140,56 @@ func TestFleetMigrationKeepsDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	r, _ := startFleet(t, []NodeConfig{{Name: "a"}, {Name: "b"}})
-	st, err := r.Open(seq.Name, cfg, seq.Intr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	home := st.Node()
-	for i, f := range seq.Frames {
-		if i == len(seq.Frames)/2 {
-			if err := r.Drain(home); err != nil {
+	for _, tc := range []struct {
+		name string
+		opts StreamOptions
+	}{{"plain", StreamOptions{}}, {"checkpointed", StreamOptions{CheckpointEvery: 2}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, _ := startFleet(t, []NodeConfig{{Name: "a"}, {Name: "b"}})
+			st, err := r.OpenWith(seq.Name, cfg, seq.Intr, tc.opts)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		if err := st.Push(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sum, err := st.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Migrations() != 1 {
-		t.Errorf("migrations = %d, want 1", st.Migrations())
-	}
-	if st.Node() == home {
-		t.Errorf("stream still on drained node %q", home)
-	}
-	if sum.Digest != ref.Digest() {
-		t.Error("migrated stream digest diverges from sequential run")
-	}
-	if sum.Frames != len(seq.Frames) {
-		t.Errorf("frames = %d, want %d", sum.Frames, len(seq.Frames))
-	}
-	if r.Metrics().Migrations != 1 {
-		t.Errorf("router migrations = %d, want 1", r.Metrics().Migrations)
+			home := st.Node()
+			for i, f := range seq.Frames {
+				if i == len(seq.Frames)/2 {
+					if err := r.Drain(home); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := st.Push(f); err != nil {
+					t.Fatal(err)
+				}
+				if i == len(seq.Frames)/2 && tc.opts.CheckpointEvery > 0 && st.checkpointFrames != i {
+					t.Errorf("after migrating at frame %d the checkpoint is at frame %d", i, st.checkpointFrames)
+				}
+			}
+			if tc.opts.CheckpointEvery > 0 && st.checkpointFrames != len(seq.Frames)-1 {
+				t.Errorf("last checkpoint at frame %d, want %d (two pushes after the drain snapshot)", st.checkpointFrames, len(seq.Frames)-1)
+			}
+			sum, err := st.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Migrations() != 1 {
+				t.Errorf("migrations = %d, want 1", st.Migrations())
+			}
+			if st.Node() == home {
+				t.Errorf("stream still on drained node %q", home)
+			}
+			if sum.Digest != ref.Digest() {
+				t.Error("migrated stream digest diverges from sequential run")
+			}
+			if sum.Frames != len(seq.Frames) {
+				t.Errorf("frames = %d, want %d", sum.Frames, len(seq.Frames))
+			}
+			if r.Metrics().Migrations != 1 {
+				t.Errorf("router migrations = %d, want 1", r.Metrics().Migrations)
+			}
+			if st.Recoveries() != 0 {
+				t.Errorf("recoveries = %d, want 0", st.Recoveries())
+			}
+		})
 	}
 }
 

@@ -29,9 +29,9 @@ import (
 // once the snapshot conversation fails midway; the producer sees the error
 // from Push.
 func (s *Stream) migrate() error {
-	// 1. Snapshot on the draining node. The payload aliases the wire's
-	// receive scratch, so copy it before reusing the connection.
-	rv, payload, err := s.w.roundTrip(vSnapshot, nil)
+	// 1. Snapshot on the draining node. The payload aliases the wire's read
+	// buffer and the connection is used again below, so take the buffer over.
+	rv, _, err := s.w.roundTrip(vSnapshot, nil)
 	if err != nil {
 		s.teardown()
 		return fmt.Errorf("snapshot: %w", err)
@@ -40,12 +40,15 @@ func (s *Stream) migrate() error {
 		s.teardown()
 		return fmt.Errorf("snapshot reply verb %s", rv)
 	}
-	snap := append([]byte(nil), payload...)
+	var snap []byte
 	if s.recoveryEnabled() {
 		// The drain snapshot is as good as a scheduled checkpoint: adopt it
 		// so a node death later in the hand-off (or any time after) recovers
 		// from this exact point with an empty replay buffer.
-		s.setCheckpoint(snap, s.pushed)
+		s.setCheckpoint(s.pushed)
+		snap = s.checkpoint
+	} else {
+		snap = s.w.detach(nil)
 	}
 
 	// 2. Close the old session; its partial Result is superseded by the
@@ -76,13 +79,17 @@ func (s *Stream) teardown() {
 	}
 }
 
-// restoreOn restores a session from a snapshot on the node at addr. The node
-// reports the restored system's processed-frame count, which must equal
-// frames, the count the snapshot was taken at — the continuity check that
-// turns a silent half-restored stream into a loud error, because pushing on
-// from the wrong frame would corrupt the output.
-func restoreOn(addr string, restorePayload []byte, frames int) (*wire, error) {
-	w, reply, err := bindOn(addr, vRestore, restorePayload)
+// restoreOn restores a session from a snapshot on the node at addr. The
+// restore request is built around the snapshot in the new connection's write
+// buffer, the one copy this side makes of it. The node reports the restored
+// system's processed-frame count, which must equal frames, the count the
+// snapshot was taken at — the continuity check that turns a silent
+// half-restored stream into a loud error, because pushing on from the wrong
+// frame would corrupt the output.
+func restoreOn(addr, name string, snap []byte, frames int) (*wire, error) {
+	w, reply, err := bindOn(addr, vRestore, func(msg []byte) []byte {
+		return encodeRestore(msg, name, snap)
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -381,8 +380,9 @@ func (n *Node) handleOpen(cs *connState, payload []byte) bool {
 }
 
 // handleRestore is the migration target's half: rebuild a session from the
-// shipped snapshot and report how many frames it has already processed — the
-// index of the next frame the producer must push.
+// shipped snapshot, decoded straight out of the connection's read buffer, and
+// report how many frames it has already processed — the index of the next
+// frame the producer must push.
 func (n *Node) handleRestore(cs *connState, payload []byte) bool {
 	if cs.sess != nil {
 		return n.replyErr(cs, codeProto, "connection already bound to a session")
@@ -394,7 +394,7 @@ func (n *Node) handleRestore(cs *connState, payload []byte) bool {
 	if err := n.admit(); err != nil {
 		return n.replyAdmissionErr(cs, err)
 	}
-	sess, frames, err := n.srv.RestoreSession(name, bytes.NewReader(snap))
+	sess, frames, err := n.srv.RestoreSession(name, snap)
 	if err != nil {
 		n.releaseAdmission()
 		return n.replyAdmissionErr(cs, err)
@@ -406,8 +406,8 @@ func (n *Node) handleRestore(cs *connState, payload []byte) bool {
 // handlePush decodes one frame and pushes it into the bound session. The
 // reply is sent only after Push returns, so the session's queue-full
 // backpressure blocks the remote producer exactly as it would a local one.
-//
-//ags:hotpath
+// Not a hot path by contract: the decoded frame is a fresh allocation per push
+// (the session owns it from here on).
 func (n *Node) handlePush(cs *connState, payload []byte) bool {
 	if cs.sess == nil {
 		return n.replyErr(cs, codeProto, "push before open")
@@ -442,19 +442,21 @@ func (n *Node) handleClose(cs *connState) bool {
 }
 
 // handleSnapshot serializes the bound session between frames (every pushed
-// frame is processed first; see slam.Session.Snapshot) and ships the AGSSNAP
-// bytes back. The session stays open — the router follows up with close
+// frame is processed first; see slam.Session.AppendSnapshot) and ships the
+// AGSSNAP bytes back. The snapshot is encoded straight into the connection's
+// write buffer, behind the message header, so it exists once on this side of
+// the wire. The session stays open — the router follows up with close
 // (discarding the partial result) once the snapshot is safely restored on a
 // peer.
 func (n *Node) handleSnapshot(cs *connState) bool {
 	if cs.sess == nil {
 		return n.replyErr(cs, codeProto, "snapshot before open")
 	}
-	var buf bytes.Buffer
-	if err := cs.sess.Snapshot(&buf); err != nil {
+	msg, err := cs.sess.AppendSnapshot(cs.w.begin(vSnapData))
+	if err != nil {
 		return n.replyErr(cs, codeInternal, err.Error())
 	}
-	return cs.w.send(vSnapData, buf.Bytes()) == nil
+	return cs.w.finish(msg) == nil
 }
 
 // summarize distills a finished session's Result into the close reply.

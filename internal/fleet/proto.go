@@ -36,6 +36,36 @@
 // Determinism needs no special pleading: there is no multi-way select and no
 // clock anywhere in the package, and each session's frames flow down a
 // single connection in push order.
+//
+// # Buffer ownership
+//
+// A connection end (wire) has a write buffer and a read buffer, both kept
+// across messages and both grown by at least doubling, and a recovering
+// stream has a checkpoint buffer. A snapshot is megabytes and gets a little
+// larger at every checkpoint, so it crosses each hop in one of these buffers
+// and is never copied between them:
+//
+//   - wbuf, the write buffer, belongs to the wire. begin lends it to the
+//     caller with a message header in it; the caller appends the payload in
+//     place (a node has slam encode the snapshot there, a router builds the
+//     restore request around its checkpoint there) and gives it back through
+//     finish, grown or moved as it may be. Between finish and the next begin
+//     it holds the last message sent. send and roundTrip are begin, append,
+//     finish for a payload that already exists.
+//   - rbuf, the read buffer, belongs to the wire. The payload recv returns
+//     aliases it and is dead at the next recv on that wire. A handler that is
+//     done with a request before it answers (every node handler: a session
+//     is restored from the bytes in rbuf, a pushed frame is decoded out of
+//     them) needs nothing more. A caller that keeps a payload across another
+//     recv takes the buffer itself with detach, handing the wire a spare one.
+//   - The checkpoint buffer belongs to the Stream: it is the rbuf that
+//     received the stream's last snapshot, detached. When the next snapshot
+//     arrives the two trade places — the new one is detached, the old
+//     checkpoint's buffer goes to the wire as the spare — so the old
+//     checkpoint stays intact until the new one has arrived whole and passed
+//     its checksum, and a node dying mid-snapshot costs nothing. Migration
+//     takes the drain snapshot the same way, because it closes the old session
+//     over the same connection before it restores the snapshot elsewhere.
 package fleet
 
 import (
@@ -144,32 +174,38 @@ func (v verb) String() string {
 	return fmt.Sprintf("verb(0x%02x)", byte(v))
 }
 
-// appendMessage frames one message into buf (header, payload, trailing
-// SHA-256 over both) and returns the extended slice. Callers reuse their
-// scratch buffer across sends, so the per-frame push path allocates only
-// until the buffer reaches its high-water mark.
+// beginMessage appends a message header for verb v to buf with the payload
+// length left zero; the caller appends the payload behind it and closes the
+// message with endMessage.
 //
 //ags:hotpath
-func appendMessage(buf []byte, v verb, payload []byte) []byte {
-	start := len(buf)
+func beginMessage(buf []byte, v verb) []byte {
 	buf = append(buf, protoMagic...)
 	buf = append(buf, ProtocolVersion, byte(v))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
+	return binary.LittleEndian.AppendUint64(buf, 0)
+}
+
+// endMessage closes the message that beginMessage started at buf[start:]:
+// it patches the payload length into the header and appends the SHA-256 over
+// header and payload.
+//
+//ags:hotpath
+func endMessage(buf []byte, start int) []byte {
+	binary.LittleEndian.PutUint64(buf[start+headerSize-8:], uint64(len(buf)-start-headerSize))
 	sum := sha256.Sum256(buf[start:])
-	buf = append(buf, sum[:]...)
-	return buf
+	return append(buf, sum[:]...)
 }
 
 // wire is one endpoint of a fleet connection: buffered reads, reusable
 // read/write scratch. It is owned by exactly one goroutine at a time (the
 // conn handler on the node, the stream or control owner on the router); it
-// provides no internal locking.
+// provides no internal locking. Who owns rbuf and wbuf when is in the package
+// doc (Buffer ownership).
 type wire struct {
 	c    net.Conn
 	r    *bufio.Reader
-	rbuf []byte // payload scratch; recv results alias it until the next recv
-	wbuf []byte // send scratch
+	rbuf []byte // the last received payload and its checksum
+	wbuf []byte // the last sent message
 }
 
 func newWire(c net.Conn) *wire {
@@ -178,21 +214,39 @@ func newWire(c net.Conn) *wire {
 
 func (w *wire) Close() error { return w.c.Close() }
 
-// send frames and writes one message.
-func (w *wire) send(v verb, payload []byte) error {
-	w.wbuf = appendMessage(w.wbuf[:0], v, payload)
+// begin starts a message in the wire's write buffer and returns it for the
+// caller to append the payload to, in place, before handing the result to
+// finish (or exchange). A payload that outgrows the buffer moves it; finish
+// keeps whatever it is given, so the growth is kept too.
+//
+//ags:hotpath
+func (w *wire) begin(v verb) []byte { return beginMessage(w.wbuf[:0], v) }
+
+// finish closes the message begin started and writes it in one Write.
+//
+//ags:hotpath
+func (w *wire) finish(msg []byte) error {
+	w.wbuf = endMessage(msg, 0)
 	if _, err := w.c.Write(w.wbuf); err != nil {
-		return fmt.Errorf("fleet: send %s: %w", v, err)
+		return fmt.Errorf("fleet: send %s: %w", verb(w.wbuf[5]), err)
 	}
 	return nil
 }
 
+// send frames and writes one message with a ready-made payload.
+//
+//ags:hotpath
+func (w *wire) send(v verb, payload []byte) error {
+	return w.finish(append(w.begin(v), payload...))
+}
+
 // recv reads and validates one message. The returned payload aliases the
-// wire's scratch buffer and is valid only until the next recv — it grows
-// under a cap guard, so the steady-state per-frame receive path is
-// allocation-free. A clean close at a message boundary returns io.EOF; every
-// damage mode returns its distinct error (see the package doc for the
-// validation order).
+// wire's read buffer and is valid only until the next recv, unless the caller
+// takes the buffer over with detach. The buffer grows by doubling, so the
+// steady-state per-frame receive path is allocation-free and a payload that
+// keeps getting larger (a checkpoint) re-makes it O(log) times. A clean close
+// at a message boundary returns io.EOF; every damage mode returns its
+// distinct error (see the package doc for the validation order).
 //
 //ags:hotpath
 func (w *wire) recv() (verb, []byte, error) {
@@ -218,10 +272,7 @@ func (w *wire) recv() (verb, []byte, error) {
 		return 0, nil, fmt.Errorf("%w: length prefix %d (max %d)", ErrOversized, n, MaxPayload)
 	}
 	need := int(n) + sha256.Size
-	if cap(w.rbuf) < need {
-		w.rbuf = make([]byte, need)
-	}
-	w.rbuf = w.rbuf[:need]
+	w.rbuf = binfmt.Grow(w.rbuf[:0], need)[:need]
 	if _, err := io.ReadFull(w.r, w.rbuf); err != nil {
 		if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
 			return 0, nil, fmt.Errorf("%w: connection ended inside the body (%d byte payload declared)", ErrTruncated, n)
@@ -243,16 +294,34 @@ func (w *wire) recv() (verb, []byte, error) {
 	return v, payload, nil
 }
 
-// roundTrip sends a request and reads the single reply, decoding an error
-// reply into the error it carries. Reply payloads alias the wire scratch.
+// detach hands the caller the buffer behind the payload the last recv
+// returned: that payload stops aliasing the wire and stays valid for as long
+// as the caller keeps it. spare becomes the wire's read buffer in its place
+// (its contents are dead from here on); a stream passes the checkpoint it is
+// replacing, so the two buffers trade places at every checkpoint and neither
+// is copied.
+func (w *wire) detach(spare []byte) []byte {
+	payload := w.rbuf[:len(w.rbuf)-sha256.Size]
+	w.rbuf = spare[:0]
+	return payload
+}
+
+// roundTrip sends a request with a ready-made payload and reads the single
+// reply, decoding an error reply into the error it carries. Reply payloads
+// alias the wire's read buffer.
 func (w *wire) roundTrip(v verb, payload []byte) (verb, []byte, error) {
-	if err := w.send(v, payload); err != nil {
+	return w.exchange(append(w.begin(v), payload...))
+}
+
+// exchange is roundTrip for a request the caller built in place with begin.
+func (w *wire) exchange(msg []byte) (verb, []byte, error) {
+	if err := w.finish(msg); err != nil {
 		return 0, nil, err
 	}
 	rv, rp, err := w.recv()
 	if err != nil {
 		if err == io.EOF {
-			err = fmt.Errorf("fleet: %s: connection closed before reply", v)
+			err = fmt.Errorf("fleet: %s: connection closed before reply", verb(w.wbuf[5]))
 		}
 		return 0, nil, err
 	}
@@ -346,7 +415,9 @@ func decodeOpen(b []byte) (name string, cfgBytes, intrBytes []byte, err error) {
 // snapshot (AGSSNAP bytes, themselves checksummed) — the migration message a
 // router sends to the peer taking over a drained node's stream.
 func encodeRestore(buf []byte, name string, snap []byte) []byte {
-	e := binfmt.Enc{Buf: buf}
+	// Sized up front, message trailer included: the snapshot is megabytes and
+	// buf is usually a fresh connection's, so it should be made once.
+	e := binfmt.Enc{Buf: binfmt.Grow(buf, 8+len(name)+8+len(snap)+sha256.Size)}
 	e.Str(name)
 	e.Bytes(snap)
 	return e.Buf

@@ -13,6 +13,13 @@ import (
 	"ags/internal/binfmt"
 )
 
+// appendMessage frames one message with a ready-made payload behind whatever
+// buf holds, through the framing every send goes through.
+func appendMessage(buf []byte, v verb, payload []byte) []byte {
+	start := len(buf)
+	return endMessage(append(beginMessage(buf, v), payload...), start)
+}
+
 // recvWire wraps raw bytes as the read side of a wire, no conn needed.
 func recvWire(data []byte) *wire {
 	return &wire{r: bufio.NewReader(bytes.NewReader(data))}

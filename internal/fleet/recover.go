@@ -162,10 +162,12 @@ func (s *Stream) dropLastBuffered() {
 	}
 }
 
-// setCheckpoint adopts snapshot bytes taken at `frames` processed frames and
-// clears the replay buffer they supersede.
-func (s *Stream) setCheckpoint(snap []byte, frames int) {
-	s.checkpoint = append(s.checkpoint[:0], snap...)
+// setCheckpoint adopts the snapshot the stream's wire has just received, taken
+// at `frames` processed frames, and clears the replay buffer it supersedes.
+// Nothing is copied: the wire's read buffer becomes the checkpoint and the
+// buffer of the checkpoint it replaces becomes the wire's read buffer.
+func (s *Stream) setCheckpoint(frames int) {
+	s.checkpoint = s.w.detach(s.checkpoint)
 	s.checkpointFrames = frames
 	s.replay = s.replay[:0]
 }
@@ -208,16 +210,21 @@ func (s *Stream) migrateFailed(err error) error {
 	return fmt.Errorf("fleet: stream %q: migrate off %q: %w", s.name, node, err)
 }
 
-// maybeCheckpoint snapshots the session over the wire once enough pushes
-// have been acknowledged since the last checkpoint. The replay buffer is
-// cleared only after the snapshot bytes are safely in hand, so a node death
-// *during* the snapshot loses nothing: recovery falls back to the previous
-// checkpoint (or a fresh open) plus the intact buffer.
+// maybeCheckpoint takes a checkpoint once enough pushes have been acknowledged
+// since the last one.
 func (s *Stream) maybeCheckpoint() error {
 	if s.pushed-s.checkpointFrames < s.opts.CheckpointEvery {
 		return nil
 	}
-	rv, payload, err := s.w.roundTrip(vSnapshot, nil)
+	return s.takeCheckpoint()
+}
+
+// takeCheckpoint snapshots the session over the wire. The replay buffer is
+// cleared only after the snapshot bytes are safely in hand, so a node death
+// *during* the snapshot loses nothing: recovery falls back to the previous
+// checkpoint (or a fresh open) plus the intact buffer.
+func (s *Stream) takeCheckpoint() error {
+	rv, _, err := s.w.roundTrip(vSnapshot, nil)
 	if err != nil {
 		if !isNodeLoss(err) {
 			return fmt.Errorf("fleet: stream %q: checkpoint: %w", s.name, err)
@@ -225,7 +232,7 @@ func (s *Stream) maybeCheckpoint() error {
 		if rerr := s.recover(err); rerr != nil {
 			return fmt.Errorf("fleet: stream %q: checkpoint: %w", s.name, rerr)
 		}
-		rv, payload, err = s.w.roundTrip(vSnapshot, nil)
+		rv, _, err = s.w.roundTrip(vSnapshot, nil)
 		if err != nil {
 			return fmt.Errorf("fleet: stream %q: checkpoint after recovery: %w", s.name, err)
 		}
@@ -233,7 +240,7 @@ func (s *Stream) maybeCheckpoint() error {
 	if rv != vSnapData {
 		return fmt.Errorf("fleet: stream %q: checkpoint reply verb %s", s.name, rv)
 	}
-	s.setCheckpoint(payload, s.pushed)
+	s.setCheckpoint(s.pushed)
 	return nil
 }
 
@@ -292,12 +299,8 @@ func (s *Stream) recover(cause error) error {
 // placement order, on which attach succeeds. Migration calls it with the
 // drain snapshot, recovery with the last checkpoint (nil before the first).
 func (s *Stream) reattach(snap []byte, frames int) error {
-	var restorePayload []byte
-	if snap != nil {
-		restorePayload = encodeRestore(nil, s.name, snap)
-	}
 	node, w, _, err := s.r.place(s.sizeW, s.sizeH, func(addr string) (*wire, error) {
-		return s.attach(addr, restorePayload, frames)
+		return s.attach(addr, snap, frames)
 	})
 	if err != nil {
 		return err
@@ -309,11 +312,11 @@ func (s *Stream) reattach(snap []byte, frames int) error {
 // attach rebuilds the stream's session on one candidate node: restore the
 // snapshot (or open fresh when there is none yet), then replay the buffered
 // frames in push order. Any failure leaves no connection behind.
-func (s *Stream) attach(addr string, restorePayload []byte, frames int) (*wire, error) {
+func (s *Stream) attach(addr string, snap []byte, frames int) (*wire, error) {
 	var w *wire
 	var err error
-	if restorePayload != nil {
-		w, err = restoreOn(addr, restorePayload, frames)
+	if snap != nil {
+		w, err = restoreOn(addr, s.name, snap, frames)
 	} else {
 		w, err = openOn(addr, s.openPayload)
 	}

@@ -319,14 +319,15 @@ func (r *Router) place(w, h int, attach func(addr string) (*wire, error)) (*rout
 }
 
 // bindOn dials a fresh stream connection and binds a session to it with an
-// open or a restore request, returning the wire and the OK reply's payload
-// (which aliases the wire's scratch).
-func bindOn(addr string, v verb, payload []byte) (*wire, []byte, error) {
+// open or a restore request, whose payload build appends to the message in
+// the connection's write buffer. It returns the wire and the OK reply's
+// payload (which aliases the wire's read buffer).
+func bindOn(addr string, v verb, build func(msg []byte) []byte) (*wire, []byte, error) {
 	w, err := dialWire(addr)
 	if err != nil {
 		return nil, nil, err
 	}
-	rv, reply, err := w.roundTrip(v, payload)
+	rv, reply, err := w.exchange(build(w.begin(v)))
 	if err == nil && rv != vOK {
 		err = fmt.Errorf("fleet: %s reply verb %s", v, rv)
 	}
@@ -339,7 +340,9 @@ func bindOn(addr string, v verb, payload []byte) (*wire, []byte, error) {
 
 // openOn opens a fresh session on the node at addr.
 func openOn(addr string, openPayload []byte) (*wire, error) {
-	w, _, err := bindOn(addr, vOpen, openPayload)
+	w, _, err := bindOn(addr, vOpen, func(msg []byte) []byte {
+		return append(msg, openPayload...)
+	})
 	return w, err
 }
 

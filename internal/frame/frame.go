@@ -6,6 +6,7 @@ package frame
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"ags/internal/vecmath"
 )
@@ -43,9 +44,10 @@ func (im *Image) Clone() *Image {
 	return out
 }
 
-// Luma returns the per-pixel luminance (Rec.601 weights) as a flat slice.
-func (im *Image) Luma() []float64 {
-	out := make([]float64, len(im.Pix))
+// Luma returns the per-pixel luminance (Rec.601 weights) as a flat slice,
+// written over dst's storage when that is large enough (nil allocates).
+func (im *Image) Luma(dst []float64) []float64 {
+	out := slices.Grow(dst[:0], len(im.Pix))[:len(im.Pix)]
 	for i, p := range im.Pix {
 		out[i] = 0.299*p.X + 0.587*p.Y + 0.114*p.Z
 	}
@@ -63,10 +65,15 @@ func (im *Image) Luma8() []uint8 {
 	return out
 }
 
-// Downsample returns the image reduced by 2x using 2x2 box averaging.
-func (im *Image) Downsample() *Image {
+// Downsample returns the image reduced by 2x using 2x2 box averaging. It
+// overwrites and returns dst, reusing its pixel storage, when dst is not nil.
+func (im *Image) Downsample(dst *Image) *Image {
 	w, h := im.W/2, im.H/2
-	out := NewImage(w, h)
+	out := dst
+	if out == nil {
+		out = &Image{}
+	}
+	out.W, out.H, out.Pix = w, h, slices.Grow(out.Pix[:0], w*h)[:w*h]
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			sum := im.At(2*x, 2*y).
@@ -129,9 +136,14 @@ func (dm *DepthMap) Clone() *DepthMap {
 }
 
 // Downsample reduces the map by 2x, averaging only valid (non-zero) samples.
-func (dm *DepthMap) Downsample() *DepthMap {
+// Like Image.Downsample it overwrites and returns dst when dst is not nil.
+func (dm *DepthMap) Downsample(dst *DepthMap) *DepthMap {
 	w, h := dm.W/2, dm.H/2
-	out := NewDepthMap(w, h)
+	out := dst
+	if out == nil {
+		out = &DepthMap{}
+	}
+	out.W, out.H, out.D = w, h, slices.Grow(out.D[:0], w*h)[:w*h]
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			var sum float64
@@ -144,9 +156,11 @@ func (dm *DepthMap) Downsample() *DepthMap {
 					}
 				}
 			}
+			var mean float64 // stays 0, invalid, when no sample is valid
 			if n > 0 {
-				out.D[y*w+x] = sum / float64(n)
+				mean = sum / float64(n)
 			}
+			out.D[y*w+x] = mean
 		}
 	}
 	return out

@@ -35,11 +35,11 @@ func TestImageClone(t *testing.T) {
 func TestLumaWeights(t *testing.T) {
 	im := NewImage(1, 1)
 	im.Set(0, 0, vecmath.Vec3{X: 1, Y: 1, Z: 1})
-	if l := im.Luma()[0]; math.Abs(l-1) > 1e-9 {
+	if l := im.Luma(nil)[0]; math.Abs(l-1) > 1e-9 {
 		t.Errorf("white luma = %v", l)
 	}
 	im.Set(0, 0, vecmath.Vec3{Y: 1})
-	if l := im.Luma()[0]; math.Abs(l-0.587) > 1e-9 {
+	if l := im.Luma(nil)[0]; math.Abs(l-0.587) > 1e-9 {
 		t.Errorf("green luma = %v", l)
 	}
 }
@@ -61,7 +61,7 @@ func TestDownsampleAveraging(t *testing.T) {
 			im.Set(x, y, vecmath.Vec3{X: float64(x % 2)})
 		}
 	}
-	ds := im.Downsample()
+	ds := im.Downsample(nil)
 	if ds.W != 2 || ds.H != 1 {
 		t.Fatalf("downsample size %dx%d", ds.W, ds.H)
 	}
@@ -87,13 +87,17 @@ func TestDepthDownsampleIgnoresInvalid(t *testing.T) {
 	dm := NewDepthMap(2, 2)
 	dm.Set(0, 0, 2.0)
 	// Remaining three pixels invalid (0). Average must use the valid one only.
-	ds := dm.Downsample()
+	ds := dm.Downsample(nil)
 	if math.Abs(ds.At(0, 0)-2.0) > 1e-9 {
 		t.Errorf("depth downsample = %v", ds.At(0, 0))
 	}
-	empty := NewDepthMap(2, 2).Downsample()
+	empty := NewDepthMap(2, 2).Downsample(nil)
 	if empty.At(0, 0) != 0 {
 		t.Error("all-invalid block should stay invalid")
+	}
+	// A reused destination is overwritten whatever it held and whatever its size.
+	if reused := NewDepthMap(2, 2).Downsample(dm.Downsample(NewDepthMap(3, 3))); reused.W != 1 || reused.H != 1 || reused.At(0, 0) != 0 {
+		t.Errorf("all-invalid block into a reused map: %dx%d, depth %v", reused.W, reused.H, reused.At(0, 0))
 	}
 }
 

@@ -441,12 +441,14 @@ func (m *Mapper) applyGrads(grads *splat.Grads) {
 }
 
 // grown resizes *buf to n reusing its capacity (no clearing — callers
-// overwrite every element before reading), returning the resized view.
+// overwrite every element before reading), returning the resized view. A
+// buffer that has to be re-made at least doubles: n follows the cloud, which
+// Densify enlarges every key frame.
 //
 //ags:hotpath
 func grown(buf *[]float64, n int) []float64 {
 	if cap(*buf) < n {
-		*buf = make([]float64, n)
+		*buf = make([]float64, n, max(n, 2*cap(*buf)))
 	}
 	*buf = (*buf)[:n]
 	return *buf

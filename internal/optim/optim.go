@@ -61,8 +61,8 @@ func NewAdam(lr float64) *Adam {
 // Step applies one Adam update.
 func (a *Adam) Step(params, grads []float64) {
 	if len(a.m) != len(params) {
-		a.m = make([]float64, len(params))
-		a.v = make([]float64, len(params))
+		a.m = zeroed(a.m, len(params))
+		a.v = zeroed(a.v, len(params))
 		a.stepNum = 0
 	}
 	a.stepNum++
@@ -76,6 +76,18 @@ func (a *Adam) Step(params, grads []float64) {
 		vHat := a.v[i] / b2t
 		params[i] -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)
 	}
+}
+
+// zeroed returns s resized to n with every element cleared. The parameter
+// vector of a growing map is a little longer at every key frame, so a buffer
+// that has to be re-made at least doubles instead of matching n.
+func zeroed(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n, max(n, 2*cap(s)))
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // Reset clears moments and the step counter.

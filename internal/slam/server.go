@@ -3,7 +3,6 @@ package slam
 import (
 	"errors"
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -150,13 +149,14 @@ func (sv *Server) Open(name string, cfg Config, intr camera.Intrinsics) (*Sessio
 	return s, nil
 }
 
-// RestoreSession opens a session whose system is rebuilt from a snapshot
-// stream (see System.Snapshot). It returns the session and how many frames
-// the snapshot had already processed — the index of the next frame the
-// producer should Push. Pushing the remainder of the original stream yields a
-// Close Result digest-identical to the uninterrupted session.
-func (sv *Server) RestoreSession(name string, r io.Reader) (*Session, int, error) {
-	sys, err := restoreSystem(r, sv.pool, true)
+// RestoreSession opens a session whose system is rebuilt from snapshot bytes
+// (see System.Snapshot); the session keeps no reference to snap. It returns
+// the session and how many frames the snapshot had already processed — the
+// index of the next frame the producer should Push. Pushing the remainder of
+// the original stream yields a Close Result digest-identical to the
+// uninterrupted session.
+func (sv *Server) RestoreSession(name string, snap []byte) (*Session, int, error) {
+	sys, err := restoreSystem(snap, sv.pool, true)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -175,7 +175,7 @@ func (sv *Server) newSession(name string, sys *System) *Session {
 		sv:      sv,
 		sys:     sys,
 		in:      make(chan *frame.Frame, sv.cfg.QueueDepth),
-		snap:    make(chan snapReq),
+		snap:    make(chan *snapReq),
 		updates: make(chan FrameUpdate, updateBuffer),
 		failed:  make(chan struct{}),
 		done:    make(chan struct{}),
@@ -253,7 +253,7 @@ type Session struct {
 	sys  *System
 
 	in      chan *frame.Frame
-	snap    chan snapReq
+	snap    chan *snapReq
 	updates chan FrameUpdate
 	failed  chan struct{} // closed when processing hits an error
 	done    chan struct{} // closed when the worker goroutine exits
@@ -316,26 +316,31 @@ func (s *Session) Close() (*Result, error) {
 	return s.res, s.err
 }
 
-// snapReq asks the session worker to serialize its system between frames.
+// snapReq asks the session worker to serialize its system between frames:
+// the worker appends the snapshot to buf and then sends on done, which is what
+// orders its writes before the producer's reads.
 type snapReq struct {
-	w    io.Writer
+	buf  []byte
 	done chan error
 }
 
-// Snapshot serializes the session's state at a well-defined point: every
+// AppendSnapshot serializes the session's state at a well-defined point and
+// appends it to dst (see System.AppendSnapshot for how dst grows): every
 // frame pushed before the call is processed first (the producer is blocked
 // here, so the queue can only drain), the ME lookahead is flushed, and the
-// system is written to w. A session restored from the stream and fed the
+// system is encoded. A session restored from those bytes and fed the
 // remaining frames closes with a Result digest-identical to this session's.
-// Snapshot shares the producer contract of Push and Close (one goroutine);
-// it fails after Close or once the session has errored.
-func (s *Session) Snapshot(w io.Writer) error {
+// AppendSnapshot shares the producer contract of Push and Close (one
+// goroutine); it fails after Close or once the session has errored, and then
+// returns dst as it was.
+func (s *Session) AppendSnapshot(dst []byte) ([]byte, error) {
 	if s.closed {
-		return fmt.Errorf("slam: session %q: snapshot after Close", s.name)
+		return dst, fmt.Errorf("slam: session %q: snapshot after Close", s.name)
 	}
-	req := snapReq{w: w, done: make(chan error, 1)}
+	req := &snapReq{buf: dst, done: make(chan error, 1)}
 	s.snap <- req
-	return <-req.done
+	err := <-req.done
+	return req.buf, err
 }
 
 // loop is the session's worker: frames in queue order, with the same
@@ -393,7 +398,7 @@ func (s *Session) ingest(f *frame.Frame, pending *frame.Frame) *frame.Frame {
 // Snapshot, so none can be added behind it), then the flushed ME lookahead —
 // its prefetch never launched, and the restored system recomputes that
 // frame's motion estimation synchronously, byte-identically.
-func (s *Session) serveSnapshot(req snapReq, pending *frame.Frame) *frame.Frame {
+func (s *Session) serveSnapshot(req *snapReq, pending *frame.Frame) *frame.Frame {
 	for {
 		select {
 		case f, ok := <-s.in:
@@ -418,7 +423,8 @@ func (s *Session) serveSnapshot(req snapReq, pending *frame.Frame) *frame.Frame 
 		req.done <- fmt.Errorf("session %q: %w", s.name, s.err)
 		return pending
 	}
-	req.done <- s.sys.Snapshot(req.w)
+	req.buf = s.sys.AppendSnapshot(req.buf)
+	req.done <- nil
 	return pending
 }
 

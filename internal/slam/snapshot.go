@@ -29,6 +29,8 @@ const (
 	// SnapshotVersion is the binary format revision Snapshot writes and
 	// Restore accepts.
 	SnapshotVersion = 1
+
+	snapshotHeader = len(snapshotMagic) + 4 // magic, version
 )
 
 // Snapshot serializes the system's complete inter-frame state — configuration,
@@ -41,25 +43,32 @@ const (
 // synchronous recompute byte-identical, so a restored system simply computes
 // the next frame's covisibility inline.
 func (s *System) Snapshot(w io.Writer) error {
-	if _, err := w.Write(s.encodeSnapshot()); err != nil {
+	if _, err := w.Write(s.AppendSnapshot(nil)); err != nil {
 		return fmt.Errorf("slam: snapshot write: %w", err)
 	}
 	return nil
 }
 
-// encodeSnapshot returns the framed snapshot bytes. A counting pass sizes the
-// buffer exactly first: a snapshot is megabytes of 4- and 8-byte appends, and
-// growing the buffer through them re-allocated and copied more bytes than
-// the snapshot itself holds.
-func (s *System) encodeSnapshot() []byte {
+// AppendSnapshot appends the framed snapshot Snapshot writes to dst and
+// returns the extended slice, so a caller that ships snapshots (a fleet node's
+// connection buffer) encodes every one into the same buffer. A counting pass
+// sizes the snapshot first: it is megabytes of 4- and 8-byte appends, and
+// growing the buffer through them re-allocated and copied more bytes than the
+// snapshot holds. dst is therefore grown at most once per call, geometrically
+// (binfmt.Grow), with one checksum of capacity to spare, so that a caller
+// framing the snapshot inside its own checksummed message appends that
+// trailer in place too.
+//
+//ags:hotpath
+func (s *System) AppendSnapshot(dst []byte) []byte {
 	size := binfmt.Counting()
 	encodeSystem(&size, s)
-	hdr := len(snapshotMagic) + 4
-	e := binfmt.Enc{Buf: make([]byte, 0, hdr+size.Len()+sha256.Size)}
-	e.Raw([]byte(snapshotMagic))
+	start := len(dst)
+	e := binfmt.Enc{Buf: binfmt.Grow(dst, snapshotHeader+size.Len()+2*sha256.Size)}
+	e.Buf = append(e.Buf, snapshotMagic...)
 	e.U32(SnapshotVersion)
 	encodeSystem(&e, s)
-	sum := sha256.Sum256(e.Buf)
+	sum := sha256.Sum256(e.Buf[start:])
 	e.Raw(sum[:])
 	return e.Buf
 }
@@ -69,24 +78,24 @@ func (s *System) encodeSnapshot() []byte {
 // FrameCount tells the caller which frame to push next. Multi-tenant hosts
 // restore into a session via (*Server).RestoreSession instead.
 func Restore(r io.Reader) (*System, error) {
-	return restoreSystem(r, DefaultServer().ContextPool(), false)
-}
-
-// restoreSystem decodes a snapshot over the given context pool. perStep
-// selects session mode, as in newSystem.
-func restoreSystem(r io.Reader, pool *splat.ContextPool, perStep bool) (*System, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("slam: snapshot read: %w", err)
 	}
-	hdr := len(snapshotMagic) + 4
-	if len(data) < hdr+sha256.Size {
+	return restoreSystem(data, DefaultServer().ContextPool(), false)
+}
+
+// restoreSystem decodes a snapshot over the given context pool. perStep
+// selects session mode, as in newSystem. Nothing of the restored system
+// aliases data.
+func restoreSystem(data []byte, pool *splat.ContextPool, perStep bool) (*System, error) {
+	if len(data) < snapshotHeader+sha256.Size {
 		return nil, fmt.Errorf("slam: snapshot truncated: %d bytes", len(data))
 	}
 	if string(data[:len(snapshotMagic)]) != snapshotMagic {
 		return nil, fmt.Errorf("slam: not a snapshot (bad magic)")
 	}
-	version := binary.LittleEndian.Uint32(data[len(snapshotMagic):hdr])
+	version := binary.LittleEndian.Uint32(data[len(snapshotMagic):snapshotHeader])
 	if version != SnapshotVersion {
 		return nil, fmt.Errorf("slam: snapshot version %d, this build reads %d", version, SnapshotVersion)
 	}
@@ -94,7 +103,7 @@ func restoreSystem(r io.Reader, pool *splat.ContextPool, perStep bool) (*System,
 	if got := sha256.Sum256(body); string(got[:]) != string(sum) {
 		return nil, fmt.Errorf("slam: snapshot checksum mismatch (truncated or corrupted)")
 	}
-	d := binfmt.NewDec(body[hdr:])
+	d := binfmt.NewDec(body[snapshotHeader:])
 	sys := decodeSystem(d, pool, perStep)
 	if err := d.Finish("slam: snapshot decode"); err != nil {
 		return nil, err

@@ -2,6 +2,8 @@ package slam
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -113,11 +115,18 @@ func TestSnapshotRoundTripSystem(t *testing.T) {
 			if err := sys.Snapshot(&buf); err != nil {
 				t.Fatalf("%s split %d: snapshot: %v", scene, k, err)
 			}
-			// The counting pass sized the buffer exactly: it was never regrown
-			// (which would leave spare capacity) and it is what was written.
-			if enc := sys.encodeSnapshot(); cap(enc) != len(enc) || !bytes.Equal(enc, buf.Bytes()) {
+			// The counting pass sized the buffer: it was made once, for the
+			// snapshot and the one checksum of spare capacity, never regrown
+			// (which would leave more), and it is what was written.
+			enc := sys.AppendSnapshot(nil)
+			if cap(enc) != len(enc)+sha256.Size || !bytes.Equal(enc, buf.Bytes()) {
 				t.Errorf("%s split %d: snapshot buffer len %d cap %d, wrote %d bytes",
 					scene, k, len(enc), cap(enc), buf.Len())
+			}
+			// Behind a prefix, in a buffer with room, it encodes in place.
+			dst := append(make([]byte, 0, 3+cap(enc)), "pre"...)
+			if out := sys.AppendSnapshot(dst); &out[0] != &dst[0] || string(out[:3]) != "pre" || !bytes.Equal(out[3:], enc) {
+				t.Errorf("%s split %d: AppendSnapshot moved the buffer or wrote other bytes behind the prefix", scene, k)
 			}
 			sys.Close()
 
@@ -165,8 +174,8 @@ func TestSessionSnapshotRestore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var buf bytes.Buffer
-	if err := sess.Snapshot(&buf); err != nil {
+	snap, err := sess.AppendSnapshot(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range seq.Frames[k:] {
@@ -182,7 +191,7 @@ func TestSessionSnapshotRestore(t *testing.T) {
 		t.Errorf("snapshotted session digest %x != uninterrupted %x", got, want)
 	}
 
-	restored, n, err := sv.RestoreSession(seq.Name, bytes.NewReader(buf.Bytes()))
+	restored, n, err := sv.RestoreSession(seq.Name, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,9 +229,35 @@ func TestSessionSnapshotAfterClose(t *testing.T) {
 	if _, err := sess.Close(); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := sess.Snapshot(&buf); err == nil {
+	if _, err := sess.AppendSnapshot(nil); err == nil {
 		t.Fatal("snapshot after Close succeeded")
+	}
+}
+
+// TestAppendSnapshotAllocBudget: a snapshot encoded into a buffer that has
+// room exists once, in that buffer — the encode allocates next to nothing —
+// and a buffer that is too small is re-made once, at twice its capacity.
+func TestAppendSnapshotAllocBudget(t *testing.T) {
+	seq := testSeq(t, "Desk", 3)
+	sys := New(fastCfg(tw, th), seq.Intr)
+	defer sys.Close()
+	for _, f := range seq.Frames {
+		if err := sys.ProcessFrame(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf := sys.AppendSnapshot(nil)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	buf = sys.AppendSnapshot(buf[:0])
+	runtime.ReadMemStats(&ms)
+	if got := ms.TotalAlloc - before; got > uint64(len(buf)/8) {
+		t.Errorf("encoding a %d-byte snapshot into a buffer with room allocated %d bytes", len(buf), got)
+	}
+	small := make([]byte, 0, len(buf)*3/4)
+	if grown := sys.AppendSnapshot(small); cap(grown) != 2*cap(small) || !bytes.Equal(grown, buf) {
+		t.Errorf("a %d-byte buffer was re-made at %d bytes for a %d-byte snapshot, want doubled", cap(small), cap(grown), len(buf))
 	}
 }
 

@@ -26,12 +26,14 @@ type backwardArena struct {
 }
 
 // zeroed returns s resized to n with every element cleared, reusing its
-// capacity when possible.
+// capacity when possible. Like resized it at least doubles a buffer it has to
+// re-make (the first allocation is exact): most of these follow the cloud or
+// the tile table, which grow a little at every Densify.
 //
 //ags:hotpath
 func zeroed[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, n)
+		return make([]T, n, max(n, 2*cap(s)))
 	}
 	s = s[:n]
 	clear(s)
@@ -45,7 +47,7 @@ func zeroed[T any](s []T, n int) []T {
 //ags:hotpath
 func resized[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, n)
+		return make([]T, n, max(n, 2*cap(s)))
 	}
 	return s[:n]
 }

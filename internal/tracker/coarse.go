@@ -19,6 +19,10 @@ import (
 // the AGS algorithm: a fast pose that never touches the Gaussians, good
 // enough on its own when covisibility is high (see README: substitutions;
 // the matching systolic-array workload is modeled by nnlite.PoseBackbone).
+//
+// An aligner keeps its image pyramids between calls, so it serves one
+// goroutine at a time, and it recognises a frame it has already built a
+// pyramid for by pointer: a frame handed to it must not be modified afterwards.
 type CoarseAligner struct {
 	// Levels is the number of pyramid levels (coarsest first at /2^(L-1)).
 	Levels int
@@ -30,11 +34,51 @@ type CoarseAligner struct {
 	HuberDelta float64
 	// Stride subsamples source pixels for speed (1 = dense).
 	Stride int
+
+	prev, cur pyramidSide
+	levels    []pyramidLevel
 }
 
 // NewCoarseAligner returns an aligner tuned for the reproduction's frame sizes.
 func NewCoarseAligner() *CoarseAligner {
 	return &CoarseAligner{Levels: 3, ItersPerLevel: 12, DepthWeight: 0.7, HuberDelta: 0.1, Stride: 1}
+}
+
+// pyramidSide is one frame's half of the pyramid, finest level first. Level 0
+// reads the frame's own colour and depth planes; the coarser ones and every
+// luma plane are scratch the side keeps across builds.
+type pyramidSide struct {
+	src    *frame.Frame // the frame the side holds, nil before the first build
+	planes []pyramidPlanes
+}
+
+type pyramidPlanes struct {
+	color *frame.Image
+	depth *frame.DepthMap
+	luma  []float64
+}
+
+// build fills the side for f at the given number of levels, and does nothing
+// when it already holds exactly that.
+func (s *pyramidSide) build(f *frame.Frame, levels int) {
+	if s.src == f && len(s.planes) == levels {
+		return
+	}
+	for len(s.planes) < levels {
+		s.planes = append(s.planes, pyramidPlanes{})
+	}
+	s.planes = s.planes[:levels]
+	s.src = f
+	for i := range s.planes {
+		p := &s.planes[i]
+		if i == 0 {
+			p.color, p.depth = f.Color, f.Depth
+		} else {
+			p.color = s.planes[i-1].color.Downsample(p.color)
+			p.depth = s.planes[i-1].depth.Downsample(p.depth)
+		}
+		p.luma = p.color.Luma(p.luma)
+	}
 }
 
 // pyramidLevel holds the downsampled data for one level.
@@ -66,25 +110,28 @@ func (a *CoarseAligner) EstimatePose(prev, cur *frame.Frame, intr camera.Intrins
 	return rel.Compose(prevPose)
 }
 
+// buildPyramid returns the levels for one alignment, finest first, valid until
+// the next call. The previous frame's side is usually built already: anchored
+// to a key frame it is the same frame as last call, and frame to frame it is
+// last call's current frame.
 func (a *CoarseAligner) buildPyramid(prev, cur *frame.Frame, intr camera.Intrinsics) []pyramidLevel {
-	levels := make([]pyramidLevel, a.Levels)
-	pc, cc := prev.Color, cur.Color
-	pd, cd := prev.Depth, cur.Depth
+	if a.cur.src == prev {
+		a.prev, a.cur = a.cur, a.prev
+	}
+	a.prev.build(prev, a.Levels)
+	a.cur.build(cur, a.Levels)
+	a.levels = a.levels[:0]
 	in := intr
 	for i := 0; i < a.Levels; i++ {
-		levels[i] = pyramidLevel{
+		a.levels = append(a.levels, pyramidLevel{
 			intr:     in,
-			prevLuma: pc.Luma(), prevDepth: pd,
-			curLuma: cc.Luma(), curDepth: cd,
+			prevLuma: a.prev.planes[i].luma, prevDepth: a.prev.planes[i].depth,
+			curLuma: a.cur.planes[i].luma, curDepth: a.cur.planes[i].depth,
 			w: in.W, h: in.H,
-		}
-		if i+1 < a.Levels {
-			pc, cc = pc.Downsample(), cc.Downsample()
-			pd, cd = pd.Downsample(), cd.Downsample()
-			in = in.Scaled(2)
-		}
+		})
+		in = in.Scaled(2)
 	}
-	return levels
+	return a.levels
 }
 
 // bilinearScalar samples a flat scalar field bilinearly with border clamp.
