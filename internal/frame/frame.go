@@ -4,6 +4,7 @@
 package frame
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -174,7 +175,13 @@ type Frame struct {
 	GTPose vecmath.Pose // ground-truth world->camera pose (evaluation only)
 }
 
-// Validate reports whether the frame's buffers are consistent.
+// ErrPlaneSize is what Validate wraps when a pixel plane's length is not its
+// declared width x height: every consumer indexes planes by y*W+x, so such a
+// frame would be an index out of range somewhere inside the pipeline.
+var ErrPlaneSize = errors.New("pixel plane length does not match its dimensions")
+
+// Validate reports whether the frame's buffers are consistent: both planes
+// present, of one size, and each exactly W x H long.
 func (f *Frame) Validate() error {
 	if f.Color == nil || f.Depth == nil {
 		return fmt.Errorf("frame %d: missing color or depth", f.Index)
@@ -183,7 +190,20 @@ func (f *Frame) Validate() error {
 		return fmt.Errorf("frame %d: color %dx%d vs depth %dx%d",
 			f.Index, f.Color.W, f.Color.H, f.Depth.W, f.Depth.H)
 	}
+	w, h := f.Color.W, f.Color.H
+	if !planeHolds(len(f.Color.Pix), w, h) {
+		return fmt.Errorf("frame %d: color plane of %d pixels declared %dx%d: %w", f.Index, len(f.Color.Pix), w, h, ErrPlaneSize)
+	}
+	if !planeHolds(len(f.Depth.D), w, h) {
+		return fmt.Errorf("frame %d: depth plane of %d pixels declared %dx%d: %w", f.Index, len(f.Depth.D), w, h, ErrPlaneSize)
+	}
 	return nil
+}
+
+// planeHolds reports whether n is exactly w x h, for dimensions that are not
+// negative and whose product does not overflow.
+func planeHolds(n, w, h int) bool {
+	return w >= 0 && h >= 0 && n == w*h && (w == 0 || n/w == h)
 }
 
 // MeanAbsDiff returns the mean absolute per-channel difference between two

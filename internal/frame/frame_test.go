@@ -1,7 +1,9 @@
 package frame
 
 import (
+	"errors"
 	"math"
+	"math/bits"
 	"testing"
 
 	"ags/internal/vecmath"
@@ -112,6 +114,21 @@ func TestFrameValidate(t *testing.T) {
 	}
 	if err := (&Frame{Index: 3}).Validate(); err == nil {
 		t.Error("nil buffers accepted")
+	}
+	// A plane that is not W x H long is an index out of range waiting in
+	// whoever reads it: refused by name, for either plane, and for dimensions
+	// whose product overflows to the plane's length.
+	const half = 1 << (bits.UintSize / 2) // half x half wraps to 0
+	for name, f := range map[string]*Frame{
+		"short color": {Color: &Image{W: 4, H: 4, Pix: make([]vecmath.Vec3, 15)}, Depth: NewDepthMap(4, 4)},
+		"short depth": {Color: NewImage(4, 4), Depth: &DepthMap{W: 4, H: 4, D: make([]float64, 8)}},
+		"long depth":  {Color: NewImage(4, 4), Depth: &DepthMap{W: 4, H: 4, D: make([]float64, 17)}},
+		"negative":    {Color: &Image{W: -4, H: -4, Pix: make([]vecmath.Vec3, 16)}, Depth: &DepthMap{W: -4, H: -4, D: make([]float64, 16)}},
+		"overflowing": {Color: &Image{W: half, H: half}, Depth: &DepthMap{W: half, H: half}},
+	} {
+		if err := f.Validate(); !errors.Is(err, ErrPlaneSize) {
+			t.Errorf("%s: Validate = %v, want ErrPlaneSize", name, err)
+		}
 	}
 }
 

@@ -188,3 +188,57 @@ func TestTrackingDominatesBaselineGPU(t *testing.T) {
 		t.Errorf("tracking (%.0f) does not dominate mapping (%.0f)", gpu.TrackNs, gpu.MapNs)
 	}
 }
+
+// scalarsOnly returns the run as a serving session would have recorded it.
+func scalarsOnly(run *trace.Run) *trace.Run {
+	lean := *run
+	lean.Frames = append([]trace.FrameTrace(nil), run.Frames...)
+	for i := range lean.Frames {
+		lean.Frames[i].Track.DropDetail()
+		lean.Frames[i].Map.DropDetail()
+	}
+	return &lean
+}
+
+// TestScalarsOnlyTraceIsABound pins what RunTotal makes of a trace without the
+// representative-iteration detail (a serving session's): the models that read
+// scalars only do not notice, the terms that never needed the detail are
+// unchanged, and the AGS model's splatting terms become the perfect-utilisation
+// bound, below the replay and blind to the scheduler. The experiments never see
+// this side (slam's TestRunTraceCarriesDetail); this says what anyone who feeds
+// a Session.Close result to a model gets.
+func TestScalarsOnlyTraceIsABound(t *testing.T) {
+	base, ags := runs(t)
+	for name, run := range map[string]*trace.Run{"baseline": base, "ags": ags} {
+		lean := scalarsOnly(run)
+		for _, p := range []Platform{Xavier(), A100(), GSCoreServer()} {
+			if full, got := RunTotal(p, run), RunTotal(p, lean); got != full {
+				t.Errorf("%s on %s: a scalars-only trace moved a model that reads scalars only: %+v vs %+v", p.Name(), name, got, full)
+			}
+		}
+
+		gpuAGS := A100().WithAGSAlgorithm()
+		full, got := RunTotal(gpuAGS, run), RunTotal(gpuAGS, lean)
+		if got.CodecNs != full.CodecNs || got.CoarseNs != full.CoarseNs || got.TrackNs != full.TrackNs {
+			t.Errorf("%s on %s: codec/coarse/track moved without detail: %+v vs %+v", gpuAGS.Name(), name, got, full)
+		}
+		if got.Bytes >= full.Bytes || got.MapNs >= full.MapNs {
+			t.Errorf("%s on %s: the contribution-table traffic (%d bytes with detail) is still charged without it: %+v",
+				gpuAGS.Name(), name, full.Bytes-got.Bytes, got)
+		}
+
+		for _, a := range []*AGS{AGSEdge(), AGSServer()} {
+			full, got := RunTotal(a, run), RunTotal(a, lean)
+			if got.CodecNs != full.CodecNs || got.CoarseNs != full.CoarseNs {
+				t.Errorf("%s on %s: codec/coarse moved without detail: %+v vs %+v", a.Name(), name, got, full)
+			}
+			if got.TrackNs <= 0 || got.TrackNs >= full.TrackNs || got.MapNs <= 0 || got.MapNs >= full.MapNs || got.TotalNs >= full.TotalNs {
+				t.Errorf("%s on %s: the aggregate bound %+v is not below the replay %+v", a.Name(), name, got, full)
+			}
+			if nosched := RunTotal(a.WithScheduler(false), lean); nosched.TotalNs != got.TotalNs {
+				t.Errorf("%s on %s: the scheduler changed a total that has no per-pixel workload to schedule: %.0f vs %.0f ns",
+					a.Name(), name, nosched.TotalNs, got.TotalNs)
+			}
+		}
+	}
+}

@@ -6,8 +6,19 @@
 package trace
 
 // RenderStats aggregates the splatting work of one task (tracking or
-// mapping) on one frame, across all its training iterations, plus one
-// representative iteration's detailed workload for the cycle-level models.
+// mapping) on one frame, across all its training iterations: the scalars. It
+// may also carry one representative iteration's detailed workload, the detail
+// the cycle-level models replay.
+//
+// Who produces which is decided by where the pipeline runs, not by an option.
+// The offline venues (slam.New, slam.Restore, slam.Run and Server.Run, so
+// internal/bench, the grid's job results, ags-slam and the benchmark's
+// reference runs) keep the detail of every task with Iters > 0. Serving
+// sessions (Server.Open and Server.RestoreSession, the only venues a fleet
+// node uses) keep the scalars only: at two int32 planes and a tile-list set
+// per task per frame the detail is ~100x everything else a frame adds, and
+// nothing on the serving path reads it. Result.Digest covers the scalars only,
+// so it is equal across both kinds.
 type RenderStats struct {
 	Iters       int   // training iterations executed
 	AlphaOps    int64 // stage-1 alpha evaluations, summed over iterations (forward)
@@ -17,11 +28,25 @@ type RenderStats struct {
 	TileEntries int64 // Gaussian-table entries built (sort work), summed
 	Pixels      int64 // pixels rendered, summed
 
-	// Representative iteration detail (the last iteration's forward pass):
+	// Representative iteration detail (the last iteration's forward pass);
+	// all zero on a scalars-only trace:
 	RepPerPixelBlend []int32   // stage-2 blend count per pixel
 	RepPerPixelAlpha []int32   // stage-1 alpha count per pixel
 	RepTileLists     [][]int32 // Gaussian IDs per tile, depth order
 	Width, Height    int       // image size for the representative data
+}
+
+// HasDetail reports whether the stats carry the representative iteration's
+// per-pixel planes and tile lists.
+func (s *RenderStats) HasDetail() bool {
+	return s.RepPerPixelBlend != nil && s.RepPerPixelAlpha != nil && s.RepTileLists != nil
+}
+
+// DropDetail discards the representative iteration's detail, leaving exactly
+// what a scalars-only venue would have recorded.
+func (s *RenderStats) DropDetail() {
+	s.RepPerPixelBlend, s.RepPerPixelAlpha, s.RepTileLists = nil, nil, nil
+	s.Width, s.Height = 0, 0
 }
 
 // Accumulate folds one forward+backward iteration's counts into the stats.

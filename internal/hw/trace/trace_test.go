@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 )
 
@@ -18,6 +19,25 @@ func TestAccumulate(t *testing.T) {
 	}
 	if s.Splats != 200 || s.TileEntries != 400 || s.Pixels != 2000 {
 		t.Errorf("aux = %d/%d/%d", s.Splats, s.TileEntries, s.Pixels)
+	}
+}
+
+func TestDropDetailKeepsScalars(t *testing.T) {
+	var s RenderStats
+	s.Accumulate(10, 5, 10, 100, 200, 1000)
+	scalars := s
+	if s.HasDetail() {
+		t.Error("stats with no representative iteration report detail")
+	}
+	s.RepPerPixelBlend, s.RepPerPixelAlpha = []int32{1}, []int32{2}
+	s.RepTileLists = [][]int32{{0}}
+	s.Width, s.Height = 1, 1
+	if !s.HasDetail() {
+		t.Error("detail not reported")
+	}
+	s.DropDetail()
+	if s.HasDetail() || !reflect.DeepEqual(s, scalars) {
+		t.Errorf("after DropDetail: %+v, want the scalars %+v", s, scalars)
 	}
 }
 

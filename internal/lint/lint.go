@@ -112,8 +112,7 @@ func DefaultGoroutineSites(module string) map[string]bool {
 		module + "/internal/codec.MotionEstimate":               true, // row-ticket ME worker pool, row-order reduction
 		module + "/internal/splat.(*RenderContext).renderTiles": true, // static tile shards, fixed-order merge
 		module + "/internal/splat.(*RenderContext).Backward":    true, // static tile shards, ascending-tile merge
-		module + "/internal/slam.(*Server).Open":                true, // one worker per session, frames in queue order
-		module + "/internal/slam.(*Server).RestoreSession":      true, // same session worker, restored from a snapshot
+		module + "/internal/slam.(*Server).start":               true, // one worker per session (opened or restored), frames in queue order
 		module + "/internal/slam.(*System).Prefetch":            true, // single ME job, consumed by identity match
 		module + "/internal/scene.(*World).RenderFrame":         true, // per-row ray tracing, disjoint pixel writes
 		module + "/internal/bench.RunBatchWith":                 true, // bounded warm pool (RunBatch delegates here), render in plan order

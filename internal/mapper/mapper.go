@@ -102,6 +102,12 @@ type Mapper struct {
 	// server's splat.ContextPool, so the field may change identity between
 	// frames.
 	Ctx *splat.RenderContext
+	// ScalarsOnly makes FullMapping and SelectiveMapping return the mapping
+	// work's scalars without the representative iteration's detail (see
+	// trace.RenderStats): the per-pixel planes and tile lists are never built.
+	// slam sets it once, when it builds a serving session's mapper; everything
+	// the mapper itself does is identical either way.
+	ScalarsOnly bool
 
 	cloud *gauss.Cloud
 	opt   *optim.GroupAdam
@@ -307,7 +313,7 @@ func (m *Mapper) Compact() (remap []int32, freed int) {
 // frames, path C of Fig. 7), recording contribution information on the last
 // iteration and refreshing the skip set for subsequent non-key frames.
 // The returned stats' RepTileLists is the Gaussian-table access stream the
-// hardware model's GS logging table replays.
+// hardware model's GS logging table replays (absent under ScalarsOnly).
 func (m *Mapper) FullMapping(f *frame.Frame, intr camera.Intrinsics, pose vecmath.Pose) trace.RenderStats {
 	return m.optimize(f, intr, pose, nil, true)
 }
@@ -346,16 +352,16 @@ func (m *Mapper) optimize(f *frame.Frame, intr camera.Intrinsics, pose vecmath.P
 
 		stats.Accumulate(res.AlphaOps, res.BlendOps, 2*res.BlendOps,
 			int64(len(res.Splats)), int64(res.Tiles.TotalEntries()), int64(intr.W*intr.H))
-		if last {
+		if last && !m.ScalarsOnly {
 			// The trace snapshot outlives the mapping loop, while a contexted
 			// res is only valid until the next render — copy, don't alias.
 			stats.RepPerPixelBlend = slices.Clone(res.PerPixelBlend)
 			stats.RepPerPixelAlpha = slices.Clone(res.PerPixelAlpha)
 			stats.RepTileLists = res.TileIDLists()
 			stats.Width, stats.Height = intr.W, intr.H
-			if logContrib {
-				m.recordContribution(res)
-			}
+		}
+		if last && logContrib {
+			m.recordContribution(res)
 		}
 	}
 	return stats

@@ -1,6 +1,7 @@
 package mapper
 
 import (
+	"reflect"
 	"testing"
 
 	"ags/internal/camera"
@@ -76,11 +77,24 @@ func TestFullMappingImprovesPSNR(t *testing.T) {
 	if stats.Iters != 8 {
 		t.Errorf("iters = %d", stats.Iters)
 	}
-	if stats.RepTileLists == nil {
+	if !stats.HasDetail() {
 		t.Error("full mapping did not emit the logging-table access stream")
 	}
 	if err := m.Cloud().Validate(); err != nil {
 		t.Fatal(err)
+	}
+	// Told to keep scalars only, a mapper trains the same map and reports the
+	// same stats less the detail, which it never builds.
+	lean := New(smallCfg())
+	lean.ScalarsOnly = true
+	lean.Densify(f, seq.Intr, f.GTPose)
+	leanStats := lean.FullMapping(f, seq.Intr, f.GTPose)
+	stats.DropDetail()
+	if !reflect.DeepEqual(leanStats, stats) {
+		t.Errorf("scalars-only mapping stats %+v, want %+v", leanStats, stats)
+	}
+	if !reflect.DeepEqual(lean.Cloud().Gaussians, m.Cloud().Gaussians) || !reflect.DeepEqual(lean.SkipSet(), m.SkipSet()) {
+		t.Error("scalars-only mapping trained a different map or skip set")
 	}
 }
 

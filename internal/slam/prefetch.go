@@ -31,9 +31,11 @@ const maxPendingME = 2
 // works on frame t. Call it with the frame about to be processed and its
 // successor; ProcessFrame(next) then consumes the finished result instead of
 // recomputing it. A prefetch that never matches a later frame is discarded,
-// so speculative calls are safe.
+// so speculative calls are safe. A frame ProcessFrame will reject launches
+// nothing: the job would index a malformed plane on a goroutine of its own,
+// where a panic takes the process, not one stream.
 func (s *System) Prefetch(cur, next *frame.Frame) {
-	if cur == nil || next == nil {
+	if cur == nil || next == nil || cur.Validate() != nil || next.Validate() != nil {
 		return
 	}
 	job := &mePrefetch{prev: cur.Color, cur: next.Color, ch: make(chan prefetchOut, 1)}

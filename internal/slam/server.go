@@ -140,13 +140,14 @@ func (sv *Server) Close() error {
 // a background goroutine, rendering through the server's context pool. The
 // name labels the session's final Result (its Sequence field). It fails on a
 // closed server and, with ErrDraining, on a draining one.
+//
+// A session is a serving venue: its trace keeps each frame's scalars and not
+// the representative-iteration detail (see trace.RenderStats), so what it
+// holds, snapshots and returns from Close is the map, the key-frame window and
+// a few hundred bytes per frame. Its Result.Digest equals every other venue's;
+// for a Result to feed the cycle-level hardware models, use Run.
 func (sv *Server) Open(name string, cfg Config, intr camera.Intrinsics) (*Session, error) {
-	s := sv.newSession(name, newSystem(cfg, intr, sv.pool, true))
-	if err := sv.register(s); err != nil {
-		return nil, err
-	}
-	go s.loop()
-	return s, nil
+	return sv.start(name, newSystem(cfg, intr, sv.pool, true, scalarsOnly))
 }
 
 // RestoreSession opens a session whose system is rebuilt from snapshot bytes
@@ -154,23 +155,25 @@ func (sv *Server) Open(name string, cfg Config, intr camera.Intrinsics) (*Sessio
 // the session and how many frames the snapshot had already processed — the
 // index of the next frame the producer should Push. Pushing the remainder of
 // the original stream yields a Close Result digest-identical to the
-// uninterrupted session.
+// uninterrupted session. Like Open it is a serving venue: whatever trace
+// detail the snapshot carries (one taken from a standalone System does) is
+// dropped on the way in, not held and re-shipped.
 func (sv *Server) RestoreSession(name string, snap []byte) (*Session, int, error) {
-	sys, err := restoreSystem(snap, sv.pool, true)
+	sys, err := restoreSystem(snap, sv.pool, true, scalarsOnly)
 	if err != nil {
 		return nil, 0, err
 	}
-	s := sv.newSession(name, sys)
-	if err := sv.register(s); err != nil {
-		sys.Close()
+	s, err := sv.start(name, sys)
+	if err != nil {
 		return nil, 0, err
 	}
-	go s.loop()
 	return s, sys.FrameCount(), nil
 }
 
-func (sv *Server) newSession(name string, sys *System) *Session {
-	return &Session{
+// start admits a session over sys and launches its worker. A server that
+// refuses the session closes the system.
+func (sv *Server) start(name string, sys *System) (*Session, error) {
+	s := &Session{
 		name:    name,
 		sv:      sv,
 		sys:     sys,
@@ -180,6 +183,12 @@ func (sv *Server) newSession(name string, sys *System) *Session {
 		failed:  make(chan struct{}),
 		done:    make(chan struct{}),
 	}
+	if err := sv.register(s); err != nil {
+		sys.Close()
+		return nil, err
+	}
+	go s.loop()
+	return s, nil
 }
 
 // register adds the session to the open set, re-checking the server state
@@ -212,9 +221,11 @@ func (sv *Server) sessionClosed(s *Session) {
 // Run streams a whole sequence through one session, named after it: the
 // open → push-every-frame → close pattern as a single call, shared by the
 // package-level Run, the serving CLIs, and the bench experiments. On a Push
-// failure the session is closed and the push error returned.
+// failure the session is closed and the push error returned. Run is an
+// offline venue: unlike an Open session, its Result's trace carries the
+// detail the hardware models replay, on every task with Iters > 0.
 func (sv *Server) Run(cfg Config, seq *scene.Sequence) (*Result, error) {
-	sess, err := sv.Open(seq.Name, cfg, seq.Intr)
+	sess, err := sv.start(seq.Name, newSystem(cfg, seq.Intr, sv.pool, true, keepDetail))
 	if err != nil {
 		return nil, err
 	}

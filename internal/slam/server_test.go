@@ -229,7 +229,7 @@ func TestSessionPushAfterCloseFails(t *testing.T) {
 func TestSystemCloseReleasesContextToPool(t *testing.T) {
 	seq := testSeq(t, "Desk", 2)
 	srv := NewServer(ServerConfig{ContextCapacity: 4})
-	sys := newSystem(fastAGS(tw, th), seq.Intr, srv.ContextPool(), false)
+	sys := newSystem(fastAGS(tw, th), seq.Intr, srv.ContextPool(), false, keepDetail)
 	for _, f := range seq.Frames {
 		if err := sys.ProcessFrame(f); err != nil {
 			t.Fatal(err)

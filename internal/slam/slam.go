@@ -15,6 +15,30 @@
 // sessions produce Results digest-identical to sequential runs at every
 // worker count and interleaving (Result.Digest asserts it cheaply).
 //
+// Trace detail: a frame's trace is its scalars (op totals, decisions, map
+// size: ~0.4 KiB encoded) and, for the cycle-level hardware models, the
+// representative iteration's per-pixel planes and tile lists, once for
+// tracking and once for mapping (trace.RenderStats: 43.5 KiB a frame on the
+// benchmark's 64x48 Desk stream). Who keeps the detail is a property of the
+// venue, decided once when the system is built, not an option:
+//
+//   - New, Restore, Run and Server.Run are the offline venues. Their Results
+//     feed hw/platform through internal/bench, the grid and ags-slam, so they
+//     keep the detail of every task that ran an iteration.
+//   - Server.Open and Server.RestoreSession are the serving venues, the only
+//     ones a fleet node uses. Nothing on the serving path reads the detail, so
+//     the tracker and mapper never build it and RestoreSession drops what a
+//     snapshot brings in. A session's resident state, each checkpoint and each
+//     migration are therefore the map (with its optimizer moments), the
+//     key-frame window and the per-frame scalars: they follow the map, not the
+//     stream's age.
+//
+// Result.Digest covers the scalars and never the detail, so it is one value
+// across all venues; the snapshot format encodes absent detail as empty lists
+// and says nothing about the level, which always comes from the restoring
+// venue. A serving Result handed to a hardware model yields a bound, not a
+// replay (see platform.RunTotal).
+//
 // Concurrency: the paper's timing model has the CODEC encode (and therefore
 // motion-estimate) frame t+1 while the accelerator tracks and maps frame t,
 // making the SAD byproduct free by the time it is needed. Config.PipelineME
@@ -215,6 +239,12 @@ type System struct {
 	// every frame instead of pinning it between frames — the multi-tenant
 	// mode sessions run in, so idle streams hold no render state.
 	perStep bool
+	// detail says whether each frame's trace keeps the representative
+	// iteration's per-pixel planes and tile lists (trace.RenderStats) beside
+	// its scalars. It is a property of the venue, fixed at construction: the
+	// offline venues keep it for the hardware models, serving sessions do not,
+	// so their resident state and snapshots are O(map), not O(frames).
+	detail bool
 	// renderCtx is the currently attached splat render context, shared by
 	// the tracker and mapper (they run sequentially within ProcessFrame) and
 	// sized lazily from the intrinsics on first render. Acquired from pool
@@ -234,18 +264,28 @@ type System struct {
 	pending     []*mePrefetch // in-flight CODEC ME jobs (see prefetch.go)
 }
 
+// The two levels of trace retention a venue builds its system with (see the
+// package doc): the offline venues keep the representative-iteration detail,
+// the serving ones the scalars only.
+const (
+	keepDetail  = true
+	scalarsOnly = false
+)
+
 // New returns a standalone system for the given camera, drawing its render
 // context from DefaultServer's pool. The context is pinned across frames
 // (frame-persistent hot path); call Close to return it. Multi-stream callers
 // should open Sessions on a Server instead.
 func New(cfg Config, intr camera.Intrinsics) *System {
-	return newSystem(cfg, intr, DefaultServer().ContextPool(), false)
+	return newSystem(cfg, intr, DefaultServer().ContextPool(), false, keepDetail)
 }
 
 // newSystem builds a system over the given context pool. perStep selects the
 // session mode: acquire/release the context around every frame-step rather
-// than pinning it for the system's lifetime.
-func newSystem(cfg Config, intr camera.Intrinsics, pool *splat.ContextPool, perStep bool) *System {
+// than pinning it for the system's lifetime. detail selects whether traces
+// keep the representative-iteration detail; the tracker and mapper are told
+// here, once, and never build what would not be kept.
+func newSystem(cfg Config, intr camera.Intrinsics, pool *splat.ContextPool, perStep, detail bool) *System {
 	mcfg := cfg.Mapper
 	mcfg.Workers = cfg.Workers
 	if cfg.Backbone == BackboneGaussianSLAM {
@@ -257,10 +297,12 @@ func newSystem(cfg Config, intr camera.Intrinsics, pool *splat.ContextPool, perS
 	refiner := tracker.NewGSRefiner()
 	refiner.LR = cfg.TrackLR
 	refiner.Workers = cfg.Workers
+	refiner.ScalarsOnly = !detail
 	detector := covis.NewDetector()
 	detector.Cfg.Workers = cfg.CodecWorkers
 	detector.Cfg.EarlyTerm = cfg.CodecEarlyTerm
 	m := mapper.New(mcfg)
+	m.ScalarsOnly = !detail
 	return &System{
 		Cfg:      cfg,
 		Intr:     intr,
@@ -270,6 +312,7 @@ func newSystem(cfg Config, intr camera.Intrinsics, pool *splat.ContextPool, perS
 		detector: detector,
 		pool:     pool,
 		perStep:  perStep,
+		detail:   detail,
 		prevRel:  vecmath.PoseIdentity(),
 	}
 }
@@ -354,11 +397,12 @@ func (s *System) FrameCount() int { return s.frameCount }
 // maybeCompact runs the end-of-frame map compaction pass when the cadence
 // (Config.CompactEvery) or the inactive-fraction trigger
 // (Config.CompactInactiveFrac) fires and there is anything to reclaim. The
-// mapper re-packs the cloud and rewrites its own ID-keyed tables; the system
-// then rewrites the Gaussian-ID streams of every retained FrameTrace through
-// the same permutation and records the reclaimed slots/bytes in the current
-// frame's trace. Because survivors keep their relative order (and the
-// optimizer moments ride along), subsequent frames render and train
+// mapper re-packs the cloud and rewrites its own ID-keyed tables; a system
+// that retains trace detail then rewrites the Gaussian-ID streams of every
+// retained FrameTrace through the same permutation (a serving session retains
+// none, so it walks nothing), and the reclaimed slots/bytes are recorded in
+// the current frame's trace. Because survivors keep their relative order (and
+// the optimizer moments ride along), subsequent frames render and train
 // bit-identically to the never-compacted timeline.
 func (s *System) maybeCompact(cur *trace.FrameTrace) {
 	cloud := s.mapper.Cloud()
@@ -379,6 +423,9 @@ func (s *System) maybeCompact(cur *trace.FrameTrace) {
 	}
 	cur.CompactedSlots = freed
 	cur.ReclaimedBytes = int64(freed) * int64(gauss.SlotBytes)
+	if !s.detail {
+		return
+	}
 	remapTrace(cur, remap)
 	for i := range s.traceFrames {
 		remapTrace(&s.traceFrames[i], remap)

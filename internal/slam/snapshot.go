@@ -35,13 +35,14 @@ const (
 
 // Snapshot serializes the system's complete inter-frame state — configuration,
 // camera, pose track, keyframe set, the (compacted) Gaussian map, optimizer
-// moments, the mapper's RNG, and the retained per-frame traces — so that a
-// system restored from it and fed the remaining frames produces a Result
-// digest-identical to the uninterrupted run. Call it between ProcessFrame
-// calls (it reads the same state ProcessFrame writes). In-flight ME prefetch
-// jobs are deliberately not captured: the prefetch contract makes the
-// synchronous recompute byte-identical, so a restored system simply computes
-// the next frame's covisibility inline.
+// moments, the mapper's RNG, and the retained per-frame traces (with their
+// representative-iteration detail only where the system's venue keeps it; see
+// the package doc) — so that a system restored from it and fed the remaining
+// frames produces a Result digest-identical to the uninterrupted run. Call it
+// between ProcessFrame calls (it reads the same state ProcessFrame writes).
+// In-flight ME prefetch jobs are deliberately not captured: the prefetch
+// contract makes the synchronous recompute byte-identical, so a restored
+// system simply computes the next frame's covisibility inline.
 func (s *System) Snapshot(w io.Writer) error {
 	if _, err := w.Write(s.AppendSnapshot(nil)); err != nil {
 		return fmt.Errorf("slam: snapshot write: %w", err)
@@ -82,13 +83,14 @@ func Restore(r io.Reader) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("slam: snapshot read: %w", err)
 	}
-	return restoreSystem(data, DefaultServer().ContextPool(), false)
+	return restoreSystem(data, DefaultServer().ContextPool(), false, keepDetail)
 }
 
-// restoreSystem decodes a snapshot over the given context pool. perStep
-// selects session mode, as in newSystem. Nothing of the restored system
-// aliases data.
-func restoreSystem(data []byte, pool *splat.ContextPool, perStep bool) (*System, error) {
+// restoreSystem decodes a snapshot over the given context pool. perStep and
+// detail are the restoring venue's, as in newSystem: the bytes say nothing
+// about either, and a system restored without detail drops what the snapshot
+// carries. Nothing of the restored system aliases data.
+func restoreSystem(data []byte, pool *splat.ContextPool, perStep, detail bool) (*System, error) {
 	if len(data) < snapshotHeader+sha256.Size {
 		return nil, fmt.Errorf("slam: snapshot truncated: %d bytes", len(data))
 	}
@@ -104,7 +106,7 @@ func restoreSystem(data []byte, pool *splat.ContextPool, perStep bool) (*System,
 		return nil, fmt.Errorf("slam: snapshot checksum mismatch (truncated or corrupted)")
 	}
 	d := binfmt.NewDec(body[snapshotHeader:])
-	sys := decodeSystem(d, pool, perStep)
+	sys := decodeSystem(d, pool, perStep, detail)
 	if err := d.Finish("slam: snapshot decode"); err != nil {
 		return nil, err
 	}
@@ -166,7 +168,7 @@ func encodeSystem(e *binfmt.Enc, s *System) {
 	}
 }
 
-func decodeSystem(d *binfmt.Dec, pool *splat.ContextPool, perStep bool) *System {
+func decodeSystem(d *binfmt.Dec, pool *splat.ContextPool, perStep, detail bool) *System {
 	var cfg Config
 	decodeConfig(d, &cfg)
 	var intr camera.Intrinsics
@@ -174,7 +176,7 @@ func decodeSystem(d *binfmt.Dec, pool *splat.ContextPool, perStep bool) *System 
 	if d.Err() != nil {
 		return nil
 	}
-	sys := newSystem(cfg, intr, pool, perStep)
+	sys := newSystem(cfg, intr, pool, perStep, detail)
 	sys.frameCount = int(d.I64())
 	sys.prevPose = getPose(d)
 	sys.prevRel = getPose(d)
@@ -196,6 +198,10 @@ func decodeSystem(d *binfmt.Dec, pool *splat.ContextPool, perStep bool) *System 
 	sys.traceFrames = make([]trace.FrameTrace, d.Len(8))
 	for i := range sys.traceFrames {
 		decodeTrace(d, &sys.traceFrames[i])
+		if !detail {
+			sys.traceFrames[i].Track.DropDetail()
+			sys.traceFrames[i].Map.DropDetail()
+		}
 	}
 
 	var st mapper.State

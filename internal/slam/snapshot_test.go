@@ -31,37 +31,58 @@ func runDigest(t *testing.T, cfg Config, name string, frames int) (*Result, [32]
 	return res, res.Digest()
 }
 
-// TestCompactionDigestInvariant is the tentpole contract: a run that
+// TestCompactionDigestInvariant is the compaction contract: a run that
 // periodically compacts the map produces a Result digest-identical to the
 // never-compacted run — compaction reclaims slots without perturbing a single
-// output bit — while actually reclaiming storage.
+// output bit — while actually reclaiming storage. It holds in both kinds of
+// venue: Run, whose retained tile lists are rewritten through each remap, and
+// an Open session, which retains none and so walks nothing.
 func TestCompactionDigestInvariant(t *testing.T) {
 	cfg := compactCfg(tw, th)
 	plain := cfg
 	plain.CompactEvery = 0
+	seq := testSeq(t, "Desk", 12)
+	srv := NewServer(ServerConfig{})
 
-	resC, digC := runDigest(t, cfg, "Desk", 12)
-	resP, digP := runDigest(t, plain, "Desk", 12)
-
-	if digC != digP {
-		t.Fatalf("compaction changed the digest: %x vs %x", digC, digP)
-	}
-	tot := resC.Trace.Totals()
-	if tot.PrunedGaussians == 0 {
-		t.Fatal("prune config never fired; the test exercises nothing")
-	}
-	if tot.CompactedSlots == 0 {
-		t.Fatal("compaction never reclaimed a slot")
-	}
-	if tot.ReclaimedBytes == 0 {
-		t.Fatal("reclaimed bytes not accounted")
-	}
-	if resC.Cloud.Len() >= resP.Cloud.Len() {
-		t.Fatalf("compacted run retains %d slots, never-compacted %d",
-			resC.Cloud.Len(), resP.Cloud.Len())
-	}
-	if resC.Cloud.NumInactive() != 0 && resC.Trace.Frames[len(resC.Trace.Frames)-1].CompactedSlots > 0 {
-		t.Fatal("final compaction left dead slots")
+	for _, venue := range []struct {
+		name   string
+		run    func(Config) *Result
+		detail bool
+	}{
+		{"Run", func(c Config) *Result {
+			res, err := srv.Run(c, seq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}, true},
+		{"Open", func(c Config) *Result { return sessionRun(t, srv, c, seq) }, false},
+	} {
+		resC, resP := venue.run(cfg), venue.run(plain)
+		if digC, digP := resC.Digest(), resP.Digest(); digC != digP {
+			t.Fatalf("%s: compaction changed the digest: %x vs %x", venue.name, digC, digP)
+		}
+		tot := resC.Trace.Totals()
+		if tot.PrunedGaussians == 0 {
+			t.Fatalf("%s: prune config never fired; the test exercises nothing", venue.name)
+		}
+		if tot.CompactedSlots == 0 {
+			t.Fatalf("%s: compaction never reclaimed a slot", venue.name)
+		}
+		if tot.ReclaimedBytes == 0 {
+			t.Fatalf("%s: reclaimed bytes not accounted", venue.name)
+		}
+		if resC.Cloud.Len() >= resP.Cloud.Len() {
+			t.Fatalf("%s: compacted run retains %d slots, never-compacted %d",
+				venue.name, resC.Cloud.Len(), resP.Cloud.Len())
+		}
+		if resC.Cloud.NumInactive() != 0 && resC.Trace.Frames[len(resC.Trace.Frames)-1].CompactedSlots > 0 {
+			t.Fatalf("%s: final compaction left dead slots", venue.name)
+		}
+		tasks, detailed := traceDetail(t, resC.Trace.Frames)
+		if venue.detail && detailed != tasks || !venue.detail && detailed != 0 {
+			t.Errorf("%s: %d of %d tasks carry detail", venue.name, detailed, tasks)
+		}
 	}
 }
 

@@ -1,0 +1,362 @@
+package slam
+
+import (
+	"bytes"
+	"errors"
+	"runtime"
+	"testing"
+
+	"ags/internal/frame"
+	"ags/internal/hw/trace"
+	"ags/internal/scene"
+)
+
+// traceDetail counts the tasks of a run that did work (tracking or mapping
+// with Iters > 0) and how many of them carry the representative-iteration
+// detail. A task without work never carries any.
+func traceDetail(t *testing.T, frames []trace.FrameTrace) (tasks, detailed int) {
+	t.Helper()
+	for i := range frames {
+		ft := &frames[i]
+		for _, s := range []struct {
+			name  string
+			iters int
+			has   bool
+		}{{"track", ft.Track.Iters, ft.Track.HasDetail()}, {"map", ft.Map.Iters, ft.Map.HasDetail()}} {
+			switch {
+			case s.iters == 0 && s.has:
+				t.Errorf("frame %d: %s ran no iteration but carries detail", ft.Index, s.name)
+			case s.iters > 0:
+				tasks++
+				if s.has {
+					detailed++
+				}
+			}
+		}
+	}
+	return tasks, detailed
+}
+
+// pushAll pushes the frames and closes the session.
+func pushAll(t *testing.T, sess *Session, frames []*frame.Frame) *Result {
+	t.Helper()
+	for _, f := range frames {
+		if err := sess.Push(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := sess.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestRunTraceCarriesDetail pins the offline side of the venue split: the
+// Result of Run, which is what internal/bench and the grid hand to the
+// cycle-level hardware models, carries the representative-iteration detail on
+// every task that did work. Were it ever scalars-only, hw/platform would fall
+// back to its aggregate bounds without a word and every experiment would still
+// print numbers.
+func TestRunTraceCarriesDetail(t *testing.T) {
+	for name, cfg := range map[string]Config{"baseline": fastCfg(tw, th), "ags": fastAGS(tw, th)} {
+		res, err := Run(cfg, testSeq(t, "Xyz", 5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tasks, detailed := traceDetail(t, res.Trace.Frames)
+		if tasks < len(res.Trace.Frames)+1 {
+			t.Errorf("%s: %d tasks with work in %d frames; expected mapping on every frame and some tracking", name, tasks, len(res.Trace.Frames))
+		}
+		if detailed != tasks {
+			t.Errorf("%s: %d of %d tasks carry detail, want all", name, detailed, tasks)
+		}
+	}
+}
+
+// TestVenueMatrix runs the same frames through every venue: a standalone
+// System, Server.Run, an Open session, and a snapshot at frame k continued by
+// Restore and by RestoreSession. All close on one digest. The offline venues
+// (New, Run, Restore) carry detail on every task with work; the serving ones
+// (Open, RestoreSession) on none, including the frames a detail-carrying
+// snapshot brought in, and what such a session snapshots next is the
+// scalars-only state byte for byte.
+func TestVenueMatrix(t *testing.T) {
+	const frames, k = 8, 4
+	for name, cfg := range map[string]Config{"baseline": fastCfg(tw, th), "ags+compact": compactCfg(tw, th)} {
+		t.Run(name, func(t *testing.T) {
+			seq := testSeq(t, "Xyz", frames)
+			srv := NewServer(ServerConfig{})
+
+			// slam.New, snapshotted at k on the way.
+			sys := New(cfg, seq.Intr)
+			var fullSnap []byte
+			for i, f := range seq.Frames {
+				if i == k {
+					fullSnap = sys.AppendSnapshot(nil)
+				}
+				if err := sys.ProcessFrame(f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ref := sys.Finish(seq.Name)
+			sys.Close()
+			want := ref.Digest()
+
+			// Server.Open, snapshotted at k on the way.
+			sess, err := srv.Open(seq.Name, cfg, seq.Intr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range seq.Frames[:k] {
+				if err := sess.Push(f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			leanSnap, err := sess.AppendSnapshot(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opened := pushAll(t, sess, seq.Frames[k:])
+
+			ran, err := srv.Run(cfg, seq)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			restore := func(snap []byte) *Result {
+				t.Helper()
+				sys, err := Restore(bytes.NewReader(snap))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sys.Close()
+				for _, f := range seq.Frames[sys.FrameCount():] {
+					if err := sys.ProcessFrame(f); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return sys.Finish(seq.Name)
+			}
+			restored := restore(fullSnap)
+			// The level is the restoring venue's, never the bytes': a
+			// standalone restore of a session's snapshot keeps detail from
+			// frame k on, and cannot bring back what was never recorded.
+			restoredLean := restore(leanSnap)
+
+			rs, n, err := srv.RestoreSession(seq.Name, fullSnap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != k {
+				t.Fatalf("RestoreSession resumed at frame %d, want %d", n, k)
+			}
+			resnap, err := rs.AppendSnapshot(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(resnap) >= len(fullSnap) {
+				t.Errorf("a session restored from a %d-byte detail-carrying snapshot re-snapshots at %d bytes", len(fullSnap), len(resnap))
+			}
+			if !bytes.Equal(resnap, leanSnap) {
+				t.Errorf("the restored session's snapshot (%d bytes) is not the Open session's at the same frame (%d bytes)", len(resnap), len(leanSnap))
+			}
+			restoredSess := pushAll(t, rs, seq.Frames[k:])
+
+			for _, v := range []struct {
+				venue      string
+				res        *Result
+				wantDetail string // all, none, or fromK
+			}{
+				{"New", ref, "all"},
+				{"Server.Run", ran, "all"},
+				{"Restore", restored, "all"},
+				{"Server.Open", opened, "none"},
+				{"RestoreSession", restoredSess, "none"},
+				{"Restore of a session snapshot", restoredLean, "fromK"},
+			} {
+				if got := v.res.Digest(); got != want {
+					t.Errorf("%s: digest %x != standalone %x", v.venue, got, want)
+				}
+				tasks, detailed := traceDetail(t, v.res.Trace.Frames)
+				if tasks == 0 {
+					t.Fatalf("%s: no task did any work", v.venue)
+				}
+				switch v.wantDetail {
+				case "all":
+					if detailed != tasks {
+						t.Errorf("%s: %d of %d tasks carry detail, want all", v.venue, detailed, tasks)
+					}
+				case "none":
+					if detailed != 0 {
+						t.Errorf("%s: %d of %d tasks carry detail, want none", v.venue, detailed, tasks)
+					}
+				case "fromK":
+					if _, d := traceDetail(t, v.res.Trace.Frames[:k]); d != 0 {
+						t.Errorf("%s: %d tasks before frame %d carry detail the snapshot never held", v.venue, d, k)
+					}
+					if detailed == 0 {
+						t.Errorf("%s: no task from frame %d on carries detail", v.venue, k)
+					}
+				}
+			}
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestMalformedFrameFailsOneSession: a frame whose colour or depth plane is
+// shorter than its declared size is refused by name before the pipeline
+// indexes it. It used to be an index out of range inside ProcessFrame (or, with
+// the ME lookahead, on the prefetch goroutine), which took the whole server
+// process and every other tenant with it. The stream that pushed it fails at
+// the frame it had reached; the server's other session never notices.
+func TestMalformedFrameFailsOneSession(t *testing.T) {
+	const frames, at = 6, 2
+	seq := scene.MustGenerate("Desk", scene.Config{Width: 32, Height: 24, Frames: frames, Seed: 1})
+	short := map[string]func(*frame.Frame){
+		"color": func(f *frame.Frame) {
+			f.Color = &frame.Image{W: f.Color.W, H: f.Color.H, Pix: f.Color.Pix[:len(f.Color.Pix)/2]}
+		},
+		"depth": func(f *frame.Frame) {
+			f.Depth = &frame.DepthMap{W: f.Depth.W, H: f.Depth.H, D: f.Depth.D[:len(f.Depth.D)/2]}
+		},
+	}
+	for plane, truncate := range short {
+		for _, pipelined := range []bool{false, true} {
+			cfg := fastAGS(32, 24)
+			cfg.PipelineME = pipelined
+			ref, err := Run(cfg, seq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := *seq.Frames[at]
+			truncate(&bad)
+
+			srv := NewServer(ServerConfig{})
+			good, err := srv.Open(seq.Name, cfg, seq.Intr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			poisoned, err := srv.Open("poisoned", cfg, seq.Intr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range seq.Frames[:at] {
+				if err := good.Push(f); err != nil {
+					t.Fatal(err)
+				}
+				if err := poisoned.Push(f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The queue may accept the frame; processing refuses it, and every
+			// later push and Close report why.
+			pushErr := poisoned.Push(&bad)
+			for i := 0; i < 10 && pushErr == nil; i++ {
+				pushErr = poisoned.Push(seq.Frames[at])
+			}
+			if !errors.Is(pushErr, frame.ErrPlaneSize) {
+				t.Errorf("%s, pipelined %v: push after the malformed frame = %v, want ErrPlaneSize", plane, pipelined, pushErr)
+			}
+			if res, err := poisoned.Close(); !errors.Is(err, frame.ErrPlaneSize) || res != nil {
+				t.Errorf("%s, pipelined %v: Close = (%v, %v), want ErrPlaneSize and no result", plane, pipelined, res, err)
+			}
+			if n := poisoned.sys.FrameCount(); n != at {
+				t.Errorf("%s, pipelined %v: the refused frame left the system at frame %d, want %d", plane, pipelined, n, at)
+			}
+			res := pushAll(t, good, seq.Frames[at:])
+			if res.Digest() != ref.Digest() {
+				t.Errorf("%s, pipelined %v: the other session's digest diverged from its sequential run", plane, pipelined)
+			}
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestSessionSoakStaysBounded streams a long ping-pong walk over a short Desk
+// sequence through one session. The walk revisits the same views, so after the
+// first sweep the map and the key-frame window stop growing, and what a frame
+// then adds to the session is its scalars: two poses, its decisions and its
+// trace, 422 bytes in a snapshot and 528 resident, which append's slack can
+// double over a window. With the representative-iteration detail retained, as
+// every session used to, both grew by ~40 KiB per frame for ever.
+func TestSessionSoakStaysBounded(t *testing.T) {
+	const (
+		sweep        = 20
+		snapPerFrame = 512
+		heapPerFrame = 2048
+	)
+	total := 240
+	if testing.Short() {
+		total = 90
+	}
+	warm := total / 3
+	seq := testSeq(t, "Desk", sweep)
+	cfg := fastAGS(tw, th)
+	cfg.Mapper.MapIters = 3
+	srv := NewServer(ServerConfig{})
+	sess, err := srv.Open(seq.Name, cfg, seq.Intr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	updates := sess.Results()
+
+	// Both snapshots go into one buffer made up front, so the heap readings
+	// differ by what the session holds and not by the test's own buffer.
+	snap := make([]byte, 0, 1<<20)
+	measure := func() (snapBytes int, heap uint64) {
+		t.Helper()
+		if snap, err = sess.AppendSnapshot(snap[:0]); err != nil {
+			t.Fatal(err)
+		}
+		if cap(snap) != 1<<20 {
+			t.Fatalf("a %d-byte snapshot outgrew the test's 1 MiB buffer: the session holds far more than its map", len(snap))
+		}
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC() // twice: what sync.Pools held at the first is only freed by the second
+		runtime.ReadMemStats(&ms)
+		return len(snap), ms.HeapAlloc
+	}
+	var snap0 int
+	var heap0 uint64
+	var gauss0, gauss int
+	for i := 0; i < total; i++ {
+		j := i % (2*sweep - 2) // 0 .. sweep-1 and back down to 1
+		if j >= sweep {
+			j = 2*sweep - 2 - j
+		}
+		if err := sess.Push(seq.Frames[j]); err != nil {
+			t.Fatal(err)
+		}
+		gauss = (<-updates).NumGaussians
+		if i+1 == warm {
+			snap0, heap0 = measure()
+			gauss0 = gauss
+		}
+	}
+	snap1, heap1 := measure()
+	runtime.KeepAlive(seq) // or the second reading is short of the frames the session does not hold
+	if gauss > gauss0 {
+		t.Fatalf("the map kept growing after the warm-up (%d -> %d Gaussians): the walk is not the steady state this test measures", gauss0, gauss)
+	}
+	n := total - warm
+	snapGrowth := float64(snap1-snap0) / float64(n)
+	heapGrowth := (float64(heap1) - float64(heap0)) / float64(n)
+	t.Logf("frames %d-%d at %d Gaussians: snapshot %d -> %d bytes (%.0f B/frame), live heap %d -> %d bytes (%.0f B/frame)",
+		warm, total, gauss, snap0, snap1, snapGrowth, heap0, heap1, heapGrowth)
+	if snapGrowth > snapPerFrame {
+		t.Errorf("snapshot grows %.0f B per frame in steady state, over %d", snapGrowth, snapPerFrame)
+	}
+	if heapGrowth > heapPerFrame {
+		t.Errorf("live heap grows %.0f B per frame in steady state, over %d", heapGrowth, heapPerFrame)
+	}
+	if _, err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

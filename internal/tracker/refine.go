@@ -31,6 +31,11 @@ type GSRefiner struct {
 	// step and (in session mode) detaches it after, so the field may change
 	// identity between frames.
 	Ctx *splat.RenderContext
+	// ScalarsOnly makes Refine return the tracking work's scalars without the
+	// representative iteration's detail (see trace.RenderStats): the per-pixel
+	// planes and tile lists are never built. slam sets it once, when it builds
+	// a serving session's refiner; the refined pose is identical either way.
+	ScalarsOnly bool
 }
 
 // NewGSRefiner returns a refiner with SplaTAM-style settings.
@@ -86,7 +91,7 @@ func (r *GSRefiner) Refine(cloud *gauss.Cloud, intr camera.Intrinsics, f *frame.
 		grads := r.Ctx.Backward(cloud, cam, res, f, r.Loss, splat.BackwardOptions{PoseGrads: true, Workers: r.Workers})
 		stats.Accumulate(res.AlphaOps, res.BlendOps, 2*res.BlendOps,
 			int64(len(res.Splats)), int64(res.Tiles.TotalEntries()), int64(intr.W*intr.H))
-		if i == iters-1 {
+		if i == iters-1 && !r.ScalarsOnly {
 			// The trace snapshot outlives this iteration, while a contexted
 			// res is only valid until the next render — copy, don't alias.
 			stats.RepPerPixelBlend = slices.Clone(res.PerPixelBlend)

@@ -2,6 +2,7 @@ package tracker
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"ags/internal/camera"
@@ -214,8 +215,17 @@ func TestGSRefinerImprovesPerturbedPose(t *testing.T) {
 	if stats.AlphaOps == 0 || stats.BlendOps == 0 || stats.BackwardOps == 0 {
 		t.Error("workload counters empty")
 	}
-	if stats.RepPerPixelBlend == nil || stats.RepTileLists == nil {
+	if !stats.HasDetail() {
 		t.Error("representative workload missing")
+	}
+	// Told to keep scalars only, the refiner does the same work and reports
+	// the same stats less the detail, which it never builds.
+	lean := NewGSRefiner()
+	lean.ScalarsOnly = true
+	leanPose, leanStats := lean.Refine(cloud, seq.Intr, target, perturbed, 40)
+	stats.DropDetail()
+	if leanPose != refined || !reflect.DeepEqual(leanStats, stats) {
+		t.Errorf("scalars-only refine: pose %+v stats %+v, want %+v %+v", leanPose, leanStats, refined, stats)
 	}
 }
 
