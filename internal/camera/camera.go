@@ -39,7 +39,9 @@ func (in Intrinsics) Scaled(s int) Intrinsics {
 	}
 }
 
-// Validate reports whether the intrinsics describe a usable camera.
+// Validate reports whether the intrinsics describe a usable camera. It is
+// safety code with no production caller yet: ROADMAP item 3 calls it from
+// slam.New and fleet's Node.handleOpen, where intrinsics arrive from outside.
 func (in Intrinsics) Validate() error {
 	if in.W <= 0 || in.H <= 0 {
 		return fmt.Errorf("camera: non-positive image size %dx%d", in.W, in.H)
@@ -90,18 +92,6 @@ func (in Intrinsics) InImage(px vecmath.Vec2) bool {
 type Camera struct {
 	Intr Intrinsics
 	Pose vecmath.Pose // world -> camera
-}
-
-// ProjectWorld maps a world point to pixel coordinates and camera-space depth.
-func (c Camera) ProjectWorld(p vecmath.Vec3) (px vecmath.Vec2, depth float64, ok bool) {
-	pc := c.Pose.Apply(p)
-	px, ok = c.Intr.Project(pc)
-	return px, pc.Z, ok
-}
-
-// UnprojectToWorld maps a pixel with depth to world coordinates.
-func (c Camera) UnprojectToWorld(px vecmath.Vec2, depth float64) vecmath.Vec3 {
-	return c.Pose.Inverse().Apply(c.Intr.Unproject(px, depth))
 }
 
 // Ray returns the origin (camera center) and unit direction in world

@@ -133,11 +133,12 @@ func TestCameraWorldRoundTrip(t *testing.T) {
 		// Pick a world point guaranteed in front of the camera.
 		local := vecmath.Vec3{X: rng.NormFloat64() * 0.3, Y: rng.NormFloat64() * 0.3, Z: 1 + rng.Float64()*3}
 		world := cam.Pose.Inverse().Apply(local)
-		px, depth, ok := cam.ProjectWorld(world)
+		pc := cam.Pose.Apply(world)
+		px, ok := in.Project(pc)
 		if !ok {
 			t.Fatal("projection failed")
 		}
-		back := cam.UnprojectToWorld(px, depth)
+		back := cam.Pose.Inverse().Apply(in.Unproject(px, pc.Z))
 		if back.Sub(world).Norm() > 1e-8 {
 			t.Fatalf("world roundtrip error %v", back.Sub(world).Norm())
 		}

@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"testing"
@@ -60,6 +62,74 @@ func TestHostilePushIsRefusedNotFatal(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sum.Digest != want {
+		t.Error("the other tenant's digest diverges from its sequential run")
+	}
+}
+
+// TestHostileRestoreIsRefusedNotFatal: a RESTORE whose snapshot is framed and
+// checksummed like a real one but carries Adam second moments one value short
+// of the first must be answered with an error reply. The node used to restore
+// it, and the stream's next PUSH then indexed out of range on the session
+// goroutine, taking the node and its other tenant down; that tenant has to
+// finish with its sequential digest.
+func TestHostileRestoreIsRefusedNotFatal(t *testing.T) {
+	cfg := fastCfg()
+	seq := testSeq(t, "Desk", 4)
+	want := sequentialDigest(t, cfg, seq)
+	r, nodes := startFleet(t, []NodeConfig{{Name: "a"}})
+
+	tenant, err := r.Open(seq.Name, cfg, seq.Intr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range seq.Frames[:2] {
+		if err := tenant.Push(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	sys := slam.New(cfg, seq.Intr)
+	for _, f := range seq.Frames[:2] {
+		if err := sys.ProcessFrame(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := sys.AppendSnapshot(nil)
+	sys.Close()
+	// The snapshot ends with the "scale" optimizer group: name, step, first
+	// moments, second moments, then the SHA-256. Drop the last second moment
+	// and say so in the vector's length (slam's TestRestoreRejectsDamage
+	// crafts the same bytes).
+	body := snap[:len(snap)-sha256.Size]
+	at := bytes.LastIndex(body, []byte("scale")) + len("scale") + 8
+	n := int(binary.LittleEndian.Uint64(body[at:]))
+	at += 8 + 8*n
+	if at+8+8*n != len(body) {
+		t.Fatalf("the snapshot does not end with two %d-value moment vectors", n)
+	}
+	body = body[:len(body)-8]
+	binary.LittleEndian.PutUint64(body[at:], uint64(n-1))
+	sum := sha256.Sum256(body)
+
+	_, err = restoreOn(nodes[0].Addr(), "hostile", append(body, sum[:]...), 2)
+	var re *remoteError
+	if !errors.As(err, &re) {
+		t.Fatalf("hostile restore answered with %v, want an error reply", err)
+	}
+	if got := nodes[0].Stats().OpenSessions; got != 1 {
+		t.Errorf("%d sessions open on the node after the refused restore, want the tenant's", got)
+	}
+
+	for _, f := range seq.Frames[2:] {
+		if err := tenant.Push(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := tenant.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Digest != want {
 		t.Error("the other tenant's digest diverges from its sequential run")
 	}
 }

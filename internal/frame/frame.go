@@ -87,22 +87,6 @@ func (im *Image) Downsample(dst *Image) *Image {
 	return out
 }
 
-// Bilinear samples the image at continuous coordinates with bilinear
-// interpolation; coordinates are clamped to the image border.
-func (im *Image) Bilinear(x, y float64) vecmath.Vec3 {
-	x = vecmath.Clamp(x, 0, float64(im.W-1))
-	y = vecmath.Clamp(y, 0, float64(im.H-1))
-	x0, y0 := int(x), int(y)
-	fx, fy := x-float64(x0), y-float64(y0)
-	c00 := im.At(x0, y0)
-	c10 := im.At(x0+1, y0)
-	c01 := im.At(x0, y0+1)
-	c11 := im.At(x0+1, y0+1)
-	top := c00.Lerp(c10, fx)
-	bot := c01.Lerp(c11, fx)
-	return top.Lerp(bot, fy)
-}
-
 // DepthMap is a dense metric depth image; zero means "no measurement".
 type DepthMap struct {
 	W, H int
@@ -214,8 +198,8 @@ func MeanAbsDiff(a, b *Image) float64 {
 	}
 	var sum float64
 	for i := range a.Pix {
-		d := a.Pix[i].Sub(b.Pix[i]).Abs()
-		sum += d.X + d.Y + d.Z
+		d := a.Pix[i].Sub(b.Pix[i])
+		sum += math.Abs(d.X) + math.Abs(d.Y) + math.Abs(d.Z)
 	}
 	return sum / float64(3*len(a.Pix))
 }

@@ -72,19 +72,6 @@ func TestDownsampleAveraging(t *testing.T) {
 	}
 }
 
-func TestBilinearCorners(t *testing.T) {
-	im := NewImage(2, 2)
-	im.Set(0, 0, vecmath.Vec3{X: 1})
-	im.Set(1, 0, vecmath.Vec3{Y: 1})
-	if got := im.Bilinear(0, 0); got.X != 1 {
-		t.Errorf("corner sample = %v", got)
-	}
-	mid := im.Bilinear(0.5, 0)
-	if math.Abs(mid.X-0.5) > 1e-9 || math.Abs(mid.Y-0.5) > 1e-9 {
-		t.Errorf("midpoint sample = %v", mid)
-	}
-}
-
 func TestDepthDownsampleIgnoresInvalid(t *testing.T) {
 	dm := NewDepthMap(2, 2)
 	dm.Set(0, 0, 2.0)

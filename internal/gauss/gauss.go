@@ -60,13 +60,6 @@ func (g *Gaussian) Cov3() vecmath.Mat3 {
 	return r.Mul(ss).Mul(r.Transpose())
 }
 
-// MaxRadius returns a conservative world-space radius (3 sigma of the largest
-// axis) used for visibility culling.
-func (g *Gaussian) MaxRadius() float64 {
-	s := g.Scale()
-	return 3 * s.MaxComponent()
-}
-
 // Cloud is the growable set of Gaussians representing the scene. IDs are
 // positions in the backing slices. Pruning marks a slot inactive without
 // moving anything, so recorded contribution tables stay valid frame to frame;

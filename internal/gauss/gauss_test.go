@@ -49,42 +49,21 @@ func TestCov3IsSymmetricPSD(t *testing.T) {
 		g.SetScale(vecmath.Vec3{X: 0.1 + rng.Float64(), Y: 0.1 + rng.Float64(), Z: 0.1 + rng.Float64()})
 		cov := g.Cov3()
 		// Symmetry.
-		if math.Abs(cov.At(0, 1)-cov.At(1, 0)) > 1e-12 ||
-			math.Abs(cov.At(0, 2)-cov.At(2, 0)) > 1e-12 ||
-			math.Abs(cov.At(1, 2)-cov.At(2, 1)) > 1e-12 {
+		if math.Abs(cov[1]-cov[3]) > 1e-12 ||
+			math.Abs(cov[2]-cov[6]) > 1e-12 ||
+			math.Abs(cov[5]-cov[7]) > 1e-12 {
 			t.Fatal("covariance not symmetric")
 		}
-		// PSD via eigenvalues.
-		vals, _ := vecmath.JacobiEigen3(cov)
-		if vals.Z < -1e-9 {
-			t.Fatalf("negative eigenvalue %v", vals.Z)
-		}
-		// Eigenvalues must equal squared scales (up to ordering).
-		s := g.Scale()
-		want := []float64{s.X * s.X, s.Y * s.Y, s.Z * s.Z}
-		got := []float64{vals.X, vals.Y, vals.Z}
-		sortDesc(want)
-		if math.Abs(want[0]-got[0]) > 1e-6 || math.Abs(want[2]-got[2]) > 1e-6 {
-			t.Fatalf("eigenvalues %v vs scales^2 %v", got, want)
-		}
-	}
-}
-
-func sortDesc(v []float64) {
-	for i := 0; i < len(v); i++ {
-		for j := i + 1; j < len(v); j++ {
-			if v[j] > v[i] {
-				v[i], v[j] = v[j], v[i]
+		// The rotation's columns are the eigenvectors and the squared scales
+		// (all positive) the eigenvalues: R^T cov R is diag(s^2).
+		r, s := g.Rot.Mat3(), g.Scale()
+		diag := r.Transpose().Mul(cov).Mul(r)
+		want := vecmath.Diag3(vecmath.Vec3{X: s.X * s.X, Y: s.Y * s.Y, Z: s.Z * s.Z})
+		for j := range diag {
+			if math.Abs(diag[j]-want[j]) > 1e-9 {
+				t.Fatalf("R^T cov R = %v, want diag(scales^2) %v", diag, want)
 			}
 		}
-	}
-}
-
-func TestMaxRadius(t *testing.T) {
-	var g Gaussian
-	g.SetScale(vecmath.Vec3{X: 0.1, Y: 0.3, Z: 0.2})
-	if math.Abs(g.MaxRadius()-0.9) > 1e-9 {
-		t.Errorf("MaxRadius = %v", g.MaxRadius())
 	}
 }
 

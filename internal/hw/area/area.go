@@ -62,7 +62,6 @@ const (
 	adderMM2         = 0.00125 // 8 adders + 2 comparators = 0.01 each row
 	comparatorMM2    = 0.005
 	systolic32MM2    = 0.48    // one 32x32 array: 1.92/4
-	sramPerKBMM2     = 0.00525 // buffers: ~0.13mm2 per 64KB with overhead
 	gpeArrayMM2      = 0.2206  // one 4x4 GPE array: 7.06/32
 	updateUnitMM2    = 0.0078  // 0.25/32
 	compareUnitMM2   = 0.0003  // ~0.01/32

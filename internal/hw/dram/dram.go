@@ -103,19 +103,6 @@ func (m *Model) Stream(n int64) float64 {
 	return t
 }
 
-// Stats summarizes the accumulated traffic.
-type Stats struct {
-	Accesses int64
-	Hits     int64
-	Bytes    int64
-	BusyNs   float64
-}
-
-// Stats returns the accumulated counters.
-func (m *Model) Stats() Stats {
-	return Stats{Accesses: m.accesses, Hits: m.hits, Bytes: m.bytes, BusyNs: m.busyNs}
-}
-
 // HitRate returns the row-buffer hit rate, or 0 with no accesses.
 func (m *Model) HitRate() float64 {
 	if m.accesses == 0 {

@@ -32,7 +32,7 @@ func TestSequentialVsRandomHitRate(t *testing.T) {
 	if rnd.HitRate() > 0.2 {
 		t.Errorf("random hit rate = %v", rnd.HitRate())
 	}
-	if rnd.Stats().BusyNs <= seq.Stats().BusyNs {
+	if rnd.busyNs <= seq.busyNs {
 		t.Error("random traffic not slower than sequential")
 	}
 }
@@ -50,8 +50,8 @@ func TestStreamAccounting(t *testing.T) {
 	if ns < 0.99 || ns > 1.01 {
 		t.Errorf("stream time = %v ns", ns)
 	}
-	if m.Stats().Bytes != 900 {
-		t.Errorf("bytes = %d", m.Stats().Bytes)
+	if m.bytes != 900 {
+		t.Errorf("bytes = %d", m.bytes)
 	}
 }
 
@@ -59,9 +59,8 @@ func TestReset(t *testing.T) {
 	m := New(LPDDR4())
 	m.Access(0, 8)
 	m.Reset()
-	s := m.Stats()
-	if s.Accesses != 0 || s.Bytes != 0 || s.BusyNs != 0 {
-		t.Errorf("reset left state: %+v", s)
+	if m.accesses != 0 || m.bytes != 0 || m.busyNs != 0 {
+		t.Errorf("reset left state: %+v", m)
 	}
 	// After reset the first access is a miss again.
 	first := m.Access(0, 8)

@@ -111,22 +111,3 @@ func FrameCycles(perPixelAlpha, perPixelBlend []int32, w, h int, p Params, sched
 	}
 	return worst
 }
-
-// Utilization returns the fraction of GPE-cycles doing useful work for the
-// given workload and mode, in [0,1].
-func Utilization(perPixelAlpha, perPixelBlend []int32, w, h int, p Params, scheduled bool) float64 {
-	cycles := FrameCycles(perPixelAlpha, perPixelBlend, w, h, p, scheduled)
-	if cycles == 0 {
-		return 0
-	}
-	var useful int64
-	for i := range perPixelAlpha {
-		useful += int64(perPixelAlpha[i])*int64(p.AlphaCycles) + int64(perPixelBlend[i])*int64(p.BlendCycles)
-	}
-	capacity := cycles * int64(p.Arrays) * blockDim * blockDim
-	u := float64(useful) / float64(capacity)
-	if u > 1 {
-		u = 1
-	}
-	return u
-}

@@ -25,8 +25,8 @@ type Config struct {
 	// alpha is below this (paper: 1/255).
 	ThreshAlpha float64
 	// ThreshN marks a Gaussian non-contributory for following non-key frames
-	// when its non-contributory pixel count exceeds this (paper: 450 at
-	// 640x480; scale with resolution).
+	// when its non-contributory pixel count exceeds this (paper: 450, which
+	// slam.DefaultConfig uses at every resolution).
 	ThreshN int
 	// ContribPixMax is the largest number of contributing pixels (alpha >=
 	// ThreshAlpha) a Gaussian may have and still be skipped. The paper's
@@ -64,7 +64,7 @@ type Config struct {
 }
 
 // DefaultConfig returns mapping settings tuned for the reproduction's frame
-// sizes; ThreshN is resolution-scaled by the caller (see slam.DefaultConfig).
+// sizes; slam.DefaultConfig replaces ThreshN with the paper's value.
 func DefaultConfig() Config {
 	return Config{
 		MapIters:       15,
@@ -110,8 +110,12 @@ type Mapper struct {
 	ScalarsOnly bool
 
 	cloud *gauss.Cloud
-	opt   *optim.GroupAdam
 	rng   *prng
+	// One Adam per parameter group, as SplaTAM trains them, each at its own
+	// learning rate from Cfg: means and colors are 3 values per Gaussian,
+	// logits and (isotropic) log-scales 1. The set is fixed; optGroups names
+	// it for the code that treats the four alike.
+	optMean, optColor, optLogit, optScale optim.Adam
 
 	// Contribution info recorded at the last key frame (per Gaussian ID).
 	nonContrib []int32
@@ -133,27 +137,37 @@ type Mapper struct {
 // New returns an empty mapper.
 func New(cfg Config) *Mapper {
 	return &Mapper{
-		Cfg:   cfg,
-		cloud: gauss.NewCloud(4096),
-		opt:   newOpt(cfg),
-		rng:   newPRNG(cfg.Seed),
+		Cfg:      cfg,
+		cloud:    gauss.NewCloud(4096),
+		rng:      newPRNG(cfg.Seed),
+		optMean:  *optim.NewAdam(cfg.LRMean),
+		optColor: *optim.NewAdam(cfg.LRColor),
+		optLogit: *optim.NewAdam(cfg.LRLogit),
+		optScale: *optim.NewAdam(cfg.LRScale),
 	}
 }
 
-func newOpt(cfg Config) *optim.GroupAdam {
-	return optim.NewGroupAdam(map[string]float64{
-		"mean":  cfg.LRMean,
-		"color": cfg.LRColor,
-		"logit": cfg.LRLogit,
-		"scale": cfg.LRScale,
-	})
+// optGroup is one of the mapper's optimizers with its snapshot name and the
+// number of parameters it holds per Gaussian.
+type optGroup struct {
+	name   string
+	stride int
+	adam   *optim.Adam
+}
+
+// optGroups lists the four optimizers in the order a snapshot stores them
+// (by name).
+func (m *Mapper) optGroups() [4]optGroup {
+	return [4]optGroup{
+		{"color", 3, &m.optColor},
+		{"logit", 1, &m.optLogit},
+		{"mean", 3, &m.optMean},
+		{"scale", 1, &m.optScale},
+	}
 }
 
 // Cloud exposes the map.
 func (m *Mapper) Cloud() *gauss.Cloud { return m.cloud }
-
-// SkipSet returns the current per-ID skip flags (shared, do not mutate).
-func (m *Mapper) SkipSet() []bool { return m.skipSet }
 
 // NumSkipped returns how many active Gaussians the skip set suppresses.
 func (m *Mapper) NumSkipped() int {
@@ -185,9 +199,6 @@ func (m *Mapper) AddKeyframe(f *frame.Frame, pose vecmath.Pose) {
 		m.keyframes = m.keyframes[len(m.keyframes)-m.Cfg.KeyframeWindow:]
 	}
 }
-
-// Keyframes returns the retained reference views.
-func (m *Mapper) Keyframes() []Keyframe { return m.keyframes }
 
 // Densify adds Gaussians for unobserved or badly-explained pixels of the
 // frame (SplaTAM's silhouette-driven densification). On an empty cloud it
@@ -238,8 +249,8 @@ func (m *Mapper) Densify(f *frame.Frame, intr camera.Intrinsics, pose vecmath.Po
 		}
 	}
 	if added > 0 {
-		// Optimizer moments are invalidated by the size change; GroupAdam
-		// reinitializes automatically on the next step. The skip set grows
+		// Optimizer moments are invalidated by the size change; each Adam
+		// reinitializes automatically on its next step. The skip set grows
 		// with new Gaussians defaulting to "not skipped".
 		m.growSkipSet()
 	}
@@ -302,10 +313,9 @@ func (m *Mapper) Compact() (remap []int32, freed int) {
 		skip[nw] = m.skipSet[old]
 	}
 	m.nonContrib, m.contrib, m.skipSet = nonContrib, contrib, skip
-	m.opt.RemapGroup("mean", 3, remap, n)
-	m.opt.RemapGroup("color", 3, remap, n)
-	m.opt.RemapGroup("logit", 1, remap, n)
-	m.opt.RemapGroup("scale", 1, remap, n)
+	for _, g := range m.optGroups() {
+		g.adam.Remap(g.stride, remap, n)
+	}
 	return remap, freed
 }
 
@@ -389,23 +399,6 @@ func (m *Mapper) recordContribution(res *splat.Result) {
 	}
 }
 
-// NonContribCount returns the recorded non-contributory pixel count per
-// Gaussian ID (zero-extended to the cloud's size).
-func (m *Mapper) NonContribCount() []int32 {
-	m.growSkipSet()
-	out := make([]int32, len(m.nonContrib))
-	copy(out, m.nonContrib)
-	return out
-}
-
-// ContribCount returns the recorded contributing pixel count per Gaussian ID.
-func (m *Mapper) ContribCount() []int32 {
-	m.growSkipSet()
-	out := make([]int32, len(m.contrib))
-	copy(out, m.contrib)
-	return out
-}
-
 // applyGrads steps the per-group Adam optimizers over the flattened
 // parameters of the active Gaussians. The flattened views live on the
 // Mapper and are fully rewritten below before the optimizer reads them, so
@@ -433,10 +426,10 @@ func (m *Mapper) applyGrads(grads *splat.Grads) {
 		logitG[id] = grads.Logit[id]
 		scaleG[id] = grads.LogScale[id]
 	}
-	m.opt.Step("mean", means, meanG)
-	m.opt.Step("color", colors, colorG)
-	m.opt.Step("logit", logits, logitG)
-	m.opt.Step("scale", scales, scaleG)
+	m.optMean.Step(means, meanG)
+	m.optColor.Step(colors, colorG)
+	m.optLogit.Step(logits, logitG)
+	m.optScale.Step(scales, scaleG)
 	for id := 0; id < n; id++ {
 		g := m.cloud.At(id)
 		g.Mean = vecmath.Vec3{X: means[3*id], Y: means[3*id+1], Z: means[3*id+2]}

@@ -93,7 +93,7 @@ func TestFullMappingImprovesPSNR(t *testing.T) {
 	if !reflect.DeepEqual(leanStats, stats) {
 		t.Errorf("scalars-only mapping stats %+v, want %+v", leanStats, stats)
 	}
-	if !reflect.DeepEqual(lean.Cloud().Gaussians, m.Cloud().Gaussians) || !reflect.DeepEqual(lean.SkipSet(), m.SkipSet()) {
+	if !reflect.DeepEqual(lean.Cloud().Gaussians, m.Cloud().Gaussians) || !reflect.DeepEqual(lean.skipSet, m.skipSet) {
 		t.Error("scalars-only mapping trained a different map or skip set")
 	}
 }
@@ -111,7 +111,7 @@ func TestContributionRecordingAndSkipSet(t *testing.T) {
 	m.Densify(f, seq.Intr, f.GTPose)
 	m.FullMapping(f, seq.Intr, f.GTPose)
 
-	counts := m.NonContribCount()
+	counts := m.nonContrib
 	if len(counts) != m.Cloud().Len() {
 		t.Fatalf("count len %d vs cloud %d", len(counts), m.Cloud().Len())
 	}
@@ -126,9 +126,8 @@ func TestContributionRecordingAndSkipSet(t *testing.T) {
 		t.Error("no non-contributory pixels recorded at all")
 	}
 	// Skip set must be consistent with counts and thresholds.
-	skip := m.SkipSet()
-	contrib := m.ContribCount()
-	for id, s := range skip {
+	contrib := m.contrib
+	for id, s := range m.skipSet {
 		want := int(contrib[id]) <= cfg.ContribPixMax && int(counts[id]) > cfg.ThreshN
 		if s != want {
 			t.Fatalf("skip[%d]=%v but contrib=%d noncontrib=%d", id, s, contrib[id], counts[id])
@@ -176,7 +175,7 @@ func TestSelectiveMappingPreservesQuality(t *testing.T) {
 
 	cam1 := camera.Camera{Intr: seq.Intr, Pose: f1.GTPose}
 	full := splat.Render(m.Cloud(), cam1, splat.Options{})
-	sel := splat.Render(m.Cloud(), cam1, splat.Options{Skip: m.SkipSet()})
+	sel := splat.Render(m.Cloud(), cam1, splat.Options{Skip: m.skipSet})
 	pFull, _ := metrics.PSNR(full.Color, f1.Color)
 	pSel, _ := metrics.PSNR(sel.Color, f1.Color)
 	if pFull-pSel > 1.5 {
@@ -210,11 +209,11 @@ func TestKeyframeWindowBounded(t *testing.T) {
 	for _, f := range seq.Frames {
 		m.AddKeyframe(f, f.GTPose)
 	}
-	if len(m.Keyframes()) != 4 {
-		t.Errorf("keyframe window = %d", len(m.Keyframes()))
+	if len(m.keyframes) != 4 {
+		t.Errorf("keyframe window = %d", len(m.keyframes))
 	}
 	// Must retain the most recent ones.
-	if m.Keyframes()[3].Frame.Index != 11 {
-		t.Errorf("last keyframe index = %d", m.Keyframes()[3].Frame.Index)
+	if m.keyframes[3].Frame.Index != 11 {
+		t.Errorf("last keyframe index = %d", m.keyframes[3].Frame.Index)
 	}
 }

@@ -1,7 +1,9 @@
 package mapper
 
 import (
+	"fmt"
 	"math/bits"
+	"slices"
 
 	"ags/internal/gauss"
 )
@@ -32,7 +34,8 @@ func (p *prng) Intn(n int) int {
 	return int(hi)
 }
 
-// OptGroupState is one Adam group's serialized moment state.
+// OptGroupState is one Adam group's serialized moment state. Name is one of
+// "color", "logit", "mean" and "scale".
 type OptGroupState struct {
 	Name string
 	Step int
@@ -50,7 +53,7 @@ type State struct {
 	SkipSet    []bool
 	Keyframes  []Keyframe
 	RNG        uint64
-	Opt        []OptGroupState // sorted by group name
+	Opt        []OptGroupState // the groups that have stepped, sorted by name
 }
 
 // ExportState captures the mapper's inter-frame state for a snapshot.
@@ -63,24 +66,42 @@ func (m *Mapper) ExportState() State {
 		Keyframes:  m.keyframes,
 		RNG:        m.rng.state,
 	}
-	for _, name := range m.opt.GroupNames() {
-		mm, vv, step, ok := m.opt.GroupState(name)
-		if !ok {
-			continue
+	for _, g := range m.optGroups() {
+		if mm, vv, step := g.adam.State(); step > 0 {
+			st.Opt = append(st.Opt, OptGroupState{Name: g.name, Step: step, M: mm, V: vv})
 		}
-		st.Opt = append(st.Opt, OptGroupState{Name: name, Step: step, M: mm, V: vv})
 	}
 	return st
 }
 
 // ImportState restores a snapshot: the inverse of ExportState, over a mapper
-// freshly built with the same Config. The optimizer is rebuilt from the
-// config's learning rates with the snapshot's moments and step counters, so
-// the first post-restore mapping iteration steps exactly as the uninterrupted
-// run's would have.
+// freshly built with the same Config. The optimizers keep the config's
+// learning rates and take the snapshot's moments and step counters (a group
+// the snapshot does not name stays never-stepped), so the first post-restore
+// mapping iteration steps exactly as the uninterrupted run's would have. The
+// state may come from outside the process, so optimizer state that Adam.Step
+// or Adam.Remap could not index safely is refused here, not adopted.
 func (m *Mapper) ImportState(st State) error {
 	if err := st.Cloud.Validate(); err != nil {
 		return err
+	}
+	groups := m.optGroups()
+	var seen [len(groups)]bool
+	for _, sg := range st.Opt {
+		i := slices.IndexFunc(groups[:], func(g optGroup) bool { return g.name == sg.Name })
+		switch {
+		case i < 0:
+			return fmt.Errorf("mapper: unknown optimizer group %q", sg.Name)
+		case seen[i]:
+			return fmt.Errorf("mapper: optimizer group %q repeated", sg.Name)
+		case sg.Step < 0:
+			return fmt.Errorf("mapper: optimizer group %q at step %d", sg.Name, sg.Step)
+		case len(sg.M) != len(sg.V) || len(sg.M)%groups[i].stride != 0:
+			return fmt.Errorf("mapper: optimizer group %q holds %d first and %d second moments, want equal multiples of %d",
+				sg.Name, len(sg.M), len(sg.V), groups[i].stride)
+		}
+		seen[i] = true
+		groups[i].adam.SetState(sg.M, sg.V, sg.Step)
 	}
 	m.cloud = st.Cloud
 	m.nonContrib = st.NonContrib
@@ -88,9 +109,5 @@ func (m *Mapper) ImportState(st State) error {
 	m.skipSet = st.SkipSet
 	m.keyframes = st.Keyframes
 	m.rng = &prng{state: st.RNG}
-	m.opt = newOpt(m.Cfg)
-	for _, g := range st.Opt {
-		m.opt.SetGroupState(g.Name, g.M, g.V, g.Step)
-	}
 	return nil
 }

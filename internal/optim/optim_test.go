@@ -14,35 +14,6 @@ func quadGrad(x, c []float64) []float64 {
 	return g
 }
 
-func TestSGDConvergesOnQuadratic(t *testing.T) {
-	x := []float64{5, -3}
-	c := []float64{1, 2}
-	opt := NewSGD(0.1, 0)
-	for i := 0; i < 200; i++ {
-		opt.Step(x, quadGrad(x, c))
-	}
-	for i := range x {
-		if math.Abs(x[i]-c[i]) > 1e-6 {
-			t.Fatalf("SGD did not converge: x=%v", x)
-		}
-	}
-}
-
-func TestSGDMomentumFasterThanPlain(t *testing.T) {
-	run := func(momentum float64) float64 {
-		x := []float64{10}
-		c := []float64{0}
-		opt := NewSGD(0.02, momentum)
-		for i := 0; i < 60; i++ {
-			opt.Step(x, quadGrad(x, c))
-		}
-		return math.Abs(x[0])
-	}
-	if run(0.9) >= run(0) {
-		t.Error("momentum did not speed up convergence on smooth quadratic")
-	}
-}
-
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	x := []float64{5, -3, 0.5}
 	c := []float64{1, 2, -1}
@@ -88,52 +59,4 @@ func TestAdamHandlesParamSizeChange(t *testing.T) {
 	// Growing the parameter vector (densification adds Gaussians) must not
 	// panic; state is reinitialized.
 	opt.Step([]float64{0, 0, 0}, []float64{1, 1, 1})
-}
-
-func TestGroupAdamIndependentGroups(t *testing.T) {
-	g := NewGroupAdam(map[string]float64{"fast": 0.1, "slow": 0.001})
-	fast := []float64{0}
-	slow := []float64{0}
-	for i := 0; i < 10; i++ {
-		g.Step("fast", fast, []float64{1})
-		g.Step("slow", slow, []float64{1})
-	}
-	if math.Abs(fast[0]) <= math.Abs(slow[0]) {
-		t.Errorf("fast group (%v) should move more than slow group (%v)", fast[0], slow[0])
-	}
-	// Unknown group uses the fallback rate without panicking.
-	g.Step("unknown", []float64{0}, []float64{1})
-}
-
-func TestClipGradNorm(t *testing.T) {
-	g := []float64{3, 4}
-	norm := ClipGradNorm(g, 1)
-	if math.Abs(norm-5) > 1e-12 {
-		t.Errorf("pre-clip norm = %v", norm)
-	}
-	var after float64
-	for _, v := range g {
-		after += v * v
-	}
-	if math.Abs(math.Sqrt(after)-1) > 1e-12 {
-		t.Errorf("post-clip norm = %v", math.Sqrt(after))
-	}
-	// Below-threshold gradients are untouched.
-	h := []float64{0.1, 0.1}
-	ClipGradNorm(h, 10)
-	if h[0] != 0.1 {
-		t.Error("clip modified small gradient")
-	}
-}
-
-func TestNewGroupAdamCopiesRates(t *testing.T) {
-	rates := map[string]float64{"mean": 0.5}
-	g := NewGroupAdam(rates)
-	rates["mean"] = 0 // caller mutation after construction must not leak in
-
-	withRate := []float64{0}
-	g.Step("mean", withRate, []float64{1})
-	if withRate[0] == 0 {
-		t.Error("Step with rate 0.5 moved nothing — NewGroupAdam aliased the caller's rates map")
-	}
 }

@@ -76,34 +76,3 @@ func TestAdamRemapStaleLengthResets(t *testing.T) {
 		t.Fatalf("stale remap kept state: m=%v v=%v step=%d", m, v, step)
 	}
 }
-
-func TestGroupAdamStateRoundTrip(t *testing.T) {
-	g := NewGroupAdam(map[string]float64{"mean": 1e-3, "color": 5e-3})
-	p := []float64{1, 2}
-	g.Step("mean", p, []float64{0.1, -0.1})
-	g.Step("mean", p, []float64{0.05, 0.2})
-
-	names := g.GroupNames()
-	if len(names) != 1 || names[0] != "mean" {
-		t.Fatalf("GroupNames = %v, want [mean]", names)
-	}
-	m, v, step, ok := g.GroupState("mean")
-	if !ok || step != 2 {
-		t.Fatalf("GroupState: ok=%v step=%d", ok, step)
-	}
-	if _, _, _, ok := g.GroupState("color"); ok {
-		t.Fatal("never-stepped group reported state")
-	}
-
-	// SetGroupState adopts the slices, and g keeps stepping its own — copy so
-	// the two optimizers don't share moment storage.
-	g2 := NewGroupAdam(map[string]float64{"mean": 1e-3, "color": 5e-3})
-	g2.SetGroupState("mean", append([]float64(nil), m...), append([]float64(nil), v...), step)
-	pa, pb := []float64{3, 4}, []float64{3, 4}
-	grad := []float64{-0.2, 0.3}
-	g.Step("mean", pa, grad)
-	g2.Step("mean", pb, grad)
-	if pa[0] != pb[0] || pa[1] != pb[1] {
-		t.Fatalf("restored group diverged: %v vs %v", pa, pb)
-	}
-}

@@ -111,13 +111,23 @@ func TestTrajectoryStats(t *testing.T) {
 		Target: fixed(v(0, 1, 5)),
 	}
 	traj := script.Build(11)
-	meanT, meanR := traj.Stats()
-	if math.Abs(meanT-0.1) > 1e-6 {
-		t.Errorf("mean translation %v, want 0.1", meanT)
+	for i := 1; i < len(traj); i++ {
+		if d := traj[i].TranslationTo(traj[i-1]); math.Abs(d-0.1) > 1e-6 {
+			t.Errorf("step %d translates %v, want 0.1", i, d)
+		}
 	}
-	if meanR > 0.05 {
+	if meanR := meanRotation(traj); meanR > 0.05 {
 		t.Errorf("mean rotation %v for pure translation", meanR)
 	}
+}
+
+// meanRotation is the trajectory's mean inter-frame rotation in radians.
+func meanRotation(traj Trajectory) float64 {
+	var sum float64
+	for i := 1; i < len(traj); i++ {
+		sum += traj[i].R.AngleTo(traj[i-1].R)
+	}
+	return sum / float64(len(traj)-1)
 }
 
 func TestMotionScriptDeterministic(t *testing.T) {
@@ -200,7 +210,8 @@ func frameDiff(seq *Sequence, i, j int) float64 {
 	var sum float64
 	a, b := seq.Frames[i].Color, seq.Frames[j].Color
 	for k := range a.Pix {
-		sum += a.Pix[k].Sub(b.Pix[k]).Abs().MaxComponent()
+		d := a.Pix[k].Sub(b.Pix[k])
+		sum += max(math.Abs(d.X), math.Abs(d.Y), math.Abs(d.Z))
 	}
 	return sum / float64(len(a.Pix))
 }
@@ -224,8 +235,7 @@ func TestXyzHasHigherCovisibilityMotionThanDesk2(t *testing.T) {
 	cfg := Config{Width: 32, Height: 24, Frames: 20, Seed: 1}
 	xyz := MustGenerate("Xyz", cfg)
 	desk2 := MustGenerate("Desk2", cfg)
-	_, rotXyz := xyz.Traj.Stats()
-	_, rotDesk2 := desk2.Traj.Stats()
+	rotXyz, rotDesk2 := meanRotation(xyz.Traj), meanRotation(desk2.Traj)
 	if rotXyz >= rotDesk2 {
 		t.Errorf("rotation per frame: Xyz %v >= Desk2 %v", rotXyz, rotDesk2)
 	}

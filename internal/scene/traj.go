@@ -83,21 +83,6 @@ func (ms MotionScript) Build(n int) Trajectory {
 	return traj
 }
 
-// Stats summarizes inter-frame motion: mean translation (m/frame) and mean
-// rotation (rad/frame). The experiment scripts use this to verify each named
-// sequence has the motion profile its TUM/Replica counterpart is known for.
-func (t Trajectory) Stats() (meanTrans, meanRot float64) {
-	if len(t) < 2 {
-		return 0, 0
-	}
-	for i := 1; i < len(t); i++ {
-		meanTrans += t[i].TranslationTo(t[i-1])
-		meanRot += t[i].R.AngleTo(t[i-1].R)
-	}
-	n := float64(len(t) - 1)
-	return meanTrans / n, meanRot / n
-}
-
 // orbit returns an eye function circling center at the given radius/height,
 // sweeping totalAngle radians.
 func orbit(center vecmath.Vec3, radius, height, startAngle, totalAngle float64) func(float64) vecmath.Vec3 {

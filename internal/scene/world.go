@@ -59,16 +59,6 @@ func (w *World) shade(h Hit) vecmath.Vec3 {
 	return h.Albedo.Scale(s).Clamp(0, 1)
 }
 
-// Trace returns the shaded color and hit distance of the nearest surface
-// along the ray, or (Background, 0, false) on a miss.
-func (w *World) Trace(origin, dir vecmath.Vec3) (vecmath.Vec3, float64, bool) {
-	h, ok := w.traceHit(origin, dir)
-	if !ok {
-		return w.Background, 0, false
-	}
-	return w.shade(h), h.T, true
-}
-
 // RenderFrame ray-traces an RGB-D frame from the given camera. Depth is the
 // camera-space Z of the hit point — the convention RGB-D sensors (and the
 // splatting renderer) use.

@@ -153,11 +153,13 @@ type Config struct {
 
 // DefaultConfig returns the paper's hyper-parameters scaled to the given
 // frame size (see README: threshold mapping): N_T 200→60, N_M 30→15,
-// Iter_T 20→6, Thresh_T 90%, Thresh_M 50%, Thresh_alpha 1/255, Thresh_N 450
-// (resolution-independent; see scaleThreshN).
+// Iter_T 20→6, Thresh_T 90%, Thresh_M 50%, Thresh_alpha 1/255, Thresh_N 450.
 func DefaultConfig(w, h int) Config {
 	mc := mapper.DefaultConfig()
-	mc.ThreshN = scaleThreshN(450) // paper value; see scaleThreshN
+	// The paper's Thresh_N, unscaled: a Gaussian's non-contributory count is
+	// bounded by its tile footprint (tiles x 256 pixels), which does not grow
+	// with the image, so the threshold is resolution-independent.
+	mc.ThreshN = 450
 	return Config{
 		TrackIters:          60,
 		IterT:               6,
@@ -178,19 +180,6 @@ func AGSConfig(w, h int) Config {
 	cfg.EnableMAT = true
 	cfg.EnableGCM = true
 	return cfg
-}
-
-// scaleThreshN maps the paper's Thresh_N to this reproduction. The
-// non-contributory count of a Gaussian is bounded by its tile footprint
-// (tiles x 256 pixels), which does not scale with image size, so the paper's
-// value carries over directly; only a floor is applied for tiny test frames.
-// It deliberately takes no frame dimensions: the threshold is
-// resolution-independent.
-func scaleThreshN(paperVal int) int {
-	if paperVal < 2 {
-		return 2
-	}
-	return paperVal
 }
 
 // FrameInfo records per-frame algorithm decisions for analysis.

@@ -254,12 +254,6 @@ func TestScaleThreshN(t *testing.T) {
 	// Thresh_N counts per-Gaussian wasted pixels, which are bounded by the
 	// tile footprint and independent of image resolution, so the paper value
 	// passes through unscaled at every frame size.
-	if got := scaleThreshN(450); got != 450 {
-		t.Errorf("paper ThreshN = %d", got)
-	}
-	if got := scaleThreshN(0); got < 2 {
-		t.Errorf("floor ThreshN = %d", got)
-	}
 	for _, dims := range [][2]int{{640, 480}, {96, 72}, {8, 8}} {
 		if got := DefaultConfig(dims[0], dims[1]).Mapper.ThreshN; got != 450 {
 			t.Errorf("DefaultConfig(%dx%d).Mapper.ThreshN = %d, want 450", dims[0], dims[1], got)

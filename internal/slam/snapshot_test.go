@@ -3,6 +3,7 @@ package slam
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"runtime"
 	"strings"
 	"testing"
@@ -334,6 +335,7 @@ func TestRestoreRejectsDamage(t *testing.T) {
 			c[8] = 0xFF // version word follows the 8-byte magic
 			return c
 		}, "version"},
+		{"short second moments", func(b []byte) []byte { return shortSecondMoments(t, b) }, "second moments"},
 	}
 	for _, tc := range cases {
 		_, err := Restore(bytes.NewReader(tc.mangle(data)))
@@ -344,5 +346,84 @@ func TestRestoreRejectsDamage(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.wantSub) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.wantSub)
 		}
+	}
+}
+
+// shortSecondMoments returns snap with the second-moment vector of its last
+// optimizer group ("scale") one value short and the checksum redone: bytes
+// any peer can produce, framed and summed like a real snapshot.
+func shortSecondMoments(t *testing.T, snap []byte) []byte {
+	t.Helper()
+	body := snap[:len(snap)-sha256.Size]
+	at := bytes.LastIndex(body, []byte("scale"))
+	if at < 0 {
+		t.Fatal("the snapshot holds no scale optimizer group")
+	}
+	at += len("scale") + 8 // past the name and the step counter
+	n := int(binary.LittleEndian.Uint64(body[at:]))
+	at += 8 + 8*n // past the first moments, at the second moments' length
+	if at+8+8*n != len(body) || binary.LittleEndian.Uint64(body[at:]) != uint64(n) {
+		t.Fatalf("the snapshot does not end with two %d-value moment vectors", n)
+	}
+	out := append([]byte(nil), body[:len(body)-8]...)
+	binary.LittleEndian.PutUint64(out[at:], uint64(n-1))
+	sum := sha256.Sum256(out)
+	return append(out, sum[:]...)
+}
+
+// TestRestoreSessionRefusesShortMoments: a well-framed snapshot whose Adam
+// second moments are shorter than the first used to restore, and the session's
+// next frame then indexed out of range in optim.(*Adam).Step on the session
+// goroutine, taking the process and every other tenant with it. The restore is
+// refused instead, and a tenant of the same server closes on its sequential
+// digest.
+func TestRestoreSessionRefusesShortMoments(t *testing.T) {
+	cfg := fastAGS(tw, th)
+	seq := testSeq(t, "Desk", 4)
+	want := directRun(t, cfg, seq).Digest()
+
+	sys := New(cfg, seq.Intr)
+	for _, f := range seq.Frames[:2] {
+		if err := sys.ProcessFrame(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := sys.AppendSnapshot(nil)
+	sys.Close()
+
+	sv := NewServer(ServerConfig{})
+	tenant, err := sv.Open(seq.Name, cfg, seq.Intr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range seq.Frames[:2] {
+		if err := tenant.Push(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if _, _, err := sv.RestoreSession("hostile", shortSecondMoments(t, snap)); err == nil {
+		t.Fatal("a snapshot with mismatched optimizer moments was restored")
+	} else if !strings.Contains(err.Error(), "second moments") {
+		t.Errorf("restore refused with %q, want the optimizer group named", err)
+	}
+	if n := sv.OpenSessions(); n != 1 {
+		t.Errorf("%d sessions open after the refused restore, want the tenant's", n)
+	}
+
+	for _, f := range seq.Frames[2:] {
+		if err := tenant.Push(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := tenant.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Digest() != want {
+		t.Error("the other tenant's digest diverges from its sequential run")
+	}
+	if err := sv.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

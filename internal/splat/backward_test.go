@@ -179,7 +179,7 @@ func TestBackwardPoseGradientDirection(t *testing.T) {
 		camP.Pose = cam.Pose.Retract(tw)
 		lp := lossOf(cloud, camP, target, lc)
 		camM := cam
-		camM.Pose = cam.Pose.Retract(tw.Scale(-1))
+		camM.Pose = cam.Pose.Retract(vecmath.Twist{V: tw.V.Neg(), W: tw.W.Neg()})
 		lm := lossOf(cloud, camM, target, lc)
 		num[axis] = (lp - lm) / (2 * h)
 	}

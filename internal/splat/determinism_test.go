@@ -175,7 +175,7 @@ func TestShardRangesCoverAndOrder(t *testing.T) {
 	for _, tc := range []struct{ n, workers int }{
 		{0, 4}, {1, 1}, {1, 8}, {5, 2}, {24, 3}, {24, 7}, {24, 24}, {24, 100}, {17, 0},
 	} {
-		ranges := shardRanges(tc.n, tc.workers)
+		ranges := shardRangesInto(nil, tc.n, tc.workers)
 		if len(ranges) == 0 {
 			t.Fatalf("n=%d workers=%d: no ranges", tc.n, tc.workers)
 		}

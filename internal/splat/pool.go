@@ -78,9 +78,6 @@ func NewContextPool(capacity int) *ContextPool {
 	return &ContextPool{capacity: capacity, idle: make(map[sizeClass][]pooledCtx)}
 }
 
-// Capacity returns the configured idle-context bound.
-func (p *ContextPool) Capacity() int { return p.capacity }
-
 // Acquire returns a context for rendering w x h frames: a retained context of
 // that size class when one is idle (hit), a fresh one otherwise (miss). The
 // caller owns the context exclusively until Release.

@@ -207,7 +207,7 @@ func TestBuildTilesAssignsAndSorts(t *testing.T) {
 		t.Fatalf("tile grid %dx%d", tiles.TW, tiles.TH)
 	}
 	// Both project near the center: the tile containing (32,24) is (2,1).
-	list := tiles.List(2, 1)
+	list := tiles.ListAt(1*tiles.TW + 2)
 	if len(list) != 2 {
 		t.Fatalf("center tile has %d entries", len(list))
 	}
@@ -239,7 +239,7 @@ func TestBuildTilesCullsOffscreenSplats(t *testing.T) {
 	if n := tiles.TotalEntries(); n != 1 {
 		t.Fatalf("border splat has %d table entries, want 1", n)
 	}
-	if len(tiles.List(0, 0)) != 1 {
+	if len(tiles.ListAt(0)) != 1 {
 		t.Error("border splat missing from tile (0,0)")
 	}
 }

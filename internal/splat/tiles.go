@@ -21,9 +21,6 @@ type Tiles struct {
 // NumTiles returns the number of tiles in the grid.
 func (t *Tiles) NumTiles() int { return t.TW * t.TH }
 
-// List returns the Gaussian table of tile (tx, ty).
-func (t *Tiles) List(tx, ty int) []int32 { return t.ListAt(ty*t.TW + tx) }
-
 // ListAt returns the Gaussian table of the tile with flat index idx. The
 // capacity is capped at the table's end: the tables share one backing array,
 // and an uncapped append from a caller would silently overwrite the next

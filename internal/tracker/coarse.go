@@ -18,7 +18,7 @@ import (
 // residuals). It plays the role of Droid-SLAM's feature+ConvGRU tracker in
 // the AGS algorithm: a fast pose that never touches the Gaussians, good
 // enough on its own when covisibility is high (see README: substitutions;
-// the matching systolic-array workload is modeled by nnlite.PoseBackbone).
+// the matching systolic-array workload is modeled by nnlite.PoseWorkload).
 //
 // An aligner keeps its image pyramids between calls, so it serves one
 // goroutine at a time, and it recognises a frame it has already built a

@@ -8,9 +8,6 @@ type Mat2 struct{ M00, M01, M10, M11 float64 }
 // Mat3 is a 3x3 matrix in row-major order.
 type Mat3 [9]float64
 
-// Mat4 is a 4x4 matrix in row-major order.
-type Mat4 [16]float64
-
 // Det returns the determinant of m.
 func (m Mat2) Det() float64 { return m.M00*m.M11 - m.M01*m.M10 }
 
@@ -23,27 +20,6 @@ func (m Mat2) Inverse() (Mat2, bool) {
 	inv := 1 / d
 	return Mat2{m.M11 * inv, -m.M01 * inv, -m.M10 * inv, m.M00 * inv}, true
 }
-
-// MulVec returns m * v.
-func (m Mat2) MulVec(v Vec2) Vec2 {
-	return Vec2{m.M00*v.X + m.M01*v.Y, m.M10*v.X + m.M11*v.Y}
-}
-
-// Add returns m + n.
-func (m Mat2) Add(n Mat2) Mat2 {
-	return Mat2{m.M00 + n.M00, m.M01 + n.M01, m.M10 + n.M10, m.M11 + n.M11}
-}
-
-// Mul returns the matrix product m * n.
-func (m Mat2) Mul(n Mat2) Mat2 {
-	return Mat2{
-		m.M00*n.M00 + m.M01*n.M10, m.M00*n.M01 + m.M01*n.M11,
-		m.M10*n.M00 + m.M11*n.M10, m.M10*n.M01 + m.M11*n.M11,
-	}
-}
-
-// Trace returns the trace of m.
-func (m Mat2) Trace() float64 { return m.M00 + m.M11 }
 
 // Eigenvalues returns the two eigenvalues of a symmetric 2x2 matrix,
 // largest first.
@@ -58,12 +34,6 @@ func (m Mat2) Eigenvalues() (float64, float64) {
 func Identity3() Mat3 {
 	return Mat3{1, 0, 0, 0, 1, 0, 0, 0, 1}
 }
-
-// At returns the element at row r, column c.
-func (m Mat3) At(r, c int) float64 { return m[3*r+c] }
-
-// Set stores v at row r, column c.
-func (m *Mat3) Set(r, c int, v float64) { m[3*r+c] = v }
 
 // Mul returns the matrix product m * n.
 func (m Mat3) Mul(n Mat3) Mat3 {
@@ -112,33 +82,6 @@ func (m Mat3) Add(n Mat3) Mat3 {
 	return out
 }
 
-// Det returns the determinant of m.
-func (m Mat3) Det() float64 {
-	return m[0]*(m[4]*m[8]-m[5]*m[7]) -
-		m[1]*(m[3]*m[8]-m[5]*m[6]) +
-		m[2]*(m[3]*m[7]-m[4]*m[6])
-}
-
-// Inverse returns the inverse of m and whether m was invertible.
-func (m Mat3) Inverse() (Mat3, bool) {
-	d := m.Det()
-	if math.Abs(d) < 1e-300 {
-		return Mat3{}, false
-	}
-	inv := 1 / d
-	return Mat3{
-		(m[4]*m[8] - m[5]*m[7]) * inv,
-		(m[2]*m[7] - m[1]*m[8]) * inv,
-		(m[1]*m[5] - m[2]*m[4]) * inv,
-		(m[5]*m[6] - m[3]*m[8]) * inv,
-		(m[0]*m[8] - m[2]*m[6]) * inv,
-		(m[2]*m[3] - m[0]*m[5]) * inv,
-		(m[3]*m[7] - m[4]*m[6]) * inv,
-		(m[1]*m[6] - m[0]*m[7]) * inv,
-		(m[0]*m[4] - m[1]*m[3]) * inv,
-	}, true
-}
-
 // Diag3 returns the diagonal matrix with the components of d on the diagonal.
 func Diag3(d Vec3) Mat3 {
 	return Mat3{d.X, 0, 0, 0, d.Y, 0, 0, 0, d.Z}
@@ -161,89 +104,4 @@ func Skew(v Vec3) Mat3 {
 		v.Z, 0, -v.X,
 		-v.Y, v.X, 0,
 	}
-}
-
-// Identity4 returns the 4x4 identity matrix.
-func Identity4() Mat4 {
-	return Mat4{1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1}
-}
-
-// Mul returns the matrix product m * n.
-func (m Mat4) Mul(n Mat4) Mat4 {
-	var out Mat4
-	for r := 0; r < 4; r++ {
-		for c := 0; c < 4; c++ {
-			out[4*r+c] = m[4*r]*n[c] + m[4*r+1]*n[4+c] + m[4*r+2]*n[8+c] + m[4*r+3]*n[12+c]
-		}
-	}
-	return out
-}
-
-// MulPoint applies m to the homogeneous point (v, 1) and returns the first
-// three components (assuming the last row is (0,0,0,1)).
-func (m Mat4) MulPoint(v Vec3) Vec3 {
-	return Vec3{
-		m[0]*v.X + m[1]*v.Y + m[2]*v.Z + m[3],
-		m[4]*v.X + m[5]*v.Y + m[6]*v.Z + m[7],
-		m[8]*v.X + m[9]*v.Y + m[10]*v.Z + m[11],
-	}
-}
-
-// JacobiEigen3 diagonalizes a symmetric 3x3 matrix using cyclic Jacobi
-// rotations. It returns the eigenvalues (descending) and a matrix whose
-// columns are the corresponding unit eigenvectors. Off-diagonal asymmetry in
-// the input is ignored: only the upper triangle is read.
-func JacobiEigen3(a Mat3) (Vec3, Mat3) {
-	// Symmetrize from the upper triangle.
-	a[3], a[6], a[7] = a[1], a[2], a[5]
-	v := Identity3()
-	for sweep := 0; sweep < 32; sweep++ {
-		off := a[1]*a[1] + a[2]*a[2] + a[5]*a[5]
-		if off < 1e-30 {
-			break
-		}
-		for p := 0; p < 2; p++ {
-			for q := p + 1; q < 3; q++ {
-				apq := a.At(p, q)
-				if math.Abs(apq) < 1e-30 {
-					continue
-				}
-				app, aqq := a.At(p, p), a.At(q, q)
-				theta := (aqq - app) / (2 * apq)
-				t := 1 / (math.Abs(theta) + math.Sqrt(theta*theta+1))
-				if theta < 0 {
-					t = -t
-				}
-				c := 1 / math.Sqrt(t*t+1)
-				s := t * c
-				// Build rotation and apply: a = G^T a G; v = v G.
-				var g Mat3 = Identity3()
-				g.Set(p, p, c)
-				g.Set(q, q, c)
-				g.Set(p, q, s)
-				g.Set(q, p, -s)
-				a = g.Transpose().Mul(a).Mul(g)
-				v = v.Mul(g)
-			}
-		}
-	}
-	vals := Vec3{a[0], a[4], a[8]}
-	// Sort eigenvalues descending, permuting eigenvector columns alongside.
-	idx := [3]int{0, 1, 2}
-	ev := [3]float64{vals.X, vals.Y, vals.Z}
-	for i := 0; i < 2; i++ {
-		for j := i + 1; j < 3; j++ {
-			if ev[idx[j]] > ev[idx[i]] {
-				idx[i], idx[j] = idx[j], idx[i]
-			}
-		}
-	}
-	var sorted Mat3
-	for c := 0; c < 3; c++ {
-		src := idx[c]
-		for r := 0; r < 3; r++ {
-			sorted.Set(r, c, v.At(r, src))
-		}
-	}
-	return Vec3{ev[idx[0]], ev[idx[1]], ev[idx[2]]}, sorted
 }

@@ -87,34 +87,6 @@ func QuatFromMat3(m Mat3) Quat {
 	return q.Normalized()
 }
 
-// Slerp spherically interpolates from q (t=0) to p (t=1).
-func (q Quat) Slerp(p Quat, t float64) Quat {
-	dot := q.W*p.W + q.X*p.X + q.Y*p.Y + q.Z*p.Z
-	if dot < 0 {
-		p = Quat{-p.W, -p.X, -p.Y, -p.Z}
-		dot = -dot
-	}
-	if dot > 0.9995 {
-		// Nearly parallel: linear interpolation avoids division by ~0.
-		return Quat{
-			q.W + t*(p.W-q.W),
-			q.X + t*(p.X-q.X),
-			q.Y + t*(p.Y-q.Y),
-			q.Z + t*(p.Z-q.Z),
-		}.Normalized()
-	}
-	theta := math.Acos(dot)
-	s := math.Sin(theta)
-	a := math.Sin((1-t)*theta) / s
-	b := math.Sin(t*theta) / s
-	return Quat{
-		a*q.W + b*p.W,
-		a*q.X + b*p.X,
-		a*q.Y + b*p.Y,
-		a*q.Z + b*p.Z,
-	}.Normalized()
-}
-
 // AngleTo returns the absolute rotation angle in radians between q and p.
 func (q Quat) AngleTo(p Quat) float64 {
 	d := q.Conj().Mul(p).Normalized()

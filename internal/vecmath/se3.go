@@ -28,17 +28,6 @@ func (p Pose) Inverse() Pose {
 	return Pose{R: ri, T: ri.Rotate(p.T).Neg()}
 }
 
-// Mat4 returns the homogeneous 4x4 matrix of the transform.
-func (p Pose) Mat4() Mat4 {
-	r := p.R.Mat3()
-	return Mat4{
-		r[0], r[1], r[2], p.T.X,
-		r[3], r[4], r[5], p.T.Y,
-		r[6], r[7], r[8], p.T.Z,
-		0, 0, 0, 1,
-	}
-}
-
 // Twist is an element of se(3): V is the translational velocity and W the
 // rotational velocity (axis-angle). It is the tangent-space parameterization
 // the tracking optimizer works in.
@@ -49,9 +38,6 @@ type Twist struct {
 
 // Add returns the component-wise sum t + u.
 func (t Twist) Add(u Twist) Twist { return Twist{t.V.Add(u.V), t.W.Add(u.W)} }
-
-// Scale returns t with both components scaled by s.
-func (t Twist) Scale(s float64) Twist { return Twist{t.V.Scale(s), t.W.Scale(s)} }
 
 // Norm returns the Euclidean norm of the stacked 6-vector.
 func (t Twist) Norm() float64 { return math.Sqrt(t.V.NormSq() + t.W.NormSq()) }

@@ -1,7 +1,6 @@
 package vecmath
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -54,22 +53,6 @@ func TestQuatRotationPreservesNorm(t *testing.T) {
 	}
 }
 
-func TestQuatSlerpEndpoints(t *testing.T) {
-	a := QuatFromAxisAngle(Vec3{0, 0, 1}, 0.3)
-	b := QuatFromAxisAngle(Vec3{0, 1, 0}, 1.2)
-	if a.Slerp(b, 0).AngleTo(a) > 1e-9 {
-		t.Error("slerp(0) != a")
-	}
-	if a.Slerp(b, 1).AngleTo(b) > 1e-9 {
-		t.Error("slerp(1) != b")
-	}
-	// Midpoint should be equidistant.
-	mid := a.Slerp(b, 0.5)
-	if math.Abs(mid.AngleTo(a)-mid.AngleTo(b)) > 1e-9 {
-		t.Error("slerp midpoint not equidistant")
-	}
-}
-
 func TestPoseComposeInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for i := 0; i < 60; i++ {
@@ -83,17 +66,6 @@ func TestPoseComposeInverse(t *testing.T) {
 		// Inverse.
 		if !vecNear(p.Inverse().Apply(p.Apply(v)), v, 1e-9) {
 			t.Fatal("inverse broken")
-		}
-	}
-}
-
-func TestPoseMat4Agrees(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 40; i++ {
-		p := randomPose(rng)
-		v := Vec3{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
-		if !vecNear(p.Mat4().MulPoint(v), p.Apply(v), 1e-10) {
-			t.Fatal("Mat4 disagrees with Apply")
 		}
 	}
 }

@@ -1,8 +1,8 @@
 // Package vecmath provides the small fixed-size linear algebra used across
-// the AGS reproduction: 2/3/4-component vectors, 2x2/3x3/4x4 matrices,
-// quaternions, rigid-body transforms on SE(3), and a Jacobi eigensolver for
-// symmetric matrices. Everything is allocation-free value math so it can sit
-// in the inner loops of the splatting renderer.
+// the AGS reproduction: 2- and 3-component vectors, 2x2 and 3x3 matrices,
+// quaternions and rigid-body transforms on SE(3). Everything is
+// allocation-free value math so it can sit in the inner loops of the
+// splatting renderer.
 package vecmath
 
 import "math"
@@ -13,23 +13,8 @@ type Vec2 struct{ X, Y float64 }
 // Vec3 is a 3-component vector.
 type Vec3 struct{ X, Y, Z float64 }
 
-// Vec4 is a 4-component vector.
-type Vec4 struct{ X, Y, Z, W float64 }
-
-// Add returns v + u.
-func (v Vec2) Add(u Vec2) Vec2 { return Vec2{v.X + u.X, v.Y + u.Y} }
-
-// Sub returns v - u.
-func (v Vec2) Sub(u Vec2) Vec2 { return Vec2{v.X - u.X, v.Y - u.Y} }
-
 // Scale returns v * s.
 func (v Vec2) Scale(s float64) Vec2 { return Vec2{v.X * s, v.Y * s} }
-
-// Dot returns the dot product of v and u.
-func (v Vec2) Dot(u Vec2) float64 { return v.X*u.X + v.Y*u.Y }
-
-// Norm returns the Euclidean length of v.
-func (v Vec2) Norm() float64 { return math.Hypot(v.X, v.Y) }
 
 // Add returns v + u.
 func (v Vec3) Add(u Vec3) Vec3 { return Vec3{v.X + u.X, v.Y + u.Y, v.Z + u.Z} }
@@ -84,24 +69,12 @@ func (v Vec3) Lerp(u Vec3, t float64) Vec3 {
 	return v.Scale(1 - t).Add(u.Scale(t))
 }
 
-// MaxComponent returns the largest component of v.
-func (v Vec3) MaxComponent() float64 { return math.Max(v.X, math.Max(v.Y, v.Z)) }
-
-// Abs returns the component-wise absolute value.
-func (v Vec3) Abs() Vec3 { return Vec3{math.Abs(v.X), math.Abs(v.Y), math.Abs(v.Z)} }
-
 // IsFinite reports whether every component is finite.
 func (v Vec3) IsFinite() bool {
 	return !math.IsNaN(v.X) && !math.IsInf(v.X, 0) &&
 		!math.IsNaN(v.Y) && !math.IsInf(v.Y, 0) &&
 		!math.IsNaN(v.Z) && !math.IsInf(v.Z, 0)
 }
-
-// XY returns the first two components as a Vec2.
-func (v Vec4) XY() Vec2 { return Vec2{v.X, v.Y} }
-
-// XYZ returns the first three components as a Vec3.
-func (v Vec4) XYZ() Vec3 { return Vec3{v.X, v.Y, v.Z} }
 
 func clamp(x, lo, hi float64) float64 {
 	if x < lo {

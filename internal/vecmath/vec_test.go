@@ -101,14 +101,8 @@ func TestVec3IsFinite(t *testing.T) {
 
 func TestVec2Basics(t *testing.T) {
 	a := Vec2{3, 4}
-	if !near(a.Norm(), 5, eps) {
-		t.Errorf("norm = %v", a.Norm())
-	}
-	if got := a.Add(Vec2{1, 1}).Sub(Vec2{1, 1}); !near(got.X, 3, eps) || !near(got.Y, 4, eps) {
-		t.Errorf("add/sub roundtrip = %v", got)
-	}
-	if got := a.Dot(Vec2{-4, 3}); !near(got, 0, eps) {
-		t.Errorf("dot = %v", got)
+	if got := a.Scale(2); !near(got.X, 6, eps) || !near(got.Y, 8, eps) {
+		t.Errorf("Scale = %v", got)
 	}
 }
 
