@@ -86,7 +86,6 @@ func serveCmd(args []string) error {
 		maxSessions = fs.Int("max-sessions", 0, "admission cap on concurrent streams (0 = unlimited)")
 		maxResident = fs.Int64("max-resident-bytes", 0, "reject new streams once the context pool holds this many resident bytes (0 = unlimited)")
 		poolCap     = fs.Int("pool", 0, "render-context pool capacity (0 = 2 x GOMAXPROCS)")
-		queueDepth  = fs.Int("queue", 0, "per-session frame queue depth (0 = default)")
 		chaosSeed   = fs.Uint64("chaos-seed", 0, "fault-injection PRNG seed for mid-frame truncation offsets (0 = no injector unless -chaos-kill-after is set)")
 		chaosKill   = fs.Int("chaos-kill-after", 0, "kill this node uncleanly — listener and every connection — at its Nth wire write (0 = never)")
 	)
@@ -94,7 +93,7 @@ func serveCmd(args []string) error {
 
 	n := fleet.NewNode(fleet.NodeConfig{
 		Name:             *name,
-		Server:           slam.ServerConfig{ContextCapacity: *poolCap, QueueDepth: *queueDepth},
+		Server:           slam.ServerConfig{ContextCapacity: *poolCap},
 		MaxSessions:      *maxSessions,
 		MaxResidentBytes: *maxResident,
 		Jobs:             grid.NewWorker(),

@@ -5,33 +5,30 @@
 //
 // Usage:
 //
-//	ags-vet [-checks maprange,hotalloc] [-json] [./...]
+//	ags-vet [./...]
 //
-// The package pattern is accepted for familiarity but the tool always
-// analyzes the whole module containing the working directory — the checks
-// are module-wide contracts, not per-package style rules.
+// There are no options: every check always runs, and findings print one per
+// line as file:line:col: [check] message. The package pattern is accepted for
+// familiarity but the tool always analyzes the whole module containing the
+// working directory — the checks are module-wide contracts, not per-package
+// style rules.
 //
 // Exit status: 0 when the tree is clean, 1 when findings were reported,
 // 2 when the module failed to load or type-check.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"ags/internal/lint"
 )
 
 func main() {
-	checksFlag := flag.String("checks", "", "comma-separated subset of checks to run (default: all of "+strings.Join(lint.AllChecks(), ",")+")")
-	jsonFlag := flag.Bool("json", false, "emit findings as a JSON array instead of file:line:col text")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: ags-vet [-checks c1,c2] [-json] [./...]\n")
-		flag.PrintDefaults()
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: ags-vet [./...]\n")
 	}
 	flag.Parse()
 
@@ -40,41 +37,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ags-vet:", err)
 		os.Exit(2)
 	}
-
-	cfg := lint.Config{Dir: root}
-	if *checksFlag != "" {
-		for _, c := range strings.Split(*checksFlag, ",") {
-			if c = strings.TrimSpace(c); c != "" {
-				cfg.Checks = append(cfg.Checks, c)
-			}
-		}
-	}
-
-	findings, err := lint.Run(cfg)
+	findings, err := lint.Run(lint.Config{Dir: root})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ags-vet:", err)
 		os.Exit(2)
 	}
-
-	if *jsonFlag {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if findings == nil {
-			findings = []lint.Finding{}
-		}
-		if err := enc.Encode(findings); err != nil {
-			fmt.Fprintln(os.Stderr, "ags-vet:", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Println(f)
-		}
+	for _, f := range findings {
+		fmt.Println(f)
 	}
 	if len(findings) > 0 {
-		if !*jsonFlag {
-			fmt.Fprintf(os.Stderr, "ags-vet: %d finding(s)\n", len(findings))
-		}
+		fmt.Fprintf(os.Stderr, "ags-vet: %d finding(s)\n", len(findings))
 		os.Exit(1)
 	}
 }

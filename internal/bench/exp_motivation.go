@@ -215,6 +215,7 @@ func (s *Suite) Fig6(w io.Writer) error {
 					continue
 				}
 				inter := 0
+				//ags:allow(maprange, integer count of set intersection: every visit order yields the same total)
 				for id := range prevIDs {
 					if curIDs[id] {
 						inter++

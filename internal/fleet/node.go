@@ -130,10 +130,6 @@ func (n *Node) Addr() string {
 	return n.ln.Addr().String()
 }
 
-// Drain stops admitting new streams (local equivalent of the drain verb).
-// Live sessions keep running until their producers close or migrate them.
-func (n *Node) Drain() { n.srv.Drain() }
-
 // Stats assembles the node's self-report.
 func (n *Node) Stats() NodeStats {
 	n.mu.Lock()

@@ -141,12 +141,30 @@ func TestHostileRestoreIsRefusedNotFatal(t *testing.T) {
 // for PruneEvery: the stream runs, the node still answers PING, and a second
 // stream finishes with its sequential digest.
 func TestKeyframeEveryZeroOpenIsNotFatal(t *testing.T) {
-	seq := testSeq(t, "Desk", 3)
-	r, _ := startFleet(t, []NodeConfig{{Name: "a"}})
-
 	hostileCfg := fastCfg()
 	hostileCfg.EnableMAT, hostileCfg.EnableGCM = false, false
 	hostileCfg.KeyframeEvery = 0
+	hostileOpenIsNotFatal(t, hostileCfg)
+}
+
+// Mapper.KeyframeWindow -1 passes DecodeConfig too. AddKeyframe used to trim
+// its window with keyframes[len-(-1):], so the first push panicked (slice
+// bounds out of range) inside the session goroutine and took the node and its
+// other tenants down. A window below zero keeps no key frames, like zero.
+func TestNegativeKeyframeWindowOpenIsNotFatal(t *testing.T) {
+	hostileCfg := fastCfg()
+	hostileCfg.Mapper.KeyframeWindow = -1
+	hostileOpenIsNotFatal(t, hostileCfg)
+}
+
+// hostileOpenIsNotFatal runs a two-frame stream opened with hostileCfg through
+// a one-node fleet, then checks the node still answers PING and serves a second
+// tenant to its sequential digest.
+func hostileOpenIsNotFatal(t *testing.T, hostileCfg slam.Config) {
+	t.Helper()
+	seq := testSeq(t, "Desk", 3)
+	r, _ := startFleet(t, []NodeConfig{{Name: "a"}})
+
 	hostile, err := r.Open("hostile", hostileCfg, seq.Intr)
 	if err != nil {
 		t.Fatal(err)

@@ -157,16 +157,6 @@ var verbNames = [...]string{
 	vJob: "job", vJobResult: "job-result",
 }
 
-// registeredVerbs returns every valid wire verb in declaration order — the
-// registry the damage tables and fuzz seeds range over.
-func registeredVerbs() []verb {
-	vs := make([]verb, 0, int(verbEnd)-1)
-	for v := verb(1); v < verbEnd; v++ {
-		vs = append(vs, v)
-	}
-	return vs
-}
-
 func (v verb) String() string {
 	if int(v) < len(verbNames) && verbNames[v] != "" {
 		return verbNames[v]

@@ -25,6 +25,16 @@ func recvWire(data []byte) *wire {
 	return &wire{r: bufio.NewReader(bytes.NewReader(data))}
 }
 
+// registeredVerbs returns every valid wire verb in declaration order: what
+// the damage tables and fuzz seeds range over.
+func registeredVerbs() []verb {
+	vs := make([]verb, 0, int(verbEnd)-1)
+	for v := verb(1); v < verbEnd; v++ {
+		vs = append(vs, v)
+	}
+	return vs
+}
+
 func TestMessageRoundTrip(t *testing.T) {
 	payloads := [][]byte{
 		[]byte("hello fleet"),

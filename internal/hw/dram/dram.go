@@ -52,7 +52,6 @@ type Model struct {
 	accesses int64
 	hits     int64
 	busyNs   float64
-	bytes    int64
 }
 
 // New returns a model with all rows closed.
@@ -70,7 +69,6 @@ func (m *Model) Access(addr uint64, n int) float64 {
 	row := int64(addr) / int64(m.Spec.RowBytes)
 	bank := int(row) % m.Spec.Banks
 	m.accesses++
-	m.bytes += int64(n)
 	var lat float64
 	if m.openRow[bank] == row {
 		m.hits++
@@ -95,27 +93,10 @@ func StreamNs(spec Spec, n int64) float64 {
 	return float64(n) / spec.BandwidthGBs
 }
 
-// Stream accounts a sequential bulk transfer.
-func (m *Model) Stream(n int64) float64 {
-	t := StreamNs(m.Spec, n)
-	m.busyNs += t
-	m.bytes += n
-	return t
-}
-
 // HitRate returns the row-buffer hit rate, or 0 with no accesses.
 func (m *Model) HitRate() float64 {
 	if m.accesses == 0 {
 		return 0
 	}
 	return float64(m.hits) / float64(m.accesses)
-}
-
-// Reset clears counters and closes all rows.
-func (m *Model) Reset() {
-	for i := range m.openRow {
-		m.openRow[i] = -1
-	}
-	m.accesses, m.hits, m.bytes = 0, 0, 0
-	m.busyNs = 0
 }

@@ -45,27 +45,9 @@ func TestHBM2FasterThanLPDDR4(t *testing.T) {
 }
 
 func TestStreamAccounting(t *testing.T) {
-	m := New(HBM2())
-	ns := m.Stream(900) // 900 bytes at 900 GB/s = 1 ns
+	ns := StreamNs(HBM2(), 900) // 900 bytes at 900 GB/s = 1 ns
 	if ns < 0.99 || ns > 1.01 {
 		t.Errorf("stream time = %v ns", ns)
-	}
-	if m.bytes != 900 {
-		t.Errorf("bytes = %d", m.bytes)
-	}
-}
-
-func TestReset(t *testing.T) {
-	m := New(LPDDR4())
-	m.Access(0, 8)
-	m.Reset()
-	if m.accesses != 0 || m.bytes != 0 || m.busyNs != 0 {
-		t.Errorf("reset left state: %+v", m)
-	}
-	// After reset the first access is a miss again.
-	first := m.Access(0, 8)
-	if first <= m.Spec.RowHitNs {
-		t.Error("reset did not close rows")
 	}
 }
 

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"slices"
 	"strings"
 )
 
@@ -19,16 +20,11 @@ type allowDirective struct {
 
 // applyDirectives filters raw findings through the //ags:allow suppressions
 // found in pkgs and appends directive findings: malformed //ags: comments,
-// //ags:hotpath markers outside function doc comments, and — when every
-// check ran (allChecks) — suppressions that matched nothing, so a fixed
-// finding cannot leave its excuse behind.
-func applyDirectives(pkgs []*Package, raw []Finding, allChecks bool) []Finding {
+// //ags:hotpath markers outside function doc comments, and suppressions that
+// matched nothing, so a fixed finding cannot leave its excuse behind.
+func applyDirectives(pkgs []*Package, raw []Finding) []Finding {
 	var allows []*allowDirective
 	var out []Finding
-	known := make(map[string]bool)
-	for _, c := range AllChecks() {
-		known[c] = true
-	}
 
 	for _, pkg := range pkgs {
 		hotpathDocs := funcDocComments(pkg)
@@ -58,10 +54,10 @@ func applyDirectives(pkgs []*Package, raw []Finding, allChecks bool) []Finding {
 						})
 						continue
 					}
-					if !known[check] {
+					if !slices.Contains(allowable, check) {
 						out = append(out, Finding{
 							File: fname, Line: line, Col: col, Check: checkDirective,
-							Message: fmt.Sprintf("//ags:allow names unknown check %q (known: %s)", check, strings.Join(AllChecks(), ", ")),
+							Message: fmt.Sprintf("//ags:allow names unknown check %q (known: %s)", check, strings.Join(allowable, ", ")),
 						})
 						continue
 					}
@@ -90,14 +86,12 @@ func applyDirectives(pkgs []*Package, raw []Finding, allChecks bool) []Finding {
 		}
 	}
 
-	if allChecks {
-		for _, a := range allows {
-			if !a.used {
-				out = append(out, Finding{
-					File: a.file, Line: a.line, Col: a.col, Check: checkDirective,
-					Message: fmt.Sprintf("//ags:allow(%s, ...) suppresses nothing here — remove the stale directive", a.check),
-				})
-			}
+	for _, a := range allows {
+		if !a.used {
+			out = append(out, Finding{
+				File: a.file, Line: a.line, Col: a.col, Check: checkDirective,
+				Message: fmt.Sprintf("//ags:allow(%s, ...) suppresses nothing here — remove the stale directive", a.check),
+			})
 		}
 	}
 	return out

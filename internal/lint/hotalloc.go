@@ -217,3 +217,24 @@ func builtinName(info *types.Info, call *ast.CallExpr) string {
 	}
 	return ""
 }
+
+// rootIdent unwraps index/selector/star/paren chains to the base identifier:
+// the variable whose contents the expression reads or mutates.
+func rootIdent(e ast.Expr) *ast.Ident {
+	for {
+		switch x := e.(type) {
+		case *ast.Ident:
+			return x
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
+}

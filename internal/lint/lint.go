@@ -6,8 +6,8 @@
 //   - Determinism: every output — trajectories, digests, bench tables,
 //     hardware-model numbers — must be byte-identical at every
 //     Workers/CodecWorkers/-jobs/-sessions value. The maprange check flags
-//     `range` over a map in determinism-critical packages unless the loop
-//     body provably accumulates order-insensitively; the nondetsource check
+//     `range` over a map in determinism-critical packages unless it is the
+//     collect-then-sort idiom (see checkMapRange); the nondetsource check
 //     flags wall-clock reads (time.Now and friends), the unseeded global
 //     math/rand source, and select statements that let the runtime pick
 //     between multiple ready cases; the goroutine-site check flags `go`
@@ -39,10 +39,11 @@
 // # What the checks do NOT see
 //
 // The analysis is intraprocedural: a call into another function is trusted
-// (hotalloc does not follow calls; maprange conservatively rejects calls it
-// cannot prove harmless). The dynamic gates — the digest-equality tests, the
-// -race suite, the allocation budget in TestRenderContextAllocationFree —
-// remain the ground truth; ags-vet exists to catch the regression classes
+// (hotalloc does not follow calls), and maprange admits one loop shape
+// rather than proving order-insensitivity, so every other map range carries
+// its reason in an //ags:allow. The dynamic gates — the digest-equality
+// tests, the -race suite, the allocation budget in
+// TestRenderContextAllocationFree — remain the ground truth; ags-vet exists to catch the regression classes
 // they historically caught (map-iteration-order nondeterminism in
 // engines.SimulateLogging, allocation creep in the splat kernels) before a
 // run ever happens.
@@ -55,11 +56,11 @@ import (
 
 // Finding is one reported violation, formatted "file:line:col: [check] msg".
 type Finding struct {
-	File    string `json:"file"` // module-root-relative, forward slashes
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Check   string `json:"check"`
-	Message string `json:"message"`
+	File    string // module-root-relative, forward slashes
+	Line    int
+	Col     int
+	Check   string
+	Message string
 }
 
 func (f Finding) String() string {
@@ -75,22 +76,14 @@ const (
 	checkDirective = "directive" // internal: malformed/stale //ags: comments
 )
 
-// AllChecks lists every selectable check in stable order.
-func AllChecks() []string {
-	return []string{CheckMapRange, CheckNondet, CheckHotAlloc, CheckGoroutine}
-}
+// allowable lists the checks an //ags:allow directive may name, in the order
+// diagnostics print them.
+var allowable = []string{CheckMapRange, CheckNondet, CheckHotAlloc, CheckGoroutine}
 
 // Config selects what Run analyzes.
 type Config struct {
 	// Dir is the module root (the directory holding go.mod).
 	Dir string
-	// Module overrides the module path; empty reads it from Dir/go.mod.
-	Module string
-	// Checks restricts the run to a subset of AllChecks; nil runs all of
-	// them. Directive validation (stale-suppression detection) only runs
-	// when all checks are enabled, since a suppression for a disabled check
-	// legitimately matches nothing.
-	Checks []string
 	// CriticalPrefixes are the import-path prefixes of determinism-critical
 	// packages — the scope of maprange, nondetsource and goroutine-site
 	// (hotalloc follows //ags:hotpath annotations anywhere). Nil defaults to
@@ -130,40 +123,20 @@ type pass struct {
 	report   func(Finding)
 }
 
-// Run loads every package under cfg.Dir and applies the enabled checks,
-// returning the surviving findings sorted by (file, line, col, check).
+// Run loads every package under cfg.Dir and applies every check, returning
+// the surviving findings sorted by (file, line, col, check).
 // Directive-suppressed findings are dropped; malformed or stale directives
 // become findings themselves.
 func Run(cfg Config) ([]Finding, error) {
-	pkgs, module, err := load(&cfg)
+	pkgs, module, err := load(cfg.Dir)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Module == "" {
-		cfg.Module = module
-	}
 	if cfg.CriticalPrefixes == nil {
-		cfg.CriticalPrefixes = []string{cfg.Module + "/internal/"}
+		cfg.CriticalPrefixes = []string{module + "/internal/"}
 	}
 	if cfg.GoroutineSites == nil {
-		cfg.GoroutineSites = DefaultGoroutineSites(cfg.Module)
-	}
-	enabled := make(map[string]bool)
-	if len(cfg.Checks) == 0 {
-		for _, c := range AllChecks() {
-			enabled[c] = true
-		}
-	} else {
-		known := make(map[string]bool)
-		for _, c := range AllChecks() {
-			known[c] = true
-		}
-		for _, c := range cfg.Checks {
-			if !known[c] {
-				return nil, fmt.Errorf("lint: unknown check %q (known: %v)", c, AllChecks())
-			}
-			enabled[c] = true
-		}
+		cfg.GoroutineSites = DefaultGoroutineSites(module)
 	}
 
 	var raw []Finding
@@ -174,21 +147,15 @@ func Run(cfg Config) ([]Finding, error) {
 			critical: hasPrefix(pkg.Path, cfg.CriticalPrefixes),
 			report:   func(f Finding) { raw = append(raw, f) },
 		}
-		if enabled[CheckMapRange] && p.critical {
+		if p.critical {
 			checkMapRange(p)
-		}
-		if enabled[CheckNondet] && p.critical {
 			checkNondetSource(p)
-		}
-		if enabled[CheckGoroutine] && p.critical {
 			checkGoroutineSite(p)
 		}
-		if enabled[CheckHotAlloc] {
-			checkHotAlloc(p)
-		}
+		checkHotAlloc(p)
 	}
 
-	findings := applyDirectives(pkgs, raw, len(cfg.Checks) == 0)
+	findings := applyDirectives(pkgs, raw)
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
 		if a.File != b.File {

@@ -37,7 +37,7 @@ func (p *Package) Position(pos token.Pos) (file string, line, col int) {
 	return filepath.ToSlash(file), ps.Line, ps.Column
 }
 
-// load parses and type-checks every package in the module rooted at cfg.Dir,
+// load parses and type-checks every package in the module rooted at dir,
 // returning them sorted by import path along with the module path.
 //
 // The walk skips testdata, vendor, hidden and underscore directories and
@@ -45,17 +45,14 @@ func (p *Package) Position(pos token.Pos) (file string, line, col int) {
 // freshly checked packages (in dependency order) and everything else through
 // the compiler's source importer, so the loader needs no toolchain
 // invocation and no network — go/parser + go/types end to end.
-func load(cfg *Config) ([]*Package, string, error) {
-	root, err := filepath.Abs(cfg.Dir)
+func load(dir string) ([]*Package, string, error) {
+	root, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, "", err
 	}
-	module := cfg.Module
-	if module == "" {
-		module, err = modulePath(filepath.Join(root, "go.mod"))
-		if err != nil {
-			return nil, "", err
-		}
+	module, err := modulePath(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return nil, "", err
 	}
 
 	fset := token.NewFileSet()

@@ -7,14 +7,22 @@ import (
 	"go/types"
 )
 
-// checkMapRange flags `range` over a map in determinism-critical packages
-// unless the loop body provably accumulates order-insensitively. Go
-// randomizes map iteration order per run, so any loop whose effect depends
-// on visit order — last-writer-wins assignments, order-dependent admission
-// guards, unsorted collection, early exit — produces run-to-run divergent
-// output. The proof is syntactic and conservative (see mrLoop.stmt); loops
-// that are order-insensitive for deeper reasons carry an
-// //ags:allow(maprange, reason).
+// checkMapRange flags every `range` over a map in a determinism-critical
+// package except the one idiom that is order-insensitive by construction,
+// collect-then-sort:
+//
+//	for k, v := range m {
+//		if v >= 2 { // optional: no calls, no else, does not mention xs
+//			xs = append(xs, k) // exactly the range key or the range value
+//		}
+//	}
+//	sort.Strings(xs) // a sort.* / slices.Sort* of xs, later in the same function
+//
+// Go randomizes map iteration order per run, so any other loop either leaks
+// that order into its result or is order-insensitive for a reason the reader
+// has to be told (an integer count, a min-reduction over unique values,
+// close-everything): those carry //ags:allow(maprange, reason). The check
+// does not try to prove them.
 func checkMapRange(p *pass) {
 	for _, file := range p.pkg.Files {
 		for _, decl := range file.Decls {
@@ -25,10 +33,9 @@ func checkMapRange(p *pass) {
 	}
 }
 
-// mapRangeWalk visits every map-range statement under body, treating body as
-// the enclosing scope for the sorted-after-loop rule. Function literals
-// start a fresh scope: a sort inside a closure does not order a slice
-// appended outside it.
+// mapRangeWalk visits every map-range statement under body, the scope the
+// sort has to follow the loop in. Function literals start a fresh scope: a
+// sort inside a closure does not order a slice appended outside it.
 func mapRangeWalk(p *pass, body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -36,497 +43,128 @@ func mapRangeWalk(p *pass, body *ast.BlockStmt) {
 			mapRangeWalk(p, n.Body)
 			return false
 		case *ast.RangeStmt:
-			if t := p.pkg.Info.Types[n.X].Type; t != nil {
-				if _, isMap := t.Underlying().(*types.Map); isMap {
-					if reason := analyzeMapRange(p, n, body); reason != "" {
-						file, line, col := p.pkg.Position(n.Pos())
-						p.report(Finding{
-							File: file, Line: line, Col: col, Check: CheckMapRange,
-							Message: fmt.Sprintf("range over map %s: %s (iteration order is randomized; sort collected keys, restructure, or justify with //ags:allow(maprange, reason))",
-								types.ExprString(n.X), reason),
-						})
-					}
+			t := p.pkg.Info.Types[n.X].Type
+			if t == nil {
+				return true
+			}
+			if _, isMap := t.Underlying().(*types.Map); !isMap {
+				return true
+			}
+			reason := "the loop does more than append the range key or value to one slice"
+			if slice := collectedSlice(p.pkg.Info, n); slice != nil {
+				if sortedAfter(p.pkg.Info, body, n, slice) {
+					return true
 				}
+				reason = "no sort of " + slice.Name() + " follows the loop in this function"
 			}
+			p.reportAt(n.Pos(), CheckMapRange, fmt.Sprintf(
+				"range over map %s: %s (iteration order is randomized; collect then sort, or justify with //ags:allow(maprange, reason))",
+				types.ExprString(n.X), reason))
 		}
 		return true
 	})
 }
 
-// mrLoop carries the per-loop analysis state.
-type mrLoop struct {
-	p       *pass
-	rs      *ast.RangeStmt
-	owner   *ast.BlockStmt        // enclosing function body (sorted-after rule)
-	locals  map[types.Object]bool // objects declared inside the loop (incl. key/value)
-	written map[types.Object]bool // OUTER objects the loop writes
-	keyObjs map[types.Object]bool // the range key/value variables
-}
-
-// analyzeMapRange returns "" when the loop body is provably
-// order-insensitive, else a human-readable reason it is not.
-func analyzeMapRange(p *pass, rs *ast.RangeStmt, owner *ast.BlockStmt) string {
-	a := &mrLoop{
-		p: p, rs: rs, owner: owner,
-		locals:  make(map[types.Object]bool),
-		written: make(map[types.Object]bool),
-		keyObjs: make(map[types.Object]bool),
+// collectedSlice returns the slice variable a map-range loop collects into
+// when its body is the admitted shape and nothing else: `xs = append(xs, e)`
+// with e the range key or value, optionally as the only statement of an `if`
+// with no init, no else, and a condition free of calls, closures and xs
+// (`if len(xs) < n`, or `if xs == nil`, would admit an order-dependent
+// subset that a later sort cannot repair). It returns nil for any other body.
+func collectedSlice(info *types.Info, rs *ast.RangeStmt) types.Object {
+	if len(rs.Body.List) != 1 {
+		return nil
 	}
-	// Only the range KEY is guaranteed unique per iteration — an index
-	// keyed by the range value can collide across iterations (duplicate
-	// values) and then the last visit wins, which is order-dependent.
-	if id, ok := rs.Key.(*ast.Ident); ok {
-		if o := a.obj(id); o != nil {
-			a.keyObjs[o] = true
-		}
-	}
-	for _, e := range []ast.Expr{rs.Key, rs.Value} {
-		if id, ok := e.(*ast.Ident); ok {
-			if o := a.obj(id); o != nil {
-				a.locals[o] = true
-			}
-		}
-	}
-	ast.Inspect(rs.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.Ident:
-			if o := p.pkg.Info.Defs[n]; o != nil {
-				a.locals[o] = true
-			}
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				a.markWritten(lhs)
-			}
-		case *ast.IncDecStmt:
-			a.markWritten(n.X)
-		}
-		return true
-	})
-	for _, s := range rs.Body.List {
-		if reason := a.stmt(s, 0); reason != "" {
-			return reason
-		}
-	}
-	return ""
-}
-
-func (a *mrLoop) obj(id *ast.Ident) types.Object {
-	if o := a.p.pkg.Info.Defs[id]; o != nil {
-		return o
-	}
-	return a.p.pkg.Info.Uses[id]
-}
-
-// markWritten records the root variable behind an lvalue, if it lives
-// outside the loop. (Locals are collected separately via Defs, so a root
-// that is also a local is filtered at query time.)
-func (a *mrLoop) markWritten(lhs ast.Expr) {
-	if id := rootIdent(lhs); id != nil {
-		if o := a.obj(id); o != nil {
-			a.written[o] = true
-		}
-	}
-}
-
-// rootIdent unwraps index/selector/star/paren chains to the base identifier:
-// the variable whose contents the lvalue mutates.
-func rootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return x
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		default:
+	stmt := rs.Body.List[0]
+	var cond ast.Expr
+	if ifs, ok := stmt.(*ast.IfStmt); ok {
+		if ifs.Init != nil || ifs.Else != nil || len(ifs.Body.List) != 1 {
 			return nil
 		}
+		cond, stmt = ifs.Cond, ifs.Body.List[0]
 	}
-}
-
-// writesOuter reports whether obj is an outer variable the loop writes.
-func (a *mrLoop) writesOuter(o types.Object) bool {
-	return o != nil && a.written[o] && !a.locals[o]
-}
-
-// stmt classifies one statement. depth counts enclosing loops *inside* the
-// map range: break is order-dependent at depth 0 (it ends the map iteration
-// after an order-dependent prefix) but fine inside a nested loop.
-func (a *mrLoop) stmt(s ast.Stmt, depth int) string {
-	switch s := s.(type) {
-	case *ast.AssignStmt:
-		return a.assign(s)
-	case *ast.IncDecStmt:
-		return a.incDec(s)
-	case *ast.DeclStmt:
-		gd, ok := s.Decl.(*ast.GenDecl)
-		if !ok {
-			return "unsupported declaration inside the loop"
-		}
-		for _, spec := range gd.Specs {
-			if vs, ok := spec.(*ast.ValueSpec); ok {
-				for _, v := range vs.Values {
-					if r := a.assignRHS(v); r != "" {
-						return r
-					}
+	as, ok := stmt.(*ast.AssignStmt)
+	if !ok || as.Tok != token.ASSIGN || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
+		return nil
+	}
+	call, ok := as.Rhs[0].(*ast.CallExpr)
+	if !ok || builtinName(info, call) != "append" || len(call.Args) != 2 || call.Ellipsis.IsValid() {
+		return nil
+	}
+	slice := identObj(info, as.Lhs[0])
+	elem := identObj(info, call.Args[1])
+	if slice == nil || identObj(info, call.Args[0]) != slice ||
+		elem == nil || (elem != identObj(info, rs.Key) && elem != identObj(info, rs.Value)) {
+		return nil
+	}
+	clean := true
+	if cond != nil {
+		ast.Inspect(cond, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr, *ast.FuncLit:
+				clean = false
+			case *ast.Ident:
+				if info.Uses[n] == slice {
+					clean = false
 				}
 			}
-		}
-		return ""
-	case *ast.ExprStmt:
-		return a.callStmt(s.X)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			if r := a.stmt(s.Init, depth); r != "" {
-				return r
-			}
-		}
-		if r := a.cond(s.Cond); r != "" {
-			return r
-		}
-		for _, b := range s.Body.List {
-			if r := a.stmt(b, depth); r != "" {
-				return r
-			}
-		}
-		if s.Else != nil {
-			return a.stmt(s.Else, depth)
-		}
-		return ""
-	case *ast.BlockStmt:
-		for _, b := range s.List {
-			if r := a.stmt(b, depth); r != "" {
-				return r
-			}
-		}
-		return ""
-	case *ast.ForStmt:
-		if s.Init != nil {
-			if r := a.stmt(s.Init, depth+1); r != "" {
-				return r
-			}
-		}
-		if s.Cond != nil {
-			if r := a.cond(s.Cond); r != "" {
-				return r
-			}
-		}
-		if s.Post != nil {
-			if r := a.stmt(s.Post, depth+1); r != "" {
-				return r
-			}
-		}
-		for _, b := range s.Body.List {
-			if r := a.stmt(b, depth+1); r != "" {
-				return r
-			}
-		}
-		return ""
-	case *ast.RangeStmt:
-		if r := a.cond(s.X); r != "" {
-			return r
-		}
-		for _, b := range s.Body.List {
-			if r := a.stmt(b, depth+1); r != "" {
-				return r
-			}
-		}
-		return ""
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			if r := a.stmt(s.Init, depth); r != "" {
-				return r
-			}
-		}
-		if s.Tag != nil {
-			if r := a.cond(s.Tag); r != "" {
-				return r
-			}
-		}
-		for _, cc := range s.Body.List {
-			clause := cc.(*ast.CaseClause)
-			for _, e := range clause.List {
-				if r := a.cond(e); r != "" {
-					return r
-				}
-			}
-			for _, b := range clause.Body {
-				if r := a.stmt(b, depth); r != "" {
-					return r
-				}
-			}
-		}
-		return ""
-	case *ast.BranchStmt:
-		switch s.Tok {
-		case token.CONTINUE:
-			if s.Label != nil {
-				return "labeled continue may skip levels order-dependently"
-			}
-			return ""
-		case token.BREAK:
-			if s.Label == nil && depth > 0 {
-				return "" // ends a nested loop only; the map iteration continues
-			}
-			return "break ends the map iteration after an order-dependent prefix"
-		case token.FALLTHROUGH:
-			return ""
-		default:
-			return "goto inside the loop"
-		}
-	case *ast.ReturnStmt:
-		return "return from inside the loop makes the result depend on which keys were visited first"
-	case *ast.EmptyStmt:
-		return ""
-	default:
-		return fmt.Sprintf("%T inside the loop is not provably order-insensitive", s)
+			return clean
+		})
 	}
+	if !clean {
+		return nil
+	}
+	return slice
 }
 
-// assign admits the order-insensitive write forms:
-//
-//   - declarations and writes whose target lives inside the loop;
-//   - commutative integer accumulation into an outer variable (+=, -=, |=,
-//     &=, ^=); floating-point accumulation is rejected — float addition is
-//     not associative, so the sum's low bits depend on visit order;
-//   - x = append(x, ...) into an outer slice, provided a sort of x follows
-//     the loop in the enclosing function (collect-then-sort idiom);
-//   - writes through an outer map/slice index keyed by the range key: each
-//     iteration touches its own element, so order cannot matter, as long as
-//     the stored value reads nothing the loop wrote elsewhere.
-func (a *mrLoop) assign(s *ast.AssignStmt) string {
-	for _, rhs := range s.Rhs {
-		if r := a.assignRHS(rhs); r != "" {
-			return r
-		}
+// identObj resolves a bare identifier to its object, or nil for any other
+// expression (including an absent range key or value).
+func identObj(info *types.Info, e ast.Expr) types.Object {
+	id, ok := e.(*ast.Ident)
+	if !ok {
+		return nil
 	}
-	if s.Tok == token.DEFINE {
-		return "" // all targets are loop-local by construction
+	if o := info.Defs[id]; o != nil {
+		return o
 	}
-	for i, lhs := range s.Lhs {
-		root := rootIdent(lhs)
-		if root == nil {
-			return fmt.Sprintf("write through %s is not provably order-insensitive", types.ExprString(lhs))
-		}
-		o := a.obj(root)
-		if o == nil || a.locals[o] {
-			continue
-		}
-		switch l := lhs.(type) {
-		case *ast.Ident:
-			if s.Tok == token.ASSIGN {
-				if i < len(s.Rhs) && a.isSortedAppend(l, s.Rhs[i]) {
-					continue
-				}
-				return fmt.Sprintf("plain assignment to outer variable %s is last-writer-wins", l.Name)
-			}
-			if r := a.commutativeOp(s.Tok, o); r != "" {
-				return r
-			}
-		case *ast.IndexExpr:
-			if !a.referencesKey(l.Index) {
-				return fmt.Sprintf("write to %s is not keyed by the range variable, so iterations can collide order-dependently", types.ExprString(lhs))
-			}
-			if r := a.cond(l.Index); r != "" {
-				return r
-			}
-		default:
-			return fmt.Sprintf("write through %s is not provably order-insensitive", types.ExprString(lhs))
-		}
-	}
-	return ""
+	return info.Uses[id]
 }
 
-// assignRHS vets the value side of an admitted write: no calls beyond the
-// pure builtins, and no reads of other outer variables the loop writes
-// (reading loop-written state makes this iteration's value depend on which
-// iterations already ran).
-func (a *mrLoop) assignRHS(rhs ast.Expr) string {
-	if call, ok := rhs.(*ast.CallExpr); ok && a.isBuiltin(call, "append") {
-		for _, arg := range call.Args[1:] {
-			if r := a.cond(arg); r != "" {
-				return r
-			}
-		}
-		return ""
-	}
-	return a.cond(rhs)
+// sortFuncs are the standard-library calls that impose a total order on
+// their first argument.
+var sortFuncs = map[string]map[string]bool{
+	"sort": {"Slice": true, "SliceStable": true, "Sort": true, "Stable": true,
+		"Strings": true, "Ints": true, "Float64s": true},
+	"slices": {"Sort": true, "SortFunc": true, "SortStableFunc": true},
 }
 
-// isSortedAppend recognizes `x = append(x, ...)` into an outer slice where a
-// sort of the same expression follows the map-range loop in the enclosing
-// function — the canonical deterministic way to consume a map.
-func (a *mrLoop) isSortedAppend(lhs *ast.Ident, rhs ast.Expr) bool {
-	call, ok := rhs.(*ast.CallExpr)
-	if !ok || !a.isBuiltin(call, "append") || len(call.Args) == 0 {
-		return false
-	}
-	base, ok := call.Args[0].(*ast.Ident)
-	if !ok || base.Name != lhs.Name {
-		return false
-	}
-	return a.sortedAfterLoop(lhs.Name)
-}
-
-// sortedAfterLoop reports whether a sort.* / slices.Sort* call whose first
-// argument prints as name (or wraps it in a conversion) appears after the
-// range loop inside the enclosing function body.
-func (a *mrLoop) sortedAfterLoop(name string) bool {
+// sortedAfter reports whether a sortFuncs call on slice (bare, or wrapped in
+// a sort.Interface conversion like byFoo(xs)) appears after the range loop
+// inside the enclosing function body.
+func sortedAfter(info *types.Info, owner *ast.BlockStmt, rs *ast.RangeStmt, slice types.Object) bool {
 	found := false
-	ast.Inspect(a.owner, func(n ast.Node) bool {
-		if found {
-			return false
+	ast.Inspect(owner, func(n ast.Node) bool {
+		if _, closure := n.(*ast.FuncLit); closure || found {
+			return false // a closure may never run; it is not "this function"
 		}
 		call, ok := n.(*ast.CallExpr)
-		if !ok || call.Pos() < a.rs.End() {
+		if !ok || call.Pos() < rs.End() || len(call.Args) == 0 {
 			return true
 		}
 		sel, ok := call.Fun.(*ast.SelectorExpr)
 		if !ok {
 			return true
 		}
-		fn, ok := a.p.pkg.Info.Uses[sel.Sel].(*types.Func)
-		if !ok || fn.Pkg() == nil {
-			return true
-		}
-		pkg, fname := fn.Pkg().Path(), fn.Name()
-		isSort := (pkg == "sort" && (fname == "Slice" || fname == "SliceStable" || fname == "Sort" ||
-			fname == "Stable" || fname == "Strings" || fname == "Ints" || fname == "Float64s")) ||
-			(pkg == "slices" && (fname == "Sort" || fname == "SortFunc" || fname == "SortStableFunc"))
-		if !isSort || len(call.Args) == 0 {
+		fn, ok := info.Uses[sel.Sel].(*types.Func)
+		if !ok || fn.Pkg() == nil || !sortFuncs[fn.Pkg().Path()][fn.Name()] {
 			return true
 		}
 		arg := call.Args[0]
-		// Unwrap a sort.Interface conversion like byFoo(x).
-		if conv, ok := arg.(*ast.CallExpr); ok && len(conv.Args) == 1 {
-			if tv, ok2 := a.p.pkg.Info.Types[conv.Fun]; ok2 && tv.IsType() {
-				arg = conv.Args[0]
-			}
+		if conv, ok := arg.(*ast.CallExpr); ok && len(conv.Args) == 1 && info.Types[conv.Fun].IsType() {
+			arg = conv.Args[0]
 		}
-		if id, ok := arg.(*ast.Ident); ok && id.Name == name {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// commutativeOp admits the operator-assigns whose repetition is
-// order-insensitive on the target's type.
-func (a *mrLoop) commutativeOp(tok token.Token, o types.Object) string {
-	switch tok {
-	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.OR_ASSIGN, token.AND_ASSIGN, token.XOR_ASSIGN:
-	default:
-		return fmt.Sprintf("%s on outer variable %s is not a commutative accumulation", tok, o.Name())
-	}
-	if b, ok := o.Type().Underlying().(*types.Basic); ok {
-		if b.Info()&types.IsInteger != 0 {
-			return ""
-		}
-		if b.Info()&(types.IsFloat|types.IsComplex) != 0 {
-			return fmt.Sprintf("floating-point accumulation into %s is order-sensitive (addition is not associative)", o.Name())
-		}
-	}
-	if tok == token.ADD_ASSIGN {
-		// String concatenation and other non-numeric += are order-dependent.
-		return fmt.Sprintf("+= on non-integer outer variable %s is order-sensitive", o.Name())
-	}
-	return ""
-}
-
-func (a *mrLoop) incDec(s *ast.IncDecStmt) string {
-	switch x := s.X.(type) {
-	case *ast.Ident:
-		o := a.obj(x)
-		if o == nil || a.locals[o] {
-			return ""
-		}
-		if b, ok := o.Type().Underlying().(*types.Basic); ok && b.Info()&types.IsInteger != 0 {
-			return ""
-		}
-		return fmt.Sprintf("++/-- on non-integer outer variable %s", x.Name)
-	case *ast.IndexExpr:
-		if root := rootIdent(x.X); root != nil && a.referencesKey(x.Index) {
-			return a.cond(x.Index)
-		}
-		return fmt.Sprintf("++/-- on %s is not keyed by the range variable", types.ExprString(s.X))
-	default:
-		return fmt.Sprintf("++/-- through %s is not provably order-insensitive", types.ExprString(s.X))
-	}
-}
-
-// callStmt admits delete(m, k) keyed by the range variable (Go specifies
-// deleting during iteration is safe, and distinct keys cannot collide);
-// every other call could observe iteration order and is rejected.
-func (a *mrLoop) callStmt(e ast.Expr) string {
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return fmt.Sprintf("expression %s inside the loop is not provably order-insensitive", types.ExprString(e))
-	}
-	if a.isBuiltin(call, "delete") && len(call.Args) == 2 && a.referencesKey(call.Args[1]) {
-		return ""
-	}
-	return fmt.Sprintf("call to %s inside the loop — the callee can observe iteration order", types.ExprString(call.Fun))
-}
-
-// cond rejects expressions that read outer variables the loop itself writes
-// (an admission guard like `len(seen) < cap` makes each iteration's outcome
-// depend on which iterations ran before it) or that call anything beyond
-// len/cap/min/max.
-func (a *mrLoop) cond(e ast.Expr) string {
-	var reason string
-	ast.Inspect(e, func(n ast.Node) bool {
-		if reason != "" {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.Ident:
-			if o := a.obj(n); a.writesOuter(o) {
-				reason = fmt.Sprintf("reads %s, which the loop writes — the value seen depends on which iterations already ran", n.Name)
-			}
-		case *ast.CallExpr:
-			if a.isBuiltin(n, "len") || a.isBuiltin(n, "cap") || a.isBuiltin(n, "min") || a.isBuiltin(n, "max") {
-				return true
-			}
-			if tv, ok := a.p.pkg.Info.Types[n.Fun]; ok && tv.IsType() {
-				return true // type conversion
-			}
-			reason = fmt.Sprintf("call to %s inside the loop — the callee can observe iteration order", types.ExprString(n.Fun))
-		case *ast.FuncLit:
-			reason = "closure inside the loop is not provably order-insensitive"
-		}
-		return reason == ""
-	})
-	return reason
-}
-
-// referencesKey reports whether the expression mentions one of the range
-// key/value variables — the test that a per-iteration index is unique.
-func (a *mrLoop) referencesKey(e ast.Expr) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			if o := a.obj(id); o != nil && a.keyObjs[o] {
-				found = true
-			}
-		}
+		found = identObj(info, arg) == slice
 		return !found
 	})
 	return found
-}
-
-// isBuiltin reports whether the call invokes the named predeclared builtin.
-func (a *mrLoop) isBuiltin(call *ast.CallExpr, name string) bool {
-	id, ok := call.Fun.(*ast.Ident)
-	if !ok || id.Name != name {
-		return false
-	}
-	_, ok = a.p.pkg.Info.Uses[id].(*types.Builtin)
-	return ok
 }

@@ -1,5 +1,6 @@
 // Package mr is the maprange golden corpus: each function is a positive,
-// negative, or suppressed case for range-over-map determinism analysis.
+// negative, or suppressed case for the range-over-map check, which admits
+// the collect-then-sort idiom and nothing else.
 // "// want <check>" markers name the findings the harness expects on that
 // line; lines without markers must stay clean.
 package mr
@@ -8,8 +9,10 @@ import "sort"
 
 func observe(string) {}
 
-// CountValues is order-insensitive: only commutative integer reductions.
+// CountValues is order-insensitive (commutative integer reductions), which
+// the check does not try to prove: it carries a written justification.
 func CountValues(m map[string]int) (n, sum int) {
+	//ags:allow(maprange, integer count and sum: every visit order yields the same totals)
 	for _, v := range m {
 		n++
 		sum += v
@@ -27,6 +30,65 @@ func CollectSorted(m map[string]int) []string {
 	return keys
 }
 
+// CollectValuesIf appends the range value under a call-free condition and
+// sorts through a sort.Interface conversion.
+func CollectValuesIf(m map[string]int) []int {
+	var vals []int
+	for k, v := range m {
+		if v > 0 && k != "" {
+			vals = append(vals, v)
+		}
+	}
+	sort.Sort(sort.IntSlice(vals))
+	return vals
+}
+
+// SortedBefore sorts the slice before the loop fills it, which orders nothing.
+func SortedBefore(m map[string]int) []string {
+	var keys []string
+	sort.Strings(keys)
+	for k := range m { // want maprange
+		keys = append(keys, k)
+	}
+	return keys
+}
+
+// SortedInClosure sorts inside a function literal that may never run.
+func SortedInClosure(m map[string]int) func() []string {
+	var keys []string
+	for k := range m { // want maprange
+		keys = append(keys, k)
+	}
+	return func() []string {
+		sort.Strings(keys)
+		return keys
+	}
+}
+
+// CollectFirst admits a key only while the slice is empty: the sort that
+// follows orders one arbitrary key.
+func CollectFirst(m map[string]int) []string {
+	var keys []string
+	for k := range m { // want maprange
+		if keys == nil {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// CollectDerived appends something computed from the key; the idiom is the
+// bare key or value, so the check has no expression to reason about.
+func CollectDerived(m map[string]int) []string {
+	var keys []string
+	for k := range m { // want maprange
+		keys = append(keys, k+"!")
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // CollectUnsorted leaks map iteration order into the returned slice.
 func CollectUnsorted(m map[string]int) []string {
 	var keys []string
@@ -36,10 +98,11 @@ func CollectUnsorted(m map[string]int) []string {
 	return keys
 }
 
-// Copy writes through the range key, so every visit order builds the same map.
+// Copy writes through the range key, so every visit order builds the same
+// map, but it is not the admitted idiom: without a directive it is a finding.
 func Copy(m map[string]int) map[string]int {
 	out := make(map[string]int, len(m))
-	for k, v := range m {
+	for k, v := range m { // want maprange
 		out[k] = v
 	}
 	return out
@@ -106,9 +169,9 @@ func FirstPositive(m map[string]int) string {
 }
 
 // PruneZero deletes through the range key, which the spec guarantees is safe
-// and order-independent.
+// and order-independent; not the admitted idiom, so a finding.
 func PruneZero(m map[string]int) {
-	for k, v := range m {
+	for k, v := range m { // want maprange
 		if v == 0 {
 			delete(m, k)
 		}
@@ -116,10 +179,11 @@ func PruneZero(m map[string]int) {
 }
 
 // AnyNegative breaks only out of the inner slice loop; the outer map loop
-// still visits every entry, and the count is a commutative reduction.
+// still visits every entry, and the count is a commutative reduction. Not
+// the admitted idiom, so a finding.
 func AnyNegative(m map[string][]int) int {
 	n := 0
-	for _, vs := range m {
+	for _, vs := range m { // want maprange
 		for _, v := range vs {
 			if v < 0 {
 				n++
@@ -130,8 +194,8 @@ func AnyNegative(m map[string][]int) int {
 	return n
 }
 
-// MaxValue is genuinely order-insensitive, but the heuristic cannot prove
-// min/max reductions, so it carries a written justification.
+// MaxValue is genuinely order-insensitive, so it carries a written
+// justification.
 func MaxValue(m map[string]int) int {
 	best := 0
 	//ags:allow(maprange, max reduction over ints: every visit order yields the same maximum)

@@ -192,11 +192,12 @@ func (m *Mapper) PredictedNonContrib() map[int]bool {
 	return out
 }
 
-// AddKeyframe retains a reference view for the multi-view mapping loss.
+// AddKeyframe retains a reference view for the multi-view mapping loss. A
+// window below zero (a remote OPEN can carry one) keeps none, like zero.
 func (m *Mapper) AddKeyframe(f *frame.Frame, pose vecmath.Pose) {
 	m.keyframes = append(m.keyframes, Keyframe{Frame: f, Pose: pose})
-	if len(m.keyframes) > m.Cfg.KeyframeWindow {
-		m.keyframes = m.keyframes[len(m.keyframes)-m.Cfg.KeyframeWindow:]
+	if window := max(m.Cfg.KeyframeWindow, 0); len(m.keyframes) > window {
+		m.keyframes = m.keyframes[len(m.keyframes)-window:]
 	}
 }
 

@@ -216,4 +216,17 @@ func TestKeyframeWindowBounded(t *testing.T) {
 	if m.keyframes[3].Frame.Index != 11 {
 		t.Errorf("last keyframe index = %d", m.keyframes[3].Frame.Index)
 	}
+
+	// Zero keeps none, and so does a window below zero (hostile configs reach
+	// here unvalidated; -1 used to slice out of range).
+	for _, window := range []int{0, -1} {
+		cfg.KeyframeWindow = window
+		m := New(cfg)
+		for _, f := range seq.Frames[:3] {
+			m.AddKeyframe(f, f.GTPose)
+		}
+		if len(m.keyframes) != 0 {
+			t.Errorf("KeyframeWindow %d retained %d keyframes", window, len(m.keyframes))
+		}
+	}
 }

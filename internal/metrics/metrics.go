@@ -148,6 +148,7 @@ func FalsePositiveRate(predicted, truth map[int]bool) float64 {
 		return 0
 	}
 	fp := 0
+	//ags:allow(maprange, integer count of set difference: every visit order yields the same total)
 	for id := range predicted {
 		if !truth[id] {
 			fp++

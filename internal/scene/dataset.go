@@ -17,13 +17,6 @@ type Config struct {
 	VFoV          float64 // vertical field of view in radians; 0 = 60 degrees
 }
 
-// DefaultConfig is the resolution/length used throughout the experiments:
-// small enough that the full 9-sequence suite runs in minutes on a CPU,
-// large enough that tile-level and covisibility-level effects appear.
-func DefaultConfig() Config {
-	return Config{Width: 96, Height: 72, Frames: 40, Seed: 1}
-}
-
 // Sequence is a generated RGB-D dataset with ground-truth poses.
 type Sequence struct {
 	Name   string

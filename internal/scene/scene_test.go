@@ -154,7 +154,7 @@ func TestMotionScriptDeterministic(t *testing.T) {
 }
 
 func TestGenerateUnknownSequence(t *testing.T) {
-	if _, err := Generate("NotAScene", DefaultConfig()); err == nil {
+	if _, err := Generate("NotAScene", Config{Width: 96, Height: 72, Frames: 40, Seed: 1}); err == nil {
 		t.Error("unknown sequence accepted")
 	}
 	if _, err := Generate("Desk", Config{Width: 0, Height: 10, Frames: 5}); err == nil {

@@ -14,10 +14,10 @@ import (
 	"ags/internal/vecmath"
 )
 
-// DefaultQueueDepth is each session's default frame-queue length: deep enough
-// to keep the CODEC prefetch one frame ahead, shallow enough that Push
-// exerts backpressure as soon as a stream outruns its pipeline.
-const DefaultQueueDepth = 2
+// queueDepth is the length of each session's queue: deep enough to keep the
+// CODEC prefetch one frame ahead, shallow enough that Push exerts
+// backpressure as soon as a stream outruns its pipeline.
+const queueDepth = 2
 
 // ServerConfig sizes a Server's shared resources.
 type ServerConfig struct {
@@ -26,9 +26,6 @@ type ServerConfig struct {
 	// contexts are not counted: a frame-step always gets a context, a miss
 	// just allocates a fresh one.
 	ContextCapacity int
-	// QueueDepth is each session's frame queue length; Push blocks once the
-	// queue is full (0 = DefaultQueueDepth).
-	QueueDepth int
 }
 
 // Server owns the per-host resources live SLAM streams share — today the
@@ -60,9 +57,6 @@ var ErrDraining = errors.New("slam: server draining")
 func NewServer(cfg ServerConfig) *Server {
 	if cfg.ContextCapacity <= 0 {
 		cfg.ContextCapacity = 2 * runtime.GOMAXPROCS(0)
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = DefaultQueueDepth
 	}
 	return &Server{cfg: cfg, pool: splat.NewContextPool(cfg.ContextCapacity)}
 }
@@ -177,8 +171,7 @@ func (sv *Server) start(name string, sys *System) (*Session, error) {
 		name:    name,
 		sv:      sv,
 		sys:     sys,
-		in:      make(chan *frame.Frame, sv.cfg.QueueDepth),
-		snap:    make(chan *snapReq),
+		in:      make(chan sessOp, queueDepth),
 		updates: make(chan FrameUpdate, updateBuffer),
 		failed:  make(chan struct{}),
 		done:    make(chan struct{}),
@@ -254,17 +247,18 @@ type FrameUpdate struct {
 }
 
 // Session is one live SLAM sequence on a Server. The producer side (Push,
-// Close) must be driven from a single goroutine; processing happens on the
-// session's own goroutine, and per-frame outcomes stream on Results. Close
-// drains the queue and returns the final Result — the same value a
-// single-tenant Run of the same frames produces, digest for digest.
+// AppendSnapshot, Close) must be driven from a single goroutine; each call
+// is one entry of a single FIFO that the session's own goroutine works
+// through, so the order the producer called in is the order things happen
+// in, by construction. Per-frame outcomes stream on Results. Close drains
+// the queue and returns the final Result — the same value a single-tenant
+// Run of the same frames produces, digest for digest.
 type Session struct {
 	name string
 	sv   *Server
 	sys  *System
 
-	in      chan *frame.Frame
-	snap    chan *snapReq
+	in      chan sessOp // closed by Close
 	updates chan FrameUpdate
 	failed  chan struct{} // closed when processing hits an error
 	done    chan struct{} // closed when the worker goroutine exits
@@ -296,13 +290,10 @@ func (s *Session) Push(f *frame.Frame) error {
 		return fmt.Errorf("session %q: %w", s.name, s.err) // s.err carries the slam: prefix
 	default:
 	}
-	//ags:allow(nondetsource, both winners agree: once failed is closed the worker drains in without processing, so a frame that won the race to enqueue is discarded and this call's error return is the same either way)
-	select {
-	case s.in <- f:
-		return nil
-	case <-s.failed:
-		return fmt.Errorf("session %q: %w", s.name, s.err)
-	}
+	// The worker keeps receiving after a failure (it discards the frames), so
+	// this send cannot block for good; the error surfaces on the next call.
+	s.in <- sessOp{frame: f}
+	return nil
 }
 
 // Results returns the session's per-frame update stream. Delivery is
@@ -327,6 +318,13 @@ func (s *Session) Close() (*Result, error) {
 	return s.res, s.err
 }
 
+// sessOp is one entry of a session's queue: a frame to process or a snapshot
+// to take. Exactly one field is set.
+type sessOp struct {
+	frame *frame.Frame
+	snap  *snapReq
+}
+
 // snapReq asks the session worker to serialize its system between frames:
 // the worker appends the snapshot to buf and then sends on done, which is what
 // orders its writes before the producer's reads.
@@ -336,111 +334,80 @@ type snapReq struct {
 }
 
 // AppendSnapshot serializes the session's state at a well-defined point and
-// appends it to dst (see System.AppendSnapshot for how dst grows): every
-// frame pushed before the call is processed first (the producer is blocked
-// here, so the queue can only drain), the ME lookahead is flushed, and the
-// system is encoded. A session restored from those bytes and fed the
-// remaining frames closes with a Result digest-identical to this session's.
-// AppendSnapshot shares the producer contract of Push and Close (one
-// goroutine); it fails after Close or once the session has errored, and then
-// returns dst as it was.
+// appends it to dst (see System.AppendSnapshot for how dst grows). The
+// request joins the same queue as the frames, so every frame pushed before
+// the call is processed first and none pushed after it is; the worker then
+// flushes the ME lookahead and encodes the system. A session restored from
+// those bytes and fed the remaining frames closes with a Result
+// digest-identical to this session's. AppendSnapshot shares the producer
+// contract of Push and Close (one goroutine); it fails after Close or once
+// the session has errored, and then returns dst as it was.
 func (s *Session) AppendSnapshot(dst []byte) ([]byte, error) {
 	if s.closed {
 		return dst, fmt.Errorf("slam: session %q: snapshot after Close", s.name)
 	}
 	req := &snapReq{buf: dst, done: make(chan error, 1)}
-	s.snap <- req
+	s.in <- sessOp{snap: req}
 	err := <-req.done
 	return req.buf, err
 }
 
-// loop is the session's worker: frames in queue order, with the same
-// CODEC-prefetch call sequence Run historically used under PipelineME —
-// frame t's ME against t+1 launches as soon as t+1 arrives, right before t
-// is processed, so the encode of the next frame overlaps the current frame's
-// tracking/mapping. Snapshot requests interleave on a second channel and are
-// serviced only after the already-queued frames, so the serialized state is
-// the same whichever case the runtime fires first.
+// loop is the session's worker: one queue, worked through in order. Under
+// PipelineME it holds the newest frame back as a one-frame lookahead, with
+// the CODEC-prefetch call sequence Run historically used: frame t's ME
+// against t+1 launches as soon as t+1 arrives, right before t is processed,
+// so the encode of the next frame overlaps the current frame's
+// tracking/mapping. The lookahead is flushed (processed with no prefetch)
+// where it has no successor to wait for: before a snapshot, whose restored
+// system recomputes that frame's motion estimation synchronously and
+// byte-identically, and at the end of the stream. After a failure the worker
+// keeps receiving, discards frames and answers snapshots with the error, so
+// the producer never blocks on a dead session.
 func (s *Session) loop() {
 	defer close(s.done)
 	defer s.sv.sessionClosed(s)
 	defer close(s.updates)
-	var pending *frame.Frame // one-frame lookahead under PipelineME
-	for {
-		//ags:allow(nondetsource, both winners converge: the snapshot branch drains every queued frame before serializing, and no frame can arrive while it runs (the producer is blocked in Snapshot), so the state written — and every later output — is identical whichever ready case fires)
-		select {
-		case f, ok := <-s.in:
-			if !ok {
-				if s.err == nil && pending != nil {
-					s.process(pending) // the final frame has no successor to prefetch against
-				}
-				if s.err == nil {
-					s.res = s.sys.Finish(s.name)
-				}
-				s.sys.Close()
-				return
-			}
-			pending = s.ingest(f, pending)
-		case req := <-s.snap:
-			pending = s.serveSnapshot(req, pending)
-		}
-	}
-}
-
-// ingest advances the pipeline by one queued frame, returning the new ME
-// lookahead frame (nil when pipelining is off or the session has errored).
-func (s *Session) ingest(f *frame.Frame, pending *frame.Frame) *frame.Frame {
-	if s.err != nil {
-		return pending // drain so blocked producers unblock; error surfaces at Close
-	}
-	if s.sys.Cfg.PipelineME {
-		if pending != nil {
-			s.sys.Prefetch(pending, f)
+	var pending *frame.Frame // the lookahead; nil when there is none
+	for op := range s.in {
+		if op.snap != nil {
 			s.process(pending)
+			pending = nil
+			s.snapshot(op.snap)
+			continue
 		}
-		return f
+		f := op.frame
+		if s.sys.Cfg.PipelineME && s.err == nil {
+			if pending != nil {
+				s.sys.Prefetch(pending, f)
+			}
+			f, pending = pending, f
+		}
+		s.process(f)
 	}
-	s.process(f)
-	return nil
+	s.process(pending)
+	if s.err == nil {
+		s.res = s.sys.Finish(s.name)
+	}
+	s.sys.Close()
 }
 
-// serveSnapshot brings the pipeline to a between-frames point and serializes
-// it: first every frame queued before the request (the producer is blocked in
-// Snapshot, so none can be added behind it), then the flushed ME lookahead —
-// its prefetch never launched, and the restored system recomputes that
-// frame's motion estimation synchronously, byte-identically.
-func (s *Session) serveSnapshot(req *snapReq, pending *frame.Frame) *frame.Frame {
-	for {
-		select {
-		case f, ok := <-s.in:
-			if !ok {
-				// Unreachable under the producer contract (Close follows
-				// Snapshot); fail the request rather than snapshot a closed
-				// stream's partial state.
-				req.done <- fmt.Errorf("slam: session %q: closed during snapshot", s.name)
-				return pending
-			}
-			pending = s.ingest(f, pending)
-			continue
-		default:
-		}
-		break
-	}
-	if s.err == nil && pending != nil {
-		s.process(pending)
-		pending = nil
-	}
+// snapshot answers one snapshot request at the between-frames point loop
+// brought the pipeline to.
+func (s *Session) snapshot(req *snapReq) {
 	if s.err != nil {
 		req.done <- fmt.Errorf("session %q: %w", s.name, s.err)
-		return pending
+		return
 	}
 	req.buf = s.sys.AppendSnapshot(req.buf)
 	req.done <- nil
-	return pending
 }
 
-// process runs one frame through the system and publishes its update.
+// process runs one frame through the system and publishes its update. It is
+// a no-op without a frame (an empty lookahead) and on a failed session.
 func (s *Session) process(f *frame.Frame) {
+	if f == nil || s.err != nil {
+		return
+	}
 	if err := s.sys.ProcessFrame(f); err != nil {
 		s.err = err
 		close(s.failed)

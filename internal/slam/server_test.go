@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"ags/internal/scene"
 )
@@ -200,6 +201,53 @@ func TestSessionErrorSurfacesOnPushAndClose(t *testing.T) {
 	}
 	if res != nil {
 		t.Error("failed session returned a Result")
+	}
+}
+
+// Frames and snapshot requests share one queue, so a worker that stopped
+// receiving after a processing failure would leave AppendSnapshot blocked for
+// ever. It must keep answering: every request gets the session's error, dst
+// comes back untouched, and pushes behind it still drain. Pipelined, the bad
+// frame is still the lookahead when the first request arrives and fails in
+// its flush.
+func TestSnapshotOnFailedSessionErrsAndNeverBlocks(t *testing.T) {
+	seq := testSeq(t, "Desk", 2)
+	wrong := scene.MustGenerate("Desk", scene.Config{Width: 32, Height: 24, Frames: 1, Seed: 1})
+	for _, pipelined := range []bool{false, true} {
+		cfg := fastAGS(tw, th)
+		cfg.PipelineME = pipelined
+		sess, err := NewServer(ServerConfig{}).Open(seq.Name, cfg, seq.Intr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if err := sess.Push(wrong.Frames[0]); err != nil {
+				t.Errorf("pipelined=%v: push itself failed: %v", pipelined, err)
+			}
+			dst := []byte("kept")
+			for i := 0; i < 2; i++ {
+				out, err := sess.AppendSnapshot(dst)
+				if err == nil || !strings.Contains(err.Error(), "does not match camera") {
+					t.Errorf("pipelined=%v: snapshot %d error = %v, want frame-size mismatch", pipelined, i, err)
+				}
+				if string(out) != "kept" {
+					t.Errorf("pipelined=%v: snapshot %d returned %d bytes, want dst untouched", pipelined, i, len(out))
+				}
+				for j := 0; j <= queueDepth; j++ {
+					sess.Push(seq.Frames[0]) // fails or is discarded; must not wedge the queue
+				}
+			}
+			if res, err := sess.Close(); err == nil || res != nil {
+				t.Errorf("pipelined=%v: Close = (%v, %v), want the session's error", pipelined, res, err)
+			}
+		}()
+		select {
+		case <-done:
+		case <-time.After(time.Minute):
+			t.Fatalf("pipelined=%v: producer blocked on a failed session", pipelined)
+		}
 	}
 }
 

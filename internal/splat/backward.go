@@ -81,7 +81,7 @@ func Backward(cloud *gauss.Cloud, cam camera.Camera, res *Result, target *frame.
 // Render): it carries the blend log the pass walks. It is only read, never
 // written — even a Result aliasing this same context stays valid, per the
 // package aliasing rules. The returned Grads aliases the context and is valid
-// until its next Backward or Reset call. A nil context falls back to the
+// until its next Backward call. A nil context falls back to the
 // one-shot package function.
 //
 //ags:hotpath

@@ -38,9 +38,3 @@ type RenderContext struct {
 func NewRenderContext() *RenderContext {
 	return &RenderContext{}
 }
-
-// Reset drops every internal buffer, returning the context to its zero
-// footprint. Results and gradients previously returned by this context are
-// invalidated. Reset is never required for correctness — buffers re-size
-// automatically — it only releases memory early.
-func (ctx *RenderContext) Reset() { *ctx = RenderContext{} }

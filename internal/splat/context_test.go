@@ -108,15 +108,3 @@ func TestRenderContextDeterminismAcrossWorkerCounts(t *testing.T) {
 		})
 	}
 }
-
-// TestRenderContextReset asserts Reset drops state without breaking
-// subsequent use.
-func TestRenderContextReset(t *testing.T) {
-	cloud, cam := determinismScene()
-	ctx := NewRenderContext()
-	want := ctx.Render(cloud, cam, Options{Workers: 1}).Digest()
-	ctx.Reset()
-	if got := ctx.Render(cloud, cam, Options{Workers: 1}).Digest(); got != want {
-		t.Error("render after Reset diverged")
-	}
-}

@@ -200,9 +200,8 @@ func TestFootprintBytes(t *testing.T) {
 	if got := used - logBytes - ctx.FootprintBytes(); got != cullBytes || cullBytes == 0 {
 		t.Errorf("dropping the cull scratch freed %d footprint bytes, scratch held %d", got, cullBytes)
 	}
-	ctx.Reset()
-	if got := ctx.FootprintBytes(); got != 0 {
-		t.Errorf("reset context footprint %d, want 0", got)
+	if got := NewRenderContext().FootprintBytes(); got != 0 {
+		t.Errorf("fresh context footprint %d, want 0", got)
 	}
 	if (*RenderContext)(nil).FootprintBytes() != 0 {
 		t.Error("nil context footprint not 0")

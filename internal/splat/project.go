@@ -74,19 +74,17 @@
 //   - A context is NOT safe for concurrent use. One goroutine, one context;
 //     the parallelism knob is Options.Workers inside a call, not contexts.
 //   - (*RenderContext).Render returns a *Result whose buffers are owned by
-//     the context and valid until its next Render or Reset call. Backward
+//     the context and valid until its next Render call. Backward
 //     only reads the Result — it never writes a Result-aliased buffer, and
 //     is contractually barred from doing so — so the render→backward→read
 //     pattern of the tracker/mapper loops is safe. Callers that retain any
 //     Result buffer across renders must copy it first.
 //   - (*RenderContext).Backward likewise returns a *Grads owned by the
-//     context, valid until its next Backward or Reset call.
+//     context, valid until its next Backward call.
 //   - The one-shot package functions return caller-owned buffers with no
 //     aliasing: the context they ran in is dropped on return.
-//   - Reset drops every internal buffer, returning the context to its
-//     zero footprint. A context re-sizes itself lazily from the intrinsics
-//     and cloud of each call, so mixed frame sizes are safe (and tested);
-//     Reset is only useful to release memory early.
+//   - A context re-sizes itself lazily from the intrinsics and cloud of
+//     each call, so mixed frame sizes are safe (and tested).
 //   - Contexted and one-shot calls are byte-identical to each other — the
 //     determinism contract above holds across both, for every Workers value.
 package splat
@@ -196,15 +194,11 @@ func ProjectGaussian(g *gauss.Gaussian, cam camera.Camera) (Splat, bool) {
 	}, true
 }
 
-// Preprocess projects every active Gaussian in the cloud (step 1 of Fig. 2),
-// culling those that fall outside the image or behind the camera. skip, when
-// non-nil, suppresses Gaussians whose ID is flagged (selective mapping).
-func Preprocess(cloud *gauss.Cloud, cam camera.Camera, skip []bool) []Splat {
-	return preprocessInto(make([]Splat, 0, cloud.Len()), cloud, cam, skip)
-}
-
-// preprocessInto is Preprocess appending into dst (reusing its capacity — the
-// RenderContext's per-frame projection path). When the cloud is dense (every
+// preprocessInto projects every active Gaussian in the cloud (step 1 of
+// Fig. 2), culling those that fall outside the image or behind the camera,
+// and appends the survivors to splats (reusing its capacity — the
+// RenderContext's per-frame projection path). skip, when non-nil, suppresses
+// Gaussians whose ID is flagged (selective mapping). When the cloud is dense (every
 // slot active — the steady state under map compaction), the per-slot
 // active-flag walk is skipped entirely, so projection work scales with the
 // live map rather than with lifetime allocations; sparse clouds take the

@@ -230,6 +230,14 @@ func refBackwardOneTile(cloud *gauss.Cloud, cam camera.Camera, res *Result, targ
 	}
 }
 
+// buildTiles is buildTilesInto on fresh tables.
+func buildTiles(splats []Splat, intr camera.Intrinsics) *Tiles {
+	t := &Tiles{}
+	var cursor []int32
+	buildTilesInto(t, &cursor, splats, intr)
+	return t
+}
+
 // refRender walks every tile serially through the reference forward kernel
 // over already projected splats.
 func refRender(splats []Splat, nGauss int, cam camera.Camera, opts Options) *Result {
@@ -240,7 +248,7 @@ func refRender(splats []Splat, nGauss int, cam camera.Camera, opts Options) *Res
 		Silhouette:    make([]float64, w*h),
 		FinalT:        make([]float64, w*h),
 		Splats:        splats,
-		Tiles:         BuildTiles(splats, cam.Intr),
+		Tiles:         buildTiles(splats, cam.Intr),
 		PerPixelBlend: make([]int32, w*h),
 		PerPixelAlpha: make([]int32, w*h),
 	}
@@ -316,7 +324,7 @@ func renderSplats(ctx *RenderContext, splats []Splat, cloud *gauss.Cloud, cam ca
 // blend threshold or not finite, footprints far larger than the image, and
 // opaque splats that force early termination.
 func adversarialSplats(rng *rand.Rand, cloud *gauss.Cloud, cam camera.Camera) []Splat {
-	splats := Preprocess(cloud, cam, nil)
+	splats := preprocessInto(nil, cloud, cam, nil)
 	nan, inf := math.NaN(), math.Inf(1)
 	w, h := float64(cam.Intr.W), float64(cam.Intr.H)
 	for i := range splats {
@@ -417,7 +425,7 @@ func TestKernelsMatchFullWalkReference(t *testing.T) {
 				if adversarial {
 					splats = adversarialSplats(rng, cloud, cam)
 				} else {
-					splats = Preprocess(cloud, cam, lo.Skip)
+					splats = preprocessInto(nil, cloud, cam, lo.Skip)
 				}
 				tgt := Render(randomCloud(rng, 12), cam, Options{Workers: 1})
 				target := &frame.Frame{Color: tgt.Color, Depth: tgt.NormalizedDepth()}

@@ -59,8 +59,8 @@ func Render(cloud *gauss.Cloud, cam camera.Camera, opts Options) *Result {
 }
 
 // Render runs the forward pipeline into the context's buffers. The returned
-// Result aliases the context and is valid until its next Render or Reset
-// call (Backward reads it but never writes it); see the package doc for the
+// Result aliases the context and is valid until its next Render call
+// (Backward reads it but never writes it); see the package doc for the
 // full aliasing rules. A nil context falls back to the one-shot package
 // function.
 //

@@ -201,8 +201,8 @@ func TestBuildTilesAssignsAndSorts(t *testing.T) {
 	cloud := gauss.NewCloud(2)
 	cloud.Add(centeredGaussian(2, 0.05, 0.9, vecmath.Vec3{X: 1}))
 	cloud.Add(centeredGaussian(3, 0.05, 0.9, vecmath.Vec3{Y: 1}))
-	splats := Preprocess(cloud, cam, nil)
-	tiles := BuildTiles(splats, cam.Intr)
+	splats := preprocessInto(nil, cloud, cam, nil)
+	tiles := buildTiles(splats, cam.Intr)
 	if tiles.TW != 4 || tiles.TH != 3 {
 		t.Fatalf("tile grid %dx%d", tiles.TW, tiles.TH)
 	}
@@ -229,13 +229,13 @@ func TestBuildTilesCullsOffscreenSplats(t *testing.T) {
 		{Mean2D: vecmath.Vec2{X: 30, Y: -25}, Radius: 4, Depth: 2},
 		{Mean2D: vecmath.Vec2{X: 30, Y: 90}, Radius: 8, Depth: 2},
 	}
-	tiles := BuildTiles(off, intr)
+	tiles := buildTiles(off, intr)
 	if n := tiles.TotalEntries(); n != 0 {
 		t.Errorf("off-screen splats produced %d table entries, want 0", n)
 	}
 	// A splat straddling the left border must keep its on-screen tile.
 	border := []Splat{{Mean2D: vecmath.Vec2{X: -2, Y: 8}, Radius: 5, Depth: 1}}
-	tiles = BuildTiles(border, intr)
+	tiles = buildTiles(border, intr)
 	if n := tiles.TotalEntries(); n != 1 {
 		t.Fatalf("border splat has %d table entries, want 1", n)
 	}
@@ -249,8 +249,8 @@ func TestTileCoverageMatchesRadius(t *testing.T) {
 	cloud := gauss.NewCloud(1)
 	// Large gaussian covering the whole image: all tiles get it.
 	cloud.Add(centeredGaussian(1.2, 1.5, 0.9, vecmath.Vec3{X: 1}))
-	splats := Preprocess(cloud, cam, nil)
-	tiles := BuildTiles(splats, cam.Intr)
+	splats := preprocessInto(nil, cloud, cam, nil)
+	tiles := buildTiles(splats, cam.Intr)
 	for i := 0; i < tiles.NumTiles(); i++ {
 		if len(tiles.ListAt(i)) != 1 {
 			t.Fatalf("tile %d missing the full-screen gaussian", i)

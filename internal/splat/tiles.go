@@ -34,23 +34,11 @@ func (t *Tiles) ListAt(idx int) []int32 {
 // number of (Gaussian, tile) pairs the renderer will touch.
 func (t *Tiles) TotalEntries() int { return len(t.Entries) }
 
-// BuildTiles performs the tile intersection test and depth sort. A splat is
-// assigned to every tile its 3-sigma bounding box overlaps (the reference
-// 3DGS conservative test). One-shot variant of (*RenderContext).Render's
-// internal build; see buildTilesInto.
-func BuildTiles(splats []Splat, intr camera.Intrinsics) *Tiles {
-	t := &Tiles{}
-	var cursor []int32
-	buildTilesInto(t, &cursor, splats, intr)
-	return t
-}
-
 // tileRect returns the clamped tile-coordinate bounding box of the splat, or
 // ok=false when its 3-sigma box misses the image entirely. Culling instead of
 // clamping matters: a clamped off-screen splat would charge phantom table
 // entries (and alpha evaluations) to the workload trace. Render's
-// preprocessing already culls these, but BuildTiles must stand alone for
-// direct callers.
+// preprocessing already culls these, but the table build does not rely on it.
 //
 //ags:hotpath
 func tileRect(s *Splat, w, h, tw, th int) (x0, x1, y0, y1 int, ok bool) {
@@ -65,8 +53,10 @@ func tileRect(s *Splat, w, h, tw, th int) (x0, x1, y0, y1 int, ok bool) {
 	return x0, x1, y0, y1, true
 }
 
-// buildTilesInto rebuilds t's CSR tables in place with a two-pass counting
-// build (count per tile, prefix-sum, fill), reusing t's backing arrays and
+// buildTilesInto performs the tile intersection test and depth sort: a splat
+// is assigned to every tile its 3-sigma bounding box overlaps (the reference
+// 3DGS conservative test). It rebuilds t's CSR tables in place with a two-pass
+// counting build (count per tile, prefix-sum, fill), reusing t's backing arrays and
 // the caller's cursor scratch. Entries are filled in ascending splat index
 // per tile, then depth-sorted; ties break toward the lower splat index, so
 // the table order is a pure function of the splat slice.
