@@ -148,7 +148,7 @@ func main() {
 			os.Exit(1)
 		}
 		inf := ""
-		res := sys.Finish(*seqName) // cheap: snapshots accumulated state
+		res := sys.Finish(*seqName) // waits for the frame's mapping, so the loop (and the wall-time line) is the serial schedule
 		last := res.Info[len(res.Info)-1]
 		if last.CoarseOnly {
 			inf += " coarse-only"

@@ -21,8 +21,13 @@ type AGS struct {
 	Mem         dram.Spec
 	Tables      engines.TableParams
 	Scheduled   bool // GPE scheduler (Fig. 13) enabled
-	Pipelined   bool // overlap tracking(t+1) with mapping(t)
-	GPEParams   gpe.Params
+	// Pipelined overlaps frame t+1's FC detection and tracking with frame t's
+	// mapping (Fig. 9). slam.System.ProcessFrame runs the same schedule in
+	// software for the part of tracking that reads no Gaussian (its front:
+	// CODEC ME, covisibility, coarse alignment); refinement waits for the map
+	// there, where the model lets the whole track side run ahead.
+	Pipelined bool
+	GPEParams gpe.Params
 	// PerIterOverheadCycles charges pipeline drain/refill, buffer loads and
 	// engine control per training iteration.
 	PerIterOverheadCycles int64

@@ -99,7 +99,8 @@ type Config struct {
 // DefaultGoroutineSites returns the approved worker-pool launch sites: the
 // places whose goroutines are part of the reviewed deterministic designs
 // (static shards with ordered reductions, row-ticket ME pool, session
-// workers, the bounded batch scheduler, ray-traced dataset generation).
+// workers and each system's mapping tail, the bounded batch scheduler,
+// ray-traced dataset generation).
 func DefaultGoroutineSites(module string) map[string]bool {
 	return map[string]bool{
 		module + "/internal/codec.MotionEstimate":               true, // row-ticket ME worker pool, row-order reduction
@@ -107,6 +108,7 @@ func DefaultGoroutineSites(module string) map[string]bool {
 		module + "/internal/splat.(*RenderContext).Backward":    true, // static tile shards, ascending-tile merge
 		module + "/internal/slam.(*Server).start":               true, // one worker per session (opened or restored), frames in queue order
 		module + "/internal/slam.(*System).Prefetch":            true, // single ME job, consumed by identity match
+		module + "/internal/slam.(*System).startTail":           true, // one mapping tail per system, joined before anything reads or writes the map
 		module + "/internal/scene.(*World).RenderFrame":         true, // per-row ray tracing, disjoint pixel writes
 		module + "/internal/bench.RunBatchWith":                 true, // bounded warm pool (RunBatch delegates here), render in plan order
 		module + "/internal/fleet.(*Node).StartOn":              true, // single accept-loop goroutine (Start delegates here), joined by Close

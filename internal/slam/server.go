@@ -180,6 +180,7 @@ func (sv *Server) start(name string, sys *System) (*Session, error) {
 		sys.Close()
 		return nil, err
 	}
+	sys.onMapped = s.publish
 	go s.loop()
 	return s, nil
 }
@@ -237,8 +238,7 @@ func (sv *Server) Run(cfg Config, seq *scene.Sequence) (*Result, error) {
 const updateBuffer = 64
 
 // FrameUpdate is one frame's streamed outcome: the estimated pose and the
-// per-frame algorithm decisions, published right after the frame is
-// processed.
+// per-frame algorithm decisions, published when the frame's mapping ends.
 type FrameUpdate struct {
 	Index        int // 0-based position in the session's stream
 	Pose         vecmath.Pose
@@ -402,8 +402,10 @@ func (s *Session) snapshot(req *snapReq) {
 	req.done <- nil
 }
 
-// process runs one frame through the system and publishes its update. It is
-// a no-op without a frame (an empty lookahead) and on a failed session.
+// process runs one frame through the system and starts its mapping tail
+// rather than leaving it to the next frame, which the worker may have to wait
+// for. It is a no-op without a frame (an empty lookahead) and on a failed
+// session.
 func (s *Session) process(f *frame.Frame) {
 	if f == nil || s.err != nil {
 		return
@@ -413,13 +415,14 @@ func (s *Session) process(f *frame.Frame) {
 		close(s.failed)
 		return
 	}
-	n := s.sys.frameCount - 1
-	upd := FrameUpdate{
-		Index:        n,
-		Pose:         s.sys.poses[n],
-		Info:         s.sys.info[n],
-		NumGaussians: s.sys.traceFrames[n].NumGaussians,
-	}
+	s.sys.startTail()
+}
+
+// publish offers one frame's update to Results without ever blocking the
+// pipeline. The system calls it at the end of each frame's mapping tail, one
+// tail at a time in frame order, and loop joins the last tail (System.Close)
+// before it closes the channel.
+func (s *Session) publish(upd FrameUpdate) {
 	select {
 	case s.updates <- upd:
 	default:

@@ -127,51 +127,51 @@ func TestConcurrentSessionsMatchSequential(t *testing.T) {
 	}
 }
 
+// TestSessionResultsStream: a frame's update is published when its mapping
+// ends (from the tail, not from the session worker), so a consumer that keeps
+// up sees every index once, in order, each with the map size after that frame,
+// on every mapping path and with the ME lookahead on.
 func TestSessionResultsStream(t *testing.T) {
 	seq := testSeq(t, "Desk", 5)
-	srv := NewServer(ServerConfig{})
-	sess, err := srv.Open(seq.Name, fastAGS(tw, th), seq.Intr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var updates []FrameUpdate
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for upd := range sess.Results() {
-			updates = append(updates, upd)
-		}
-	}()
-	for _, f := range seq.Frames {
-		if err := sess.Push(f); err != nil {
+	pipelined := fastAGS(tw, th)
+	pipelined.PipelineME = true
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"ags", fastAGS(tw, th)},
+		{"baseline", fastCfg(tw, th)},
+		{"ags-pipeline-me", pipelined},
+	} {
+		sess, err := NewServer(ServerConfig{}).Open(seq.Name, tc.cfg, seq.Intr)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	res, err := sess.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	if sess.Dropped() != 0 {
-		t.Fatalf("%d updates dropped with a live consumer", sess.Dropped())
-	}
-	if len(updates) != len(seq.Frames) {
-		t.Fatalf("got %d updates, want %d", len(updates), len(seq.Frames))
-	}
-	for i, upd := range updates {
-		if upd.Index != i {
-			t.Errorf("update %d has index %d", i, upd.Index)
+		got := make(chan []FrameUpdate)
+		go func() {
+			var updates []FrameUpdate
+			for upd := range sess.Results() {
+				updates = append(updates, upd)
+			}
+			got <- updates
+		}()
+		res := pushAll(t, sess, seq.Frames)
+		updates := <-got
+		if sess.Dropped() != 0 {
+			t.Fatalf("%s: %d updates dropped with a live consumer", tc.name, sess.Dropped())
 		}
-		if upd.Pose != res.Poses[i] {
-			t.Errorf("update %d pose diverges from final result", i)
+		if len(updates) != len(seq.Frames) {
+			t.Fatalf("%s: got %d updates, want %d", tc.name, len(updates), len(seq.Frames))
 		}
-		if upd.Info != res.Info[i] {
-			t.Errorf("update %d info diverges from final result", i)
+		for i, upd := range updates {
+			want := FrameUpdate{Index: i, Pose: res.Poses[i], Info: res.Info[i], NumGaussians: res.Trace.Frames[i].NumGaussians}
+			if upd != want {
+				t.Errorf("%s: update %d = %+v, want %+v", tc.name, i, upd, want)
+			}
 		}
-	}
-	if !updates[0].Info.IsKeyFrame {
-		t.Error("bootstrap frame not flagged as key frame in its update")
+		if !updates[0].Info.IsKeyFrame {
+			t.Errorf("%s: bootstrap frame not flagged as key frame in its update", tc.name)
+		}
 	}
 }
 

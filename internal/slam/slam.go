@@ -9,8 +9,8 @@
 // Serving: the public surface is streaming and multi-tenant. A Server owns
 // the per-host resources (a bounded, size-keyed splat.ContextPool) and opens
 // Sessions — one live sequence each, driven by Push (with backpressure),
-// observed on Results, finalized by Close. System remains the synchronous
-// single-stream engine underneath, and Run is a thin wrapper that streams a
+// observed on Results, finalized by Close. System remains the single-stream
+// engine underneath, and Run is a thin wrapper that streams a
 // whole scene.Sequence through one session on DefaultServer. Concurrent
 // sessions produce Results digest-identical to sequential runs at every
 // worker count and interleaving (Result.Digest asserts it cheaply).
@@ -39,25 +39,40 @@
 // venue. A serving Result handed to a hardware model yields a bound, not a
 // replay (see platform.RunTotal).
 //
-// Concurrency: the paper's timing model has the CODEC encode (and therefore
-// motion-estimate) frame t+1 while the accelerator tracks and maps frame t,
-// making the SAD byproduct free by the time it is needed. Config.PipelineME
-// reproduces that overlap — Run (or a streaming caller via Prefetch) launches
-// ME for the next frame on a background goroutine and ProcessFrame consumes
-// the finished result instead of recomputing it. Config.CodecWorkers and
-// Config.CodecEarlyTerm tune the ME stage itself (see package codec).
-// Trajectories and covisibility scores are byte-identical to the serial path
-// under all three knobs; PipelineME and CodecWorkers also leave the modeled
-// operation counts untouched, while CodecEarlyTerm deliberately lowers the
-// traced SADOps (that is the optimization it models). The serial path
-// remains the default for A/B comparison. Config.Workers parallelizes the
-// splat renderer itself; its tile sharding is deterministic, so the render
-// worker count never changes results either — full-parallel runs are exact
-// A/B comparable.
+// Concurrency: the paper's Fig. 9 runs frame t+1's covisibility detection and
+// pose tracking on their own engines while the mapping engine finishes frame
+// t, which it can because AGS's coarse pose estimation never reads the
+// Gaussians. System.ProcessFrame runs that schedule: a frame's map-free front
+// (CODEC motion estimation against the previous frame, the covisibility
+// comparison against the key frame, coarse alignment) overlaps the previous
+// frame's mapping tail, which runs on one goroutine per system; everything
+// that reads or writes the map joins that goroutine first (see System). A
+// tail is started when there is a front to run beside it, that is by the next
+// ProcessFrame, and joined by the same call, so no work of a standalone
+// system outlives the call that started it; only a session worker, which
+// waits for frames, starts it at once. The schedule is exact, not
+// speculative: every input of a front is committed before the preceding tail
+// starts, so poses, maps, traces and snapshots are byte for byte those of
+// running the stages one after another, at any GOMAXPROCS. It is the schedule
+// platform.AGS's Pipelined option charges.
+//
+// Config.PipelineME predates it and now buys little: Run (or a streaming
+// caller via Prefetch) launches ME of frame t+1 against frame t on a
+// background goroutine while frame t is tracked, and ProcessFrame consumes the
+// finished result instead of recomputing it; the front already overlaps that
+// comparison with mapping. Config.CodecWorkers and Config.CodecEarlyTerm tune
+// the ME stage itself (see package codec). Trajectories and covisibility
+// scores are byte-identical under all three knobs; PipelineME and CodecWorkers
+// also leave the modeled operation counts untouched, while CodecEarlyTerm
+// deliberately lowers the traced SADOps (that is the optimization it models).
+// Config.Workers parallelizes the splat renderer itself; its tile sharding is
+// deterministic, so the render worker count never changes results either —
+// full-parallel runs are exact A/B comparable.
 package slam
 
 import (
 	"fmt"
+	"runtime/debug"
 
 	"ags/internal/camera"
 	"ags/internal/covis"
@@ -210,9 +225,25 @@ func (r *Result) ATERMSECm() (float64, error) {
 	return ate * 100, err
 }
 
-// System is a synchronous single-stream 3DGS-SLAM instance: the engine a
-// Session drives, also usable directly when the caller owns the frame loop.
-// Call Close when done so the system's render context returns to its pool.
+// System is a single-stream 3DGS-SLAM instance: the engine a Session drives,
+// also usable directly when the caller owns the frame loop. Call Close when
+// done so the system's render context returns to its pool.
+//
+// A System is driven from one goroutine. ProcessFrame returns with the
+// frame's pose and FrameInfo committed and its mapping tail pending: nothing
+// of a standalone system runs behind its caller's back. The next ProcessFrame
+// starts the tail on the system's one tail goroutine, runs its own front
+// beside it and joins it, so that goroutine lives inside one call; a session
+// worker, which may sit idle until the next frame arrives, starts it at once
+// (startTail). While a tail is in flight it alone touches the mapper, the
+// render context and the frame's trace.FrameTrace (and, when a compaction
+// fires, the retained traces); the caller's side touches only what a front
+// reads or a middle commits: the detector, the aligner, the prefetch list,
+// prevFrame, prevPose, prevRel, keyFrame, keyPose, frameCount, poses, gt and
+// info. Every method that needs the mapped state (the next ProcessFrame after
+// its front, AppendSnapshot, Snapshot, Finish, Close, Mapper) joins first,
+// which runs a tail nobody started on the caller's own goroutine; FrameCount
+// does not need to.
 type System struct {
 	Cfg  Config
 	Intr camera.Intrinsics
@@ -235,9 +266,10 @@ type System struct {
 	// so their resident state and snapshots are O(map), not O(frames).
 	detail bool
 	// renderCtx is the currently attached splat render context, shared by
-	// the tracker and mapper (they run sequentially within ProcessFrame) and
-	// sized lazily from the intrinsics on first render. Acquired from pool
-	// on demand; nil when detached.
+	// the tracker and mapper (a frame's refinement runs after the previous
+	// frame's mapping is joined and before its own starts) and sized lazily
+	// from the intrinsics on first render. Acquired from pool on demand; nil
+	// when detached.
 	renderCtx *splat.RenderContext
 
 	prevFrame   *frame.Frame
@@ -251,6 +283,13 @@ type System struct {
 	info        []FrameInfo
 	traceFrames []trace.FrameTrace
 	pending     []*mePrefetch // in-flight CODEC ME jobs (see prefetch.go)
+
+	// tail is the last accepted frame's mapping tail, pending or in flight;
+	// nil once join has seen it through.
+	tail *mappingTail
+	// onMapped, when set, is called at the end of every tail, on the tail's
+	// goroutine, with the frame's outcome (a session publishes it).
+	onMapped func(FrameUpdate)
 }
 
 // The two levels of trace retention a venue builds its system with (see the
@@ -306,8 +345,12 @@ func newSystem(cfg Config, intr camera.Intrinsics, pool *splat.ContextPool, perS
 	}
 }
 
-// Mapper exposes the mapping state (for experiments).
-func (s *System) Mapper() *mapper.Mapper { return s.mapper }
+// Mapper exposes the mapping state (for experiments), as of the last frame
+// ProcessFrame accepted.
+func (s *System) Mapper() *mapper.Mapper {
+	s.join()
+	return s.mapper
+}
 
 // attachCtx acquires a render context from the pool (sized for the system's
 // camera) and threads it through the tracker and mapper. A no-op when one is
@@ -333,16 +376,39 @@ func (s *System) detachCtx() {
 	s.renderCtx = nil
 }
 
-// Close releases the system's render context back to its pool. It is
-// idempotent, and the system remains usable — the next ProcessFrame
-// re-acquires a context — but callers should treat Close as the end of the
-// stream: Run, sessions, and the CLIs all close their systems so contexts
-// are reclaimed instead of leaking one per run.
+// Close sees the last frame's mapping through and releases the system's render
+// context back to its pool. It is idempotent, and the system remains usable —
+// the next ProcessFrame re-acquires a context — but callers should treat
+// Close as the end of the stream: Run, sessions, and the CLIs all close their
+// systems so contexts are reclaimed instead of leaking one per run.
 func (s *System) Close() {
+	s.join()
 	s.detachCtx()
 }
 
-// ProcessFrame ingests the next frame of the stream.
+// ProcessFrame ingests the next frame of the stream, in four parts that
+// follow the paper's Fig. 9 engines:
+//
+//   - The front reads only frames and committed poses (CODEC ME against the
+//     previous frame, the covisibility comparison against the key frame,
+//     coarse alignment), so it runs while the previous frame's mapping is
+//     still in flight. A frame it rejects (malformed, wrong size, a failing
+//     comparison) returns its error here with nothing committed.
+//   - The join waits for the previous frame's mapping tail.
+//   - The middle does what needs the map as it stood before this frame
+//     (pose refinement, the false-positive measurement) and commits every
+//     decision the next front reads: the pose, the velocity, the key-frame
+//     anchor, the frame's FrameInfo, the frame count.
+//   - The tail (Densify, full or selective mapping, the key-frame window,
+//     Prune, compaction, the trace append, a session's per-step context
+//     release and its FrameUpdate) is left pending. The next call starts it
+//     on the system's one tail goroutine just before its own front; any other
+//     join runs it in place.
+//
+// At return the frame's pose and FrameInfo are final and FrameCount counts
+// it; the map, the trace and anything derived from them are read through a
+// method that joins (see System). A panic in the tail resurfaces from the
+// join, on the goroutine that called it.
 func (s *System) ProcessFrame(f *frame.Frame) error {
 	if err := f.Validate(); err != nil {
 		return fmt.Errorf("slam: %w", err)
@@ -351,32 +417,120 @@ func (s *System) ProcessFrame(f *frame.Frame) error {
 		return fmt.Errorf("slam: frame %dx%d does not match camera %dx%d",
 			f.Color.W, f.Color.H, s.Intr.W, s.Intr.H)
 	}
+	var fr frontOut
+	if s.frameCount > 0 {
+		s.startTail()
+		var err error
+		if fr, err = s.front(f); err != nil {
+			return fmt.Errorf("slam: frame %d: %w", s.frameCount, err)
+		}
+	}
+	s.join()
+
 	s.attachCtx()
-	if s.perStep {
-		// Session mode: hand the context back between frames so an idle
-		// stream pins no render state and the pool can serve other sessions.
-		defer s.detachCtx()
-	}
-	ft := trace.FrameTrace{Index: s.frameCount}
+	ft := &trace.FrameTrace{Index: s.frameCount}
 	var info FrameInfo
-
+	var mapping func()
 	if s.frameCount == 0 {
-		s.bootstrap(f, &ft, &info)
-	} else if err := s.step(f, &ft, &info); err != nil {
-		return fmt.Errorf("slam: frame %d: %w", s.frameCount, err)
+		mapping = s.bootstrap(f, ft, &info)
+	} else {
+		mapping = s.step(f, &fr, ft, &info)
 	}
-
-	ft.NumGaussians = s.mapper.Cloud().NumActive()
 	s.info = append(s.info, info)
 	s.gt = append(s.gt, f.GTPose)
 	s.prevFrame = f
 	s.frameCount++
-	if s.Cfg.PruneEvery > 0 && s.frameCount%s.Cfg.PruneEvery == 0 {
-		ft.PrunedGaussians = s.mapper.Prune()
-	}
-	s.maybeCompact(&ft)
-	s.traceFrames = append(s.traceFrames, ft)
+
+	s.deferTail(ft, mapping, FrameUpdate{Index: ft.Index, Pose: s.prevPose, Info: info})
 	return nil
+}
+
+// mappingTail is one frame's mapping tail: run is its work; done is nil while
+// the tail is pending and, once startTail has put it on a goroutine, receives
+// nil or what the tail panicked with, exactly once.
+type mappingTail struct {
+	run  func()
+	done chan *tailPanic
+}
+
+// deferTail leaves the frame's mapping tail pending: the mapping the middle
+// chose, then the end-of-frame map maintenance and the trace append, with the
+// frame count as the middle left it (the next middle joins before it writes
+// it). In session mode the tail then hands the context back, so an idle
+// stream pins no render state and the pool can serve other sessions, and last
+// it reports the frame to onMapped.
+func (s *System) deferTail(ft *trace.FrameTrace, mapping func(), upd FrameUpdate) {
+	s.tail = &mappingTail{run: func() {
+		mapping()
+		ft.NumGaussians = s.mapper.Cloud().NumActive()
+		if s.Cfg.PruneEvery > 0 && s.frameCount%s.Cfg.PruneEvery == 0 {
+			ft.PrunedGaussians = s.mapper.Prune()
+		}
+		s.maybeCompact(ft)
+		s.traceFrames = append(s.traceFrames, *ft)
+		if s.perStep {
+			s.detachCtx()
+		}
+		if s.onMapped != nil {
+			upd.NumGaussians = ft.NumGaussians
+			s.onMapped(upd)
+		}
+	}}
+}
+
+// startTail puts the pending mapping tail, if any, on the system's one tail
+// goroutine. ProcessFrame calls it just before a front, the work a tail can
+// run beside; a session worker calls it after every frame, because it may
+// wait for the next one and neither the mapping nor the frame's FrameUpdate
+// should wait with it. A panic in the goroutine is kept for join.
+func (s *System) startTail() {
+	t := s.tail
+	if t == nil || t.done != nil {
+		return
+	}
+	t.done = make(chan *tailPanic, 1)
+	go func() {
+		defer func() {
+			var p *tailPanic
+			if v := recover(); v != nil {
+				p = &tailPanic{value: v, stack: debug.Stack()}
+			}
+			t.done <- p
+		}()
+		t.run()
+	}()
+}
+
+// join sees the mapping tail through, if there is one: it waits for a tail
+// that was started and runs a pending one in place, on the caller's goroutine.
+// A tail that panicked on its goroutine panics again here, so whoever drives
+// the system (a session worker, a ProcessFrame or Finish caller) contains
+// either kind with one recover; the system is left with no tail either way.
+func (s *System) join() {
+	t := s.tail
+	if t == nil {
+		return
+	}
+	s.tail = nil
+	if t.done == nil {
+		t.run()
+		return
+	}
+	if p := <-t.done; p != nil {
+		panic(p)
+	}
+}
+
+// tailPanic is what join panics with for a tail that ran on its goroutine:
+// the value it panicked with and the goroutine's stack at that point, which
+// the re-panic would otherwise lose.
+type tailPanic struct {
+	value any
+	stack []byte
+}
+
+func (p *tailPanic) Error() string {
+	return fmt.Sprintf("slam: mapping tail panicked: %v\n%s", p.value, p.stack)
 }
 
 // FrameCount returns how many frames the system has processed — after a
@@ -445,13 +599,10 @@ func remapIDLists(lists [][]int32, remap []int32) {
 }
 
 // bootstrap anchors the first frame at its ground-truth pose (the SLAM
-// convention: the first camera defines the world frame) and builds the
-// initial map.
-func (s *System) bootstrap(f *frame.Frame, ft *trace.FrameTrace, info *FrameInfo) {
+// convention: the first camera defines the world frame) and returns the
+// mapping that builds the initial map.
+func (s *System) bootstrap(f *frame.Frame, ft *trace.FrameTrace, info *FrameInfo) (mapping func()) {
 	pose := f.GTPose
-	s.mapper.Densify(f, s.Intr, pose)
-	ft.Map = s.mapper.FullMapping(f, s.Intr, pose)
-	s.mapper.AddKeyframe(f, pose)
 	ft.IsKeyFrame = true
 	info.IsKeyFrame = true
 	info.Covisibility = 1
@@ -460,117 +611,149 @@ func (s *System) bootstrap(f *frame.Frame, ft *trace.FrameTrace, info *FrameInfo
 	s.keyPose = pose
 	s.prevPose = pose
 	s.poses = append(s.poses, pose)
+	return func() { s.mapFull(f, pose, ft, true) }
 }
 
-// step tracks and maps one frame after the first. A covisibility comparison
-// that fails is an internal error, not a scene change: it is returned before
-// any state is touched rather than read as "no covisibility, new key frame".
-func (s *System) step(f *frame.Frame, ft *trace.FrameTrace, info *FrameInfo) error {
+// frontOut is what a frame's map-free front produces: the two covisibility
+// scores with the CODEC work they cost, and, when the configuration runs the
+// coarse stage, its charged workload and pose.
+type frontOut struct {
+	fc, keyFC  covis.Score
+	sadOps     int64
+	coarseMACs int64
+	coarse     vecmath.Pose
+}
+
+// front runs the stages of a frame after the first that read no Gaussian:
+// frame covisibility detection and coarse pose estimation. It reads what the
+// previous middle committed and writes nothing a snapshot or a tail sees, so
+// it runs beside the previous frame's mapping. A covisibility comparison that
+// fails is an internal error, not a scene change: it is returned before any
+// state is touched rather than read as "no covisibility, new key frame".
+func (s *System) front(f *frame.Frame) (frontOut, error) {
+	var fr frontOut
 	// --- Frame covisibility detection (CODEC + FC detection engine). ---
-	// The previous-frame comparison is the one the pipelined frontend can
-	// have computed ahead of time; the key-frame comparison below depends on
-	// which frame is the current anchor, so it always runs synchronously.
+	// The previous-frame comparison is the one Prefetch can have computed
+	// ahead of time; the key-frame comparison below depends on which frame is
+	// the current anchor, so it always runs here.
 	fc, err := s.compareME(s.prevFrame.Color, f.Color)
 	if err != nil {
-		return fmt.Errorf("covisibility with the previous frame: %w", err)
+		return fr, fmt.Errorf("covisibility with the previous frame: %w", err)
 	}
 	if s.detector.LastResult != nil {
-		ft.CodecSADOps += s.detector.LastResult.SADOps
+		fr.sadOps += s.detector.LastResult.SADOps
 	}
-	info.Covisibility = fc
-	ft.Covisibility = float64(fc)
 	// Covisibility against the last key frame drives the key-frame decision
 	// and selects the coarse-alignment anchor.
 	keyFC, err := s.detector.Compare(s.keyFrame.Color, f.Color)
 	if err != nil {
-		return fmt.Errorf("covisibility with the key frame: %w", err)
+		return fr, fmt.Errorf("covisibility with the key frame: %w", err)
 	}
 	if s.detector.LastResult != nil {
-		ft.CodecSADOps += s.detector.LastResult.SADOps
+		fr.sadOps += s.detector.LastResult.SADOps
 	}
-	info.KeyCovisibility = keyFC
+	fr.fc, fr.keyFC = fc, keyFC
 
-	// --- Tracking. ---
-	var pose vecmath.Pose
-	useMAT := s.Cfg.EnableMAT || s.Cfg.ForceCoarseOnly
-	if useMAT {
+	if s.Cfg.EnableMAT || s.Cfg.ForceCoarseOnly {
 		// Coarse-grained pose estimation (systolic-array workload charged
 		// from the backbone model; functional estimate from the aligner).
 		// While the last key frame remains well covisible the alignment
 		// anchors to it rather than to the previous frame: frame-to-frame
 		// odometry accumulates drift, and key-frame anchoring resets it —
 		// the role Droid-SLAM's local frame graph plays in the paper.
-		ft.CoarseMACs = nnlite.PoseWorkload(s.Intr.W, s.Intr.H)
-		var coarse vecmath.Pose
+		fr.coarseMACs = nnlite.PoseWorkload(s.Intr.W, s.Intr.H)
 		if float64(keyFC) > s.Cfg.ThreshM {
 			// Constant-velocity extrapolation on top of the key-frame anchor.
 			initRel := s.prevRel.Compose(s.prevPose.Compose(s.keyPose.Inverse()))
-			coarse = s.aligner.EstimatePose(s.keyFrame, f, s.Intr, s.keyPose, initRel)
+			fr.coarse = s.aligner.EstimatePose(s.keyFrame, f, s.Intr, s.keyPose, initRel)
 		} else {
-			coarse = s.aligner.EstimatePose(s.prevFrame, f, s.Intr, s.prevPose, s.prevRel)
+			fr.coarse = s.aligner.EstimatePose(s.prevFrame, f, s.Intr, s.prevPose, s.prevRel)
 		}
+	}
+	return fr, nil
+}
+
+// step is the middle of a frame after the first: with the previous frame's
+// mapping joined it settles the pose (accepting the front's coarse pose or
+// refining against the map), commits the pose, the velocity and the
+// key-frame anchor, and returns the frame's mapping for the tail to run. The
+// key-frame decision depends on the front's key covisibility and the
+// configuration alone, so the next front can read its outcome before the
+// mapping it selects has run.
+func (s *System) step(f *frame.Frame, fr *frontOut, ft *trace.FrameTrace, info *FrameInfo) (mapping func()) {
+	info.Covisibility = fr.fc
+	info.KeyCovisibility = fr.keyFC
+	ft.Covisibility = float64(fr.fc)
+	ft.CodecSADOps = fr.sadOps
+	ft.CoarseMACs = fr.coarseMACs
+
+	// --- Tracking. ---
+	var pose vecmath.Pose
+	if s.Cfg.EnableMAT || s.Cfg.ForceCoarseOnly {
 		switch {
-		case s.Cfg.ForceCoarseOnly, float64(fc) > s.Cfg.ThreshT:
-			pose = coarse
+		case s.Cfg.ForceCoarseOnly, float64(fr.fc) > s.Cfg.ThreshT:
+			pose = fr.coarse
 			info.CoarseOnly = true
 			ft.CoarseOnly = true
 		default:
-			refined, stats := s.refiner.Refine(s.mapper.Cloud(), s.Intr, f, coarse, s.Cfg.IterT)
-			pose = refined
-			ft.Track = stats
+			pose, ft.Track = s.refiner.Refine(s.mapper.Cloud(), s.Intr, f, fr.coarse, s.Cfg.IterT)
 			info.RefineIters = s.Cfg.IterT
 		}
 	} else {
 		// Baseline: constant-velocity initialization (with the previous pose
 		// as fallback for motion reversals) + N_T iterations.
 		inits := []vecmath.Pose{s.prevRel.Compose(s.prevPose), s.prevPose}
-		refined, stats := s.refiner.RefineBest(s.mapper.Cloud(), s.Intr, f, inits, s.Cfg.TrackIters)
-		pose = refined
-		ft.Track = stats
+		pose, ft.Track = s.refiner.RefineBest(s.mapper.Cloud(), s.Intr, f, inits, s.Cfg.TrackIters)
 		info.RefineIters = s.Cfg.TrackIters
 	}
 	s.prevRel = pose.Compose(s.prevPose.Inverse())
-
-	// --- Mapping. ---
-	if s.Cfg.EnableGCM {
-		if float64(keyFC) > s.Cfg.ThreshM {
-			// Non-key frame: selective mapping with the recorded skip set.
-			if s.Cfg.EvalFPRate {
-				info.FPRate = s.measureFPRate(f, pose)
-				info.FPValid = true
-			}
-			ft.SkippedGaussians = s.mapper.NumSkipped()
-			ft.Map = s.mapper.SelectiveMapping(f, s.Intr, pose)
-		} else {
-			// New key frame: densify, full mapping, refresh contribution.
-			s.mapper.Densify(f, s.Intr, pose)
-			ft.Map = s.mapper.FullMapping(f, s.Intr, pose)
-			s.mapper.AddKeyframe(f, pose)
-			ft.IsKeyFrame = true
-			info.IsKeyFrame = true
-			s.keyFrame = f
-			s.keyPose = pose
-		}
-	} else {
-		// Baseline mapping: densify + full mapping every frame.
-		s.mapper.Densify(f, s.Intr, pose)
-		ft.Map = s.mapper.FullMapping(f, s.Intr, pose)
-		ft.IsKeyFrame = true
-		info.IsKeyFrame = true
-		if s.Cfg.KeyframeEvery > 0 && s.frameCount%s.Cfg.KeyframeEvery == 0 {
-			s.mapper.AddKeyframe(f, pose)
-		}
-		// The anchor key frame advances whenever covisibility with the old
-		// one decays, keeping coarse-only variants drift-bounded too.
-		if float64(keyFC) <= s.Cfg.ThreshM {
-			s.keyFrame = f
-			s.keyPose = pose
-		}
-	}
-
 	s.prevPose = pose
 	s.poses = append(s.poses, pose)
-	return nil
+
+	// --- Mapping. ---
+	covisible := float64(fr.keyFC) > s.Cfg.ThreshM
+	switch {
+	case s.Cfg.EnableGCM && covisible:
+		// Non-key frame: selective mapping with the recorded skip set.
+		if s.Cfg.EvalFPRate {
+			info.FPRate = s.measureFPRate(f, pose)
+			info.FPValid = true
+		}
+		return func() {
+			ft.SkippedGaussians = s.mapper.NumSkipped()
+			ft.Map = s.mapper.SelectiveMapping(f, s.Intr, pose)
+		}
+	case s.Cfg.EnableGCM:
+		// New key frame: densify, full mapping, refresh contribution.
+		ft.IsKeyFrame = true
+		info.IsKeyFrame = true
+		s.keyFrame = f
+		s.keyPose = pose
+		return func() { s.mapFull(f, pose, ft, true) }
+	default:
+		// Baseline mapping: densify + full mapping every frame.
+		ft.IsKeyFrame = true
+		info.IsKeyFrame = true
+		window := s.Cfg.KeyframeEvery > 0 && s.frameCount%s.Cfg.KeyframeEvery == 0
+		// The anchor key frame advances whenever covisibility with the old
+		// one decays, keeping coarse-only variants drift-bounded too.
+		if !covisible {
+			s.keyFrame = f
+			s.keyPose = pose
+		}
+		return func() { s.mapFull(f, pose, ft, window) }
+	}
+}
+
+// mapFull is the mapping of a key frame: densify where the map does not yet
+// explain the frame, optimize every Gaussian, and, when window is set, add
+// the frame to the mapper's multi-view window.
+func (s *System) mapFull(f *frame.Frame, pose vecmath.Pose, ft *trace.FrameTrace, window bool) {
+	s.mapper.Densify(f, s.Intr, pose)
+	ft.Map = s.mapper.FullMapping(f, s.Intr, pose)
+	if window {
+		s.mapper.AddKeyframe(f, pose)
+	}
 }
 
 // measureFPRate compares the skip prediction against the ground-truth
@@ -591,8 +774,9 @@ func (s *System) measureFPRate(f *frame.Frame, pose vecmath.Pose) float64 {
 	return metrics.FalsePositiveRate(s.mapper.PredictedNonContrib(), truth)
 }
 
-// Finish returns the run's result.
+// Finish sees the last frame's mapping through and returns the run's result.
 func (s *System) Finish(sequence string) *Result {
+	s.join()
 	return &Result{
 		Sequence: sequence,
 		Poses:    s.poses,

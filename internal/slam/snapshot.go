@@ -39,7 +39,8 @@ const (
 // representative-iteration detail only where the system's venue keeps it; see
 // the package doc) — so that a system restored from it and fed the remaining
 // frames produces a Result digest-identical to the uninterrupted run. Call it
-// between ProcessFrame calls (it reads the same state ProcessFrame writes).
+// between ProcessFrame calls: it first waits for the last frame's mapping, so
+// what it captures is the state after that frame, whole.
 // In-flight ME prefetch jobs are deliberately not captured: the prefetch
 // contract makes the synchronous recompute byte-identical, so a restored
 // system simply computes the next frame's covisibility inline.
@@ -62,6 +63,7 @@ func (s *System) Snapshot(w io.Writer) error {
 //
 //ags:hotpath
 func (s *System) AppendSnapshot(dst []byte) []byte {
+	s.join()
 	size := binfmt.Counting()
 	encodeSystem(&size, s)
 	start := len(dst)
