@@ -39,14 +39,15 @@ func (in Intrinsics) Scaled(s int) Intrinsics {
 	}
 }
 
-// Validate reports whether the intrinsics describe a usable camera. It is
-// safety code with no production caller yet: ROADMAP item 3 calls it from
-// slam.New and fleet's Node.handleOpen, where intrinsics arrive from outside.
+// Validate reports whether the intrinsics describe a usable camera: an image
+// with pixels and a positive focal length (NaN is neither). slam calls it
+// where intrinsics arrive from outside the process, Server.Open (a fleet OPEN)
+// and every snapshot restore (a fleet RESTORE).
 func (in Intrinsics) Validate() error {
 	if in.W <= 0 || in.H <= 0 {
 		return fmt.Errorf("camera: non-positive image size %dx%d", in.W, in.H)
 	}
-	if in.Fx <= 0 || in.Fy <= 0 {
+	if !(in.Fx > 0 && in.Fy > 0) {
 		return fmt.Errorf("camera: non-positive focal length (%g, %g)", in.Fx, in.Fy)
 	}
 	return nil

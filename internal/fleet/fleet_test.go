@@ -131,8 +131,11 @@ func TestFleetDigestsMatchSequential(t *testing.T) {
 // TestFleetMigrationKeepsDigest drains a live stream's node mid-stream: the
 // session snapshots over the wire, restores on the peer, the remaining
 // frames push there, and the final digest still matches the uninterrupted
-// sequential run. With recovery armed the drain snapshot is also adopted as
-// the stream's checkpoint, and checkpointing goes on over the new connection.
+// sequential run. Without recovery (CheckpointEvery 0) the stream holds no
+// frame, asks with an empty list and moves a snapshot with every body inline.
+// With recovery armed the drain snapshot is also adopted as the stream's
+// checkpoint, it names the frames the stream holds without their bodies, the
+// restore supplies them, and checkpointing goes on over the new connection.
 func TestFleetMigrationKeepsDigest(t *testing.T) {
 	cfg := fastCfg()
 	seq := testSeq(t, "Desk", 6)
@@ -162,6 +165,15 @@ func TestFleetMigrationKeepsDigest(t *testing.T) {
 				}
 				if i == len(seq.Frames)/2 && tc.opts.CheckpointEvery > 0 && st.checkpointFrames != i {
 					t.Errorf("after migrating at frame %d the checkpoint is at frame %d", i, st.checkpointFrames)
+				}
+				if i == len(seq.Frames)/2 && tc.opts.CheckpointEvery > 0 {
+					// The previous frame at least: the restore was supplied it.
+					if missing, err := slam.MissingFrames(nil, st.checkpoint); err != nil || len(missing) == 0 || len(missing) != len(st.held) {
+						t.Errorf("the drain snapshot leaves out %v (%v), the stream holds %d frames", missing, err, len(st.held))
+					}
+				}
+				if tc.opts.CheckpointEvery == 0 && (st.checkpoint != nil || len(st.held) != 0 || len(st.replay) != 0) {
+					t.Errorf("a stream without recovery holds a checkpoint or %d+%d frames", len(st.held), len(st.replay))
 				}
 			}
 			if tc.opts.CheckpointEvery > 0 && st.checkpointFrames != len(seq.Frames)-1 {

@@ -15,11 +15,13 @@ import (
 	"ags/internal/vecmath"
 )
 
-// The golden files pin ProtocolVersion 1 byte for byte: one complete AGSF
+// The golden files pin ProtocolVersion 2 byte for byte: one complete AGSF
 // message per payload-bearing verb, each framed by appendMessage. They were
-// written once, by the encoders this format was introduced with, and there is
+// written once, by the encoders this version was introduced with, and there is
 // no regeneration switch — a byte that moves is a wire break, which takes a
-// ProtocolVersion bump and a new set of files, not an updated one.
+// ProtocolVersion bump and a new set of files, not an updated one. Version 1's
+// set was <verb>.golden; version 2's is <verb>.v2.golden, and it adds the
+// snapshot request, which had no payload before.
 // (internal/grid pins the payloads it puts inside the job verbs.)
 
 // goldenConfig sets every slam.Config field to a distinct non-zero value, so
@@ -80,7 +82,11 @@ func goldenMessages() []goldenMessage {
 	}
 	return []goldenMessage{
 		{"open", vOpen, encodeOpen(nil, "desk", slam.AppendConfig(nil, &cfg), slam.AppendIntrinsics(nil, &intr))},
-		{"restore", vRestore, encodeRestore(nil, "desk", []byte("AGSSNAP\x00 stand-in bytes"))},
+		{"snapshot", vSnapshot, encodePositions(nil, []int{0, 8, 12, 13})},
+		{"restore", vRestore, encodeRestore(nil, "desk", []byte("AGSSNAP\x00 stand-in bytes"), []heldFrame{
+			{pos: 8, b: slam.AppendFrame(nil, goldenFrame(2, 1))},
+			{pos: 13, b: slam.AppendFrame(nil, goldenFrame(1, 2))},
+		})},
 		{"ok", vOK, encodeOK(nil, 7)},
 		{"err", vErrReply, encodeErrReply(nil, codeAdmission, "node-a is full")},
 		{"stats", vStatsData, encodeStats(nil, &stats)},
@@ -92,14 +98,19 @@ func goldenMessages() []goldenMessage {
 	}
 }
 
+// goldenFile names the current version's golden file for a message.
+func goldenFile(name string) string {
+	return filepath.Join("testdata", name+".v2.golden")
+}
+
 func TestGoldenMessages(t *testing.T) {
 	for _, m := range goldenMessages() {
-		want, err := os.ReadFile(filepath.Join("testdata", m.name+".golden"))
+		want, err := os.ReadFile(goldenFile(m.name))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := appendMessage(nil, m.v, m.p); !bytes.Equal(got, want) {
-			t.Errorf("%s: message bytes moved (%d bytes, golden %d) — a ProtocolVersion 1 wire break", m.name, len(got), len(want))
+			t.Errorf("%s: message bytes moved (%d bytes, golden %d) — a ProtocolVersion 2 wire break", m.name, len(got), len(want))
 		}
 	}
 }
@@ -107,7 +118,7 @@ func TestGoldenMessages(t *testing.T) {
 // TestGoldenPushFrame pins the largest message, a pushed frame, by length and
 // SHA-256.
 func TestGoldenPushFrame(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "push.sum.golden"))
+	want, err := os.ReadFile(goldenFile("push.sum"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,12 +12,16 @@ import (
 //
 //  1. snapshot: the draining node brings the session to a between-frames
 //     point (every pushed frame processed, ME lookahead flushed) and ships
-//     the AGSSNAP bytes — themselves versioned and checksummed — back.
+//     the AGSSNAP bytes — themselves versioned and checksummed — back. A
+//     stream with recovery armed holds frames and says so, and gets a
+//     snapshot without their bodies, like any checkpoint; a stream without
+//     holds none, says so with an empty list, and gets every body inline.
 //  2. close: the old session is closed and its partial Result discarded;
 //     the snapshot already captured everything that matters.
 //  3. restore: a placement-ordered peer rebuilds the session from the
-//     snapshot and reports its processed-frame count, which must equal the
-//     frames pushed so far (restoreOn's continuity check).
+//     snapshot (and the held frames) and reports its processed-frame count,
+//     which must equal the frames pushed so far (restoreOn's continuity
+//     check).
 //
 // Because the snapshot codec is the determinism contract (see slam's
 // snapshot tests), the migrated stream's Close digest is bit-identical to an
@@ -31,16 +35,15 @@ import (
 func (s *Stream) migrate() error {
 	// 1. Snapshot on the draining node. The payload aliases the wire's read
 	// buffer and the connection is used again below, so take the buffer over.
-	rv, _, err := s.w.roundTrip(vSnapshot, nil)
+	rv, snap, err := s.requestSnapshot()
 	if err != nil {
 		s.teardown()
 		return fmt.Errorf("snapshot: %w", err)
 	}
-	if rv != vSnapData {
+	if err := s.readSnapshot(rv, snap); err != nil {
 		s.teardown()
-		return fmt.Errorf("snapshot reply verb %s", rv)
+		return err
 	}
-	var snap []byte
 	if s.recoveryEnabled() {
 		// The drain snapshot is as good as a scheduled checkpoint: adopt it
 		// so a node death later in the hand-off (or any time after) recovers
@@ -48,6 +51,7 @@ func (s *Stream) migrate() error {
 		s.setCheckpoint(s.pushed)
 		snap = s.checkpoint
 	} else {
+		// Nothing held, so nothing left out: the snapshot stands alone.
 		snap = s.w.detach(nil)
 	}
 
@@ -79,16 +83,16 @@ func (s *Stream) teardown() {
 	}
 }
 
-// restoreOn restores a session from a snapshot on the node at addr. The
-// restore request is built around the snapshot in the new connection's write
-// buffer, the one copy this side makes of it. The node reports the restored
-// system's processed-frame count, which must equal frames, the count the
-// snapshot was taken at — the continuity check that turns a silent
-// half-restored stream into a loud error, because pushing on from the wrong
-// frame would corrupt the output.
-func restoreOn(addr, name string, snap []byte, frames int) (*wire, error) {
+// restoreOn restores a session from a snapshot, and the frames it names
+// without a body, on the node at addr. The restore request is built around
+// them in the new connection's write buffer, the one copy this side makes.
+// The node reports the restored system's processed-frame count, which must
+// equal frames, the count the snapshot was taken at — the continuity check
+// that turns a silent half-restored stream into a loud error, because pushing
+// on from the wrong frame would corrupt the output.
+func restoreOn(addr, name string, snap []byte, held []heldFrame, frames int) (*wire, error) {
 	w, reply, err := bindOn(addr, vRestore, func(msg []byte) []byte {
-		return encodeRestore(msg, name, snap)
+		return encodeRestore(msg, name, snap, held)
 	})
 	if err != nil {
 		return nil, err

@@ -219,6 +219,7 @@ type connState struct {
 	sess     *slam.Session
 	admitted bool
 	replyBuf []byte // reply payload scratch, reused across messages
+	have     []int  // a snapshot request's positions, reused across requests
 
 	mu      sync.Mutex
 	busy    bool // a dispatch is running on the handler goroutine
@@ -301,7 +302,7 @@ func (n *Node) dispatch(cs *connState, v verb, payload []byte) bool {
 	case vClose:
 		return n.handleClose(cs)
 	case vSnapshot:
-		return n.handleSnapshot(cs)
+		return n.handleSnapshot(cs, payload)
 	case vRestore:
 		return n.handleRestore(cs, payload)
 	case vDrain:
@@ -377,20 +378,22 @@ func (n *Node) handleOpen(cs *connState, payload []byte) bool {
 
 // handleRestore is the migration target's half: rebuild a session from the
 // shipped snapshot, decoded straight out of the connection's read buffer, and
-// report how many frames it has already processed — the index of the next
-// frame the producer must push.
+// the frames shipped behind it (the ones the snapshot names without a body),
+// and report how many frames it has already processed — the index of the next
+// frame the producer must push. Whether the frames are the ones the snapshot
+// asks for is slam's to say (slam.ErrFrameTable).
 func (n *Node) handleRestore(cs *connState, payload []byte) bool {
 	if cs.sess != nil {
 		return n.replyErr(cs, codeProto, "connection already bound to a session")
 	}
-	name, snap, err := decodeRestore(payload)
+	name, snap, held, err := decodeRestore(payload)
 	if err != nil {
 		return n.replyErr(cs, codeProto, err.Error())
 	}
 	if err := n.admit(); err != nil {
 		return n.replyAdmissionErr(cs, err)
 	}
-	sess, frames, err := n.srv.RestoreSession(name, snap)
+	sess, frames, err := n.srv.RestoreSession(name, snap, held)
 	if err != nil {
 		n.releaseAdmission()
 		return n.replyAdmissionErr(cs, err)
@@ -439,16 +442,21 @@ func (n *Node) handleClose(cs *connState) bool {
 
 // handleSnapshot serializes the bound session between frames (every pushed
 // frame is processed first; see slam.Session.AppendSnapshot) and ships the
-// AGSSNAP bytes back. The snapshot is encoded straight into the connection's
+// AGSSNAP bytes back, without the bodies of the frames the request says the
+// requester holds. The snapshot is encoded straight into the connection's
 // write buffer, behind the message header, so it exists once on this side of
 // the wire. The session stays open — the router follows up with close
 // (discarding the partial result) once the snapshot is safely restored on a
 // peer.
-func (n *Node) handleSnapshot(cs *connState) bool {
+func (n *Node) handleSnapshot(cs *connState, payload []byte) bool {
 	if cs.sess == nil {
 		return n.replyErr(cs, codeProto, "snapshot before open")
 	}
-	msg, err := cs.sess.AppendSnapshot(cs.w.begin(vSnapData))
+	var err error
+	if cs.have, err = decodePositions(cs.have[:0], payload); err != nil {
+		return n.replyErr(cs, codeProto, err.Error())
+	}
+	msg, err := cs.sess.AppendSnapshot(cs.w.begin(vSnapData), cs.have)
 	if err != nil {
 		return n.replyErr(cs, codeInternal, err.Error())
 	}

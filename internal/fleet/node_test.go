@@ -5,8 +5,12 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"math"
+	"slices"
+	"strings"
 	"testing"
 
+	"ags/internal/camera"
 	"ags/internal/slam"
 )
 
@@ -68,10 +72,12 @@ func TestHostilePushIsRefusedNotFatal(t *testing.T) {
 
 // TestHostileRestoreIsRefusedNotFatal: a RESTORE whose snapshot is framed and
 // checksummed like a real one but carries Adam second moments one value short
-// of the first must be answered with an error reply. The node used to restore
-// it, and the stream's next PUSH then indexed out of range on the session
-// goroutine, taking the node and its other tenant down; that tenant has to
-// finish with its sequential digest.
+// of the first, or a key frame whose depth plane is shorter than the image,
+// must be answered with an error reply. The node used to restore either, and
+// the stream's next PUSH then indexed out of range on the session goroutine
+// (in optim.(*Adam).Step; in frame.(*DepthMap).Downsample under the tracker's
+// pyramid), taking the node and its other tenant down; that tenant keeps
+// streaming between the attempts and has to finish with its sequential digest.
 func TestHostileRestoreIsRefusedNotFatal(t *testing.T) {
 	cfg := fastCfg()
 	seq := testSeq(t, "Desk", 4)
@@ -82,10 +88,8 @@ func TestHostileRestoreIsRefusedNotFatal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range seq.Frames[:2] {
-		if err := tenant.Push(f); err != nil {
-			t.Fatal(err)
-		}
+	if err := tenant.Push(seq.Frames[0]); err != nil {
+		t.Fatal(err)
 	}
 
 	sys := slam.New(cfg, seq.Intr)
@@ -94,7 +98,7 @@ func TestHostileRestoreIsRefusedNotFatal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap := sys.AppendSnapshot(nil)
+	snap := sys.AppendSnapshot(nil, nil)
 	sys.Close()
 	// The snapshot ends with the "scale" optimizer group: name, step, first
 	// moments, second moments, then the SHA-256. Drop the last second moment
@@ -111,20 +115,48 @@ func TestHostileRestoreIsRefusedNotFatal(t *testing.T) {
 	binary.LittleEndian.PutUint64(body[at:], uint64(n-1))
 	sum := sha256.Sum256(body)
 
-	_, err = restoreOn(nodes[0].Addr(), "hostile", append(body, sum[:]...), 2)
-	var re *remoteError
-	if !errors.As(err, &re) {
-		t.Fatalf("hostile restore answered with %v, want an error reply", err)
-	}
-	if got := nodes[0].Stats().OpenSessions; got != 1 {
-		t.Errorf("%d sessions open on the node after the refused restore, want the tenant's", got)
-	}
+	shortMoments := append(body, sum[:]...)
 
-	for _, f := range seq.Frames[2:] {
-		if err := tenant.Push(f); err != nil {
+	// The frame table follows the fixed-size fields: a count, then position,
+	// body length and body per entry, the key frame (the windowed bootstrap
+	// frame) first. Cut its depth plane to ten values and say so everywhere.
+	table := 8 + 4 + len(slam.AppendConfig(nil, &cfg)) + len(slam.AppendIntrinsics(nil, &seq.Intr)) + 8 + 3*7*8
+	bodyAt := table + 8 + 8 + 8
+	size := int(binary.LittleEndian.Uint64(snap[bodyAt-8:]))
+	key, err := slam.DecodeFrame(snap[bodyAt : bodyAt+size])
+	if err != nil {
+		t.Fatalf("the first table entry's body does not decode: %v", err)
+	}
+	key.Depth.D = key.Depth.D[:10]
+	cut := slam.AppendFrame(nil, key)
+	shortDepth := append(slices.Clone(snap[:bodyAt]), cut...)
+	binary.LittleEndian.PutUint64(shortDepth[bodyAt-8:], uint64(len(cut)))
+	shortDepth = append(shortDepth, snap[bodyAt+size:len(snap)-sha256.Size]...)
+	sum = sha256.Sum256(shortDepth)
+	shortDepth = append(shortDepth, sum[:]...)
+
+	for i, hostile := range [][]byte{shortMoments, shortDepth} {
+		w, err := restoreOn(nodes[0].Addr(), "hostile", hostile, nil, 2)
+		var re *remoteError
+		if !errors.As(err, &re) {
+			if err == nil {
+				// Restored: the next push is what used to kill the node.
+				w.roundTrip(vPush, slam.AppendFrame(nil, seq.Frames[2]))
+				w.Close()
+			}
+			t.Fatalf("hostile restore %d answered with %v, want an error reply", i, err)
+		}
+		if got := nodes[0].Stats().OpenSessions; got != 1 {
+			t.Errorf("%d sessions open on the node after refused restore %d, want the tenant's", got, i)
+		}
+		if err := tenant.Push(seq.Frames[1+i]); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if err := tenant.Push(seq.Frames[3]); err != nil {
+		t.Fatal(err)
+	}
+
 	got, err := tenant.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -200,5 +232,127 @@ func hostileOpenIsNotFatal(t *testing.T, hostileCfg slam.Config) {
 	}
 	if sum.Digest != want {
 		t.Error("the second stream's digest diverges from its sequential run")
+	}
+}
+
+// TestHostileOpenIntrinsicsAreRefused: an OPEN whose camera has no pixels or
+// no focal length is answered with an error reply by name, opens no session
+// and takes no admission slot. (A render context used to be sized from it on
+// the first push.)
+func TestHostileOpenIntrinsicsAreRefused(t *testing.T) {
+	cfg := fastCfg()
+	seq := testSeq(t, "Desk", 1)
+	_, nodes := startFleet(t, []NodeConfig{{Name: "a", MaxSessions: 1}})
+	for _, tc := range []struct {
+		name string
+		edit func(*camera.Intrinsics)
+		want string
+	}{
+		{"zero width", func(in *camera.Intrinsics) { in.W = 0 }, "image size"},
+		{"negative height", func(in *camera.Intrinsics) { in.H = -36 }, "image size"},
+		{"zero focal length", func(in *camera.Intrinsics) { in.Fx = 0 }, "focal length"},
+		{"negative focal length", func(in *camera.Intrinsics) { in.Fy = -50 }, "focal length"},
+		{"NaN focal length", func(in *camera.Intrinsics) { in.Fx = math.NaN() }, "focal length"},
+	} {
+		intr := seq.Intr
+		tc.edit(&intr)
+		_, err := openOn(nodes[0].Addr(), encodeOpen(nil, tc.name, slam.AppendConfig(nil, &cfg), slam.AppendIntrinsics(nil, &intr)))
+		var re *remoteError
+		if !errors.As(err, &re) || !strings.Contains(re.msg, tc.want) {
+			t.Errorf("%s: open answered with %v, want an error reply naming the %s", tc.name, err, tc.want)
+		}
+	}
+	if st := nodes[0].Stats(); st.OpenSessions != 0 {
+		t.Errorf("%d sessions admitted by the refused opens", st.OpenSessions)
+	}
+	w, err := openOn(nodes[0].Addr(), encodeOpen(nil, "good", slam.AppendConfig(nil, &cfg), slam.AppendIntrinsics(nil, &seq.Intr)))
+	if err != nil {
+		t.Fatalf("the one admission slot is gone: %v", err)
+	}
+	w.Close()
+}
+
+// TestHostileRestoreFrameLists: a RESTORE supplies exactly the frames its
+// snapshot names without a body, or it is refused by name with nothing
+// dereferenced, no session opened and the node's tenant unharmed. The
+// snapshot and the frames are a live stream's checkpoint and held set. A
+// SNAPSHOT request that claims frames the session does not retain is no error:
+// the claim is ignored and every body comes back.
+func TestHostileRestoreFrameLists(t *testing.T) {
+	const at = 4
+	cfg := fastCfg()
+	seq := testSeq(t, "Desk", at+2)
+	want := sequentialDigest(t, cfg, seq)
+	r, nodes := startFleet(t, []NodeConfig{{Name: "a"}})
+	tenant, err := r.OpenWith(seq.Name, cfg, seq.Intr, StreamOptions{CheckpointEvery: at})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range seq.Frames[:at] {
+		if err := tenant.Push(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ckpt, held := tenant.checkpoint, tenant.held
+	if tenant.checkpointFrames != at || len(held) < 2 {
+		t.Fatalf("checkpoint at frame %d with %d held frames, want frame %d and the previous and key frames", tenant.checkpointFrames, len(held), at)
+	}
+	other := slam.AppendFrame(nil, seq.Frames[1])
+	with := func(list []heldFrame, extra ...heldFrame) []heldFrame {
+		return append(slices.Clone(list), extra...)
+	}
+	for _, tc := range []struct {
+		name string
+		list []heldFrame
+		want string
+	}{
+		{"a referenced frame not supplied", held[1:], "was not supplied"},
+		{"nothing supplied", nil, "was not supplied"},
+		{"a frame nobody references", with(held, heldFrame{pos: 1, b: other}), "supplied for a table of"},
+		{"an unreferenced frame in a referenced one's place", with(held[1:], heldFrame{pos: 1, b: other}), "was not supplied"},
+		{"a position supplied twice", with(held[:1], held[:len(held)-1]...), "supplied twice"},
+		{"a position at the frame count", with(held[1:], heldFrame{pos: at, b: held[0].b}), "was not supplied"},
+		{"a position past every frame", with(held[1:], heldFrame{pos: 1 << 40, b: held[0].b}), "was not supplied"},
+		{"a frame that is not one", with(held[1:], heldFrame{pos: held[0].pos, b: held[0].b[:100]}), "supplied frame at position"},
+	} {
+		_, err := restoreOn(nodes[0].Addr(), "hostile", ckpt, tc.list, at)
+		var re *remoteError
+		if !errors.As(err, &re) || !strings.Contains(re.msg, tc.want) {
+			t.Errorf("%s: restore answered with %v, want an error reply saying %q", tc.name, err, tc.want)
+		}
+		if got := nodes[0].Stats().OpenSessions; got != 1 {
+			t.Fatalf("%s: %d sessions open on the node, want the tenant's", tc.name, got)
+		}
+	}
+	w, err := restoreOn(nodes[0].Addr(), "twin", ckpt, held, at)
+	if err != nil {
+		t.Fatalf("the checkpoint with its own held frames was refused: %v", err)
+	}
+	w.Close()
+
+	rv, snap, err := tenant.w.roundTrip(vSnapshot, encodePositions(nil, []int{-7, at, 1 << 40, 1}))
+	if err != nil || rv != vSnapData {
+		t.Fatalf("snapshot with a made-up have list: %s, %v", rv, err)
+	}
+	if missing, err := slam.MissingFrames(nil, snap); err != nil || len(missing) != 0 {
+		t.Errorf("positions the session does not retain left %v out (%v)", missing, err)
+	}
+	if sys, err := slam.Restore(bytes.NewReader(snap)); err != nil {
+		t.Errorf("that snapshot does not stand alone: %v", err)
+	} else {
+		sys.Close()
+	}
+
+	for _, f := range seq.Frames[at:] {
+		if err := tenant.Push(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sum, err := tenant.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Digest != want {
+		t.Error("the tenant's digest diverges from its sequential run")
 	}
 }

@@ -41,9 +41,11 @@
 //
 // A connection end (wire) has a write buffer and a read buffer, both kept
 // across messages and both grown by at least doubling, and a recovering
-// stream has a checkpoint buffer. A snapshot is megabytes and gets a little
-// larger at every checkpoint, so it crosses each hop in one of these buffers
-// and is never copied between them:
+// stream has a checkpoint buffer, a replay buffer and a held set. A snapshot
+// is hundreds of kilobytes and grows with the map, so it crosses each hop in
+// one of these buffers and is never copied between them; a frame crosses the
+// wire once, in its push, and the copy the stream made for replay is the only
+// one it ever makes:
 //
 //   - wbuf, the write buffer, belongs to the wire. begin lends it to the
 //     caller with a message header in it; the caller appends the payload in
@@ -66,6 +68,18 @@
 //     its checksum, and a node dying mid-snapshot costs nothing. Migration
 //     takes the drain snapshot the same way, because it closes the old session
 //     over the same connection before it restores the snapshot elsewhere.
+//   - A replay slot holds one pushed frame, encoded, and belongs to the Stream
+//     from the push on. It is in exactly one of three places. In replay (up to
+//     its length) it is a frame acknowledged since the checkpoint. In the held
+//     set it is a frame the checkpoint names without a body: the snapshot
+//     request lists the positions the stream has in either place, the node
+//     leaves those bodies out, and the slots the reply refers to move from
+//     replay to the held set (or stay in it) without a copy. Every other slot
+//     is spare: it sits in replay's capacity beyond its length, and the next
+//     push is copied over it. So the held set is at most the session's
+//     key-frame window plus the previous and the key frame, and a stream whose
+//     window has filled allocates nothing per push or per checkpoint. A
+//     restore sends the checkpoint and the held frames, each as it was pushed.
 package fleet
 
 import (
@@ -79,12 +93,15 @@ import (
 	"net"
 
 	"ags/internal/binfmt"
+	"ags/internal/slam"
 )
 
 // ProtocolVersion is the wire format revision this build speaks. Peers with
 // a different version are rejected with ErrVersionSkew before any payload is
-// examined.
-const ProtocolVersion = 1
+// examined. Version 2: a snapshot request lists the frame positions the
+// requester holds, and a restore request carries those frames behind the
+// snapshot (see slam's snapshot format, version 2).
+const ProtocolVersion = 2
 
 const (
 	protoMagic = "AGSF"
@@ -401,23 +418,78 @@ func decodeOpen(b []byte) (name string, cfgBytes, intrBytes []byte, err error) {
 	return name, cfgBytes, intrBytes, d.Finish("fleet: open payload")
 }
 
-// restorePayload carries a stream's name and a complete slam session
-// snapshot (AGSSNAP bytes, themselves checksummed) — the migration message a
-// router sends to the peer taking over a drained node's stream.
-func encodeRestore(buf []byte, name string, snap []byte) []byte {
-	// Sized up front, message trailer included: the snapshot is megabytes and
-	// buf is usually a fresh connection's, so it should be made once.
-	e := binfmt.Enc{Buf: binfmt.Grow(buf, 8+len(name)+8+len(snap)+sha256.Size)}
+// heldFrame is one pushed frame a stream keeps, encoded as it was pushed
+// (slam.AppendFrame): the stream's frame at position pos.
+type heldFrame struct {
+	pos int
+	b   []byte
+}
+
+// restorePayload carries a stream's name, a slam session snapshot (AGSSNAP
+// bytes, themselves checksummed) and the frames that snapshot names without a
+// body, each with its stream position and encoded as it was pushed: the
+// message a router sends to the peer taking over a drained or lost node's
+// stream.
+func encodeRestore(buf []byte, name string, snap []byte, held []heldFrame) []byte {
+	// Sized up front, message trailer included: the payload is hundreds of
+	// kilobytes and buf is usually a fresh connection's, so it should be made
+	// once.
+	size := 8 + len(name) + 8 + len(snap) + 8 + sha256.Size
+	for _, h := range held {
+		size += 8 + 8 + len(h.b)
+	}
+	e := binfmt.Enc{Buf: binfmt.Grow(buf, size)}
 	e.Str(name)
 	e.Bytes(snap)
+	e.U64(uint64(len(held)))
+	for _, h := range held {
+		e.I64(int64(h.pos))
+		e.Bytes(h.b)
+	}
 	return e.Buf
 }
 
-func decodeRestore(b []byte) (name string, snap []byte, err error) {
+// decodeRestore decodes the supplied frames through slam.DecodeFrame, the path
+// a pushed frame takes; snap aliases b, the frames do not.
+func decodeRestore(b []byte) (name string, snap []byte, held []slam.HeldFrame, err error) {
 	d := binfmt.NewDec(b)
 	name = d.Str()
 	snap = d.Bytes()
-	return name, snap, d.Finish("fleet: restore payload")
+	held = make([]slam.HeldFrame, d.Len(16))
+	for i := range held {
+		pos, fb := int(d.I64()), d.Bytes()
+		if d.Err() != nil {
+			break
+		}
+		f, err := slam.DecodeFrame(fb)
+		if err != nil {
+			d.Fail("supplied frame at position %d: %v", pos, err)
+			break
+		}
+		held[i] = slam.HeldFrame{Pos: pos, Frame: f}
+	}
+	return name, snap, held, d.Finish("fleet: restore payload")
+}
+
+// The snapshot request's payload is the list of stream positions whose frames
+// the requester holds (empty when it holds none): the node leaves those
+// frames' bodies out of the snapshot it sends back.
+func encodePositions(buf []byte, pos []int) []byte {
+	e := binfmt.Enc{Buf: buf}
+	e.U64(uint64(len(pos)))
+	for _, p := range pos {
+		e.I64(int64(p))
+	}
+	return e.Buf
+}
+
+// decodePositions appends the request's positions to dst.
+func decodePositions(dst []int, b []byte) ([]int, error) {
+	d := binfmt.NewDec(b)
+	for n := d.Len(8); n > 0; n-- {
+		dst = append(dst, int(d.I64()))
+	}
+	return dst, d.Finish("fleet: snapshot payload")
 }
 
 // okPayload is a single counter: zero for plain acknowledgements, the

@@ -3,7 +3,10 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
+
+	"ags/internal/slam"
 )
 
 // Checkpoint-replay recovery: surviving *unclean* node death without moving
@@ -13,11 +16,22 @@ import (
 //
 //   - a checkpoint: the last AGSSNAP snapshot taken over the wire (the same
 //     snapshot verb migration uses) every CheckpointEvery acknowledged
-//     pushes, and
+//     pushes. It is the map, its optimizer state and the per-frame scalars;
+//     the frames the session retains (previous frame, key frame, key-frame
+//     window) it names by stream position only, because the router pushed
+//     every one of them and still has the bytes;
+//   - the held frames: those frames, encoded as they were pushed. Each is a
+//     replay slot the stream kept when its checkpoint came to depend on it
+//     and lets go of when a later checkpoint no longer names it, so there are
+//     never more than the session's key-frame window plus two; and
 //   - a replay buffer: every encoded frame acknowledged since that
 //     checkpoint, in push order — bounded by CheckpointEvery frames (plus
 //     the one in flight), because the buffer is cleared each time a
 //     checkpoint lands.
+//
+// Who owns which slot when is in the package doc (Buffer ownership). A
+// restore ships the checkpoint with the held frames behind it, and the node
+// refuses it unless they are exactly the frames the checkpoint leaves out.
 //
 // When a push, snapshot, or close fails, the error is classified first
 // (isNodeLoss): placement bounces and remote application errors are not
@@ -162,14 +176,90 @@ func (s *Stream) dropLastBuffered() {
 	}
 }
 
-// setCheckpoint adopts the snapshot the stream's wire has just received, taken
-// at `frames` processed frames, and clears the replay buffer it supersedes.
-// Nothing is copied: the wire's read buffer becomes the checkpoint and the
-// buffer of the checkpoint it replaces becomes the wire's read buffer.
+// requestSnapshot asks the serving node for a snapshot of the session, telling
+// it which frames the stream holds (the held set and the replay buffer) so
+// that it sends their positions and not their bodies. The reply's payload
+// aliases the wire's read buffer.
+func (s *Stream) requestSnapshot() (verb, []byte, error) {
+	s.have = s.have[:0]
+	for _, h := range s.held {
+		s.have = append(s.have, h.pos)
+	}
+	for i := range s.replay {
+		s.have = append(s.have, s.checkpointFrames+i)
+	}
+	return s.w.exchange(encodePositions(s.w.begin(vSnapshot), s.have))
+}
+
+// slot returns where the stream keeps its copy of the frame at position pos,
+// in the held set or the replay buffer; nil when it has neither.
+func (s *Stream) slot(pos int) *[]byte {
+	for i := range s.held {
+		if s.held[i].pos == pos {
+			return &s.held[i].b
+		}
+	}
+	if i := pos - s.checkpointFrames; i >= 0 && i < len(s.replay) {
+		return &s.replay[i]
+	}
+	return nil
+}
+
+// readSnapshot checks a snapshot reply before the stream comes to depend on
+// it: it is a snapshot, and every frame it leaves out is one the stream has.
+// The positions of those frames are left in s.missing for setCheckpoint.
+func (s *Stream) readSnapshot(rv verb, snap []byte) error {
+	if rv != vSnapData {
+		return fmt.Errorf("snapshot reply verb %s", rv)
+	}
+	var err error
+	if s.missing, err = slam.MissingFrames(s.missing[:0], snap); err != nil {
+		return err
+	}
+	for i, pos := range s.missing {
+		if s.slot(pos) == nil {
+			return fmt.Errorf("snapshot leaves out the frame at position %d, which the stream does not hold", pos)
+		}
+		if slices.Contains(s.missing[:i], pos) {
+			return fmt.Errorf("snapshot lists the frame at position %d twice", pos)
+		}
+	}
+	return nil
+}
+
+// setCheckpoint adopts the snapshot the stream's wire has just received and
+// readSnapshot has passed, taken at `frames` processed frames. Nothing is
+// copied. The wire's read buffer becomes the checkpoint and the buffer of the
+// checkpoint it replaces becomes the wire's read buffer. The held set becomes
+// the slots the snapshot depends on (s.missing), taken over from the old held
+// set or out of the replay buffer; every other slot, the rest of the old held
+// set included, ends up in the cleared replay buffer's spare capacity, where
+// bufferFrame finds it.
 func (s *Stream) setCheckpoint(frames int) {
+	next := s.heldNext[:0]
+	for _, pos := range s.missing {
+		sl := s.slot(pos)
+		next = append(next, heldFrame{pos: pos, b: *sl})
+		*sl = nil
+	}
+	// What was not taken is spare, slots beyond replay's length (earlier
+	// spares) included; compacting in place never overtakes the read.
+	spare := s.replay[:0]
+	for _, b := range s.replay[:cap(s.replay)] {
+		if b != nil {
+			spare = append(spare, b)
+		}
+	}
+	for _, h := range s.held {
+		if h.b != nil {
+			spare = append(spare, h.b)
+		}
+	}
+	clear(spare[len(spare):cap(spare)])
+	s.replay = spare[:0]
+	s.held, s.heldNext = next, s.held[:0]
 	s.checkpoint = s.w.detach(s.checkpoint)
 	s.checkpointFrames = frames
-	s.replay = s.replay[:0]
 }
 
 // pushFailed handles a failed push round trip; nil means recovery replayed
@@ -224,7 +314,7 @@ func (s *Stream) maybeCheckpoint() error {
 // *during* the snapshot loses nothing: recovery falls back to the previous
 // checkpoint (or a fresh open) plus the intact buffer.
 func (s *Stream) takeCheckpoint() error {
-	rv, _, err := s.w.roundTrip(vSnapshot, nil)
+	rv, snap, err := s.requestSnapshot()
 	if err != nil {
 		if !isNodeLoss(err) {
 			return fmt.Errorf("fleet: stream %q: checkpoint: %w", s.name, err)
@@ -232,13 +322,13 @@ func (s *Stream) takeCheckpoint() error {
 		if rerr := s.recover(err); rerr != nil {
 			return fmt.Errorf("fleet: stream %q: checkpoint: %w", s.name, rerr)
 		}
-		rv, _, err = s.w.roundTrip(vSnapshot, nil)
+		rv, snap, err = s.requestSnapshot()
 		if err != nil {
 			return fmt.Errorf("fleet: stream %q: checkpoint after recovery: %w", s.name, err)
 		}
 	}
-	if rv != vSnapData {
-		return fmt.Errorf("fleet: stream %q: checkpoint reply verb %s", s.name, rv)
+	if err := s.readSnapshot(rv, snap); err != nil {
+		return fmt.Errorf("fleet: stream %q: checkpoint: %w", s.name, err)
 	}
 	s.setCheckpoint(s.pushed)
 	return nil
@@ -297,7 +387,8 @@ func (s *Stream) recover(cause error) error {
 
 // reattach binds the stream to a freshly placed node: the first candidate, in
 // placement order, on which attach succeeds. Migration calls it with the
-// drain snapshot, recovery with the last checkpoint (nil before the first).
+// drain snapshot, recovery with the last checkpoint (nil before the first);
+// the frames either leaves out are the held set.
 func (s *Stream) reattach(snap []byte, frames int) error {
 	node, w, _, err := s.r.place(s.sizeW, s.sizeH, func(addr string) (*wire, error) {
 		return s.attach(addr, snap, frames)
@@ -310,13 +401,14 @@ func (s *Stream) reattach(snap []byte, frames int) error {
 }
 
 // attach rebuilds the stream's session on one candidate node: restore the
-// snapshot (or open fresh when there is none yet), then replay the buffered
-// frames in push order. Any failure leaves no connection behind.
+// snapshot with the held frames (or open fresh when there is none yet), then
+// replay the buffered frames in push order. Any failure leaves no connection
+// behind.
 func (s *Stream) attach(addr string, snap []byte, frames int) (*wire, error) {
 	var w *wire
 	var err error
 	if snap != nil {
-		w, err = restoreOn(addr, s.name, snap, frames)
+		w, err = restoreOn(addr, s.name, snap, s.held, frames)
 	} else {
 		w, err = openOn(addr, s.openPayload)
 	}

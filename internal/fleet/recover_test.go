@@ -160,6 +160,66 @@ func TestRecoverKillDuringSnapshot(t *testing.T) {
 	}
 }
 
+// TestRecoverKillWithFilledWindow runs the two kill tests above on a stream
+// whose key-frame window has filled, so the RESTORE that recovers it carries the
+// checkpoint and eight frames out of the router's own buffers (the window holds
+// the previous frame; the key frame may be a ninth): killed on a push reply, and
+// killed on the snap-data reply of a later checkpoint, where the restore falls
+// back to the checkpoint before it and the held set that goes with that one.
+// Both close on the sequential digest.
+func TestRecoverKillWithFilledWindow(t *testing.T) {
+	const frames, every = 16, 2
+	cfg, seq := windowStream(t, frames)
+	ref := sequentialDigest(t, cfg, seq)
+	for _, tc := range []struct {
+		name     string
+		armAt    int // before this push
+		writes   int // the node dies on this many writes from then on
+		replayed int
+	}{
+		// Checkpoint at 12; the kill takes push 13's reply: 12 and 13 replay.
+		{"during push", 13, 1, 2},
+		// Push 13's reply, then the checkpoint at 14 dies mid-snapshot: the
+		// restore is of the checkpoint at 12, and 12 and 13 replay.
+		{"during snapshot", 13, 2, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, _, injs := startChaosFleet(t, []NodeConfig{{Name: "a"}, {Name: "b"}})
+			st, err := r.OpenWith(seq.Name, cfg, seq.Intr, StreamOptions{CheckpointEvery: every})
+			if err != nil {
+				t.Fatal(err)
+			}
+			home := st.Node()
+			var supplied []int
+			for i, f := range seq.Frames {
+				if i == tc.armAt {
+					for _, h := range st.held {
+						supplied = append(supplied, h.pos)
+					}
+					injs[st.Node()].ArmKill(tc.writes)
+				}
+				if err := st.Push(f); err != nil {
+					t.Fatalf("push %d: %v", i, err)
+				}
+			}
+			sum, err := st.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(supplied) < 6 {
+				t.Errorf("the restore carried frames %v, want at least 6 from the router", supplied)
+			}
+			if st.Node() == home || st.Recoveries() != 1 || st.Replayed() != tc.replayed {
+				t.Errorf("on %q (home %q) after %d recoveries and %d replayed frames, want 1 and %d",
+					st.Node(), home, st.Recoveries(), st.Replayed(), tc.replayed)
+			}
+			if sum.Digest != ref || sum.Frames != frames {
+				t.Errorf("recovered stream: %d frames, digest equal %v", sum.Frames, sum.Digest == ref)
+			}
+		})
+	}
+}
+
 // TestHealthCheckEvictsAndReadmits kills a node under a live stream: a
 // health probe evicts it, the stream recovers onto a peer with the digest
 // intact, and when a replacement node comes back on the same address the

@@ -373,10 +373,13 @@ type Stream struct {
 	// Checkpoint-replay recovery state (see recover.go). Inert when
 	// opts.CheckpointEvery == 0.
 	opts             StreamOptions
-	openPayload      []byte   // retained for fresh-open recovery before the first checkpoint
-	checkpoint       []byte   // last AGSSNAP taken over the wire; nil before the first
-	checkpointFrames int      // frames the checkpoint has processed
-	replay           [][]byte // encoded frames acked since the checkpoint, push order
+	openPayload      []byte      // retained for fresh-open recovery before the first checkpoint
+	checkpoint       []byte      // last AGSSNAP taken over the wire; nil before the first
+	checkpointFrames int         // frames the checkpoint has processed
+	held             []heldFrame // the frames the checkpoint names without a body, adopted from replay
+	replay           [][]byte    // encoded frames acked since the checkpoint: replay[i] is position checkpointFrames+i
+	have, missing    []int       // snapshot request and reply scratch (positions)
+	heldNext         []heldFrame // setCheckpoint's scratch: the held set under construction
 	recoveries       int
 	replayed         int
 	lost             error // sticky NodeLostError once the stream is lost for good

@@ -85,8 +85,12 @@ func DefaultConfig() Config {
 }
 
 // Keyframe is a stored reference view used by the multi-view mapping loss.
+// Pos is the frame's position in its stream (how many frames the system had
+// accepted before it): the name a snapshot gives the frame, so that a
+// requester who already holds it need not be sent its body.
 type Keyframe struct {
 	Frame *frame.Frame
+	Pos   int
 	Pose  vecmath.Pose
 }
 
@@ -192,10 +196,11 @@ func (m *Mapper) PredictedNonContrib() map[int]bool {
 	return out
 }
 
-// AddKeyframe retains a reference view for the multi-view mapping loss. A
-// window below zero (a remote OPEN can carry one) keeps none, like zero.
-func (m *Mapper) AddKeyframe(f *frame.Frame, pose vecmath.Pose) {
-	m.keyframes = append(m.keyframes, Keyframe{Frame: f, Pose: pose})
+// AddKeyframe retains a reference view for the multi-view mapping loss: f, the
+// stream's frame at position pos. A window below zero (a remote OPEN can carry
+// one) keeps none, like zero.
+func (m *Mapper) AddKeyframe(f *frame.Frame, pos int, pose vecmath.Pose) {
+	m.keyframes = append(m.keyframes, Keyframe{Frame: f, Pos: pos, Pose: pose})
 	if window := max(m.Cfg.KeyframeWindow, 0); len(m.keyframes) > window {
 		m.keyframes = m.keyframes[len(m.keyframes)-window:]
 	}

@@ -207,7 +207,7 @@ func TestKeyframeWindowBounded(t *testing.T) {
 	cfg.KeyframeWindow = 4
 	m := New(cfg)
 	for _, f := range seq.Frames {
-		m.AddKeyframe(f, f.GTPose)
+		m.AddKeyframe(f, f.Index, f.GTPose)
 	}
 	if len(m.keyframes) != 4 {
 		t.Errorf("keyframe window = %d", len(m.keyframes))
@@ -223,7 +223,7 @@ func TestKeyframeWindowBounded(t *testing.T) {
 		cfg.KeyframeWindow = window
 		m := New(cfg)
 		for _, f := range seq.Frames[:3] {
-			m.AddKeyframe(f, f.GTPose)
+			m.AddKeyframe(f, f.Index, f.GTPose)
 		}
 		if len(m.keyframes) != 0 {
 			t.Errorf("KeyframeWindow %d retained %d keyframes", window, len(m.keyframes))

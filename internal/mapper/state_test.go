@@ -38,7 +38,7 @@ func TestOptimizerStateRoundTrip(t *testing.T) {
 
 	seeded := func(m *Mapper) {
 		m.Densify(f0, seq.Intr, f0.GTPose)
-		m.AddKeyframe(f0, f0.GTPose)
+		m.AddKeyframe(f0, 0, f0.GTPose)
 	}
 	stepped := func(m *Mapper) {
 		seeded(m)

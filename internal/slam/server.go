@@ -140,20 +140,29 @@ func (sv *Server) Close() error {
 // holds, snapshots and returns from Close is the map, the key-frame window and
 // a few hundred bytes per frame. Its Result.Digest equals every other venue's;
 // for a Result to feed the cycle-level hardware models, use Run.
+//
+// The intrinsics may come from a remote OPEN, so a camera with no pixels or no
+// focal length is refused here and never sized a render context from.
 func (sv *Server) Open(name string, cfg Config, intr camera.Intrinsics) (*Session, error) {
+	if err := intr.Validate(); err != nil {
+		return nil, fmt.Errorf("slam: open %q: %w", name, err)
+	}
 	return sv.start(name, newSystem(cfg, intr, sv.pool, true, scalarsOnly))
 }
 
 // RestoreSession opens a session whose system is rebuilt from snapshot bytes
-// (see System.Snapshot); the session keeps no reference to snap. It returns
-// the session and how many frames the snapshot had already processed — the
-// index of the next frame the producer should Push. Pushing the remainder of
-// the original stream yields a Close Result digest-identical to the
+// (see System.Snapshot) and from held, the frames the snapshot names without a
+// body because its requester kept them (see System.AppendSnapshot): exactly
+// those, each at its position, or the restore is refused with ErrFrameTable.
+// The session keeps no reference to snap and adopts the held frames. It
+// returns the session and how many frames the snapshot had already processed:
+// the index of the next frame the producer should Push. Pushing the remainder
+// of the original stream yields a Close Result digest-identical to the
 // uninterrupted session. Like Open it is a serving venue: whatever trace
 // detail the snapshot carries (one taken from a standalone System does) is
 // dropped on the way in, not held and re-shipped.
-func (sv *Server) RestoreSession(name string, snap []byte) (*Session, int, error) {
-	sys, err := restoreSystem(snap, sv.pool, true, scalarsOnly)
+func (sv *Server) RestoreSession(name string, snap []byte, held []HeldFrame) (*Session, int, error) {
+	sys, err := restoreSystem(snap, held, sv.pool, true, scalarsOnly)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -330,23 +339,24 @@ type sessOp struct {
 // orders its writes before the producer's reads.
 type snapReq struct {
 	buf  []byte
+	have []int // positions the producer holds; read by the worker until done
 	done chan error
 }
 
 // AppendSnapshot serializes the session's state at a well-defined point and
-// appends it to dst (see System.AppendSnapshot for how dst grows). The
-// request joins the same queue as the frames, so every frame pushed before
+// appends it to dst (see System.AppendSnapshot for how dst grows and what have
+// leaves out). The request joins the same queue as the frames, so every frame pushed before
 // the call is processed first and none pushed after it is; the worker then
 // flushes the ME lookahead and encodes the system. A session restored from
 // those bytes and fed the remaining frames closes with a Result
 // digest-identical to this session's. AppendSnapshot shares the producer
 // contract of Push and Close (one goroutine); it fails after Close or once
 // the session has errored, and then returns dst as it was.
-func (s *Session) AppendSnapshot(dst []byte) ([]byte, error) {
+func (s *Session) AppendSnapshot(dst []byte, have []int) ([]byte, error) {
 	if s.closed {
 		return dst, fmt.Errorf("slam: session %q: snapshot after Close", s.name)
 	}
-	req := &snapReq{buf: dst, done: make(chan error, 1)}
+	req := &snapReq{buf: dst, have: have, done: make(chan error, 1)}
 	s.in <- sessOp{snap: req}
 	err := <-req.done
 	return req.buf, err
@@ -398,7 +408,7 @@ func (s *Session) snapshot(req *snapReq) {
 		req.done <- fmt.Errorf("session %q: %w", s.name, s.err)
 		return
 	}
-	req.buf = s.sys.AppendSnapshot(req.buf)
+	req.buf = s.sys.AppendSnapshot(req.buf, req.have)
 	req.done <- nil
 }
 

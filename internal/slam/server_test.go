@@ -228,7 +228,7 @@ func TestSnapshotOnFailedSessionErrsAndNeverBlocks(t *testing.T) {
 			}
 			dst := []byte("kept")
 			for i := 0; i < 2; i++ {
-				out, err := sess.AppendSnapshot(dst)
+				out, err := sess.AppendSnapshot(dst, nil)
 				if err == nil || !strings.Contains(err.Error(), "does not match camera") {
 					t.Errorf("pipelined=%v: snapshot %d error = %v, want frame-size mismatch", pipelined, i, err)
 				}

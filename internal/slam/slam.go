@@ -28,10 +28,13 @@
 //   - Server.Open and Server.RestoreSession are the serving venues, the only
 //     ones a fleet node uses. Nothing on the serving path reads the detail, so
 //     the tracker and mapper never build it and RestoreSession drops what a
-//     snapshot brings in. A session's resident state, each checkpoint and each
-//     migration are therefore the map (with its optimizer moments), the
-//     key-frame window and the per-frame scalars: they follow the map, not the
-//     stream's age.
+//     snapshot brings in. A session's resident state is therefore the map
+//     (with its optimizer moments), the key-frame window and the per-frame
+//     scalars: it follows the map, not the stream's age. A checkpoint or a
+//     migration is less still: the snapshot names the window's frames by
+//     their stream positions and leaves out the bodies its requester says it
+//     holds (see the frame table in snapshot.go), which for a fleet router is
+//     all of them.
 //
 // Result.Digest covers the scalars and never the detail, so it is one value
 // across all venues; the snapshot format encodes absent detail as empty lists
@@ -239,8 +242,8 @@ func (r *Result) ATERMSECm() (float64, error) {
 // render context and the frame's trace.FrameTrace (and, when a compaction
 // fires, the retained traces); the caller's side touches only what a front
 // reads or a middle commits: the detector, the aligner, the prefetch list,
-// prevFrame, prevPose, prevRel, keyFrame, keyPose, frameCount, poses, gt and
-// info. Every method that needs the mapped state (the next ProcessFrame after
+// prevFrame, prevPose, prevRel, keyFrame, keyFramePos, keyPose, frameCount,
+// poses, gt and info. Every method that needs the mapped state (the next ProcessFrame after
 // its front, AppendSnapshot, Snapshot, Finish, Close, Mapper) joins first,
 // which runs a tail nobody started on the caller's own goroutine; FrameCount
 // does not need to.
@@ -276,6 +279,7 @@ type System struct {
 	prevPose    vecmath.Pose
 	prevRel     vecmath.Pose // last inter-frame relative motion (velocity model)
 	keyFrame    *frame.Frame // last key frame (for Thresh_M comparisons)
+	keyFramePos int          // its position in the stream: the frame count when it was accepted
 	keyPose     vecmath.Pose // estimated pose of the last key frame
 	frameCount  int
 	poses       []vecmath.Pose
@@ -410,12 +414,8 @@ func (s *System) Close() {
 // method that joins (see System). A panic in the tail resurfaces from the
 // join, on the goroutine that called it.
 func (s *System) ProcessFrame(f *frame.Frame) error {
-	if err := f.Validate(); err != nil {
+	if err := checkFrame(f, &s.Intr); err != nil {
 		return fmt.Errorf("slam: %w", err)
-	}
-	if f.Color.W != s.Intr.W || f.Color.H != s.Intr.H {
-		return fmt.Errorf("slam: frame %dx%d does not match camera %dx%d",
-			f.Color.W, f.Color.H, s.Intr.W, s.Intr.H)
 	}
 	var fr frontOut
 	if s.frameCount > 0 {
@@ -442,6 +442,19 @@ func (s *System) ProcessFrame(f *frame.Frame) error {
 	s.frameCount++
 
 	s.deferTail(ft, mapping, FrameUpdate{Index: ft.Index, Pose: s.prevPose, Info: info})
+	return nil
+}
+
+// checkFrame is the one gate a frame passes before the pipeline indexes its
+// planes, whether it was pushed or came back in a restore: both planes
+// present and exactly their declared size, and that size the camera's.
+func checkFrame(f *frame.Frame, intr *camera.Intrinsics) error {
+	if err := f.Validate(); err != nil {
+		return err
+	}
+	if f.Color.W != intr.W || f.Color.H != intr.H {
+		return fmt.Errorf("frame %dx%d does not match camera %dx%d", f.Color.W, f.Color.H, intr.W, intr.H)
+	}
 	return nil
 }
 
@@ -607,11 +620,10 @@ func (s *System) bootstrap(f *frame.Frame, ft *trace.FrameTrace, info *FrameInfo
 	info.IsKeyFrame = true
 	info.Covisibility = 1
 	info.KeyCovisibility = 1
-	s.keyFrame = f
-	s.keyPose = pose
+	s.setKeyFrame(f, pose)
 	s.prevPose = pose
 	s.poses = append(s.poses, pose)
-	return func() { s.mapFull(f, pose, ft, true) }
+	return func() { s.mapFull(f, 0, pose, ft, true) }
 }
 
 // frontOut is what a frame's map-free front produces: the two covisibility
@@ -711,6 +723,7 @@ func (s *System) step(f *frame.Frame, fr *frontOut, ft *trace.FrameTrace, info *
 	s.poses = append(s.poses, pose)
 
 	// --- Mapping. ---
+	pos := s.frameCount // f's position in the stream; the tail runs after the count moves on
 	covisible := float64(fr.keyFC) > s.Cfg.ThreshM
 	switch {
 	case s.Cfg.EnableGCM && covisible:
@@ -727,9 +740,8 @@ func (s *System) step(f *frame.Frame, fr *frontOut, ft *trace.FrameTrace, info *
 		// New key frame: densify, full mapping, refresh contribution.
 		ft.IsKeyFrame = true
 		info.IsKeyFrame = true
-		s.keyFrame = f
-		s.keyPose = pose
-		return func() { s.mapFull(f, pose, ft, true) }
+		s.setKeyFrame(f, pose)
+		return func() { s.mapFull(f, pos, pose, ft, true) }
 	default:
 		// Baseline mapping: densify + full mapping every frame.
 		ft.IsKeyFrame = true
@@ -738,21 +750,29 @@ func (s *System) step(f *frame.Frame, fr *frontOut, ft *trace.FrameTrace, info *
 		// The anchor key frame advances whenever covisibility with the old
 		// one decays, keeping coarse-only variants drift-bounded too.
 		if !covisible {
-			s.keyFrame = f
-			s.keyPose = pose
+			s.setKeyFrame(f, pose)
 		}
-		return func() { s.mapFull(f, pose, ft, window) }
+		return func() { s.mapFull(f, pos, pose, ft, window) }
 	}
 }
 
-// mapFull is the mapping of a key frame: densify where the map does not yet
-// explain the frame, optimize every Gaussian, and, when window is set, add
-// the frame to the mapper's multi-view window.
-func (s *System) mapFull(f *frame.Frame, pose vecmath.Pose, ft *trace.FrameTrace, window bool) {
+// setKeyFrame makes f, the frame being accepted, the key frame: the anchor of
+// the Thresh_M comparisons and of coarse alignment.
+func (s *System) setKeyFrame(f *frame.Frame, pose vecmath.Pose) {
+	s.keyFrame = f
+	s.keyFramePos = s.frameCount
+	s.keyPose = pose
+}
+
+// mapFull is the mapping of a key frame, the stream's frame at position pos:
+// densify where the map does not yet explain the frame, optimize every
+// Gaussian, and, when window is set, add the frame to the mapper's multi-view
+// window.
+func (s *System) mapFull(f *frame.Frame, pos int, pose vecmath.Pose, ft *trace.FrameTrace, window bool) {
 	s.mapper.Densify(f, s.Intr, pose)
 	ft.Map = s.mapper.FullMapping(f, s.Intr, pose)
 	if window {
-		s.mapper.AddKeyframe(f, pose)
+		s.mapper.AddKeyframe(f, pos, pose)
 	}
 }
 

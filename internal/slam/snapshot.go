@@ -3,8 +3,10 @@ package slam
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"ags/internal/binfmt"
 	"ags/internal/camera"
@@ -24,11 +26,29 @@ import (
 // session. The format is versioned, not self-describing: any change to the
 // encoded fields bumps SnapshotVersion, and Restore rejects versions it does
 // not speak.
+//
+// Frame table (version 2). The payload opens with the fixed-size fields
+// (configuration, intrinsics, frame count, three poses) and then the table of
+// retained frames: the mapper's key-frame window, the previous frame and the
+// key frame, each listed once. An entry is
+//
+//	position (i64) | body length (u64) | body
+//
+// where position is the frame's place in the stream (how many frames the
+// system had accepted before it) and body is the frame exactly as AppendFrame
+// encodes it, which is also how it crossed the wire in a push. A body length
+// of zero means the body is left out: whoever asked for the snapshot said it
+// already holds the frame at that position (AppendSnapshot's have list) and
+// hands it back when it restores (RestoreSession's held list). Everything
+// after the table refers to a frame by its table index. A snapshot taken with
+// an empty have list carries every body and restores on its own; that is what
+// Snapshot, ags-slam -snapshot and the grid write.
 const (
 	snapshotMagic = "AGSSNAP\x00"
 	// SnapshotVersion is the binary format revision Snapshot writes and
-	// Restore accepts.
-	SnapshotVersion = 1
+	// Restore accepts. Version 2 names every retained frame by its stream
+	// position and makes its body optional.
+	SnapshotVersion = 2
 
 	snapshotHeader = len(snapshotMagic) + 4 // magic, version
 )
@@ -45,7 +65,7 @@ const (
 // contract makes the synchronous recompute byte-identical, so a restored
 // system simply computes the next frame's covisibility inline.
 func (s *System) Snapshot(w io.Writer) error {
-	if _, err := w.Write(s.AppendSnapshot(nil)); err != nil {
+	if _, err := w.Write(s.AppendSnapshot(nil, nil)); err != nil {
 		return fmt.Errorf("slam: snapshot write: %w", err)
 	}
 	return nil
@@ -61,20 +81,41 @@ func (s *System) Snapshot(w io.Writer) error {
 // framing the snapshot inside its own checksummed message appends that
 // trailer in place too.
 //
+// have lists the stream positions of frames the caller already holds, byte
+// for byte as they were pushed: the snapshot names a retained frame at one of
+// those positions without its body, and restores only together with the frames
+// it left out (RestoreSession; MissingFrames lists them). Positions the system
+// does not retain are ignored. With no have list every body is written and the
+// snapshot stands alone.
+//
 //ags:hotpath
-func (s *System) AppendSnapshot(dst []byte) []byte {
+func (s *System) AppendSnapshot(dst []byte, have []int) []byte {
 	s.join()
 	size := binfmt.Counting()
-	encodeSystem(&size, s)
+	encodeSystem(&size, s, have)
 	start := len(dst)
 	e := binfmt.Enc{Buf: binfmt.Grow(dst, snapshotHeader+size.Len()+2*sha256.Size)}
 	e.Buf = append(e.Buf, snapshotMagic...)
 	e.U32(SnapshotVersion)
-	encodeSystem(&e, s)
+	encodeSystem(&e, s, have)
 	sum := sha256.Sum256(e.Buf[start:])
 	e.Raw(sum[:])
 	return e.Buf
 }
+
+// HeldFrame is a frame a requester kept instead of receiving it back in a
+// snapshot: the stream's frame at position Pos.
+type HeldFrame struct {
+	Pos   int
+	Frame *frame.Frame
+}
+
+// ErrFrameTable is what a restore wraps when a snapshot's frame table and the
+// frames supplied with it do not make a whole: a body-less entry nobody
+// supplied, a supplied frame no entry asks for, a position listed twice or
+// beyond the frames processed, a frame that is malformed or not the camera's
+// size.
+var ErrFrameTable = errors.New("snapshot frame table")
 
 // Restore rebuilds a standalone System from a snapshot stream. The system
 // draws its render context from DefaultServer's pool, exactly like New;
@@ -85,14 +126,13 @@ func Restore(r io.Reader) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("slam: snapshot read: %w", err)
 	}
-	return restoreSystem(data, DefaultServer().ContextPool(), false, keepDetail)
+	return restoreSystem(data, nil, DefaultServer().ContextPool(), false, keepDetail)
 }
 
-// restoreSystem decodes a snapshot over the given context pool. perStep and
-// detail are the restoring venue's, as in newSystem: the bytes say nothing
-// about either, and a system restored without detail drops what the snapshot
-// carries. Nothing of the restored system aliases data.
-func restoreSystem(data []byte, pool *splat.ContextPool, perStep, detail bool) (*System, error) {
+// snapshotPayload checks a snapshot's envelope (length, magic, version) and
+// returns what lies between the header and the trailing checksum, which it
+// does not verify.
+func snapshotPayload(data []byte) ([]byte, error) {
 	if len(data) < snapshotHeader+sha256.Size {
 		return nil, fmt.Errorf("slam: snapshot truncated: %d bytes", len(data))
 	}
@@ -103,22 +143,72 @@ func restoreSystem(data []byte, pool *splat.ContextPool, perStep, detail bool) (
 	if version != SnapshotVersion {
 		return nil, fmt.Errorf("slam: snapshot version %d, this build reads %d", version, SnapshotVersion)
 	}
+	return data[snapshotHeader : len(data)-sha256.Size], nil
+}
+
+// restoreSystem decodes a snapshot over the given context pool, taking the
+// frames its table names without a body from held. perStep and detail are the
+// restoring venue's, as in newSystem: the bytes say nothing about either, and
+// a system restored without detail drops what the snapshot carries. Nothing of
+// the restored system aliases data; the held frames it adopts.
+func restoreSystem(data []byte, held []HeldFrame, pool *splat.ContextPool, perStep, detail bool) (*System, error) {
+	payload, err := snapshotPayload(data)
+	if err != nil {
+		return nil, err
+	}
 	body, sum := data[:len(data)-sha256.Size], data[len(data)-sha256.Size:]
 	if got := sha256.Sum256(body); string(got[:]) != string(sum) {
 		return nil, fmt.Errorf("slam: snapshot checksum mismatch (truncated or corrupted)")
 	}
-	d := binfmt.NewDec(body[snapshotHeader:])
-	sys := decodeSystem(d, pool, perStep, detail)
+	d := binfmt.NewDec(payload)
+	sys := decodeSystem(d, held, pool, perStep, detail)
 	if err := d.Finish("slam: snapshot decode"); err != nil {
 		return nil, err
 	}
 	return sys, nil
 }
 
+// MissingFrames appends to dst the stream positions of the frames snap's table
+// names without a body, in table order: the frames a restore of snap has to be
+// handed. It reads the envelope and the table and nothing behind them, and it
+// does not verify the checksum (a restore does).
+func MissingFrames(dst []int, snap []byte) ([]int, error) {
+	payload, err := snapshotPayload(snap)
+	if err != nil {
+		return dst, err
+	}
+	d := binfmt.NewDec(payload)
+	skipToFrameTable(d)
+	missing := dst
+	for n := d.Len(frameEntryMin); n > 0; n-- {
+		pos := d.I64()
+		if len(d.Bytes()) == 0 {
+			missing = append(missing, int(pos))
+		}
+	}
+	if err := d.Err(); err != nil {
+		return dst, fmt.Errorf("slam: %w: %w", ErrFrameTable, err)
+	}
+	return missing, nil
+}
+
+// skipToFrameTable reads past the fixed-size fields the payload opens with:
+// configuration, intrinsics, frame count and the three poses.
+func skipToFrameTable(d *binfmt.Dec) {
+	var cfg Config
+	decodeConfig(d, &cfg)
+	var intr camera.Intrinsics
+	decodeIntrinsics(d, &intr)
+	d.I64()
+	for range 3 {
+		getPose(d)
+	}
+}
+
 // encodeSystem writes every field a restored system needs. The tracker
 // (refiner, aligner) and covisibility detector carry no cross-frame state
 // that outputs depend on — they are rebuilt from the config.
-func encodeSystem(e *binfmt.Enc, s *System) {
+func encodeSystem(e *binfmt.Enc, s *System, have []int) {
 	encodeConfig(e, &s.Cfg)
 	encodeIntrinsics(e, &s.Intr)
 	e.I64(int64(s.frameCount))
@@ -126,17 +216,26 @@ func encodeSystem(e *binfmt.Enc, s *System) {
 	putPose(e, s.prevRel)
 	putPose(e, s.keyPose)
 
-	// Frame table: the retained frames, deduplicated by identity — the
-	// previous frame, the key frame and the mapper's keyframe window may
-	// alias, and the restored system must alias them the same way.
+	// Frame table: the retained frames, each once (the previous frame, the
+	// key frame and the mapper's keyframe window may be one frame, and the
+	// restored system must alias them the same way), named by stream position,
+	// with the body of every frame the requester does not already hold.
 	st := s.mapper.ExportState()
-	frames, index := collectFrames(s, st)
-	e.U64(uint64(len(frames)))
-	for _, f := range frames {
-		encodeFrame(e, f)
+	table := collectFrames(s, st)
+	e.U64(uint64(len(table)))
+	for _, r := range table {
+		e.I64(int64(r.pos))
+		if slices.Contains(have, r.pos) {
+			e.U64(0)
+			continue
+		}
+		size := binfmt.Counting()
+		encodeFrame(&size, r.f)
+		e.U64(uint64(size.Len()))
+		encodeFrame(e, r.f)
 	}
-	e.I64(frameRef(index, s.prevFrame))
-	e.I64(frameRef(index, s.keyFrame))
+	e.I64(frameRef(table, s.prevFrame, s.frameCount-1))
+	e.I64(frameRef(table, s.keyFrame, s.keyFramePos))
 
 	putPoses(e, s.poses)
 	putPoses(e, s.gt)
@@ -157,7 +256,7 @@ func encodeSystem(e *binfmt.Enc, s *System) {
 	e.Bools(st.SkipSet)
 	e.U64(uint64(len(st.Keyframes)))
 	for _, kf := range st.Keyframes {
-		e.I64(frameRef(index, kf.Frame))
+		e.I64(frameRef(table, kf.Frame, kf.Pos))
 		putPose(e, kf.Pose)
 	}
 	e.U64(st.RNG)
@@ -170,12 +269,16 @@ func encodeSystem(e *binfmt.Enc, s *System) {
 	}
 }
 
-func decodeSystem(d *binfmt.Dec, pool *splat.ContextPool, perStep, detail bool) *System {
+func decodeSystem(d *binfmt.Dec, held []HeldFrame, pool *splat.ContextPool, perStep, detail bool) *System {
 	var cfg Config
 	decodeConfig(d, &cfg)
 	var intr camera.Intrinsics
 	decodeIntrinsics(d, &intr)
 	if d.Err() != nil {
+		return nil
+	}
+	if err := intr.Validate(); err != nil {
+		d.Fail("%w", err)
 		return nil
 	}
 	sys := newSystem(cfg, intr, pool, perStep, detail)
@@ -184,12 +287,19 @@ func decodeSystem(d *binfmt.Dec, pool *splat.ContextPool, perStep, detail bool) 
 	sys.prevRel = getPose(d)
 	sys.keyPose = getPose(d)
 
-	frames := make([]*frame.Frame, d.Len(1))
-	for i := range frames {
-		frames[i] = decodeFrame(d)
+	table := decodeFrameTable(d, held, sys.frameCount, &sys.Intr)
+	prev := deref(d, table, d.I64())
+	key := deref(d, table, d.I64())
+	sys.prevFrame = prev.f
+	sys.keyFrame, sys.keyFramePos = key.f, key.pos
+	switch {
+	case d.Err() != nil:
+	case sys.frameCount > 0 && (prev.f == nil || key.f == nil):
+		// The next frame's front reads both.
+		d.Fail("%w: %d frames processed but no previous or no key frame", ErrFrameTable, sys.frameCount)
+	case prev.f != nil && prev.pos != sys.frameCount-1:
+		d.Fail("%w: the previous frame is at position %d of %d frames processed", ErrFrameTable, prev.pos, sys.frameCount)
 	}
-	sys.prevFrame = deref(d, frames, d.I64())
-	sys.keyFrame = deref(d, frames, d.I64())
 
 	sys.poses = getPoses(d)
 	sys.gt = getPoses(d)
@@ -213,8 +323,11 @@ func decodeSystem(d *binfmt.Dec, pool *splat.ContextPool, perStep, detail bool) 
 	st.SkipSet = d.Bools()
 	st.Keyframes = make([]mapper.Keyframe, d.Len(8))
 	for i := range st.Keyframes {
-		st.Keyframes[i].Frame = deref(d, frames, d.I64())
-		st.Keyframes[i].Pose = getPose(d)
+		kf := deref(d, table, d.I64())
+		if kf.f == nil && d.Err() == nil {
+			d.Fail("%w: key-frame window entry %d names no frame", ErrFrameTable, i)
+		}
+		st.Keyframes[i] = mapper.Keyframe{Frame: kf.f, Pos: kf.pos, Pose: getPose(d)}
 	}
 	st.RNG = d.U64()
 	st.Opt = make([]mapper.OptGroupState, d.Len(8))
@@ -234,45 +347,114 @@ func decodeSystem(d *binfmt.Dec, pool *splat.ContextPool, perStep, detail bool) 
 	return sys
 }
 
+// retained is one entry of the frame table: the stream's frame at position
+// pos. A stream has one frame per position, so the position identifies it.
+type retained struct {
+	pos int
+	f   *frame.Frame
+}
+
+// frameEntryMin is the fewest bytes a frame table entry encodes to: its
+// position and a zero body length.
+const frameEntryMin = 16
+
 // collectFrames gathers the retained frames in a deterministic order:
 // mapper keyframes first (stream order), then the previous and key frames if
 // distinct.
-func collectFrames(s *System, st mapper.State) ([]*frame.Frame, map[*frame.Frame]int) {
-	index := make(map[*frame.Frame]int)
-	var frames []*frame.Frame
-	add := func(f *frame.Frame) {
-		if f == nil {
-			return
-		}
-		if _, ok := index[f]; !ok {
-			index[f] = len(frames)
-			frames = append(frames, f)
+func collectFrames(s *System, st mapper.State) []retained {
+	table := make([]retained, 0, len(st.Keyframes)+2)
+	add := func(f *frame.Frame, pos int) {
+		if f != nil && frameRef(table, f, pos) < 0 {
+			table = append(table, retained{pos, f})
 		}
 	}
 	for _, kf := range st.Keyframes {
-		add(kf.Frame)
+		add(kf.Frame, kf.Pos)
 	}
-	add(s.prevFrame)
-	add(s.keyFrame)
-	return frames, index
+	add(s.prevFrame, s.frameCount-1)
+	add(s.keyFrame, s.keyFramePos)
+	return table
 }
 
-func frameRef(index map[*frame.Frame]int, f *frame.Frame) int64 {
+// frameRef returns the table index of f, the frame at position pos: -1 for no
+// frame (a system that has processed none) or one the table does not list.
+func frameRef(table []retained, f *frame.Frame, pos int) int64 {
 	if f == nil {
 		return -1
 	}
-	return int64(index[f])
+	return int64(slices.IndexFunc(table, func(r retained) bool { return r.pos == pos }))
 }
 
-func deref(d *binfmt.Dec, frames []*frame.Frame, ref int64) *frame.Frame {
+func deref(d *binfmt.Dec, table []retained, ref int64) retained {
 	if ref == -1 {
+		return retained{}
+	}
+	if ref < 0 || ref >= int64(len(table)) {
+		d.Fail("frame reference %d out of range (table has %d)", ref, len(table))
+		return retained{}
+	}
+	return table[ref]
+}
+
+// decodeFrameTable reads the frame table of a system that has processed
+// frameCount frames through a camera intr, taking each body-less entry's frame
+// from held. The table and the held list both arrive from outside, so every
+// way they can fail to fit each other or the camera is refused here, wrapped
+// in ErrFrameTable, and no frame reaches the pipeline unchecked.
+func decodeFrameTable(d *binfmt.Dec, held []HeldFrame, frameCount int, intr *camera.Intrinsics) []retained {
+	table := make([]retained, d.Len(frameEntryMin))
+	if len(held) > len(table) {
+		d.Fail("%w: %d frames supplied for a table of %d", ErrFrameTable, len(held), len(table))
 		return nil
 	}
-	if ref < 0 || ref >= int64(len(frames)) {
-		d.Fail("frame reference %d out of range (table has %d)", ref, len(frames))
-		return nil
+	supplied := make(map[int]*frame.Frame, len(held))
+	for _, h := range held {
+		if _, dup := supplied[h.Pos]; dup || h.Frame == nil {
+			d.Fail("%w: position %d supplied twice, or with no frame", ErrFrameTable, h.Pos)
+			return nil
+		}
+		supplied[h.Pos] = h.Frame
 	}
-	return frames[ref]
+	listed := make(map[int]bool, len(table))
+	for i := range table {
+		pos, body := int(d.I64()), d.Bytes()
+		if d.Err() != nil {
+			return nil
+		}
+		var f *frame.Frame
+		switch {
+		case pos < 0 || pos >= frameCount:
+			d.Fail("%w: position %d is not one of the %d frames processed", ErrFrameTable, pos, frameCount)
+		case listed[pos]:
+			d.Fail("%w: position %d listed twice", ErrFrameTable, pos)
+		case len(body) > 0:
+			var err error
+			if f, err = DecodeFrame(body); err != nil {
+				d.Fail("%w: position %d: %w", ErrFrameTable, pos, err)
+			}
+		case supplied[pos] == nil:
+			d.Fail("%w: the frame at position %d has no body and was not supplied", ErrFrameTable, pos)
+		default:
+			f = supplied[pos]
+			delete(supplied, pos)
+		}
+		if d.Err() != nil {
+			return nil
+		}
+		if err := checkFrame(f, intr); err != nil {
+			d.Fail("%w: position %d: %w", ErrFrameTable, pos, err)
+			return nil
+		}
+		listed[pos] = true
+		table[i] = retained{pos, f}
+	}
+	for _, h := range held {
+		if supplied[h.Pos] != nil {
+			d.Fail("%w: a frame was supplied for position %d, which the snapshot does not ask for", ErrFrameTable, h.Pos)
+			return nil
+		}
+	}
+	return table
 }
 
 func encodeConfig(e *binfmt.Enc, c *Config) {

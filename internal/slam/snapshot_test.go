@@ -5,8 +5,12 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+
+	"ags/internal/frame"
+	"ags/internal/scene"
 )
 
 // compactCfg is fastAGS with pruning aggressive enough to actually deactivate
@@ -140,14 +144,14 @@ func TestSnapshotRoundTripSystem(t *testing.T) {
 			// The counting pass sized the buffer: it was made once, for the
 			// snapshot and the one checksum of spare capacity, never regrown
 			// (which would leave more), and it is what was written.
-			enc := sys.AppendSnapshot(nil)
+			enc := sys.AppendSnapshot(nil, nil)
 			if cap(enc) != len(enc)+sha256.Size || !bytes.Equal(enc, buf.Bytes()) {
 				t.Errorf("%s split %d: snapshot buffer len %d cap %d, wrote %d bytes",
 					scene, k, len(enc), cap(enc), buf.Len())
 			}
 			// Behind a prefix, in a buffer with room, it encodes in place.
 			dst := append(make([]byte, 0, 3+cap(enc)), "pre"...)
-			if out := sys.AppendSnapshot(dst); &out[0] != &dst[0] || string(out[:3]) != "pre" || !bytes.Equal(out[3:], enc) {
+			if out := sys.AppendSnapshot(dst, nil); &out[0] != &dst[0] || string(out[:3]) != "pre" || !bytes.Equal(out[3:], enc) {
 				t.Errorf("%s split %d: AppendSnapshot moved the buffer or wrote other bytes behind the prefix", scene, k)
 			}
 			sys.Close()
@@ -196,7 +200,7 @@ func TestSessionSnapshotRestore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap, err := sess.AppendSnapshot(nil)
+	snap, err := sess.AppendSnapshot(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +217,7 @@ func TestSessionSnapshotRestore(t *testing.T) {
 		t.Errorf("snapshotted session digest %x != uninterrupted %x", got, want)
 	}
 
-	restored, n, err := sv.RestoreSession(seq.Name, snap)
+	restored, n, err := sv.RestoreSession(seq.Name, snap, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +255,7 @@ func TestSessionSnapshotAfterClose(t *testing.T) {
 	if _, err := sess.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.AppendSnapshot(nil); err == nil {
+	if _, err := sess.AppendSnapshot(nil, nil); err == nil {
 		t.Fatal("snapshot after Close succeeded")
 	}
 }
@@ -268,17 +272,17 @@ func TestAppendSnapshotAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	buf := sys.AppendSnapshot(nil)
+	buf := sys.AppendSnapshot(nil, nil)
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	before := ms.TotalAlloc
-	buf = sys.AppendSnapshot(buf[:0])
+	buf = sys.AppendSnapshot(buf[:0], nil)
 	runtime.ReadMemStats(&ms)
 	if got := ms.TotalAlloc - before; got > uint64(len(buf)/8) {
 		t.Errorf("encoding a %d-byte snapshot into a buffer with room allocated %d bytes", len(buf), got)
 	}
 	small := make([]byte, 0, len(buf)*3/4)
-	if grown := sys.AppendSnapshot(small); cap(grown) != 2*cap(small) || !bytes.Equal(grown, buf) {
+	if grown := sys.AppendSnapshot(small, nil); cap(grown) != 2*cap(small) || !bytes.Equal(grown, buf) {
 		t.Errorf("a %d-byte buffer was re-made at %d bytes for a %d-byte snapshot, want doubled", cap(small), cap(grown), len(buf))
 	}
 }
@@ -336,6 +340,42 @@ func TestRestoreRejectsDamage(t *testing.T) {
 			return c
 		}, "version"},
 		{"short second moments", func(b []byte) []byte { return shortSecondMoments(t, b) }, "second moments"},
+		// The version 2 frame table: position, body length, body per entry.
+		{"table position at the frame count", tableEdit(t, func(tb []tableEntry) []tableEntry {
+			tb[0].pos = 3
+			return tb
+		}), "not one of the 3 frames"},
+		{"negative table position", tableEdit(t, func(tb []tableEntry) []tableEntry {
+			tb[0].pos = -1
+			return tb
+		}), "not one of the 3 frames"},
+		{"table position listed twice", tableEdit(t, func(tb []tableEntry) []tableEntry {
+			tb[0].pos = tb[1].pos
+			return tb
+		}), "listed twice"},
+		{"previous frame at another position", tableEdit(t, func(tb []tableEntry) []tableEntry {
+			tb[0].pos, tb[1].pos = tb[1].pos, tb[0].pos
+			return tb
+		}), "previous frame is at position"},
+		{"body left out, nothing supplied", tableEdit(t, func(tb []tableEntry) []tableEntry {
+			tb[1].body = nil
+			return tb
+		}), "was not supplied"},
+		{"previous and key frame dropped", tableEdit(t, func(tb []tableEntry) []tableEntry {
+			return nil
+		}), "frame reference"},
+		{"trailing byte in a body", tableEdit(t, func(tb []tableEntry) []tableEntry {
+			tb[0].body = append(slices.Clone(tb[0].body), 0)
+			return tb
+		}), "trailing"},
+		{"depth plane shorter than the image", tableEdit(t, func(tb []tableEntry) []tableEntry {
+			tb[0].body = reframeBody(t, tb[0].body, func(f *frame.Frame) { f.Depth.D = f.Depth.D[:10] })
+			return tb
+		}), "depth plane"},
+		{"frame of another size", tableEdit(t, func(tb []tableEntry) []tableEntry {
+			tb[0].body = AppendFrame(nil, scene.MustGenerate("Desk", scene.Config{Width: tw / 2, Height: th / 2, Frames: 1, Seed: 1}).Frames[0])
+			return tb
+		}), "does not match camera"},
 	}
 	for _, tc := range cases {
 		_, err := Restore(bytes.NewReader(tc.mangle(data)))
@@ -347,6 +387,23 @@ func TestRestoreRejectsDamage(t *testing.T) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.wantSub)
 		}
 	}
+}
+
+// tableEdit is a damage row that rewrites the snapshot's frame table (two
+// entries here: the windowed bootstrap frame, then the previous frame).
+func tableEdit(t *testing.T, edit func([]tableEntry) []tableEntry) func([]byte) []byte {
+	return func(b []byte) []byte { return retable(t, b, edit) }
+}
+
+// reframeBody decodes a frame body, applies edit and encodes it again.
+func reframeBody(t *testing.T, body []byte, edit func(*frame.Frame)) []byte {
+	t.Helper()
+	f, err := DecodeFrame(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit(f)
+	return AppendFrame(nil, f)
 }
 
 // shortSecondMoments returns snap with the second-moment vector of its last
@@ -388,7 +445,7 @@ func TestRestoreSessionRefusesShortMoments(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap := sys.AppendSnapshot(nil)
+	snap := sys.AppendSnapshot(nil, nil)
 	sys.Close()
 
 	sv := NewServer(ServerConfig{})
@@ -402,7 +459,7 @@ func TestRestoreSessionRefusesShortMoments(t *testing.T) {
 		}
 	}
 
-	if _, _, err := sv.RestoreSession("hostile", shortSecondMoments(t, snap)); err == nil {
+	if _, _, err := sv.RestoreSession("hostile", shortSecondMoments(t, snap), nil); err == nil {
 		t.Fatal("a snapshot with mismatched optimizer moments was restored")
 	} else if !strings.Contains(err.Error(), "second moments") {
 		t.Errorf("restore refused with %q, want the optimizer group named", err)

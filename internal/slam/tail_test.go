@@ -64,7 +64,7 @@ func joinedReference(t *testing.T, cfg Config, seq *scene.Sequence) ([][]byte, *
 		if sys.tail != nil {
 			t.Fatal("join left a tail behind")
 		}
-		snaps[i] = sys.AppendSnapshot(nil)
+		snaps[i] = sys.AppendSnapshot(nil, nil)
 	}
 	return snaps, sys.Finish(seq.Name)
 }
@@ -97,7 +97,7 @@ func TestJoinPointMatrix(t *testing.T) {
 				if each.tail == nil || each.tail.done != nil {
 					t.Fatalf("frame %d: ProcessFrame did not return with its tail pending", i)
 				}
-				if got := each.AppendSnapshot(nil); !bytes.Equal(got, want[i]) {
+				if got := each.AppendSnapshot(nil, nil); !bytes.Equal(got, want[i]) {
 					t.Fatalf("frame %d: snapshot after ProcessFrame differs from the serial schedule's (%d vs %d bytes)", i, len(got), len(want[i]))
 				}
 				if err := back.ProcessFrame(f); err != nil {
@@ -107,7 +107,7 @@ func TestJoinPointMatrix(t *testing.T) {
 					t.Fatalf("frame %d: FrameCount = %d at return", i, back.FrameCount())
 				}
 			}
-			if got := back.AppendSnapshot(nil); !bytes.Equal(got, want[len(want)-1]) {
+			if got := back.AppendSnapshot(nil, nil); !bytes.Equal(got, want[len(want)-1]) {
 				t.Fatal("back-to-back run: final snapshot differs from the serial schedule's")
 			}
 
@@ -153,7 +153,7 @@ func TestTailRaceSystem(t *testing.T) {
 		}
 		switch i % 4 {
 		case 0:
-			buf = sys.AppendSnapshot(buf[:0])
+			buf = sys.AppendSnapshot(buf[:0], nil)
 		case 1:
 			sys.Finish(seq.Name)
 		case 2:
@@ -200,7 +200,7 @@ func TestTailRaceTwoSessions(t *testing.T) {
 				}
 				if i%3 == 1 {
 					var err error
-					if buf, err = sess.AppendSnapshot(buf[:0]); err != nil {
+					if buf, err = sess.AppendSnapshot(buf[:0], nil); err != nil {
 						t.Error(err)
 						return
 					}

@@ -93,7 +93,7 @@ func TestVenueMatrix(t *testing.T) {
 			var fullSnap []byte
 			for i, f := range seq.Frames {
 				if i == k {
-					fullSnap = sys.AppendSnapshot(nil)
+					fullSnap = sys.AppendSnapshot(nil, nil)
 				}
 				if err := sys.ProcessFrame(f); err != nil {
 					t.Fatal(err)
@@ -113,7 +113,7 @@ func TestVenueMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			leanSnap, err := sess.AppendSnapshot(nil)
+			leanSnap, err := sess.AppendSnapshot(nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -144,14 +144,14 @@ func TestVenueMatrix(t *testing.T) {
 			// frame k on, and cannot bring back what was never recorded.
 			restoredLean := restore(leanSnap)
 
-			rs, n, err := srv.RestoreSession(seq.Name, fullSnap)
+			rs, n, err := srv.RestoreSession(seq.Name, fullSnap, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if n != k {
 				t.Fatalf("RestoreSession resumed at frame %d, want %d", n, k)
 			}
-			resnap, err := rs.AppendSnapshot(nil)
+			resnap, err := rs.AppendSnapshot(nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -311,7 +311,7 @@ func TestSessionSoakStaysBounded(t *testing.T) {
 	snap := make([]byte, 0, 1<<20)
 	measure := func() (snapBytes int, heap uint64) {
 		t.Helper()
-		if snap, err = sess.AppendSnapshot(snap[:0]); err != nil {
+		if snap, err = sess.AppendSnapshot(snap[:0], nil); err != nil {
 			t.Fatal(err)
 		}
 		if cap(snap) != 1<<20 {

@@ -8,22 +8,25 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
+
+	"ags/internal/binfmt"
+	"ags/internal/scene"
 )
 
-// TestGoldenSnapshot pins SnapshotVersion 1 by length and SHA-256: the
+// TestGoldenSnapshot pins SnapshotVersion 2 by length and SHA-256: the
 // AGSSNAP of a fixed-seed AGS run with pruning and compaction on, six frames
-// in. The golden line was written once, by the encoder the format was
-// introduced with, and there is no regeneration switch — a moved byte takes a
-// SnapshotVersion bump. The run's floats depend on whether the compiler fuses
-// multiply-adds, so the line holds for amd64 only.
+// in, once as Snapshot writes it (every frame body inline) and once as a fleet
+// checkpoint is taken (by a requester that holds every frame pushed, so the
+// frame table is positions only). The golden lines were written once, by the
+// encoder the version was introduced with, and there is no regeneration
+// switch — a moved byte takes a SnapshotVersion bump and new files (version
+// 1's were snapshot.sum.golden). The run's floats depend on whether the
+// compiler fuses multiply-adds, so the lines hold for amd64 only.
 func TestGoldenSnapshot(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden snapshot recorded on amd64")
-	}
-	want, err := os.ReadFile(filepath.Join("testdata", "snapshot.sum.golden"))
-	if err != nil {
-		t.Fatal(err)
 	}
 	seq := testSeq(t, "Desk", 6)
 	sys := New(compactCfg(tw, th), seq.Intr)
@@ -37,9 +40,176 @@ func TestGoldenSnapshot(t *testing.T) {
 	if err := sys.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if got := fmt.Sprintf("%d %x\n", buf.Len(), sha256.Sum256(buf.Bytes())); got != string(want) {
-		t.Errorf("snapshot bytes moved: got %swant %s", got, want)
+	for _, g := range []struct {
+		file string
+		snap []byte
+	}{
+		{"snapshot.v2.sum.golden", buf.Bytes()},
+		{"snapshot-lean.v2.sum.golden", sys.AppendSnapshot(nil, []int{0, 1, 2, 3, 4, 5})},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", g.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%d %x\n", len(g.snap), sha256.Sum256(g.snap)); got != string(want) {
+			t.Errorf("%s: snapshot bytes moved: got %swant %s", g.file, got, want)
+		}
 	}
+}
+
+// The restore seed is a whole small restore, in bytes: a lean snapshot of a
+// 16x12 AGS run three frames in (restore.v2.golden) and the frames it leaves
+// out, as a count and then position and length-prefixed AppendFrame bytes each
+// (restore-frames.v2.golden, the shape fleet's RESTORE gives the list). Like
+// the sums above they were written once. They pin the decoder on every
+// platform (the bytes restore and the stream goes on), the encoder on amd64,
+// and they seed FuzzRestoreSession.
+const seedW, seedH, seedFrames = 16, 12, 3
+
+func seedConfig() Config {
+	cfg := fastAGS(seedW, seedH)
+	cfg.TrackIters, cfg.IterT, cfg.Mapper.MapIters = 3, 2, 2
+	cfg.Workers = 1
+	return cfg
+}
+
+// seedSeq is the seed's stream, one frame longer than the snapshot is old.
+func seedSeq() *scene.Sequence {
+	return scene.MustGenerate("Desk", scene.Config{Width: seedW, Height: seedH, Frames: seedFrames + 1, Seed: 1})
+}
+
+func readSeed(t testing.TB) (snap, list []byte) {
+	t.Helper()
+	snap, err := os.ReadFile(filepath.Join("testdata", "restore.v2.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	list, err = os.ReadFile(filepath.Join("testdata", "restore-frames.v2.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap, list
+}
+
+// decodeHeldList reads a frame list in the seed's shape; nil when the bytes
+// are not one.
+func decodeHeldList(list []byte) []HeldFrame {
+	d := binfmt.NewDec(list)
+	held := make([]HeldFrame, d.Len(16))
+	for i := range held {
+		pos, fb := int(d.I64()), d.Bytes()
+		f, err := DecodeFrame(fb)
+		if d.Err() != nil || err != nil {
+			return nil
+		}
+		held[i] = HeldFrame{Pos: pos, Frame: f}
+	}
+	if d.Finish("frame list") != nil {
+		return nil
+	}
+	return held
+}
+
+func TestGoldenRestoreSeed(t *testing.T) {
+	snap, list := readSeed(t)
+	seq := seedSeq()
+	held := decodeHeldList(list)
+	if len(held) == 0 {
+		t.Fatal("the golden frame list does not decode")
+	}
+	srv := NewServer(ServerConfig{})
+	sess, n, err := srv.RestoreSession("seed", snap, held)
+	if err != nil || n != seedFrames {
+		t.Fatalf("golden restore: frame %d, %v", n, err)
+	}
+	res := pushAll(t, sess, seq.Frames[seedFrames:])
+	if len(res.Poses) != seedFrames+1 {
+		t.Errorf("the restored stream closed with %d poses, want %d", len(res.Poses), seedFrames+1)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if runtime.GOARCH != "amd64" {
+		return // the run's floats depend on multiply-add fusing
+	}
+	sys := New(seedConfig(), seq.Intr)
+	defer sys.Close()
+	for _, f := range seq.Frames[:seedFrames] {
+		if err := sys.ProcessFrame(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lean := sys.AppendSnapshot(nil, []int{0, 1, 2})
+	if !bytes.Equal(lean, snap) {
+		t.Errorf("the seed snapshot moved (%d bytes, golden %d)", len(lean), len(snap))
+	}
+	if !bytes.Equal(seedList(t, lean, seq), list) {
+		t.Error("the seed frame list moved")
+	}
+}
+
+// seedList encodes the frames lean leaves out, from seq.
+func seedList(t testing.TB, lean []byte, seq *scene.Sequence) []byte {
+	t.Helper()
+	missing, err := MissingFrames(nil, lean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e binfmt.Enc
+	e.U64(uint64(len(missing)))
+	for _, pos := range missing {
+		e.I64(int64(pos))
+		e.Bytes(AppendFrame(nil, seq.Frames[pos]))
+	}
+	return e.Buf
+}
+
+// FuzzRestoreSession throws bytes at the one door a remote peer's state comes
+// in through: RestoreSession, then one Push (where a restored-but-wrong system
+// used to blow up, on the session worker, under every tenant), then Close.
+// The fuzzed bytes are the snapshot's payload behind the configuration and the
+// intrinsics, which stay the seed's (a fuzzed iteration count is a hang, not a
+// crash; that is Config.Validate's to refuse), and the frame list; the harness
+// frames and sums them as any peer can. Nothing may panic, and a restore may
+// not allocate more than a fixed multiple of what it was sent.
+func FuzzRestoreSession(f *testing.F) {
+	snap, list := readSeed(f)
+	head, table, tail := splitSnapshot(f, snap)
+	fixed := len(head) - 8 - 3*7*8 // header, configuration, intrinsics
+	f.Add(snap[fixed:len(snap)-sha256.Size], list)
+	// The same state with every body inline and nothing supplied.
+	held := decodeHeldList(list)
+	for i := range table {
+		table[i].body = AppendFrame(nil, held[i].Frame)
+	}
+	full := joinSnapshot(head, table, tail)
+	f.Add(full[fixed:len(full)-sha256.Size], []byte{0, 0, 0, 0, 0, 0, 0, 0})
+	next := seedSeq().Frames[seedFrames]
+	srv := NewServer(ServerConfig{})
+
+	f.Fuzz(func(t *testing.T, payload, list []byte) {
+		data := append(slices.Clone(snap[:fixed]), payload...)
+		sum := sha256.Sum256(data)
+		data = append(data, sum[:]...)
+		held := decodeHeldList(list)
+
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		sess, _, err := srv.RestoreSession("fuzz", data, held)
+		runtime.ReadMemStats(&ms)
+		// A fresh system costs half a MiB before a byte is decoded (the
+		// mapper's empty cloud is made with room to grow).
+		if got, limit := ms.TotalAlloc-before, uint64(1<<20+8*(len(payload)+len(list))); got > limit {
+			t.Fatalf("restoring %d+%d bytes allocated %d, over %d", len(payload), len(list), got, limit)
+		}
+		if err != nil {
+			return
+		}
+		_ = sess.Push(next) // a refused frame is fine; a panic is not
+		_, _ = sess.Close()
+	})
 }
 
 // TestDecodeFrameRejectsOverflowingSize: a frame whose declared width times
