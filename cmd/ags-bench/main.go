@@ -16,14 +16,6 @@
 //	ags-bench -jobs 4          # bounded pipeline-execution concurrency
 //	ags-bench -frames 32 -w 96 -h 72   # override individual knobs
 //	ags-bench -exp fig4 -cpuprofile cpu.pprof -memprofile mem.pprof
-//	ags-bench -grid 127.0.0.1:7070,127.0.0.1:7071   # distribute the warm
-//	                           # phase over ags-fleet serve worker nodes
-//
-// With -grid, pipeline executions ship to the listed workers as grid jobs
-// (see internal/grid): each worker regenerates the dataset deterministically,
-// runs the pipeline, and returns a digest-verified snapshot. stdout stays
-// byte-identical to local execution; per-run worker attribution and wire
-// bytes go to the stderr progress lines.
 package main
 
 import (
@@ -36,7 +28,6 @@ import (
 	"time"
 
 	"ags/internal/bench"
-	"ags/internal/grid"
 )
 
 func main() {
@@ -50,10 +41,6 @@ func main() {
 		workers = flag.Int("workers", 0, "render worker goroutines (0 = all cores; results are bit-identical for every value)")
 		jobs    = flag.Int("jobs", 0, "concurrent pipeline executions in the batch scheduler (0 = all cores; output is byte-identical for every value)")
 		quiet   = flag.Bool("q", false, "suppress progress lines (stderr)")
-
-		gridAddrs  = flag.String("grid", "", "comma-separated worker node addresses: distribute pipeline executions over the fleet (see ags-fleet serve)")
-		gridWindow = flag.Int("grid-window", 0, "in-flight jobs per grid worker (0 = default)")
-		gridSample = flag.Int("grid-sample", 0, "locally replay every Nth remote grid result (0 = default)")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole batch to this path")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile (after the batch) to this path")
@@ -136,29 +123,7 @@ func main() {
 	}
 	start := time.Now()
 
-	var exec bench.Executor
-	if *gridAddrs != "" {
-		var addrs []string
-		for _, a := range strings.Split(*gridAddrs, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				addrs = append(addrs, a)
-			}
-		}
-		sch, err := grid.New(grid.Config{Workers: addrs, Window: *gridWindow, SampleEvery: *gridSample})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ags-bench: %v\n", err)
-			os.Exit(1)
-		}
-		defer sch.Close()
-		exec = sch
-		if *jobs == 0 {
-			// Local batches default to GOMAXPROCS; a grid batch's natural
-			// parallelism is the grid's total in-flight window instead.
-			*jobs = sch.Capacity()
-		}
-	}
-
-	err := bench.RunBatchWith(suite, exps, *jobs, exec, os.Stdout)
+	err := bench.RunBatch(suite, exps, *jobs, os.Stdout)
 	stopCPUProfile()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ags-bench: %v\n", err)

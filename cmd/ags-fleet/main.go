@@ -1,8 +1,7 @@
 // Command ags-fleet runs the distributed serving layer: a node (one
 // slam.Server behind a TCP listener) or a router driving live streams across
 // a fleet of nodes, with placement, admission control and mid-stream
-// migration. Every node also answers grid job frames (digest-verified bench
-// executions shipped by ags-bench -grid; see internal/grid).
+// migration.
 //
 // Usage:
 //
@@ -40,7 +39,6 @@ import (
 
 	"ags/internal/fleet"
 	"ags/internal/fleet/chaos"
-	"ags/internal/grid"
 	"ags/internal/scene"
 	"ags/internal/slam"
 )
@@ -96,7 +94,6 @@ func serveCmd(args []string) error {
 		Server:           slam.ServerConfig{ContextCapacity: *poolCap},
 		MaxSessions:      *maxSessions,
 		MaxResidentBytes: *maxResident,
-		Jobs:             grid.NewWorker(),
 	})
 	var bound string
 	var err error

@@ -27,7 +27,6 @@ import (
 	"sync"
 
 	"ags/internal/camera"
-	"ags/internal/grid"
 	"ags/internal/mapper"
 	"ags/internal/metrics"
 	"ags/internal/scene"
@@ -144,16 +143,6 @@ type flight struct {
 	ok   bool // guarded by Suite.mu: fn returned without error
 }
 
-// Executor runs one resolved spec somewhere other than this process. The grid
-// scheduler is the one real implementation; a nil Executor means local
-// execution via slam.Run. The suite hands the executor a fully resolved
-// grid.Job (variant and override already applied — RunSpec overrides are
-// functions and cannot cross a wire) plus its own copy of the dataset for
-// sampled replay verification.
-type Executor interface {
-	ExecuteSpec(job grid.Job, seq *scene.Sequence) (*slam.Result, grid.ExecInfo, error)
-}
-
 // Suite owns the run cache. Experiment text goes to the writer passed to
 // Render/RunBatch; the suite itself only writes progress lines to Log.
 type Suite struct {
@@ -213,20 +202,13 @@ func (s *Suite) doOnce(m map[string]*flight, id string, fn func() (any, error)) 
 	return f.val, f.err
 }
 
-// sceneConfig is the dataset recipe every suite sequence is generated from.
-// Grid jobs ship this exact recipe, so workers regenerate frames
-// bit-identical to the coordinator's own copy.
-func (s *Suite) sceneConfig() scene.Config {
-	return scene.Config{
-		Width: s.Cfg.Width, Height: s.Cfg.Height, Frames: s.Cfg.Frames, Seed: s.Cfg.Seed,
-	}
-}
-
 // sequence returns (generating on first use) the named dataset. Generation
 // is singleflighted: concurrent callers share one build.
 func (s *Suite) sequence(name string) (*scene.Sequence, error) {
 	v, err := s.doOnce(s.seqs, name, func() (any, error) {
-		return scene.Generate(name, s.sceneConfig())
+		return scene.Generate(name, scene.Config{
+			Width: s.Cfg.Width, Height: s.Cfg.Height, Frames: s.Cfg.Frames, Seed: s.Cfg.Seed,
+		})
 	})
 	if err != nil {
 		return nil, err
@@ -278,16 +260,10 @@ func (s *Suite) slamConfig(v Variant, override func(*slam.Config)) slam.Config {
 	return cfg
 }
 
-// Run returns the cached bundle for the spec, executing the pipeline locally
-// on first use. Concurrent callers of one spec share a single execution
+// Run returns the cached bundle for the spec, executing the pipeline on
+// first use. Concurrent callers of one spec share a single execution
 // (singleflight), so the batch scheduler and direct calls can overlap freely.
-func (s *Suite) Run(spec RunSpec) (*Bundle, error) { return s.runVia(nil, spec) }
-
-// runVia is Run with an execution venue: nil runs the pipeline in-process,
-// a non-nil Executor ships the resolved job out (the grid path). Both venues
-// share one cache — whichever materializes a spec first wins, and the
-// determinism contract makes the cached bundle identical either way.
-func (s *Suite) runVia(x Executor, spec RunSpec) (*Bundle, error) {
+func (s *Suite) Run(spec RunSpec) (*Bundle, error) {
 	if spec.DatasetOnly() {
 		return nil, fmt.Errorf("bench: run %s: dataset-only spec has no pipeline", spec.ID())
 	}
@@ -303,24 +279,8 @@ func (s *Suite) runVia(x Executor, spec RunSpec) (*Bundle, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bench: run %s: %w", id, err)
 		}
-		var res *slam.Result
-		if x == nil {
-			s.logf("# running %s ...\n", id)
-			res, err = slam.Run(s.slamConfig(spec.Variant, spec.Override), seq)
-		} else {
-			var info grid.ExecInfo
-			res, info, err = x.ExecuteSpec(grid.Job{
-				ID:    id,
-				Seq:   spec.Seq,
-				Scene: s.sceneConfig(),
-				Cfg:   s.slamConfig(spec.Variant, spec.Override),
-			}, seq)
-			if err == nil {
-				// Worker attribution is only known after placement, so the
-				// grid progress line trails the run instead of leading it.
-				s.logf("# [%s] %s done (%.1f KB over wire)\n", info.Worker, id, float64(info.WireBytes)/1024)
-			}
-		}
+		s.logf("# running %s ...\n", id)
+		res, err := slam.Run(s.slamConfig(spec.Variant, spec.Override), seq)
 		if err != nil {
 			return nil, fmt.Errorf("bench: run %s: %w", id, err)
 		}
@@ -341,15 +301,14 @@ func (s *Suite) MustRun(spec RunSpec) *Bundle {
 	return b
 }
 
-// warmVia materializes a spec without returning its value: the batch
-// scheduler's per-spec unit of work. Dataset-only specs always materialize
-// locally (workers regenerate their own copies from the job recipe).
-func (s *Suite) warmVia(x Executor, spec RunSpec) error {
+// warm materializes a spec without returning its value: the batch
+// scheduler's per-spec unit of work.
+func (s *Suite) warm(spec RunSpec) error {
 	if spec.DatasetOnly() {
 		_, err := s.sequence(spec.Seq)
 		return err
 	}
-	_, err := s.runVia(x, spec)
+	_, err := s.Run(spec)
 	return err
 }
 

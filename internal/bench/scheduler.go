@@ -46,15 +46,6 @@ func PlanSpecs(exps []Experiment) []RunSpec {
 // out receives byte-identical text for every jobs value. On a failing spec
 // the batch stops before rendering and returns the plan-order-first error.
 func RunBatch(s *Suite, exps []Experiment, jobs int, out io.Writer) error {
-	return RunBatchWith(s, exps, jobs, nil, out)
-}
-
-// RunBatchWith is RunBatch with an execution venue: a nil Executor warms every
-// spec in-process, a grid scheduler ships each one to a worker node. The plan,
-// the dedup, the singleflight semantics and the rendered text are identical
-// either way — only where pipelines execute changes — so out stays
-// byte-identical across jobs counts and venues.
-func RunBatchWith(s *Suite, exps []Experiment, jobs int, x Executor, out io.Writer) error {
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
@@ -76,7 +67,7 @@ func RunBatchWith(s *Suite, exps []Experiment, jobs int, x Executor, out io.Writ
 		go func(i int, spec RunSpec) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			if errs[i] = s.warmVia(x, spec); errs[i] != nil {
+			if errs[i] = s.warm(spec); errs[i] != nil {
 				failed.Store(true)
 			}
 		}(i, spec)

@@ -8,11 +8,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-
-	"ags/internal/fleet"
-	"ags/internal/grid"
-	"ags/internal/scene"
-	"ags/internal/slam"
 )
 
 // fakeExp builds a cheap declarative experiment around real suite runs: it
@@ -118,7 +113,7 @@ func TestBatchOutputIdenticalAcrossJobs(t *testing.T) {
 }
 
 // TestBatchErrorPropagation: a failing spec stops the batch before any
-// rendering and surfaces the underlying error.
+// rendering and surfaces the underlying error with the spec named.
 func TestBatchErrorPropagation(t *testing.T) {
 	exps := []Experiment{
 		fakeExp("ok", SeqSpec("Desk")),
@@ -128,6 +123,9 @@ func TestBatchErrorPropagation(t *testing.T) {
 	err := RunBatch(NewSuite(tinyCfg()), exps, 2, &buf)
 	if err == nil || !strings.Contains(err.Error(), "unknown sequence") {
 		t.Fatalf("batch error = %v, want unknown sequence", err)
+	}
+	if !strings.Contains(err.Error(), "NoSuchSeq/baseline/") {
+		t.Errorf("batch error = %v, want the failing spec's ID", err)
 	}
 	if buf.Len() != 0 {
 		t.Errorf("failing batch rendered output:\n%s", buf.String())
@@ -166,110 +164,6 @@ func TestBatchMultiExperimentRace(t *testing.T) {
 	}
 	if n := len(s.Executed()); n != 3 {
 		t.Errorf("batch executed %d pipelines, want 3 unique", n)
-	}
-}
-
-// startGridWorkers boots n loopback worker nodes for grid batch tests.
-func startGridWorkers(t *testing.T, n int) []string {
-	t.Helper()
-	addrs := make([]string, n)
-	for i := range addrs {
-		node := fleet.NewNode(fleet.NodeConfig{
-			Name: fmt.Sprintf("wk-%c", 'a'+i),
-			Jobs: grid.NewWorker(),
-		})
-		addr, err := node.Start("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { node.Close() })
-		addrs[i] = addr
-	}
-	return addrs
-}
-
-// TestBatchOutputIdenticalGridVsLocal extends the byte-equality gate to the
-// grid path: the same experiments rendered from a local warm and from a
-// two-worker distributed warm must produce byte-identical text, with every
-// run placed on a named worker and its wire bytes accounted.
-func TestBatchOutputIdenticalGridVsLocal(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slam runs in short mode")
-	}
-	mk := func() []Experiment {
-		return []Experiment{
-			fakeExp("a", Spec("Desk", VarBaseline), Spec("Desk2", VarBaseline)),
-			fakeExp("b", Spec("Desk", VarAGS), Spec("Desk", VarBaseline)),
-			fakeExp("c", SeqSpec("Room")),
-		}
-	}
-	var local bytes.Buffer
-	if err := RunBatch(NewSuite(tinyCfg()), mk(), 1, &local); err != nil {
-		t.Fatal(err)
-	}
-
-	sch, err := grid.New(grid.Config{Workers: startGridWorkers(t, 2), Window: 1, SampleEvery: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sch.Close()
-	suite := NewSuite(tinyCfg())
-	var progress bytes.Buffer
-	suite.Log = &progress
-	var dist bytes.Buffer
-	if err := RunBatchWith(suite, mk(), 1, sch, &dist); err != nil {
-		t.Fatal(err)
-	}
-
-	if local.String() != dist.String() {
-		t.Errorf("local and grid output diverged:\n--- local\n%s--- grid\n%s",
-			local.String(), dist.String())
-	}
-	m := sch.Metrics()
-	if m.Jobs != len(suite.Executed()) {
-		t.Errorf("grid ran %d jobs, suite executed %d specs", m.Jobs, len(suite.Executed()))
-	}
-	for _, pw := range m.PerWorker {
-		if pw.Jobs < 1 {
-			t.Errorf("worker %s ran no spec (distribution %+v)", pw.Name, m.PerWorker)
-		}
-	}
-	if m.WireBytes <= 0 {
-		t.Error("grid wire bytes not accounted")
-	}
-	// Progress lines carry worker attribution; experiment text (stdout) must
-	// never mention workers, or byte-identity across venues would break.
-	if !strings.Contains(progress.String(), "# [wk-") {
-		t.Errorf("progress lines lack worker prefixes:\n%s", progress.String())
-	}
-	if strings.Contains(dist.String(), "wk-") {
-		t.Errorf("experiment text leaked worker names:\n%s", dist.String())
-	}
-}
-
-// failingExec is an Executor whose every job fails remotely — the stand-in
-// for a worker that dies mid-run after the coordinator resolved the spec.
-type failingExec struct{}
-
-func (failingExec) ExecuteSpec(job grid.Job, _ *scene.Sequence) (*slam.Result, grid.ExecInfo, error) {
-	return nil, grid.ExecInfo{}, fmt.Errorf("worker melted running %s", job.ID)
-}
-
-// TestBatchGridRemoteFailurePropagates: a remote mid-run failure must surface
-// through RunBatchWith with the job's identity, stop the batch before
-// rendering, and drain the pool instead of wedging it.
-func TestBatchGridRemoteFailurePropagates(t *testing.T) {
-	exps := []Experiment{
-		fakeExp("a", Spec("Desk", VarBaseline)),
-		fakeExp("b", Spec("Desk2", VarBaseline)),
-	}
-	var buf bytes.Buffer
-	err := RunBatchWith(NewSuite(tinyCfg()), exps, 2, failingExec{}, &buf)
-	if err == nil || !strings.Contains(err.Error(), "worker melted running Desk/baseline/") {
-		t.Fatalf("batch error = %v, want the failing job named", err)
-	}
-	if buf.Len() != 0 {
-		t.Errorf("failing grid batch rendered output:\n%s", buf.String())
 	}
 }
 

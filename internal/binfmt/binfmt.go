@@ -1,10 +1,10 @@
 // Package binfmt is the one little-endian cursor every binary format in the
 // tree is written and read through: the AGSSNAP snapshot payload
-// (internal/slam), the AGSF message payloads (internal/fleet) and the grid job
-// payloads inside them (internal/grid). Fixed-width integers, float64 bit
-// patterns preserved exactly, u64 length prefixes on everything
-// variable-length. Magic, versioning and checksums are the formats' own
-// business; a Dec only ever sees bytes whose checksum already verified, but it
+// (internal/slam) and the AGSF message payloads (internal/fleet). Fixed-width
+// integers, float64 bit patterns preserved exactly, u64 length prefixes on
+// everything variable-length. Magic, versioning and checksums are the
+// formats' own business; a Dec only ever sees bytes whose checksum already
+// verified, but it
 // still bounds every read and every allocation by the bytes actually present,
 // because a checksum says who wrote the bytes, not that they are sane.
 package binfmt

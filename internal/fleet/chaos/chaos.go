@@ -4,7 +4,7 @@
 // severs one connection mid-frame, or kills the whole endpoint — listener
 // plus every live connection — also mid-frame. These are the unclean-death
 // cases the fleet's checkpoint-replay recovery exists for, and the harness
-// that drives the fleet recovery tests and the grid retry tests.
+// that drives the fleet recovery tests.
 //
 // # Determinism
 //

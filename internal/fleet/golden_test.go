@@ -22,7 +22,6 @@ import (
 // ProtocolVersion bump and a new set of files, not an updated one. Version 1's
 // set was <verb>.golden; version 2's is <verb>.v2.golden, and it adds the
 // snapshot request, which had no payload before.
-// (internal/grid pins the payloads it puts inside the job verbs.)
 
 // goldenConfig sets every slam.Config field to a distinct non-zero value, so
 // a reordered, dropped or re-typed field moves a byte.
@@ -91,10 +90,6 @@ func goldenMessages() []goldenMessage {
 		{"err", vErrReply, encodeErrReply(nil, codeAdmission, "node-a is full")},
 		{"stats", vStatsData, encodeStats(nil, &stats)},
 		{"result", vResult, encodeResult(nil, &sum)},
-		// fleet carries the job verbs' payloads opaquely; these two pin the
-		// verb bytes around them.
-		{"job", vJob, []byte("opaque job payload")},
-		{"job-result", vJobResult, []byte("opaque job-result payload")},
 	}
 }
 

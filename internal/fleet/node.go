@@ -24,10 +24,6 @@ type NodeConfig struct {
 	// MaxResidentBytes rejects new streams while the render-context pool's
 	// resident bytes meet or exceed this budget (0 = unlimited).
 	MaxResidentBytes int64
-	// Jobs, if non-nil, lets this node execute grid bench jobs (vJob
-	// requests) alongside live streams — see internal/grid. Nil nodes answer
-	// jobs with a protocol error.
-	Jobs JobRunner
 }
 
 // Node is the serving side of the fleet: one slam.Server made
@@ -317,8 +313,6 @@ func (n *Node) dispatch(cs *connState, v verb, payload []byte) bool {
 		st := n.Stats()
 		cs.replyBuf = encodeStats(cs.replyBuf[:0], &st)
 		return cs.w.send(vStatsData, cs.replyBuf) == nil
-	case vJob:
-		return n.handleJob(cs, payload)
 	default:
 		// Response verbs arriving as requests are protocol misuse, not damage.
 		return n.replyErr(cs, codeProto, fmt.Sprintf("unexpected request verb %s", v))

@@ -5,11 +5,14 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math"
+	"net"
 	"slices"
 	"strings"
 	"testing"
 
+	"ags/internal/binfmt"
 	"ags/internal/camera"
 	"ags/internal/slam"
 )
@@ -54,6 +57,73 @@ func TestHostilePushIsRefusedNotFatal(t *testing.T) {
 	}
 	if _, err := hostile.Close(); err != nil {
 		t.Errorf("hostile stream close: %v", err)
+	}
+
+	for _, f := range seq.Frames[2:] {
+		if err := tenant.Push(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sum, err := tenant.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Digest != want {
+		t.Error("the other tenant's digest diverges from its sequential run")
+	}
+}
+
+// TestRetiredJobVerbIsRefusedNotFatal: verb byte 14 was job under protocol
+// version 2, and a node with a bench worker plugged in (every ags-fleet serve
+// had one) handed the job's scene recipe to scene.Generate unchecked. A
+// 3037000500 x 3037000500 image panicked in makeslice on the connection
+// handler and took every tenant of the node with it. The verb is gone: the
+// same checksummed frame is now an unknown verb, which ends the sender's
+// connection and nothing else, so the node still answers a health probe and a
+// second stream on it finishes with its sequential digest.
+func TestRetiredJobVerbIsRefusedNotFatal(t *testing.T) {
+	cfg := fastCfg()
+	seq := testSeq(t, "Desk", 4)
+	want := sequentialDigest(t, cfg, seq)
+	r, nodes := startFleet(t, []NodeConfig{{Name: "a"}})
+
+	tenant, err := r.Open(seq.Name, cfg, seq.Intr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range seq.Frames[:2] {
+		if err := tenant.Push(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The job payload as the retired codec laid it out: ID, sequence name,
+	// the scene recipe (width, height, frames, seed, vertical FoV), then the
+	// pipeline configuration as a byte string.
+	var job binfmt.Enc
+	job.Str("Desk/baseline/")
+	job.Str("Desk")
+	job.I64(3037000500)
+	job.I64(3037000500)
+	job.I64(1)
+	job.I64(1)
+	job.F64(0)
+	job.Bytes(slam.AppendConfig(nil, &cfg))
+	c, err := net.Dial("tcp", nodes[0].Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Write(appendMessage(nil, verb(14), job.Buf)); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := c.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+		t.Errorf("retired verb: read %d bytes, err %v; want the connection closed unanswered", n, err)
+	}
+	for _, h := range r.CheckHealth() {
+		if !h.Reachable {
+			t.Errorf("node %s does not answer a ping after the retired verb", h.Name)
+		}
 	}
 
 	for _, f := range seq.Frames[2:] {

@@ -137,9 +137,11 @@ var (
 )
 
 // verb identifies a message's meaning. Requests: open, push, close,
-// snapshot, restore, drain, stats, ping, job. Responses: ok, result,
-// snapData, statsData, errReply, jobResult. New verbs are appended before
-// verbEnd (never inserted mid-list: the byte values are the wire contract).
+// snapshot, restore, drain, stats, ping. Responses: ok, result, snapData,
+// statsData, errReply. New verbs are appended before verbEnd (never inserted
+// mid-list: the byte values are the wire contract). Bytes 14 and 15 were the
+// verbs job and job-result under protocol version 2 and are unknown verbs
+// now, so the next verb appended comes with a ProtocolVersion bump.
 type verb byte
 
 const (
@@ -156,8 +158,6 @@ const (
 	vSnapData
 	vStatsData
 	vErrReply
-	vJob
-	vJobResult
 
 	verbEnd // one past the last valid verb
 )
@@ -171,7 +171,6 @@ var verbNames = [...]string{
 	vRestore: "restore", vDrain: "drain", vStats: "stats", vPing: "ping",
 	vOK: "ok", vResult: "result", vSnapData: "snap-data",
 	vStatsData: "stats-data", vErrReply: "err",
-	vJob: "job", vJobResult: "job-result",
 }
 
 func (v verb) String() string {

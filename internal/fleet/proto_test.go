@@ -109,10 +109,20 @@ var damageModes = []struct {
 		m[len(m)-1] ^= 0x01
 		return m
 	}, ErrChecksum},
-	{"verb corruption", false, func(m []byte) []byte {
-		m[5] = 0x7F
-		return reframe(m) // checksum-valid frame carrying a verb we don't speak
-	}, ErrUnknownVerb},
+	{"verb corruption", false, verbByte(0x7F), ErrUnknownVerb},
+	// 14 and 15 were job and job-result under protocol version 2: retired
+	// numbers are as unknown as ones never assigned.
+	{"retired verb 14", false, verbByte(14), ErrUnknownVerb},
+	{"retired verb 15", false, verbByte(15), ErrUnknownVerb},
+}
+
+// verbByte rewrites a frame's verb byte and re-checksums it: a
+// checksum-valid frame carrying a verb we don't speak.
+func verbByte(b byte) func([]byte) []byte {
+	return func(m []byte) []byte {
+		m[5] = b
+		return reframe(m)
+	}
 }
 
 // TestRecvDamageEveryVerb drives every damage mode over every registered wire
@@ -216,9 +226,10 @@ func TestRecvCleanEOF(t *testing.T) {
 // FuzzRecv feeds arbitrary bytes to the frame reader: it must never panic
 // and never return a valid message unless the checksum genuinely holds.
 // Every registered verb seeds the corpus, empty and payload-carrying, so new
-// verbs are fuzzed from their first run.
+// verbs are fuzzed from their first run; so do the two retired bytes, because
+// a checksum-valid frame with an unknown verb is one no mutation arrives at.
 func FuzzRecv(f *testing.F) {
-	for _, v := range registeredVerbs() {
+	for _, v := range append(registeredVerbs(), 14, 15) {
 		f.Add(appendMessage(nil, v, nil))
 		f.Add(appendMessage(nil, v, []byte("seed")))
 	}

@@ -47,7 +47,7 @@ type Platform interface {
 //
 // What the total means depends on what the trace carries (trace.RenderStats).
 // A trace from an offline venue (slam.New, slam.Restore, slam.Run, Server.Run:
-// every experiment, the grid and the benchmark's sim_ms_per_frame) has the
+// every experiment and the benchmark's sim_ms_per_frame) has the
 // representative-iteration detail, and the AGS model replays it: per-pixel GPE
 // cycles with their imbalance, and the logging/skipping table traffic. The
 // trace of a serving session (Server.Open, RestoreSession: what Session.Close

@@ -12,8 +12,8 @@ package trace
 //
 // Who produces which is decided by where the pipeline runs, not by an option.
 // The offline venues (slam.New, slam.Restore, slam.Run and Server.Run, so
-// internal/bench, the grid's job results, ags-slam and the benchmark's
-// reference runs) keep the detail of every task with Iters > 0. Serving
+// internal/bench, ags-slam and the benchmark's reference runs) keep the
+// detail of every task with Iters > 0. Serving
 // sessions (Server.Open and Server.RestoreSession, the only venues a fleet
 // node uses) keep the scalars only: at two int32 planes and a tile-list set
 // per task per frame the detail is ~100x everything else a frame adds, and

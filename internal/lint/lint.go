@@ -110,10 +110,9 @@ func DefaultGoroutineSites(module string) map[string]bool {
 		module + "/internal/slam.(*System).Prefetch":            true, // single ME job, consumed by identity match
 		module + "/internal/slam.(*System).startTail":           true, // one mapping tail per system, joined before anything reads or writes the map
 		module + "/internal/scene.(*World).RenderFrame":         true, // per-row ray tracing, disjoint pixel writes
-		module + "/internal/bench.RunBatchWith":                 true, // bounded warm pool (RunBatch delegates here), render in plan order
+		module + "/internal/bench.RunBatch":                     true, // bounded warm pool, render in plan order
 		module + "/internal/fleet.(*Node).StartOn":              true, // single accept-loop goroutine (Start delegates here), joined by Close
 		module + "/internal/fleet.(*Node).Serve":                true, // one handler per connection; each session's frames arrive in push order on its own connection
-		module + "/internal/grid.(*Scheduler).dialAll":          true, // one dial per configured worker, joined before New returns
 	}
 }
 

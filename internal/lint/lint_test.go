@@ -25,8 +25,8 @@ func corpusConfig(t *testing.T) Config {
 		Dir:              dir,
 		CriticalPrefixes: []string{"x/crit/"},
 		GoroutineSites: map[string]bool{
-			"x/crit/gr.ApprovedLaunch":              true,
-			"x/crit/gridsched.(*Scheduler).dialAll": true,
+			"x/crit/gr.ApprovedLaunch":          true,
+			"x/crit/methodsite.(*Pool).dialAll": true,
 		},
 	}
 }

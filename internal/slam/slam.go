@@ -23,8 +23,8 @@
 // venue, decided once when the system is built, not an option:
 //
 //   - New, Restore, Run and Server.Run are the offline venues. Their Results
-//     feed hw/platform through internal/bench, the grid and ags-slam, so they
-//     keep the detail of every task that ran an iteration.
+//     feed hw/platform through internal/bench and ags-slam, so they keep the
+//     detail of every task that ran an iteration.
 //   - Server.Open and Server.RestoreSession are the serving venues, the only
 //     ones a fleet node uses. Nothing on the serving path reads the detail, so
 //     the tracker and mapper never build it and RestoreSession drops what a

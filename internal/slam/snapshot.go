@@ -42,7 +42,7 @@ import (
 // hands it back when it restores (RestoreSession's held list). Everything
 // after the table refers to a frame by its table index. A snapshot taken with
 // an empty have list carries every body and restores on its own; that is what
-// Snapshot, ags-slam -snapshot and the grid write.
+// Snapshot and ags-slam -snapshot write.
 const (
 	snapshotMagic = "AGSSNAP\x00"
 	// SnapshotVersion is the binary format revision Snapshot writes and

@@ -53,9 +53,9 @@ func pushAll(t *testing.T, sess *Session, frames []*frame.Frame) *Result {
 }
 
 // TestRunTraceCarriesDetail pins the offline side of the venue split: the
-// Result of Run, which is what internal/bench and the grid hand to the
-// cycle-level hardware models, carries the representative-iteration detail on
-// every task that did work. Were it ever scalars-only, hw/platform would fall
+// Result of Run, which is what internal/bench hands to the cycle-level
+// hardware models, carries the representative-iteration detail on every task
+// that did work. Were it ever scalars-only, hw/platform would fall
 // back to its aggregate bounds without a word and every experiment would still
 // print numbers.
 func TestRunTraceCarriesDetail(t *testing.T) {
