@@ -45,9 +45,7 @@ func main() {
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole batch to this path")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile (after the batch) to this path")
 
-		codecWorkers = flag.Int("codec-workers", 0, "ME worker goroutines per frame (0 = serial)")
-		pipelineME   = flag.Bool("pipeline-me", false, "prefetch next frame's ME concurrently with tracking/mapping")
-		meEarlyTerm  = flag.Bool("me-early-term", false, "encoder early termination in ME SAD accumulation")
+		meEarlyTerm = flag.Bool("me-early-term", false, "encoder early termination in ME SAD accumulation")
 	)
 	flag.Parse()
 
@@ -78,8 +76,6 @@ func main() {
 		cfg.Frames = *frames
 	}
 	cfg.Workers = *workers
-	cfg.CodecWorkers = *codecWorkers
-	cfg.PipelineME = *pipelineME
 	cfg.CodecEarlyTerm = *meEarlyTerm
 
 	exps := bench.Experiments()

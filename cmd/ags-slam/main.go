@@ -37,9 +37,7 @@ func main() {
 		traceOut = flag.String("trace", "", "write the run's operation trace as JSON to this file")
 		sessions = flag.Int("sessions", 1, "run N copies of the sequence as concurrent slam.Server sessions (digest-asserted against a sequential run)")
 
-		pipelineME   = flag.Bool("pipeline-me", false, "prefetch next frame's motion estimation concurrently with tracking/mapping")
-		codecWorkers = flag.Int("codec-workers", 0, "ME worker goroutines per frame (0 = serial)")
-		meEarlyTerm  = flag.Bool("me-early-term", false, "encoder early termination in ME SAD accumulation")
+		meEarlyTerm = flag.Bool("me-early-term", false, "encoder early termination in ME SAD accumulation")
 
 		compactEvery = flag.Int("compact-every", slam.DefaultConfig(1, 1).CompactEvery, "re-pack the Gaussian map every k frames (0 = never; bit-transparent either way)")
 		pruneOpacity = flag.Float64("prune-opacity", slam.DefaultConfig(1, 1).Mapper.PruneOpacity, "deactivate Gaussians whose opacity falls below this; the default never fires against opacities seeded at 0.999 — raise it (e.g. 0.25, with -prune-lr-logit 0.2) for real prune pressure")
@@ -60,8 +58,6 @@ func main() {
 	cfg := slam.DefaultConfig(*width, *height)
 	cfg.TrackIters = *iters
 	cfg.Workers = *workers
-	cfg.PipelineME = *pipelineME
-	cfg.CodecWorkers = *codecWorkers
 	cfg.CodecEarlyTerm = *meEarlyTerm
 	cfg.CompactEvery = *compactEvery
 	cfg.Mapper.PruneOpacity = *pruneOpacity
@@ -140,9 +136,6 @@ func main() {
 	}
 	for i := startIdx; i < len(seq.Frames); i++ {
 		f := seq.Frames[i]
-		if cfg.PipelineME && i+1 < len(seq.Frames) {
-			sys.Prefetch(f, seq.Frames[i+1])
-		}
 		if err := sys.ProcessFrame(f); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

@@ -42,7 +42,6 @@ func main() {
 
 		cfg := slam.AGSConfig(width, height)
 		cfg.TrackIters = 20 // scaled-down N_T for a quick demo
-		cfg.PipelineME = true
 
 		sess, err := srv.Open(name, cfg, seq.Intr)
 		if err != nil {

@@ -44,13 +44,10 @@ type Config struct {
 	DensifyStride int
 	Workers       int
 	Seed          int64
-	// CodecWorkers, PipelineME and CodecEarlyTerm select the concurrent
-	// CODEC frontend for every SLAM run in the suite (see package slam).
-	// None of them changes trajectories or covisibility scores, but
-	// CodecEarlyTerm lowers the traced SADOps, so op-count tables are only
-	// comparable across runs that agree on it.
-	CodecWorkers   int
-	PipelineME     bool
+	// CodecEarlyTerm selects encoder early termination for every SLAM run
+	// in the suite (see package codec). It changes no trajectory or
+	// covisibility score but lowers the traced SADOps, so op-count tables are
+	// only comparable across runs that agree on it.
 	CodecEarlyTerm bool
 }
 
@@ -235,8 +232,6 @@ func (s *Suite) slamConfig(v Variant, override func(*slam.Config)) slam.Config {
 	cfg.Mapper.MapIters = s.Cfg.MapIters
 	cfg.Mapper.DensifyStride = s.Cfg.DensifyStride
 	cfg.Workers = s.Cfg.Workers
-	cfg.CodecWorkers = s.Cfg.CodecWorkers
-	cfg.PipelineME = s.Cfg.PipelineME
 	cfg.CodecEarlyTerm = s.Cfg.CodecEarlyTerm
 	switch v {
 	case VarBaseline:

@@ -99,7 +99,7 @@ func (s *Suite) Fig4(w io.Writer) error {
 	var cases []frameCase
 	var scores []float64
 	for i := 1; i < len(seq.Frames); i++ {
-		sc, err := det.Compare(seq.Frames[i-1].Color, seq.Frames[i].Color)
+		sc, _, err := det.Compare(seq.Frames[i-1].Color, seq.Frames[i].Color)
 		if err != nil {
 			return err
 		}
@@ -204,7 +204,7 @@ func (s *Suite) Fig6(w io.Writer) error {
 		// (adjacent pairs cluster at the top levels).
 		for _, gap := range []int{1, 2, 4, 8, 12} {
 			for fi := gap; fi < len(b.Seq.Frames); fi += maxInt(gap, 3) {
-				sc, err := det.Compare(b.Seq.Frames[fi-gap].Color, b.Seq.Frames[fi].Color)
+				sc, _, err := det.Compare(b.Seq.Frames[fi-gap].Color, b.Seq.Frames[fi].Color)
 				if err != nil {
 					return err
 				}
@@ -259,7 +259,7 @@ func (s *Suite) Fig22(w io.Writer) error {
 		seq := s.Sequence(name)
 		counts := map[string]int{}
 		for i := 1; i < len(seq.Frames); i++ {
-			sc, err := det.Compare(seq.Frames[i-1].Color, seq.Frames[i].Color)
+			sc, _, err := det.Compare(seq.Frames[i-1].Color, seq.Frames[i].Color)
 			if err != nil {
 				return err
 			}

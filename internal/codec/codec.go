@@ -6,11 +6,9 @@
 // package exposes exactly that intermediate data, plus the motion vectors a
 // real encoder would use, and the operation counts the hardware model charges.
 //
-// Concurrency: a hardware ME block processes many macro-blocks in parallel;
-// Config.Workers models that by fanning macro-block rows across a goroutine
-// pool. Each block's search is self-contained, rows write disjoint result
-// ranges, and per-row operation counters are reduced in row order, so the
-// parallel path is byte-identical to the serial one (Workers <= 1).
+// MotionEstimate searches the blocks in raster order on the caller's
+// goroutine; the overlap the paper's CODEC has with the accelerator comes
+// from the slam pipeline, which runs ME beside the previous frame's mapping.
 // Config.EarlyTerm adds the standard encoder early-termination trick: a
 // candidate's SAD accumulation aborts once the partial sum exceeds the
 // block's current best. Early termination never changes MinSAD or MV — only
@@ -19,8 +17,6 @@ package codec
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"ags/internal/frame"
 )
@@ -34,9 +30,6 @@ type Config struct {
 	// ThreeStep selects the logarithmic three-step search a real-time
 	// encoder uses instead of exhaustive full search.
 	ThreeStep bool
-	// Workers bounds the goroutine pool macro-block rows are fanned across.
-	// 0 or 1 keeps the serial path; results are identical either way.
-	Workers int
 	// EarlyTerm aborts a candidate's SAD accumulation once the partial sum
 	// exceeds the block's current best, as hardware encoders do. MinSAD and
 	// MV are unchanged; only SADOps drops.
@@ -44,8 +37,8 @@ type Config struct {
 }
 
 // DefaultConfig matches the paper's description: 8x8 macro-blocks with a
-// hardware-typical +-8 pixel three-step search, serial and without early
-// termination so operation counts stay at their analytic worst case.
+// hardware-typical +-8 pixel three-step search, without early termination so
+// operation counts stay at their analytic worst case.
 func DefaultConfig() Config {
 	return Config{BlockSize: 8, SearchRange: 8, ThreeStep: true}
 }
@@ -111,76 +104,34 @@ func MotionEstimate(prev, cur *frame.Image, cfg Config) (*Result, error) {
 		Pixels: int64(w) * int64(h),
 	}
 
-	workers := cfg.Workers
-	if workers > mbh {
-		workers = mbh
-	}
-	if workers <= 1 {
-		st := newBlockSearch(cl, pl, w, h, cfg)
-		for by := 0; by < mbh; by++ {
-			res.SADOps += meRow(res, st, by)
-		}
-		return res, nil
-	}
-
-	// Rows are handed out by an atomic ticket; each row writes a disjoint
-	// slice of MinSAD/MV plus its own op count, reduced in row order below so
-	// the total matches the serial sum exactly.
-	rowOps := make([]int64, mbh)
-	var next int64
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			st := newBlockSearch(cl, pl, w, h, cfg)
-			for {
-				by := int(atomic.AddInt64(&next, 1)) - 1
-				if by >= mbh {
-					return
-				}
-				rowOps[by] = meRow(res, st, by)
+	st := newBlockSearch(cl, pl, w, h, cfg)
+	for by := 0; by < mbh; by++ {
+		for bx := 0; bx < mbw; bx++ {
+			st.x0, st.y0 = bx*bs, by*bs
+			st.bw = min(bs, w-st.x0)
+			st.bh = min(bs, h-st.y0)
+			i := by*mbw + bx
+			if cfg.ThreeStep {
+				res.MinSAD[i], res.MV[i] = st.threeStep()
+			} else {
+				res.MinSAD[i], res.MV[i] = st.fullSearch()
 			}
-		}()
+		}
 	}
-	wg.Wait()
-	for _, o := range rowOps {
-		res.SADOps += o
-	}
+	res.SADOps = st.ops
 	return res, nil
 }
 
-// meRow searches every macro-block of row by and returns the SAD ops charged.
-func meRow(res *Result, st *blockSearch, by int) int64 {
-	bs := res.Cfg.BlockSize
-	var ops int64
-	st.ops = &ops
-	for bx := 0; bx < res.MBW; bx++ {
-		st.x0, st.y0 = bx*bs, by*bs
-		st.bw = min(bs, st.w-st.x0)
-		st.bh = min(bs, st.h-st.y0)
-		var best uint32
-		var bestMV MotionVector
-		if res.Cfg.ThreeStep {
-			best, bestMV = st.threeStep()
-		} else {
-			best, bestMV = st.fullSearch()
-		}
-		res.MinSAD[by*res.MBW+bx] = best
-		res.MV[by*res.MBW+bx] = bestMV
-	}
-	return ops
-}
-
-// blockSearch carries the per-goroutine search state: the frame pair, the
-// current block geometry, and the probe-dedup scratch reused across blocks.
+// blockSearch carries the search state: the frame pair, the current block
+// geometry, the SAD operations charged so far, and the probe-dedup scratch
+// reused across blocks.
 type blockSearch struct {
 	cur, ref       []uint8
 	w, h           int
 	sr             int
 	earlyTerm      bool
 	x0, y0, bw, bh int
-	ops            *int64
+	ops            int64
 	// seen marks (dx,dy) candidates already probed for the current block
 	// (generation-stamped so it resets in O(1) per block). The three-step
 	// passes overlap — the unit ring can coincide with the coarse ring and
@@ -230,7 +181,7 @@ func (st *blockSearch) sad(dx, dy int, cutoff uint32) uint32 {
 			break
 		}
 	}
-	*st.ops += visited
+	st.ops += visited
 	return acc
 }
 

@@ -1,7 +1,6 @@
 package codec
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -178,48 +177,6 @@ func TestEdgeBlocksCovered(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSerial(t *testing.T) {
-	// The worker pool must be a pure performance change: byte-identical
-	// MinSAD, MV and SADOps across block sizes, search ranges, both search
-	// modes, early termination, and non-divisible frame sizes.
-	sizes := []struct{ w, h int }{{32, 32}, {30, 22}, {48, 36}}
-	for _, sz := range sizes {
-		prev := smoothImage(sz.w, sz.h, int64(sz.w))
-		cur := shiftImage(prev, 2, -1)
-		for _, bs := range []int{4, 8} {
-			for _, sr := range []int{2, 8} {
-				for _, three := range []bool{false, true} {
-					for _, et := range []bool{false, true} {
-						cfg := Config{BlockSize: bs, SearchRange: sr, ThreeStep: three, EarlyTerm: et}
-						serial, err := MotionEstimate(prev, cur, cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						for _, wk := range []int{2, 3, 7} {
-							pcfg := cfg
-							pcfg.Workers = wk
-							par, err := MotionEstimate(prev, cur, pcfg)
-							if err != nil {
-								t.Fatal(err)
-							}
-							id := fmt.Sprintf("%dx%d bs=%d sr=%d three=%v et=%v wk=%d", sz.w, sz.h, bs, sr, three, et, wk)
-							if !reflect.DeepEqual(serial.MinSAD, par.MinSAD) {
-								t.Errorf("%s: MinSAD differs", id)
-							}
-							if !reflect.DeepEqual(serial.MV, par.MV) {
-								t.Errorf("%s: MV differs", id)
-							}
-							if serial.SADOps != par.SADOps {
-								t.Errorf("%s: SADOps %d != %d", id, par.SADOps, serial.SADOps)
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestThreeStepDeduplicatesProbes(t *testing.T) {
 	// With SearchRange 1 the coarse ring and the unit ring are the same set
 	// of candidates; a real encoder scans them once. Identical frames make
@@ -239,7 +196,8 @@ func TestThreeStepDeduplicatesProbes(t *testing.T) {
 func TestEarlyTerminationInvariant(t *testing.T) {
 	// Early termination only cuts short candidates that cannot win, so the
 	// SAD minima and motion vectors must match the exhaustive accumulation
-	// exactly; only the charged op count may drop.
+	// exactly; only the charged op count may drop. 36 rows leave a partial
+	// bottom row of blocks, so clamped edge blocks are searched both ways too.
 	prev := smoothImage(48, 36, 11)
 	cur := shiftImage(prev, 3, 2)
 	for _, three := range []bool{false, true} {

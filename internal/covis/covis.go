@@ -21,8 +21,9 @@ type Level int
 
 // Detector computes covisibility using the CODEC ME model. It corresponds to
 // the FC detection engine reading SAD values the CODEC already produced.
-// Cfg.Workers and Cfg.EarlyTerm tune the underlying ME; both are pure
-// performance knobs (see package codec), so the score is unaffected.
+// Cfg.EarlyTerm lowers the ME's charged SADOps and leaves the score
+// unaffected (see package codec). A Detector holds no state between
+// comparisons.
 type Detector struct {
 	Cfg codec.Config
 	// Sensitivity scales the normalized SAD before conversion to a score.
@@ -33,10 +34,6 @@ type Detector struct {
 	// typical SLAM frame-to-frame differences across the full [0,1] range at
 	// this reproduction's resolutions (see README: threshold mapping).
 	Sensitivity float64
-
-	// LastResult is the most recent ME output (exposed so the hardware model
-	// can charge the CODEC's work and so experiments can inspect MVs).
-	LastResult *codec.Result
 }
 
 // NewDetector returns a Detector with the paper's ME configuration.
@@ -44,30 +41,15 @@ func NewDetector() *Detector {
 	return &Detector{Cfg: codec.DefaultConfig(), Sensitivity: 20}
 }
 
-// Compare returns the covisibility between two frames.
-func (d *Detector) Compare(prev, cur *frame.Image) (Score, error) {
+// Compare returns the covisibility between two frames and the ME result it
+// was scored from, whose SADOps is the CODEC work the hardware model charges.
+func (d *Detector) Compare(prev, cur *frame.Image) (Score, *codec.Result, error) {
 	res, err := codec.MotionEstimate(prev, cur, d.Cfg)
 	if err != nil {
-		return 0, fmt.Errorf("covis: %w", err)
+		return 0, nil, fmt.Errorf("covis: %w", err)
 	}
-	d.LastResult = res
-	return d.ScoreOf(res), nil
-}
-
-// ScoreOf converts a raw ME result into the covisibility score. It is the
-// same mapping Compare applies, exposed so a pipelined frontend that ran
-// codec.MotionEstimate itself (e.g. the slam prefetch stage) scores the
-// prefetched result identically.
-func (d *Detector) ScoreOf(res *codec.Result) Score {
 	norm := float64(res.SumMinSAD()) / float64(res.MaxPossibleSAD())
-	s := 1 - d.Sensitivity*norm
-	if s < 0 {
-		s = 0
-	}
-	if s > 1 {
-		s = 1
-	}
-	return Score(s)
+	return Score(min(max(1-d.Sensitivity*norm, 0), 1)), res, nil
 }
 
 // LevelOf quantizes a covisibility score into 5 levels (1 = lowest

@@ -1,56 +1,58 @@
 package covis
 
 import (
+	"reflect"
 	"testing"
 
 	"ags/internal/codec"
 	"ags/internal/scene"
 )
 
-func TestScoreOfMatchesCompare(t *testing.T) {
-	// A prefetch stage runs MotionEstimate itself and scores the result via
-	// ScoreOf; that must be indistinguishable from Compare.
+func TestCompareReturnsItsMotionEstimate(t *testing.T) {
+	// The result Compare hands back (whose SADOps the pipeline charges) is the
+	// ME of the pair it compared, and the score is that result's.
 	seq := scene.MustGenerate("Desk", scene.Config{Width: 48, Height: 36, Frames: 3, Seed: 1})
 	d := NewDetector()
-	want, err := d.Compare(seq.Frames[0].Color, seq.Frames[1].Color)
+	score, got, err := d.Compare(seq.Frames[0].Color, seq.Frames[1].Color)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := codec.MotionEstimate(seq.Frames[0].Color, seq.Frames[1].Color, d.Cfg)
+	want, err := codec.MotionEstimate(seq.Frames[0].Color, seq.Frames[1].Color, d.Cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := d.ScoreOf(res); got != want {
-		t.Errorf("ScoreOf = %v, Compare = %v", got, want)
+	if !reflect.DeepEqual(got, want) {
+		t.Error("Compare's result differs from a direct MotionEstimate of the pair")
 	}
-	if res.SADOps != d.LastResult.SADOps {
-		t.Errorf("SADOps %d != Compare's %d", res.SADOps, d.LastResult.SADOps)
+	norm := float64(want.SumMinSAD()) / float64(want.MaxPossibleSAD())
+	if wantScore := Score(1 - d.Sensitivity*norm); score != wantScore {
+		t.Errorf("score %v, want %v from the returned result", score, wantScore)
 	}
 }
 
 func TestIdenticalFramesFullCovisibility(t *testing.T) {
 	seq := scene.MustGenerate("Desk", scene.Config{Width: 48, Height: 36, Frames: 2, Seed: 1})
 	d := NewDetector()
-	s, err := d.Compare(seq.Frames[0].Color, seq.Frames[0].Color)
+	s, res, err := d.Compare(seq.Frames[0].Color, seq.Frames[0].Color)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s != 1 {
 		t.Errorf("self-covisibility = %v", s)
 	}
-	if d.LastResult == nil {
-		t.Error("LastResult not recorded")
+	if res == nil || res.SADOps == 0 {
+		t.Error("Compare returned no ME result")
 	}
 }
 
 func TestAdjacentFramesHigherThanDistant(t *testing.T) {
 	seq := scene.MustGenerate("Desk2", scene.Config{Width: 64, Height: 48, Frames: 12, Seed: 1})
 	d := NewDetector()
-	adj, err := d.Compare(seq.Frames[0].Color, seq.Frames[1].Color)
+	adj, _, err := d.Compare(seq.Frames[0].Color, seq.Frames[1].Color)
 	if err != nil {
 		t.Fatal(err)
 	}
-	far, err := d.Compare(seq.Frames[0].Color, seq.Frames[11].Color)
+	far, _, err := d.Compare(seq.Frames[0].Color, seq.Frames[11].Color)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +72,7 @@ func TestXyzMoreCovisibleThanRoom(t *testing.T) {
 	mean := func(s *scene.Sequence) float64 {
 		var sum float64
 		for i := 1; i < len(s.Frames); i++ {
-			sc, err := d.Compare(s.Frames[i-1].Color, s.Frames[i].Color)
+			sc, _, err := d.Compare(s.Frames[i-1].Color, s.Frames[i].Color)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,7 +121,7 @@ func TestScoreClampedToUnitInterval(t *testing.T) {
 	seq2 := scene.MustGenerate("Room", scene.Config{Width: 48, Height: 36, Frames: 1, Seed: 2})
 	d := NewDetector()
 	d.Sensitivity = 500
-	s, err := d.Compare(seq1.Frames[0].Color, seq2.Frames[0].Color)
+	s, _, err := d.Compare(seq1.Frames[0].Color, seq2.Frames[0].Color)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 // cross-goroutine coordination touches pipeline state. The sequence:
 //
 //  1. snapshot: the draining node brings the session to a between-frames
-//     point (every pushed frame processed, ME lookahead flushed) and ships
+//     point (every pushed frame processed and its mapping joined) and ships
 //     the AGSSNAP bytes — themselves versioned and checksummed — back. A
 //     stream with recovery armed holds frames and says so, and gets a
 //     snapshot without their bodies, like any checkpoint; a stream without

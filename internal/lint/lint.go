@@ -5,7 +5,7 @@
 //
 //   - Determinism: every output — trajectories, digests, bench tables,
 //     hardware-model numbers — must be byte-identical at every
-//     Workers/CodecWorkers/-jobs/-sessions value. The maprange check flags
+//     Workers/-jobs/-sessions value. The maprange check flags
 //     `range` over a map in determinism-critical packages unless it is the
 //     collect-then-sort idiom (see checkMapRange); the nondetsource check
 //     flags wall-clock reads (time.Now and friends), the unseeded global
@@ -98,16 +98,13 @@ type Config struct {
 
 // DefaultGoroutineSites returns the approved worker-pool launch sites: the
 // places whose goroutines are part of the reviewed deterministic designs
-// (static shards with ordered reductions, row-ticket ME pool, session
-// workers and each system's mapping tail, the bounded batch scheduler,
-// ray-traced dataset generation).
+// (static shards with ordered reductions, session workers and each system's
+// mapping tail, the bounded batch scheduler, ray-traced dataset generation).
 func DefaultGoroutineSites(module string) map[string]bool {
 	return map[string]bool{
-		module + "/internal/codec.MotionEstimate":               true, // row-ticket ME worker pool, row-order reduction
 		module + "/internal/splat.(*RenderContext).renderTiles": true, // static tile shards, fixed-order merge
 		module + "/internal/splat.(*RenderContext).Backward":    true, // static tile shards, ascending-tile merge
 		module + "/internal/slam.(*Server).start":               true, // one worker per session (opened or restored), frames in queue order
-		module + "/internal/slam.(*System).Prefetch":            true, // single ME job, consumed by identity match
 		module + "/internal/slam.(*System).startTail":           true, // one mapping tail per system, joined before anything reads or writes the map
 		module + "/internal/scene.(*World).RenderFrame":         true, // per-row ray tracing, disjoint pixel writes
 		module + "/internal/bench.RunBatch":                     true, // bounded warm pool, render in plan order

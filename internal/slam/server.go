@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -14,9 +15,9 @@ import (
 	"ags/internal/vecmath"
 )
 
-// queueDepth is the length of each session's queue: deep enough to keep the
-// CODEC prefetch one frame ahead, shallow enough that Push exerts
-// backpressure as soon as a stream outruns its pipeline.
+// queueDepth is the length of each session's queue, and only backpressure
+// sizes it: Push blocks as soon as a stream is two ops ahead of its worker.
+// It stays 2, so a fleet node's sessions queue as they always have.
 const queueDepth = 2
 
 // ServerConfig sizes a Server's shared resources.
@@ -262,6 +263,15 @@ type FrameUpdate struct {
 // in, by construction. Per-frame outcomes stream on Results. Close drains
 // the queue and returns the final Result — the same value a single-tenant
 // Run of the same frames produces, digest for digest.
+//
+// A session fails alone. An error from a frame, and a panic anywhere the
+// worker calls into the system (a frame, a snapshot, the final Finish and
+// Close, and so a mapping tail's panic, which resurfaces at the next join),
+// become the session's error; a panic's error carries the panicking
+// goroutine's stack. From then on Push, AppendSnapshot and Close report it,
+// and the server's other sessions never notice. What this does not cover: a
+// panic inside one of the splat renderer's shard goroutines (Config.Workers >
+// 1) has no recover and still takes the process.
 type Session struct {
 	name string
 	sv   *Server
@@ -347,8 +357,8 @@ type snapReq struct {
 // appends it to dst (see System.AppendSnapshot for how dst grows and what have
 // leaves out). The request joins the same queue as the frames, so every frame pushed before
 // the call is processed first and none pushed after it is; the worker then
-// flushes the ME lookahead and encodes the system. A session restored from
-// those bytes and fed the remaining frames closes with a Result
+// encodes the system. A session restored from those bytes and fed the
+// remaining frames closes with a Result
 // digest-identical to this session's. AppendSnapshot shares the producer
 // contract of Push and Close (one goroutine); it fails after Close or once
 // the session has errored, and then returns dst as it was.
@@ -362,70 +372,81 @@ func (s *Session) AppendSnapshot(dst []byte, have []int) ([]byte, error) {
 	return req.buf, err
 }
 
-// loop is the session's worker: one queue, worked through in order. Under
-// PipelineME it holds the newest frame back as a one-frame lookahead, with
-// the CODEC-prefetch call sequence Run historically used: frame t's ME
-// against t+1 launches as soon as t+1 arrives, right before t is processed,
-// so the encode of the next frame overlaps the current frame's
-// tracking/mapping. The lookahead is flushed (processed with no prefetch)
-// where it has no successor to wait for: before a snapshot, whose restored
-// system recomputes that frame's motion estimation synchronously and
-// byte-identically, and at the end of the stream. After a failure the worker
-// keeps receiving, discards frames and answers snapshots with the error, so
-// the producer never blocks on a dead session.
+// loop is the session's worker: one queue, worked through in order, one
+// receive and one dispatch per op, then the end of the stream. After a
+// failure the worker keeps receiving, discards frames and answers snapshots
+// with the error, so the producer never blocks on a dead session.
 func (s *Session) loop() {
 	defer close(s.done)
 	defer s.sv.sessionClosed(s)
 	defer close(s.updates)
-	var pending *frame.Frame // the lookahead; nil when there is none
 	for op := range s.in {
 		if op.snap != nil {
-			s.process(pending)
-			pending = nil
 			s.snapshot(op.snap)
-			continue
+		} else {
+			s.process(op.frame)
 		}
-		f := op.frame
-		if s.sys.Cfg.PipelineME && s.err == nil {
-			if pending != nil {
-				s.sys.Prefetch(pending, f)
-			}
-			f, pending = pending, f
-		}
-		s.process(f)
 	}
-	s.process(pending)
 	if s.err == nil {
-		s.res = s.sys.Finish(s.name)
+		s.guard(func() { s.res = s.sys.Finish(s.name) })
 	}
-	s.sys.Close()
+	s.guard(s.sys.Close)
 }
 
 // snapshot answers one snapshot request at the between-frames point loop
-// brought the pipeline to.
+// brought the pipeline to: with the encoded system, or with the session's
+// error, the encoding's own panic included, so the producer is always
+// answered.
 func (s *Session) snapshot(req *snapReq) {
+	if s.err == nil {
+		s.guard(func() { req.buf = s.sys.AppendSnapshot(req.buf, req.have) })
+	}
 	if s.err != nil {
 		req.done <- fmt.Errorf("session %q: %w", s.name, s.err)
 		return
 	}
-	req.buf = s.sys.AppendSnapshot(req.buf, req.have)
 	req.done <- nil
 }
 
 // process runs one frame through the system and starts its mapping tail
 // rather than leaving it to the next frame, which the worker may have to wait
-// for. It is a no-op without a frame (an empty lookahead) and on a failed
-// session.
+// for. It is a no-op on a failed session.
 func (s *Session) process(f *frame.Frame) {
-	if f == nil || s.err != nil {
+	if s.err != nil {
 		return
 	}
-	if err := s.sys.ProcessFrame(f); err != nil {
+	s.guard(func() {
+		if err := s.sys.ProcessFrame(f); err != nil {
+			s.fail(err)
+			return
+		}
+		s.sys.startTail()
+	})
+}
+
+// guard is the one recover between the system and the process: it runs call
+// and fails the session with whatever call panicked with. A tail's panic
+// arrives as the *tailPanic a join re-raised, which already carries the tail
+// goroutine's stack; any other value gets the stack it was raised on.
+func (s *Session) guard(call func()) {
+	defer func() {
+		switch v := recover().(type) {
+		case nil:
+		case *tailPanic:
+			s.fail(v)
+		default:
+			s.fail(fmt.Errorf("slam: panic: %v\n%s", v, debug.Stack()))
+		}
+	}()
+	call()
+}
+
+// fail records the session's first error and lets Push see it.
+func (s *Session) fail(err error) {
+	if s.err == nil {
 		s.err = err
 		close(s.failed)
-		return
 	}
-	s.sys.startTail()
 }
 
 // publish offers one frame's update to Results without ever blocking the

@@ -9,16 +9,12 @@ import (
 	"ags/internal/scene"
 )
 
-// directRun drives a standalone System over the sequence (the pre-session
-// call pattern, including the PipelineME prefetch order) and closes it.
+// directRun drives a standalone System over the sequence and closes it.
 func directRun(t *testing.T, cfg Config, seq *scene.Sequence) *Result {
 	t.Helper()
 	sys := New(cfg, seq.Intr)
 	defer sys.Close()
-	for i, f := range seq.Frames {
-		if cfg.PipelineME && i+1 < len(seq.Frames) {
-			sys.Prefetch(f, seq.Frames[i+1])
-		}
+	for _, f := range seq.Frames {
 		if err := sys.ProcessFrame(f); err != nil {
 			t.Fatal(err)
 		}
@@ -45,27 +41,64 @@ func sessionRun(t *testing.T, srv *Server, cfg Config, seq *scene.Sequence) *Res
 	return res
 }
 
+// assertSameRun checks that two runs are indistinguishable in everything the
+// CODEC frontend influences: poses, per-frame covisibility decisions, and
+// the modeled CODEC work in the trace.
+func assertSameRun(t *testing.T, want, got *Result) {
+	t.Helper()
+	if len(want.Poses) != len(got.Poses) {
+		t.Fatalf("pose count %d != %d", len(got.Poses), len(want.Poses))
+	}
+	for i := range want.Poses {
+		if want.Poses[i] != got.Poses[i] {
+			t.Errorf("frame %d: pose %+v != %+v", i, got.Poses[i], want.Poses[i])
+		}
+	}
+	for i := range want.Info {
+		w, g := want.Info[i], got.Info[i]
+		if w.Covisibility != g.Covisibility || w.KeyCovisibility != g.KeyCovisibility ||
+			w.IsKeyFrame != g.IsKeyFrame || w.CoarseOnly != g.CoarseOnly || w.RefineIters != g.RefineIters {
+			t.Errorf("frame %d: info %+v != %+v", i, g, w)
+		}
+	}
+	for i := range want.Trace.Frames {
+		if want.Trace.Frames[i].CodecSADOps != got.Trace.Frames[i].CodecSADOps {
+			t.Errorf("frame %d: CodecSADOps %d != %d", i,
+				got.Trace.Frames[i].CodecSADOps, want.Trace.Frames[i].CodecSADOps)
+		}
+	}
+}
+
 func TestSessionMatchesDirectSystem(t *testing.T) {
 	seq := testSeq(t, "Desk", 6)
-	for _, tc := range []struct {
-		name string
-		mut  func(*Config)
-	}{
-		{"serial", func(*Config) {}},
-		{"pipelined", func(cfg *Config) { cfg.PipelineME = true; cfg.CodecWorkers = 3 }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := fastAGS(tw, th)
-			tc.mut(&cfg)
-			want := directRun(t, cfg, seq)
-			srv := NewServer(ServerConfig{})
-			got := sessionRun(t, srv, cfg, seq)
-			assertSameRun(t, want, got)
-			if want.Digest() != got.Digest() {
-				t.Error("session digest diverged from direct System run")
-			}
-		})
+	t.Run("serial", func(t *testing.T) {
+		cfg := fastAGS(tw, th)
+		want := directRun(t, cfg, seq)
+		got := sessionRun(t, NewServer(ServerConfig{}), cfg, seq)
+		assertSameRun(t, want, got)
+		if want.Digest() != got.Digest() {
+			t.Error("session digest diverged from direct System run")
+		}
+	})
+}
+
+// TestRenderWorkersDeterminismFullParallel is the system-level regression
+// test for the deterministic sharding contract: the render worker count (3
+// vs 7 here) must not leak into poses, decisions, or the trace.
+func TestRenderWorkersDeterminismFullParallel(t *testing.T) {
+	seq := testSeq(t, "Desk", 8)
+	cfg := fastAGS(tw, th)
+	cfg.Workers = 3
+	three, err := Run(cfg, seq)
+	if err != nil {
+		t.Fatal(err)
 	}
+	cfg.Workers = 7
+	seven, err := Run(cfg, seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameRun(t, three, seven)
 }
 
 // TestConcurrentSessionsMatchSequential is the cross-session determinism
@@ -76,8 +109,6 @@ func TestSessionMatchesDirectSystem(t *testing.T) {
 func TestConcurrentSessionsMatchSequential(t *testing.T) {
 	names := []string{"Desk", "Xyz", "Room"}
 	cfg := fastAGS(tw, th)
-	cfg.PipelineME = true
-	cfg.CodecWorkers = 2
 
 	want := make(map[string][32]byte)
 	for _, name := range names {
@@ -130,18 +161,15 @@ func TestConcurrentSessionsMatchSequential(t *testing.T) {
 // TestSessionResultsStream: a frame's update is published when its mapping
 // ends (from the tail, not from the session worker), so a consumer that keeps
 // up sees every index once, in order, each with the map size after that frame,
-// on every mapping path and with the ME lookahead on.
+// on every mapping path.
 func TestSessionResultsStream(t *testing.T) {
 	seq := testSeq(t, "Desk", 5)
-	pipelined := fastAGS(tw, th)
-	pipelined.PipelineME = true
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 	}{
 		{"ags", fastAGS(tw, th)},
 		{"baseline", fastCfg(tw, th)},
-		{"ags-pipeline-me", pipelined},
 	} {
 		sess, err := NewServer(ServerConfig{}).Open(seq.Name, tc.cfg, seq.Intr)
 		if err != nil {
@@ -207,47 +235,41 @@ func TestSessionErrorSurfacesOnPushAndClose(t *testing.T) {
 // Frames and snapshot requests share one queue, so a worker that stopped
 // receiving after a processing failure would leave AppendSnapshot blocked for
 // ever. It must keep answering: every request gets the session's error, dst
-// comes back untouched, and pushes behind it still drain. Pipelined, the bad
-// frame is still the lookahead when the first request arrives and fails in
-// its flush.
+// comes back untouched, and pushes behind it still drain.
 func TestSnapshotOnFailedSessionErrsAndNeverBlocks(t *testing.T) {
 	seq := testSeq(t, "Desk", 2)
 	wrong := scene.MustGenerate("Desk", scene.Config{Width: 32, Height: 24, Frames: 1, Seed: 1})
-	for _, pipelined := range []bool{false, true} {
-		cfg := fastAGS(tw, th)
-		cfg.PipelineME = pipelined
-		sess, err := NewServer(ServerConfig{}).Open(seq.Name, cfg, seq.Intr)
-		if err != nil {
-			t.Fatal(err)
+	sess, err := NewServer(ServerConfig{}).Open(seq.Name, fastAGS(tw, th), seq.Intr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if err := sess.Push(wrong.Frames[0]); err != nil {
+			t.Errorf("push itself failed: %v", err)
 		}
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			if err := sess.Push(wrong.Frames[0]); err != nil {
-				t.Errorf("pipelined=%v: push itself failed: %v", pipelined, err)
+		dst := []byte("kept")
+		for i := 0; i < 2; i++ {
+			out, err := sess.AppendSnapshot(dst, nil)
+			if err == nil || !strings.Contains(err.Error(), "does not match camera") {
+				t.Errorf("snapshot %d error = %v, want frame-size mismatch", i, err)
 			}
-			dst := []byte("kept")
-			for i := 0; i < 2; i++ {
-				out, err := sess.AppendSnapshot(dst, nil)
-				if err == nil || !strings.Contains(err.Error(), "does not match camera") {
-					t.Errorf("pipelined=%v: snapshot %d error = %v, want frame-size mismatch", pipelined, i, err)
-				}
-				if string(out) != "kept" {
-					t.Errorf("pipelined=%v: snapshot %d returned %d bytes, want dst untouched", pipelined, i, len(out))
-				}
-				for j := 0; j <= queueDepth; j++ {
-					sess.Push(seq.Frames[0]) // fails or is discarded; must not wedge the queue
-				}
+			if string(out) != "kept" {
+				t.Errorf("snapshot %d returned %d bytes, want dst untouched", i, len(out))
 			}
-			if res, err := sess.Close(); err == nil || res != nil {
-				t.Errorf("pipelined=%v: Close = (%v, %v), want the session's error", pipelined, res, err)
+			for j := 0; j <= queueDepth; j++ {
+				sess.Push(seq.Frames[0]) // fails or is discarded; must not wedge the queue
 			}
-		}()
-		select {
-		case <-done:
-		case <-time.After(time.Minute):
-			t.Fatalf("pipelined=%v: producer blocked on a failed session", pipelined)
 		}
+		if res, err := sess.Close(); err == nil || res != nil {
+			t.Errorf("Close = (%v, %v), want the session's error", res, err)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("producer blocked on a failed session")
 	}
 }
 

@@ -59,18 +59,14 @@
 // running the stages one after another, at any GOMAXPROCS. It is the schedule
 // platform.AGS's Pipelined option charges.
 //
-// Config.PipelineME predates it and now buys little: Run (or a streaming
-// caller via Prefetch) launches ME of frame t+1 against frame t on a
-// background goroutine while frame t is tracked, and ProcessFrame consumes the
-// finished result instead of recomputing it; the front already overlaps that
-// comparison with mapping. Config.CodecWorkers and Config.CodecEarlyTerm tune
-// the ME stage itself (see package codec). Trajectories and covisibility
-// scores are byte-identical under all three knobs; PipelineME and CodecWorkers
-// also leave the modeled operation counts untouched, while CodecEarlyTerm
-// deliberately lowers the traced SADOps (that is the optimization it models).
-// Config.Workers parallelizes the splat renderer itself; its tile sharding is
-// deterministic, so the render worker count never changes results either —
-// full-parallel runs are exact A/B comparable.
+// CODEC motion estimation therefore runs in the front, once per comparison,
+// and no option selects where or how it runs. Config.CodecEarlyTerm tunes
+// the ME stage itself (see package codec): trajectories and covisibility
+// scores are byte-identical with it on or off, while the traced SADOps
+// deliberately drop (that is the optimization it models). Config.Workers
+// parallelizes the splat renderer; its tile sharding is deterministic, so
+// the render worker count never changes results either — full-parallel runs
+// are exact A/B comparable.
 package slam
 
 import (
@@ -155,13 +151,13 @@ type Config struct {
 	// frame to measure the false-positive rate of the skip prediction.
 	EvalFPRate bool
 
-	// PipelineME overlaps CODEC motion estimation of frame t+1 with
-	// tracking/mapping of frame t (the paper's CODEC-runs-ahead timing,
-	// Fig. 9). Run drives the prefetch itself; streaming callers use
-	// System.Prefetch. Off = fully serial frontend.
+	// Deprecated: ignored. It remains only because benchmarks/workloads.go
+	// assigns it, and goes with that assignment; snapshots and OPEN messages
+	// still carry it.
 	PipelineME bool
-	// CodecWorkers bounds the ME worker pool inside the covisibility
-	// detector (0 or 1 = serial). Parallel ME is byte-identical to serial.
+	// Deprecated: ignored. It remains only because benchmarks/workloads.go
+	// assigns it, and goes with that assignment; snapshots and OPEN messages
+	// still carry it.
 	CodecWorkers int
 	// CodecEarlyTerm enables encoder early termination in the ME SAD
 	// accumulation; it lowers the modeled SADOps without changing SAD
@@ -241,9 +237,9 @@ func (r *Result) ATERMSECm() (float64, error) {
 // (startTail). While a tail is in flight it alone touches the mapper, the
 // render context and the frame's trace.FrameTrace (and, when a compaction
 // fires, the retained traces); the caller's side touches only what a front
-// reads or a middle commits: the detector, the aligner, the prefetch list,
-// prevFrame, prevPose, prevRel, keyFrame, keyFramePos, keyPose, frameCount,
-// poses, gt and info. Every method that needs the mapped state (the next ProcessFrame after
+// reads or a middle commits: the detector, the aligner, prevFrame, prevPose,
+// prevRel, keyFrame, keyFramePos, keyPose, frameCount, poses, gt and info.
+// Every method that needs the mapped state (the next ProcessFrame after
 // its front, AppendSnapshot, Snapshot, Finish, Close, Mapper) joins first,
 // which runs a tail nobody started on the caller's own goroutine; FrameCount
 // does not need to.
@@ -286,7 +282,6 @@ type System struct {
 	gt          []vecmath.Pose
 	info        []FrameInfo
 	traceFrames []trace.FrameTrace
-	pending     []*mePrefetch // in-flight CODEC ME jobs (see prefetch.go)
 
 	// tail is the last accepted frame's mapping tail, pending or in flight;
 	// nil once join has seen it through.
@@ -331,7 +326,6 @@ func newSystem(cfg Config, intr camera.Intrinsics, pool *splat.ContextPool, perS
 	refiner.Workers = cfg.Workers
 	refiner.ScalarsOnly = !detail
 	detector := covis.NewDetector()
-	detector.Cfg.Workers = cfg.CodecWorkers
 	detector.Cfg.EarlyTerm = cfg.CodecEarlyTerm
 	m := mapper.New(mcfg)
 	m.ScalarsOnly = !detail
@@ -645,25 +639,18 @@ type frontOut struct {
 func (s *System) front(f *frame.Frame) (frontOut, error) {
 	var fr frontOut
 	// --- Frame covisibility detection (CODEC + FC detection engine). ---
-	// The previous-frame comparison is the one Prefetch can have computed
-	// ahead of time; the key-frame comparison below depends on which frame is
-	// the current anchor, so it always runs here.
-	fc, err := s.compareME(s.prevFrame.Color, f.Color)
+	fc, me, err := s.detector.Compare(s.prevFrame.Color, f.Color)
 	if err != nil {
 		return fr, fmt.Errorf("covisibility with the previous frame: %w", err)
 	}
-	if s.detector.LastResult != nil {
-		fr.sadOps += s.detector.LastResult.SADOps
-	}
+	fr.sadOps += me.SADOps
 	// Covisibility against the last key frame drives the key-frame decision
 	// and selects the coarse-alignment anchor.
-	keyFC, err := s.detector.Compare(s.keyFrame.Color, f.Color)
+	keyFC, me, err := s.detector.Compare(s.keyFrame.Color, f.Color)
 	if err != nil {
 		return fr, fmt.Errorf("covisibility with the key frame: %w", err)
 	}
-	if s.detector.LastResult != nil {
-		fr.sadOps += s.detector.LastResult.SADOps
-	}
+	fr.sadOps += me.SADOps
 	fr.fc, fr.keyFC = fc, keyFC
 
 	if s.Cfg.EnableMAT || s.Cfg.ForceCoarseOnly {
@@ -814,11 +801,10 @@ func (s *System) Finish(sequence string) *Result {
 }
 
 // Run executes the pipeline over a whole sequence: a thin wrapper that opens
-// one Session on DefaultServer, pushes every frame, and closes it. With
-// cfg.PipelineME the session launches the next frame's motion estimation
-// before each frame is processed, so the CODEC stage overlaps the
-// tracking/mapping work exactly as the paper's frame walk-through times it —
-// the same call order the pre-session Run produced, byte for byte.
+// one Session on DefaultServer, pushes every frame, and closes it. The
+// session's worker runs each frame's front, CODEC motion estimation included,
+// beside the previous frame's mapping, as the paper's frame walk-through
+// times it (see ProcessFrame).
 func Run(cfg Config, seq *scene.Sequence) (*Result, error) {
 	return DefaultServer().Run(cfg, seq)
 }

@@ -61,9 +61,6 @@ const (
 // frames produces a Result digest-identical to the uninterrupted run. Call it
 // between ProcessFrame calls: it first waits for the last frame's mapping, so
 // what it captures is the state after that frame, whole.
-// In-flight ME prefetch jobs are deliberately not captured: the prefetch
-// contract makes the synchronous recompute byte-identical, so a restored
-// system simply computes the next frame's covisibility inline.
 func (s *System) Snapshot(w io.Writer) error {
 	if _, err := w.Write(s.AppendSnapshot(nil, nil)); err != nil {
 		return fmt.Errorf("slam: snapshot write: %w", err)

@@ -179,12 +179,10 @@ func TestSnapshotRoundTripSystem(t *testing.T) {
 
 // TestSessionSnapshotRestore drives the serving path: a session snapshotted
 // mid-stream keeps running unperturbed, and a second session restored from
-// the snapshot and fed the remainder closes with the identical digest. The
-// config pipelines ME so the snapshot has to flush the one-frame lookahead.
+// the snapshot and fed the remainder closes with the identical digest.
 func TestSessionSnapshotRestore(t *testing.T) {
 	const frames = 10
 	cfg := compactCfg(tw, th)
-	cfg.PipelineME = true
 	seq := testSeq(t, "Desk", frames)
 
 	_, want := runDigest(t, cfg, "Desk", frames)

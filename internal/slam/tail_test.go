@@ -424,3 +424,89 @@ func TestTailPanicSurfacesAtJoin(t *testing.T) {
 		})
 	}
 }
+
+// TestTailPanicFailsOneSession: a mapping tail that panics inside a session
+// fails that session and no other. The fault is TestTailPanicSurfacesAtJoin's,
+// injected between pushes: a snapshot orders the worker's last writes before
+// the test cuts two retained key frames' colour planes. The poisoned session's
+// Push, AppendSnapshot and Close then report the tail's panic with its stack,
+// the snapshot leaves dst alone, the other session on the same server closes
+// on its sequential digest, and both leave the server.
+func TestTailPanicFailsOneSession(t *testing.T) {
+	cfg := fastCfg(tw, th)
+	cfg.Workers = 1       // the splat kernels run on the tail's own goroutine
+	cfg.KeyframeEvery = 1 // every frame joins the mapping window
+	cfg.ThreshM = 2       // and becomes the anchor, so no front reads an older one
+	healthySeq, poisonSeq := testSeq(t, "Desk", 10), testSeq(t, "Desk", 10)
+	want, err := Run(cfg, healthySeq)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	srv := NewServer(ServerConfig{})
+	healthy, err := srv.Open(healthySeq.Name, cfg, healthySeq.Intr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	poisoned, err := srv.Open("poisoned", cfg, poisonSeq.Intr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	push := func(i int) {
+		t.Helper()
+		if err := healthy.Push(healthySeq.Frames[i]); err != nil {
+			t.Fatal(err)
+		}
+		poisoned.Push(poisonSeq.Frames[i]) // checked below, once the fault is bound to have surfaced
+	}
+	for i := range 3 {
+		push(i)
+	}
+	if _, err := poisoned.AppendSnapshot(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range poisonSeq.Frames[:2] {
+		f.Color.Pix = f.Color.Pix[:1]
+	}
+	for i := 3; i < len(poisonSeq.Frames); i++ {
+		push(i)
+	}
+
+	isTailPanic := func(op string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s on the poisoned session succeeded", op)
+		}
+		for _, sub := range []string{"index out of range", "mapper.(*Mapper).optimize"} {
+			if !strings.Contains(err.Error(), sub) {
+				t.Errorf("%s: error does not name %q:\n%v", op, sub, err)
+			}
+		}
+	}
+	dst := []byte("kept")
+	out, err := poisoned.AppendSnapshot(dst, nil)
+	isTailPanic("AppendSnapshot", err)
+	if string(out) != "kept" {
+		t.Errorf("AppendSnapshot returned %d bytes, want dst untouched", len(out))
+	}
+	isTailPanic("Push", poisoned.Push(poisonSeq.Frames[0]))
+	res, err := poisoned.Close()
+	isTailPanic("Close", err)
+	if res != nil {
+		t.Error("the poisoned session returned a Result")
+	}
+
+	got, err := healthy.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Digest() != want.Digest() {
+		t.Error("the healthy session's digest differs from its sequential run")
+	}
+	if n := srv.OpenSessions(); n != 0 {
+		t.Errorf("%d sessions still open", n)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

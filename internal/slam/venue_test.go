@@ -209,9 +209,8 @@ func TestVenueMatrix(t *testing.T) {
 
 // TestMalformedFrameFailsOneSession: a frame whose colour or depth plane is
 // shorter than its declared size is refused by name before the pipeline
-// indexes it. It used to be an index out of range inside ProcessFrame (or, with
-// the ME lookahead, on the prefetch goroutine), which took the whole server
-// process and every other tenant with it. The stream that pushed it fails at
+// indexes it. It used to be an index out of range inside ProcessFrame, which
+// took the whole server process and every other tenant with it. The stream that pushed it fails at
 // the frame it had reached; the server's other session never notices.
 func TestMalformedFrameFailsOneSession(t *testing.T) {
 	const frames, at = 6, 2
@@ -225,55 +224,52 @@ func TestMalformedFrameFailsOneSession(t *testing.T) {
 		},
 	}
 	for plane, truncate := range short {
-		for _, pipelined := range []bool{false, true} {
-			cfg := fastAGS(32, 24)
-			cfg.PipelineME = pipelined
-			ref, err := Run(cfg, seq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bad := *seq.Frames[at]
-			truncate(&bad)
+		cfg := fastAGS(32, 24)
+		ref, err := Run(cfg, seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := *seq.Frames[at]
+		truncate(&bad)
 
-			srv := NewServer(ServerConfig{})
-			good, err := srv.Open(seq.Name, cfg, seq.Intr)
-			if err != nil {
+		srv := NewServer(ServerConfig{})
+		good, err := srv.Open(seq.Name, cfg, seq.Intr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		poisoned, err := srv.Open("poisoned", cfg, seq.Intr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range seq.Frames[:at] {
+			if err := good.Push(f); err != nil {
 				t.Fatal(err)
 			}
-			poisoned, err := srv.Open("poisoned", cfg, seq.Intr)
-			if err != nil {
+			if err := poisoned.Push(f); err != nil {
 				t.Fatal(err)
 			}
-			for _, f := range seq.Frames[:at] {
-				if err := good.Push(f); err != nil {
-					t.Fatal(err)
-				}
-				if err := poisoned.Push(f); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// The queue may accept the frame; processing refuses it, and every
-			// later push and Close report why.
-			pushErr := poisoned.Push(&bad)
-			for i := 0; i < 10 && pushErr == nil; i++ {
-				pushErr = poisoned.Push(seq.Frames[at])
-			}
-			if !errors.Is(pushErr, frame.ErrPlaneSize) {
-				t.Errorf("%s, pipelined %v: push after the malformed frame = %v, want ErrPlaneSize", plane, pipelined, pushErr)
-			}
-			if res, err := poisoned.Close(); !errors.Is(err, frame.ErrPlaneSize) || res != nil {
-				t.Errorf("%s, pipelined %v: Close = (%v, %v), want ErrPlaneSize and no result", plane, pipelined, res, err)
-			}
-			if n := poisoned.sys.FrameCount(); n != at {
-				t.Errorf("%s, pipelined %v: the refused frame left the system at frame %d, want %d", plane, pipelined, n, at)
-			}
-			res := pushAll(t, good, seq.Frames[at:])
-			if res.Digest() != ref.Digest() {
-				t.Errorf("%s, pipelined %v: the other session's digest diverged from its sequential run", plane, pipelined)
-			}
-			if err := srv.Close(); err != nil {
-				t.Fatal(err)
-			}
+		}
+		// The queue may accept the frame; processing refuses it, and every
+		// later push and Close report why.
+		pushErr := poisoned.Push(&bad)
+		for i := 0; i < 10 && pushErr == nil; i++ {
+			pushErr = poisoned.Push(seq.Frames[at])
+		}
+		if !errors.Is(pushErr, frame.ErrPlaneSize) {
+			t.Errorf("%s: push after the malformed frame = %v, want ErrPlaneSize", plane, pushErr)
+		}
+		if res, err := poisoned.Close(); !errors.Is(err, frame.ErrPlaneSize) || res != nil {
+			t.Errorf("%s: Close = (%v, %v), want ErrPlaneSize and no result", plane, res, err)
+		}
+		if n := poisoned.sys.FrameCount(); n != at {
+			t.Errorf("%s: the refused frame left the system at frame %d, want %d", plane, n, at)
+		}
+		res := pushAll(t, good, seq.Frames[at:])
+		if res.Digest() != ref.Digest() {
+			t.Errorf("%s: the other session's digest diverged from its sequential run", plane)
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
