@@ -375,11 +375,12 @@ func TestNodeCloseMidPushNoGoroutineLeak(t *testing.T) {
 }
 
 // TestWireCodecsMatchSnapshotEncoding pins the transport encodings to the
-// snapshot codec: a config and frame round-tripped through the slam wire
-// helpers come back bit-identical, which is what the digest equivalence
-// ultimately rests on.
+// snapshot codec: a config (every field the wire carries set, see
+// goldenConfig) and a frame round-tripped through the slam wire helpers come
+// back bit-identical, which is what the digest equivalence ultimately rests
+// on.
 func TestWireCodecsMatchSnapshotEncoding(t *testing.T) {
-	cfg := fastCfg()
+	cfg := goldenConfig()
 	got, err := slam.DecodeConfig(slam.AppendConfig(nil, &cfg))
 	if err != nil {
 		t.Fatal(err)

@@ -15,16 +15,18 @@ import (
 	"ags/internal/vecmath"
 )
 
-// The golden files pin ProtocolVersion 2 byte for byte: one complete AGSF
+// The golden files pin ProtocolVersion 3 byte for byte: one complete AGSF
 // message per payload-bearing verb, each framed by appendMessage. They were
 // written once, by the encoders this version was introduced with, and there is
 // no regeneration switch — a byte that moves is a wire break, which takes a
 // ProtocolVersion bump and a new set of files, not an updated one. Version 1's
-// set was <verb>.golden; version 2's is <verb>.v2.golden, and it adds the
-// snapshot request, which had no payload before.
+// set was <verb>.golden; version 2's, <verb>.v2.golden, added the snapshot
+// request, which had no payload before; version 3's is <verb>.v3.golden, and
+// its configuration drops three slots nothing read.
 
-// goldenConfig sets every slam.Config field to a distinct non-zero value, so
-// a reordered, dropped or re-typed field moves a byte.
+// goldenConfig sets every slam.Config field the wire carries to a distinct
+// non-zero value, so a reordered, dropped or re-typed field moves a byte. It
+// leaves out the two deprecated fields, which no codec carries.
 func goldenConfig() slam.Config {
 	return slam.Config{
 		EnableMAT: true, EnableGCM: true, ForceCoarseOnly: true,
@@ -38,7 +40,7 @@ func goldenConfig() slam.Config {
 		},
 		TrackLR: 0.0625, KeyframeEvery: 19, PruneEvery: 23, CompactEvery: 29,
 		CompactInactiveFrac: 0.75, Workers: 4,
-		EvalFPRate: true, PipelineME: true, CodecWorkers: 31, CodecEarlyTerm: true,
+		EvalFPRate: true, CodecEarlyTerm: true,
 	}
 }
 
@@ -95,7 +97,7 @@ func goldenMessages() []goldenMessage {
 
 // goldenFile names the current version's golden file for a message.
 func goldenFile(name string) string {
-	return filepath.Join("testdata", name+".v2.golden")
+	return filepath.Join("testdata", name+".v3.golden")
 }
 
 func TestGoldenMessages(t *testing.T) {
@@ -105,7 +107,7 @@ func TestGoldenMessages(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := appendMessage(nil, m.v, m.p); !bytes.Equal(got, want) {
-			t.Errorf("%s: message bytes moved (%d bytes, golden %d) — a ProtocolVersion 2 wire break", m.name, len(got), len(want))
+			t.Errorf("%s: message bytes moved (%d bytes, golden %d) — a ProtocolVersion 3 wire break", m.name, len(got), len(want))
 		}
 	}
 }

@@ -100,8 +100,9 @@ import (
 // a different version are rejected with ErrVersionSkew before any payload is
 // examined. Version 2: a snapshot request lists the frame positions the
 // requester holds, and a restore request carries those frames behind the
-// snapshot (see slam's snapshot format, version 2).
-const ProtocolVersion = 2
+// snapshot (see slam's snapshot format, version 2). Version 3: the snapshots
+// and configurations the messages carry are slam's version 3 encodings.
+const ProtocolVersion = 3
 
 const (
 	protoMagic = "AGSF"
@@ -140,8 +141,8 @@ var (
 // snapshot, restore, drain, stats, ping. Responses: ok, result, snapData,
 // statsData, errReply. New verbs are appended before verbEnd (never inserted
 // mid-list: the byte values are the wire contract). Bytes 14 and 15 were the
-// verbs job and job-result under protocol version 2 and are unknown verbs
-// now, so the next verb appended comes with a ProtocolVersion bump.
+// verbs job and job-result under protocol version 2; no verb has used them
+// since.
 type verb byte
 
 const (

@@ -9,10 +9,9 @@ import (
 func numberedGaussian(i int) Gaussian {
 	g := Gaussian{
 		Mean:  vecmath.Vec3{X: float64(i), Y: 1, Z: 2},
-		Rot:   vecmath.QuatIdentity(),
 		Color: vecmath.Vec3{X: 0.5, Y: 0.5, Z: 0.5},
 	}
-	g.SetScale(vecmath.Vec3{X: 0.1, Y: 0.1, Z: 0.1})
+	g.SetScale(0.1)
 	g.SetOpacity(0.9)
 	return g
 }

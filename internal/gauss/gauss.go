@@ -1,7 +1,8 @@
 // Package gauss defines the 3D Gaussian primitive and the growable cloud of
 // Gaussians the SLAM map is made of. Parameters follow SplaTAM's convention:
-// RGB color (no spherical harmonics), logit opacity, log scale and a unit
-// quaternion rotation, so all optimizer updates are unconstrained.
+// RGB color (no spherical harmonics), logit opacity and one log scale. The
+// Gaussians are isotropic, so they have no rotation, and every optimizer
+// update is unconstrained.
 package gauss
 
 import (
@@ -12,11 +13,10 @@ import (
 	"ags/internal/vecmath"
 )
 
-// Gaussian is one anisotropic 3D Gaussian primitive.
+// Gaussian is one isotropic 3D Gaussian primitive.
 type Gaussian struct {
 	Mean     vecmath.Vec3 // world-space center
-	LogScale vecmath.Vec3 // per-axis log standard deviation
-	Rot      vecmath.Quat // orientation of the principal axes
+	LogScale float64      // log standard deviation, the same along every axis
 	Color    vecmath.Vec3 // RGB in [0,1] (stored unclamped, clamped at render)
 	Logit    float64      // opacity in logit space; Opacity() = sigmoid(Logit)
 }
@@ -34,40 +34,29 @@ func (g *Gaussian) SetOpacity(o float64) {
 	g.Logit = math.Log(o / (1 - o))
 }
 
-// Scale returns the per-axis standard deviations exp(LogScale).
-func (g *Gaussian) Scale() vecmath.Vec3 {
-	return vecmath.Vec3{
-		X: math.Exp(g.LogScale.X),
-		Y: math.Exp(g.LogScale.Y),
-		Z: math.Exp(g.LogScale.Z),
-	}
-}
+// Scale returns the standard deviation exp(LogScale).
+func (g *Gaussian) Scale() float64 { return math.Exp(g.LogScale) }
 
-// SetScale stores per-axis standard deviations in log space.
-func (g *Gaussian) SetScale(s vecmath.Vec3) {
-	g.LogScale = vecmath.Vec3{
-		X: math.Log(math.Max(s.X, 1e-9)),
-		Y: math.Log(math.Max(s.Y, 1e-9)),
-		Z: math.Log(math.Max(s.Z, 1e-9)),
-	}
-}
+// SetScale stores the standard deviation s in log space.
+func (g *Gaussian) SetScale(s float64) { g.LogScale = math.Log(math.Max(s, 1e-9)) }
 
-// Cov3 returns the world-space 3x3 covariance R S S^T R^T.
+// Cov3 returns the world-space 3x3 covariance diag(s², s², s²). For every
+// finite s² it is bit for bit the R·diag(s²)·Rᵀ of the identity rotation,
+// which the map's Gaussians once carried (TestCov3IsotropicBitwise).
 func (g *Gaussian) Cov3() vecmath.Mat3 {
-	r := g.Rot.Mat3()
 	s := g.Scale()
-	ss := vecmath.Diag3(vecmath.Vec3{X: s.X * s.X, Y: s.Y * s.Y, Z: s.Z * s.Z})
-	return r.Mul(ss).Mul(r.Transpose())
+	s2 := s * s
+	return vecmath.Diag3(vecmath.Vec3{X: s2, Y: s2, Z: s2})
 }
 
 // Cloud is the growable set of Gaussians representing the scene. IDs are
 // positions in the backing slices. Pruning marks a slot inactive without
-// moving anything, so recorded contribution tables stay valid frame to frame;
-// Compact then re-packs the survivors into a dense prefix and returns the
-// old→new ID permutation, through which callers rewrite every retained
-// ID-keyed table (contribution counts, skip sets, optimizer moments, render
-// traces). Between compactions IDs are stable; across a compaction they are
-// stable up to that returned remap, and the survivors' relative order is
+// moving anything, so ID-keyed tables such as the skip set stay valid frame
+// to frame; Compact then re-packs the survivors into a dense prefix and
+// returns the old→new ID permutation, through which callers rewrite every
+// retained ID-keyed table (skip sets, optimizer moments, render traces).
+// Between compactions IDs are stable; across a compaction they are stable up
+// to that returned remap, and the survivors' relative order is
 // preserved — which is what keeps projection, tile build and blending order
 // (and therefore every rendered pixel) bit-identical before and after a
 // compaction pass.
@@ -194,8 +183,8 @@ func (c *Cloud) SetAll(gaussians []Gaussian, active []bool) error {
 	return nil
 }
 
-// Validate checks structural invariants; it is used by tests and by the
-// pipeline's debug mode.
+// Validate checks structural invariants. mapper.ImportState calls it on every
+// restored cloud, which may have come from outside the process.
 func (c *Cloud) Validate() error {
 	if len(c.Gaussians) != len(c.Active) {
 		return fmt.Errorf("gauss: %d gaussians vs %d active flags", len(c.Gaussians), len(c.Active))
@@ -211,14 +200,11 @@ func (c *Cloud) Validate() error {
 	}
 	for i := range c.Gaussians {
 		g := &c.Gaussians[i]
-		if !g.Mean.IsFinite() || !g.LogScale.IsFinite() || !g.Color.IsFinite() {
+		if !g.Mean.IsFinite() || math.IsNaN(g.LogScale) || math.IsInf(g.LogScale, 0) || !g.Color.IsFinite() {
 			return fmt.Errorf("gauss: non-finite parameters at id %d", i)
 		}
 		if math.IsNaN(g.Logit) || math.IsInf(g.Logit, 0) {
 			return fmt.Errorf("gauss: non-finite logit at id %d", i)
-		}
-		if n := g.Rot.Norm(); math.Abs(n-1) > 1e-3 {
-			return fmt.Errorf("gauss: rotation norm %g at id %d", n, i)
 		}
 	}
 	return nil

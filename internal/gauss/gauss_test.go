@@ -30,38 +30,66 @@ func TestOpacityRoundTrip(t *testing.T) {
 
 func TestScaleRoundTrip(t *testing.T) {
 	var g Gaussian
-	s := vecmath.Vec3{X: 0.02, Y: 0.5, Z: 3}
-	g.SetScale(s)
-	got := g.Scale()
-	if got.Sub(s).Norm() > 1e-9 {
-		t.Errorf("scale roundtrip %v -> %v", s, got)
+	for _, s := range []float64{0.02, 0.5, 3} {
+		g.SetScale(s)
+		if got := g.Scale(); math.Abs(got-s) > 1e-9*s {
+			t.Errorf("scale roundtrip %v -> %v", s, got)
+		}
+	}
+	// A non-positive scale clamps instead of producing an infinite log.
+	g.SetScale(0)
+	if math.IsInf(g.LogScale, 0) || g.Scale() <= 0 {
+		t.Error("scale 0 produced an invalid log-scale")
 	}
 }
 
+// TestCov3IsSymmetricPSD: the covariance is symmetric with every eigenvalue
+// s², and, being isotropic, it looks the same from every orientation:
+// Rᵀ·Σ·R is diag(s², s², s²) for any rotation R.
 func TestCov3IsSymmetricPSD(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 50; i++ {
-		g := Gaussian{
-			Rot: vecmath.QuatFromAxisAngle(
-				vecmath.Vec3{X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: rng.NormFloat64()},
-				rng.Float64()*3),
-		}
-		g.SetScale(vecmath.Vec3{X: 0.1 + rng.Float64(), Y: 0.1 + rng.Float64(), Z: 0.1 + rng.Float64()})
+		var g Gaussian
+		g.SetScale(0.1 + rng.Float64())
 		cov := g.Cov3()
 		// Symmetry.
-		if math.Abs(cov[1]-cov[3]) > 1e-12 ||
-			math.Abs(cov[2]-cov[6]) > 1e-12 ||
-			math.Abs(cov[5]-cov[7]) > 1e-12 {
+		if cov[1] != cov[3] || cov[2] != cov[6] || cov[5] != cov[7] {
 			t.Fatal("covariance not symmetric")
 		}
-		// The rotation's columns are the eigenvectors and the squared scales
-		// (all positive) the eigenvalues: R^T cov R is diag(s^2).
-		r, s := g.Rot.Mat3(), g.Scale()
+		r := vecmath.QuatFromAxisAngle(
+			vecmath.Vec3{X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: rng.NormFloat64()},
+			rng.Float64()*3).Mat3()
+		s2 := g.Scale() * g.Scale()
 		diag := r.Transpose().Mul(cov).Mul(r)
-		want := vecmath.Diag3(vecmath.Vec3{X: s.X * s.X, Y: s.Y * s.Y, Z: s.Z * s.Z})
+		want := vecmath.Diag3(vecmath.Vec3{X: s2, Y: s2, Z: s2})
 		for j := range diag {
 			if math.Abs(diag[j]-want[j]) > 1e-9 {
-				t.Fatalf("R^T cov R = %v, want diag(scales^2) %v", diag, want)
+				t.Fatalf("R^T cov R = %v, want diag(scale^2) %v", diag, want)
+			}
+		}
+	}
+}
+
+// TestCov3IsotropicBitwise pins Cov3 to the covariance the map's Gaussians
+// had when they carried a rotation, always the identity, and three equal
+// log-scales: R·diag(s², s², s²)·Rᵀ with R the identity quaternion's matrix,
+// multiplied out in full. Every render's projection starts from this matrix,
+// so a "simpler" Cov3 that moves one bit moves every digest.
+func TestCov3IsotropicBitwise(t *testing.T) {
+	r := vecmath.QuatIdentity().Mat3()
+	for i := -80; i <= 80; i++ {
+		for _, ls := range []float64{0.25 * float64(i), 0.25*float64(i) + 0.0123456789} {
+			if ls > 20 {
+				continue
+			}
+			g := Gaussian{LogScale: ls}
+			s := math.Exp(ls)
+			want := r.Mul(vecmath.Diag3(vecmath.Vec3{X: s * s, Y: s * s, Z: s * s})).Mul(r.Transpose())
+			got := g.Cov3()
+			for j := range got {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("log-scale %v: Cov3 = %v, want R·diag(s²)·Rᵀ = %v bit for bit", ls, got, want)
+				}
 			}
 		}
 	}
@@ -69,8 +97,8 @@ func TestCov3IsSymmetricPSD(t *testing.T) {
 
 func TestCloudAddPrune(t *testing.T) {
 	c := NewCloud(4)
-	id0 := c.Add(Gaussian{Rot: vecmath.QuatIdentity()})
-	id1 := c.Add(Gaussian{Rot: vecmath.QuatIdentity()})
+	id0 := c.Add(Gaussian{})
+	id1 := c.Add(Gaussian{})
 	if id0 != 0 || id1 != 1 {
 		t.Fatalf("ids = %d,%d", id0, id1)
 	}
@@ -95,7 +123,7 @@ func TestCloudAddPrune(t *testing.T) {
 
 func TestCloudCloneIndependent(t *testing.T) {
 	c := NewCloud(1)
-	c.Add(Gaussian{Rot: vecmath.QuatIdentity(), Color: vecmath.Vec3{X: 1}})
+	c.Add(Gaussian{Color: vecmath.Vec3{X: 1}})
 	cp := c.Clone()
 	cp.At(0).Color = vecmath.Vec3{Y: 1}
 	cp.Prune(0)
@@ -106,7 +134,7 @@ func TestCloudCloneIndependent(t *testing.T) {
 
 func TestValidateCatchesCorruption(t *testing.T) {
 	c := NewCloud(1)
-	c.Add(Gaussian{Rot: vecmath.QuatIdentity()})
+	c.Add(Gaussian{})
 	if err := c.Validate(); err != nil {
 		t.Fatalf("valid cloud rejected: %v", err)
 	}
@@ -115,9 +143,14 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		t.Error("NaN mean accepted")
 	}
 	c.At(0).Mean.X = 0
-	c.At(0).Rot = vecmath.Quat{W: 2}
+	c.At(0).LogScale = math.Inf(1)
 	if err := c.Validate(); err == nil {
-		t.Error("non-unit quaternion accepted")
+		t.Error("infinite log-scale accepted")
+	}
+	c.At(0).LogScale = 0
+	c.At(0).Logit = math.NaN()
+	if err := c.Validate(); err == nil {
+		t.Error("NaN logit accepted")
 	}
 }
 

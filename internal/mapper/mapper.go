@@ -117,14 +117,12 @@ type Mapper struct {
 	rng   *prng
 	// One Adam per parameter group, as SplaTAM trains them, each at its own
 	// learning rate from Cfg: means and colors are 3 values per Gaussian,
-	// logits and (isotropic) log-scales 1. The set is fixed; optGroups names
-	// it for the code that treats the four alike.
+	// logits and log-scales 1. The set is fixed; optGroups names it for the
+	// code that treats the four alike.
 	optMean, optColor, optLogit, optScale optim.Adam
 
-	// Contribution info recorded at the last key frame (per Gaussian ID).
-	nonContrib []int32
-	contrib    []int32 // pixels with alpha >= ThreshAlpha
-	// skipSet flags Gaussians predicted non-contributory for non-key frames.
+	// skipSet flags Gaussians predicted non-contributory for non-key frames,
+	// from the contribution recorded at the last key frame (per Gaussian ID).
 	skipSet []bool
 	// keyframes retained for the multi-view loss.
 	keyframes []Keyframe
@@ -244,11 +242,9 @@ func (m *Mapper) Densify(f *frame.Frame, intr camera.Intrinsics, pose vecmath.Po
 			pc := intr.Unproject(vecmath.Vec2{X: float64(x) + 0.5, Y: float64(y) + 0.5}, d)
 			g := gauss.Gaussian{
 				Mean:  inv.Apply(pc),
-				Rot:   vecmath.QuatIdentity(),
 				Color: f.Color.At(x, y),
 			}
-			s := 0.6 * d * float64(stride) / intr.Fx
-			g.SetScale(vecmath.Vec3{X: s, Y: s, Z: s})
+			g.SetScale(0.6 * d * float64(stride) / intr.Fx)
 			g.SetOpacity(0.999)
 			m.cloud.Add(g)
 			added++
@@ -266,12 +262,6 @@ func (m *Mapper) Densify(f *frame.Frame, intr camera.Intrinsics, pose vecmath.Po
 func (m *Mapper) growSkipSet() {
 	for len(m.skipSet) < m.cloud.Len() {
 		m.skipSet = append(m.skipSet, false)
-	}
-	for len(m.nonContrib) < m.cloud.Len() {
-		m.nonContrib = append(m.nonContrib, 0)
-	}
-	for len(m.contrib) < m.cloud.Len() {
-		m.contrib = append(m.contrib, 0)
 	}
 }
 
@@ -295,9 +285,9 @@ func (m *Mapper) Prune() int {
 
 // Compact re-packs the cloud's surviving Gaussians into a dense prefix (see
 // gauss.Cloud.Compact) and rewrites every ID-keyed table the mapper retains —
-// contribution counts, the skip set, and the per-group Adam moments — through
-// the returned old→new permutation, so mapping after a compaction continues
-// bit-identically to the never-compacted timeline. It returns the permutation
+// the skip set and the per-group Adam moments — through the returned old→new
+// permutation, so mapping after a compaction continues bit-identically to the
+// never-compacted timeline. It returns the permutation
 // (for callers that retain their own ID-keyed state, e.g. render traces) and
 // the number of slots freed.
 func (m *Mapper) Compact() (remap []int32, freed int) {
@@ -307,18 +297,13 @@ func (m *Mapper) Compact() (remap []int32, freed int) {
 		return remap, 0
 	}
 	n := m.cloud.Len()
-	nonContrib := make([]int32, n)
-	contrib := make([]int32, n)
 	skip := make([]bool, n)
 	for old, nw := range remap {
-		if int(nw) >= n {
-			continue
+		if int(nw) < n {
+			skip[nw] = m.skipSet[old]
 		}
-		nonContrib[nw] = m.nonContrib[old]
-		contrib[nw] = m.contrib[old]
-		skip[nw] = m.skipSet[old]
 	}
-	m.nonContrib, m.contrib, m.skipSet = nonContrib, contrib, skip
+	m.skipSet = skip
 	for _, g := range m.optGroups() {
 		g.adam.Remap(g.stride, remap, n)
 	}
@@ -383,25 +368,20 @@ func (m *Mapper) optimize(f *frame.Frame, intr camera.Intrinsics, pose vecmath.P
 	return stats
 }
 
-// recordContribution updates the stored contribution info and skip set from
-// a logged render (the GS logging table write path, Fig. 11).
+// recordContribution refreshes the skip set from a logged render: the GS
+// logging table's counts (Fig. 11) go straight through the comparison unit
+// into the GS skipping table (Fig. 12). A Gaussian is skipped when it
+// contributed (almost) nowhere and its wasted pixel count exceeds ThreshN; one
+// the render does not cover counts zero both ways.
 func (m *Mapper) recordContribution(res *splat.Result) {
 	m.growSkipSet()
-	for id := range m.nonContrib {
-		if id < len(res.NonContrib) {
-			m.nonContrib[id] = res.NonContrib[id]
-			m.contrib[id] = res.Touched[id] - res.NonContrib[id]
-		} else {
-			m.nonContrib[id] = 0
-			m.contrib[id] = 0
-		}
-	}
-	// Refresh the skip set (the GS skipping table + comparison unit,
-	// Fig. 12): skip when the Gaussian contributed (almost) nowhere and its
-	// wasted pixel count exceeds ThreshN.
 	for id := range m.skipSet {
-		m.skipSet[id] = int(m.contrib[id]) <= m.Cfg.ContribPixMax &&
-			int(m.nonContrib[id]) > m.Cfg.ThreshN
+		var nonContrib, contrib int32
+		if id < len(res.NonContrib) {
+			nonContrib = res.NonContrib[id]
+			contrib = res.Touched[id] - nonContrib
+		}
+		m.skipSet[id] = int(contrib) <= m.Cfg.ContribPixMax && int(nonContrib) > m.Cfg.ThreshN
 	}
 }
 
@@ -426,7 +406,7 @@ func (m *Mapper) applyGrads(grads *splat.Grads) {
 		means[3*id], means[3*id+1], means[3*id+2] = g.Mean.X, g.Mean.Y, g.Mean.Z
 		colors[3*id], colors[3*id+1], colors[3*id+2] = g.Color.X, g.Color.Y, g.Color.Z
 		logits[id] = g.Logit
-		scales[id] = g.LogScale.X // isotropic
+		scales[id] = g.LogScale
 		meanG[3*id], meanG[3*id+1], meanG[3*id+2] = grads.Mean[id].X, grads.Mean[id].Y, grads.Mean[id].Z
 		colorG[3*id], colorG[3*id+1], colorG[3*id+2] = grads.Color[id].X, grads.Color[id].Y, grads.Color[id].Z
 		logitG[id] = grads.Logit[id]
@@ -441,7 +421,7 @@ func (m *Mapper) applyGrads(grads *splat.Grads) {
 		g.Mean = vecmath.Vec3{X: means[3*id], Y: means[3*id+1], Z: means[3*id+2]}
 		g.Color = vecmath.Vec3{X: colors[3*id], Y: colors[3*id+1], Z: colors[3*id+2]}.Clamp(0, 1)
 		g.Logit = logits[id]
-		g.LogScale = vecmath.Vec3{X: scales[id], Y: scales[id], Z: scales[id]}
+		g.LogScale = scales[id]
 	}
 }
 

@@ -110,28 +110,8 @@ func TestContributionRecordingAndSkipSet(t *testing.T) {
 	m.FullMapping(f0, seq.Intr, f0.GTPose)
 	m.Densify(f, seq.Intr, f.GTPose)
 	m.FullMapping(f, seq.Intr, f.GTPose)
-
-	counts := m.nonContrib
-	if len(counts) != m.Cloud().Len() {
-		t.Fatalf("count len %d vs cloud %d", len(counts), m.Cloud().Len())
-	}
-	var any bool
-	for _, c := range counts {
-		if c > 0 {
-			any = true
-			break
-		}
-	}
-	if !any {
-		t.Error("no non-contributory pixels recorded at all")
-	}
-	// Skip set must be consistent with counts and thresholds.
-	contrib := m.contrib
-	for id, s := range m.skipSet {
-		want := int(contrib[id]) <= cfg.ContribPixMax && int(counts[id]) > cfg.ThreshN
-		if s != want {
-			t.Fatalf("skip[%d]=%v but contrib=%d noncontrib=%d", id, s, contrib[id], counts[id])
-		}
+	if len(m.skipSet) != m.Cloud().Len() {
+		t.Fatalf("skip set len %d vs cloud %d", len(m.skipSet), m.Cloud().Len())
 	}
 	if m.NumSkipped() == 0 {
 		t.Error("nothing skipped — selective mapping would be a no-op")
@@ -139,6 +119,33 @@ func TestContributionRecordingAndSkipSet(t *testing.T) {
 	pred := m.PredictedNonContrib()
 	if len(pred) != m.NumSkipped() {
 		t.Errorf("PredictedNonContrib %d != NumSkipped %d", len(pred), m.NumSkipped())
+	}
+
+	// The skip set is the thresholds applied to a logged render's counts.
+	// Gaussians added after that render (the slots it does not cover) count
+	// zero both ways, so they are never skipped.
+	res := splat.Render(m.Cloud(), camera.Camera{Intr: seq.Intr, Pose: f.GTPose},
+		splat.Options{LogContribution: true, ThreshAlpha: cfg.ThreshAlpha})
+	if m.Densify(seq.Frames[15], seq.Intr, seq.Frames[15].GTPose) == 0 {
+		t.Fatal("the third view added no Gaussians")
+	}
+	m.recordContribution(res)
+	if len(m.skipSet) != m.Cloud().Len() {
+		t.Fatalf("skip set len %d vs cloud %d after densifying", len(m.skipSet), m.Cloud().Len())
+	}
+	var any bool
+	for id, s := range m.skipSet {
+		var nonContrib, contrib int32
+		if id < len(res.NonContrib) {
+			nonContrib, contrib = res.NonContrib[id], res.Touched[id]-res.NonContrib[id]
+		}
+		any = any || nonContrib > 0
+		if want := int(contrib) <= cfg.ContribPixMax && int(nonContrib) > cfg.ThreshN; s != want {
+			t.Fatalf("skip[%d]=%v but contrib=%d noncontrib=%d", id, s, contrib, nonContrib)
+		}
+	}
+	if !any {
+		t.Error("no non-contributory pixels recorded at all")
 	}
 }
 

@@ -1,6 +1,7 @@
 package mapper
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -47,24 +48,20 @@ type OptGroupState struct {
 // shared with the mapper on export and adopted on import — snapshot code
 // encodes or decodes them immediately and never aliases them afterwards.
 type State struct {
-	Cloud      *gauss.Cloud
-	NonContrib []int32
-	Contrib    []int32
-	SkipSet    []bool
-	Keyframes  []Keyframe
-	RNG        uint64
-	Opt        []OptGroupState // the groups that have stepped, sorted by name
+	Cloud     *gauss.Cloud
+	SkipSet   []bool // one flag per cloud slot
+	Keyframes []Keyframe
+	RNG       uint64
+	Opt       []OptGroupState // the groups that have stepped, sorted by name
 }
 
 // ExportState captures the mapper's inter-frame state for a snapshot.
 func (m *Mapper) ExportState() State {
 	st := State{
-		Cloud:      m.cloud,
-		NonContrib: m.nonContrib,
-		Contrib:    m.contrib,
-		SkipSet:    m.skipSet,
-		Keyframes:  m.keyframes,
-		RNG:        m.rng.state,
+		Cloud:     m.cloud,
+		SkipSet:   m.skipSet,
+		Keyframes: m.keyframes,
+		RNG:       m.rng.state,
 	}
 	for _, g := range m.optGroups() {
 		if mm, vv, step := g.adam.State(); step > 0 {
@@ -74,16 +71,24 @@ func (m *Mapper) ExportState() State {
 	return st
 }
 
+// ErrSkipSet is what ImportState wraps when a state's skip set does not flag
+// exactly its cloud's slots.
+var ErrSkipSet = errors.New("mapper: skip set does not match the cloud")
+
 // ImportState restores a snapshot: the inverse of ExportState, over a mapper
 // freshly built with the same Config. The optimizers keep the config's
 // learning rates and take the snapshot's moments and step counters (a group
 // the snapshot does not name stays never-stepped), so the first post-restore
 // mapping iteration steps exactly as the uninterrupted run's would have. The
-// state may come from outside the process, so optimizer state that Adam.Step
-// or Adam.Remap could not index safely is refused here, not adopted.
+// state may come from outside the process, so a skip set of another length
+// than the cloud, and optimizer state that Adam.Step or Adam.Remap could not
+// index safely, are refused here, not adopted.
 func (m *Mapper) ImportState(st State) error {
 	if err := st.Cloud.Validate(); err != nil {
 		return err
+	}
+	if len(st.SkipSet) != st.Cloud.Len() {
+		return fmt.Errorf("%w: %d flags for %d slots", ErrSkipSet, len(st.SkipSet), st.Cloud.Len())
 	}
 	groups := m.optGroups()
 	var seen [len(groups)]bool
@@ -104,8 +109,6 @@ func (m *Mapper) ImportState(st State) error {
 		groups[i].adam.SetState(sg.M, sg.V, sg.Step)
 	}
 	m.cloud = st.Cloud
-	m.nonContrib = st.NonContrib
-	m.contrib = st.Contrib
 	m.skipSet = st.SkipSet
 	m.keyframes = st.Keyframes
 	m.rng = &prng{state: st.RNG}

@@ -13,8 +13,6 @@ import (
 // from, as a decoded snapshot would be.
 func detached(st State) State {
 	st.Cloud = st.Cloud.Clone()
-	st.NonContrib = slices.Clone(st.NonContrib)
-	st.Contrib = slices.Clone(st.Contrib)
 	st.SkipSet = slices.Clone(st.SkipSet)
 	st.Keyframes = slices.Clone(st.Keyframes)
 	st.Opt = slices.Clone(st.Opt)
@@ -132,7 +130,9 @@ func TestCompactResetsStaleMoments(t *testing.T) {
 // TestImportStateRejectsBadOptimizerState: optimizer state arrives from
 // snapshots, which arrive from the network. Each of these would index out of
 // range in Adam.Step or Adam.Remap, or silently train a group at a rate the
-// config never named, if it were adopted.
+// config never named, if it were adopted. So would a skip set of another
+// length than the cloud: a short one used to be padded, and a long one carried
+// and re-encoded in every snapshot after.
 func TestImportStateRejectsBadOptimizerState(t *testing.T) {
 	seq := scene.MustGenerate("Desk", scene.Config{Width: 32, Height: 24, Frames: 1, Seed: 1})
 	f := seq.Frames[0]
@@ -153,6 +153,8 @@ func TestImportStateRejectsBadOptimizerState(t *testing.T) {
 		{"unknown group", func(st *State) { st.Opt[1].Name = "rotation" }, "unknown"},
 		{"repeated group", func(st *State) { st.Opt[3] = st.Opt[2] }, "repeated"},
 		{"negative step", func(st *State) { st.Opt[0].Step = -1 }, "step -1"},
+		{"short skip set", func(st *State) { st.SkipSet = st.SkipSet[:len(st.SkipSet)-1] }, "skip set"},
+		{"long skip set", func(st *State) { st.SkipSet = append(st.SkipSet, true) }, "skip set"},
 	} {
 		st := detached(src.ExportState())
 		tc.damage(&st)

@@ -49,10 +49,13 @@ func (r *Result) Digest() [32]byte {
 			continue
 		}
 		g := r.Cloud.At(id)
+		// The identity rotation and three copies of the isotropic
+		// log-scale, as when the Gaussians stored them, so that the
+		// digest of a run stays what it was.
 		hashVec3(h, g.Mean)
-		hashVec3(h, g.LogScale)
-		hashF64(h, g.Rot.W)
-		hashVec3(h, vecmath.Vec3{X: g.Rot.X, Y: g.Rot.Y, Z: g.Rot.Z})
+		hashVec3(h, vecmath.Vec3{X: g.LogScale, Y: g.LogScale, Z: g.LogScale})
+		hashF64(h, 1)
+		hashVec3(h, vecmath.Vec3{})
 		hashVec3(h, g.Color)
 		hashF64(h, g.Logit)
 	}

@@ -133,8 +133,8 @@ type Config struct {
 	// PruneEvery runs opacity pruning every k frames (0 = never).
 	PruneEvery int
 	// CompactEvery re-packs the Gaussian map every k frames (0 = never):
-	// pruned slots are reclaimed and every retained ID-keyed table (mapper
-	// contribution state, optimizer moments, render traces) is rewritten
+	// pruned slots are reclaimed and every retained ID-keyed table (the
+	// mapper's skip set, optimizer moments, render traces) is rewritten
 	// through the old→new remap. Compaction is bit-transparent — a run with
 	// CompactEvery > 0 produces the same Result.Digest as the never-compacted
 	// run — so it is purely a resource bound, not an accuracy knob.
@@ -151,13 +151,13 @@ type Config struct {
 	// frame to measure the false-positive rate of the skip prediction.
 	EvalFPRate bool
 
-	// Deprecated: ignored. It remains only because benchmarks/workloads.go
-	// assigns it, and goes with that assignment; snapshots and OPEN messages
-	// still carry it.
+	// Deprecated: ignored, and carried by no snapshot or OPEN message. It
+	// remains only because benchmarks/workloads.go assigns it, and goes with
+	// that assignment.
 	PipelineME bool
-	// Deprecated: ignored. It remains only because benchmarks/workloads.go
-	// assigns it, and goes with that assignment; snapshots and OPEN messages
-	// still carry it.
+	// Deprecated: ignored, and carried by no snapshot or OPEN message. It
+	// remains only because benchmarks/workloads.go assigns it, and goes with
+	// that assignment.
 	CodecWorkers int
 	// CodecEarlyTerm enables encoder early termination in the ME SAD
 	// accumulation; it lowers the modeled SADOps without changing SAD

@@ -27,7 +27,7 @@ import (
 // encoded fields bumps SnapshotVersion, and Restore rejects versions it does
 // not speak.
 //
-// Frame table (version 2). The payload opens with the fixed-size fields
+// Frame table (since version 2). The payload opens with the fixed-size fields
 // (configuration, intrinsics, frame count, three poses) and then the table of
 // retained frames: the mapper's key-frame window, the previous frame and the
 // key frame, each listed once. An entry is
@@ -47,8 +47,11 @@ const (
 	snapshotMagic = "AGSSNAP\x00"
 	// SnapshotVersion is the binary format revision Snapshot writes and
 	// Restore accepts. Version 2 names every retained frame by its stream
-	// position and makes its body optional.
-	SnapshotVersion = 2
+	// position and makes its body optional. Version 3 stores a Gaussian as
+	// its eight parameters (mean, log-scale, color, logit; no rotation), the
+	// mapper's contribution state as its skip set alone, and the
+	// configuration without the slots nothing read.
+	SnapshotVersion = 3
 
 	snapshotHeader = len(snapshotMagic) + 4 // magic, version
 )
@@ -245,11 +248,9 @@ func encodeSystem(e *binfmt.Enc, s *System, have []int) {
 		encodeTrace(e, &s.traceFrames[i])
 	}
 
-	// Mapper state: cloud, contribution tables, keyframe window (as frame
-	// table references), RNG and optimizer moments.
+	// Mapper state: cloud, skip set, keyframe window (as frame table
+	// references), RNG and optimizer moments.
 	encodeCloud(e, st.Cloud)
-	e.I32s(st.NonContrib)
-	e.I32s(st.Contrib)
 	e.Bools(st.SkipSet)
 	e.U64(uint64(len(st.Keyframes)))
 	for _, kf := range st.Keyframes {
@@ -315,8 +316,6 @@ func decodeSystem(d *binfmt.Dec, held []HeldFrame, pool *splat.ContextPool, perS
 
 	var st mapper.State
 	st.Cloud = decodeCloud(d)
-	st.NonContrib = d.I32s()
-	st.Contrib = d.I32s()
 	st.SkipSet = d.Bools()
 	st.Keyframes = make([]mapper.Keyframe, d.Len(8))
 	for i := range st.Keyframes {
@@ -338,7 +337,7 @@ func decodeSystem(d *binfmt.Dec, held []HeldFrame, pool *splat.ContextPool, perS
 		return nil
 	}
 	if err := sys.mapper.ImportState(st); err != nil {
-		d.Fail("mapper state: %v", err)
+		d.Fail("mapper state: %w", err)
 		return nil
 	}
 	return sys
@@ -470,10 +469,7 @@ func encodeConfig(e *binfmt.Enc, c *Config) {
 	e.I64(int64(c.CompactEvery))
 	e.F64(c.CompactInactiveFrac)
 	e.I64(int64(c.Workers))
-	e.U8(0) // reserved: version 1 carried a since-removed option here
 	e.Bool(c.EvalFPRate)
-	e.Bool(c.PipelineME)
-	e.I64(int64(c.CodecWorkers))
 	e.Bool(c.CodecEarlyTerm)
 }
 
@@ -493,10 +489,7 @@ func decodeConfig(d *binfmt.Dec, c *Config) {
 	c.CompactEvery = int(d.I64())
 	c.CompactInactiveFrac = d.F64()
 	c.Workers = int(d.I64())
-	d.U8() // reserved byte, ignored
 	c.EvalFPRate = d.Bool()
-	c.PipelineME = d.Bool()
-	c.CodecWorkers = int(d.I64())
 	c.CodecEarlyTerm = d.Bool()
 }
 
@@ -679,11 +672,7 @@ func encodeCloud(e *binfmt.Enc, c *gauss.Cloud) {
 	for i := range c.Gaussians {
 		g := &c.Gaussians[i]
 		putVec3(e, g.Mean)
-		putVec3(e, g.LogScale)
-		e.F64(g.Rot.W)
-		e.F64(g.Rot.X)
-		e.F64(g.Rot.Y)
-		e.F64(g.Rot.Z)
+		e.F64(g.LogScale)
 		putVec3(e, g.Color)
 		e.F64(g.Logit)
 	}
@@ -691,16 +680,12 @@ func encodeCloud(e *binfmt.Enc, c *gauss.Cloud) {
 }
 
 func decodeCloud(d *binfmt.Dec) *gauss.Cloud {
-	n := d.Len(14 * 8)
+	n := d.Len(8 * 8)
 	gaussians := make([]gauss.Gaussian, n)
 	for i := range gaussians {
 		g := &gaussians[i]
 		g.Mean = getVec3(d)
-		g.LogScale = getVec3(d)
-		g.Rot.W = d.F64()
-		g.Rot.X = d.F64()
-		g.Rot.Y = d.F64()
-		g.Rot.Z = d.F64()
+		g.LogScale = d.F64()
 		g.Color = getVec3(d)
 		g.Logit = d.F64()
 	}

@@ -9,7 +9,9 @@ import (
 	"strings"
 	"testing"
 
+	"ags/internal/binfmt"
 	"ags/internal/frame"
+	"ags/internal/hw/trace"
 	"ags/internal/scene"
 )
 
@@ -338,7 +340,9 @@ func TestRestoreRejectsDamage(t *testing.T) {
 			return c
 		}, "version"},
 		{"short second moments", func(b []byte) []byte { return shortSecondMoments(t, b) }, "second moments"},
-		// The version 2 frame table: position, body length, body per entry.
+		{"skip set one flag short", reskip(t, func(s []bool) []bool { return s[:len(s)-1] }), "skip set does not match"},
+		{"skip set one flag long", reskip(t, func(s []bool) []bool { return append(s, true) }), "skip set does not match"},
+		// The frame table (since version 2): position, body length, body per entry.
 		{"table position at the frame count", tableEdit(t, func(tb []tableEntry) []tableEntry {
 			tb[0].pos = 3
 			return tb
@@ -424,6 +428,36 @@ func shortSecondMoments(t *testing.T, snap []byte) []byte {
 	binary.LittleEndian.PutUint64(out[at:], uint64(n-1))
 	sum := sha256.Sum256(out)
 	return append(out, sum[:]...)
+}
+
+// reskip is a damage row that rewrites the snapshot's skip set, the field
+// behind the cloud, and redoes the checksum.
+func reskip(t *testing.T, edit func([]bool) []bool) func([]byte) []byte {
+	return func(b []byte) []byte {
+		t.Helper()
+		head, table, tail := splitSnapshot(t, b)
+		d := binfmt.NewDec(tail)
+		d.I64() // previous frame
+		d.I64() // key frame
+		getPoses(d)
+		getPoses(d)
+		for n := d.Len(8); n > 0; n-- {
+			decodeInfo(d, &FrameInfo{})
+		}
+		for n := d.Len(8); n > 0; n-- {
+			decodeTrace(d, &trace.FrameTrace{})
+		}
+		decodeCloud(d)
+		at := len(tail) - d.Remaining()
+		skip := d.Bools()
+		if err := d.Err(); err != nil {
+			t.Fatal(err)
+		}
+		e := binfmt.Enc{Buf: slices.Clone(tail[:at])}
+		e.Bools(edit(skip))
+		e.Raw(tail[len(tail)-d.Remaining():])
+		return joinSnapshot(head, table, e.Buf)
+	}
 }
 
 // TestRestoreSessionRefusesShortMoments: a well-framed snapshot whose Adam

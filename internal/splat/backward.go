@@ -43,7 +43,7 @@ type Grads struct {
 	Mean     []vecmath.Vec3
 	Color    []vecmath.Vec3
 	Logit    []float64
-	LogScale []float64 // isotropic: apply to all three LogScale axes
+	LogScale []float64 // d(loss)/d(Gaussian.LogScale)
 	Pose     vecmath.Twist
 
 	Loss   float64 // total weighted L1 loss over masked pixels
@@ -136,14 +136,18 @@ func (ctx *RenderContext) Backward(cloud *gauss.Cloud, cam camera.Camera, res *R
 	ar.prepare(nt, tiles.TotalEntries(), opts.GaussianGrads)
 	if opts.GaussianGrads {
 		// Per-splat factors of the logit and scale gradients, evaluated once
-		// per call rather than once per contribution (Scale is three exp).
+		// per call rather than once per contribution (Scale is an exp).
 		ar.sigGrad = resized(ar.sigGrad, len(res.Splats))
 		ar.scale2 = resized(ar.scale2, len(res.Splats))
 		for si := range res.Splats {
 			s := &res.Splats[si]
 			ar.sigGrad[si] = gauss.SigmoidGrad(s.Opacity)
+			// The mean of the three per-axis squares the Gaussians had when
+			// they were anisotropic. It is not always bitwise s², and every
+			// trained map depends on its bits
+			// (TestBackwardScaleFactorIsMeanOfThreeSquares).
 			sc := cloud.At(s.ID).Scale()
-			ar.scale2[si] = (sc.X*sc.X + sc.Y*sc.Y + sc.Z*sc.Z) / 3
+			ar.scale2[si] = (sc*sc + sc*sc + sc*sc) / 3
 		}
 	}
 

@@ -33,10 +33,9 @@ func determinismScene() (*gauss.Cloud, camera.Camera) {
 				Y: 0.5 * math.Cos(fi*1.1),
 				Z: 1.2 + 0.05*fi,
 			},
-			Rot:   vecmath.QuatFromAxisAngle(vecmath.Vec3{X: 1, Y: 0.3, Z: 0.2}, fi*0.4),
 			Color: vecmath.Vec3{X: 0.2 + 0.6*math.Abs(math.Sin(fi)), Y: 0.4, Z: 0.2 + fi/120},
 		}
-		g.SetScale(vecmath.Vec3{X: 0.08 + 0.01*math.Mod(fi, 7), Y: 0.1, Z: 0.09})
+		g.SetScale(0.08 + 0.01*math.Mod(fi, 7))
 		g.SetOpacity(0.15 + 0.7*math.Abs(math.Cos(fi*0.9)))
 		cloud.Add(g)
 	}

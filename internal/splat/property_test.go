@@ -21,16 +21,9 @@ func randomCloud(rng *rand.Rand, n int) *gauss.Cloud {
 				Y: rng.NormFloat64() * 0.4,
 				Z: 0.8 + rng.Float64()*3,
 			},
-			Rot: vecmath.QuatFromAxisAngle(
-				vecmath.Vec3{X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: rng.NormFloat64()},
-				rng.Float64()*3),
 			Color: vecmath.Vec3{X: rng.Float64(), Y: rng.Float64(), Z: rng.Float64()},
 		}
-		g.SetScale(vecmath.Vec3{
-			X: 0.02 + rng.Float64()*0.3,
-			Y: 0.02 + rng.Float64()*0.3,
-			Z: 0.02 + rng.Float64()*0.3,
-		})
+		g.SetScale(0.02 + rng.Float64()*0.3)
 		g.SetOpacity(0.05 + 0.9*rng.Float64())
 		cloud.Add(g)
 	}
@@ -165,10 +158,9 @@ func TestPropertyShardMergeMatchesSingleShard(t *testing.T) {
 			cloud = gauss.NewCloud(1)
 			g := gauss.Gaussian{
 				Mean:  vecmath.Vec3{X: 0.02, Y: 0.38, Z: 2},
-				Rot:   vecmath.QuatIdentity(),
 				Color: vecmath.Vec3{X: rng.Float64(), Y: rng.Float64(), Z: rng.Float64()},
 			}
-			g.SetScale(vecmath.Vec3{X: 0.02, Y: 0.02, Z: 0.02})
+			g.SetScale(0.02)
 			g.SetOpacity(0.3 + 0.6*rng.Float64())
 			cloud.Add(g)
 		default:

@@ -217,7 +217,7 @@ func refBackwardOneTile(cloud *gauss.Cloud, cam camera.Camera, res *Result, targ
 					// Isotropic scale gradient through the 2D covariance:
 					// d(alpha)/d(log s) = alpha * s^2 * (CovInv d)^T JJT (CovInv d).
 					sc := cloud.At(s.ID).Scale()
-					s2 := (sc.X*sc.X + sc.Y*sc.Y + sc.Z*sc.Z) / 3
+					s2 := (sc*sc + sc*sc + sc*sc) / 3
 					quad := sdx*(s.JJT.M00*sdx+s.JJT.M01*sdy) + sdy*(s.JJT.M10*sdx+s.JJT.M11*sdy)
 					gLogScale[c.li] += dLdA * c.alpha * s2 * quad
 				}

@@ -21,10 +21,9 @@ func testCam(w, h int) camera.Camera {
 func centeredGaussian(z, scale, opacity float64, color vecmath.Vec3) gauss.Gaussian {
 	g := gauss.Gaussian{
 		Mean:  vecmath.Vec3{Z: z},
-		Rot:   vecmath.QuatIdentity(),
 		Color: color,
 	}
-	g.SetScale(vecmath.Vec3{X: scale, Y: scale, Z: scale})
+	g.SetScale(scale)
 	g.SetOpacity(opacity)
 	return g
 }

@@ -172,11 +172,9 @@ func buildCloudFromFrame(f *frame.Frame, intr camera.Intrinsics, stride int) *ga
 			pc := intr.Unproject(vecmath.Vec2{X: float64(x) + 0.5, Y: float64(y) + 0.5}, d)
 			g := gauss.Gaussian{
 				Mean:  inv.Apply(pc),
-				Rot:   vecmath.QuatIdentity(),
 				Color: f.Color.At(x, y),
 			}
-			s := 0.6 * d * float64(stride) / intr.Fx
-			g.SetScale(vecmath.Vec3{X: s, Y: s, Z: s})
+			g.SetScale(0.6 * d * float64(stride) / intr.Fx)
 			// Near-opaque seeding: residual transmittance otherwise lets
 			// far surfaces bleed into the blended depth.
 			g.SetOpacity(0.999)
