@@ -39,8 +39,7 @@ func main() {
 
 		meEarlyTerm = flag.Bool("me-early-term", false, "encoder early termination in ME SAD accumulation")
 
-		compactEvery = flag.Int("compact-every", slam.DefaultConfig(1, 1).CompactEvery, "re-pack the Gaussian map every k frames (0 = never; bit-transparent either way)")
-		pruneOpacity = flag.Float64("prune-opacity", slam.DefaultConfig(1, 1).Mapper.PruneOpacity, "deactivate Gaussians whose opacity falls below this; the default never fires against opacities seeded at 0.999 — raise it (e.g. 0.25, with -prune-lr-logit 0.2) for real prune pressure")
+		pruneOpacity = flag.Float64("prune-opacity", slam.DefaultConfig(1, 1).Mapper.PruneOpacity, "remove Gaussians whose opacity falls below this; the default never fires against opacities seeded at 0.999 — raise it (e.g. 0.25, with -prune-lr-logit 0.2) for real prune pressure")
 		pruneLRLogit = flag.Float64("prune-lr-logit", slam.DefaultConfig(1, 1).Mapper.LRLogit, "opacity-logit learning rate; turn up alongside -prune-opacity so opacities can actually collapse within short runs")
 		snapPath     = flag.String("snapshot", "", "write a binary session snapshot to this file")
 		snapAt       = flag.Int("snapshot-at", 0, "take the snapshot after this many frames (0 = after the last frame)")
@@ -59,7 +58,6 @@ func main() {
 	cfg.TrackIters = *iters
 	cfg.Workers = *workers
 	cfg.CodecEarlyTerm = *meEarlyTerm
-	cfg.CompactEvery = *compactEvery
 	cfg.Mapper.PruneOpacity = *pruneOpacity
 	cfg.Mapper.LRLogit = *pruneLRLogit
 	switch *algo {
@@ -176,9 +174,9 @@ func main() {
 	fmt.Printf("  ATE RMSE           %.2f cm\n", ate)
 	fmt.Printf("  PSNR               %.2f dB\n", psnr)
 	dig := res.Digest()
-	fmt.Printf("  gaussians          %d active (%d slots resident)\n", res.Cloud.NumActive(), res.Cloud.Len())
-	fmt.Printf("  pruned/compacted   %d pruned, %d slots reclaimed (%.1f KB)\n",
-		tot.PrunedGaussians, tot.CompactedSlots, float64(tot.ReclaimedBytes)/1024)
+	fmt.Printf("  gaussians          %d\n", res.Cloud.Len())
+	fmt.Printf("  pruned             %d (%.1f KiB reclaimed)\n",
+		tot.PrunedGaussians, float64(tot.ReclaimedBytes)/1024)
 	fmt.Printf("  digest             %x\n", dig[:8])
 	fmt.Printf("  key frames         %d / %d\n", tot.KeyFrames, tot.Frames)
 	fmt.Printf("  coarse-only frames %d\n", tot.CoarseOnly)

@@ -15,18 +15,21 @@ import (
 	"ags/internal/vecmath"
 )
 
-// The golden files pin ProtocolVersion 3 byte for byte: one complete AGSF
+// The golden files pin ProtocolVersion 4 byte for byte: one complete AGSF
 // message per payload-bearing verb, each framed by appendMessage. They were
 // written once, by the encoders this version was introduced with, and there is
 // no regeneration switch — a byte that moves is a wire break, which takes a
 // ProtocolVersion bump and a new set of files, not an updated one. Version 1's
 // set was <verb>.golden; version 2's, <verb>.v2.golden, added the snapshot
-// request, which had no payload before; version 3's is <verb>.v3.golden, and
-// its configuration drops three slots nothing read.
+// request, which had no payload before; version 3's, <verb>.v3.golden,
+// dropped three configuration slots nothing read; version 4's is
+// <verb>.v4.golden, and drops the compaction knobs and the mapper's worker
+// count from the configuration and the compaction totals from the result.
 
 // goldenConfig sets every slam.Config field the wire carries to a distinct
 // non-zero value, so a reordered, dropped or re-typed field moves a byte. It
-// leaves out the two deprecated fields, which no codec carries.
+// leaves out the two deprecated fields and the mapper's Workers, which no
+// codec carries.
 func goldenConfig() slam.Config {
 	return slam.Config{
 		EnableMAT: true, EnableGCM: true, ForceCoarseOnly: true,
@@ -36,10 +39,9 @@ func goldenConfig() slam.Config {
 			MapIters: 7, ThreshAlpha: 0.00390625, ThreshN: 13, ContribPixMax: 17,
 			DensifyStride: 2, SilThreshold: 0.5, DepthErrThresh: 0.25, PruneOpacity: 0.125,
 			LRMean: 0.001, LRColor: 0.002, LRLogit: 0.003, LRScale: 0.004,
-			KeyframeWindow: 5, Workers: 6, Seed: -9,
+			KeyframeWindow: 5, Seed: -9,
 		},
-		TrackLR: 0.0625, KeyframeEvery: 19, PruneEvery: 23, CompactEvery: 29,
-		CompactInactiveFrac: 0.75, Workers: 4,
+		TrackLR: 0.0625, KeyframeEvery: 19, PruneEvery: 23, Workers: 4,
 		EvalFPRate: true, CodecEarlyTerm: true,
 	}
 }
@@ -76,8 +78,7 @@ func goldenMessages() []goldenMessage {
 	stats.Pool.Capacity, stats.Pool.Idle = 4, 2
 	stats.Pool.Hits, stats.Pool.Misses, stats.Pool.Evictions = 17, 5, 1
 	stats.Pool.ResidentBytes = 123456
-	sum := ResultSummary{Frames: 16, NumGaussians: 900, ATECm: 3.25, PrunedGaussians: 4,
-		CompactedSlots: 2, ReclaimedBytes: 512, DroppedUpdates: 1}
+	sum := ResultSummary{Frames: 16, NumGaussians: 900, ATECm: 3.25, PrunedGaussians: 4, DroppedUpdates: 1}
 	for i := range sum.Digest {
 		sum.Digest[i] = byte(i * 7)
 	}
@@ -97,7 +98,7 @@ func goldenMessages() []goldenMessage {
 
 // goldenFile names the current version's golden file for a message.
 func goldenFile(name string) string {
-	return filepath.Join("testdata", name+".v3.golden")
+	return filepath.Join("testdata", name+".v4.golden")
 }
 
 func TestGoldenMessages(t *testing.T) {
@@ -107,7 +108,7 @@ func TestGoldenMessages(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := appendMessage(nil, m.v, m.p); !bytes.Equal(got, want) {
-			t.Errorf("%s: message bytes moved (%d bytes, golden %d) — a ProtocolVersion 3 wire break", m.name, len(got), len(want))
+			t.Errorf("%s: message bytes moved (%d bytes, golden %d) — a ProtocolVersion 4 wire break", m.name, len(got), len(want))
 		}
 	}
 }

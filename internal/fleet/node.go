@@ -463,10 +463,8 @@ func summarize(res *slam.Result, dropped uint64) ResultSummary {
 	s := ResultSummary{
 		Digest:          res.Digest(),
 		Frames:          len(res.Poses),
-		NumGaussians:    res.Cloud.NumActive(),
+		NumGaussians:    res.Cloud.Len(),
 		PrunedGaussians: tot.PrunedGaussians,
-		CompactedSlots:  tot.CompactedSlots,
-		ReclaimedBytes:  tot.ReclaimedBytes,
 		DroppedUpdates:  dropped,
 	}
 	if ate, err := res.ATERMSECm(); err == nil {

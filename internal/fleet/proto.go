@@ -100,9 +100,11 @@ import (
 // a different version are rejected with ErrVersionSkew before any payload is
 // examined. Version 2: a snapshot request lists the frame positions the
 // requester holds, and a restore request carries those frames behind the
-// snapshot (see slam's snapshot format, version 2). Version 3: the snapshots
-// and configurations the messages carry are slam's version 3 encodings.
-const ProtocolVersion = 3
+// snapshot (see slam's snapshot format, version 2). Versions 3 and 4: the
+// snapshots and configurations the messages carry are slam's encodings of the
+// same version, and version 4's RESULT no longer carries the compaction
+// totals.
+const ProtocolVersion = 4
 
 const (
 	protoMagic = "AGSF"

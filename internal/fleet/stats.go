@@ -68,16 +68,13 @@ type ResultSummary struct {
 	Digest [32]byte
 	// Frames is how many frames the session processed.
 	Frames int
-	// NumGaussians is the active map size at close.
+	// NumGaussians is the map size at close.
 	NumGaussians int
 	// ATECm is the trajectory error in centimeters (NaN when the sequence
 	// carries no ground truth to compare against).
 	ATECm float64
-	// PrunedGaussians / CompactedSlots / ReclaimedBytes total the map
-	// lifecycle accounting over the whole session.
+	// PrunedGaussians is how many Gaussians the session's prunes removed.
 	PrunedGaussians int
-	CompactedSlots  int
-	ReclaimedBytes  int64
 	// DroppedUpdates counts per-frame updates discarded because nothing
 	// consumed the node-side Results stream (informational; the Result
 	// itself is complete regardless).
@@ -91,8 +88,6 @@ func encodeResult(buf []byte, r *ResultSummary) []byte {
 	e.I64(int64(r.NumGaussians))
 	e.F64(r.ATECm)
 	e.I64(int64(r.PrunedGaussians))
-	e.I64(int64(r.CompactedSlots))
-	e.I64(r.ReclaimedBytes)
 	e.U64(r.DroppedUpdates)
 	return e.Buf
 }
@@ -105,8 +100,6 @@ func decodeResult(b []byte) (ResultSummary, error) {
 	r.NumGaussians = int(d.I64())
 	r.ATECm = d.F64()
 	r.PrunedGaussians = int(d.I64())
-	r.CompactedSlots = int(d.I64())
-	r.ReclaimedBytes = d.I64()
 	r.DroppedUpdates = d.U64()
 	return r, d.Finish("fleet: result payload")
 }

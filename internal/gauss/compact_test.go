@@ -1,6 +1,7 @@
 package gauss
 
 import (
+	"math/rand"
 	"testing"
 
 	"ags/internal/vecmath"
@@ -16,22 +17,33 @@ func numberedGaussian(i int) Gaussian {
 	return g
 }
 
+// dropMeans is a Remove predicate dropping the Gaussians numbered (by
+// numberedGaussian) in ids.
+func dropMeans(ids ...int) func(*Gaussian) bool {
+	return func(g *Gaussian) bool {
+		for _, id := range ids {
+			if g.Mean.X == float64(id) {
+				return true
+			}
+		}
+		return false
+	}
+}
+
 func TestCompactPacksSurvivorsInOrder(t *testing.T) {
 	c := NewCloud(8)
 	for i := 0; i < 6; i++ {
 		c.Add(numberedGaussian(i))
 	}
-	c.Prune(1)
-	c.Prune(4)
-	remap, freed := c.Compact()
-	if freed != 2 {
-		t.Fatalf("freed = %d, want 2", freed)
+	remap, n := c.Remove(dropMeans(1, 4))
+	if n != 2 {
+		t.Fatalf("removed = %d, want 2", n)
 	}
-	if c.Len() != 4 || c.NumActive() != 4 || c.NumInactive() != 0 {
-		t.Fatalf("len %d active %d inactive %d after compaction", c.Len(), c.NumActive(), c.NumInactive())
+	if c.Len() != 4 || c.NumActive() != 4 {
+		t.Fatalf("len %d active %d after removal", c.Len(), c.NumActive())
 	}
-	// Survivors keep their relative order; dead slots get unique in-range IDs
-	// past the survivor prefix, ascending by old ID.
+	// Survivors keep their relative order; removed IDs get unique in-range
+	// IDs past the survivor prefix, ascending by old ID.
 	want := []int32{0, 4, 1, 2, 5, 3}
 	for old, nw := range remap {
 		if nw != want[old] {
@@ -41,9 +53,6 @@ func TestCompactPacksSurvivorsInOrder(t *testing.T) {
 	for nw, old := range []int{0, 2, 3, 5} {
 		if got := c.At(nw).Mean.X; got != float64(old) {
 			t.Errorf("slot %d holds Gaussian %v, want %d", nw, got, old)
-		}
-		if !c.IsActive(nw) {
-			t.Errorf("slot %d inactive after compaction", nw)
 		}
 	}
 	if err := c.Validate(); err != nil {
@@ -56,56 +65,107 @@ func TestCompactDenseCloudIsIdentity(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		c.Add(numberedGaussian(i))
 	}
-	remap, freed := c.Compact()
-	if freed != 0 {
-		t.Fatalf("freed = %d on a dense cloud", freed)
+	before := c.Clone()
+	remap, n := c.Remove(dropMeans())
+	if remap != nil || n != 0 {
+		t.Fatalf("removing nothing returned remap %v, n %d; want nil, 0", remap, n)
 	}
-	for old, nw := range remap {
-		if int(nw) != old {
-			t.Fatalf("remap = %v, want identity", remap)
+	for id := range before.Gaussians {
+		if *c.At(id) != *before.At(id) {
+			t.Fatalf("removing nothing changed Gaussian %d", id)
 		}
 	}
-	if c.Len() != 4 || c.NumActive() != 4 {
-		t.Fatalf("dense compaction changed the cloud: len %d active %d", c.Len(), c.NumActive())
+	if c.Len() != 4 {
+		t.Fatalf("removing nothing changed the length to %d", c.Len())
+	}
+	if allocs := testing.AllocsPerRun(10, func() { c.Remove(dropMeans()) }); allocs != 0 {
+		t.Fatalf("removing nothing allocates %v times", allocs)
 	}
 }
 
-// TestPruneRepeatedNoDoubleCount is the regression test for the prune
-// double-decrement bug: pruning an already-dead ID must not count again (the
-// active total would drift below the truth and, being the digest's map-size
-// prefix, poison cross-run comparisons).
+// TestRemoveProperty draws random clouds and drop sets and checks the remap
+// contract: survivors keep their parameters and relative order at [0, kept),
+// removed IDs map to unique sentinels in [kept, len) ascending by old ID, and
+// n counts exactly the removed.
+func TestRemoveProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		size := rng.Intn(40)
+		c := NewCloud(size)
+		var drop []int
+		for i := 0; i < size; i++ {
+			c.Add(numberedGaussian(i))
+			if rng.Float64() < 0.3 {
+				drop = append(drop, i)
+			}
+		}
+		before := c.Clone()
+		remap, n := c.Remove(dropMeans(drop...))
+		if n != len(drop) {
+			t.Fatalf("trial %d: removed %d, want %d", trial, n, len(drop))
+		}
+		if n == 0 {
+			if remap != nil || c.Len() != size {
+				t.Fatalf("trial %d: removing nothing returned remap %v, len %d", trial, remap, c.Len())
+			}
+			continue
+		}
+		kept := size - n
+		if len(remap) != size || c.Len() != kept {
+			t.Fatalf("trial %d: remap len %d, cloud len %d; want %d, %d", trial, len(remap), c.Len(), size, kept)
+		}
+		seen := make([]bool, size)
+		lastKept, lastDropped := int32(-1), int32(kept-1)
+		for old, nw := range remap {
+			if nw < 0 || int(nw) >= size || seen[nw] {
+				t.Fatalf("trial %d: remap %v is not a permutation of [0, %d)", trial, remap, size)
+			}
+			seen[nw] = true
+			if dropMeans(drop...)(before.At(old)) {
+				if nw != lastDropped+1 {
+					t.Fatalf("trial %d: removed ID %d maps to %d, want %d", trial, old, nw, lastDropped+1)
+				}
+				lastDropped = nw
+				continue
+			}
+			if nw != lastKept+1 {
+				t.Fatalf("trial %d: survivor %d maps to %d, want %d", trial, old, nw, lastKept+1)
+			}
+			lastKept = nw
+			if *c.At(int(nw)) != *before.At(old) {
+				t.Fatalf("trial %d: survivor %d changed on the way to %d", trial, old, nw)
+			}
+		}
+	}
+}
+
+// TestPruneRepeatedNoDoubleCount: a second removal with the same predicate
+// finds nothing left to remove, so per-frame prune counts never count a
+// Gaussian twice.
 func TestPruneRepeatedNoDoubleCount(t *testing.T) {
 	c := NewCloud(4)
 	for i := 0; i < 3; i++ {
 		c.Add(numberedGaussian(i))
 	}
-	if !c.Prune(1) {
-		t.Fatal("first prune of a live ID reported no transition")
+	if _, n := c.Remove(dropMeans(1)); n != 1 {
+		t.Fatalf("first removal of a live Gaussian removed %d", n)
 	}
-	if c.Prune(1) {
-		t.Fatal("second prune of the same ID reported a transition")
+	if remap, n := c.Remove(dropMeans(1)); n != 0 || remap != nil {
+		t.Fatalf("second removal of the same Gaussian removed %d (remap %v)", n, remap)
 	}
-	if c.Prune(-1) || c.Prune(3) {
-		t.Fatal("out-of-range prune reported a transition")
-	}
-	if c.NumActive() != 2 {
-		t.Fatalf("NumActive = %d after repeated prunes, want 2", c.NumActive())
-	}
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
+	if c.Len() != 2 {
+		t.Fatalf("Len = %d after repeated removals, want 2", c.Len())
 	}
 }
 
 func TestSetAllRecountsActive(t *testing.T) {
 	c := NewCloud(0)
 	gs := []Gaussian{numberedGaussian(0), numberedGaussian(1), numberedGaussian(2)}
-	if err := c.SetAll(gs, []bool{true, false, true}); err != nil {
-		t.Fatal(err)
+	c.SetAll(gs)
+	if c.NumActive() != 3 || c.Len() != 3 {
+		t.Fatalf("active %d len %d, want 3/3", c.NumActive(), c.Len())
 	}
-	if c.NumActive() != 2 || c.NumInactive() != 1 {
-		t.Fatalf("active %d inactive %d, want 2/1", c.NumActive(), c.NumInactive())
-	}
-	if err := c.SetAll(gs, []bool{true}); err == nil {
-		t.Fatal("mismatched lengths accepted")
+	if c.At(1) != &gs[1] {
+		t.Fatal("SetAll copied the slice instead of adopting it")
 	}
 }

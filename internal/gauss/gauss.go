@@ -8,6 +8,7 @@ package gauss
 import (
 	"fmt"
 	"math"
+	"slices"
 	"unsafe"
 
 	"ags/internal/vecmath"
@@ -21,9 +22,9 @@ type Gaussian struct {
 	Logit    float64      // opacity in logit space; Opacity() = sigmoid(Logit)
 }
 
-// SlotBytes is the resident size of one cloud slot (the Gaussian parameters
-// plus its active flag) — the unit Compact's reclaimed-bytes accounting uses.
-const SlotBytes = int(unsafe.Sizeof(Gaussian{})) + 1
+// SlotBytes is the resident size of one cloud slot, the unit of the
+// reclaimed-bytes accounting of a prune.
+const SlotBytes = int(unsafe.Sizeof(Gaussian{}))
 
 // Opacity returns the Gaussian's opacity in (0,1).
 func (g *Gaussian) Opacity() float64 { return Sigmoid(g.Logit) }
@@ -50,154 +51,91 @@ func (g *Gaussian) Cov3() vecmath.Mat3 {
 }
 
 // Cloud is the growable set of Gaussians representing the scene. IDs are
-// positions in the backing slices. Pruning marks a slot inactive without
-// moving anything, so ID-keyed tables such as the skip set stay valid frame
-// to frame; Compact then re-packs the survivors into a dense prefix and
-// returns the old→new ID permutation, through which callers rewrite every
-// retained ID-keyed table (skip sets, optimizer moments, render traces).
-// Between compactions IDs are stable; across a compaction they are stable up
-// to that returned remap, and the survivors' relative order is
-// preserved — which is what keeps projection, tile build and blending order
-// (and therefore every rendered pixel) bit-identical before and after a
-// compaction pass.
+// positions in the backing slice, and every slot holds a live Gaussian: Add
+// appends and Remove deletes, so there are no dead slots to skip. IDs are
+// stable between removals; across one they are stable up to the remap Remove
+// returns, through which callers rewrite every retained ID-keyed table (skip
+// sets, optimizer moments, render traces). Remove keeps the survivors'
+// relative order, which is what keeps projection, tile build and blending
+// order (and therefore every rendered pixel) bit-identical to a render that
+// merely skipped the removed Gaussians.
 type Cloud struct {
 	Gaussians []Gaussian
-	Active    []bool
-
-	// active counts the true entries of Active, maintained by Add/Prune/
-	// Compact so NumActive is O(1) on the per-frame path. Callers that flip
-	// Active flags directly (none in-tree) would invalidate it — Validate
-	// checks the invariant.
-	active int
 }
 
 // NewCloud returns an empty cloud with capacity hint n.
 func NewCloud(n int) *Cloud {
-	return &Cloud{
-		Gaussians: make([]Gaussian, 0, n),
-		Active:    make([]bool, 0, n),
-	}
+	return &Cloud{Gaussians: make([]Gaussian, 0, n)}
 }
 
-// Len returns the total number of slots (active and inactive).
+// Len returns the number of Gaussians.
 func (c *Cloud) Len() int { return len(c.Gaussians) }
 
-// NumActive returns the number of active Gaussians (O(1): the count is
-// maintained by Add, Prune and Compact).
-func (c *Cloud) NumActive() int { return c.active }
+// NumActive returns Len: every Gaussian in the cloud is live.
+func (c *Cloud) NumActive() int { return len(c.Gaussians) }
 
-// NumInactive returns the number of dead slots awaiting compaction.
-func (c *Cloud) NumInactive() int { return len(c.Gaussians) - c.active }
-
-// Add appends a Gaussian and returns its stable ID.
+// Add appends a Gaussian and returns its ID.
 func (c *Cloud) Add(g Gaussian) int {
 	c.Gaussians = append(c.Gaussians, g)
-	c.Active = append(c.Active, true)
-	c.active++
 	return len(c.Gaussians) - 1
 }
 
-// Prune deactivates the Gaussian with the given ID and reports whether this
-// call deactivated it. Pruning an already-inactive (or out-of-range) ID is a
-// no-op returning false, so repeated prunes of one ID cannot double-count
-// against the active total.
-func (c *Cloud) Prune(id int) bool {
-	if id < 0 || id >= len(c.Active) || !c.Active[id] {
-		return false
+// Remove deletes every Gaussian drop reports true for (drop sees each
+// Gaussian once, in ID order) and returns the old→new ID permutation with the
+// number removed. Survivors map to [0, kept) in their relative order; removed
+// IDs map to unique IDs in [kept, len) (ascending by old ID), so retained
+// traces that still mention a removed Gaussian keep a distinct, in-range ID
+// after rewriting. Removing nothing returns nil, 0 (the identity) and
+// allocates nothing.
+func (c *Cloud) Remove(drop func(*Gaussian) bool) (remap []int32, n int) {
+	kept := 0
+	for id := range c.Gaussians {
+		if drop(&c.Gaussians[id]) {
+			if remap == nil {
+				remap = make([]int32, len(c.Gaussians))
+				for i := range id {
+					remap[i] = int32(i)
+				}
+			}
+			remap[id] = -1
+			continue
+		}
+		if remap != nil {
+			remap[id] = int32(kept)
+			c.Gaussians[kept] = c.Gaussians[id]
+		}
+		kept++
 	}
-	c.Active[id] = false
-	c.active--
-	return true
-}
-
-// Compact re-packs the active Gaussians into a dense prefix, truncating the
-// dead tail. It returns the old→new ID permutation and the number of slots
-// freed: survivors map to [0, NumActive) preserving their relative order, and
-// dropped slots map to unique IDs in [NumActive, Len) (ascending by old ID),
-// so retained traces that still mention a dead Gaussian keep a distinct,
-// in-range ID after rewriting. freed is the number of slots reclaimed;
-// freed*SlotBytes approximates the bytes returned to the allocator's reuse
-// pool. A fully-active cloud compacts to itself (remap is the identity).
-func (c *Cloud) Compact() (remap []int32, freed int) {
-	n := len(c.Gaussians)
-	remap = make([]int32, n)
-	next := int32(0)
-	for id := 0; id < n; id++ {
-		if c.Active[id] {
+	if remap == nil {
+		return nil, 0
+	}
+	next := int32(kept)
+	for id, nw := range remap {
+		if nw < 0 {
 			remap[id] = next
-			c.Gaussians[next] = c.Gaussians[id]
 			next++
 		}
 	}
-	dead := next
-	for id := 0; id < n; id++ {
-		if !c.Active[id] {
-			remap[id] = dead
-			dead++
-		}
-	}
-	freed = n - int(next)
-	c.Gaussians = c.Gaussians[:next]
-	c.Active = c.Active[:next]
-	for i := range c.Active {
-		c.Active[i] = true
-	}
-	c.active = int(next)
-	return remap, freed
+	n = len(c.Gaussians) - kept
+	c.Gaussians = c.Gaussians[:kept]
+	return remap, n
 }
 
 // At returns a pointer to the Gaussian with the given ID.
 func (c *Cloud) At(id int) *Gaussian { return &c.Gaussians[id] }
 
-// IsActive reports whether the Gaussian with the given ID is active.
-func (c *Cloud) IsActive(id int) bool {
-	return id >= 0 && id < len(c.Active) && c.Active[id]
-}
-
 // Clone returns a deep copy of the cloud.
 func (c *Cloud) Clone() *Cloud {
-	out := &Cloud{
-		Gaussians: make([]Gaussian, len(c.Gaussians)),
-		Active:    make([]bool, len(c.Active)),
-		active:    c.active,
-	}
-	copy(out.Gaussians, c.Gaussians)
-	copy(out.Active, c.Active)
-	return out
+	return &Cloud{Gaussians: slices.Clone(c.Gaussians)}
 }
 
-// SetAll replaces the cloud's contents (snapshot restore). gaussians and
-// active must have equal length; the slices are adopted, not copied.
-func (c *Cloud) SetAll(gaussians []Gaussian, active []bool) error {
-	if len(gaussians) != len(active) {
-		return fmt.Errorf("gauss: %d gaussians vs %d active flags", len(gaussians), len(active))
-	}
-	c.Gaussians = gaussians
-	c.Active = active
-	c.active = 0
-	for _, a := range active {
-		if a {
-			c.active++
-		}
-	}
-	return nil
-}
+// SetAll replaces the cloud's contents (snapshot restore). The slice is
+// adopted, not copied.
+func (c *Cloud) SetAll(gaussians []Gaussian) { c.Gaussians = gaussians }
 
-// Validate checks structural invariants. mapper.ImportState calls it on every
-// restored cloud, which may have come from outside the process.
+// Validate checks that every parameter is finite. mapper.ImportState calls it
+// on every restored cloud, which may have come from outside the process.
 func (c *Cloud) Validate() error {
-	if len(c.Gaussians) != len(c.Active) {
-		return fmt.Errorf("gauss: %d gaussians vs %d active flags", len(c.Gaussians), len(c.Active))
-	}
-	n := 0
-	for _, a := range c.Active {
-		if a {
-			n++
-		}
-	}
-	if n != c.active {
-		return fmt.Errorf("gauss: active counter %d vs %d true flags", c.active, n)
-	}
 	for i := range c.Gaussians {
 		g := &c.Gaussians[i]
 		if !g.Mean.IsFinite() || math.IsNaN(g.LogScale) || math.IsInf(g.LogScale, 0) || !g.Color.IsFinite() {

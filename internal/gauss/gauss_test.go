@@ -97,28 +97,21 @@ func TestCov3IsotropicBitwise(t *testing.T) {
 
 func TestCloudAddPrune(t *testing.T) {
 	c := NewCloud(4)
-	id0 := c.Add(Gaussian{})
-	id1 := c.Add(Gaussian{})
+	id0 := c.Add(Gaussian{Logit: -5})
+	id1 := c.Add(Gaussian{Logit: 5})
 	if id0 != 0 || id1 != 1 {
 		t.Fatalf("ids = %d,%d", id0, id1)
 	}
 	if c.NumActive() != 2 {
 		t.Fatalf("NumActive = %d", c.NumActive())
 	}
-	c.Prune(id0)
-	if c.IsActive(id0) || !c.IsActive(id1) {
-		t.Error("prune toggled wrong gaussian")
+	remap, n := c.Remove(func(g *Gaussian) bool { return g.Opacity() < 0.5 })
+	if n != 1 || c.Len() != 1 || c.NumActive() != 1 {
+		t.Fatalf("removed %d, Len=%d NumActive=%d", n, c.Len(), c.NumActive())
 	}
-	if c.NumActive() != 1 || c.Len() != 2 {
-		t.Errorf("NumActive=%d Len=%d", c.NumActive(), c.Len())
+	if remap[id1] != 0 || c.At(0).Logit != 5 {
+		t.Errorf("removal kept the wrong Gaussian (remap %v)", remap)
 	}
-	// IDs stay stable after pruning.
-	if c.At(id1) == nil {
-		t.Error("stable ID lookup failed")
-	}
-	// Out-of-range prune is a no-op.
-	c.Prune(-1)
-	c.Prune(99)
 }
 
 func TestCloudCloneIndependent(t *testing.T) {
@@ -126,8 +119,8 @@ func TestCloudCloneIndependent(t *testing.T) {
 	c.Add(Gaussian{Color: vecmath.Vec3{X: 1}})
 	cp := c.Clone()
 	cp.At(0).Color = vecmath.Vec3{Y: 1}
-	cp.Prune(0)
-	if c.At(0).Color.X != 1 || !c.IsActive(0) {
+	cp.Remove(func(*Gaussian) bool { return true })
+	if c.Len() != 1 || c.At(0).Color.X != 1 {
 		t.Error("clone aliases original")
 	}
 }

@@ -73,14 +73,14 @@ type FrameTrace struct {
 	Track RenderStats // 3DGS tracking refinement work
 	Map   RenderStats // mapping work
 
-	NumGaussians     int // active Gaussians when the frame was processed
+	NumGaussians     int // Gaussians in the map when the frame was processed
 	SkippedGaussians int // Gaussians suppressed by selective mapping
 
-	// Map-lifecycle accounting: opacity pruning and compaction both run at
-	// the end of the frame (after the counts above were recorded).
-	PrunedGaussians int   // slots deactivated by this frame's opacity prune
-	CompactedSlots  int   // dead slots reclaimed by this frame's compaction
-	ReclaimedBytes  int64 // CompactedSlots in bytes (slot parameter footprint)
+	// Map-lifecycle accounting: opacity pruning runs at the end of the frame
+	// (after the counts above were recorded) and removes what it prunes.
+	PrunedGaussians int   // Gaussians removed by this frame's opacity prune
+	CompactedSlots  int   // equal to PrunedGaussians
+	ReclaimedBytes  int64 // PrunedGaussians in bytes (gauss.SlotBytes each)
 }
 
 // Run is a complete SLAM execution trace.

@@ -44,7 +44,7 @@ type Config struct {
 	// DepthErrThresh: observed pixels whose depth error exceeds this
 	// fraction of the measurement get new Gaussians too.
 	DepthErrThresh float64
-	// PruneOpacity deactivates Gaussians whose opacity falls below this.
+	// PruneOpacity removes Gaussians whose opacity falls below this.
 	//
 	// The default (0.005) is a safety valve, not an active policy: new
 	// Gaussians are seeded at opacity 0.999 and the default LRLogit moves
@@ -52,7 +52,7 @@ type Config struct {
 	// reproduction's sequence lengths, so pruning never fires unless the
 	// threshold is raised (or LRLogit turned up) explicitly. Runs that want
 	// real prune pressure must override it — see ags-slam's -prune-opacity
-	// flag and the compaction tests' override (PruneOpacity 0.25 with
+	// flag and the pruning tests' override (PruneOpacity 0.25 with
 	// LRLogit 0.2).
 	PruneOpacity float64
 	// Learning rates per parameter group.
@@ -171,11 +171,11 @@ func (m *Mapper) optGroups() [4]optGroup {
 // Cloud exposes the map.
 func (m *Mapper) Cloud() *gauss.Cloud { return m.cloud }
 
-// NumSkipped returns how many active Gaussians the skip set suppresses.
+// NumSkipped returns how many Gaussians the skip set suppresses.
 func (m *Mapper) NumSkipped() int {
 	n := 0
-	for id, s := range m.skipSet {
-		if s && m.cloud.IsActive(id) {
+	for _, s := range m.skipSet {
+		if s {
 			n++
 		}
 	}
@@ -187,7 +187,7 @@ func (m *Mapper) NumSkipped() int {
 func (m *Mapper) PredictedNonContrib() map[int]bool {
 	out := make(map[int]bool)
 	for id, s := range m.skipSet {
-		if s && m.cloud.IsActive(id) {
+		if s {
 			out[id] = true
 		}
 	}
@@ -214,7 +214,7 @@ func (m *Mapper) Densify(f *frame.Frame, intr camera.Intrinsics, pose vecmath.Po
 	}
 	cam := camera.Camera{Intr: intr, Pose: pose}
 	var res *splat.Result
-	if m.cloud.NumActive() > 0 {
+	if m.cloud.Len() > 0 {
 		res = m.Ctx.Render(m.cloud, cam, splat.Options{Workers: m.Cfg.Workers})
 	}
 	inv := pose.Inverse()
@@ -265,36 +265,19 @@ func (m *Mapper) growSkipSet() {
 	}
 }
 
-// Prune deactivates Gaussians whose opacity collapsed; it returns how many
-// this call actually deactivated (Cloud.Prune reports the transition, so an
-// ID that is already dead can never be counted twice).
-func (m *Mapper) Prune() int {
-	n := 0
-	for id := range m.cloud.Gaussians {
-		if !m.cloud.IsActive(id) {
-			continue
-		}
-		if m.cloud.At(id).Opacity() < m.Cfg.PruneOpacity {
-			if m.cloud.Prune(id) {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// Compact re-packs the cloud's surviving Gaussians into a dense prefix (see
-// gauss.Cloud.Compact) and rewrites every ID-keyed table the mapper retains —
+// Prune removes the Gaussians whose opacity collapsed (see
+// gauss.Cloud.Remove) and rewrites every ID-keyed table the mapper retains —
 // the skip set and the per-group Adam moments — through the returned old→new
-// permutation, so mapping after a compaction continues bit-identically to the
-// never-compacted timeline. It returns the permutation
-// (for callers that retain their own ID-keyed state, e.g. render traces) and
-// the number of slots freed.
-func (m *Mapper) Compact() (remap []int32, freed int) {
-	m.growSkipSet()
-	remap, freed = m.cloud.Compact()
-	if freed == 0 {
-		return remap, 0
+// permutation, so mapping continues bit-identically to a timeline in which the
+// pruned Gaussians were merely never rendered again. It returns the
+// permutation (for callers that retain their own ID-keyed state, e.g. render
+// traces) and how many Gaussians it removed; when that is none it returns
+// nil, 0 and allocates nothing.
+func (m *Mapper) Prune() (remap []int32, pruned int) {
+	thresh := m.Cfg.PruneOpacity
+	remap, pruned = m.cloud.Remove(func(g *gauss.Gaussian) bool { return g.Opacity() < thresh })
+	if pruned == 0 {
+		return nil, 0
 	}
 	n := m.cloud.Len()
 	skip := make([]bool, n)
@@ -307,10 +290,17 @@ func (m *Mapper) Compact() (remap []int32, freed int) {
 	for _, g := range m.optGroups() {
 		g.adam.Remap(g.stride, remap, n)
 	}
-	return remap, freed
+	return remap, pruned
 }
 
-// FullMapping runs N_M training iterations with every active Gaussian (key
+// Compact returns nil, 0.
+//
+// Deprecated: the map has no dead slots (Prune removes what it prunes), so
+// there is nothing to compact. It remains only because benchmarks/layers.go
+// calls it, and goes with that call.
+func (m *Mapper) Compact() (remap []int32, freed int) { return nil, 0 }
+
+// FullMapping runs N_M training iterations with every Gaussian (key
 // frames, path C of Fig. 7), recording contribution information on the last
 // iteration and refreshing the skip set for subsequent non-key frames.
 // The returned stats' RepTileLists is the Gaussian-table access stream the
@@ -386,7 +376,7 @@ func (m *Mapper) recordContribution(res *splat.Result) {
 }
 
 // applyGrads steps the per-group Adam optimizers over the flattened
-// parameters of the active Gaussians. The flattened views live on the
+// parameters of the Gaussians. The flattened views live on the
 // Mapper and are fully rewritten below before the optimizer reads them, so
 // reusing them across iterations changes no output.
 //

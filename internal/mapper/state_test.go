@@ -27,7 +27,7 @@ func detached(st State) State {
 // the next frame bit for bit as the one that was never interrupted — map
 // parameters and all four optimizers' moments — whether the optimizers have
 // never stepped (no group is exported), have stepped, or were remapped by a
-// compaction.
+// prune.
 func TestOptimizerStateRoundTrip(t *testing.T) {
 	seq := scene.MustGenerate("Desk", scene.Config{Width: 32, Height: 24, Frames: 2, Seed: 1})
 	f0, f1 := seq.Frames[0], seq.Frames[1]
@@ -54,13 +54,13 @@ func TestOptimizerStateRoundTrip(t *testing.T) {
 			stepped(m)
 			before := m.cloud.Len()
 			for _, id := range []int{3, 4, 10} {
-				m.cloud.Prune(id)
+				m.cloud.At(id).SetOpacity(0)
 			}
-			if _, freed := m.Compact(); freed != 3 {
-				t.Fatalf("compaction freed %d slots, want 3", freed)
+			if _, n := m.Prune(); n != 3 {
+				t.Fatalf("the prune removed %d Gaussians, want 3", n)
 			}
 			if mm, _, _ := m.optMean.State(); len(mm) != 3*(before-3) {
-				t.Fatalf("compaction left %d mean moments for %d Gaussians", len(mm), before-3)
+				t.Fatalf("the prune left %d mean moments for %d Gaussians", len(mm), before-3)
 			}
 		}, []string{"color", "logit", "mean", "scale"}, 2 * cfg.MapIters},
 	} {
@@ -102,8 +102,8 @@ func TestOptimizerStateRoundTrip(t *testing.T) {
 }
 
 // TestCompactResetsStaleMoments: moments that no longer cover the cloud (it
-// grew since the last step) are dropped by a compaction, as Adam.Remap
-// documents, and such a mapper exports no optimizer group.
+// grew since the last step) are dropped by a prune, as Adam.Remap documents,
+// and such a mapper exports no optimizer group.
 func TestCompactResetsStaleMoments(t *testing.T) {
 	seq := scene.MustGenerate("Desk", scene.Config{Width: 32, Height: 24, Frames: 1, Seed: 1})
 	f := seq.Frames[0]
@@ -113,13 +113,13 @@ func TestCompactResetsStaleMoments(t *testing.T) {
 	if m.Densify(f, seq.Intr, f.GTPose) == 0 {
 		t.Fatal("re-densifying added nothing: the moments are not stale")
 	}
-	m.cloud.Prune(0)
-	if _, freed := m.Compact(); freed != 1 {
-		t.Fatalf("compaction freed %d slots, want 1", freed)
+	m.cloud.At(0).SetOpacity(0)
+	if _, n := m.Prune(); n != 1 {
+		t.Fatalf("the prune removed %d Gaussians, want 1", n)
 	}
 	for _, g := range m.optGroups() {
 		if mm, vv, step := g.adam.State(); mm != nil || vv != nil || step != 0 {
-			t.Errorf("%s: stale moments survived the compaction (%d values, step %d)", g.name, len(mm), step)
+			t.Errorf("%s: stale moments survived the prune (%d values, step %d)", g.name, len(mm), step)
 		}
 	}
 	if st := m.ExportState(); len(st.Opt) != 0 {

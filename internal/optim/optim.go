@@ -65,7 +65,7 @@ func (a *Adam) Reset() {
 // moves to block remap[old] when remap[old] < newN (blocks mapping at or
 // beyond newN are dropped). The step counter is preserved — a remapped
 // optimizer continues the surviving blocks' moment streams exactly, which is
-// what keeps map compaction bit-transparent: without it, the next Step would
+// what keeps a prune's removal bit-transparent: without it, the next Step would
 // see a changed length and silently reinitialize. A never-stepped optimizer
 // remaps to itself.
 func (a *Adam) Remap(stride int, remap []int32, newN int) {

@@ -18,15 +18,9 @@ import (
 // benchmark and ags-slam -sessions compare digests instead of walking the
 // structures.
 //
-// The map hash is remap-aware: it covers the active Gaussians in packed
-// (ascending-ID) order and skips dead slots, so it is invariant under
-// compaction — a run with Config.CompactEvery > 0, a snapshot/restore
-// mid-stream, and the never-compacted run of the same frames all digest
-// identically. Dead slots only exist between a prune and the next
-// compaction, never differ between equivalent runs in what matters (they are
-// invisible to rendering), and their parameters keep drifting under Adam
-// momentum decay — hashing them would make the digest depend on exactly the
-// bookkeeping compaction exists to discard.
+// The map hash covers every Gaussian in ID order. A prune keeps the
+// survivors' order, so the hash does not depend on when Gaussians were
+// removed (TestPruneDigestPinned).
 func (r *Result) Digest() [32]byte {
 	h := sha256.New()
 	hashU64(h, uint64(len(r.Sequence))) // length-prefix every variable-length field
@@ -43,11 +37,8 @@ func (r *Result) Digest() [32]byte {
 		hashF64(h, inf.FPRate)
 		hashBool(h, inf.FPValid)
 	}
-	hashU64(h, uint64(r.Cloud.NumActive()))
-	for id := 0; id < r.Cloud.Len(); id++ {
-		if !r.Cloud.IsActive(id) {
-			continue
-		}
+	hashU64(h, uint64(r.Cloud.Len()))
+	for id := range r.Cloud.Gaussians {
 		g := r.Cloud.At(id)
 		// The identity rotation and three copies of the isotropic
 		// log-scale, as when the Gaussians stored them, so that the

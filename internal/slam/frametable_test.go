@@ -83,7 +83,7 @@ func wireFrame(t testing.TB, f *frame.Frame) *frame.Frame {
 // key-frame window, so the table holds more than the previous and key frame.
 func TestLeanSnapshotRestoresWithHeldFrames(t *testing.T) {
 	const frames, k = 10, 7
-	for name, cfg := range map[string]Config{"baseline": fastCfg(tw, th), "ags+compact": compactCfg(tw, th)} {
+	for name, cfg := range map[string]Config{"baseline": fastCfg(tw, th), "ags+compact": pruneCfg(tw, th)} {
 		t.Run(name, func(t *testing.T) {
 			cfg.KeyframeEvery = 2
 			seq := testSeq(t, "Xyz", frames)

@@ -130,19 +130,11 @@ type Config struct {
 	// KeyframeEvery adds every k-th frame to the multi-view mapping window
 	// on the baseline mapping path (0 = never).
 	KeyframeEvery int
-	// PruneEvery runs opacity pruning every k frames (0 = never).
+	// PruneEvery runs opacity pruning every k frames (0 = never). A prune
+	// removes the Gaussians it prunes and rewrites every retained ID-keyed
+	// table (the mapper's skip set, optimizer moments, render traces) through
+	// the old→new remap (see System.prune).
 	PruneEvery int
-	// CompactEvery re-packs the Gaussian map every k frames (0 = never):
-	// pruned slots are reclaimed and every retained ID-keyed table (the
-	// mapper's skip set, optimizer moments, render traces) is rewritten
-	// through the old→new remap. Compaction is bit-transparent — a run with
-	// CompactEvery > 0 produces the same Result.Digest as the never-compacted
-	// run — so it is purely a resource bound, not an accuracy knob.
-	CompactEvery int
-	// CompactInactiveFrac additionally triggers a compaction whenever the
-	// dead-slot fraction of the map exceeds it (0 = cadence only). It bounds
-	// the wasted resident bytes between cadence ticks under heavy pruning.
-	CompactInactiveFrac float64
 	// Workers bounds splat render/backward parallelism (0 = all cores). The
 	// splat pipeline shards tiles deterministically, so every value produces
 	// bit-identical trajectories, maps and traces (see package splat).
@@ -175,16 +167,14 @@ func DefaultConfig(w, h int) Config {
 	// with the image, so the threshold is resolution-independent.
 	mc.ThreshN = 450
 	return Config{
-		TrackIters:          60,
-		IterT:               6,
-		ThreshT:             0.90,
-		ThreshM:             0.75,
-		Mapper:              mc,
-		TrackLR:             5e-3,
-		KeyframeEvery:       4,
-		PruneEvery:          8,
-		CompactEvery:        32,
-		CompactInactiveFrac: 0.25,
+		TrackIters:    60,
+		IterT:         6,
+		ThreshT:       0.90,
+		ThreshM:       0.75,
+		Mapper:        mc,
+		TrackLR:       5e-3,
+		KeyframeEvery: 4,
+		PruneEvery:    8,
 	}
 }
 
@@ -235,8 +225,8 @@ func (r *Result) ATERMSECm() (float64, error) {
 // beside it and joins it, so that goroutine lives inside one call; a session
 // worker, which may sit idle until the next frame arrives, starts it at once
 // (startTail). While a tail is in flight it alone touches the mapper, the
-// render context and the frame's trace.FrameTrace (and, when a compaction
-// fires, the retained traces); the caller's side touches only what a front
+// render context and the frame's trace.FrameTrace (and, when a prune
+// removes Gaussians, the retained traces); the caller's side touches only what a front
 // reads or a middle commits: the detector, the aligner, prevFrame, prevPose,
 // prevRel, keyFrame, keyFramePos, keyPose, frameCount, poses, gt and info.
 // Every method that needs the mapped state (the next ProcessFrame after
@@ -398,7 +388,7 @@ func (s *System) Close() {
 //     decision the next front reads: the pose, the velocity, the key-frame
 //     anchor, the frame's FrameInfo, the frame count.
 //   - The tail (Densify, full or selective mapping, the key-frame window,
-//     Prune, compaction, the trace append, a session's per-step context
+//     Prune, the trace append, a session's per-step context
 //     release and its FrameUpdate) is left pending. The next call starts it
 //     on the system's one tail goroutine just before its own front; any other
 //     join runs it in place.
@@ -469,11 +459,10 @@ type mappingTail struct {
 func (s *System) deferTail(ft *trace.FrameTrace, mapping func(), upd FrameUpdate) {
 	s.tail = &mappingTail{run: func() {
 		mapping()
-		ft.NumGaussians = s.mapper.Cloud().NumActive()
+		ft.NumGaussians = s.mapper.Cloud().Len()
 		if s.Cfg.PruneEvery > 0 && s.frameCount%s.Cfg.PruneEvery == 0 {
-			ft.PrunedGaussians = s.mapper.Prune()
+			s.prune(ft)
 		}
-		s.maybeCompact(ft)
 		s.traceFrames = append(s.traceFrames, *ft)
 		if s.perStep {
 			s.detachCtx()
@@ -544,35 +533,22 @@ func (p *tailPanic) Error() string {
 // Restore, the index of the next frame to push.
 func (s *System) FrameCount() int { return s.frameCount }
 
-// maybeCompact runs the end-of-frame map compaction pass when the cadence
-// (Config.CompactEvery) or the inactive-fraction trigger
-// (Config.CompactInactiveFrac) fires and there is anything to reclaim. The
-// mapper re-packs the cloud and rewrites its own ID-keyed tables; a system
-// that retains trace detail then rewrites the Gaussian-ID streams of every
-// retained FrameTrace through the same permutation (a serving session retains
-// none, so it walks nothing), and the reclaimed slots/bytes are recorded in
-// the current frame's trace. Because survivors keep their relative order (and
-// the optimizer moments ride along), subsequent frames render and train
-// bit-identically to the never-compacted timeline.
-func (s *System) maybeCompact(cur *trace.FrameTrace) {
-	cloud := s.mapper.Cloud()
-	dead := cloud.NumInactive()
-	if dead == 0 {
+// prune runs the end-of-frame opacity prune. The mapper removes the pruned
+// Gaussians and rewrites its own ID-keyed tables; a system that retains trace
+// detail then rewrites the Gaussian-ID streams of every retained FrameTrace
+// through the same permutation (a serving session retains none, so it walks
+// nothing), and the removed Gaussians are recorded in the current frame's
+// trace. Because survivors keep their relative order (and the optimizer
+// moments ride along), subsequent frames render and train bit-identically to
+// a timeline in which the pruned Gaussians were merely never rendered again.
+func (s *System) prune(cur *trace.FrameTrace) {
+	remap, n := s.mapper.Prune()
+	if n == 0 {
 		return
 	}
-	due := s.Cfg.CompactEvery > 0 && s.frameCount%s.Cfg.CompactEvery == 0
-	if !due && s.Cfg.CompactInactiveFrac > 0 {
-		due = float64(dead) > s.Cfg.CompactInactiveFrac*float64(cloud.Len())
-	}
-	if !due {
-		return
-	}
-	remap, freed := s.mapper.Compact()
-	if freed == 0 {
-		return
-	}
-	cur.CompactedSlots = freed
-	cur.ReclaimedBytes = int64(freed) * int64(gauss.SlotBytes)
+	cur.PrunedGaussians = n
+	cur.CompactedSlots = n
+	cur.ReclaimedBytes = int64(n) * int64(gauss.SlotBytes)
 	if !s.detail {
 		return
 	}
@@ -583,11 +559,10 @@ func (s *System) maybeCompact(cur *trace.FrameTrace) {
 }
 
 // remapTrace rewrites the Gaussian-ID streams a FrameTrace retains (the
-// tracker's and mapper's per-tile logging lists) through the compaction
+// tracker's and mapper's per-tile logging lists) through a prune's
 // permutation, keeping each frame's lists consistent with the live map's IDs.
-// IDs at or beyond the permutation's
-// range — dead-slot sentinels from an earlier compaction of a then-larger
-// cloud — are left as they are; each frame's lists stay internally
+// IDs at or beyond the permutation's range — sentinels from an earlier prune
+// of a then-larger cloud — are left as they are; each frame's lists stay internally
 // consistent, which is all the per-frame hardware-table models consume.
 func remapTrace(ft *trace.FrameTrace, remap []int32) {
 	remapIDLists(ft.Track.RepTileLists, remap)

@@ -50,14 +50,17 @@ const (
 	// position and makes its body optional. Version 3 stores a Gaussian as
 	// its eight parameters (mean, log-scale, color, logit; no rotation), the
 	// mapper's contribution state as its skip set alone, and the
-	// configuration without the slots nothing read.
-	SnapshotVersion = 3
+	// configuration without the slots nothing read. Version 4 drops the
+	// map's per-Gaussian active flags (a prune removes what it prunes) and
+	// the configuration's compaction knobs and mapper worker count (the
+	// system's Workers governs the mapper).
+	SnapshotVersion = 4
 
 	snapshotHeader = len(snapshotMagic) + 4 // magic, version
 )
 
 // Snapshot serializes the system's complete inter-frame state — configuration,
-// camera, pose track, keyframe set, the (compacted) Gaussian map, optimizer
+// camera, pose track, keyframe set, the Gaussian map, optimizer
 // moments, the mapper's RNG, and the retained per-frame traces (with their
 // representative-iteration detail only where the system's venue keeps it; see
 // the package doc) — so that a system restored from it and fed the remaining
@@ -466,8 +469,6 @@ func encodeConfig(e *binfmt.Enc, c *Config) {
 	e.F64(c.TrackLR)
 	e.I64(int64(c.KeyframeEvery))
 	e.I64(int64(c.PruneEvery))
-	e.I64(int64(c.CompactEvery))
-	e.F64(c.CompactInactiveFrac)
 	e.I64(int64(c.Workers))
 	e.Bool(c.EvalFPRate)
 	e.Bool(c.CodecEarlyTerm)
@@ -486,8 +487,6 @@ func decodeConfig(d *binfmt.Dec, c *Config) {
 	c.TrackLR = d.F64()
 	c.KeyframeEvery = int(d.I64())
 	c.PruneEvery = int(d.I64())
-	c.CompactEvery = int(d.I64())
-	c.CompactInactiveFrac = d.F64()
 	c.Workers = int(d.I64())
 	c.EvalFPRate = d.Bool()
 	c.CodecEarlyTerm = d.Bool()
@@ -507,7 +506,6 @@ func encodeMapperConfig(e *binfmt.Enc, c *mapper.Config) {
 	e.F64(c.LRLogit)
 	e.F64(c.LRScale)
 	e.I64(int64(c.KeyframeWindow))
-	e.I64(int64(c.Workers))
 	e.I64(c.Seed)
 }
 
@@ -525,7 +523,6 @@ func decodeMapperConfig(d *binfmt.Dec, c *mapper.Config) {
 	c.LRLogit = d.F64()
 	c.LRScale = d.F64()
 	c.KeyframeWindow = int(d.I64())
-	c.Workers = int(d.I64())
 	c.Seed = d.I64()
 }
 
@@ -676,7 +673,6 @@ func encodeCloud(e *binfmt.Enc, c *gauss.Cloud) {
 		putVec3(e, g.Color)
 		e.F64(g.Logit)
 	}
-	e.Bools(c.Active)
 }
 
 func decodeCloud(d *binfmt.Dec) *gauss.Cloud {
@@ -689,11 +685,8 @@ func decodeCloud(d *binfmt.Dec) *gauss.Cloud {
 		g.Color = getVec3(d)
 		g.Logit = d.F64()
 	}
-	active := d.Bools()
 	c := &gauss.Cloud{}
-	if err := c.SetAll(gaussians, active); err != nil {
-		d.Fail("cloud: %v", err)
-	}
+	c.SetAll(gaussians)
 	return c
 }
 

@@ -23,8 +23,7 @@ import (
 // tailCfgs are the configurations the tail tests cover: the three mapping
 // paths (selective, key-frame, baseline), the coarse-only variant whose front
 // is the whole of tracking, the false-positive measurement that renders in the
-// middle, and one whose pruning and both compaction triggers fire inside
-// tails of a short run.
+// middle, and one whose prunes remove Gaussians inside tails of a short run.
 func tailCfgs() []struct {
 	name string
 	cfg  Config
@@ -33,9 +32,6 @@ func tailCfgs() []struct {
 	coarse.ForceCoarseOnly = true
 	fp := fastAGS(tw, th)
 	fp.EvalFPRate = true
-	compact := compactCfg(tw, th)
-	compact.CompactEvery = 4
-	compact.CompactInactiveFrac = 0.01
 	return []struct {
 		name string
 		cfg  Config
@@ -44,7 +40,7 @@ func tailCfgs() []struct {
 		{"baseline", fastCfg(tw, th)},
 		{"coarse-only", coarse},
 		{"fp-rate", fp},
-		{"prune-compact", compact},
+		{"prune", pruneCfg(tw, th)},
 	}
 }
 
@@ -80,10 +76,8 @@ func TestJoinPointMatrix(t *testing.T) {
 	for _, tc := range tailCfgs() {
 		t.Run(tc.name, func(t *testing.T) {
 			want, wantRes := joinedReference(t, tc.cfg, seq)
-			if tc.name == "prune-compact" {
-				if tot := wantRes.Trace.Totals(); tot.PrunedGaussians == 0 || tot.CompactedSlots == 0 {
-					t.Fatalf("pruned %d, compacted %d: the configuration exercises nothing", tot.PrunedGaussians, tot.CompactedSlots)
-				}
+			if tc.name == "prune" && wantRes.Trace.Totals().PrunedGaussians == 0 {
+				t.Fatal("nothing was pruned: the configuration exercises nothing")
 			}
 
 			each := New(tc.cfg, seq.Intr)
@@ -117,7 +111,7 @@ func TestJoinPointMatrix(t *testing.T) {
 				name  string
 				check func(*System) bool
 			}{
-				{"Mapper", func(s *System) bool { return s.Mapper().Cloud().NumActive() == wantRes.Cloud.NumActive() }},
+				{"Mapper", func(s *System) bool { return s.Mapper().Cloud().Len() == wantRes.Cloud.Len() }},
 				{"Finish", func(s *System) bool { return s.Finish(seq.Name).Digest() == wantRes.Digest() }},
 				{"Close", func(s *System) bool { s.Close(); return s.tail == nil && s.renderCtx == nil }},
 			} {
@@ -142,7 +136,7 @@ func TestJoinPointMatrix(t *testing.T) {
 // end on the serial digest with the race detector quiet.
 func TestTailRaceSystem(t *testing.T) {
 	seq := testSeq(t, "Desk", 9)
-	cfg := compactCfg(tw, th)
+	cfg := pruneCfg(tw, th)
 	_, want := joinedReference(t, cfg, seq)
 	sys := New(cfg, seq.Intr)
 	defer sys.Close()

@@ -83,7 +83,7 @@ func TestRunTraceCarriesDetail(t *testing.T) {
 // scalars-only state byte for byte.
 func TestVenueMatrix(t *testing.T) {
 	const frames, k = 8, 4
-	for name, cfg := range map[string]Config{"baseline": fastCfg(tw, th), "ags+compact": compactCfg(tw, th)} {
+	for name, cfg := range map[string]Config{"baseline": fastCfg(tw, th), "ags+compact": pruneCfg(tw, th)} {
 		t.Run(name, func(t *testing.T) {
 			seq := testSeq(t, "Xyz", frames)
 			srv := NewServer(ServerConfig{})

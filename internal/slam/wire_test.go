@@ -15,22 +15,22 @@ import (
 	"ags/internal/scene"
 )
 
-// TestGoldenSnapshot pins SnapshotVersion 3 by length and SHA-256: the
-// AGSSNAP of a fixed-seed AGS run with pruning and compaction on, six frames
-// in, once as Snapshot writes it (every frame body inline) and once as a fleet
-// checkpoint is taken (by a requester that holds every frame pushed, so the
-// frame table is positions only). The golden lines were written once, by the
-// encoder the version was introduced with, and there is no regeneration
-// switch — a moved byte takes a SnapshotVersion bump and new files (version
-// 1's were snapshot.sum.golden, version 2's *.v2.sum.golden). The run's
-// floats depend on whether the compiler fuses multiply-adds, so the lines
-// hold for amd64 only.
+// TestGoldenSnapshot pins SnapshotVersion 4 by length and SHA-256: the
+// AGSSNAP of a fixed-seed AGS run with pruning on, six frames in, once as
+// Snapshot writes it (every frame body inline) and once as a fleet checkpoint
+// is taken (by a requester that holds every frame pushed, so the frame table
+// is positions only). The golden lines were written once, by the encoder the
+// version was introduced with, and there is no regeneration switch — a moved
+// byte takes a SnapshotVersion bump and new files (version 1's were
+// snapshot.sum.golden, version 2's *.v2.sum.golden, version 3's
+// *.v3.sum.golden). The run's floats depend on whether the compiler fuses
+// multiply-adds, so the lines hold for amd64 only.
 func TestGoldenSnapshot(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden snapshot recorded on amd64")
 	}
 	seq := testSeq(t, "Desk", 6)
-	sys := New(compactCfg(tw, th), seq.Intr)
+	sys := New(pruneCfg(tw, th), seq.Intr)
 	defer sys.Close()
 	for _, f := range seq.Frames {
 		if err := sys.ProcessFrame(f); err != nil {
@@ -45,8 +45,8 @@ func TestGoldenSnapshot(t *testing.T) {
 		file string
 		snap []byte
 	}{
-		{"snapshot.v3.sum.golden", buf.Bytes()},
-		{"snapshot-lean.v3.sum.golden", sys.AppendSnapshot(nil, []int{0, 1, 2, 3, 4, 5})},
+		{"snapshot.v4.sum.golden", buf.Bytes()},
+		{"snapshot-lean.v4.sum.golden", sys.AppendSnapshot(nil, []int{0, 1, 2, 3, 4, 5})},
 	} {
 		want, err := os.ReadFile(filepath.Join("testdata", g.file))
 		if err != nil {
@@ -59,9 +59,9 @@ func TestGoldenSnapshot(t *testing.T) {
 }
 
 // The restore seed is a whole small restore, in bytes: a lean snapshot of a
-// 16x12 AGS run three frames in (restore.v3.golden) and the frames it leaves
+// 16x12 AGS run three frames in (restore.v4.golden) and the frames it leaves
 // out, as a count and then position and length-prefixed AppendFrame bytes each
-// (restore-frames.v3.golden, the shape fleet's RESTORE gives the list). Like
+// (restore-frames.v4.golden, the shape fleet's RESTORE gives the list). Like
 // the sums above they were written once. They pin the decoder on every
 // platform (the bytes restore and the stream goes on), the encoder on amd64,
 // and they seed FuzzRestoreSession.
@@ -81,11 +81,11 @@ func seedSeq() *scene.Sequence {
 
 func readSeed(t testing.TB) (snap, list []byte) {
 	t.Helper()
-	snap, err := os.ReadFile(filepath.Join("testdata", "restore.v3.golden"))
+	snap, err := os.ReadFile(filepath.Join("testdata", "restore.v4.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	list, err = os.ReadFile(filepath.Join("testdata", "restore-frames.v3.golden"))
+	list, err = os.ReadFile(filepath.Join("testdata", "restore-frames.v4.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,30 +3,31 @@ package splat
 import (
 	"math/rand"
 	"testing"
+
+	"ags/internal/gauss"
 )
 
-// TestRenderInvariantUnderCompaction: rendering a sparse cloud (dead slots
-// interleaved) and rendering its compacted clone must produce bit-identical
-// images — survivors keep their relative order, so projection, tile build,
-// depth sort and blending see the same splat sequence. This is the renderer
-// half of the map-compaction bit-transparency contract (the dense fast path
-// in preprocessInto must not change output, only skip dead-slot branching).
+// TestRenderInvariantUnderCompaction: rendering a cloud with some Gaussians
+// skipped and rendering it after removing those Gaussians must produce
+// bit-identical images — survivors keep their relative order, so projection,
+// tile build, depth sort and blending see the same splat sequence. This is the
+// renderer half of the contract that a prune's removal is bit-transparent.
 func TestRenderInvariantUnderCompaction(t *testing.T) {
 	cam := testCam(48, 36)
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 4; trial++ {
 		cloud := randomCloud(rng, 40+rng.Intn(40))
-		for id := 0; id < cloud.Len(); id++ {
-			if rng.Float64() < 0.3 {
-				cloud.Prune(id)
-			}
+		skip := make([]bool, cloud.Len())
+		for id := range skip {
+			skip[id] = rng.Float64() < 0.3
 		}
-		compacted := cloud.Clone()
-		if _, freed := compacted.Compact(); freed == 0 {
-			continue // all-active draw; nothing to compare
+		removed := cloud.Clone()
+		id := 0
+		if _, n := removed.Remove(func(*gauss.Gaussian) bool { id++; return skip[id-1] }); n == 0 {
+			continue // nothing skipped; nothing to compare
 		}
-		sparse := Render(cloud, cam, Options{Workers: 2})
-		dense := Render(compacted, cam, Options{Workers: 2})
+		sparse := Render(cloud, cam, Options{Skip: skip, Workers: 2})
+		dense := Render(removed, cam, Options{Workers: 2})
 		if len(sparse.Color.Pix) != len(dense.Color.Pix) {
 			t.Fatalf("trial %d: pixel count %d vs %d", trial, len(sparse.Color.Pix), len(dense.Color.Pix))
 		}

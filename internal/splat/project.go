@@ -194,23 +194,15 @@ func ProjectGaussian(g *gauss.Gaussian, cam camera.Camera) (Splat, bool) {
 	}, true
 }
 
-// preprocessInto projects every active Gaussian in the cloud (step 1 of
-// Fig. 2), culling those that fall outside the image or behind the camera,
-// and appends the survivors to splats (reusing its capacity — the
-// RenderContext's per-frame projection path). skip, when non-nil, suppresses
-// Gaussians whose ID is flagged (selective mapping). When the cloud is dense (every
-// slot active — the steady state under map compaction), the per-slot
-// active-flag walk is skipped entirely, so projection work scales with the
-// live map rather than with lifetime allocations; sparse clouds take the
-// flag-checking path and produce bit-identical output.
+// preprocessInto projects every Gaussian in the cloud (step 1 of Fig. 2),
+// culling those that fall outside the image or behind the camera, and appends
+// the survivors to splats (reusing its capacity — the RenderContext's
+// per-frame projection path). skip, when non-nil, suppresses Gaussians whose
+// ID is flagged (selective mapping).
 //
 //ags:hotpath
 func preprocessInto(splats []Splat, cloud *gauss.Cloud, cam camera.Camera, skip []bool) []Splat {
-	dense := cloud.NumActive() == len(cloud.Gaussians)
 	for id := range cloud.Gaussians {
-		if !dense && !cloud.IsActive(id) {
-			continue
-		}
 		if skip != nil && id < len(skip) && skip[id] {
 			continue
 		}

@@ -143,11 +143,11 @@ func TestRenderSkipList(t *testing.T) {
 func TestRenderInactiveGaussiansExcluded(t *testing.T) {
 	cam := testCam(64, 48)
 	cloud := gauss.NewCloud(1)
-	id := cloud.Add(centeredGaussian(2, 0.3, 0.999, vecmath.Vec3{X: 1}))
-	cloud.Prune(id)
+	cloud.Add(centeredGaussian(2, 0.3, 0.999, vecmath.Vec3{X: 1}))
+	cloud.Remove(func(*gauss.Gaussian) bool { return true })
 	res := Render(cloud, cam, Options{})
 	if len(res.Splats) != 0 {
-		t.Errorf("pruned gaussian rendered")
+		t.Errorf("removed gaussian rendered")
 	}
 }
 
