@@ -9,6 +9,7 @@ import (
 	"ags/internal/hw/dram"
 	"ags/internal/hw/engines"
 	"ags/internal/hw/platform"
+	"ags/internal/hw/trace"
 	"ags/internal/metrics"
 	"ags/internal/scene"
 )
@@ -92,10 +93,10 @@ func (s *Suite) AblTables(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var tiles [][]int32
+	var tiles *trace.TileLists
 	for i := len(b.Result.Trace.Frames) - 1; i >= 0; i-- {
-		if f := &b.Result.Trace.Frames[i]; f.IsKeyFrame && f.Map.RepTileLists != nil {
-			tiles = f.Map.RepTileLists
+		if f := &b.Result.Trace.Frames[i]; f.IsKeyFrame && f.Map.RepTileLists.NumTiles() > 0 {
+			tiles = &f.Map.RepTileLists
 			break
 		}
 	}

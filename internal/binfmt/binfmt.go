@@ -120,20 +120,13 @@ func (e *Enc) Bytes(b []byte) {
 	e.Raw(b)
 }
 
-// F64s, I32s and Bools append a u64 count and then the elements.
+// F64s and Bools append a u64 count and then the elements.
 //
 //ags:hotpath
 func (e *Enc) F64s(s []float64) {
 	e.U64(uint64(len(s)))
 	for _, v := range s {
 		e.F64(v)
-	}
-}
-
-func (e *Enc) I32s(s []int32) {
-	e.U64(uint64(len(s)))
-	for _, v := range s {
-		e.U32(uint32(v))
 	}
 }
 
@@ -260,7 +253,7 @@ func (d *Dec) Str() string { return string(d.Take(d.Len(1))) }
 // Bytes returns a length-prefixed byte string aliasing the payload.
 func (d *Dec) Bytes() []byte { return d.Take(d.Len(1)) }
 
-// F64s, I32s and Bools return nil for a zero count.
+// F64s and Bools return nil for a zero count.
 func (d *Dec) F64s() []float64 {
 	n := d.Len(8)
 	if n == 0 {
@@ -269,18 +262,6 @@ func (d *Dec) F64s() []float64 {
 	out := make([]float64, n)
 	for i := range out {
 		out[i] = d.F64()
-	}
-	return out
-}
-
-func (d *Dec) I32s() []int32 {
-	n := d.Len(4)
-	if n == 0 {
-		return nil
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(d.U32())
 	}
 	return out
 }

@@ -34,9 +34,6 @@ var kinds = []struct {
 	{"f64s", func(e *Enc) { e.F64s([]float64{1.5, -2.25, math.Inf(1)}) },
 		func(d *Dec) bool { return slices.Equal(d.F64s(), []float64{1.5, -2.25, math.Inf(1)}) }, 8 + 24},
 	{"f64s empty", func(e *Enc) { e.F64s(nil) }, func(d *Dec) bool { return d.F64s() == nil }, 8},
-	{"i32s", func(e *Enc) { e.I32s([]int32{-1, 0, math.MaxInt32}) },
-		func(d *Dec) bool { return slices.Equal(d.I32s(), []int32{-1, 0, math.MaxInt32}) }, 8 + 12},
-	{"i32s empty", func(e *Enc) { e.I32s(nil) }, func(d *Dec) bool { return d.I32s() == nil }, 8},
 	{"bools", func(e *Enc) { e.Bools([]bool{true, false, true}) },
 		func(d *Dec) bool { return slices.Equal(d.Bools(), []bool{true, false, true}) }, 8 + 3},
 	{"bools empty", func(e *Enc) { e.Bools(nil) }, func(d *Dec) bool { return d.Bools() == nil }, 8},
@@ -113,7 +110,6 @@ func TestGuardsRejectWithoutAllocating(t *testing.T) {
 		{"str", func(d *Dec) { d.Str() }},
 		{"bytes", func(d *Dec) { d.Bytes() }},
 		{"f64s", func(d *Dec) { d.F64s() }},
-		{"i32s", func(d *Dec) { d.I32s() }},
 		{"bools", func(d *Dec) { d.Bools() }},
 		{"len", func(d *Dec) { d.Len(112) }},
 	} {

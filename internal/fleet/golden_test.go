@@ -15,16 +15,19 @@ import (
 	"ags/internal/vecmath"
 )
 
-// The golden files pin ProtocolVersion 4 byte for byte: one complete AGSF
+// The golden files pin ProtocolVersion 5 byte for byte: one complete AGSF
 // message per payload-bearing verb, each framed by appendMessage. They were
 // written once, by the encoders this version was introduced with, and there is
 // no regeneration switch — a byte that moves is a wire break, which takes a
 // ProtocolVersion bump and a new set of files, not an updated one. Version 1's
 // set was <verb>.golden; version 2's, <verb>.v2.golden, added the snapshot
 // request, which had no payload before; version 3's, <verb>.v3.golden,
-// dropped three configuration slots nothing read; version 4's is
-// <verb>.v4.golden, and drops the compaction knobs and the mapper's worker
-// count from the configuration and the compaction totals from the result.
+// dropped three configuration slots nothing read; version 4's,
+// <verb>.v4.golden, dropped the compaction knobs and the mapper's worker
+// count from the configuration and the compaction totals from the result;
+// version 5's is <verb>.v5.golden, and differs from version 4's in the
+// version byte only (slam's snapshot version 5 packs trace detail, which no
+// message here carries).
 
 // goldenConfig sets every slam.Config field the wire carries to a distinct
 // non-zero value, so a reordered, dropped or re-typed field moves a byte. It
@@ -98,7 +101,7 @@ func goldenMessages() []goldenMessage {
 
 // goldenFile names the current version's golden file for a message.
 func goldenFile(name string) string {
-	return filepath.Join("testdata", name+".v4.golden")
+	return filepath.Join("testdata", name+".v5.golden")
 }
 
 func TestGoldenMessages(t *testing.T) {
@@ -108,7 +111,7 @@ func TestGoldenMessages(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := appendMessage(nil, m.v, m.p); !bytes.Equal(got, want) {
-			t.Errorf("%s: message bytes moved (%d bytes, golden %d) — a ProtocolVersion 4 wire break", m.name, len(got), len(want))
+			t.Errorf("%s: message bytes moved (%d bytes, golden %d) — a ProtocolVersion 5 wire break", m.name, len(got), len(want))
 		}
 	}
 }

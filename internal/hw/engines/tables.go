@@ -10,6 +10,7 @@ import (
 	"slices"
 
 	"ags/internal/hw/dram"
+	"ags/internal/hw/trace"
 )
 
 // TableParams sizes the on-chip structures.
@@ -53,21 +54,19 @@ type LoggingResult struct {
 // Gaussians appearing in more than one table as hot; hot records live in the
 // GS logging buffer and are written back once, while cold records take the
 // read-modify-write path through the GS logging cache.
-func SimulateLogging(tiles [][]int32, p TableParams, spec dram.Spec) LoggingResult {
+func SimulateLogging(tiles *trace.TileLists, p TableParams, spec dram.Spec) LoggingResult {
 	var res LoggingResult
 	naive := dram.New(spec)
 	opt := dram.New(spec)
 
 	// Classify hot Gaussians per window by cross-tile frequency.
-	for start := 0; start < len(tiles); start += p.HotWindowTiles {
-		end := start + p.HotWindowTiles
-		if end > len(tiles) {
-			end = len(tiles)
-		}
+	for start := 0; start < tiles.NumTiles(); start += p.HotWindowTiles {
+		end := min(start+p.HotWindowTiles, tiles.NumTiles())
 		freq := make(map[int32]int)
 		for ti := start; ti < end; ti++ {
-			for _, id := range tiles[ti] {
-				freq[id]++
+			lo, hi := tiles.Tile(ti)
+			for k := lo; k < hi; k++ {
+				freq[tiles.IDs.At(k)]++
 			}
 		}
 		// When more Gaussians qualify than fit, keep the most frequent
@@ -95,7 +94,9 @@ func SimulateLogging(tiles [][]int32, p TableParams, spec dram.Spec) LoggingResu
 		}
 		for ti := start; ti < end; ti++ {
 			seen := make(map[int32]bool)
-			for _, id := range tiles[ti] {
+			lo, hi := tiles.Tile(ti)
+			for k := lo; k < hi; k++ {
+				id := tiles.IDs.At(k)
 				if seen[id] {
 					continue
 				}
@@ -140,15 +141,14 @@ type SkippingResult struct {
 // mapping. Naive: each tile's Gaussian table refetches its records from DRAM.
 // Optimized: the skipping table streams the whole record array once per
 // frame and serves tiles from the buffer/cache.
-func SimulateSkipping(tiles [][]int32, numGaussians int, p TableParams, spec dram.Spec) SkippingResult {
+func SimulateSkipping(tiles *trace.TileLists, numGaussians int, p TableParams, spec dram.Spec) SkippingResult {
 	var res SkippingResult
 	naive := dram.New(spec)
-	for _, list := range tiles {
-		for _, id := range list {
-			addr := uint64(id) * uint64(p.EntryBytes)
-			res.NaiveNs += naive.Access(addr, p.EntryBytes)
-			res.NaiveBytes += int64(p.EntryBytes)
-		}
+	// The tiles in order, each front to back: the IDs as they are stored.
+	for k := range tiles.IDs.Len() {
+		addr := uint64(tiles.IDs.At(k)) * uint64(p.EntryBytes)
+		res.NaiveNs += naive.Access(addr, p.EntryBytes)
+		res.NaiveBytes += int64(p.EntryBytes)
 	}
 	res.StreamBytes = int64(numGaussians) * int64(p.EntryBytes)
 	res.OptNs = dram.StreamNs(spec, res.StreamBytes)

@@ -5,28 +5,30 @@ import (
 	"testing"
 
 	"ags/internal/hw/dram"
+	"ags/internal/hw/trace"
 )
 
 // syntheticTiles builds tile lists where hotIDs appear in every tile and the
 // rest are unique per tile.
-func syntheticTiles(nTiles, hotPerTile, coldPerTile int, seed int64) [][]int32 {
+func syntheticTiles(nTiles, hotPerTile, coldPerTile int, seed int64) *trace.TileLists {
 	rng := rand.New(rand.NewSource(seed))
 	hot := make([]int32, hotPerTile)
 	for i := range hot {
 		hot[i] = int32(i)
 	}
 	next := int32(hotPerTile)
-	tiles := make([][]int32, nTiles)
-	for t := range tiles {
+	ids, offsets := []int32(nil), []int32{0}
+	for range nTiles {
 		list := append([]int32(nil), hot...)
 		for c := 0; c < coldPerTile; c++ {
 			list = append(list, next)
 			next++
 		}
 		rng.Shuffle(len(list), func(i, j int) { list[i], list[j] = list[j], list[i] })
-		tiles[t] = list
+		ids = append(ids, list...)
+		offsets = append(offsets, int32(len(ids)))
 	}
-	return tiles
+	return &trace.TileLists{IDs: trace.Pack(ids), Offsets: trace.Pack(offsets)}
 }
 
 func TestLoggingHotColdSavesTraffic(t *testing.T) {

@@ -8,6 +8,8 @@
 // work through the workload table / alpha buffer, Fig. 13).
 package gpe
 
+import "ags/internal/hw/trace"
+
 // Params configures a GPE array model.
 type Params struct {
 	// AlphaCycles is the pipeline cost of one stage-1 alpha evaluation.
@@ -69,9 +71,10 @@ func BlockCycles(alpha, blend []int32, p Params, scheduled bool) int64 {
 // Without the scheduler, blocks are statically assigned round-robin and each
 // GPE runs its own pixel to completion. With the scheduler (workload table +
 // alpha buffer), blocks drain from a shared queue (least-loaded dispatch) and
-// stage-1 work migrates between GPEs within a block.
-func FrameCycles(perPixelAlpha, perPixelBlend []int32, w, h int, p Params, scheduled bool) int64 {
-	if len(perPixelAlpha) != w*h || len(perPixelBlend) != w*h {
+// stage-1 work migrates between GPEs within a block. Planes that are not
+// w*h counts each cost 0: a trace decoder refuses them before they get here.
+func FrameCycles(perPixelAlpha, perPixelBlend trace.Packed, w, h int, p Params, scheduled bool) int64 {
+	if perPixelAlpha.Len() != w*h || perPixelBlend.Len() != w*h {
 		return 0
 	}
 	if p.Arrays < 1 {
@@ -86,8 +89,8 @@ func FrameCycles(perPixelAlpha, perPixelBlend []int32, w, h int, p Params, sched
 			for dy := 0; dy < blockDim && by+dy < h; dy++ {
 				for dx := 0; dx < blockDim && bx+dx < w; dx++ {
 					pix := (by+dy)*w + bx + dx
-					a16[n] = perPixelAlpha[pix]
-					b16[n] = perPixelBlend[pix]
+					a16[n] = perPixelAlpha.At(pix)
+					b16[n] = perPixelBlend.At(pix)
 					n++
 				}
 			}

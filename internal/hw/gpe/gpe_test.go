@@ -3,6 +3,8 @@ package gpe
 import (
 	"math/rand"
 	"testing"
+
+	"ags/internal/hw/trace"
 )
 
 func TestBlockCyclesNaiveIsMaxPixel(t *testing.T) {
@@ -83,8 +85,8 @@ func TestFrameCyclesScalesWithArrays(t *testing.T) {
 		alpha[i] = int32(rng.Intn(40))
 		blend[i] = alpha[i] / 2
 	}
-	one := FrameCycles(alpha, blend, w, h, DefaultParams(1), true)
-	four := FrameCycles(alpha, blend, w, h, DefaultParams(4), true)
+	one := FrameCycles(trace.Pack(alpha), trace.Pack(blend), w, h, DefaultParams(1), true)
+	four := FrameCycles(trace.Pack(alpha), trace.Pack(blend), w, h, DefaultParams(4), true)
 	ratio := float64(one) / float64(four)
 	if ratio < 3 || ratio > 4.5 {
 		t.Errorf("4 arrays gave %vx speedup", ratio)
@@ -92,7 +94,7 @@ func TestFrameCyclesScalesWithArrays(t *testing.T) {
 }
 
 func TestFrameCyclesSizeMismatch(t *testing.T) {
-	if got := FrameCycles(make([]int32, 10), make([]int32, 10), 4, 4, DefaultParams(1), true); got != 0 {
+	if got := FrameCycles(trace.Pack(make([]int32, 10)), trace.Pack(make([]int32, 10)), 4, 4, DefaultParams(1), true); got != 0 {
 		t.Errorf("mismatched sizes returned %d", got)
 	}
 }
@@ -116,8 +118,8 @@ func TestUtilizationImprovedByScheduler(t *testing.T) {
 	p := DefaultParams(2)
 	// The useful work is the same either way, so utilization rises exactly
 	// when the frame takes fewer cycles.
-	un := FrameCycles(alpha, blend, w, h, p, false)
-	us := FrameCycles(alpha, blend, w, h, p, true)
+	un := FrameCycles(trace.Pack(alpha), trace.Pack(blend), w, h, p, false)
+	us := FrameCycles(trace.Pack(alpha), trace.Pack(blend), w, h, p, true)
 	if us >= un {
 		t.Errorf("scheduler did not raise utilization: %d -> %d frame cycles", un, us)
 	}

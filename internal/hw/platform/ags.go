@@ -114,7 +114,7 @@ func (a *AGS) gsTaskNs(s *trace.RenderStats, arrays int) (float64, int64) {
 	p := a.GPEParams
 	p.Arrays = arrays
 	var renderCycles int64
-	if s.RepPerPixelAlpha != nil && s.RepPerPixelBlend != nil {
+	if s.HasDetail() {
 		per := gpe.FrameCycles(s.RepPerPixelAlpha, s.RepPerPixelBlend, s.Width, s.Height, p, a.Scheduled)
 		renderCycles = per * int64(s.Iters)
 	} else {
@@ -161,12 +161,12 @@ func (a *AGS) Frame(f *trace.FrameTrace) Breakdown {
 
 	// Mapping engine.
 	mapNs, mapBytes := a.gsTaskNs(&f.Map, a.MapArrays)
-	if f.IsKeyFrame && f.Map.RepTileLists != nil {
-		lg := engines.SimulateLogging(f.Map.RepTileLists, a.Tables, a.Mem)
+	if f.IsKeyFrame && f.Map.RepTileLists.NumTiles() > 0 {
+		lg := engines.SimulateLogging(&f.Map.RepTileLists, a.Tables, a.Mem)
 		mapNs += lg.OptNs
 		b.Bytes += lg.OptAccesses * int64(a.Tables.EntryBytes)
-	} else if !f.IsKeyFrame && f.Map.RepTileLists != nil {
-		sk := engines.SimulateSkipping(f.Map.RepTileLists, f.NumGaussians, a.Tables, a.Mem)
+	} else if !f.IsKeyFrame && f.Map.RepTileLists.NumTiles() > 0 {
+		sk := engines.SimulateSkipping(&f.Map.RepTileLists, f.NumGaussians, a.Tables, a.Mem)
 		mapNs += sk.OptNs
 		b.Bytes += sk.StreamBytes
 	}

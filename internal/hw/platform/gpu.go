@@ -109,10 +109,7 @@ func (g *GPU) Frame(f *trace.FrameTrace) Breakdown {
 		if f.IsKeyFrame {
 			perEntry = 16 // logging is a read-modify-write of the 8-byte record
 		}
-		tableBytes := int64(0)
-		for _, l := range f.Map.RepTileLists {
-			tableBytes += int64(len(l)) * perEntry
-		}
+		tableBytes := int64(f.Map.RepTileLists.IDs.Len()) * perEntry
 		mapNs += float64(tableBytes) / (g.BWGBs * 0.04)
 		b.Bytes += tableBytes
 	}

@@ -121,8 +121,8 @@ func skewedTrace() *trace.Run {
 	f.Map.Splats = 3000 * 10
 	f.Map.TileEntries = 9000 * 10
 	f.Map.Pixels = int64(w*h) * 10
-	f.Map.RepPerPixelAlpha = alpha
-	f.Map.RepPerPixelBlend = blend
+	f.Map.RepPerPixelAlpha = trace.Pack(alpha)
+	f.Map.RepPerPixelBlend = trace.Pack(blend)
 	f.Map.Width, f.Map.Height = w, h
 	return &trace.Run{Sequence: "synthetic", Width: w, Height: h, Frames: []trace.FrameTrace{f}}
 }

@@ -5,6 +5,8 @@
 // speedups compare identical work.
 package trace
 
+import "fmt"
+
 // RenderStats aggregates the splatting work of one task (tracking or
 // mapping) on one frame, across all its training iterations: the scalars. It
 // may also carry one representative iteration's detailed workload, the detail
@@ -15,10 +17,10 @@ package trace
 // internal/bench, ags-slam and the benchmark's reference runs) keep the
 // detail of every task with Iters > 0. Serving
 // sessions (Server.Open and Server.RestoreSession, the only venues a fleet
-// node uses) keep the scalars only: at two int32 planes and a tile-list set
-// per task per frame the detail is ~100x everything else a frame adds, and
-// nothing on the serving path reads it. Result.Digest covers the scalars only,
-// so it is equal across both kinds.
+// node uses) keep the scalars only: at two packed per-pixel planes per task
+// and a tile-list set per mapping task per frame the detail is ~30x everything
+// else a frame adds, and nothing on the serving path reads it. Result.Digest
+// covers the scalars only, so it is equal across both kinds.
 type RenderStats struct {
 	Iters       int   // training iterations executed
 	AlphaOps    int64 // stage-1 alpha evaluations, summed over iterations (forward)
@@ -29,24 +31,63 @@ type RenderStats struct {
 	Pixels      int64 // pixels rendered, summed
 
 	// Representative iteration detail (the last iteration's forward pass);
-	// all zero on a scalars-only trace:
-	RepPerPixelBlend []int32   // stage-2 blend count per pixel
-	RepPerPixelAlpha []int32   // stage-1 alpha count per pixel
-	RepTileLists     [][]int32 // Gaussian IDs per tile, depth order
+	// all zero on a scalars-only trace. The planes hold Width*Height counts
+	// each, row-major.
+	RepPerPixelBlend Packed    // stage-2 blend count per pixel
+	RepPerPixelAlpha Packed    // stage-1 alpha count per pixel
+	RepTileLists     TileLists // mapping only: Gaussian IDs per tile, depth order
 	Width, Height    int       // image size for the representative data
 }
 
 // HasDetail reports whether the stats carry the representative iteration's
-// per-pixel planes and tile lists.
+// per-pixel planes (and, on a mapping task, its tile lists).
 func (s *RenderStats) HasDetail() bool {
-	return s.RepPerPixelBlend != nil && s.RepPerPixelAlpha != nil && s.RepTileLists != nil
+	return s.RepPerPixelBlend.Len() > 0 && s.RepPerPixelAlpha.Len() > 0
 }
 
 // DropDetail discards the representative iteration's detail, leaving exactly
 // what a scalars-only venue would have recorded.
 func (s *RenderStats) DropDetail() {
-	s.RepPerPixelBlend, s.RepPerPixelAlpha, s.RepTileLists = nil, nil, nil
+	s.RepPerPixelBlend, s.RepPerPixelAlpha, s.RepTileLists = Packed{}, Packed{}, TileLists{}
 	s.Width, s.Height = 0, 0
+}
+
+// TileLists is one render's per-tile Gaussian tables (the Gaussian IDs each
+// tile blends, front to back) in CSR form: tile t's IDs are IDs[Offsets[t]]
+// up to IDs[Offsets[t+1]]. The hardware model's GS logging and skipping
+// tables replay them. The zero value has no tiles.
+type TileLists struct {
+	IDs     Packed // every tile's IDs, tile after tile
+	Offsets Packed // NumTiles()+1 ascending offsets into IDs, or none
+}
+
+// NumTiles returns the number of tiles.
+func (l *TileLists) NumTiles() int { return max(l.Offsets.Len()-1, 0) }
+
+// Tile returns the bounds of tile t's IDs: IDs.At(lo) up to IDs.At(hi-1).
+func (l *TileLists) Tile(t int) (lo, hi int) {
+	return int(l.Offsets.At(t)), int(l.Offsets.At(t + 1))
+}
+
+// Validate reports whether the lists are well-formed CSR: no offsets at all,
+// or offsets that start at 0, never decrease and end at IDs.Len().
+func (l *TileLists) Validate() error {
+	n := l.Offsets.Len()
+	if n == 0 {
+		if l.IDs.Len() != 0 {
+			return fmt.Errorf("trace: %d tile-list IDs without offsets", l.IDs.Len())
+		}
+		return nil
+	}
+	if first, last := l.Offsets.At(0), l.Offsets.At(n-1); first != 0 || int(last) != l.IDs.Len() {
+		return fmt.Errorf("trace: tile-list offsets run %d..%d over %d IDs", first, last, l.IDs.Len())
+	}
+	for t := range n - 1 {
+		if lo, hi := l.Tile(t); hi < lo {
+			return fmt.Errorf("trace: tile %d's offsets decrease (%d to %d)", t, lo, hi)
+		}
+	}
+	return nil
 }
 
 // Accumulate folds one forward+backward iteration's counts into the stats.

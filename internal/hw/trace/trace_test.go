@@ -29,12 +29,16 @@ func TestDropDetailKeepsScalars(t *testing.T) {
 	if s.HasDetail() {
 		t.Error("stats with no representative iteration report detail")
 	}
-	s.RepPerPixelBlend, s.RepPerPixelAlpha = []int32{1}, []int32{2}
-	s.RepTileLists = [][]int32{{0}}
+	s.RepPerPixelBlend = Pack([]int32{1})
+	if s.HasDetail() {
+		t.Error("one plane reported as detail")
+	}
+	s.RepPerPixelAlpha = Pack([]int32{2})
 	s.Width, s.Height = 1, 1
 	if !s.HasDetail() {
 		t.Error("detail not reported")
 	}
+	s.RepTileLists = TileLists{IDs: Pack([]int32{0}), Offsets: Pack([]int32{0, 1})}
 	s.DropDetail()
 	if s.HasDetail() || !reflect.DeepEqual(s, scalars) {
 		t.Errorf("after DropDetail: %+v, want the scalars %+v", s, scalars)

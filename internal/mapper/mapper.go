@@ -6,8 +6,6 @@
 package mapper
 
 import (
-	"slices"
-
 	"ags/internal/camera"
 	"ags/internal/frame"
 	"ags/internal/gauss"
@@ -108,7 +106,7 @@ type Mapper struct {
 	Ctx *splat.RenderContext
 	// ScalarsOnly makes FullMapping and SelectiveMapping return the mapping
 	// work's scalars without the representative iteration's detail (see
-	// trace.RenderStats): the per-pixel planes and tile lists are never built.
+	// trace.RenderStats): the per-pixel planes and tile lists are never packed.
 	// slam sets it once, when it builds a serving session's mapper; everything
 	// the mapper itself does is identical either way.
 	ScalarsOnly bool
@@ -344,12 +342,7 @@ func (m *Mapper) optimize(f *frame.Frame, intr camera.Intrinsics, pose vecmath.P
 		stats.Accumulate(res.AlphaOps, res.BlendOps, 2*res.BlendOps,
 			int64(len(res.Splats)), int64(res.Tiles.TotalEntries()), int64(intr.W*intr.H))
 		if last && !m.ScalarsOnly {
-			// The trace snapshot outlives the mapping loop, while a contexted
-			// res is only valid until the next render — copy, don't alias.
-			stats.RepPerPixelBlend = slices.Clone(res.PerPixelBlend)
-			stats.RepPerPixelAlpha = slices.Clone(res.PerPixelAlpha)
-			stats.RepTileLists = res.TileIDLists()
-			stats.Width, stats.Height = intr.W, intr.H
+			res.PackDetail(&stats, true)
 		}
 		if last && logContrib {
 			m.recordContribution(res)

@@ -17,9 +17,10 @@
 //
 // Trace detail: a frame's trace is its scalars (op totals, decisions, map
 // size: ~0.4 KiB encoded) and, for the cycle-level hardware models, the
-// representative iteration's per-pixel planes and tile lists, once for
-// tracking and once for mapping (trace.RenderStats: 43.5 KiB a frame on the
-// benchmark's 64x48 Desk stream). Who keeps the detail is a property of the
+// representative iteration's per-pixel planes, once for tracking and once
+// for mapping, and the mapping task's tile lists (trace.RenderStats, each
+// sequence a trace.Packed: 11.4 KiB a frame on the benchmark's 64x48 Desk
+// stream). Who keeps the detail is a property of the
 // venue, decided once when the system is built, not an option:
 //
 //   - New, Restore, Run and Server.Run are the offline venues. Their Results
@@ -37,8 +38,8 @@
 //     all of them.
 //
 // Result.Digest covers the scalars and never the detail, so it is one value
-// across all venues; the snapshot format encodes absent detail as empty lists
-// and says nothing about the level, which always comes from the restoring
+// across all venues; the snapshot format encodes absent detail as empty
+// sequences and says nothing about the level, which always comes from the restoring
 // venue. A serving Result handed to a hardware model yields a bound, not a
 // replay (see platform.RunTotal).
 //
@@ -249,7 +250,7 @@ type System struct {
 	// mode sessions run in, so idle streams hold no render state.
 	perStep bool
 	// detail says whether each frame's trace keeps the representative
-	// iteration's per-pixel planes and tile lists (trace.RenderStats) beside
+	// iteration's per-pixel planes and mapping tile lists (trace.RenderStats) beside
 	// its scalars. It is a property of the venue, fixed at construction: the
 	// offline venues keep it for the hardware models, serving sessions do not,
 	// so their resident state and snapshots are O(map), not O(frames).
@@ -558,26 +559,16 @@ func (s *System) prune(cur *trace.FrameTrace) {
 	}
 }
 
-// remapTrace rewrites the Gaussian-ID streams a FrameTrace retains (the
-// tracker's and mapper's per-tile logging lists) through a prune's
+// remapTrace rewrites the Gaussian-ID stream a FrameTrace retains (the
+// mapper's per-tile logging lists; the tracker keeps none) through a prune's
 // permutation, keeping each frame's lists consistent with the live map's IDs.
 // IDs at or beyond the permutation's range — sentinels from an earlier prune
 // of a then-larger cloud — are left as they are; each frame's lists stay internally
-// consistent, which is all the per-frame hardware-table models consume.
+// consistent, which is all the per-frame hardware-table models consume. A
+// sentinel can exceed every ID a list held, so a list whose new IDs outgrow
+// its packed width is repacked (trace.Packed.Remap).
 func remapTrace(ft *trace.FrameTrace, remap []int32) {
-	remapIDLists(ft.Track.RepTileLists, remap)
-	remapIDLists(ft.Map.RepTileLists, remap)
-}
-
-// remapIDLists applies the permutation in place to every list.
-func remapIDLists(lists [][]int32, remap []int32) {
-	for _, l := range lists {
-		for i, id := range l {
-			if int(id) < len(remap) {
-				l[i] = remap[id]
-			}
-		}
-	}
+	ft.Map.RepTileLists.IDs.Remap(remap)
 }
 
 // bootstrap anchors the first frame at its ground-truth pose (the SLAM

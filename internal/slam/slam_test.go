@@ -156,7 +156,7 @@ func TestTraceRecordsCodecAndCoarseWork(t *testing.T) {
 	// Key frames carry logging-table access streams.
 	foundLog := false
 	for _, f := range res.Trace.Frames {
-		if f.IsKeyFrame && f.Map.RepTileLists != nil {
+		if f.IsKeyFrame && f.Map.RepTileLists.NumTiles() > 0 {
 			foundLog = true
 		}
 	}

@@ -53,8 +53,12 @@ const (
 	// configuration without the slots nothing read. Version 4 drops the
 	// map's per-Gaussian active flags (a prune removes what it prunes) and
 	// the configuration's compaction knobs and mapper worker count (the
-	// system's Workers governs the mapper).
-	SnapshotVersion = 4
+	// system's Workers governs the mapper). Version 5 stores a trace's
+	// representative-iteration detail packed (putPacked): the per-pixel
+	// planes and the mapping task's tile lists, which are one ID sequence and
+	// its per-tile offsets; a tracking task carries no tile lists. A snapshot
+	// without detail differs from version 4 in its version word only.
+	SnapshotVersion = 5
 
 	snapshotHeader = len(snapshotMagic) + 4 // magic, version
 )
@@ -607,7 +611,7 @@ func encodeTrace(e *binfmt.Enc, ft *trace.FrameTrace) {
 	e.I64(ft.ReclaimedBytes)
 	// Format slot of the key frame's logging-table stream: one byte saying it
 	// is Map.RepTileLists (it always is, on key frames), else an empty list.
-	aliased := ft.IsKeyFrame && len(ft.Map.RepTileLists) > 0
+	aliased := ft.IsKeyFrame && ft.Map.RepTileLists.NumTiles() > 0
 	e.Bool(aliased)
 	if !aliased {
 		e.U64(0)
@@ -621,15 +625,15 @@ func decodeTrace(d *binfmt.Dec, ft *trace.FrameTrace) {
 	ft.CoarseOnly = d.Bool()
 	ft.CodecSADOps = d.I64()
 	ft.CoarseMACs = d.I64()
-	decodeStats(d, &ft.Track)
-	decodeStats(d, &ft.Map)
+	decodeStats(d, &ft.Track, ft.Index, "tracking")
+	decodeStats(d, &ft.Map, ft.Index, "mapping")
 	ft.NumGaussians = int(d.I64())
 	ft.SkippedGaussians = int(d.I64())
 	ft.PrunedGaussians = int(d.I64())
 	ft.CompactedSlots = int(d.I64())
 	ft.ReclaimedBytes = d.I64()
 	aliased := d.Bool()
-	if aliased != (ft.IsKeyFrame && len(ft.Map.RepTileLists) > 0) || (!aliased && d.U64() != 0) {
+	if aliased != (ft.IsKeyFrame && ft.Map.RepTileLists.NumTiles() > 0) || (!aliased && d.U64() != 0) {
 		d.Fail("trace frame %d: logging stream is not the key frame's mapping tile lists", ft.Index)
 	}
 }
@@ -642,14 +646,22 @@ func encodeStats(e *binfmt.Enc, s *trace.RenderStats) {
 	e.I64(s.Splats)
 	e.I64(s.TileEntries)
 	e.I64(s.Pixels)
-	e.I32s(s.RepPerPixelBlend)
-	e.I32s(s.RepPerPixelAlpha)
-	putIDLists(e, s.RepTileLists)
+	putPacked(e, s.RepPerPixelBlend)
+	putPacked(e, s.RepPerPixelAlpha)
+	// The offsets first: without them (no tile lists) the IDs are not written.
+	putPacked(e, s.RepTileLists.Offsets)
+	if s.RepTileLists.Offsets.Len() > 0 {
+		putPacked(e, s.RepTileLists.IDs)
+	}
 	e.I64(int64(s.Width))
 	e.I64(int64(s.Height))
 }
 
-func decodeStats(d *binfmt.Dec, s *trace.RenderStats) {
+// decodeStats reads one task's stats and refuses detail the hardware models
+// could not replay: one plane without the other, planes that are not
+// Width*Height counts each, tile lists that are not CSR or that come without
+// the planes, and tile lists on a tracking task, which never records any.
+func decodeStats(d *binfmt.Dec, s *trace.RenderStats, frame int, task string) {
 	s.Iters = int(d.I64())
 	s.AlphaOps = d.I64()
 	s.BlendOps = d.I64()
@@ -657,11 +669,34 @@ func decodeStats(d *binfmt.Dec, s *trace.RenderStats) {
 	s.Splats = d.I64()
 	s.TileEntries = d.I64()
 	s.Pixels = d.I64()
-	s.RepPerPixelBlend = d.I32s()
-	s.RepPerPixelAlpha = d.I32s()
-	s.RepTileLists = getIDLists(d)
+	s.RepPerPixelBlend = getPacked(d)
+	s.RepPerPixelAlpha = getPacked(d)
+	s.RepTileLists.Offsets = getPacked(d)
+	if s.RepTileLists.Offsets.Len() > 0 {
+		s.RepTileLists.IDs = getPacked(d)
+	}
 	s.Width = int(d.I64())
 	s.Height = int(d.I64())
+	if d.Err() != nil {
+		return
+	}
+	blend, alpha, lists := s.RepPerPixelBlend.Len(), s.RepPerPixelAlpha.Len(), s.RepTileLists.Offsets.Len() > 0
+	fail := func(format string, args ...any) {
+		d.Fail("trace frame %d, %s task: %s", frame, task, fmt.Sprintf(format, args...))
+	}
+	switch {
+	case (blend > 0) != (alpha > 0):
+		fail("one per-pixel plane without the other (%d and %d counts)", blend, alpha)
+	case blend > 0 && !(s.Width > 0 && s.Height > 0 && blend%s.Width == 0 && blend/s.Width == s.Height && alpha == blend):
+		fail("per-pixel planes of %d and %d counts for a %dx%d image", blend, alpha, s.Width, s.Height)
+	case lists && task == "tracking":
+		fail("tile lists on a tracking task")
+	case lists && blend == 0:
+		fail("tile lists without the per-pixel planes")
+	}
+	if err := s.RepTileLists.Validate(); err != nil {
+		fail("%v", err)
+	}
 }
 
 func encodeCloud(e *binfmt.Enc, c *gauss.Cloud) {
@@ -739,21 +774,33 @@ func getPoses(d *binfmt.Dec) []vecmath.Pose {
 	return out
 }
 
-func putIDLists(e *binfmt.Enc, lists [][]int32) {
-	e.U64(uint64(len(lists)))
-	for _, l := range lists {
-		e.I32s(l)
+// putPacked writes a packed sequence: its element count (u64) and, unless it
+// is empty, its width byte and its element bytes as they are. An empty
+// sequence is eight zero bytes, what version 4 wrote for an absent list.
+func putPacked(e *binfmt.Enc, p trace.Packed) {
+	e.U64(uint64(p.Len()))
+	if p.Len() > 0 {
+		e.U8(byte(p.Width()))
+		e.Raw(p.Raw())
 	}
 }
 
-func getIDLists(d *binfmt.Dec) [][]int32 {
-	n := d.Len(8)
+// getPacked reads what putPacked wrote. It allocates once, for a count the
+// bytes left can hold at the width read, and refuses a width that is not 1,
+// 2 or 4.
+func getPacked(d *binfmt.Dec) trace.Packed {
+	n := int64(d.U64())
 	if n == 0 {
-		return nil
+		return trace.Packed{}
 	}
-	out := make([][]int32, n)
-	for i := range out {
-		out[i] = d.I32s()
+	width := d.U8()
+	raw := d.Take(d.Area(n, int64(width), 1))
+	if d.Err() != nil {
+		return trace.Packed{}
 	}
-	return out
+	p, err := trace.FromRaw(int(width), raw)
+	if err != nil {
+		d.Fail("%w", err)
+	}
+	return p
 }

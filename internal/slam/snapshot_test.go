@@ -239,10 +239,15 @@ func TestSessionSnapshotAfterClose(t *testing.T) {
 
 // TestAppendSnapshotAllocBudget: a snapshot encoded into a buffer that has
 // room exists once, in that buffer — the encode allocates next to nothing —
-// and a buffer that is too small is re-made once, at twice its capacity.
+// and a buffer that is too small is re-made once, at twice its capacity. The
+// system is an offline one, so the snapshot carries packed trace detail,
+// which the counting pass sizes like everything else.
 func TestAppendSnapshotAllocBudget(t *testing.T) {
 	seq := testSeq(t, "Desk", 3)
 	sys := New(fastCfg(tw, th), seq.Intr)
+	if !sys.detail {
+		t.Fatal("slam.New built a system without trace detail")
+	}
 	defer sys.Close()
 	for _, f := range seq.Frames {
 		if err := sys.ProcessFrame(f); err != nil {
@@ -355,6 +360,31 @@ func TestRestoreRejectsDamage(t *testing.T) {
 			tb[0].body = AppendFrame(nil, scene.MustGenerate("Desk", scene.Config{Width: tw / 2, Height: th / 2, Frames: 1, Seed: 1}).Frames[0])
 			return tb
 		}), "does not match camera"},
+		// The trace detail (packed since version 5): what the hardware models
+		// could not replay is refused here, not charged zero cycles there.
+		{"plane width byte 3", replane(t, func(p []byte) []byte {
+			p[8] = 3
+			return p
+		}), "packed width 3"},
+		{"plane longer than the payload", replane(t, func(p []byte) []byte {
+			binary.LittleEndian.PutUint64(p, 1<<40)
+			return p
+		}), "exceeds remaining payload"},
+		{"one plane without the other", retrace(t, func(fs []trace.FrameTrace) {
+			fs[1].Map.RepPerPixelAlpha = trace.Packed{}
+		}), "one per-pixel plane without the other"},
+		{"planes not the image's size", retrace(t, func(fs []trace.FrameTrace) {
+			s := &fs[1].Track
+			s.RepPerPixelBlend = trace.Pack(s.RepPerPixelBlend.AppendTo(nil)[:10])
+			s.RepPerPixelAlpha = trace.Pack(s.RepPerPixelAlpha.AppendTo(nil)[:10])
+		}), "per-pixel planes of 10 and 10 counts"},
+		{"tile lists on a tracking task", retrace(t, func(fs []trace.FrameTrace) {
+			fs[1].Track.RepTileLists = fs[1].Map.RepTileLists
+		}), "tile lists on a tracking task"},
+		{"tile offsets past the IDs", retrace(t, func(fs []trace.FrameTrace) {
+			l := &fs[1].Map.RepTileLists
+			l.Offsets = trace.Pack([]int32{0, int32(l.IDs.Len()) + 1})
+		}), "tile-list offsets"},
 	}
 	for _, tc := range cases {
 		_, err := Restore(bytes.NewReader(tc.mangle(data)))
@@ -407,23 +437,85 @@ func shortSecondMoments(t *testing.T, snap []byte) []byte {
 	return append(out, sum[:]...)
 }
 
+// traceSection finds the trace frames in the bytes behind a snapshot's frame
+// table: they are tail[start:end], the count and then each frame as
+// encodeTrace wrote it. d is left at end.
+func traceSection(t testing.TB, tail []byte) (d *binfmt.Dec, start, end int, frames []trace.FrameTrace) {
+	t.Helper()
+	d = binfmt.NewDec(tail)
+	d.I64() // previous frame
+	d.I64() // key frame
+	getPoses(d)
+	getPoses(d)
+	for n := d.Len(8); n > 0; n-- {
+		decodeInfo(d, &FrameInfo{})
+	}
+	start = len(tail) - d.Remaining()
+	frames = make([]trace.FrameTrace, d.Len(8))
+	for i := range frames {
+		decodeTrace(d, &frames[i])
+	}
+	if err := d.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return d, start, len(tail) - d.Remaining(), frames
+}
+
+// retrace is a damage row that edits the snapshot's decoded trace frames,
+// encodes them again and redoes the checksum.
+func retrace(t testing.TB, edit func([]trace.FrameTrace)) func([]byte) []byte {
+	return func(b []byte) []byte {
+		t.Helper()
+		head, table, tail := splitSnapshot(t, b)
+		_, start, end, frames := traceSection(t, tail)
+		edit(frames)
+		e := binfmt.Enc{Buf: slices.Clone(tail[:start])}
+		e.U64(uint64(len(frames)))
+		for i := range frames {
+			encodeTrace(&e, &frames[i])
+		}
+		e.Raw(tail[end:])
+		return joinSnapshot(head, table, e.Buf)
+	}
+}
+
+// replane is a damage row that rewrites the bytes of the first trace frame's
+// mapping blend plane (its u64 count, width byte and elements) and redoes the
+// checksum: bytes no encoder writes.
+func replane(t *testing.T, edit func(plane []byte) []byte) func([]byte) []byte {
+	return func(b []byte) []byte {
+		t.Helper()
+		head, table, tail := splitSnapshot(t, b)
+		_, start, _, _ := traceSection(t, tail)
+		d := binfmt.NewDec(tail[start:])
+		d.Len(8)
+		d.I64() // index
+		d.F64() // covisibility
+		d.Bool()
+		d.Bool()
+		d.I64() // SAD ops
+		d.I64() // coarse MACs
+		decodeStats(d, &trace.RenderStats{}, 0, "tracking")
+		for range 7 { // the mapping scalars
+			d.I64()
+		}
+		at := len(tail) - d.Remaining()
+		if getPacked(d).Len() == 0 || d.Err() != nil {
+			t.Fatal("the first trace frame's mapping task carries no blend plane")
+		}
+		end := len(tail) - d.Remaining()
+		edited := append(slices.Clone(tail[:at]), edit(slices.Clone(tail[at:end]))...)
+		return joinSnapshot(head, table, append(edited, tail[end:]...))
+	}
+}
+
 // reskip is a damage row that rewrites the snapshot's skip set, the field
 // behind the cloud, and redoes the checksum.
 func reskip(t *testing.T, edit func([]bool) []bool) func([]byte) []byte {
 	return func(b []byte) []byte {
 		t.Helper()
 		head, table, tail := splitSnapshot(t, b)
-		d := binfmt.NewDec(tail)
-		d.I64() // previous frame
-		d.I64() // key frame
-		getPoses(d)
-		getPoses(d)
-		for n := d.Len(8); n > 0; n-- {
-			decodeInfo(d, &FrameInfo{})
-		}
-		for n := d.Len(8); n > 0; n-- {
-			decodeTrace(d, &trace.FrameTrace{})
-		}
+		d, _, _, _ := traceSection(t, tail)
 		decodeCloud(d)
 		at := len(tail) - d.Remaining()
 		skip := d.Bools()

@@ -12,19 +12,21 @@ import (
 	"testing"
 
 	"ags/internal/binfmt"
+	"ags/internal/hw/trace"
 	"ags/internal/scene"
 )
 
-// TestGoldenSnapshot pins SnapshotVersion 4 by length and SHA-256: the
+// TestGoldenSnapshot pins SnapshotVersion 5 by length and SHA-256: the
 // AGSSNAP of a fixed-seed AGS run with pruning on, six frames in, once as
 // Snapshot writes it (every frame body inline) and once as a fleet checkpoint
 // is taken (by a requester that holds every frame pushed, so the frame table
 // is positions only). The golden lines were written once, by the encoder the
 // version was introduced with, and there is no regeneration switch — a moved
 // byte takes a SnapshotVersion bump and new files (version 1's were
-// snapshot.sum.golden, version 2's *.v2.sum.golden, version 3's
-// *.v3.sum.golden). The run's floats depend on whether the compiler fuses
-// multiply-adds, so the lines hold for amd64 only.
+// snapshot.sum.golden, version 2's *.v2.sum.golden, and so on to version 4's
+// *.v4.sum.golden). Both carry the run's trace detail, packed. The run's
+// floats depend on whether the compiler fuses multiply-adds, so the lines
+// hold for amd64 only.
 func TestGoldenSnapshot(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden snapshot recorded on amd64")
@@ -45,8 +47,8 @@ func TestGoldenSnapshot(t *testing.T) {
 		file string
 		snap []byte
 	}{
-		{"snapshot.v4.sum.golden", buf.Bytes()},
-		{"snapshot-lean.v4.sum.golden", sys.AppendSnapshot(nil, []int{0, 1, 2, 3, 4, 5})},
+		{"snapshot.v5.sum.golden", buf.Bytes()},
+		{"snapshot-lean.v5.sum.golden", sys.AppendSnapshot(nil, []int{0, 1, 2, 3, 4, 5})},
 	} {
 		want, err := os.ReadFile(filepath.Join("testdata", g.file))
 		if err != nil {
@@ -59,9 +61,9 @@ func TestGoldenSnapshot(t *testing.T) {
 }
 
 // The restore seed is a whole small restore, in bytes: a lean snapshot of a
-// 16x12 AGS run three frames in (restore.v4.golden) and the frames it leaves
+// 16x12 AGS run three frames in (restore.v5.golden) and the frames it leaves
 // out, as a count and then position and length-prefixed AppendFrame bytes each
-// (restore-frames.v4.golden, the shape fleet's RESTORE gives the list). Like
+// (restore-frames.v5.golden, the shape fleet's RESTORE gives the list). Like
 // the sums above they were written once. They pin the decoder on every
 // platform (the bytes restore and the stream goes on), the encoder on amd64,
 // and they seed FuzzRestoreSession.
@@ -81,11 +83,11 @@ func seedSeq() *scene.Sequence {
 
 func readSeed(t testing.TB) (snap, list []byte) {
 	t.Helper()
-	snap, err := os.ReadFile(filepath.Join("testdata", "restore.v4.golden"))
+	snap, err := os.ReadFile(filepath.Join("testdata", "restore.v5.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	list, err = os.ReadFile(filepath.Join("testdata", "restore-frames.v4.golden"))
+	list, err = os.ReadFile(filepath.Join("testdata", "restore-frames.v5.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +187,22 @@ func FuzzRestoreSession(f *testing.F) {
 		table[i].body = AppendFrame(nil, held[i].Frame)
 	}
 	full := joinSnapshot(head, table, tail)
-	f.Add(full[fixed:len(full)-sha256.Size], []byte{0, 0, 0, 0, 0, 0, 0, 0})
+	noFrames := []byte{0, 0, 0, 0, 0, 0, 0, 0}
+	f.Add(full[fixed:len(full)-sha256.Size], noFrames)
+	// Both seeds above come from an offline system, so their traces carry
+	// packed detail (a session's never do), but at 16x12 every count and ID
+	// fits one byte. One more holds the same state with a blend count past
+	// one byte and a tile-list ID past two, so the decoder meets every width.
+	wide := retrace(f, func(fs []trace.FrameTrace) {
+		s := &fs[len(fs)-1].Map
+		blend := s.RepPerPixelBlend.AppendTo(nil)
+		blend[0] = 300
+		s.RepPerPixelBlend = trace.Pack(blend)
+		ids := s.RepTileLists.IDs.AppendTo(nil)
+		ids[0] = 1 << 20
+		s.RepTileLists.IDs = trace.Pack(ids)
+	})(full)
+	f.Add(wide[fixed:len(wide)-sha256.Size], noFrames)
 	next := seedSeq().Frames[seedFrames]
 	srv := NewServer(ServerConfig{})
 

@@ -3,9 +3,11 @@ package splat
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ags/internal/frame"
+	"ags/internal/hw/trace"
 )
 
 // TestRenderContextAllocationFree pins the point of the tentpole: once a
@@ -33,6 +35,32 @@ func TestRenderContextAllocationFree(t *testing.T) {
 		ctx.Backward(cloud, cam, res, target, lc, bopts)
 	}); allocs > budget {
 		t.Errorf("warm contexted backward: %.1f allocs/op, budget %.0f", allocs, budget)
+	}
+}
+
+// TestPackDetailAllocBudget: recording a render as a trace's representative
+// iteration makes one allocation per packed sequence (two planes, and the
+// tile lists' IDs and offsets), none for an intermediate list, and what it
+// records reads back as the render's own planes and tables.
+func TestPackDetailAllocBudget(t *testing.T) {
+	cloud, cam := determinismScene()
+	ctx := NewRenderContext()
+	res := ctx.Render(cloud, cam, Options{Workers: 1})
+	var s trace.RenderStats
+	for _, tc := range []struct {
+		lists  bool
+		budget float64
+	}{{false, 2}, {true, 4}} {
+		if allocs := testing.AllocsPerRun(20, func() { res.PackDetail(&s, tc.lists) }); allocs > tc.budget {
+			t.Errorf("PackDetail(lists %v): %.1f allocs/op, budget %.0f", tc.lists, allocs, tc.budget)
+		}
+	}
+	if !slices.Equal(s.RepPerPixelBlend.AppendTo(nil), res.PerPixelBlend) || !slices.Equal(s.RepPerPixelAlpha.AppendTo(nil), res.PerPixelAlpha) ||
+		s.Width != cam.Intr.W || s.Height != cam.Intr.H {
+		t.Error("the packed planes do not read back as the render's")
+	}
+	if l := s.RepTileLists; !slices.Equal(l.Offsets.AppendTo(nil), res.Tiles.Offsets) || l.IDs.Len() != res.Tiles.TotalEntries() {
+		t.Error("the packed tile lists are not the render's tables")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"ags/internal/camera"
 	"ags/internal/frame"
 	"ags/internal/gauss"
+	"ags/internal/hw/trace"
 	"ags/internal/vecmath"
 )
 
@@ -302,23 +303,29 @@ func renderOneTile(res *Result, tileIdx, w, h int, opts Options,
 	return alphaOps, int64(pos - start)
 }
 
+// PackDetail records the render as a trace's representative iteration: its
+// two per-pixel planes and, with lists, its per-tile Gaussian-ID lists, each
+// packed (trace.Packed) in one allocation. The stats alias nothing of the
+// Result, so they outlive a RenderContext's next render.
+func (r *Result) PackDetail(s *trace.RenderStats, lists bool) {
+	s.RepPerPixelBlend = trace.Pack(r.PerPixelBlend)
+	s.RepPerPixelAlpha = trace.Pack(r.PerPixelAlpha)
+	if lists {
+		s.RepTileLists = r.TileIDLists()
+	}
+	s.Width, s.Height = r.Color.W, r.Color.H
+}
+
 // TileIDLists converts the per-tile splat-index tables into stable
 // Gaussian-ID lists (the paper's "Gaussian tables", which the hardware
-// model's logging/skipping tables replay). The returned lists are freshly
-// allocated — safe to retain even when the Result came from a RenderContext.
-func (r *Result) TileIDLists() [][]int32 {
-	nt := r.Tiles.NumTiles()
-	out := make([][]int32, nt)
-	backing := make([]int32, r.Tiles.TotalEntries())
-	for i := 0; i < nt; i++ {
-		lo, hi := r.Tiles.Offsets[i], r.Tiles.Offsets[i+1]
-		ids := backing[lo:hi:hi]
-		for j, si := range r.Tiles.Entries[lo:hi] {
-			ids[j] = int32(r.Splats[si].ID)
-		}
-		out[i] = ids
+// model's logging/skipping tables replay), packed straight from the tables'
+// CSR layout: one allocation for the IDs and one for the offsets.
+func (r *Result) TileIDLists() trace.TileLists {
+	entries := r.Tiles.Entries
+	return trace.TileLists{
+		IDs:     trace.PackFunc(len(entries), func(i int) int32 { return int32(r.Splats[entries[i]].ID) }),
+		Offsets: trace.Pack(r.Tiles.Offsets),
 	}
-	return out
 }
 
 // NormalizedDepth returns the rendered depth divided by the silhouette

@@ -1,8 +1,6 @@
 package tracker
 
 import (
-	"slices"
-
 	"ags/internal/camera"
 	"ags/internal/frame"
 	"ags/internal/gauss"
@@ -33,7 +31,7 @@ type GSRefiner struct {
 	Ctx *splat.RenderContext
 	// ScalarsOnly makes Refine return the tracking work's scalars without the
 	// representative iteration's detail (see trace.RenderStats): the per-pixel
-	// planes and tile lists are never built. slam sets it once, when it builds
+	// planes are never packed. slam sets it once, when it builds
 	// a serving session's refiner; the refined pose is identical either way.
 	ScalarsOnly bool
 }
@@ -92,12 +90,9 @@ func (r *GSRefiner) Refine(cloud *gauss.Cloud, intr camera.Intrinsics, f *frame.
 		stats.Accumulate(res.AlphaOps, res.BlendOps, 2*res.BlendOps,
 			int64(len(res.Splats)), int64(res.Tiles.TotalEntries()), int64(intr.W*intr.H))
 		if i == iters-1 && !r.ScalarsOnly {
-			// The trace snapshot outlives this iteration, while a contexted
-			// res is only valid until the next render — copy, don't alias.
-			stats.RepPerPixelBlend = slices.Clone(res.PerPixelBlend)
-			stats.RepPerPixelAlpha = slices.Clone(res.PerPixelAlpha)
-			stats.RepTileLists = res.TileIDLists()
-			stats.Width, stats.Height = intr.W, intr.H
+			// The planes only: no hardware model reads a tracking task's
+			// tile lists.
+			res.PackDetail(&stats, false)
 		}
 		if bestLoss < 0 || grads.Loss < bestLoss {
 			bestLoss = grads.Loss

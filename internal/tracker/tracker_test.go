@@ -248,14 +248,21 @@ func TestTileIDListsMapSplatsToGaussians(t *testing.T) {
 	cam := camera.Camera{Intr: seq.Intr, Pose: f.GTPose}
 	res := splat.Render(cloud, cam, splat.Options{})
 	lists := res.TileIDLists()
-	if len(lists) != res.Tiles.NumTiles() {
-		t.Fatalf("list count %d vs %d tiles", len(lists), res.Tiles.NumTiles())
+	if lists.NumTiles() != res.Tiles.NumTiles() || lists.IDs.Len() != res.Tiles.TotalEntries() {
+		t.Fatalf("%d lists of %d IDs for %d tiles of %d entries", lists.NumTiles(), lists.IDs.Len(), res.Tiles.NumTiles(), res.Tiles.TotalEntries())
 	}
-	for ti, l := range lists {
-		for _, id := range l {
-			if id < 0 || int(id) >= cloud.Len() {
-				t.Fatalf("tile %d has invalid gaussian id %d", ti, id)
+	if err := lists.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for ti := range lists.NumTiles() {
+		lo, hi := lists.Tile(ti)
+		for j, si := range res.Tiles.ListAt(ti) {
+			if id := lists.IDs.At(lo + j); id != int32(res.Splats[si].ID) || int(id) >= cloud.Len() {
+				t.Fatalf("tile %d entry %d: ID %d, the splat's Gaussian is %d", ti, j, id, res.Splats[si].ID)
 			}
+		}
+		if hi-lo != len(res.Tiles.ListAt(ti)) {
+			t.Fatalf("tile %d: %d IDs for %d entries", ti, hi-lo, len(res.Tiles.ListAt(ti)))
 		}
 	}
 }
