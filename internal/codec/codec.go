@@ -17,6 +17,7 @@ package codec
 
 import (
 	"fmt"
+	"slices"
 
 	"ags/internal/frame"
 )
@@ -80,16 +81,32 @@ func (r *Result) MaxPossibleSAD() uint64 {
 // MotionEstimate runs ME of cur against prev (the reference frame).
 // Both images must have identical dimensions. Frames whose size is not a
 // multiple of BlockSize get clamped partial blocks along the right/bottom
-// edges, so every pixel participates in the covisibility metric.
+// edges, so every pixel participates in the covisibility metric. It is the
+// one-shot form of Estimate: it converts both images to luma for this call
+// only.
 func MotionEstimate(prev, cur *frame.Image, cfg Config) (*Result, error) {
+	var seen []uint32
+	return Estimate(Plane{W: prev.W, H: prev.H, Y: prev.Luma8()}, Plane{W: cur.W, H: cur.H, Y: cur.Luma8()}, cfg, &seen)
+}
+
+// Plane is a W x H image's 8-bit luma (frame.Image.Luma8), what the ME block
+// reads.
+type Plane struct {
+	W, H int
+	Y    []uint8
+}
+
+// Estimate is MotionEstimate over luma planes, for callers that keep an
+// image's plane between comparisons (covis.Detector). *seen is the search's
+// probe-dedup scratch: reused when large enough, re-made otherwise, and left
+// in *seen for the next call.
+func Estimate(prev, cur Plane, cfg Config, seen *[]uint32) (*Result, error) {
 	if prev.W != cur.W || prev.H != cur.H {
 		return nil, fmt.Errorf("codec: frame size mismatch %dx%d vs %dx%d", prev.W, prev.H, cur.W, cur.H)
 	}
 	if cfg.BlockSize <= 0 || cfg.SearchRange < 0 {
 		return nil, fmt.Errorf("codec: invalid config %+v", cfg)
 	}
-	pl := prev.Luma8()
-	cl := cur.Luma8()
 	w, h := cur.W, cur.H
 	bs := cfg.BlockSize
 	if w < bs || h < bs {
@@ -104,7 +121,7 @@ func MotionEstimate(prev, cur *frame.Image, cfg Config) (*Result, error) {
 		Pixels: int64(w) * int64(h),
 	}
 
-	st := newBlockSearch(cl, pl, w, h, cfg)
+	st := newBlockSearch(cur.Y, prev.Y, w, h, cfg, seen)
 	for by := 0; by < mbh; by++ {
 		for bx := 0; bx < mbw; bx++ {
 			st.x0, st.y0 = bx*bs, by*bs
@@ -142,13 +159,17 @@ type blockSearch struct {
 	gen  uint32
 }
 
-func newBlockSearch(cur, ref []uint8, w, h int, cfg Config) *blockSearch {
+// newBlockSearch starts a search over the frame pair with *seen as its dedup
+// scratch, cleared: its generation stamps start over.
+func newBlockSearch(cur, ref []uint8, w, h int, cfg Config, seen *[]uint32) blockSearch {
 	side := 2*cfg.SearchRange + 1
-	return &blockSearch{
+	*seen = slices.Grow((*seen)[:0], side*side)[:side*side]
+	clear(*seen)
+	return blockSearch{
 		cur: cur, ref: ref, w: w, h: h,
 		sr:        cfg.SearchRange,
 		earlyTerm: cfg.EarlyTerm,
-		seen:      make([]uint32, side*side),
+		seen:      *seen,
 	}
 }
 

@@ -22,8 +22,15 @@ type Level int
 // Detector computes covisibility using the CODEC ME model. It corresponds to
 // the FC detection engine reading SAD values the CODEC already produced.
 // Cfg.EarlyTerm lowers the ME's charged SADOps and leaves the score
-// unaffected (see package codec). A Detector holds no state between
-// comparisons.
+// unaffected (see package codec).
+//
+// A Detector keeps the luma planes of the last three images it compared and
+// the ME's probe-dedup scratch between comparisons: a frame's two comparisons
+// (previous frame and key frame, each against the frame) read three images,
+// and the frame before read two of them. It recognises an image by pointer,
+// under the contract tracker.CoarseAligner puts on the same frames: an image
+// handed in must not be modified afterwards. A Detector serves one goroutine
+// at a time; its results are those of codec.MotionEstimate on the same pair.
 type Detector struct {
 	Cfg codec.Config
 	// Sensitivity scales the normalized SAD before conversion to a score.
@@ -34,6 +41,15 @@ type Detector struct {
 	// typical SLAM frame-to-frame differences across the full [0,1] range at
 	// this reproduction's resolutions (see README: threshold mapping).
 	Sensitivity float64
+
+	planes [3]lumaPlane // most recently used first
+	seen   []uint32
+}
+
+// lumaPlane is an image's luma plane, as the detector keeps it.
+type lumaPlane struct {
+	img *frame.Image
+	y   []uint8
 }
 
 // NewDetector returns a Detector with the paper's ME configuration.
@@ -44,12 +60,29 @@ func NewDetector() *Detector {
 // Compare returns the covisibility between two frames and the ME result it
 // was scored from, whose SADOps is the CODEC work the hardware model charges.
 func (d *Detector) Compare(prev, cur *frame.Image) (Score, *codec.Result, error) {
-	res, err := codec.MotionEstimate(prev, cur, d.Cfg)
+	res, err := codec.Estimate(d.luma(prev), d.luma(cur), d.Cfg, &d.seen)
 	if err != nil {
 		return 0, nil, fmt.Errorf("covis: %w", err)
 	}
 	norm := float64(res.SumMinSAD()) / float64(res.MaxPossibleSAD())
 	return Score(min(max(1-d.Sensitivity*norm, 0), 1)), res, nil
+}
+
+// luma returns im's luma plane and makes it the most recently used. An image
+// that is not among the kept three is converted into the storage of the least
+// recently used one.
+func (d *Detector) luma(im *frame.Image) codec.Plane {
+	i := 0
+	for i < len(d.planes)-1 && d.planes[i].img != im {
+		i++
+	}
+	p := d.planes[i]
+	if p.img != im {
+		p = lumaPlane{img: im, y: im.Luma8Into(p.y)}
+	}
+	copy(d.planes[1:i+1], d.planes[:i])
+	d.planes[0] = p
+	return codec.Plane{W: im.W, H: im.H, Y: p.y}
 }
 
 // LevelOf quantizes a covisibility score into 5 levels (1 = lowest

@@ -57,8 +57,12 @@ func (im *Image) Luma(dst []float64) []float64 {
 
 // Luma8 returns the luminance quantized to 8-bit values, matching what a
 // hardware CODEC's motion-estimation block consumes.
-func (im *Image) Luma8() []uint8 {
-	out := make([]uint8, len(im.Pix))
+func (im *Image) Luma8() []uint8 { return im.Luma8Into(nil) }
+
+// Luma8Into is Luma8 written over dst's storage when that is large enough
+// (nil allocates).
+func (im *Image) Luma8Into(dst []uint8) []uint8 {
+	out := slices.Grow(dst[:0], len(im.Pix))[:len(im.Pix)]
 	for i, p := range im.Pix {
 		y := 0.299*p.X + 0.587*p.Y + 0.114*p.Z
 		out[i] = uint8(vecmath.Clamp(y, 0, 1)*255 + 0.5)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/bits"
+	"slices"
 	"testing"
 
 	"ags/internal/vecmath"
@@ -53,6 +54,11 @@ func TestLuma8Range(t *testing.T) {
 	l := im.Luma8()
 	if l[0] != 255 || l[1] != 0 {
 		t.Errorf("Luma8 = %v", l)
+	}
+	// Into a buffer large enough, the same plane over the buffer's storage.
+	buf := make([]uint8, 5)
+	if into := im.Luma8Into(buf); !slices.Equal(into, l) || &into[0] != &buf[0] {
+		t.Errorf("Luma8Into = %v over its own storage, want %v over the buffer's", into, l)
 	}
 }
 

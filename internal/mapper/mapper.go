@@ -124,14 +124,6 @@ type Mapper struct {
 	skipSet []bool
 	// keyframes retained for the multi-view loss.
 	keyframes []Keyframe
-
-	// applyGrads's flattened parameter/gradient views, grown to the cloud
-	// size once and reused across mapping iterations so the optimizer step
-	// allocates nothing in steady state.
-	pMean, gMean   []float64
-	pColor, gColor []float64
-	pLogit, gLogit []float64
-	pScale, gScale []float64
 }
 
 // New returns an empty mapper.
@@ -368,58 +360,36 @@ func (m *Mapper) recordContribution(res *splat.Result) {
 	}
 }
 
-// applyGrads steps the per-group Adam optimizers over the flattened
-// parameters of the Gaussians. The flattened views live on the
-// Mapper and are fully rewritten below before the optimizer reads them, so
-// reusing them across iterations changes no output.
+// applyGrads steps the per-group Adam optimizers over the Gaussians where they
+// lie: one walk of the cloud updates each Gaussian's mean and colour (elements
+// 3·id to 3·id+2 of their groups), logit and log-scale (element id), and
+// clamps the stepped colour to [0, 1]. Every element takes Adam's one
+// arithmetic path, so the map's bits equal those of a Step over a flattened
+// copy (TestApplyGradsMatchesFlatSteps).
 //
 //ags:hotpath
 func (m *Mapper) applyGrads(grads *splat.Grads) {
 	n := m.cloud.Len()
-	means := grown(&m.pMean, 3*n)
-	meanG := grown(&m.gMean, 3*n)
-	colors := grown(&m.pColor, 3*n)
-	colorG := grown(&m.gColor, 3*n)
-	logits := grown(&m.pLogit, n)
-	logitG := grown(&m.gLogit, n)
-	scales := grown(&m.pScale, n)
-	scaleG := grown(&m.gScale, n)
+	m.optMean.Begin(3 * n)
+	m.optColor.Begin(3 * n)
+	m.optLogit.Begin(n)
+	m.optScale.Begin(n)
 	for id := 0; id < n; id++ {
 		g := m.cloud.At(id)
-		means[3*id], means[3*id+1], means[3*id+2] = g.Mean.X, g.Mean.Y, g.Mean.Z
-		colors[3*id], colors[3*id+1], colors[3*id+2] = g.Color.X, g.Color.Y, g.Color.Z
-		logits[id] = g.Logit
-		scales[id] = g.LogScale
-		meanG[3*id], meanG[3*id+1], meanG[3*id+2] = grads.Mean[id].X, grads.Mean[id].Y, grads.Mean[id].Z
-		colorG[3*id], colorG[3*id+1], colorG[3*id+2] = grads.Color[id].X, grads.Color[id].Y, grads.Color[id].Z
-		logitG[id] = grads.Logit[id]
-		scaleG[id] = grads.LogScale[id]
+		gm, gc := grads.Mean[id], grads.Color[id]
+		g.Mean = vecmath.Vec3{
+			X: m.optMean.Update(3*id, g.Mean.X, gm.X),
+			Y: m.optMean.Update(3*id+1, g.Mean.Y, gm.Y),
+			Z: m.optMean.Update(3*id+2, g.Mean.Z, gm.Z),
+		}
+		g.Color = vecmath.Vec3{
+			X: m.optColor.Update(3*id, g.Color.X, gc.X),
+			Y: m.optColor.Update(3*id+1, g.Color.Y, gc.Y),
+			Z: m.optColor.Update(3*id+2, g.Color.Z, gc.Z),
+		}.Clamp(0, 1)
+		g.Logit = m.optLogit.Update(id, g.Logit, grads.Logit[id])
+		g.LogScale = m.optScale.Update(id, g.LogScale, grads.LogScale[id])
 	}
-	m.optMean.Step(means, meanG)
-	m.optColor.Step(colors, colorG)
-	m.optLogit.Step(logits, logitG)
-	m.optScale.Step(scales, scaleG)
-	for id := 0; id < n; id++ {
-		g := m.cloud.At(id)
-		g.Mean = vecmath.Vec3{X: means[3*id], Y: means[3*id+1], Z: means[3*id+2]}
-		g.Color = vecmath.Vec3{X: colors[3*id], Y: colors[3*id+1], Z: colors[3*id+2]}.Clamp(0, 1)
-		g.Logit = logits[id]
-		g.LogScale = scales[id]
-	}
-}
-
-// grown resizes *buf to n reusing its capacity (no clearing — callers
-// overwrite every element before reading), returning the resized view. A
-// buffer that has to be re-made at least doubles: n follows the cloud, which
-// Densify enlarges every key frame.
-//
-//ags:hotpath
-func grown(buf *[]float64, n int) []float64 {
-	if cap(*buf) < n {
-		*buf = make([]float64, n, max(n, 2*cap(*buf)))
-	}
-	*buf = (*buf)[:n]
-	return *buf
 }
 
 func absf(x float64) float64 {

@@ -1,8 +1,11 @@
 // Package optim implements Adam, the first-order optimizer 3DGS training uses
-// for both pose tracking and Gaussian mapping (matching SplaTAM). It operates
-// over flat float64 parameter slices so callers can expose any view of their
-// state; a caller with several parameter groups owns one Adam per group (see
-// mapper.Mapper).
+// for both pose tracking and Gaussian mapping (matching SplaTAM). A step is
+// Begin(n) over an n-element parameter vector, then Update once per element:
+// callers whose parameters live in their own structures (mapper.Mapper steps
+// the Gaussians of its map in place) update them where they lie, and Step is
+// that loop over a flat slice. There is one arithmetic path, so both ways of
+// stepping give the same bits. A caller with several parameter groups owns one
+// Adam per group.
 package optim
 
 import "math"
@@ -15,6 +18,8 @@ type Adam struct {
 	Eps     float64
 	m, v    []float64
 	stepNum int
+	// The bias corrections of the step Begin opened.
+	b1t, b2t float64
 }
 
 // NewAdam returns an Adam optimizer with standard betas (0.9, 0.999).
@@ -22,24 +27,37 @@ func NewAdam(lr float64) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
 }
 
-// Step applies one Adam update.
+// Step applies one Adam update to params.
 func (a *Adam) Step(params, grads []float64) {
-	if len(a.m) != len(params) {
-		a.m = zeroed(a.m, len(params))
-		a.v = zeroed(a.v, len(params))
+	a.Begin(len(params))
+	for i, p := range params {
+		params[i] = a.Update(i, p, grads[i])
+	}
+}
+
+// Begin opens a step over n parameters: it reinitialises the moments when n
+// is not their length (a map that grew), advances the step counter and
+// computes the step's bias corrections. Each of the n parameters is then
+// stepped once, through Update.
+func (a *Adam) Begin(n int) {
+	if len(a.m) != n {
+		a.m = zeroed(a.m, n)
+		a.v = zeroed(a.v, n)
 		a.stepNum = 0
 	}
 	a.stepNum++
-	b1t := 1 - math.Pow(a.Beta1, float64(a.stepNum))
-	b2t := 1 - math.Pow(a.Beta2, float64(a.stepNum))
-	for i := range params {
-		g := grads[i]
-		a.m[i] = a.Beta1*a.m[i] + (1-a.Beta1)*g
-		a.v[i] = a.Beta2*a.v[i] + (1-a.Beta2)*g*g
-		mHat := a.m[i] / b1t
-		vHat := a.v[i] / b2t
-		params[i] -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)
-	}
+	a.b1t = 1 - math.Pow(a.Beta1, float64(a.stepNum))
+	a.b2t = 1 - math.Pow(a.Beta2, float64(a.stepNum))
+}
+
+// Update advances parameter i's moments by its gradient g, within the step
+// Begin opened, and returns its value p stepped.
+func (a *Adam) Update(i int, p, g float64) float64 {
+	a.m[i] = a.Beta1*a.m[i] + (1-a.Beta1)*g
+	a.v[i] = a.Beta2*a.v[i] + (1-a.Beta2)*g*g
+	mHat := a.m[i] / a.b1t
+	vHat := a.v[i] / a.b2t
+	return p - a.LR*mHat/(math.Sqrt(vHat)+a.Eps)
 }
 
 // zeroed returns s resized to n with every element cleared. The parameter

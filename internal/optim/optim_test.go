@@ -2,6 +2,8 @@ package optim
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -50,6 +52,79 @@ func TestAdamReset(t *testing.T) {
 	opt.Step(y, []float64{1})
 	if math.Abs(x[0]-y[0]) > 1e-12 {
 		t.Error("reset did not restore initial state")
+	}
+}
+
+// refAdam is the flat-slice Adam step Begin and Update were split from, kept
+// as the reference they must reproduce bit for bit.
+type refAdam struct {
+	m, v []float64
+	step int
+}
+
+func (r *refAdam) step1(a *Adam, params, grads []float64) {
+	if len(r.m) != len(params) {
+		r.m, r.v, r.step = make([]float64, len(params)), make([]float64, len(params)), 0
+	}
+	r.step++
+	b1t := 1 - math.Pow(a.Beta1, float64(r.step))
+	b2t := 1 - math.Pow(a.Beta2, float64(r.step))
+	for i := range params {
+		g := grads[i]
+		r.m[i] = a.Beta1*r.m[i] + (1-a.Beta1)*g
+		r.v[i] = a.Beta2*r.v[i] + (1-a.Beta2)*g*g
+		mHat := r.m[i] / b1t
+		vHat := r.v[i] / b2t
+		params[i] -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)
+	}
+}
+
+// TestBeginUpdateMatchesStep: Step, Begin followed by Update over the elements
+// in any order, and the flat reference step agree bit for bit, over several
+// steps, across a length change (which reinitialises) and after SetState.
+func TestBeginUpdateMatchesStep(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	vec := func(n int, scale float64) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = scale * rng.NormFloat64()
+		}
+		return out
+	}
+	stepped, split := NewAdam(0.01), NewAdam(0.01)
+	var ref refAdam
+	check := func(label string, n int) {
+		want := vec(n, 1)
+		viaStep, viaUpdate := slices.Clone(want), slices.Clone(want)
+		grads := vec(n, 1e-2)
+		ref.step1(stepped, want, grads)
+		stepped.Step(viaStep, grads)
+		split.Begin(n)
+		for i := n - 1; i >= 0; i-- {
+			viaUpdate[i] = split.Update(i, viaUpdate[i], grads[i])
+		}
+		for i := range want {
+			if math.Float64bits(viaStep[i]) != math.Float64bits(want[i]) || math.Float64bits(viaUpdate[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: element %d: Step %v, Begin+Update %v, reference %v", label, i, viaStep[i], viaUpdate[i], want[i])
+			}
+		}
+		m, v, step := stepped.State()
+		m2, v2, step2 := split.State()
+		if step != ref.step || step2 != ref.step || !slices.Equal(m, ref.m) || !slices.Equal(v, ref.v) || !slices.Equal(m2, ref.m) || !slices.Equal(v2, ref.v) {
+			t.Fatalf("%s: moments or step counters differ from the reference", label)
+		}
+	}
+	for s := 0; s < 5; s++ {
+		check("steady", 40)
+	}
+	for s := 0; s < 3; s++ {
+		check("grown", 57) // the first of these reinitialises
+	}
+	// Optimizers restored from the reference's state continue its stream.
+	stepped.SetState(slices.Clone(ref.m), slices.Clone(ref.v), ref.step)
+	split.SetState(slices.Clone(ref.m), slices.Clone(ref.v), ref.step)
+	for s := 0; s < 3; s++ {
+		check("restored", 57)
 	}
 }
 

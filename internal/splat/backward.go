@@ -38,7 +38,8 @@ func DefaultTrackingLoss() LossConfig {
 }
 
 // Grads holds the backward-pass outputs. Gaussian-parameter slices are
-// indexed by stable Gaussian ID.
+// indexed by stable Gaussian ID, and nil when the pass did not compute them
+// (no GaussianGrads); a context keeps their storage across such passes.
 type Grads struct {
 	Mean     []vecmath.Vec3
 	Color    []vecmath.Vec3
@@ -91,13 +92,13 @@ func (ctx *RenderContext) Backward(cloud *gauss.Cloud, cam camera.Camera, res *R
 	}
 	w, h := cam.Intr.W, cam.Intr.H
 	grads := &ctx.grads
+	grads.Mean, grads.Color, grads.Logit, grads.LogScale = nil, nil, nil, nil
 	if opts.GaussianGrads {
-		grads.Mean = zeroed(grads.Mean, cloud.Len())
-		grads.Color = zeroed(grads.Color, cloud.Len())
-		grads.Logit = zeroed(grads.Logit, cloud.Len())
-		grads.LogScale = zeroed(grads.LogScale, cloud.Len())
-	} else {
-		grads.Mean, grads.Color, grads.Logit, grads.LogScale = nil, nil, nil, nil
+		ctx.gMean = zeroed(ctx.gMean, cloud.Len())
+		ctx.gColor = zeroed(ctx.gColor, cloud.Len())
+		ctx.gLogit = zeroed(ctx.gLogit, cloud.Len())
+		ctx.gLogScale = zeroed(ctx.gLogScale, cloud.Len())
+		grads.Mean, grads.Color, grads.Logit, grads.LogScale = ctx.gMean, ctx.gColor, ctx.gLogit, ctx.gLogScale
 	}
 	grads.Pose = vecmath.Twist{}
 	grads.Loss = 0

@@ -1,6 +1,9 @@
 package splat
 
-import "ags/internal/frame"
+import (
+	"ags/internal/frame"
+	"ags/internal/vecmath"
+)
 
 // RenderContext owns every buffer the forward and backward passes touch: the
 // Result pixel planes, the contribution log and its per-worker scratch, the
@@ -9,7 +12,12 @@ import "ags/internal/frame"
 // Reusing one context across frames makes the steady-state render/backward
 // hot path allocation-free — the property the tracker's IterT refinement loop
 // and the mapper's MapIters training loop run on (see the package doc's
-// lifecycle and aliasing rules).
+// lifecycle and aliasing rules). The buffers only some option sets fill (the
+// contribution log, the per-Gaussian gradients) are kept across passes that
+// leave them out, so a pipeline alternating tracking passes (pose gradients,
+// no log) with mapping passes (Gaussian gradients, logged) re-makes none of
+// them; Result and Grads still expose them as nil when a pass did not compute
+// them.
 //
 // A RenderContext is not safe for concurrent use. A nil *RenderContext is
 // valid: its Render and Backward fall back to the one-shot package functions,
@@ -26,11 +34,18 @@ type RenderContext struct {
 	ops        []int64       // per-worker {alphaOps, blendOps} pairs
 	contrib    []int32       // per-worker contribution scratch (nonContrib ++ touched)
 	cull       []tileScratch // per-worker sub-tile cull scratch
+	// The contribution log's storage, exposed as Result.NonContrib/Touched
+	// by logged renders only.
+	nonContrib, touched []int32
 
 	// Backward-pass state.
 	arena     backwardArena
 	grads     Grads
 	bwScratch [][]blendStep // per-worker blend-step scratch
+	// The per-Gaussian gradients' storage, exposed through grads by passes
+	// with GaussianGrads only.
+	gMean, gColor     []vecmath.Vec3
+	gLogit, gLogScale []float64
 }
 
 // NewRenderContext returns an empty context; buffers are sized lazily from

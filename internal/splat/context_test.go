@@ -8,6 +8,7 @@ import (
 
 	"ags/internal/frame"
 	"ags/internal/hw/trace"
+	"ags/internal/vecmath"
 )
 
 // TestRenderContextAllocationFree pins the point of the tentpole: once a
@@ -35,6 +36,39 @@ func TestRenderContextAllocationFree(t *testing.T) {
 		ctx.Backward(cloud, cam, res, target, lc, bopts)
 	}); allocs > budget {
 		t.Errorf("warm contexted backward: %.1f allocs/op, budget %.0f", allocs, budget)
+	}
+
+	// The pipeline's own sequence on one context: a tracking iteration (an
+	// unlogged render, a pose-only backward) then a mapping one (a logged
+	// render, a Gaussian backward). Passes that leave the contribution log
+	// and the Gaussian gradients out must keep their storage, or every cycle
+	// re-makes six buffers.
+	track := Options{Workers: 1}
+	trackB := BackwardOptions{PoseGrads: true, Workers: 1}
+	mapB := BackwardOptions{GaussianGrads: true, Workers: 1}
+	if allocs := testing.AllocsPerRun(20, func() {
+		g := ctx.Backward(cloud, cam, ctx.Render(cloud, cam, track), target, DefaultTrackingLoss(), trackB)
+		if g.Mean != nil || ctx.result.NonContrib != nil {
+			t.Fatal("a pass exposed a buffer it did not compute")
+		}
+		ctx.Backward(cloud, cam, ctx.Render(cloud, cam, opts), target, lc, mapB)
+	}); allocs != 0 {
+		t.Errorf("warm tracking/mapping cycle: %.1f allocs/op, want 0", allocs)
+	}
+
+	// What a context keeps across those passes (8 B of contribution log and
+	// 64 B of gradients per Gaussian) is counted in its footprint, which the
+	// pool reports resident.
+	kept := sliceBytes[int32](cap(ctx.nonContrib)+cap(ctx.touched)) +
+		sliceBytes[vecmath.Vec3](cap(ctx.gMean)+cap(ctx.gColor)) +
+		sliceBytes[float64](cap(ctx.gLogit)+cap(ctx.gLogScale))
+	if want := int64(cloud.Len()) * (2*4 + 2*24 + 2*8); kept < want {
+		t.Errorf("the context keeps %d bytes of contribution log and gradients, want >= %d", kept, want)
+	}
+	before := ctx.FootprintBytes()
+	ctx.nonContrib, ctx.touched, ctx.gMean, ctx.gColor, ctx.gLogit, ctx.gLogScale = nil, nil, nil, nil, nil, nil
+	if freed := before - ctx.FootprintBytes(); freed != kept {
+		t.Errorf("dropping the contribution log and gradients freed %d footprint bytes, they held %d", freed, kept)
 	}
 }
 

@@ -181,8 +181,8 @@ func (ctx *RenderContext) FootprintBytes() int64 {
 		sliceBytes[float64](cap(ctx.result.FinalT)) +
 		sliceBytes[int32](cap(ctx.result.PerPixelBlend)) +
 		sliceBytes[int32](cap(ctx.result.PerPixelAlpha)) +
-		sliceBytes[int32](cap(ctx.result.NonContrib)) +
-		sliceBytes[int32](cap(ctx.result.Touched)) +
+		sliceBytes[int32](cap(ctx.nonContrib)) +
+		sliceBytes[int32](cap(ctx.touched)) +
 		sliceBytes[[2]int](cap(ctx.ranges)) +
 		sliceBytes[int64](cap(ctx.ops)) +
 		sliceBytes[int32](cap(ctx.contrib)) +
@@ -192,10 +192,10 @@ func (ctx *RenderContext) FootprintBytes() int64 {
 		sliceBytes[vecmath.Vec3](cap(ctx.arena.color)) +
 		sliceBytes[float64](cap(ctx.arena.logit)) +
 		sliceBytes[float64](cap(ctx.arena.logScale)) +
-		sliceBytes[vecmath.Vec3](cap(ctx.grads.Mean)) +
-		sliceBytes[vecmath.Vec3](cap(ctx.grads.Color)) +
-		sliceBytes[float64](cap(ctx.grads.Logit)) +
-		sliceBytes[float64](cap(ctx.grads.LogScale)) +
+		sliceBytes[vecmath.Vec3](cap(ctx.gMean)) +
+		sliceBytes[vecmath.Vec3](cap(ctx.gColor)) +
+		sliceBytes[float64](cap(ctx.gLogit)) +
+		sliceBytes[float64](cap(ctx.gLogScale)) +
 		sliceBytes[float64](cap(ctx.arena.sigGrad)) +
 		sliceBytes[float64](cap(ctx.arena.scale2)) +
 		sliceBytes[[]blendStep](cap(ctx.bwScratch)) +

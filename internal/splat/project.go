@@ -81,6 +81,11 @@
 //     Result buffer across renders must copy it first.
 //   - (*RenderContext).Backward likewise returns a *Grads owned by the
 //     context, valid until its next Backward call.
+//   - A context keeps every buffer across calls whose options leave it out:
+//     an unlogged Render keeps the contribution log's storage, a pose-only
+//     Backward the per-Gaussian gradients', and the next pass that computes
+//     them overwrites it. Result and Grads expose such a buffer as nil when
+//     their pass did not compute it.
 //   - The one-shot package functions return caller-owned buffers with no
 //     aliasing: the context they ran in is dropped on return.
 //   - A context re-sizes itself lazily from the intrinsics and cloud of

@@ -100,11 +100,11 @@ func (ctx *RenderContext) renderTiles(cloud *gauss.Cloud, cam camera.Camera, opt
 	res.PerPixelBlend = resized(res.PerPixelBlend, w*h)
 	res.PerPixelAlpha = resized(res.PerPixelAlpha, w*h)
 	res.AlphaOps, res.BlendOps = 0, 0
+	res.NonContrib, res.Touched = nil, nil
 	if opts.LogContribution {
-		res.NonContrib = zeroed(res.NonContrib, cloud.Len())
-		res.Touched = zeroed(res.Touched, cloud.Len())
-	} else {
-		res.NonContrib, res.Touched = nil, nil
+		ctx.nonContrib = zeroed(ctx.nonContrib, cloud.Len())
+		ctx.touched = zeroed(ctx.touched, cloud.Len())
+		res.NonContrib, res.Touched = ctx.nonContrib, ctx.touched
 	}
 
 	ctx.ranges = shardRangesInto(ctx.ranges[:0], ctx.tiles.NumTiles(), opts.Workers)
