@@ -44,8 +44,6 @@ func main() {
 
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole batch to this path")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile (after the batch) to this path")
-
-		meEarlyTerm = flag.Bool("me-early-term", false, "encoder early termination in ME SAD accumulation")
 	)
 	flag.Parse()
 
@@ -76,7 +74,6 @@ func main() {
 		cfg.Frames = *frames
 	}
 	cfg.Workers = *workers
-	cfg.CodecEarlyTerm = *meEarlyTerm
 
 	exps := bench.Experiments()
 	if *expIDs != "" {

@@ -19,6 +19,7 @@ import (
 	"sync"
 	"time"
 
+	"ags/internal/gauss"
 	"ags/internal/hw/platform"
 	"ags/internal/scene"
 	"ags/internal/slam"
@@ -36,8 +37,6 @@ func main() {
 		listSeq  = flag.Bool("listseq", false, "list sequence names and exit")
 		traceOut = flag.String("trace", "", "write the run's operation trace as JSON to this file")
 		sessions = flag.Int("sessions", 1, "run N copies of the sequence as concurrent slam.Server sessions (digest-asserted against a sequential run)")
-
-		meEarlyTerm = flag.Bool("me-early-term", false, "encoder early termination in ME SAD accumulation")
 
 		pruneOpacity = flag.Float64("prune-opacity", slam.DefaultConfig(1, 1).Mapper.PruneOpacity, "remove Gaussians whose opacity falls below this; the default never fires against opacities seeded at 0.999 — raise it (e.g. 0.25, with -prune-lr-logit 0.2) for real prune pressure")
 		pruneLRLogit = flag.Float64("prune-lr-logit", slam.DefaultConfig(1, 1).Mapper.LRLogit, "opacity-logit learning rate; turn up alongside -prune-opacity so opacities can actually collapse within short runs")
@@ -57,7 +56,6 @@ func main() {
 	cfg := slam.DefaultConfig(*width, *height)
 	cfg.TrackIters = *iters
 	cfg.Workers = *workers
-	cfg.CodecEarlyTerm = *meEarlyTerm
 	cfg.Mapper.PruneOpacity = *pruneOpacity
 	cfg.Mapper.LRLogit = *pruneLRLogit
 	switch *algo {
@@ -116,6 +114,10 @@ func main() {
 	} else {
 		sys = slam.New(cfg, seq.Intr)
 	}
+	if err := checkSnapshotAt(*snapAt, *snapPath, startIdx, len(seq.Frames)); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	writeSnapshot := func() {
 		sf, err := os.Create(*snapPath)
 		if err != nil {
@@ -148,7 +150,7 @@ func main() {
 			inf += " keyframe"
 		}
 		fmt.Printf("  frame %2d: FC %.2f%s\n", f.Index, float64(last.Covisibility), inf)
-		if *snapPath != "" && *snapAt > 0 && sys.FrameCount() == *snapAt {
+		if *snapAt > 0 && sys.FrameCount() == *snapAt {
 			writeSnapshot()
 		}
 	}
@@ -176,7 +178,7 @@ func main() {
 	dig := res.Digest()
 	fmt.Printf("  gaussians          %d\n", res.Cloud.Len())
 	fmt.Printf("  pruned             %d (%.1f KiB reclaimed)\n",
-		tot.PrunedGaussians, float64(tot.ReclaimedBytes)/1024)
+		tot.PrunedGaussians, float64(tot.PrunedGaussians*gauss.SlotBytes)/1024)
 	fmt.Printf("  digest             %x\n", dig[:8])
 	fmt.Printf("  key frames         %d / %d\n", tot.KeyFrames, tot.Frames)
 	fmt.Printf("  coarse-only frames %d\n", tot.CoarseOnly)
@@ -206,6 +208,25 @@ func main() {
 		b := platform.RunTotal(pl, res.Trace)
 		fmt.Printf("  %-12s %8.3f ms/frame  (%.2f J total)\n", pl.Name(), b.TotalNs/float64(tot.Frames)*1e-6, b.EnergyJ)
 	}
+}
+
+// checkSnapshotAt refuses a -snapshot-at the run would never reach: one
+// without -snapshot, one below 0, and one outside the frames the run
+// processes, which follow the resumed snapshot's frame count (0 when the run
+// starts fresh) up to the sequence's last frame. 0 takes the snapshot after
+// the last frame.
+func checkSnapshotAt(at int, path string, resumed, frames int) error {
+	switch {
+	case at == 0:
+		return nil
+	case path == "":
+		return fmt.Errorf("-snapshot-at %d needs -snapshot", at)
+	case resumed >= frames:
+		return fmt.Errorf("-snapshot-at %d: the run processes no frame after %d, so only 0 (after the last frame) is valid", at, resumed)
+	case at <= resumed || at > frames:
+		return fmt.Errorf("-snapshot-at %d is outside the run's frames: want %d..%d, or 0 for after the last frame", at, resumed+1, frames)
+	}
+	return nil
 }
 
 // runSessions streams n copies of the sequence as concurrent sessions on one

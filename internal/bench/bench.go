@@ -44,11 +44,6 @@ type Config struct {
 	DensifyStride int
 	Workers       int
 	Seed          int64
-	// CodecEarlyTerm selects encoder early termination for every SLAM run
-	// in the suite (see package codec). It changes no trajectory or
-	// covisibility score but lowers the traced SADOps, so op-count tables are
-	// only comparable across runs that agree on it.
-	CodecEarlyTerm bool
 }
 
 // Quick returns the configuration used by default: small enough that the
@@ -232,7 +227,6 @@ func (s *Suite) slamConfig(v Variant, override func(*slam.Config)) slam.Config {
 	cfg.Mapper.MapIters = s.Cfg.MapIters
 	cfg.Mapper.DensifyStride = s.Cfg.DensifyStride
 	cfg.Workers = s.Cfg.Workers
-	cfg.CodecEarlyTerm = s.Cfg.CodecEarlyTerm
 	switch v {
 	case VarBaseline:
 	case VarAGS:
@@ -328,10 +322,7 @@ func (s *Suite) Executed() []string {
 // counts under the mapper's thresholds.
 func contributionStats(b *Bundle, fi int, mcfg mapper.Config) (nonContrib, total int, ids map[int]bool) {
 	cam := camera.Camera{Intr: b.Seq.Intr, Pose: b.Result.Poses[fi]}
-	res := splat.Render(b.Result.Cloud, cam, splat.Options{
-		LogContribution: true,
-		ThreshAlpha:     mcfg.ThreshAlpha,
-	})
+	res := splat.Render(b.Result.Cloud, cam, splat.Options{LogContribution: true})
 	ids = make(map[int]bool)
 	for id := range res.Touched {
 		if res.Touched[id] == 0 {

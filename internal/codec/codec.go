@@ -9,10 +9,9 @@
 // MotionEstimate searches the blocks in raster order on the caller's
 // goroutine; the overlap the paper's CODEC has with the accelerator comes
 // from the slam pipeline, which runs ME beside the previous frame's mapping.
-// Config.EarlyTerm adds the standard encoder early-termination trick: a
-// candidate's SAD accumulation aborts once the partial sum exceeds the
-// block's current best. Early termination never changes MinSAD or MV — only
-// candidates that could not win are cut short — it only lowers SADOps.
+// Every probed candidate's SAD runs over the whole block: AGS reads the
+// minima the CODEC computes anyway, so how the encoder searches does not
+// change what the FC engine costs.
 package codec
 
 import (
@@ -31,15 +30,10 @@ type Config struct {
 	// ThreeStep selects the logarithmic three-step search a real-time
 	// encoder uses instead of exhaustive full search.
 	ThreeStep bool
-	// EarlyTerm aborts a candidate's SAD accumulation once the partial sum
-	// exceeds the block's current best, as hardware encoders do. MinSAD and
-	// MV are unchanged; only SADOps drops.
-	EarlyTerm bool
 }
 
 // DefaultConfig matches the paper's description: 8x8 macro-blocks with a
-// hardware-typical +-8 pixel three-step search, without early termination so
-// operation counts stay at their analytic worst case.
+// hardware-typical +-8 pixel three-step search.
 func DefaultConfig() Config {
 	return Config{BlockSize: 8, SearchRange: 8, ThreeStep: true}
 }
@@ -146,7 +140,6 @@ type blockSearch struct {
 	cur, ref       []uint8
 	w, h           int
 	sr             int
-	earlyTerm      bool
 	x0, y0, bw, bh int
 	ops            int64
 	// seen marks (dx,dy) candidates already probed for the current block
@@ -167,20 +160,16 @@ func newBlockSearch(cur, ref []uint8, w, h int, cfg Config, seen *[]uint32) bloc
 	clear(*seen)
 	return blockSearch{
 		cur: cur, ref: ref, w: w, h: h,
-		sr:        cfg.SearchRange,
-		earlyTerm: cfg.EarlyTerm,
-		seen:      *seen,
+		sr:   cfg.SearchRange,
+		seen: *seen,
 	}
 }
 
 // sad computes the SAD between the current block and the reference block
 // displaced by (dx,dy). Out-of-frame reference pixels are clamped to the
-// border (encoder padding behavior). When early termination is enabled the
-// row scan aborts once the accumulator exceeds cutoff — a candidate that can
-// no longer win — and only the pixels actually visited are charged.
-func (st *blockSearch) sad(dx, dy int, cutoff uint32) uint32 {
+// border (encoder padding behavior). Every pixel of the block is charged.
+func (st *blockSearch) sad(dx, dy int) uint32 {
 	var acc uint32
-	var visited int64
 	for y := 0; y < st.bh; y++ {
 		cy := st.y0 + y
 		ry := min(max(cy+dy, 0), st.h-1)
@@ -197,23 +186,9 @@ func (st *blockSearch) sad(dx, dy int, cutoff uint32) uint32 {
 			}
 			acc += uint32(d)
 		}
-		visited += int64(st.bw)
-		if acc > cutoff {
-			break
-		}
 	}
-	st.ops += visited
+	st.ops += int64(st.bw * st.bh)
 	return acc
-}
-
-// cutoff returns the early-termination bound for the current best. Aborting
-// only when the partial sum strictly exceeds best lets exact ties finish, so
-// the tie-breaking (and therefore MV selection) matches the exhaustive path.
-func (st *blockSearch) cutoff(best uint32) uint32 {
-	if st.earlyTerm {
-		return best
-	}
-	return ^uint32(0)
 }
 
 func (st *blockSearch) fullSearch() (uint32, MotionVector) {
@@ -221,7 +196,7 @@ func (st *blockSearch) fullSearch() (uint32, MotionVector) {
 	var mv MotionVector
 	for dy := -st.sr; dy <= st.sr; dy++ {
 		for dx := -st.sr; dx <= st.sr; dx++ {
-			s := st.sad(dx, dy, st.cutoff(best))
+			s := st.sad(dx, dy)
 			if s < best || (s == best && absInt(dx)+absInt(dy) < absInt(mv.DX)+absInt(mv.DY)) {
 				best = s
 				mv = MotionVector{dx, dy}
@@ -233,14 +208,14 @@ func (st *blockSearch) fullSearch() (uint32, MotionVector) {
 
 // probe evaluates candidate (dx,dy) unless this block already scanned it;
 // repeats report fresh=false and charge nothing.
-func (st *blockSearch) probe(dx, dy int, cutoff uint32) (s uint32, fresh bool) {
+func (st *blockSearch) probe(dx, dy int) (s uint32, fresh bool) {
 	side := 2*st.sr + 1
 	idx := (dy+st.sr)*side + (dx + st.sr)
 	if st.seen[idx] == st.gen {
 		return 0, false
 	}
 	st.seen[idx] = st.gen
-	return st.sad(dx, dy, cutoff), true
+	return st.sad(dx, dy), true
 }
 
 // threeStep is the New Three-Step Search (NTSS) used by real-time encoders:
@@ -254,7 +229,7 @@ func (st *blockSearch) probe(dx, dy int, cutoff uint32) (s uint32, fresh bool) {
 func (st *blockSearch) threeStep() (uint32, MotionVector) {
 	st.gen++
 	cx, cy := 0, 0
-	best, _ := st.probe(0, 0, ^uint32(0))
+	best, _ := st.probe(0, 0)
 
 	scanRing := func(centerX, centerY, step int) (int, int, bool) {
 		bx, by := centerX, centerY
@@ -268,7 +243,7 @@ func (st *blockSearch) threeStep() (uint32, MotionVector) {
 				if absInt(nx) > st.sr || absInt(ny) > st.sr {
 					continue
 				}
-				s, fresh := st.probe(nx, ny, st.cutoff(best))
+				s, fresh := st.probe(nx, ny)
 				if fresh && s < best {
 					best = s
 					bx, by = nx, ny

@@ -2,6 +2,8 @@
 // frame-covisibility (FC) metric that drives AGS (paper §4.1): a normalized
 // score in [0,1] where 1 means identical frames, plus the 5-level
 // quantization used by the contribution-similarity analysis (Fig. 6/22).
+// It reads the minima the CODEC computes anyway, so what the FC engine costs
+// does not depend on how the encoder searches.
 package covis
 
 import (
@@ -21,8 +23,6 @@ type Level int
 
 // Detector computes covisibility using the CODEC ME model. It corresponds to
 // the FC detection engine reading SAD values the CODEC already produced.
-// Cfg.EarlyTerm lowers the ME's charged SADOps and leaves the score
-// unaffected (see package codec).
 //
 // A Detector keeps the luma planes of the last three images it compared and
 // the ME's probe-dedup scratch between comparisons: a frame's two comparisons

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"errors"
+	"reflect"
 	"runtime"
 	"slices"
 	"sync"
@@ -378,9 +379,30 @@ func TestNodeCloseMidPushNoGoroutineLeak(t *testing.T) {
 // snapshot codec: a config (every field the wire carries set, see
 // goldenConfig) and a frame round-tripped through the slam wire helpers come
 // back bit-identical, which is what the digest equivalence ultimately rests
-// on.
+// on. A reflection walk first checks that goldenConfig sets every field of
+// slam.Config and mapper.Config but the three no codec carries, so each field
+// moves a golden byte and a field added later cannot bypass the codec
+// unnoticed.
 func TestWireCodecsMatchSnapshotEncoding(t *testing.T) {
 	cfg := goldenConfig()
+	notCarried := map[string]bool{"PipelineME": true, "CodecWorkers": true, "Mapper.Workers": true}
+	var walk func(prefix string, v reflect.Value)
+	walk = func(prefix string, v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			name := prefix + v.Type().Field(i).Name
+			switch fv := v.Field(i); {
+			case fv.Kind() == reflect.Struct:
+				walk(name+".", fv)
+			case notCarried[name]:
+				if !fv.IsZero() {
+					t.Errorf("goldenConfig sets %s, which no codec carries", name)
+				}
+			case fv.IsZero():
+				t.Errorf("goldenConfig leaves %s zero, so the golden files do not pin it", name)
+			}
+		}
+	}
+	walk("", reflect.ValueOf(cfg))
 	got, err := slam.DecodeConfig(slam.AppendConfig(nil, &cfg))
 	if err != nil {
 		t.Fatal(err)

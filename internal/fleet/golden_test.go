@@ -15,7 +15,7 @@ import (
 	"ags/internal/vecmath"
 )
 
-// The golden files pin ProtocolVersion 5 byte for byte: one complete AGSF
+// The golden files pin ProtocolVersion 6 byte for byte: one complete AGSF
 // message per payload-bearing verb, each framed by appendMessage. They were
 // written once, by the encoders this version was introduced with, and there is
 // no regeneration switch — a byte that moves is a wire break, which takes a
@@ -25,9 +25,10 @@ import (
 // dropped three configuration slots nothing read; version 4's,
 // <verb>.v4.golden, dropped the compaction knobs and the mapper's worker
 // count from the configuration and the compaction totals from the result;
-// version 5's is <verb>.v5.golden, and differs from version 4's in the
-// version byte only (slam's snapshot version 5 packs trace detail, which no
-// message here carries).
+// version 5's, <verb>.v5.golden, differed from version 4's in the version
+// byte only (slam's snapshot version 5 packs trace detail, which no message
+// here carries); version 6's is <verb>.v6.golden, whose OPEN carries the
+// configuration without the eight settings that became constants.
 
 // goldenConfig sets every slam.Config field the wire carries to a distinct
 // non-zero value, so a reordered, dropped or re-typed field moves a byte. It
@@ -39,13 +40,11 @@ func goldenConfig() slam.Config {
 		TrackIters: 11, IterT: 3, ThreshT: 0.875, ThreshM: 0.625,
 		Backbone: slam.BackboneGaussianSLAM,
 		Mapper: mapper.Config{
-			MapIters: 7, ThreshAlpha: 0.00390625, ThreshN: 13, ContribPixMax: 17,
-			DensifyStride: 2, SilThreshold: 0.5, DepthErrThresh: 0.25, PruneOpacity: 0.125,
-			LRMean: 0.001, LRColor: 0.002, LRLogit: 0.003, LRScale: 0.004,
-			KeyframeWindow: 5, Seed: -9,
+			MapIters: 7, ThreshN: 13, ContribPixMax: 17, DensifyStride: 2,
+			PruneOpacity: 0.125, LRLogit: 0.003, KeyframeWindow: 5,
 		},
 		TrackLR: 0.0625, KeyframeEvery: 19, PruneEvery: 23, Workers: 4,
-		EvalFPRate: true, CodecEarlyTerm: true,
+		EvalFPRate: true,
 	}
 }
 
@@ -101,7 +100,7 @@ func goldenMessages() []goldenMessage {
 
 // goldenFile names the current version's golden file for a message.
 func goldenFile(name string) string {
-	return filepath.Join("testdata", name+".v5.golden")
+	return filepath.Join("testdata", name+".v6.golden")
 }
 
 func TestGoldenMessages(t *testing.T) {
@@ -111,7 +110,7 @@ func TestGoldenMessages(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := appendMessage(nil, m.v, m.p); !bytes.Equal(got, want) {
-			t.Errorf("%s: message bytes moved (%d bytes, golden %d) — a ProtocolVersion 5 wire break", m.name, len(got), len(want))
+			t.Errorf("%s: message bytes moved (%d bytes, golden %d) — a ProtocolVersion 6 wire break", m.name, len(got), len(want))
 		}
 	}
 }

@@ -33,8 +33,8 @@ type AGS struct {
 	PerIterOverheadCycles int64
 	DynEnergyPJop         float64 // dynamic energy per flop-equivalent
 	DRAMEnergyPJB         float64 // DRAM energy per byte
-	// SystemPowerW is the always-on accelerator + DRAM subsystem power used
-	// for the energy model (calibration constant, see EXPERIMENTS.md).
+	// SystemPowerW is the always-on accelerator + DRAM subsystem power the
+	// energy model charges, a calibration constant (see ROADMAP).
 	SystemPowerW float64
 }
 

@@ -117,11 +117,7 @@ type FrameTrace struct {
 	NumGaussians     int // Gaussians in the map when the frame was processed
 	SkippedGaussians int // Gaussians suppressed by selective mapping
 
-	// Map-lifecycle accounting: opacity pruning runs at the end of the frame
-	// (after the counts above were recorded) and removes what it prunes.
-	PrunedGaussians int   // Gaussians removed by this frame's opacity prune
-	CompactedSlots  int   // equal to PrunedGaussians
-	ReclaimedBytes  int64 // PrunedGaussians in bytes (gauss.SlotBytes each)
+	PrunedGaussians int // removed by the frame's opacity prune, which runs after the counts above
 }
 
 // Run is a complete SLAM execution trace.
@@ -147,8 +143,12 @@ type Totals struct {
 	SplatsTouched int64
 
 	PrunedGaussians int
-	CompactedSlots  int
-	ReclaimedBytes  int64
+	// CompactedSlots equals PrunedGaussians.
+	//
+	// Deprecated: the map has no dead slots, so a prune frees exactly the
+	// slots it removes. It remains only because benchmarks/layers.go reads
+	// it, and goes with that read.
+	CompactedSlots int
 }
 
 // Totals aggregates the run.
@@ -173,8 +173,7 @@ func (r *Run) Totals() Totals {
 		t.TileEntries += f.Track.TileEntries + f.Map.TileEntries
 		t.SplatsTouched += f.Track.Splats + f.Map.Splats
 		t.PrunedGaussians += f.PrunedGaussians
-		t.CompactedSlots += f.CompactedSlots
-		t.ReclaimedBytes += f.ReclaimedBytes
 	}
+	t.CompactedSlots = t.PrunedGaussians
 	return t
 }

@@ -3,9 +3,13 @@
 // iterations that also record per-Gaussian contribution information), and
 // AGS's Gaussian contribution-aware selective mapping that skips Gaussians
 // predicted non-contributory from the last key frame (paper §4.3, Fig. 8).
+// A Gaussian contributes at a pixel exactly where it blends, at alpha >=
+// splat.MinAlpha: the paper's Thresh_alpha, 1/255, is not a setting.
 package mapper
 
 import (
+	"math"
+
 	"ags/internal/camera"
 	"ags/internal/frame"
 	"ags/internal/gauss"
@@ -15,33 +19,39 @@ import (
 	"ags/internal/vecmath"
 )
 
+// The settings every run shares, fixed here rather than configured.
+const (
+	// seed starts the generator that samples the multi-view window.
+	seed = 1
+	// silThreshold: pixels with rendered silhouette below this are
+	// considered unobserved and get new Gaussians during densification.
+	silThreshold = 0.5
+	// depthErrThresh: observed pixels whose depth error exceeds this
+	// fraction of the measurement get new Gaussians too.
+	depthErrThresh = 0.05
+	// Learning rates of the mean, colour and log-scale groups; the logit
+	// group's is Config.LRLogit.
+	lrMean, lrColor, lrScale = 1e-3, 5e-3, 1e-3
+)
+
 // Config controls mapping behavior.
 type Config struct {
 	// MapIters is N_M, the training iterations per frame.
 	MapIters int
-	// ThreshAlpha marks a Gaussian non-contributory for a pixel when its
-	// alpha is below this (paper: 1/255).
-	ThreshAlpha float64
 	// ThreshN marks a Gaussian non-contributory for following non-key frames
 	// when its non-contributory pixel count exceeds this (paper: 450, which
 	// slam.DefaultConfig uses at every resolution).
 	ThreshN int
-	// ContribPixMax is the largest number of contributing pixels (alpha >=
-	// ThreshAlpha) a Gaussian may have and still be skipped. The paper's
-	// count-only criterion assumes trained-3DGS splat statistics; with
-	// SplaTAM-style pixel-scale Gaussians every contributor also has a large
-	// weak-tail footprint, so we additionally require (near-)zero
-	// contributing pixels — matching Fig. 5's "no impact on pixel color"
-	// definition and the paper's FP metric (see README: threshold mapping).
+	// ContribPixMax is the largest number of contributing pixels a Gaussian
+	// may have and still be skipped. The paper's count-only criterion assumes
+	// trained-3DGS splat statistics; with SplaTAM-style pixel-scale Gaussians
+	// every contributor also has a large weak-tail footprint, so we
+	// additionally require (near-)zero contributing pixels — matching Fig. 5's
+	// "no impact on pixel color" definition and the paper's FP metric (see
+	// README: threshold mapping).
 	ContribPixMax int
 	// DensifyStride seeds one Gaussian per stride x stride pixel block.
 	DensifyStride int
-	// SilThreshold: pixels with rendered silhouette below this are
-	// considered unobserved and get new Gaussians during densification.
-	SilThreshold float64
-	// DepthErrThresh: observed pixels whose depth error exceeds this
-	// fraction of the measurement get new Gaussians too.
-	DepthErrThresh float64
 	// PruneOpacity removes Gaussians whose opacity falls below this.
 	//
 	// The default (0.005) is a safety valve, not an active policy: new
@@ -53,12 +63,11 @@ type Config struct {
 	// flag and the pruning tests' override (PruneOpacity 0.25 with
 	// LRLogit 0.2).
 	PruneOpacity float64
-	// Learning rates per parameter group.
-	LRMean, LRColor, LRLogit, LRScale float64
+	// LRLogit is the opacity-logit learning rate.
+	LRLogit float64
 	// KeyframeWindow is how many past keyframes mapping samples from.
 	KeyframeWindow int
 	Workers        int
-	Seed           int64
 }
 
 // DefaultConfig returns mapping settings tuned for the reproduction's frame
@@ -66,19 +75,12 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		MapIters:       15,
-		ThreshAlpha:    1.0 / 255,
 		ThreshN:        10,
 		ContribPixMax:  1,
 		DensifyStride:  1,
-		SilThreshold:   0.5,
-		DepthErrThresh: 0.05,
 		PruneOpacity:   0.005,
-		LRMean:         1e-3,
-		LRColor:        5e-3,
 		LRLogit:        2e-2,
-		LRScale:        1e-3,
 		KeyframeWindow: 8,
-		Seed:           1,
 	}
 }
 
@@ -114,9 +116,9 @@ type Mapper struct {
 	cloud *gauss.Cloud
 	rng   *prng
 	// One Adam per parameter group, as SplaTAM trains them, each at its own
-	// learning rate from Cfg: means and colors are 3 values per Gaussian,
-	// logits and log-scales 1. The set is fixed; optGroups names it for the
-	// code that treats the four alike.
+	// learning rate: means and colors are 3 values per Gaussian, logits and
+	// log-scales 1. The set is fixed; optGroups names it for the code that
+	// treats the four alike.
 	optMean, optColor, optLogit, optScale optim.Adam
 
 	// skipSet flags Gaussians predicted non-contributory for non-key frames,
@@ -131,11 +133,11 @@ func New(cfg Config) *Mapper {
 	return &Mapper{
 		Cfg:      cfg,
 		cloud:    gauss.NewCloud(4096),
-		rng:      newPRNG(cfg.Seed),
-		optMean:  *optim.NewAdam(cfg.LRMean),
-		optColor: *optim.NewAdam(cfg.LRColor),
+		rng:      newPRNG(seed),
+		optMean:  *optim.NewAdam(lrMean),
+		optColor: *optim.NewAdam(lrColor),
 		optLogit: *optim.NewAdam(cfg.LRLogit),
-		optScale: *optim.NewAdam(cfg.LRScale),
+		optScale: *optim.NewAdam(lrScale),
 	}
 }
 
@@ -218,10 +220,10 @@ func (m *Mapper) Densify(f *frame.Frame, intr camera.Intrinsics, pose vecmath.Po
 			if res != nil {
 				pix := y*intr.W + x
 				sil := res.Silhouette[pix]
-				need := sil < m.Cfg.SilThreshold
+				need := sil < silThreshold
 				if !need && sil > 1e-6 {
 					rendered := res.Depth.D[pix] / sil
-					if absf(rendered-d) > m.Cfg.DepthErrThresh*d {
+					if math.Abs(rendered-d) > depthErrThresh*d {
 						need = true
 					}
 				}
@@ -322,11 +324,7 @@ func (m *Mapper) optimize(f *frame.Frame, intr camera.Intrinsics, pose vecmath.P
 		}
 		cam := camera.Camera{Intr: intr, Pose: tp}
 		last := i == m.Cfg.MapIters-1
-		opts := splat.Options{Skip: skip, Workers: m.Cfg.Workers}
-		if logContrib && last {
-			opts.LogContribution = true
-			opts.ThreshAlpha = m.Cfg.ThreshAlpha
-		}
+		opts := splat.Options{Skip: skip, Workers: m.Cfg.Workers, LogContribution: logContrib && last}
 		res := m.Ctx.Render(m.cloud, cam, opts)
 		grads := m.Ctx.Backward(m.cloud, cam, res, tf, loss, splat.BackwardOptions{GaussianGrads: true, Workers: m.Cfg.Workers})
 		m.applyGrads(grads)
@@ -390,11 +388,4 @@ func (m *Mapper) applyGrads(grads *splat.Grads) {
 		g.Logit = m.optLogit.Update(id, g.Logit, grads.Logit[id])
 		g.LogScale = m.optScale.Update(id, g.LogScale, grads.LogScale[id])
 	}
-}
-
-func absf(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -125,7 +125,7 @@ func TestContributionRecordingAndSkipSet(t *testing.T) {
 	// Gaussians added after that render (the slots it does not cover) count
 	// zero both ways, so they are never skipped.
 	res := splat.Render(m.Cloud(), camera.Camera{Intr: seq.Intr, Pose: f.GTPose},
-		splat.Options{LogContribution: true, ThreshAlpha: cfg.ThreshAlpha})
+		splat.Options{LogContribution: true})
 	if m.Densify(seq.Frames[15], seq.Intr, seq.Frames[15].GTPose) == 0 {
 		t.Fatal("the third view added no Gaussians")
 	}

@@ -65,7 +65,7 @@ func TestApplyGradsMatchesFlatSteps(t *testing.T) {
 	cfg := DefaultConfig()
 	m := New(cfg)
 	ref := gauss.NewCloud(0)
-	refOpt := [4]*optim.Adam{optim.NewAdam(cfg.LRMean), optim.NewAdam(cfg.LRColor), optim.NewAdam(cfg.LRLogit), optim.NewAdam(cfg.LRScale)}
+	refOpt := [4]*optim.Adam{optim.NewAdam(lrMean), optim.NewAdam(lrColor), optim.NewAdam(cfg.LRLogit), optim.NewAdam(lrScale)}
 	add := func(k int) {
 		for i := 0; i < k; i++ {
 			g := gauss.Gaussian{Mean: vec(4, -2), LogScale: rng.NormFloat64() - 3, Color: vec(2, -0.5), Logit: 3 * rng.NormFloat64()}

@@ -61,13 +61,10 @@
 // platform.AGS's Pipelined option charges.
 //
 // CODEC motion estimation therefore runs in the front, once per comparison,
-// and no option selects where or how it runs. Config.CodecEarlyTerm tunes
-// the ME stage itself (see package codec): trajectories and covisibility
-// scores are byte-identical with it on or off, while the traced SADOps
-// deliberately drop (that is the optimization it models). Config.Workers
-// parallelizes the splat renderer; its tile sharding is deterministic, so
-// the render worker count never changes results either — full-parallel runs
-// are exact A/B comparable.
+// and no option selects where or how it runs. Config.Workers parallelizes
+// the splat renderer; its tile sharding is deterministic, so the render
+// worker count never changes results either — full-parallel runs are exact
+// A/B comparable.
 package slam
 
 import (
@@ -152,15 +149,12 @@ type Config struct {
 	// remains only because benchmarks/workloads.go assigns it, and goes with
 	// that assignment.
 	CodecWorkers int
-	// CodecEarlyTerm enables encoder early termination in the ME SAD
-	// accumulation; it lowers the modeled SADOps without changing SAD
-	// minima or motion vectors.
-	CodecEarlyTerm bool
 }
 
 // DefaultConfig returns the paper's hyper-parameters scaled to the given
 // frame size (see README: threshold mapping): N_T 200→60, N_M 30→15,
-// Iter_T 20→6, Thresh_T 90%, Thresh_M 50%, Thresh_alpha 1/255, Thresh_N 450.
+// Iter_T 20→6, Thresh_T 90%, Thresh_M 50%, Thresh_N 450 (Thresh_alpha is
+// splat.MinAlpha, 1/255, in every run).
 func DefaultConfig(w, h int) Config {
 	mc := mapper.DefaultConfig()
 	// The paper's Thresh_N, unscaled: a Gaussian's non-contributory count is
@@ -316,8 +310,6 @@ func newSystem(cfg Config, intr camera.Intrinsics, pool *splat.ContextPool, perS
 	refiner.LR = cfg.TrackLR
 	refiner.Workers = cfg.Workers
 	refiner.ScalarsOnly = !detail
-	detector := covis.NewDetector()
-	detector.Cfg.EarlyTerm = cfg.CodecEarlyTerm
 	m := mapper.New(mcfg)
 	m.ScalarsOnly = !detail
 	return &System{
@@ -326,7 +318,7 @@ func newSystem(cfg Config, intr camera.Intrinsics, pool *splat.ContextPool, perS
 		mapper:   m,
 		refiner:  refiner,
 		aligner:  tracker.NewCoarseAligner(),
-		detector: detector,
+		detector: covis.NewDetector(),
 		pool:     pool,
 		perStep:  perStep,
 		detail:   detail,
@@ -548,8 +540,6 @@ func (s *System) prune(cur *trace.FrameTrace) {
 		return
 	}
 	cur.PrunedGaussians = n
-	cur.CompactedSlots = n
-	cur.ReclaimedBytes = int64(n) * int64(gauss.SlotBytes)
 	if !s.detail {
 		return
 	}
@@ -733,11 +723,7 @@ func (s *System) mapFull(f *frame.Frame, pos int, pose vecmath.Pose, ft *trace.F
 // non-contributory set at this frame (one extra logged render; §6.2).
 func (s *System) measureFPRate(f *frame.Frame, pose vecmath.Pose) float64 {
 	cam := camera.Camera{Intr: s.Intr, Pose: pose}
-	res := s.renderCtx.Render(s.mapper.Cloud(), cam, splat.Options{
-		LogContribution: true,
-		ThreshAlpha:     s.mapper.Cfg.ThreshAlpha,
-		Workers:         s.Cfg.Workers,
-	})
+	res := s.renderCtx.Render(s.mapper.Cloud(), cam, splat.Options{LogContribution: true, Workers: s.Cfg.Workers})
 	truth := make(map[int]bool)
 	for id := range res.Touched {
 		if res.Touched[id] > 0 && res.Touched[id]-res.NonContrib[id] <= int32(s.mapper.Cfg.ContribPixMax) {

@@ -58,7 +58,12 @@ const (
 	// planes and the mapping task's tile lists, which are one ID sequence and
 	// its per-tile offsets; a tracking task carries no tile lists. A snapshot
 	// without detail differs from version 4 in its version word only.
-	SnapshotVersion = 5
+	// Version 6 drops the configuration's settings that became constants
+	// (codec early termination, the mapper's contribution threshold, seed,
+	// densification thresholds and three learning rates) and, from every
+	// per-frame trace, the compaction counts and the logging-stream slot,
+	// which only restated PrunedGaussians and the key frame's tile lists.
+	SnapshotVersion = 6
 
 	snapshotHeader = len(snapshotMagic) + 4 // magic, version
 )
@@ -475,7 +480,6 @@ func encodeConfig(e *binfmt.Enc, c *Config) {
 	e.I64(int64(c.PruneEvery))
 	e.I64(int64(c.Workers))
 	e.Bool(c.EvalFPRate)
-	e.Bool(c.CodecEarlyTerm)
 }
 
 func decodeConfig(d *binfmt.Dec, c *Config) {
@@ -493,41 +497,26 @@ func decodeConfig(d *binfmt.Dec, c *Config) {
 	c.PruneEvery = int(d.I64())
 	c.Workers = int(d.I64())
 	c.EvalFPRate = d.Bool()
-	c.CodecEarlyTerm = d.Bool()
 }
 
 func encodeMapperConfig(e *binfmt.Enc, c *mapper.Config) {
 	e.I64(int64(c.MapIters))
-	e.F64(c.ThreshAlpha)
 	e.I64(int64(c.ThreshN))
 	e.I64(int64(c.ContribPixMax))
 	e.I64(int64(c.DensifyStride))
-	e.F64(c.SilThreshold)
-	e.F64(c.DepthErrThresh)
 	e.F64(c.PruneOpacity)
-	e.F64(c.LRMean)
-	e.F64(c.LRColor)
 	e.F64(c.LRLogit)
-	e.F64(c.LRScale)
 	e.I64(int64(c.KeyframeWindow))
-	e.I64(c.Seed)
 }
 
 func decodeMapperConfig(d *binfmt.Dec, c *mapper.Config) {
 	c.MapIters = int(d.I64())
-	c.ThreshAlpha = d.F64()
 	c.ThreshN = int(d.I64())
 	c.ContribPixMax = int(d.I64())
 	c.DensifyStride = int(d.I64())
-	c.SilThreshold = d.F64()
-	c.DepthErrThresh = d.F64()
 	c.PruneOpacity = d.F64()
-	c.LRMean = d.F64()
-	c.LRColor = d.F64()
 	c.LRLogit = d.F64()
-	c.LRScale = d.F64()
 	c.KeyframeWindow = int(d.I64())
-	c.Seed = d.I64()
 }
 
 func encodeIntrinsics(e *binfmt.Enc, in *camera.Intrinsics) {
@@ -607,15 +596,6 @@ func encodeTrace(e *binfmt.Enc, ft *trace.FrameTrace) {
 	e.I64(int64(ft.NumGaussians))
 	e.I64(int64(ft.SkippedGaussians))
 	e.I64(int64(ft.PrunedGaussians))
-	e.I64(int64(ft.CompactedSlots))
-	e.I64(ft.ReclaimedBytes)
-	// Format slot of the key frame's logging-table stream: one byte saying it
-	// is Map.RepTileLists (it always is, on key frames), else an empty list.
-	aliased := ft.IsKeyFrame && ft.Map.RepTileLists.NumTiles() > 0
-	e.Bool(aliased)
-	if !aliased {
-		e.U64(0)
-	}
 }
 
 func decodeTrace(d *binfmt.Dec, ft *trace.FrameTrace) {
@@ -630,12 +610,6 @@ func decodeTrace(d *binfmt.Dec, ft *trace.FrameTrace) {
 	ft.NumGaussians = int(d.I64())
 	ft.SkippedGaussians = int(d.I64())
 	ft.PrunedGaussians = int(d.I64())
-	ft.CompactedSlots = int(d.I64())
-	ft.ReclaimedBytes = d.I64()
-	aliased := d.Bool()
-	if aliased != (ft.IsKeyFrame && ft.Map.RepTileLists.NumTiles() > 0) || (!aliased && d.U64() != 0) {
-		d.Fail("trace frame %d: logging stream is not the key frame's mapping tile lists", ft.Index)
-	}
 }
 
 func encodeStats(e *binfmt.Enc, s *trace.RenderStats) {

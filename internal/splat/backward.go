@@ -10,32 +10,29 @@ import (
 	"ags/internal/vecmath"
 )
 
-// LossConfig selects the training objective (SplaTAM-style weighted L1 on
-// color and depth, optionally restricted to well-observed pixels).
+// The training objective is SplaTAM-style weighted L1 on color and on depth,
+// with these weights. The depth term compares the rendered depth divided by
+// the silhouette: raw alpha-weighted depth is biased low wherever the
+// accumulated alpha is below 1, which systematically drags tracking backward.
+const (
+	colorWeight = 0.5
+	depthWeight = 1.0
+)
+
+// LossConfig selects which pixels the loss covers.
 type LossConfig struct {
-	ColorWeight float64
-	DepthWeight float64
 	// UseSilhouetteMask restricts the loss to pixels whose rendered
 	// silhouette exceeds SilThreshold — SplaTAM's tracking mask, which keeps
 	// unmapped regions from dragging the pose.
 	UseSilhouetteMask bool
 	SilThreshold      float64
-	// NormalizeDepth divides the rendered depth by the silhouette before the
-	// depth loss. Raw alpha-weighted depth is biased low wherever the
-	// accumulated alpha is below 1, which systematically drags tracking
-	// backward; normalization removes the bias.
-	NormalizeDepth bool
 }
 
-// DefaultMappingLoss returns the loss used for map optimization.
-func DefaultMappingLoss() LossConfig {
-	return LossConfig{ColorWeight: 0.5, DepthWeight: 1.0, NormalizeDepth: true}
-}
+// DefaultMappingLoss returns the loss used for map optimization: every pixel.
+func DefaultMappingLoss() LossConfig { return LossConfig{} }
 
 // DefaultTrackingLoss returns the silhouette-masked loss used for tracking.
-func DefaultTrackingLoss() LossConfig {
-	return LossConfig{ColorWeight: 0.5, DepthWeight: 1.0, UseSilhouetteMask: true, SilThreshold: 0.99, NormalizeDepth: true}
-}
+func DefaultTrackingLoss() LossConfig { return LossConfig{UseSilhouetteMask: true, SilThreshold: 0.99} }
 
 // Grads holds the backward-pass outputs. Gaussian-parameter slices are
 // indexed by stable Gaussian ID, and nil when the pass did not compute them
@@ -221,7 +218,7 @@ func (ctx *RenderContext) backwardShard(cam camera.Camera, res *Result, target *
 // silhouette S.
 //
 //ags:hotpath
-func pixelLoss(res *Result, target *frame.Frame, loss LossConfig, x, y, pix int, norm float64,
+func pixelLoss(res *Result, target *frame.Frame, x, y, pix int, norm float64,
 	lossAcc *float64) (dLdC vecmath.Vec3, dLdD, dLdS float64) {
 
 	cRend := res.Color.Pix[pix]
@@ -230,21 +227,14 @@ func pixelLoss(res *Result, target *frame.Frame, loss LossConfig, x, y, pix int,
 	sil := res.Silhouette[pix]
 	dGT := target.Depth.At(x, y)
 	diff := cRend.Sub(cGT)
-	*lossAcc += loss.ColorWeight * (math.Abs(diff.X) + math.Abs(diff.Y) + math.Abs(diff.Z)) * norm / 3
-	dLdC = vecmath.Vec3{X: sign(diff.X), Y: sign(diff.Y), Z: sign(diff.Z)}.Scale(loss.ColorWeight * norm / 3)
-	if dGT > 0 {
-		if loss.NormalizeDepth {
-			if sil > 1e-6 {
-				dHat := dRend / sil
-				*lossAcc += loss.DepthWeight * math.Abs(dHat-dGT) * norm
-				dLdHat := sign(dHat-dGT) * loss.DepthWeight * norm
-				dLdD = dLdHat / sil
-				dLdS = -dLdHat * dRend / (sil * sil)
-			}
-		} else {
-			*lossAcc += loss.DepthWeight * math.Abs(dRend-dGT) * norm
-			dLdD = sign(dRend-dGT) * loss.DepthWeight * norm
-		}
+	*lossAcc += colorWeight * (math.Abs(diff.X) + math.Abs(diff.Y) + math.Abs(diff.Z)) * norm / 3
+	dLdC = vecmath.Vec3{X: sign(diff.X), Y: sign(diff.Y), Z: sign(diff.Z)}.Scale(colorWeight * norm / 3)
+	if dGT > 0 && sil > 1e-6 {
+		dHat := dRend / sil
+		*lossAcc += depthWeight * math.Abs(dHat-dGT) * norm
+		dLdHat := sign(dHat-dGT) * depthWeight * norm
+		dLdD = dLdHat / sil
+		dLdS = -dLdHat * dRend / (sil * sil)
 	}
 	return dLdC, dLdD, dLdS
 }
@@ -287,7 +277,7 @@ func backwardOneTile(cam camera.Camera, res *Result, target *frame.Frame,
 			if loss.UseSilhouetteMask && res.Silhouette[pix] <= loss.SilThreshold {
 				continue
 			}
-			dLdC, dLdD, dLdS := pixelLoss(res, target, loss, x, y, pix, norm, lossAcc)
+			dLdC, dLdD, dLdS := pixelLoss(res, target, x, y, pix, norm, lossAcc)
 			if lossOnly {
 				continue
 			}

@@ -330,7 +330,7 @@ func TestTrackingConvergesOnSmallOffset(t *testing.T) {
 	est.Pose = cam.Pose.Retract(vecmath.Twist{V: vecmath.Vec3{X: 0.03, Y: -0.02}, W: vecmath.Vec3{Z: 0.02}})
 	startErr := est.Pose.TranslationTo(cam.Pose)
 
-	lc := LossConfig{ColorWeight: 0.5, DepthWeight: 1.0, NormalizeDepth: true}
+	lc := DefaultMappingLoss()
 	adam := optim.NewAdam(2e-3)
 	params := make([]float64, 6)
 	for iter := 0; iter < 150; iter++ {

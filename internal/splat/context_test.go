@@ -19,7 +19,7 @@ func TestRenderContextAllocationFree(t *testing.T) {
 	cloud, cam := determinismScene()
 	target := determinismTarget(cloud, cam)
 	lc := DefaultMappingLoss()
-	opts := Options{Workers: 1, LogContribution: true, ThreshAlpha: 1.0 / 255}
+	opts := Options{Workers: 1, LogContribution: true}
 	bopts := BackwardOptions{GaussianGrads: true, PoseGrads: true, Workers: 1}
 
 	ctx := NewRenderContext()
@@ -117,11 +117,7 @@ func TestRenderContextMixedSizeReuse(t *testing.T) {
 		if i%3 == 1 {
 			cloud = small
 		}
-		opts := Options{Workers: 1 + i%3}
-		if i%2 == 0 {
-			opts.LogContribution = true
-			opts.ThreshAlpha = 1.0 / 255
-		}
+		opts := Options{Workers: 1 + i%3, LogContribution: i%2 == 0}
 		bopts := BackwardOptions{GaussianGrads: i%2 == 0, PoseGrads: i%2 == 1, Workers: 1 + i%3}
 
 		res := ctx.Render(cloud, cam, opts)
@@ -148,7 +144,7 @@ func TestRenderContextDeterminismAcrossWorkerCounts(t *testing.T) {
 	cloud, cam := determinismScene()
 	target := determinismTarget(cloud, cam)
 	lc := DefaultMappingLoss()
-	opts := Options{Workers: 1, LogContribution: true, ThreshAlpha: 1.0 / 255}
+	opts := Options{Workers: 1, LogContribution: true}
 	ref := Render(cloud, cam, opts)
 	refG := Backward(cloud, cam, ref, target, lc, BackwardOptions{GaussianGrads: true, PoseGrads: true, Workers: 1})
 	wantRes, wantG := ref.Digest(), refG.Digest()

@@ -8,12 +8,11 @@ const qCutMax = 12.5
 // cullEntry is one Gaussian-table entry of the tile being rendered, gathered
 // in table order so the pixel loop reads one contiguous array instead of
 // chasing splats[list[li]]: the clipped, half-open pixel box and the cutoff
-// qc outside which the entry provably neither blends nor counts as
-// contributing, the splat fields alpha needs, and the entry's contribution
-// count for the log.
+// qc outside which the entry provably does not blend, the splat fields alpha
+// needs, and the entry's contribution count for the log.
 type cullEntry struct {
 	x0, x1, y0, y1   int32
-	contrib          int32 // evaluated pixels with alpha >= ThreshAlpha
+	contrib          int32 // pixels the entry blended at
 	qc               float64
 	mx, my           float64 // Splat.Mean2D
 	conA, conB, conC float64
@@ -33,20 +32,20 @@ type tileScratch struct {
 }
 
 // cullBox gathers the splat into a cullEntry for the tile [x0,x1)x[y0,y1):
-// the pixels and the cutoff qc at which its alpha can reach athr. Alpha is
-// Opacity*exp(-q/2), and Eval returns 0 past q = 12.5, so alpha >= athr needs
-// q <= qc = min(12.5, 2*ln(Opacity/athr) + 1e-6); the box bounds that ellipse
-// with a 1 px margin. Outside the box, and wherever q > qc inside it,
-// alpha < athr holds bit for bit in Splat.Alpha: the 1e-6 slack and the
-// margin dwarf the rounding of q, exp and the extents. Whenever that argument
-// does not apply — a threshold that is not positive, a conic that is not
-// finite and safely positive-definite (the determinant guard also rejects
-// conics so ill-conditioned that q cancels catastrophically), or a non-finite
-// center or opacity — the entry covers the whole tile with qc = +Inf, which
-// disables both culls.
+// the pixels and the cutoff qc at which its alpha can reach MinAlpha. Alpha is
+// Opacity*exp(-q/2), and Eval returns 0 past q = 12.5, so alpha >= MinAlpha
+// needs q <= qc = min(12.5, 2*ln(Opacity/MinAlpha) + 1e-6); the box bounds
+// that ellipse with a 1 px margin. Outside the box, and wherever q > qc inside
+// it, alpha < MinAlpha holds bit for bit in Splat.Alpha: the 1e-6 slack and
+// the margin dwarf the rounding of q, exp and the extents. Whenever that
+// argument does not apply — a conic that is not finite and safely
+// positive-definite (the determinant guard also rejects conics so
+// ill-conditioned that q cancels catastrophically), or a non-finite center or
+// opacity — the entry covers the whole tile with qc = +Inf, which disables
+// both culls.
 //
 //ags:hotpath
-func cullBox(s *Splat, athr float64, x0, y0, x1, y1 int) cullEntry {
+func cullBox(s *Splat, x0, y0, x1, y1 int) cullEntry {
 	mx, my := s.Mean2D.X, s.Mean2D.Y
 	e := cullEntry{
 		x0: int32(x0), x1: int32(x1), y0: int32(y0), y1: int32(y1),
@@ -54,15 +53,15 @@ func cullBox(s *Splat, athr float64, x0, y0, x1, y1 int) cullEntry {
 		mx: mx, my: my, conA: s.ConA, conB: s.ConB, conC: s.ConC, opacity: s.Opacity,
 	}
 	det := s.ConA*s.ConC - s.ConB*s.ConB
-	qc := min(qCutMax, 2*math.Log(s.Opacity/athr)+1e-6)
-	if !(athr > 0 && s.ConA > 0 && s.ConC > 0 && det > 1e-9*s.ConA*s.ConC) ||
+	qc := min(qCutMax, 2*math.Log(s.Opacity/MinAlpha)+1e-6)
+	if !(s.ConA > 0 && s.ConC > 0 && det > 1e-9*s.ConA*s.ConC) ||
 		math.IsInf(det, 0) || math.IsNaN(qc) || !finite(mx) || !finite(my) {
 		return e
 	}
 	e.qc = qc
 	e.x1, e.y1 = e.x0, e.y0 // empty unless the ellipse reaches the tile
 	if qc < 0 {
-		return e // Opacity < athr: alpha never reaches the threshold
+		return e // Opacity < MinAlpha: the entry never blends
 	}
 	// Extents of the ellipse d^T Conic d = qc along each axis. Pixel x has
 	// center x+0.5; it is kept when |x+0.5-mx| <= ex+1.

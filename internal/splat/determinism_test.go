@@ -61,7 +61,7 @@ func determinismTarget(cloud *gauss.Cloud, cam camera.Camera) *frame.Frame {
 // at every worker count.
 func TestRenderDeterminismAcrossWorkerCounts(t *testing.T) {
 	cloud, cam := determinismScene()
-	opts := Options{Workers: 1, LogContribution: true, ThreshAlpha: 1.0 / 255}
+	opts := Options{Workers: 1, LogContribution: true}
 	ref := Render(cloud, cam, opts)
 	want := ref.Digest()
 	for _, wkr := range workerCounts() {

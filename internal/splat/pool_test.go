@@ -143,7 +143,7 @@ func TestContextPoolReuseIsContentIndependent(t *testing.T) {
 	cloud, _ := determinismScene()
 
 	ctx := p.Acquire(96, 64)
-	ctx.Render(cloud, testCam(96, 64), Options{Workers: 2, LogContribution: true, ThreshAlpha: 1.0 / 255})
+	ctx.Render(cloud, testCam(96, 64), Options{Workers: 2, LogContribution: true})
 	p.Release(ctx)
 
 	// Acquire for a different class: miss, then release the dirty context's

@@ -4,9 +4,10 @@
 // front-to-back alpha-blended rendering with early termination, and the
 // backward pass producing analytic gradients for Gaussian parameters and the
 // camera pose. The renderer also captures the per-Gaussian contribution
-// statistics (alpha values below Thresh_alpha) that drive AGS's
-// contribution-aware mapping, and the per-pixel/per-tile workload traces the
-// hardware simulator replays.
+// statistics that drive AGS's contribution-aware mapping (a Gaussian
+// contributes at a pixel exactly when it blends there: the paper's
+// Thresh_alpha is MinAlpha, the cutoff 3DGS blends with), and the
+// per-pixel/per-tile workload traces the hardware simulator replays.
 //
 // # Determinism contract
 //
@@ -25,9 +26,9 @@
 // PerPixelAlpha and Touched count Gaussian-table visits — what the GPE array
 // walks: every entry of a tile's table at every pixel of the tile, up to and
 // including the entry that terminated the pixel — and NonContrib counts the
-// visits that stayed below ThreshAlpha. The host evaluates far fewer: an
-// entry is evaluated only at the pixels of a conservative box around the
-// ellipse where its alpha can reach the blend (or contribution) threshold,
+// visits that did not blend. The host evaluates far fewer: an entry is
+// evaluated only at the pixels of a conservative box around the ellipse
+// where its alpha can reach MinAlpha,
 // the exponential only inside that ellipse, and the counters are
 // reconstructed exactly from the loop index at termination. The full-walk
 // kernels this replaced live on in reference_test.go, where every output is

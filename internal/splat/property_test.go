@@ -110,7 +110,7 @@ func TestPropertyContributionAccounting(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		cloud := randomCloud(rng, 3+rng.Intn(25))
-		res := Render(cloud, cam, Options{Workers: 1, LogContribution: true, ThreshAlpha: 1.0 / 255})
+		res := Render(cloud, cam, Options{Workers: 1, LogContribution: true})
 		for id := range res.Touched {
 			if res.NonContrib[id] > res.Touched[id] || res.NonContrib[id] < 0 {
 				return false
@@ -169,7 +169,7 @@ func TestPropertyShardMergeMatchesSingleShard(t *testing.T) {
 		tgtRes := Render(randomCloud(rng, 3), cam, Options{Workers: 1})
 		target := &frame.Frame{Color: tgtRes.Color, Depth: tgtRes.NormalizedDepth()}
 
-		opts := Options{Workers: 1, LogContribution: true, ThreshAlpha: 1.0 / 255}
+		opts := Options{Workers: 1, LogContribution: true}
 		refRes := Render(cloud, cam, opts)
 		refG := Backward(cloud, cam, refRes, target, lc, BackwardOptions{GaussianGrads: true, PoseGrads: true, Workers: 1})
 

@@ -16,8 +16,9 @@ import (
 // culling and the blend log — every table entry evaluated at every pixel of
 // its tile, Backward replaying Splat.Alpha — as the reference the production
 // kernels must match byte for byte. refRenderOneTile, refBackwardOneTile and
-// refContribution are verbatim copies; only the serial drivers around them
-// are new.
+// refContribution are verbatim copies, but for the loss weights and the
+// contribution threshold, which are constants now; only the serial drivers
+// around them are new.
 
 // refContribution is one blending step recorded during the per-pixel forward
 // replay, consumed in reverse order for the suffix-sum alpha gradients.
@@ -29,7 +30,7 @@ type refContribution struct {
 	t     float64 // transmittance *before* this Gaussian
 }
 
-func refRenderOneTile(res *Result, splats []Splat, tiles *Tiles, tileIdx, w, h int, opts Options,
+func refRenderOneTile(res *Result, splats []Splat, tiles *Tiles, tileIdx, w, h int,
 	nonContrib, touched []int32, alphaOps, blendOps *int64) {
 
 	tx := tileIdx % tiles.TW
@@ -55,7 +56,7 @@ func refRenderOneTile(res *Result, splats []Splat, tiles *Tiles, tileIdx, w, h i
 				alpha, _ := s.Alpha(px, py)
 				if nonContrib != nil {
 					touched[s.ID]++
-					if alpha < opts.ThreshAlpha {
+					if alpha < MinAlpha {
 						nonContrib[s.ID]++
 					}
 				}
@@ -126,21 +127,16 @@ func refBackwardOneTile(cloud *gauss.Cloud, cam camera.Camera, res *Result, targ
 			sil := res.Silhouette[pix]
 			dGT := target.Depth.At(x, y)
 			diff := cRend.Sub(cGT)
-			*lossAcc += loss.ColorWeight * (math.Abs(diff.X) + math.Abs(diff.Y) + math.Abs(diff.Z)) * norm / 3
-			dLdC := vecmath.Vec3{X: sign(diff.X), Y: sign(diff.Y), Z: sign(diff.Z)}.Scale(loss.ColorWeight * norm / 3)
+			*lossAcc += colorWeight * (math.Abs(diff.X) + math.Abs(diff.Y) + math.Abs(diff.Z)) * norm / 3
+			dLdC := vecmath.Vec3{X: sign(diff.X), Y: sign(diff.Y), Z: sign(diff.Z)}.Scale(colorWeight * norm / 3)
 			var dLdD, dLdS float64 // gradients w.r.t. raw depth D and silhouette S
 			if dGT > 0 {
-				if loss.NormalizeDepth {
-					if sil > 1e-6 {
-						dHat := dRend / sil
-						*lossAcc += loss.DepthWeight * math.Abs(dHat-dGT) * norm
-						dLdHat := sign(dHat-dGT) * loss.DepthWeight * norm
-						dLdD = dLdHat / sil
-						dLdS = -dLdHat * dRend / (sil * sil)
-					}
-				} else {
-					*lossAcc += loss.DepthWeight * math.Abs(dRend-dGT) * norm
-					dLdD = sign(dRend-dGT) * loss.DepthWeight * norm
+				if sil > 1e-6 {
+					dHat := dRend / sil
+					*lossAcc += depthWeight * math.Abs(dHat-dGT) * norm
+					dLdHat := sign(dHat-dGT) * depthWeight * norm
+					dLdD = dLdHat / sil
+					dLdS = -dLdHat * dRend / (sil * sil)
 				}
 			}
 
@@ -257,7 +253,7 @@ func refRender(splats []Splat, nGauss int, cam camera.Camera, opts Options) *Res
 		res.Touched = make([]int32, nGauss)
 	}
 	for tileIdx := 0; tileIdx < res.Tiles.NumTiles(); tileIdx++ {
-		refRenderOneTile(res, splats, res.Tiles, tileIdx, w, h, opts, res.NonContrib, res.Touched, &res.AlphaOps, &res.BlendOps)
+		refRenderOneTile(res, splats, res.Tiles, tileIdx, w, h, res.NonContrib, res.Touched, &res.AlphaOps, &res.BlendOps)
 	}
 	return res
 }
@@ -385,20 +381,13 @@ func adversarialSplats(rng *rand.Rand, cloud *gauss.Cloud, cam camera.Camera) []
 
 // TestKernelsMatchFullWalkReference is the exactness gate of the culled
 // forward kernel and the log-driven backward kernel: on seeded random clouds
-// and on adversarial splats, for every contribution-log setting, frame sizes
+// and on adversarial splats, with and without the contribution log, frame sizes
 // off the tile grid, a Skip set, and mixed Render x Backward worker counts,
 // the Result digest (pixels, per-pixel and total counters, contribution log)
 // and the Grads digest equal the full-walk reference.
 func TestKernelsMatchFullWalkReference(t *testing.T) {
 	workers := []int{1, 2, 3, 7}
-	logs := []Options{
-		{},
-		{LogContribution: true, ThreshAlpha: 0},
-		{LogContribution: true, ThreshAlpha: 0.001},
-		{LogContribution: true, ThreshAlpha: MinAlpha},
-		{LogContribution: true, ThreshAlpha: 0.02},
-		{LogContribution: true, ThreshAlpha: math.NaN()},
-	}
+	logs := []Options{{}, {LogContribution: true}}
 	bopts := []BackwardOptions{
 		{GaussianGrads: true, PoseGrads: true},
 		{GaussianGrads: true},
@@ -432,8 +421,8 @@ func TestKernelsMatchFullWalkReference(t *testing.T) {
 
 				want := refRender(splats, cloud.Len(), cam, lo)
 				wantDigest := want.Digest()
-				name := fmt.Sprintf("trial %d (adversarial=%v %dx%d log=%v thresh=%v)",
-					trial, adversarial, sz.w, sz.h, lo.LogContribution, lo.ThreshAlpha)
+				name := fmt.Sprintf("trial %d (adversarial=%v %dx%d log=%v)",
+					trial, adversarial, sz.w, sz.h, lo.LogContribution)
 				for i, rw := range workers {
 					lo.Workers = rw
 					var got *Result

@@ -15,11 +15,11 @@ type Options struct {
 	// Skip suppresses Gaussians by ID during preprocessing (selective
 	// mapping for non-key frames).
 	Skip []bool
-	// LogContribution records, per Gaussian ID, how many evaluated pixels
-	// saw alpha below ThreshAlpha (full mapping on key frames).
+	// LogContribution records, per Gaussian ID, how many pixels of its tiles
+	// it did not blend at (full mapping on key frames). A Gaussian contributes
+	// at a pixel exactly when it blends there, at alpha >= MinAlpha: the
+	// paper's Thresh_alpha is the cutoff 3DGS blends with.
 	LogContribution bool
-	// ThreshAlpha is the contribution threshold (paper: 1/255).
-	ThreshAlpha float64
 	// Workers bounds render parallelism; 0 means GOMAXPROCS.
 	Workers int
 }
@@ -35,7 +35,7 @@ type Result struct {
 	Tiles  *Tiles
 
 	// Contribution log (nil unless Options.LogContribution):
-	NonContrib []int32 // per Gaussian ID: pixels with alpha < ThreshAlpha
+	NonContrib []int32 // per Gaussian ID: pixels where it did not blend
 	Touched    []int32 // per Gaussian ID: pixels where alpha was evaluated
 
 	// Workload trace for the hardware simulator:
@@ -119,7 +119,7 @@ func (ctx *RenderContext) renderTiles(cloud *gauss.Cloud, cam camera.Camera, opt
 		// reductions are integers, so this is bit-identical to the
 		// scratch-and-merge parallel path — and it spawns nothing, keeping
 		// warm contexted renders allocation-free.
-		res.AlphaOps, res.BlendOps = ctx.renderShard(0, w, h, opts, res.NonContrib, res.Touched)
+		res.AlphaOps, res.BlendOps = ctx.renderShard(0, w, h, res.NonContrib, res.Touched)
 		return res
 	}
 
@@ -142,7 +142,7 @@ func (ctx *RenderContext) renderTiles(cloud *gauss.Cloud, cam camera.Camera, opt
 				nc = nonContribAll[wi*n : (wi+1)*n]
 				tc = touchedAll[wi*n : (wi+1)*n]
 			}
-			ctx.ops[2*wi], ctx.ops[2*wi+1] = ctx.renderShard(wi, w, h, opts, nc, tc)
+			ctx.ops[2*wi], ctx.ops[2*wi+1] = ctx.renderShard(wi, w, h, nc, tc)
 		}(wi)
 	}
 	wg.Wait()
@@ -171,14 +171,14 @@ func (ctx *RenderContext) renderTiles(cloud *gauss.Cloud, cam camera.Camera, opt
 // the pipeline.
 //
 //ags:hotpath
-func (ctx *RenderContext) renderShard(wi, w, h int, opts Options, nonContrib, touched []int32) (alphaOps, blendOps int64) {
+func (ctx *RenderContext) renderShard(wi, w, h int, nonContrib, touched []int32) (alphaOps, blendOps int64) {
 	res := &ctx.result
 	sc := ctx.cull[wi]
 	log := res.logShards[wi]
 	span := ctx.ranges[wi]
 	for tileIdx := span[0]; tileIdx < span[1]; tileIdx++ {
 		res.logTiles[tileIdx] = tileLogRef{shard: int32(wi), off: int32(blendOps)}
-		a, b := renderOneTile(res, tileIdx, w, h, opts, nonContrib, touched, &sc, &log, int(blendOps))
+		a, b := renderOneTile(res, tileIdx, w, h, nonContrib, touched, &sc, &log, int(blendOps))
 		alphaOps += a
 		blendOps += b
 	}
@@ -198,7 +198,7 @@ func (ctx *RenderContext) renderShard(wi, w, h int, opts Options, nonContrib, to
 // is recorded at log[pos...] for Backward.
 //
 //ags:hotpath
-func renderOneTile(res *Result, tileIdx, w, h int, opts Options,
+func renderOneTile(res *Result, tileIdx, w, h int,
 	nonContrib, touched []int32, sc *tileScratch, log *blendShard, pos int) (alphaOps, blendOps int64) {
 
 	splats, tiles := res.Splats, res.Tiles
@@ -209,16 +209,9 @@ func renderOneTile(res *Result, tileIdx, w, h int, opts Options,
 	x1 := min(x0+TileSize, w)
 	y1 := min(y0+TileSize, h)
 
-	// The threshold an entry must be able to reach to matter at a pixel:
-	// MinAlpha to blend, and ThreshAlpha to count as contributing when that
-	// is lower (or unordered, which cullBox treats as "never cull").
-	athr := MinAlpha
-	if nonContrib != nil && !(opts.ThreshAlpha >= MinAlpha) {
-		athr = opts.ThreshAlpha
-	}
 	ent := resized(sc.ent, len(list))
 	for li, si := range list {
-		ent[li] = cullBox(&splats[si], athr, x0, y0, x1, y1)
+		ent[li] = cullBox(&splats[si], x0, y0, x1, y1)
 	}
 	sc.ent = ent
 	start := pos
@@ -256,11 +249,11 @@ func renderOneTile(res *Result, tileIdx, w, h int, opts Options,
 				}
 				g := falloff(q)
 				alpha := clampAlpha(e.opacity, g)
-				if nonContrib != nil && !(alpha < opts.ThreshAlpha) {
-					e.contrib++
-				}
 				if alpha < MinAlpha {
 					continue
+				}
+				if nonContrib != nil {
+					e.contrib++
 				}
 				log.li[pos], log.g[pos] = sp.li, g
 				pos++

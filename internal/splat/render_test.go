@@ -159,7 +159,7 @@ func TestContributionLogging(t *testing.T) {
 	// alpha below threshold.
 	faint := centeredGaussian(2, 0.01, 0.002, vecmath.Vec3{Y: 1})
 	faintID := cloud.Add(faint)
-	res := Render(cloud, cam, Options{LogContribution: true, ThreshAlpha: 1.0 / 255})
+	res := Render(cloud, cam, Options{LogContribution: true})
 	if res.NonContrib == nil {
 		t.Fatal("contribution log missing")
 	}
