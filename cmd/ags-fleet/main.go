@@ -30,8 +30,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"strings"
@@ -79,7 +81,7 @@ func usage() {
 func serveCmd(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	var (
-		name        = fs.String("name", "node", "node name (its fleet-wide identity and placement key)")
+		name        = fs.String("name", "node", "node name (its fleet-wide identity)")
 		addr        = fs.String("addr", "127.0.0.1:0", "listen address")
 		maxSessions = fs.Int("max-sessions", 0, "admission cap on concurrent streams (0 = unlimited)")
 		maxResident = fs.Int64("max-resident-bytes", 0, "reject new streams once the context pool holds this many resident bytes (0 = unlimited)")
@@ -88,6 +90,11 @@ func serveCmd(args []string) error {
 		chaosKill   = fs.Int("chaos-kill-after", 0, "kill this node uncleanly — listener and every connection — at its Nth wire write (0 = never)")
 	)
 	fs.Parse(args)
+	checkFlags(
+		inRange("max-sessions", int64(*maxSessions), math.MaxInt64, "unlimited"),
+		inRange("max-resident-bytes", *maxResident, math.MaxInt64, "unlimited"),
+		inRange("pool", int64(*poolCap), math.MaxInt64, "2 x GOMAXPROCS"),
+		inRange("chaos-kill-after", int64(*chaosKill), math.MaxInt64, "never"))
 
 	n := fleet.NewNode(fleet.NodeConfig{
 		Name:             *name,
@@ -116,6 +123,30 @@ func serveCmd(args []string) error {
 	fmt.Printf("node %q serving on %s (max-sessions %d, max-resident %d B)\n",
 		*name, bound, *maxSessions, *maxResident)
 	select {} // serve until killed
+}
+
+// checkFlags refuses numeric flag values out of range with exit code 2, as
+// flag parsing refuses malformed ones.
+func checkFlags(errs ...error) {
+	if err := errors.Join(errs...); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+}
+
+// inRange accepts a -name value of 0, which means zero ("never",
+// "unlimited", ...), or 1..hi, and names that range in its refusal of any
+// other, which would otherwise silently mean zero too.
+func inRange(name string, v, hi int64, zero string) error {
+	switch {
+	case v == 0 || v >= 1 && v <= hi:
+		return nil
+	case hi < 1:
+		return fmt.Errorf("-%s %d: only 0 (%s) is valid here", name, v, zero)
+	case hi == math.MaxInt64:
+		return fmt.Errorf("-%s %d is out of range: want 1 or more, or 0 for %s", name, v, zero)
+	}
+	return fmt.Errorf("-%s %d is out of range: want 1..%d, or 0 for %s", name, v, hi, zero)
 }
 
 // dialRouter builds a router over the given comma-separated node addresses.
@@ -152,6 +183,10 @@ func routeCmd(args []string) error {
 	if *nodes == "" {
 		return fmt.Errorf("ags-fleet route: -nodes is required")
 	}
+	// The drain lands before frame -drain-at, so it needs a frame on either side.
+	checkFlags(
+		inRange("drain-at", int64(*drainAt), int64(*frames-1), "never"),
+		inRange("checkpoint-every", int64(*ckEvery), math.MaxInt64, "recovery off"))
 
 	cfg := slam.DefaultConfig(*width, *height)
 	switch *algo {

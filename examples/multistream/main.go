@@ -3,9 +3,9 @@
 // Each stream is a Session: frames go in with Push (which blocks when the
 // stream outruns its pipeline — backpressure, not buffering), per-frame
 // outcomes come back on Results, and Close drains the queue and returns the
-// final Result. All sessions render through the server's bounded, size-keyed
-// context pool, so N streams share render state instead of each pinning
-// their own forever.
+// final Result. All sessions render through the server's bounded context
+// pool, so N streams share render state instead of each pinning their own
+// forever.
 //
 //	go run ./examples/multistream
 package main

@@ -206,48 +206,154 @@ func TestFleetMigrationKeepsDigest(t *testing.T) {
 	}
 }
 
-// TestAdmissionFallthrough fills the fleet one budgeted slot at a time: the
-// second stream must bounce off the first-choice node onto the peer, and a
-// third must surface the admission rejection end-to-end.
+// TestAdmissionFallthrough covers both halves of the admission walk. On
+// session budgets the second stream lands on the peer (the least-loaded node)
+// and a third, refused by every node, must surface the admission rejection
+// end-to-end. On a resident-bytes budget the least-loaded node refuses and
+// the next candidate accepts: the stream is placed, off its first choice.
 func TestAdmissionFallthrough(t *testing.T) {
 	cfg := fastCfg()
 	seq := testSeq(t, "Desk", 2)
-	r, _ := startFleet(t, []NodeConfig{
-		{Name: "a", MaxSessions: 1},
-		{Name: "b", MaxSessions: 1},
-	})
-
-	st1, err := r.Open("s1", cfg, seq.Intr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st2, err := r.Open("s2", cfg, seq.Intr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st1.Node() == st2.Node() {
-		t.Errorf("both streams on %q despite MaxSessions=1", st1.Node())
-	}
-	if _, err := r.Open("s3", cfg, seq.Intr); !errors.Is(err, ErrAdmission) {
-		t.Errorf("third open: err = %v, want ErrAdmission", err)
-	}
-	for _, st := range []*Stream{st1, st2} {
+	push := func(t *testing.T, st *Stream) {
+		t.Helper()
 		for _, f := range seq.Frames {
 			if err := st.Push(f); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, err := st.Close(); err != nil {
-			t.Fatal(err)
+	}
+	closeAll := func(t *testing.T, sts ...*Stream) {
+		t.Helper()
+		for _, st := range sts {
+			if _, err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	// Slots freed: a new stream is admitted again.
-	st4, err := r.Open("s4", cfg, seq.Intr)
-	if err != nil {
-		t.Fatalf("open after close: %v", err)
+
+	t.Run("sessions", func(t *testing.T) {
+		r, _ := startFleet(t, []NodeConfig{
+			{Name: "a", MaxSessions: 1},
+			{Name: "b", MaxSessions: 1},
+		})
+		st1, err := r.Open("s1", cfg, seq.Intr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st2, err := r.Open("s2", cfg, seq.Intr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st1.Node() == st2.Node() {
+			t.Errorf("both streams on %q despite MaxSessions=1", st1.Node())
+		}
+		if _, err := r.Open("s3", cfg, seq.Intr); !errors.Is(err, ErrAdmission) {
+			t.Errorf("third open: err = %v, want ErrAdmission", err)
+		}
+		push(t, st1)
+		push(t, st2)
+		closeAll(t, st1, st2)
+		// Slots freed: a new stream is admitted again.
+		st4, err := r.Open("s4", cfg, seq.Intr)
+		if err != nil {
+			t.Fatalf("open after close: %v", err)
+		}
+		closeAll(t, st4)
+	})
+
+	t.Run("resident_bytes", func(t *testing.T) {
+		r, _ := startFleet(t, []NodeConfig{
+			{Name: "a", MaxResidentBytes: 1},
+			{Name: "b"},
+		})
+		st1, err := r.Open("s1", cfg, seq.Intr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st2, err := r.Open("s2", cfg, seq.Intr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st1.Node() != "a" || st2.Node() != "b" {
+			t.Fatalf("streams on %q and %q, want a and b", st1.Node(), st2.Node())
+		}
+		// s1's frames leave a render context idle in a's pool; closing s1
+		// leaves a with fewer sessions than b but over its resident budget.
+		push(t, st1)
+		closeAll(t, st1)
+		st3, err := r.Open("s3", cfg, seq.Intr)
+		if err != nil {
+			t.Fatalf("open with a peer to fall through to: %v", err)
+		}
+		if st3.Node() != "b" {
+			t.Errorf("s3 on %q, want b: a is over its resident budget", st3.Node())
+		}
+		if m := r.Metrics(); m.Placements != 3 || m.PrimaryHits != m.Placements-1 {
+			t.Errorf("placements %d, primary hits %d: want 3 placements, one off its first choice", m.Placements, m.PrimaryHits)
+		}
+		closeAll(t, st2, st3)
+	})
+}
+
+// TestPlacementIsBalanced opens same-size streams one after another: each
+// lands on a node with the fewest open sessions, so every node ends up with
+// the same share.
+func TestPlacementIsBalanced(t *testing.T) {
+	cfg := fastCfg()
+	seq := testSeq(t, "Desk", 1)
+	for _, nodes := range []int{3, 4} {
+		cfgs := make([]NodeConfig, nodes)
+		for i := range cfgs {
+			cfgs[i] = NodeConfig{Name: string(rune('a' + i))}
+		}
+		r, _ := startFleet(t, cfgs)
+		counts := make(map[string]int)
+		var streams []*Stream
+		for i := 0; i < 2*nodes; i++ {
+			st, err := r.Open(seq.Name, cfg, seq.Intr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			counts[st.Node()]++
+			streams = append(streams, st)
+		}
+		for _, nc := range cfgs {
+			if counts[nc.Name] != 2 {
+				t.Errorf("%d streams on %d nodes landed %v, want 2 on each", 2*nodes, nodes, counts)
+				break
+			}
+		}
+		if m := r.Metrics(); m.PrimaryHits != m.Placements {
+			t.Errorf("%d of %d placements on their first choice, want all", m.PrimaryHits, m.Placements)
+		}
+		for _, st := range streams {
+			if _, err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if _, err := st4.Close(); err != nil {
-		t.Fatal(err)
+}
+
+// TestCandidates pins the placement order: draining nodes are left out, and
+// the rest are ordered by open sessions, then pool-resident bytes, then the
+// order the router knows them in.
+func TestCandidates(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		loads []NodeLoad
+		want  []int
+	}{
+		{"no nodes", nil, nil},
+		{"all draining", []NodeLoad{{Draining: true}, {Draining: true}}, nil},
+		{"draining left out", []NodeLoad{{Draining: true}, {OpenSessions: 3}}, []int{1}},
+		{"fewer sessions first", []NodeLoad{{OpenSessions: 2}, {}, {OpenSessions: 1}}, []int{1, 2, 0}},
+		{"sessions before bytes", []NodeLoad{{ResidentBytes: 1 << 20}, {OpenSessions: 1}}, []int{0, 1}},
+		{"fewer bytes on equal sessions", []NodeLoad{{OpenSessions: 1, ResidentBytes: 100}, {OpenSessions: 1, ResidentBytes: 50}}, []int{1, 0}},
+		{"known order on equal load", []NodeLoad{{OpenSessions: 1, ResidentBytes: 50}, {OpenSessions: 1, ResidentBytes: 50}, {ResidentBytes: 99}}, []int{2, 0, 1}},
+	} {
+		if got := Candidates(tc.loads); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: Candidates = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // NodeConfig sizes one fleet node: the slam.Server it wraps plus the
 // admission budgets routers are told about and bounce off.
 type NodeConfig struct {
-	// Name is the node's fleet-wide identity and its consistent-hash key.
+	// Name is the node's fleet-wide identity.
 	Name string
 	// Server configures the wrapped slam.Server (pool capacity, queue depth).
 	Server slam.ServerConfig

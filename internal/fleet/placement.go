@@ -1,134 +1,42 @@
 package fleet
 
 import (
-	"fmt"
+	"cmp"
 	"slices"
 )
 
-// Placement policy: streams are keyed by their frame size class (W x H) —
-// the same key the slam render-context pools are bucketed by — and mapped
-// onto nodes with a consistent-hash ring, so streams of one size class
-// gravitate to the same host and find warm, right-sized contexts there
-// (Splatonic's observation: the render hot path dominates wall clock, so
-// placement is a cache-warmth problem before it is a balancing problem).
-// Pure hashing ignores load, so the ring order gets one correction: when the
-// ring-primary node is strictly busier than the runner-up — by open-session
-// count, then by pool resident bytes — the two swap. Everything is a pure
-// function of the reported NodeLoads, so placement is deterministic given
-// the same fleet view, and the router's fallback walk (admission rejections
-// skip to the next candidate) is just the returned order.
-
-// ringReplicas is how many virtual points each node contributes to the hash
-// ring. More points smooth the class→node distribution; 16 is plenty for
-// single-digit fleets.
-const ringReplicas = 16
+// Placement policy: least-loaded first. Every node that is not draining is a
+// candidate, ordered by open sessions, then by pool-resident bytes, then by
+// the order the router knows the nodes in. A render context serves any frame
+// size (splat.ContextPool is one stack), so no stream property enters the
+// order; streams of one size spread evenly over the fleet. Everything is a
+// pure function of the reported NodeLoads, so placement is deterministic
+// given the same fleet view, and the router's fallback walk (admission
+// rejections skip to the next candidate) is just the returned order.
 
 // NodeLoad is the placement-relevant view of one node, distilled from its
-// reported NodeStats.
+// reported NodeStats by Router.reachableLoads.
 type NodeLoad struct {
-	Name          string
 	OpenSessions  int
 	ResidentBytes int64
 	Draining      bool
 }
 
-// loadOf distills the placement inputs from a stats report.
-func loadOf(st NodeStats) NodeLoad {
-	return NodeLoad{
-		Name:          st.Name,
-		OpenSessions:  st.OpenSessions,
-		ResidentBytes: st.Pool.ResidentBytes,
-		Draining:      st.Draining,
-	}
-}
-
-// sizeClassKey is the ring lookup key for a frame size class.
-func sizeClassKey(w, h int) string { return fmt.Sprintf("%dx%d", w, h) }
-
-// fnv1a is the 64-bit FNV-1a hash — stdlib's hash/fnv without the
-// hash.Hash allocation, since the ring rebuilds per placement decision.
-func fnv1a(s string) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime
-	}
-	return h
-}
-
-// Candidates returns indices into loads in placement-preference order for a
-// stream of the given frame size class: the consistent-hash ring walk from
-// the class key, with the least-loaded tie-break applied to the first two
-// candidates, and draining nodes excluded entirely. An empty result means no
-// node can take the stream.
-func Candidates(w, h int, loads []NodeLoad) []int {
-	type point struct {
-		hash uint64
-		idx  int
-	}
-	var ring []point
-	for i, l := range loads {
-		if l.Draining {
-			continue
-		}
-		for r := 0; r < ringReplicas; r++ {
-			ring = append(ring, point{hash: fnv1a(fmt.Sprintf("%s#%d", l.Name, r)), idx: i})
-		}
-	}
-	if len(ring) == 0 {
-		return nil
-	}
-	slices.SortFunc(ring, func(a, b point) int {
-		if a.hash != b.hash {
-			if a.hash < b.hash {
-				return -1
-			}
-			return 1
-		}
-		return a.idx - b.idx
-	})
-
-	// Walk clockwise from the key's position, collecting each node the
-	// first time one of its points appears.
-	key := fnv1a(sizeClassKey(w, h))
-	start, _ := slices.BinarySearchFunc(ring, key, func(p point, k uint64) int {
-		if p.hash < k {
-			return -1
-		}
-		if p.hash > k {
-			return 1
-		}
-		return 0
-	})
-	seen := make(map[int]bool, len(loads))
+// Candidates returns indices into loads in placement-preference order: every
+// node that is not draining, by open sessions, then pool-resident bytes, ties
+// kept in loads order. An empty result means no node can take the stream.
+func Candidates(loads []NodeLoad) []int {
 	var order []int
-	for i := 0; i < len(ring); i++ {
-		p := ring[(start+i)%len(ring)]
-		if !seen[p.idx] {
-			seen[p.idx] = true
-			order = append(order, p.idx)
+	for i, l := range loads {
+		if !l.Draining {
+			order = append(order, i)
 		}
 	}
-
-	// Least-loaded tie-break between the primary and the runner-up: hashing
-	// concentrates a size class on one host, which is the point (warm
-	// pools) — until that host is measurably busier than the next one.
-	if len(order) >= 2 && lessLoaded(loads[order[1]], loads[order[0]]) {
-		order[0], order[1] = order[1], order[0]
-	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		if c := cmp.Compare(loads[a].OpenSessions, loads[b].OpenSessions); c != 0 {
+			return c
+		}
+		return cmp.Compare(loads[a].ResidentBytes, loads[b].ResidentBytes)
+	})
 	return order
-}
-
-// lessLoaded reports whether a is strictly less loaded than b: fewer open
-// sessions first, then fewer pool-resident bytes. Equal load is not "less",
-// so ring order wins ties.
-func lessLoaded(a, b NodeLoad) bool {
-	if a.OpenSessions != b.OpenSessions {
-		return a.OpenSessions < b.OpenSessions
-	}
-	return a.ResidentBytes < b.ResidentBytes
 }

@@ -2,10 +2,9 @@
 // boundary: a hand-rolled, stdlib-only wire protocol plus the two roles that
 // speak it. A Node wraps one slam.Server behind a TCP listener — the per-host
 // resource owner made network-facing — and a Router places live camera
-// streams across N nodes, keyed by frame size class so streams land next to
-// warm render-context pools, with per-node admission control and graceful
-// drain (a draining node's sessions are snapshotted over the wire and
-// restored onto peers mid-stream).
+// streams across N nodes, least-loaded first, with per-node admission control
+// and graceful drain (a draining node's sessions are snapshotted over the
+// wire and restored onto peers mid-stream).
 //
 // # Wire format
 //

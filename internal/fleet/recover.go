@@ -37,7 +37,7 @@ import (
 // (isNodeLoss): placement bounces and remote application errors are not
 // node loss and are never retried elsewhere — replaying the same
 // conversation to another node would fail identically. A transport failure
-// is node loss: the stream re-places itself through the same consistent-hash
+// is node loss: the stream re-places itself through the same least-loaded
 // candidate order as Open, restores the checkpoint on the chosen peer
 // (frame-count checked, exactly like migration), replays the buffered frames
 // in order, and continues as if nothing happened. Because the snapshot codec
@@ -390,7 +390,7 @@ func (s *Stream) recover(cause error) error {
 // drain snapshot, recovery with the last checkpoint (nil before the first);
 // the frames either leaves out are the held set.
 func (s *Stream) reattach(snap []byte, frames int) error {
-	node, w, _, err := s.r.place(s.sizeW, s.sizeH, func(addr string) (*wire, error) {
+	node, w, _, err := s.r.place(func(addr string) (*wire, error) {
 		return s.attach(addr, snap, frames)
 	})
 	if err != nil {

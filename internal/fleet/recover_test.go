@@ -109,7 +109,7 @@ func TestRecoverKillDuringPush(t *testing.T) {
 	if kills := injs[home].Stats().Kills; kills != 1 {
 		t.Errorf("injector kills = %d, want 1", kills)
 	}
-	// The corpse, and only the corpse, is out of the ring.
+	// The corpse, and only the corpse, is out of placement.
 	for _, h := range r.CheckHealth() {
 		if h.Name == home && (!h.Evicted || h.Reachable) {
 			t.Errorf("killed node %q not evicted: %+v", home, h)
@@ -297,7 +297,7 @@ func TestHealthCheckEvictsAndReadmits(t *testing.T) {
 	if !readmitted {
 		t.Fatal("replacement node never re-admitted")
 	}
-	// Back in the ring for real: the strict stats poll reaches all three.
+	// Back in placement for real: the strict stats poll reaches all three.
 	sts, err := r.Stats()
 	if err != nil {
 		t.Fatalf("stats after re-admission: %v", err)

@@ -12,12 +12,12 @@ import (
 )
 
 // Router is the client-side coordinator: it knows the fleet's nodes, polls
-// their stats over per-node control connections, places each new stream with
-// the consistent-hash-plus-load policy (see Candidates), and falls through
-// the candidate order when a node bounces an open with ErrAdmission or
-// ErrDraining. Each stream gets its own dedicated connection; the router is
-// safe for concurrent Opens, while every Stream keeps slam's one-producer
-// contract (Push/Close/migration from a single goroutine).
+// their stats over per-node control connections, places each new stream on
+// the least-loaded node (see Candidates), and falls through the candidate
+// order when a node bounces an open with ErrAdmission or ErrDraining. Each
+// stream gets its own dedicated connection; the router is safe for
+// concurrent Opens, while every Stream keeps slam's one-producer contract
+// (Push/Close/migration from a single goroutine).
 type Router struct {
 	mu    sync.Mutex
 	nodes []*routerNode
@@ -247,7 +247,7 @@ func (r *Router) reachableLoads() ([]*routerNode, []NodeLoad, error) {
 			continue // evicted by stats; a health probe can bring it back
 		}
 		live = append(live, n)
-		loads = append(loads, loadOf(st))
+		loads = append(loads, NodeLoad{OpenSessions: st.OpenSessions, ResidentBytes: st.Pool.ResidentBytes, Draining: st.Draining})
 	}
 	if len(live) == 0 {
 		return nil, nil, fmt.Errorf("fleet: no reachable nodes (all evicted)")
@@ -262,13 +262,12 @@ func (r *Router) Open(name string, cfg slam.Config, intr camera.Intrinsics) (*St
 }
 
 // OpenWith places a new stream on the first node, in placement order, that
-// admits it (see place). The stream's size class is the intrinsics' W x H —
-// the same key the node-side render-context pools bucket by. A non-zero
-// opts.CheckpointEvery arms checkpoint-replay recovery (see StreamOptions).
+// admits it (see place). A non-zero opts.CheckpointEvery arms
+// checkpoint-replay recovery (see StreamOptions).
 func (r *Router) OpenWith(name string, cfg slam.Config, intr camera.Intrinsics, opts StreamOptions) (*Stream, error) {
 	payload := encodeOpen(nil, name,
 		slam.AppendConfig(nil, &cfg), slam.AppendIntrinsics(nil, &intr))
-	node, w, rank, err := r.place(intr.W, intr.H, func(addr string) (*wire, error) {
+	node, w, rank, err := r.place(func(addr string) (*wire, error) {
 		return openOn(addr, payload)
 	})
 	if err != nil {
@@ -282,13 +281,12 @@ func (r *Router) OpenWith(name string, cfg slam.Config, intr camera.Intrinsics, 
 	r.mu.Unlock()
 	return &Stream{
 		r: r, name: name, w: w, node: node,
-		sizeW: intr.W, sizeH: intr.H,
 		opts: opts, openPayload: payload,
 	}, nil
 }
 
 // place is the one candidate walk: it polls the reachable nodes' loads,
-// orders them for a w x h stream (Candidates) and hands each in turn to
+// orders them least loaded first (Candidates) and hands each in turn to
 // attach, which dials the node and binds a session on it. The first success
 // wins, and its rank in the order is returned with it. A placement bounce
 // moves on to the next candidate; so does node loss — the node died between
@@ -296,13 +294,13 @@ func (r *Router) OpenWith(name string, cfg slam.Config, intr camera.Intrinsics, 
 // application error, a restore that came back at the wrong frame) would fail
 // the same way on every node, so it stops the walk. When no node takes the
 // stream the error wraps ErrNoPeer and the last refusal.
-func (r *Router) place(w, h int, attach func(addr string) (*wire, error)) (*routerNode, *wire, int, error) {
+func (r *Router) place(attach func(addr string) (*wire, error)) (*routerNode, *wire, int, error) {
 	nodes, loads, err := r.reachableLoads()
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("%w: %v", ErrNoPeer, err)
 	}
 	lastErr := errors.New("every reachable node is draining")
-	for rank, idx := range Candidates(w, h, loads) {
+	for rank, idx := range Candidates(loads) {
 		conn, err := attach(nodes[idx].addr)
 		switch {
 		case err == nil:
@@ -364,9 +362,8 @@ type Stream struct {
 	w    *wire
 	node *routerNode
 
-	sizeW, sizeH int
-	pushed       int // frames acknowledged by a serving node
-	migrations   int
+	pushed     int // frames acknowledged by a serving node
+	migrations int
 
 	frameBuf []byte // per-push encode scratch, reused across frames
 

@@ -10,7 +10,7 @@ import (
 // control connection before every placement decision and surfaced by the
 // ags-fleet CLI.
 type NodeStats struct {
-	// Name is the node's configured identity (its consistent-hash key).
+	// Name is the node's configured identity.
 	Name string
 	// OpenSessions counts the fleet-admitted live streams on the node.
 	OpenSessions int
@@ -21,7 +21,7 @@ type NodeStats struct {
 	MaxSessions      int
 	MaxResidentBytes int64
 	// Pool snapshots the underlying slam.Server's render-context pool — the
-	// warmth and residency signal placement and admission run on.
+	// residency signal placement and admission run on.
 	Pool splat.PoolStats
 }
 

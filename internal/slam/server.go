@@ -30,7 +30,7 @@ type ServerConfig struct {
 }
 
 // Server owns the per-host resources live SLAM streams share — today the
-// bounded, size-keyed render-context pool — and opens Sessions over them.
+// bounded render-context pool — and opens Sessions over them.
 // Sessions acquire a context per frame-step and return it between frames, so
 // N concurrent streams peak at N resident contexts while idle streams pin
 // none, and outputs stay digest-identical to single-session runs at every

@@ -7,7 +7,7 @@
 // comparison of Table 4 come from the same pipeline.
 //
 // Serving: the public surface is streaming and multi-tenant. A Server owns
-// the per-host resources (a bounded, size-keyed splat.ContextPool) and opens
+// the per-host resources (a bounded splat.ContextPool) and opens
 // Sessions — one live sequence each, driven by Push (with backpressure),
 // observed on Results, finalized by Close. System remains the single-stream
 // engine underneath, and Run is a thin wrapper that streams a
@@ -333,14 +333,13 @@ func (s *System) Mapper() *mapper.Mapper {
 	return s.mapper
 }
 
-// attachCtx acquires a render context from the pool (sized for the system's
-// camera) and threads it through the tracker and mapper. A no-op when one is
-// already attached.
+// attachCtx acquires a render context from the pool and threads it through
+// the tracker and mapper. A no-op when one is already attached.
 func (s *System) attachCtx() {
 	if s.renderCtx != nil {
 		return
 	}
-	ctx := s.pool.Acquire(s.Intr.W, s.Intr.H)
+	ctx := s.pool.Acquire()
 	s.renderCtx = ctx
 	s.refiner.Ctx = ctx
 	s.mapper.Ctx = ctx
@@ -782,7 +781,7 @@ func EvaluatePSNR(res *Result, seq *scene.Sequence, stride int) (float64, error)
 	var sum float64
 	var n int
 	pool := DefaultServer().ContextPool()
-	ctx := pool.Acquire(seq.Intr.W, seq.Intr.H)
+	ctx := pool.Acquire()
 	defer pool.Release(ctx)
 	for i := 0; i < len(seq.Frames); i += stride {
 		cam := camera.Camera{Intr: seq.Intr, Pose: res.Poses[i]}

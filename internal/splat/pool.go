@@ -13,8 +13,8 @@ type PoolStats struct {
 	Capacity int
 	// Idle is how many contexts the pool currently retains (always <= Capacity).
 	Idle int
-	// Hits counts Acquire calls served by a retained context of the requested
-	// size class; Misses counts Acquire calls that allocated a fresh context.
+	// Hits counts Acquire calls served by a retained context; Misses counts
+	// Acquire calls that allocated a fresh context.
 	Hits, Misses uint64
 	// Evictions counts contexts dropped to keep Idle within Capacity.
 	Evictions uint64
@@ -32,25 +32,18 @@ func (s PoolStats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
-// sizeClass keys pooled contexts by the frame size their buffers are sized
-// for, so a stream acquiring for its own resolution gets warm buffers back
-// instead of re-growing another stream's.
-type sizeClass struct{ W, H int }
-
 // pooledCtx is one retained idle context with its accounting.
 type pooledCtx struct {
 	ctx   *RenderContext
 	bytes int64
-	seq   uint64 // release order; the global minimum is the LRU entry
 }
 
-// ContextPool is a bounded, size-keyed set of RenderContexts shared by many
-// streams: the per-host resource a multi-session SLAM server pins render
-// state in without unbounded memory growth. Acquire never blocks — a miss
-// allocates a fresh context — and Release retains at most Capacity idle
-// contexts, evicting the least-recently-used one (across all size classes)
-// beyond that. Within a size class, Acquire returns the most recently
-// released context (warmest caches first).
+// ContextPool is a bounded stack of RenderContexts shared by many streams:
+// the per-host resource a multi-session SLAM server pins render state in
+// without unbounded memory growth. Acquire never blocks — a miss allocates a
+// fresh context — and returns the most recently released context (warmest
+// caches first); Release retains at most Capacity idle contexts, evicting
+// the oldest one beyond that. Any context serves any frame size.
 //
 // A ContextPool is safe for concurrent use; the contexts it hands out are
 // not — each borrower owns its context exclusively until Release. Contexts
@@ -60,9 +53,7 @@ type pooledCtx struct {
 type ContextPool struct {
 	mu        sync.Mutex
 	capacity  int
-	seq       uint64
-	idle      map[sizeClass][]pooledCtx // per-class LIFO stacks, oldest at [0]
-	nIdle     int
+	idle      []pooledCtx // LIFO stack, oldest at [0]
 	hits      uint64
 	misses    uint64
 	evictions uint64
@@ -75,19 +66,17 @@ func NewContextPool(capacity int) *ContextPool {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &ContextPool{capacity: capacity, idle: make(map[sizeClass][]pooledCtx)}
+	return &ContextPool{capacity: capacity}
 }
 
-// Acquire returns a context for rendering w x h frames: a retained context of
-// that size class when one is idle (hit), a fresh one otherwise (miss). The
-// caller owns the context exclusively until Release.
-func (p *ContextPool) Acquire(w, h int) *RenderContext {
-	key := sizeClass{W: w, H: h}
+// Acquire returns the most recently released idle context (hit), or a fresh
+// one when none is idle (miss). The caller owns the context exclusively until
+// Release.
+func (p *ContextPool) Acquire() *RenderContext {
 	p.mu.Lock()
-	if stack := p.idle[key]; len(stack) > 0 {
-		e := stack[len(stack)-1]
-		p.idle[key] = stack[:len(stack)-1]
-		p.nIdle--
+	if n := len(p.idle); n > 0 {
+		e := p.idle[n-1]
+		p.idle = p.idle[:n-1]
 		p.hits++
 		p.resident -= e.bytes
 		p.mu.Unlock()
@@ -98,56 +87,24 @@ func (p *ContextPool) Acquire(w, h int) *RenderContext {
 	return NewRenderContext()
 }
 
-// Release returns a context to the pool, keyed by the frame size its buffers
-// are currently sized for. If the pool is at capacity, the least-recently-
-// used idle context (of any size class) is evicted and left to the garbage
-// collector. Results and gradients previously returned by ctx are
-// invalidated: the next borrower will overwrite them. A nil ctx is a no-op.
+// Release returns a context to the pool. If the pool is then over capacity,
+// the oldest idle context is evicted and left to the garbage collector.
+// Results and gradients previously returned by ctx are invalidated: the next
+// borrower will overwrite them. A nil ctx is a no-op.
 func (p *ContextPool) Release(ctx *RenderContext) {
 	if p == nil || ctx == nil {
 		return
 	}
-	key := sizeClass{W: ctx.color.W, H: ctx.color.H}
 	bytes := ctx.FootprintBytes()
 	p.mu.Lock()
-	p.seq++
-	p.idle[key] = append(p.idle[key], pooledCtx{ctx: ctx, bytes: bytes, seq: p.seq})
-	p.nIdle++
+	p.idle = append(p.idle, pooledCtx{ctx: ctx, bytes: bytes})
 	p.resident += bytes
-	for p.nIdle > p.capacity {
-		p.evictLRULocked()
+	if len(p.idle) > p.capacity {
+		p.resident -= p.idle[0].bytes
+		p.idle = append(p.idle[:0], p.idle[1:]...)
+		p.evictions++
 	}
 	p.mu.Unlock()
-}
-
-// evictLRULocked drops the globally least-recently-used idle context. Each
-// class stack is pushed in release order and popped LIFO, so its [0] entry is
-// that class's oldest; the global LRU is the minimum seq among stack bottoms.
-func (p *ContextPool) evictLRULocked() {
-	var victimKey sizeClass
-	var victimSeq uint64
-	found := false
-	//ags:allow(maprange, min-reduction over globally unique seq values: every visit order selects the same victim)
-	for key, stack := range p.idle {
-		if len(stack) == 0 {
-			continue
-		}
-		if !found || stack[0].seq < victimSeq {
-			victimKey, victimSeq, found = key, stack[0].seq, true
-		}
-	}
-	if !found {
-		return
-	}
-	stack := p.idle[victimKey]
-	p.resident -= stack[0].bytes
-	if len(stack) == 1 {
-		delete(p.idle, victimKey)
-	} else {
-		p.idle[victimKey] = append(stack[:0], stack[1:]...)
-	}
-	p.nIdle--
-	p.evictions++
 }
 
 // Stats returns a snapshot of the pool's counters.
@@ -156,7 +113,7 @@ func (p *ContextPool) Stats() PoolStats {
 	defer p.mu.Unlock()
 	return PoolStats{
 		Capacity:      p.capacity,
-		Idle:          p.nIdle,
+		Idle:          len(p.idle),
 		Hits:          p.hits,
 		Misses:        p.misses,
 		Evictions:     p.evictions,

@@ -7,7 +7,7 @@ import (
 )
 
 // useContext runs one render through ctx so its buffers are sized for a
-// w x h frame (giving it a non-trivial footprint and a size class).
+// w x h frame (giving it a non-trivial footprint).
 func useContext(t *testing.T, ctx *RenderContext, w, h int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(w*1000 + h)))
@@ -17,13 +17,13 @@ func useContext(t *testing.T, ctx *RenderContext, w, h int) {
 
 func TestContextPoolHitMissAccounting(t *testing.T) {
 	p := NewContextPool(4)
-	a := p.Acquire(64, 48) // empty pool: miss
+	a := p.Acquire() // empty pool: miss
 	useContext(t, a, 64, 48)
 	p.Release(a)
-	if got := p.Acquire(64, 48); got != a { // same size class: hit, same context
-		t.Error("acquire of released size class returned a different context")
+	if got := p.Acquire(); got != a { // hit, same context
+		t.Error("acquire after a release returned a different context")
 	}
-	if p.Acquire(32, 24) == nil { // different class: miss, fresh context
+	if p.Acquire() == nil { // empty again: miss, fresh context
 		t.Error("miss returned nil")
 	}
 	st := p.Stats()
@@ -43,11 +43,11 @@ func TestContextPoolBoundedWithLRUEviction(t *testing.T) {
 	sizes := []struct{ w, h int }{{64, 48}, {32, 24}, {48, 36}}
 	ctxs := make([]*RenderContext, len(sizes))
 	for i, sz := range sizes {
-		ctxs[i] = p.Acquire(sz.w, sz.h)
+		ctxs[i] = p.Acquire()
 		useContext(t, ctxs[i], sz.w, sz.h)
 	}
 	// Release in order: the third release exceeds capacity and must evict the
-	// least-recently-used idle context — the first released (64x48).
+	// oldest idle context, the first released, whatever its frame size.
 	for _, ctx := range ctxs {
 		p.Release(ctx)
 	}
@@ -58,41 +58,43 @@ func TestContextPoolBoundedWithLRUEviction(t *testing.T) {
 	if st.Evictions != 1 {
 		t.Fatalf("evictions=%d, want 1", st.Evictions)
 	}
-	if st.ResidentBytes <= 0 {
-		t.Errorf("resident bytes %d, want > 0 with retained contexts", st.ResidentBytes)
+	if want := ctxs[1].FootprintBytes() + ctxs[2].FootprintBytes(); st.ResidentBytes != want {
+		t.Errorf("resident bytes %d, want the survivors' %d", st.ResidentBytes, want)
 	}
-	preMisses := st.Misses
-	if p.Acquire(64, 48) == ctxs[0] {
-		t.Error("evicted context came back from the pool")
-	}
-	if got := p.Stats().Misses; got != preMisses+1 {
-		t.Errorf("acquire of evicted class: misses=%d, want %d", got, preMisses+1)
-	}
-	// The two younger classes survived.
-	if p.Acquire(32, 24) != ctxs[1] || p.Acquire(48, 36) != ctxs[2] {
-		t.Error("surviving size classes did not return their contexts")
+	// The two younger contexts survived, newest first; then the pool is empty.
+	if p.Acquire() != ctxs[2] || p.Acquire() != ctxs[1] {
+		t.Error("surviving contexts did not come back newest first")
 	}
 	if st := p.Stats(); st.Idle != 0 || st.ResidentBytes != 0 {
 		t.Errorf("drained pool: idle=%d resident=%d, want 0/0", st.Idle, st.ResidentBytes)
 	}
+	preMisses := p.Stats().Misses
+	if p.Acquire() == ctxs[0] {
+		t.Error("evicted context came back from the pool")
+	}
+	if got := p.Stats().Misses; got != preMisses+1 {
+		t.Errorf("acquire of an empty pool: misses=%d, want %d", got, preMisses+1)
+	}
 }
 
-func TestContextPoolClassStacksAreLIFO(t *testing.T) {
+// TestContextPoolStackIsLIFO releases contexts last used at different frame
+// sizes: the most recently released (warmest) comes back first, whatever
+// size the next borrower renders at.
+func TestContextPoolStackIsLIFO(t *testing.T) {
 	p := NewContextPool(4)
-	a := p.Acquire(64, 48)
-	b := p.Acquire(64, 48)
+	a := p.Acquire()
+	b := p.Acquire()
 	useContext(t, a, 64, 48)
-	useContext(t, b, 64, 48)
+	useContext(t, b, 32, 24)
 	p.Release(a)
 	p.Release(b)
-	// Within a class the most recently released (warmest) comes back first.
-	if p.Acquire(64, 48) != b || p.Acquire(64, 48) != a {
-		t.Error("class stack is not LIFO")
+	if p.Acquire() != b || p.Acquire() != a {
+		t.Error("pool stack is not LIFO")
 	}
 }
 
 // TestContextPoolConcurrentAcquire exercises the pool from N goroutines under
-// -race: mixed size classes, live renders through the acquired contexts, and
+// -race: mixed frame sizes, live renders through the acquired contexts, and
 // a final accounting check (every acquire was a hit or a miss, the idle set
 // never exceeds capacity).
 func TestContextPoolConcurrentAcquire(t *testing.T) {
@@ -115,7 +117,7 @@ func TestContextPoolConcurrentAcquire(t *testing.T) {
 			defer wg.Done()
 			for it := 0; it < iters; it++ {
 				i := (wi + it) % len(sizes)
-				ctx := p.Acquire(sizes[i].w, sizes[i].h)
+				ctx := p.Acquire()
 				res := ctx.Render(cloud, testCam(sizes[i].w, sizes[i].h), Options{Workers: 1})
 				if res.Digest() != ref[i] {
 					t.Errorf("worker %d iter %d: pooled context render diverged", wi, it)
@@ -142,13 +144,12 @@ func TestContextPoolReuseIsContentIndependent(t *testing.T) {
 	p := NewContextPool(2)
 	cloud, _ := determinismScene()
 
-	ctx := p.Acquire(96, 64)
+	ctx := p.Acquire()
 	ctx.Render(cloud, testCam(96, 64), Options{Workers: 2, LogContribution: true})
 	p.Release(ctx)
 
-	// Acquire for a different class: miss, then release the dirty context's
-	// class and re-acquire it for a new stream.
-	got := p.Acquire(96, 64)
+	// Re-acquire the dirty context for a new stream at another size.
+	got := p.Acquire()
 	if got != ctx {
 		t.Fatal("expected the pooled context back")
 	}
@@ -177,7 +178,7 @@ func TestFootprintBytes(t *testing.T) {
 	if got := p.Stats().ResidentBytes; got != used {
 		t.Errorf("pool resident bytes %d, context footprint %d", got, used)
 	}
-	if p.Acquire(64, 48) != ctx {
+	if p.Acquire() != ctx {
 		t.Fatal("pool did not hand the context back")
 	}
 	// The blend log (12 B per blend) and the cull scratch are counted:
@@ -205,43 +206,5 @@ func TestFootprintBytes(t *testing.T) {
 	}
 	if (*RenderContext)(nil).FootprintBytes() != 0 {
 		t.Error("nil context footprint not 0")
-	}
-}
-
-// TestContextPoolEvictionOrderIsMapOrderIndependent backs the
-// //ags:allow(maprange) on evictLRULocked: the eviction scan ranges over the
-// idle-class map, which is only sound because it is a min-reduction over
-// globally unique release sequence numbers. Rebuild the same overflow
-// situation many times — different runs randomize Go's map iteration order —
-// and require the identical eviction sequence every time.
-func TestContextPoolEvictionOrderIsMapOrderIndependent(t *testing.T) {
-	sizes := []struct{ w, h int }{{64, 48}, {32, 24}, {48, 36}, {16, 12}, {80, 60}}
-	survivors := func() [2][2]int {
-		p := NewContextPool(2)
-		ctxs := make([]*RenderContext, len(sizes))
-		for i, sz := range sizes {
-			ctxs[i] = p.Acquire(sz.w, sz.h)
-			useContext(t, ctxs[i], sz.w, sz.h)
-		}
-		for _, ctx := range ctxs {
-			p.Release(ctx) // three of these five releases must evict, oldest-first
-		}
-		if got := p.Stats().Evictions; got != 3 {
-			t.Fatalf("evictions=%d, want 3", got)
-		}
-		// LRU means exactly the two most recently released classes survive.
-		var out [2][2]int
-		for i, sz := range sizes[len(sizes)-2:] {
-			if p.Acquire(sz.w, sz.h) == ctxs[len(sizes)-2+i] {
-				out[i] = [2]int{sz.w, sz.h}
-			}
-		}
-		return out
-	}
-	want := survivors()
-	for run := 1; run < 20; run++ {
-		if got := survivors(); got != want {
-			t.Fatalf("run %d evicted differently: survivors %v, want %v", run, got, want)
-		}
 	}
 }

@@ -61,14 +61,14 @@
 // one-shot: each runs in a fresh context of its own and returns that
 // context's output, which nothing else will ever write.
 //
-// Multi-stream hosts share contexts through a ContextPool: a bounded set
-// keyed by (W, H) size class with LRU eviction and hit/miss/eviction/
-// resident-bytes metrics. Acquire never blocks (a miss allocates fresh),
-// Release retains at most Capacity idle contexts, and pooled contexts carry
-// nothing between borrowers that affects outputs — rendering through a
-// recycled context is byte-identical to a fresh one, which is what lets many
-// SLAM sessions interleave on one pool without perturbing each other (see
-// package slam's Server).
+// Multi-stream hosts share contexts through a ContextPool: a bounded LIFO
+// stack with hit/miss/eviction/resident-bytes metrics. Acquire never blocks
+// (a miss allocates fresh), Release retains at most Capacity idle contexts
+// and evicts the oldest beyond that, a context serves any frame size, and
+// pooled contexts carry nothing between borrowers that affects outputs —
+// rendering through a recycled context is byte-identical to a fresh one,
+// which is what lets many SLAM sessions interleave on one pool without
+// perturbing each other (see package slam's Server).
 //
 // Lifecycle and aliasing rules:
 //
