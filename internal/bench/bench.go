@@ -27,7 +27,6 @@ import (
 	"sync"
 
 	"ags/internal/camera"
-	"ags/internal/mapper"
 	"ags/internal/metrics"
 	"ags/internal/scene"
 	"ags/internal/slam"
@@ -237,11 +236,12 @@ func (s *Suite) slamConfig(v Variant, override func(*slam.Config)) slam.Config {
 		cfg.EnableGCM = true
 	case VarDroid:
 		cfg.ForceCoarseOnly = true
-	case VarGSLAMBase:
-		cfg.Backbone = slam.BackboneGaussianSLAM
-	case VarGSLAMAGS:
-		cfg.Backbone = slam.BackboneGaussianSLAM
-		cfg.EnableGCM = true
+	case VarGSLAMBase, VarGSLAMAGS:
+		// Gaussian-SLAM optimizes sub-maps with more iterations per frame
+		// and a shorter keyframe window (§6.6).
+		cfg.Mapper.MapIters *= 2
+		cfg.Mapper.KeyframeWindow = 4
+		cfg.EnableGCM = v == VarGSLAMAGS
 	}
 	if override != nil {
 		override(&cfg)
@@ -318,23 +318,12 @@ func (s *Suite) Executed() []string {
 }
 
 // contributionStats renders frame fi of the bundle at its estimated pose
-// with contribution logging and returns (nonContributory, total) Gaussian
-// counts under the mapper's thresholds.
-func contributionStats(b *Bundle, fi int, mcfg mapper.Config) (nonContrib, total int, ids map[int]bool) {
+// with contribution logging and returns its non-contributory Gaussians and
+// how many reached a Gaussian table (mapper.Config.NonContributory).
+func contributionStats(b *Bundle, fi int) (ids map[int]bool, total int) {
 	cam := camera.Camera{Intr: b.Seq.Intr, Pose: b.Result.Poses[fi]}
 	res := splat.Render(b.Result.Cloud, cam, splat.Options{LogContribution: true})
-	ids = make(map[int]bool)
-	for id := range res.Touched {
-		if res.Touched[id] == 0 {
-			continue // culled before the Gaussian tables; not in any table
-		}
-		total++
-		if res.Touched[id]-res.NonContrib[id] <= int32(mcfg.ContribPixMax) {
-			nonContrib++
-			ids[id] = true
-		}
-	}
-	return nonContrib, total, ids
+	return b.Result.Mapper.Cfg.NonContributory(res)
 }
 
 // geoMeanOf orders a named float per sequence and appends its GeoMean.

@@ -236,3 +236,22 @@ func TestTableFormatting(t *testing.T) {
 		t.Fatalf("too few lines:\n%s", out)
 	}
 }
+
+// TestGaussianSLAMBackboneDoesMoreMapping: the Gaussian-SLAM backbone (§6.6,
+// Fig. 23) is a choice of mapping settings. Each gslam variant is its plain
+// counterpart with twice the mapping iterations and a four-frame key-frame
+// window, and nothing else.
+func TestGaussianSLAMBackboneDoesMoreMapping(t *testing.T) {
+	s := NewSuite(tinyCfg())
+	for _, v := range []struct{ gslam, plain Variant }{
+		{VarGSLAMBase, VarBaseline},
+		{VarGSLAMAGS, VarGCMOnly},
+	} {
+		want := s.slamConfig(v.plain, nil)
+		want.Mapper.MapIters *= 2
+		want.Mapper.KeyframeWindow = 4
+		if got := s.slamConfig(v.gslam, nil); got != want {
+			t.Errorf("%s = %+v,\nwant %s with MapIters x2 and KeyframeWindow 4: %+v", v.gslam, got, v.plain, want)
+		}
+	}
+}

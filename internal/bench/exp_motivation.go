@@ -6,6 +6,7 @@ import (
 	"ags/internal/covis"
 	"ags/internal/hw/platform"
 	"ags/internal/scene"
+	"ags/internal/splat"
 	"ags/internal/tracker"
 	"ags/internal/vecmath"
 )
@@ -90,6 +91,7 @@ func (s *Suite) Fig4(w io.Writer) error {
 	det := covis.NewDetector()
 	ref := tracker.NewGSRefiner()
 	ref.Workers = s.Cfg.Workers
+	ref.Ctx = splat.NewRenderContext()
 
 	// Classify frames by adjacent covisibility (median split).
 	type frameCase struct {
@@ -164,11 +166,10 @@ func (s *Suite) Fig5(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		mcfg := b.Result.Mapper.Cfg
 		var nc, tot int
 		for fi := len(b.Seq.Frames) / 2; fi < len(b.Seq.Frames); fi += 4 {
-			n, ttl, _ := contributionStats(b, fi, mcfg)
-			nc += n
+			ids, ttl := contributionStats(b, fi)
+			nc += len(ids)
 			tot += ttl
 		}
 		frac := 100 * float64(nc) / maxf(float64(tot), 1)
@@ -198,7 +199,6 @@ func (s *Suite) Fig6(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		mcfg := b.Result.Mapper.Cfg
 		sims[name] = map[covis.Level]*acc{}
 		// Frame pairs at several gaps populate the whole covisibility range
 		// (adjacent pairs cluster at the top levels).
@@ -209,8 +209,8 @@ func (s *Suite) Fig6(w io.Writer) error {
 					return err
 				}
 				lvl := covis.LevelOf(sc)
-				_, _, prevIDs := contributionStats(b, fi-gap, mcfg)
-				_, _, curIDs := contributionStats(b, fi, mcfg)
+				prevIDs, _ := contributionStats(b, fi-gap)
+				curIDs, _ := contributionStats(b, fi)
 				if len(prevIDs) == 0 {
 					continue
 				}

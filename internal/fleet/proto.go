@@ -99,13 +99,14 @@ import (
 // a different version are rejected with ErrVersionSkew before any payload is
 // examined. Version 2: a snapshot request lists the frame positions the
 // requester holds, and a restore request carries those frames behind the
-// snapshot (see slam's snapshot format, version 2). Versions 3 to 6: the
+// snapshot (see slam's snapshot format, version 2). Versions 3 to 7: the
 // snapshots and configurations the messages carry are slam's encodings of the
 // same version, and version 4's RESULT no longer carries the compaction
 // totals. Version 5 changes no message of its own: a node's snapshots carry
-// no trace detail, which is all slam's version 5 repacked. Version 6 changes
-// none either: slam's version 6 shortens the configuration and every trace.
-const ProtocolVersion = 6
+// no trace detail, which is all slam's version 5 repacked. Versions 6 and 7
+// change none either: slam's version 6 shortens the configuration and every
+// trace, and its version 7 drops the configuration's backbone.
+const ProtocolVersion = 7
 
 const (
 	protoMagic = "AGSF"

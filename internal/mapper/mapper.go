@@ -67,7 +67,9 @@ type Config struct {
 	LRLogit float64
 	// KeyframeWindow is how many past keyframes mapping samples from.
 	KeyframeWindow int
-	Workers        int
+	// Workers bounds the splat parallelism of every render and backward pass
+	// (0 = all cores); slam sets it from its venue.
+	Workers int
 }
 
 // DefaultConfig returns mapping settings tuned for the reproduction's frame
@@ -97,14 +99,12 @@ type Keyframe struct {
 // Mapper owns the Gaussian cloud and its optimizer state.
 type Mapper struct {
 	Cfg Config
-	// Ctx, when non-nil, is the reusable render context the mapping loop,
-	// densification and FP-rate evaluation render through, making the
-	// MapIters hot path allocation-free (nil falls back to one-shot renders;
-	// outputs are bit-identical either way). Not safe for concurrent use —
-	// a pipeline shares one context across its tracker and mapper because
-	// they run sequentially. slam threads it per frame-step from its
-	// server's splat.ContextPool, so the field may change identity between
-	// frames.
+	// Ctx is the render context the mapping loop and densification render
+	// through, which keeps the MapIters hot path allocation-free; the caller
+	// sets it before mapping. Not safe for concurrent use — a pipeline shares
+	// one context across its tracker and mapper because they run
+	// sequentially. slam attaches one from its server's splat.ContextPool for
+	// each frame, so the field may change identity between frames.
 	Ctx *splat.RenderContext
 	// ScalarsOnly makes FullMapping and SelectiveMapping return the mapping
 	// work's scalars without the representative iteration's detail (see
@@ -354,8 +354,30 @@ func (m *Mapper) recordContribution(res *splat.Result) {
 			nonContrib = res.NonContrib[id]
 			contrib = res.Touched[id] - nonContrib
 		}
-		m.skipSet[id] = int(contrib) <= m.Cfg.ContribPixMax && int(nonContrib) > m.Cfg.ThreshN
+		m.skipSet[id] = m.Cfg.contributesNowhere(contrib) && int(nonContrib) > m.Cfg.ThreshN
 	}
+}
+
+// contributesNowhere is the comparison both the skip prediction and its
+// ground truth make: contrib contributing pixels are at most ContribPixMax.
+func (c *Config) contributesNowhere(contrib int32) bool { return int(contrib) <= c.ContribPixMax }
+
+// NonContributory returns the ground truth the skip prediction is scored
+// against (§6.2's false-positive rate, Fig. 5 and Fig. 6): the IDs of the
+// Gaussians a logged render shows in a Gaussian table (evaluated at some pixel)
+// that contribute nowhere, and how many Gaussians reached a table at all.
+func (c *Config) NonContributory(res *splat.Result) (ids map[int]bool, inTables int) {
+	ids = make(map[int]bool)
+	for id, touched := range res.Touched {
+		if touched == 0 {
+			continue // culled before the Gaussian tables; not in any table
+		}
+		inTables++
+		if c.contributesNowhere(touched - res.NonContrib[id]) {
+			ids[id] = true
+		}
+	}
+	return ids, inTables
 }
 
 // applyGrads steps the per-group Adam optimizers over the Gaussians where they

@@ -18,9 +18,17 @@ func smallCfg() Config {
 	return cfg
 }
 
+// newMapper is New with the render context every mapping and densification
+// renders through.
+func newMapper(cfg Config) *Mapper {
+	m := New(cfg)
+	m.Ctx = splat.NewRenderContext()
+	return m
+}
+
 func TestDensifySeedsEmptyCloud(t *testing.T) {
 	seq := scene.MustGenerate("Desk", scene.Config{Width: 48, Height: 36, Frames: 1, Seed: 1})
-	m := New(smallCfg())
+	m := newMapper(smallCfg())
 	added := m.Densify(seq.Frames[0], seq.Intr, seq.Frames[0].GTPose)
 	// Stride 2 on 48x36 with full depth coverage: 24*18 gaussians.
 	if added != 24*18 {
@@ -36,7 +44,7 @@ func TestDensifySeedsEmptyCloud(t *testing.T) {
 
 func TestDensifySecondViewOnlyFillsGaps(t *testing.T) {
 	seq := scene.MustGenerate("Desk", scene.Config{Width: 48, Height: 36, Frames: 10, Seed: 1})
-	m := New(smallCfg())
+	m := newMapper(smallCfg())
 	first := m.Densify(seq.Frames[0], seq.Intr, seq.Frames[0].GTPose)
 	// Re-densifying the same view must add far less than a full seed (some
 	// oblique-surface pixels exceed the depth-error criterion; that is the
@@ -56,7 +64,7 @@ func TestDensifySecondViewOnlyFillsGaps(t *testing.T) {
 func TestFullMappingImprovesPSNR(t *testing.T) {
 	seq := scene.MustGenerate("Desk", scene.Config{Width: 48, Height: 36, Frames: 1, Seed: 1})
 	f := seq.Frames[0]
-	m := New(smallCfg())
+	m := newMapper(smallCfg())
 	m.Densify(f, seq.Intr, f.GTPose)
 	cam := camera.Camera{Intr: seq.Intr, Pose: f.GTPose}
 
@@ -85,7 +93,7 @@ func TestFullMappingImprovesPSNR(t *testing.T) {
 	}
 	// Told to keep scalars only, a mapper trains the same map and reports the
 	// same stats less the detail, which it never builds.
-	lean := New(smallCfg())
+	lean := newMapper(smallCfg())
 	lean.ScalarsOnly = true
 	lean.Densify(f, seq.Intr, f.GTPose)
 	leanStats := lean.FullMapping(f, seq.Intr, f.GTPose)
@@ -105,7 +113,7 @@ func TestContributionRecordingAndSkipSet(t *testing.T) {
 	f0, f := seq.Frames[0], seq.Frames[30]
 	cfg := smallCfg()
 	cfg.ThreshN = 5
-	m := New(cfg)
+	m := newMapper(cfg)
 	m.Densify(f0, seq.Intr, f0.GTPose)
 	m.FullMapping(f0, seq.Intr, f0.GTPose)
 	m.Densify(f, seq.Intr, f.GTPose)
@@ -154,7 +162,7 @@ func TestSelectiveMappingDoesLessWork(t *testing.T) {
 	f0, f1 := seq.Frames[0], seq.Frames[1]
 	cfg := smallCfg()
 	cfg.ThreshN = 3
-	m := New(cfg)
+	m := newMapper(cfg)
 	m.Densify(f0, seq.Intr, f0.GTPose)
 	fullStats := m.FullMapping(f0, seq.Intr, f0.GTPose)
 	if m.NumSkipped() == 0 {
@@ -176,7 +184,7 @@ func TestSelectiveMappingPreservesQuality(t *testing.T) {
 	f0, f1 := seq.Frames[0], seq.Frames[1]
 	cfg := smallCfg()
 	cfg.MapIters = 10
-	m := New(cfg)
+	m := newMapper(cfg)
 	m.Densify(f0, seq.Intr, f0.GTPose)
 	m.FullMapping(f0, seq.Intr, f0.GTPose)
 
@@ -193,7 +201,7 @@ func TestSelectiveMappingPreservesQuality(t *testing.T) {
 func TestPrune(t *testing.T) {
 	seq := scene.MustGenerate("Desk", scene.Config{Width: 32, Height: 24, Frames: 1, Seed: 1})
 	f := seq.Frames[0]
-	m := New(smallCfg())
+	m := newMapper(smallCfg())
 	m.Densify(f, seq.Intr, f.GTPose)
 	before := m.Cloud().Len()
 	survivor := *m.Cloud().At(5)
@@ -222,7 +230,7 @@ func TestPrune(t *testing.T) {
 func TestPruneNothingAllocatesNothing(t *testing.T) {
 	seq := scene.MustGenerate("Desk", scene.Config{Width: 32, Height: 24, Frames: 1, Seed: 1})
 	f := seq.Frames[0]
-	m := New(smallCfg())
+	m := newMapper(smallCfg())
 	m.Densify(f, seq.Intr, f.GTPose)
 	m.FullMapping(f, seq.Intr, f.GTPose)
 	if allocs := testing.AllocsPerRun(20, func() {

@@ -65,7 +65,7 @@ func TestOptimizerStateRoundTrip(t *testing.T) {
 		}, []string{"color", "logit", "mean", "scale"}, 2 * cfg.MapIters},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			a := New(cfg)
+			a := newMapper(cfg)
 			tc.prepare(a)
 			st := a.ExportState()
 			var names []string
@@ -76,7 +76,7 @@ func TestOptimizerStateRoundTrip(t *testing.T) {
 				t.Fatalf("exported optimizer groups %v, want %v", names, tc.groups)
 			}
 
-			b := New(cfg)
+			b := newMapper(cfg)
 			if err := b.ImportState(detached(st)); err != nil {
 				t.Fatal(err)
 			}
@@ -107,7 +107,7 @@ func TestOptimizerStateRoundTrip(t *testing.T) {
 func TestCompactResetsStaleMoments(t *testing.T) {
 	seq := scene.MustGenerate("Desk", scene.Config{Width: 32, Height: 24, Frames: 1, Seed: 1})
 	f := seq.Frames[0]
-	m := New(smallCfg())
+	m := newMapper(smallCfg())
 	m.Densify(f, seq.Intr, f.GTPose)
 	m.FullMapping(f, seq.Intr, f.GTPose)
 	if m.Densify(f, seq.Intr, f.GTPose) == 0 {
@@ -136,7 +136,7 @@ func TestCompactResetsStaleMoments(t *testing.T) {
 func TestImportStateRejectsBadOptimizerState(t *testing.T) {
 	seq := scene.MustGenerate("Desk", scene.Config{Width: 32, Height: 24, Frames: 1, Seed: 1})
 	f := seq.Frames[0]
-	src := New(smallCfg())
+	src := newMapper(smallCfg())
 	src.Densify(f, seq.Intr, f.GTPose)
 	src.FullMapping(f, seq.Intr, f.GTPose)
 

@@ -134,9 +134,8 @@ func TestMappingAllocBudget(t *testing.T) {
 	}{{true, 0}, {false, 4}} {
 		cfg := smallCfg()
 		cfg.Workers = 1 // more workers spawn a goroutine per shard
-		m := New(cfg)
+		m := newMapper(cfg)
 		m.ScalarsOnly = tc.scalarsOnly
-		m.Ctx = splat.NewRenderContext()
 		m.Densify(f0, seq.Intr, f0.GTPose)
 		m.AddKeyframe(f0, 0, f0.GTPose)
 		m.FullMapping(f0, seq.Intr, f0.GTPose)

@@ -24,14 +24,14 @@ const queueDepth = 2
 type ServerConfig struct {
 	// ContextCapacity bounds how many idle render contexts the server's
 	// splat.ContextPool retains across sessions (0 = 2 x GOMAXPROCS). In-use
-	// contexts are not counted: a frame-step always gets a context, a miss
+	// contexts are not counted: a frame always gets a context, a miss
 	// just allocates a fresh one.
 	ContextCapacity int
 }
 
 // Server owns the per-host resources live SLAM streams share — today the
-// bounded render-context pool — and opens Sessions over them.
-// Sessions acquire a context per frame-step and return it between frames, so
+// bounded render-context pool — and opens Sessions over them. Sessions
+// acquire a context per frame and return it when the frame's mapping ends, so
 // N concurrent streams peak at N resident contexts while idle streams pin
 // none, and outputs stay digest-identical to single-session runs at every
 // worker count and session interleaving (the pipeline shares no mutable
@@ -139,8 +139,9 @@ func (sv *Server) Close() error {
 // A session is a serving venue: its trace keeps each frame's scalars and not
 // the representative-iteration detail (see trace.RenderStats), so what it
 // holds, snapshots and returns from Close is the map, the key-frame window and
-// a few hundred bytes per frame. Its Result.Digest equals every other venue's;
-// for a Result to feed the cycle-level hardware models, use Run.
+// a few hundred bytes per frame, and it renders with one worker whatever
+// cfg.Workers says. Its Result.Digest equals every other venue's; for a Result
+// to feed the cycle-level hardware models, use Run.
 //
 // The intrinsics may come from a remote OPEN, so a camera with no pixels or no
 // focal length is refused here and never sized a render context from.
@@ -148,7 +149,7 @@ func (sv *Server) Open(name string, cfg Config, intr camera.Intrinsics) (*Sessio
 	if err := intr.Validate(); err != nil {
 		return nil, fmt.Errorf("slam: open %q: %w", name, err)
 	}
-	return sv.start(name, newSystem(cfg, intr, sv.pool, true, scalarsOnly))
+	return sv.start(name, newSystem(cfg, intr, sv.pool, serving))
 }
 
 // RestoreSession opens a session whose system is rebuilt from snapshot bytes
@@ -161,9 +162,10 @@ func (sv *Server) Open(name string, cfg Config, intr camera.Intrinsics) (*Sessio
 // of the original stream yields a Close Result digest-identical to the
 // uninterrupted session. Like Open it is a serving venue: whatever trace
 // detail the snapshot carries (one taken from a standalone System does) is
-// dropped on the way in, not held and re-shipped.
+// dropped on the way in, not held and re-shipped, and it renders with one
+// worker whatever the snapshot's configuration says.
 func (sv *Server) RestoreSession(name string, snap []byte, held []HeldFrame) (*Session, int, error) {
-	sys, err := restoreSystem(snap, held, sv.pool, true, scalarsOnly)
+	sys, err := restoreSystem(snap, held, sv.pool, serving)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -227,9 +229,10 @@ func (sv *Server) sessionClosed(s *Session) {
 // package-level Run, the serving CLIs, and the bench experiments. On a Push
 // failure the session is closed and the push error returned. Run is an
 // offline venue: unlike an Open session, its Result's trace carries the
-// detail the hardware models replay, on every task with Iters > 0.
+// detail the hardware models replay, on every task with Iters > 0, and it
+// renders with cfg.Workers.
 func (sv *Server) Run(cfg Config, seq *scene.Sequence) (*Result, error) {
-	sess, err := sv.start(seq.Name, newSystem(cfg, seq.Intr, sv.pool, true, keepDetail))
+	sess, err := sv.start(seq.Name, newSystem(cfg, seq.Intr, sv.pool, offline))
 	if err != nil {
 		return nil, err
 	}
@@ -270,8 +273,10 @@ type FrameUpdate struct {
 // become the session's error; a panic's error carries the panicking
 // goroutine's stack. From then on Push, AppendSnapshot and Close report it,
 // and the server's other sessions never notice. What this does not cover: a
-// panic inside one of the splat renderer's shard goroutines (Config.Workers >
-// 1) has no recover and still takes the process.
+// panic inside one of the splat renderer's shard goroutines has no recover
+// and still takes the process. Only Server.Run starts them, with
+// Config.Workers > 1; a session from Open or RestoreSession renders with one
+// worker, which starts none.
 type Session struct {
 	name string
 	sv   *Server

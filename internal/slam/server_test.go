@@ -299,14 +299,14 @@ func TestSessionPushAfterCloseFails(t *testing.T) {
 func TestSystemCloseReleasesContextToPool(t *testing.T) {
 	seq := testSeq(t, "Desk", 2)
 	srv := NewServer(ServerConfig{ContextCapacity: 4})
-	sys := newSystem(fastAGS(tw, th), seq.Intr, srv.ContextPool(), false, keepDetail)
+	sys := newSystem(fastAGS(tw, th), seq.Intr, srv.ContextPool(), offline)
 	for _, f := range seq.Frames {
 		if err := sys.ProcessFrame(f); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if st := srv.PoolStats(); st.Idle != 0 {
-		t.Fatalf("pinned context counted idle (%d)", st.Idle)
+		t.Fatalf("the context the last frame's pending tail holds counted idle (%d)", st.Idle)
 	}
 	sys.Close()
 	if st := srv.PoolStats(); st.Idle != 1 {

@@ -15,17 +15,18 @@
 // sessions produce Results digest-identical to sequential runs at every
 // worker count and interleaving (Result.Digest asserts it cheaply).
 //
-// Trace detail: a frame's trace is its scalars (op totals, decisions, map
-// size: ~0.4 KiB encoded) and, for the cycle-level hardware models, the
-// representative iteration's per-pixel planes, once for tracking and once
-// for mapping, and the mapping task's tile lists (trace.RenderStats, each
-// sequence a trace.Packed: 11.4 KiB a frame on the benchmark's 64x48 Desk
-// stream). Who keeps the detail is a property of the
-// venue, decided once when the system is built, not an option:
+// Venues: where a system runs is decided once, when it is built, and never by
+// an option. It decides two things. The first is trace detail: a frame's trace
+// is its scalars (op totals, decisions, map size: ~0.4 KiB encoded) and, for
+// the cycle-level hardware models, the representative iteration's per-pixel
+// planes, once for tracking and once for mapping, and the mapping task's tile
+// lists (trace.RenderStats, each sequence a trace.Packed: 11.4 KiB a frame on
+// the benchmark's 64x48 Desk stream). The second is render parallelism.
 //
 //   - New, Restore, Run and Server.Run are the offline venues. Their Results
 //     feed hw/platform through internal/bench and ags-slam, so they keep the
-//     detail of every task that ran an iteration.
+//     detail of every task that ran an iteration, and they render with
+//     Config.Workers splat workers.
 //   - Server.Open and Server.RestoreSession are the serving venues, the only
 //     ones a fleet node uses. Nothing on the serving path reads the detail, so
 //     the tracker and mapper never build it and RestoreSession drops what a
@@ -35,7 +36,15 @@
 //     migration is less still: the snapshot names the window's frames by
 //     their stream positions and leaves out the bodies its requester says it
 //     holds (see the frame table in snapshot.go), which for a fleet router is
-//     all of them.
+//     all of them. A serving system renders with one worker whatever
+//     Config.Workers says: a host's parallelism is its sessions, and a
+//     one-worker render starts no goroutine, so everything a session runs is
+//     inside its one recover (see Session). Config keeps the value the stream
+//     sent, so a snapshot's bytes do not depend on the venue.
+//
+// Every venue holds a render context from its server's pool from a frame's
+// middle until that frame's mapping tail ends: an idle session pins none, and
+// a standalone system's pending tail holds one between ProcessFrame calls.
 //
 // Result.Digest covers the scalars and never the detail, so it is one value
 // across all venues; the snapshot format encodes absent detail as empty
@@ -61,10 +70,9 @@
 // platform.AGS's Pipelined option charges.
 //
 // CODEC motion estimation therefore runs in the front, once per comparison,
-// and no option selects where or how it runs. Config.Workers parallelizes
-// the splat renderer; its tile sharding is deterministic, so the render
-// worker count never changes results either — full-parallel runs are exact
-// A/B comparable.
+// and no option selects where or how it runs. The splat renderer's tile
+// sharding is deterministic, so the render worker count never changes results
+// either — full-parallel runs are exact A/B comparable.
 package slam
 
 import (
@@ -83,18 +91,6 @@ import (
 	"ags/internal/splat"
 	"ags/internal/tracker"
 	"ags/internal/vecmath"
-)
-
-// Backbone selects the 3DGS-SLAM algorithm AGS runs on top of (§6.6,
-// "Generality of AGS").
-type Backbone int
-
-const (
-	// BackboneSplaTAM is the primary evaluation target.
-	BackboneSplaTAM Backbone = iota
-	// BackboneGaussianSLAM emulates Gaussian-SLAM's heavier per-frame
-	// mapping with sub-map style keyframe handling (Fig. 23).
-	BackboneGaussianSLAM
 )
 
 // Config parameterizes one SLAM run.
@@ -122,9 +118,8 @@ type Config struct {
 	// 0.75 (see README: threshold mapping).
 	ThreshM float64
 
-	Backbone Backbone
-	Mapper   mapper.Config
-	TrackLR  float64
+	Mapper  mapper.Config
+	TrackLR float64
 	// KeyframeEvery adds every k-th frame to the multi-view mapping window
 	// on the baseline mapping path (0 = never).
 	KeyframeEvery int
@@ -133,9 +128,11 @@ type Config struct {
 	// table (the mapper's skip set, optimizer moments, render traces) through
 	// the old→new remap (see System.prune).
 	PruneEvery int
-	// Workers bounds splat render/backward parallelism (0 = all cores). The
-	// splat pipeline shards tiles deterministically, so every value produces
-	// bit-identical trajectories, maps and traces (see package splat).
+	// Workers bounds splat render/backward parallelism in the offline venues
+	// (0 = all cores); a serving venue renders with one worker whatever it
+	// says (see the package doc). The splat pipeline shards tiles
+	// deterministically, so every value produces bit-identical trajectories,
+	// maps and traces (see package splat).
 	Workers int
 	// EvalFPRate runs an extra contribution-logged render on every non-key
 	// frame to measure the false-positive rate of the skip prediction.
@@ -211,7 +208,8 @@ func (r *Result) ATERMSECm() (float64, error) {
 
 // System is a single-stream 3DGS-SLAM instance: the engine a Session drives,
 // also usable directly when the caller owns the frame loop. Call Close when
-// done so the system's render context returns to its pool.
+// done so the render context the last frame's mapping tail holds returns to
+// its pool.
 //
 // A System is driven from one goroutine. ProcessFrame returns with the
 // frame's pose and FrameInfo committed and its mapping tail pending: nothing
@@ -236,24 +234,24 @@ type System struct {
 	refiner  *tracker.GSRefiner
 	aligner  *tracker.CoarseAligner
 	detector *covis.Detector
-	// pool supplies the render context ProcessFrame attaches. Standalone
-	// systems draw from DefaultServer's pool; sessions share their server's.
+	// pool supplies the render context each frame's middle attaches and its
+	// mapping tail releases. Standalone systems draw from DefaultServer's
+	// pool; sessions share their server's.
 	pool *splat.ContextPool
-	// perStep makes ProcessFrame release the context back to the pool after
-	// every frame instead of pinning it between frames — the multi-tenant
-	// mode sessions run in, so idle streams hold no render state.
-	perStep bool
-	// detail says whether each frame's trace keeps the representative
-	// iteration's per-pixel planes and mapping tile lists (trace.RenderStats) beside
-	// its scalars. It is a property of the venue, fixed at construction: the
-	// offline venues keep it for the hardware models, serving sessions do not,
-	// so their resident state and snapshots are O(map), not O(frames).
-	detail bool
+	// venue is where the system runs, fixed at construction (see the package
+	// doc). An offline system's traces keep the representative iteration's
+	// per-pixel planes and mapping tile lists (trace.RenderStats) beside their
+	// scalars, for the hardware models; a serving one's keep scalars only, so
+	// its resident state and snapshots are O(map), not O(frames).
+	venue venue
+	// workers is the splat worker count the refiner, the mapper and
+	// measureFPRate render with: Cfg.Workers offline, 1 when serving.
+	workers int
 	// renderCtx is the currently attached splat render context, shared by
 	// the tracker and mapper (a frame's refinement runs after the previous
 	// frame's mapping is joined and before its own starts) and sized lazily
-	// from the intrinsics on first render. Acquired from pool on demand; nil
-	// when detached.
+	// from the intrinsics on first render. nil between a tail's end and the
+	// next middle.
 	renderCtx *splat.RenderContext
 
 	prevFrame   *frame.Frame
@@ -276,42 +274,40 @@ type System struct {
 	onMapped func(FrameUpdate)
 }
 
-// The two levels of trace retention a venue builds its system with (see the
-// package doc): the offline venues keep the representative-iteration detail,
-// the serving ones the scalars only.
+// venue says where a system runs (see the package doc): offline systems keep
+// trace detail and render with Config.Workers, serving ones keep scalars only
+// and render with one worker.
+type venue bool
+
 const (
-	keepDetail  = true
-	scalarsOnly = false
+	offline venue = false
+	serving venue = true
 )
 
-// New returns a standalone system for the given camera, drawing its render
-// context from DefaultServer's pool. The context is pinned across frames
-// (frame-persistent hot path); call Close to return it. Multi-stream callers
-// should open Sessions on a Server instead.
+// New returns a standalone system for the given camera, an offline venue
+// drawing its render context from DefaultServer's pool; call Close to return
+// the context the last frame's mapping tail holds. Multi-stream callers should
+// open Sessions on a Server instead.
 func New(cfg Config, intr camera.Intrinsics) *System {
-	return newSystem(cfg, intr, DefaultServer().ContextPool(), false, keepDetail)
+	return newSystem(cfg, intr, DefaultServer().ContextPool(), offline)
 }
 
-// newSystem builds a system over the given context pool. perStep selects the
-// session mode: acquire/release the context around every frame-step rather
-// than pinning it for the system's lifetime. detail selects whether traces
-// keep the representative-iteration detail; the tracker and mapper are told
-// here, once, and never build what would not be kept.
-func newSystem(cfg Config, intr camera.Intrinsics, pool *splat.ContextPool, perStep, detail bool) *System {
-	mcfg := cfg.Mapper
-	mcfg.Workers = cfg.Workers
-	if cfg.Backbone == BackboneGaussianSLAM {
-		// Gaussian-SLAM optimizes sub-maps with more iterations per frame
-		// and a shorter keyframe window.
-		mcfg.MapIters = mcfg.MapIters * 2
-		mcfg.KeyframeWindow = 4
+// newSystem builds a system for venue v over the given context pool. The
+// tracker and mapper are told here, once, whether to build trace detail and
+// how many workers to render with.
+func newSystem(cfg Config, intr camera.Intrinsics, pool *splat.ContextPool, v venue) *System {
+	workers := cfg.Workers
+	if v == serving {
+		workers = 1
 	}
+	mcfg := cfg.Mapper
+	mcfg.Workers = workers
 	refiner := tracker.NewGSRefiner()
 	refiner.LR = cfg.TrackLR
-	refiner.Workers = cfg.Workers
-	refiner.ScalarsOnly = !detail
+	refiner.Workers = workers
+	refiner.ScalarsOnly = v == serving
 	m := mapper.New(mcfg)
-	m.ScalarsOnly = !detail
+	m.ScalarsOnly = v == serving
 	return &System{
 		Cfg:      cfg,
 		Intr:     intr,
@@ -320,8 +316,8 @@ func newSystem(cfg Config, intr camera.Intrinsics, pool *splat.ContextPool, perS
 		aligner:  tracker.NewCoarseAligner(),
 		detector: covis.NewDetector(),
 		pool:     pool,
-		perStep:  perStep,
-		detail:   detail,
+		venue:    v,
+		workers:  workers,
 		prevRel:  vecmath.PoseIdentity(),
 	}
 }
@@ -334,37 +330,30 @@ func (s *System) Mapper() *mapper.Mapper {
 }
 
 // attachCtx acquires a render context from the pool and threads it through
-// the tracker and mapper. A no-op when one is already attached.
+// the tracker and mapper, for a frame's middle and mapping tail.
 func (s *System) attachCtx() {
-	if s.renderCtx != nil {
-		return
-	}
 	ctx := s.pool.Acquire()
 	s.renderCtx = ctx
 	s.refiner.Ctx = ctx
 	s.mapper.Ctx = ctx
 }
 
-// detachCtx unthreads the attached context and releases it to the pool.
+// detachCtx unthreads the attached context and releases it to the pool, at
+// the end of a frame's mapping tail.
 func (s *System) detachCtx() {
-	if s.renderCtx == nil {
-		return
-	}
 	s.refiner.Ctx = nil
 	s.mapper.Ctx = nil
 	s.pool.Release(s.renderCtx)
 	s.renderCtx = nil
 }
 
-// Close sees the last frame's mapping through and releases the system's render
-// context back to its pool. It is idempotent, and the system remains usable —
-// the next ProcessFrame re-acquires a context — but callers should treat
-// Close as the end of the stream: Run, sessions, and the CLIs all close their
-// systems so contexts are reclaimed instead of leaking one per run.
-func (s *System) Close() {
-	s.join()
-	s.detachCtx()
-}
+// Close sees the last frame's mapping through, which releases the render
+// context its tail holds back to the pool. It is idempotent, and the system
+// remains usable — the next ProcessFrame acquires a context — but callers
+// should treat Close as the end of the stream: Run, sessions, and the CLIs all
+// close their systems so contexts are reclaimed instead of leaking one per
+// run.
+func (s *System) Close() { s.join() }
 
 // ProcessFrame ingests the next frame of the stream, in four parts that
 // follow the paper's Fig. 9 engines:
@@ -380,8 +369,8 @@ func (s *System) Close() {
 //     decision the next front reads: the pose, the velocity, the key-frame
 //     anchor, the frame's FrameInfo, the frame count.
 //   - The tail (Densify, full or selective mapping, the key-frame window,
-//     Prune, the trace append, a session's per-step context
-//     release and its FrameUpdate) is left pending. The next call starts it
+//     Prune, the trace append, the render context's release and a session's
+//     FrameUpdate) is left pending. The next call starts it
 //     on the system's one tail goroutine just before its own front; any other
 //     join runs it in place.
 //
@@ -445,9 +434,9 @@ type mappingTail struct {
 // deferTail leaves the frame's mapping tail pending: the mapping the middle
 // chose, then the end-of-frame map maintenance and the trace append, with the
 // frame count as the middle left it (the next middle joins before it writes
-// it). In session mode the tail then hands the context back, so an idle
-// stream pins no render state and the pool can serve other sessions, and last
-// it reports the frame to onMapped.
+// it). The tail then hands the context back, so an idle stream pins no render
+// state and the pool can serve other sessions, and last it reports the frame
+// to onMapped.
 func (s *System) deferTail(ft *trace.FrameTrace, mapping func(), upd FrameUpdate) {
 	s.tail = &mappingTail{run: func() {
 		mapping()
@@ -456,9 +445,7 @@ func (s *System) deferTail(ft *trace.FrameTrace, mapping func(), upd FrameUpdate
 			s.prune(ft)
 		}
 		s.traceFrames = append(s.traceFrames, *ft)
-		if s.perStep {
-			s.detachCtx()
-		}
+		s.detachCtx()
 		if s.onMapped != nil {
 			upd.NumGaussians = ft.NumGaussians
 			s.onMapped(upd)
@@ -539,7 +526,7 @@ func (s *System) prune(cur *trace.FrameTrace) {
 		return
 	}
 	cur.PrunedGaussians = n
-	if !s.detail {
+	if s.venue == serving {
 		return
 	}
 	remapTrace(cur, remap)
@@ -722,13 +709,8 @@ func (s *System) mapFull(f *frame.Frame, pos int, pose vecmath.Pose, ft *trace.F
 // non-contributory set at this frame (one extra logged render; §6.2).
 func (s *System) measureFPRate(f *frame.Frame, pose vecmath.Pose) float64 {
 	cam := camera.Camera{Intr: s.Intr, Pose: pose}
-	res := s.renderCtx.Render(s.mapper.Cloud(), cam, splat.Options{LogContribution: true, Workers: s.Cfg.Workers})
-	truth := make(map[int]bool)
-	for id := range res.Touched {
-		if res.Touched[id] > 0 && res.Touched[id]-res.NonContrib[id] <= int32(s.mapper.Cfg.ContribPixMax) {
-			truth[id] = true
-		}
-	}
+	res := s.renderCtx.Render(s.mapper.Cloud(), cam, splat.Options{LogContribution: true, Workers: s.workers})
+	truth, _ := s.mapper.Cfg.NonContributory(res)
 	return metrics.FalsePositiveRate(s.mapper.PredictedNonContrib(), truth)
 }
 

@@ -233,23 +233,6 @@ func TestFPRateMeasurement(t *testing.T) {
 	}
 }
 
-func TestGaussianSLAMBackboneDoesMoreMapping(t *testing.T) {
-	seq := testSeq(t, "Desk", 3)
-	base, err := Run(fastCfg(tw, th), seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := fastCfg(tw, th)
-	cfg.Backbone = BackboneGaussianSLAM
-	gs, err := Run(cfg, seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gs.Trace.Totals().MapIters <= base.Trace.Totals().MapIters {
-		t.Error("Gaussian-SLAM backbone did not increase mapping work")
-	}
-}
-
 func TestScaleThreshN(t *testing.T) {
 	// Thresh_N counts per-Gaussian wasted pixels, which are bounded by the
 	// tile footprint and independent of image resolution, so the paper value

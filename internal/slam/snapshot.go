@@ -63,7 +63,9 @@ const (
 	// densification thresholds and three learning rates) and, from every
 	// per-frame trace, the compaction counts and the logging-stream slot,
 	// which only restated PrunedGaussians and the key frame's tile lists.
-	SnapshotVersion = 6
+	// Version 7 drops the configuration's backbone, which only set the
+	// mapper's iteration count and key-frame window that it carries anyway.
+	SnapshotVersion = 7
 
 	snapshotHeader = len(snapshotMagic) + 4 // magic, version
 )
@@ -138,7 +140,7 @@ func Restore(r io.Reader) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("slam: snapshot read: %w", err)
 	}
-	return restoreSystem(data, nil, DefaultServer().ContextPool(), false, keepDetail)
+	return restoreSystem(data, nil, DefaultServer().ContextPool(), offline)
 }
 
 // snapshotPayload checks a snapshot's envelope (length, magic, version) and
@@ -159,11 +161,11 @@ func snapshotPayload(data []byte) ([]byte, error) {
 }
 
 // restoreSystem decodes a snapshot over the given context pool, taking the
-// frames its table names without a body from held. perStep and detail are the
-// restoring venue's, as in newSystem: the bytes say nothing about either, and
-// a system restored without detail drops what the snapshot carries. Nothing of
-// the restored system aliases data; the held frames it adopts.
-func restoreSystem(data []byte, held []HeldFrame, pool *splat.ContextPool, perStep, detail bool) (*System, error) {
+// frames its table names without a body from held. The venue is the restoring
+// one, as in newSystem: the bytes say nothing about it, and a serving system
+// drops the trace detail the snapshot carries. Nothing of the restored system
+// aliases data; the held frames it adopts.
+func restoreSystem(data []byte, held []HeldFrame, pool *splat.ContextPool, v venue) (*System, error) {
 	payload, err := snapshotPayload(data)
 	if err != nil {
 		return nil, err
@@ -173,7 +175,7 @@ func restoreSystem(data []byte, held []HeldFrame, pool *splat.ContextPool, perSt
 		return nil, fmt.Errorf("slam: snapshot checksum mismatch (truncated or corrupted)")
 	}
 	d := binfmt.NewDec(payload)
-	sys := decodeSystem(d, held, pool, perStep, detail)
+	sys := decodeSystem(d, held, pool, v)
 	if err := d.Finish("slam: snapshot decode"); err != nil {
 		return nil, err
 	}
@@ -279,7 +281,7 @@ func encodeSystem(e *binfmt.Enc, s *System, have []int) {
 	}
 }
 
-func decodeSystem(d *binfmt.Dec, held []HeldFrame, pool *splat.ContextPool, perStep, detail bool) *System {
+func decodeSystem(d *binfmt.Dec, held []HeldFrame, pool *splat.ContextPool, v venue) *System {
 	var cfg Config
 	decodeConfig(d, &cfg)
 	var intr camera.Intrinsics
@@ -291,7 +293,7 @@ func decodeSystem(d *binfmt.Dec, held []HeldFrame, pool *splat.ContextPool, perS
 		d.Fail("%w", err)
 		return nil
 	}
-	sys := newSystem(cfg, intr, pool, perStep, detail)
+	sys := newSystem(cfg, intr, pool, v)
 	sys.frameCount = int(d.I64())
 	sys.prevPose = getPose(d)
 	sys.prevRel = getPose(d)
@@ -320,7 +322,7 @@ func decodeSystem(d *binfmt.Dec, held []HeldFrame, pool *splat.ContextPool, perS
 	sys.traceFrames = make([]trace.FrameTrace, d.Len(8))
 	for i := range sys.traceFrames {
 		decodeTrace(d, &sys.traceFrames[i])
-		if !detail {
+		if v == serving {
 			sys.traceFrames[i].Track.DropDetail()
 			sys.traceFrames[i].Map.DropDetail()
 		}
@@ -473,7 +475,6 @@ func encodeConfig(e *binfmt.Enc, c *Config) {
 	e.I64(int64(c.IterT))
 	e.F64(c.ThreshT)
 	e.F64(c.ThreshM)
-	e.I64(int64(c.Backbone))
 	encodeMapperConfig(e, &c.Mapper)
 	e.F64(c.TrackLR)
 	e.I64(int64(c.KeyframeEvery))
@@ -490,7 +491,6 @@ func decodeConfig(d *binfmt.Dec, c *Config) {
 	c.IterT = int(d.I64())
 	c.ThreshT = d.F64()
 	c.ThreshM = d.F64()
-	c.Backbone = Backbone(d.I64())
 	decodeMapperConfig(d, &c.Mapper)
 	c.TrackLR = d.F64()
 	c.KeyframeEvery = int(d.I64())

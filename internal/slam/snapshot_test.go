@@ -245,8 +245,8 @@ func TestSessionSnapshotAfterClose(t *testing.T) {
 func TestAppendSnapshotAllocBudget(t *testing.T) {
 	seq := testSeq(t, "Desk", 3)
 	sys := New(fastCfg(tw, th), seq.Intr)
-	if !sys.detail {
-		t.Fatal("slam.New built a system without trace detail")
+	if sys.venue != offline {
+		t.Fatal("slam.New built a serving system, without trace detail")
 	}
 	defer sys.Close()
 	for _, f := range seq.Frames {

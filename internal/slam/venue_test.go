@@ -356,3 +356,94 @@ func TestSessionSoakStaysBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestVenueDecidesRenderWorkers: the venue, not the stream, decides how many
+// splat workers a system renders with. A session from Open, whatever Workers
+// the stream asks for (0 is every core), and one from RestoreSession, whatever
+// the snapshot's configuration says, render with one, which starts no shard
+// goroutine outside the session's recover. New, Restore and Server.Run render
+// with the configuration's value. Every venue keeps Cfg as it was given.
+func TestVenueDecidesRenderWorkers(t *testing.T) {
+	seq := testSeq(t, "Desk", 3)
+	cfg := fastAGS(tw, th)
+	cfg.Workers = 4
+	srv := NewServer(ServerConfig{})
+	check := func(venue string, sys *System, cfgWorkers, want int) {
+		t.Helper()
+		if sys.Cfg.Workers != cfgWorkers {
+			t.Errorf("%s: Cfg.Workers = %d, want the %d it was given", venue, sys.Cfg.Workers, cfgWorkers)
+		}
+		if got := [3]int{sys.workers, sys.refiner.Workers, sys.mapper.Cfg.Workers}; got != [3]int{want, want, want} {
+			t.Errorf("%s with Workers %d: the system, refiner and mapper render with %v workers, want %d", venue, cfgWorkers, got, want)
+		}
+	}
+
+	for _, w := range []int{0, 4} {
+		c := cfg
+		c.Workers = w
+		sess, err := srv.Open(seq.Name, c, seq.Intr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("Open", sess.sys, w, 1)
+		pushAll(t, sess, seq.Frames)
+	}
+
+	sys := New(cfg, seq.Intr)
+	check("New", sys, 4, 4)
+	for _, f := range seq.Frames {
+		if err := sys.ProcessFrame(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := sys.AppendSnapshot(nil, nil)
+	sys.Close()
+	restored, err := Restore(bytes.NewReader(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Restore", restored, 4, 4)
+	restored.Close()
+	rs, _, err := srv.RestoreSession(seq.Name, snap, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("RestoreSession", rs.sys, 4, 1)
+	if _, err := rs.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Server.Run's session is looked at through Sessions while the run is in
+	// flight; a run that ends before the first look is run again.
+	var ran *System
+	for attempt := 0; ran == nil; attempt++ {
+		if attempt == 10 {
+			t.Fatal("Server.Run's session was never seen open")
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := srv.Run(cfg, seq)
+			done <- err
+		}()
+		ran = firstSession(srv, done)
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("Server.Run", ran, 4, 4)
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// firstSession returns the system of the first session srv has open, polling
+// until there is one or done is ready (nil then).
+func firstSession(srv *Server, done chan error) *System {
+	for len(done) == 0 {
+		if open := srv.Sessions(); len(open) > 0 {
+			return open[0].sys
+		}
+		runtime.Gosched()
+	}
+	return nil
+}

@@ -16,14 +16,14 @@ import (
 	"ags/internal/scene"
 )
 
-// TestGoldenSnapshot pins SnapshotVersion 6 by length and SHA-256: the
+// TestGoldenSnapshot pins SnapshotVersion 7 by length and SHA-256: the
 // AGSSNAP of a fixed-seed AGS run with pruning on, six frames in, once as
 // Snapshot writes it (every frame body inline) and once as a fleet checkpoint
 // is taken (by a requester that holds every frame pushed, so the frame table
 // is positions only). The golden lines were written once, by the encoder the
 // version was introduced with, and there is no regeneration switch — a moved
 // byte takes a SnapshotVersion bump and new files (version 1's were
-// snapshot.sum.golden, version 2's *.v2.sum.golden, and so on to version 5's
+// snapshot.sum.golden, version 2's *.v2.sum.golden, and so on to version 6's
 // *.v6.sum.golden). Both carry the run's trace detail, packed. The run's
 // floats depend on whether the compiler fuses multiply-adds, so the lines
 // hold for amd64 only.
@@ -47,8 +47,8 @@ func TestGoldenSnapshot(t *testing.T) {
 		file string
 		snap []byte
 	}{
-		{"snapshot.v6.sum.golden", buf.Bytes()},
-		{"snapshot-lean.v6.sum.golden", sys.AppendSnapshot(nil, []int{0, 1, 2, 3, 4, 5})},
+		{"snapshot.v7.sum.golden", buf.Bytes()},
+		{"snapshot-lean.v7.sum.golden", sys.AppendSnapshot(nil, []int{0, 1, 2, 3, 4, 5})},
 	} {
 		want, err := os.ReadFile(filepath.Join("testdata", g.file))
 		if err != nil {
@@ -61,9 +61,9 @@ func TestGoldenSnapshot(t *testing.T) {
 }
 
 // The restore seed is a whole small restore, in bytes: a lean snapshot of a
-// 16x12 AGS run three frames in (restore.v6.golden) and the frames it leaves
+// 16x12 AGS run three frames in (restore.v7.golden) and the frames it leaves
 // out, as a count and then position and length-prefixed AppendFrame bytes each
-// (restore-frames.v6.golden, the shape fleet's RESTORE gives the list). Like
+// (restore-frames.v7.golden, the shape fleet's RESTORE gives the list). Like
 // the sums above they were written once. They pin the decoder on every
 // platform (the bytes restore and the stream goes on), the encoder on amd64,
 // and they seed FuzzRestoreSession.
@@ -83,11 +83,11 @@ func seedSeq() *scene.Sequence {
 
 func readSeed(t testing.TB) (snap, list []byte) {
 	t.Helper()
-	snap, err := os.ReadFile(filepath.Join("testdata", "restore.v6.golden"))
+	snap, err := os.ReadFile(filepath.Join("testdata", "restore.v7.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	list, err = os.ReadFile(filepath.Join("testdata", "restore-frames.v6.golden"))
+	list, err = os.ReadFile(filepath.Join("testdata", "restore-frames.v7.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,14 +79,10 @@ func Backward(cloud *gauss.Cloud, cam camera.Camera, res *Result, target *frame.
 // Render): it carries the blend log the pass walks. It is only read, never
 // written — even a Result aliasing this same context stays valid, per the
 // package aliasing rules. The returned Grads aliases the context and is valid
-// until its next Backward call. A nil context falls back to the
-// one-shot package function.
+// until its next Backward call.
 //
 //ags:hotpath
 func (ctx *RenderContext) Backward(cloud *gauss.Cloud, cam camera.Camera, res *Result, target *frame.Frame, loss LossConfig, opts BackwardOptions) *Grads {
-	if ctx == nil {
-		return Backward(cloud, cam, res, target, loss, opts)
-	}
 	w, h := cam.Intr.W, cam.Intr.H
 	grads := &ctx.grads
 	grads.Mean, grads.Color, grads.Logit, grads.LogScale = nil, nil, nil, nil

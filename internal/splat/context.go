@@ -19,9 +19,9 @@ import (
 // them; Result and Grads still expose them as nil when a pass did not compute
 // them.
 //
-// A RenderContext is not safe for concurrent use. A nil *RenderContext is
-// valid: its Render and Backward fall back to the one-shot package functions,
-// so callers can thread an optional context without branching.
+// A RenderContext is not safe for concurrent use. Callers without one use the
+// one-shot package functions Render and Backward, which run in a fresh
+// context each.
 type RenderContext struct {
 	// Forward-pass state.
 	splats     []Splat

@@ -62,14 +62,10 @@ func Render(cloud *gauss.Cloud, cam camera.Camera, opts Options) *Result {
 // Render runs the forward pipeline into the context's buffers. The returned
 // Result aliases the context and is valid until its next Render call
 // (Backward reads it but never writes it); see the package doc for the
-// full aliasing rules. A nil context falls back to the one-shot package
-// function.
+// full aliasing rules.
 //
 //ags:hotpath
 func (ctx *RenderContext) Render(cloud *gauss.Cloud, cam camera.Camera, opts Options) *Result {
-	if ctx == nil {
-		return Render(cloud, cam, opts)
-	}
 	ctx.splats = preprocessInto(ctx.splats[:0], cloud, cam, opts.Skip)
 	buildTilesInto(&ctx.tiles, &ctx.tileCursor, ctx.splats, cam.Intr)
 	return ctx.renderTiles(cloud, cam, opts)

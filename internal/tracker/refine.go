@@ -19,15 +19,13 @@ type GSRefiner struct {
 	LR      float64
 	Loss    splat.LossConfig
 	Workers int
-	// Ctx, when non-nil, is the reusable render context every iteration
-	// renders through, making the refinement loop allocation-free (nil falls
-	// back to one-shot renders; outputs are bit-identical either way). The
-	// refiner borrows the context only for the duration of a call — callers
-	// may share one context across the tracker and mapper of a pipeline, but
-	// not across goroutines. slam threads it per frame-step: the system
-	// attaches a context from its server's splat.ContextPool before the
-	// step and (in session mode) detaches it after, so the field may change
-	// identity between frames.
+	// Ctx is the render context every iteration renders through, which
+	// keeps the refinement loop allocation-free; the caller sets it before
+	// refining. The refiner borrows the context only for the duration of a
+	// call — callers may share one context across the tracker and mapper of
+	// a pipeline, but not across goroutines. slam attaches one from its
+	// server's splat.ContextPool for each frame and releases it when the
+	// frame's mapping ends, so the field may change identity between frames.
 	Ctx *splat.RenderContext
 	// ScalarsOnly makes Refine return the tracking work's scalars without the
 	// representative iteration's detail (see trace.RenderStats): the per-pixel

@@ -202,6 +202,7 @@ func TestGSRefinerImprovesPerturbedPose(t *testing.T) {
 	})
 	startErr := perturbed.TranslationTo(f.GTPose)
 	r := NewGSRefiner()
+	r.Ctx = splat.NewRenderContext()
 	refined, stats := r.Refine(cloud, seq.Intr, target, perturbed, 40)
 	endErr := refined.TranslationTo(f.GTPose)
 	if endErr > startErr*0.6 {
@@ -219,6 +220,7 @@ func TestGSRefinerImprovesPerturbedPose(t *testing.T) {
 	// Told to keep scalars only, the refiner does the same work and reports
 	// the same stats less the detail, which it never builds.
 	lean := NewGSRefiner()
+	lean.Ctx = splat.NewRenderContext()
 	lean.ScalarsOnly = true
 	leanPose, leanStats := lean.Refine(cloud, seq.Intr, target, perturbed, 40)
 	stats.DropDetail()
