@@ -13,6 +13,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -51,6 +52,11 @@ func main() {
 			fmt.Println(n)
 		}
 		return
+	}
+
+	if err := checkRunFlags(*sessions, *iters, *workers, *resumePath, *snapPath, *snapAt); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 
 	cfg := slam.DefaultConfig(*width, *height)
@@ -203,11 +209,45 @@ func main() {
 		fmt.Printf("\ntrace written to %s\n", *traceOut)
 	}
 
-	fmt.Printf("\nmodeled per-frame latency:\n")
-	for _, pl := range []platform.Platform{platform.A100(), platform.Xavier(), platform.AGSServer(), platform.AGSEdge()} {
-		b := platform.RunTotal(pl, res.Trace)
-		fmt.Printf("  %-12s %8.3f ms/frame  (%.2f J total)\n", pl.Name(), b.TotalNs/float64(tot.Frames)*1e-6, b.EnergyJ)
+	// A resumed run models the frames it processed: the restored ones are a
+	// snapshot's scalars, which the AGS models could only bound, not replay.
+	modeled := *res.Trace
+	modeled.Frames = modeled.Frames[startIdx:]
+	switch {
+	case len(modeled.Frames) == 0:
+		fmt.Printf("\nmodeled per-frame latency: none, the run processed no frame after the snapshot's %d\n", startIdx)
+		return
+	case startIdx > 0:
+		fmt.Printf("\nmodeled per-frame latency (frames %d-%d, processed after the restore):\n", startIdx, tot.Frames-1)
+	default:
+		fmt.Printf("\nmodeled per-frame latency:\n")
 	}
+	for _, pl := range []platform.Platform{platform.A100(), platform.Xavier(), platform.AGSServer(), platform.AGSEdge()} {
+		b := platform.RunTotal(pl, &modeled)
+		fmt.Printf("  %-12s %8.3f ms/frame  (%.2f J total)\n", pl.Name(), b.TotalNs/float64(len(modeled.Frames))*1e-6, b.EnergyJ)
+	}
+}
+
+// checkRunFlags refuses the flag values that would otherwise be ignored or
+// silently mean something else: -sessions below 1; -sessions above 1 together
+// with -resume, -snapshot or -snapshot-at, which only a single run reads; a
+// negative -iters (no tracking iterations); and a negative -workers (every
+// core).
+func checkRunFlags(sessions, iters, workers int, resume, snapshot string, snapshotAt int) error {
+	var errs []error
+	switch {
+	case sessions < 1:
+		errs = append(errs, fmt.Errorf("-sessions %d is out of range: want 1 or more", sessions))
+	case sessions > 1 && (resume != "" || snapshot != "" || snapshotAt != 0):
+		errs = append(errs, fmt.Errorf("-sessions %d runs fresh streams: -resume, -snapshot and -snapshot-at want -sessions 1", sessions))
+	}
+	if iters < 0 {
+		errs = append(errs, fmt.Errorf("-iters %d is out of range: want 0 or more", iters))
+	}
+	if workers < 0 {
+		errs = append(errs, fmt.Errorf("-workers %d is out of range: want 1 or more, or 0 for all cores", workers))
+	}
+	return errors.Join(errs...)
 }
 
 // checkSnapshotAt refuses a -snapshot-at the run would never reach: one

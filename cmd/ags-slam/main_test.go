@@ -36,3 +36,36 @@ func TestCheckSnapshotAt(t *testing.T) {
 		}
 	}
 }
+
+func TestCheckRunFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name                     string
+		sessions, iters, workers int
+		resume, snapshot         string
+		snapshotAt               int
+		want                     string // "" = accepted; otherwise a substring of the error
+	}{
+		{"defaults", 1, 30, 0, "", "", 0, ""},
+		{"single run with every snapshot flag", 1, 30, 4, "r.snap", "w.snap", 6, ""},
+		{"sessions", 4, 30, 2, "", "", 0, ""},
+		{"no tracking iterations", 1, 0, 0, "", "", 0, ""},
+		{"zero sessions", 0, 30, 0, "", "", 0, "want 1 or more"},
+		{"negative sessions", -2, 30, 0, "", "", 0, "want 1 or more"},
+		{"sessions with -resume", 2, 30, 0, "/nonexistent.snap", "", 0, "want -sessions 1"},
+		{"sessions with -snapshot", 2, 30, 0, "", "x.snap", 0, "want -sessions 1"},
+		{"sessions with -snapshot-at", 2, 30, 0, "", "", 3, "want -sessions 1"},
+		{"negative iters", 1, -5, 0, "", "", 0, "-iters -5 is out of range: want 0 or more"},
+		{"negative workers", 1, 30, -3, "", "", 0, "-workers -3 is out of range: want 1 or more, or 0 for all cores"},
+		{"both refused", 1, -1, -1, "", "", 0, "-workers -1"},
+	} {
+		err := checkRunFlags(tc.sessions, tc.iters, tc.workers, tc.resume, tc.snapshot, tc.snapshotAt)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: refused: %v", tc.name, err)
+		case tc.want != "" && err == nil:
+			t.Errorf("%s: accepted, want an error containing %q", tc.name, tc.want)
+		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s: error %q does not contain %q", tc.name, err, tc.want)
+		}
+	}
+}

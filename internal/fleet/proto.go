@@ -103,10 +103,11 @@ import (
 // snapshots and configurations the messages carry are slam's encodings of the
 // same version, and version 4's RESULT no longer carries the compaction
 // totals. Version 5 changes no message of its own: a node's snapshots carry
-// no trace detail, which is all slam's version 5 repacked. Versions 6 and 7
+// no trace detail, which is all slam's version 5 repacked. Versions 6 to 8
 // change none either: slam's version 6 shortens the configuration and every
-// trace, and its version 7 drops the configuration's backbone.
-const ProtocolVersion = 7
+// trace, its version 7 drops the configuration's backbone, and its version 8
+// drops the trace detail and image size that a node's snapshots left empty.
+const ProtocolVersion = 8
 
 const (
 	protoMagic = "AGSF"

@@ -46,17 +46,20 @@ type Platform interface {
 // RunTotal sums a platform's cost over a whole trace.
 //
 // What the total means depends on what the trace carries (trace.RenderStats).
-// A trace from an offline venue (slam.New, slam.Restore, slam.Run, Server.Run:
-// every experiment and the benchmark's sim_ms_per_frame) has the
+// A trace from an offline venue (slam.New, slam.Run, Server.Run: every
+// experiment and the benchmark's sim_ms_per_frame) has the
 // representative-iteration detail, and the AGS model replays it: per-pixel GPE
-// cycles with their imbalance, and the logging/skipping table traffic. The
-// trace of a serving session (Server.Open, RestoreSession: what Session.Close
-// and a fleet stream return) has scalars only. On it the AGS model charges the
-// splatting arrays at perfect utilisation from the op counts and no table
-// traffic, so the scheduler makes no difference, and GPU.WithAGSAlgorithm
-// charges no contribution-table bytes: an optimistic bound on the replay, not
-// the replay. The plain GPU and GSCore models read scalars only and return the
-// same total for both.
+// cycles with their imbalance, and the logging/skipping table traffic. A
+// slam.Restore trace has it from the restore's first new frame on; the frames
+// before came back through a snapshot as scalars, so a caller that wants a
+// replay models only the frames after the restore (as ags-slam -resume does).
+// The trace of a serving session (Server.Open, RestoreSession: what
+// Session.Close and a fleet stream return) has scalars only. On it the AGS
+// model charges the splatting arrays at perfect utilisation from the op
+// counts and no table traffic, so the scheduler makes no difference, and
+// GPU.WithAGSAlgorithm charges no contribution-table bytes: an optimistic
+// bound on the replay, not the replay. The plain GPU and GSCore models read
+// scalars only and return the same total for both.
 func RunTotal(p Platform, run *trace.Run) Breakdown {
 	var tot Breakdown
 	for i := range run.Frames {

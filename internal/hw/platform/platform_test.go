@@ -194,8 +194,10 @@ func scalarsOnly(run *trace.Run) *trace.Run {
 	lean := *run
 	lean.Frames = append([]trace.FrameTrace(nil), run.Frames...)
 	for i := range lean.Frames {
-		lean.Frames[i].Track.DropDetail()
-		lean.Frames[i].Map.DropDetail()
+		for _, s := range []*trace.RenderStats{&lean.Frames[i].Track, &lean.Frames[i].Map} {
+			s.RepPerPixelBlend, s.RepPerPixelAlpha, s.RepTileLists = trace.Packed{}, trace.Packed{}, trace.TileLists{}
+			s.Width, s.Height = 0, 0
+		}
 	}
 	return &lean
 }

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 )
 
@@ -10,8 +9,7 @@ import (
 // fixed width (1, 2 or 4 bytes per element, little-endian) that holds its
 // largest element read as unsigned: values up to 255 take one byte, up to
 // 65535 two, and anything larger, or negative, four. Element i is still one
-// indexed load (At), and the bytes are what a snapshot writes, as they are
-// (Raw, FromRaw). The zero value is the empty sequence at width 1.
+// indexed load (At). The zero value is the empty sequence at width 1.
 //
 // The representative-iteration detail of a trace is Packed: at 64x48 its
 // per-pixel counts and Gaussian IDs all fit in two bytes.
@@ -71,9 +69,6 @@ func (p Packed) set(i int, v int32) {
 // Len returns the number of elements.
 func (p Packed) Len() int { return len(p.b) >> p.shift }
 
-// Width returns the bytes per element: 1, 2 or 4.
-func (p Packed) Width() int { return 1 << p.shift }
-
 // At returns element i.
 func (p Packed) At(i int) int32 {
 	switch p.shift {
@@ -91,32 +86,6 @@ func (p Packed) AppendTo(dst []int32) []int32 {
 		dst = append(dst, p.At(i))
 	}
 	return dst
-}
-
-// Raw returns the element bytes, which alias p: Len()*Width() of them.
-func (p Packed) Raw() []byte { return p.b }
-
-// FromRaw returns the sequence whose element bytes at the given width are
-// raw, as Raw returned them. It copies raw. A width other than 1, 2 or 4, or
-// a raw length that is not a whole number of elements, is an error.
-func FromRaw(width int, raw []byte) (Packed, error) {
-	var shift uint8
-	switch width {
-	case 1:
-	case 2:
-		shift = 1
-	case 4:
-		shift = 2
-	default:
-		return Packed{}, fmt.Errorf("trace: packed width %d is not 1, 2 or 4", width)
-	}
-	if len(raw)%width != 0 {
-		return Packed{}, fmt.Errorf("trace: %d bytes are not whole %d-byte elements", len(raw), width)
-	}
-	if len(raw) == 0 {
-		return Packed{}, nil
-	}
-	return Packed{b: append([]byte(nil), raw...), shift: shift}, nil
 }
 
 // Remap replaces every element v with 0 <= v < len(remap) by remap[v] and

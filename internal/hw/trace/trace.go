@@ -5,22 +5,21 @@
 // speedups compare identical work.
 package trace
 
-import "fmt"
-
 // RenderStats aggregates the splatting work of one task (tracking or
 // mapping) on one frame, across all its training iterations: the scalars. It
 // may also carry one representative iteration's detailed workload, the detail
 // the cycle-level models replay.
 //
 // Who produces which is decided by where the pipeline runs, not by an option.
-// The offline venues (slam.New, slam.Restore, slam.Run and Server.Run, so
-// internal/bench, ags-slam and the benchmark's reference runs) keep the
-// detail of every task with Iters > 0. Serving
-// sessions (Server.Open and Server.RestoreSession, the only venues a fleet
-// node uses) keep the scalars only: at two packed per-pixel planes per task
-// and a tile-list set per mapping task per frame the detail is ~30x everything
-// else a frame adds, and nothing on the serving path reads it. Result.Digest
-// covers the scalars only, so it is equal across both kinds.
+// The offline venues (slam.New, slam.Run and Server.Run, so internal/bench,
+// ags-slam and the benchmark's reference runs) keep the detail of every task
+// with Iters > 0; slam.Restore keeps it from its first new frame on, because
+// a snapshot carries the scalars only. Serving sessions (Server.Open and
+// Server.RestoreSession, the only venues a fleet node uses) keep the scalars
+// only: at two packed per-pixel planes per task and a tile-list set per
+// mapping task per frame the detail is ~30x everything else a frame adds, and
+// nothing on the serving path reads it. Result.Digest covers the scalars
+// only, so it is equal across both kinds.
 type RenderStats struct {
 	Iters       int   // training iterations executed
 	AlphaOps    int64 // stage-1 alpha evaluations, summed over iterations (forward)
@@ -45,13 +44,6 @@ func (s *RenderStats) HasDetail() bool {
 	return s.RepPerPixelBlend.Len() > 0 && s.RepPerPixelAlpha.Len() > 0
 }
 
-// DropDetail discards the representative iteration's detail, leaving exactly
-// what a scalars-only venue would have recorded.
-func (s *RenderStats) DropDetail() {
-	s.RepPerPixelBlend, s.RepPerPixelAlpha, s.RepTileLists = Packed{}, Packed{}, TileLists{}
-	s.Width, s.Height = 0, 0
-}
-
 // TileLists is one render's per-tile Gaussian tables (the Gaussian IDs each
 // tile blends, front to back) in CSR form: tile t's IDs are IDs[Offsets[t]]
 // up to IDs[Offsets[t+1]]. The hardware model's GS logging and skipping
@@ -67,27 +59,6 @@ func (l *TileLists) NumTiles() int { return max(l.Offsets.Len()-1, 0) }
 // Tile returns the bounds of tile t's IDs: IDs.At(lo) up to IDs.At(hi-1).
 func (l *TileLists) Tile(t int) (lo, hi int) {
 	return int(l.Offsets.At(t)), int(l.Offsets.At(t + 1))
-}
-
-// Validate reports whether the lists are well-formed CSR: no offsets at all,
-// or offsets that start at 0, never decrease and end at IDs.Len().
-func (l *TileLists) Validate() error {
-	n := l.Offsets.Len()
-	if n == 0 {
-		if l.IDs.Len() != 0 {
-			return fmt.Errorf("trace: %d tile-list IDs without offsets", l.IDs.Len())
-		}
-		return nil
-	}
-	if first, last := l.Offsets.At(0), l.Offsets.At(n-1); first != 0 || int(last) != l.IDs.Len() {
-		return fmt.Errorf("trace: tile-list offsets run %d..%d over %d IDs", first, last, l.IDs.Len())
-	}
-	for t := range n - 1 {
-		if lo, hi := l.Tile(t); hi < lo {
-			return fmt.Errorf("trace: tile %d's offsets decrease (%d to %d)", t, lo, hi)
-		}
-	}
-	return nil
 }
 
 // Accumulate folds one forward+backward iteration's counts into the stats.

@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
-	"reflect"
 	"testing"
 )
 
@@ -22,10 +21,11 @@ func TestAccumulate(t *testing.T) {
 	}
 }
 
-func TestDropDetailKeepsScalars(t *testing.T) {
+// TestHasDetailNeedsBothPlanes: the AGS model replays a task only when both
+// per-pixel planes are there.
+func TestHasDetailNeedsBothPlanes(t *testing.T) {
 	var s RenderStats
 	s.Accumulate(10, 5, 10, 100, 200, 1000)
-	scalars := s
 	if s.HasDetail() {
 		t.Error("stats with no representative iteration report detail")
 	}
@@ -34,14 +34,8 @@ func TestDropDetailKeepsScalars(t *testing.T) {
 		t.Error("one plane reported as detail")
 	}
 	s.RepPerPixelAlpha = Pack([]int32{2})
-	s.Width, s.Height = 1, 1
 	if !s.HasDetail() {
 		t.Error("detail not reported")
-	}
-	s.RepTileLists = TileLists{IDs: Pack([]int32{0}), Offsets: Pack([]int32{0, 1})}
-	s.DropDetail()
-	if s.HasDetail() || !reflect.DeepEqual(s, scalars) {
-		t.Errorf("after DropDetail: %+v, want the scalars %+v", s, scalars)
 	}
 }
 

@@ -160,10 +160,9 @@ func (sv *Server) Open(name string, cfg Config, intr camera.Intrinsics) (*Sessio
 // returns the session and how many frames the snapshot had already processed:
 // the index of the next frame the producer should Push. Pushing the remainder
 // of the original stream yields a Close Result digest-identical to the
-// uninterrupted session. Like Open it is a serving venue: whatever trace
-// detail the snapshot carries (one taken from a standalone System does) is
-// dropped on the way in, not held and re-shipped, and it renders with one
-// worker whatever the snapshot's configuration says.
+// uninterrupted session. Like Open it is a serving venue: it records no trace
+// detail (a snapshot carries none, whichever venue took it), and it renders
+// with one worker whatever the snapshot's configuration says.
 func (sv *Server) RestoreSession(name string, snap []byte, held []HeldFrame) (*Session, int, error) {
 	sys, err := restoreSystem(snap, held, sv.pool, serving)
 	if err != nil {

@@ -17,7 +17,7 @@
 //
 // Venues: where a system runs is decided once, when it is built, and never by
 // an option. It decides two things. The first is trace detail: a frame's trace
-// is its scalars (op totals, decisions, map size: ~0.4 KiB encoded) and, for
+// is its scalars (op totals, decisions, map size: ~0.3 KiB encoded) and, for
 // the cycle-level hardware models, the representative iteration's per-pixel
 // planes, once for tracking and once for mapping, and the mapping task's tile
 // lists (trace.RenderStats, each sequence a trace.Packed: 11.4 KiB a frame on
@@ -25,18 +25,18 @@
 //
 //   - New, Restore, Run and Server.Run are the offline venues. Their Results
 //     feed hw/platform through internal/bench and ags-slam, so they keep the
-//     detail of every task that ran an iteration, and they render with
+//     detail of every task that ran an iteration (Restore from its first new
+//     frame on: a snapshot carries none), and they render with
 //     Config.Workers splat workers.
 //   - Server.Open and Server.RestoreSession are the serving venues, the only
 //     ones a fleet node uses. Nothing on the serving path reads the detail, so
-//     the tracker and mapper never build it and RestoreSession drops what a
-//     snapshot brings in. A session's resident state is therefore the map
-//     (with its optimizer moments), the key-frame window and the per-frame
-//     scalars: it follows the map, not the stream's age. A checkpoint or a
-//     migration is less still: the snapshot names the window's frames by
-//     their stream positions and leaves out the bodies its requester says it
-//     holds (see the frame table in snapshot.go), which for a fleet router is
-//     all of them. A serving system renders with one worker whatever
+//     the tracker and mapper never build it. A session's resident state is
+//     therefore the map (with its optimizer moments), the key-frame window
+//     and the per-frame scalars: it follows the map, not the stream's age.
+//     A checkpoint or a migration is less still: the snapshot names the
+//     window's frames by their stream positions and leaves out the bodies
+//     its requester says it holds (see the frame table in snapshot.go),
+//     which for a fleet router is all of them. A serving system renders with one worker whatever
 //     Config.Workers says: a host's parallelism is its sessions, and a
 //     one-worker render starts no goroutine, so everything a session runs is
 //     inside its one recover (see Session). Config keeps the value the stream
@@ -47,10 +47,11 @@
 // a standalone system's pending tail holds one between ProcessFrame calls.
 //
 // Result.Digest covers the scalars and never the detail, so it is one value
-// across all venues; the snapshot format encodes absent detail as empty
-// sequences and says nothing about the level, which always comes from the restoring
-// venue. A serving Result handed to a hardware model yields a bound, not a
-// replay (see platform.RunTotal).
+// across all venues. A snapshot holds what a stream needs to continue, which
+// is the scalars and never the detail, so a stream's snapshot at a frame is
+// the same bytes in every venue, and the level a restored system records from
+// then on comes from the restoring venue. A serving Result handed to a
+// hardware model yields a bound, not a replay (see platform.RunTotal).
 //
 // Concurrency: the paper's Fig. 9 runs frame t+1's covisibility detection and
 // pose tracking on their own engines while the mapping engine finishes frame

@@ -54,10 +54,10 @@ const (
 	// map's per-Gaussian active flags (a prune removes what it prunes) and
 	// the configuration's compaction knobs and mapper worker count (the
 	// system's Workers governs the mapper). Version 5 stores a trace's
-	// representative-iteration detail packed (putPacked): the per-pixel
-	// planes and the mapping task's tile lists, which are one ID sequence and
-	// its per-tile offsets; a tracking task carries no tile lists. A snapshot
-	// without detail differs from version 4 in its version word only.
+	// representative-iteration detail packed: the per-pixel planes and the
+	// mapping task's tile lists, which are one ID sequence and its per-tile
+	// offsets; a tracking task carries no tile lists. A snapshot without
+	// detail differs from version 4 in its version word only.
 	// Version 6 drops the configuration's settings that became constants
 	// (codec early termination, the mapper's contribution threshold, seed,
 	// densification thresholds and three learning rates) and, from every
@@ -65,17 +65,21 @@ const (
 	// which only restated PrunedGaussians and the key frame's tile lists.
 	// Version 7 drops the configuration's backbone, which only set the
 	// mapper's iteration count and key-frame window that it carries anyway.
-	SnapshotVersion = 7
+	// Version 8 drops the trace detail and the image size it was recorded
+	// at: a trace frame's tasks are their seven scalars, so a stream's
+	// snapshot at a frame is the same bytes whichever venue took it.
+	SnapshotVersion = 8
 
 	snapshotHeader = len(snapshotMagic) + 4 // magic, version
 )
 
 // Snapshot serializes the system's complete inter-frame state — configuration,
 // camera, pose track, keyframe set, the Gaussian map, optimizer
-// moments, the mapper's RNG, and the retained per-frame traces (with their
-// representative-iteration detail only where the system's venue keeps it; see
-// the package doc) — so that a system restored from it and fed the remaining
-// frames produces a Result digest-identical to the uninterrupted run. Call it
+// moments, the mapper's RNG, and the per-frame traces' scalars — so that a
+// system restored from it and fed the remaining frames produces a Result
+// digest-identical to the uninterrupted run. The representative-iteration
+// detail an offline venue keeps is left out (see the package doc), so the
+// bytes do not depend on the venue that took them. Call it
 // between ProcessFrame calls: it first waits for the last frame's mapping, so
 // what it captures is the state after that frame, whole.
 func (s *System) Snapshot(w io.Writer) error {
@@ -133,8 +137,10 @@ var ErrFrameTable = errors.New("snapshot frame table")
 
 // Restore rebuilds a standalone System from a snapshot stream. The system
 // draws its render context from DefaultServer's pool, exactly like New;
-// FrameCount tells the caller which frame to push next. Multi-tenant hosts
-// restore into a session via (*Server).RestoreSession instead.
+// FrameCount tells the caller which frame to push next. It is an offline
+// venue, so its trace carries the representative-iteration detail from that
+// frame on; the frames before it are the snapshot's scalars. Multi-tenant
+// hosts restore into a session via (*Server).RestoreSession instead.
 func Restore(r io.Reader) (*System, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -162,9 +168,10 @@ func snapshotPayload(data []byte) ([]byte, error) {
 
 // restoreSystem decodes a snapshot over the given context pool, taking the
 // frames its table names without a body from held. The venue is the restoring
-// one, as in newSystem: the bytes say nothing about it, and a serving system
-// drops the trace detail the snapshot carries. Nothing of the restored system
-// aliases data; the held frames it adopts.
+// one, as in newSystem: the bytes say nothing about it, and an offline system
+// keeps trace detail from its first new frame on (the snapshot's traces are
+// scalars). Nothing of the restored system aliases data; the held frames it
+// adopts.
 func restoreSystem(data []byte, held []HeldFrame, pool *splat.ContextPool, v venue) (*System, error) {
 	payload, err := snapshotPayload(data)
 	if err != nil {
@@ -322,10 +329,6 @@ func decodeSystem(d *binfmt.Dec, held []HeldFrame, pool *splat.ContextPool, v ve
 	sys.traceFrames = make([]trace.FrameTrace, d.Len(8))
 	for i := range sys.traceFrames {
 		decodeTrace(d, &sys.traceFrames[i])
-		if v == serving {
-			sys.traceFrames[i].Track.DropDetail()
-			sys.traceFrames[i].Map.DropDetail()
-		}
 	}
 
 	var st mapper.State
@@ -605,13 +608,16 @@ func decodeTrace(d *binfmt.Dec, ft *trace.FrameTrace) {
 	ft.CoarseOnly = d.Bool()
 	ft.CodecSADOps = d.I64()
 	ft.CoarseMACs = d.I64()
-	decodeStats(d, &ft.Track, ft.Index, "tracking")
-	decodeStats(d, &ft.Map, ft.Index, "mapping")
+	decodeStats(d, &ft.Track)
+	decodeStats(d, &ft.Map)
 	ft.NumGaussians = int(d.I64())
 	ft.SkippedGaussians = int(d.I64())
 	ft.PrunedGaussians = int(d.I64())
 }
 
+// encodeStats writes one task's scalars. The representative-iteration detail
+// stays behind (since version 8): it is what an offline run hands the hardware
+// models, and a restored system records it again from its first new frame on.
 func encodeStats(e *binfmt.Enc, s *trace.RenderStats) {
 	e.I64(int64(s.Iters))
 	e.I64(s.AlphaOps)
@@ -620,22 +626,9 @@ func encodeStats(e *binfmt.Enc, s *trace.RenderStats) {
 	e.I64(s.Splats)
 	e.I64(s.TileEntries)
 	e.I64(s.Pixels)
-	putPacked(e, s.RepPerPixelBlend)
-	putPacked(e, s.RepPerPixelAlpha)
-	// The offsets first: without them (no tile lists) the IDs are not written.
-	putPacked(e, s.RepTileLists.Offsets)
-	if s.RepTileLists.Offsets.Len() > 0 {
-		putPacked(e, s.RepTileLists.IDs)
-	}
-	e.I64(int64(s.Width))
-	e.I64(int64(s.Height))
 }
 
-// decodeStats reads one task's stats and refuses detail the hardware models
-// could not replay: one plane without the other, planes that are not
-// Width*Height counts each, tile lists that are not CSR or that come without
-// the planes, and tile lists on a tracking task, which never records any.
-func decodeStats(d *binfmt.Dec, s *trace.RenderStats, frame int, task string) {
+func decodeStats(d *binfmt.Dec, s *trace.RenderStats) {
 	s.Iters = int(d.I64())
 	s.AlphaOps = d.I64()
 	s.BlendOps = d.I64()
@@ -643,34 +636,6 @@ func decodeStats(d *binfmt.Dec, s *trace.RenderStats, frame int, task string) {
 	s.Splats = d.I64()
 	s.TileEntries = d.I64()
 	s.Pixels = d.I64()
-	s.RepPerPixelBlend = getPacked(d)
-	s.RepPerPixelAlpha = getPacked(d)
-	s.RepTileLists.Offsets = getPacked(d)
-	if s.RepTileLists.Offsets.Len() > 0 {
-		s.RepTileLists.IDs = getPacked(d)
-	}
-	s.Width = int(d.I64())
-	s.Height = int(d.I64())
-	if d.Err() != nil {
-		return
-	}
-	blend, alpha, lists := s.RepPerPixelBlend.Len(), s.RepPerPixelAlpha.Len(), s.RepTileLists.Offsets.Len() > 0
-	fail := func(format string, args ...any) {
-		d.Fail("trace frame %d, %s task: %s", frame, task, fmt.Sprintf(format, args...))
-	}
-	switch {
-	case (blend > 0) != (alpha > 0):
-		fail("one per-pixel plane without the other (%d and %d counts)", blend, alpha)
-	case blend > 0 && !(s.Width > 0 && s.Height > 0 && blend%s.Width == 0 && blend/s.Width == s.Height && alpha == blend):
-		fail("per-pixel planes of %d and %d counts for a %dx%d image", blend, alpha, s.Width, s.Height)
-	case lists && task == "tracking":
-		fail("tile lists on a tracking task")
-	case lists && blend == 0:
-		fail("tile lists without the per-pixel planes")
-	}
-	if err := s.RepTileLists.Validate(); err != nil {
-		fail("%v", err)
-	}
 }
 
 func encodeCloud(e *binfmt.Enc, c *gauss.Cloud) {
@@ -699,7 +664,7 @@ func decodeCloud(d *binfmt.Dec) *gauss.Cloud {
 	return c
 }
 
-// The geometry and ID-list encodings shared by the snapshot fields above.
+// The geometry encodings shared by the snapshot fields above.
 
 func putVec3(e *binfmt.Enc, v vecmath.Vec3) {
 	e.F64(v.X)
@@ -746,35 +711,4 @@ func getPoses(d *binfmt.Dec) []vecmath.Pose {
 		out[i] = getPose(d)
 	}
 	return out
-}
-
-// putPacked writes a packed sequence: its element count (u64) and, unless it
-// is empty, its width byte and its element bytes as they are. An empty
-// sequence is eight zero bytes, what version 4 wrote for an absent list.
-func putPacked(e *binfmt.Enc, p trace.Packed) {
-	e.U64(uint64(p.Len()))
-	if p.Len() > 0 {
-		e.U8(byte(p.Width()))
-		e.Raw(p.Raw())
-	}
-}
-
-// getPacked reads what putPacked wrote. It allocates once, for a count the
-// bytes left can hold at the width read, and refuses a width that is not 1,
-// 2 or 4.
-func getPacked(d *binfmt.Dec) trace.Packed {
-	n := int64(d.U64())
-	if n == 0 {
-		return trace.Packed{}
-	}
-	width := d.U8()
-	raw := d.Take(d.Area(n, int64(width), 1))
-	if d.Err() != nil {
-		return trace.Packed{}
-	}
-	p, err := trace.FromRaw(int(width), raw)
-	if err != nil {
-		d.Fail("%w", err)
-	}
-	return p
 }

@@ -76,11 +76,11 @@ func TestRunTraceCarriesDetail(t *testing.T) {
 
 // TestVenueMatrix runs the same frames through every venue: a standalone
 // System, Server.Run, an Open session, and a snapshot at frame k continued by
-// Restore and by RestoreSession. All close on one digest. The offline venues
-// (New, Run, Restore) carry detail on every task with work; the serving ones
-// (Open, RestoreSession) on none, including the frames a detail-carrying
-// snapshot brought in, and what such a session snapshots next is the
-// scalars-only state byte for byte.
+// Restore and by RestoreSession. All close on one digest. New and Run carry
+// detail on every task with work, Restore on every task from frame k on (a
+// snapshot carries none), and the serving venues (Open, RestoreSession) on
+// none. A session restored from the standalone system's snapshot snapshots
+// the same bytes again.
 func TestVenueMatrix(t *testing.T) {
 	const frames, k = 8, 4
 	for name, cfg := range map[string]Config{"baseline": fastCfg(tw, th), "ags+compact": pruneCfg(tw, th)} {
@@ -139,9 +139,6 @@ func TestVenueMatrix(t *testing.T) {
 				return sys.Finish(seq.Name)
 			}
 			restored := restore(fullSnap)
-			// The level is the restoring venue's, never the bytes': a
-			// standalone restore of a session's snapshot keeps detail from
-			// frame k on, and cannot bring back what was never recorded.
 			restoredLean := restore(leanSnap)
 
 			rs, n, err := srv.RestoreSession(seq.Name, fullSnap, nil)
@@ -155,8 +152,8 @@ func TestVenueMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(resnap) >= len(fullSnap) {
-				t.Errorf("a session restored from a %d-byte detail-carrying snapshot re-snapshots at %d bytes", len(fullSnap), len(resnap))
+			if !bytes.Equal(resnap, fullSnap) {
+				t.Errorf("a session restored from a %d-byte snapshot re-snapshots %d other bytes", len(fullSnap), len(resnap))
 			}
 			if !bytes.Equal(resnap, leanSnap) {
 				t.Errorf("the restored session's snapshot (%d bytes) is not the Open session's at the same frame (%d bytes)", len(resnap), len(leanSnap))
@@ -170,7 +167,7 @@ func TestVenueMatrix(t *testing.T) {
 			}{
 				{"New", ref, "all"},
 				{"Server.Run", ran, "all"},
-				{"Restore", restored, "all"},
+				{"Restore", restored, "fromK"},
 				{"Server.Open", opened, "none"},
 				{"RestoreSession", restoredSess, "none"},
 				{"Restore of a session snapshot", restoredLean, "fromK"},
@@ -193,10 +190,10 @@ func TestVenueMatrix(t *testing.T) {
 					}
 				case "fromK":
 					if _, d := traceDetail(t, v.res.Trace.Frames[:k]); d != 0 {
-						t.Errorf("%s: %d tasks before frame %d carry detail the snapshot never held", v.venue, d, k)
+						t.Errorf("%s: %d tasks before frame %d carry detail, which no snapshot holds", v.venue, d, k)
 					}
-					if detailed == 0 {
-						t.Errorf("%s: no task from frame %d on carries detail", v.venue, k)
+					if tk, dk := traceDetail(t, v.res.Trace.Frames[k:]); dk != tk {
+						t.Errorf("%s: %d of the %d tasks from frame %d on carry detail, want all", v.venue, dk, tk, k)
 					}
 				}
 			}
@@ -204,6 +201,74 @@ func TestVenueMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestSnapshotBytesIndependentOfVenue: a snapshot holds what a stream needs to
+// continue, so a stream's snapshot at frame k is the same bytes whether a
+// standalone System (which keeps trace detail) or an Open session (which does
+// not) took it, with every body inline and as a checkpoint that names every
+// frame by position. A Restore of it is an offline venue and records detail
+// again, on every task from frame k on and on none before.
+func TestSnapshotBytesIndependentOfVenue(t *testing.T) {
+	const frames = 7
+	for name, cfg := range map[string]Config{"baseline": fastCfg(tw, th), "prune": pruneCfg(tw, th)} {
+		seq := testSeq(t, "Desk", frames)
+		srv := NewServer(ServerConfig{})
+		for _, k := range []int{1, 5} {
+			sys := New(cfg, seq.Intr)
+			sess, err := srv.Open(seq.Name, cfg, seq.Intr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range seq.Frames[:k] {
+				if err := sys.ProcessFrame(f); err != nil {
+					t.Fatal(err)
+				}
+				if err := sess.Push(f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var snap []byte
+			for _, have := range [][]int{nil, {0, 1, 2, 3, 4}} {
+				offline := sys.AppendSnapshot(nil, have)
+				serving, err := sess.AppendSnapshot(nil, have)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(offline, serving) {
+					t.Errorf("%s at frame %d, have %v: New snapshots %d bytes, Open %d other bytes", name, k, have, len(offline), len(serving))
+				}
+				if have == nil {
+					snap = offline
+				}
+			}
+			sys.Close()
+			if _, err := sess.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			restored, err := Restore(bytes.NewReader(snap))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range seq.Frames[k:] {
+				if err := restored.ProcessFrame(f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res := restored.Finish(seq.Name)
+			restored.Close()
+			if _, d := traceDetail(t, res.Trace.Frames[:k]); d != 0 {
+				t.Errorf("%s at frame %d: %d restored tasks carry detail", name, k, d)
+			}
+			if tasks, d := traceDetail(t, res.Trace.Frames[k:]); tasks == 0 || d != tasks {
+				t.Errorf("%s at frame %d: %d of the %d tasks after the restore carry detail, want all", name, k, d, tasks)
+			}
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -278,7 +343,7 @@ func TestMalformedFrameFailsOneSession(t *testing.T) {
 // sequence through one session. The walk revisits the same views, so after the
 // first sweep the map and the key-frame window stop growing, and what a frame
 // then adds to the session is its scalars: two poses, its decisions and its
-// trace, 422 bytes in a snapshot and 528 resident, which append's slack can
+// trace, 317 bytes in a snapshot and 528 resident, which append's slack can
 // double over a window. With the representative-iteration detail retained, as
 // every session used to, both grew by ~40 KiB per frame for ever.
 func TestSessionSoakStaysBounded(t *testing.T) {
