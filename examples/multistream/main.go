@@ -1,11 +1,11 @@
 // Multistream: serve several live camera streams from one slam.Server.
 //
-// Each stream is a Session: frames go in with Push (which blocks when the
-// stream outruns its pipeline — backpressure, not buffering), per-frame
-// outcomes come back on Results, and Close drains the queue and returns the
-// final Result. All sessions render through the server's bounded context
-// pool, so N streams share render state instead of each pinning their own
-// forever.
+// Each stream is a Session driven by its own producer goroutine: Push
+// processes a frame on that goroutine (no queue, no buffering) while the
+// previous frame's mapping finishes beside it, per-frame outcomes come back on
+// Results, and Close joins the last mapping and returns the final Result. All
+// sessions render through the server's bounded context pool, so N streams
+// share render state instead of each pinning their own forever.
 //
 //	go run ./examples/multistream
 package main

@@ -290,7 +290,7 @@ func TestCheckpointAllocBudget(t *testing.T) {
 		if err := st.Push(f); err != nil {
 			t.Fatal(err)
 		}
-		<-updates // frame i is processed; the session worker is idle again
+		<-updates // frame i is mapped; the session is idle again
 		if (i+1)%every != 0 {
 			continue
 		}

@@ -15,7 +15,7 @@ import (
 type NodeConfig struct {
 	// Name is the node's fleet-wide identity.
 	Name string
-	// Server configures the wrapped slam.Server (pool capacity, queue depth).
+	// Server configures the wrapped slam.Server (its context pool's capacity).
 	Server slam.ServerConfig
 	// MaxSessions caps concurrently admitted fleet streams (0 = unlimited).
 	// Opens beyond the cap are rejected with ErrAdmission and the router
@@ -31,17 +31,20 @@ type NodeConfig struct {
 // and speaks the strict request/response protocol; a connection is either a
 // control channel (stats, drain) or bound to exactly one session by
 // open/restore, so every session's frames arrive in push order down a single
-// connection — the property that keeps fleet results digest-identical to
-// local runs.
+// connection and are processed on its handler goroutine — the property that
+// keeps fleet results digest-identical to local runs. A node admits streams
+// until a drain request; from then on it refuses new ones with ErrDraining
+// while the open ones keep running.
 type Node struct {
 	cfg NodeConfig
 	srv *slam.Server
 
-	mu      sync.Mutex
-	ln      net.Listener
-	conns   map[net.Conn]*connState
-	streams int // fleet-admitted live sessions (reserved before Open)
-	closed  bool
+	mu       sync.Mutex
+	ln       net.Listener
+	conns    map[net.Conn]*connState
+	streams  int  // fleet-admitted live sessions (reserved before Open)
+	draining bool // set by a drain request: admit no new streams
+	closed   bool
 
 	wg sync.WaitGroup
 }
@@ -129,12 +132,12 @@ func (n *Node) Addr() string {
 // Stats assembles the node's self-report.
 func (n *Node) Stats() NodeStats {
 	n.mu.Lock()
-	streams := n.streams
+	streams, draining := n.streams, n.draining
 	n.mu.Unlock()
 	return NodeStats{
 		Name:             n.cfg.Name,
 		OpenSessions:     streams,
-		Draining:         n.srv.Draining(),
+		Draining:         draining,
 		MaxSessions:      n.cfg.MaxSessions,
 		MaxResidentBytes: n.cfg.MaxResidentBytes,
 		Pool:             n.srv.PoolStats(),
@@ -182,11 +185,11 @@ func (n *Node) Close() error {
 // happens before the server Open so concurrent connections cannot
 // oversubscribe the budget between check and open.
 func (n *Node) admit() error {
-	if n.srv.Draining() {
-		return fmt.Errorf("%w: node %q", ErrDraining, n.cfg.Name)
-	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	if n.draining {
+		return fmt.Errorf("%w: node %q", ErrDraining, n.cfg.Name)
+	}
 	if n.closed {
 		return fmt.Errorf("fleet: node %q is closed", n.cfg.Name)
 	}
@@ -302,7 +305,9 @@ func (n *Node) dispatch(cs *connState, v verb, payload []byte) bool {
 	case vRestore:
 		return n.handleRestore(cs, payload)
 	case vDrain:
-		n.srv.Drain()
+		n.mu.Lock()
+		n.draining = true
+		n.mu.Unlock()
 		return n.replyOK(cs, 0)
 	case vPing:
 		// Liveness probe: answers on any connection (control or
@@ -336,7 +341,7 @@ func (n *Node) replyAdmissionErr(cs *connState, err error) bool {
 	switch {
 	case errors.Is(err, ErrAdmission):
 		code = codeAdmission
-	case errors.Is(err, ErrDraining), errors.Is(err, slam.ErrDraining):
+	case errors.Is(err, ErrDraining):
 		code = codeDraining
 	}
 	return n.replyErr(cs, code, err.Error())
@@ -396,11 +401,12 @@ func (n *Node) handleRestore(cs *connState, payload []byte) bool {
 	return n.replyOK(cs, frames)
 }
 
-// handlePush decodes one frame and pushes it into the bound session. The
-// reply is sent only after Push returns, so the session's queue-full
-// backpressure blocks the remote producer exactly as it would a local one.
-// Not a hot path by contract: the decoded frame is a fresh allocation per push
-// (the session owns it from here on).
+// handlePush decodes one frame and pushes it into the bound session, which
+// processes it on this handler's goroutine. The reply is sent only after Push
+// returns, so an OK acknowledges a processed frame and a frame the session
+// rejects fails the push that carried it; the remote producer waits for the
+// frame exactly as a local one would. Not a hot path by contract: the decoded
+// frame is a fresh allocation per push (the session owns it from here on).
 func (n *Node) handlePush(cs *connState, payload []byte) bool {
 	if cs.sess == nil {
 		return n.replyErr(cs, codeProto, "push before open")

@@ -30,8 +30,9 @@
 // The protocol is strict request/response, in order, one outstanding request
 // per connection. A connection is either a control connection (stats, drain)
 // or becomes bound to one session by open/restore; push replies are sent
-// only after the node-side slam.Session.Push returns, so the session
-// queue-full backpressure propagates end-to-end to the remote producer.
+// only after the node-side slam.Session.Push returns, that is after the node
+// has processed the frame, so the remote producer waits for each frame as a
+// local one does and a frame the session rejects fails the push that sent it.
 // Determinism needs no special pleading: there is no multi-way select and no
 // clock anywhere in the package, and each session's frames flow down a
 // single connection in push order.

@@ -98,18 +98,15 @@ type StreamOptions struct {
 	// (bounded by the same number). Smaller values bound replay work and
 	// buffer memory tighter; larger values take fewer snapshots.
 	CheckpointEvery int
-	// RecoverAttempts bounds the re-placement attempts per failure
-	// (default 4).
-	RecoverAttempts int
-	// BackoffBase is the delay before the second attempt, doubling each
-	// attempt after that — a pure function of the attempt index, so the
-	// schedule is deterministic (default 5ms).
-	BackoffBase time.Duration
 	// Sleep, if non-nil, replaces time.Sleep for the backoff delays (tests
 	// inject a counter to assert the schedule without waiting it out).
 	Sleep func(time.Duration)
 }
 
+// Recovery makes defaultRecoverAttempts re-placement attempts per failure.
+// The delay before the second is defaultBackoffBase, doubling each attempt
+// after that — a pure function of the attempt index, so the schedule is
+// deterministic: 5, 10, 20 ms.
 const (
 	defaultRecoverAttempts = 4
 	defaultBackoffBase     = 5 * time.Millisecond
@@ -343,22 +340,14 @@ func (s *Stream) takeCheckpoint() error {
 func (s *Stream) recover(cause error) error {
 	lost := s.node.name
 	s.teardown()
-	attempts := s.opts.RecoverAttempts
-	if attempts <= 0 {
-		attempts = defaultRecoverAttempts
-	}
-	base := s.opts.BackoffBase
-	if base <= 0 {
-		base = defaultBackoffBase
-	}
 	sleep := s.opts.Sleep
 	if sleep == nil {
 		sleep = time.Sleep
 	}
 	last := cause
-	for attempt := 0; attempt < attempts; attempt++ {
+	for attempt := 0; attempt < defaultRecoverAttempts; attempt++ {
 		if attempt > 0 {
-			sleep(base << (attempt - 1))
+			sleep(defaultBackoffBase << (attempt - 1))
 		}
 		err := s.reattach(s.checkpoint, s.checkpointFrames)
 		if err == nil {
@@ -380,7 +369,7 @@ func (s *Stream) recover(cause error) error {
 	}
 	s.lost = &NodeLostError{
 		Node: lost, Acked: s.pushed,
-		Cause: fmt.Errorf("%w after %d attempt(s): %w", ErrRecoveryExhausted, attempts, last),
+		Cause: fmt.Errorf("%w after %d attempt(s): %w", ErrRecoveryExhausted, defaultRecoverAttempts, last),
 	}
 	return s.lost
 }

@@ -3,6 +3,8 @@ package fleet
 import (
 	"errors"
 	"net"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -388,8 +390,6 @@ func TestRecoveryExhaustionBackoff(t *testing.T) {
 	var delays []time.Duration
 	st, err := r.OpenWith(seq.Name, cfg, seq.Intr, StreamOptions{
 		CheckpointEvery: 2,
-		RecoverAttempts: 3,
-		BackoffBase:     7 * time.Millisecond,
 		Sleep:           func(d time.Duration) { delays = append(delays, d) },
 	})
 	if err != nil {
@@ -413,12 +413,65 @@ func TestRecoveryExhaustionBackoff(t *testing.T) {
 	if !errors.As(err, &nl) || nl.Acked != 2 {
 		t.Fatalf("exhausted error: %v, want *NodeLostError with Acked=2", err)
 	}
-	// Attempt 0 runs immediately; attempts 1 and 2 back off 7ms then 14ms.
-	if len(delays) != 2 || delays[0] != 7*time.Millisecond || delays[1] != 14*time.Millisecond {
-		t.Errorf("backoff schedule = %v, want [7ms 14ms]", delays)
+	// Attempt 0 runs immediately; attempts 1 to 3 back off 5, 10 and 20 ms.
+	want := []time.Duration{5 * time.Millisecond, 10 * time.Millisecond, 20 * time.Millisecond}
+	if !slices.Equal(delays, want) {
+		t.Errorf("backoff schedule = %v, want %v", delays, want)
 	}
 	if _, cerr := st.Close(); !errors.Is(cerr, ErrNodeLost) {
 		t.Errorf("close after exhaustion: %v, want ErrNodeLost", cerr)
+	}
+}
+
+// TestRejectedFrameFailsItsPush pushes a frame that decodes but does not fit
+// the stream's camera: the node processes a frame before it acknowledges it,
+// so the push that carried it fails, with the node's error and not as a node
+// loss, and recovery stays out of it. The node's other tenant, pushed in
+// between, still closes on its sequential digest.
+func TestRejectedFrameFailsItsPush(t *testing.T) {
+	cfg := fastCfg()
+	seq, other := testSeq(t, "Desk", 4), testSeq(t, "Xyz", 4)
+	wrong := scene.MustGenerate("Desk", scene.Config{Width: tw + 8, Height: th + 8, Frames: 1, Seed: 1}).Frames[0]
+	ref := sequentialDigest(t, cfg, other)
+
+	r, _ := startFleet(t, []NodeConfig{{Name: "a"}})
+	bad, err := r.OpenWith(seq.Name, cfg, seq.Intr, StreamOptions{CheckpointEvery: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := r.Open(other.Name, cfg, other.Intr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range other.Frames {
+		if err := good.Push(f); err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case i < 2:
+			if err := bad.Push(seq.Frames[i]); err != nil { // the second push takes a checkpoint
+				t.Fatal(err)
+			}
+		case i == 2:
+			err := bad.Push(wrong)
+			var re *remoteError
+			if !errors.As(err, &re) || errors.Is(err, ErrNodeLost) || !strings.Contains(err.Error(), "does not match camera") {
+				t.Fatalf("push of a mismatched frame: %v, want the node's frame-size error, not a node loss", err)
+			}
+			if bad.Recoveries() != 0 {
+				t.Errorf("a rejected frame triggered %d recoveries", bad.Recoveries())
+			}
+		}
+	}
+	if _, err := bad.Close(); err == nil || errors.Is(err, ErrNodeLost) {
+		t.Errorf("close of the failed stream: %v, want the node's error", err)
+	}
+	sum, err := good.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Digest != ref {
+		t.Error("the other tenant's digest differs from its sequential run")
 	}
 }
 

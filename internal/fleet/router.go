@@ -351,8 +351,8 @@ func isPlacementBounce(err error) bool {
 }
 
 // Stream is one live camera stream routed across the fleet: the remote
-// mirror of slam.Session's producer half. Push blocks while the serving
-// session's queue is full (the reply is sent only after the node-side Push
+// mirror of slam.Session's producer half. Push returns once the serving node
+// has processed the frame (the reply is sent only after the node-side Push
 // returns), and Close returns the digest-bearing summary. Like a Session,
 // a Stream must be driven from a single goroutine.
 type Stream struct {

@@ -98,18 +98,18 @@ type Config struct {
 
 // DefaultGoroutineSites returns the approved worker-pool launch sites: the
 // places whose goroutines are part of the reviewed deterministic designs
-// (static shards with ordered reductions, session workers and each system's
-// mapping tail, the bounded batch scheduler, ray-traced dataset generation).
+// (static shards with ordered reductions, each system's mapping tail, the
+// bounded batch scheduler, ray-traced dataset generation, a fleet node's
+// accept loop and connection handlers).
 func DefaultGoroutineSites(module string) map[string]bool {
 	return map[string]bool{
 		module + "/internal/splat.(*RenderContext).renderTiles": true, // static tile shards, fixed-order merge
 		module + "/internal/splat.(*RenderContext).Backward":    true, // static tile shards, ascending-tile merge
-		module + "/internal/slam.(*Server).start":               true, // one worker per session (opened or restored), frames in queue order
 		module + "/internal/slam.(*System).startTail":           true, // one mapping tail per system, joined before anything reads or writes the map
 		module + "/internal/scene.(*World).RenderFrame":         true, // per-row ray tracing, disjoint pixel writes
 		module + "/internal/bench.RunBatch":                     true, // bounded warm pool, render in plan order
 		module + "/internal/fleet.(*Node).StartOn":              true, // single accept-loop goroutine (Start delegates here), joined by Close
-		module + "/internal/fleet.(*Node).Serve":                true, // one handler per connection; each session's frames arrive in push order on its own connection
+		module + "/internal/fleet.(*Node).Serve":                true, // one handler per connection, which runs its session's frames in push order
 	}
 }
 

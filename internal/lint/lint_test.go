@@ -2,6 +2,7 @@ package lint
 
 import (
 	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -190,6 +191,45 @@ func repoRoot(t *testing.T) string {
 		t.Fatalf("repo root not found: %v", err)
 	}
 	return root
+}
+
+// TestGoroutineSitesAreLive checks the allowlist against the tree: every
+// DefaultGoroutineSites key must name a function that still contains a go
+// statement, so an entry whose launch site was removed or renamed fails here
+// instead of silently approving whatever lands under that name later.
+func TestGoroutineSitesAreLive(t *testing.T) {
+	pkgs, module, err := load(repoRoot(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	launches := make(map[string]bool)
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					if _, ok := n.(*ast.GoStmt); ok {
+						launches[pkg.Path+"."+funcKey(fd)] = true
+					}
+					return true
+				})
+			}
+		}
+	}
+	sites := DefaultGoroutineSites(module)
+	keys := make([]string, 0, len(sites))
+	for key := range sites {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		if !launches[key] {
+			t.Errorf("goroutine-site allowlist names %s, which has no go statement in the tree", key)
+		}
+	}
 }
 
 // TestSuppressionInventory pins how many //ags:allow directives each check

@@ -35,9 +35,9 @@ func TestDefaultServerConcurrentInit(t *testing.T) {
 }
 
 // TestSessionDroppedConcurrentAccess polls Dropped and drains Results while
-// the session worker is streaming updates, then checks the final count is
-// consistent with what the consumer actually received. Dropped is an atomic
-// counter written by the worker goroutine and read from the producer side;
+// the session's mapping tails are streaming updates, then checks the final
+// count is consistent with what the consumer actually received. Dropped is an
+// atomic counter written by the tail goroutine and read from the producer side;
 // under -race this test is the audit that the counter and the session
 // lifecycle around it are race-free.
 func TestSessionDroppedConcurrentAccess(t *testing.T) {
@@ -54,7 +54,7 @@ func TestSessionDroppedConcurrentAccess(t *testing.T) {
 		defer close(done)
 		for range sess.Results() {
 			received++
-			sess.Dropped() // interleave reads with the worker's writes
+			sess.Dropped() // interleave reads with the tail's writes
 		}
 	}()
 
@@ -62,7 +62,7 @@ func TestSessionDroppedConcurrentAccess(t *testing.T) {
 		if err := sess.Push(f); err != nil {
 			t.Fatal(err)
 		}
-		sess.Dropped() // producer-side read concurrent with the worker
+		sess.Dropped() // producer-side read concurrent with the tail
 	}
 	if _, err := sess.Close(); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package slam
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -14,11 +13,6 @@ import (
 	"ags/internal/splat"
 	"ags/internal/vecmath"
 )
-
-// queueDepth is the length of each session's queue, and only backpressure
-// sizes it: Push blocks as soon as a stream is two ops ahead of its worker.
-// It stays 2, so a fleet node's sessions queue as they always have.
-const queueDepth = 2
 
 // ServerConfig sizes a Server's shared resources.
 type ServerConfig struct {
@@ -45,14 +39,8 @@ type Server struct {
 
 	mu       sync.Mutex
 	sessions []*Session // open sessions, in open order
-	draining bool
 	closed   bool
 }
-
-// ErrDraining is returned by Open and RestoreSession while the server is
-// draining: existing sessions run to completion, but no new streams are
-// admitted. A fleet frontend reacts by placing the stream on a peer host.
-var ErrDraining = errors.New("slam: server draining")
 
 // NewServer returns a server with its own context pool.
 func NewServer(cfg ServerConfig) *Server {
@@ -90,33 +78,15 @@ func (sv *Server) OpenSessions() int {
 	return len(sv.sessions)
 }
 
-// Sessions enumerates the currently open sessions in open order — the hook a
-// host-draining frontend uses to find the live streams it must migrate. The
-// returned slice is a snapshot; the producer contract of each session still
-// belongs to whoever opened it.
+// Sessions enumerates the currently open sessions in open order. The returned
+// slice is a snapshot; the producer contract of each session still belongs to
+// whoever opened it, so an observer may only read Results and Dropped.
 func (sv *Server) Sessions() []*Session {
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
 	out := make([]*Session, len(sv.sessions))
 	copy(out, sv.sessions)
 	return out
-}
-
-// Drain marks the server draining: Open and RestoreSession fail with
-// ErrDraining while already-open sessions keep running. It is the host-local
-// half of a fleet-level graceful drain — the router stops placing streams
-// here and migrates the live ones to peers.
-func (sv *Server) Drain() {
-	sv.mu.Lock()
-	sv.draining = true
-	sv.mu.Unlock()
-}
-
-// Draining reports whether Drain has been called.
-func (sv *Server) Draining() bool {
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
-	return sv.draining
 }
 
 // Close marks the server closed so further Opens fail. It errors while
@@ -131,10 +101,10 @@ func (sv *Server) Close() error {
 	return nil
 }
 
-// Open starts a live session: one camera stream processed in frame order on
-// a background goroutine, rendering through the server's context pool. The
+// Open starts a live session: one camera stream, processed in frame order by
+// its producer's Push calls, rendering through the server's context pool. The
 // name labels the session's final Result (its Sequence field). It fails on a
-// closed server and, with ErrDraining, on a draining one.
+// closed server.
 //
 // A session is a serving venue: its trace keeps each frame's scalars and not
 // the representative-iteration detail (see trace.RenderStats), so what it
@@ -175,41 +145,20 @@ func (sv *Server) RestoreSession(name string, snap []byte, held []HeldFrame) (*S
 	return s, sys.FrameCount(), nil
 }
 
-// start admits a session over sys and launches its worker. A server that
-// refuses the session closes the system.
+// start admits a session over sys, checking the server state under the same
+// lock that adds it to the open set, so a session can never slip onto a server
+// after Close succeeded. A server that refuses the session closes the system.
 func (sv *Server) start(name string, sys *System) (*Session, error) {
-	s := &Session{
-		name:    name,
-		sv:      sv,
-		sys:     sys,
-		in:      make(chan sessOp, queueDepth),
-		updates: make(chan FrameUpdate, updateBuffer),
-		failed:  make(chan struct{}),
-		done:    make(chan struct{}),
-	}
-	if err := sv.register(s); err != nil {
-		sys.Close()
-		return nil, err
-	}
-	sys.onMapped = s.publish
-	go s.loop()
-	return s, nil
-}
-
-// register adds the session to the open set, re-checking the server state
-// under the same lock so a session can never slip onto a server after Close
-// or Drain succeeded.
-func (sv *Server) register(s *Session) error {
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
 	if sv.closed {
-		return fmt.Errorf("slam: server is closed")
+		sys.Close()
+		return nil, fmt.Errorf("slam: server is closed")
 	}
-	if sv.draining {
-		return fmt.Errorf("slam: open %q: %w", s.name, ErrDraining)
-	}
+	s := &Session{name: name, sv: sv, sys: sys, updates: make(chan FrameUpdate, updateBuffer)}
+	sys.onMapped = s.publish
 	sv.sessions = append(sv.sessions, s)
-	return nil
+	return s, nil
 }
 
 func (sv *Server) sessionClosed(s *Session) {
@@ -224,12 +173,12 @@ func (sv *Server) sessionClosed(s *Session) {
 }
 
 // Run streams a whole sequence through one session, named after it: the
-// open → push-every-frame → close pattern as a single call, shared by the
-// package-level Run, the serving CLIs, and the bench experiments. On a Push
-// failure the session is closed and the push error returned. Run is an
-// offline venue: unlike an Open session, its Result's trace carries the
-// detail the hardware models replay, on every task with Iters > 0, and it
-// renders with cfg.Workers.
+// open → push-every-frame → close pattern as a single call on the caller's
+// goroutine, shared by the package-level Run, the serving CLIs, and the bench
+// experiments. On a Push failure the session is closed and the push error
+// returned. Run is an offline venue: unlike an Open session, its Result's
+// trace carries the detail the hardware models replay, on every task with
+// Iters > 0, and it renders with cfg.Workers.
 func (sv *Server) Run(cfg Config, seq *scene.Sequence) (*Result, error) {
 	sess, err := sv.start(seq.Name, newSystem(cfg, seq.Intr, sv.pool, offline))
 	if err != nil {
@@ -259,64 +208,61 @@ type FrameUpdate struct {
 }
 
 // Session is one live SLAM sequence on a Server. The producer side (Push,
-// AppendSnapshot, Close) must be driven from a single goroutine; each call
-// is one entry of a single FIFO that the session's own goroutine works
-// through, so the order the producer called in is the order things happen
-// in, by construction. Per-frame outcomes stream on Results. Close drains
-// the queue and returns the final Result — the same value a single-tenant
-// Run of the same frames produces, digest for digest.
+// AppendSnapshot, Close) must be driven from a single goroutine, and each call
+// does its work on it: Push runs the frame through the system and returns once
+// the frame's pose is committed, leaving the frame's mapping on the system's
+// tail goroutine (see System), so the order the producer called in is the
+// order things happen in. Per-frame outcomes stream on Results. Close returns
+// the final Result — the same value a single-tenant Run of the same frames
+// produces, digest for digest.
 //
-// A session fails alone. An error from a frame, and a panic anywhere the
-// worker calls into the system (a frame, a snapshot, the final Finish and
+// A session fails alone. An error from a frame, and a panic anywhere a
+// producer call runs the system (a frame, a snapshot, the final Finish and
 // Close, and so a mapping tail's panic, which resurfaces at the next join),
 // become the session's error; a panic's error carries the panicking
-// goroutine's stack. From then on Push, AppendSnapshot and Close report it,
-// and the server's other sessions never notice. What this does not cover: a
-// panic inside one of the splat renderer's shard goroutines has no recover
-// and still takes the process. Only Server.Run starts them, with
-// Config.Workers > 1; a session from Open or RestoreSession renders with one
-// worker, which starts none.
+// goroutine's stack. The call that hit it returns it, from then on Push,
+// AppendSnapshot and Close report it, and the server's other sessions never
+// notice. What this does not cover: a panic inside one of the splat
+// renderer's shard goroutines has no recover and still takes the process.
+// Only Server.Run starts them, with Config.Workers > 1; a session from Open or
+// RestoreSession renders with one worker, which starts none.
 type Session struct {
 	name string
 	sv   *Server
 	sys  *System
 
-	in      chan sessOp // closed by Close
 	updates chan FrameUpdate
-	failed  chan struct{} // closed when processing hits an error
-	done    chan struct{} // closed when the worker goroutine exits
+	dropped atomic.Uint64
 
-	closeOnce sync.Once
-	closed    bool // set by Close before the queue channel closes
-	dropped   atomic.Uint64
-
-	// res and err are written by the worker before done closes and read
-	// only after <-done (or <-failed for err), so access is race-free.
-	res *Result
-	err error
+	// closed, res and err belong to the producer goroutine.
+	closed bool
+	res    *Result
+	err    error
 }
 
 // Name returns the session's label.
 func (s *Session) Name() string { return s.name }
 
-// Push enqueues the next frame of the stream. It blocks while the session's
-// queue is full — the backpressure that keeps a fast producer from
-// outrunning the pipeline — and fails once the session has errored or been
-// closed. Push and Close must come from the same goroutine (one producer per
-// session).
+// Push processes the next frame of the stream on the caller's goroutine and
+// starts its mapping tail, so it returns while that frame is still being
+// mapped and the next Push joins it. A frame the system rejects, or a panic,
+// fails this Push and the session; Push also fails once the session has
+// errored or been closed. Push and Close must come from the same goroutine
+// (one producer per session).
 func (s *Session) Push(f *frame.Frame) error {
 	if s.closed {
 		return fmt.Errorf("slam: session %q: push after Close", s.name)
 	}
-	select {
-	case <-s.failed:
-		return fmt.Errorf("session %q: %w", s.name, s.err) // s.err carries the slam: prefix
-	default:
+	if s.err == nil {
+		s.guard(func() {
+			if err := s.sys.ProcessFrame(f); err != nil {
+				s.fail(err)
+				return
+			}
+			s.sys.startTail()
+		})
 	}
-	// The worker keeps receiving after a failure (it discards the frames), so
-	// this send cannot block for good; the error surfaces on the next call.
-	s.in <- sessOp{frame: f}
-	return nil
+	return s.failure()
 }
 
 // Results returns the session's per-frame update stream. Delivery is
@@ -329,103 +275,43 @@ func (s *Session) Results() <-chan FrameUpdate { return s.updates }
 // kept up with Results.
 func (s *Session) Dropped() uint64 { return s.dropped.Load() }
 
-// Close ends the stream: no more frames are accepted, the queued ones are
-// processed, and the final Result is returned. It is idempotent — further
-// calls return the same Result — and safe to call after a Push error.
+// Close ends the stream: it joins the last frame's mapping, returns the final
+// Result and leaves the server. It is idempotent — further calls return the
+// same Result — and safe to call after a Push error.
 func (s *Session) Close() (*Result, error) {
-	s.closeOnce.Do(func() {
-		s.closed = true
-		close(s.in)
-	})
-	<-s.done
-	return s.res, s.err
-}
-
-// sessOp is one entry of a session's queue: a frame to process or a snapshot
-// to take. Exactly one field is set.
-type sessOp struct {
-	frame *frame.Frame
-	snap  *snapReq
-}
-
-// snapReq asks the session worker to serialize its system between frames:
-// the worker appends the snapshot to buf and then sends on done, which is what
-// orders its writes before the producer's reads.
-type snapReq struct {
-	buf  []byte
-	have []int // positions the producer holds; read by the worker until done
-	done chan error
-}
-
-// AppendSnapshot serializes the session's state at a well-defined point and
-// appends it to dst (see System.AppendSnapshot for how dst grows and what have
-// leaves out). The request joins the same queue as the frames, so every frame pushed before
-// the call is processed first and none pushed after it is; the worker then
-// encodes the system. A session restored from those bytes and fed the
-// remaining frames closes with a Result
-// digest-identical to this session's. AppendSnapshot shares the producer
-// contract of Push and Close (one goroutine); it fails after Close or once
-// the session has errored, and then returns dst as it was.
-func (s *Session) AppendSnapshot(dst []byte, have []int) ([]byte, error) {
 	if s.closed {
-		return dst, fmt.Errorf("slam: session %q: snapshot after Close", s.name)
+		return s.res, s.err
 	}
-	req := &snapReq{buf: dst, have: have, done: make(chan error, 1)}
-	s.in <- sessOp{snap: req}
-	err := <-req.done
-	return req.buf, err
-}
-
-// loop is the session's worker: one queue, worked through in order, one
-// receive and one dispatch per op, then the end of the stream. After a
-// failure the worker keeps receiving, discards frames and answers snapshots
-// with the error, so the producer never blocks on a dead session.
-func (s *Session) loop() {
-	defer close(s.done)
-	defer s.sv.sessionClosed(s)
-	defer close(s.updates)
-	for op := range s.in {
-		if op.snap != nil {
-			s.snapshot(op.snap)
-		} else {
-			s.process(op.frame)
-		}
-	}
+	s.closed = true
 	if s.err == nil {
 		s.guard(func() { s.res = s.sys.Finish(s.name) })
 	}
 	s.guard(s.sys.Close)
+	close(s.updates)
+	s.sv.sessionClosed(s)
+	return s.res, s.err
 }
 
-// snapshot answers one snapshot request at the between-frames point loop
-// brought the pipeline to: with the encoded system, or with the session's
-// error, the encoding's own panic included, so the producer is always
-// answered.
-func (s *Session) snapshot(req *snapReq) {
+// AppendSnapshot serializes the session's state between frames and appends
+// it to dst (see System.AppendSnapshot for how dst grows and what have leaves
+// out): every frame pushed before the call is in it and none pushed after it
+// is. A session restored from those bytes and fed the remaining frames closes
+// with a Result digest-identical to this session's. AppendSnapshot shares the
+// producer contract of Push and Close (one goroutine); it fails after Close or
+// once the session has errored, its own encoding's panic included, and then
+// returns dst as it was.
+func (s *Session) AppendSnapshot(dst []byte, have []int) ([]byte, error) {
+	if s.closed {
+		return dst, fmt.Errorf("slam: session %q: snapshot after Close", s.name)
+	}
+	out := dst
 	if s.err == nil {
-		s.guard(func() { req.buf = s.sys.AppendSnapshot(req.buf, req.have) })
+		s.guard(func() { out = s.sys.AppendSnapshot(dst, have) })
 	}
-	if s.err != nil {
-		req.done <- fmt.Errorf("session %q: %w", s.name, s.err)
-		return
+	if err := s.failure(); err != nil {
+		return dst, err
 	}
-	req.done <- nil
-}
-
-// process runs one frame through the system and starts its mapping tail
-// rather than leaving it to the next frame, which the worker may have to wait
-// for. It is a no-op on a failed session.
-func (s *Session) process(f *frame.Frame) {
-	if s.err != nil {
-		return
-	}
-	s.guard(func() {
-		if err := s.sys.ProcessFrame(f); err != nil {
-			s.fail(err)
-			return
-		}
-		s.sys.startTail()
-	})
+	return out, nil
 }
 
 // guard is the one recover between the system and the process: it runs call
@@ -445,17 +331,25 @@ func (s *Session) guard(call func()) {
 	call()
 }
 
-// fail records the session's first error and lets Push see it.
+// fail records the session's first error.
 func (s *Session) fail(err error) {
 	if s.err == nil {
 		s.err = err
-		close(s.failed)
 	}
+}
+
+// failure is the error a producer call reports for a failed session, nil for
+// a healthy one.
+func (s *Session) failure() error {
+	if s.err == nil {
+		return nil
+	}
+	return fmt.Errorf("session %q: %w", s.name, s.err) // s.err carries the slam: prefix
 }
 
 // publish offers one frame's update to Results without ever blocking the
 // pipeline. The system calls it at the end of each frame's mapping tail, one
-// tail at a time in frame order, and loop joins the last tail (System.Close)
+// tail at a time in frame order, and Close joins the last tail (System.Close)
 // before it closes the channel.
 func (s *Session) publish(upd FrameUpdate) {
 	select {

@@ -159,7 +159,7 @@ func TestConcurrentSessionsMatchSequential(t *testing.T) {
 }
 
 // TestSessionResultsStream: a frame's update is published when its mapping
-// ends (from the tail, not from the session worker), so a consumer that keeps
+// ends (from the tail, not from Push), so a consumer that keeps
 // up sees every index once, in order, each with the map size after that frame,
 // on every mapping path.
 func TestSessionResultsStream(t *testing.T) {
@@ -203,6 +203,17 @@ func TestSessionResultsStream(t *testing.T) {
 	}
 }
 
+// isMismatch checks that a session call failed with the frame-size error of a
+// frame that does not fit the camera.
+func isMismatch(t *testing.T, op string, err error) {
+	t.Helper()
+	if err == nil || !strings.Contains(err.Error(), "does not match camera") {
+		t.Errorf("%s error = %v, want frame-size mismatch", op, err)
+	}
+}
+
+// A frame the system rejects fails the Push that carried it, and from then on
+// every Push and Close reports the same error.
 func TestSessionErrorSurfacesOnPushAndClose(t *testing.T) {
 	seq := testSeq(t, "Desk", 2)
 	wrong := scene.MustGenerate("Desk", scene.Config{Width: 32, Height: 24, Frames: 2, Seed: 1})
@@ -211,31 +222,22 @@ func TestSessionErrorSurfacesOnPushAndClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.Push(wrong.Frames[0]); err != nil {
-		t.Fatalf("push itself failed: %v", err) // the queue accepts; processing rejects
-	}
-	// The worker fails the frame; subsequent pushes must surface the error
-	// (possibly after a few queue-buffered accepts).
-	var pushErr error
-	for i := 0; i < 10 && pushErr == nil; i++ {
-		pushErr = sess.Push(seq.Frames[0])
-	}
-	if pushErr == nil {
-		t.Error("pushes kept succeeding after a processing failure")
+	isMismatch(t, "mismatched Push", sess.Push(wrong.Frames[0]))
+	for i := 0; i < 2; i++ {
+		isMismatch(t, "later Push", sess.Push(seq.Frames[i]))
 	}
 	res, err := sess.Close()
-	if err == nil || !strings.Contains(err.Error(), "does not match camera") {
-		t.Errorf("Close error = %v, want frame-size mismatch", err)
-	}
+	isMismatch(t, "Close", err)
 	if res != nil {
 		t.Error("failed session returned a Result")
 	}
+	if n := srv.OpenSessions(); n != 0 {
+		t.Errorf("%d sessions still open after Close", n)
+	}
 }
 
-// Frames and snapshot requests share one queue, so a worker that stopped
-// receiving after a processing failure would leave AppendSnapshot blocked for
-// ever. It must keep answering: every request gets the session's error, dst
-// comes back untouched, and pushes behind it still drain.
+// A failed session answers every later call at once: each snapshot gets the
+// session's error with dst untouched, and pushes behind it fail the same way.
 func TestSnapshotOnFailedSessionErrsAndNeverBlocks(t *testing.T) {
 	seq := testSeq(t, "Desk", 2)
 	wrong := scene.MustGenerate("Desk", scene.Config{Width: 32, Height: 24, Frames: 1, Seed: 1})
@@ -246,21 +248,15 @@ func TestSnapshotOnFailedSessionErrsAndNeverBlocks(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if err := sess.Push(wrong.Frames[0]); err != nil {
-			t.Errorf("push itself failed: %v", err)
-		}
+		isMismatch(t, "mismatched Push", sess.Push(wrong.Frames[0]))
 		dst := []byte("kept")
 		for i := 0; i < 2; i++ {
 			out, err := sess.AppendSnapshot(dst, nil)
-			if err == nil || !strings.Contains(err.Error(), "does not match camera") {
-				t.Errorf("snapshot %d error = %v, want frame-size mismatch", i, err)
-			}
+			isMismatch(t, "AppendSnapshot", err)
 			if string(out) != "kept" {
 				t.Errorf("snapshot %d returned %d bytes, want dst untouched", i, len(out))
 			}
-			for j := 0; j <= queueDepth; j++ {
-				sess.Push(seq.Frames[0]) // fails or is discarded; must not wedge the queue
-			}
+			isMismatch(t, "later Push", sess.Push(seq.Frames[0]))
 		}
 		if res, err := sess.Close(); err == nil || res != nil {
 			t.Errorf("Close = (%v, %v), want the session's error", res, err)

@@ -7,11 +7,11 @@
 // comparison of Table 4 come from the same pipeline.
 //
 // Serving: the public surface is streaming and multi-tenant. A Server owns
-// the per-host resources (a bounded splat.ContextPool) and opens
-// Sessions — one live sequence each, driven by Push (with backpressure),
+// the per-host resources (a bounded splat.ContextPool) and opens Sessions —
+// one live sequence each, driven by Push on its producer's goroutine,
 // observed on Results, finalized by Close. System remains the single-stream
-// engine underneath, and Run is a thin wrapper that streams a
-// whole scene.Sequence through one session on DefaultServer. Concurrent
+// engine underneath, and Run is a thin wrapper that streams a whole
+// scene.Sequence through one session on DefaultServer. Concurrent
 // sessions produce Results digest-identical to sequential runs at every
 // worker count and interleaving (Result.Digest asserts it cheaply).
 //
@@ -63,12 +63,12 @@
 // that reads or writes the map joins that goroutine first (see System). A
 // tail is started when there is a front to run beside it, that is by the next
 // ProcessFrame, and joined by the same call, so no work of a standalone
-// system outlives the call that started it; only a session worker, which
-// waits for frames, starts it at once. The schedule is exact, not
-// speculative: every input of a front is committed before the preceding tail
-// starts, so poses, maps, traces and snapshots are byte for byte those of
-// running the stages one after another, at any GOMAXPROCS. It is the schedule
-// platform.AGS's Pipelined option charges.
+// system outlives the call that started it; only a session's Push, whose
+// producer may wait before the next frame, starts it at once. The schedule
+// is exact, not speculative: every input of a front is committed before the
+// preceding tail starts, so poses, maps, traces and snapshots are byte for
+// byte those of running the stages one after another, at any GOMAXPROCS. It
+// is the schedule platform.AGS's Pipelined option charges.
 //
 // CODEC motion estimation therefore runs in the front, once per comparison,
 // and no option selects where or how it runs. The splat renderer's tile
@@ -216,9 +216,9 @@ func (r *Result) ATERMSECm() (float64, error) {
 // frame's pose and FrameInfo committed and its mapping tail pending: nothing
 // of a standalone system runs behind its caller's back. The next ProcessFrame
 // starts the tail on the system's one tail goroutine, runs its own front
-// beside it and joins it, so that goroutine lives inside one call; a session
-// worker, which may sit idle until the next frame arrives, starts it at once
-// (startTail). While a tail is in flight it alone touches the mapper, the
+// beside it and joins it, so that goroutine lives inside one call; a
+// session's Push, whose producer may sit idle until the next frame arrives,
+// starts it at once (startTail). While a tail is in flight it alone touches the mapper, the
 // render context and the frame's trace.FrameTrace (and, when a prune
 // removes Gaussians, the retained traces); the caller's side touches only what a front
 // reads or a middle commits: the detector, the aligner, prevFrame, prevPose,
@@ -456,9 +456,9 @@ func (s *System) deferTail(ft *trace.FrameTrace, mapping func(), upd FrameUpdate
 
 // startTail puts the pending mapping tail, if any, on the system's one tail
 // goroutine. ProcessFrame calls it just before a front, the work a tail can
-// run beside; a session worker calls it after every frame, because it may
-// wait for the next one and neither the mapping nor the frame's FrameUpdate
-// should wait with it. A panic in the goroutine is kept for join.
+// run beside; a session's Push calls it after every frame, because the
+// producer may wait for the next one and neither the mapping nor the frame's
+// FrameUpdate should wait with it. A panic in the goroutine is kept for join.
 func (s *System) startTail() {
 	t := s.tail
 	if t == nil || t.done != nil {
@@ -480,7 +480,7 @@ func (s *System) startTail() {
 // join sees the mapping tail through, if there is one: it waits for a tail
 // that was started and runs a pending one in place, on the caller's goroutine.
 // A tail that panicked on its goroutine panics again here, so whoever drives
-// the system (a session worker, a ProcessFrame or Finish caller) contains
+// the system (a session's producer, a ProcessFrame or Finish caller) contains
 // either kind with one recover; the system is left with no tail either way.
 func (s *System) join() {
 	t := s.tail
@@ -735,10 +735,10 @@ func (s *System) Finish(sequence string) *Result {
 }
 
 // Run executes the pipeline over a whole sequence: a thin wrapper that opens
-// one Session on DefaultServer, pushes every frame, and closes it. The
-// session's worker runs each frame's front, CODEC motion estimation included,
-// beside the previous frame's mapping, as the paper's frame walk-through
-// times it (see ProcessFrame).
+// one Session on DefaultServer, pushes every frame, and closes it, all on the
+// caller's goroutine. Each Push runs its frame's front, CODEC motion
+// estimation included, beside the previous frame's mapping, as the paper's
+// frame walk-through times it (see ProcessFrame).
 func Run(cfg Config, seq *scene.Sequence) (*Result, error) {
 	return DefaultServer().Run(cfg, seq)
 }

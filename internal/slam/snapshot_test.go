@@ -199,7 +199,7 @@ func TestSessionSnapshotRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n != k {
-		t.Fatalf("RestoreSession processed-frame count = %d, want %d (Snapshot drains the queue)", n, k)
+		t.Fatalf("RestoreSession processed-frame count = %d, want %d (the snapshot covers every pushed frame)", n, k)
 	}
 	for _, f := range seq.Frames[n:] {
 		if err := restored.Push(f); err != nil {

@@ -216,8 +216,8 @@ func TestTailRaceTwoSessions(t *testing.T) {
 	}
 }
 
-// TestTailSessionStartsAtOnce: a session's worker may wait for the next push,
-// so it starts each frame's tail itself: the frame's update arrives with no
+// TestTailSessionStartsAtOnce: a session's producer may wait before the next
+// push, so Push starts each frame's tail itself: the frame's update arrives with no
 // further push and no close, where a standalone system would leave the tail
 // pending until the next call.
 func TestTailSessionStartsAtOnce(t *testing.T) {
@@ -421,7 +421,7 @@ func TestTailPanicSurfacesAtJoin(t *testing.T) {
 
 // TestTailPanicFailsOneSession: a mapping tail that panics inside a session
 // fails that session and no other. The fault is TestTailPanicSurfacesAtJoin's,
-// injected between pushes: a snapshot orders the worker's last writes before
+// injected between pushes: a snapshot joins the tail's last writes before
 // the test cuts two retained key frames' colour planes. The poisoned session's
 // Push, AppendSnapshot and Close then report the tail's panic with its stack,
 // the snapshot leaves dst alone, the other session on the same server closes

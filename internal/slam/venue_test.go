@@ -314,14 +314,13 @@ func TestMalformedFrameFailsOneSession(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// The queue may accept the frame; processing refuses it, and every
-		// later push and Close report why.
-		pushErr := poisoned.Push(&bad)
-		for i := 0; i < 10 && pushErr == nil; i++ {
-			pushErr = poisoned.Push(seq.Frames[at])
+		// The push that carries the frame fails, and every later push and
+		// Close report why.
+		if err := poisoned.Push(&bad); !errors.Is(err, frame.ErrPlaneSize) {
+			t.Errorf("%s: push of the malformed frame = %v, want ErrPlaneSize", plane, err)
 		}
-		if !errors.Is(pushErr, frame.ErrPlaneSize) {
-			t.Errorf("%s: push after the malformed frame = %v, want ErrPlaneSize", plane, pushErr)
+		if err := poisoned.Push(seq.Frames[at]); !errors.Is(err, frame.ErrPlaneSize) {
+			t.Errorf("%s: push after the malformed frame = %v, want ErrPlaneSize", plane, err)
 		}
 		if res, err := poisoned.Close(); !errors.Is(err, frame.ErrPlaneSize) || res != nil {
 			t.Errorf("%s: Close = (%v, %v), want ErrPlaneSize and no result", plane, res, err)

@@ -169,7 +169,7 @@ func seedList(t testing.TB, lean []byte, seq *scene.Sequence) []byte {
 
 // FuzzRestoreSession throws bytes at the one door a remote peer's state comes
 // in through: RestoreSession, then one Push (where a restored-but-wrong system
-// used to blow up, on the session worker, under every tenant), then Close.
+// used to blow up, on the session's goroutine, under every tenant), then Close.
 // The fuzzed bytes are the snapshot's payload behind the configuration and the
 // intrinsics, which stay the seed's (a fuzzed iteration count is a hang, not a
 // crash; that is Config.Validate's to refuse), and the frame list; the harness
