@@ -2,10 +2,10 @@
 //
 // Each stream is a Session driven by its own producer goroutine: Push
 // processes a frame on that goroutine (no queue, no buffering) while the
-// previous frame's mapping finishes beside it, per-frame outcomes come back on
-// Results, and Close joins the last mapping and returns the final Result. All
-// sessions render through the server's bounded context pool, so N streams
-// share render state instead of each pinning their own forever.
+// previous frame's mapping finishes beside it, and Close joins the last
+// mapping and returns the final Result, which holds every frame's pose and
+// decisions. All sessions render through the server's bounded context pool, so
+// N streams share render state instead of each pinning their own forever.
 //
 //	go run ./examples/multistream
 package main
@@ -48,24 +48,7 @@ func main() {
 			log.Fatal(err)
 		}
 
-		// 3a. Consume the live per-frame updates of this stream.
-		wg.Add(1)
-		go func(name string, sess *slam.Session) {
-			defer wg.Done()
-			for upd := range sess.Results() {
-				tag := ""
-				if upd.Info.IsKeyFrame {
-					tag = " [keyframe]"
-				}
-				if upd.Info.CoarseOnly {
-					tag += " [coarse-only]"
-				}
-				fmt.Printf("%-5s frame %2d: FC %.2f, %4d gaussians%s\n",
-					name, upd.Index, float64(upd.Info.Covisibility), upd.NumGaussians, tag)
-			}
-		}(name, sess)
-
-		// 3b. Produce the stream's frames.
+		// 3. Produce the stream's frames.
 		wg.Add(1)
 		go func(i int, sess *slam.Session, seq *scene.Sequence) {
 			defer wg.Done()
@@ -83,7 +66,22 @@ func main() {
 	}
 	wg.Wait()
 
-	// 4. Final per-stream accuracy plus the shared pool's economics.
+	// 4. Each stream's per-frame outcomes and accuracy, from its Result, plus
+	// the shared pool's economics.
+	for i, name := range names {
+		res := results[i]
+		for j, info := range res.Info {
+			tag := ""
+			if info.IsKeyFrame {
+				tag = " [keyframe]"
+			}
+			if info.CoarseOnly {
+				tag += " [coarse-only]"
+			}
+			fmt.Printf("%-5s frame %2d: FC %.2f, %4d gaussians%s\n",
+				name, j, float64(info.Covisibility), res.Trace.Frames[j].NumGaussians, tag)
+		}
+	}
 	fmt.Println()
 	for i, name := range names {
 		ate, err := results[i].ATERMSECm()

@@ -254,8 +254,8 @@ func TestCheckpointHeldSetInvariant(t *testing.T) {
 // Copying every snapshot from buffer to buffer at its exact size, as this
 // path used to (five copies), costs 5 x the sum of all N sizes: over 20 x the
 // last one here. The session is idle around each measured checkpoint (every
-// pushed frame's update has been seen), so the delta is the checkpoint path's
-// own.
+// pushed frame's mapping has handed its render context back to the pool), so
+// the delta is the checkpoint path's own.
 //
 // A session's snapshot grows with its map, not with its age (sessions keep no
 // trace detail) and not with its key-frame window (the stream holds those
@@ -281,8 +281,6 @@ func TestCheckpointAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	updates := nodes[0].Server().Sessions()[0].Results()
-
 	var allocated, first, sum uint64
 	var ms runtime.MemStats
 	var warm []*byte
@@ -290,7 +288,9 @@ func TestCheckpointAllocBudget(t *testing.T) {
 		if err := st.Push(f); err != nil {
 			t.Fatal(err)
 		}
-		<-updates // frame i is mapped; the session is idle again
+		for nodes[0].Server().PoolStats().Idle == 0 {
+			runtime.Gosched() // frame i is still being mapped
+		}
 		if (i+1)%every != 0 {
 			continue
 		}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -206,6 +207,58 @@ func TestFleetMigrationKeepsDigest(t *testing.T) {
 	}
 }
 
+// TestFailedMigrationStaysFailed drains a stream's node while the only peer is
+// full. The migration's refusal fails that push, and from then on every push
+// and the close report the same failure, with the acknowledged frame counted:
+// the stream failed, it was never closed.
+func TestFailedMigrationStaysFailed(t *testing.T) {
+	cfg := fastCfg()
+	seq := testSeq(t, "Desk", 3)
+	for _, tc := range []struct {
+		name string
+		opts StreamOptions
+	}{{"plain", StreamOptions{}}, {"checkpointed", StreamOptions{CheckpointEvery: 2}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, _ := startFleet(t, []NodeConfig{{Name: "a"}, {Name: "b", MaxSessions: 1}})
+			st, err := r.OpenWith(seq.Name, cfg, seq.Intr, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			filler, err := r.Open("filler", cfg, seq.Intr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Node() != "a" || filler.Node() != "b" {
+				t.Fatalf("streams on %q and %q, want a and b", st.Node(), filler.Node())
+			}
+			if err := st.Push(seq.Frames[0]); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Drain("a"); err != nil {
+				t.Fatal(err)
+			}
+			failed := func(op string, err error) {
+				t.Helper()
+				if !errors.Is(err, ErrNoPeer) || !errors.Is(err, ErrAdmission) {
+					t.Errorf("%s: err = %v, want the migration's ErrNoPeer and ErrAdmission", op, err)
+				} else if msg := err.Error(); strings.Contains(msg, "after Close") || strings.Contains(msg, "already closed") {
+					t.Errorf("%s: %q calls the failed stream closed", op, msg)
+				}
+			}
+			failed("migrating push", st.Push(seq.Frames[1]))
+			failed("later push", st.Push(seq.Frames[2]))
+			sum, err := st.Close()
+			failed("close", err)
+			if sum.Frames != 1 {
+				t.Errorf("close counts %d frames, want the 1 acknowledged", sum.Frames)
+			}
+			if _, err := filler.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestAdmissionFallthrough covers both halves of the admission walk. On
 // session budgets the second stream lands on the peer (the least-loaded node)
 // and a third, refused by every node, must surface the admission rejection
@@ -249,6 +302,8 @@ func TestAdmissionFallthrough(t *testing.T) {
 		}
 		if _, err := r.Open("s3", cfg, seq.Intr); !errors.Is(err, ErrAdmission) {
 			t.Errorf("third open: err = %v, want ErrAdmission", err)
+		} else if n := strings.Count(err.Error(), ErrAdmission.Error()); n != 1 {
+			t.Errorf("third open: %q names the refusal %d times, want once", err, n)
 		}
 		push(t, st1)
 		push(t, st2)
@@ -358,16 +413,23 @@ func TestCandidates(t *testing.T) {
 }
 
 // TestDrainRejectsNewStreams verifies the drain half of admission: a fully
-// draining fleet admits nothing, with ErrDraining surfacing through Open.
+// draining fleet admits nothing, and the draining node itself refuses an open
+// with ErrDraining, named once.
 func TestDrainRejectsNewStreams(t *testing.T) {
 	cfg := fastCfg()
 	seq := testSeq(t, "Desk", 2)
-	r, _ := startFleet(t, []NodeConfig{{Name: "a"}})
+	r, nodes := startFleet(t, []NodeConfig{{Name: "a"}})
 	if err := r.Drain("a"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.Open("s", cfg, seq.Intr); err == nil {
 		t.Fatal("open on fully draining fleet succeeded")
+	}
+	_, err := openOn(nodes[0].Addr(), encodeOpen(nil, "s", slam.AppendConfig(nil, &cfg), slam.AppendIntrinsics(nil, &seq.Intr)))
+	if !errors.Is(err, ErrDraining) {
+		t.Errorf("open on the draining node: err = %v, want ErrDraining", err)
+	} else if n := strings.Count(err.Error(), ErrDraining.Error()); n != 1 {
+		t.Errorf("open on the draining node: %q names the refusal %d times, want once", err, n)
 	}
 	sts, err := r.Stats()
 	if err != nil {

@@ -15,7 +15,7 @@ import (
 	"ags/internal/vecmath"
 )
 
-// The golden files pin ProtocolVersion 8 byte for byte: one complete AGSF
+// The golden files pin ProtocolVersion 9 byte for byte: one complete AGSF
 // message per payload-bearing verb, each framed by appendMessage. They were
 // written once, by the encoders this version was introduced with, and there is
 // no regeneration switch — a byte that moves is a wire break, which takes a
@@ -29,10 +29,12 @@ import (
 // byte only (slam's snapshot version 5 packs trace detail, which no message
 // here carries); version 6's, <verb>.v6.golden, whose OPEN carried the
 // configuration without the eight settings that became constants; version
-// 7's, <verb>.v7.golden, whose OPEN carried it without the backbone; and
-// version 8's is <verb>.v8.golden, which differs from version 7's in the
-// version byte and the checksum over it only (slam's snapshot version 8 drops
-// the trace detail, which no message here carries).
+// 7's, <verb>.v7.golden, whose OPEN carried it without the backbone; version
+// 8's, <verb>.v8.golden, which differed from version 7's in the version byte
+// and the checksum over it only (slam's snapshot version 8 drops the trace
+// detail, which no message here carries); and version 9's is <verb>.v9.golden,
+// whose RESULT drops the trajectory error, the pruned count and the
+// dropped-update count.
 
 // goldenConfig sets every slam.Config field the wire carries to a distinct
 // non-zero value, so a reordered, dropped or re-typed field moves a byte. It
@@ -83,7 +85,7 @@ func goldenMessages() []goldenMessage {
 	stats.Pool.Capacity, stats.Pool.Idle = 4, 2
 	stats.Pool.Hits, stats.Pool.Misses, stats.Pool.Evictions = 17, 5, 1
 	stats.Pool.ResidentBytes = 123456
-	sum := ResultSummary{Frames: 16, NumGaussians: 900, ATECm: 3.25, PrunedGaussians: 4, DroppedUpdates: 1}
+	sum := ResultSummary{Frames: 16, NumGaussians: 900}
 	for i := range sum.Digest {
 		sum.Digest[i] = byte(i * 7)
 	}
@@ -103,7 +105,7 @@ func goldenMessages() []goldenMessage {
 
 // goldenFile names the current version's golden file for a message.
 func goldenFile(name string) string {
-	return filepath.Join("testdata", name+".v8.golden")
+	return filepath.Join("testdata", name+".v9.golden")
 }
 
 func TestGoldenMessages(t *testing.T) {
@@ -113,7 +115,7 @@ func TestGoldenMessages(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := appendMessage(nil, m.v, m.p); !bytes.Equal(got, want) {
-			t.Errorf("%s: message bytes moved (%d bytes, golden %d) — a ProtocolVersion 8 wire break", m.name, len(got), len(want))
+			t.Errorf("%s: message bytes moved (%d bytes, golden %d) — a ProtocolVersion 9 wire break", m.name, len(got), len(want))
 		}
 	}
 }

@@ -1,9 +1,7 @@
 package fleet
 
 import (
-	"errors"
 	"fmt"
-	"math"
 	"net"
 	"sync"
 
@@ -181,28 +179,30 @@ func (n *Node) Close() error {
 	return n.srv.Close()
 }
 
-// admit reserves one admission slot, or explains why not. The reservation
-// happens before the server Open so concurrent connections cannot
-// oversubscribe the budget between check and open.
-func (n *Node) admit() error {
+// admit reserves one admission slot, or returns the refusal to reply with:
+// its error code and the detail the router's decodeErrReply puts behind the
+// code's sentinel (code 0 means admitted). The reservation happens before the
+// server Open so concurrent connections cannot oversubscribe the budget
+// between check and open.
+func (n *Node) admit() (code byte, detail string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.draining {
-		return fmt.Errorf("%w: node %q", ErrDraining, n.cfg.Name)
+		return codeDraining, fmt.Sprintf("node %q", n.cfg.Name)
 	}
 	if n.closed {
-		return fmt.Errorf("fleet: node %q is closed", n.cfg.Name)
+		return codeInternal, fmt.Sprintf("node %q is closed", n.cfg.Name)
 	}
 	if n.cfg.MaxSessions > 0 && n.streams >= n.cfg.MaxSessions {
-		return fmt.Errorf("%w: node %q at %d/%d sessions", ErrAdmission, n.cfg.Name, n.streams, n.cfg.MaxSessions)
+		return codeAdmission, fmt.Sprintf("node %q at %d/%d sessions", n.cfg.Name, n.streams, n.cfg.MaxSessions)
 	}
 	if n.cfg.MaxResidentBytes > 0 {
 		if rb := n.srv.PoolStats().ResidentBytes; rb >= n.cfg.MaxResidentBytes {
-			return fmt.Errorf("%w: node %q pool resident %d B >= budget %d B", ErrAdmission, n.cfg.Name, rb, n.cfg.MaxResidentBytes)
+			return codeAdmission, fmt.Sprintf("node %q pool resident %d B >= budget %d B", n.cfg.Name, rb, n.cfg.MaxResidentBytes)
 		}
 	}
 	n.streams++
-	return nil
+	return 0, ""
 }
 
 func (n *Node) releaseAdmission() {
@@ -334,19 +334,6 @@ func (n *Node) replyErr(cs *connState, code byte, msg string) bool {
 	return cs.w.send(vErrReply, cs.replyBuf) == nil
 }
 
-// replyAdmissionErr maps an admit/Open failure to its wire code so routers
-// can tell "try the next node" from a real fault.
-func (n *Node) replyAdmissionErr(cs *connState, err error) bool {
-	code := codeInternal
-	switch {
-	case errors.Is(err, ErrAdmission):
-		code = codeAdmission
-	case errors.Is(err, ErrDraining):
-		code = codeDraining
-	}
-	return n.replyErr(cs, code, err.Error())
-}
-
 func (n *Node) handleOpen(cs *connState, payload []byte) bool {
 	if cs.sess != nil {
 		return n.replyErr(cs, codeProto, "connection already bound to a session")
@@ -363,13 +350,13 @@ func (n *Node) handleOpen(cs *connState, payload []byte) bool {
 	if err != nil {
 		return n.replyErr(cs, codeProto, err.Error())
 	}
-	if err := n.admit(); err != nil {
-		return n.replyAdmissionErr(cs, err)
+	if code, detail := n.admit(); code != 0 {
+		return n.replyErr(cs, code, detail)
 	}
 	sess, err := n.srv.Open(name, cfg, intr)
 	if err != nil {
 		n.releaseAdmission()
-		return n.replyAdmissionErr(cs, err)
+		return n.replyErr(cs, codeInternal, err.Error())
 	}
 	cs.sess, cs.admitted = sess, true
 	return n.replyOK(cs, 0)
@@ -389,13 +376,13 @@ func (n *Node) handleRestore(cs *connState, payload []byte) bool {
 	if err != nil {
 		return n.replyErr(cs, codeProto, err.Error())
 	}
-	if err := n.admit(); err != nil {
-		return n.replyAdmissionErr(cs, err)
+	if code, detail := n.admit(); code != 0 {
+		return n.replyErr(cs, code, detail)
 	}
 	sess, frames, err := n.srv.RestoreSession(name, snap, held)
 	if err != nil {
 		n.releaseAdmission()
-		return n.replyAdmissionErr(cs, err)
+		return n.replyErr(cs, codeInternal, err.Error())
 	}
 	cs.sess, cs.admitted = sess, true
 	return n.replyOK(cs, frames)
@@ -425,7 +412,6 @@ func (n *Node) handleClose(cs *connState) bool {
 	if cs.sess == nil {
 		return n.replyErr(cs, codeProto, "close before open")
 	}
-	dropped := cs.sess.Dropped()
 	res, err := cs.sess.Close()
 	cs.sess = nil
 	if cs.admitted {
@@ -435,7 +421,7 @@ func (n *Node) handleClose(cs *connState) bool {
 	if err != nil {
 		return n.replyErr(cs, codeInternal, err.Error())
 	}
-	sum := summarize(res, dropped)
+	sum := ResultSummary{Digest: res.Digest(), Frames: len(res.Poses), NumGaussians: res.Cloud.Len()}
 	cs.replyBuf = encodeResult(cs.replyBuf[:0], &sum)
 	return cs.w.send(vResult, cs.replyBuf) == nil
 }
@@ -461,22 +447,4 @@ func (n *Node) handleSnapshot(cs *connState, payload []byte) bool {
 		return n.replyErr(cs, codeInternal, err.Error())
 	}
 	return cs.w.finish(msg) == nil
-}
-
-// summarize distills a finished session's Result into the close reply.
-func summarize(res *slam.Result, dropped uint64) ResultSummary {
-	tot := res.Trace.Totals()
-	s := ResultSummary{
-		Digest:          res.Digest(),
-		Frames:          len(res.Poses),
-		NumGaussians:    res.Cloud.Len(),
-		PrunedGaussians: tot.PrunedGaussians,
-		DroppedUpdates:  dropped,
-	}
-	if ate, err := res.ATERMSECm(); err == nil {
-		s.ATECm = ate
-	} else {
-		s.ATECm = math.NaN()
-	}
-	return s
 }

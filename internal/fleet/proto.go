@@ -108,7 +108,10 @@ import (
 // change none either: slam's version 6 shortens the configuration and every
 // trace, its version 7 drops the configuration's backbone, and its version 8
 // drops the trace detail and image size that a node's snapshots left empty.
-const ProtocolVersion = 8
+// Version 9's RESULT drops the trajectory error, the pruned count and the
+// dropped-update count, which no router read; its messages still carry
+// slam's version 8 snapshots and configurations.
+const ProtocolVersion = 9
 
 const (
 	protoMagic = "AGSF"

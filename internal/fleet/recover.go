@@ -133,7 +133,7 @@ func isNodeLoss(err error) bool {
 func (s *Stream) recoveryEnabled() bool { return s.opts.CheckpointEvery > 0 }
 
 // closedErr explains an operation on a detached stream: "after Close" for a
-// clean close, the sticky loss otherwise.
+// clean close, the sticky error otherwise.
 func (s *Stream) closedErr(op string) error {
 	if s.lost != nil {
 		return fmt.Errorf("fleet: stream %q: %s: %w", s.name, op, s.lost)
@@ -281,20 +281,21 @@ func (s *Stream) pushFailed(err error) error {
 }
 
 // migrateFailed handles a failed graceful migration; nil means recovery
-// rebuilt the stream from its checkpoint instead.
+// rebuilt the stream from its checkpoint instead. A failed migration has
+// detached the stream, so whatever it failed with becomes the sticky error:
+// a node loss recovery could not mend, or a refusal such as ErrNoPeer.
 func (s *Stream) migrateFailed(err error) error {
 	node := s.node.name
-	if isNodeLoss(err) && s.recoveryEnabled() {
-		if rerr := s.recover(err); rerr != nil {
-			return fmt.Errorf("fleet: stream %q: migrate off %q: %w", s.name, node, rerr)
-		}
+	switch {
+	case !isNodeLoss(err):
+		s.lost = err
+	case !s.recoveryEnabled():
+		s.lost = s.asNodeLost(err, node)
+	case s.recover(err) == nil:
 		return nil
 	}
-	if isNodeLoss(err) {
-		s.lost = s.asNodeLost(err, node)
-		return fmt.Errorf("fleet: stream %q: migrate off %q: %w", s.name, node, s.lost)
-	}
-	return fmt.Errorf("fleet: stream %q: migrate off %q: %w", s.name, node, err)
+	// A recover that failed has set s.lost itself.
+	return fmt.Errorf("fleet: stream %q: migrate off %q: %w", s.name, node, s.lost)
 }
 
 // maybeCheckpoint takes a checkpoint once enough pushes have been acknowledged

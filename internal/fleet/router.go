@@ -379,7 +379,7 @@ type Stream struct {
 	heldNext         []heldFrame // setCheckpoint's scratch: the held set under construction
 	recoveries       int
 	replayed         int
-	lost             error // sticky NodeLostError once the stream is lost for good
+	lost             error // sticky error once a failure detached the stream (node loss or a failed migration)
 }
 
 // Name returns the stream's label.
@@ -404,7 +404,9 @@ func (s *Stream) Replayed() int { return s.replayed }
 // recovery armed (StreamOptions.CheckpointEvery > 0), an unclean node death
 // is survived transparently: the stream re-places itself, restores its last
 // checkpoint, replays the frames pushed since — this one included — and the
-// final digest is bit-identical to an undisturbed run.
+// final digest is bit-identical to an undisturbed run. A migration that fails
+// otherwise (no peer admits the stream, say) detaches the stream: this Push,
+// every later one and Close report its failure.
 //
 //ags:hotpath
 func (s *Stream) Push(f *frame.Frame) error {
@@ -442,8 +444,9 @@ func (s *Stream) Push(f *frame.Frame) error {
 // Close ends the stream and returns the node-side session's summary; its
 // Digest is bit-identical to a sequential slam.Run over the same frames.
 // If the serving node is lost at close time (or was lost earlier with
-// recovery disabled), the error wraps ErrNodeLost and the summary is
-// partial: only Frames — the acknowledged-frame count — is meaningful.
+// recovery disabled), the error wraps ErrNodeLost; if a migration failed
+// earlier, it wraps that failure. Either way the summary is partial: only
+// Frames — the acknowledged-frame count — is meaningful.
 func (s *Stream) Close() (ResultSummary, error) {
 	if s.w == nil {
 		if s.lost != nil {

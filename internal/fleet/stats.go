@@ -61,7 +61,7 @@ func decodeStats(b []byte) (NodeStats, error) {
 // ResultSummary is the close reply: the full Result stays on the node (maps
 // are large), what crosses the wire is the digest — the complete determinism
 // contract in 32 bytes, bit-comparable against a local slam.Run — plus the
-// summary scalars the serving layer reports.
+// two counts ags-fleet route prints beside it.
 type ResultSummary struct {
 	// Digest is slam's Result.Digest of the finished session: trajectories,
 	// per-frame decisions, the full Gaussian map, trace workload scalars.
@@ -70,15 +70,6 @@ type ResultSummary struct {
 	Frames int
 	// NumGaussians is the map size at close.
 	NumGaussians int
-	// ATECm is the trajectory error in centimeters (NaN when the sequence
-	// carries no ground truth to compare against).
-	ATECm float64
-	// PrunedGaussians is how many Gaussians the session's prunes removed.
-	PrunedGaussians int
-	// DroppedUpdates counts per-frame updates discarded because nothing
-	// consumed the node-side Results stream (informational; the Result
-	// itself is complete regardless).
-	DroppedUpdates uint64
 }
 
 func encodeResult(buf []byte, r *ResultSummary) []byte {
@@ -86,9 +77,6 @@ func encodeResult(buf []byte, r *ResultSummary) []byte {
 	e.Raw(r.Digest[:])
 	e.I64(int64(r.Frames))
 	e.I64(int64(r.NumGaussians))
-	e.F64(r.ATECm)
-	e.I64(int64(r.PrunedGaussians))
-	e.U64(r.DroppedUpdates)
 	return e.Buf
 }
 
@@ -98,8 +86,5 @@ func decodeResult(b []byte) (ResultSummary, error) {
 	copy(r.Digest[:], d.Take(len(r.Digest)))
 	r.Frames = int(d.I64())
 	r.NumGaussians = int(d.I64())
-	r.ATECm = d.F64()
-	r.PrunedGaussians = int(d.I64())
-	r.DroppedUpdates = d.U64()
 	return r, d.Finish("fleet: result payload")
 }

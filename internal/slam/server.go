@@ -5,13 +5,11 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 
 	"ags/internal/camera"
 	"ags/internal/frame"
 	"ags/internal/scene"
 	"ags/internal/splat"
-	"ags/internal/vecmath"
 )
 
 // ServerConfig sizes a Server's shared resources.
@@ -37,9 +35,9 @@ type Server struct {
 	cfg  ServerConfig
 	pool *splat.ContextPool
 
-	mu       sync.Mutex
-	sessions []*Session // open sessions, in open order
-	closed   bool
+	mu     sync.Mutex
+	open   int // sessions opened and not yet closed
+	closed bool
 }
 
 // NewServer returns a server with its own context pool.
@@ -71,31 +69,13 @@ func (sv *Server) ContextPool() *splat.ContextPool { return sv.pool }
 // PoolStats snapshots the context pool's counters.
 func (sv *Server) PoolStats() splat.PoolStats { return sv.pool.Stats() }
 
-// OpenSessions returns how many sessions are currently open.
-func (sv *Server) OpenSessions() int {
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
-	return len(sv.sessions)
-}
-
-// Sessions enumerates the currently open sessions in open order. The returned
-// slice is a snapshot; the producer contract of each session still belongs to
-// whoever opened it, so an observer may only read Results and Dropped.
-func (sv *Server) Sessions() []*Session {
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
-	out := make([]*Session, len(sv.sessions))
-	copy(out, sv.sessions)
-	return out
-}
-
 // Close marks the server closed so further Opens fail. It errors while
 // sessions are still open — close them first.
 func (sv *Server) Close() error {
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
-	if n := len(sv.sessions); n > 0 {
-		return fmt.Errorf("slam: server has %d open session(s)", n)
+	if sv.open > 0 {
+		return fmt.Errorf("slam: server has %d open session(s)", sv.open)
 	}
 	sv.closed = true
 	return nil
@@ -146,7 +126,7 @@ func (sv *Server) RestoreSession(name string, snap []byte, held []HeldFrame) (*S
 }
 
 // start admits a session over sys, checking the server state under the same
-// lock that adds it to the open set, so a session can never slip onto a server
+// lock that counts it open, so a session can never slip onto a server
 // after Close succeeded. A server that refuses the session closes the system.
 func (sv *Server) start(name string, sys *System) (*Session, error) {
 	sv.mu.Lock()
@@ -155,20 +135,13 @@ func (sv *Server) start(name string, sys *System) (*Session, error) {
 		sys.Close()
 		return nil, fmt.Errorf("slam: server is closed")
 	}
-	s := &Session{name: name, sv: sv, sys: sys, updates: make(chan FrameUpdate, updateBuffer)}
-	sys.onMapped = s.publish
-	sv.sessions = append(sv.sessions, s)
-	return s, nil
+	sv.open++
+	return &Session{name: name, sv: sv, sys: sys}, nil
 }
 
-func (sv *Server) sessionClosed(s *Session) {
+func (sv *Server) sessionClosed() {
 	sv.mu.Lock()
-	for i, open := range sv.sessions {
-		if open == s {
-			sv.sessions = append(sv.sessions[:i], sv.sessions[i+1:]...)
-			break
-		}
-	}
+	sv.open--
 	sv.mu.Unlock()
 }
 
@@ -193,28 +166,14 @@ func (sv *Server) Run(cfg Config, seq *scene.Sequence) (*Result, error) {
 	return sess.Close()
 }
 
-// updateBuffer sizes the best-effort Results stream. A consumer that keeps
-// up never drops; one that stalls loses updates (counted by Dropped) rather
-// than stalling the pipeline.
-const updateBuffer = 64
-
-// FrameUpdate is one frame's streamed outcome: the estimated pose and the
-// per-frame algorithm decisions, published when the frame's mapping ends.
-type FrameUpdate struct {
-	Index        int // 0-based position in the session's stream
-	Pose         vecmath.Pose
-	Info         FrameInfo
-	NumGaussians int // active Gaussians after the frame
-}
-
-// Session is one live SLAM sequence on a Server. The producer side (Push,
-// AppendSnapshot, Close) must be driven from a single goroutine, and each call
-// does its work on it: Push runs the frame through the system and returns once
+// Session is one live SLAM sequence on a Server. Its calls (Push,
+// AppendSnapshot, Close) must come from a single goroutine, the producer's,
+// and each does its work on it: Push runs the frame through the system and returns once
 // the frame's pose is committed, leaving the frame's mapping on the system's
 // tail goroutine (see System), so the order the producer called in is the
-// order things happen in. Per-frame outcomes stream on Results. Close returns
-// the final Result — the same value a single-tenant Run of the same frames
-// produces, digest for digest.
+// order things happen in. Close returns the session's output, the final
+// Result — the same value a single-tenant Run of the same frames produces,
+// digest for digest.
 //
 // A session fails alone. An error from a frame, and a panic anywhere a
 // producer call runs the system (a frame, a snapshot, the final Finish and
@@ -230,9 +189,6 @@ type Session struct {
 	name string
 	sv   *Server
 	sys  *System
-
-	updates chan FrameUpdate
-	dropped atomic.Uint64
 
 	// closed, res and err belong to the producer goroutine.
 	closed bool
@@ -265,16 +221,6 @@ func (s *Session) Push(f *frame.Frame) error {
 	return s.failure()
 }
 
-// Results returns the session's per-frame update stream. Delivery is
-// best-effort: a consumer that falls more than updateBuffer frames behind
-// loses the overflow (see Dropped); the authoritative output is Close's
-// Result. The channel closes when the session finishes.
-func (s *Session) Results() <-chan FrameUpdate { return s.updates }
-
-// Dropped returns how many FrameUpdates were discarded because no consumer
-// kept up with Results.
-func (s *Session) Dropped() uint64 { return s.dropped.Load() }
-
 // Close ends the stream: it joins the last frame's mapping, returns the final
 // Result and leaves the server. It is idempotent — further calls return the
 // same Result — and safe to call after a Push error.
@@ -287,8 +233,7 @@ func (s *Session) Close() (*Result, error) {
 		s.guard(func() { s.res = s.sys.Finish(s.name) })
 	}
 	s.guard(s.sys.Close)
-	close(s.updates)
-	s.sv.sessionClosed(s)
+	s.sv.sessionClosed()
 	return s.res, s.err
 }
 
@@ -345,16 +290,4 @@ func (s *Session) failure() error {
 		return nil
 	}
 	return fmt.Errorf("session %q: %w", s.name, s.err) // s.err carries the slam: prefix
-}
-
-// publish offers one frame's update to Results without ever blocking the
-// pipeline. The system calls it at the end of each frame's mapping tail, one
-// tail at a time in frame order, and Close joins the last tail (System.Close)
-// before it closes the channel.
-func (s *Session) publish(upd FrameUpdate) {
-	select {
-	case s.updates <- upd:
-	default:
-		s.dropped.Add(1)
-	}
 }

@@ -8,10 +8,10 @@
 //
 // Serving: the public surface is streaming and multi-tenant. A Server owns
 // the per-host resources (a bounded splat.ContextPool) and opens Sessions —
-// one live sequence each, driven by Push on its producer's goroutine,
-// observed on Results, finalized by Close. System remains the single-stream
-// engine underneath, and Run is a thin wrapper that streams a whole
-// scene.Sequence through one session on DefaultServer. Concurrent
+// one live sequence each, driven by Push on its producer's goroutine and
+// finalized by Close, whose Result is the session's output. System remains
+// the single-stream engine underneath, and Run is a thin wrapper that streams
+// a whole scene.Sequence through one session on DefaultServer. Concurrent
 // sessions produce Results digest-identical to sequential runs at every
 // worker count and interleaving (Result.Digest asserts it cheaply).
 //
@@ -270,9 +270,6 @@ type System struct {
 	// tail is the last accepted frame's mapping tail, pending or in flight;
 	// nil once join has seen it through.
 	tail *mappingTail
-	// onMapped, when set, is called at the end of every tail, on the tail's
-	// goroutine, with the frame's outcome (a session publishes it).
-	onMapped func(FrameUpdate)
 }
 
 // venue says where a system runs (see the package doc): offline systems keep
@@ -370,8 +367,8 @@ func (s *System) Close() { s.join() }
 //     decision the next front reads: the pose, the velocity, the key-frame
 //     anchor, the frame's FrameInfo, the frame count.
 //   - The tail (Densify, full or selective mapping, the key-frame window,
-//     Prune, the trace append, the render context's release and a session's
-//     FrameUpdate) is left pending. The next call starts it
+//     Prune, the trace append and the render context's release) is left
+//     pending. The next call starts it
 //     on the system's one tail goroutine just before its own front; any other
 //     join runs it in place.
 //
@@ -407,7 +404,7 @@ func (s *System) ProcessFrame(f *frame.Frame) error {
 	s.prevFrame = f
 	s.frameCount++
 
-	s.deferTail(ft, mapping, FrameUpdate{Index: ft.Index, Pose: s.prevPose, Info: info})
+	s.deferTail(ft, mapping)
 	return nil
 }
 
@@ -435,10 +432,9 @@ type mappingTail struct {
 // deferTail leaves the frame's mapping tail pending: the mapping the middle
 // chose, then the end-of-frame map maintenance and the trace append, with the
 // frame count as the middle left it (the next middle joins before it writes
-// it). The tail then hands the context back, so an idle stream pins no render
-// state and the pool can serve other sessions, and last it reports the frame
-// to onMapped.
-func (s *System) deferTail(ft *trace.FrameTrace, mapping func(), upd FrameUpdate) {
+// it). Last the tail hands the context back, so an idle stream pins no render
+// state and the pool can serve other sessions.
+func (s *System) deferTail(ft *trace.FrameTrace, mapping func()) {
 	s.tail = &mappingTail{run: func() {
 		mapping()
 		ft.NumGaussians = s.mapper.Cloud().Len()
@@ -447,18 +443,14 @@ func (s *System) deferTail(ft *trace.FrameTrace, mapping func(), upd FrameUpdate
 		}
 		s.traceFrames = append(s.traceFrames, *ft)
 		s.detachCtx()
-		if s.onMapped != nil {
-			upd.NumGaussians = ft.NumGaussians
-			s.onMapped(upd)
-		}
 	}}
 }
 
 // startTail puts the pending mapping tail, if any, on the system's one tail
 // goroutine. ProcessFrame calls it just before a front, the work a tail can
 // run beside; a session's Push calls it after every frame, because the
-// producer may wait for the next one and neither the mapping nor the frame's
-// FrameUpdate should wait with it. A panic in the goroutine is kept for join.
+// producer may wait for the next one and the mapping, and the render context
+// it holds, should not wait with it. A panic in the goroutine is kept for join.
 func (s *System) startTail() {
 	t := s.tail
 	if t == nil || t.done != nil {
