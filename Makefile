@@ -53,9 +53,10 @@ serve-demo:
 
 # Profile a frame the way the baseline pipeline spends it: fig4 warms one
 # full Desk/baseline run (RefineBest and full mapping on every frame, what
-# the benchmark's desk_baseline workload times) and then re-tracks its frames,
-# serially, under pprof — so a kernel PR starts from the profile the last one
-# was led by instead of a synthetic render loop.
+# the benchmark's desk_baseline workload times) and then re-tracks its frames
+# with the pipeline's sparse refiner (the run's learning rate, one pixel per
+# 2x2 block), serially, under pprof — so a kernel change starts from the
+# profile the last one was led by instead of a synthetic render loop.
 # Inspect with: go tool pprof -top cpu.pprof (or mem.pprof).
 profile:
 	$(GO) run ./cmd/ags-bench -exp fig4 -jobs 1 -workers 1 -q -cpuprofile cpu.pprof -memprofile mem.pprof

@@ -148,7 +148,7 @@ func (s *Suite) Fig20(w io.Writer) error {
 		nonKey := 100 * float64(tot.Frames-tot.KeyFrames) / float64(tot.Frames)
 		t.AddRow(int(tm*100), psnr, theoreticalSaving(b), nonKey)
 	}
-	t.AddNote("paper sweeps 40-60%% around its chosen 50%%; our covisibility scale places the same operating range at 65-85%% (DESIGN.md)")
+	t.AddNote("paper sweeps 40-60%% around its chosen 50%%; our covisibility scale places the same operating range at 65-85%% (README: substitutions)")
 	t.Write(w)
 	return nil
 }

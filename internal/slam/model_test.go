@@ -24,9 +24,11 @@ func benchConfig(ags bool) Config {
 // prune-heavy Desk run, whose retained tile lists are rewritten through every
 // prune. Each AGS model replays the per-pixel planes and, on the mapping
 // side, the tile lists; A100-AGS charges the lists' bytes; the rest read
-// scalars only. The constants are the totals the same runs gave when the
-// detail was held as int32 slices, so they hold that packing it changed no
-// value any model reads. The runs' floats depend on whether the compiler
+// scalars only. The constants were the totals the same runs gave when the
+// detail was held as int32 slices, which held that packing it changed no
+// value any model reads; they were re-recorded when tracking became sparse,
+// which moves the tracking task's planes and scalars (desk_prune refines no
+// frame and kept its values). The runs' floats depend on whether the compiler
 // fuses multiply-adds, so the constants hold for amd64 only. The test checks
 // values, not concurrency, and the race detector would make it a minute
 // longer, so it skips under the detector; CI runs it in the format-pin step.
@@ -52,34 +54,34 @@ func TestTraceDetailModelPinned(t *testing.T) {
 		want      []total // in the order of platforms
 	}{
 		{"desk_ags", "Desk", 40, benchConfig(true), []total{
-			{1.7173064e+07, 0.14750001632160004},
-			{1.0471085226666665e+07, 0.22545432782826672},
-			{1.3181569822222218e+07, 0.27695353514382226},
-			{2.97374495008547e+07, 1.7842469700512822},
-			{8.328390914567292e+07, 4.997034548740373},
-			{1.4479318228526402e+08, 2.6062772811347523},
-			{6.182292145920139e+07, 1.1746355077248267},
-			{2.2465049413361378e+07, 1.3928330636284052},
+			{1.5662120125e+07, 0.1363527040286},
+			{9.865955031111106e+06, 0.21341974114471116},
+			{1.3111963466666657e+07, 0.27509390142026674},
+			{2.9369246047863245e+07, 1.762154762871795},
+			{8.291567006567179e+07, 4.97494020394031},
+			{1.3800361506698194e+08, 2.484065071205674},
+			{6.078796246395539e+07, 1.1549712868151525},
+			{2.2382265100681093e+07, 1.3877004362422276},
 		}},
 		{"s2_ags", "S2", 20, benchConfig(true), []total{
-			{1.908039125e+07, 0.15397289382840004},
-			{1.0586243377777988e+07, 0.2203251762961818},
-			{1.3438304382222239e+07, 0.2745143353806226},
-			{2.4343649435897432e+07, 1.4606189661538462},
-			{5.0456004948536575e+07, 3.027360296912194},
-			{1.59011053427896e+08, 2.862198961702128},
-			{5.28559212540854e+07, 1.0042625038276227},
-			{1.6813394170232374e+07, 1.0424304385544072},
+			{1.7075997875e+07, 0.1372560481046},
+			{9.938675706666904e+06, 0.2054072656062712},
+			{1.3253060417777907e+07, 0.2683805751173803},
+			{2.2512649821367517e+07, 1.350758989282051},
+			{4.8625580253620796e+07, 2.917534815217248},
+			{1.2524793996847913e+08, 2.2544629194326244},
+			{4.749787765278425e+07, 0.9024596754029006},
+			{1.6390625638176078e+07, 1.0162187895669172},
 		}},
 		{"desk_baseline", "Desk", 12, benchConfig(false), []total{
-			{3.354063525e+07, 0.24673402336480002},
-			{1.8716736124444444e+07, 0.3665530080592445},
-			{2.3142000124444444e+07, 0.45063302405924455},
-			{3.2555237588888887e+07, 1.9533142553333334},
-			{3.2810367123195097e+07, 1.9686220273917054},
-			{1.9106849454688734e+08, 3.4392329018439716},
-			{6.964782113442948e+07, 1.3233086015541604},
-			{2.3332897465559892e+07, 1.4466396428647137},
+			{1.076322525e+07, 0.08122044779719999},
+			{6.851464124444445e+06, 0.13530323881164447},
+			{2.1959080124444444e+07, 0.4223479428116445},
+			{2.852932376581196e+07, 1.7117594259487179},
+			{2.8784182431950968e+07, 1.7270509459170584},
+			{1.1683178575256106e+08, 2.1029721435460993},
+			{5.752087440931405e+07, 1.092896613776967},
+			{2.2384770400510814e+07, 1.3878557648316707},
 		}},
 		{"desk_prune", "Desk", 16, prune, []total{
 			{5.89153075e+06, 0.051309350887200005},

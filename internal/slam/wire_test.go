@@ -19,9 +19,11 @@ import (
 // AGSSNAP of a fixed-seed AGS run with pruning on, six frames in, once as
 // Snapshot writes it (every frame body inline) and once as a fleet checkpoint
 // is taken (by a requester that holds every frame pushed, so the frame table
-// is positions only). The golden lines were written once, by the encoder the
-// version was introduced with, and there is no regeneration switch — a moved
-// byte takes a SnapshotVersion bump and new files (version 1's were
+// is positions only). The golden lines were written by the encoder the
+// version was introduced with, and re-recorded once when tracking became
+// sparse (the run's state moved; no format byte did). There is no
+// regeneration switch — a moved format byte takes a SnapshotVersion bump and
+// new files (version 1's were
 // snapshot.sum.golden, version 2's *.v2.sum.golden, and so on to version 7's
 // *.v7.sum.golden). The run is an offline one, which keeps trace detail in
 // memory; neither snapshot carries it. The run's floats depend on whether the
@@ -63,7 +65,8 @@ func TestGoldenSnapshot(t *testing.T) {
 // 16x12 AGS run three frames in (restore.v8.golden) and the frames it leaves
 // out, as a count and then position and length-prefixed AppendFrame bytes each
 // (restore-frames.v8.golden, the shape fleet's RESTORE gives the list). Like
-// the sums above they were written once. They pin the decoder on every
+// the sums above, the snapshot was re-recorded when tracking became sparse;
+// the frame list did not move. They pin the decoder on every
 // platform (the bytes restore and the stream goes on), the encoder on amd64,
 // and they seed FuzzRestoreSession.
 const seedW, seedH, seedFrames = 16, 12, 3

@@ -45,7 +45,7 @@ type Grads struct {
 	Pose     vecmath.Twist
 
 	Loss   float64 // total weighted L1 loss over masked pixels
-	Pixels int     // number of pixels contributing to the loss
+	Pixels int     // number of pixels contributing to the loss (lattice pixels only, for a sparse Result)
 }
 
 // BackwardOptions selects which gradients the pass computes.
@@ -66,10 +66,11 @@ type blendStep struct {
 // Backward computes the loss and its gradients for the rendered result res
 // against the target frame (step 4 of Fig. 2). It rebuilds each pixel's
 // blending sequence front-to-back from the blend log res carries, then walks
-// it back-to-front to form the suffix terms of d(pixel)/d(alpha_i). With
-// neither gradient selected only the loss is computed. One-shot entry point:
-// the returned Grads lives in a fresh context nobody else holds; hot loops
-// should call (*RenderContext).Backward.
+// it back-to-front to form the suffix terms of d(pixel)/d(alpha_i). A sparse
+// res's loss and gradients cover its lattice pixels only (see the package
+// doc). With neither gradient selected only the loss is computed. One-shot
+// entry point: the returned Grads lives in a fresh context nobody else holds;
+// hot loops should call (*RenderContext).Backward.
 func Backward(cloud *gauss.Cloud, cam camera.Camera, res *Result, target *frame.Frame, loss LossConfig, opts BackwardOptions) *Grads {
 	return NewRenderContext().Backward(cloud, cam, res, target, loss, opts)
 }
@@ -97,11 +98,15 @@ func (ctx *RenderContext) Backward(cloud *gauss.Cloud, cam camera.Camera, res *R
 	grads.Loss = 0
 
 	// Count masked pixels first so gradients are mean- rather than
-	// sum-normalized (stable learning rates across resolutions).
+	// sum-normalized (stable learning rates across resolutions). A sparse
+	// Result's loss covers its lattice only, whatever the mask.
 	masked := 0
-	for pix := 0; pix < w*h; pix++ {
-		if !loss.UseSilhouetteMask || res.Silhouette[pix] > loss.SilThreshold {
-			masked++
+	step := res.stride()
+	for y := 0; y < h; y += step {
+		for x := 0; x < w; x += step {
+			if !loss.UseSilhouetteMask || res.Silhouette[y*w+x] > loss.SilThreshold {
+				masked++
+			}
 		}
 	}
 	grads.Pixels = masked
@@ -262,9 +267,12 @@ func backwardOneTile(cam camera.Camera, res *Result, target *frame.Frame,
 	log := &res.logShards[ref.shard]
 	pos := int(ref.off)
 	steps := *scratch
+	// A sparse Result's off-lattice pixels blended nothing, so they have no
+	// run in the log to step over.
+	step := res.stride()
 
-	for y := y0; y < y1; y++ {
-		for x := x0; x < x1; x++ {
+	for y := y0; y < y1; y += step {
+		for x := x0; x < x1; x += step {
 			pix := y*w + x
 			// The pixel's run of the blend log, whether or not it is masked.
 			n := int(res.PerPixelBlend[pix])

@@ -247,7 +247,7 @@ func TestBackwardScaleFactorIsMeanOfThreeSquares(t *testing.T) {
 	lc, bo := DefaultMappingLoss(), BackwardOptions{GaussianGrads: true, Workers: 1}
 	res := Render(cloud, cam, Options{Workers: 1})
 	got := Backward(cloud, cam, res, target, lc, bo).LogScale
-	want := refBackward(cloud, cam, res, target, lc, bo).LogScale
+	want := refBackward(cloud, cam, res, target, lc, bo, false).LogScale
 	trained := 0
 	for id := range want {
 		if math.Float64bits(got[id]) != math.Float64bits(want[id]) {

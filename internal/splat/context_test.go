@@ -39,11 +39,11 @@ func TestRenderContextAllocationFree(t *testing.T) {
 	}
 
 	// The pipeline's own sequence on one context: a tracking iteration (an
-	// unlogged render, a pose-only backward) then a mapping one (a logged
-	// render, a Gaussian backward). Passes that leave the contribution log
-	// and the Gaussian gradients out must keep their storage, or every cycle
-	// re-makes six buffers.
-	track := Options{Workers: 1}
+	// unlogged sparse render, a pose-only backward) then a mapping one (a
+	// logged dense render, a Gaussian backward). Passes that leave the
+	// contribution log and the Gaussian gradients out must keep their
+	// storage, or every cycle re-makes six buffers.
+	track := Options{Workers: 1, Sparse: true}
 	trackB := BackwardOptions{PoseGrads: true, Workers: 1}
 	mapB := BackwardOptions{GaussianGrads: true, Workers: 1}
 	if allocs := testing.AllocsPerRun(20, func() {

@@ -34,6 +34,30 @@
 // kernels this replaced live on in reference_test.go, where every output is
 // compared with theirs byte for byte.
 //
+// # Sparse tracking lattice
+//
+// A pose has six degrees of freedom and does not need every pixel; the map
+// does. So a pass may render the tracking lattice only (Options.Sparse): one
+// pixel per LatticeStride x LatticeStride block, the one at even x and y —
+// 64 of a full tile's 256, the same pixels in every pass. Tiles start at
+// multiples of TileSize, so a sparse pass steps through each tile's rows and
+// columns by LatticeStride from its corner. Every lattice pixel is
+// bit-identical to the dense render's, in all four planes and both per-pixel
+// counters, because a pixel's blend depends on nothing but the pixel. Every
+// off-lattice pixel is written empty: colour, depth and silhouette 0,
+// transmittance 1, PerPixelAlpha and PerPixelBlend 0. The workload counters
+// therefore count the lattice's work only: AlphaOps and BlendOps sum the
+// lattice's table visits and blends, Touched and NonContrib count each entry
+// at its tile's lattice pixels, Pixels returns the lattice's size, and the
+// blend log holds the lattice's blends. The Result records that it is sparse,
+// and Backward walks the lattice only: its loss, its gradients and
+// Grads.Pixels cover lattice pixels, whatever the loss's mask, so an
+// unmasked sparse loss is the dense loss restricted to the lattice
+// (reference_test.go's full-walk kernel, restricted the same way, is the
+// gate). The tracker renders every pass sparse; mapping, densification and
+// PSNR evaluation render dense. A context that rendered sparse keeps no
+// trace of it: the next dense render overwrites every pixel.
+//
 // # Blend log
 //
 // Render records every blend it performs — the entry's position in its tile's
@@ -114,6 +138,10 @@ const (
 	// MinAlpha is the smallest alpha that participates in blending; the
 	// standard 3DGS kernel discards fainter contributions (1/255).
 	MinAlpha = 1.0 / 255.0
+	// LatticeStride is the spacing of the tracking lattice a sparse pass
+	// renders (Options.Sparse): one pixel per 2x2 block, a quarter of a
+	// tile's 256.
+	LatticeStride = 2
 	// MaxAlpha clamps the occlusion factor, as in the reference 3DGS kernel.
 	MaxAlpha = 0.99
 	// covBlur is the screen-space dilation added to the 2D covariance

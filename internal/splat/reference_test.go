@@ -17,8 +17,9 @@ import (
 // its tile, Backward replaying Splat.Alpha — as the reference the production
 // kernels must match byte for byte. refRenderOneTile, refBackwardOneTile and
 // refContribution are verbatim copies, but for the loss weights and the
-// contribution threshold, which are constants now; only the serial drivers
-// around them are new.
+// contribution threshold, which are constants now, and the lattice
+// restriction refBackwardOneTile takes for the sparse tracking pass; only the
+// serial drivers around them are new.
 
 // refContribution is one blending step recorded during the per-pixel forward
 // replay, consumed in reverse order for the suffix-sum alpha gradients.
@@ -98,7 +99,7 @@ func refRenderOneTile(res *Result, splats []Splat, tiles *Tiles, tileIdx, w, h i
 func refBackwardOneTile(cloud *gauss.Cloud, cam camera.Camera, res *Result, target *frame.Frame,
 	loss LossConfig, opts BackwardOptions, tileIdx int, norm float64,
 	gMean, gColor []vecmath.Vec3, gLogit, gLogScale []float64,
-	gPose *vecmath.Twist, lossAcc *float64, scratch *[]refContribution) {
+	gPose *vecmath.Twist, lossAcc *float64, scratch *[]refContribution, lattice bool) {
 
 	w, h := cam.Intr.W, cam.Intr.H
 	tiles := res.Tiles
@@ -114,6 +115,9 @@ func refBackwardOneTile(cloud *gauss.Cloud, cam camera.Camera, res *Result, targ
 	for y := y0; y < y1; y++ {
 		for x := x0; x < x1; x++ {
 			pix := y*w + x
+			if lattice && !onLattice(x, y) {
+				continue
+			}
 			if loss.UseSilhouetteMask && res.Silhouette[pix] <= loss.SilThreshold {
 				continue
 			}
@@ -258,10 +262,14 @@ func refRender(splats []Splat, nGauss int, cam camera.Camera, opts Options) *Res
 	return res
 }
 
+// onLattice reports whether pixel (x, y) is on the sparse pass's lattice.
+func onLattice(x, y int) bool { return x%LatticeStride == 0 && y%LatticeStride == 0 }
+
 // refBackward walks every tile serially through the reference backward
 // kernel and merges the per-tile partials in ascending tile order, as
-// Backward does.
-func refBackward(cloud *gauss.Cloud, cam camera.Camera, res *Result, target *frame.Frame, loss LossConfig, opts BackwardOptions) *Grads {
+// Backward does. With lattice set, the loss covers the lattice pixels only,
+// as a sparse Backward's does.
+func refBackward(cloud *gauss.Cloud, cam camera.Camera, res *Result, target *frame.Frame, loss LossConfig, opts BackwardOptions, lattice bool) *Grads {
 	grads := &Grads{}
 	if opts.GaussianGrads {
 		grads.Mean = make([]vecmath.Vec3, cloud.Len())
@@ -270,6 +278,9 @@ func refBackward(cloud *gauss.Cloud, cam camera.Camera, res *Result, target *fra
 		grads.LogScale = make([]float64, cloud.Len())
 	}
 	for pix := range res.Silhouette {
+		if lattice && !onLattice(pix%cam.Intr.W, pix/cam.Intr.W) {
+			continue
+		}
 		if !loss.UseSilhouetteMask || res.Silhouette[pix] > loss.SilThreshold {
 			grads.Pixels++
 		}
@@ -290,7 +301,7 @@ func refBackward(cloud *gauss.Cloud, cam camera.Camera, res *Result, target *fra
 		var pose vecmath.Twist
 		var tileLoss float64
 		refBackwardOneTile(cloud, cam, res, target, loss, opts, tileIdx, norm,
-			tMean, tColor, tLogit, tLogScale, &pose, &tileLoss, &scratch)
+			tMean, tColor, tLogit, tLogScale, &pose, &tileLoss, &scratch, lattice)
 		grads.Loss += tileLoss
 		grads.Pose = grads.Pose.Add(pose)
 		if opts.GaussianGrads {
@@ -447,7 +458,7 @@ func TestKernelsMatchFullWalkReference(t *testing.T) {
 						lc.SilThreshold = 0.5
 					}
 					bo := bopts[(trial+i)%len(bopts)]
-					wantG := refBackward(cloud, cam, want, target, lc, bo).Digest()
+					wantG := refBackward(cloud, cam, want, target, lc, bo, false).Digest()
 					for _, bw := range workers {
 						bo.Workers = bw
 						if bctx.Backward(cloud, cam, got, target, lc, bo).Digest() != wantG {

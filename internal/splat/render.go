@@ -22,6 +22,11 @@ type Options struct {
 	LogContribution bool
 	// Workers bounds render parallelism; 0 means GOMAXPROCS.
 	Workers int
+	// Sparse renders the tracking lattice only: one pixel per
+	// LatticeStride x LatticeStride block, the one at even x and y. Each
+	// lattice pixel is bit-identical to the dense render's; every other
+	// pixel is written empty (see the package doc).
+	Sparse bool
 }
 
 // Result is the output of a forward render.
@@ -30,6 +35,7 @@ type Result struct {
 	Depth      *frame.DepthMap
 	Silhouette []float64 // accumulated alpha per pixel in [0,1]
 	FinalT     []float64 // final transmittance per pixel
+	Sparse     bool      // rendered the tracking lattice only (Options.Sparse)
 
 	Splats []Splat
 	Tiles  *Tiles
@@ -82,8 +88,9 @@ func (ctx *RenderContext) Render(cloud *gauss.Cloud, cam camera.Camera, opts Opt
 func (ctx *RenderContext) renderTiles(cloud *gauss.Cloud, cam camera.Camera, opts Options) *Result {
 	w, h := cam.Intr.W, cam.Intr.H
 	// The four assigned pixel planes and the two per-pixel counters are fully
-	// overwritten (every pixel belongs to exactly one tile), so they are
-	// resized without clearing; the accumulated counters are re-zeroed.
+	// overwritten by a dense pass (every pixel belongs to exactly one tile),
+	// so they are resized without clearing; a sparse pass empties them first
+	// and overwrites its lattice. The accumulated counters are re-zeroed.
 	ctx.color = frame.Image{W: w, H: h, Pix: resized(ctx.color.Pix, w*h)}
 	ctx.depth = frame.DepthMap{W: w, H: h, D: resized(ctx.depth.D, w*h)}
 	res := &ctx.result
@@ -97,6 +104,9 @@ func (ctx *RenderContext) renderTiles(cloud *gauss.Cloud, cam camera.Camera, opt
 	res.PerPixelAlpha = resized(res.PerPixelAlpha, w*h)
 	res.AlphaOps, res.BlendOps = 0, 0
 	res.NonContrib, res.Touched = nil, nil
+	if res.Sparse = opts.Sparse; res.Sparse {
+		res.empty()
+	}
 	if opts.LogContribution {
 		ctx.nonContrib = zeroed(ctx.nonContrib, cloud.Len())
 		ctx.touched = zeroed(ctx.touched, cloud.Len())
@@ -184,14 +194,15 @@ func (ctx *RenderContext) renderShard(wi, w, h int, nonContrib, touched []int32)
 	return alphaOps, blendOps
 }
 
-// renderOneTile alpha-blends one tile's pixels front-to-back with early
-// termination — the innermost forward kernel. It evaluates a table entry only
-// at the pixels of its cull box, and the exponential only within its cutoff
-// (see cullBox), and reconstructs the modelled workload counters, which count
-// table visits rather than host evaluations, from the loop index: a pixel
-// visits every entry up to and including the one that terminated it, and
-// every entry of the table is touched at every pixel of the tile. Each blend
-// is recorded at log[pos...] for Backward.
+// renderOneTile alpha-blends one tile's pixels (its lattice pixels in a
+// sparse pass) front-to-back with early termination — the innermost forward
+// kernel. It evaluates a table entry only at the pixels of its cull box, and
+// the exponential only within its cutoff (see cullBox), and reconstructs the
+// modelled workload counters, which count table visits rather than host
+// evaluations, from the loop index: a pixel visits every entry up to and
+// including the one that terminated it, and every entry of the table is
+// touched at every rendered pixel of the tile. Each blend is recorded at
+// log[pos...] for Backward.
 //
 //ags:hotpath
 func renderOneTile(res *Result, tileIdx, w, h int,
@@ -204,6 +215,9 @@ func renderOneTile(res *Result, tileIdx, w, h int,
 	x0, y0 := tx*TileSize, ty*TileSize
 	x1 := min(x0+TileSize, w)
 	y1 := min(y0+TileSize, h)
+	// Tiles start at multiples of TileSize, so stepping from the tile's
+	// corner visits exactly the lattice pixels.
+	step := res.stride()
 
 	ent := resized(sc.ent, len(list))
 	for li, si := range list {
@@ -213,7 +227,7 @@ func renderOneTile(res *Result, tileIdx, w, h int,
 	start := pos
 
 	row := sc.row
-	for y := y0; y < y1; y++ {
+	for y := y0; y < y1; y += step {
 		row = row[:0]
 		for li := range ent {
 			if e := &ent[li]; int32(y) >= e.y0 && int32(y) < e.y1 {
@@ -222,9 +236,9 @@ func renderOneTile(res *Result, tileIdx, w, h int,
 		}
 		// A pixel blends each entry of its row at most once, so the pixel
 		// loop below writes the log by index without growing it.
-		log.reserve(pos, len(row)*(x1-x0))
+		log.reserve(pos, len(row)*ceilDiv(x1-x0, step))
 		py := float64(y) + 0.5
-		for x := x0; x < x1; x++ {
+		for x := x0; x < x1; x += step {
 			px := float64(x) + 0.5
 			t := 1.0
 			var color vecmath.Vec3
@@ -277,12 +291,12 @@ func renderOneTile(res *Result, tileIdx, w, h int,
 	sc.row = row
 
 	if nonContrib != nil {
-		// Every entry is touched at every pixel of the tile; entries a pixel
-		// never evaluated — culled, or past its early-termination point —
-		// contributed nothing there. The hardware gets this for free (the loop
-		// index at termination); it is where the bulk of Fig. 5's
+		// Every entry is touched at every rendered pixel of the tile; entries
+		// a pixel never evaluated — culled, or past its early-termination
+		// point — contributed nothing there. The hardware gets this for free
+		// (the loop index at termination); it is where the bulk of Fig. 5's
 		// non-contributory Gaussians come from.
-		tilePixels := int32((x1 - x0) * (y1 - y0))
+		tilePixels := int32(ceilDiv(x1-x0, step) * ceilDiv(y1-y0, step))
 		for li, si := range list {
 			id := splats[si].ID
 			touched[id] += tilePixels
@@ -291,6 +305,41 @@ func renderOneTile(res *Result, tileIdx, w, h int,
 	}
 	return alphaOps, int64(pos - start)
 }
+
+// stride returns the pixel step of the pass that produced r: 1 for a dense
+// render, LatticeStride for a sparse one.
+func (r *Result) stride() int {
+	if r.Sparse {
+		return LatticeStride
+	}
+	return 1
+}
+
+// Pixels returns the number of pixels the pass rendered: every pixel of a
+// dense render, the lattice of a sparse one.
+func (r *Result) Pixels() int {
+	step := r.stride()
+	return ceilDiv(r.Color.W, step) * ceilDiv(r.Color.H, step)
+}
+
+// empty writes every pixel as one no Gaussian reached: colour, depth and
+// silhouette 0, transmittance 1, and no table visits or blends. A sparse
+// pass starts from it, so its off-lattice pixels hold nothing a previous
+// render of the context left there.
+//
+//ags:hotpath
+func (r *Result) empty() {
+	clear(r.Color.Pix)
+	clear(r.Depth.D)
+	clear(r.Silhouette)
+	for i := range r.FinalT {
+		r.FinalT[i] = 1
+	}
+	clear(r.PerPixelBlend)
+	clear(r.PerPixelAlpha)
+}
+
+func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // PackDetail records the render as a trace's representative iteration: its
 // two per-pixel planes and, with lists, its per-tile Gaussian-ID lists, each

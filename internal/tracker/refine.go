@@ -15,6 +15,15 @@ import (
 // Gaussians held fixed (paper §2.2, tracking). With N = N_T (e.g. 200 scaled)
 // this is the SplaTAM baseline tracker; with N = Iter_T (e.g. 20) it is
 // AGS's fine-grained pose refinement.
+//
+// Tracking is sparse, as in Splatonic: every pass the refiner makes (the
+// RefineBest candidate losses, the iterations, the final best-pose check)
+// renders and back-propagates the splat package's fixed pixel lattice, one
+// pixel per 2x2 block and the same pixels in every pass, and takes the loss
+// over those pixels only. Mapping stays dense. The workload stats are the
+// sparse passes': their op counts, Pixels the lattice's size, and the
+// representative planes zero off the lattice, so the hardware models charge
+// the tracking engine for the lattice's work.
 type GSRefiner struct {
 	LR      float64
 	Loss    splat.LossConfig
@@ -39,6 +48,13 @@ func NewGSRefiner() *GSRefiner {
 	return &GSRefiner{LR: 2e-3, Loss: splat.DefaultTrackingLoss()}
 }
 
+// renderOptions is what every tracking pass renders with: the lattice only
+// (splat.Options.Sparse). A pose has six degrees of freedom and does not need
+// every pixel; the map does, so mapping renders dense.
+func (r *GSRefiner) renderOptions() splat.Options {
+	return splat.Options{Workers: r.Workers, Sparse: true}
+}
+
 // RefineBest evaluates the loss at each candidate initialization (one
 // forward render and one loss-only Backward each: with neither gradient
 // selected the pass stops after the loss) and refines from the best one.
@@ -56,7 +72,7 @@ func (r *GSRefiner) RefineBest(cloud *gauss.Cloud, intr camera.Intrinsics, f *fr
 		bestLoss := -1.0
 		for _, init := range inits {
 			cam := camera.Camera{Intr: intr, Pose: init}
-			res := r.Ctx.Render(cloud, cam, splat.Options{Workers: r.Workers})
+			res := r.Ctx.Render(cloud, cam, r.renderOptions())
 			grads := r.Ctx.Backward(cloud, cam, res, f, r.Loss, splat.BackwardOptions{Workers: r.Workers})
 			if bestLoss < 0 || grads.Loss < bestLoss {
 				bestLoss = grads.Loss
@@ -83,10 +99,10 @@ func (r *GSRefiner) Refine(cloud *gauss.Cloud, intr camera.Intrinsics, f *frame.
 	bestLoss := -1.0
 	for i := 0; i < iters; i++ {
 		cam := camera.Camera{Intr: intr, Pose: pose}
-		res := r.Ctx.Render(cloud, cam, splat.Options{Workers: r.Workers})
+		res := r.Ctx.Render(cloud, cam, r.renderOptions())
 		grads := r.Ctx.Backward(cloud, cam, res, f, r.Loss, splat.BackwardOptions{PoseGrads: true, Workers: r.Workers})
 		stats.Accumulate(res.AlphaOps, res.BlendOps, 2*res.BlendOps,
-			int64(len(res.Splats)), int64(res.Tiles.TotalEntries()), int64(intr.W*intr.H))
+			int64(len(res.Splats)), int64(res.Tiles.TotalEntries()), int64(res.Pixels()))
 		if i == iters-1 && !r.ScalarsOnly {
 			// The planes only: no hardware model reads a tracking task's
 			// tile lists.
@@ -108,7 +124,7 @@ func (r *GSRefiner) Refine(cloud *gauss.Cloud, intr camera.Intrinsics, f *frame.
 	// Evaluate the final pose too, so the best-seen pose is returned.
 	if iters > 0 {
 		cam := camera.Camera{Intr: intr, Pose: pose}
-		res := r.Ctx.Render(cloud, cam, splat.Options{Workers: r.Workers})
+		res := r.Ctx.Render(cloud, cam, r.renderOptions())
 		grads := r.Ctx.Backward(cloud, cam, res, f, r.Loss, splat.BackwardOptions{Workers: r.Workers})
 		if grads.Loss < bestLoss {
 			best = pose
