@@ -54,7 +54,7 @@ func main() {
 		return
 	}
 
-	if err := checkRunFlags(*sessions, *iters, *workers, *resumePath, *snapPath, *snapAt); err != nil {
+	if err := checkRunFlags(*sessions, *iters, *workers, *resumePath, *snapPath, *snapAt, *pruneOpacity, *pruneLRLogit); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -231,9 +231,10 @@ func main() {
 // checkRunFlags refuses the flag values that would otherwise be ignored or
 // silently mean something else: -sessions below 1; -sessions above 1 together
 // with -resume, -snapshot or -snapshot-at, which only a single run reads; a
-// negative -iters (no tracking iterations); and a negative -workers (every
-// core).
-func checkRunFlags(sessions, iters, workers int, resume, snapshot string, snapshotAt int) error {
+// negative -iters (no tracking iterations); a negative -workers (every core);
+// a -prune-opacity outside [0, 1) (at 1 or above every Gaussian is pruned);
+// and a negative -prune-lr-logit.
+func checkRunFlags(sessions, iters, workers int, resume, snapshot string, snapshotAt int, pruneOpacity, pruneLRLogit float64) error {
 	var errs []error
 	switch {
 	case sessions < 1:
@@ -246,6 +247,12 @@ func checkRunFlags(sessions, iters, workers int, resume, snapshot string, snapsh
 	}
 	if workers < 0 {
 		errs = append(errs, fmt.Errorf("-workers %d is out of range: want 1 or more, or 0 for all cores", workers))
+	}
+	if !(pruneOpacity >= 0 && pruneOpacity < 1) {
+		errs = append(errs, fmt.Errorf("-prune-opacity %v is out of range: want [0, 1)", pruneOpacity))
+	}
+	if !(pruneLRLogit >= 0) {
+		errs = append(errs, fmt.Errorf("-prune-lr-logit %v is out of range: want 0 or more", pruneLRLogit))
 	}
 	return errors.Join(errs...)
 }

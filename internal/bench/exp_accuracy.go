@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"ags/internal/hw/platform"
-	"ags/internal/metrics"
 	"ags/internal/scene"
 	"ags/internal/slam"
 )
@@ -242,6 +241,3 @@ func (s *Suite) FPRate(w io.Writer) error {
 	t.Write(w)
 	return nil
 }
-
-// ensure metrics stays imported even if geomean helpers change.
-var _ = metrics.GeoMean

@@ -8,7 +8,6 @@ import (
 	"ags/internal/scene"
 	"ags/internal/splat"
 	"ags/internal/tracker"
-	"ags/internal/vecmath"
 )
 
 func expFig3() Experiment {
@@ -148,7 +147,7 @@ func (s *Suite) Fig4(w io.Writer) error {
 				nLow++
 			}
 		}
-		t.AddRow(iters, accHigh/maxf(nHigh, 1), accLow/maxf(nLow, 1))
+		t.AddRow(iters, accHigh/max(nHigh, 1), accLow/max(nLow, 1))
 	}
 	t.AddNote("accuracy is 100 x (full-budget error + 0.1 mm) / (error + 0.1 mm); above 100, fewer iterations landed closer to the ground truth")
 	t.AddNote("paper: low-FC frames lose up to 6.7%% accuracy; high-FC frames barely degrade")
@@ -174,7 +173,7 @@ func (s *Suite) Fig5(w io.Writer) error {
 			nc += len(ids)
 			tot += ttl
 		}
-		frac := 100 * float64(nc) / maxf(float64(tot), 1)
+		frac := 100 * float64(nc) / max(float64(tot), 1)
 		fracs = append(fracs, frac)
 		t.AddRow(name, frac, 100-frac)
 	}
@@ -205,7 +204,7 @@ func (s *Suite) Fig6(w io.Writer) error {
 		// Frame pairs at several gaps populate the whole covisibility range
 		// (adjacent pairs cluster at the top levels).
 		for _, gap := range []int{1, 2, 4, 8, 12} {
-			for fi := gap; fi < len(b.Seq.Frames); fi += maxInt(gap, 3) {
+			for fi := gap; fi < len(b.Seq.Frames); fi += max(gap, 3) {
 				sc, _, err := det.Compare(b.Seq.Frames[fi-gap].Color, b.Seq.Frames[fi].Color)
 				if err != nil {
 					return err
@@ -298,19 +297,3 @@ func median(v []float64) float64 {
 	}
 	return cp[len(cp)/2]
 }
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-var _ = vecmath.Clamp

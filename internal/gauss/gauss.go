@@ -54,11 +54,11 @@ func (g *Gaussian) Cov3() vecmath.Mat3 {
 // positions in the backing slice, and every slot holds a live Gaussian: Add
 // appends and Remove deletes, so there are no dead slots to skip. IDs are
 // stable between removals; across one they are stable up to the remap Remove
-// returns, through which callers rewrite every retained ID-keyed table (skip
-// sets, optimizer moments, render traces). Remove keeps the survivors'
-// relative order, which is what keeps projection, tile build and blending
-// order (and therefore every rendered pixel) bit-identical to a render that
-// merely skipped the removed Gaussians.
+// returns, through which the map's owner filters its ID-keyed rows (the skip
+// set and the optimizer moments). Remove keeps the survivors' relative order,
+// which is what keeps projection, tile build and blending order (and
+// therefore every rendered pixel) bit-identical to a render that merely
+// skipped the removed Gaussians.
 type Cloud struct {
 	Gaussians []Gaussian
 }
@@ -82,10 +82,8 @@ func (c *Cloud) Add(g Gaussian) int {
 
 // Remove deletes every Gaussian drop reports true for (drop sees each
 // Gaussian once, in ID order) and returns the old→new ID permutation with the
-// number removed. Survivors map to [0, kept) in their relative order; removed
-// IDs map to unique IDs in [kept, len) (ascending by old ID), so retained
-// traces that still mention a removed Gaussian keep a distinct, in-range ID
-// after rewriting. Removing nothing returns nil, 0 (the identity) and
+// number removed. Survivors map to [0, kept) in their relative order and
+// removed IDs map to -1. Removing nothing returns nil, 0 (the identity) and
 // allocates nothing.
 func (c *Cloud) Remove(drop func(*Gaussian) bool) (remap []int32, n int) {
 	kept := 0
@@ -105,16 +103,6 @@ func (c *Cloud) Remove(drop func(*Gaussian) bool) (remap []int32, n int) {
 			c.Gaussians[kept] = c.Gaussians[id]
 		}
 		kept++
-	}
-	if remap == nil {
-		return nil, 0
-	}
-	next := int32(kept)
-	for id, nw := range remap {
-		if nw < 0 {
-			remap[id] = next
-			next++
-		}
 	}
 	n = len(c.Gaussians) - kept
 	c.Gaussians = c.Gaussians[:kept]

@@ -5,11 +5,12 @@ import (
 	"math"
 )
 
-// Packed is an immutable-length sequence of int32 stored at the narrowest
+// Packed is an immutable sequence of int32 stored at the narrowest
 // fixed width (1, 2 or 4 bytes per element, little-endian) that holds its
 // largest element read as unsigned: values up to 255 take one byte, up to
 // 65535 two, and anything larger, or negative, four. Element i is still one
-// indexed load (At). The zero value is the empty sequence at width 1.
+// indexed load (At). It is written once, by PackFunc. The zero value is the
+// empty sequence at width 1.
 //
 // The representative-iteration detail of a trace is Packed: at 64x48 its
 // per-pixel counts and Gaussian IDs all fit in two bytes.
@@ -86,28 +87,4 @@ func (p Packed) AppendTo(dst []int32) []int32 {
 		dst = append(dst, p.At(i))
 	}
 	return dst
-}
-
-// Remap replaces every element v with 0 <= v < len(remap) by remap[v] and
-// leaves the others as they are. It rewrites p in place when the new values
-// fit its width, and repacks it (one allocation) when one does not.
-func (p *Packed) Remap(remap []int32) {
-	mapped := func(i int) int32 {
-		v := p.At(i)
-		if v >= 0 && int(v) < len(remap) {
-			return remap[v]
-		}
-		return v
-	}
-	var hi uint32
-	for i := range p.Len() {
-		hi = max(hi, uint32(mapped(i)))
-	}
-	if shiftFor(hi) > p.shift {
-		*p = PackFunc(p.Len(), mapped)
-		return
-	}
-	for i := range p.Len() {
-		p.set(i, mapped(i))
-	}
 }

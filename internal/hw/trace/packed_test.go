@@ -48,30 +48,3 @@ func TestPackedRoundTrip(t *testing.T) {
 
 // width returns the bytes per element: 1, 2 or 4.
 func (p Packed) width() int { return 1 << p.shift }
-
-// TestPackedRemap: a remap rewrites the elements it covers and leaves the rest
-// (sentinels, negatives) alone, in place while the new values fit the width,
-// and repacked at a wider width when one does not.
-func TestPackedRemap(t *testing.T) {
-	p := Pack([]int32{0, 3, 2, 200})
-	raw := p.b
-	p.Remap([]int32{3, 2, 1, 0})
-	if got := p.AppendTo(nil); !slices.Equal(got, []int32{3, 0, 1, 200}) || p.width() != 1 || &p.b[0] != &raw[0] {
-		t.Errorf("in-place remap: %v at width %d (moved %v)", got, p.width(), &p.b[0] != &raw[0])
-	}
-	// A prune's sentinel outgrows one byte: the sequence is repacked.
-	p.Remap([]int32{300, 0, 1, 2})
-	if got := p.AppendTo(nil); !slices.Equal(got, []int32{2, 300, 0, 200}) || p.width() != 2 {
-		t.Errorf("widening remap: %v at width %d, want width 2", got, p.width())
-	}
-	n := Pack([]int32{-1, 1})
-	n.Remap([]int32{5, 6})
-	if got := n.AppendTo(nil); !slices.Equal(got, []int32{-1, 6}) {
-		t.Errorf("a negative element was remapped: %v", got)
-	}
-	var empty Packed
-	empty.Remap([]int32{1})
-	if empty.Len() != 0 {
-		t.Error("remapping the empty sequence made elements")
-	}
-}

@@ -39,8 +39,9 @@ type Config struct {
 	// MapIters is N_M, the training iterations per frame.
 	MapIters int
 	// ThreshN marks a Gaussian non-contributory for following non-key frames
-	// when its non-contributory pixel count exceeds this (paper: 450, which
-	// slam.DefaultConfig uses at every resolution).
+	// when its non-contributory pixel count exceeds this. The paper's 450
+	// holds at every resolution: the count is bounded by the Gaussian's tile
+	// footprint (tiles x 256 pixels), which does not grow with the image.
 	ThreshN int
 	// ContribPixMax is the largest number of contributing pixels a Gaussian
 	// may have and still be skipped. The paper's count-only criterion assumes
@@ -73,11 +74,11 @@ type Config struct {
 }
 
 // DefaultConfig returns mapping settings tuned for the reproduction's frame
-// sizes; slam.DefaultConfig replaces ThreshN with the paper's value.
+// sizes, with the paper's Thresh_N.
 func DefaultConfig() Config {
 	return Config{
 		MapIters:       15,
-		ThreshN:        10,
+		ThreshN:        450,
 		ContribPixMax:  1,
 		DensifyStride:  1,
 		PruneOpacity:   0.005,
@@ -258,23 +259,21 @@ func (m *Mapper) growSkipSet() {
 }
 
 // Prune removes the Gaussians whose opacity collapsed (see
-// gauss.Cloud.Remove) and rewrites every ID-keyed table the mapper retains —
-// the skip set and the per-group Adam moments — through the returned old→new
-// permutation, so mapping continues bit-identically to a timeline in which the
-// pruned Gaussians were merely never rendered again. It returns the
-// permutation (for callers that retain their own ID-keyed state, e.g. render
-// traces) and how many Gaussians it removed; when that is none it returns
-// nil, 0 and allocates nothing.
-func (m *Mapper) Prune() (remap []int32, pruned int) {
+// gauss.Cloud.Remove) and filters every ID-keyed row the mapper retains — the
+// skip set and the per-group Adam moments — through the old→new permutation,
+// so mapping continues bit-identically to a timeline in which the pruned
+// Gaussians were merely never rendered again. It returns how many Gaussians
+// it removed; when that is none it allocates nothing.
+func (m *Mapper) Prune() int {
 	thresh := m.Cfg.PruneOpacity
-	remap, pruned = m.cloud.Remove(func(g *gauss.Gaussian) bool { return g.Opacity() < thresh })
+	remap, pruned := m.cloud.Remove(func(g *gauss.Gaussian) bool { return g.Opacity() < thresh })
 	if pruned == 0 {
-		return nil, 0
+		return 0
 	}
 	n := m.cloud.Len()
 	skip := make([]bool, n)
 	for old, nw := range remap {
-		if int(nw) < n {
+		if nw >= 0 {
 			skip[nw] = m.skipSet[old]
 		}
 	}
@@ -282,7 +281,7 @@ func (m *Mapper) Prune() (remap []int32, pruned int) {
 	for _, g := range m.optGroups() {
 		g.adam.Remap(g.stride, remap, n)
 	}
-	return remap, pruned
+	return pruned
 }
 
 // Compact returns nil, 0.

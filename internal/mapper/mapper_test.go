@@ -14,6 +14,7 @@ import (
 func smallCfg() Config {
 	cfg := DefaultConfig()
 	cfg.MapIters = 8
+	cfg.ThreshN = 10
 	cfg.DensifyStride = 2
 	cfg.Workers = 2
 	return cfg
@@ -212,18 +213,17 @@ func TestPrune(t *testing.T) {
 	for id := 0; id < 5; id++ {
 		m.Cloud().At(id).SetOpacity(0.001)
 	}
-	remap, n := m.Prune()
-	if n != 5 {
+	if n := m.Prune(); n != 5 {
 		t.Errorf("pruned %d, want 5", n)
 	}
 	if m.Cloud().Len() != before-5 || len(m.skipSet) != before-5 {
 		t.Errorf("cloud %d, skip set %d after the prune; want %d", m.Cloud().Len(), len(m.skipSet), before-5)
 	}
-	if remap[5] != 0 || *m.Cloud().At(0) != survivor {
+	if *m.Cloud().At(0) != survivor {
 		t.Error("the first survivor did not move to ID 0")
 	}
-	if remap, n := m.Prune(); remap != nil || n != 0 {
-		t.Errorf("a second prune removed %d (remap %v)", n, remap)
+	if n := m.Prune(); n != 0 {
+		t.Errorf("a second prune removed %d", n)
 	}
 }
 
@@ -237,7 +237,7 @@ func TestPruneNothingAllocatesNothing(t *testing.T) {
 	m.Densify(f, seq.Intr, f.GTPose)
 	m.FullMapping(f, seq.Intr, f.GTPose)
 	if allocs := testing.AllocsPerRun(20, func() {
-		if _, n := m.Prune(); n != 0 {
+		if n := m.Prune(); n != 0 {
 			t.Fatalf("pruned %d", n)
 		}
 	}); allocs != 0 {

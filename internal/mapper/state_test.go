@@ -56,7 +56,7 @@ func TestOptimizerStateRoundTrip(t *testing.T) {
 			for _, id := range []int{3, 4, 10} {
 				m.cloud.At(id).SetOpacity(0)
 			}
-			if _, n := m.Prune(); n != 3 {
+			if n := m.Prune(); n != 3 {
 				t.Fatalf("the prune removed %d Gaussians, want 3", n)
 			}
 			if mm, _, _ := m.optMean.State(); len(mm) != 3*(before-3) {
@@ -114,7 +114,7 @@ func TestCompactResetsStaleMoments(t *testing.T) {
 		t.Fatal("re-densifying added nothing: the moments are not stale")
 	}
 	m.cloud.At(0).SetOpacity(0)
-	if _, n := m.Prune(); n != 1 {
+	if n := m.Prune(); n != 1 {
 		t.Fatalf("the prune removed %d Gaussians, want 1", n)
 	}
 	for _, g := range m.optGroups() {

@@ -79,13 +79,13 @@ func (a *Adam) Reset() {
 }
 
 // Remap rebuilds the first and second moments through an ID permutation: the
-// parameter vector is treated as n blocks of stride elements, and block old
-// moves to block remap[old] when remap[old] < newN (blocks mapping at or
-// beyond newN are dropped). The step counter is preserved — a remapped
-// optimizer continues the surviving blocks' moment streams exactly, which is
-// what keeps a prune's removal bit-transparent: without it, the next Step would
-// see a changed length and silently reinitialize. A never-stepped optimizer
-// remaps to itself.
+// parameter vector is treated as len(remap) blocks of stride elements, block
+// old moves to block remap[old], and blocks that map to -1 are dropped, which
+// leaves newN blocks. The step counter is preserved — a remapped optimizer
+// continues the surviving blocks' moment streams exactly, which is what keeps
+// a prune's removal bit-transparent: without it, the next Step would see a
+// changed length and silently reinitialize. A never-stepped optimizer remaps
+// to itself.
 func (a *Adam) Remap(stride int, remap []int32, newN int) {
 	if a.m == nil {
 		return
@@ -100,7 +100,7 @@ func (a *Adam) Remap(stride int, remap []int32, newN int) {
 	m := make([]float64, stride*newN)
 	v := make([]float64, stride*newN)
 	for old, nw := range remap {
-		if int(nw) >= newN {
+		if nw < 0 {
 			continue
 		}
 		copy(m[int(nw)*stride:(int(nw)+1)*stride], a.m[old*stride:(old+1)*stride])

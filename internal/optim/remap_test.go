@@ -34,9 +34,9 @@ func TestAdamRemapContinuesSurvivors(t *testing.T) {
 		packed.Step(pPacked, g)
 	}
 
-	// Drop block 2: survivors 0,1,3,4 pack to 0,1,2,3; the dead block maps to
-	// the out-of-range sentinel newN.
-	remap := []int32{0, 1, 4, 2, 3}
+	// Drop block 2: survivors 0,1,3,4 pack to 0,1,2,3; the dropped block maps
+	// to -1.
+	remap := []int32{0, 1, -1, 2, 3}
 	const newN = 4
 	survivors := []int{0, 1, 3, 4}
 	packed.Remap(stride, remap, newN)

@@ -21,17 +21,19 @@ func benchConfig(ags bool) Config {
 
 // TestTraceDetailModelPinned pins what the platform models make of offline
 // traces: the benchmark's three System workloads (unperturbed frames) and a
-// prune-heavy Desk run, whose retained tile lists are rewritten through every
-// prune. Each AGS model replays the per-pixel planes and, on the mapping
-// side, the tile lists; A100-AGS charges the lists' bytes; the rest read
-// scalars only. The constants were the totals the same runs gave when the
-// detail was held as int32 slices, which held that packing it changed no
-// value any model reads; they were re-recorded when tracking became sparse,
-// which moves the tracking task's planes and scalars (desk_prune refines no
-// frame and kept its values). The runs' floats depend on whether the compiler
-// fuses multiply-adds, so the constants hold for amd64 only. The test checks
-// values, not concurrency, and the race detector would make it a minute
-// longer, so it skips under the detector; CI runs it in the format-pin step.
+// prune-heavy Desk run, whose tile lists stay as recorded across its prunes
+// (each model replays a frame's lists on their own, so desk_prune's totals
+// held when prunes stopped rewriting them). Each AGS model replays the
+// per-pixel planes and, on the mapping side, the tile lists; A100-AGS charges
+// the lists' bytes; the rest read scalars only. The constants were the totals
+// the same runs gave when the detail was held as int32 slices, which held
+// that packing it changed no value any model reads; they were re-recorded
+// when tracking became sparse, which moves the tracking task's planes and
+// scalars (desk_prune refines no frame and kept its values). The runs' floats
+// depend on whether the compiler fuses multiply-adds, so the constants hold
+// for amd64 only. The test checks values, not concurrency, and the race
+// detector would make it a minute longer, so it skips under the detector; CI
+// runs it in the format-pin step.
 func TestTraceDetailModelPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("model totals recorded on amd64")
@@ -102,7 +104,7 @@ func TestTraceDetailModelPinned(t *testing.T) {
 			t.Errorf("%s: %d of %d tasks carry detail", r.name, detailed, tasks)
 		}
 		if r.name == "desk_prune" && res.Trace.Totals().PrunedGaussians == 0 {
-			t.Errorf("%s: nothing was pruned; the remap path is not exercised", r.name)
+			t.Errorf("%s: nothing was pruned; the totals do not cover a prune", r.name)
 		}
 		for i, p := range platforms {
 			b := platform.RunTotal(p, res.Trace)

@@ -27,7 +27,9 @@
 //     feed hw/platform through internal/bench and ags-slam, so they keep the
 //     detail of every task that ran an iteration (Restore from its first new
 //     frame on: a snapshot carries none), and they render with
-//     Config.Workers splat workers.
+//     Config.Workers splat workers. A frame's detail is recorded once and
+//     never rewritten: its tile lists name Gaussians of the map it rendered
+//     (IDs below its NumGaussians), whatever a later prune renumbers.
 //   - Server.Open and Server.RestoreSession are the serving venues, the only
 //     ones a fleet node uses. Nothing on the serving path reads the detail, so
 //     the tracker and mapper never build it. A session's resident state is
@@ -125,9 +127,10 @@ type Config struct {
 	// on the baseline mapping path (0 = never).
 	KeyframeEvery int
 	// PruneEvery runs opacity pruning every k frames (0 = never). A prune
-	// removes the Gaussians it prunes and rewrites every retained ID-keyed
-	// table (the mapper's skip set, optimizer moments, render traces) through
-	// the old→new remap (see System.prune).
+	// removes the Gaussians it prunes from the live map and filters the
+	// mapper's ID-keyed rows (skip set, optimizer moments) through the
+	// old→new remap (see mapper.Prune). Retained traces stay as recorded:
+	// each frame's tile lists name IDs of the map that frame rendered.
 	PruneEvery int
 	// Workers bounds splat render/backward parallelism in the offline venues
 	// (0 = all cores); a serving venue renders with one worker whatever it
@@ -149,22 +152,19 @@ type Config struct {
 	CodecWorkers int
 }
 
-// DefaultConfig returns the paper's hyper-parameters scaled to the given
-// frame size (see README: threshold mapping): N_T 200→60, N_M 30→15,
-// Iter_T 20→6, Thresh_T 90%, Thresh_M 50%, Thresh_N 450 (Thresh_alpha is
-// splat.MinAlpha, 1/255, in every run).
+// DefaultConfig returns the paper's hyper-parameters scaled to this
+// reproduction (see README: threshold mapping): N_T 200→60, N_M 30→15,
+// Iter_T 20→6, Thresh_T 90%, Thresh_M 50% (0.75 on the reproduction's
+// covisibility scale) and Thresh_N 450, unscaled (mapper.DefaultConfig).
+// Thresh_alpha is splat.MinAlpha, 1/255, in every run. No setting depends on
+// the frame size w x h.
 func DefaultConfig(w, h int) Config {
-	mc := mapper.DefaultConfig()
-	// The paper's Thresh_N, unscaled: a Gaussian's non-contributory count is
-	// bounded by its tile footprint (tiles x 256 pixels), which does not grow
-	// with the image, so the threshold is resolution-independent.
-	mc.ThreshN = 450
 	return Config{
 		TrackIters:    60,
 		IterT:         6,
 		ThreshT:       0.90,
 		ThreshM:       0.75,
-		Mapper:        mc,
+		Mapper:        mapper.DefaultConfig(),
 		TrackLR:       5e-3,
 		KeyframeEvery: 4,
 		PruneEvery:    8,
@@ -218,11 +218,12 @@ func (r *Result) ATERMSECm() (float64, error) {
 // starts the tail on the system's one tail goroutine, runs its own front
 // beside it and joins it, so that goroutine lives inside one call; a
 // session's Push, whose producer may sit idle until the next frame arrives,
-// starts it at once (startTail). While a tail is in flight it alone touches the mapper, the
-// render context and the frame's trace.FrameTrace (and, when a prune
-// removes Gaussians, the retained traces); the caller's side touches only what a front
-// reads or a middle commits: the detector, the aligner, prevFrame, prevPose,
-// prevRel, keyFrame, keyFramePos, keyPose, frameCount, poses, gt and info.
+// starts it at once (startTail). While a tail is in flight it alone touches
+// the mapper, the render context, the frame's trace.FrameTrace and the
+// retained traces it is appended to; the caller's side touches only what a
+// front reads or a middle commits: the detector, the aligner, prevFrame,
+// prevPose, prevRel, keyFrame, keyFramePos, keyPose, frameCount, poses, gt
+// and info.
 // Every method that needs the mapped state (the next ProcessFrame after
 // its front, AppendSnapshot, Snapshot, Finish, Close, Mapper) joins first,
 // which runs a tail nobody started on the caller's own goroutine; FrameCount
@@ -239,12 +240,6 @@ type System struct {
 	// mapping tail releases. Standalone systems draw from DefaultServer's
 	// pool; sessions share their server's.
 	pool *splat.ContextPool
-	// venue is where the system runs, fixed at construction (see the package
-	// doc). An offline system's traces keep the representative iteration's
-	// per-pixel planes and mapping tile lists (trace.RenderStats) beside their
-	// scalars, for the hardware models; a serving one's keep scalars only, so
-	// its resident state and snapshots are O(map), not O(frames).
-	venue venue
 	// workers is the splat worker count the refiner, the mapper and
 	// measureFPRate render with: Cfg.Workers offline, 1 when serving.
 	workers int
@@ -314,7 +309,6 @@ func newSystem(cfg Config, intr camera.Intrinsics, pool *splat.ContextPool, v ve
 		aligner:  tracker.NewCoarseAligner(),
 		detector: covis.NewDetector(),
 		pool:     pool,
-		venue:    v,
 		workers:  workers,
 		prevRel:  vecmath.PoseIdentity(),
 	}
@@ -439,7 +433,7 @@ func (s *System) deferTail(ft *trace.FrameTrace, mapping func()) {
 		mapping()
 		ft.NumGaussians = s.mapper.Cloud().Len()
 		if s.Cfg.PruneEvery > 0 && s.frameCount%s.Cfg.PruneEvery == 0 {
-			s.prune(ft)
+			ft.PrunedGaussians = s.mapper.Prune()
 		}
 		s.traceFrames = append(s.traceFrames, *ft)
 		s.detachCtx()
@@ -504,41 +498,6 @@ func (p *tailPanic) Error() string {
 // FrameCount returns how many frames the system has processed — after a
 // Restore, the index of the next frame to push.
 func (s *System) FrameCount() int { return s.frameCount }
-
-// prune runs the end-of-frame opacity prune. The mapper removes the pruned
-// Gaussians and rewrites its own ID-keyed tables; a system that retains trace
-// detail then rewrites the Gaussian-ID streams of every retained FrameTrace
-// through the same permutation (a serving session retains none, so it walks
-// nothing), and the removed Gaussians are recorded in the current frame's
-// trace. Because survivors keep their relative order (and the optimizer
-// moments ride along), subsequent frames render and train bit-identically to
-// a timeline in which the pruned Gaussians were merely never rendered again.
-func (s *System) prune(cur *trace.FrameTrace) {
-	remap, n := s.mapper.Prune()
-	if n == 0 {
-		return
-	}
-	cur.PrunedGaussians = n
-	if s.venue == serving {
-		return
-	}
-	remapTrace(cur, remap)
-	for i := range s.traceFrames {
-		remapTrace(&s.traceFrames[i], remap)
-	}
-}
-
-// remapTrace rewrites the Gaussian-ID stream a FrameTrace retains (the
-// mapper's per-tile logging lists; the tracker keeps none) through a prune's
-// permutation, keeping each frame's lists consistent with the live map's IDs.
-// IDs at or beyond the permutation's range — sentinels from an earlier prune
-// of a then-larger cloud — are left as they are; each frame's lists stay internally
-// consistent, which is all the per-frame hardware-table models consume. A
-// sentinel can exceed every ID a list held, so a list whose new IDs outgrow
-// its packed width is repacked (trace.Packed.Remap).
-func remapTrace(ft *trace.FrameTrace, remap []int32) {
-	ft.Map.RepTileLists.IDs.Remap(remap)
-}
 
 // bootstrap anchors the first frame at its ground-truth pose (the SLAM
 // convention: the first camera defines the world frame) and returns the

@@ -42,11 +42,10 @@ func runDigest(t *testing.T, cfg Config, name string, frames int) (*Result, [32]
 // slots behind and nothing compacted them, which held that removing pruned
 // Gaussians at once changed no output bit; they were re-recorded when
 // tracking became sparse (the refiner renders a pixel lattice), which moves
-// every refined pose. It holds in both kinds of venue:
-// Run, whose retained tile lists are rewritten through each remap, and an
-// Open session, which retains none and so walks nothing. The run's floats
-// depend on whether the compiler fuses multiply-adds, so the digests hold for
-// amd64 only; the other checks hold everywhere.
+// every refined pose. It holds in both kinds of venue: Run, which retains
+// each frame's tile lists as recorded, and an Open session, which retains
+// none. The run's floats depend on whether the compiler fuses multiply-adds,
+// so the digests hold for amd64 only; the other checks hold everywhere.
 func TestPruneDigestPinned(t *testing.T) {
 	cfg := pruneCfg(tw, th)
 	srv := NewServer(ServerConfig{})
@@ -242,12 +241,12 @@ func TestSessionSnapshotAfterClose(t *testing.T) {
 // TestAppendSnapshotAllocBudget: a snapshot encoded into a buffer that has
 // room exists once, in that buffer — the encode allocates next to nothing —
 // and a buffer that is too small is re-made once, at twice its capacity. The
-// system is an offline one, so the snapshot carries packed trace detail,
-// which the counting pass sizes like everything else.
+// system is an offline one: it keeps packed trace detail, which the snapshot
+// leaves out.
 func TestAppendSnapshotAllocBudget(t *testing.T) {
 	seq := testSeq(t, "Desk", 3)
 	sys := New(fastCfg(tw, th), seq.Intr)
-	if sys.venue != offline {
+	if sys.mapper.ScalarsOnly {
 		t.Fatal("slam.New built a serving system, without trace detail")
 	}
 	defer sys.Close()
