@@ -149,6 +149,33 @@ func inRange(name string, v, hi int64, zero string) error {
 	return fmt.Errorf("-%s %d is out of range: want 1..%d, or 0 for %s", name, v, hi, zero)
 }
 
+// atLeastOne refuses a -name value below 1: a frame side or a frame count,
+// which scene generation would otherwise refuse with exit 1.
+func atLeastOne(name string, v int) error {
+	if v < 1 {
+		return fmt.Errorf("-%s %d is out of range: want 1 or more", name, v)
+	}
+	return nil
+}
+
+// routeConfig is the pipeline configuration route runs -algo with at w x h,
+// or an error naming the algorithms it knows.
+func routeConfig(algo string, w, h int) (slam.Config, error) {
+	cfg := slam.DefaultConfig(w, h)
+	switch algo {
+	case "baseline":
+	case "ags":
+		cfg.EnableMAT, cfg.EnableGCM = true, true
+	case "mat":
+		cfg.EnableMAT = true
+	case "gcm":
+		cfg.EnableGCM = true
+	default:
+		return cfg, fmt.Errorf("-algo %q is not one of baseline, ags, mat, gcm", algo)
+	}
+	return cfg, nil
+}
+
 // dialRouter builds a router over the given comma-separated node addresses.
 func dialRouter(nodes string) (*fleet.Router, error) {
 	addrs := strings.Split(nodes, ",")
@@ -183,23 +210,15 @@ func routeCmd(args []string) error {
 	if *nodes == "" {
 		return fmt.Errorf("ags-fleet route: -nodes is required")
 	}
+	cfg, algoErr := routeConfig(*algo, *width, *height)
 	// The drain lands before frame -drain-at, so it needs a frame on either side.
 	checkFlags(
+		atLeastOne("w", *width),
+		atLeastOne("h", *height),
+		atLeastOne("frames", *frames),
+		algoErr,
 		inRange("drain-at", int64(*drainAt), int64(*frames-1), "never"),
 		inRange("checkpoint-every", int64(*ckEvery), math.MaxInt64, "recovery off"))
-
-	cfg := slam.DefaultConfig(*width, *height)
-	switch *algo {
-	case "baseline":
-	case "ags":
-		cfg.EnableMAT, cfg.EnableGCM = true, true
-	case "mat":
-		cfg.EnableMAT = true
-	case "gcm":
-		cfg.EnableGCM = true
-	default:
-		return fmt.Errorf("ags-fleet route: unknown algorithm %q", *algo)
-	}
 
 	names := strings.Split(*seqs, ",")
 	sequences := make([]*scene.Sequence, len(names))

@@ -39,3 +39,38 @@ func TestInRange(t *testing.T) {
 		}
 	}
 }
+
+// TestRouteFlags: route refuses a frame side or frame count below 1 and an
+// -algo it does not know (checkFlags exits 2 on them before any sequence is
+// generated or node dialled), and maps each known -algo to its switches.
+func TestRouteFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		err  error
+		want string // "" = accepted; otherwise a substring of the error
+	}{
+		{"width one", atLeastOne("w", 1), ""},
+		{"width zero", atLeastOne("w", 0), "-w 0 is out of range: want 1 or more"},
+		{"height negative", atLeastOne("h", -48), "-h -48 is out of range"},
+		{"frames zero", atLeastOne("frames", 0), "-frames 0 is out of range"},
+		{"frames many", atLeastOne("frames", 1<<20), ""},
+		{"algo unknown", func() error { _, err := routeConfig("droid", 64, 48); return err }(), `-algo "droid" is not one of baseline, ags, mat, gcm`},
+		{"algo empty", func() error { _, err := routeConfig("", 64, 48); return err }(), "is not one of"},
+		{"algo baseline", func() error { _, err := routeConfig("baseline", 64, 48); return err }(), ""},
+	} {
+		switch {
+		case tc.want == "" && tc.err != nil:
+			t.Errorf("%s: refused: %v", tc.name, tc.err)
+		case tc.want != "" && tc.err == nil:
+			t.Errorf("%s: accepted, want an error containing %q", tc.name, tc.want)
+		case tc.want != "" && !strings.Contains(tc.err.Error(), tc.want):
+			t.Errorf("%s: error %q does not contain %q", tc.name, tc.err, tc.want)
+		}
+	}
+	for algo, want := range map[string][2]bool{"baseline": {}, "ags": {true, true}, "mat": {true, false}, "gcm": {false, true}} {
+		cfg, err := routeConfig(algo, 64, 48)
+		if err != nil || [2]bool{cfg.EnableMAT, cfg.EnableGCM} != want {
+			t.Errorf("-algo %s: MAT %v GCM %v (%v), want %v", algo, cfg.EnableMAT, cfg.EnableGCM, err, want)
+		}
+	}
+}

@@ -1,8 +1,8 @@
 // Multistream: serve several live camera streams from one slam.Server.
 //
 // Each stream is a Session driven by its own producer goroutine: Push
-// processes a frame on that goroutine (no queue, no buffering) while the
-// previous frame's mapping finishes beside it, and Close joins the last
+// tracks a frame on that goroutine (no queue, no buffering) while the
+// previous frame's mapping runs beside it, and Close runs the last
 // mapping and returns the final Result, which holds every frame's pose and
 // decisions. All sessions render through the server's bounded context pool, so
 // N streams share render state instead of each pinning their own forever.

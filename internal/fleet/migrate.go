@@ -10,9 +10,10 @@ import (
 // — so the session's one-producer contract holds through the hand-off and no
 // cross-goroutine coordination touches pipeline state. The sequence:
 //
-//  1. snapshot: the draining node brings the session to a between-frames
-//     point (every pushed frame processed and its mapping joined) and ships
-//     the AGSSNAP bytes — themselves versioned and checksummed — back. A
+//  1. snapshot: the draining node snapshots the session between frames
+//     (every pushed frame processed, the last one's mapping pending and
+//     carried as data) and ships the AGSSNAP bytes — themselves versioned
+//     and checksummed — back. A
 //     stream with recovery armed holds frames and says so, and gets a
 //     snapshot without their bodies, like any checkpoint; a stream without
 //     holds none, says so with an empty list, and gets every body inline.

@@ -22,10 +22,10 @@ type AGS struct {
 	Tables      engines.TableParams
 	Scheduled   bool // GPE scheduler (Fig. 13) enabled
 	// Pipelined overlaps frame t+1's FC detection and tracking with frame t's
-	// mapping (Fig. 9). slam.System.ProcessFrame runs the same schedule in
-	// software for the part of tracking that reads no Gaussian (its front:
-	// CODEC ME, covisibility, coarse alignment); refinement waits for the map
-	// there, where the model lets the whole track side run ahead.
+	// mapping (Fig. 9). slam.System.ProcessFrame runs the schedule this
+	// charges: the whole track side (CODEC ME, covisibility, coarse alignment
+	// and pose refinement, against a copy of the map frozen before frame t's
+	// mapping) beside frame t's mapping tail.
 	Pipelined bool
 	GPEParams gpe.Params
 	// PerIterOverheadCycles charges pipeline drain/refill, buffer loads and

@@ -102,10 +102,10 @@ type Mapper struct {
 	Cfg Config
 	// Ctx is the render context the mapping loop and densification render
 	// through, which keeps the MapIters hot path allocation-free; the caller
-	// sets it before mapping. Not safe for concurrent use — a pipeline shares
-	// one context across its tracker and mapper because they run
-	// sequentially. slam attaches one from its server's splat.ContextPool for
-	// each frame, so the field may change identity between frames.
+	// sets it before mapping. Not safe for concurrent use — a mapping that
+	// runs beside the tracker renders through a context of its own. slam
+	// draws one from its server's splat.ContextPool for each frame's mapping
+	// tail, so the field may change identity between frames.
 	Ctx *splat.RenderContext
 	// ScalarsOnly makes FullMapping and SelectiveMapping return the mapping
 	// work's scalars without the representative iteration's detail (see

@@ -22,91 +22,98 @@ import (
 // survivors' order, so the hash does not depend on when Gaussians were
 // removed (TestPruneDigestPinned).
 func (r *Result) Digest() [32]byte {
-	h := sha256.New()
-	hashU64(h, uint64(len(r.Sequence))) // length-prefix every variable-length field
-	h.Write([]byte(r.Sequence))
-	hashPoses(h, r.Poses)
-	hashPoses(h, r.GT)
-	hashU64(h, uint64(len(r.Info)))
+	h := &digester{h: sha256.New()}
+	h.u64(uint64(len(r.Sequence))) // length-prefix every variable-length field
+	h.h.Write([]byte(r.Sequence))
+	h.poses(r.Poses)
+	h.poses(r.GT)
+	h.u64(uint64(len(r.Info)))
 	for _, inf := range r.Info {
-		hashF64(h, float64(inf.Covisibility))
-		hashF64(h, float64(inf.KeyCovisibility))
-		hashBool(h, inf.IsKeyFrame)
-		hashBool(h, inf.CoarseOnly)
-		hashU64(h, uint64(inf.RefineIters))
-		hashF64(h, inf.FPRate)
-		hashBool(h, inf.FPValid)
+		h.f64(float64(inf.Covisibility))
+		h.f64(float64(inf.KeyCovisibility))
+		h.flag(inf.IsKeyFrame)
+		h.flag(inf.CoarseOnly)
+		h.u64(uint64(inf.RefineIters))
+		h.f64(inf.FPRate)
+		h.flag(inf.FPValid)
 	}
-	hashU64(h, uint64(r.Cloud.Len()))
+	h.u64(uint64(r.Cloud.Len()))
 	for id := range r.Cloud.Gaussians {
 		g := r.Cloud.At(id)
 		// The identity rotation and three copies of the isotropic
 		// log-scale, as when the Gaussians stored them, so that the
 		// digest of a run stays what it was.
-		hashVec3(h, g.Mean)
-		hashVec3(h, vecmath.Vec3{X: g.LogScale, Y: g.LogScale, Z: g.LogScale})
-		hashF64(h, 1)
-		hashVec3(h, vecmath.Vec3{})
-		hashVec3(h, g.Color)
-		hashF64(h, g.Logit)
+		h.vec3(g.Mean)
+		h.vec3(vecmath.Vec3{X: g.LogScale, Y: g.LogScale, Z: g.LogScale})
+		h.f64(1)
+		h.vec3(vecmath.Vec3{})
+		h.vec3(g.Color)
+		h.f64(g.Logit)
 	}
-	hashU64(h, uint64(len(r.Trace.Frames)))
+	h.u64(uint64(len(r.Trace.Frames)))
 	for i := range r.Trace.Frames {
 		ft := &r.Trace.Frames[i]
-		hashF64(h, ft.Covisibility)
-		hashBool(h, ft.IsKeyFrame)
-		hashBool(h, ft.CoarseOnly)
-		hashU64(h, uint64(ft.CodecSADOps))
-		hashU64(h, uint64(ft.CoarseMACs))
-		hashU64(h, uint64(ft.NumGaussians))
-		hashU64(h, uint64(ft.SkippedGaussians))
-		hashStats(h, &ft.Track)
-		hashStats(h, &ft.Map)
+		h.f64(ft.Covisibility)
+		h.flag(ft.IsKeyFrame)
+		h.flag(ft.CoarseOnly)
+		h.u64(uint64(ft.CodecSADOps))
+		h.u64(uint64(ft.CoarseMACs))
+		h.u64(uint64(ft.NumGaussians))
+		h.u64(uint64(ft.SkippedGaussians))
+		h.stats(&ft.Track)
+		h.stats(&ft.Map)
 	}
 	var out [32]byte
-	h.Sum(out[:0])
+	h.h.Sum(out[:0])
 	return out
 }
 
-func hashStats(h hash.Hash, s *trace.RenderStats) {
-	hashU64(h, uint64(s.Iters))
-	hashU64(h, uint64(s.AlphaOps))
-	hashU64(h, uint64(s.BlendOps))
-	hashU64(h, uint64(s.BackwardOps))
-	hashU64(h, uint64(s.Splats))
-	hashU64(h, uint64(s.TileEntries))
-	hashU64(h, uint64(s.Pixels))
+// digester feeds a hash through one scratch buffer: a value written through
+// the hash.Hash interface escapes, so a fresh buffer per value would be a
+// heap allocation per field of every Gaussian.
+type digester struct {
+	h hash.Hash
+	b [8]byte
 }
 
-func hashPoses(h hash.Hash, poses []vecmath.Pose) {
-	hashU64(h, uint64(len(poses)))
+func (h *digester) stats(s *trace.RenderStats) {
+	h.u64(uint64(s.Iters))
+	h.u64(uint64(s.AlphaOps))
+	h.u64(uint64(s.BlendOps))
+	h.u64(uint64(s.BackwardOps))
+	h.u64(uint64(s.Splats))
+	h.u64(uint64(s.TileEntries))
+	h.u64(uint64(s.Pixels))
+}
+
+func (h *digester) poses(poses []vecmath.Pose) {
+	h.u64(uint64(len(poses)))
 	for _, p := range poses {
-		hashF64(h, p.R.W)
-		hashVec3(h, vecmath.Vec3{X: p.R.X, Y: p.R.Y, Z: p.R.Z})
-		hashVec3(h, p.T)
+		h.f64(p.R.W)
+		h.vec3(vecmath.Vec3{X: p.R.X, Y: p.R.Y, Z: p.R.Z})
+		h.vec3(p.T)
 	}
 }
 
-func hashVec3(h hash.Hash, v vecmath.Vec3) {
-	hashF64(h, v.X)
-	hashF64(h, v.Y)
-	hashF64(h, v.Z)
+func (h *digester) vec3(v vecmath.Vec3) {
+	h.f64(v.X)
+	h.f64(v.Y)
+	h.f64(v.Z)
 }
 
-func hashF64(h hash.Hash, v float64) {
-	hashU64(h, math.Float64bits(v))
+func (h *digester) f64(v float64) {
+	h.u64(math.Float64bits(v))
 }
 
-func hashBool(h hash.Hash, b bool) {
+func (h *digester) flag(b bool) {
+	h.b[0] = 0
 	if b {
-		h.Write([]byte{1})
-	} else {
-		h.Write([]byte{0})
+		h.b[0] = 1
 	}
+	h.h.Write(h.b[:1])
 }
 
-func hashU64(h hash.Hash, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	h.Write(b[:])
+func (h *digester) u64(v uint64) {
+	binary.LittleEndian.PutUint64(h.b[:], v)
+	h.h.Write(h.b[:])
 }

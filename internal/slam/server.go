@@ -22,9 +22,10 @@ type ServerConfig struct {
 }
 
 // Server owns the per-host resources live SLAM streams share — today the
-// bounded render-context pool — and opens Sessions over them. Sessions
-// acquire a context per frame and return it when the frame's mapping ends, so
-// N concurrent streams peak at N resident contexts while idle streams pin
+// bounded render-context pool — and opens Sessions over them. A session holds
+// two contexts while a Push runs (one for the frame's tracking, one for the
+// previous frame's mapping beside it) and none between pushes, so N
+// concurrent streams peak at 2N resident contexts while idle streams pin
 // none, and outputs stay digest-identical to single-session runs at every
 // worker count and session interleaving (the pipeline shares no mutable
 // state across sessions besides the pool, and pooled contexts carry nothing
@@ -168,12 +169,12 @@ func (sv *Server) Run(cfg Config, seq *scene.Sequence) (*Result, error) {
 
 // Session is one live SLAM sequence on a Server. Its calls (Push,
 // AppendSnapshot, Close) must come from a single goroutine, the producer's,
-// and each does its work on it: Push runs the frame through the system and returns once
-// the frame's pose is committed, leaving the frame's mapping on the system's
-// tail goroutine (see System), so the order the producer called in is the
-// order things happen in. Close returns the session's output, the final
-// Result — the same value a single-tenant Run of the same frames produces,
-// digest for digest.
+// and each does its work on it: Push runs the frame through the system and
+// returns once the frame's pose is committed, leaving the frame's mapping
+// pending for the next Push to run beside its tracking (see System), so the
+// order the producer called in is the order things happen in. Close returns
+// the session's output, the final Result — the same value a single-tenant Run
+// of the same frames produces, digest for digest.
 //
 // A session fails alone. An error from a frame, and a panic anywhere a
 // producer call runs the system (a frame, a snapshot, the final Finish and
@@ -199,12 +200,13 @@ type Session struct {
 // Name returns the session's label.
 func (s *Session) Name() string { return s.name }
 
-// Push processes the next frame of the stream on the caller's goroutine and
-// starts its mapping tail, so it returns while that frame is still being
-// mapped and the next Push joins it. A frame the system rejects, or a panic,
-// fails this Push and the session; Push also fails once the session has
-// errored or been closed. Push and Close must come from the same goroutine
-// (one producer per session).
+// Push processes the next frame of the stream on the caller's goroutine: it
+// is the system's ProcessFrame, so the frame's tracking runs beside the
+// previous frame's mapping, and Push returns with this frame's mapping
+// pending, holding no render context, for the next Push (or Close) to run. A
+// frame the system rejects, or a panic, fails this Push and the session;
+// Push also fails once the session has errored or been closed. Push and
+// Close must come from the same goroutine (one producer per session).
 func (s *Session) Push(f *frame.Frame) error {
 	if s.closed {
 		return fmt.Errorf("slam: session %q: push after Close", s.name)
@@ -213,9 +215,7 @@ func (s *Session) Push(f *frame.Frame) error {
 		s.guard(func() {
 			if err := s.sys.ProcessFrame(f); err != nil {
 				s.fail(err)
-				return
 			}
-			s.sys.startTail()
 		})
 	}
 	return s.failure()
@@ -240,8 +240,10 @@ func (s *Session) Close() (*Result, error) {
 // AppendSnapshot serializes the session's state between frames and appends
 // it to dst (see System.AppendSnapshot for how dst grows and what have leaves
 // out): every frame pushed before the call is in it and none pushed after it
-// is. A session restored from those bytes and fed the remaining frames closes
-// with a Result digest-identical to this session's. AppendSnapshot shares the
+// is, and the last frame's mapping goes in pending (it joins nothing, so the
+// session runs on unperturbed). A session restored from those bytes and fed
+// the remaining frames closes with a Result digest-identical to this
+// session's. AppendSnapshot shares the
 // producer contract of Push and Close (one goroutine); it fails after Close or
 // once the session has errored, its own encoding's panic included, and then
 // returns dst as it was.

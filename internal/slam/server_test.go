@@ -247,8 +247,12 @@ func TestSessionPushAfterCloseFails(t *testing.T) {
 	}
 }
 
+// TestSystemCloseReleasesContextToPool: a system holds no context between
+// calls, its pending tail included; Close runs that tail in place on a context
+// it draws from the pool (a hit) and hands back; it is idempotent, and the
+// system stays usable.
 func TestSystemCloseReleasesContextToPool(t *testing.T) {
-	seq := testSeq(t, "Desk", 2)
+	seq := testSeq(t, "Desk", 3)
 	srv := NewServer(ServerConfig{ContextCapacity: 4})
 	sys := newSystem(fastAGS(tw, th), seq.Intr, srv.ContextPool(), offline)
 	for _, f := range seq.Frames {
@@ -256,25 +260,26 @@ func TestSystemCloseReleasesContextToPool(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := srv.PoolStats(); st.Idle != 0 {
-		t.Fatalf("the context the last frame's pending tail holds counted idle (%d)", st.Idle)
+	st := srv.PoolStats()
+	if st.Idle != 2 || st.Misses != 2 {
+		t.Fatalf("idle=%d of %d made with the last tail pending, want both contexts idle (tracking and mapping)", st.Idle, st.Misses)
 	}
 	sys.Close()
-	if st := srv.PoolStats(); st.Idle != 1 {
-		t.Fatalf("idle=%d after Close, want 1", st.Idle)
+	if after := srv.PoolStats(); after.Idle != 2 || after.Misses != 2 || after.Hits != st.Hits+1 {
+		t.Fatalf("after Close: idle=%d misses=%d hits=%d, want the pending tail run on an idle context and returned", after.Idle, after.Misses, after.Hits)
 	}
 	sys.Close() // idempotent
-	if st := srv.PoolStats(); st.Idle != 1 {
-		t.Fatalf("idle=%d after double Close, want 1", st.Idle)
+	if after := srv.PoolStats(); after.Idle != 2 || after.Hits != st.Hits+1 {
+		t.Fatalf("idle=%d hits=%d after double Close, want nothing drawn", after.Idle, after.Hits)
 	}
-	// The system is still usable: the next frame re-acquires (a pool hit).
-	// Frame 0 re-processed out of order is fine here; the pipeline accepts
-	// any validated frame.
+	// The system is still usable: the next frame draws from the pool (a
+	// hit). Frame 0 re-processed out of order is fine here; the pipeline
+	// accepts any validated frame.
 	if err := sys.ProcessFrame(seq.Frames[0]); err != nil {
 		t.Fatalf("ProcessFrame after Close: %v", err)
 	}
-	if st := srv.PoolStats(); st.Hits == 0 {
-		t.Error("re-acquire after Close did not hit the pool")
+	if after := srv.PoolStats(); after.Misses != 2 || after.Idle != 2 {
+		t.Errorf("ProcessFrame after Close: misses=%d idle=%d, want the pool's contexts reused and back", after.Misses, after.Idle)
 	}
 	sys.Close()
 }

@@ -44,9 +44,11 @@
 //     inside its one recover (see Session). Config keeps the value the stream
 //     sent, so a snapshot's bytes do not depend on the venue.
 //
-// Every venue holds a render context from its server's pool from a frame's
-// middle until that frame's mapping tail ends: an idle session pins none, and
-// a standalone system's pending tail holds one between ProcessFrame calls.
+// Every venue draws two render contexts from its server's pool for the length
+// of a ProcessFrame (one to track the frame through, one for the previous
+// frame's mapping beside it) and hands both back before the call returns: a
+// pending tail holds none, so an idle session or standalone system pins no
+// render state.
 //
 // Result.Digest covers the scalars and never the detail, so it is one value
 // across all venues. A snapshot holds what a stream needs to continue, which
@@ -57,20 +59,22 @@
 //
 // Concurrency: the paper's Fig. 9 runs frame t+1's covisibility detection and
 // pose tracking on their own engines while the mapping engine finishes frame
-// t, which it can because AGS's coarse pose estimation never reads the
-// Gaussians. System.ProcessFrame runs that schedule: a frame's map-free front
-// (CODEC motion estimation against the previous frame, the covisibility
-// comparison against the key frame, coarse alignment) overlaps the previous
-// frame's mapping tail, which runs on one goroutine per system; everything
-// that reads or writes the map joins that goroutine first (see System). A
-// tail is started when there is a front to run beside it, that is by the next
-// ProcessFrame, and joined by the same call, so no work of a standalone
-// system outlives the call that started it; only a session's Push, whose
-// producer may wait before the next frame, starts it at once. The schedule
-// is exact, not speculative: every input of a front is committed before the
-// preceding tail starts, so poses, maps, traces and snapshots are byte for
-// byte those of running the stages one after another, at any GOMAXPROCS. It
-// is the schedule platform.AGS's Pipelined option charges.
+// t. System.ProcessFrame runs that schedule: a frame's front (CODEC motion
+// estimation against the previous frame, the covisibility comparison against
+// the key frame, coarse alignment) and its pose refinement overlap the
+// previous frame's mapping tail, which runs on one goroutine per system. The
+// refinement reads no Gaussian the tail writes: it renders a copy of the map
+// frozen into its tracking context before the tail starts, so frame t refines
+// against the map as it stood before frame t-1's tail (frame 1, against the
+// bootstrap map). Everything else that reads the map joins the tail first
+// (see System). A tail is started by the next ProcessFrame and joined by the
+// same call, so no work of a system outlives the call that started it, and a
+// session's Push is that call. The schedule is exact, not speculative: every
+// input of a frame's tracking is committed or copied before the preceding
+// tail starts, so poses, maps, traces and snapshots are a function of the
+// frames alone, byte for byte, at any GOMAXPROCS, and on one processor it
+// degenerates to running the stages one after another. It is the schedule
+// platform.AGS's Pipelined option charges.
 //
 // CODEC motion estimation therefore runs in the front, once per comparison,
 // and no option selects where or how it runs. The splat renderer's tile
@@ -209,25 +213,26 @@ func (r *Result) ATERMSECm() (float64, error) {
 
 // System is a single-stream 3DGS-SLAM instance: the engine a Session drives,
 // also usable directly when the caller owns the frame loop. Call Close when
-// done so the render context the last frame's mapping tail holds returns to
-// its pool.
+// done: it runs the last frame's mapping tail.
 //
 // A System is driven from one goroutine. ProcessFrame returns with the
-// frame's pose and FrameInfo committed and its mapping tail pending: nothing
-// of a standalone system runs behind its caller's back. The next ProcessFrame
-// starts the tail on the system's one tail goroutine, runs its own front
-// beside it and joins it, so that goroutine lives inside one call; a
-// session's Push, whose producer may sit idle until the next frame arrives,
-// starts it at once (startTail). While a tail is in flight it alone touches
-// the mapper, the render context, the frame's trace.FrameTrace and the
-// retained traces it is appended to; the caller's side touches only what a
-// front reads or a middle commits: the detector, the aligner, prevFrame,
-// prevPose, prevRel, keyFrame, keyFramePos, keyPose, frameCount, poses, gt
-// and info.
-// Every method that needs the mapped state (the next ProcessFrame after
-// its front, AppendSnapshot, Snapshot, Finish, Close, Mapper) joins first,
-// which runs a tail nobody started on the caller's own goroutine; FrameCount
-// does not need to.
+// frame's pose and FrameInfo committed and its mapping tail pending, holding
+// no render context: nothing of a system runs behind its caller's back. The
+// next ProcessFrame freezes the map into its tracking context, starts the
+// tail on the system's one tail goroutine (startTail), tracks its own frame
+// beside it against the frozen map and joins it, so that goroutine lives
+// inside one call. While a tail is in flight it alone touches the mapper,
+// the mapping context, the frame's trace.FrameTrace and the retained traces
+// it is appended to; the caller's side touches only what a front reads or a
+// middle commits: the detector, the aligner, the refiner and the tracking
+// context, prevFrame, prevPose, prevRel, keyFrame, keyFramePos, keyPose,
+// frameCount, poses, gt and info, and, once the tail is joined, the mapper's
+// key-frame window.
+//
+// AppendSnapshot and Snapshot encode the pending tail as data and join
+// nothing. Finish, Close and Mapper join first, which runs a pending tail on
+// the caller's own goroutine; a frame processed after such a join refines
+// against the joined map. FrameCount does not need to join.
 type System struct {
 	Cfg  Config
 	Intr camera.Intrinsics
@@ -236,19 +241,15 @@ type System struct {
 	refiner  *tracker.GSRefiner
 	aligner  *tracker.CoarseAligner
 	detector *covis.Detector
-	// pool supplies the render context each frame's middle attaches and its
-	// mapping tail releases. Standalone systems draw from DefaultServer's
-	// pool; sessions share their server's.
+	// pool supplies the two render contexts a frame holds while it runs:
+	// the tracking context its middle renders the frozen map through, and
+	// the mapping context the previous frame's tail renders through (the
+	// refiner's and the mapper's Ctx, each nil between frames). Standalone
+	// systems draw from DefaultServer's pool; sessions share their server's.
 	pool *splat.ContextPool
 	// workers is the splat worker count the refiner, the mapper and
 	// measureFPRate render with: Cfg.Workers offline, 1 when serving.
 	workers int
-	// renderCtx is the currently attached splat render context, shared by
-	// the tracker and mapper (a frame's refinement runs after the previous
-	// frame's mapping is joined and before its own starts) and sized lazily
-	// from the intrinsics on first render. nil between a tail's end and the
-	// next middle.
-	renderCtx *splat.RenderContext
 
 	prevFrame   *frame.Frame
 	prevPose    vecmath.Pose
@@ -263,7 +264,8 @@ type System struct {
 	traceFrames []trace.FrameTrace
 
 	// tail is the last accepted frame's mapping tail, pending or in flight;
-	// nil once join has seen it through.
+	// nil once join has seen it through. A pending tail holds no render
+	// context.
 	tail *mappingTail
 }
 
@@ -278,9 +280,9 @@ const (
 )
 
 // New returns a standalone system for the given camera, an offline venue
-// drawing its render context from DefaultServer's pool; call Close to return
-// the context the last frame's mapping tail holds. Multi-stream callers should
-// open Sessions on a Server instead.
+// drawing its render contexts from DefaultServer's pool; call Close to map
+// the last frame. Multi-stream callers should open Sessions on a Server
+// instead.
 func New(cfg Config, intr camera.Intrinsics) *System {
 	return newSystem(cfg, intr, DefaultServer().ContextPool(), offline)
 }
@@ -315,91 +317,128 @@ func newSystem(cfg Config, intr camera.Intrinsics, pool *splat.ContextPool, v ve
 }
 
 // Mapper exposes the mapping state (for experiments), as of the last frame
-// ProcessFrame accepted.
+// ProcessFrame accepted: it joins that frame's tail, so the next frame
+// refines against the map it returns.
 func (s *System) Mapper() *mapper.Mapper {
 	s.join()
 	return s.mapper
 }
 
-// attachCtx acquires a render context from the pool and threads it through
-// the tracker and mapper, for a frame's middle and mapping tail.
-func (s *System) attachCtx() {
-	ctx := s.pool.Acquire()
-	s.renderCtx = ctx
-	s.refiner.Ctx = ctx
-	s.mapper.Ctx = ctx
-}
-
-// detachCtx unthreads the attached context and releases it to the pool, at
-// the end of a frame's mapping tail.
-func (s *System) detachCtx() {
-	s.refiner.Ctx = nil
-	s.mapper.Ctx = nil
-	s.pool.Release(s.renderCtx)
-	s.renderCtx = nil
-}
-
-// Close sees the last frame's mapping through, which releases the render
-// context its tail holds back to the pool. It is idempotent, and the system
-// remains usable — the next ProcessFrame acquires a context — but callers
-// should treat Close as the end of the stream: Run, sessions, and the CLIs all
-// close their systems so contexts are reclaimed instead of leaking one per
-// run.
+// Close sees the last frame's mapping through: it runs the pending tail in
+// place, on a context drawn from the pool and handed back. It is idempotent,
+// and the system remains usable — the next frame refines against the joined
+// map — but callers should treat Close as the end of the stream: Run,
+// sessions, and the CLIs all close their systems so that no accepted frame
+// goes unmapped.
 func (s *System) Close() { s.join() }
 
-// ProcessFrame ingests the next frame of the stream, in four parts that
-// follow the paper's Fig. 9 engines:
+// ProcessFrame ingests the next frame of the stream, in the paper's Fig. 9
+// schedule: this frame's tracking beside the previous frame's mapping.
 //
+//   - The tracking context is drawn from the pool and, while the previous
+//     frame's mapping tail is still pending, the map is frozen into it: the
+//     map as it stood before that tail, which this frame refines against.
+//     The first frame, which tracks nothing, draws it too.
+//   - The pending tail starts on the system's one tail goroutine, with a
+//     mapping context of its own, drawn just before the tracking context
+//     (startTail).
 //   - The front reads only frames and committed poses (CODEC ME against the
 //     previous frame, the covisibility comparison against the key frame,
-//     coarse alignment), so it runs while the previous frame's mapping is
-//     still in flight. A frame it rejects (malformed, wrong size, a failing
-//     comparison) returns its error here with nothing committed.
-//   - The join waits for the previous frame's mapping tail.
-//   - The middle does what needs the map as it stood before this frame
-//     (pose refinement, the false-positive measurement) and commits every
-//     decision the next front reads: the pose, the velocity, the key-frame
-//     anchor, the frame's FrameInfo, the frame count.
-//   - The tail (Densify, full or selective mapping, the key-frame window,
-//     Prune, the trace append and the render context's release) is left
-//     pending. The next call starts it
-//     on the system's one tail goroutine just before its own front; any other
-//     join runs it in place.
+//     coarse alignment). A frame it rejects (malformed, wrong size, a
+//     failing comparison) returns its error with nothing committed, once
+//     the previous tail is joined.
+//   - The middle settles the pose (pose refinement against the frozen map)
+//     and commits every decision the next front reads: the pose, the
+//     velocity, the key-frame anchor, the frame's FrameInfo.
+//   - The tracking context goes back to the pool, then the join waits for
+//     the previous tail and hands its mapping context back: the reverse of
+//     the order they were drawn in, so the pool's stack keeps each context in
+//     its role. The frame count moves on.
+//   - The frame joins the mapper's key-frame window if it is one of its
+//     frames, and its tail (the false-positive measurement, Densify, full or
+//     selective mapping, Prune, the trace append) is left pending, holding
+//     no context, for the next call.
 //
-// At return the frame's pose and FrameInfo are final and FrameCount counts
-// it; the map, the trace and anything derived from them are read through a
+// The second frame is the one exception: it refines against the bootstrap
+// map, so it joins the first frame's tail before it tracks. A frame after a
+// join outside ProcessFrame (Mapper, Finish, Close) likewise refines against
+// the map that join left.
+//
+// At return the frame's pose and FrameInfo are final, but for its
+// false-positive rate, which its tail measures, and FrameCount counts it;
+// the map, the trace and anything derived from them are read through a
 // method that joins (see System). A panic in the tail resurfaces from the
 // join, on the goroutine that called it.
 func (s *System) ProcessFrame(f *frame.Frame) error {
 	if err := checkFrame(f, &s.Intr); err != nil {
 		return fmt.Errorf("slam: %w", err)
 	}
-	var fr frontOut
-	if s.frameCount > 0 {
-		s.startTail()
-		var err error
-		if fr, err = s.front(f); err != nil {
-			return fmt.Errorf("slam: frame %d: %w", s.frameCount, err)
-		}
+	if s.frameCount == 1 {
+		s.join() // the second frame refines against the bootstrap map
 	}
-	s.join()
-
-	s.attachCtx()
 	ft := &trace.FrameTrace{Index: s.frameCount}
 	var info FrameInfo
-	var mapping func()
-	if s.frameCount == 0 {
-		mapping = s.bootstrap(f, ft, &info)
-	} else {
-		mapping = s.step(f, &fr, ft, &info)
+	pose, err := s.trackBeside(f, ft, &info)
+	if err != nil {
+		return fmt.Errorf("slam: frame %d: %w", s.frameCount, err)
 	}
-	s.info = append(s.info, info)
+	s.commit(f, pose, ft, &info)
+	return nil
+}
+
+// trackBeside tracks f beside the pending tail, if there is one, and joins
+// it, whether tracking returns, fails or panics, so no tail is in flight once
+// it is done. The mapping context is drawn first and handed back last, so the
+// pool's LIFO stack gives each context the same role frame after frame and
+// the tracking context never grows to a mapping render's size.
+func (s *System) trackBeside(f *frame.Frame, ft *trace.FrameTrace, info *FrameInfo) (vecmath.Pose, error) {
+	var mapCtx *splat.RenderContext
+	if s.tail != nil {
+		mapCtx = s.pool.Acquire()
+	}
+	ctx := s.pool.Acquire()
+	cloud := s.mapper.Cloud()
+	if mapCtx != nil {
+		cloud = ctx.Freeze(cloud)
+		s.startTail(mapCtx)
+		defer s.join()
+	}
+	defer s.pool.Release(ctx)
+	return s.track(f, ctx, cloud, ft, info)
+}
+
+// commit accepts a tracked frame once the previous frame's tail is joined:
+// it records the frame's FrameInfo and ground truth, makes it the previous
+// frame, adds it to the mapper's key-frame window if it joins it, leaves its
+// mapping tail pending and moves the frame count on.
+func (s *System) commit(f *frame.Frame, pose vecmath.Pose, ft *trace.FrameTrace, info *FrameInfo) {
+	s.info = append(s.info, *info)
 	s.gt = append(s.gt, f.GTPose)
 	s.prevFrame = f
+	if s.joinsWindow(s.frameCount, info.IsKeyFrame) {
+		s.mapper.AddKeyframe(f, s.frameCount, pose)
+	}
+	s.tail = s.newTail(s.frameCount, f, pose, info.IsKeyFrame, ft)
 	s.frameCount++
+}
 
-	s.deferTail(ft, mapping)
-	return nil
+// track is a frame's front and middle, run against cloud (the map, frozen
+// into ctx while a tail runs beside): the first frame's bootstrap, or the
+// front and the pose refinement of any later one. It returns the frame's
+// pose with its FrameInfo and trace filled in, or the front's error with
+// nothing committed.
+func (s *System) track(f *frame.Frame, ctx *splat.RenderContext, cloud *gauss.Cloud, ft *trace.FrameTrace, info *FrameInfo) (vecmath.Pose, error) {
+	if s.frameCount == 0 {
+		return s.bootstrap(f, ft, info), nil
+	}
+	fr, err := s.front(f)
+	if err != nil {
+		return vecmath.Pose{}, err
+	}
+	s.refiner.Ctx = ctx
+	pose := s.step(f, &fr, cloud, ft, info)
+	s.refiner.Ctx = nil
+	return pose, nil
 }
 
 // checkFrame is the one gate a frame passes before the pipeline indexes its
@@ -415,41 +454,87 @@ func checkFrame(f *frame.Frame, intr *camera.Intrinsics) error {
 	return nil
 }
 
-// mappingTail is one frame's mapping tail: run is its work; done is nil while
-// the tail is pending and, once startTail has put it on a goroutine, receives
-// nil or what the tail panicked with, exactly once.
+// mappingTail is one accepted frame's mapping tail, held as data so that a
+// snapshot carries it pending and a restore rebuilds it (newTail): the frame
+// at stream position pos, its pose, the mapping its key-frame decision chose,
+// and its FrameTrace, whose front and middle parts are filled in and whose
+// mapping part the tail fills. done is nil while the tail is pending and,
+// once startTail has put it on a goroutine, receives nil or what the tail
+// panicked with, exactly once.
 type mappingTail struct {
-	run  func()
-	done chan *tailPanic
+	pos  int
+	f    *frame.Frame
+	pose vecmath.Pose
+	// selective is a non-key frame's selective mapping; otherwise the tail
+	// densifies and maps fully.
+	selective bool
+	ft        *trace.FrameTrace
+	// restored marks a tail a snapshot carried: its frame's trace arrived
+	// as scalars (a snapshot holds no detail) and stays so.
+	restored bool
+	// fpRate is the false-positive rate a selective tail measured under
+	// EvalFPRate; the join commits it to the frame's FrameInfo.
+	fpRate float64
+	done   chan *tailPanic
 }
 
-// deferTail leaves the frame's mapping tail pending: the mapping the middle
-// chose, then the end-of-frame map maintenance and the trace append, with the
-// frame count as the middle left it (the next middle joins before it writes
-// it). Last the tail hands the context back, so an idle stream pins no render
-// state and the pool can serve other sessions.
-func (s *System) deferTail(ft *trace.FrameTrace, mapping func()) {
-	s.tail = &mappingTail{run: func() {
-		mapping()
-		ft.NumGaussians = s.mapper.Cloud().Len()
-		if s.Cfg.PruneEvery > 0 && s.frameCount%s.Cfg.PruneEvery == 0 {
-			ft.PrunedGaussians = s.mapper.Prune()
-		}
-		s.traceFrames = append(s.traceFrames, *ft)
-		s.detachCtx()
-	}}
+// newTail is the mapping tail of the frame at position pos, which the middle
+// (or, for the first frame, bootstrap) accepted at pose and declared a key
+// frame or not: a GCM non-key frame maps selectively, every other frame
+// densifies and maps fully.
+func (s *System) newTail(pos int, f *frame.Frame, pose vecmath.Pose, key bool, ft *trace.FrameTrace) *mappingTail {
+	return &mappingTail{pos: pos, f: f, pose: pose, ft: ft, selective: s.Cfg.EnableGCM && !key}
 }
 
-// startTail puts the pending mapping tail, if any, on the system's one tail
-// goroutine. ProcessFrame calls it just before a front, the work a tail can
-// run beside; a session's Push calls it after every frame, because the
-// producer may wait for the next one and the mapping, and the render context
-// it holds, should not wait with it. A panic in the goroutine is kept for join.
-func (s *System) startTail() {
-	t := s.tail
-	if t == nil || t.done != nil {
-		return
+// joinsWindow says whether the frame at position pos, a key frame or not,
+// joins the mapper's multi-view window: on a GCM run every key frame (the
+// first frame is one), on the baseline path the first frame and every
+// KeyframeEvery-th. ProcessFrame adds it when it commits the frame, once the
+// previous tail is joined, so the frame's own tail samples a window that
+// holds it, and a snapshot with that tail pending names no frame the window
+// has already let go.
+func (s *System) joinsWindow(pos int, key bool) bool {
+	if s.Cfg.EnableGCM {
+		return key
 	}
+	return pos == 0 || s.Cfg.KeyframeEvery > 0 && pos%s.Cfg.KeyframeEvery == 0
+}
+
+// runTail is the tail's work, on whichever goroutine runs it, through the
+// mapper's context: the mapping, the end-of-frame map maintenance and the
+// trace append. It reads the tail, the mapper and the configuration, and
+// writes the mapper, the tail and the retained traces, nothing a front or a
+// middle reads.
+func (s *System) runTail(t *mappingTail) {
+	ft := t.ft
+	if t.restored {
+		defer func(v bool) { s.mapper.ScalarsOnly = v }(s.mapper.ScalarsOnly)
+		s.mapper.ScalarsOnly = true
+	}
+	if t.selective {
+		if s.Cfg.EvalFPRate {
+			t.fpRate = s.measureFPRate(t.pose)
+		}
+		ft.SkippedGaussians = s.mapper.NumSkipped()
+		ft.Map = s.mapper.SelectiveMapping(t.f, s.Intr, t.pose)
+	} else {
+		s.mapper.Densify(t.f, s.Intr, t.pose)
+		ft.Map = s.mapper.FullMapping(t.f, s.Intr, t.pose)
+	}
+	ft.NumGaussians = s.mapper.Cloud().Len()
+	if s.Cfg.PruneEvery > 0 && (t.pos+1)%s.Cfg.PruneEvery == 0 {
+		ft.PrunedGaussians = s.mapper.Prune()
+	}
+	s.traceFrames = append(s.traceFrames, *ft)
+}
+
+// startTail puts the pending mapping tail on the system's one tail goroutine,
+// rendering through ctx, which join hands back to the pool. ProcessFrame calls
+// it once it has frozen the map the tail is about to change, so that the
+// frame's tracking runs beside it. A panic in the goroutine is kept for join.
+func (s *System) startTail(ctx *splat.RenderContext) {
+	t := s.tail
+	s.mapper.Ctx = ctx
 	t.done = make(chan *tailPanic, 1)
 	go func() {
 		defer func() {
@@ -459,15 +544,18 @@ func (s *System) startTail() {
 			}
 			t.done <- p
 		}()
-		t.run()
+		s.runTail(t)
 	}()
 }
 
 // join sees the mapping tail through, if there is one: it waits for a tail
-// that was started and runs a pending one in place, on the caller's goroutine.
-// A tail that panicked on its goroutine panics again here, so whoever drives
-// the system (a session's producer, a ProcessFrame or Finish caller) contains
-// either kind with one recover; the system is left with no tail either way.
+// that was started and runs a pending one in place, on the caller's goroutine,
+// in a mapping context of its own. Then it hands the mapping context back to
+// the pool and commits the false-positive rate the tail measured. A tail that
+// panicked on its goroutine panics again here, so whoever drives the system
+// (a session's producer, a ProcessFrame or Finish caller) contains either
+// kind with one recover; the system is left with no tail either way, and the
+// context the panicking tail held is not returned.
 func (s *System) join() {
 	t := s.tail
 	if t == nil {
@@ -475,11 +563,16 @@ func (s *System) join() {
 	}
 	s.tail = nil
 	if t.done == nil {
-		t.run()
-		return
-	}
-	if p := <-t.done; p != nil {
+		s.mapper.Ctx = s.pool.Acquire()
+		s.runTail(t)
+	} else if p := <-t.done; p != nil {
+		s.mapper.Ctx = nil
 		panic(p)
+	}
+	s.pool.Release(s.mapper.Ctx)
+	s.mapper.Ctx = nil
+	if t.selective && s.Cfg.EvalFPRate {
+		s.info[t.pos].FPRate, s.info[t.pos].FPValid = t.fpRate, true
 	}
 }
 
@@ -500,9 +593,9 @@ func (p *tailPanic) Error() string {
 func (s *System) FrameCount() int { return s.frameCount }
 
 // bootstrap anchors the first frame at its ground-truth pose (the SLAM
-// convention: the first camera defines the world frame) and returns the
-// mapping that builds the initial map.
-func (s *System) bootstrap(f *frame.Frame, ft *trace.FrameTrace, info *FrameInfo) (mapping func()) {
+// convention: the first camera defines the world frame); its tail builds the
+// initial map.
+func (s *System) bootstrap(f *frame.Frame, ft *trace.FrameTrace, info *FrameInfo) vecmath.Pose {
 	pose := f.GTPose
 	ft.IsKeyFrame = true
 	info.IsKeyFrame = true
@@ -511,7 +604,7 @@ func (s *System) bootstrap(f *frame.Frame, ft *trace.FrameTrace, info *FrameInfo
 	s.setKeyFrame(f, pose)
 	s.prevPose = pose
 	s.poses = append(s.poses, pose)
-	return func() { s.mapFull(f, 0, pose, ft, true) }
+	return pose
 }
 
 // frontOut is what a frame's map-free front produces: the two covisibility
@@ -527,7 +620,7 @@ type frontOut struct {
 // front runs the stages of a frame after the first that read no Gaussian:
 // frame covisibility detection and coarse pose estimation. It reads what the
 // previous middle committed and writes nothing a snapshot or a tail sees, so
-// it runs beside the previous frame's mapping. A covisibility comparison that
+// it runs beside the previous frame's mapping, as the middle does. A covisibility comparison that
 // fails is an internal error, not a scene change: it is returned before any
 // state is touched rather than read as "no covisibility, new key frame".
 func (s *System) front(f *frame.Frame) (frontOut, error) {
@@ -566,14 +659,13 @@ func (s *System) front(f *frame.Frame) (frontOut, error) {
 	return fr, nil
 }
 
-// step is the middle of a frame after the first: with the previous frame's
-// mapping joined it settles the pose (accepting the front's coarse pose or
-// refining against the map), commits the pose, the velocity and the
-// key-frame anchor, and returns the frame's mapping for the tail to run. The
+// step is the middle of a frame after the first: it settles the pose
+// (accepting the front's coarse pose or refining against cloud, the frozen
+// map) and commits the pose, the velocity and the key-frame anchor. The
 // key-frame decision depends on the front's key covisibility and the
 // configuration alone, so the next front can read its outcome before the
 // mapping it selects has run.
-func (s *System) step(f *frame.Frame, fr *frontOut, ft *trace.FrameTrace, info *FrameInfo) (mapping func()) {
+func (s *System) step(f *frame.Frame, fr *frontOut, cloud *gauss.Cloud, ft *trace.FrameTrace, info *FrameInfo) vecmath.Pose {
 	info.Covisibility = fr.fc
 	info.KeyCovisibility = fr.keyFC
 	ft.Covisibility = float64(fr.fc)
@@ -589,52 +681,41 @@ func (s *System) step(f *frame.Frame, fr *frontOut, ft *trace.FrameTrace, info *
 			info.CoarseOnly = true
 			ft.CoarseOnly = true
 		default:
-			pose, ft.Track = s.refiner.Refine(s.mapper.Cloud(), s.Intr, f, fr.coarse, s.Cfg.IterT)
+			pose, ft.Track = s.refiner.Refine(cloud, s.Intr, f, fr.coarse, s.Cfg.IterT)
 			info.RefineIters = s.Cfg.IterT
 		}
 	} else {
 		// Baseline: constant-velocity initialization (with the previous pose
 		// as fallback for motion reversals) + N_T iterations.
 		inits := []vecmath.Pose{s.prevRel.Compose(s.prevPose), s.prevPose}
-		pose, ft.Track = s.refiner.RefineBest(s.mapper.Cloud(), s.Intr, f, inits, s.Cfg.TrackIters)
+		pose, ft.Track = s.refiner.RefineBest(cloud, s.Intr, f, inits, s.Cfg.TrackIters)
 		info.RefineIters = s.Cfg.TrackIters
 	}
 	s.prevRel = pose.Compose(s.prevPose.Inverse())
 	s.prevPose = pose
 	s.poses = append(s.poses, pose)
 
-	// --- Mapping. ---
-	pos := s.frameCount // f's position in the stream; the tail runs after the count moves on
+	// --- Key-frame decision (the tail maps by it, see newTail). ---
 	covisible := float64(fr.keyFC) > s.Cfg.ThreshM
 	switch {
 	case s.Cfg.EnableGCM && covisible:
 		// Non-key frame: selective mapping with the recorded skip set.
-		if s.Cfg.EvalFPRate {
-			info.FPRate = s.measureFPRate(f, pose)
-			info.FPValid = true
-		}
-		return func() {
-			ft.SkippedGaussians = s.mapper.NumSkipped()
-			ft.Map = s.mapper.SelectiveMapping(f, s.Intr, pose)
-		}
 	case s.Cfg.EnableGCM:
 		// New key frame: densify, full mapping, refresh contribution.
 		ft.IsKeyFrame = true
 		info.IsKeyFrame = true
 		s.setKeyFrame(f, pose)
-		return func() { s.mapFull(f, pos, pose, ft, true) }
 	default:
-		// Baseline mapping: densify + full mapping every frame.
+		// Baseline mapping: densify + full mapping every frame. The anchor
+		// key frame advances whenever covisibility with the old one decays,
+		// keeping coarse-only variants drift-bounded too.
 		ft.IsKeyFrame = true
 		info.IsKeyFrame = true
-		window := s.Cfg.KeyframeEvery > 0 && s.frameCount%s.Cfg.KeyframeEvery == 0
-		// The anchor key frame advances whenever covisibility with the old
-		// one decays, keeping coarse-only variants drift-bounded too.
 		if !covisible {
 			s.setKeyFrame(f, pose)
 		}
-		return func() { s.mapFull(f, pos, pose, ft, window) }
 	}
+	return pose
 }
 
 // setKeyFrame makes f, the frame being accepted, the key frame: the anchor of
@@ -645,23 +726,11 @@ func (s *System) setKeyFrame(f *frame.Frame, pose vecmath.Pose) {
 	s.keyPose = pose
 }
 
-// mapFull is the mapping of a key frame, the stream's frame at position pos:
-// densify where the map does not yet explain the frame, optimize every
-// Gaussian, and, when window is set, add the frame to the mapper's multi-view
-// window.
-func (s *System) mapFull(f *frame.Frame, pos int, pose vecmath.Pose, ft *trace.FrameTrace, window bool) {
-	s.mapper.Densify(f, s.Intr, pose)
-	ft.Map = s.mapper.FullMapping(f, s.Intr, pose)
-	if window {
-		s.mapper.AddKeyframe(f, pos, pose)
-	}
-}
-
 // measureFPRate compares the skip prediction against the ground-truth
 // non-contributory set at this frame (one extra logged render; §6.2).
-func (s *System) measureFPRate(f *frame.Frame, pose vecmath.Pose) float64 {
+func (s *System) measureFPRate(pose vecmath.Pose) float64 {
 	cam := camera.Camera{Intr: s.Intr, Pose: pose}
-	res := s.renderCtx.Render(s.mapper.Cloud(), cam, splat.Options{LogContribution: true, Workers: s.workers})
+	res := s.mapper.Ctx.Render(s.mapper.Cloud(), cam, splat.Options{LogContribution: true, Workers: s.workers})
 	truth, _ := s.mapper.Cfg.NonContributory(res)
 	return metrics.FalsePositiveRate(s.mapper.PredictedNonContrib(), truth)
 }
@@ -687,9 +756,9 @@ func (s *System) Finish(sequence string) *Result {
 
 // Run executes the pipeline over a whole sequence: a thin wrapper that opens
 // one Session on DefaultServer, pushes every frame, and closes it, all on the
-// caller's goroutine. Each Push runs its frame's front, CODEC motion
-// estimation included, beside the previous frame's mapping, as the paper's
-// frame walk-through times it (see ProcessFrame).
+// caller's goroutine. Each Push runs its frame's tracking, CODEC motion
+// estimation and pose refinement included, beside the previous frame's
+// mapping, as the paper's frame walk-through times it (see ProcessFrame).
 func Run(cfg Config, seq *scene.Sequence) (*Result, error) {
 	return DefaultServer().Run(cfg, seq)
 }

@@ -68,20 +68,29 @@ const (
 	// Version 8 drops the trace detail and the image size it was recorded
 	// at: a trace frame's tasks are their seven scalars, so a stream's
 	// snapshot at a frame is the same bytes whichever venue took it.
-	SnapshotVersion = 8
+	// Version 9 is the system with its last frame's mapping tail pending: the
+	// map, moments, skip set and RNG as they stood before that tail (the
+	// key-frame window already holds the tail's frame), the tail's partial
+	// trace frame last among the traces, and a flag that says the tail is
+	// pending. The tail's frame is the previous frame and its mapping follows
+	// from the last FrameInfo and the configuration.
+	SnapshotVersion = 9
 
 	snapshotHeader = len(snapshotMagic) + 4 // magic, version
 )
 
 // Snapshot serializes the system's complete inter-frame state — configuration,
 // camera, pose track, keyframe set, the Gaussian map, optimizer
-// moments, the mapper's RNG, and the per-frame traces' scalars — so that a
-// system restored from it and fed the remaining frames produces a Result
-// digest-identical to the uninterrupted run. The representative-iteration
-// detail an offline venue keeps is left out (see the package doc), so the
-// bytes do not depend on the venue that took them. Call it
-// between ProcessFrame calls: it first waits for the last frame's mapping, so
-// what it captures is the state after that frame, whole.
+// moments, the mapper's RNG, the per-frame traces' scalars, and the last
+// frame's mapping tail if it is pending — so that a system restored from it
+// and fed the remaining frames produces a Result digest-identical to the
+// uninterrupted run. The representative-iteration detail an offline venue
+// keeps is left out (see the package doc), so the bytes do not depend on the
+// venue that took them. Call it between ProcessFrame calls. It joins nothing:
+// the map it captures is the one the next frame refines against, the map
+// before the pending tail, and the tail itself goes as data, which Restore
+// turns back into a pending tail. A snapshot therefore never perturbs the
+// stream it is taken of.
 func (s *System) Snapshot(w io.Writer) error {
 	if _, err := w.Write(s.AppendSnapshot(nil, nil)); err != nil {
 		return fmt.Errorf("slam: snapshot write: %w", err)
@@ -106,9 +115,11 @@ func (s *System) Snapshot(w io.Writer) error {
 // does not retain are ignored. With no have list every body is written and the
 // snapshot stands alone.
 //
+// Like Snapshot it joins nothing: the last frame's mapping tail goes into the
+// bytes pending, so the system goes on exactly as if no snapshot was taken.
+//
 //ags:hotpath
 func (s *System) AppendSnapshot(dst []byte, have []int) []byte {
-	s.join()
 	size := binfmt.Counting()
 	encodeSystem(&size, s, have)
 	start := len(dst)
@@ -264,10 +275,19 @@ func encodeSystem(e *binfmt.Enc, s *System, have []int) {
 	for i := range s.info {
 		encodeInfo(e, &s.info[i])
 	}
-	e.U64(uint64(len(s.traceFrames)))
+	// The pending tail's partial trace frame rides last with the traces.
+	pending, n := s.tail != nil, len(s.traceFrames)
+	if pending {
+		n++
+	}
+	e.U64(uint64(n))
 	for i := range s.traceFrames {
 		encodeTrace(e, &s.traceFrames[i])
 	}
+	if pending {
+		encodeTrace(e, s.tail.ft)
+	}
+	e.Bool(pending)
 
 	// Mapper state: cloud, skip set, keyframe window (as frame table
 	// references), RNG and optimizer moments.
@@ -329,6 +349,19 @@ func decodeSystem(d *binfmt.Dec, held []HeldFrame, pool *splat.ContextPool, v ve
 	sys.traceFrames = make([]trace.FrameTrace, d.Len(8))
 	for i := range sys.traceFrames {
 		decodeTrace(d, &sys.traceFrames[i])
+	}
+	if d.Bool() && d.Err() == nil {
+		// The last frame's tail, pending: its frame is the previous frame,
+		// its pose and key-frame decision the last ones recorded.
+		n := sys.frameCount
+		if n == 0 || len(sys.traceFrames) == 0 || len(sys.poses) != n || len(sys.info) != n {
+			d.Fail("pending mapping tail with %d frames processed, %d poses, %d infos and %d traces", n, len(sys.poses), len(sys.info), len(sys.traceFrames))
+		} else {
+			ft := sys.traceFrames[len(sys.traceFrames)-1]
+			sys.traceFrames = sys.traceFrames[:len(sys.traceFrames)-1]
+			sys.tail = sys.newTail(n-1, sys.prevFrame, sys.poses[n-1], sys.info[n-1].IsKeyFrame, &ft)
+			sys.tail.restored = true
+		}
 	}
 
 	var st mapper.State

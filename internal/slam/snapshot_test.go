@@ -42,7 +42,9 @@ func runDigest(t *testing.T, cfg Config, name string, frames int) (*Result, [32]
 // slots behind and nothing compacted them, which held that removing pruned
 // Gaussians at once changed no output bit; they were re-recorded when
 // tracking became sparse (the refiner renders a pixel lattice), which moves
-// every refined pose. It holds in both kinds of venue: Run, which retains
+// every refined pose, and again when refinement moved beside the previous
+// frame's mapping (a frame refines against the map as it stood before that
+// tail, and a key frame joins the window before its own tail). It holds in both kinds of venue: Run, which retains
 // each frame's tile lists as recorded, and an Open session, which retains
 // none. The run's floats depend on whether the compiler fuses multiply-adds,
 // so the digests hold for amd64 only; the other checks hold everywhere.
@@ -52,8 +54,8 @@ func TestPruneDigestPinned(t *testing.T) {
 	for _, sc := range []struct {
 		name, digest string
 	}{
-		{"Desk", "8f27d6fea8d3943806afc43ce9f96c63667ce17afc9910df80a13f3b6540079f"},
-		{"Room", "a6916edc846292d8fce107c3b211f42c5d50be4b6f50628b5abc0208de97f7be"},
+		{"Desk", "4ad172a79f520662512d1c0aab1c26f82fe610635659cf1757663f7ca50ca017"},
+		{"Room", "a009750877cd1ef73c964821ea617de50662f00107adb679db288413fe41a5d2"},
 	} {
 		// Eleven frames: the last frame does not prune, so the final map is
 		// the size the last trace frame recorded.
@@ -154,6 +156,92 @@ func TestSnapshotRoundTripSystem(t *testing.T) {
 				t.Errorf("%s split %d: restored digest %x != uninterrupted %x", scene, k, got, want)
 			}
 		}
+	}
+}
+
+// TestSnapshotPendingTailRestores: a snapshot is the system with its last
+// frame's mapping tail pending, so one taken after any frame k (k = 1 holds
+// the bootstrap tail) restores into a system with that tail pending, in the
+// offline and the serving venue, and pushing the rest of the stream reaches
+// the uninterrupted digest. A version 8 snapshot, which held the map after
+// that tail, is refused by its version word.
+func TestSnapshotPendingTailRestores(t *testing.T) {
+	const frames = 5
+	// Half the tests' usual frame side: the test runs twenty restores, five
+	// times under the race detector in CI.
+	seq := scene.MustGenerate("Desk", scene.Config{Width: tw / 2, Height: th / 2, Frames: frames, Seed: 1})
+	srv := NewServer(ServerConfig{})
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"baseline", fastCfg(tw, th)},
+		{"ags", fastAGS(tw, th)},
+		{"prune", pruneCfg(tw, th)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := directRun(t, tc.cfg, seq).Digest()
+			for k := 1; k < frames; k++ {
+				sys := New(tc.cfg, seq.Intr)
+				sess, err := srv.Open(seq.Name, tc.cfg, seq.Intr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var snaps [2][]byte
+				for _, f := range seq.Frames[:k] {
+					if err := sys.ProcessFrame(f); err != nil {
+						t.Fatal(err)
+					}
+					if err := sess.Push(f); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if sys.tail == nil || sys.tail.pos != k-1 {
+					t.Fatalf("k=%d: no pending tail of frame %d to snapshot", k, k-1)
+				}
+				snaps[0] = sys.AppendSnapshot(nil, nil)
+				if snaps[1], err = sess.AppendSnapshot(nil, nil); err != nil {
+					t.Fatal(err)
+				}
+				sys.Close()
+				if _, err := sess.Close(); err != nil {
+					t.Fatal(err)
+				}
+
+				restored, err := Restore(bytes.NewReader(snaps[0]))
+				if err != nil {
+					t.Fatalf("k=%d: restore: %v", k, err)
+				}
+				if tail := restored.tail; tail == nil || tail.pos != k-1 || tail.f != restored.prevFrame || !tail.restored {
+					t.Fatalf("k=%d: the restored system has no pending tail of frame %d", k, k-1)
+				}
+				for _, f := range seq.Frames[k:] {
+					if err := restored.ProcessFrame(f); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if got := restored.Finish(seq.Name).Digest(); got != want {
+					t.Errorf("k=%d: Restore: digest %x, uninterrupted %x", k, got, want)
+				}
+				restored.Close()
+
+				rs, n, err := srv.RestoreSession(seq.Name, snaps[1], nil)
+				if err != nil || n != k {
+					t.Fatalf("k=%d: RestoreSession: frame %d, %v", k, n, err)
+				}
+				if got := pushAll(t, rs, seq.Frames[k:]).Digest(); got != want {
+					t.Errorf("k=%d: RestoreSession: digest %x, uninterrupted %x", k, got, want)
+				}
+			}
+		})
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	v8 := snapshotBytes(t)
+	binary.LittleEndian.PutUint32(v8[len(snapshotMagic):], 8)
+	if _, err := Restore(bytes.NewReader(v8)); err == nil || !strings.Contains(err.Error(), "snapshot version 8, this build reads 9") {
+		t.Errorf("a version 8 snapshot: %v, want it refused by its version", err)
 	}
 }
 
@@ -324,6 +412,9 @@ func TestRestoreRejectsDamage(t *testing.T) {
 		}, "version"},
 		{"short second moments", func(b []byte) []byte { return shortSecondMoments(t, b) }, "second moments"},
 		{"skip set one flag short", reskip(t, func(s []bool) []bool { return s[:len(s)-1] }), "skip set does not match"},
+		{"pending tail before the first frame", func([]byte) []byte {
+			return flagPending(t, New(fastCfg(tw, th), testSeq(t, "Desk", 1).Intr).AppendSnapshot(nil, nil))
+		}, "pending mapping tail with 0 frames processed"},
 		{"skip set one flag long", reskip(t, func(s []bool) []bool { return append(s, true) }), "skip set does not match"},
 		// The frame table (since version 2): position, body length, body per entry.
 		{"table position at the frame count", tableEdit(t, func(tb []tableEntry) []tableEntry {
@@ -414,7 +505,8 @@ func shortSecondMoments(t *testing.T, snap []byte) []byte {
 }
 
 // traceSection reads past the fields between a snapshot's frame table and
-// its map, the trace frames last, and returns the decoder at the cloud.
+// its map, the trace frames and the pending-tail flag last, and returns the
+// decoder at the cloud.
 func traceSection(t testing.TB, tail []byte) *binfmt.Dec {
 	t.Helper()
 	d := binfmt.NewDec(tail)
@@ -428,10 +520,22 @@ func traceSection(t testing.TB, tail []byte) *binfmt.Dec {
 	for n := d.Len(8); n > 0; n-- {
 		decodeTrace(d, &trace.FrameTrace{})
 	}
+	d.Bool() // the last frame's tail is pending
 	if err := d.Err(); err != nil {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// flagPending returns snap with its pending-tail flag set and the checksum
+// redone.
+func flagPending(t *testing.T, snap []byte) []byte {
+	t.Helper()
+	head, table, tail := splitSnapshot(t, snap)
+	d := traceSection(t, tail)
+	out := slices.Clone(tail)
+	out[len(tail)-d.Remaining()-1] = 1
+	return joinSnapshot(head, table, out)
 }
 
 // reskip is a damage row that rewrites the snapshot's skip set, the field

@@ -6,24 +6,29 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"ags/internal/frame"
+	"ags/internal/gauss"
+	"ags/internal/hw/trace"
 	"ags/internal/scene"
+	"ags/internal/splat"
+	"ags/internal/tracker"
 	"ags/internal/vecmath"
 )
 
-// The tests of the mapping tail (see System and ProcessFrame): what every join
-// point sees, that a standalone system runs nothing behind its caller's back,
-// that a rejected frame neither waits for nor disturbs a tail in flight, that
-// a tail's panic comes back on the caller's goroutine, and that the schedule
-// is the same computation on one processor. CI runs the Tail|JoinPoint tests
-// under -race -count=5 as a step of their own.
+// The tests of the mapping tail (see System and ProcessFrame): that frame t
+// refines against the map as it stood before frame t-1's tail, what every
+// join point sees, that a standalone system runs nothing behind its caller's
+// back and holds no context between calls, that a rejected frame disturbs
+// nothing, that a tail's panic comes back on the caller's goroutine, and that
+// the schedule is the same computation on one processor. CI runs the
+// Tail|JoinPoint|Schedule tests under -race -count=5 as a step of their own.
 
 // tailCfgs are the configurations the tail tests cover: the three mapping
 // paths (selective, key-frame, baseline), the coarse-only variant whose front
-// is the whole of tracking, the false-positive measurement that renders in the
-// middle, and one whose prunes remove Gaussians inside tails of a short run.
+// is the whole of tracking, the false-positive measurement that renders at
+// the start of a selective tail, and one whose prunes remove Gaussians inside
+// tails of a short run.
 func tailCfgs() []struct {
 	name string
 	cfg  Config
@@ -44,38 +49,123 @@ func tailCfgs() []struct {
 	}
 }
 
-// joinedReference drives a system one frame at a time with a join after each,
-// which is the serial schedule, and returns its snapshot after every frame
-// and its final Result.
-func joinedReference(t *testing.T, cfg Config, seq *scene.Sequence) ([][]byte, *Result) {
+// serialFrame is ProcessFrame's schedule on the caller's goroutine alone:
+// the frame's front and middle run against the map with the previous frame's
+// tail still pending, then that tail runs in place, then the frame is
+// committed. The second frame refines against the bootstrap map, so the first
+// tail runs before it.
+func serialFrame(t *testing.T, sys *System, f *frame.Frame) {
+	t.Helper()
+	if sys.frameCount == 1 {
+		sys.join()
+	}
+	ft := &trace.FrameTrace{Index: sys.frameCount}
+	var info FrameInfo
+	pose, err := sys.track(f, splat.NewRenderContext(), sys.mapper.Cloud(), ft, &info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.join()
+	sys.commit(f, pose, ft, &info)
+}
+
+// serialReference drives a system through serialFrame, with a join after the
+// frames joinAfter names (what Mapper, Finish and Close do between frames),
+// and returns its snapshot after every frame and its final Result.
+func serialReference(t *testing.T, cfg Config, seq *scene.Sequence, joinAfter func(i int) bool) ([][]byte, *Result) {
 	t.Helper()
 	sys := New(cfg, seq.Intr)
 	defer sys.Close()
 	snaps := make([][]byte, len(seq.Frames))
 	for i, f := range seq.Frames {
-		if err := sys.ProcessFrame(f); err != nil {
-			t.Fatal(err)
+		serialFrame(t, sys, f)
+		if sys.tail == nil || sys.tail.done != nil {
+			t.Fatal("serialFrame did not leave the frame's tail pending")
 		}
-		sys.join()
-		if sys.tail != nil {
-			t.Fatal("join left a tail behind")
+		if joinAfter != nil && joinAfter(i) {
+			sys.join()
 		}
 		snaps[i] = sys.AppendSnapshot(nil, nil)
 	}
 	return snaps, sys.Finish(seq.Name)
 }
 
-// TestJoinPointMatrix: whatever reads the map straight after ProcessFrame
-// sees the frame mapped. A snapshot taken after every ProcessFrame, with that
-// frame's tail still pending, is byte for byte the serial schedule's; so is the
-// final snapshot of a run whose frames went back to back (every front beside
-// the previous tail), which carries every frame's pose, decisions and trace;
-// and Mapper, Finish and Close each join.
+// heldContexts is how many of the contexts a pool made are out on loan.
+func heldContexts(st splat.PoolStats) int {
+	return int(st.Misses) - int(st.Evictions) - st.Idle
+}
+
+// TestScheduleRefinesBeforePreviousTail: frame t's pose is what the refiner
+// makes of a copy of the map taken before frame t-1's tail (the bootstrap map
+// for frame 1), from the front's coarse pose on the AGS path and from the
+// velocity and previous-pose candidates on the baseline path.
+func TestScheduleRefinesBeforePreviousTail(t *testing.T) {
+	seq := testSeq(t, "Desk", 6)
+	for _, tc := range tailCfgs()[:2] {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := New(tc.cfg, seq.Intr)
+			defer sys.Close()
+			refined := 0
+			for i, f := range seq.Frames {
+				if i == 1 {
+					sys.join() // frame 1 refines against the bootstrap map
+				}
+				var before *gauss.Cloud
+				var inits []vecmath.Pose
+				var coarse vecmath.Pose
+				if i > 0 {
+					before = sys.mapper.Cloud().Clone()
+					inits = []vecmath.Pose{sys.prevRel.Compose(sys.prevPose), sys.prevPose}
+					// The front is a function of frames and committed poses;
+					// running it here leaves nothing behind but the
+					// detector's plane cache.
+					fr, err := sys.front(f)
+					if err != nil {
+						t.Fatal(err)
+					}
+					coarse = fr.coarse
+				}
+				if err := sys.ProcessFrame(f); err != nil {
+					t.Fatal(err)
+				}
+				info := sys.info[i]
+				if i == 0 || info.CoarseOnly {
+					continue
+				}
+				ref := tracker.NewGSRefiner()
+				ref.LR = tc.cfg.TrackLR
+				ref.Workers = 1
+				ref.ScalarsOnly = true
+				ref.Ctx = splat.NewRenderContext()
+				var want vecmath.Pose
+				if tc.cfg.EnableMAT {
+					want, _ = ref.Refine(before, seq.Intr, f, coarse, tc.cfg.IterT)
+				} else {
+					want, _ = ref.RefineBest(before, seq.Intr, f, inits, tc.cfg.TrackIters)
+				}
+				if sys.poses[i] != want {
+					t.Errorf("frame %d: pose %v, refined against the map before frame %d's tail %v", i, sys.poses[i], i-1, want)
+				}
+				refined++
+			}
+			if refined < 2 {
+				t.Fatalf("%d frames refined: the test exercises too little", refined)
+			}
+		})
+	}
+}
+
+// TestJoinPointMatrix: a snapshot taken after every ProcessFrame, with that
+// frame's tail pending, is byte for byte the serial schedule's and perturbs
+// nothing; so is the final snapshot of a run whose frames went back to back
+// (every front and refinement beside the previous tail), which carries every
+// frame's pose, decisions and trace; and Mapper, Finish and Close each join,
+// so whatever reads the map through them sees the last frame mapped.
 func TestJoinPointMatrix(t *testing.T) {
 	seq := testSeq(t, "Desk", 8)
 	for _, tc := range tailCfgs() {
 		t.Run(tc.name, func(t *testing.T) {
-			want, wantRes := joinedReference(t, tc.cfg, seq)
+			want, wantRes := serialReference(t, tc.cfg, seq, nil)
 			if tc.name == "prune" && wantRes.Trace.Totals().PrunedGaussians == 0 {
 				t.Fatal("nothing was pruned: the configuration exercises nothing")
 			}
@@ -104,6 +194,9 @@ func TestJoinPointMatrix(t *testing.T) {
 			if got := back.AppendSnapshot(nil, nil); !bytes.Equal(got, want[len(want)-1]) {
 				t.Fatal("back-to-back run: final snapshot differs from the serial schedule's")
 			}
+			if each.Finish(seq.Name).Digest() != wantRes.Digest() {
+				t.Fatal("the run snapshotted after every frame finished on another digest")
+			}
 
 			// Mapper, Finish and Close, each straight after a ProcessFrame.
 			last := len(seq.Frames) - 1
@@ -113,7 +206,7 @@ func TestJoinPointMatrix(t *testing.T) {
 			}{
 				{"Mapper", func(s *System) bool { return s.Mapper().Cloud().Len() == wantRes.Cloud.Len() }},
 				{"Finish", func(s *System) bool { return s.Finish(seq.Name).Digest() == wantRes.Digest() }},
-				{"Close", func(s *System) bool { s.Close(); return s.tail == nil && s.renderCtx == nil }},
+				{"Close", func(s *System) bool { s.Close(); return s.tail == nil && s.mapper.Ctx == nil && s.refiner.Ctx == nil }},
 			} {
 				sys, err := Restore(bytes.NewReader(want[last-1]))
 				if err != nil {
@@ -133,11 +226,12 @@ func TestJoinPointMatrix(t *testing.T) {
 
 // TestTailRaceSystem interleaves ProcessFrame with AppendSnapshot, Finish and
 // Close on one goroutine, the way a producer that owns a System may, and must
-// end on the serial digest with the race detector quiet.
+// end on the digest of the serial schedule with the same joins (Finish and
+// Close each run the pending tail) with the race detector quiet.
 func TestTailRaceSystem(t *testing.T) {
 	seq := testSeq(t, "Desk", 9)
 	cfg := pruneCfg(tw, th)
-	_, want := joinedReference(t, cfg, seq)
+	_, want := serialReference(t, cfg, seq, func(i int) bool { return i%4 == 1 || i%4 == 2 })
 	sys := New(cfg, seq.Intr)
 	defer sys.Close()
 	var buf []byte
@@ -205,33 +299,44 @@ func TestTailRaceTwoSessions(t *testing.T) {
 	}
 }
 
-// TestTailSessionStartsAtOnce: a session's producer may wait before the next
-// push, so Push starts each frame's tail itself: the tail is running when Push
-// returns, and the frame's render context comes back to the pool with no
-// further push and no close, so an idle session pins none. A standalone
-// system would leave the tail pending, context and all, until the next call.
-func TestTailSessionStartsAtOnce(t *testing.T) {
-	seq := testSeq(t, "Desk", 2)
+// TestTailPendingHoldsNoContext: Push and ProcessFrame return with the
+// frame's tail pending, not started, and every context the frame drew (the
+// tracking context and the previous tail's mapping context) back in the pool,
+// so an idle stream pins none in either venue.
+func TestTailPendingHoldsNoContext(t *testing.T) {
+	seq := testSeq(t, "Desk", 4)
 	srv := NewServer(ServerConfig{})
 	sess, err := srv.Open(seq.Name, fastAGS(tw, th), seq.Intr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, f := range seq.Frames {
-		if err := sess.Push(f); err != nil {
-			t.Fatal(err)
-		}
-		if tail := sess.sys.tail; tail == nil || tail.done == nil {
-			t.Fatalf("frame %d: Push returned with the tail pending", i)
-		}
-		for deadline := time.Now().Add(30 * time.Second); srv.PoolStats().Idle == 0; runtime.Gosched() {
-			if time.Now().After(deadline) {
-				t.Fatalf("frame %d: the render context never came back: the session left its tail pending", i)
+	sys := newSystem(fastAGS(tw, th), seq.Intr, srv.ContextPool(), offline)
+	for _, v := range []struct {
+		name string
+		push func(*frame.Frame) error
+		sys  *System
+	}{
+		{"Push", sess.Push, sess.sys},
+		{"ProcessFrame", sys.ProcessFrame, sys},
+	} {
+		for i, f := range seq.Frames {
+			if err := v.push(f); err != nil {
+				t.Fatal(err)
+			}
+			if tail := v.sys.tail; tail == nil || tail.done != nil {
+				t.Fatalf("%s, frame %d: returned without its tail pending", v.name, i)
+			}
+			if n := heldContexts(srv.PoolStats()); n != 0 {
+				t.Fatalf("%s, frame %d: %d contexts held: a pending tail holds one", v.name, i, n)
 			}
 		}
 	}
 	if _, err := sess.Close(); err != nil {
 		t.Fatal(err)
+	}
+	sys.Close()
+	if n := heldContexts(srv.PoolStats()); n != 0 {
+		t.Fatalf("%d contexts held after Close", n)
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
@@ -243,7 +348,7 @@ func TestTailSessionStartsAtOnce(t *testing.T) {
 func TestTailOneProcessor(t *testing.T) {
 	seq := testSeq(t, "Desk", 6)
 	for _, tc := range tailCfgs()[:2] {
-		_, want := joinedReference(t, tc.cfg, seq)
+		_, want := serialReference(t, tc.cfg, seq, nil)
 		func() {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			if got := directRun(t, tc.cfg, seq); got.Digest() != want.Digest() {
@@ -254,13 +359,14 @@ func TestTailOneProcessor(t *testing.T) {
 }
 
 // TestTailRejectedFrameLeavesStateAlone: a frame that fails validation returns
-// with the previous frame's tail still pending, one the front rejects returns
-// while that tail is in flight, without waiting for it; both commit nothing,
-// and the stream continues to the serial digest.
+// with the previous frame's tail still pending; one the front rejects returns
+// once that tail, started beside it, is joined, so no goroutine outlives the
+// call. Neither commits anything, and the stream continues to the digest of
+// the serial schedule with that one join.
 func TestTailRejectedFrameLeavesStateAlone(t *testing.T) {
 	seq := testSeq(t, "Desk", 5)
 	cfg := fastAGS(tw, th)
-	_, want := joinedReference(t, cfg, seq)
+	_, want := serialReference(t, cfg, seq, func(i int) bool { return i == 1 })
 
 	wrongSize := scene.MustGenerate("Desk", scene.Config{Width: 32, Height: 24, Frames: 1, Seed: 1}).Frames[0]
 	short := *seq.Frames[2]
@@ -289,7 +395,7 @@ func TestTailRejectedFrameLeavesStateAlone(t *testing.T) {
 				f       *frame.Frame
 				block   int
 				wantErr string
-				starts  bool // validation rejects before the tail starts, the front after
+				joins   bool // validation rejects before the tail starts, the front after
 			}{
 				{"wrong size", wrongSize, block, "does not match camera", false},
 				{"short plane", &short, block, "slam:", false},
@@ -300,11 +406,14 @@ func TestTailRejectedFrameLeavesStateAlone(t *testing.T) {
 				if err == nil || !strings.Contains(err.Error(), bad.wantErr) {
 					t.Fatalf("%s: err = %v, want one naming %q", bad.name, err, bad.wantErr)
 				}
-				if sys.tail == nil {
-					t.Fatalf("%s: the rejected frame joined the tail", bad.name)
+				if joined := sys.tail == nil; joined != bad.joins {
+					t.Fatalf("%s: tail joined = %v, want %v", bad.name, joined, bad.joins)
 				}
-				if started := sys.tail.done != nil; started != bad.starts {
-					t.Fatalf("%s: tail started = %v, want %v", bad.name, started, bad.starts)
+				if sys.tail != nil && sys.tail.done != nil {
+					t.Fatalf("%s: returned with the tail in flight", bad.name)
+				}
+				if n := heldContexts(DefaultServer().PoolStats()); n != 0 {
+					t.Fatalf("%s: returned holding %d render contexts", bad.name, n)
 				}
 				if after := state(sys); after != before {
 					t.Fatalf("%s: the rejected frame moved committed state: %+v, was %+v", bad.name, after, before)
@@ -411,8 +520,9 @@ func TestTailPanicSurfacesAtJoin(t *testing.T) {
 
 // TestTailPanicFailsOneSession: a mapping tail that panics inside a session
 // fails that session and no other. The fault is TestTailPanicSurfacesAtJoin's,
-// injected between pushes: a snapshot joins the tail's last writes before
-// the test cuts two retained key frames' colour planes. The poisoned session's
+// injected between pushes, when no tail is in flight (a Push returns with its
+// frame's tail pending): the test cuts two retained key frames' colour
+// planes. The poisoned session's
 // Push, AppendSnapshot and Close then report the tail's panic with its stack,
 // the snapshot leaves dst alone, the other session on the same server closes
 // on its sequential digest, and both leave the server.
@@ -445,9 +555,6 @@ func TestTailPanicFailsOneSession(t *testing.T) {
 	}
 	for i := range 3 {
 		push(i)
-	}
-	if _, err := poisoned.AppendSnapshot(nil, nil); err != nil {
-		t.Fatal(err)
 	}
 	for _, f := range poisonSeq.Frames[:2] {
 		f.Color.Pix = f.Color.Pix[:1]

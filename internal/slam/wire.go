@@ -51,9 +51,14 @@ func DecodeIntrinsics(b []byte) (camera.Intrinsics, error) {
 
 // AppendFrame appends the binary encoding of one RGB-D frame to buf. A
 // steadily pushing producer reuses its buffer (buf[:0]), so the per-frame
-// encode allocates only until the buffer reaches its high-water mark.
+// encode allocates only until the buffer reaches its high-water mark. A
+// counting pass sizes the encoding first, so buf grows at most once per call
+// (binfmt.Grow) and not through the dozen re-makes that thousands of 8-byte
+// appends would cost.
 func AppendFrame(buf []byte, f *frame.Frame) []byte {
-	e := binfmt.Enc{Buf: buf}
+	size := binfmt.Counting()
+	encodeFrame(&size, f)
+	e := binfmt.Enc{Buf: binfmt.Grow(buf, size.Len())}
 	encodeFrame(&e, f)
 	return e.Buf
 }

@@ -15,19 +15,18 @@ import (
 	"ags/internal/scene"
 )
 
-// TestGoldenSnapshot pins SnapshotVersion 8 by length and SHA-256: the
+// TestGoldenSnapshot pins SnapshotVersion 9 by length and SHA-256: the
 // AGSSNAP of a fixed-seed AGS run with pruning on, six frames in, once as
 // Snapshot writes it (every frame body inline) and once as a fleet checkpoint
 // is taken (by a requester that holds every frame pushed, so the frame table
-// is positions only). The golden lines were written by the encoder the
-// version was introduced with, and re-recorded once when tracking became
-// sparse (the run's state moved; no format byte did). There is no
-// regeneration switch — a moved format byte takes a SnapshotVersion bump and
-// new files (version 1's were
-// snapshot.sum.golden, version 2's *.v2.sum.golden, and so on to version 7's
-// *.v7.sum.golden). The run is an offline one, which keeps trace detail in
-// memory; neither snapshot carries it. The run's floats depend on whether the
-// compiler fuses multiply-adds, so the lines hold for amd64 only.
+// is positions only). Either holds the sixth frame's mapping tail pending.
+// The golden lines were written by the encoder the version was introduced
+// with. There is no regeneration switch — a moved format byte takes a
+// SnapshotVersion bump and new files (version 1's were snapshot.sum.golden,
+// version 2's *.v2.sum.golden, and so on to version 8's *.v8.sum.golden). The
+// run is an offline one, which keeps trace detail in memory; neither snapshot
+// carries it. The run's floats depend on whether the compiler fuses
+// multiply-adds, so the lines hold for amd64 only.
 func TestGoldenSnapshot(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden snapshot recorded on amd64")
@@ -48,8 +47,8 @@ func TestGoldenSnapshot(t *testing.T) {
 		file string
 		snap []byte
 	}{
-		{"snapshot.v8.sum.golden", buf.Bytes()},
-		{"snapshot-lean.v8.sum.golden", sys.AppendSnapshot(nil, []int{0, 1, 2, 3, 4, 5})},
+		{"snapshot.v9.sum.golden", buf.Bytes()},
+		{"snapshot-lean.v9.sum.golden", sys.AppendSnapshot(nil, []int{0, 1, 2, 3, 4, 5})},
 	} {
 		want, err := os.ReadFile(filepath.Join("testdata", g.file))
 		if err != nil {
@@ -62,13 +61,13 @@ func TestGoldenSnapshot(t *testing.T) {
 }
 
 // The restore seed is a whole small restore, in bytes: a lean snapshot of a
-// 16x12 AGS run three frames in (restore.v8.golden) and the frames it leaves
-// out, as a count and then position and length-prefixed AppendFrame bytes each
-// (restore-frames.v8.golden, the shape fleet's RESTORE gives the list). Like
-// the sums above, the snapshot was re-recorded when tracking became sparse;
-// the frame list did not move. They pin the decoder on every
-// platform (the bytes restore and the stream goes on), the encoder on amd64,
-// and they seed FuzzRestoreSession.
+// 16x12 AGS run three frames in, its third frame's tail pending
+// (restore.v9.golden), and the frames it leaves out, as a count and then
+// position and length-prefixed AppendFrame bytes each
+// (restore-frames.v9.golden, the shape fleet's RESTORE gives the list; the
+// same bytes as version 8's list). They pin the decoder on every platform (the
+// bytes restore and the stream goes on), the encoder on amd64, and they seed
+// FuzzRestoreSession.
 const seedW, seedH, seedFrames = 16, 12, 3
 
 func seedConfig() Config {
@@ -85,11 +84,11 @@ func seedSeq() *scene.Sequence {
 
 func readSeed(t testing.TB) (snap, list []byte) {
 	t.Helper()
-	snap, err := os.ReadFile(filepath.Join("testdata", "restore.v8.golden"))
+	snap, err := os.ReadFile(filepath.Join("testdata", "restore.v9.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	list, err = os.ReadFile(filepath.Join("testdata", "restore-frames.v8.golden"))
+	list, err = os.ReadFile(filepath.Join("testdata", "restore-frames.v9.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package splat
 
 import (
 	"ags/internal/frame"
+	"ags/internal/gauss"
 	"ags/internal/vecmath"
 )
 
@@ -46,10 +47,30 @@ type RenderContext struct {
 	// with GaussianGrads only.
 	gMean, gColor     []vecmath.Vec3
 	gLogit, gLogScale []float64
+
+	// frozen is the copy of a map Freeze made, rendered in place of a map
+	// that another goroutine goes on changing.
+	frozen gauss.Cloud
 }
 
 // NewRenderContext returns an empty context; buffers are sized lazily from
 // the intrinsics and cloud of each call.
 func NewRenderContext() *RenderContext {
 	return &RenderContext{}
+}
+
+// Freeze copies c into the context and returns the copy, which stays as it
+// is while c changes: a caller renders the copy through this context while
+// another goroutine goes on writing c. The copy is valid until the next Freeze
+// or the context's Release. Its storage belongs to the context, grows by
+// doubling and is kept across calls (FootprintBytes counts it), so a warm
+// context freezes a map no larger than one it froze before without
+// allocating.
+func (ctx *RenderContext) Freeze(c *gauss.Cloud) *gauss.Cloud {
+	g := ctx.frozen.Gaussians[:0]
+	if cap(g) < c.Len() {
+		g = make([]gauss.Gaussian, 0, max(c.Len(), 2*cap(g)))
+	}
+	ctx.frozen.Gaussians = append(g, c.Gaussians...)
+	return &ctx.frozen
 }

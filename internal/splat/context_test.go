@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ags/internal/frame"
+	"ags/internal/gauss"
 	"ags/internal/hw/trace"
 	"ags/internal/vecmath"
 )
@@ -164,5 +165,38 @@ func TestRenderContextDeterminismAcrossWorkerCounts(t *testing.T) {
 				t.Errorf("contexted backward digest differs from one-shot Workers=1 reference")
 			}
 		})
+	}
+}
+
+// TestFreezeCopiesAndStaysWarm: Freeze returns a copy that renders exactly
+// as its source did and stays as it was while the source changes; a warm
+// context freezes a map no larger than one it froze before without
+// allocating, grows by doubling when the map outgrows it, and counts the
+// copy in its footprint.
+func TestFreezeCopiesAndStaysWarm(t *testing.T) {
+	cloud, cam := determinismScene()
+	ctx := NewRenderContext()
+	frozen := ctx.Freeze(cloud)
+	want := Render(cloud, cam, Options{Workers: 1}).Digest()
+	for i := range cloud.Gaussians {
+		cloud.Gaussians[i].Logit += 0.5
+	}
+	cloud.Add(cloud.Gaussians[0])
+	if frozen.Len() != cloud.Len()-1 {
+		t.Fatalf("the copy holds %d Gaussians, the source held %d", frozen.Len(), cloud.Len()-1)
+	}
+	if got := ctx.Render(frozen, cam, Options{Workers: 1}).Digest(); got != want {
+		t.Error("the frozen copy renders differently from the map it was taken of")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { ctx.Freeze(frozen) }); allocs != 0 {
+		t.Errorf("a warm freeze of a map no larger allocates %.0f times", allocs)
+	}
+	before, held := ctx.FootprintBytes(), cap(ctx.frozen.Gaussians)
+	ctx.Freeze(cloud) // one Gaussian more than the copy had room for
+	if got := cap(ctx.frozen.Gaussians); got != max(cloud.Len(), 2*held) {
+		t.Errorf("the copy grew from %d to %d slots for %d Gaussians, want doubled", held, got, cloud.Len())
+	}
+	if grew := ctx.FootprintBytes() - before; grew != sliceBytes[gauss.Gaussian](cap(ctx.frozen.Gaussians)-held) {
+		t.Errorf("the footprint grew %d bytes with the copy's storage", grew)
 	}
 }

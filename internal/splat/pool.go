@@ -4,6 +4,7 @@ import (
 	"sync"
 	"unsafe"
 
+	"ags/internal/gauss"
 	"ags/internal/vecmath"
 )
 
@@ -158,7 +159,8 @@ func (ctx *RenderContext) FootprintBytes() int64 {
 		sliceBytes[[]blendStep](cap(ctx.bwScratch)) +
 		sliceBytes[tileScratch](cap(ctx.cull)) +
 		sliceBytes[blendShard](cap(ctx.result.logShards)) +
-		sliceBytes[tileLogRef](cap(ctx.result.logTiles))
+		sliceBytes[tileLogRef](cap(ctx.result.logTiles)) +
+		sliceBytes[gauss.Gaussian](cap(ctx.frozen.Gaussians))
 	for _, sc := range ctx.bwScratch[:cap(ctx.bwScratch)] {
 		b += sliceBytes[blendStep](cap(sc))
 	}

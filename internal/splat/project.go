@@ -231,11 +231,18 @@ func ProjectGaussian(g *gauss.Gaussian, cam camera.Camera) (Splat, bool) {
 // preprocessInto projects every Gaussian in the cloud (step 1 of Fig. 2),
 // culling those that fall outside the image or behind the camera, and appends
 // the survivors to splats (reusing its capacity — the RenderContext's
-// per-frame projection path). skip, when non-nil, suppresses Gaussians whose
-// ID is flagged (selective mapping).
+// per-frame projection path). Room for every Gaussian is made first, at
+// least doubling the capacity when it must grow, so a growing map re-makes
+// the slice O(log) times and not through append's many smaller steps. skip,
+// when non-nil, suppresses Gaussians whose ID is flagged (selective mapping).
 //
 //ags:hotpath
 func preprocessInto(splats []Splat, cloud *gauss.Cloud, cam camera.Camera, skip []bool) []Splat {
+	if n := len(splats) + cloud.Len(); cap(splats) < n {
+		grown := make([]Splat, len(splats), max(n, 2*cap(splats)))
+		copy(grown, splats)
+		splats = grown
+	}
 	for id := range cloud.Gaussians {
 		if skip != nil && id < len(skip) && skip[id] {
 			continue

@@ -32,9 +32,10 @@ type GSRefiner struct {
 	// keeps the refinement loop allocation-free; the caller sets it before
 	// refining. The refiner borrows the context only for the duration of a
 	// call — callers may share one context across the tracker and mapper of
-	// a pipeline, but not across goroutines. slam attaches one from its
-	// server's splat.ContextPool for each frame and releases it when the
-	// frame's mapping ends, so the field may change identity between frames.
+	// a pipeline, but not across goroutines. slam draws one from its
+	// server's splat.ContextPool for each frame's tracking (the previous
+	// frame's mapping renders through another beside it), so the field may
+	// change identity between frames.
 	Ctx *splat.RenderContext
 	// ScalarsOnly makes Refine return the tracking work's scalars without the
 	// representative iteration's detail (see trace.RenderStats): the per-pixel
