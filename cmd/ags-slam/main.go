@@ -16,6 +16,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"sync"
 	"time"
@@ -158,15 +159,19 @@ func main() {
 	res := sys.Finish(*seqName)
 	sys.Close()
 	elapsed := time.Since(start)
-	for i := startIdx; i < len(res.Info); i++ {
+	// The per-frame history covers the frames this run processed: those after
+	// the snapshot, for a resumed run. ATE and the digest cover the stream.
+	ran := *seq
+	ran.Frames = seq.Frames[startIdx:]
+	for i, info := range res.Info {
 		inf := ""
-		if res.Info[i].CoarseOnly {
+		if info.CoarseOnly {
 			inf += " coarse-only"
 		}
-		if res.Info[i].IsKeyFrame {
+		if info.IsKeyFrame {
 			inf += " keyframe"
 		}
-		fmt.Printf("  frame %2d: FC %.2f%s\n", seq.Frames[i].Index, float64(res.Info[i].Covisibility), inf)
+		fmt.Printf("  frame %2d: FC %.2f%s\n", ran.Frames[i].Index, float64(info.Covisibility), inf)
 	}
 
 	ate, err := res.ATERMSECm()
@@ -174,13 +179,18 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	psnr, err := slam.EvaluatePSNR(res, seq, 2)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	psnr := math.NaN()
+	if len(ran.Frames) > 0 {
+		if psnr, err = slam.EvaluatePSNR(res, &ran, 2); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 	}
 	tot := res.Trace.Totals()
 	fmt.Printf("\nresults for %s / %s:\n", *seqName, *algo)
+	if startIdx > 0 {
+		fmt.Printf("  (ATE and digest over all %d frames, the rest over the %d after the restore)\n", res.Frames, len(ran.Frames))
+	}
 	fmt.Printf("  ATE RMSE           %.2f cm\n", ate)
 	fmt.Printf("  PSNR               %.2f dB\n", psnr)
 	dig := res.Digest()
@@ -192,7 +202,7 @@ func main() {
 	fmt.Printf("  coarse-only frames %d\n", tot.CoarseOnly)
 	fmt.Printf("  track iterations   %d\n", tot.TrackIters)
 	fmt.Printf("  map iterations     %d\n", tot.MapIters)
-	fmt.Printf("  wall time          %s (%.2f s/frame in Go)\n", elapsed.Round(time.Millisecond), elapsed.Seconds()/float64(tot.Frames))
+	fmt.Printf("  wall time          %s (%.2f s/frame in Go)\n", elapsed.Round(time.Millisecond), elapsed.Seconds()/float64(max(tot.Frames, 1)))
 
 	if *traceOut != "" {
 		tf, err := os.Create(*traceOut)
@@ -211,22 +221,19 @@ func main() {
 		fmt.Printf("\ntrace written to %s\n", *traceOut)
 	}
 
-	// A resumed run models the frames it processed: the restored ones are a
-	// snapshot's scalars, which the AGS models could only bound, not replay.
-	modeled := *res.Trace
-	modeled.Frames = modeled.Frames[startIdx:]
+	// A resumed run models the frames it processed, the ones its trace holds.
 	switch {
-	case len(modeled.Frames) == 0:
+	case tot.Frames == 0:
 		fmt.Printf("\nmodeled per-frame latency: none, the run processed no frame after the snapshot's %d\n", startIdx)
 		return
 	case startIdx > 0:
-		fmt.Printf("\nmodeled per-frame latency (frames %d-%d, processed after the restore):\n", startIdx, tot.Frames-1)
+		fmt.Printf("\nmodeled per-frame latency (frames %d-%d, processed after the restore):\n", startIdx, res.Frames-1)
 	default:
 		fmt.Printf("\nmodeled per-frame latency:\n")
 	}
 	for _, pl := range []platform.Platform{platform.A100(), platform.Xavier(), platform.AGSServer(), platform.AGSEdge()} {
-		b := platform.RunTotal(pl, &modeled)
-		fmt.Printf("  %-12s %8.3f ms/frame  (%.2f J total)\n", pl.Name(), b.TotalNs/float64(len(modeled.Frames))*1e-6, b.EnergyJ)
+		b := platform.RunTotal(pl, res.Trace)
+		fmt.Printf("  %-12s %8.3f ms/frame  (%.2f J total)\n", pl.Name(), b.TotalNs/float64(tot.Frames)*1e-6, b.EnergyJ)
 	}
 }
 

@@ -2,11 +2,61 @@ package main
 
 import (
 	"math"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
 	"ags/internal/slam"
 )
+
+// TestMain runs the test binary as ags-slam itself when AGS_SLAM_MAIN is
+// set, so a test can drive the command end to end without building it.
+func TestMain(m *testing.M) {
+	if os.Getenv("AGS_SLAM_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// agsSlam runs ags-slam with args and returns its standard output.
+func agsSlam(t *testing.T, args ...string) string {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "AGS_SLAM_MAIN=1")
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("ags-slam %s: %v\n%s", strings.Join(args, " "), err, out)
+	}
+	return string(out)
+}
+
+// TestResumePrintsUninterruptedDigestAndATE: a run resumed from a mid-stream
+// snapshot prints the uninterrupted run's digest and ATE, both of which cover
+// the whole stream (the snapshot carries its history as a hash chain and ATE
+// moments), and lists the frames it processed itself, those after the
+// snapshot.
+func TestResumePrintsUninterruptedDigestAndATE(t *testing.T) {
+	snap := filepath.Join(t.TempDir(), "run.snap")
+	args := []string{"-seq", "Desk", "-frames", "6", "-w", "32", "-h", "24", "-iters", "4", "-workers", "1"}
+	full := agsSlam(t, slices.Concat(args, []string{"-snapshot", snap, "-snapshot-at", "3"})...)
+	resumed := agsSlam(t, slices.Concat(args, []string{"-resume", snap})...)
+	for _, key := range []string{"ATE RMSE", "digest"} {
+		re := regexp.MustCompile(`(?m)^  ` + key + ` .*$`)
+		want, got := re.FindString(full), re.FindString(resumed)
+		if want == "" || got != want {
+			t.Errorf("resumed run prints %q, the uninterrupted run %q", got, want)
+		}
+	}
+	frames := regexp.MustCompile(`(?m)^  frame +(\d+):`).FindAllStringSubmatch(resumed, -1)
+	if len(frames) != 3 || frames[0][1] != "3" || frames[2][1] != "5" {
+		t.Errorf("the resumed run lists frames %v, want 3 to 5", frames)
+	}
+}
 
 func TestCheckSnapshotAt(t *testing.T) {
 	for _, tc := range []struct {

@@ -3,9 +3,11 @@
 // Each stream is a Session driven by its own producer goroutine: Push
 // tracks a frame on that goroutine (no queue, no buffering) while the
 // previous frame's mapping runs beside it, and Close runs the last
-// mapping and returns the final Result, which holds every frame's pose and
-// decisions. All sessions render through the server's bounded context pool, so
-// N streams share render state instead of each pinning their own forever.
+// mapping and returns the final Result: the map and the stream's history as a
+// running digest (a session keeps no per-frame history, so it does not grow
+// with the stream). All sessions render through the server's bounded context
+// pool, so N streams share render state instead of each pinning their own
+// forever.
 //
 //	go run ./examples/multistream
 package main
@@ -66,29 +68,16 @@ func main() {
 	}
 	wg.Wait()
 
-	// 4. Each stream's per-frame outcomes and accuracy, from its Result, plus
-	// the shared pool's economics.
+	// 4. One line per stream from its Result, plus the shared pool's economics.
 	for i, name := range names {
 		res := results[i]
-		for j, info := range res.Info {
-			tag := ""
-			if info.IsKeyFrame {
-				tag = " [keyframe]"
-			}
-			if info.CoarseOnly {
-				tag += " [coarse-only]"
-			}
-			fmt.Printf("%-5s frame %2d: FC %.2f, %4d gaussians%s\n",
-				name, j, float64(info.Covisibility), res.Trace.Frames[j].NumGaussians, tag)
-		}
-	}
-	fmt.Println()
-	for i, name := range names {
-		ate, err := results[i].ATERMSECm()
+		ate, err := res.ATERMSECm()
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-5s ATE RMSE %.2f cm over %d frames\n", name, ate, len(results[i].Poses))
+		dig := res.Digest()
+		fmt.Printf("%-5s %d frames, %4d gaussians, ATE RMSE %.2f cm, digest %x\n",
+			name, res.Frames, res.Cloud.Len(), ate, dig[:8])
 	}
 	st := srv.PoolStats()
 	fmt.Printf("pool  %d/%d contexts resident (%.1f KB), %d hits / %d misses / %d evictions\n",

@@ -421,7 +421,7 @@ func (n *Node) handleClose(cs *connState) bool {
 	if err != nil {
 		return n.replyErr(cs, codeInternal, err.Error())
 	}
-	sum := ResultSummary{Digest: res.Digest(), Frames: len(res.Poses), NumGaussians: res.Cloud.Len()}
+	sum := ResultSummary{Digest: res.Digest(), Frames: res.Frames, NumGaussians: res.Cloud.Len()}
 	cs.replyBuf = encodeResult(cs.replyBuf[:0], &sum)
 	return cs.w.send(vResult, cs.replyBuf) == nil
 }

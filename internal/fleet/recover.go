@@ -16,7 +16,7 @@ import (
 //
 //   - a checkpoint: the last AGSSNAP snapshot taken over the wire (the same
 //     snapshot verb migration uses) every CheckpointEvery acknowledged
-//     pushes. It is the map, its optimizer state and the per-frame scalars;
+//     pushes. It is the map, its optimizer state and the running digest;
 //     the frames the session retains (previous frame, key frame, key-frame
 //     window) it names by stream position only, because the router pushed
 //     every one of them and still has the bytes;

@@ -50,12 +50,11 @@ type Platform interface {
 // experiment and the benchmark's sim_ms_per_frame) has the
 // representative-iteration detail, and the AGS model replays it: per-pixel GPE
 // cycles with their imbalance, and the logging/skipping table traffic. A
-// slam.Restore trace has it from the restore's first new frame on; the frames
-// before came back through a snapshot as scalars, so a caller that wants a
-// replay models only the frames after the restore (as ags-slam -resume does).
-// The trace of a serving session (Server.Open, RestoreSession: what
-// Session.Close and a fleet stream return) has scalars only. On it the AGS
-// model charges the splatting arrays at perfect utilisation from the op
+// slam.Restore trace holds the frames after the restore, detail included (a
+// snapshot carries no per-frame history), so ags-slam -resume models those.
+// A serving session (Server.Open, RestoreSession) keeps no per-frame trace.
+// A trace with scalars only (trace.RenderStats without detail) gets the AGS
+// model charging the splatting arrays at perfect utilisation from the op
 // counts and no table traffic, so the scheduler makes no difference, and
 // GPU.WithAGSAlgorithm charges no contribution-table bytes: an optimistic
 // bound on the replay, not the replay. The plain GPU and GSCore models read

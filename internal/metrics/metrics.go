@@ -37,24 +37,51 @@ func AlignRigid(src, dst []vecmath.Vec3) (vecmath.Pose, error) {
 	if len(src) != len(dst) || len(src) == 0 {
 		return vecmath.PoseIdentity(), fmt.Errorf("metrics: bad correspondence count %d vs %d", len(src), len(dst))
 	}
-	n := float64(len(src))
-	var cs, cd vecmath.Vec3
+	var m ATEMoments
 	for i := range src {
-		cs = cs.Add(src[i])
-		cd = cd.Add(dst[i])
+		m.Add(src[i], dst[i])
 	}
-	cs = cs.Scale(1 / n)
-	cd = cd.Scale(1 / n)
+	return m.Align(), nil
+}
 
-	// Cross-covariance S = sum (src-cs)(dst-cd)^T.
-	var s vecmath.Mat3
-	for i := range src {
-		s = s.Add(vecmath.OuterProduct(src[i].Sub(cs), dst[i].Sub(cd)))
+// ATEMoments accumulates what the absolute trajectory error needs of two
+// trajectories, one pair of points (camera centres) at a time, without
+// keeping them: the first pair, as each side's origin, and of the points
+// relative to those origins the two sums, the cross moment Σ est·GTᵀ and the
+// two sums of squared norms. Solving them is Horn's closed form, so a
+// stream's ATE costs 23 floats however long it runs. The origins keep the
+// sums at the trajectory's own scale wherever it lies, so the closed form
+// cancels no more away than the point-wise sum does.
+type ATEMoments struct {
+	N                   int
+	OriginEst, OriginGT vecmath.Vec3
+	SumEst, SumGT       vecmath.Vec3
+	Cross               vecmath.Mat3
+	SqEst, SqGT         float64
+}
+
+// Add folds in one pair of corresponding points.
+func (m *ATEMoments) Add(est, gt vecmath.Vec3) {
+	if m.N == 0 {
+		m.OriginEst, m.OriginGT = est, gt
 	}
+	a, b := est.Sub(m.OriginEst), gt.Sub(m.OriginGT)
+	m.N++
+	m.SumEst = m.SumEst.Add(a)
+	m.SumGT = m.SumGT.Add(b)
+	m.Cross = m.Cross.Add(vecmath.OuterProduct(a, b))
+	m.SqEst += a.NormSq()
+	m.SqGT += b.NormSq()
+}
+
+// Align returns the rigid transform that best maps the estimated points onto
+// the ground-truth ones; it wants at least one point.
+func (m *ATEMoments) Align() vecmath.Pose {
+	ma, mb := m.SumEst.Scale(1/float64(m.N)), m.SumGT.Scale(1/float64(m.N))
+	s := m.Cross.Add(vecmath.OuterProduct(ma, m.SumGT).Scale(-1)) // Σ(a-ma)(b-mb)ᵀ
 	// Horn's symmetric 4x4 matrix N.
 	var nmat [16]float64
-	tr := s[0] + s[4] + s[8]
-	nmat[0] = tr
+	nmat[0] = s[0] + s[4] + s[8]
 	nmat[1], nmat[4] = s[5]-s[7], s[5]-s[7]
 	nmat[2], nmat[8] = s[6]-s[2], s[6]-s[2]
 	nmat[3], nmat[12] = s[1]-s[3], s[1]-s[3]
@@ -67,8 +94,30 @@ func AlignRigid(src, dst []vecmath.Vec3) (vecmath.Pose, error) {
 
 	q := maxEigenvector4(nmat)
 	rot := vecmath.Quat{W: q[0], X: q[1], Y: q[2], Z: q[3]}.Normalized()
-	t := cd.Sub(rot.Rotate(cs))
-	return vecmath.Pose{R: rot, T: t}, nil
+	t := m.OriginGT.Add(mb).Sub(rot.Rotate(m.OriginEst.Add(ma)))
+	return vecmath.Pose{R: rot, T: t}
+}
+
+// RMSE returns the root-mean-square distance between the ground-truth points
+// and the estimated ones after rigid alignment: the absolute trajectory
+// error, in the points' units. Fewer than three points are compared as they
+// are, unaligned.
+func (m *ATEMoments) RMSE() (float64, error) {
+	if m.N == 0 {
+		return 0, fmt.Errorf("metrics: ATE of an empty trajectory")
+	}
+	// With s = oE + a and d = oG + b, an alignment (R, t) leaves the residual
+	// R a - b + k per point, k = R oE + t - oG, whose squares sum to
+	// Σ|a|² + Σ|b|² - 2 tr(R Σ a bᵀ) + 2 k·(R Σa - Σb) + n|k|².
+	align, k := vecmath.PoseIdentity(), m.OriginEst.Sub(m.OriginGT)
+	if m.N >= 3 {
+		align = m.Align()
+		n := float64(m.N)
+		k = m.SumGT.Scale(1 / n).Sub(align.R.Rotate(m.SumEst.Scale(1 / n)))
+	}
+	rc := align.R.Mat3().Mul(m.Cross)
+	sq := m.SqEst + m.SqGT - 2*(rc[0]+rc[4]+rc[8]) + 2*k.Dot(align.R.Rotate(m.SumEst).Sub(m.SumGT)) + float64(m.N)*k.NormSq()
+	return math.Sqrt(math.Max(sq, 0) / float64(m.N)), nil
 }
 
 // maxEigenvector4 returns the eigenvector of the dominant eigenvalue of a
@@ -112,31 +161,17 @@ func maxEigenvector4(m [16]float64) [4]float64 {
 // ATERMSE computes the absolute trajectory error (RMSE over camera centers,
 // in the same units as the scene — meters here; the experiment harness
 // reports centimeters) between estimated and ground-truth world-to-camera
-// poses, after rigid alignment of the estimated trajectory.
+// poses, after rigid alignment of the estimated trajectory: the moments of
+// the pairs, accumulated and then solved (ATEMoments).
 func ATERMSE(est, gt []vecmath.Pose) (float64, error) {
 	if len(est) != len(gt) || len(est) == 0 {
 		return 0, fmt.Errorf("metrics: trajectory length mismatch %d vs %d", len(est), len(gt))
 	}
-	src := make([]vecmath.Vec3, len(est))
-	dst := make([]vecmath.Vec3, len(gt))
+	var m ATEMoments
 	for i := range est {
-		src[i] = est[i].Center()
-		dst[i] = gt[i].Center()
+		m.Add(est[i].Center(), gt[i].Center())
 	}
-	align := vecmath.PoseIdentity()
-	if len(est) >= 3 {
-		a, err := AlignRigid(src, dst)
-		if err != nil {
-			return 0, err
-		}
-		align = a
-	}
-	var sq float64
-	for i := range src {
-		d := align.Apply(src[i]).Sub(dst[i])
-		sq += d.NormSq()
-	}
-	return math.Sqrt(sq / float64(len(src))), nil
+	return m.RMSE()
 }
 
 // FalsePositiveRate compares predicted non-contributory Gaussian IDs against

@@ -158,6 +158,73 @@ func TestATERMSEKnownError(t *testing.T) {
 	}
 }
 
+// pointwiseATE is the reference the moments are held to: Horn's alignment
+// from centroids and a cross-covariance summed over the points themselves,
+// then the residual summed point by point.
+func pointwiseATE(est, gt []vecmath.Pose) float64 {
+	src := make([]vecmath.Vec3, len(est))
+	dst := make([]vecmath.Vec3, len(gt))
+	var cs, cd vecmath.Vec3
+	for i := range est {
+		src[i], dst[i] = est[i].Center(), gt[i].Center()
+		cs, cd = cs.Add(src[i]), cd.Add(dst[i])
+	}
+	align := vecmath.PoseIdentity()
+	if len(src) >= 3 {
+		cs, cd = cs.Scale(1/float64(len(src))), cd.Scale(1/float64(len(src)))
+		var m ATEMoments
+		for i := range src {
+			// One point per moment set at the centroids: Align then solves
+			// Horn's form on Σ(s-cs)(d-cd)ᵀ, summed over the points here.
+			m.Cross = m.Cross.Add(vecmath.OuterProduct(src[i].Sub(cs), dst[i].Sub(cd)))
+		}
+		m.N, m.OriginEst, m.OriginGT = len(src), cs, cd
+		align = m.Align()
+	}
+	var sq float64
+	for i := range src {
+		sq += align.Apply(src[i]).Sub(dst[i]).NormSq()
+	}
+	return math.Sqrt(sq / float64(len(src)))
+}
+
+// TestATEMomentsMatchPointwise: the ATE solved from running moments is the
+// point-wise one to 1e-9 relative, for one, two and three poses (below three
+// nothing is aligned), for a long trajectory, and for trajectories 10³ m from
+// the world origin, where raw moments would cancel away the error they carry.
+func TestATEMomentsMatchPointwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	offset := vecmath.Pose{
+		R: vecmath.QuatFromAxisAngle(vecmath.Vec3{X: 0.2, Y: 1, Z: 0.3}, 0.6),
+		T: vecmath.Vec3{X: 0.4, Y: -0.3, Z: 0.2},
+	}
+	far := vecmath.Vec3{X: 1e3, Y: -1e3, Z: 1e3}
+	for _, tc := range []struct {
+		n      int
+		origin vecmath.Vec3
+	}{{1, vecmath.Vec3{}}, {2, vecmath.Vec3{}}, {3, vecmath.Vec3{}}, {500, vecmath.Vec3{}}, {3, far}, {500, far}} {
+		var est, gt []vecmath.Pose
+		for i := 0; i < tc.n; i++ {
+			c := tc.origin.Add(vecmath.Vec3{X: math.Sin(float64(i) / 40), Y: 0.3 * rng.NormFloat64(), Z: float64(i) / 200})
+			g := vecmath.Pose{R: vecmath.QuatFromAxisAngle(vecmath.Vec3{Y: 1}, rng.Float64())}
+			g.T = g.R.Rotate(c).Neg() // centre c
+			gt = append(gt, g)
+			noise := vecmath.Vec3{X: 0.05 * rng.NormFloat64(), Y: 0.05 * rng.NormFloat64(), Z: 0.05 * rng.NormFloat64()}
+			e := g.Compose(offset)
+			e.T = e.T.Add(noise)
+			est = append(est, e)
+		}
+		got, err := ATERMSE(est, gt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := pointwiseATE(est, gt)
+		if rel := math.Abs(got-want) / want; !(rel <= 1e-9) {
+			t.Errorf("n=%d at %v: moments give %.17g, point-wise %.17g (relative error %.2g)", tc.n, tc.origin, got, want, rel)
+		}
+	}
+}
+
 func TestFalsePositiveRate(t *testing.T) {
 	truth := map[int]bool{1: true, 2: true, 3: true}
 	pred := map[int]bool{1: true, 2: true, 9: true, 10: true}

@@ -87,12 +87,12 @@ func (sv *Server) Close() error {
 // name labels the session's final Result (its Sequence field). It fails on a
 // closed server.
 //
-// A session is a serving venue: its trace keeps each frame's scalars and not
-// the representative-iteration detail (see trace.RenderStats), so what it
-// holds, snapshots and returns from Close is the map, the key-frame window and
-// a few hundred bytes per frame, and it renders with one worker whatever
-// cfg.Workers says. Its Result.Digest equals every other venue's; for a Result
-// to feed the cycle-level hardware models, use Run.
+// A session is a serving venue: it keeps no per-frame history, only the
+// running digest each frame is folded into, so what it holds, snapshots and
+// returns from Close is the map, the key-frame window and a few hundred bytes
+// however long the stream, and it renders with one worker whatever
+// cfg.Workers says. Its Result.Digest and ATE equal every other venue's; for a
+// Result to feed the cycle-level hardware models, use Run.
 //
 // The intrinsics may come from a remote OPEN, so a camera with no pixels or no
 // focal length is refused here and never sized a render context from.

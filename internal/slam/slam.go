@@ -16,25 +16,28 @@
 // worker count and interleaving (Result.Digest asserts it cheaply).
 //
 // Venues: where a system runs is decided once, when it is built, and never by
-// an option. It decides two things. The first is trace detail: a frame's trace
-// is its scalars (op totals, decisions, map size: ~0.3 KiB encoded) and, for
-// the cycle-level hardware models, the representative iteration's per-pixel
-// planes, once for tracking and once for mapping, and the mapping task's tile
-// lists (trace.RenderStats, each sequence a trace.Packed: 11.4 KiB a frame on
-// the benchmark's 64x48 Desk stream). The second is render parallelism.
+// an option. It decides two things. The first is the per-frame history. Every
+// venue folds each frame's record (poses, decisions and trace scalars: op
+// totals, map size) into a hash chain and ATE moments when its mapping tail
+// joins; an offline venue also keeps the records, with, for the cycle-level
+// hardware models, the representative iteration's per-pixel planes, once for
+// tracking and once for mapping, and the mapping task's tile lists
+// (trace.RenderStats, each a trace.Packed: 11.4 KiB a frame on the
+// benchmark's 64x48 Desk stream). The second is render parallelism.
 //
 //   - New, Restore, Run and Server.Run are the offline venues. Their Results
-//     feed hw/platform through internal/bench and ags-slam, so they keep the
-//     detail of every task that ran an iteration (Restore from its first new
-//     frame on: a snapshot carries none), and they render with
-//     Config.Workers splat workers. A frame's detail is recorded once and
-//     never rewritten: its tile lists name Gaussians of the map it rendered
-//     (IDs below its NumGaussians), whatever a later prune renumbers.
+//     feed hw/platform through internal/bench and ags-slam, so they keep every
+//     frame's record with the detail of every task that ran an iteration
+//     (Restore from its first new frame on: a snapshot carries the history
+//     as its digest), and they render with Config.Workers splat workers. A
+//     frame's detail is recorded once and never rewritten: its tile lists
+//     name Gaussians of the map it rendered, whatever a later prune renumbers.
 //   - Server.Open and Server.RestoreSession are the serving venues, the only
-//     ones a fleet node uses. Nothing on the serving path reads the detail, so
-//     the tracker and mapper never build it. A session's resident state is
-//     therefore the map (with its optimizer moments), the key-frame window
-//     and the per-frame scalars: it follows the map, not the stream's age.
+//     ones a fleet node uses. Nothing on the serving path reads the per-frame
+//     history, so they keep none and the tracker and mapper build no detail.
+//     A session's resident state is the map (with its optimizer moments), the
+//     key-frame window and the running digest: it follows the map, not the
+//     stream's age.
 //     A checkpoint or a migration is less still: the snapshot names the
 //     window's frames by their stream positions and leaves out the bodies
 //     its requester says it holds (see the frame table in snapshot.go),
@@ -50,12 +53,12 @@
 // pending tail holds none, so an idle session or standalone system pins no
 // render state.
 //
-// Result.Digest covers the scalars and never the detail, so it is one value
-// across all venues. A snapshot holds what a stream needs to continue, which
-// is the scalars and never the detail, so a stream's snapshot at a frame is
-// the same bytes in every venue, and the level a restored system records from
-// then on comes from the restoring venue. A serving Result handed to a
-// hardware model yields a bound, not a replay (see platform.RunTotal).
+// Result.Digest covers the hash chain and the map, never the detail, so it is
+// one value across all venues, and so is the ATE the moments solve. A
+// snapshot holds what a stream needs to continue, which is the running
+// digest and never the per-frame history, so a stream's snapshot at a frame
+// is the same bytes in every venue, and what a restored system keeps from
+// then on comes from the restoring venue.
 //
 // Concurrency: the paper's Fig. 9 runs frame t+1's covisibility detection and
 // pose tracking on their own engines while the mapping engine finishes frame
@@ -83,9 +86,11 @@
 package slam
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"runtime/debug"
 
+	"ags/internal/binfmt"
 	"ags/internal/camera"
 	"ags/internal/covis"
 	"ags/internal/frame"
@@ -194,20 +199,30 @@ type FrameInfo struct {
 	FPValid         bool
 }
 
-// Result is the output of a SLAM run.
+// Result is the output of a SLAM run. In every venue it holds the stream's
+// frame count, its map and its history as a running digest (the hash chain
+// Digest covers and the moments ATERMSECm solves). Poses, Info and
+// Trace.Frames are the per-frame history, one entry per frame in stream
+// order, which only an offline venue keeps (see the package doc): all of it
+// from New, Run and Server.Run, the frames processed after the snapshot from
+// Restore, none from a serving session.
 type Result struct {
 	Sequence string
+	Frames   int
 	Poses    []vecmath.Pose
-	GT       []vecmath.Pose
 	Cloud    *gauss.Cloud
 	Mapper   *mapper.Mapper
 	Info     []FrameInfo
 	Trace    *trace.Run
+
+	chain [32]byte
+	ate   metrics.ATEMoments
 }
 
-// ATERMSECm returns the trajectory error in centimeters (Table 2's unit).
+// ATERMSECm returns the trajectory error of the whole stream in centimeters
+// (Table 2's unit), solved from the moments every frame was folded into.
 func (r *Result) ATERMSECm() (float64, error) {
-	ate, err := metrics.ATERMSE(r.Poses, r.GT)
+	ate, err := r.ate.RMSE()
 	return ate * 100, err
 }
 
@@ -222,12 +237,11 @@ func (r *Result) ATERMSECm() (float64, error) {
 // tail on the system's one tail goroutine (startTail), tracks its own frame
 // beside it against the frozen map and joins it, so that goroutine lives
 // inside one call. While a tail is in flight it alone touches the mapper,
-// the mapping context, the frame's trace.FrameTrace and the retained traces
-// it is appended to; the caller's side touches only what a front reads or a
+// the mapping context and its frame's record; the caller's side touches only what a front reads or a
 // middle commits: the detector, the aligner, the refiner and the tracking
-// context, prevFrame, prevPose, prevRel, keyFrame, keyFramePos, keyPose,
-// frameCount, poses, gt and info, and, once the tail is joined, the mapper's
-// key-frame window.
+// context, prevFrame, prevPose, prevRel, keyFrame, keyFramePos, keyPose and
+// frameCount, and, once the tail is joined, the mapper's key-frame window, the
+// stream's history and the next tail.
 //
 // AppendSnapshot and Snapshot encode the pending tail as data and join
 // nothing. Finish, Close and Mapper join first, which runs a pending tail on
@@ -258,8 +272,16 @@ type System struct {
 	keyFramePos int          // its position in the stream: the frame count when it was accepted
 	keyPose     vecmath.Pose // estimated pose of the last key frame
 	frameCount  int
+
+	// chain and ate are the stream's history: the hash chain and the ATE
+	// moments every joined frame's record was folded into (fold), so ate.N
+	// counts those frames. An offline venue (history set) also keeps the
+	// records' poses, FrameInfos and traces.
+	chain       [32]byte
+	ate         metrics.ATEMoments
+	foldBuf     []byte
+	history     bool
 	poses       []vecmath.Pose
-	gt          []vecmath.Pose
 	info        []FrameInfo
 	traceFrames []trace.FrameTrace
 
@@ -270,8 +292,9 @@ type System struct {
 }
 
 // venue says where a system runs (see the package doc): offline systems keep
-// trace detail and render with Config.Workers, serving ones keep scalars only
-// and render with one worker.
+// the per-frame history with its trace detail and render with
+// Config.Workers, serving ones keep the running digest only and render with
+// one worker.
 type venue bool
 
 const (
@@ -289,7 +312,8 @@ func New(cfg Config, intr camera.Intrinsics) *System {
 
 // newSystem builds a system for venue v over the given context pool. The
 // tracker and mapper are told here, once, whether to build trace detail and
-// how many workers to render with.
+// how many workers to render with, and the system whether to keep the
+// per-frame history.
 func newSystem(cfg Config, intr camera.Intrinsics, pool *splat.ContextPool, v venue) *System {
 	workers := cfg.Workers
 	if v == serving {
@@ -313,6 +337,7 @@ func newSystem(cfg Config, intr camera.Intrinsics, pool *splat.ContextPool, v ve
 		pool:     pool,
 		workers:  workers,
 		prevRel:  vecmath.PoseIdentity(),
+		history:  v == offline,
 	}
 }
 
@@ -356,8 +381,9 @@ func (s *System) Close() { s.join() }
 //     its role. The frame count moves on.
 //   - The frame joins the mapper's key-frame window if it is one of its
 //     frames, and its tail (the false-positive measurement, Densify, full or
-//     selective mapping, Prune, the trace append) is left pending, holding
-//     no context, for the next call.
+//     selective mapping, Prune) is left pending with the frame's record,
+//     holding no context, for the next call, whose join folds the record
+//     into the stream's history.
 //
 // The second frame is the one exception: it refines against the bootstrap
 // map, so it joins the first frame's tail before it tracks. A frame after a
@@ -366,7 +392,7 @@ func (s *System) Close() { s.join() }
 //
 // At return the frame's pose and FrameInfo are final, but for its
 // false-positive rate, which its tail measures, and FrameCount counts it;
-// the map, the trace and anything derived from them are read through a
+// the map, the history and anything derived from them are read through a
 // method that joins (see System). A panic in the tail resurfaces from the
 // join, on the goroutine that called it.
 func (s *System) ProcessFrame(f *frame.Frame) error {
@@ -408,17 +434,15 @@ func (s *System) trackBeside(f *frame.Frame, ft *trace.FrameTrace, info *FrameIn
 }
 
 // commit accepts a tracked frame once the previous frame's tail is joined:
-// it records the frame's FrameInfo and ground truth, makes it the previous
-// frame, adds it to the mapper's key-frame window if it joins it, leaves its
-// mapping tail pending and moves the frame count on.
+// it makes the frame the previous frame, adds it to the mapper's key-frame
+// window if it joins it, leaves its mapping tail pending with its record
+// (pose, ground truth, FrameInfo, trace) and moves the frame count on.
 func (s *System) commit(f *frame.Frame, pose vecmath.Pose, ft *trace.FrameTrace, info *FrameInfo) {
-	s.info = append(s.info, *info)
-	s.gt = append(s.gt, f.GTPose)
 	s.prevFrame = f
 	if s.joinsWindow(s.frameCount, info.IsKeyFrame) {
 		s.mapper.AddKeyframe(f, s.frameCount, pose)
 	}
-	s.tail = s.newTail(s.frameCount, f, pose, info.IsKeyFrame, ft)
+	s.tail = s.newTail(s.frameCount, f, record{pose: pose, gt: f.GTPose, info: *info, ft: ft})
 	s.frameCount++
 }
 
@@ -454,36 +478,40 @@ func checkFrame(f *frame.Frame, intr *camera.Intrinsics) error {
 	return nil
 }
 
+// record is what a frame adds to the stream's history once its tail is
+// joined: its pose, its ground-truth pose, its FrameInfo and its
+// FrameTrace, whose front and middle parts the frame fills in and whose
+// mapping part and false-positive rate its tail does.
+type record struct {
+	pose, gt vecmath.Pose
+	info     FrameInfo
+	ft       *trace.FrameTrace
+}
+
 // mappingTail is one accepted frame's mapping tail, held as data so that a
 // snapshot carries it pending and a restore rebuilds it (newTail): the frame
-// at stream position pos, its pose, the mapping its key-frame decision chose,
-// and its FrameTrace, whose front and middle parts are filled in and whose
-// mapping part the tail fills. done is nil while the tail is pending and,
-// once startTail has put it on a goroutine, receives nil or what the tail
-// panicked with, exactly once.
+// at stream position pos, its record, and the mapping its key-frame decision
+// chose. done is nil while the tail is pending and, once startTail has put it
+// on a goroutine, receives nil or what the tail panicked with, exactly once.
 type mappingTail struct {
-	pos  int
-	f    *frame.Frame
-	pose vecmath.Pose
+	pos int
+	f   *frame.Frame
+	rec record
 	// selective is a non-key frame's selective mapping; otherwise the tail
 	// densifies and maps fully.
 	selective bool
-	ft        *trace.FrameTrace
 	// restored marks a tail a snapshot carried: its frame's trace arrived
-	// as scalars (a snapshot holds no detail) and stays so.
+	// as scalars (a snapshot holds no detail) and stays so, and its record
+	// joins the hash chain and the moments but no per-frame history.
 	restored bool
-	// fpRate is the false-positive rate a selective tail measured under
-	// EvalFPRate; the join commits it to the frame's FrameInfo.
-	fpRate float64
-	done   chan *tailPanic
+	done     chan *tailPanic
 }
 
 // newTail is the mapping tail of the frame at position pos, which the middle
-// (or, for the first frame, bootstrap) accepted at pose and declared a key
-// frame or not: a GCM non-key frame maps selectively, every other frame
-// densifies and maps fully.
-func (s *System) newTail(pos int, f *frame.Frame, pose vecmath.Pose, key bool, ft *trace.FrameTrace) *mappingTail {
-	return &mappingTail{pos: pos, f: f, pose: pose, ft: ft, selective: s.Cfg.EnableGCM && !key}
+// (or, for the first frame, bootstrap) accepted with record rec: a GCM
+// non-key frame maps selectively, every other frame densifies and maps fully.
+func (s *System) newTail(pos int, f *frame.Frame, rec record) *mappingTail {
+	return &mappingTail{pos: pos, f: f, rec: rec, selective: s.Cfg.EnableGCM && !rec.info.IsKeyFrame}
 }
 
 // joinsWindow says whether the frame at position pos, a key frame or not,
@@ -501,31 +529,30 @@ func (s *System) joinsWindow(pos int, key bool) bool {
 }
 
 // runTail is the tail's work, on whichever goroutine runs it, through the
-// mapper's context: the mapping, the end-of-frame map maintenance and the
-// trace append. It reads the tail, the mapper and the configuration, and
-// writes the mapper, the tail and the retained traces, nothing a front or a
-// middle reads.
+// mapper's context: the mapping and the end-of-frame map maintenance, with
+// their outcome written to the tail's record. It reads the tail, the mapper
+// and the configuration, and writes the mapper and the tail, nothing a front
+// or a middle reads.
 func (s *System) runTail(t *mappingTail) {
-	ft := t.ft
+	ft := t.rec.ft
 	if t.restored {
 		defer func(v bool) { s.mapper.ScalarsOnly = v }(s.mapper.ScalarsOnly)
 		s.mapper.ScalarsOnly = true
 	}
 	if t.selective {
 		if s.Cfg.EvalFPRate {
-			t.fpRate = s.measureFPRate(t.pose)
+			t.rec.info.FPRate, t.rec.info.FPValid = s.measureFPRate(t.rec.pose), true
 		}
 		ft.SkippedGaussians = s.mapper.NumSkipped()
-		ft.Map = s.mapper.SelectiveMapping(t.f, s.Intr, t.pose)
+		ft.Map = s.mapper.SelectiveMapping(t.f, s.Intr, t.rec.pose)
 	} else {
-		s.mapper.Densify(t.f, s.Intr, t.pose)
-		ft.Map = s.mapper.FullMapping(t.f, s.Intr, t.pose)
+		s.mapper.Densify(t.f, s.Intr, t.rec.pose)
+		ft.Map = s.mapper.FullMapping(t.f, s.Intr, t.rec.pose)
 	}
 	ft.NumGaussians = s.mapper.Cloud().Len()
 	if s.Cfg.PruneEvery > 0 && (t.pos+1)%s.Cfg.PruneEvery == 0 {
 		ft.PrunedGaussians = s.mapper.Prune()
 	}
-	s.traceFrames = append(s.traceFrames, *ft)
 }
 
 // startTail puts the pending mapping tail on the system's one tail goroutine,
@@ -551,7 +578,8 @@ func (s *System) startTail(ctx *splat.RenderContext) {
 // join sees the mapping tail through, if there is one: it waits for a tail
 // that was started and runs a pending one in place, on the caller's goroutine,
 // in a mapping context of its own. Then it hands the mapping context back to
-// the pool and commits the false-positive rate the tail measured. A tail that
+// the pool and folds the frame's record, now final, into the stream's
+// history. A tail that
 // panicked on its goroutine panics again here, so whoever drives the system
 // (a session's producer, a ProcessFrame or Finish caller) contains either
 // kind with one recover; the system is left with no tail either way, and the
@@ -571,8 +599,24 @@ func (s *System) join() {
 	}
 	s.pool.Release(s.mapper.Ctx)
 	s.mapper.Ctx = nil
-	if t.selective && s.Cfg.EvalFPRate {
-		s.info[t.pos].FPRate, s.info[t.pos].FPValid = t.fpRate, true
+	s.fold(t)
+}
+
+// fold adds a joined tail's record to the stream's history: the hash chain
+// moves on to SHA-256(chain ‖ record), the record encoded as a snapshot holds
+// a pending one, the ATE moments take its two camera centres, and an offline
+// venue appends it to the per-frame history, unless a snapshot carried it
+// (the history starts at the first frame a restored system processes).
+func (s *System) fold(t *mappingTail) {
+	e := binfmt.Enc{Buf: append(s.foldBuf[:0], s.chain[:]...)}
+	encodeRecord(&e, &t.rec)
+	s.foldBuf = e.Buf
+	s.chain = sha256.Sum256(e.Buf)
+	s.ate.Add(t.rec.pose.Center(), t.rec.gt.Center())
+	if s.history && !t.restored {
+		s.poses = append(s.poses, t.rec.pose)
+		s.info = append(s.info, t.rec.info)
+		s.traceFrames = append(s.traceFrames, *t.rec.ft)
 	}
 }
 
@@ -603,7 +647,6 @@ func (s *System) bootstrap(f *frame.Frame, ft *trace.FrameTrace, info *FrameInfo
 	info.KeyCovisibility = 1
 	s.setKeyFrame(f, pose)
 	s.prevPose = pose
-	s.poses = append(s.poses, pose)
 	return pose
 }
 
@@ -693,7 +736,6 @@ func (s *System) step(f *frame.Frame, fr *frontOut, cloud *gauss.Cloud, ft *trac
 	}
 	s.prevRel = pose.Compose(s.prevPose.Inverse())
 	s.prevPose = pose
-	s.poses = append(s.poses, pose)
 
 	// --- Key-frame decision (the tail maps by it, see newTail). ---
 	covisible := float64(fr.keyFC) > s.Cfg.ThreshM
@@ -740,8 +782,8 @@ func (s *System) Finish(sequence string) *Result {
 	s.join()
 	return &Result{
 		Sequence: sequence,
+		Frames:   s.frameCount,
 		Poses:    s.poses,
-		GT:       s.gt,
 		Cloud:    s.mapper.Cloud(),
 		Mapper:   s.mapper,
 		Info:     s.info,
@@ -751,6 +793,8 @@ func (s *System) Finish(sequence string) *Result {
 			Height:   s.Intr.H,
 			Frames:   s.traceFrames,
 		},
+		chain: s.chain,
+		ate:   s.ate,
 	}
 }
 

@@ -42,8 +42,8 @@ func TestBaselineRunTracksSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Poses) != 10 || len(res.GT) != 10 {
-		t.Fatalf("poses %d gt %d", len(res.Poses), len(res.GT))
+	if len(res.Poses) != 10 || res.Frames != 10 {
+		t.Fatalf("poses %d of %d frames", len(res.Poses), res.Frames)
 	}
 	ate, err := res.ATERMSECm()
 	if err != nil {

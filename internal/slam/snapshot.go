@@ -15,6 +15,7 @@ import (
 	"ags/internal/gauss"
 	"ags/internal/hw/trace"
 	"ags/internal/mapper"
+	"ags/internal/metrics"
 	"ags/internal/splat"
 	"ags/internal/vecmath"
 )
@@ -74,19 +75,24 @@ const (
 	// trace frame last among the traces, and a flag that says the tail is
 	// pending. The tail's frame is the previous frame and its mapping follows
 	// from the last FrameInfo and the configuration.
-	SnapshotVersion = 9
+	// Version 10 holds the history as its running digest, the hash chain and
+	// the ATE moments (counting the frames processed but a pending tail's), in
+	// place of every frame's poses, FrameInfo and trace scalars, and the
+	// pending tail as one record (pose, ground truth, FrameInfo, partial
+	// trace): a snapshot grows with the map, not with the stream's age.
+	SnapshotVersion = 10
 
 	snapshotHeader = len(snapshotMagic) + 4 // magic, version
 )
 
 // Snapshot serializes the system's complete inter-frame state — configuration,
-// camera, pose track, keyframe set, the Gaussian map, optimizer
-// moments, the mapper's RNG, the per-frame traces' scalars, and the last
-// frame's mapping tail if it is pending — so that a system restored from it
-// and fed the remaining frames produces a Result digest-identical to the
-// uninterrupted run. The representative-iteration detail an offline venue
-// keeps is left out (see the package doc), so the bytes do not depend on the
-// venue that took them. Call it between ProcessFrame calls. It joins nothing:
+// camera, pose track, keyframe set, the stream's running digest (hash chain
+// and ATE moments), the Gaussian map, optimizer moments, the mapper's RNG,
+// and the last frame's mapping tail with its record if it is pending — so
+// that a system restored from it and fed the remaining frames produces a
+// Result digest-identical to the uninterrupted run. The per-frame history an
+// offline venue keeps is left out (see the package doc), so the bytes do not
+// depend on the venue that took them. Call it between ProcessFrame calls. It joins nothing:
 // the map it captures is the one the next frame refines against, the map
 // before the pending tail, and the tail itself goes as data, which Restore
 // turns back into a pending tail. A snapshot therefore never perturbs the
@@ -149,8 +155,8 @@ var ErrFrameTable = errors.New("snapshot frame table")
 // Restore rebuilds a standalone System from a snapshot stream. The system
 // draws its render context from DefaultServer's pool, exactly like New;
 // FrameCount tells the caller which frame to push next. It is an offline
-// venue, so its trace carries the representative-iteration detail from that
-// frame on; the frames before it are the snapshot's scalars. Multi-tenant
+// venue, so it keeps the per-frame history, trace detail included, from that
+// frame on; the frames before it are in the snapshot's digest. Multi-tenant
 // hosts restore into a session via (*Server).RestoreSession instead.
 func Restore(r io.Reader) (*System, error) {
 	data, err := io.ReadAll(r)
@@ -180,9 +186,9 @@ func snapshotPayload(data []byte) ([]byte, error) {
 // restoreSystem decodes a snapshot over the given context pool, taking the
 // frames its table names without a body from held. The venue is the restoring
 // one, as in newSystem: the bytes say nothing about it, and an offline system
-// keeps trace detail from its first new frame on (the snapshot's traces are
-// scalars). Nothing of the restored system aliases data; the held frames it
-// adopts.
+// keeps the per-frame history from its first new frame on (the snapshot
+// carries it as a digest). Nothing of the restored system aliases data; the
+// held frames it adopts.
 func restoreSystem(data []byte, held []HeldFrame, pool *splat.ContextPool, v venue) (*System, error) {
 	payload, err := snapshotPayload(data)
 	if err != nil {
@@ -269,25 +275,13 @@ func encodeSystem(e *binfmt.Enc, s *System, have []int) {
 	e.I64(frameRef(table, s.prevFrame, s.frameCount-1))
 	e.I64(frameRef(table, s.keyFrame, s.keyFramePos))
 
-	putPoses(e, s.poses)
-	putPoses(e, s.gt)
-	e.U64(uint64(len(s.info)))
-	for i := range s.info {
-		encodeInfo(e, &s.info[i])
+	// The history: the chain, the moments, and the pending tail's record.
+	e.Raw(s.chain[:])
+	encodeMoments(e, &s.ate)
+	e.Bool(s.tail != nil)
+	if s.tail != nil {
+		encodeRecord(e, &s.tail.rec)
 	}
-	// The pending tail's partial trace frame rides last with the traces.
-	pending, n := s.tail != nil, len(s.traceFrames)
-	if pending {
-		n++
-	}
-	e.U64(uint64(n))
-	for i := range s.traceFrames {
-		encodeTrace(e, &s.traceFrames[i])
-	}
-	if pending {
-		encodeTrace(e, s.tail.ft)
-	}
-	e.Bool(pending)
 
 	// Mapper state: cloud, skip set, keyframe window (as frame table
 	// references), RNG and optimizer moments.
@@ -321,7 +315,9 @@ func decodeSystem(d *binfmt.Dec, held []HeldFrame, pool *splat.ContextPool, v ve
 		return nil
 	}
 	sys := newSystem(cfg, intr, pool, v)
-	sys.frameCount = int(d.I64())
+	if sys.frameCount = int(d.I64()); sys.frameCount < 0 {
+		d.Fail("%d frames processed", sys.frameCount)
+	}
 	sys.prevPose = getPose(d)
 	sys.prevRel = getPose(d)
 	sys.keyPose = getPose(d)
@@ -340,27 +336,18 @@ func decodeSystem(d *binfmt.Dec, held []HeldFrame, pool *splat.ContextPool, v ve
 		d.Fail("%w: the previous frame is at position %d of %d frames processed", ErrFrameTable, prev.pos, sys.frameCount)
 	}
 
-	sys.poses = getPoses(d)
-	sys.gt = getPoses(d)
-	sys.info = make([]FrameInfo, d.Len(8))
-	for i := range sys.info {
-		decodeInfo(d, &sys.info[i])
-	}
-	sys.traceFrames = make([]trace.FrameTrace, d.Len(8))
-	for i := range sys.traceFrames {
-		decodeTrace(d, &sys.traceFrames[i])
-	}
+	copy(sys.chain[:], d.Take(len(sys.chain)))
+	decodeMoments(d, &sys.ate)
+	sys.ate.N = sys.frameCount
 	if d.Bool() && d.Err() == nil {
-		// The last frame's tail, pending: its frame is the previous frame,
-		// its pose and key-frame decision the last ones recorded.
-		n := sys.frameCount
-		if n == 0 || len(sys.traceFrames) == 0 || len(sys.poses) != n || len(sys.info) != n {
-			d.Fail("pending mapping tail with %d frames processed, %d poses, %d infos and %d traces", n, len(sys.poses), len(sys.info), len(sys.traceFrames))
+		// The last frame's tail, pending, with its record: its frame is the
+		// previous frame, and the moments have yet to count it.
+		if sys.frameCount == 0 {
+			d.Fail("pending mapping tail with 0 frames processed")
 		} else {
-			ft := sys.traceFrames[len(sys.traceFrames)-1]
-			sys.traceFrames = sys.traceFrames[:len(sys.traceFrames)-1]
-			sys.tail = sys.newTail(n-1, sys.prevFrame, sys.poses[n-1], sys.info[n-1].IsKeyFrame, &ft)
+			sys.tail = sys.newTail(sys.frameCount-1, sys.prevFrame, decodeRecord(d))
 			sys.tail.restored = true
+			sys.ate.N--
 		}
 	}
 
@@ -600,7 +587,13 @@ func decodeFrame(d *binfmt.Dec) *frame.Frame {
 	return f
 }
 
-func encodeInfo(e *binfmt.Enc, in *FrameInfo) {
+// encodeRecord writes a frame's record, its trace as the scalars (the
+// representative-iteration detail stays behind): how a snapshot carries its
+// pending tail's, and what System.fold hashes into the chain.
+func encodeRecord(e *binfmt.Enc, r *record) {
+	putPose(e, r.pose)
+	putPose(e, r.gt)
+	in, ft := &r.info, r.ft
 	e.F64(float64(in.Covisibility))
 	e.F64(float64(in.KeyCovisibility))
 	e.Bool(in.IsKeyFrame)
@@ -608,19 +601,6 @@ func encodeInfo(e *binfmt.Enc, in *FrameInfo) {
 	e.I64(int64(in.RefineIters))
 	e.F64(in.FPRate)
 	e.Bool(in.FPValid)
-}
-
-func decodeInfo(d *binfmt.Dec, in *FrameInfo) {
-	in.Covisibility = covis.Score(d.F64())
-	in.KeyCovisibility = covis.Score(d.F64())
-	in.IsKeyFrame = d.Bool()
-	in.CoarseOnly = d.Bool()
-	in.RefineIters = int(d.I64())
-	in.FPRate = d.F64()
-	in.FPValid = d.Bool()
-}
-
-func encodeTrace(e *binfmt.Enc, ft *trace.FrameTrace) {
 	e.I64(int64(ft.Index))
 	e.F64(ft.Covisibility)
 	e.Bool(ft.IsKeyFrame)
@@ -634,7 +614,16 @@ func encodeTrace(e *binfmt.Enc, ft *trace.FrameTrace) {
 	e.I64(int64(ft.PrunedGaussians))
 }
 
-func decodeTrace(d *binfmt.Dec, ft *trace.FrameTrace) {
+func decodeRecord(d *binfmt.Dec) record {
+	r := record{pose: getPose(d), gt: getPose(d), ft: &trace.FrameTrace{}}
+	in, ft := &r.info, r.ft
+	in.Covisibility = covis.Score(d.F64())
+	in.KeyCovisibility = covis.Score(d.F64())
+	in.IsKeyFrame = d.Bool()
+	in.CoarseOnly = d.Bool()
+	in.RefineIters = int(d.I64())
+	in.FPRate = d.F64()
+	in.FPValid = d.Bool()
 	ft.Index = int(d.I64())
 	ft.Covisibility = d.F64()
 	ft.IsKeyFrame = d.Bool()
@@ -646,6 +635,31 @@ func decodeTrace(d *binfmt.Dec, ft *trace.FrameTrace) {
 	ft.NumGaussians = int(d.I64())
 	ft.SkippedGaussians = int(d.I64())
 	ft.PrunedGaussians = int(d.I64())
+	return r
+}
+
+// encodeMoments writes the ATE moments but their count, which a snapshot's
+// frame count implies.
+func encodeMoments(e *binfmt.Enc, m *metrics.ATEMoments) {
+	putVec3(e, m.OriginEst)
+	putVec3(e, m.OriginGT)
+	putVec3(e, m.SumEst)
+	putVec3(e, m.SumGT)
+	for _, v := range m.Cross {
+		e.F64(v)
+	}
+	e.F64(m.SqEst)
+	e.F64(m.SqGT)
+}
+
+func decodeMoments(d *binfmt.Dec, m *metrics.ATEMoments) {
+	m.OriginEst, m.OriginGT = getVec3(d), getVec3(d)
+	m.SumEst, m.SumGT = getVec3(d), getVec3(d)
+	for i := range m.Cross {
+		m.Cross[i] = d.F64()
+	}
+	m.SqEst = d.F64()
+	m.SqGT = d.F64()
 }
 
 // encodeStats writes one task's scalars. The representative-iteration detail
@@ -674,12 +688,17 @@ func decodeStats(d *binfmt.Dec, s *trace.RenderStats) {
 func encodeCloud(e *binfmt.Enc, c *gauss.Cloud) {
 	e.U64(uint64(len(c.Gaussians)))
 	for i := range c.Gaussians {
-		g := &c.Gaussians[i]
-		putVec3(e, g.Mean)
-		e.F64(g.LogScale)
-		putVec3(e, g.Color)
-		e.F64(g.Logit)
+		encodeGaussian(e, &c.Gaussians[i])
 	}
+}
+
+// encodeGaussian writes a Gaussian's eight parameters, as a snapshot's map and
+// Result.Digest hold them.
+func encodeGaussian(e *binfmt.Enc, g *gauss.Gaussian) {
+	putVec3(e, g.Mean)
+	e.F64(g.LogScale)
+	putVec3(e, g.Color)
+	e.F64(g.Logit)
 }
 
 func decodeCloud(d *binfmt.Dec) *gauss.Cloud {
@@ -725,23 +744,4 @@ func getPose(d *binfmt.Dec) vecmath.Pose {
 	p.R.Z = d.F64()
 	p.T = getVec3(d)
 	return p
-}
-
-func putPoses(e *binfmt.Enc, ps []vecmath.Pose) {
-	e.U64(uint64(len(ps)))
-	for _, p := range ps {
-		putPose(e, p)
-	}
-}
-
-func getPoses(d *binfmt.Dec) []vecmath.Pose {
-	n := d.Len(7 * 8)
-	if n == 0 {
-		return nil
-	}
-	out := make([]vecmath.Pose, n)
-	for i := range out {
-		out[i] = getPose(d)
-	}
-	return out
 }

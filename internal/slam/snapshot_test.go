@@ -12,7 +12,7 @@ import (
 
 	"ags/internal/binfmt"
 	"ags/internal/frame"
-	"ags/internal/hw/trace"
+	"ags/internal/metrics"
 	"ags/internal/scene"
 )
 
@@ -44,9 +44,11 @@ func runDigest(t *testing.T, cfg Config, name string, frames int) (*Result, [32]
 // tracking became sparse (the refiner renders a pixel lattice), which moves
 // every refined pose, and again when refinement moved beside the previous
 // frame's mapping (a frame refines against the map as it stood before that
-// tail, and a key frame joins the window before its own tail). It holds in both kinds of venue: Run, which retains
-// each frame's tile lists as recorded, and an Open session, which retains
-// none. The run's floats depend on whether the compiler fuses multiply-adds,
+// tail, and a key frame joins the window before its own tail), and again
+// when the per-frame history became a hash chain (a digest covers the chain,
+// not the arrays). It holds in both kinds of venue: Run, which retains each
+// frame's trace and tile lists as recorded, and an Open session, which
+// retains no per-frame history. The run's floats depend on whether the compiler fuses multiply-adds,
 // so the digests hold for amd64 only; the other checks hold everywhere.
 func TestPruneDigestPinned(t *testing.T) {
 	cfg := pruneCfg(tw, th)
@@ -54,8 +56,8 @@ func TestPruneDigestPinned(t *testing.T) {
 	for _, sc := range []struct {
 		name, digest string
 	}{
-		{"Desk", "4ad172a79f520662512d1c0aab1c26f82fe610635659cf1757663f7ca50ca017"},
-		{"Room", "a009750877cd1ef73c964821ea617de50662f00107adb679db288413fe41a5d2"},
+		{"Desk", "1e3dd0392926247172772cbcd9dc5829e9d20d453fd54287cacc5c730e7843c0"},
+		{"Room", "f12d99e9b706e791f4e06ea175082d7562453facc716d5d48b63c555b6e2c0e4"},
 	} {
 		// Eleven frames: the last frame does not prune, so the final map is
 		// the size the last trace frame recorded.
@@ -78,6 +80,12 @@ func TestPruneDigestPinned(t *testing.T) {
 			if dig := res.Digest(); runtime.GOARCH == "amd64" && fmt.Sprintf("%x", dig) != sc.digest {
 				t.Errorf("%s/%s: digest %x, pinned %s", sc.name, venue.name, dig, sc.digest)
 			}
+			if !venue.detail {
+				if len(res.Trace.Frames) != 0 {
+					t.Errorf("%s/%s: a serving session kept %d trace frames", sc.name, venue.name, len(res.Trace.Frames))
+				}
+				continue
+			}
 			tot := res.Trace.Totals()
 			if tot.PrunedGaussians == 0 {
 				t.Fatalf("%s/%s: prune config never fired; the test exercises nothing", sc.name, venue.name)
@@ -85,8 +93,7 @@ func TestPruneDigestPinned(t *testing.T) {
 			if last := res.Trace.Frames[len(res.Trace.Frames)-1]; res.Cloud.Len() != last.NumGaussians {
 				t.Errorf("%s/%s: map holds %d Gaussians, the last frame recorded %d", sc.name, venue.name, res.Cloud.Len(), last.NumGaussians)
 			}
-			tasks, detailed := traceDetail(t, res.Trace.Frames)
-			if venue.detail && detailed != tasks || !venue.detail && detailed != 0 {
+			if tasks, detailed := traceDetail(t, res.Trace.Frames); detailed != tasks {
 				t.Errorf("%s/%s: %d of %d tasks carry detail", sc.name, venue.name, detailed, tasks)
 			}
 		}
@@ -163,8 +170,8 @@ func TestSnapshotRoundTripSystem(t *testing.T) {
 // frame's mapping tail pending, so one taken after any frame k (k = 1 holds
 // the bootstrap tail) restores into a system with that tail pending, in the
 // offline and the serving venue, and pushing the rest of the stream reaches
-// the uninterrupted digest. A version 8 snapshot, which held the map after
-// that tail, is refused by its version word.
+// the uninterrupted digest. A version 9 snapshot, which held the per-frame
+// history, is refused by its version word.
 func TestSnapshotPendingTailRestores(t *testing.T) {
 	const frames = 5
 	// Half the tests' usual frame side: the test runs twenty restores, five
@@ -238,10 +245,10 @@ func TestSnapshotPendingTailRestores(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	v8 := snapshotBytes(t)
-	binary.LittleEndian.PutUint32(v8[len(snapshotMagic):], 8)
-	if _, err := Restore(bytes.NewReader(v8)); err == nil || !strings.Contains(err.Error(), "snapshot version 8, this build reads 9") {
-		t.Errorf("a version 8 snapshot: %v, want it refused by its version", err)
+	v9 := snapshotBytes(t)
+	binary.LittleEndian.PutUint32(v9[len(snapshotMagic):], 9)
+	if _, err := Restore(bytes.NewReader(v9)); err == nil || !strings.Contains(err.Error(), "snapshot version 9, this build reads 10") {
+		t.Errorf("a version 9 snapshot: %v, want it refused by its version", err)
 	}
 }
 
@@ -416,6 +423,11 @@ func TestRestoreRejectsDamage(t *testing.T) {
 			return flagPending(t, New(fastCfg(tw, th), testSeq(t, "Desk", 1).Intr).AppendSnapshot(nil, nil))
 		}, "pending mapping tail with 0 frames processed"},
 		{"skip set one flag long", reskip(t, func(s []bool) []bool { return append(s, true) }), "skip set does not match"},
+		{"negative frame count", func([]byte) []byte {
+			head, table, tail := splitSnapshot(t, New(fastCfg(tw, th), testSeq(t, "Desk", 1).Intr).AppendSnapshot(nil, nil))
+			binary.LittleEndian.PutUint64(head[len(head)-8-3*7*8:], ^uint64(0)) // the count, ahead of three poses
+			return joinSnapshot(head, table, tail)
+		}, "-1 frames processed"},
 		// The frame table (since version 2): position, body length, body per entry.
 		{"table position at the frame count", tableEdit(t, func(tb []tableEntry) []tableEntry {
 			tb[0].pos = 3
@@ -504,23 +516,19 @@ func shortSecondMoments(t *testing.T, snap []byte) []byte {
 	return append(out, sum[:]...)
 }
 
-// traceSection reads past the fields between a snapshot's frame table and
-// its map, the trace frames and the pending-tail flag last, and returns the
-// decoder at the cloud.
-func traceSection(t testing.TB, tail []byte) *binfmt.Dec {
+// historySection reads past the fields between a snapshot's frame table and
+// its map, the history (hash chain, ATE moments, pending-tail flag and
+// record) last, and returns the decoder at the cloud.
+func historySection(t testing.TB, tail []byte) *binfmt.Dec {
 	t.Helper()
 	d := binfmt.NewDec(tail)
 	d.I64() // previous frame
 	d.I64() // key frame
-	getPoses(d)
-	getPoses(d)
-	for n := d.Len(8); n > 0; n-- {
-		decodeInfo(d, &FrameInfo{})
+	d.Take(sha256.Size)
+	decodeMoments(d, &metrics.ATEMoments{})
+	if d.Bool() { // the last frame's tail is pending
+		decodeRecord(d)
 	}
-	for n := d.Len(8); n > 0; n-- {
-		decodeTrace(d, &trace.FrameTrace{})
-	}
-	d.Bool() // the last frame's tail is pending
 	if err := d.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -532,7 +540,7 @@ func traceSection(t testing.TB, tail []byte) *binfmt.Dec {
 func flagPending(t *testing.T, snap []byte) []byte {
 	t.Helper()
 	head, table, tail := splitSnapshot(t, snap)
-	d := traceSection(t, tail)
+	d := historySection(t, tail)
 	out := slices.Clone(tail)
 	out[len(tail)-d.Remaining()-1] = 1
 	return joinSnapshot(head, table, out)
@@ -544,7 +552,7 @@ func reskip(t *testing.T, edit func([]bool) []bool) func([]byte) []byte {
 	return func(b []byte) []byte {
 		t.Helper()
 		head, table, tail := splitSnapshot(t, b)
-		d := traceSection(t, tail)
+		d := historySection(t, tail)
 		decodeCloud(d)
 		at := len(tail) - d.Remaining()
 		skip := d.Bools()

@@ -128,8 +128,10 @@ func TestScheduleRefinesBeforePreviousTail(t *testing.T) {
 				if err := sys.ProcessFrame(f); err != nil {
 					t.Fatal(err)
 				}
-				info := sys.info[i]
-				if i == 0 || info.CoarseOnly {
+				// The frame's record waits in its pending tail until the
+				// next frame joins it.
+				rec := sys.tail.rec
+				if i == 0 || rec.info.CoarseOnly {
 					continue
 				}
 				ref := tracker.NewGSRefiner()
@@ -143,8 +145,8 @@ func TestScheduleRefinesBeforePreviousTail(t *testing.T) {
 				} else {
 					want, _ = ref.RefineBest(before, seq.Intr, f, inits, tc.cfg.TrackIters)
 				}
-				if sys.poses[i] != want {
-					t.Errorf("frame %d: pose %v, refined against the map before frame %d's tail %v", i, sys.poses[i], i-1, want)
+				if rec.pose != want {
+					t.Errorf("frame %d: pose %v, refined against the map before frame %d's tail %v", i, rec.pose, i-1, want)
 				}
 				refined++
 			}
@@ -375,16 +377,19 @@ func TestTailRejectedFrameLeavesStateAlone(t *testing.T) {
 	short.Color = &shortColor
 
 	type committed struct {
-		frameCount, poses, gt, info int
-		prevFrame, keyFrame         *frame.Frame
-		prevPose, prevRel, keyPose  vecmath.Pose
+		frameCount                 int
+		prevFrame, keyFrame        *frame.Frame
+		prevPose, prevRel, keyPose vecmath.Pose
 	}
 	state := func(s *System) committed {
-		return committed{s.frameCount, len(s.poses), len(s.gt), len(s.info),
-			s.prevFrame, s.keyFrame, s.prevPose, s.prevRel, s.keyPose}
+		return committed{s.frameCount, s.prevFrame, s.keyFrame, s.prevPose, s.prevRel, s.keyPose}
 	}
 
-	sys := New(cfg, seq.Intr)
+	// A server of its own, so the held-context count is this system's alone
+	// (TestTailPanicSurfacesAtJoin leaves the contexts its panicking tails
+	// held out on DefaultServer's pool, and -count runs the two in turn).
+	srv := NewServer(ServerConfig{})
+	sys := newSystem(cfg, seq.Intr, srv.ContextPool(), offline)
 	defer sys.Close()
 	for i, f := range seq.Frames {
 		if i == 2 {
@@ -412,7 +417,7 @@ func TestTailRejectedFrameLeavesStateAlone(t *testing.T) {
 				if sys.tail != nil && sys.tail.done != nil {
 					t.Fatalf("%s: returned with the tail in flight", bad.name)
 				}
-				if n := heldContexts(DefaultServer().PoolStats()); n != 0 {
+				if n := heldContexts(srv.PoolStats()); n != 0 {
 					t.Fatalf("%s: returned holding %d render contexts", bad.name, n)
 				}
 				if after := state(sys); after != before {

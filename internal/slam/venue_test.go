@@ -76,11 +76,12 @@ func TestRunTraceCarriesDetail(t *testing.T) {
 
 // TestVenueMatrix runs the same frames through every venue: a standalone
 // System, Server.Run, an Open session, and a snapshot at frame k continued by
-// Restore and by RestoreSession. All close on one digest. New and Run carry
-// detail on every task with work, Restore on every task from frame k on (a
-// snapshot carries none), and the serving venues (Open, RestoreSession) on
-// none. A session restored from the standalone system's snapshot snapshots
-// the same bytes again.
+// Restore and by RestoreSession. All close on one frame count, one digest and
+// one ATE, to the bit. New and Run keep the per-frame history of every frame,
+// with detail on every task with work; Restore keeps it from frame k on (a
+// snapshot carries the history as a running digest), detail included; the
+// serving venues (Open, RestoreSession) keep none. A session restored from
+// the standalone system's snapshot snapshots the same bytes again.
 func TestVenueMatrix(t *testing.T) {
 	const frames, k = 8, 4
 	for name, cfg := range map[string]Config{"baseline": fastCfg(tw, th), "ags+compact": pruneCfg(tw, th)} {
@@ -102,6 +103,10 @@ func TestVenueMatrix(t *testing.T) {
 			ref := sys.Finish(seq.Name)
 			sys.Close()
 			want := ref.Digest()
+			wantATE, err := ref.ATERMSECm()
+			if err != nil {
+				t.Fatal(err)
+			}
 
 			// Server.Open, snapshotted at k on the way.
 			sess, err := srv.Open(seq.Name, cfg, seq.Intr)
@@ -161,40 +166,32 @@ func TestVenueMatrix(t *testing.T) {
 			restoredSess := pushAll(t, rs, seq.Frames[k:])
 
 			for _, v := range []struct {
-				venue      string
-				res        *Result
-				wantDetail string // all, none, or fromK
+				venue string
+				res   *Result
+				kept  int // frames of per-frame history
 			}{
-				{"New", ref, "all"},
-				{"Server.Run", ran, "all"},
-				{"Restore", restored, "fromK"},
-				{"Server.Open", opened, "none"},
-				{"RestoreSession", restoredSess, "none"},
-				{"Restore of a session snapshot", restoredLean, "fromK"},
+				{"New", ref, frames},
+				{"Server.Run", ran, frames},
+				{"Restore", restored, frames - k},
+				{"Server.Open", opened, 0},
+				{"RestoreSession", restoredSess, 0},
+				{"Restore of a session snapshot", restoredLean, frames - k},
 			} {
-				if got := v.res.Digest(); got != want {
-					t.Errorf("%s: digest %x != standalone %x", v.venue, got, want)
+				if got := v.res.Digest(); got != want || v.res.Frames != frames {
+					t.Errorf("%s: digest %x over %d frames, standalone %x over %d", v.venue, got, v.res.Frames, want, frames)
 				}
-				tasks, detailed := traceDetail(t, v.res.Trace.Frames)
-				if tasks == 0 {
-					t.Fatalf("%s: no task did any work", v.venue)
+				if got, err := v.res.ATERMSECm(); err != nil || got != wantATE {
+					t.Errorf("%s: ATE %v (%v), standalone %v", v.venue, got, err, wantATE)
 				}
-				switch v.wantDetail {
-				case "all":
-					if detailed != tasks {
-						t.Errorf("%s: %d of %d tasks carry detail, want all", v.venue, detailed, tasks)
-					}
-				case "none":
-					if detailed != 0 {
-						t.Errorf("%s: %d of %d tasks carry detail, want none", v.venue, detailed, tasks)
-					}
-				case "fromK":
-					if _, d := traceDetail(t, v.res.Trace.Frames[:k]); d != 0 {
-						t.Errorf("%s: %d tasks before frame %d carry detail, which no snapshot holds", v.venue, d, k)
-					}
-					if tk, dk := traceDetail(t, v.res.Trace.Frames[k:]); dk != tk {
-						t.Errorf("%s: %d of the %d tasks from frame %d on carry detail, want all", v.venue, dk, tk, k)
-					}
+				if len(v.res.Poses) != v.kept || len(v.res.Info) != v.kept || len(v.res.Trace.Frames) != v.kept {
+					t.Errorf("%s: %d poses, %d infos and %d trace frames kept, want %d each",
+						v.venue, len(v.res.Poses), len(v.res.Info), len(v.res.Trace.Frames), v.kept)
+				}
+				if v.kept > 0 && v.res.Trace.Frames[0].Index != frames-v.kept {
+					t.Errorf("%s: the history starts at frame %d, want %d", v.venue, v.res.Trace.Frames[0].Index, frames-v.kept)
+				}
+				if tasks, detailed := traceDetail(t, v.res.Trace.Frames); detailed != tasks || v.kept > 0 && tasks == 0 {
+					t.Errorf("%s: %d of %d tasks carry detail, want all of some", v.venue, detailed, tasks)
 				}
 			}
 			if err := srv.Close(); err != nil {
@@ -206,10 +203,11 @@ func TestVenueMatrix(t *testing.T) {
 
 // TestSnapshotBytesIndependentOfVenue: a snapshot holds what a stream needs to
 // continue, so a stream's snapshot at frame k is the same bytes whether a
-// standalone System (which keeps trace detail) or an Open session (which does
-// not) took it, with every body inline and as a checkpoint that names every
-// frame by position. A Restore of it is an offline venue and records detail
-// again, on every task from frame k on and on none before.
+// standalone System (which keeps the per-frame history and trace detail) or
+// an Open session (which keeps neither) took it, with every body inline and
+// as a checkpoint that names every frame by position. A Restore of it is an
+// offline venue and keeps the history again, detail included, from frame k
+// on.
 func TestSnapshotBytesIndependentOfVenue(t *testing.T) {
 	const frames = 7
 	for name, cfg := range map[string]Config{"baseline": fastCfg(tw, th), "prune": pruneCfg(tw, th)} {
@@ -259,10 +257,10 @@ func TestSnapshotBytesIndependentOfVenue(t *testing.T) {
 			}
 			res := restored.Finish(seq.Name)
 			restored.Close()
-			if _, d := traceDetail(t, res.Trace.Frames[:k]); d != 0 {
-				t.Errorf("%s at frame %d: %d restored tasks carry detail", name, k, d)
+			if len(res.Trace.Frames) != frames-k || res.Trace.Frames[0].Index != k {
+				t.Errorf("%s at frame %d: the restored system kept %d trace frames, want the %d after the restore", name, k, len(res.Trace.Frames), frames-k)
 			}
-			if tasks, d := traceDetail(t, res.Trace.Frames[k:]); tasks == 0 || d != tasks {
+			if tasks, d := traceDetail(t, res.Trace.Frames); tasks == 0 || d != tasks {
 				t.Errorf("%s at frame %d: %d of the %d tasks after the restore carry detail, want all", name, k, d, tasks)
 			}
 		}
@@ -340,16 +338,18 @@ func TestMalformedFrameFailsOneSession(t *testing.T) {
 
 // TestSessionSoakStaysBounded streams a long ping-pong walk over a short Desk
 // sequence through one session. The walk revisits the same views, so after the
-// first sweep the map and the key-frame window stop growing, and what a frame
-// then adds to the session is its scalars: two poses, its decisions and its
-// trace, 317 bytes in a snapshot and 528 resident, which append's slack can
-// double over a window. With the representative-iteration detail retained, as
-// every session used to, both grew by ~40 KiB per frame for ever.
+// first sweep the map and the key-frame window stop growing, and a frame then
+// adds nothing to the session: its record is folded into the hash chain and
+// the ATE moments, which are the same size at every frame. Before the history
+// became a running digest a frame added its scalars (two poses, its decisions
+// and its trace: 317 bytes in a snapshot, 551 resident), and with the
+// representative-iteration detail retained, as every session once did, both
+// grew by ~40 KiB per frame for ever.
 func TestSessionSoakStaysBounded(t *testing.T) {
 	const (
 		sweep        = 20
-		snapPerFrame = 512
-		heapPerFrame = 2048
+		snapPerFrame = 16
+		heapPerFrame = 256
 	)
 	total := 240
 	if testing.Short() {

@@ -12,18 +12,20 @@ import (
 	"testing"
 
 	"ags/internal/binfmt"
+	"ags/internal/frame"
 	"ags/internal/scene"
 )
 
-// TestGoldenSnapshot pins SnapshotVersion 9 by length and SHA-256: the
+// TestGoldenSnapshot pins SnapshotVersion 10 by length and SHA-256: the
 // AGSSNAP of a fixed-seed AGS run with pruning on, six frames in, once as
 // Snapshot writes it (every frame body inline) and once as a fleet checkpoint
 // is taken (by a requester that holds every frame pushed, so the frame table
-// is positions only). Either holds the sixth frame's mapping tail pending.
+// is positions only). Either holds the sixth frame's mapping tail pending,
+// with its record, behind the hash chain and ATE moments of the five before.
 // The golden lines were written by the encoder the version was introduced
 // with. There is no regeneration switch — a moved format byte takes a
 // SnapshotVersion bump and new files (version 1's were snapshot.sum.golden,
-// version 2's *.v2.sum.golden, and so on to version 8's *.v8.sum.golden). The
+// version 2's *.v2.sum.golden, and so on to version 9's *.v9.sum.golden). The
 // run is an offline one, which keeps trace detail in memory; neither snapshot
 // carries it. The run's floats depend on whether the compiler fuses
 // multiply-adds, so the lines hold for amd64 only.
@@ -47,8 +49,8 @@ func TestGoldenSnapshot(t *testing.T) {
 		file string
 		snap []byte
 	}{
-		{"snapshot.v9.sum.golden", buf.Bytes()},
-		{"snapshot-lean.v9.sum.golden", sys.AppendSnapshot(nil, []int{0, 1, 2, 3, 4, 5})},
+		{"snapshot.v10.sum.golden", buf.Bytes()},
+		{"snapshot-lean.v10.sum.golden", sys.AppendSnapshot(nil, []int{0, 1, 2, 3, 4, 5})},
 	} {
 		want, err := os.ReadFile(filepath.Join("testdata", g.file))
 		if err != nil {
@@ -62,12 +64,12 @@ func TestGoldenSnapshot(t *testing.T) {
 
 // The restore seed is a whole small restore, in bytes: a lean snapshot of a
 // 16x12 AGS run three frames in, its third frame's tail pending
-// (restore.v9.golden), and the frames it leaves out, as a count and then
+// (restore.v10.golden), and the frames it leaves out, as a count and then
 // position and length-prefixed AppendFrame bytes each
-// (restore-frames.v9.golden, the shape fleet's RESTORE gives the list; the
-// same bytes as version 8's list). They pin the decoder on every platform (the
-// bytes restore and the stream goes on), the encoder on amd64, and they seed
-// FuzzRestoreSession.
+// (restore-frames.v10.golden, the shape fleet's RESTORE gives the list; the
+// same bytes as version 9's list). They pin the decoder on every platform
+// (the bytes restore and the stream goes on), the encoder on amd64, and they
+// seed FuzzRestoreSession.
 const seedW, seedH, seedFrames = 16, 12, 3
 
 func seedConfig() Config {
@@ -84,11 +86,11 @@ func seedSeq() *scene.Sequence {
 
 func readSeed(t testing.TB) (snap, list []byte) {
 	t.Helper()
-	snap, err := os.ReadFile(filepath.Join("testdata", "restore.v9.golden"))
+	snap, err := os.ReadFile(filepath.Join("testdata", "restore.v10.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	list, err = os.ReadFile(filepath.Join("testdata", "restore-frames.v9.golden"))
+	list, err = os.ReadFile(filepath.Join("testdata", "restore-frames.v10.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,8 +129,8 @@ func TestGoldenRestoreSeed(t *testing.T) {
 		t.Fatalf("golden restore: frame %d, %v", n, err)
 	}
 	res := pushAll(t, sess, seq.Frames[seedFrames:])
-	if len(res.Poses) != seedFrames+1 {
-		t.Errorf("the restored stream closed with %d poses, want %d", len(res.Poses), seedFrames+1)
+	if res.Frames != seedFrames+1 {
+		t.Errorf("the restored stream closed with %d frames, want %d", res.Frames, seedFrames+1)
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
@@ -199,14 +201,12 @@ func FuzzRestoreSession(f *testing.F) {
 		data = append(data, sum[:]...)
 		held := decodeHeldList(list)
 
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		before := ms.TotalAlloc
-		sess, _, err := srv.RestoreSession("fuzz", data, held)
-		runtime.ReadMemStats(&ms)
+		var sess *Session
+		var err error
 		// A fresh system costs half a MiB before a byte is decoded (the
 		// mapper's empty cloud is made with room to grow).
-		if got, limit := ms.TotalAlloc-before, uint64(1<<20+8*(len(payload)+len(list))); got > limit {
+		got := allocated(func() { sess, _, err = srv.RestoreSession("fuzz", data, held) })
+		if limit := uint64(1<<20 + 8*(len(payload)+len(list))); got > limit {
 			t.Fatalf("restoring %d+%d bytes allocated %d, over %d", len(payload), len(list), got, limit)
 		}
 		if err != nil {
@@ -237,4 +237,67 @@ func TestDecodeFrameRejectsOverflowingSize(t *testing.T) {
 			t.Errorf("frame declaring %dx%d pixels decoded without error", wh[0], wh[1])
 		}
 	}
+}
+
+// allocated returns the bytes the heap handed out while call ran. The count
+// is the process's: under -fuzz the worker's own bookkeeping allocates some
+// kilobytes beside the call, which the budgets below leave room for.
+func allocated(call func()) uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	call()
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc - before
+}
+
+// FuzzDecodeFrame throws bytes at the decoder every pushed frame goes
+// through, seeded with the frames of the golden restore's frame list. Nothing
+// may panic, a decode may not allocate more than a fixed multiple of what it
+// was sent, and a frame that decodes encodes back to the same bytes.
+func FuzzDecodeFrame(f *testing.F) {
+	_, list := readSeed(f)
+	for _, h := range decodeHeldList(list) {
+		f.Add(AppendFrame(nil, h.Frame))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var fr *frame.Frame
+		var err error
+		if got, limit := allocated(func() { fr, err = DecodeFrame(b) }), uint64(1<<16+2*len(b)); got > limit {
+			t.Fatalf("decoding %d bytes allocated %d, over %d", len(b), got, limit)
+		}
+		if err == nil && !bytes.Equal(AppendFrame(nil, fr), b) {
+			t.Fatal("a decoded frame encodes to other bytes")
+		}
+	})
+}
+
+// FuzzDecodeConfig throws bytes at the decoder of the configuration an OPEN
+// carries, seeded with the golden restore's. Nothing may panic, a decode
+// allocates next to nothing whatever the bytes say, and a configuration that decodes encodes to
+// bytes that decode to the same encoding.
+func FuzzDecodeConfig(f *testing.F) {
+	snap, _ := readSeed(f)
+	payload, err := snapshotPayload(snap)
+	if err != nil {
+		f.Fatal(err)
+	}
+	d := binfmt.NewDec(payload)
+	decodeConfig(d, &Config{})
+	f.Add(payload[:len(payload)-d.Remaining()])
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var c Config
+		var err error
+		if got := allocated(func() { c, err = DecodeConfig(b) }); got > 1<<16 {
+			t.Fatalf("decoding %d bytes allocated %d", len(b), got)
+		}
+		if err != nil {
+			return
+		}
+		enc := AppendConfig(nil, &c)
+		again, err := DecodeConfig(enc)
+		if err != nil || !bytes.Equal(AppendConfig(nil, &again), enc) {
+			t.Fatalf("a decoded configuration does not re-encode stably: %v", err)
+		}
+	})
 }
