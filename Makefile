@@ -34,11 +34,13 @@ benchmark-module:
 verify: fmt vet lint benchmark-module
 	$(GO) test -race ./...
 
-# Determinism gate: run the splat sharding equivalence tests twice so a
-# scheduling-dependent regression fails loudly instead of hiding behind one
-# lucky interleaving (CI runs this alongside verify).
+# Determinism and kernel reference gate: run the splat sharding equivalence
+# tests twice so a scheduling-dependent regression fails loudly instead of
+# hiding behind one lucky interleaving, together with the kernels' independent
+# checks: the full-walk and lattice references, the per-tile table order, and
+# the falloff exponential against math.Exp (CI runs this alongside verify).
 determinism:
-	$(GO) test -count=2 -run Determinism ./internal/splat/...
+	$(GO) test -count=2 -run 'Determinism|FullWalkReference|LatticeReference|TileOrder|Falloff' ./internal/splat/...
 
 # Batch-scheduler smoke: two experiments sharing Desk runs through the
 # warm/render scheduler at two jobs.

@@ -23,7 +23,9 @@ import (
 // is positions only). Either holds the sixth frame's mapping tail pending,
 // with its record, behind the hash chain and ATE moments of the five before.
 // The golden lines were written by the encoder the version was introduced
-// with. There is no regeneration switch — a moved format byte takes a
+// with, and re-recorded in place when the renderer's falloff stopped calling
+// math.Exp for an exponential of its own, a few ulp from it: the floats the
+// snapshot carries moved, no format byte did. There is no regeneration switch — a moved format byte takes a
 // SnapshotVersion bump and new files (version 1's were snapshot.sum.golden,
 // version 2's *.v2.sum.golden, and so on to version 9's *.v9.sum.golden). The
 // run is an offline one, which keeps trace detail in memory; neither snapshot
@@ -67,7 +69,10 @@ func TestGoldenSnapshot(t *testing.T) {
 // (restore.v10.golden), and the frames it leaves out, as a count and then
 // position and length-prefixed AppendFrame bytes each
 // (restore-frames.v10.golden, the shape fleet's RESTORE gives the list; the
-// same bytes as version 9's list). They pin the decoder on every platform
+// same bytes as version 9's list). The snapshot was re-recorded in place
+// when the renderer's falloff stopped calling math.Exp for an exponential of
+// its own, which moved its floats and left the list as it was. They pin the
+// decoder on every platform
 // (the bytes restore and the stream goes on), the encoder on amd64, and they
 // seed FuzzRestoreSession.
 const seedW, seedH, seedFrames = 16, 12, 3

@@ -27,7 +27,9 @@ type RenderContext struct {
 	// Forward-pass state.
 	splats     []Splat
 	tiles      Tiles
-	tileCursor []int32 // per-tile write cursor of the CSR build
+	tileCursor []int32    // per-tile write cursor of the CSR build
+	depthKeys  []depthKey // the CSR build's front-to-back order
+	geom       []cullGeom // per-splat cull geometry, one per splat
 	color      frame.Image
 	depth      frame.DepthMap
 	result     Result

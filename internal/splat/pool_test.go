@@ -201,6 +201,15 @@ func TestFootprintBytes(t *testing.T) {
 	if got := used - logBytes - ctx.FootprintBytes(); got != cullBytes || cullBytes == 0 {
 		t.Errorf("dropping the cull scratch freed %d footprint bytes, scratch held %d", got, cullBytes)
 	}
+	// So are the table build's depth keys and the per-splat cull geometry.
+	orderBytes := sliceBytes[depthKey](cap(ctx.depthKeys)) + sliceBytes[cullGeom](cap(ctx.geom))
+	if len(ctx.depthKeys) == 0 || len(ctx.geom) != len(res.Splats) {
+		t.Fatalf("render left %d depth keys and %d cull geometries for %d splats", len(ctx.depthKeys), len(ctx.geom), len(res.Splats))
+	}
+	ctx.depthKeys, ctx.geom = nil, nil
+	if got := used - logBytes - cullBytes - ctx.FootprintBytes(); got != orderBytes {
+		t.Errorf("dropping the depth keys and cull geometry freed %d footprint bytes, they held %d", got, orderBytes)
+	}
 	if got := NewRenderContext().FootprintBytes(); got != 0 {
 		t.Errorf("fresh context footprint %d, want 0", got)
 	}

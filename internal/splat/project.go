@@ -1,6 +1,6 @@
 // Package splat implements the tile-based 3D Gaussian Splatting pipeline of
 // the paper's §2.1: preprocessing (EWA projection of 3D Gaussians to 2D
-// splats and tile intersection), per-tile depth sorting into Gaussian tables,
+// splats and tile intersection), depth sorting into per-tile Gaussian tables,
 // front-to-back alpha-blended rendering with early termination, and the
 // backward pass producing analytic gradients for Gaussian parameters and the
 // camera pose. The renderer also captures the per-Gaussian contribution
@@ -33,6 +33,18 @@
 // reconstructed exactly from the loop index at termination. The full-walk
 // kernels this replaced live on in reference_test.go, where every output is
 // compared with theirs byte for byte.
+//
+// What the host pays per pair, per entry and per splat is kept apart. The
+// box's splat-only part — the cutoff with its logarithm and the ellipse's
+// extents with their square roots — is computed once per splat and render
+// and only clipped to each tile. The tables come from one sort of the
+// splats on (depth, index), whose order the fill keeps, so each table is
+// born front to back and no tile sorts. The one per-pair transcendental, the
+// falloff's exponential, is the package's own (exp.go): a range reduction
+// onto a 64-entry table of 2^(j/64) and a degree-5 polynomial, within 4 ulp
+// of math.Exp on the falloff's range. It is plain float64 Go with no libm
+// call under it, so no host CPU feature chooses its bits, as math.Exp's
+// run-time FMA dispatch does on amd64.
 //
 // # Sparse tracking lattice
 //
@@ -287,7 +299,7 @@ func falloff(q float64) float64 {
 	if q > qCutMax {
 		return 0
 	}
-	return math.Exp(-0.5 * q)
+	return expNeg(-0.5 * q)
 }
 
 // Alpha returns the clamped occlusion factor at (x, y) together with the

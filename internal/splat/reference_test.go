@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ags/internal/camera"
@@ -19,7 +20,9 @@ import (
 // refContribution are verbatim copies, but for the loss weights and the
 // contribution threshold, which are constants now, and the lattice
 // restriction refBackwardOneTile takes for the sparse tracking pass; only the
-// serial drivers around them are new.
+// serial drivers around them are new. refBuildTiles is the table build the
+// package shipped before one depth sort ordered every table: splats filled
+// per tile in index order, then each table insertion-sorted on its own.
 
 // refContribution is one blending step recorded during the per-pixel forward
 // replay, consumed in reverse order for the suffix-sum alpha gradients.
@@ -234,7 +237,47 @@ func refBackwardOneTile(cloud *gauss.Cloud, cam camera.Camera, res *Result, targ
 func buildTiles(splats []Splat, intr camera.Intrinsics) *Tiles {
 	t := &Tiles{}
 	var cursor []int32
-	buildTilesInto(t, &cursor, splats, intr)
+	var keys []depthKey
+	buildTilesInto(t, &cursor, &keys, splats, intr)
+	return t
+}
+
+// refBuildTiles builds the tables tile by tile: every splat whose box
+// overlaps the tile, in ascending index, then an insertion sort on (depth,
+// index), with a NaN depth placed as +Inf.
+func refBuildTiles(splats []Splat, intr camera.Intrinsics) *Tiles {
+	tw := (intr.W + TileSize - 1) / TileSize
+	th := (intr.H + TileSize - 1) / TileSize
+	t := &Tiles{TW: tw, TH: th, Offsets: make([]int32, 1, tw*th+1), Entries: []int32{}}
+	depth := func(e int32) float64 {
+		if d := splats[e].Depth; !math.IsNaN(d) {
+			return d
+		}
+		return math.Inf(1)
+	}
+	for ty := 0; ty < th; ty++ {
+		for tx := 0; tx < tw; tx++ {
+			start := len(t.Entries)
+			for i := range splats {
+				x0, x1, y0, y1, ok := tileRect(&splats[i], intr.W, intr.H, tw, th)
+				if ok && tx >= x0 && tx <= x1 && ty >= y0 && ty <= y1 {
+					t.Entries = append(t.Entries, int32(i))
+				}
+			}
+			list := t.Entries[start:]
+			for i := 1; i < len(list); i++ {
+				e := list[i]
+				d := depth(e)
+				j := i - 1
+				for j >= 0 && (depth(list[j]) > d || (depth(list[j]) == d && list[j] > e)) {
+					list[j+1] = list[j]
+					j--
+				}
+				list[j+1] = e
+			}
+			t.Offsets = append(t.Offsets, int32(len(t.Entries)))
+		}
+	}
 	return t
 }
 
@@ -248,7 +291,7 @@ func refRender(splats []Splat, nGauss int, cam camera.Camera, opts Options) *Res
 		Silhouette:    make([]float64, w*h),
 		FinalT:        make([]float64, w*h),
 		Splats:        splats,
-		Tiles:         buildTiles(splats, cam.Intr),
+		Tiles:         refBuildTiles(splats, cam.Intr),
 		PerPixelBlend: make([]int32, w*h),
 		PerPixelAlpha: make([]int32, w*h),
 	}
@@ -321,7 +364,7 @@ func refBackward(cloud *gauss.Cloud, cam camera.Camera, res *Result, target *fra
 // so tests can inject splats no projection would produce.
 func renderSplats(ctx *RenderContext, splats []Splat, cloud *gauss.Cloud, cam camera.Camera, opts Options) *Result {
 	ctx.splats = append(ctx.splats[:0], splats...)
-	buildTilesInto(&ctx.tiles, &ctx.tileCursor, ctx.splats, cam.Intr)
+	buildTilesInto(&ctx.tiles, &ctx.tileCursor, &ctx.depthKeys, ctx.splats, cam.Intr)
 	return ctx.renderTiles(cloud, cam, opts)
 }
 
@@ -469,5 +512,52 @@ func TestKernelsMatchFullWalkReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestTileOrderMatchesReference checks the one-sort table build against
+// refBuildTiles: the offsets and entries are equal, byte for byte, on random
+// clouds whose depths are forced into ties (and some into +-Inf and NaN), on
+// clouds dense enough that tables run past 32 entries, and on adversarial
+// splats, through one context whose scratch stays warm across frame sizes.
+func TestTileOrderMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	ctx := NewRenderContext()
+	sizes := []struct{ w, h int }{{64, 48}, {50, 37}, {16, 16}, {97, 33}}
+	longest := 0
+	for trial := 0; trial < 24; trial++ {
+		sz := sizes[trial%len(sizes)]
+		cam := testCam(sz.w, sz.h)
+		var splats []Splat
+		switch trial % 3 {
+		case 0: // forced ties and non-finite depths
+			splats = preprocessInto(nil, randomCloud(rng, 30+rng.Intn(60)), cam, nil)
+			levels := []float64{1, 1.5, 2, math.Inf(1), math.Inf(-1), math.NaN()}
+			for i := range splats {
+				if rng.Intn(3) != 0 {
+					splats[i].Depth = levels[rng.Intn(len(levels))]
+				}
+			}
+		case 1: // long tables
+			splats = preprocessInto(nil, randomCloud(rng, 300+rng.Intn(200)), cam, nil)
+			for i := range splats {
+				splats[i].Depth = float64(rng.Intn(8)) // ties within long tables
+			}
+		case 2:
+			splats = adversarialSplats(rng, randomCloud(rng, 40+rng.Intn(60)), cam)
+		}
+		want := refBuildTiles(splats, cam.Intr)
+		buildTilesInto(&ctx.tiles, &ctx.tileCursor, &ctx.depthKeys, splats, cam.Intr)
+		got := &ctx.tiles
+		if got.TW != want.TW || got.TH != want.TH ||
+			!slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(got.Entries, want.Entries) {
+			t.Fatalf("trial %d (%dx%d, %d splats): tables differ from the per-tile reference", trial, sz.w, sz.h, len(splats))
+		}
+		for i := 0; i < got.NumTiles(); i++ {
+			longest = max(longest, len(got.ListAt(i)))
+		}
+	}
+	if longest <= 32 {
+		t.Fatalf("longest table holds %d entries; the test must reach past 32", longest)
 	}
 }

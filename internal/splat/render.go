@@ -73,16 +73,18 @@ func Render(cloud *gauss.Cloud, cam camera.Camera, opts Options) *Result {
 //ags:hotpath
 func (ctx *RenderContext) Render(cloud *gauss.Cloud, cam camera.Camera, opts Options) *Result {
 	ctx.splats = preprocessInto(ctx.splats[:0], cloud, cam, opts.Skip)
-	buildTilesInto(&ctx.tiles, &ctx.tileCursor, ctx.splats, cam.Intr)
+	buildTilesInto(&ctx.tiles, &ctx.tileCursor, &ctx.depthKeys, ctx.splats, cam.Intr)
 	return ctx.renderTiles(cloud, cam, opts)
 }
 
-// renderTiles runs steps 3 of Fig. 2 over the context's prepared splats and
-// tiles. Static sharding: each worker owns a contiguous tile range and walks
-// it in ascending order. Pixel buffers are disjoint across tiles, and the
-// cross-tile reductions (op counters, contribution log) are integers (exact
-// under any association) merged in fixed worker order, so every Workers
-// value produces byte-identical Results.
+// renderTiles runs step 3 of Fig. 2 over the context's prepared splats and
+// tiles, starting with each splat's cull geometry (cullGeomOf), which the
+// splat's table entries clip to their tiles. Static sharding: each worker
+// owns a contiguous tile range and walks it in ascending order. Pixel
+// buffers are disjoint across tiles, and the cross-tile reductions (op
+// counters, contribution log) are integers (exact under any association)
+// merged in fixed worker order, so every Workers value produces
+// byte-identical Results.
 //
 //ags:hotpath
 func (ctx *RenderContext) renderTiles(cloud *gauss.Cloud, cam camera.Camera, opts Options) *Result {
@@ -119,6 +121,10 @@ func (ctx *RenderContext) renderTiles(cloud *gauss.Cloud, cam camera.Camera, opt
 	res.logTiles = resized(res.logTiles, ctx.tiles.NumTiles())
 	res.logShards = extended(res.logShards, nw)
 	ctx.cull = extended(ctx.cull, nw)
+	ctx.geom = resized(ctx.geom, len(ctx.splats))
+	for i := range ctx.splats {
+		ctx.geom[i] = cullGeomOf(&ctx.splats[i])
+	}
 
 	if nw == 1 {
 		// Serial fast path: accumulate straight into the Result. The
@@ -184,7 +190,7 @@ func (ctx *RenderContext) renderShard(wi, w, h int, nonContrib, touched []int32)
 	span := ctx.ranges[wi]
 	for tileIdx := span[0]; tileIdx < span[1]; tileIdx++ {
 		res.logTiles[tileIdx] = tileLogRef{shard: int32(wi), off: int32(blendOps)}
-		a, b := renderOneTile(res, tileIdx, w, h, nonContrib, touched, &sc, &log, int(blendOps))
+		a, b := renderOneTile(res, ctx.geom, tileIdx, w, h, nonContrib, touched, &sc, &log, int(blendOps))
 		alphaOps += a
 		blendOps += b
 	}
@@ -205,7 +211,7 @@ func (ctx *RenderContext) renderShard(wi, w, h int, nonContrib, touched []int32)
 // log[pos...] for Backward.
 //
 //ags:hotpath
-func renderOneTile(res *Result, tileIdx, w, h int,
+func renderOneTile(res *Result, geom []cullGeom, tileIdx, w, h int,
 	nonContrib, touched []int32, sc *tileScratch, log *blendShard, pos int) (alphaOps, blendOps int64) {
 
 	splats, tiles := res.Splats, res.Tiles
@@ -221,7 +227,7 @@ func renderOneTile(res *Result, tileIdx, w, h int,
 
 	ent := resized(sc.ent, len(list))
 	for li, si := range list {
-		ent[li] = cullBox(&splats[si], x0, y0, x1, y1)
+		cullBox(&ent[li], &splats[si], &geom[si], x0, y0, x1, y1)
 	}
 	sc.ent = ent
 	start := pos

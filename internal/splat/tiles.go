@@ -1,6 +1,8 @@
 package splat
 
 import (
+	"cmp"
+	"math"
 	"slices"
 
 	"ags/internal/camera"
@@ -53,16 +55,39 @@ func tileRect(s *Splat, w, h, tw, th int) (x0, x1, y0, y1 int, ok bool) {
 	return x0, x1, y0, y1, true
 }
 
+// depthKey is one splat's place in the front-to-back order: its depth and
+// its index in the splat slice, 16 bytes a sort moves instead of the splat.
+type depthKey struct {
+	depth float64
+	idx   int32
+}
+
+// cmpDepthKey orders keys by (depth, splat index): depth ties break toward
+// the lower index, so the order is strict and total and a pure function of
+// the splat slice. buildTilesInto stores a NaN depth as +Inf, so a splat
+// with no defined depth sorts behind every finite one, among the +Inf depths
+// by index.
+func cmpDepthKey(a, b depthKey) int {
+	switch {
+	case a.depth < b.depth:
+		return -1
+	case a.depth > b.depth:
+		return 1
+	}
+	return cmp.Compare(a.idx, b.idx)
+}
+
 // buildTilesInto performs the tile intersection test and depth sort: a splat
 // is assigned to every tile its 3-sigma bounding box overlaps (the reference
 // 3DGS conservative test). It rebuilds t's CSR tables in place with a two-pass
-// counting build (count per tile, prefix-sum, fill), reusing t's backing arrays and
-// the caller's cursor scratch. Entries are filled in ascending splat index
-// per tile, then depth-sorted; ties break toward the lower splat index, so
-// the table order is a pure function of the splat slice.
+// counting build (count per tile, prefix-sum, fill), reusing t's backing
+// arrays and the caller's cursor and key scratch. The splats that reach the
+// image are sorted once, as (depth, index) keys, and the fill walks them in
+// that order, so every tile's table is born front to back and the table order
+// is a pure function of the splat slice.
 //
 //ags:hotpath
-func buildTilesInto(t *Tiles, cursor *[]int32, splats []Splat, intr camera.Intrinsics) {
+func buildTilesInto(t *Tiles, cursor *[]int32, keys *[]depthKey, splats []Splat, intr camera.Intrinsics) {
 	tw := (intr.W + TileSize - 1) / TileSize
 	th := (intr.H + TileSize - 1) / TileSize
 	nt := tw * th
@@ -70,9 +95,11 @@ func buildTilesInto(t *Tiles, cursor *[]int32, splats []Splat, intr camera.Intri
 	t.Offsets = zeroed(t.Offsets, nt+1)
 
 	// Pass 1: count entries per tile (shifted by one so the prefix sum below
-	// turns counts into offsets directly).
+	// turns counts into offsets directly), and key every splat with an entry.
+	ks := resized(*keys, len(splats))[:0]
 	for i := range splats {
-		x0, x1, y0, y1, ok := tileRect(&splats[i], intr.W, intr.H, tw, th)
+		s := &splats[i]
+		x0, x1, y0, y1, ok := tileRect(s, intr.W, intr.H, tw, th)
 		if !ok {
 			continue
 		}
@@ -81,7 +108,13 @@ func buildTilesInto(t *Tiles, cursor *[]int32, splats []Splat, intr camera.Intri
 				t.Offsets[ty*tw+tx+1]++
 			}
 		}
+		d := s.Depth
+		if math.IsNaN(d) {
+			d = math.Inf(1)
+		}
+		ks = append(ks, depthKey{depth: d, idx: int32(i)})
 	}
+	*keys = ks
 	for i := 0; i < nt; i++ {
 		t.Offsets[i+1] += t.Offsets[i]
 	}
@@ -91,71 +124,20 @@ func buildTilesInto(t *Tiles, cursor *[]int32, splats []Splat, intr camera.Intri
 	} else {
 		t.Entries = t.Entries[:total]
 	}
+	slices.SortFunc(ks, cmpDepthKey)
 
-	// Pass 2: fill through a per-tile write cursor.
+	// Pass 2: fill through a per-tile write cursor, front to back.
 	cur := zeroed(*cursor, nt)
 	copy(cur, t.Offsets[:nt])
 	*cursor = cur
-	for i := range splats {
-		x0, x1, y0, y1, ok := tileRect(&splats[i], intr.W, intr.H, tw, th)
-		if !ok {
-			continue
-		}
+	for _, k := range ks {
+		x0, x1, y0, y1, _ := tileRect(&splats[k.idx], intr.W, intr.H, tw, th)
 		for ty := y0; ty <= y1; ty++ {
 			for tx := x0; tx <= x1; tx++ {
 				idx := ty*tw + tx
-				t.Entries[cur[idx]] = int32(i)
+				t.Entries[cur[idx]] = k.idx
 				cur[idx]++
 			}
 		}
 	}
-
-	// Pass 3: per-tile front-to-back depth sort.
-	for idx := 0; idx < nt; idx++ {
-		sortTileByDepth(t.Entries[t.Offsets[idx]:t.Offsets[idx+1]], splats)
-	}
-}
-
-// depthSortCutoff is the tile-table length up to which the allocation-free
-// insertion sort is used; longer tables fall back to slices.SortFunc. Tile
-// tables are short in the common case (tens of entries), where insertion
-// sort beats the general algorithm and never allocates.
-const depthSortCutoff = 32
-
-// sortTileByDepth orders one tile's table front-to-back. The comparator is
-// (depth, splat index): depth ties break toward the lower index, which both
-// the insertion path and the SortFunc fallback implement identically, so the
-// resulting order — and therefore the blend order and every downstream
-// digest — does not depend on which path ran.
-//
-//ags:hotpath
-func sortTileByDepth(list []int32, splats []Splat) {
-	if len(list) <= depthSortCutoff {
-		for i := 1; i < len(list); i++ {
-			e := list[i]
-			d := splats[e].Depth
-			j := i - 1
-			for j >= 0 && (splats[list[j]].Depth > d || (splats[list[j]].Depth == d && list[j] > e)) {
-				list[j+1] = list[j]
-				j--
-			}
-			list[j+1] = e
-		}
-		return
-	}
-	//ags:allow(hotalloc, comparator closure only on the rare long-table fallback; the common path is the allocation-free insertion sort above)
-	slices.SortFunc(list, func(a, b int32) int {
-		da, db := splats[a].Depth, splats[b].Depth
-		switch {
-		case da < db:
-			return -1
-		case da > db:
-			return 1
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		}
-		return 0
-	})
 }
