@@ -98,18 +98,18 @@ type Config struct {
 
 // DefaultGoroutineSites returns the approved worker-pool launch sites: the
 // places whose goroutines are part of the reviewed deterministic designs
-// (static shards with ordered reductions, each system's mapping tail, the
+// (a pass's shard goroutines claiming tiles from its cursor with ordered
+// reductions, each system's mapping tail, the
 // bounded batch scheduler, ray-traced dataset generation, a fleet node's
 // accept loop and connection handlers).
 func DefaultGoroutineSites(module string) map[string]bool {
 	return map[string]bool{
-		module + "/internal/splat.(*RenderContext).renderTiles": true, // static tile shards, fixed-order merge
-		module + "/internal/splat.(*RenderContext).Backward":    true, // static tile shards, ascending-tile merge
-		module + "/internal/slam.(*System).startTail":           true, // one mapping tail per system, joined before anything reads or writes the map
-		module + "/internal/scene.(*World).RenderFrame":         true, // per-row ray tracing, disjoint pixel writes
-		module + "/internal/bench.RunBatch":                     true, // bounded warm pool, render in plan order
-		module + "/internal/fleet.(*Node).StartOn":              true, // single accept-loop goroutine (Start delegates here), joined by Close
-		module + "/internal/fleet.(*Node).Serve":                true, // one handler per connection, which runs its session's frames in push order
+		module + "/internal/splat.(*RenderContext).runPass": true, // shard goroutines claim tiles from the pass's cursor; slot-order and ascending-tile merges
+		module + "/internal/slam.(*System).startTail":       true, // one mapping tail per system, joined before anything reads or writes the map
+		module + "/internal/scene.(*World).RenderFrame":     true, // per-row ray tracing, disjoint pixel writes
+		module + "/internal/bench.RunBatch":                 true, // bounded warm pool, render in plan order
+		module + "/internal/fleet.(*Node).StartOn":          true, // single accept-loop goroutine (Start delegates here), joined by Close
+		module + "/internal/fleet.(*Node).Serve":            true, // one handler per connection, which runs its session's frames in push order
 	}
 }
 

@@ -239,7 +239,7 @@ func TestGoroutineSitesAreLive(t *testing.T) {
 // fleet/chaos) and two integer counts (metrics.FalsePositiveRate, bench
 // fig6).
 func TestSuppressionInventory(t *testing.T) {
-	want := map[string]int{CheckMapRange: 4, CheckNondet: 0, CheckHotAlloc: 2, CheckGoroutine: 0}
+	want := map[string]int{CheckMapRange: 4, CheckNondet: 0, CheckHotAlloc: 0, CheckGoroutine: 0}
 	pkgs, _, err := load(repoRoot(t))
 	if err != nil {
 		t.Fatal(err)

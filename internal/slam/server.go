@@ -182,10 +182,10 @@ func (sv *Server) Run(cfg Config, seq *scene.Sequence) (*Result, error) {
 // become the session's error; a panic's error carries the panicking
 // goroutine's stack. The call that hit it returns it, from then on Push,
 // AppendSnapshot and Close report it, and the server's other sessions never
-// notice. What this does not cover: a panic inside one of the splat
-// renderer's shard goroutines has no recover and still takes the process.
-// Only Server.Run starts them, with Config.Workers > 1; a session from Open or
-// RestoreSession renders with one worker, which starts none.
+// notice. A panic in a tile that another participant of a splat pass took
+// (the producer helping the session's tail, or a shard goroutine of a
+// Server.Run render with Config.Workers > 1) is recovered there and raised
+// again by the pass's caller, so it takes the same path.
 type Session struct {
 	name string
 	sv   *Server

@@ -43,8 +43,10 @@
 //     its requester says it holds (see the frame table in snapshot.go),
 //     which for a fleet router is all of them. A serving system renders with one worker whatever
 //     Config.Workers says: a host's parallelism is its sessions, and a
-//     one-worker render starts no goroutine, so everything a session runs is
-//     inside its one recover (see Session). Config keeps the value the stream
+//     one-worker render starts no shard goroutine; its passes are shared
+//     only with the producer, which helps its tail, and a tile's panic
+//     surfaces on the pass's caller, so everything a session runs reaches
+//     its one recover (see Session). Config keeps the value the stream
 //     sent, so a snapshot's bytes do not depend on the venue.
 //
 // Every venue draws two render contexts from its server's pool for the length
@@ -70,7 +72,11 @@
 // frozen into its tracking context before the tail starts, so frame t refines
 // against the map as it stood before frame t-1's tail (frame 1, against the
 // bootstrap map). Everything else that reads the map joins the tail first
-// (see System). A tail is started by the next ProcessFrame and joined by the
+// (see System). The tail is the longer side, so the producer helps it: once
+// it is through tracking, its join takes tiles of the tail's render and
+// backward passes (the system's splat.Crew, attached to the mapping context)
+// until the tail is done, rather than blocking, and the tail's passes run on
+// both cores. Who takes which tile changes no output (see package splat). A tail is started by the next ProcessFrame and joined by the
 // same call, so no work of a system outlives the call that started it, and a
 // session's Push is that call. The schedule is exact, not speculative: every
 // input of a frame's tracking is committed or copied before the preceding
@@ -80,9 +86,10 @@
 // platform.AGS's Pipelined option charges.
 //
 // CODEC motion estimation therefore runs in the front, once per comparison,
-// and no option selects where or how it runs. The splat renderer's tile
-// sharding is deterministic, so the render worker count never changes results
-// either — full-parallel runs are exact A/B comparable.
+// and no option selects where or how it runs. The splat renderer's passes are
+// deterministic whoever takes their tiles, so neither the render worker count
+// nor the producer's help ever changes results — full-parallel runs are exact
+// A/B comparable.
 package slam
 
 import (
@@ -143,9 +150,9 @@ type Config struct {
 	PruneEvery int
 	// Workers bounds splat render/backward parallelism in the offline venues
 	// (0 = all cores); a serving venue renders with one worker whatever it
-	// says (see the package doc). The splat pipeline shards tiles
-	// deterministically, so every value produces bit-identical trajectories,
-	// maps and traces (see package splat).
+	// says (see the package doc). A splat pass's output does not depend on
+	// who took which tile, so every value produces bit-identical
+	// trajectories, maps and traces (see package splat).
 	Workers int
 	// EvalFPRate runs an extra contribution-logged render on every non-key
 	// frame to measure the false-positive rate of the skip prediction.
@@ -230,7 +237,8 @@ func (r *Result) ATERMSECm() (float64, error) {
 // also usable directly when the caller owns the frame loop. Call Close when
 // done: it runs the last frame's mapping tail.
 //
-// A System is driven from one goroutine. ProcessFrame returns with the
+// A System is driven from one goroutine, which, while it waits for a tail in
+// join, also takes tiles of the tail's passes. ProcessFrame returns with the
 // frame's pose and FrameInfo committed and its mapping tail pending, holding
 // no render context: nothing of a system runs behind its caller's back. The
 // next ProcessFrame freezes the map into its tracking context, starts the
@@ -264,6 +272,10 @@ type System struct {
 	// workers is the splat worker count the refiner, the mapper and
 	// measureFPRate render with: Cfg.Workers offline, 1 when serving.
 	workers int
+	// crew is how the producer takes tiles of its tail's passes while it
+	// waits in join: attached to the mapping context a started tail renders
+	// through, and detached before that context goes back to the pool.
+	crew *splat.Crew
 
 	prevFrame   *frame.Frame
 	prevPose    vecmath.Pose
@@ -336,6 +348,7 @@ func newSystem(cfg Config, intr camera.Intrinsics, pool *splat.ContextPool, v ve
 		detector: covis.NewDetector(),
 		pool:     pool,
 		workers:  workers,
+		crew:     splat.NewCrew(),
 		prevRel:  vecmath.PoseIdentity(),
 		history:  v == offline,
 	}
@@ -558,9 +571,13 @@ func (s *System) runTail(t *mappingTail) {
 // startTail puts the pending mapping tail on the system's one tail goroutine,
 // rendering through ctx, which join hands back to the pool. ProcessFrame calls
 // it once it has frozen the map the tail is about to change, so that the
-// frame's tracking runs beside it. A panic in the goroutine is kept for join.
+// frame's tracking runs beside it. The system's crew is attached to ctx, so
+// the producer, once it is through tracking, takes tiles of the tail's
+// render and backward passes in join. A panic in the goroutine is kept for
+// join, and the crew's helper is dismissed once the tail is through.
 func (s *System) startTail(ctx *splat.RenderContext) {
 	t := s.tail
+	ctx.Attach(s.crew)
 	s.mapper.Ctx = ctx
 	t.done = make(chan *tailPanic, 1)
 	go func() {
@@ -570,20 +587,25 @@ func (s *System) startTail(ctx *splat.RenderContext) {
 				p = &tailPanic{value: v, stack: debug.Stack()}
 			}
 			t.done <- p
+			s.crew.Dismiss()
 		}()
 		s.runTail(t)
 	}()
 }
 
-// join sees the mapping tail through, if there is one: it waits for a tail
-// that was started and runs a pending one in place, on the caller's goroutine,
-// in a mapping context of its own. Then it hands the mapping context back to
-// the pool and folds the frame's record, now final, into the stream's
-// history. A tail that
-// panicked on its goroutine panics again here, so whoever drives the system
-// (a session's producer, a ProcessFrame or Finish caller) contains either
-// kind with one recover; the system is left with no tail either way, and the
-// context the panicking tail held is not returned.
+// join sees the mapping tail through, if there is one. A tail that was
+// started is served rather than waited for: the caller becomes its crew's
+// helper (splat.Crew.Serve), taking tiles of each render and backward pass
+// the tail opens, until the tail dismisses it. A pending tail runs in place,
+// on the caller's goroutine, in a mapping context of its own, with no
+// helper. Then join detaches the crew, hands the mapping context back to the
+// pool and folds the frame's record, now final, into the stream's history.
+// A tail that panicked on its goroutine panics again here, and so does one
+// whose panic came from a tile the caller took, which the pass handed back
+// to the tail's goroutine: whoever drives the system (a session's producer,
+// a ProcessFrame or Finish caller) contains either kind with one recover.
+// The system is left with no tail either way, and the context the
+// panicking tail held is not returned.
 func (s *System) join() {
 	t := s.tail
 	if t == nil {
@@ -593,9 +615,13 @@ func (s *System) join() {
 	if t.done == nil {
 		s.mapper.Ctx = s.pool.Acquire()
 		s.runTail(t)
-	} else if p := <-t.done; p != nil {
-		s.mapper.Ctx = nil
-		panic(p)
+	} else {
+		s.crew.Serve()
+		s.mapper.Ctx.Attach(nil)
+		if p := <-t.done; p != nil {
+			s.mapper.Ctx = nil
+			panic(p)
+		}
 	}
 	s.pool.Release(s.mapper.Ctx)
 	s.mapper.Ctx = nil

@@ -5,7 +5,7 @@ import "ags/internal/vecmath"
 // backwardArena holds Backward's per-call partial-reduction buffers: the
 // per-tile loss/pose partials and (for Gaussian gradients) the flat
 // per-tile-entry gradient slots addressed through the CSR tile offsets.
-// Deterministic sharding sizes these O(TotalEntries) per call, which
+// Per-tile partials size these O(TotalEntries) per call, which
 // dominates the mapping loop's allocation rate at experiment scale, so every
 // RenderContext embeds one arena and recycles it across calls (the one-shot
 // Backward runs in a fresh context and so pays for a fresh arena every
@@ -53,8 +53,8 @@ func resized[T any](s []T, n int) []T {
 }
 
 // extended returns s resized to n keeping every element it ever held (those
-// past its length too): for per-worker scratch headers, whose buffers must
-// survive a call that used fewer workers.
+// past its length too): for the participants' scratch slots, whose buffers
+// must survive a pass that had fewer participants.
 //
 //ags:hotpath
 func extended[T any](s []T, n int) []T {

@@ -2,7 +2,6 @@ package splat
 
 import (
 	"math"
-	"sync"
 
 	"ags/internal/camera"
 	"ags/internal/frame"
@@ -52,7 +51,7 @@ type Grads struct {
 type BackwardOptions struct {
 	GaussianGrads bool // color/opacity/mean/scale (mapping)
 	PoseGrads     bool // camera twist (tracking)
-	Workers       int
+	Workers       int  // as Options.Workers
 }
 
 // blendStep is one blending step of the pixel being back-propagated, rebuilt
@@ -119,12 +118,10 @@ func (ctx *RenderContext) Backward(cloud *gauss.Cloud, cam camera.Camera, res *R
 	// per-Gaussian gradients) is accumulated into per-tile partials and
 	// merged serially in ascending tile order below. The reduction tree is
 	// therefore fixed — raster order within a tile, tile order across tiles —
-	// and independent of how tiles are sharded across workers, so the
-	// gradients are byte-identical for every Workers value.
+	// and independent of who took which tile of the pass, so the gradients
+	// are byte-identical whoever the participants were.
 	tiles := res.Tiles
 	nt := tiles.NumTiles()
-	ctx.ranges = shardRangesInto(ctx.ranges[:0], nt, opts.Workers)
-	ranges := ctx.ranges
 
 	// Per-tile gradient slots live in the arena's flat buffers indexed by
 	// the tile's CSR offset: entry j of tile t is at Offsets[t]+j. A tile
@@ -150,29 +147,29 @@ func (ctx *RenderContext) Backward(cloud *gauss.Cloud, cam camera.Camera, res *R
 		}
 	}
 
-	ctx.bwScratch = extended(ctx.bwScratch, len(ranges))
+	ctx.pass.backward = true
+	ctx.pass.bw = backwardPass{cam: cam, res: res, target: target, loss: loss, opts: opts, norm: norm}
+	ctx.runPass(nt, opts.Workers)
+	ctx.pass.bw = backwardPass{} // a context keeps no caller's Result or frame alive
 
-	if len(ranges) == 1 {
-		ctx.backwardShard(cam, res, target, loss, opts, ranges[0], norm, 0)
-	} else {
-		var wg sync.WaitGroup
-		for wi := range ranges {
-			wg.Add(1)
-			//ags:allow(hotalloc, worker closures exist only on the multi-worker path; the Workers=1 path above is the one TestRenderContextAllocationFree measures allocation-free)
-			go func(wi int) {
-				defer wg.Done()
-				ctx.backwardShard(cam, res, target, loss, opts, ranges[wi], norm, wi)
-			}(wi)
-		}
-		wg.Wait()
-	}
+	mergeTiles(grads, ar, res, opts.GaussianGrads)
+	return grads
+}
 
-	// Ordered merge: tile 0, 1, ... regardless of which worker produced each
-	// partial. Within a tile, entries are added in table order.
-	for tileIdx := 0; tileIdx < nt; tileIdx++ {
+// mergeTiles folds the arena's per-tile partials into grads: tile 0, 1, ...
+// regardless of which participant produced each partial, and within a tile
+// its entries in table order. It is a function of its own so that its
+// compiled form, and with it which NaN a sum of two NaNs keeps (the operand
+// order of a commutative add is the register allocator's choice), does not
+// move with edits to Backward: the reference tests compare NaN bits.
+//
+//ags:hotpath
+func mergeTiles(grads *Grads, ar *backwardArena, res *Result, gaussian bool) {
+	tiles := res.Tiles
+	for tileIdx := 0; tileIdx < tiles.NumTiles(); tileIdx++ {
 		grads.Loss += ar.lossByTile[tileIdx]
 		grads.Pose = grads.Pose.Add(ar.poseByTile[tileIdx])
-		if opts.GaussianGrads {
+		if gaussian {
 			base := int(tiles.Offsets[tileIdx])
 			for j, si := range tiles.ListAt(tileIdx) {
 				id := res.Splats[si].ID
@@ -183,35 +180,36 @@ func (ctx *RenderContext) Backward(cloud *gauss.Cloud, cam camera.Camera, res *R
 			}
 		}
 	}
-	return grads
 }
 
-// backwardShard walks one worker's contiguous tile span in ascending order,
-// accumulating per-tile partials into the context's arena.
+// backwardPass is a Backward call's inputs, which every participant of its
+// pass reads.
+type backwardPass struct {
+	cam    camera.Camera
+	res    *Result
+	target *frame.Frame
+	loss   LossConfig
+	opts   BackwardOptions
+	norm   float64
+}
+
+// backwardTile accumulates one tile's partials into the context's arena,
+// with the slot's blend-step scratch.
 //
 //ags:hotpath
-func (ctx *RenderContext) backwardShard(cam camera.Camera, res *Result, target *frame.Frame,
-	loss LossConfig, opts BackwardOptions, span [2]int, norm float64, wi int) {
-
+func (ctx *RenderContext) backwardTile(sl *slot, tileIdx int) {
+	b := &ctx.pass.bw
 	ar := &ctx.arena
-	tiles := res.Tiles
-	// The step scratch header is copied to a local and stored back once:
-	// workers' headers in ctx.bwScratch are adjacent, and rewriting them per
-	// pixel through the pointer would false-share cache lines.
-	scratch := ctx.bwScratch[wi]
-	for tileIdx := span[0]; tileIdx < span[1]; tileIdx++ {
-		var tMean, tColor []vecmath.Vec3
-		var tLogit, tLogScale []float64
-		if opts.GaussianGrads {
-			lo, hi := tiles.Offsets[tileIdx], tiles.Offsets[tileIdx+1]
-			tMean, tColor = ar.mean[lo:hi], ar.color[lo:hi]
-			tLogit, tLogScale = ar.logit[lo:hi], ar.logScale[lo:hi]
-		}
-		backwardOneTile(cam, res, target, loss, opts, tileIdx, norm,
-			tMean, tColor, tLogit, tLogScale, ar.sigGrad, ar.scale2,
-			&ar.poseByTile[tileIdx], &ar.lossByTile[tileIdx], &scratch)
+	var tMean, tColor []vecmath.Vec3
+	var tLogit, tLogScale []float64
+	if b.opts.GaussianGrads {
+		lo, hi := b.res.Tiles.Offsets[tileIdx], b.res.Tiles.Offsets[tileIdx+1]
+		tMean, tColor = ar.mean[lo:hi], ar.color[lo:hi]
+		tLogit, tLogScale = ar.logit[lo:hi], ar.logScale[lo:hi]
 	}
-	ctx.bwScratch[wi] = scratch
+	backwardOneTile(b.cam, b.res, b.target, b.loss, b.opts, tileIdx, b.norm,
+		tMean, tColor, tLogit, tLogScale, ar.sigGrad, ar.scale2,
+		&ar.poseByTile[tileIdx], &ar.lossByTile[tileIdx], &sl.steps)
 }
 
 // pixelLoss adds the weighted L1 loss of one unmasked pixel to *lossAcc and
@@ -263,15 +261,14 @@ func backwardOneTile(cam camera.Camera, res *Result, target *frame.Frame,
 	y1 := min(y0+TileSize, h)
 	viewRT := cam.Pose.R.Mat3().Transpose()
 	lossOnly := !opts.GaussianGrads && !opts.PoseGrads
-	ref := res.logTiles[tileIdx]
-	log := &res.logShards[ref.shard]
-	pos := int(ref.off)
+	log := &res.log
 	steps := *scratch
 	// A sparse Result's off-lattice pixels blended nothing, so they have no
 	// run in the log to step over.
 	step := res.stride()
 
 	for y := y0; y < y1; y += step {
+		pos := int(res.logRows[tileIdx*TileSize+y-y0])
 		for x := x0; x < x1; x += step {
 			pix := y*w + x
 			// The pixel's run of the blend log, whether or not it is masked.

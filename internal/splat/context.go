@@ -7,9 +7,10 @@ import (
 )
 
 // RenderContext owns every buffer the forward and backward passes touch: the
-// Result pixel planes, the contribution log and its per-worker scratch, the
-// blend log, the sub-tile cull scratch, the projected-splat slice, the CSR
-// tile tables, the backward partial-reduction arena, and the gradient outputs.
+// Result pixel planes, the contribution log, the blend log, each
+// participant's scratch slot (cull scratch, blend staging, blend steps,
+// counters), the projected-splat slice, the CSR tile tables, the backward
+// partial-reduction arena, and the gradient outputs.
 // Reusing one context across frames makes the steady-state render/backward
 // hot path allocation-free — the property the tracker's IterT refinement loop
 // and the mapper's MapIters training loop run on (see the package doc's
@@ -20,9 +21,10 @@ import (
 // them; Result and Grads still expose them as nil when a pass did not compute
 // them.
 //
-// A RenderContext is not safe for concurrent use. Callers without one use the
-// one-shot package functions Render and Backward, which run in a fresh
-// context each.
+// A RenderContext is not safe for concurrent use: one goroutine calls it,
+// and only the crew attached to it (Attach) and its own shard goroutines take
+// tiles of its passes. Callers without one use the one-shot package
+// functions Render and Backward, which run in a fresh context each.
 type RenderContext struct {
 	// Forward-pass state.
 	splats     []Splat
@@ -33,22 +35,23 @@ type RenderContext struct {
 	color      frame.Image
 	depth      frame.DepthMap
 	result     Result
-	ranges     [][2]int
-	ops        []int64       // per-worker {alphaOps, blendOps} pairs
-	contrib    []int32       // per-worker contribution scratch (nonContrib ++ touched)
-	cull       []tileScratch // per-worker sub-tile cull scratch
 	// The contribution log's storage, exposed as Result.NonContrib/Touched
 	// by logged renders only.
 	nonContrib, touched []int32
 
 	// Backward-pass state.
-	arena     backwardArena
-	grads     Grads
-	bwScratch [][]blendStep // per-worker blend-step scratch
+	arena backwardArena
+	grads Grads
 	// The per-Gaussian gradients' storage, exposed through grads by passes
 	// with GaussianGrads only.
 	gMean, gColor     []vecmath.Vec3
 	gLogit, gLogScale []float64
+
+	// Pass state: the open pass, one scratch slot per participant, and the
+	// crew whose helper may join.
+	pass  passState
+	slots []slot
+	crew  *Crew
 
 	// frozen is the copy of a map Freeze made, rendered in place of a map
 	// that another goroutine goes on changing.

@@ -3,6 +3,7 @@ package splat
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -13,9 +14,11 @@ import (
 )
 
 // TestRenderContextAllocationFree pins the point of the tentpole: once a
-// context is warm, the serial render and backward hot path allocates nothing.
-// The budget is deliberately tiny and fixed — any regression (a buffer that
-// stopped being reused, a closure that started escaping) fails loudly.
+// context is warm, the serial render and backward hot path allocates nothing,
+// and neither does a pass a crew's helper joined. The budget is deliberately
+// tiny and fixed — any regression (a buffer that stopped being reused, a
+// closure that started escaping, a pass that describes itself on the heap)
+// fails loudly.
 func TestRenderContextAllocationFree(t *testing.T) {
 	cloud, cam := determinismScene()
 	target := determinismTarget(cloud, cam)
@@ -70,6 +73,46 @@ func TestRenderContextAllocationFree(t *testing.T) {
 	ctx.nonContrib, ctx.touched, ctx.gMean, ctx.gColor, ctx.gLogit, ctx.gLogScale = nil, nil, nil, nil, nil, nil
 	if freed := before - ctx.FootprintBytes(); freed != kept {
 		t.Errorf("dropping the contribution log and gradients freed %d footprint bytes, they held %d", freed, kept)
+	}
+
+	// Passes a helper joins. testing.AllocsPerRun runs at GOMAXPROCS 1,
+	// where the helper would hardly ever get a tile, so the mallocs are
+	// counted around the loop directly; as there, the count per cycle is an
+	// integer division, so a buffer that grows once in the loop does not
+	// count and one re-made every cycle does.
+	stop := spinHelper(ctx)
+	defer stop()
+	cycle := func() (helped int) {
+		res := ctx.Render(cloud, cam, opts)
+		helped = ctx.slots[helperSlot].tiles
+		ctx.Backward(cloud, cam, res, target, lc, bopts)
+		return helped + ctx.slots[helperSlot].tiles
+	}
+	for range 50 {
+		cycle()
+	}
+	const runs = 50
+	var m0, m1 runtime.MemStats
+	helped := 0
+	runtime.ReadMemStats(&m0)
+	for range runs {
+		helped += cycle()
+	}
+	runtime.ReadMemStats(&m1)
+	if allocs := (m1.Mallocs - m0.Mallocs) / runs; allocs != 0 {
+		t.Errorf("warm helped render/backward cycle: %d allocs/op, want 0", allocs)
+	}
+	if helped == 0 && runtime.GOMAXPROCS(0) > 1 {
+		t.Error("the helper took no tile of the measured passes")
+	}
+	// The helper's slot is the context's, and its footprint counts it.
+	stop()
+	if held := ctx.slots[helperSlot].bytes(); held > 0 {
+		full := ctx.FootprintBytes()
+		ctx.slots[helperSlot] = slot{}
+		if freed := full - ctx.FootprintBytes(); freed != held {
+			t.Errorf("dropping the helper's slot freed %d footprint bytes, it held %d", freed, held)
+		}
 	}
 }
 

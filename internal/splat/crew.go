@@ -1,0 +1,262 @@
+package splat
+
+import (
+	"fmt"
+	"runtime"
+	"runtime/debug"
+	"sync"
+	"sync/atomic"
+)
+
+// The participants of a pass, by scratch slot: the caller, then the crew's
+// helper, then the shard goroutines of a Workers > 1 pass.
+const (
+	callerSlot = iota
+	helperSlot
+	firstShardSlot
+)
+
+// Crew lets one goroutine besides a pass's caller take tiles of the passes
+// run through the contexts it is attached to (RenderContext.Attach): the
+// helper, a goroutine that would otherwise wait for those passes' owner, as
+// a SLAM system's producer waits for its mapping tail. The helper calls
+// Serve, which takes tiles of every pass opened while it runs and returns
+// once the owner side calls Dismiss. A helper that arrives late, or not at
+// all, changes nothing but the time a pass takes: every output is
+// byte-identical whoever takes which tile (see the package doc).
+//
+// A Crew serves one helper and one owner goroutine at a time. Its event
+// channel carries both "a pass is open" and "dismissed", so the helper waits
+// on one channel.
+type Crew struct {
+	mu     sync.Mutex
+	left   sync.Cond      // signalled, under mu, when the helper leaves a pass
+	open   *RenderContext // the context whose pass is open, nil between passes
+	inside bool           // the helper is taking tiles of open's pass
+	tiles  int            // tiles the helper has taken, all passes together
+	// events holds at most one pending event: true for a pass opened since
+	// the helper last looked, false once it is dismissed.
+	events chan bool
+}
+
+// NewCrew returns a crew with no pass open and no helper.
+func NewCrew() *Crew {
+	c := &Crew{events: make(chan bool, 1)}
+	c.left.L = &c.mu
+	return c
+}
+
+// Serve is the helper's side: it takes tiles of each pass opened through the
+// crew until Dismiss is called, and then returns. A panic in a tile it took
+// is recovered and handed to the pass, whose owner raises it again once the
+// pass is through, so it surfaces on the owner's goroutine.
+func (c *Crew) Serve() {
+	for <-c.events {
+		c.help()
+	}
+}
+
+// Dismiss ends the helper's Serve once the helper has seen every event sent
+// before it. The owner side calls it after its last pass; it blocks only
+// while an earlier event waits to be seen.
+func (c *Crew) Dismiss() { c.events <- false }
+
+// Tiles returns how many tiles the helper has taken since the crew was made.
+func (c *Crew) Tiles() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.tiles
+}
+
+// help takes tiles of the open pass, if there is one, until its cursor runs
+// out, and then leaves it.
+func (c *Crew) help() {
+	c.mu.Lock()
+	ctx := c.open
+	c.inside = ctx != nil
+	c.mu.Unlock()
+	if ctx == nil {
+		return
+	}
+	ctx.takeGuarded(helperSlot)
+	c.mu.Lock()
+	c.tiles += ctx.slots[helperSlot].tiles
+	c.inside = false
+	c.left.Signal()
+	c.mu.Unlock()
+}
+
+// begin opens ctx's pass to the helper and wakes it, unless a wake-up is
+// already pending (it finds this pass when it takes that one).
+func (c *Crew) begin(ctx *RenderContext) {
+	c.mu.Lock()
+	c.open = ctx
+	c.mu.Unlock()
+	select {
+	case c.events <- true:
+	default:
+	}
+}
+
+// end closes the open pass to the helper and waits until the helper, if it
+// joined, has left it.
+func (c *Crew) end() {
+	c.mu.Lock()
+	c.open = nil
+	for c.inside {
+		c.left.Wait()
+	}
+	c.mu.Unlock()
+}
+
+// Attach makes c the crew of the context's passes; Attach(nil) detaches it.
+// A context goes back to a pool detached, so a pooled context's passes have
+// no helper.
+func (ctx *RenderContext) Attach(c *Crew) { ctx.crew = c }
+
+// passState is the open pass of a context: what its participants share. It
+// lives in the context, so a pass allocates nothing to describe itself.
+type passState struct {
+	// next is the tile cursor: a participant claims tile next-1 by adding 1,
+	// and stops at a claim past nt.
+	next atomic.Int32
+	nt   int32
+	// backward selects the pass kind; the fields after it are the
+	// backward pass's inputs (a render pass reads the context's own).
+	backward bool
+	bw       backwardPass
+	// shards counts the running shard goroutines of a Workers > 1 pass.
+	shards sync.WaitGroup
+	// mu guards the Result's blend log and contribution log, which
+	// participants add whole tile rows and whole tiles to, and fault.
+	mu sync.Mutex
+	// fault is the first panic a participant other than the caller
+	// recovered, which the caller raises again once the pass is through.
+	fault *tilePanic
+}
+
+// slot is one participant's scratch: what it writes while taking tiles, so
+// no two participants share a buffer. Its op counters merge in slot order,
+// and everything else a tile produces is added under the pass's lock or is
+// per tile (Backward's float partials, merged in tile order), so the outputs
+// do not depend on who took which tile.
+type slot struct {
+	cull  tileScratch
+	stage blendLog    // one tile row's blends, before they join the Result's log
+	steps []blendStep // Backward's per-pixel blend steps
+	// tiles, alphaOps and blendOps count this pass's work of the slot.
+	tiles              int
+	alphaOps, blendOps int64
+}
+
+// runPass runs the context's prepared pass over nt tiles: it opens the pass
+// to the crew's helper, starts workers-1 shard goroutines (workers <= 0
+// means GOMAXPROCS, and there are never more participants than tiles), and
+// takes tiles itself until the cursor runs out. It returns once every
+// participant has left the pass, and panics with what a participant other
+// than the caller panicked with. A panic of the caller's own tile ends the
+// pass the same way: no tile is claimed after it, and it returns once the
+// others have left.
+//
+//ags:hotpath
+func (ctx *RenderContext) runPass(nt, workers int) {
+	p := &ctx.pass
+	p.nt = int32(nt)
+	p.next.Store(0)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	shards := max(min(workers, nt)-1, 0)
+	ctx.slots = extended(ctx.slots, firstShardSlot+shards)
+	for i := range ctx.slots {
+		ctx.slots[i].tiles, ctx.slots[i].alphaOps, ctx.slots[i].blendOps = 0, 0, 0
+	}
+	if ctx.crew != nil {
+		ctx.crew.begin(ctx)
+	}
+	p.shards.Add(shards)
+	for k := range shards {
+		go ctx.shard(firstShardSlot + k)
+	}
+	defer ctx.endPass()
+	ctx.take(callerSlot)
+}
+
+// endPass closes the pass: no tile is claimed after it, and it waits for the
+// shard goroutines and the helper to leave. Then it raises a participant's
+// panic again, on the caller's goroutine.
+func (ctx *RenderContext) endPass() {
+	p := &ctx.pass
+	p.next.Store(p.nt)
+	p.shards.Wait()
+	if ctx.crew != nil {
+		ctx.crew.end()
+	}
+	if f := p.fault; f != nil {
+		p.fault = nil
+		panic(f)
+	}
+}
+
+// shard is a shard goroutine of a Workers > 1 pass.
+func (ctx *RenderContext) shard(slot int) {
+	defer ctx.pass.shards.Done()
+	ctx.takeGuarded(slot)
+}
+
+// takeGuarded takes tiles in slot as a participant other than the caller,
+// handing a panic to the pass instead of letting it end the goroutine.
+func (ctx *RenderContext) takeGuarded(slot int) {
+	defer ctx.recoverFault()
+	ctx.take(slot)
+}
+
+// recoverFault keeps a participant's panic for the caller (the first one,
+// when there are several) and stops the pass's cursor.
+func (ctx *RenderContext) recoverFault() {
+	v := recover()
+	if v == nil {
+		return
+	}
+	p := &ctx.pass
+	p.next.Store(p.nt)
+	p.mu.Lock()
+	if p.fault == nil {
+		p.fault = &tilePanic{value: v, stack: debug.Stack()}
+	}
+	p.mu.Unlock()
+}
+
+// take claims tiles from the pass's cursor until it runs out, and renders or
+// back-propagates each in the slot's scratch.
+//
+//ags:hotpath
+func (ctx *RenderContext) take(slot int) {
+	p := &ctx.pass
+	sl := &ctx.slots[slot]
+	for {
+		i := p.next.Add(1) - 1
+		if i >= p.nt {
+			return
+		}
+		if p.backward {
+			ctx.backwardTile(sl, int(i))
+		} else {
+			ctx.renderTile(sl, int(i))
+		}
+		sl.tiles++
+	}
+}
+
+// tilePanic is what a pass's caller panics with when a tile another
+// participant took panicked: the value it panicked with and that
+// participant's stack, which the raise on the caller's goroutine would
+// otherwise lose.
+type tilePanic struct {
+	value any
+	stack []byte
+}
+
+func (p *tilePanic) Error() string {
+	return fmt.Sprintf("splat: tile panicked: %v\n%s", p.value, p.stack)
+}

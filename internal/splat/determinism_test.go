@@ -167,37 +167,3 @@ func TestBackwardArenaReducesAllocs(t *testing.T) {
 		t.Errorf("arena saves too little: %.0f allocs/op recycled vs %.0f fresh", recycled, fresh)
 	}
 }
-
-// TestShardRangesCoverAndOrder pins the shard partition itself: spans are
-// contiguous, ascending, cover [0, n) exactly, and sizes differ by at most 1.
-func TestShardRangesCoverAndOrder(t *testing.T) {
-	for _, tc := range []struct{ n, workers int }{
-		{0, 4}, {1, 1}, {1, 8}, {5, 2}, {24, 3}, {24, 7}, {24, 24}, {24, 100}, {17, 0},
-	} {
-		ranges := shardRangesInto(nil, tc.n, tc.workers)
-		if len(ranges) == 0 {
-			t.Fatalf("n=%d workers=%d: no ranges", tc.n, tc.workers)
-		}
-		next := 0
-		minSz, maxSz := tc.n+1, -1
-		for _, rg := range ranges {
-			if rg[0] != next || rg[1] < rg[0] {
-				t.Fatalf("n=%d workers=%d: bad span %v (want start %d)", tc.n, tc.workers, rg, next)
-			}
-			sz := rg[1] - rg[0]
-			if sz < minSz {
-				minSz = sz
-			}
-			if sz > maxSz {
-				maxSz = sz
-			}
-			next = rg[1]
-		}
-		if next != tc.n {
-			t.Errorf("n=%d workers=%d: spans end at %d", tc.n, tc.workers, next)
-		}
-		if tc.n > 0 && maxSz-minSz > 1 {
-			t.Errorf("n=%d workers=%d: uneven spans (min %d max %d)", tc.n, tc.workers, minSz, maxSz)
-		}
-	}
-}

@@ -143,9 +143,6 @@ func (ctx *RenderContext) FootprintBytes() int64 {
 		sliceBytes[int32](cap(ctx.result.PerPixelAlpha)) +
 		sliceBytes[int32](cap(ctx.nonContrib)) +
 		sliceBytes[int32](cap(ctx.touched)) +
-		sliceBytes[[2]int](cap(ctx.ranges)) +
-		sliceBytes[int64](cap(ctx.ops)) +
-		sliceBytes[int32](cap(ctx.contrib)) +
 		sliceBytes[float64](cap(ctx.arena.lossByTile)) +
 		sliceBytes[vecmath.Twist](cap(ctx.arena.poseByTile)) +
 		sliceBytes[vecmath.Vec3](cap(ctx.arena.mean)) +
@@ -158,21 +155,25 @@ func (ctx *RenderContext) FootprintBytes() int64 {
 		sliceBytes[float64](cap(ctx.gLogScale)) +
 		sliceBytes[float64](cap(ctx.arena.sigGrad)) +
 		sliceBytes[float64](cap(ctx.arena.scale2)) +
-		sliceBytes[[]blendStep](cap(ctx.bwScratch)) +
-		sliceBytes[tileScratch](cap(ctx.cull)) +
-		sliceBytes[blendShard](cap(ctx.result.logShards)) +
-		sliceBytes[tileLogRef](cap(ctx.result.logTiles)) +
+		ctx.result.log.bytes() +
+		sliceBytes[int32](cap(ctx.result.logRows)) +
+		sliceBytes[slot](cap(ctx.slots)) +
 		sliceBytes[gauss.Gaussian](cap(ctx.frozen.Gaussians))
-	for _, sc := range ctx.bwScratch[:cap(ctx.bwScratch)] {
-		b += sliceBytes[blendStep](cap(sc))
-	}
-	for _, sc := range ctx.cull[:cap(ctx.cull)] {
-		b += sliceBytes[cullEntry](cap(sc.ent)) + sliceBytes[rowSpan](cap(sc.row))
-	}
-	for _, sh := range ctx.result.logShards[:cap(ctx.result.logShards)] {
-		b += sliceBytes[int32](cap(sh.li)) + sliceBytes[float64](cap(sh.g))
+	for _, sl := range ctx.slots[:cap(ctx.slots)] {
+		b += sl.bytes()
 	}
 	return b
+}
+
+// bytes is the heap bytes a participant's scratch retains.
+func (sl *slot) bytes() int64 {
+	return sliceBytes[cullEntry](cap(sl.cull.ent)) + sliceBytes[rowSpan](cap(sl.cull.row)) +
+		sl.stage.bytes() + sliceBytes[blendStep](cap(sl.steps))
+}
+
+// bytes is the heap bytes of the log's records.
+func (b *blendLog) bytes() int64 {
+	return sliceBytes[int32](cap(b.li)) + sliceBytes[float64](cap(b.g))
 }
 
 // sliceBytes returns the heap bytes of a slice with capacity n of T.

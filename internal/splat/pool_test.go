@@ -181,25 +181,27 @@ func TestFootprintBytes(t *testing.T) {
 	if p.Acquire() != ctx {
 		t.Fatal("pool did not hand the context back")
 	}
-	// The blend log (12 B per blend) and the cull scratch are counted:
-	// dropping them lowers the footprint by exactly their bytes.
-	var logBytes, cullBytes int64
-	for i, sh := range ctx.result.logShards {
-		logBytes += int64(4*cap(sh.li) + 8*cap(sh.g))
-		ctx.result.logShards[i] = blendShard{}
-	}
+	// The blend log (12 B per blend) and the participants' scratch slots
+	// (cull scratch, blend staging, blend steps, contribution counts) are
+	// counted: dropping them lowers the footprint by exactly their bytes.
+	logBytes := ctx.result.log.bytes()
+	ctx.result.log = blendLog{}
 	if logBytes < 12*res.BlendOps || res.BlendOps == 0 {
 		t.Errorf("blend log holds %d bytes for %d blends", logBytes, res.BlendOps)
 	}
 	if got := used - ctx.FootprintBytes(); got != logBytes {
 		t.Errorf("dropping the blend log freed %d footprint bytes, log held %d", got, logBytes)
 	}
-	for i, sc := range ctx.cull {
-		cullBytes += sliceBytes[cullEntry](cap(sc.ent)) + sliceBytes[rowSpan](cap(sc.row))
-		ctx.cull[i] = tileScratch{}
+	if ctx.slots[callerSlot].stage.bytes() == 0 || ctx.slots[callerSlot].cull.ent == nil {
+		t.Fatal("the render left its caller's slot without staging or cull scratch")
 	}
-	if got := used - logBytes - ctx.FootprintBytes(); got != cullBytes || cullBytes == 0 {
-		t.Errorf("dropping the cull scratch freed %d footprint bytes, scratch held %d", got, cullBytes)
+	var slotBytes int64
+	for i := range ctx.slots {
+		slotBytes += ctx.slots[i].bytes()
+		ctx.slots[i] = slot{}
+	}
+	if got := used - logBytes - ctx.FootprintBytes(); got != slotBytes {
+		t.Errorf("dropping the scratch slots freed %d footprint bytes, they held %d", got, slotBytes)
 	}
 	// So are the table build's depth keys and the per-splat cull geometry.
 	orderBytes := sliceBytes[depthKey](cap(ctx.depthKeys)) + sliceBytes[cullGeom](cap(ctx.geom))
@@ -207,7 +209,7 @@ func TestFootprintBytes(t *testing.T) {
 		t.Fatalf("render left %d depth keys and %d cull geometries for %d splats", len(ctx.depthKeys), len(ctx.geom), len(res.Splats))
 	}
 	ctx.depthKeys, ctx.geom = nil, nil
-	if got := used - logBytes - cullBytes - ctx.FootprintBytes(); got != orderBytes {
+	if got := used - logBytes - slotBytes - ctx.FootprintBytes(); got != orderBytes {
 		t.Errorf("dropping the depth keys and cull geometry freed %d footprint bytes, they held %d", got, orderBytes)
 	}
 	if got := NewRenderContext().FootprintBytes(); got != 0 {

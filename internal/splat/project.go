@@ -11,16 +11,30 @@
 //
 // # Determinism contract
 //
-// Render and Backward are bit-reproducible: the tile grid is partitioned into
-// static contiguous per-worker shards, and every cross-tile reduction runs
-// over a fixed tree — raster order within a tile, ascending tile order across
-// tiles (per-tile float partials in Backward), fixed worker order for the
-// integer workload counters. Color/depth/silhouette/transmittance images, the
-// contribution log, AlphaOps/BlendOps, and all gradient buffers are therefore
-// byte-identical for every Options.Workers / BackwardOptions.Workers value,
-// including the serial Workers=1 path. Callers may rely on this for exact A/B
-// comparisons at full parallelism; Result.Digest and Grads.Digest exist to
-// assert it cheaply.
+// Render and Backward are bit-reproducible whoever does their work. Every
+// pass hands out its tiles from one atomic cursor, and its participants take
+// them until it runs out: the caller, at most one helper that joins through
+// the Crew attached to the context (RenderContext.Attach) — a SLAM system's
+// producer, which would otherwise wait for its mapping tail — and, with
+// Options.Workers or BackwardOptions.Workers above 1, that many less one
+// shard goroutines. Each participant has a scratch slot of its own (cull
+// scratch, blend staging, blend steps, op counters), and every reduction
+// that crosses a tile runs over a fixed tree or is exact: raster order within
+// a tile, ascending tile order across tiles for Backward's per-tile float
+// partials, and integer sums for the workload counters and the contribution
+// log, which are exact in any order. Color/depth/silhouette/transmittance
+// images, the contribution log, AlphaOps/BlendOps, and all gradient buffers
+// are therefore byte-identical whichever participant took which tile, for
+// every Workers value and with or without a helper. Callers may rely on this
+// for exact A/B comparisons at full parallelism; Result.Digest and
+// Grads.Digest exist to assert it cheaply.
+//
+// A pass's caller returns once every participant has left the pass. A tile
+// that panics on a helper or a shard goroutine is recovered there and handed
+// to the pass, whose caller panics with it (and that participant's stack)
+// once the pass is through, so every panic of a pass surfaces on its
+// caller's goroutine. A pass allocates nothing to describe itself: its state
+// lives in the context and its participants' entry points are methods.
 //
 // The workload counters count modelled work, not host work. AlphaOps,
 // PerPixelAlpha and Touched count Gaussian-table visits — what the GPE array
@@ -76,23 +90,28 @@
 // table and the falloff G, 12 bytes — and Backward walks that log instead of
 // re-evaluating alphas: it recomputes alpha = min(Opacity*G, MaxAlpha) and the
 // transmittance in the order Render formed them, so gradients are bit for bit
-// those of a replay. The log belongs to the Result: one shard per Render
-// worker, each tile's (shard, offset), and a pixel's run length in
-// PerPixelBlend, so Render and Backward may use different Workers values and
-// Backward may take a Result from any context. It follows the Result's
-// aliasing rules below (a contexted Result's log is overwritten by the
-// context's next Render; a one-shot Result's context renders nothing else)
-// and Backward only reads it. It holds 12 B x BlendOps; a context's shards grow by
-// doubling and are never shrunk, so a warm context retains at most twice the
-// log of its largest render (FootprintBytes counts it).
+// those of a replay. The log belongs to the Result: one log per Result, made
+// of one run per tile row, each row's offset, and a pixel's run length in
+// PerPixelBlend. A participant stages one row's blends in its own scratch and
+// then appends the row under the pass's lock, recording where it starts, so
+// the rows lie in the order they were finished, and Backward finds each by
+// its offset whatever that order was. So Render and Backward may use
+// different participants, and Backward may take a Result from any context.
+// The log follows the Result's aliasing rules below (a contexted Result's log
+// is overwritten by the context's next Render; a one-shot Result's context
+// renders nothing else) and Backward only reads it. It holds 12 B x BlendOps;
+// the log and each participant's staging grow by doubling and are never
+// shrunk, so a warm context retains at most twice the log of its largest
+// render and twice the blends of its largest row per participant
+// (FootprintBytes counts both).
 //
 // # Render contexts
 //
 // Both passes run inside a RenderContext, which owns every buffer they touch:
-// the Result pixel planes, the contribution log and its per-worker scratch,
-// the blend log and the per-worker cull scratch, the projected-splat slice,
-// the CSR tile tables, and the backward pass's partial-reduction arena plus
-// gradient outputs. A long-lived context makes the steady-state hot path
+// the Result pixel planes, the contribution log, the blend log, the
+// participants' scratch slots, the projected-splat slice, the CSR tile
+// tables, and the backward pass's partial-reduction arena plus gradient
+// outputs. A long-lived context makes the steady-state hot path
 // allocation-free; the package-level Render and Backward functions are
 // one-shot: each runs in a fresh context of its own and returns that
 // context's output, which nothing else will ever write.
@@ -109,7 +128,9 @@
 // Lifecycle and aliasing rules:
 //
 //   - A context is NOT safe for concurrent use. One goroutine, one context;
-//     the parallelism knob is Options.Workers inside a call, not contexts.
+//     within a call its passes are shared with the crew's helper and the
+//     Options.Workers shard goroutines, never across contexts. A context
+//     goes back to a pool detached from its crew.
 //   - (*RenderContext).Render returns a *Result whose buffers are owned by
 //     the context and valid until its next Render call. Backward
 //     only reads the Result — it never writes a Result-aliased buffer, and
@@ -128,7 +149,8 @@
 //   - A context re-sizes itself lazily from the intrinsics and cloud of
 //     each call, so mixed frame sizes are safe (and tested).
 //   - Contexted and one-shot calls are byte-identical to each other — the
-//     determinism contract above holds across both, for every Workers value.
+//     determinism contract above holds across both, for every Workers value,
+//     with or without a helper.
 package splat
 
 import (
@@ -186,16 +208,29 @@ type Splat struct {
 
 // ProjectGaussian projects one Gaussian through the camera. ok is false when
 // the Gaussian is behind the near plane or degenerate.
+func ProjectGaussian(g *gauss.Gaussian, cam camera.Camera) (Splat, bool) {
+	var s Splat
+	if !projectInto(&s, g, cam) {
+		return Splat{}, false
+	}
+	s.ID = -1
+	return s, true
+}
+
+// projectInto projects one Gaussian through the camera into s, field by
+// field, and reports whether it projects (see ProjectGaussian). It leaves s
+// partly written when it does not, and never writes s.ID. Writing in place
+// spares preprocessing a cleared Splat and a copy of it per Gaussian.
 //
 //ags:hotpath
-func ProjectGaussian(g *gauss.Gaussian, cam camera.Camera) (Splat, bool) {
+func projectInto(s *Splat, g *gauss.Gaussian, cam camera.Camera) bool {
 	pc := cam.Pose.Apply(g.Mean)
 	if pc.Z < 0.05 {
-		return Splat{}, false
+		return false
 	}
 	mean2, ok := cam.Intr.Project(pc)
 	if !ok {
-		return Splat{}, false
+		return false
 	}
 	du, dv := cam.Intr.ProjectionJacobian(pc)
 	// Sigma2D = J W Sigma3D W^T J^T where W is the view rotation and J the
@@ -215,52 +250,48 @@ func ProjectGaussian(g *gauss.Gaussian, cam camera.Camera) (Splat, bool) {
 	cov.M01, cov.M10 = sym, sym
 	inv, invertible := cov.Inverse()
 	if !invertible {
-		return Splat{}, false
+		return false
 	}
 	l1, _ := cov.Eigenvalues()
-	radius := 3 * math.Sqrt(math.Max(l1, 0))
-	jjt := vecmath.Mat2{
+	s.Mean2D = mean2
+	s.Depth = pc.Z
+	s.Color = g.Color
+	s.Opacity = g.Opacity()
+	s.Radius = 3 * math.Sqrt(math.Max(l1, 0))
+	s.CamPt = pc
+	s.DU, s.DV = du, dv
+	s.JJT = vecmath.Mat2{
 		M00: du.Dot(du), M01: du.Dot(dv),
 		M10: dv.Dot(du), M11: dv.Dot(dv),
 	}
-	return Splat{
-		ID:      -1,
-		Mean2D:  mean2,
-		Depth:   pc.Z,
-		Color:   g.Color,
-		Opacity: g.Opacity(),
-		Radius:  radius,
-		CamPt:   pc,
-		DU:      du,
-		DV:      dv,
-		JJT:     jjt,
-		ConA:    inv.M00,
-		ConB:    inv.M01,
-		ConC:    inv.M11,
-	}, true
+	s.ConA, s.ConB, s.ConC = inv.M00, inv.M01, inv.M11
+	return true
 }
 
 // preprocessInto projects every Gaussian in the cloud (step 1 of Fig. 2),
 // culling those that fall outside the image or behind the camera, and appends
 // the survivors to splats (reusing its capacity — the RenderContext's
-// per-frame projection path). Room for every Gaussian is made first, at
-// least doubling the capacity when it must grow, so a growing map re-makes
-// the slice O(log) times and not through append's many smaller steps. skip,
-// when non-nil, suppresses Gaussians whose ID is flagged (selective mapping).
+// per-frame projection path), each projected straight into its slot. Room
+// for every Gaussian is made first, at least doubling the capacity when it
+// must grow, so a growing map re-makes the slice O(log) times and not
+// through append's many smaller steps. skip, when non-nil, suppresses
+// Gaussians whose ID is flagged (selective mapping).
 //
 //ags:hotpath
 func preprocessInto(splats []Splat, cloud *gauss.Cloud, cam camera.Camera, skip []bool) []Splat {
-	if n := len(splats) + cloud.Len(); cap(splats) < n {
-		grown := make([]Splat, len(splats), max(n, 2*cap(splats)))
+	n := len(splats)
+	if need := n + cloud.Len(); cap(splats) < need {
+		grown := make([]Splat, n, max(need, 2*cap(splats)))
 		copy(grown, splats)
 		splats = grown
 	}
+	all := splats[:cap(splats)]
 	for id := range cloud.Gaussians {
 		if skip != nil && id < len(skip) && skip[id] {
 			continue
 		}
-		s, ok := ProjectGaussian(cloud.At(id), cam)
-		if !ok {
+		s := &all[n]
+		if !projectInto(s, cloud.At(id), cam) {
 			continue
 		}
 		// Cull splats entirely outside the image (with radius margin).
@@ -270,9 +301,9 @@ func preprocessInto(splats []Splat, cloud *gauss.Cloud, cam camera.Camera, skip 
 			continue
 		}
 		s.ID = id
-		splats = append(splats, s)
+		n++
 	}
-	return splats
+	return splats[:n]
 }
 
 // Eval returns the unnormalized Gaussian falloff G = exp(-0.5 d^T CovInv d)

@@ -20,7 +20,8 @@ type Options struct {
 	// at a pixel exactly when it blends there, at alpha >= MinAlpha: the
 	// paper's Thresh_alpha is the cutoff 3DGS blends with.
 	LogContribution bool
-	// Workers bounds render parallelism; 0 means GOMAXPROCS.
+	// Workers bounds the pass's own parallelism, the caller and its shard
+	// goroutines; 0 means GOMAXPROCS. A crew's helper joins on top.
 	Workers int
 	// Sparse renders the tracking lattice only: one pixel per
 	// LatticeStride x LatticeStride block, the one at even x and y. Each
@@ -50,10 +51,11 @@ type Result struct {
 	AlphaOps      int64   // total alpha (stage-1) table visits
 	BlendOps      int64   // total color-blend (stage-2) operations
 
-	// Blend log for Backward (see the package doc): one shard per forward
-	// worker, and each tile's location in them.
-	logShards []blendShard
-	logTiles  []tileLogRef
+	// Blend log for Backward (see the package doc): every blend of the
+	// pass, one run per tile row, and where each run starts, TileSize slots
+	// per tile.
+	log     blendLog
+	logRows []int32
 }
 
 // Render runs the full forward pipeline (steps 1-3 of Fig. 2) for the cloud
@@ -79,12 +81,13 @@ func (ctx *RenderContext) Render(cloud *gauss.Cloud, cam camera.Camera, opts Opt
 
 // renderTiles runs step 3 of Fig. 2 over the context's prepared splats and
 // tiles, starting with each splat's cull geometry (cullGeomOf), which the
-// splat's table entries clip to their tiles. Static sharding: each worker
-// owns a contiguous tile range and walks it in ascending order. Pixel
-// buffers are disjoint across tiles, and the cross-tile reductions (op
-// counters, contribution log) are integers (exact under any association)
-// merged in fixed worker order, so every Workers value produces
-// byte-identical Results.
+// splat's table entries clip to their tiles. The tiles are handed out from
+// the pass's cursor (runPass) to the caller, the crew's helper and any shard
+// goroutines. Pixel buffers are disjoint across tiles, each tile row's blends
+// join the log as one run, and the cross-tile reductions are integers (exact
+// under any association): the contribution log, added to tile by tile, and
+// the op counters, merged in slot order. So every Result is byte-identical
+// whoever rendered which tile.
 //
 //ags:hotpath
 func (ctx *RenderContext) renderTiles(cloud *gauss.Cloud, cam camera.Camera, opts Options) *Result {
@@ -115,89 +118,61 @@ func (ctx *RenderContext) renderTiles(cloud *gauss.Cloud, cam camera.Camera, opt
 		res.NonContrib, res.Touched = ctx.nonContrib, ctx.touched
 	}
 
-	ctx.ranges = shardRangesInto(ctx.ranges[:0], ctx.tiles.NumTiles(), opts.Workers)
-	ranges := ctx.ranges
-	nw := len(ranges)
-	res.logTiles = resized(res.logTiles, ctx.tiles.NumTiles())
-	res.logShards = extended(res.logShards, nw)
-	ctx.cull = extended(ctx.cull, nw)
+	nt := ctx.tiles.NumTiles()
+	res.logRows = resized(res.logRows, nt*TileSize)
+	res.log.li, res.log.g = res.log.li[:0], res.log.g[:0]
 	ctx.geom = resized(ctx.geom, len(ctx.splats))
 	for i := range ctx.splats {
 		ctx.geom[i] = cullGeomOf(&ctx.splats[i])
 	}
 
-	if nw == 1 {
-		// Serial fast path: accumulate straight into the Result. The
-		// reductions are integers, so this is bit-identical to the
-		// scratch-and-merge parallel path — and it spawns nothing, keeping
-		// warm contexted renders allocation-free.
-		res.AlphaOps, res.BlendOps = ctx.renderShard(0, w, h, res.NonContrib, res.Touched)
-		return res
-	}
-
-	n := cloud.Len()
-	var nonContribAll, touchedAll []int32
-	if opts.LogContribution {
-		ctx.contrib = zeroed(ctx.contrib, 2*nw*n)
-		nonContribAll = ctx.contrib[:nw*n]
-		touchedAll = ctx.contrib[nw*n:]
-	}
-	ctx.ops = zeroed(ctx.ops, 2*nw)
-	var wg sync.WaitGroup
-	for wi := range ranges {
-		wg.Add(1)
-		//ags:allow(hotalloc, worker closures exist only on the multi-worker path; the Workers=1 path above is the one TestRenderContextAllocationFree measures allocation-free)
-		go func(wi int) {
-			defer wg.Done()
-			var nc, tc []int32
-			if opts.LogContribution {
-				nc = nonContribAll[wi*n : (wi+1)*n]
-				tc = touchedAll[wi*n : (wi+1)*n]
-			}
-			ctx.ops[2*wi], ctx.ops[2*wi+1] = ctx.renderShard(wi, w, h, nc, tc)
-		}(wi)
-	}
-	wg.Wait()
-
-	// Fixed-order merge (worker 0, 1, ...).
-	for wi := 0; wi < nw; wi++ {
-		res.AlphaOps += ctx.ops[2*wi]
-		res.BlendOps += ctx.ops[2*wi+1]
-		if opts.LogContribution {
-			for id, v := range nonContribAll[wi*n : (wi+1)*n] {
-				res.NonContrib[id] += v
-			}
-			for id, v := range touchedAll[wi*n : (wi+1)*n] {
-				res.Touched[id] += v
-			}
-		}
+	ctx.pass.backward = false
+	ctx.runPass(nt, opts.Workers)
+	for i := range ctx.slots {
+		res.AlphaOps += ctx.slots[i].alphaOps
+		res.BlendOps += ctx.slots[i].blendOps
 	}
 	return res
 }
 
-// renderShard renders worker wi's contiguous tile span in ascending order,
-// appending to the worker's own blend-log shard. The op counters, the cull
-// scratch and the shard headers live in locals and are stored once per shard:
-// workers' slots are adjacent in memory, and updating them per (pixel, splat)
-// through a pointer would false-share cache lines on the hottest writes of
-// the pipeline.
+// renderTile renders one tile in the slot's scratch, appending each row's
+// blends to the Result's log as one run, and then adds its entries' counts to
+// the contribution log, both under the pass's lock. Both are exact whatever
+// order the rows arrive in: Backward finds a run by its offset, and the
+// counts are integers.
 //
 //ags:hotpath
-func (ctx *RenderContext) renderShard(wi, w, h int, nonContrib, touched []int32) (alphaOps, blendOps int64) {
+func (ctx *RenderContext) renderTile(sl *slot, tileIdx int) {
 	res := &ctx.result
-	sc := ctx.cull[wi]
-	log := res.logShards[wi]
-	span := ctx.ranges[wi]
-	for tileIdx := span[0]; tileIdx < span[1]; tileIdx++ {
-		res.logTiles[tileIdx] = tileLogRef{shard: int32(wi), off: int32(blendOps)}
-		a, b := renderOneTile(res, ctx.geom, tileIdx, w, h, nonContrib, touched, &sc, &log, int(blendOps))
-		alphaOps += a
-		blendOps += b
+	p := &ctx.pass
+	a, b := renderOneTile(res, ctx.geom, tileIdx, &sl.cull, &sl.stage, &p.mu)
+	sl.alphaOps += a
+	sl.blendOps += b
+	if res.NonContrib != nil {
+		p.mu.Lock()
+		res.addContributions(tileIdx, sl.cull.ent)
+		p.mu.Unlock()
 	}
-	log.li, log.g = log.li[:blendOps], log.g[:blendOps]
-	ctx.cull[wi] = sc
-	res.logShards[wi] = log
-	return alphaOps, blendOps
+}
+
+// addContributions adds one rendered tile to the contribution log. Every
+// entry is touched at every rendered pixel of the tile; entries a pixel never
+// evaluated — culled, or past its early-termination point — contributed
+// nothing there. The hardware gets this for free (the loop index at
+// termination); it is where the bulk of Fig. 5's non-contributory Gaussians
+// come from.
+//
+//ags:hotpath
+func (r *Result) addContributions(tileIdx int, ent []cullEntry) {
+	tiles, step := r.Tiles, r.stride()
+	x0, y0 := tileIdx%tiles.TW*TileSize, tileIdx/tiles.TW*TileSize
+	x1, y1 := min(x0+TileSize, r.Color.W), min(y0+TileSize, r.Color.H)
+	tilePixels := int32(ceilDiv(x1-x0, step) * ceilDiv(y1-y0, step))
+	for li, si := range tiles.ListAt(tileIdx) {
+		id := r.Splats[si].ID
+		r.Touched[id] += tilePixels
+		r.NonContrib[id] += tilePixels - ent[li].contrib
+	}
 }
 
 // renderOneTile alpha-blends one tile's pixels (its lattice pixels in a
@@ -207,12 +182,15 @@ func (ctx *RenderContext) renderShard(wi, w, h int, nonContrib, touched []int32)
 // modelled workload counters, which count table visits rather than host
 // evaluations, from the loop index: a pixel visits every entry up to and
 // including the one that terminated it, and every entry of the table is
-// touched at every rendered pixel of the tile. Each blend is recorded at
-// log[pos...] for Backward.
+// touched at every rendered pixel of the tile. Each row's blends are
+// recorded in stage and then join the Result's log as one run, under mu; a
+// logged pass leaves each entry's blend count in the cull scratch.
 //
 //ags:hotpath
-func renderOneTile(res *Result, geom []cullGeom, tileIdx, w, h int,
-	nonContrib, touched []int32, sc *tileScratch, log *blendShard, pos int) (alphaOps, blendOps int64) {
+func renderOneTile(res *Result, geom []cullGeom, tileIdx int,
+	sc *tileScratch, stage *blendLog, mu *sync.Mutex) (alphaOps, blendOps int64) {
+	w, h := res.Color.W, res.Color.H
+	logged := res.NonContrib != nil
 
 	splats, tiles := res.Splats, res.Tiles
 	tx := tileIdx % tiles.TW
@@ -230,19 +208,22 @@ func renderOneTile(res *Result, geom []cullGeom, tileIdx, w, h int,
 		cullBox(&ent[li], &splats[si], &geom[si], x0, y0, x1, y1)
 	}
 	sc.ent = ent
-	start := pos
 
 	row := sc.row
 	for y := y0; y < y1; y += step {
 		row = row[:0]
+		// A pixel blends each entry of its row at most once, and only inside
+		// the entry's columns, so the pixel loop below writes the stage by
+		// index without growing it.
+		bound := 0
 		for li := range ent {
 			if e := &ent[li]; int32(y) >= e.y0 && int32(y) < e.y1 {
 				row = append(row, rowSpan{li: int32(li), x0: e.x0, x1: e.x1})
+				bound += int(e.x1 - e.x0)
 			}
 		}
-		// A pixel blends each entry of its row at most once, so the pixel
-		// loop below writes the log by index without growing it.
-		log.reserve(pos, len(row)*ceilDiv(x1-x0, step))
+		stage.reserve(bound)
+		pos := 0
 		py := float64(y) + 0.5
 		for x := x0; x < x1; x += step {
 			px := float64(x) + 0.5
@@ -268,10 +249,10 @@ func renderOneTile(res *Result, geom []cullGeom, tileIdx, w, h int,
 				if alpha < MinAlpha {
 					continue
 				}
-				if nonContrib != nil {
+				if logged {
 					e.contrib++
 				}
-				log.li[pos], log.g[pos] = sp.li, g
+				stage.li[pos], stage.g[pos] = sp.li, g
 				pos++
 				s := &splats[list[sp.li]]
 				wgt := t * alpha
@@ -293,23 +274,11 @@ func renderOneTile(res *Result, geom []cullGeom, tileIdx, w, h int,
 			res.Silhouette[pix] = sil
 			res.FinalT[pix] = t
 		}
+		res.logRows[tileIdx*TileSize+y-y0] = res.log.add(stage, pos, mu)
+		blendOps += int64(pos)
 	}
 	sc.row = row
-
-	if nonContrib != nil {
-		// Every entry is touched at every rendered pixel of the tile; entries
-		// a pixel never evaluated — culled, or past its early-termination
-		// point — contributed nothing there. The hardware gets this for free
-		// (the loop index at termination); it is where the bulk of Fig. 5's
-		// non-contributory Gaussians come from.
-		tilePixels := int32(ceilDiv(x1-x0, step) * ceilDiv(y1-y0, step))
-		for li, si := range list {
-			id := splats[si].ID
-			touched[id] += tilePixels
-			nonContrib[id] += tilePixels - ent[li].contrib
-		}
-	}
-	return alphaOps, int64(pos - start)
+	return alphaOps, blendOps
 }
 
 // stride returns the pixel step of the pass that produced r: 1 for a dense
