@@ -35,13 +35,16 @@ verify: fmt vet lint benchmark-module
 	$(GO) test -race ./...
 
 # Determinism and kernel reference gate: run the splat participant
-# equivalence tests (worker counts, and a helper racing the caller for tiles)
+# equivalence tests (worker counts, and a helper racing the caller for tiles
+# and chunks) and the mapper's Adam step as a chunked pass a helper serves
 # twice so a scheduling-dependent regression fails loudly instead of hiding
 # behind one lucky interleaving, together with the kernels' independent
-# checks: the full-walk and lattice references, the per-tile table order, and
-# the falloff exponential against math.Exp (CI runs this alongside verify).
+# checks: the full-walk and lattice references, the per-tile table order, the
+# radix sort's depth order against the comparator, and the falloff
+# exponential against math.Exp (CI runs this alongside verify).
 determinism:
-	$(GO) test -count=2 -run 'Determinism|Helper|FullWalkReference|LatticeReference|TileOrder|Falloff' ./internal/splat/...
+	$(GO) test -count=2 -run 'Determinism|Helper|FullWalkReference|LatticeReference|TileOrder|DepthOrder|Falloff' ./internal/splat/...
+	$(GO) test -count=2 -run 'ApplyGrads' ./internal/mapper
 
 # Batch-scheduler smoke: two experiments sharing Desk runs through the
 # warm/render scheduler at two jobs.

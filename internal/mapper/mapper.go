@@ -101,8 +101,9 @@ type Keyframe struct {
 type Mapper struct {
 	Cfg Config
 	// Ctx is the render context the mapping loop and densification render
-	// through, which keeps the MapIters hot path allocation-free; the caller
-	// sets it before mapping. Not safe for concurrent use — a mapping that
+	// through, and the Adam step runs its chunked pass through (so a crew
+	// attached to it helps with both), which keeps the MapIters hot path
+	// allocation-free; the caller sets it before mapping. Not safe for concurrent use — a mapping that
 	// runs beside the tracker renders through a context of its own. slam
 	// draws one from its server's splat.ContextPool for each frame's mapping
 	// tail, so the field may change identity between frames.
@@ -121,6 +122,9 @@ type Mapper struct {
 	// log-scales 1. The set is fixed; optGroups names it for the code that
 	// treats the four alike.
 	optMean, optColor, optLogit, optScale optim.Adam
+	// step is the Adam step applyGrads has open, which the participants of
+	// its pass read.
+	step adamStep
 
 	// skipSet flags Gaussians predicted non-contributory for non-key frames,
 	// from the contribution recorded at the last key frame (per Gaussian ID).
@@ -380,11 +384,12 @@ func (c *Config) NonContributory(res *splat.Result) (ids map[int]bool, inTables 
 }
 
 // applyGrads steps the per-group Adam optimizers over the Gaussians where they
-// lie: one walk of the cloud updates each Gaussian's mean and colour (elements
-// 3·id to 3·id+2 of their groups), logit and log-scale (element id), and
-// clamps the stepped colour to [0, 1]. Every element takes Adam's one
-// arithmetic path, so the map's bits equal those of a Step over a flattened
-// copy (TestApplyGradsMatchesFlatSteps).
+// lie: a chunked pass over the Gaussian IDs (splat.RenderContext.Each, so the
+// crew's helper takes chunks of it as it takes tiles) updates each Gaussian's
+// mean and colour (elements 3·id to 3·id+2 of their groups), logit and
+// log-scale (element id), and clamps the stepped colour to [0, 1]. Every
+// element takes Adam's one arithmetic path, so the map's bits equal those of
+// a Step over a flattened copy (TestApplyGradsMatchesFlatSteps).
 //
 //ags:hotpath
 func (m *Mapper) applyGrads(grads *splat.Grads) {
@@ -393,7 +398,26 @@ func (m *Mapper) applyGrads(grads *splat.Grads) {
 	m.optColor.Begin(3 * n)
 	m.optLogit.Begin(n)
 	m.optScale.Begin(n)
-	for id := 0; id < n; id++ {
+	m.step = adamStep{m: m, grads: grads}
+	m.Ctx.Each(n, m.Cfg.Workers, &m.step)
+	m.step = adamStep{}
+}
+
+// adamStep is the work of applyGrads's pass: the mapper whose Gaussians and
+// optimizers it steps, and the gradients it applies. Once Begin has opened
+// the step, an element's Update touches that element alone, so chunks of
+// Gaussian IDs step independently.
+type adamStep struct {
+	m     *Mapper
+	grads *splat.Grads
+}
+
+// Chunk steps the Gaussians lo to hi-1.
+//
+//ags:hotpath
+func (s *adamStep) Chunk(lo, hi int) {
+	m, grads := s.m, s.grads
+	for id := lo; id < hi; id++ {
 		g := m.cloud.At(id)
 		gm, gc := grads.Mean[id], grads.Color[id]
 		g.Mean = vecmath.Vec3{

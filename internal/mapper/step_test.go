@@ -56,55 +56,70 @@ func gaussianBits(g *gauss.Gaussian) [8]uint64 {
 // TestApplyGradsMatchesFlatSteps: stepping the Gaussians in place is bit for
 // bit the flatten → four Steps → clamp → unflatten reference, moments
 // included, on a map whose colours start outside [0, 1] and which grows
-// midway (every group reinitialises).
+// midway (every group reinitialises). The step is a chunked pass of the
+// mapper's context, so it runs with a crew's helper serving that context, at
+// one worker and at three, on a map of a few chunks and a part.
 func TestApplyGradsMatchesFlatSteps(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	vec := func(scale, offset float64) vecmath.Vec3 {
-		return vecmath.Vec3{X: offset + scale*rng.Float64(), Y: offset + scale*rng.Float64(), Z: offset + scale*rng.Float64()}
-	}
-	cfg := DefaultConfig()
-	m := New(cfg)
-	ref := gauss.NewCloud(0)
-	refOpt := [4]*optim.Adam{optim.NewAdam(lrMean), optim.NewAdam(lrColor), optim.NewAdam(cfg.LRLogit), optim.NewAdam(lrScale)}
-	add := func(k int) {
-		for i := 0; i < k; i++ {
-			g := gauss.Gaussian{Mean: vec(4, -2), LogScale: rng.NormFloat64() - 3, Color: vec(2, -0.5), Logit: 3 * rng.NormFloat64()}
-			m.cloud.Add(g)
-			ref.Add(g)
+	for _, workers := range []int{1, 3} {
+		rng := rand.New(rand.NewSource(3))
+		vec := func(scale, offset float64) vecmath.Vec3 {
+			return vecmath.Vec3{X: offset + scale*rng.Float64(), Y: offset + scale*rng.Float64(), Z: offset + scale*rng.Float64()}
 		}
-	}
-	add(40)
-	for it := 0; it < 12; it++ {
-		if it == 6 {
-			add(13)
-		}
-		n := m.cloud.Len()
-		grads := &splat.Grads{
-			Mean: make([]vecmath.Vec3, n), Color: make([]vecmath.Vec3, n),
-			Logit: make([]float64, n), LogScale: make([]float64, n),
-		}
-		for id := 0; id < n; id++ {
-			grads.Mean[id], grads.Color[id] = vec(2, -1), vec(2, -1)
-			grads.Logit[id], grads.LogScale[id] = rng.NormFloat64(), rng.NormFloat64()
-		}
-		m.applyGrads(grads)
-		flatApplyGrads(ref, refOpt, grads)
-		for id := 0; id < n; id++ {
-			if got, want := gaussianBits(m.cloud.At(id)), gaussianBits(ref.At(id)); got != want {
-				t.Fatalf("iteration %d, Gaussian %d: in place %+v, reference %+v", it, id, *m.cloud.At(id), *ref.At(id))
+		cfg := DefaultConfig()
+		cfg.Workers = workers
+		m := newMapper(cfg)
+		crew := splat.NewCrew()
+		m.Ctx.Attach(crew)
+		served := make(chan struct{})
+		go func() {
+			crew.Serve()
+			close(served)
+		}()
+		ref := gauss.NewCloud(0)
+		refOpt := [4]*optim.Adam{optim.NewAdam(lrMean), optim.NewAdam(lrColor), optim.NewAdam(cfg.LRLogit), optim.NewAdam(lrScale)}
+		add := func(k int) {
+			for i := 0; i < k; i++ {
+				g := gauss.Gaussian{Mean: vec(4, -2), LogScale: rng.NormFloat64() - 3, Color: vec(2, -0.5), Logit: 3 * rng.NormFloat64()}
+				m.cloud.Add(g)
+				ref.Add(g)
 			}
 		}
-		for i, a := range []*optim.Adam{&m.optMean, &m.optColor, &m.optLogit, &m.optScale} {
-			gm, gv, gs := a.State()
-			wm, wv, ws := refOpt[i].State()
-			if gs != ws || !sameBits(gm, wm) || !sameBits(gv, wv) {
-				t.Fatalf("iteration %d: group %d's moments differ from the reference's", it, i)
+		add(2*splat.ChunkSize + 40)
+		for it := 0; it < 12; it++ {
+			if it == 6 {
+				add(13)
+			}
+			n := m.cloud.Len()
+			grads := &splat.Grads{
+				Mean: make([]vecmath.Vec3, n), Color: make([]vecmath.Vec3, n),
+				Logit: make([]float64, n), LogScale: make([]float64, n),
+			}
+			for id := 0; id < n; id++ {
+				grads.Mean[id], grads.Color[id] = vec(2, -1), vec(2, -1)
+				grads.Logit[id], grads.LogScale[id] = rng.NormFloat64(), rng.NormFloat64()
+			}
+			m.applyGrads(grads)
+			flatApplyGrads(ref, refOpt, grads)
+			for id := 0; id < n; id++ {
+				if got, want := gaussianBits(m.cloud.At(id)), gaussianBits(ref.At(id)); got != want {
+					t.Fatalf("workers %d, iteration %d, Gaussian %d: in place %+v, reference %+v", workers, it, id, *m.cloud.At(id), *ref.At(id))
+				}
+			}
+			for i, a := range []*optim.Adam{&m.optMean, &m.optColor, &m.optLogit, &m.optScale} {
+				gm, gv, gs := a.State()
+				wm, wv, ws := refOpt[i].State()
+				if gs != ws || !sameBits(gm, wm) || !sameBits(gv, wv) {
+					t.Fatalf("workers %d, iteration %d: group %d's moments differ from the reference's", workers, it, i)
+				}
 			}
 		}
-	}
-	for id := 0; id < m.cloud.Len(); id++ {
-		if c := m.cloud.At(id).Color; c.X < 0 || c.X > 1 || c.Y < 0 || c.Y > 1 || c.Z < 0 || c.Z > 1 {
-			t.Fatalf("Gaussian %d's colour %v left [0, 1]", id, c)
+		crew.Dismiss()
+		<-served
+		m.Ctx.Attach(nil)
+		for id := 0; id < m.cloud.Len(); id++ {
+			if c := m.cloud.At(id).Color; c.X < 0 || c.X > 1 || c.Y < 0 || c.Y > 1 || c.Z < 0 || c.Z > 1 {
+				t.Fatalf("Gaussian %d's colour %v left [0, 1]", id, c)
+			}
 		}
 	}
 }

@@ -263,8 +263,8 @@ func TestSessionPushAfterCloseFails(t *testing.T) {
 }
 
 // TestSystemCloseReleasesContextToPool: a system holds no context between
-// calls, its pending tail included; Close runs that tail in place on a context
-// it draws from the pool (a hit) and hands back; it is idempotent, and the
+// calls, its pending tail included; Close runs that tail on a context it
+// draws from the pool (a hit) and hands back; it is idempotent, and the
 // system stays usable.
 func TestSystemCloseReleasesContextToPool(t *testing.T) {
 	seq := testSeq(t, "Desk", 3)

@@ -73,12 +73,18 @@
 // against the map as it stood before frame t-1's tail (frame 1, against the
 // bootstrap map). Everything else that reads the map joins the tail first
 // (see System). The tail is the longer side, so the producer helps it: once
-// it is through tracking, its join takes tiles of the tail's render and
-// backward passes (the system's splat.Crew, attached to the mapping context)
+// it is through tracking, its join takes tiles and chunks of the tail's
+// passes (the system's splat.Crew, attached to the mapping context): the
+// render and backward passes' tiles, and the chunks of the projection, the
+// cull geometry, Backward's per-splat factors and the Adam step. It does so
 // until the tail is done, rather than blocking, and the tail's passes run on
-// both cores. Who takes which tile changes no output (see package splat). A tail is started by the next ProcessFrame and joined by the
-// same call, so no work of a system outlives the call that started it, and a
-// session's Push is that call. The schedule is exact, not speculative: every
+// both cores. Who takes which tile or chunk changes no output (see package
+// splat). join always serves: a tail is started by the next ProcessFrame and
+// joined by the same call, or, when no ProcessFrame started it (the first
+// frame's bootstrap tail, which the second frame joins before it tracks,
+// and the tail Finish, Close and Mapper join), started by the join itself.
+// So no work of a system outlives the call that started it, and a session's
+// Push is that call. The schedule is exact, not speculative: every
 // input of a frame's tracking is committed or copied before the preceding
 // tail starts, so poses, maps, traces and snapshots are a function of the
 // frames alone, byte for byte, at any GOMAXPROCS, and on one processor it
@@ -252,9 +258,10 @@ func (r *Result) ATERMSECm() (float64, error) {
 // stream's history and the next tail.
 //
 // AppendSnapshot and Snapshot encode the pending tail as data and join
-// nothing. Finish, Close and Mapper join first, which runs a pending tail on
-// the caller's own goroutine; a frame processed after such a join refines
-// against the joined map. FrameCount does not need to join.
+// nothing. Finish, Close and Mapper join first, which starts a pending tail
+// on the tail goroutine and serves it, as every join does; a frame processed
+// after such a join refines against the joined map. FrameCount does not need
+// to join.
 type System struct {
 	Cfg  Config
 	Intr camera.Intrinsics
@@ -362,12 +369,12 @@ func (s *System) Mapper() *mapper.Mapper {
 	return s.mapper
 }
 
-// Close sees the last frame's mapping through: it runs the pending tail in
-// place, on a context drawn from the pool and handed back. It is idempotent,
-// and the system remains usable — the next frame refines against the joined
-// map — but callers should treat Close as the end of the stream: Run,
-// sessions, and the CLIs all close their systems so that no accepted frame
-// goes unmapped.
+// Close sees the last frame's mapping through: its join starts the pending
+// tail on a context drawn from the pool, serves it and hands the context
+// back. It is idempotent, and the system remains usable — the next frame
+// refines against the joined map — but callers should treat Close as the end
+// of the stream: Run, sessions, and the CLIs all close their systems so that
+// no accepted frame goes unmapped.
 func (s *System) Close() { s.join() }
 
 // ProcessFrame ingests the next frame of the stream, in the paper's Fig. 9
@@ -593,35 +600,34 @@ func (s *System) startTail(ctx *splat.RenderContext) {
 	}()
 }
 
-// join sees the mapping tail through, if there is one. A tail that was
-// started is served rather than waited for: the caller becomes its crew's
-// helper (splat.Crew.Serve), taking tiles of each render and backward pass
-// the tail opens, until the tail dismisses it. A pending tail runs in place,
-// on the caller's goroutine, in a mapping context of its own, with no
-// helper. Then join detaches the crew, hands the mapping context back to the
-// pool and folds the frame's record, now final, into the stream's history.
-// A tail that panicked on its goroutine panics again here, and so does one
-// whose panic came from a tile the caller took, which the pass handed back
-// to the tail's goroutine: whoever drives the system (a session's producer,
-// a ProcessFrame or Finish caller) contains either kind with one recover.
-// The system is left with no tail either way, and the context the
-// panicking tail held is not returned.
+// join sees the mapping tail through, if there is one. A pending tail, one
+// no ProcessFrame has started (the first frame's bootstrap tail, and the tail
+// Finish, Close and Mapper join), is started first, on a mapping context
+// drawn from the pool. The tail is then served rather than waited for: the
+// caller becomes its crew's helper (splat.Crew.Serve), taking tiles and
+// chunks of each pass the tail opens, until the tail dismisses it. Then join
+// detaches the crew, hands the mapping context back to the pool and folds
+// the frame's record, now final, into the stream's history. A tail that
+// panicked panics again here, with its goroutine's stack, and so does one
+// whose panic came from a tile or chunk the caller took, which the pass
+// handed back to the tail's goroutine: whoever drives the system (a
+// session's producer, a ProcessFrame or Finish caller) contains either kind
+// with one recover. The system is left with no tail either way, and the
+// context the panicking tail held is not returned.
 func (s *System) join() {
 	t := s.tail
 	if t == nil {
 		return
 	}
-	s.tail = nil
 	if t.done == nil {
-		s.mapper.Ctx = s.pool.Acquire()
-		s.runTail(t)
-	} else {
-		s.crew.Serve()
-		s.mapper.Ctx.Attach(nil)
-		if p := <-t.done; p != nil {
-			s.mapper.Ctx = nil
-			panic(p)
-		}
+		s.startTail(s.pool.Acquire())
+	}
+	s.tail = nil
+	s.crew.Serve()
+	s.mapper.Ctx.Attach(nil)
+	if p := <-t.done; p != nil {
+		s.mapper.Ctx = nil
+		panic(p)
 	}
 	s.pool.Release(s.mapper.Ctx)
 	s.mapper.Ctx = nil

@@ -49,10 +49,10 @@ func tailCfgs() []struct {
 	}
 }
 
-// serialFrame is ProcessFrame's schedule on the caller's goroutine alone:
+// serialFrame is ProcessFrame's schedule with nothing beside the tracking:
 // the frame's front and middle run against the map with the previous frame's
-// tail still pending, then that tail runs in place, then the frame is
-// committed. The second frame refines against the bootstrap map, so the first
+// tail still pending, then that tail runs (join starts and serves it), then
+// the frame is committed. The second frame refines against the bootstrap map, so the first
 // tail runs before it.
 func serialFrame(t *testing.T, sys *System, f *frame.Frame) {
 	t.Helper()
@@ -361,8 +361,10 @@ func TestTailOneProcessor(t *testing.T) {
 }
 
 // TestTailHelpedByProducer: the producer takes tiles of its tail's render and
-// backward passes while it waits in join, and the run is still the serial
-// schedule's, at one render worker (a serving venue's) and at every core.
+// backward passes, and chunks of its chunked passes (projection, cull
+// geometry, per-splat factors, Adam steps), while it waits in join, and the
+// run is still the serial schedule's, at one render worker (a serving
+// venue's) and at every core.
 // Mapping is made the longer side by far, so the producer is through
 // tracking while the tail still has passes to run.
 func TestTailHelpedByProducer(t *testing.T) {
@@ -384,6 +386,9 @@ func TestTailHelpedByProducer(t *testing.T) {
 		}
 		if sys.crew.Tiles() == 0 && runtime.GOMAXPROCS(0) > 1 {
 			t.Errorf("workers %d: the producer took no tile of its tails' passes", workers)
+		}
+		if sys.crew.Chunks() == 0 && runtime.GOMAXPROCS(0) > 1 {
+			t.Errorf("workers %d: the producer took no chunk of its tails' passes", workers)
 		}
 	}
 }
@@ -465,10 +470,10 @@ func TestTailRejectedFrameLeavesStateAlone(t *testing.T) {
 
 // TestTailPanicSurfacesAtJoin: a panic while mapping comes back on the
 // caller's goroutine from whichever join sees the tail through, leaving the
-// system with no tail. When the next ProcessFrame started the tail it happened
-// on the tail's goroutine, where nothing could recover it: the tail keeps it
-// and that call's join panics with it, stack included. When Close runs the
-// pending tail in place it is an ordinary panic of that call. The fault
+// system with no tail. The panic happens on the tail's goroutine, where
+// nothing could recover it, whether the next ProcessFrame started the tail
+// or Close's own join did: the tail keeps it and that call's join panics
+// with it, stack included. The fault
 // injected is a retained key frame whose colour plane is cut short after the
 // frame was accepted: mapping indexes past it when its multi-view loss
 // samples that frame.
@@ -480,12 +485,11 @@ func TestTailPanicSurfacesAtJoin(t *testing.T) {
 		return nil
 	}
 	for _, tc := range []struct {
-		name       string
-		closeEach  bool // Close after every frame, so every tail runs in place
-		wantInTail bool // the panic crossed from the tail's goroutine
+		name      string
+		closeEach bool // Close after every frame, so Close's join starts every tail
 	}{
-		{"next ProcessFrame", false, true},
-		{"Close", true, false},
+		{"next ProcessFrame", false},
+		{"Close", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			seq := testSeq(t, "Desk", 10)
@@ -521,22 +525,13 @@ func TestTailPanicSurfacesAtJoin(t *testing.T) {
 			if got == nil {
 				got = drive(sys.Close)
 			}
-			msg := ""
-			switch p := got.(type) {
-			case *tailPanic:
-				if !tc.wantInTail {
-					t.Fatalf("a tail run in place panicked through the tail goroutine's wrapper: %v", p)
-				}
-				if msg = p.Error(); !strings.Contains(msg, "mapper.(*Mapper).optimize") {
-					t.Errorf("the re-panic does not carry the tail's stack:\n%s", msg)
-				}
-			case error:
-				if tc.wantInTail {
-					t.Fatalf("recovered %v (%T), want the tail goroutine's panic", got, got)
-				}
-				msg = p.Error()
-			default:
-				t.Fatalf("recovered %v (%T), want the mapping's panic", got, got)
+			p, ok := got.(*tailPanic)
+			if !ok {
+				t.Fatalf("recovered %v (%T), want the tail goroutine's panic", got, got)
+			}
+			msg := p.Error()
+			if !strings.Contains(msg, "mapper.(*Mapper).optimize") {
+				t.Errorf("the re-panic does not carry the tail's stack:\n%s", msg)
 			}
 			if !strings.Contains(msg, "index out of range") {
 				t.Errorf("the panic is not the mapping's: %s", msg)

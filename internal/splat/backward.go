@@ -130,25 +130,17 @@ func (ctx *RenderContext) Backward(cloud *gauss.Cloud, cam camera.Camera, res *R
 	// in the context, reusing one allocation across mapping iterations.
 	ar := &ctx.arena
 	ar.prepare(nt, tiles.TotalEntries(), opts.GaussianGrads)
+	ctx.pass.bw = backwardPass{cloud: cloud, cam: cam, res: res, target: target, loss: loss, opts: opts, norm: norm}
 	if opts.GaussianGrads {
 		// Per-splat factors of the logit and scale gradients, evaluated once
-		// per call rather than once per contribution (Scale is an exp).
+		// per call rather than once per contribution (Scale is an exp), by a
+		// chunked pass over the splats.
 		ar.sigGrad = resized(ar.sigGrad, len(res.Splats))
 		ar.scale2 = resized(ar.scale2, len(res.Splats))
-		for si := range res.Splats {
-			s := &res.Splats[si]
-			ar.sigGrad[si] = gauss.SigmoidGrad(s.Opacity)
-			// The mean of the three per-axis squares the Gaussians had when
-			// they were anisotropic. It is not always bitwise s², and every
-			// trained map depends on its bits
-			// (TestBackwardScaleFactorIsMeanOfThreeSquares).
-			sc := cloud.At(s.ID).Scale()
-			ar.scale2[si] = (sc*sc + sc*sc + sc*sc) / 3
-		}
+		ctx.runChunks(kindHoist, len(res.Splats), opts.Workers)
 	}
 
-	ctx.pass.backward = true
-	ctx.pass.bw = backwardPass{cam: cam, res: res, target: target, loss: loss, opts: opts, norm: norm}
+	ctx.pass.kind = kindBackward
 	ctx.runPass(nt, opts.Workers)
 	ctx.pass.bw = backwardPass{} // a context keeps no caller's Result or frame alive
 
@@ -183,14 +175,32 @@ func mergeTiles(grads *Grads, ar *backwardArena, res *Result, gaussian bool) {
 }
 
 // backwardPass is a Backward call's inputs, which every participant of its
-// pass reads.
+// passes reads.
 type backwardPass struct {
+	cloud  *gauss.Cloud
 	cam    camera.Camera
 	res    *Result
 	target *frame.Frame
 	loss   LossConfig
 	opts   BackwardOptions
 	norm   float64
+}
+
+// hoist computes the per-splat factors of splats lo to hi-1 into the arena:
+// sigmoid'(logit), through the splat's opacity, and the Gaussian's mean
+// squared scale, the mean of the three per-axis squares the Gaussians had
+// when they were anisotropic. That mean is not always bitwise s², and every
+// trained map depends on its bits
+// (TestBackwardScaleFactorIsMeanOfThreeSquares).
+//
+//ags:hotpath
+func (b *backwardPass) hoist(ar *backwardArena, lo, hi int) {
+	for si := lo; si < hi; si++ {
+		s := &b.res.Splats[si]
+		ar.sigGrad[si] = gauss.SigmoidGrad(s.Opacity)
+		sc := b.cloud.At(s.ID).Scale()
+		ar.scale2[si] = (sc*sc + sc*sc + sc*sc) / 3
+	}
 }
 
 // backwardTile accumulates one tile's partials into the context's arena,

@@ -9,8 +9,9 @@ import (
 // RenderContext owns every buffer the forward and backward passes touch: the
 // Result pixel planes, the contribution log, the blend log, each
 // participant's scratch slot (cull scratch, blend staging, blend steps,
-// counters), the projected-splat slice, the CSR tile tables, the backward
-// partial-reduction arena, and the gradient outputs.
+// counters), the projected-splat slice with its per-chunk counts, the CSR
+// tile tables with the depth sort's keys, the backward partial-reduction
+// arena, and the gradient outputs.
 // Reusing one context across frames makes the steady-state render/backward
 // hot path allocation-free — the property the tracker's IterT refinement loop
 // and the mapper's MapIters training loop run on (see the package doc's
@@ -23,15 +24,16 @@ import (
 //
 // A RenderContext is not safe for concurrent use: one goroutine calls it,
 // and only the crew attached to it (Attach) and its own shard goroutines take
-// tiles of its passes. Callers without one use the one-shot package
+// tiles and chunks of its passes. Callers without one use the one-shot package
 // functions Render and Backward, which run in a fresh context each.
 type RenderContext struct {
 	// Forward-pass state.
 	splats     []Splat
 	tiles      Tiles
 	tileCursor []int32    // per-tile write cursor of the CSR build
-	depthKeys  []depthKey // the CSR build's front-to-back order
+	depthKeys  []depthKey // the CSR build's front-to-back order, and its radix sort's other buffer
 	geom       []cullGeom // per-splat cull geometry, one per splat
+	chunkKept  []int32    // per projection chunk: the splats it kept
 	color      frame.Image
 	depth      frame.DepthMap
 	result     Result

@@ -16,14 +16,18 @@ const (
 	firstShardSlot
 )
 
-// Crew lets one goroutine besides a pass's caller take tiles of the passes
-// run through the contexts it is attached to (RenderContext.Attach): the
-// helper, a goroutine that would otherwise wait for those passes' owner, as
-// a SLAM system's producer waits for its mapping tail. The helper calls
-// Serve, which takes tiles of every pass opened while it runs and returns
-// once the owner side calls Dismiss. A helper that arrives late, or not at
-// all, changes nothing but the time a pass takes: every output is
-// byte-identical whoever takes which tile (see the package doc).
+// Crew lets one goroutine besides a pass's caller take tiles and chunks of
+// the passes run through the contexts it is attached to
+// (RenderContext.Attach): the helper, a goroutine that would otherwise wait
+// for those passes' owner, as a SLAM system's producer waits for its mapping
+// tail. Every pass of such a context is open to it: the render and backward
+// passes' tiles, and the chunks of the per-Gaussian and per-splat stages
+// around them (projection, cull geometry, Backward's per-splat factors) and
+// of the owner's own Each passes (a mapper's Adam step). The helper calls
+// Serve, which takes tiles and chunks of every pass opened while it runs and
+// returns once the owner side calls Dismiss. A helper that arrives late, or
+// not at all, changes nothing but the time a pass takes: every output is
+// byte-identical whoever takes which tile or chunk (see the package doc).
 //
 // A Crew serves one helper and one owner goroutine at a time. Its event
 // channel carries both "a pass is open" and "dismissed", so the helper waits
@@ -32,8 +36,9 @@ type Crew struct {
 	mu     sync.Mutex
 	left   sync.Cond      // signalled, under mu, when the helper leaves a pass
 	open   *RenderContext // the context whose pass is open, nil between passes
-	inside bool           // the helper is taking tiles of open's pass
+	inside bool           // the helper is taking tiles or chunks of open's pass
 	tiles  int            // tiles the helper has taken, all passes together
+	chunks int            // chunks the helper has taken, all passes together
 	// events holds at most one pending event: true for a pass opened since
 	// the helper last looked, false once it is dismissed.
 	events chan bool
@@ -46,10 +51,11 @@ func NewCrew() *Crew {
 	return c
 }
 
-// Serve is the helper's side: it takes tiles of each pass opened through the
-// crew until Dismiss is called, and then returns. A panic in a tile it took
-// is recovered and handed to the pass, whose owner raises it again once the
-// pass is through, so it surfaces on the owner's goroutine.
+// Serve is the helper's side: it takes tiles and chunks of each pass opened
+// through the crew until Dismiss is called, and then returns. A panic in a
+// tile or chunk it took is recovered and handed to the pass, whose owner
+// raises it again once the pass is through, so it surfaces on the owner's
+// goroutine.
 func (c *Crew) Serve() {
 	for <-c.events {
 		c.help()
@@ -68,8 +74,16 @@ func (c *Crew) Tiles() int {
 	return c.tiles
 }
 
-// help takes tiles of the open pass, if there is one, until its cursor runs
-// out, and then leaves it.
+// Chunks returns how many chunks the helper has taken since the crew was
+// made.
+func (c *Crew) Chunks() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.chunks
+}
+
+// help takes tiles or chunks of the open pass, if there is one, until its
+// cursor runs out, and then leaves it.
 func (c *Crew) help() {
 	c.mu.Lock()
 	ctx := c.open
@@ -81,6 +95,7 @@ func (c *Crew) help() {
 	ctx.takeGuarded(helperSlot)
 	c.mu.Lock()
 	c.tiles += ctx.slots[helperSlot].tiles
+	c.chunks += ctx.slots[helperSlot].chunks
 	c.inside = false
 	c.left.Signal()
 	c.mu.Unlock()
@@ -114,17 +129,40 @@ func (c *Crew) end() {
 // no helper.
 func (ctx *RenderContext) Attach(c *Crew) { ctx.crew = c }
 
+// passKind says what a pass's participants take from its cursor: the tiles
+// of a render or a backward pass, or the chunks of a chunked pass over an
+// index range.
+type passKind uint8
+
+const (
+	kindRender passKind = iota
+	kindBackward
+	kindProject // chunks of Gaussians, projected into their own slot ranges (project)
+	kindCull    // chunks of splats, each given its cull geometry (renderTiles)
+	kindHoist   // chunks of splats, each given Backward's per-splat factors
+	kindEach    // chunks of an Each pass's index range
+)
+
+// ChunkSize is how many elements of an index range one chunk of a chunked
+// pass covers (the last chunk of a range may be shorter).
+const ChunkSize = 128
+
 // passState is the open pass of a context: what its participants share. It
 // lives in the context, so a pass allocates nothing to describe itself.
 type passState struct {
-	// next is the tile cursor: a participant claims tile next-1 by adding 1,
-	// and stops at a claim past nt.
+	// next is the cursor: a participant claims tile or chunk next-1 by
+	// adding 1, and stops at a claim past nt.
 	next atomic.Int32
 	nt   int32
-	// backward selects the pass kind; the fields after it are the
-	// backward pass's inputs (a render pass reads the context's own).
-	backward bool
-	bw       backwardPass
+	kind passKind
+	// n is the length of a chunked pass's index range, and each the work of
+	// an Each pass.
+	n    int
+	each Chunker
+	// The inputs of the passes that read more than the context's own state:
+	// a backward pass and its hoist (bw), and a projection (proj).
+	bw   backwardPass
+	proj projectPass
 	// shards counts the running shard goroutines of a Workers > 1 pass.
 	shards sync.WaitGroup
 	// mu guards the Result's blend log and contribution log, which
@@ -144,19 +182,20 @@ type slot struct {
 	cull  tileScratch
 	stage blendLog    // one tile row's blends, before they join the Result's log
 	steps []blendStep // Backward's per-pixel blend steps
-	// tiles, alphaOps and blendOps count this pass's work of the slot.
-	tiles              int
+	// tiles, chunks, alphaOps and blendOps count this pass's work of the
+	// slot.
+	tiles, chunks      int
 	alphaOps, blendOps int64
 }
 
-// runPass runs the context's prepared pass over nt tiles: it opens the pass
-// to the crew's helper, starts workers-1 shard goroutines (workers <= 0
-// means GOMAXPROCS, and there are never more participants than tiles), and
-// takes tiles itself until the cursor runs out. It returns once every
-// participant has left the pass, and panics with what a participant other
-// than the caller panicked with. A panic of the caller's own tile ends the
-// pass the same way: no tile is claimed after it, and it returns once the
-// others have left.
+// runPass runs the context's prepared pass over nt tiles or chunks: it opens
+// the pass to the crew's helper, starts workers-1 shard goroutines (workers
+// <= 0 means GOMAXPROCS, and there are never more participants than tiles
+// or chunks), and takes them itself until the cursor runs out. It returns
+// once every participant has left the pass, and panics with what a
+// participant other than the caller panicked with. A panic of the caller's
+// own tile or chunk ends the pass the same way: nothing is claimed after it,
+// and it returns once the others have left.
 //
 //ags:hotpath
 func (ctx *RenderContext) runPass(nt, workers int) {
@@ -169,7 +208,8 @@ func (ctx *RenderContext) runPass(nt, workers int) {
 	shards := max(min(workers, nt)-1, 0)
 	ctx.slots = extended(ctx.slots, firstShardSlot+shards)
 	for i := range ctx.slots {
-		ctx.slots[i].tiles, ctx.slots[i].alphaOps, ctx.slots[i].blendOps = 0, 0, 0
+		sl := &ctx.slots[i]
+		sl.tiles, sl.chunks, sl.alphaOps, sl.blendOps = 0, 0, 0, 0
 	}
 	if ctx.crew != nil {
 		ctx.crew.begin(ctx)
@@ -182,9 +222,10 @@ func (ctx *RenderContext) runPass(nt, workers int) {
 	ctx.take(callerSlot)
 }
 
-// endPass closes the pass: no tile is claimed after it, and it waits for the
-// shard goroutines and the helper to leave. Then it raises a participant's
-// panic again, on the caller's goroutine.
+// endPass closes the pass: no tile or chunk is claimed after it, and it
+// waits for the shard goroutines and the helper to leave. It drops an Each
+// pass's work, and then raises a participant's panic again, on the caller's
+// goroutine.
 func (ctx *RenderContext) endPass() {
 	p := &ctx.pass
 	p.next.Store(p.nt)
@@ -192,6 +233,7 @@ func (ctx *RenderContext) endPass() {
 	if ctx.crew != nil {
 		ctx.crew.end()
 	}
+	p.each = nil
 	if f := p.fault; f != nil {
 		p.fault = nil
 		panic(f)
@@ -204,8 +246,9 @@ func (ctx *RenderContext) shard(slot int) {
 	ctx.takeGuarded(slot)
 }
 
-// takeGuarded takes tiles in slot as a participant other than the caller,
-// handing a panic to the pass instead of letting it end the goroutine.
+// takeGuarded takes tiles or chunks in slot as a participant other than the
+// caller, handing a panic to the pass instead of letting it end the
+// goroutine.
 func (ctx *RenderContext) takeGuarded(slot int) {
 	defer ctx.recoverFault()
 	ctx.take(slot)
@@ -227,8 +270,9 @@ func (ctx *RenderContext) recoverFault() {
 	p.mu.Unlock()
 }
 
-// take claims tiles from the pass's cursor until it runs out, and renders or
-// back-propagates each in the slot's scratch.
+// take claims tiles or chunks from the pass's cursor until it runs out: it
+// renders or back-propagates each tile in the slot's scratch, and does each
+// chunk's share of the pass's work.
 //
 //ags:hotpath
 func (ctx *RenderContext) take(slot int) {
@@ -239,16 +283,75 @@ func (ctx *RenderContext) take(slot int) {
 		if i >= p.nt {
 			return
 		}
-		if p.backward {
-			ctx.backwardTile(sl, int(i))
-		} else {
+		switch p.kind {
+		case kindRender:
 			ctx.renderTile(sl, int(i))
+			sl.tiles++
+		case kindBackward:
+			ctx.backwardTile(sl, int(i))
+			sl.tiles++
+		default:
+			ctx.chunk(int(i))
+			sl.chunks++
 		}
-		sl.tiles++
 	}
 }
 
-// tilePanic is what a pass's caller panics with when a tile another
+// chunk does chunk c of the open chunked pass: the elements c·ChunkSize up
+// to the next chunk's first or the range's end.
+//
+//ags:hotpath
+func (ctx *RenderContext) chunk(c int) {
+	p := &ctx.pass
+	lo := c * ChunkSize
+	hi := min(lo+ChunkSize, p.n)
+	switch p.kind {
+	case kindProject:
+		ctx.projectChunk(c, lo, hi)
+	case kindCull:
+		for si := lo; si < hi; si++ {
+			ctx.geom[si] = cullGeomOf(&ctx.splats[si])
+		}
+	case kindHoist:
+		p.bw.hoist(&ctx.arena, lo, hi)
+	case kindEach:
+		p.each.Chunk(lo, hi)
+	}
+}
+
+// Chunker is the work of a chunked pass (RenderContext.Each): Chunk does the
+// work of the elements lo to hi-1 of the pass's index range. The pass calls
+// it once per chunk, on whichever participant took the chunk, so a Chunker
+// whose chunks write disjoint data and read nothing another chunk writes
+// gives the same bytes whoever took which chunk.
+type Chunker interface {
+	Chunk(lo, hi int)
+}
+
+// Each runs w over the index range [0, n) as a pass of the context: the
+// range is cut into chunks of ChunkSize elements, which the pass's cursor
+// hands out to the caller, the crew's helper and workers-1 shard goroutines
+// (workers as Options.Workers), as it hands out a render's tiles. It returns
+// once every chunk is done, and a chunk that panicked on another participant
+// panics again on the caller, as a tile does. The pass keeps no reference to
+// w once it returns.
+//
+//ags:hotpath
+func (ctx *RenderContext) Each(n, workers int, w Chunker) {
+	ctx.pass.each = w
+	ctx.runChunks(kindEach, n, workers)
+}
+
+// runChunks runs a chunked pass of the given kind over the index range
+// [0, n), whose inputs the caller has put in the pass state.
+//
+//ags:hotpath
+func (ctx *RenderContext) runChunks(kind passKind, n, workers int) {
+	ctx.pass.kind, ctx.pass.n = kind, n
+	ctx.runPass(ceilDiv(n, ChunkSize), workers)
+}
+
+// tilePanic is what a pass's caller panics with when a tile or chunk another
 // participant took panicked: the value it panicked with and that
 // participant's stack, which the raise on the caller's goroutine would
 // otherwise lose.
@@ -258,5 +361,5 @@ type tilePanic struct {
 }
 
 func (p *tilePanic) Error() string {
-	return fmt.Sprintf("splat: tile panicked: %v\n%s", p.value, p.stack)
+	return fmt.Sprintf("splat: tile or chunk panicked: %v\n%s", p.value, p.stack)
 }

@@ -1,14 +1,19 @@
 package splat
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"ags/internal/frame"
+	"ags/internal/optim"
 )
 
 // spinHelper attaches a crew to ctx and runs its helper side on a goroutine
@@ -131,13 +136,128 @@ func TestHelperServeAndDismiss(t *testing.T) {
 	}
 }
 
-// TestHelperPanicReachesCaller: a tile that panics while a helper is in the
-// pass panics on the pass's caller, whoever took it. A tile the helper took
-// comes back as a *tilePanic carrying the helper's stack; either way the
-// pass is closed, the crew is left with no pass open, and the context's next
-// pass is the serial one's. The fault is a target whose colour plane stops
-// short of the last row of tiles, so only the tiles the cursor hands out
-// last panic.
+// TestHelperChunkPassesMatchSerial: the chunked passes give the bytes of one
+// walk on one goroutine with a helper racing the caller for chunks, at one
+// worker and at three: a render's splats (the projection) and their cull
+// geometry, Backward's per-splat factors, and one Adam step over a flat
+// vector as an Each pass. The clouds hold a few chunks and a part, a chunk
+// less one, and one Gaussian, some of them behind the camera or outside the
+// image, rendered without a skip set, with one and with one shorter than the
+// cloud. The helper must have taken chunks for the test to mean anything.
+func TestHelperChunkPassesMatchSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	cam := testCam(64, 48)
+	target := determinismTarget(randomCloud(rng, 40), cam)
+	ctx := NewRenderContext()
+	stop := spinHelper(ctx)
+	defer stop()
+	for _, n := range []int{3*ChunkSize + 37, ChunkSize - 1, 1} {
+		cloud := randomCloud(rng, n)
+		for id := 3; id < n; id += 5 {
+			cloud.At(id).Mean.Z = -1 // behind the camera
+		}
+		for id := 2; id < n; id += 7 {
+			cloud.At(id).Mean.X = 50 // outside the image
+		}
+		skip := make([]bool, n)
+		for id := range skip {
+			skip[id] = rng.Intn(3) == 0
+		}
+		for _, sk := range [][]bool{nil, skip, skip[:n/2]} {
+			want := preprocessInto(nil, cloud, cam, sk)
+			wantGeom := make([]cullGeom, len(want))
+			for i := range want {
+				wantGeom[i] = cullGeomOf(&want[i])
+			}
+			var wantAr backwardArena
+			wantAr.sigGrad, wantAr.scale2 = make([]float64, len(want)), make([]float64, len(want))
+			(&backwardPass{cloud: cloud, res: &Result{Splats: want}}).hoist(&wantAr, 0, len(want))
+			for _, workers := range []int{1, 3} {
+				name := fmt.Sprintf("%d Gaussians, skip set of %d, workers %d", n, len(sk), workers)
+				res := ctx.Render(cloud, cam, Options{Skip: sk, Workers: workers})
+				if !bytes.Equal(bytesOf(res.Splats), bytesOf(want)) {
+					t.Fatalf("%s: the projection's %d splats differ from one walk's %d", name, len(res.Splats), len(want))
+				}
+				if !bytes.Equal(bytesOf(ctx.geom), bytesOf(wantGeom)) {
+					t.Fatalf("%s: the cull geometry differs from one walk's", name)
+				}
+				ctx.Backward(cloud, cam, res, target, DefaultMappingLoss(), BackwardOptions{GaussianGrads: true, Workers: workers})
+				if !bytes.Equal(bytesOf(ctx.arena.sigGrad), bytesOf(wantAr.sigGrad)) ||
+					!bytes.Equal(bytesOf(ctx.arena.scale2), bytesOf(wantAr.scale2)) {
+					t.Fatalf("%s: Backward's per-splat factors differ from one walk's", name)
+				}
+			}
+		}
+		for _, workers := range []int{1, 3} {
+			params, grads := make([]float64, 3*n), make([]float64, 3*n)
+			for i := range params {
+				params[i], grads[i] = rng.NormFloat64(), rng.NormFloat64()
+			}
+			wantP := slices.Clone(params)
+			ref := optim.NewAdam(0.01)
+			ref.Step(wantP, grads)
+			a := optim.NewAdam(0.01)
+			a.Begin(len(params))
+			ctx.Each(len(params), workers, &adamChunks{a: a, p: params, g: grads})
+			gm, gv, _ := a.State()
+			wm, wv, _ := ref.State()
+			if !bytes.Equal(bytesOf(params), bytesOf(wantP)) || !bytes.Equal(bytesOf(gm), bytesOf(wm)) || !bytes.Equal(bytesOf(gv), bytesOf(wv)) {
+				t.Fatalf("%d Gaussians, workers %d: the Adam step as an Each pass differs from Step", n, workers)
+			}
+		}
+	}
+	if ctx.crew.Chunks() == 0 && runtime.GOMAXPROCS(0) > 1 {
+		t.Fatal("the helper took no chunk of any pass")
+	}
+	t.Logf("the helper took %d chunks", ctx.crew.Chunks())
+}
+
+// bytesOf is the memory of s, for byte-for-byte comparisons that NaN payloads
+// and signed zeros cannot slip through.
+func bytesOf[T any](s []T) []byte {
+	if len(s) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(s[0])))
+}
+
+// adamChunks is one Adam step of a flat parameter vector as an Each pass's
+// work: the step Begin opened, applied to elements lo to hi-1.
+type adamChunks struct {
+	a    *optim.Adam
+	p, g []float64
+}
+
+func (w *adamChunks) Chunk(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		w.p[i] = w.a.Update(i, w.p[i], w.g[i])
+	}
+}
+
+// busyChunks is an Each pass's work that spends a while on every element
+// and then writes it to v: an index range longer than v panics in its last
+// chunk only.
+type busyChunks struct{ v []float64 }
+
+func (w *busyChunks) Chunk(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		x := float64(i)
+		for range 64 {
+			x = x*0.5 + 1
+		}
+		w.v[i] = x
+	}
+}
+
+// TestHelperPanicReachesCaller: a tile or a chunk that panics while a helper
+// is in the pass panics on the pass's caller, whoever took it. One the
+// helper took comes back as a *tilePanic carrying the helper's stack; either
+// way the pass is closed, the crew is left with no pass open, and the
+// context's next pass is the serial one's. The faulty tiles are those of a
+// backward pass against a target whose colour plane stops short of the last
+// row of tiles; the faulty chunk is the last of an Each pass over a range
+// longer than the slice it writes. Either way only the tiles or the chunk
+// the cursor hands out last panic.
 func TestHelperPanicReachesCaller(t *testing.T) {
 	cloud, cam := determinismScene()
 	target := determinismTarget(cloud, cam)
@@ -148,41 +268,62 @@ func TestHelperPanicReachesCaller(t *testing.T) {
 	ref := NewRenderContext()
 	wantRes := ref.Render(cloud, cam, Options{Workers: 1})
 	wantG := ref.Backward(cloud, cam, wantRes, target, lc, bopts).Digest()
+	busy := &busyChunks{v: make([]float64, 32*ChunkSize)}
+	wantBusy := make([]float64, len(busy.v))
+	(&busyChunks{v: wantBusy}).Chunk(0, len(wantBusy))
 
 	ctx := NewRenderContext()
 	stop := spinHelper(ctx)
 	defer stop()
 	res := ctx.Render(cloud, cam, Options{Workers: 1})
-	relayed := 0
-	for attempt := 0; attempt < 200 && relayed < 3; attempt++ {
-		got := func() (v any) {
-			defer func() { v = recover() }()
-			ctx.Backward(cloud, cam, res, short, lc, bopts)
-			return nil
-		}()
-		var msg string
-		switch p := got.(type) {
-		case *tilePanic:
-			relayed++
-			if msg = p.Error(); !strings.Contains(msg, "backwardOneTile") {
-				t.Fatalf("the relayed panic does not carry the helper's stack:\n%s", msg)
+	for _, tc := range []struct {
+		name  string
+		frame string      // what the helper's stack must name
+		fault func()      // the pass with the faulty tiles or chunk
+		next  func() bool // the context's next pass, and whether it is the serial one's
+	}{
+		{"backward tile", "backwardOneTile",
+			func() { ctx.Backward(cloud, cam, res, short, lc, bopts) },
+			func() bool { return ctx.Backward(cloud, cam, res, target, lc, bopts).Digest() == wantG }},
+		{"Each chunk", "busyChunks",
+			func() { ctx.Each(len(busy.v)+ChunkSize/2, 1, busy) },
+			func() bool {
+				clear(busy.v)
+				ctx.Each(len(busy.v), 1, busy)
+				return slices.Equal(busy.v, wantBusy)
+			}},
+	} {
+		relayed := 0
+		for attempt := 0; attempt < 200 && relayed < 3; attempt++ {
+			got := func() (v any) {
+				defer func() { v = recover() }()
+				tc.fault()
+				return nil
+			}()
+			var msg string
+			switch p := got.(type) {
+			case *tilePanic:
+				relayed++
+				if msg = p.Error(); !strings.Contains(msg, tc.frame) {
+					t.Fatalf("%s: the relayed panic does not carry the helper's stack:\n%s", tc.name, msg)
+				}
+			case error:
+				msg = p.Error()
+			default:
+				t.Fatalf("%s, attempt %d: recovered %v (%T), want the pass's panic", tc.name, attempt, got, got)
 			}
-		case error:
-			msg = p.Error()
-		default:
-			t.Fatalf("attempt %d: recovered %v (%T), want the tile's panic", attempt, got, got)
+			if !strings.Contains(msg, "index out of range") {
+				t.Fatalf("%s, attempt %d: the panic is not the pass's: %s", tc.name, attempt, msg)
+			}
+			if ctx.crew.open != nil || ctx.pass.fault != nil || ctx.pass.each != nil {
+				t.Fatalf("%s, attempt %d: the panicking pass was left open", tc.name, attempt)
+			}
+			if !tc.next() {
+				t.Fatalf("%s, attempt %d: the pass after a panic differs from the serial one", tc.name, attempt)
+			}
 		}
-		if !strings.Contains(msg, "index out of range") {
-			t.Fatalf("attempt %d: the panic is not the tile's: %s", attempt, msg)
+		if relayed == 0 && runtime.GOMAXPROCS(0) > 1 {
+			t.Fatalf("%s: the helper never took the panicking tile or chunk", tc.name)
 		}
-		if ctx.crew.open != nil || ctx.pass.fault != nil {
-			t.Fatalf("attempt %d: the panicking pass was left open", attempt)
-		}
-		if g := ctx.Backward(cloud, cam, res, target, lc, bopts); g.Digest() != wantG {
-			t.Fatalf("attempt %d: the pass after a panic differs from the serial one", attempt)
-		}
-	}
-	if relayed == 0 && runtime.GOMAXPROCS(0) > 1 {
-		t.Fatal("the helper never took the panicking tile")
 	}
 }

@@ -135,6 +135,7 @@ func (ctx *RenderContext) FootprintBytes() int64 {
 		sliceBytes[int32](cap(ctx.tileCursor)) +
 		sliceBytes[depthKey](cap(ctx.depthKeys)) +
 		sliceBytes[cullGeom](cap(ctx.geom)) +
+		sliceBytes[int32](cap(ctx.chunkKept)) +
 		sliceBytes[vecmath.Vec3](cap(ctx.color.Pix)) +
 		sliceBytes[float64](cap(ctx.depth.D)) +
 		sliceBytes[float64](cap(ctx.result.Silhouette)) +

@@ -12,29 +12,39 @@
 // # Determinism contract
 //
 // Render and Backward are bit-reproducible whoever does their work. Every
-// pass hands out its tiles from one atomic cursor, and its participants take
-// them until it runs out: the caller, at most one helper that joins through
+// pass hands out its work from one atomic cursor, and its participants take
+// it until it runs out: the caller, at most one helper that joins through
 // the Crew attached to the context (RenderContext.Attach) — a SLAM system's
 // producer, which would otherwise wait for its mapping tail — and, with
 // Options.Workers or BackwardOptions.Workers above 1, that many less one
-// shard goroutines. Each participant has a scratch slot of its own (cull
-// scratch, blend staging, blend steps, op counters), and every reduction
-// that crosses a tile runs over a fixed tree or is exact: raster order within
-// a tile, ascending tile order across tiles for Backward's per-tile float
+// shard goroutines. A pass's work is its tiles, or the chunks of an index
+// range (ChunkSize elements each): a render is a chunked projection of the
+// Gaussians, a chunked pass giving every splat its cull geometry and a tile
+// pass; a backward pass is a chunked pass over the splats (the per-splat
+// factors of the Gaussian gradients) and a tile pass; and a context's owner
+// runs passes of its own per-element work through RenderContext.Each (a
+// mapper's Adam step). Each participant has a scratch slot of its own (cull
+// scratch, blend staging, blend steps, op counters). A chunk writes its own
+// elements only, and a projection's chunks write their own slot ranges,
+// whose gaps the caller then closes in chunk order. Every reduction that
+// crosses a tile runs over a fixed tree or is exact: raster order within a
+// tile, ascending tile order across tiles for Backward's per-tile float
 // partials, and integer sums for the workload counters and the contribution
-// log, which are exact in any order. Color/depth/silhouette/transmittance
-// images, the contribution log, AlphaOps/BlendOps, and all gradient buffers
-// are therefore byte-identical whichever participant took which tile, for
-// every Workers value and with or without a helper. Callers may rely on this
-// for exact A/B comparisons at full parallelism; Result.Digest and
-// Grads.Digest exist to assert it cheaply.
+// log, which are exact in any order. The splats, color/depth/silhouette/
+// transmittance images, the contribution log, AlphaOps/BlendOps, and all
+// gradient buffers are therefore byte-identical whichever participant took
+// which tile or chunk, for every Workers value and with or without a helper.
+// Callers may rely on this for exact A/B comparisons at full parallelism;
+// Result.Digest and Grads.Digest exist to assert it cheaply.
 //
 // A pass's caller returns once every participant has left the pass. A tile
-// that panics on a helper or a shard goroutine is recovered there and handed
-// to the pass, whose caller panics with it (and that participant's stack)
-// once the pass is through, so every panic of a pass surfaces on its
-// caller's goroutine. A pass allocates nothing to describe itself: its state
-// lives in the context and its participants' entry points are methods.
+// or chunk that panics on a helper or a shard goroutine is recovered there
+// and handed to the pass, whose caller panics with it (and that
+// participant's stack) once the pass is through, so every panic of a pass
+// surfaces on its caller's goroutine. A pass allocates nothing to describe
+// itself: its state lives in the context, its participants' entry points are
+// methods, and an Each pass's work is an interface the caller passes a
+// pointer in.
 //
 // The workload counters count modelled work, not host work. AlphaOps,
 // PerPixelAlpha and Touched count Gaussian-table visits — what the GPE array
@@ -53,10 +63,12 @@
 // extents with their square roots — is computed once per splat and render
 // and only clipped to each tile. The tables come from one sort of the
 // splats on (depth, index), whose order the fill keeps, so each table is
-// born front to back and no tile sorts. The one per-pair transcendental, the
-// falloff's exponential, is the package's own (exp.go): a range reduction
-// onto a 64-entry table of 2^(j/64) and a degree-5 polynomial, within 4 ulp
-// of math.Exp on the falloff's range. It is plain float64 Go with no libm
+// born front to back and no tile sorts. That sort is a stable LSD radix sort
+// on the depths' bits, eight bits a pass, over keys built in index order, so
+// ties keep index order; a digit every key shares is skipped. The one
+// per-pair transcendental, the falloff's exponential, is the package's own
+// (exp.go): a range reduction onto a 64-entry table of 2^(j/64) and a
+// degree-5 polynomial, within 4 ulp of math.Exp on the falloff's range. It is plain float64 Go with no libm
 // call under it, so no host CPU feature chooses its bits, as math.Exp's
 // run-time FMA dispatch does on amd64.
 //
@@ -128,9 +140,9 @@
 // Lifecycle and aliasing rules:
 //
 //   - A context is NOT safe for concurrent use. One goroutine, one context;
-//     within a call its passes are shared with the crew's helper and the
-//     Options.Workers shard goroutines, never across contexts. A context
-//     goes back to a pool detached from its crew.
+//     within a call its passes (an Each pass too) are shared with the
+//     crew's helper and the Options.Workers shard goroutines, never across
+//     contexts. A context goes back to a pool detached from its crew.
 //   - (*RenderContext).Render returns a *Result whose buffers are owned by
 //     the context and valid until its next Render call. Backward
 //     only reads the Result — it never writes a Result-aliased buffer, and
@@ -268,29 +280,66 @@ func projectInto(s *Splat, g *gauss.Gaussian, cam camera.Camera) bool {
 	return true
 }
 
-// preprocessInto projects every Gaussian in the cloud (step 1 of Fig. 2),
-// culling those that fall outside the image or behind the camera, and appends
-// the survivors to splats (reusing its capacity — the RenderContext's
-// per-frame projection path), each projected straight into its slot. Room
-// for every Gaussian is made first, at least doubling the capacity when it
-// must grow, so a growing map re-makes the slice O(log) times and not
-// through append's many smaller steps. skip, when non-nil, suppresses
-// Gaussians whose ID is flagged (selective mapping).
+// projectPass is a projection's inputs, which every participant of its
+// chunked pass reads.
+type projectPass struct {
+	cloud *gauss.Cloud
+	cam   camera.Camera
+	skip  []bool
+}
+
+// project projects every Gaussian in the cloud into the context's splats
+// (step 1 of Fig. 2), culling those that fall outside the image or behind
+// the camera. skip, when non-nil, suppresses Gaussians whose ID is flagged
+// (selective mapping). It is a chunked pass over the Gaussian IDs: room for
+// every Gaussian is made first, at least doubling the capacity when it must
+// grow, and each chunk projects its Gaussians into its own slot range,
+// packed to the range's front, and records how many it kept. The caller then
+// closes the gaps in chunk order, so the splats are those of one walk of the
+// cloud, in ID order, whoever projected which chunk.
 //
 //ags:hotpath
-func preprocessInto(splats []Splat, cloud *gauss.Cloud, cam camera.Camera, skip []bool) []Splat {
-	n := len(splats)
-	if need := n + cloud.Len(); cap(splats) < need {
-		grown := make([]Splat, n, max(need, 2*cap(splats)))
-		copy(grown, splats)
-		splats = grown
+func (ctx *RenderContext) project(cloud *gauss.Cloud, cam camera.Camera, skip []bool, workers int) {
+	n := cloud.Len()
+	if cap(ctx.splats) < n {
+		ctx.splats = make([]Splat, n, max(n, 2*cap(ctx.splats)))
 	}
-	all := splats[:cap(splats)]
-	for id := range cloud.Gaussians {
+	ctx.splats = ctx.splats[:n]
+	ctx.chunkKept = resized(ctx.chunkKept, ceilDiv(n, ChunkSize))
+	ctx.pass.proj = projectPass{cloud: cloud, cam: cam, skip: skip}
+	ctx.runChunks(kindProject, n, workers)
+	ctx.pass.proj = projectPass{} // a context keeps no caller's cloud alive
+	kept := 0
+	for c, k := range ctx.chunkKept {
+		if lo := c * ChunkSize; lo != kept {
+			copy(ctx.splats[kept:], ctx.splats[lo:lo+int(k)])
+		}
+		kept += int(k)
+	}
+	ctx.splats = ctx.splats[:kept]
+}
+
+// projectChunk projects chunk c, the Gaussians lo to hi-1, into the slots
+// of the same range.
+//
+//ags:hotpath
+func (ctx *RenderContext) projectChunk(c, lo, hi int) {
+	pp := &ctx.pass.proj
+	ctx.chunkKept[c] = int32(projectRange(ctx.splats[lo:hi], pp.cloud, pp.cam, pp.skip, lo, hi))
+}
+
+// projectRange projects the Gaussians lo to hi-1 of the cloud, in ID order,
+// straight into dst's slots, and returns how many it kept: those skip does
+// not flag that project and whose radius reaches the image.
+//
+//ags:hotpath
+func projectRange(dst []Splat, cloud *gauss.Cloud, cam camera.Camera, skip []bool, lo, hi int) int {
+	n := 0
+	for id := lo; id < hi; id++ {
 		if skip != nil && id < len(skip) && skip[id] {
 			continue
 		}
-		s := &all[n]
+		s := &dst[n]
 		if !projectInto(s, cloud.At(id), cam) {
 			continue
 		}
@@ -303,7 +352,7 @@ func preprocessInto(splats []Splat, cloud *gauss.Cloud, cam camera.Camera, skip 
 		s.ID = id
 		n++
 	}
-	return splats[:n]
+	return n
 }
 
 // Eval returns the unnormalized Gaussian falloff G = exp(-0.5 d^T CovInv d)

@@ -1,7 +1,9 @@
 package splat
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -23,6 +25,9 @@ import (
 // serial drivers around them are new. refBuildTiles is the table build the
 // package shipped before one depth sort ordered every table: splats filled
 // per tile in index order, then each table insertion-sorted on its own.
+// cmpDepthKey is the comparator that one sort ordered the keys with before
+// a radix sort did, and preprocessInto the projection as one walk of the
+// cloud before it became a chunked pass.
 
 // refContribution is one blending step recorded during the per-pixel forward
 // replay, consumed in reverse order for the suffix-sum alpha gradients.
@@ -231,6 +236,32 @@ func refBackwardOneTile(cloud *gauss.Cloud, cam camera.Camera, res *Result, targ
 			}
 		}
 	}
+}
+
+// cmpDepthKey orders keys by (depth, splat index): depth ties break toward
+// the lower index, so the order is strict and total and a pure function of
+// the splat slice. buildTilesInto stores a NaN depth as +Inf, so a splat
+// with no defined depth sorts behind every finite one, among the +Inf depths
+// by index. sortDepthKeys must give this order
+// (TestDepthOrderMatchesComparator).
+func cmpDepthKey(a, b depthKey) int {
+	switch {
+	case a.depth < b.depth:
+		return -1
+	case a.depth > b.depth:
+		return 1
+	}
+	return cmp.Compare(a.idx, b.idx)
+}
+
+// preprocessInto projects every Gaussian in the cloud in one walk, appending
+// the splats projectRange keeps to splats: the projection a context's
+// chunked pass (project) must reproduce byte for byte, and the splats the
+// tests build tables from without a context.
+func preprocessInto(splats []Splat, cloud *gauss.Cloud, cam camera.Camera, skip []bool) []Splat {
+	n := len(splats)
+	splats = slices.Grow(splats, cloud.Len())[:n+cloud.Len()]
+	return splats[:n+projectRange(splats[n:], cloud, cam, skip, 0, cloud.Len())]
 }
 
 // buildTiles is buildTilesInto on fresh tables.
@@ -559,5 +590,62 @@ func TestTileOrderMatchesReference(t *testing.T) {
 	}
 	if longest <= 32 {
 		t.Fatalf("longest table holds %d entries; the test must reach past 32", longest)
+	}
+}
+
+// TestDepthOrderMatchesComparator: the radix sort puts depth keys built in
+// index order into cmpDepthKey's order, ties by index, on the depths the
+// table build can meet: ±0 (equal depths), NaN (keyed +Inf), ±Inf,
+// subnormals, negative depths of injected splats, all-equal depths (every
+// digit shared, so no pass runs) and a scene's spread of depths, at n = 0,
+// 1 and 2 and around one digit's bucket count. buildTilesInto's keys, sorted
+// through the second half of its key scratch, are the same order.
+func TestDepthOrderMatchesComparator(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	special := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		5e-324, -5e-324, 3 * 5e-324, 2.2250738585072009e-308, -2.2250738585072009e-308,
+		math.MaxFloat64, -math.MaxFloat64, 1, -1, 1.5, 1.5000000000000002}
+	depths := map[string]func() float64{
+		"special":  func() float64 { return special[rng.Intn(len(special))] },
+		"negative": func() float64 { return -rng.Float64() * 5 },
+		"equal":    func() float64 { return 2.5 },
+		"scene":    func() float64 { return 0.5 + rng.Float64()*8 },
+		"mixed": func() float64 {
+			if rng.Intn(4) == 0 {
+				return special[rng.Intn(len(special))]
+			}
+			return float64(rng.Intn(5)) - 2 + rng.Float64()*1e-300
+		},
+	}
+	names := slices.Sorted(maps.Keys(depths))
+	bucket := 1 << radixBits
+	cam := testCam(64, 48)
+	ctx := NewRenderContext()
+	for _, name := range names {
+		for _, n := range []int{0, 1, 2, 3, bucket - 1, bucket, bucket + 1, 2*bucket + 3, 3000} {
+			splats := make([]Splat, n)
+			want := make([]depthKey, n)
+			for i := range splats {
+				d := depths[name]()
+				splats[i] = Splat{Mean2D: vecmath.Vec2{X: 30, Y: 20}, Radius: 1, Depth: d}
+				if math.IsNaN(d) {
+					d = math.Inf(1)
+				}
+				want[i] = depthKey{depth: d, idx: int32(i)}
+			}
+			got := slices.Clone(want)
+			sortDepthKeys(got, make([]depthKey, n))
+			slices.SortFunc(want, cmpDepthKey)
+			buildTilesInto(&ctx.tiles, &ctx.tileCursor, &ctx.depthKeys, splats, cam.Intr)
+			for i := range want {
+				if got[i].idx != want[i].idx || ctx.depthKeys[i].idx != want[i].idx {
+					t.Fatalf("%s depths, n %d: position %d holds splat %d (radix) and %d (table build), comparator %d",
+						name, n, i, got[i].idx, ctx.depthKeys[i].idx, want[i].idx)
+				}
+			}
+			if len(ctx.depthKeys) != n || cap(ctx.depthKeys) < 2*n {
+				t.Fatalf("%s depths, n %d: table build left %d keys in a scratch of %d", name, n, len(ctx.depthKeys), cap(ctx.depthKeys))
+			}
+		}
 	}
 }

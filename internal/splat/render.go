@@ -74,20 +74,21 @@ func Render(cloud *gauss.Cloud, cam camera.Camera, opts Options) *Result {
 //
 //ags:hotpath
 func (ctx *RenderContext) Render(cloud *gauss.Cloud, cam camera.Camera, opts Options) *Result {
-	ctx.splats = preprocessInto(ctx.splats[:0], cloud, cam, opts.Skip)
+	ctx.project(cloud, cam, opts.Skip, opts.Workers)
 	buildTilesInto(&ctx.tiles, &ctx.tileCursor, &ctx.depthKeys, ctx.splats, cam.Intr)
 	return ctx.renderTiles(cloud, cam, opts)
 }
 
 // renderTiles runs step 3 of Fig. 2 over the context's prepared splats and
 // tiles, starting with each splat's cull geometry (cullGeomOf), which the
-// splat's table entries clip to their tiles. The tiles are handed out from
-// the pass's cursor (runPass) to the caller, the crew's helper and any shard
-// goroutines. Pixel buffers are disjoint across tiles, each tile row's blends
-// join the log as one run, and the cross-tile reductions are integers (exact
-// under any association): the contribution log, added to tile by tile, and
-// the op counters, merged in slot order. So every Result is byte-identical
-// whoever rendered which tile.
+// splat's table entries clip to their tiles: a chunked pass over the splats,
+// then the tile pass. Both are handed out from the pass's cursor (runPass)
+// to the caller, the crew's helper and any shard goroutines. Pixel buffers
+// are disjoint across tiles, each tile row's blends join the log as one run,
+// and the cross-tile reductions are integers (exact under any association):
+// the contribution log, added to tile by tile, and the op counters, merged
+// in slot order. So every Result is byte-identical whoever rendered which
+// tile.
 //
 //ags:hotpath
 func (ctx *RenderContext) renderTiles(cloud *gauss.Cloud, cam camera.Camera, opts Options) *Result {
@@ -122,11 +123,9 @@ func (ctx *RenderContext) renderTiles(cloud *gauss.Cloud, cam camera.Camera, opt
 	res.logRows = resized(res.logRows, nt*TileSize)
 	res.log.li, res.log.g = res.log.li[:0], res.log.g[:0]
 	ctx.geom = resized(ctx.geom, len(ctx.splats))
-	for i := range ctx.splats {
-		ctx.geom[i] = cullGeomOf(&ctx.splats[i])
-	}
+	ctx.runChunks(kindCull, len(ctx.splats), opts.Workers)
 
-	ctx.pass.backward = false
+	ctx.pass.kind = kindRender
 	ctx.runPass(nt, opts.Workers)
 	for i := range ctx.slots {
 		res.AlphaOps += ctx.slots[i].alphaOps

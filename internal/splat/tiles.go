@@ -1,9 +1,7 @@
 package splat
 
 import (
-	"cmp"
 	"math"
-	"slices"
 
 	"ags/internal/camera"
 )
@@ -57,24 +55,80 @@ func tileRect(s *Splat, w, h, tw, th int) (x0, x1, y0, y1 int, ok bool) {
 
 // depthKey is one splat's place in the front-to-back order: its depth and
 // its index in the splat slice, 16 bytes a sort moves instead of the splat.
+// The order is by (depth, index): depth ties break toward the lower index,
+// so it is strict and total and a pure function of the splat slice.
+// buildTilesInto keys a NaN depth as +Inf, so a splat with no defined depth
+// sorts behind every finite one, among the +Inf depths by index.
 type depthKey struct {
 	depth float64
 	idx   int32
 }
 
-// cmpDepthKey orders keys by (depth, splat index): depth ties break toward
-// the lower index, so the order is strict and total and a pure function of
-// the splat slice. buildTilesInto stores a NaN depth as +Inf, so a splat
-// with no defined depth sorts behind every finite one, among the +Inf depths
-// by index.
-func cmpDepthKey(a, b depthKey) int {
-	switch {
-	case a.depth < b.depth:
-		return -1
-	case a.depth > b.depth:
-		return 1
+// radixKey maps a depth to 64 bits whose unsigned order is the depth's
+// order: the sign bit of a positive depth is set and every bit of a negative
+// one flipped, so −Inf maps lowest and +Inf highest. −0 maps as +0, since
+// the two are equal depths. A NaN has no place in the order: buildTilesInto
+// keys it as +Inf.
+//
+//ags:hotpath
+func radixKey(d float64) uint64 {
+	if d == 0 {
+		return 1 << 63
 	}
-	return cmp.Compare(a.idx, b.idx)
+	b := math.Float64bits(d)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// radixBits is the width of one radix digit: a pass of sortDepthKeys places
+// the keys into 1<<radixBits buckets.
+const radixBits = 8
+
+// sortDepthKeys sorts ks into (depth, index) order with a stable LSD radix
+// sort on the depths' radixKey, one radixBits digit a pass, lowest first,
+// through tmp (at least as long as ks) as the other buffer. Stability keeps
+// the keys of equal depths in the order they came in, which is index order
+// when they are built in it, as buildTilesInto builds them. One walk counts
+// every digit, and a digit all keys share is no pass: depths of one scene
+// share their sign and most of their exponent.
+//
+//ags:hotpath
+func sortDepthKeys(ks, tmp []depthKey) {
+	if len(ks) < 2 {
+		return
+	}
+	const digits = 64 / radixBits
+	var counts [digits][1 << radixBits]int32
+	for _, k := range ks {
+		u := radixKey(k.depth)
+		for d := range digits {
+			counts[d][u>>(d*radixBits)&(1<<radixBits-1)]++
+		}
+	}
+	src, dst := ks, tmp[:len(ks)]
+	for d := range digits {
+		c := &counts[d]
+		shift := d * radixBits
+		if c[radixKey(src[0].depth)>>shift&(1<<radixBits-1)] == int32(len(ks)) {
+			continue
+		}
+		var at int32
+		for b, n := range c {
+			c[b] = at
+			at += n
+		}
+		for _, k := range src {
+			b := radixKey(k.depth) >> shift & (1<<radixBits - 1)
+			dst[c[b]] = k
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &ks[0] {
+		copy(ks, src)
+	}
 }
 
 // buildTilesInto performs the tile intersection test and depth sort: a splat
@@ -82,9 +136,11 @@ func cmpDepthKey(a, b depthKey) int {
 // 3DGS conservative test). It rebuilds t's CSR tables in place with a two-pass
 // counting build (count per tile, prefix-sum, fill), reusing t's backing
 // arrays and the caller's cursor and key scratch. The splats that reach the
-// image are sorted once, as (depth, index) keys, and the fill walks them in
-// that order, so every tile's table is born front to back and the table order
-// is a pure function of the splat slice.
+// image are keyed, in index order, as (depth, index) and put in front-to-back
+// order by one radix sort (sortDepthKeys), whose other buffer is the key
+// scratch's second half, and the fill walks them in that order, so every
+// tile's table is born front to back and the table order is a pure function
+// of the splat slice.
 //
 //ags:hotpath
 func buildTilesInto(t *Tiles, cursor *[]int32, keys *[]depthKey, splats []Splat, intr camera.Intrinsics) {
@@ -96,7 +152,8 @@ func buildTilesInto(t *Tiles, cursor *[]int32, keys *[]depthKey, splats []Splat,
 
 	// Pass 1: count entries per tile (shifted by one so the prefix sum below
 	// turns counts into offsets directly), and key every splat with an entry.
-	ks := resized(*keys, len(splats))[:0]
+	buf := resized(*keys, 2*len(splats))
+	ks := buf[:0:len(splats)]
 	for i := range splats {
 		s := &splats[i]
 		x0, x1, y0, y1, ok := tileRect(s, intr.W, intr.H, tw, th)
@@ -114,7 +171,7 @@ func buildTilesInto(t *Tiles, cursor *[]int32, keys *[]depthKey, splats []Splat,
 		}
 		ks = append(ks, depthKey{depth: d, idx: int32(i)})
 	}
-	*keys = ks
+	*keys = buf[:len(ks)]
 	for i := 0; i < nt; i++ {
 		t.Offsets[i+1] += t.Offsets[i]
 	}
@@ -124,7 +181,7 @@ func buildTilesInto(t *Tiles, cursor *[]int32, keys *[]depthKey, splats []Splat,
 	} else {
 		t.Entries = t.Entries[:total]
 	}
-	slices.SortFunc(ks, cmpDepthKey)
+	sortDepthKeys(ks, buf[len(splats):])
 
 	// Pass 2: fill through a per-tile write cursor, front to back.
 	cur := zeroed(*cursor, nt)
