@@ -35,8 +35,8 @@ verify: fmt vet lint benchmark-module
 	$(GO) test -race ./...
 
 # Determinism and kernel reference gate: run the splat participant
-# equivalence tests (worker counts, and a helper racing the caller for tiles
-# and chunks) and the mapper's Adam step as a chunked pass a helper serves
+# equivalence tests (a pass on its caller alone and with a helper racing the
+# caller for tiles and chunks, at several GOMAXPROCS) and the mapper's Adam step as a chunked pass a helper serves
 # twice so a scheduling-dependent regression fails loudly instead of hiding
 # behind one lucky interleaving, together with the kernels' independent
 # checks: the full-walk and lattice references, the per-tile table order, the
@@ -61,8 +61,8 @@ serve-demo:
 # full Desk/baseline run (RefineBest and full mapping on every frame, what
 # the benchmark's desk_baseline workload times) and then re-tracks its frames
 # with the pipeline's sparse refiner (the run's learning rate, one pixel per
-# 2x2 block), serially, under pprof — so a kernel change starts from the
+# 2x2 block), one job at a time, under pprof — so a kernel change starts from the
 # profile the last one was led by instead of a synthetic render loop.
 # Inspect with: go tool pprof -top cpu.pprof (or mem.pprof).
 profile:
-	$(GO) run ./cmd/ags-bench -exp fig4 -jobs 1 -workers 1 -q -cpuprofile cpu.pprof -memprofile mem.pprof
+	$(GO) run ./cmd/ags-bench -exp fig4 -jobs 1 -q -cpuprofile cpu.pprof -memprofile mem.pprof

@@ -32,15 +32,14 @@ import (
 
 func main() {
 	var (
-		expIDs  = flag.String("exp", "", "comma-separated experiment IDs to run (default: all)")
-		list    = flag.Bool("list", false, "list experiment IDs and exit")
-		scale   = flag.String("scale", "quick", "quick | full")
-		width   = flag.Int("w", 0, "override frame width")
-		height  = flag.Int("h", 0, "override frame height")
-		frames  = flag.Int("frames", 0, "override frames per sequence")
-		workers = flag.Int("workers", 0, "render worker goroutines (0 = all cores; results are bit-identical for every value)")
-		jobs    = flag.Int("jobs", 0, "concurrent pipeline executions in the batch scheduler (0 = all cores; output is byte-identical for every value)")
-		quiet   = flag.Bool("q", false, "suppress progress lines (stderr)")
+		expIDs = flag.String("exp", "", "comma-separated experiment IDs to run (default: all)")
+		list   = flag.Bool("list", false, "list experiment IDs and exit")
+		scale  = flag.String("scale", "quick", "quick | full")
+		width  = flag.Int("w", 0, "override frame width")
+		height = flag.Int("h", 0, "override frame height")
+		frames = flag.Int("frames", 0, "override frames per sequence")
+		jobs   = flag.Int("jobs", 0, "concurrent pipeline executions in the batch scheduler (0 = all cores; output is byte-identical for every value)")
+		quiet  = flag.Bool("q", false, "suppress progress lines (stderr)")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole batch to this path")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile (after the batch) to this path")
@@ -73,7 +72,6 @@ func main() {
 	if *frames > 0 {
 		cfg.Frames = *frames
 	}
-	cfg.Workers = *workers
 
 	exps := bench.Experiments()
 	if *expIDs != "" {

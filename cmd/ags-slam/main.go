@@ -35,7 +35,6 @@ func main() {
 		height   = flag.Int("h", 48, "frame height")
 		frames   = flag.Int("frames", 24, "frames in the sequence")
 		iters    = flag.Int("iters", 30, "baseline tracking iterations (N_T)")
-		workers  = flag.Int("workers", 0, "splat render worker goroutines (0 = all cores; results are bit-identical for every value)")
 		listSeq  = flag.Bool("listseq", false, "list sequence names and exit")
 		traceOut = flag.String("trace", "", "write the run's operation trace as JSON to this file")
 		sessions = flag.Int("sessions", 1, "run N copies of the sequence as concurrent slam.Server sessions (digest-asserted against a sequential run)")
@@ -55,14 +54,13 @@ func main() {
 		return
 	}
 
-	if err := checkRunFlags(*sessions, *iters, *workers, *resumePath, *snapPath, *snapAt, *pruneOpacity, *pruneLRLogit); err != nil {
+	if err := checkRunFlags(*sessions, *iters, *resumePath, *snapPath, *snapAt, *pruneOpacity, *pruneLRLogit); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
 	cfg := slam.DefaultConfig(*width, *height)
 	cfg.TrackIters = *iters
-	cfg.Workers = *workers
 	cfg.Mapper.PruneOpacity = *pruneOpacity
 	cfg.Mapper.LRLogit = *pruneLRLogit
 	switch *algo {
@@ -240,10 +238,9 @@ func main() {
 // checkRunFlags refuses the flag values that would otherwise be ignored or
 // silently mean something else: -sessions below 1; -sessions above 1 together
 // with -resume, -snapshot or -snapshot-at, which only a single run reads; a
-// negative -iters (no tracking iterations); a negative -workers (every core);
-// a -prune-opacity outside [0, 1) (at 1 or above every Gaussian is pruned);
+// negative -iters (no tracking iterations); a -prune-opacity outside [0, 1) (at 1 or above every Gaussian is pruned);
 // and a negative -prune-lr-logit.
-func checkRunFlags(sessions, iters, workers int, resume, snapshot string, snapshotAt int, pruneOpacity, pruneLRLogit float64) error {
+func checkRunFlags(sessions, iters int, resume, snapshot string, snapshotAt int, pruneOpacity, pruneLRLogit float64) error {
 	var errs []error
 	switch {
 	case sessions < 1:
@@ -253,9 +250,6 @@ func checkRunFlags(sessions, iters, workers int, resume, snapshot string, snapsh
 	}
 	if iters < 0 {
 		errs = append(errs, fmt.Errorf("-iters %d is out of range: want 0 or more", iters))
-	}
-	if workers < 0 {
-		errs = append(errs, fmt.Errorf("-workers %d is out of range: want 1 or more, or 0 for all cores", workers))
 	}
 	if !(pruneOpacity >= 0 && pruneOpacity < 1) {
 		errs = append(errs, fmt.Errorf("-prune-opacity %v is out of range: want [0, 1)", pruneOpacity))

@@ -41,7 +41,6 @@ type Config struct {
 	IterT         int // AGS refinement iterations
 	MapIters      int // N_M
 	DensifyStride int
-	Workers       int
 	Seed          int64
 }
 
@@ -225,7 +224,6 @@ func (s *Suite) slamConfig(v Variant, override func(*slam.Config)) slam.Config {
 	cfg.IterT = s.Cfg.IterT
 	cfg.Mapper.MapIters = s.Cfg.MapIters
 	cfg.Mapper.DensifyStride = s.Cfg.DensifyStride
-	cfg.Workers = s.Cfg.Workers
 	switch v {
 	case VarBaseline:
 	case VarAGS:

@@ -17,7 +17,7 @@ func tinyCfg() Config {
 	return Config{
 		Width: 40, Height: 32, Frames: 6,
 		TrackIters: 8, IterT: 3, MapIters: 4,
-		DensifyStride: 2, Workers: 4, Seed: 1,
+		DensifyStride: 2, Seed: 1,
 	}
 }
 

@@ -92,7 +92,6 @@ func (s *Suite) Fig4(w io.Writer) error {
 	det := covis.NewDetector()
 	ref := tracker.NewGSRefiner()
 	ref.LR = s.slamConfig(spec.Variant, spec.Override).TrackLR
-	ref.Workers = s.Cfg.Workers
 	ref.Ctx = splat.NewRenderContext()
 
 	// Classify frames by adjacent covisibility (median split).

@@ -173,7 +173,6 @@ func windowStream(t *testing.T, frames int) (slam.Config, *scene.Sequence) {
 	cfg.EnableMAT, cfg.EnableGCM = false, false
 	cfg.KeyframeEvery = 1
 	cfg.TrackIters, cfg.Mapper.MapIters, cfg.Mapper.DensifyStride = 3, 2, 4
-	cfg.Workers = 1
 	return cfg, scene.MustGenerate("Desk", scene.Config{Width: 8, Height: 8, Frames: frames, Seed: 1})
 }
 

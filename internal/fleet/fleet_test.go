@@ -24,7 +24,6 @@ func fastCfg() slam.Config {
 	cfg.IterT = 4
 	cfg.Mapper.MapIters = 6
 	cfg.Mapper.DensifyStride = 2
-	cfg.Workers = 4
 	cfg.EnableMAT = true
 	cfg.EnableGCM = true
 	return cfg
@@ -553,7 +552,7 @@ func TestNodeCloseMidPushNoGoroutineLeak(t *testing.T) {
 // unnoticed.
 func TestWireCodecsMatchSnapshotEncoding(t *testing.T) {
 	cfg := goldenConfig()
-	notCarried := map[string]bool{"PipelineME": true, "CodecWorkers": true, "Mapper.Workers": true}
+	notCarried := map[string]bool{"PipelineME": true, "CodecWorkers": true, "Workers": true}
 	var walk func(prefix string, v reflect.Value)
 	walk = func(prefix string, v reflect.Value) {
 		for i := 0; i < v.NumField(); i++ {

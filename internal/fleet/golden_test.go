@@ -15,7 +15,7 @@ import (
 	"ags/internal/vecmath"
 )
 
-// The golden files pin ProtocolVersion 9 byte for byte: one complete AGSF
+// The golden files pin ProtocolVersion 10 byte for byte: one complete AGSF
 // message per payload-bearing verb, each framed by appendMessage. They were
 // written once, by the encoders this version was introduced with, and there is
 // no regeneration switch — a byte that moves is a wire break, which takes a
@@ -32,14 +32,16 @@ import (
 // 7's, <verb>.v7.golden, whose OPEN carried it without the backbone; version
 // 8's, <verb>.v8.golden, which differed from version 7's in the version byte
 // and the checksum over it only (slam's snapshot version 8 drops the trace
-// detail, which no message here carries); and version 9's is <verb>.v9.golden,
-// whose RESULT drops the trajectory error, the pruned count and the
-// dropped-update count.
+// detail, which no message here carries); version 9's, <verb>.v9.golden,
+// whose RESULT dropped the trajectory error, the pruned count and the
+// dropped-update count; and version 10's is <verb>.v10.golden, whose OPEN
+// carries the configuration without the render worker count, and which
+// differs from version 9's elsewhere in the version byte and the checksum
+// over it only.
 
 // goldenConfig sets every slam.Config field the wire carries to a distinct
 // non-zero value, so a reordered, dropped or re-typed field moves a byte. It
-// leaves out the two deprecated fields and the mapper's Workers, which no
-// codec carries.
+// leaves out the three deprecated fields, which no codec carries.
 func goldenConfig() slam.Config {
 	return slam.Config{
 		EnableMAT: true, EnableGCM: true, ForceCoarseOnly: true,
@@ -48,7 +50,7 @@ func goldenConfig() slam.Config {
 			MapIters: 7, ThreshN: 13, ContribPixMax: 17, DensifyStride: 2,
 			PruneOpacity: 0.125, LRLogit: 0.003, KeyframeWindow: 5,
 		},
-		TrackLR: 0.0625, KeyframeEvery: 19, PruneEvery: 23, Workers: 4,
+		TrackLR: 0.0625, KeyframeEvery: 19, PruneEvery: 23,
 		EvalFPRate: true,
 	}
 }
@@ -105,7 +107,7 @@ func goldenMessages() []goldenMessage {
 
 // goldenFile names the current version's golden file for a message.
 func goldenFile(name string) string {
-	return filepath.Join("testdata", name+".v9.golden")
+	return filepath.Join("testdata", name+".v10.golden")
 }
 
 func TestGoldenMessages(t *testing.T) {
@@ -115,7 +117,7 @@ func TestGoldenMessages(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := appendMessage(nil, m.v, m.p); !bytes.Equal(got, want) {
-			t.Errorf("%s: message bytes moved (%d bytes, golden %d) — a ProtocolVersion 9 wire break", m.name, len(got), len(want))
+			t.Errorf("%s: message bytes moved (%d bytes, golden %d) — a ProtocolVersion 10 wire break", m.name, len(got), len(want))
 		}
 	}
 }

@@ -110,8 +110,9 @@ import (
 // drops the trace detail and image size that a node's snapshots left empty.
 // Version 9's RESULT drops the trajectory error, the pruned count and the
 // dropped-update count, which no router read; its messages still carry
-// slam's version 8 snapshots and configurations.
-const ProtocolVersion = 9
+// slam's version 8 snapshots and configurations. Version 10's OPEN carries
+// slam's version 11 configuration, which drops the render worker count.
+const ProtocolVersion = 10
 
 const (
 	protoMagic = "AGSF"

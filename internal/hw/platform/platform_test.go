@@ -25,7 +25,6 @@ func runs(t *testing.T) (*trace.Run, *trace.Run) {
 		cfg.IterT = 4
 		cfg.Mapper.MapIters = 6
 		cfg.Mapper.DensifyStride = 2
-		cfg.Workers = 4
 		base, err := slam.Run(cfg, seq)
 		if err != nil {
 			panic(err)

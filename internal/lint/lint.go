@@ -5,14 +5,15 @@
 //
 //   - Determinism: every output — trajectories, digests, bench tables,
 //     hardware-model numbers — must be byte-identical at every
-//     Workers/-jobs/-sessions value. The maprange check flags
-//     `range` over a map in determinism-critical packages unless it is the
-//     collect-then-sort idiom (see checkMapRange); the nondetsource check
+//     GOMAXPROCS/-jobs/-sessions value, whoever takes a splat pass's tiles.
+//     The maprange check flags `range` over a map in determinism-critical
+//     packages unless it is the collect-then-sort idiom (see
+//     checkMapRange); the nondetsource check
 //     flags wall-clock reads (time.Now and friends), the unseeded global
 //     math/rand source, and select statements that let the runtime pick
 //     between multiple ready cases; the goroutine-site check flags `go`
 //     statements outside the approved worker-pool launch sites, so new
-//     concurrency cannot bypass the static-shard/ordered-reduction design.
+//     concurrency cannot bypass the reviewed ordered-reduction designs.
 //   - Zero allocation on the hot path: functions marked //ags:hotpath (the
 //     splat render/backward/projection/tile kernels and the tracker/mapper
 //     inner loops) must not allocate in steady state. The hotalloc check
@@ -98,18 +99,16 @@ type Config struct {
 
 // DefaultGoroutineSites returns the approved worker-pool launch sites: the
 // places whose goroutines are part of the reviewed deterministic designs
-// (a pass's shard goroutines claiming tiles from its cursor with ordered
-// reductions, each system's mapping tail, the
+// (each system's mapping tail, whose producer helps its splat passes, the
 // bounded batch scheduler, ray-traced dataset generation, a fleet node's
 // accept loop and connection handlers).
 func DefaultGoroutineSites(module string) map[string]bool {
 	return map[string]bool{
-		module + "/internal/splat.(*RenderContext).runPass": true, // shard goroutines claim tiles from the pass's cursor; slot-order and ascending-tile merges
-		module + "/internal/slam.(*System).startTail":       true, // one mapping tail per system, joined before anything reads or writes the map
-		module + "/internal/scene.(*World).RenderFrame":     true, // per-row ray tracing, disjoint pixel writes
-		module + "/internal/bench.RunBatch":                 true, // bounded warm pool, render in plan order
-		module + "/internal/fleet.(*Node).StartOn":          true, // single accept-loop goroutine (Start delegates here), joined by Close
-		module + "/internal/fleet.(*Node).Serve":            true, // one handler per connection, which runs its session's frames in push order
+		module + "/internal/slam.(*System).startTail":   true, // one mapping tail per system, joined before anything reads or writes the map
+		module + "/internal/scene.(*World).RenderFrame": true, // per-row ray tracing, disjoint pixel writes
+		module + "/internal/bench.RunBatch":             true, // bounded warm pool, render in plan order
+		module + "/internal/fleet.(*Node).StartOn":      true, // single accept-loop goroutine (Start delegates here), joined by Close
+		module + "/internal/fleet.(*Node).Serve":        true, // one handler per connection, which runs its session's frames in push order
 	}
 }
 

@@ -68,9 +68,6 @@ type Config struct {
 	LRLogit float64
 	// KeyframeWindow is how many past keyframes mapping samples from.
 	KeyframeWindow int
-	// Workers bounds the splat parallelism of every render and backward pass
-	// (0 = all cores); slam sets it from its venue.
-	Workers int
 }
 
 // DefaultConfig returns mapping settings tuned for the reproduction's frame
@@ -212,7 +209,7 @@ func (m *Mapper) Densify(f *frame.Frame, intr camera.Intrinsics, pose vecmath.Po
 	cam := camera.Camera{Intr: intr, Pose: pose}
 	var res *splat.Result
 	if m.cloud.Len() > 0 {
-		res = m.Ctx.Render(m.cloud, cam, splat.Options{Workers: m.Cfg.Workers})
+		res = m.Ctx.Render(m.cloud, cam, splat.Options{})
 	}
 	inv := pose.Inverse()
 	added := 0
@@ -327,9 +324,9 @@ func (m *Mapper) optimize(f *frame.Frame, intr camera.Intrinsics, pose vecmath.P
 		}
 		cam := camera.Camera{Intr: intr, Pose: tp}
 		last := i == m.Cfg.MapIters-1
-		opts := splat.Options{Skip: skip, Workers: m.Cfg.Workers, LogContribution: logContrib && last}
+		opts := splat.Options{Skip: skip, LogContribution: logContrib && last}
 		res := m.Ctx.Render(m.cloud, cam, opts)
-		grads := m.Ctx.Backward(m.cloud, cam, res, tf, loss, splat.BackwardOptions{GaussianGrads: true, Workers: m.Cfg.Workers})
+		grads := m.Ctx.Backward(m.cloud, cam, res, tf, loss, splat.BackwardOptions{GaussianGrads: true})
 		m.applyGrads(grads)
 
 		stats.Accumulate(res.AlphaOps, res.BlendOps, 2*res.BlendOps,
@@ -399,7 +396,7 @@ func (m *Mapper) applyGrads(grads *splat.Grads) {
 	m.optLogit.Begin(n)
 	m.optScale.Begin(n)
 	m.step = adamStep{m: m, grads: grads}
-	m.Ctx.Each(n, m.Cfg.Workers, &m.step)
+	m.Ctx.Each(n, &m.step)
 	m.step = adamStep{}
 }
 

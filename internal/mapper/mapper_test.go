@@ -16,7 +16,6 @@ func smallCfg() Config {
 	cfg.MapIters = 8
 	cfg.ThreshN = 10
 	cfg.DensifyStride = 2
-	cfg.Workers = 2
 	return cfg
 }
 

@@ -57,24 +57,25 @@ func gaussianBits(g *gauss.Gaussian) [8]uint64 {
 // bit the flatten → four Steps → clamp → unflatten reference, moments
 // included, on a map whose colours start outside [0, 1] and which grows
 // midway (every group reinitialises). The step is a chunked pass of the
-// mapper's context, so it runs with a crew's helper serving that context, at
-// one worker and at three, on a map of a few chunks and a part.
+// mapper's context, so it runs once on its caller alone and once with a
+// crew's helper serving that context, on a map of a few chunks and a part.
 func TestApplyGradsMatchesFlatSteps(t *testing.T) {
-	for _, workers := range []int{1, 3} {
+	for _, helped := range []bool{false, true} {
 		rng := rand.New(rand.NewSource(3))
 		vec := func(scale, offset float64) vecmath.Vec3 {
 			return vecmath.Vec3{X: offset + scale*rng.Float64(), Y: offset + scale*rng.Float64(), Z: offset + scale*rng.Float64()}
 		}
 		cfg := DefaultConfig()
-		cfg.Workers = workers
 		m := newMapper(cfg)
 		crew := splat.NewCrew()
-		m.Ctx.Attach(crew)
 		served := make(chan struct{})
-		go func() {
-			crew.Serve()
-			close(served)
-		}()
+		if helped {
+			m.Ctx.Attach(crew)
+			go func() {
+				crew.Serve()
+				close(served)
+			}()
+		}
 		ref := gauss.NewCloud(0)
 		refOpt := [4]*optim.Adam{optim.NewAdam(lrMean), optim.NewAdam(lrColor), optim.NewAdam(cfg.LRLogit), optim.NewAdam(lrScale)}
 		add := func(k int) {
@@ -102,20 +103,22 @@ func TestApplyGradsMatchesFlatSteps(t *testing.T) {
 			flatApplyGrads(ref, refOpt, grads)
 			for id := 0; id < n; id++ {
 				if got, want := gaussianBits(m.cloud.At(id)), gaussianBits(ref.At(id)); got != want {
-					t.Fatalf("workers %d, iteration %d, Gaussian %d: in place %+v, reference %+v", workers, it, id, *m.cloud.At(id), *ref.At(id))
+					t.Fatalf("helped %v, iteration %d, Gaussian %d: in place %+v, reference %+v", helped, it, id, *m.cloud.At(id), *ref.At(id))
 				}
 			}
 			for i, a := range []*optim.Adam{&m.optMean, &m.optColor, &m.optLogit, &m.optScale} {
 				gm, gv, gs := a.State()
 				wm, wv, ws := refOpt[i].State()
 				if gs != ws || !sameBits(gm, wm) || !sameBits(gv, wv) {
-					t.Fatalf("workers %d, iteration %d: group %d's moments differ from the reference's", workers, it, i)
+					t.Fatalf("helped %v, iteration %d: group %d's moments differ from the reference's", helped, it, i)
 				}
 			}
 		}
-		crew.Dismiss()
-		<-served
-		m.Ctx.Attach(nil)
+		if helped {
+			crew.Dismiss()
+			<-served
+			m.Ctx.Attach(nil)
+		}
 		for id := 0; id < m.cloud.Len(); id++ {
 			if c := m.cloud.At(id).Color; c.X < 0 || c.X > 1 || c.Y < 0 || c.Y > 1 || c.Z < 0 || c.Z > 1 {
 				t.Fatalf("Gaussian %d's colour %v left [0, 1]", id, c)
@@ -148,7 +151,6 @@ func TestMappingAllocBudget(t *testing.T) {
 		budget      float64
 	}{{true, 0}, {false, 4}} {
 		cfg := smallCfg()
-		cfg.Workers = 1 // more workers spawn a goroutine per shard
 		m := newMapper(cfg)
 		m.ScalarsOnly = tc.scalarsOnly
 		m.Densify(f0, seq.Intr, f0.GTPose)

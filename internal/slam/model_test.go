@@ -14,7 +14,6 @@ func benchConfig(ags bool) Config {
 	cfg := DefaultConfig(64, 48)
 	cfg.TrackIters, cfg.IterT = 24, 5
 	cfg.Mapper.MapIters, cfg.Mapper.DensifyStride = 8, 2
-	cfg.Workers = 1
 	cfg.EnableMAT, cfg.EnableGCM = ags, ags
 	return cfg
 }

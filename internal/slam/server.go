@@ -27,7 +27,7 @@ type ServerConfig struct {
 // previous frame's mapping beside it) and none between pushes, so N
 // concurrent streams peak at 2N resident contexts while idle streams pin
 // none, and outputs stay digest-identical to single-session runs at every
-// worker count and session interleaving (the pipeline shares no mutable
+// GOMAXPROCS and session interleaving (the pipeline shares no mutable
 // state across sessions besides the pool, and pooled contexts carry nothing
 // that affects outputs).
 //
@@ -90,9 +90,8 @@ func (sv *Server) Close() error {
 // A session is a serving venue: it keeps no per-frame history, only the
 // running digest each frame is folded into, so what it holds, snapshots and
 // returns from Close is the map, the key-frame window and a few hundred bytes
-// however long the stream, and it renders with one worker whatever
-// cfg.Workers says. Its Result.Digest and ATE equal every other venue's; for a
-// Result to feed the cycle-level hardware models, use Run.
+// however long the stream. Its Result.Digest and ATE equal every other
+// venue's; for a Result to feed the cycle-level hardware models, use Run.
 //
 // The intrinsics may come from a remote OPEN, so a camera with no pixels or no
 // focal length is refused here and never sized a render context from.
@@ -152,7 +151,7 @@ func (sv *Server) sessionClosed() {
 // experiments. On a Push failure the session is closed and the push error
 // returned. Run is an offline venue: unlike an Open session, its Result's
 // trace carries the detail the hardware models replay, on every task with
-// Iters > 0, and it renders with cfg.Workers.
+// Iters > 0.
 func (sv *Server) Run(cfg Config, seq *scene.Sequence) (*Result, error) {
 	sess, err := sv.start(seq.Name, newSystem(cfg, seq.Intr, sv.pool, offline))
 	if err != nil {
@@ -182,9 +181,8 @@ func (sv *Server) Run(cfg Config, seq *scene.Sequence) (*Result, error) {
 // become the session's error; a panic's error carries the panicking
 // goroutine's stack. The call that hit it returns it, from then on Push,
 // AppendSnapshot and Close report it, and the server's other sessions never
-// notice. A panic in a tile that another participant of a splat pass took
-// (the producer helping the session's tail, or a shard goroutine of a
-// Server.Run render with Config.Workers > 1) is recovered there and raised
+// notice. A panic in a tile that the other participant of a splat pass took
+// (the producer helping the session's tail) is recovered there and raised
 // again by the pass's caller, so it takes the same path.
 type Session struct {
 	name string

@@ -97,25 +97,6 @@ func TestSessionMatchesDirectSystem(t *testing.T) {
 	})
 }
 
-// TestRenderWorkersDeterminismFullParallel is the system-level regression
-// test for the deterministic sharding contract: the render worker count (3
-// vs 7 here) must not leak into poses, decisions, or the trace.
-func TestRenderWorkersDeterminismFullParallel(t *testing.T) {
-	seq := testSeq(t, "Desk", 8)
-	cfg := fastAGS(tw, th)
-	cfg.Workers = 3
-	three, err := Run(cfg, seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Workers = 7
-	seven, err := Run(cfg, seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameRun(t, three, seven)
-}
-
 // TestConcurrentSessionsMatchSequential is the cross-session determinism
 // regression: N live sessions interleaving on one server — with a context
 // pool deliberately smaller than the session count, so contexts recycle

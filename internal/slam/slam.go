@@ -13,25 +13,27 @@
 // the single-stream engine underneath, and Run is a thin wrapper that streams
 // a whole scene.Sequence through one session on DefaultServer. Concurrent
 // sessions produce Results digest-identical to sequential runs at every
-// worker count and interleaving (Result.Digest asserts it cheaply).
+// GOMAXPROCS and interleaving (Result.Digest asserts it cheaply).
 //
 // Venues: where a system runs is decided once, when it is built, and never by
-// an option. It decides two things. The first is the per-frame history. Every
-// venue folds each frame's record (poses, decisions and trace scalars: op
-// totals, map size) into a hash chain and ATE moments when its mapping tail
-// joins; an offline venue also keeps the records, with, for the cycle-level
-// hardware models, the representative iteration's per-pixel planes, once for
-// tracking and once for mapping, and the mapping task's tile lists
+// an option. It decides one thing: the per-frame history. Every venue folds
+// each frame's record (poses, decisions and trace scalars: op totals, map
+// size) into a hash chain and ATE moments when its mapping tail joins; an
+// offline venue also keeps the records, with, for the cycle-level hardware
+// models, the representative iteration's per-pixel planes, once for tracking
+// and once for mapping, and the mapping task's tile lists
 // (trace.RenderStats, each a trace.Packed: 11.4 KiB a frame on the
-// benchmark's 64x48 Desk stream). The second is render parallelism.
+// benchmark's 64x48 Desk stream). Every venue renders alike: each splat pass
+// runs on its caller, and a mapping tail's passes also on the producer that
+// helps it (see Concurrency).
 //
 //   - New, Restore, Run and Server.Run are the offline venues. Their Results
 //     feed hw/platform through internal/bench and ags-slam, so they keep every
 //     frame's record with the detail of every task that ran an iteration
 //     (Restore from its first new frame on: a snapshot carries the history
-//     as its digest), and they render with Config.Workers splat workers. A
-//     frame's detail is recorded once and never rewritten: its tile lists
-//     name Gaussians of the map it rendered, whatever a later prune renumbers.
+//     as its digest). A frame's detail is recorded once and never
+//     rewritten: its tile lists name Gaussians of the map it rendered,
+//     whatever a later prune renumbers.
 //   - Server.Open and Server.RestoreSession are the serving venues, the only
 //     ones a fleet node uses. Nothing on the serving path reads the per-frame
 //     history, so they keep none and the tracker and mapper build no detail.
@@ -41,13 +43,10 @@
 //     A checkpoint or a migration is less still: the snapshot names the
 //     window's frames by their stream positions and leaves out the bodies
 //     its requester says it holds (see the frame table in snapshot.go),
-//     which for a fleet router is all of them. A serving system renders with one worker whatever
-//     Config.Workers says: a host's parallelism is its sessions, and a
-//     one-worker render starts no shard goroutine; its passes are shared
-//     only with the producer, which helps its tail, and a tile's panic
-//     surfaces on the pass's caller, so everything a session runs reaches
-//     its one recover (see Session). Config keeps the value the stream
-//     sent, so a snapshot's bytes do not depend on the venue.
+//     which for a fleet router is all of them. A host's parallelism is its
+//     sessions: a session's passes are shared only with its producer, which
+//     helps its tail, and a tile's panic surfaces on the pass's caller, so
+//     everything a session runs reaches its one recover (see Session).
 //
 // Every venue draws two render contexts from its server's pool for the length
 // of a ProcessFrame (one to track the frame through, one for the previous
@@ -93,9 +92,8 @@
 //
 // CODEC motion estimation therefore runs in the front, once per comparison,
 // and no option selects where or how it runs. The splat renderer's passes are
-// deterministic whoever takes their tiles, so neither the render worker count
-// nor the producer's help ever changes results — full-parallel runs are exact
-// A/B comparable.
+// deterministic whoever takes their tiles, so the producer's help never
+// changes results — full-parallel runs are exact A/B comparable.
 package slam
 
 import (
@@ -154,12 +152,6 @@ type Config struct {
 	// old→new remap (see mapper.Prune). Retained traces stay as recorded:
 	// each frame's tile lists name IDs of the map that frame rendered.
 	PruneEvery int
-	// Workers bounds splat render/backward parallelism in the offline venues
-	// (0 = all cores); a serving venue renders with one worker whatever it
-	// says (see the package doc). A splat pass's output does not depend on
-	// who took which tile, so every value produces bit-identical
-	// trajectories, maps and traces (see package splat).
-	Workers int
 	// EvalFPRate runs an extra contribution-logged render on every non-key
 	// frame to measure the false-positive rate of the skip prediction.
 	EvalFPRate bool
@@ -172,6 +164,11 @@ type Config struct {
 	// remains only because benchmarks/workloads.go assigns it, and goes with
 	// that assignment.
 	CodecWorkers int
+	// Deprecated: ignored, and carried by no snapshot or OPEN message: a
+	// splat pass's participants are its caller and the producer that helps
+	// its tail (see the package doc). It remains only because
+	// benchmarks/workloads.go assigns it, and goes with that assignment.
+	Workers int
 }
 
 // DefaultConfig returns the paper's hyper-parameters scaled to this
@@ -276,9 +273,6 @@ type System struct {
 	// refiner's and the mapper's Ctx, each nil between frames). Standalone
 	// systems draw from DefaultServer's pool; sessions share their server's.
 	pool *splat.ContextPool
-	// workers is the splat worker count the refiner, the mapper and
-	// measureFPRate render with: Cfg.Workers offline, 1 when serving.
-	workers int
 	// crew is how the producer takes tiles of its tail's passes while it
 	// waits in join: attached to the mapping context a started tail renders
 	// through, and detached before that context goes back to the pool.
@@ -311,9 +305,8 @@ type System struct {
 }
 
 // venue says where a system runs (see the package doc): offline systems keep
-// the per-frame history with its trace detail and render with
-// Config.Workers, serving ones keep the running digest only and render with
-// one worker.
+// the per-frame history with its trace detail, serving ones keep the running
+// digest only.
 type venue bool
 
 const (
@@ -330,21 +323,13 @@ func New(cfg Config, intr camera.Intrinsics) *System {
 }
 
 // newSystem builds a system for venue v over the given context pool. The
-// tracker and mapper are told here, once, whether to build trace detail and
-// how many workers to render with, and the system whether to keep the
-// per-frame history.
+// tracker and mapper are told here, once, whether to build trace detail, and
+// the system whether to keep the per-frame history.
 func newSystem(cfg Config, intr camera.Intrinsics, pool *splat.ContextPool, v venue) *System {
-	workers := cfg.Workers
-	if v == serving {
-		workers = 1
-	}
-	mcfg := cfg.Mapper
-	mcfg.Workers = workers
 	refiner := tracker.NewGSRefiner()
 	refiner.LR = cfg.TrackLR
-	refiner.Workers = workers
 	refiner.ScalarsOnly = v == serving
-	m := mapper.New(mcfg)
+	m := mapper.New(cfg.Mapper)
 	m.ScalarsOnly = v == serving
 	return &System{
 		Cfg:      cfg,
@@ -354,7 +339,6 @@ func newSystem(cfg Config, intr camera.Intrinsics, pool *splat.ContextPool, v ve
 		aligner:  tracker.NewCoarseAligner(),
 		detector: covis.NewDetector(),
 		pool:     pool,
-		workers:  workers,
 		crew:     splat.NewCrew(),
 		prevRel:  vecmath.PoseIdentity(),
 		history:  v == offline,
@@ -804,7 +788,7 @@ func (s *System) setKeyFrame(f *frame.Frame, pose vecmath.Pose) {
 // non-contributory set at this frame (one extra logged render; §6.2).
 func (s *System) measureFPRate(pose vecmath.Pose) float64 {
 	cam := camera.Camera{Intr: s.Intr, Pose: pose}
-	res := s.mapper.Ctx.Render(s.mapper.Cloud(), cam, splat.Options{LogContribution: true, Workers: s.workers})
+	res := s.mapper.Ctx.Render(s.mapper.Cloud(), cam, splat.Options{LogContribution: true})
 	truth, _ := s.mapper.Cfg.NonContributory(res)
 	return metrics.FalsePositiveRate(s.mapper.PredictedNonContrib(), truth)
 }

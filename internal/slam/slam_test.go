@@ -14,7 +14,6 @@ func fastCfg(w, h int) Config {
 	cfg.IterT = 4
 	cfg.Mapper.MapIters = 6
 	cfg.Mapper.DensifyStride = 2
-	cfg.Workers = 4
 	return cfg
 }
 

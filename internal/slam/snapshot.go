@@ -80,7 +80,10 @@ const (
 	// place of every frame's poses, FrameInfo and trace scalars, and the
 	// pending tail as one record (pose, ground truth, FrameInfo, partial
 	// trace): a snapshot grows with the map, not with the stream's age.
-	SnapshotVersion = 10
+	// Version 11 drops the configuration's render worker count, which
+	// nothing reads since a splat pass's participants are its caller and
+	// the producer's help.
+	SnapshotVersion = 11
 
 	snapshotHeader = len(snapshotMagic) + 4 // magic, version
 )
@@ -502,7 +505,6 @@ func encodeConfig(e *binfmt.Enc, c *Config) {
 	e.F64(c.TrackLR)
 	e.I64(int64(c.KeyframeEvery))
 	e.I64(int64(c.PruneEvery))
-	e.I64(int64(c.Workers))
 	e.Bool(c.EvalFPRate)
 }
 
@@ -518,7 +520,6 @@ func decodeConfig(d *binfmt.Dec, c *Config) {
 	c.TrackLR = d.F64()
 	c.KeyframeEvery = int(d.I64())
 	c.PruneEvery = int(d.I64())
-	c.Workers = int(d.I64())
 	c.EvalFPRate = d.Bool()
 }
 

@@ -172,8 +172,8 @@ func TestSnapshotRoundTripSystem(t *testing.T) {
 // frame's mapping tail pending, so one taken after any frame k (k = 1 holds
 // the bootstrap tail) restores into a system with that tail pending, in the
 // offline and the serving venue, and pushing the rest of the stream reaches
-// the uninterrupted digest. A version 9 snapshot, which held the per-frame
-// history, is refused by its version word.
+// the uninterrupted digest. A version 10 snapshot, whose configuration held
+// a render worker count, is refused by its version word.
 func TestSnapshotPendingTailRestores(t *testing.T) {
 	const frames = 5
 	// Half the tests' usual frame side: the test runs twenty restores, five
@@ -247,10 +247,10 @@ func TestSnapshotPendingTailRestores(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	v9 := snapshotBytes(t)
-	binary.LittleEndian.PutUint32(v9[len(snapshotMagic):], 9)
-	if _, err := Restore(bytes.NewReader(v9)); err == nil || !strings.Contains(err.Error(), "snapshot version 9, this build reads 10") {
-		t.Errorf("a version 9 snapshot: %v, want it refused by its version", err)
+	v10 := snapshotBytes(t)
+	binary.LittleEndian.PutUint32(v10[len(snapshotMagic):], 10)
+	if _, err := Restore(bytes.NewReader(v10)); err == nil || !strings.Contains(err.Error(), "snapshot version 10, this build reads 11") {
+		t.Errorf("a version 10 snapshot: %v, want it refused by its version", err)
 	}
 }
 

@@ -136,7 +136,6 @@ func TestScheduleRefinesBeforePreviousTail(t *testing.T) {
 				}
 				ref := tracker.NewGSRefiner()
 				ref.LR = tc.cfg.TrackLR
-				ref.Workers = 1
 				ref.ScalarsOnly = true
 				ref.Ctx = splat.NewRenderContext()
 				var want vecmath.Pose
@@ -363,33 +362,29 @@ func TestTailOneProcessor(t *testing.T) {
 // TestTailHelpedByProducer: the producer takes tiles of its tail's render and
 // backward passes, and chunks of its chunked passes (projection, cull
 // geometry, per-splat factors, Adam steps), while it waits in join, and the
-// run is still the serial schedule's, at one render worker (a serving
-// venue's) and at every core.
-// Mapping is made the longer side by far, so the producer is through
+// run is still the serial schedule's, whose passes run on their callers
+// alone. Mapping is made the longer side by far, so the producer is through
 // tracking while the tail still has passes to run.
 func TestTailHelpedByProducer(t *testing.T) {
 	seq := testSeq(t, "Desk", 5)
-	for _, workers := range []int{1, 0} {
-		cfg := fastCfg(tw, th)
-		cfg.Workers = workers
-		cfg.TrackIters = 2
-		cfg.Mapper.MapIters = 20
-		_, want := serialReference(t, cfg, seq, nil)
-		sys := New(cfg, seq.Intr)
-		for _, f := range seq.Frames {
-			if err := sys.ProcessFrame(f); err != nil {
-				t.Fatal(err)
-			}
+	cfg := fastCfg(tw, th)
+	cfg.TrackIters = 2
+	cfg.Mapper.MapIters = 20
+	_, want := serialReference(t, cfg, seq, nil)
+	sys := New(cfg, seq.Intr)
+	for _, f := range seq.Frames {
+		if err := sys.ProcessFrame(f); err != nil {
+			t.Fatal(err)
 		}
-		if sys.Finish(seq.Name).Digest() != want.Digest() {
-			t.Errorf("workers %d: the helped run's digest differs from the serial schedule's", workers)
-		}
-		if sys.crew.Tiles() == 0 && runtime.GOMAXPROCS(0) > 1 {
-			t.Errorf("workers %d: the producer took no tile of its tails' passes", workers)
-		}
-		if sys.crew.Chunks() == 0 && runtime.GOMAXPROCS(0) > 1 {
-			t.Errorf("workers %d: the producer took no chunk of its tails' passes", workers)
-		}
+	}
+	if sys.Finish(seq.Name).Digest() != want.Digest() {
+		t.Error("the helped run's digest differs from the serial schedule's")
+	}
+	if sys.crew.Tiles() == 0 && runtime.GOMAXPROCS(0) > 1 {
+		t.Error("the producer took no tile of its tails' passes")
+	}
+	if sys.crew.Chunks() == 0 && runtime.GOMAXPROCS(0) > 1 {
+		t.Error("the producer took no chunk of its tails' passes")
 	}
 }
 
@@ -494,7 +489,6 @@ func TestTailPanicSurfacesAtJoin(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			seq := testSeq(t, "Desk", 10)
 			cfg := fastCfg(tw, th)
-			cfg.Workers = 1       // no shard goroutines: the kernels run on the tail's goroutine and the producer's
 			cfg.KeyframeEvery = 1 // every frame joins the mapping window
 			cfg.ThreshM = 2       // and becomes the anchor, so no front reads an older one
 			sys := New(cfg, seq.Intr)
@@ -556,7 +550,6 @@ func TestTailPanicSurfacesAtJoin(t *testing.T) {
 // on its sequential digest, and both leave the server.
 func TestTailPanicFailsOneSession(t *testing.T) {
 	cfg := fastCfg(tw, th)
-	cfg.Workers = 1       // no shard goroutines: the kernels run on the tail's goroutine and the producer's
 	cfg.KeyframeEvery = 1 // every frame joins the mapping window
 	cfg.ThreshM = 2       // and becomes the anchor, so no front reads an older one
 	healthySeq, poisonSeq := testSeq(t, "Desk", 10), testSeq(t, "Desk", 10)

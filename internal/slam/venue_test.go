@@ -418,65 +418,3 @@ func TestSessionSoakStaysBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestVenueDecidesRenderWorkers: the venue, not the stream, decides how many
-// splat workers a system renders with. A session from Open, whatever Workers
-// the stream asks for (0 is every core), and one from RestoreSession, whatever
-// the snapshot's configuration says, render with one, which starts no shard
-// goroutine outside the session's recover. New and Restore render with the
-// configuration's value, and so does Server.Run, which builds its system with
-// the same offline venue bit (TestVenueMatrix's "Server.Run" row sees its
-// detail). Every venue keeps Cfg as it was given.
-func TestVenueDecidesRenderWorkers(t *testing.T) {
-	seq := testSeq(t, "Desk", 3)
-	cfg := fastAGS(tw, th)
-	cfg.Workers = 4
-	srv := NewServer(ServerConfig{})
-	check := func(venue string, sys *System, cfgWorkers, want int) {
-		t.Helper()
-		if sys.Cfg.Workers != cfgWorkers {
-			t.Errorf("%s: Cfg.Workers = %d, want the %d it was given", venue, sys.Cfg.Workers, cfgWorkers)
-		}
-		if got := [3]int{sys.workers, sys.refiner.Workers, sys.mapper.Cfg.Workers}; got != [3]int{want, want, want} {
-			t.Errorf("%s with Workers %d: the system, refiner and mapper render with %v workers, want %d", venue, cfgWorkers, got, want)
-		}
-	}
-
-	for _, w := range []int{0, 4} {
-		c := cfg
-		c.Workers = w
-		sess, err := srv.Open(seq.Name, c, seq.Intr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("Open", sess.sys, w, 1)
-		pushAll(t, sess, seq.Frames)
-	}
-
-	sys := New(cfg, seq.Intr)
-	check("New", sys, 4, 4)
-	for _, f := range seq.Frames {
-		if err := sys.ProcessFrame(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap := sys.AppendSnapshot(nil, nil)
-	sys.Close()
-	restored, err := Restore(bytes.NewReader(snap))
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("Restore", restored, 4, 4)
-	restored.Close()
-	rs, _, err := srv.RestoreSession(seq.Name, snap, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("RestoreSession", rs.sys, 4, 1)
-	if _, err := rs.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-}

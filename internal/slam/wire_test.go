@@ -16,7 +16,7 @@ import (
 	"ags/internal/scene"
 )
 
-// TestGoldenSnapshot pins SnapshotVersion 10 by length and SHA-256: the
+// TestGoldenSnapshot pins SnapshotVersion 11 by length and SHA-256: the
 // AGSSNAP of a fixed-seed AGS run with pruning on, six frames in, once as
 // Snapshot writes it (every frame body inline) and once as a fleet checkpoint
 // is taken (by a requester that holds every frame pushed, so the frame table
@@ -27,7 +27,9 @@ import (
 // math.Exp for an exponential of its own, a few ulp from it: the floats the
 // snapshot carries moved, no format byte did. There is no regeneration switch — a moved format byte takes a
 // SnapshotVersion bump and new files (version 1's were snapshot.sum.golden,
-// version 2's *.v2.sum.golden, and so on to version 9's *.v9.sum.golden). The
+// version 2's *.v2.sum.golden, and so on to version 10's *.v10.sum.golden;
+// version 11's differ from version 10's in the configuration's dropped
+// render worker count, the version word and the checksum only). The
 // run is an offline one, which keeps trace detail in memory; neither snapshot
 // carries it. The run's floats depend on whether the compiler fuses
 // multiply-adds, so the lines hold for amd64 only.
@@ -51,8 +53,8 @@ func TestGoldenSnapshot(t *testing.T) {
 		file string
 		snap []byte
 	}{
-		{"snapshot.v10.sum.golden", buf.Bytes()},
-		{"snapshot-lean.v10.sum.golden", sys.AppendSnapshot(nil, []int{0, 1, 2, 3, 4, 5})},
+		{"snapshot.v11.sum.golden", buf.Bytes()},
+		{"snapshot-lean.v11.sum.golden", sys.AppendSnapshot(nil, []int{0, 1, 2, 3, 4, 5})},
 	} {
 		want, err := os.ReadFile(filepath.Join("testdata", g.file))
 		if err != nil {
@@ -66,12 +68,14 @@ func TestGoldenSnapshot(t *testing.T) {
 
 // The restore seed is a whole small restore, in bytes: a lean snapshot of a
 // 16x12 AGS run three frames in, its third frame's tail pending
-// (restore.v10.golden), and the frames it leaves out, as a count and then
+// (restore.v11.golden), and the frames it leaves out, as a count and then
 // position and length-prefixed AppendFrame bytes each
-// (restore-frames.v10.golden, the shape fleet's RESTORE gives the list; the
-// same bytes as version 9's list). The snapshot was re-recorded in place
-// when the renderer's falloff stopped calling math.Exp for an exponential of
-// its own, which moved its floats and left the list as it was. They pin the
+// (restore-frames.v11.golden, the shape fleet's RESTORE gives the list; the
+// same bytes as version 9's and 10's lists). Version 10's snapshot was
+// re-recorded in place when the renderer's falloff stopped calling math.Exp
+// for an exponential of its own, which moved its floats and left the list as
+// it was; version 11's differs from it in the configuration's dropped render
+// worker count, the version word and the checksum only. They pin the
 // decoder on every platform
 // (the bytes restore and the stream goes on), the encoder on amd64, and they
 // seed FuzzRestoreSession.
@@ -80,7 +84,6 @@ const seedW, seedH, seedFrames = 16, 12, 3
 func seedConfig() Config {
 	cfg := fastAGS(seedW, seedH)
 	cfg.TrackIters, cfg.IterT, cfg.Mapper.MapIters = 3, 2, 2
-	cfg.Workers = 1
 	return cfg
 }
 
@@ -91,11 +94,11 @@ func seedSeq() *scene.Sequence {
 
 func readSeed(t testing.TB) (snap, list []byte) {
 	t.Helper()
-	snap, err := os.ReadFile(filepath.Join("testdata", "restore.v10.golden"))
+	snap, err := os.ReadFile(filepath.Join("testdata", "restore.v11.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	list, err = os.ReadFile(filepath.Join("testdata", "restore-frames.v10.golden"))
+	list, err = os.ReadFile(filepath.Join("testdata", "restore-frames.v11.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,18 +52,6 @@ func resized[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// extended returns s resized to n keeping every element it ever held (those
-// past its length too): for the participants' scratch slots, whose buffers
-// must survive a pass that had fewer participants.
-//
-//ags:hotpath
-func extended[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return append(s[:cap(s)], make([]T, n-cap(s))...)
-	}
-	return s[:n]
-}
-
 // prepare zeroes the arena for nt tiles and entries total Gaussian-table
 // slots (gradient slots only when gaussian is set), reusing capacity.
 func (a *backwardArena) prepare(nt, entries int, gaussian bool) {

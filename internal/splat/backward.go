@@ -51,7 +51,9 @@ type Grads struct {
 type BackwardOptions struct {
 	GaussianGrads bool // color/opacity/mean/scale (mapping)
 	PoseGrads     bool // camera twist (tracking)
-	Workers       int  // as Options.Workers
+	// Deprecated: ignored, as Options.Workers. It remains only because
+	// benchmarks/layers.go assigns it, and goes with that assignment.
+	Workers int
 }
 
 // blendStep is one blending step of the pixel being back-propagated, rebuilt
@@ -137,11 +139,11 @@ func (ctx *RenderContext) Backward(cloud *gauss.Cloud, cam camera.Camera, res *R
 		// chunked pass over the splats.
 		ar.sigGrad = resized(ar.sigGrad, len(res.Splats))
 		ar.scale2 = resized(ar.scale2, len(res.Splats))
-		ctx.runChunks(kindHoist, len(res.Splats), opts.Workers)
+		ctx.runChunks(kindHoist, len(res.Splats))
 	}
 
 	ctx.pass.kind = kindBackward
-	ctx.runPass(nt, opts.Workers)
+	ctx.runPass(nt)
 	ctx.pass.bw = backwardPass{} // a context keeps no caller's Result or frame alive
 
 	mergeTiles(grads, ar, res, opts.GaussianGrads)

@@ -25,8 +25,8 @@ func signOf(x float64) float64 {
 // lossOf renders the cloud and evaluates the loss against target without
 // computing any gradients.
 func lossOf(cloud *gauss.Cloud, cam camera.Camera, target *frame.Frame, lc LossConfig) float64 {
-	res := Render(cloud, cam, Options{Workers: 1})
-	g := Backward(cloud, cam, res, target, lc, BackwardOptions{Workers: 1})
+	res := Render(cloud, cam, Options{})
+	g := Backward(cloud, cam, res, target, lc, BackwardOptions{})
 	return g.Loss
 }
 
@@ -55,7 +55,7 @@ func testScene(t *testing.T) (*gauss.Cloud, camera.Camera, *frame.Frame) {
 		return cloud
 	}
 	gtCloud := build(1)
-	gtRes := Render(gtCloud, cam, Options{Workers: 1})
+	gtRes := Render(gtCloud, cam, Options{})
 	target := &frame.Frame{Color: gtRes.Color, Depth: gtRes.NormalizedDepth()}
 	return build(0), cam, target
 }
@@ -63,8 +63,8 @@ func testScene(t *testing.T) (*gauss.Cloud, camera.Camera, *frame.Frame) {
 func TestBackwardColorGradientNumeric(t *testing.T) {
 	cloud, cam, target := testScene(t)
 	lc := DefaultMappingLoss()
-	res := Render(cloud, cam, Options{Workers: 1})
-	grads := Backward(cloud, cam, res, target, lc, BackwardOptions{GaussianGrads: true, Workers: 1})
+	res := Render(cloud, cam, Options{})
+	grads := Backward(cloud, cam, res, target, lc, BackwardOptions{GaussianGrads: true})
 	const h = 1e-5
 	for id := 0; id < cloud.Len(); id++ {
 		orig := cloud.At(id).Color.X
@@ -84,8 +84,8 @@ func TestBackwardColorGradientNumeric(t *testing.T) {
 func TestBackwardLogitGradientNumeric(t *testing.T) {
 	cloud, cam, target := testScene(t)
 	lc := DefaultMappingLoss()
-	res := Render(cloud, cam, Options{Workers: 1})
-	grads := Backward(cloud, cam, res, target, lc, BackwardOptions{GaussianGrads: true, Workers: 1})
+	res := Render(cloud, cam, Options{})
+	grads := Backward(cloud, cam, res, target, lc, BackwardOptions{GaussianGrads: true})
 	const h = 1e-5
 	for id := 0; id < cloud.Len(); id++ {
 		orig := cloud.At(id).Logit
@@ -106,8 +106,8 @@ func TestBackwardLogitGradientNumeric(t *testing.T) {
 func TestBackwardMeanGradientDirection(t *testing.T) {
 	cloud, cam, target := testScene(t)
 	lc := DefaultMappingLoss()
-	res := Render(cloud, cam, Options{Workers: 1})
-	grads := Backward(cloud, cam, res, target, lc, BackwardOptions{GaussianGrads: true, Workers: 1})
+	res := Render(cloud, cam, Options{})
+	grads := Backward(cloud, cam, res, target, lc, BackwardOptions{GaussianGrads: true})
 	const h = 1e-4
 	var dotSum, numNorm, anaNorm float64
 	for id := 0; id < cloud.Len(); id++ {
@@ -154,8 +154,8 @@ func TestBackwardMeanGradientDirection(t *testing.T) {
 func TestBackwardPoseGradientDirection(t *testing.T) {
 	cloud, cam, target := testScene(t)
 	lc := DefaultMappingLoss()
-	res := Render(cloud, cam, Options{Workers: 1})
-	grads := Backward(cloud, cam, res, target, lc, BackwardOptions{PoseGrads: true, Workers: 1})
+	res := Render(cloud, cam, Options{})
+	grads := Backward(cloud, cam, res, target, lc, BackwardOptions{PoseGrads: true})
 	const h = 1e-5
 	num := make([]float64, 6)
 	for axis := 0; axis < 6; axis++ {
@@ -201,7 +201,7 @@ func TestBackwardScaleGradientDescends(t *testing.T) {
 	cam := testCam(32, 24)
 	gt := gauss.NewCloud(1)
 	gt.Add(centeredGaussian(2, 0.25, 0.9, vecmath.Vec3{X: 0.7, Y: 0.4, Z: 0.2}))
-	gtRes := Render(gt, cam, Options{Workers: 1})
+	gtRes := Render(gt, cam, Options{})
 	target := &frame.Frame{Color: gtRes.Color, Depth: gtRes.NormalizedDepth()}
 
 	cloud := gauss.NewCloud(1)
@@ -209,8 +209,8 @@ func TestBackwardScaleGradientDescends(t *testing.T) {
 	lc := DefaultMappingLoss()
 	before := lossOf(cloud, cam, target, lc)
 	for iter := 0; iter < 60; iter++ {
-		res := Render(cloud, cam, Options{Workers: 1})
-		grads := Backward(cloud, cam, res, target, lc, BackwardOptions{GaussianGrads: true, Workers: 1})
+		res := Render(cloud, cam, Options{})
+		grads := Backward(cloud, cam, res, target, lc, BackwardOptions{GaussianGrads: true})
 		g := cloud.At(0)
 		// Sign-based descent on the single parameter: robust to the L1
 		// loss's gradient-magnitude discontinuities.
@@ -242,10 +242,10 @@ func TestBackwardScaleFactorIsMeanOfThreeSquares(t *testing.T) {
 			cloud.Add(g)
 		}
 	}
-	tgt := Render(randomCloud(rng, 12), cam, Options{Workers: 1})
+	tgt := Render(randomCloud(rng, 12), cam, Options{})
 	target := &frame.Frame{Color: tgt.Color, Depth: tgt.NormalizedDepth()}
-	lc, bo := DefaultMappingLoss(), BackwardOptions{GaussianGrads: true, Workers: 1}
-	res := Render(cloud, cam, Options{Workers: 1})
+	lc, bo := DefaultMappingLoss(), BackwardOptions{GaussianGrads: true}
+	res := Render(cloud, cam, Options{})
 	got := Backward(cloud, cam, res, target, lc, bo).LogScale
 	want := refBackward(cloud, cam, res, target, lc, bo, false).LogScale
 	trained := 0
@@ -264,9 +264,9 @@ func TestBackwardScaleFactorIsMeanOfThreeSquares(t *testing.T) {
 
 func TestBackwardSilhouetteMask(t *testing.T) {
 	cloud, cam, target := testScene(t)
-	res := Render(cloud, cam, Options{Workers: 1})
-	masked := Backward(cloud, cam, res, target, DefaultTrackingLoss(), BackwardOptions{Workers: 1})
-	unmasked := Backward(cloud, cam, res, target, DefaultMappingLoss(), BackwardOptions{Workers: 1})
+	res := Render(cloud, cam, Options{})
+	masked := Backward(cloud, cam, res, target, DefaultTrackingLoss(), BackwardOptions{})
+	unmasked := Backward(cloud, cam, res, target, DefaultMappingLoss(), BackwardOptions{})
 	if masked.Pixels >= unmasked.Pixels {
 		t.Errorf("mask did not reduce pixels: %d vs %d", masked.Pixels, unmasked.Pixels)
 	}
@@ -275,14 +275,19 @@ func TestBackwardSilhouetteMask(t *testing.T) {
 	}
 }
 
+// TestBackwardDeterministicAcrossWorkers: a backward pass that a helper
+// joins gives the one-shot pass's loss and gradients.
 func TestBackwardDeterministicAcrossWorkers(t *testing.T) {
 	cloud, cam, target := testScene(t)
 	lc := DefaultMappingLoss()
-	res := Render(cloud, cam, Options{Workers: 1})
-	g1 := Backward(cloud, cam, res, target, lc, BackwardOptions{GaussianGrads: true, PoseGrads: true, Workers: 1})
-	g8 := Backward(cloud, cam, res, target, lc, BackwardOptions{GaussianGrads: true, PoseGrads: true, Workers: 8})
+	res := Render(cloud, cam, Options{})
+	bopts := BackwardOptions{GaussianGrads: true, PoseGrads: true}
+	g1 := Backward(cloud, cam, res, target, lc, bopts)
+	ctx := NewRenderContext()
+	defer spinHelper(ctx)()
+	g8 := ctx.Backward(cloud, cam, res, target, lc, bopts)
 	if math.Abs(g1.Loss-g8.Loss) > 1e-12 {
-		t.Errorf("loss differs across workers: %v vs %v", g1.Loss, g8.Loss)
+		t.Errorf("loss differs with a helper: %v vs %v", g1.Loss, g8.Loss)
 	}
 	for id := range g1.Color {
 		if g1.Color[id].Sub(g8.Color[id]).Norm() > 1e-9 {
@@ -290,7 +295,7 @@ func TestBackwardDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 	if g1.Pose.V.Sub(g8.Pose.V).Norm() > 1e-9 {
-		t.Error("pose grad differs across workers")
+		t.Error("pose grad differs with a helper")
 	}
 }
 
@@ -323,7 +328,7 @@ func TestTrackingConvergesOnSmallOffset(t *testing.T) {
 		g.SetOpacity(0.95)
 		cloud.Add(g)
 	}
-	gtRes := Render(cloud, cam, Options{Workers: 1})
+	gtRes := Render(cloud, cam, Options{})
 	target := &frame.Frame{Color: gtRes.Color, Depth: gtRes.NormalizedDepth()}
 
 	est := cam
@@ -334,8 +339,8 @@ func TestTrackingConvergesOnSmallOffset(t *testing.T) {
 	adam := optim.NewAdam(2e-3)
 	params := make([]float64, 6)
 	for iter := 0; iter < 150; iter++ {
-		res := Render(cloud, est, Options{Workers: 1})
-		grads := Backward(cloud, est, res, target, lc, BackwardOptions{PoseGrads: true, Workers: 1})
+		res := Render(cloud, est, Options{})
+		grads := Backward(cloud, est, res, target, lc, BackwardOptions{PoseGrads: true})
 		g := []float64{grads.Pose.V.X, grads.Pose.V.Y, grads.Pose.V.Z, grads.Pose.W.X, grads.Pose.W.Y, grads.Pose.W.Z}
 		prev := make([]float64, 6)
 		copy(prev, params)

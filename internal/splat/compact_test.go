@@ -26,8 +26,8 @@ func TestRenderInvariantUnderCompaction(t *testing.T) {
 		if _, n := removed.Remove(func(*gauss.Gaussian) bool { id++; return skip[id-1] }); n == 0 {
 			continue // nothing skipped; nothing to compare
 		}
-		sparse := Render(cloud, cam, Options{Skip: skip, Workers: 2})
-		dense := Render(removed, cam, Options{Workers: 2})
+		sparse := Render(cloud, cam, Options{Skip: skip})
+		dense := Render(removed, cam, Options{})
 		if len(sparse.Color.Pix) != len(dense.Color.Pix) {
 			t.Fatalf("trial %d: pixel count %d vs %d", trial, len(sparse.Color.Pix), len(dense.Color.Pix))
 		}

@@ -23,9 +23,10 @@ import (
 // them.
 //
 // A RenderContext is not safe for concurrent use: one goroutine calls it,
-// and only the crew attached to it (Attach) and its own shard goroutines take
-// tiles and chunks of its passes. Callers without one use the one-shot package
-// functions Render and Backward, which run in a fresh context each.
+// and only the helper of the crew attached to it (Attach) takes tiles and
+// chunks of its passes beside that goroutine. Callers without one use the
+// one-shot package functions Render and Backward, which run in a fresh
+// context each.
 type RenderContext struct {
 	// Forward-pass state.
 	splats     []Splat
@@ -49,10 +50,10 @@ type RenderContext struct {
 	gMean, gColor     []vecmath.Vec3
 	gLogit, gLogScale []float64
 
-	// Pass state: the open pass, one scratch slot per participant, and the
-	// crew whose helper may join.
+	// Pass state: the open pass, one scratch slot per participant (the
+	// caller's and the helper's), and the crew whose helper may join.
 	pass  passState
-	slots []slot
+	slots [2]slot
 	crew  *Crew
 
 	// frozen is the copy of a map Freeze made, rendered in place of a map

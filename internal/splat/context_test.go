@@ -23,8 +23,8 @@ func TestRenderContextAllocationFree(t *testing.T) {
 	cloud, cam := determinismScene()
 	target := determinismTarget(cloud, cam)
 	lc := DefaultMappingLoss()
-	opts := Options{Workers: 1, LogContribution: true}
-	bopts := BackwardOptions{GaussianGrads: true, PoseGrads: true, Workers: 1}
+	opts := Options{LogContribution: true}
+	bopts := BackwardOptions{GaussianGrads: true, PoseGrads: true}
 
 	ctx := NewRenderContext()
 	res := ctx.Render(cloud, cam, opts)
@@ -47,9 +47,9 @@ func TestRenderContextAllocationFree(t *testing.T) {
 	// logged dense render, a Gaussian backward). Passes that leave the
 	// contribution log and the Gaussian gradients out must keep their
 	// storage, or every cycle re-makes six buffers.
-	track := Options{Workers: 1, Sparse: true}
-	trackB := BackwardOptions{PoseGrads: true, Workers: 1}
-	mapB := BackwardOptions{GaussianGrads: true, Workers: 1}
+	track := Options{Sparse: true}
+	trackB := BackwardOptions{PoseGrads: true}
+	mapB := BackwardOptions{GaussianGrads: true}
 	if allocs := testing.AllocsPerRun(20, func() {
 		g := ctx.Backward(cloud, cam, ctx.Render(cloud, cam, track), target, DefaultTrackingLoss(), trackB)
 		if g.Mean != nil || ctx.result.NonContrib != nil {
@@ -123,7 +123,7 @@ func TestRenderContextAllocationFree(t *testing.T) {
 func TestPackDetailAllocBudget(t *testing.T) {
 	cloud, cam := determinismScene()
 	ctx := NewRenderContext()
-	res := ctx.Render(cloud, cam, Options{Workers: 1})
+	res := ctx.Render(cloud, cam, Options{})
 	var s trace.RenderStats
 	for _, tc := range []struct {
 		lists  bool
@@ -161,8 +161,8 @@ func TestRenderContextMixedSizeReuse(t *testing.T) {
 		if i%3 == 1 {
 			cloud = small
 		}
-		opts := Options{Workers: 1 + i%3, LogContribution: i%2 == 0}
-		bopts := BackwardOptions{GaussianGrads: i%2 == 0, PoseGrads: i%2 == 1, Workers: 1 + i%3}
+		opts := Options{LogContribution: i%2 == 0}
+		bopts := BackwardOptions{GaussianGrads: i%2 == 0, PoseGrads: i%2 == 1}
 
 		res := ctx.Render(cloud, cam, opts)
 		gotRes := res.Digest()
@@ -182,30 +182,32 @@ func TestRenderContextMixedSizeReuse(t *testing.T) {
 }
 
 // TestRenderContextDeterminismAcrossWorkerCounts mirrors the one-shot
-// determinism suite for the contexted path: one warm context must reproduce
-// the serial one-shot reference bit for bit at every worker count.
+// determinism suite for the contexted path: a warm context, with and without
+// a helper, must reproduce the one-shot reference bit for bit at every
+// GOMAXPROCS.
 func TestRenderContextDeterminismAcrossWorkerCounts(t *testing.T) {
 	cloud, cam := determinismScene()
 	target := determinismTarget(cloud, cam)
 	lc := DefaultMappingLoss()
-	opts := Options{Workers: 1, LogContribution: true}
+	opts := Options{LogContribution: true}
+	bopts := BackwardOptions{GaussianGrads: true, PoseGrads: true}
 	ref := Render(cloud, cam, opts)
-	refG := Backward(cloud, cam, ref, target, lc, BackwardOptions{GaussianGrads: true, PoseGrads: true, Workers: 1})
+	refG := Backward(cloud, cam, ref, target, lc, bopts)
 	wantRes, wantG := ref.Digest(), refG.Digest()
 
-	ctx := NewRenderContext()
-	for _, wkr := range workerCounts() {
-		t.Run(fmt.Sprintf("workers=%d", wkr), func(t *testing.T) {
-			o := opts
-			o.Workers = wkr
-			res := ctx.Render(cloud, cam, o)
-			if res.Digest() != wantRes {
-				t.Errorf("contexted render digest differs from one-shot Workers=1 reference")
-			}
-			g := ctx.Backward(cloud, cam, res, target, lc,
-				BackwardOptions{GaussianGrads: true, PoseGrads: true, Workers: wkr})
-			if g.Digest() != wantG {
-				t.Errorf("contexted backward digest differs from one-shot Workers=1 reference")
+	ways, stop := twoWays()
+	defer stop()
+	for _, procs := range workerCounts() {
+		t.Run(fmt.Sprintf("workers=%d", procs), func(t *testing.T) {
+			defer withProcs(procs)()
+			for _, w := range ways {
+				res := w.ctx.Render(cloud, cam, opts)
+				if res.Digest() != wantRes {
+					t.Errorf("%s: contexted render digest differs from the one-shot reference", w.name)
+				}
+				if g := w.ctx.Backward(cloud, cam, res, target, lc, bopts); g.Digest() != wantG {
+					t.Errorf("%s: contexted backward digest differs from the one-shot reference", w.name)
+				}
 			}
 		})
 	}
@@ -220,7 +222,7 @@ func TestFreezeCopiesAndStaysWarm(t *testing.T) {
 	cloud, cam := determinismScene()
 	ctx := NewRenderContext()
 	frozen := ctx.Freeze(cloud)
-	want := Render(cloud, cam, Options{Workers: 1}).Digest()
+	want := Render(cloud, cam, Options{}).Digest()
 	for i := range cloud.Gaussians {
 		cloud.Gaussians[i].Logit += 0.5
 	}
@@ -228,7 +230,7 @@ func TestFreezeCopiesAndStaysWarm(t *testing.T) {
 	if frozen.Len() != cloud.Len()-1 {
 		t.Fatalf("the copy holds %d Gaussians, the source held %d", frozen.Len(), cloud.Len()-1)
 	}
-	if got := ctx.Render(frozen, cam, Options{Workers: 1}).Digest(); got != want {
+	if got := ctx.Render(frozen, cam, Options{}).Digest(); got != want {
 		t.Error("the frozen copy renders differently from the map it was taken of")
 	}
 	if allocs := testing.AllocsPerRun(10, func() { ctx.Freeze(frozen) }); allocs != 0 {

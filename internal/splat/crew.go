@@ -2,18 +2,16 @@ package splat
 
 import (
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
 
 // The participants of a pass, by scratch slot: the caller, then the crew's
-// helper, then the shard goroutines of a Workers > 1 pass.
+// helper.
 const (
 	callerSlot = iota
 	helperSlot
-	firstShardSlot
 )
 
 // Crew lets one goroutine besides a pass's caller take tiles and chunks of
@@ -92,7 +90,7 @@ func (c *Crew) help() {
 	if ctx == nil {
 		return
 	}
-	ctx.takeGuarded(helperSlot)
+	ctx.takeGuarded()
 	c.mu.Lock()
 	c.tiles += ctx.slots[helperSlot].tiles
 	c.chunks += ctx.slots[helperSlot].chunks
@@ -163,13 +161,11 @@ type passState struct {
 	// a backward pass and its hoist (bw), and a projection (proj).
 	bw   backwardPass
 	proj projectPass
-	// shards counts the running shard goroutines of a Workers > 1 pass.
-	shards sync.WaitGroup
 	// mu guards the Result's blend log and contribution log, which
-	// participants add whole tile rows and whole tiles to, and fault.
+	// participants add whole tile rows and whole tiles to.
 	mu sync.Mutex
-	// fault is the first panic a participant other than the caller
-	// recovered, which the caller raises again once the pass is through.
+	// fault is the panic the helper recovered, which the caller raises again
+	// once the pass is through.
 	fault *tilePanic
 }
 
@@ -189,24 +185,17 @@ type slot struct {
 }
 
 // runPass runs the context's prepared pass over nt tiles or chunks: it opens
-// the pass to the crew's helper, starts workers-1 shard goroutines (workers
-// <= 0 means GOMAXPROCS, and there are never more participants than tiles
-// or chunks), and takes them itself until the cursor runs out. It returns
-// once every participant has left the pass, and panics with what a
-// participant other than the caller panicked with. A panic of the caller's
-// own tile or chunk ends the pass the same way: nothing is claimed after it,
-// and it returns once the others have left.
+// the pass to the crew's helper, if a crew is attached, and takes them itself
+// until the cursor runs out. It returns once the helper, if it joined, has
+// left the pass, and panics with what the helper panicked with. A panic of
+// the caller's own tile or chunk ends the pass the same way: nothing is
+// claimed after it, and it returns once the helper has left.
 //
 //ags:hotpath
-func (ctx *RenderContext) runPass(nt, workers int) {
+func (ctx *RenderContext) runPass(nt int) {
 	p := &ctx.pass
 	p.nt = int32(nt)
 	p.next.Store(0)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	shards := max(min(workers, nt)-1, 0)
-	ctx.slots = extended(ctx.slots, firstShardSlot+shards)
 	for i := range ctx.slots {
 		sl := &ctx.slots[i]
 		sl.tiles, sl.chunks, sl.alphaOps, sl.blendOps = 0, 0, 0, 0
@@ -214,22 +203,16 @@ func (ctx *RenderContext) runPass(nt, workers int) {
 	if ctx.crew != nil {
 		ctx.crew.begin(ctx)
 	}
-	p.shards.Add(shards)
-	for k := range shards {
-		go ctx.shard(firstShardSlot + k)
-	}
 	defer ctx.endPass()
 	ctx.take(callerSlot)
 }
 
 // endPass closes the pass: no tile or chunk is claimed after it, and it
-// waits for the shard goroutines and the helper to leave. It drops an Each
-// pass's work, and then raises a participant's panic again, on the caller's
-// goroutine.
+// waits for the helper to leave. It drops an Each pass's work, and then
+// raises the helper's panic again, on the caller's goroutine.
 func (ctx *RenderContext) endPass() {
 	p := &ctx.pass
 	p.next.Store(p.nt)
-	p.shards.Wait()
 	if ctx.crew != nil {
 		ctx.crew.end()
 	}
@@ -240,22 +223,15 @@ func (ctx *RenderContext) endPass() {
 	}
 }
 
-// shard is a shard goroutine of a Workers > 1 pass.
-func (ctx *RenderContext) shard(slot int) {
-	defer ctx.pass.shards.Done()
-	ctx.takeGuarded(slot)
-}
-
-// takeGuarded takes tiles or chunks in slot as a participant other than the
-// caller, handing a panic to the pass instead of letting it end the
-// goroutine.
-func (ctx *RenderContext) takeGuarded(slot int) {
+// takeGuarded takes tiles or chunks in the helper's slot, handing a panic
+// to the pass instead of letting it end the helper's goroutine.
+func (ctx *RenderContext) takeGuarded() {
 	defer ctx.recoverFault()
-	ctx.take(slot)
+	ctx.take(helperSlot)
 }
 
-// recoverFault keeps a participant's panic for the caller (the first one,
-// when there are several) and stops the pass's cursor.
+// recoverFault keeps the helper's panic for the caller, which reads it once
+// the helper has left the pass (Crew.end), and stops the pass's cursor.
 func (ctx *RenderContext) recoverFault() {
 	v := recover()
 	if v == nil {
@@ -263,11 +239,7 @@ func (ctx *RenderContext) recoverFault() {
 	}
 	p := &ctx.pass
 	p.next.Store(p.nt)
-	p.mu.Lock()
-	if p.fault == nil {
-		p.fault = &tilePanic{value: v, stack: debug.Stack()}
-	}
-	p.mu.Unlock()
+	p.fault = &tilePanic{value: v, stack: debug.Stack()}
 }
 
 // take claims tiles or chunks from the pass's cursor until it runs out: it
@@ -330,25 +302,24 @@ type Chunker interface {
 
 // Each runs w over the index range [0, n) as a pass of the context: the
 // range is cut into chunks of ChunkSize elements, which the pass's cursor
-// hands out to the caller, the crew's helper and workers-1 shard goroutines
-// (workers as Options.Workers), as it hands out a render's tiles. It returns
-// once every chunk is done, and a chunk that panicked on another participant
-// panics again on the caller, as a tile does. The pass keeps no reference to
-// w once it returns.
+// hands out to the caller and the crew's helper, as it hands out a render's
+// tiles. It returns once every chunk is done, and a chunk that panicked on
+// the helper panics again on the caller, as a tile does. The pass keeps no
+// reference to w once it returns.
 //
 //ags:hotpath
-func (ctx *RenderContext) Each(n, workers int, w Chunker) {
+func (ctx *RenderContext) Each(n int, w Chunker) {
 	ctx.pass.each = w
-	ctx.runChunks(kindEach, n, workers)
+	ctx.runChunks(kindEach, n)
 }
 
 // runChunks runs a chunked pass of the given kind over the index range
 // [0, n), whose inputs the caller has put in the pass state.
 //
 //ags:hotpath
-func (ctx *RenderContext) runChunks(kind passKind, n, workers int) {
+func (ctx *RenderContext) runChunks(kind passKind, n int) {
 	ctx.pass.kind, ctx.pass.n = kind, n
-	ctx.runPass(ceilDiv(n, ChunkSize), workers)
+	ctx.runPass(ceilDiv(n, ChunkSize))
 }
 
 // tilePanic is what a pass's caller panics with when a tile or chunk another

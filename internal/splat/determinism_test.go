@@ -12,11 +12,34 @@ import (
 	"ags/internal/vecmath"
 )
 
-// workerCounts is the table the determinism suite sweeps: the serial
-// reference, a couple of shard layouts that split tiles unevenly, a count
-// that rarely divides the tile grid, and whatever the host actually has.
+// workerCounts is the table of GOMAXPROCS values the determinism suite
+// sweeps, naming its subtests workers=N: one processor, on which a pass's
+// caller and its helper take turns only where the scheduler preempts them, a
+// couple of counts above the two participants, a count that rarely divides
+// the tile grid, and whatever the host actually has.
 func workerCounts() []int {
 	return []int{1, 2, 3, 7, runtime.GOMAXPROCS(0)}
+}
+
+// withProcs sets GOMAXPROCS to procs and returns what restores it.
+func withProcs(procs int) (restore func()) {
+	old := runtime.GOMAXPROCS(procs)
+	return func() { runtime.GOMAXPROCS(old) }
+}
+
+// way is one way a context's passes run: on their caller alone, or shared
+// with a helper.
+type way struct {
+	name string
+	ctx  *RenderContext
+}
+
+// twoWays returns a context whose passes run on their caller alone and one
+// whose passes a spinHelper races the caller for; stop detaches the helper.
+func twoWays() (ways [2]way, stop func()) {
+	helped := NewRenderContext()
+	stop = spinHelper(helped)
+	return [2]way{{"plain", NewRenderContext()}, {"helped", helped}}, stop
 }
 
 // determinismScene spreads Gaussians across the whole tile grid with heavy
@@ -52,57 +75,67 @@ func determinismTarget(cloud *gauss.Cloud, cam camera.Camera) *frame.Frame {
 		g.Mean.Y -= 0.015 * math.Cos(float64(id)*2)
 		gt.Add(g)
 	}
-	res := Render(gt, cam, Options{Workers: 1})
+	res := Render(gt, cam, Options{})
 	return &frame.Frame{Color: res.Color, Depth: res.NormalizedDepth()}
 }
 
 // TestRenderDeterminismAcrossWorkerCounts asserts the forward contract:
 // identical SHA-256 over every output buffer and identical AlphaOps/BlendOps
-// at every worker count.
+// with and without a helper, at every GOMAXPROCS.
 func TestRenderDeterminismAcrossWorkerCounts(t *testing.T) {
 	cloud, cam := determinismScene()
-	opts := Options{Workers: 1, LogContribution: true}
+	opts := Options{LogContribution: true}
 	ref := Render(cloud, cam, opts)
 	want := ref.Digest()
-	for _, wkr := range workerCounts() {
-		t.Run(fmt.Sprintf("workers=%d", wkr), func(t *testing.T) {
-			o := opts
-			o.Workers = wkr
-			got := Render(cloud, cam, o)
-			if got.AlphaOps != ref.AlphaOps || got.BlendOps != ref.BlendOps {
-				t.Errorf("op counters differ: alpha %d/%d blend %d/%d",
-					got.AlphaOps, ref.AlphaOps, got.BlendOps, ref.BlendOps)
-			}
-			if got.Digest() != want {
-				t.Errorf("render digest differs from Workers=1 reference")
+	ways, stop := twoWays()
+	defer stop()
+	for _, procs := range workerCounts() {
+		t.Run(fmt.Sprintf("workers=%d", procs), func(t *testing.T) {
+			defer withProcs(procs)()
+			for _, w := range ways {
+				got := w.ctx.Render(cloud, cam, opts)
+				if got.AlphaOps != ref.AlphaOps || got.BlendOps != ref.BlendOps {
+					t.Errorf("%s: op counters differ: alpha %d/%d blend %d/%d",
+						w.name, got.AlphaOps, ref.AlphaOps, got.BlendOps, ref.BlendOps)
+				}
+				if got.Digest() != want {
+					t.Errorf("%s: render digest differs from the one-shot reference", w.name)
+				}
 			}
 		})
 	}
 }
 
 // TestBackwardDeterminismAcrossWorkerCounts asserts the backward contract:
-// the full render+backward composition at any worker count is byte-identical
-// to the serial reference (gradients, pose twist, loss, pixel count).
+// the full render+backward composition, with and without a helper and at
+// every GOMAXPROCS, is byte-identical to the one-shot reference (gradients,
+// pose twist, loss, pixel count).
 func TestBackwardDeterminismAcrossWorkerCounts(t *testing.T) {
 	cloud, cam := determinismScene()
 	target := determinismTarget(cloud, cam)
+	bopts := BackwardOptions{GaussianGrads: true, PoseGrads: true}
+	ways, stop := twoWays()
+	defer stop()
 	for _, lc := range []LossConfig{DefaultMappingLoss(), DefaultTrackingLoss()} {
-		refRes := Render(cloud, cam, Options{Workers: 1})
-		refG := Backward(cloud, cam, refRes, target, lc, BackwardOptions{GaussianGrads: true, PoseGrads: true, Workers: 1})
+		refRes := Render(cloud, cam, Options{})
+		refG := Backward(cloud, cam, refRes, target, lc, bopts)
 		wantRes, wantG := refRes.Digest(), refG.Digest()
-		for _, wkr := range workerCounts() {
-			name := fmt.Sprintf("masked=%v/workers=%d", lc.UseSilhouetteMask, wkr)
+		for _, procs := range workerCounts() {
+			name := fmt.Sprintf("masked=%v/workers=%d", lc.UseSilhouetteMask, procs)
 			t.Run(name, func(t *testing.T) {
-				res := Render(cloud, cam, Options{Workers: wkr})
-				if res.Digest() != wantRes {
-					t.Fatalf("render digest differs from Workers=1 reference")
-				}
-				g := Backward(cloud, cam, res, target, lc, BackwardOptions{GaussianGrads: true, PoseGrads: true, Workers: wkr})
-				if math.Float64bits(g.Loss) != math.Float64bits(refG.Loss) {
-					t.Errorf("loss not bit-identical: %v vs %v", g.Loss, refG.Loss)
-				}
-				if g.Digest() != wantG {
-					t.Errorf("gradient digest differs from Workers=1 reference")
+				defer withProcs(procs)()
+				for _, w := range ways {
+					res := w.ctx.Render(cloud, cam, Options{})
+					if res.Digest() != wantRes {
+						t.Fatalf("%s: render digest differs from the one-shot reference", w.name)
+					}
+					g := w.ctx.Backward(cloud, cam, res, target, lc, bopts)
+					if math.Float64bits(g.Loss) != math.Float64bits(refG.Loss) {
+						t.Errorf("%s: loss not bit-identical: %v vs %v", w.name, g.Loss, refG.Loss)
+					}
+					if g.Digest() != wantG {
+						t.Errorf("%s: gradient digest differs from the one-shot reference", w.name)
+					}
 				}
 			})
 		}
@@ -112,32 +145,37 @@ func TestBackwardDeterminismAcrossWorkerCounts(t *testing.T) {
 // TestBackwardArenaDeterminism asserts the gradient-arena contract: a
 // context's recycled partial buffers (including deliberately dirtied,
 // size-mismatched reuses) produce gradients bitwise identical to a fresh
-// one-shot call, across worker counts and repeated calls.
+// one-shot call, with and without a helper, at every GOMAXPROCS and across
+// repeated calls.
 func TestBackwardArenaDeterminism(t *testing.T) {
 	cloud, cam := determinismScene()
 	target := determinismTarget(cloud, cam)
 	lc := DefaultMappingLoss()
-	res := Render(cloud, cam, Options{Workers: 1})
+	res := Render(cloud, cam, Options{})
 	ref := Backward(cloud, cam, res, target, lc,
-		BackwardOptions{GaussianGrads: true, PoseGrads: true, Workers: 1})
+		BackwardOptions{GaussianGrads: true, PoseGrads: true})
 	want := ref.Digest()
 
 	// A smaller companion scene dirties the arena with buffers of a different
 	// tile/entry footprint between reference calls.
 	smallCam := testCam(32, 32)
-	smallRes := Render(cloud, smallCam, Options{Workers: 1})
+	smallRes := Render(cloud, smallCam, Options{})
 	smallTarget := &frame.Frame{Color: smallRes.Color, Depth: smallRes.NormalizedDepth()}
 
-	ctx := NewRenderContext()
-	for _, wkr := range workerCounts() {
-		t.Run(fmt.Sprintf("workers=%d", wkr), func(t *testing.T) {
-			for rep := 0; rep < 4; rep++ {
-				ctx.Backward(cloud, smallCam, smallRes, smallTarget, lc,
-					BackwardOptions{GaussianGrads: true, Workers: wkr})
-				g := ctx.Backward(cloud, cam, res, target, lc,
-					BackwardOptions{GaussianGrads: true, PoseGrads: true, Workers: wkr})
-				if g.Digest() != want {
-					t.Fatalf("rep %d: recycled-arena gradients diverged from the fresh reference", rep)
+	ways, stop := twoWays()
+	defer stop()
+	for _, procs := range workerCounts() {
+		t.Run(fmt.Sprintf("workers=%d", procs), func(t *testing.T) {
+			defer withProcs(procs)()
+			for _, w := range ways {
+				for rep := 0; rep < 4; rep++ {
+					w.ctx.Backward(cloud, smallCam, smallRes, smallTarget, lc,
+						BackwardOptions{GaussianGrads: true})
+					g := w.ctx.Backward(cloud, cam, res, target, lc,
+						BackwardOptions{GaussianGrads: true, PoseGrads: true})
+					if g.Digest() != want {
+						t.Fatalf("%s, rep %d: recycled-arena gradients diverged from the fresh reference", w.name, rep)
+					}
 				}
 			}
 		})
@@ -151,8 +189,8 @@ func TestBackwardArenaReducesAllocs(t *testing.T) {
 	cloud, cam := determinismScene()
 	target := determinismTarget(cloud, cam)
 	lc := DefaultMappingLoss()
-	res := Render(cloud, cam, Options{Workers: 1})
-	opts := BackwardOptions{GaussianGrads: true, PoseGrads: true, Workers: 1}
+	res := Render(cloud, cam, Options{})
+	opts := BackwardOptions{GaussianGrads: true, PoseGrads: true}
 	ctx := NewRenderContext()
 	ctx.Backward(cloud, cam, res, target, lc, opts)
 	recycled := testing.AllocsPerRun(10, func() {

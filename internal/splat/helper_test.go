@@ -13,6 +13,7 @@ import (
 	"unsafe"
 
 	"ags/internal/frame"
+	"ags/internal/gauss"
 	"ags/internal/optim"
 )
 
@@ -45,8 +46,8 @@ func spinHelper(ctx *RenderContext) (stop func()) {
 // joins are byte-identical to the serial pass without one, whoever takes
 // which tile: dense and sparse, with and without the contribution log, for
 // every BackwardOptions combination, at frame sizes whose tile grids are
-// 4x3, 7x3 (partial tiles) and 1x1, with one render worker and with three.
-// The helper must have taken tiles for the test to mean anything.
+// 4x3, 7x3 (partial tiles) and 1x1. The helper must have taken tiles for the
+// test to mean anything.
 func TestHelperMatchesSerialPass(t *testing.T) {
 	cloud, _ := determinismScene()
 	ctx := NewRenderContext()
@@ -56,34 +57,31 @@ func TestHelperMatchesSerialPass(t *testing.T) {
 	for _, sz := range []struct{ w, h int }{{64, 48}, {97, 33}, {16, 16}} {
 		cam := testCam(sz.w, sz.h)
 		target := determinismTarget(cloud, cam)
-		for _, workers := range []int{1, 3} {
-			for _, sparse := range []bool{false, true} {
-				for _, logged := range []bool{false, true} {
-					for b := range 4 {
-						opts := Options{Workers: 1, Sparse: sparse, LogContribution: logged}
-						bopts := BackwardOptions{GaussianGrads: b&1 != 0, PoseGrads: b&2 != 0, Workers: 1}
-						lc := DefaultMappingLoss()
-						if sparse {
-							lc = DefaultTrackingLoss()
-						}
-						ref := NewRenderContext()
-						wantRes := ref.Render(cloud, cam, opts)
-						want := wantRes.Digest()
-						wantG := ref.Backward(cloud, cam, wantRes, target, lc, bopts).Digest()
+		for _, sparse := range []bool{false, true} {
+			for _, logged := range []bool{false, true} {
+				for b := range 4 {
+					opts := Options{Sparse: sparse, LogContribution: logged}
+					bopts := BackwardOptions{GaussianGrads: b&1 != 0, PoseGrads: b&2 != 0}
+					lc := DefaultMappingLoss()
+					if sparse {
+						lc = DefaultTrackingLoss()
+					}
+					ref := NewRenderContext()
+					wantRes := ref.Render(cloud, cam, opts)
+					want := wantRes.Digest()
+					wantG := ref.Backward(cloud, cam, wantRes, target, lc, bopts).Digest()
 
-						name := fmt.Sprintf("%dx%d workers %d sparse %v logged %v %+v", sz.w, sz.h, workers, sparse, logged, bopts)
-						opts.Workers, bopts.Workers = workers, workers
-						for rep := range 3 {
-							res := ctx.Render(cloud, cam, opts)
-							helped += ctx.slots[helperSlot].tiles
-							if res.Digest() != want {
-								t.Fatalf("%s, rep %d: render digest differs from the serial pass", name, rep)
-							}
-							g := ctx.Backward(cloud, cam, res, target, lc, bopts)
-							helped += ctx.slots[helperSlot].tiles
-							if g.Digest() != wantG {
-								t.Fatalf("%s, rep %d: gradient digest differs from the serial pass", name, rep)
-							}
+					name := fmt.Sprintf("%dx%d sparse %v logged %v %+v", sz.w, sz.h, sparse, logged, bopts)
+					for rep := range 3 {
+						res := ctx.Render(cloud, cam, opts)
+						helped += ctx.slots[helperSlot].tiles
+						if res.Digest() != want {
+							t.Fatalf("%s, rep %d: render digest differs from the serial pass", name, rep)
+						}
+						g := ctx.Backward(cloud, cam, res, target, lc, bopts)
+						helped += ctx.slots[helperSlot].tiles
+						if g.Digest() != wantG {
+							t.Fatalf("%s, rep %d: gradient digest differs from the serial pass", name, rep)
 						}
 					}
 				}
@@ -102,8 +100,8 @@ func TestHelperMatchesSerialPass(t *testing.T) {
 func TestHelperServeAndDismiss(t *testing.T) {
 	cloud, cam := determinismScene()
 	target := determinismTarget(cloud, cam)
-	opts := Options{Workers: 1, LogContribution: true}
-	bopts := BackwardOptions{GaussianGrads: true, PoseGrads: true, Workers: 1}
+	opts := Options{LogContribution: true}
+	bopts := BackwardOptions{GaussianGrads: true, PoseGrads: true}
 	lc := DefaultMappingLoss()
 	ref := NewRenderContext()
 	wantRes := ref.Render(cloud, cam, opts)
@@ -137,20 +135,28 @@ func TestHelperServeAndDismiss(t *testing.T) {
 }
 
 // TestHelperChunkPassesMatchSerial: the chunked passes give the bytes of one
-// walk on one goroutine with a helper racing the caller for chunks, at one
-// worker and at three: a render's splats (the projection) and their cull
-// geometry, Backward's per-splat factors, and one Adam step over a flat
-// vector as an Each pass. The clouds hold a few chunks and a part, a chunk
-// less one, and one Gaussian, some of them behind the camera or outside the
-// image, rendered without a skip set, with one and with one shorter than the
-// cloud. The helper must have taken chunks for the test to mean anything.
+// walk on one goroutine with a helper racing the caller for chunks: a
+// render's splats (the projection) and their cull geometry, Backward's
+// per-splat factors, and one Adam step over a flat vector as an Each pass.
+// The clouds hold a few chunks and a part, a chunk less one, and one
+// Gaussian, some of them behind the camera or outside the image, rendered
+// without a skip set, with one and with one shorter than the cloud. The
+// helper must have taken chunks for the test to mean anything: where it took
+// none (the scheduler may keep it off the processor for a whole round on a
+// loaded host), the round is repeated, every pass still compared byte for
+// byte, up to maxRounds times.
 func TestHelperChunkPassesMatchSerial(t *testing.T) {
+	const maxRounds = 200
 	rng := rand.New(rand.NewSource(11))
 	cam := testCam(64, 48)
 	target := determinismTarget(randomCloud(rng, 40), cam)
-	ctx := NewRenderContext()
-	stop := spinHelper(ctx)
-	defer stop()
+	type chunkCase struct {
+		cloud *gauss.Cloud
+		skip  []bool
+		// The Adam step's parameters and gradients.
+		params, grads []float64
+	}
+	var cases []chunkCase
 	for _, n := range []int{3*ChunkSize + 37, ChunkSize - 1, 1} {
 		cloud := randomCloud(rng, n)
 		for id := 3; id < n; id += 5 {
@@ -163,53 +169,61 @@ func TestHelperChunkPassesMatchSerial(t *testing.T) {
 		for id := range skip {
 			skip[id] = rng.Intn(3) == 0
 		}
+		params, grads := make([]float64, 3*n), make([]float64, 3*n)
+		for i := range params {
+			params[i], grads[i] = rng.NormFloat64(), rng.NormFloat64()
+		}
 		for _, sk := range [][]bool{nil, skip, skip[:n/2]} {
-			want := preprocessInto(nil, cloud, cam, sk)
+			cases = append(cases, chunkCase{cloud, sk, params, grads})
+		}
+	}
+
+	ctx := NewRenderContext()
+	stop := spinHelper(ctx)
+	defer stop()
+	round := 0
+	for ; round < maxRounds && (round == 0 || ctx.crew.Chunks() == 0); round++ {
+		for _, c := range cases {
+			want := preprocessInto(nil, c.cloud, cam, c.skip)
 			wantGeom := make([]cullGeom, len(want))
 			for i := range want {
 				wantGeom[i] = cullGeomOf(&want[i])
 			}
 			var wantAr backwardArena
 			wantAr.sigGrad, wantAr.scale2 = make([]float64, len(want)), make([]float64, len(want))
-			(&backwardPass{cloud: cloud, res: &Result{Splats: want}}).hoist(&wantAr, 0, len(want))
-			for _, workers := range []int{1, 3} {
-				name := fmt.Sprintf("%d Gaussians, skip set of %d, workers %d", n, len(sk), workers)
-				res := ctx.Render(cloud, cam, Options{Skip: sk, Workers: workers})
-				if !bytes.Equal(bytesOf(res.Splats), bytesOf(want)) {
-					t.Fatalf("%s: the projection's %d splats differ from one walk's %d", name, len(res.Splats), len(want))
-				}
-				if !bytes.Equal(bytesOf(ctx.geom), bytesOf(wantGeom)) {
-					t.Fatalf("%s: the cull geometry differs from one walk's", name)
-				}
-				ctx.Backward(cloud, cam, res, target, DefaultMappingLoss(), BackwardOptions{GaussianGrads: true, Workers: workers})
-				if !bytes.Equal(bytesOf(ctx.arena.sigGrad), bytesOf(wantAr.sigGrad)) ||
-					!bytes.Equal(bytesOf(ctx.arena.scale2), bytesOf(wantAr.scale2)) {
-					t.Fatalf("%s: Backward's per-splat factors differ from one walk's", name)
-				}
+			(&backwardPass{cloud: c.cloud, res: &Result{Splats: want}}).hoist(&wantAr, 0, len(want))
+			name := fmt.Sprintf("round %d, %d Gaussians, skip set of %d", round, c.cloud.Len(), len(c.skip))
+			res := ctx.Render(c.cloud, cam, Options{Skip: c.skip})
+			if !bytes.Equal(bytesOf(res.Splats), bytesOf(want)) {
+				t.Fatalf("%s: the projection's %d splats differ from one walk's %d", name, len(res.Splats), len(want))
 			}
-		}
-		for _, workers := range []int{1, 3} {
-			params, grads := make([]float64, 3*n), make([]float64, 3*n)
-			for i := range params {
-				params[i], grads[i] = rng.NormFloat64(), rng.NormFloat64()
+			if !bytes.Equal(bytesOf(ctx.geom), bytesOf(wantGeom)) {
+				t.Fatalf("%s: the cull geometry differs from one walk's", name)
 			}
-			wantP := slices.Clone(params)
+			ctx.Backward(c.cloud, cam, res, target, DefaultMappingLoss(), BackwardOptions{GaussianGrads: true})
+			if !bytes.Equal(bytesOf(ctx.arena.sigGrad), bytesOf(wantAr.sigGrad)) ||
+				!bytes.Equal(bytesOf(ctx.arena.scale2), bytesOf(wantAr.scale2)) {
+				t.Fatalf("%s: Backward's per-splat factors differ from one walk's", name)
+			}
+
+			params := slices.Clone(c.params)
+			wantP := slices.Clone(c.params)
 			ref := optim.NewAdam(0.01)
-			ref.Step(wantP, grads)
+			ref.Step(wantP, c.grads)
 			a := optim.NewAdam(0.01)
 			a.Begin(len(params))
-			ctx.Each(len(params), workers, &adamChunks{a: a, p: params, g: grads})
+			ctx.Each(len(params), &adamChunks{a: a, p: params, g: c.grads})
 			gm, gv, _ := a.State()
 			wm, wv, _ := ref.State()
 			if !bytes.Equal(bytesOf(params), bytesOf(wantP)) || !bytes.Equal(bytesOf(gm), bytesOf(wm)) || !bytes.Equal(bytesOf(gv), bytesOf(wv)) {
-				t.Fatalf("%d Gaussians, workers %d: the Adam step as an Each pass differs from Step", n, workers)
+				t.Fatalf("%s: the Adam step as an Each pass differs from Step", name)
 			}
 		}
 	}
 	if ctx.crew.Chunks() == 0 && runtime.GOMAXPROCS(0) > 1 {
-		t.Fatal("the helper took no chunk of any pass")
+		t.Fatalf("the helper took no chunk of any pass in %d rounds", maxRounds)
 	}
-	t.Logf("the helper took %d chunks", ctx.crew.Chunks())
+	t.Logf("the helper took %d chunks in %d rounds", ctx.crew.Chunks(), round)
 }
 
 // bytesOf is the memory of s, for byte-for-byte comparisons that NaN payloads
@@ -264,9 +278,9 @@ func TestHelperPanicReachesCaller(t *testing.T) {
 	short := &frame.Frame{Color: &frame.Image{W: target.Color.W, H: target.Color.H,
 		Pix: target.Color.Pix[:len(target.Color.Pix)-cam.Intr.W*TileSize]}, Depth: target.Depth}
 	lc := DefaultMappingLoss()
-	bopts := BackwardOptions{GaussianGrads: true, Workers: 1}
+	bopts := BackwardOptions{GaussianGrads: true}
 	ref := NewRenderContext()
-	wantRes := ref.Render(cloud, cam, Options{Workers: 1})
+	wantRes := ref.Render(cloud, cam, Options{})
 	wantG := ref.Backward(cloud, cam, wantRes, target, lc, bopts).Digest()
 	busy := &busyChunks{v: make([]float64, 32*ChunkSize)}
 	wantBusy := make([]float64, len(busy.v))
@@ -275,7 +289,7 @@ func TestHelperPanicReachesCaller(t *testing.T) {
 	ctx := NewRenderContext()
 	stop := spinHelper(ctx)
 	defer stop()
-	res := ctx.Render(cloud, cam, Options{Workers: 1})
+	res := ctx.Render(cloud, cam, Options{})
 	for _, tc := range []struct {
 		name  string
 		frame string      // what the helper's stack must name
@@ -286,10 +300,10 @@ func TestHelperPanicReachesCaller(t *testing.T) {
 			func() { ctx.Backward(cloud, cam, res, short, lc, bopts) },
 			func() bool { return ctx.Backward(cloud, cam, res, target, lc, bopts).Digest() == wantG }},
 		{"Each chunk", "busyChunks",
-			func() { ctx.Each(len(busy.v)+ChunkSize/2, 1, busy) },
+			func() { ctx.Each(len(busy.v)+ChunkSize/2, busy) },
 			func() bool {
 				clear(busy.v)
-				ctx.Each(len(busy.v), 1, busy)
+				ctx.Each(len(busy.v), busy)
 				return slices.Equal(busy.v, wantBusy)
 			}},
 	} {

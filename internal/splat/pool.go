@@ -158,10 +158,9 @@ func (ctx *RenderContext) FootprintBytes() int64 {
 		sliceBytes[float64](cap(ctx.arena.scale2)) +
 		ctx.result.log.bytes() +
 		sliceBytes[int32](cap(ctx.result.logRows)) +
-		sliceBytes[slot](cap(ctx.slots)) +
 		sliceBytes[gauss.Gaussian](cap(ctx.frozen.Gaussians))
-	for _, sl := range ctx.slots[:cap(ctx.slots)] {
-		b += sl.bytes()
+	for i := range ctx.slots {
+		b += ctx.slots[i].bytes()
 	}
 	return b
 }

@@ -12,7 +12,7 @@ func useContext(t *testing.T, ctx *RenderContext, w, h int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(w*1000 + h)))
 	cloud := randomCloud(rng, 9)
-	ctx.Render(cloud, testCam(w, h), Options{Workers: 1})
+	ctx.Render(cloud, testCam(w, h), Options{})
 }
 
 func TestContextPoolHitMissAccounting(t *testing.T) {
@@ -108,7 +108,7 @@ func TestContextPoolConcurrentAcquire(t *testing.T) {
 	sizes := []struct{ w, h int }{{64, 48}, {32, 24}, {48, 36}, {96, 64}}
 	ref := make([][32]byte, len(sizes))
 	for i, sz := range sizes {
-		ref[i] = Render(cloud, testCam(sz.w, sz.h), Options{Workers: 1}).Digest()
+		ref[i] = Render(cloud, testCam(sz.w, sz.h), Options{}).Digest()
 	}
 	var wg sync.WaitGroup
 	for wi := 0; wi < workers; wi++ {
@@ -118,7 +118,7 @@ func TestContextPoolConcurrentAcquire(t *testing.T) {
 			for it := 0; it < iters; it++ {
 				i := (wi + it) % len(sizes)
 				ctx := p.Acquire()
-				res := ctx.Render(cloud, testCam(sizes[i].w, sizes[i].h), Options{Workers: 1})
+				res := ctx.Render(cloud, testCam(sizes[i].w, sizes[i].h), Options{})
 				if res.Digest() != ref[i] {
 					t.Errorf("worker %d iter %d: pooled context render diverged", wi, it)
 				}
@@ -145,7 +145,7 @@ func TestContextPoolReuseIsContentIndependent(t *testing.T) {
 	cloud, _ := determinismScene()
 
 	ctx := p.Acquire()
-	ctx.Render(cloud, testCam(96, 64), Options{Workers: 2, LogContribution: true})
+	ctx.Render(cloud, testCam(96, 64), Options{LogContribution: true})
 	p.Release(ctx)
 
 	// Re-acquire the dirty context for a new stream at another size.
@@ -153,7 +153,7 @@ func TestContextPoolReuseIsContentIndependent(t *testing.T) {
 	if got != ctx {
 		t.Fatal("expected the pooled context back")
 	}
-	opts := Options{Workers: 1}
+	opts := Options{}
 	res := got.Render(cloud, testCam(48, 36), opts)
 	if want := Render(cloud, testCam(48, 36), opts); res.Digest() != want.Digest() {
 		t.Error("re-acquired context output diverged from a fresh render")
@@ -166,7 +166,7 @@ func TestFootprintBytes(t *testing.T) {
 		t.Errorf("fresh context footprint %d, want 0", got)
 	}
 	cloud, _ := determinismScene()
-	res := ctx.Render(cloud, testCam(64, 48), Options{Workers: 1})
+	res := ctx.Render(cloud, testCam(64, 48), Options{})
 	used := ctx.FootprintBytes()
 	// At least the four pixel planes must be resident.
 	if min := int64(64 * 48 * (24 + 8 + 8 + 8)); used < min {

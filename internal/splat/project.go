@@ -12,12 +12,11 @@
 // # Determinism contract
 //
 // Render and Backward are bit-reproducible whoever does their work. Every
-// pass hands out its work from one atomic cursor, and its participants take
-// it until it runs out: the caller, at most one helper that joins through
-// the Crew attached to the context (RenderContext.Attach) — a SLAM system's
-// producer, which would otherwise wait for its mapping tail — and, with
-// Options.Workers or BackwardOptions.Workers above 1, that many less one
-// shard goroutines. A pass's work is its tiles, or the chunks of an index
+// pass hands out its work from one atomic cursor, and its two participants
+// take it until it runs out: the caller and, where a Crew is attached to the
+// context (RenderContext.Attach), its helper — a SLAM system's producer,
+// which would otherwise wait for its mapping tail. The package starts no
+// goroutine of its own. A pass's work is its tiles, or the chunks of an index
 // range (ChunkSize elements each): a render is a chunked projection of the
 // Gaussians, a chunked pass giving every splat its cull geometry and a tile
 // pass; a backward pass is a chunked pass over the splats (the per-splat
@@ -33,15 +32,15 @@
 // log, which are exact in any order. The splats, color/depth/silhouette/
 // transmittance images, the contribution log, AlphaOps/BlendOps, and all
 // gradient buffers are therefore byte-identical whichever participant took
-// which tile or chunk, for every Workers value and with or without a helper.
+// which tile or chunk, with or without a helper, at any GOMAXPROCS.
 // Callers may rely on this for exact A/B comparisons at full parallelism;
 // Result.Digest and Grads.Digest exist to assert it cheaply.
 //
-// A pass's caller returns once every participant has left the pass. A tile
-// or chunk that panics on a helper or a shard goroutine is recovered there
-// and handed to the pass, whose caller panics with it (and that
-// participant's stack) once the pass is through, so every panic of a pass
-// surfaces on its caller's goroutine. A pass allocates nothing to describe
+// A pass's caller returns once the helper, if it joined, has left the pass.
+// A tile or chunk that panics on the helper is recovered there and handed to
+// the pass, whose caller panics with it (and the helper's stack) once the
+// pass is through, so every panic of a pass surfaces on its caller's
+// goroutine. A pass allocates nothing to describe
 // itself: its state lives in the context, its participants' entry points are
 // methods, and an Each pass's work is an interface the caller passes a
 // pointer in.
@@ -141,8 +140,8 @@
 //
 //   - A context is NOT safe for concurrent use. One goroutine, one context;
 //     within a call its passes (an Each pass too) are shared with the
-//     crew's helper and the Options.Workers shard goroutines, never across
-//     contexts. A context goes back to a pool detached from its crew.
+//     crew's helper only, never across contexts. A context goes back to a
+//     pool detached from its crew.
 //   - (*RenderContext).Render returns a *Result whose buffers are owned by
 //     the context and valid until its next Render call. Backward
 //     only reads the Result — it never writes a Result-aliased buffer, and
@@ -161,8 +160,8 @@
 //   - A context re-sizes itself lazily from the intrinsics and cloud of
 //     each call, so mixed frame sizes are safe (and tested).
 //   - Contexted and one-shot calls are byte-identical to each other — the
-//     determinism contract above holds across both, for every Workers value,
-//     with or without a helper.
+//     determinism contract above holds across both, with or without a
+//     helper.
 package splat
 
 import (
@@ -299,7 +298,7 @@ type projectPass struct {
 // cloud, in ID order, whoever projected which chunk.
 //
 //ags:hotpath
-func (ctx *RenderContext) project(cloud *gauss.Cloud, cam camera.Camera, skip []bool, workers int) {
+func (ctx *RenderContext) project(cloud *gauss.Cloud, cam camera.Camera, skip []bool) {
 	n := cloud.Len()
 	if cap(ctx.splats) < n {
 		ctx.splats = make([]Splat, n, max(n, 2*cap(ctx.splats)))
@@ -307,7 +306,7 @@ func (ctx *RenderContext) project(cloud *gauss.Cloud, cam camera.Camera, skip []
 	ctx.splats = ctx.splats[:n]
 	ctx.chunkKept = resized(ctx.chunkKept, ceilDiv(n, ChunkSize))
 	ctx.pass.proj = projectPass{cloud: cloud, cam: cam, skip: skip}
-	ctx.runChunks(kindProject, n, workers)
+	ctx.runChunks(kindProject, n)
 	ctx.pass.proj = projectPass{} // a context keeps no caller's cloud alive
 	kept := 0
 	for c, k := range ctx.chunkKept {

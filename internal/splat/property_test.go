@@ -39,7 +39,7 @@ func TestPropertyRenderInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		cloud := randomCloud(rng, 3+rng.Intn(25))
-		res := Render(cloud, cam, Options{Workers: 1})
+		res := Render(cloud, cam, Options{})
 		var maxDepth float64
 		for _, s := range res.Splats {
 			maxDepth = math.Max(maxDepth, s.Depth)
@@ -83,7 +83,7 @@ func TestPropertyOpsConsistency(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		cloud := randomCloud(rng, 3+rng.Intn(25))
-		res := Render(cloud, cam, Options{Workers: 1})
+		res := Render(cloud, cam, Options{})
 		if res.BlendOps > res.AlphaOps {
 			return false
 		}
@@ -110,7 +110,7 @@ func TestPropertyContributionAccounting(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		cloud := randomCloud(rng, 3+rng.Intn(25))
-		res := Render(cloud, cam, Options{Workers: 1, LogContribution: true})
+		res := Render(cloud, cam, Options{LogContribution: true})
 		for id := range res.Touched {
 			if res.NonContrib[id] > res.Touched[id] || res.NonContrib[id] < 0 {
 				return false
@@ -140,12 +140,15 @@ func TestPropertyContributionAccounting(t *testing.T) {
 
 // TestPropertyShardMergeMatchesSingleShard: for randomized clouds — including
 // clouds with no splats at all (every tile list empty) and clouds whose
-// footprint spans a single tile — the per-tile gradient shards merged by a
-// multi-worker Backward are bitwise equal to the single-shard Workers=1
-// reference, and the multi-worker Render digest matches too.
+// footprint spans a single tile — the per-tile gradient partials merged by
+// a Backward whose tiles a helper races the caller for are bitwise equal to
+// the one-shot pass's, whose caller takes every tile, and so is the helped
+// Render's digest.
 func TestPropertyShardMergeMatchesSingleShard(t *testing.T) {
 	cam := testCam(48, 32) // 3x2 tile grid
 	lc := DefaultMappingLoss()
+	helped := NewRenderContext()
+	defer spinHelper(helped)()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		var cloud *gauss.Cloud
@@ -166,17 +169,16 @@ func TestPropertyShardMergeMatchesSingleShard(t *testing.T) {
 		default:
 			cloud = randomCloud(rng, 1+rng.Intn(28))
 		}
-		tgtRes := Render(randomCloud(rng, 3), cam, Options{Workers: 1})
+		tgtRes := Render(randomCloud(rng, 3), cam, Options{})
 		target := &frame.Frame{Color: tgtRes.Color, Depth: tgtRes.NormalizedDepth()}
 
-		opts := Options{Workers: 1, LogContribution: true}
+		opts := Options{LogContribution: true}
+		bopts := BackwardOptions{GaussianGrads: true, PoseGrads: true}
 		refRes := Render(cloud, cam, opts)
-		refG := Backward(cloud, cam, refRes, target, lc, BackwardOptions{GaussianGrads: true, PoseGrads: true, Workers: 1})
+		refG := Backward(cloud, cam, refRes, target, lc, bopts)
 
-		workers := 2 + rng.Intn(6)
-		opts.Workers = workers
-		res := Render(cloud, cam, opts)
-		g := Backward(cloud, cam, res, target, lc, BackwardOptions{GaussianGrads: true, PoseGrads: true, Workers: workers})
+		res := helped.Render(cloud, cam, opts)
+		g := helped.Backward(cloud, cam, res, target, lc, bopts)
 		return res.Digest() == refRes.Digest() && g.Digest() == refG.Digest()
 	}
 	cfg := &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(17))}
@@ -191,12 +193,12 @@ func TestPropertySkipMonotone(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		cloud := randomCloud(rng, 5+rng.Intn(20))
-		full := Render(cloud, cam, Options{Workers: 1})
+		full := Render(cloud, cam, Options{})
 		skip := make([]bool, cloud.Len())
 		for i := range skip {
 			skip[i] = rng.Intn(3) == 0
 		}
-		sel := Render(cloud, cam, Options{Workers: 1, Skip: skip})
+		sel := Render(cloud, cam, Options{Skip: skip})
 		return sel.AlphaOps <= full.AlphaOps &&
 			sel.BlendOps <= full.BlendOps &&
 			len(sel.Splats) <= len(full.Splats)

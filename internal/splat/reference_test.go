@@ -467,11 +467,12 @@ func adversarialSplats(rng *rand.Rand, cloud *gauss.Cloud, cam camera.Camera) []
 // TestKernelsMatchFullWalkReference is the exactness gate of the culled
 // forward kernel and the log-driven backward kernel: on seeded random clouds
 // and on adversarial splats, with and without the contribution log, frame sizes
-// off the tile grid, a Skip set, and mixed Render x Backward worker counts,
-// the Result digest (pixels, per-pixel and total counters, contribution log)
-// and the Grads digest equal the full-walk reference.
+// off the tile grid, a Skip set, and every Render x Backward pairing of a
+// context whose passes run on their caller alone and one a helper races the
+// caller for (and a detached one-shot Result), the Result digest (pixels,
+// per-pixel and total counters, contribution log) and the Grads digest equal
+// the full-walk reference.
 func TestKernelsMatchFullWalkReference(t *testing.T) {
-	workers := []int{1, 2, 3, 7}
 	logs := []Options{{}, {LogContribution: true}}
 	bopts := []BackwardOptions{
 		{GaussianGrads: true, PoseGrads: true},
@@ -481,7 +482,11 @@ func TestKernelsMatchFullWalkReference(t *testing.T) {
 	}
 	sizes := []struct{ w, h int }{{64, 48}, {50, 37}, {16, 16}, {97, 33}}
 	rng := rand.New(rand.NewSource(2026))
-	ctx, bctx := NewRenderContext(), NewRenderContext()
+	ways, stop := twoWays()
+	defer stop()
+	// The render side: a warm context each way, a fresh one (a detached
+	// one-shot Result), and the helped context again, warm from its backward.
+	renders := []way{ways[0], {"one-shot", nil}, ways[1], ways[1]}
 	trial := 0
 	for _, adversarial := range []bool{false, true} {
 		for _, sz := range sizes {
@@ -501,30 +506,30 @@ func TestKernelsMatchFullWalkReference(t *testing.T) {
 				} else {
 					splats = preprocessInto(nil, cloud, cam, lo.Skip)
 				}
-				tgt := Render(randomCloud(rng, 12), cam, Options{Workers: 1})
+				tgt := Render(randomCloud(rng, 12), cam, Options{})
 				target := &frame.Frame{Color: tgt.Color, Depth: tgt.NormalizedDepth()}
 
 				want := refRender(splats, cloud.Len(), cam, lo)
 				wantDigest := want.Digest()
 				name := fmt.Sprintf("trial %d (adversarial=%v %dx%d log=%v)",
 					trial, adversarial, sz.w, sz.h, lo.LogContribution)
-				for i, rw := range workers {
-					lo.Workers = rw
+				for i, r := range renders {
+					ctx := r.ctx
+					if ctx == nil {
+						ctx = NewRenderContext()
+					}
 					var got *Result
-					switch {
-					case adversarial:
+					if adversarial {
 						got = renderSplats(ctx, splats, cloud, cam, lo)
-					case i%2 == 0:
+					} else {
 						got = ctx.Render(cloud, cam, lo)
-					default:
-						got = Render(cloud, cam, lo) // detached one-shot Result
 					}
 					if got.AlphaOps != want.AlphaOps || got.BlendOps != want.BlendOps {
-						t.Fatalf("%s, workers %d: ops %d/%d, reference %d/%d",
-							name, rw, got.AlphaOps, got.BlendOps, want.AlphaOps, want.BlendOps)
+						t.Fatalf("%s, %s render: ops %d/%d, reference %d/%d",
+							name, r.name, got.AlphaOps, got.BlendOps, want.AlphaOps, want.BlendOps)
 					}
 					if got.Digest() != wantDigest {
-						t.Fatalf("%s, workers %d: render digest differs from the full-walk reference", name, rw)
+						t.Fatalf("%s, %s render: render digest differs from the full-walk reference", name, r.name)
 					}
 					lc := DefaultMappingLoss()
 					if (trial+i)%2 == 0 {
@@ -533,11 +538,10 @@ func TestKernelsMatchFullWalkReference(t *testing.T) {
 					}
 					bo := bopts[(trial+i)%len(bopts)]
 					wantG := refBackward(cloud, cam, want, target, lc, bo, false).Digest()
-					for _, bw := range workers {
-						bo.Workers = bw
-						if bctx.Backward(cloud, cam, got, target, lc, bo).Digest() != wantG {
-							t.Fatalf("%s, render workers %d, backward workers %d, %+v: gradient digest differs from the full-walk reference",
-								name, rw, bw, bo)
+					for _, b := range ways {
+						if b.ctx.Backward(cloud, cam, got, target, lc, bo).Digest() != wantG {
+							t.Fatalf("%s, %s render, %s backward, %+v: gradient digest differs from the full-walk reference",
+								name, r.name, b.name, bo)
 						}
 					}
 				}

@@ -20,8 +20,9 @@ type Options struct {
 	// at a pixel exactly when it blends there, at alpha >= MinAlpha: the
 	// paper's Thresh_alpha is the cutoff 3DGS blends with.
 	LogContribution bool
-	// Workers bounds the pass's own parallelism, the caller and its shard
-	// goroutines; 0 means GOMAXPROCS. A crew's helper joins on top.
+	// Deprecated: ignored: a pass's participants are its caller and the
+	// attached crew's helper. It remains only because benchmarks/layers.go
+	// assigns it, and goes with that assignment.
 	Workers int
 	// Sparse renders the tracking lattice only: one pixel per
 	// LatticeStride x LatticeStride block, the one at even x and y. Each
@@ -74,7 +75,7 @@ func Render(cloud *gauss.Cloud, cam camera.Camera, opts Options) *Result {
 //
 //ags:hotpath
 func (ctx *RenderContext) Render(cloud *gauss.Cloud, cam camera.Camera, opts Options) *Result {
-	ctx.project(cloud, cam, opts.Skip, opts.Workers)
+	ctx.project(cloud, cam, opts.Skip)
 	buildTilesInto(&ctx.tiles, &ctx.tileCursor, &ctx.depthKeys, ctx.splats, cam.Intr)
 	return ctx.renderTiles(cloud, cam, opts)
 }
@@ -83,7 +84,7 @@ func (ctx *RenderContext) Render(cloud *gauss.Cloud, cam camera.Camera, opts Opt
 // tiles, starting with each splat's cull geometry (cullGeomOf), which the
 // splat's table entries clip to their tiles: a chunked pass over the splats,
 // then the tile pass. Both are handed out from the pass's cursor (runPass)
-// to the caller, the crew's helper and any shard goroutines. Pixel buffers
+// to the caller and the crew's helper. Pixel buffers
 // are disjoint across tiles, each tile row's blends join the log as one run,
 // and the cross-tile reductions are integers (exact under any association):
 // the contribution log, added to tile by tile, and the op counters, merged
@@ -123,10 +124,10 @@ func (ctx *RenderContext) renderTiles(cloud *gauss.Cloud, cam camera.Camera, opt
 	res.logRows = resized(res.logRows, nt*TileSize)
 	res.log.li, res.log.g = res.log.li[:0], res.log.g[:0]
 	ctx.geom = resized(ctx.geom, len(ctx.splats))
-	ctx.runChunks(kindCull, len(ctx.splats), opts.Workers)
+	ctx.runChunks(kindCull, len(ctx.splats))
 
 	ctx.pass.kind = kindRender
-	ctx.runPass(nt, opts.Workers)
+	ctx.runPass(nt)
 	for i := range ctx.slots {
 		res.AlphaOps += ctx.slots[i].alphaOps
 		res.BlendOps += ctx.slots[i].blendOps

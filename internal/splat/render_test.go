@@ -176,6 +176,8 @@ func TestContributionLogging(t *testing.T) {
 	}
 }
 
+// TestRenderDeterministicAcrossWorkers: a render that a helper joins gives
+// the one-shot render's pixels and op counts.
 func TestRenderDeterministicAcrossWorkers(t *testing.T) {
 	cam := testCam(64, 48)
 	cloud := gauss.NewCloud(20)
@@ -185,10 +187,12 @@ func TestRenderDeterministicAcrossWorkers(t *testing.T) {
 		g.Mean.Y = 0.2 * math.Cos(float64(i)*1.7)
 		cloud.Add(g)
 	}
-	r1 := Render(cloud, cam, Options{Workers: 1})
-	r8 := Render(cloud, cam, Options{Workers: 8})
+	r1 := Render(cloud, cam, Options{})
+	ctx := NewRenderContext()
+	defer spinHelper(ctx)()
+	r8 := ctx.Render(cloud, cam, Options{})
 	if d := frame.MeanAbsDiff(r1.Color, r8.Color); d != 0 {
-		t.Errorf("worker count changed output by %v", d)
+		t.Errorf("a helper changed output by %v", d)
 	}
 	if r1.BlendOps != r8.BlendOps || r1.AlphaOps != r8.AlphaOps {
 		t.Errorf("op counts differ: %d/%d vs %d/%d", r1.BlendOps, r1.AlphaOps, r8.BlendOps, r8.AlphaOps)

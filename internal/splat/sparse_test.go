@@ -36,7 +36,7 @@ func sparseScenes() []sparseScene {
 			if adversarial {
 				splats = adversarialSplats(rng, cloud, cam)
 			}
-			tgt := Render(randomCloud(rng, 12), cam, Options{Workers: 1})
+			tgt := Render(randomCloud(rng, 12), cam, Options{})
 			out = append(out, sparseScene{
 				name:  fmt.Sprintf("%dx%d adversarial=%v", sz.w, sz.h, adversarial),
 				cloud: cloud, cam: cam, splats: splats,
@@ -57,9 +57,9 @@ func (sc *sparseScene) render(ctx *RenderContext, opts Options) *Result {
 // counters; every other pixel is empty; and the totals count the lattice.
 func TestSparseRenderMatchesDenseOnLattice(t *testing.T) {
 	for _, sc := range sparseScenes() {
-		dense := sc.render(NewRenderContext(), Options{Workers: 1})
+		dense := sc.render(NewRenderContext(), Options{})
 		for _, lo := range []bool{false, true} {
-			sparse := sc.render(NewRenderContext(), Options{Workers: 1, Sparse: true, LogContribution: lo})
+			sparse := sc.render(NewRenderContext(), Options{Sparse: true, LogContribution: lo})
 			w, h := sc.cam.Intr.W, sc.cam.Intr.H
 			var alphaOps, blendOps int64
 			for y := 0; y < h; y++ {
@@ -138,7 +138,7 @@ func TestSparseBackwardMatchesLatticeReference(t *testing.T) {
 	bopts := []BackwardOptions{{PoseGrads: true}, {GaussianGrads: true, PoseGrads: true}, {}}
 	ctx := NewRenderContext()
 	for _, sc := range sparseScenes() {
-		sparse := sc.render(NewRenderContext(), Options{Workers: 1, Sparse: true})
+		sparse := sc.render(NewRenderContext(), Options{Sparse: true})
 		ref := refRender(sc.splats, sc.cloud.Len(), sc.cam, Options{})
 		for _, lc := range losses {
 			for _, bo := range bopts {
@@ -168,28 +168,33 @@ func lossBits(g *Grads) [8]uint64 {
 }
 
 // TestSparseDeterminismAcrossWorkerCounts: the sparse render and its
-// Backward are byte-identical for render and backward worker counts 1, 2
-// and 3.
+// Backward are byte-identical to the one-shot pass for every pairing of a
+// render and a backward context with and without a helper, at every
+// GOMAXPROCS.
 func TestSparseDeterminismAcrossWorkerCounts(t *testing.T) {
 	cloud, cam := determinismScene()
 	target := determinismTarget(cloud, cam)
+	opts := Options{Sparse: true, LogContribution: true}
 	bo := BackwardOptions{GaussianGrads: true, PoseGrads: true}
-	ref := Render(cloud, cam, Options{Workers: 1, Sparse: true, LogContribution: true})
-	bo.Workers = 1
+	ref := Render(cloud, cam, opts)
 	wantRes := ref.Digest()
 	wantG := Backward(cloud, cam, ref, target, DefaultTrackingLoss(), bo).Digest()
-	ctx := NewRenderContext()
-	for _, rw := range []int{1, 2, 3} {
-		res := ctx.Render(cloud, cam, Options{Workers: rw, Sparse: true, LogContribution: true})
-		if res.Digest() != wantRes {
-			t.Errorf("workers %d: sparse render digest differs from Workers=1", rw)
-		}
-		for _, bw := range []int{1, 2, 3} {
-			bo.Workers = bw
-			if ctx.Backward(cloud, cam, res, target, DefaultTrackingLoss(), bo).Digest() != wantG {
-				t.Errorf("render workers %d, backward workers %d: sparse gradient digest differs from Workers=1", rw, bw)
+	ways, stop := twoWays()
+	defer stop()
+	for _, procs := range workerCounts() {
+		restore := withProcs(procs)
+		for _, r := range ways {
+			res := r.ctx.Render(cloud, cam, opts)
+			if res.Digest() != wantRes {
+				t.Errorf("GOMAXPROCS %d, %s: sparse render digest differs from the one-shot pass", procs, r.name)
+			}
+			for _, b := range ways {
+				if b.ctx.Backward(cloud, cam, res, target, DefaultTrackingLoss(), bo).Digest() != wantG {
+					t.Errorf("GOMAXPROCS %d, %s render, %s backward: sparse gradient digest differs from the one-shot pass", procs, r.name, b.name)
+				}
 			}
 		}
+		restore()
 	}
 }
 
@@ -200,10 +205,10 @@ func TestSparseDeterminismAcrossWorkerCounts(t *testing.T) {
 func TestSparseThenDenseMatchesFreshContext(t *testing.T) {
 	cloud, cam := determinismScene()
 	target := determinismTarget(cloud, cam)
-	mapping := Options{Workers: 1, LogContribution: true}
-	tracking := Options{Workers: 1, Sparse: true}
-	mapB := BackwardOptions{GaussianGrads: true, Workers: 1}
-	trackB := BackwardOptions{PoseGrads: true, Workers: 1}
+	mapping := Options{LogContribution: true}
+	tracking := Options{Sparse: true}
+	mapB := BackwardOptions{GaussianGrads: true}
+	trackB := BackwardOptions{PoseGrads: true}
 	fresh := func(opts Options, lc LossConfig, bo BackwardOptions) ([32]byte, [32]byte) {
 		res := Render(cloud, cam, opts)
 		return res.Digest(), Backward(cloud, cam, res, target, lc, bo).Digest()

@@ -25,8 +25,11 @@ import (
 // representative planes zero off the lattice, so the hardware models charge
 // the tracking engine for the lattice's work.
 type GSRefiner struct {
-	LR      float64
-	Loss    splat.LossConfig
+	LR   float64
+	Loss splat.LossConfig
+	// Deprecated: ignored: a pass's participants are its caller and the
+	// crew's helper (see package splat). It remains only because
+	// benchmarks/layers.go assigns it, and goes with that assignment.
 	Workers int
 	// Ctx is the render context every iteration renders through, which
 	// keeps the refinement loop allocation-free; the caller sets it before
@@ -53,7 +56,7 @@ func NewGSRefiner() *GSRefiner {
 // (splat.Options.Sparse). A pose has six degrees of freedom and does not need
 // every pixel; the map does, so mapping renders dense.
 func (r *GSRefiner) renderOptions() splat.Options {
-	return splat.Options{Workers: r.Workers, Sparse: true}
+	return splat.Options{Sparse: true}
 }
 
 // RefineBest evaluates the loss at each candidate initialization (one
@@ -74,7 +77,7 @@ func (r *GSRefiner) RefineBest(cloud *gauss.Cloud, intr camera.Intrinsics, f *fr
 		for _, init := range inits {
 			cam := camera.Camera{Intr: intr, Pose: init}
 			res := r.Ctx.Render(cloud, cam, r.renderOptions())
-			grads := r.Ctx.Backward(cloud, cam, res, f, r.Loss, splat.BackwardOptions{Workers: r.Workers})
+			grads := r.Ctx.Backward(cloud, cam, res, f, r.Loss, splat.BackwardOptions{})
 			if bestLoss < 0 || grads.Loss < bestLoss {
 				bestLoss = grads.Loss
 				best = init
@@ -101,7 +104,7 @@ func (r *GSRefiner) Refine(cloud *gauss.Cloud, intr camera.Intrinsics, f *frame.
 	for i := 0; i < iters; i++ {
 		cam := camera.Camera{Intr: intr, Pose: pose}
 		res := r.Ctx.Render(cloud, cam, r.renderOptions())
-		grads := r.Ctx.Backward(cloud, cam, res, f, r.Loss, splat.BackwardOptions{PoseGrads: true, Workers: r.Workers})
+		grads := r.Ctx.Backward(cloud, cam, res, f, r.Loss, splat.BackwardOptions{PoseGrads: true})
 		stats.Accumulate(res.AlphaOps, res.BlendOps, 2*res.BlendOps,
 			int64(len(res.Splats)), int64(res.Tiles.TotalEntries()), int64(res.Pixels()))
 		if i == iters-1 && !r.ScalarsOnly {
@@ -126,7 +129,7 @@ func (r *GSRefiner) Refine(cloud *gauss.Cloud, intr camera.Intrinsics, f *frame.
 	if iters > 0 {
 		cam := camera.Camera{Intr: intr, Pose: pose}
 		res := r.Ctx.Render(cloud, cam, r.renderOptions())
-		grads := r.Ctx.Backward(cloud, cam, res, f, r.Loss, splat.BackwardOptions{Workers: r.Workers})
+		grads := r.Ctx.Backward(cloud, cam, res, f, r.Loss, splat.BackwardOptions{})
 		if grads.Loss < bestLoss {
 			best = pose
 		}
