@@ -48,7 +48,7 @@ func main() {
 
 	if *list {
 		for _, e := range bench.Experiments() {
-			fmt.Printf("%-8s %s\n", e.ID(), e.Paper())
+			fmt.Printf("%-8s %s\n", e.ID, e.Paper)
 		}
 		return
 	}

@@ -5,10 +5,10 @@
 // The harness follows the paper's methodology — collect SLAM traces once,
 // evaluate every table and figure on them — as a declarative plan:
 //
-//  1. Every experiment is a value implementing Experiment. Needs() declares
-//     the RunSpecs — (sequence, variant, key, override) bundles — the
-//     experiment consumes; Render(suite, w) formats its text artifact from
-//     the suite's cache.
+//  1. Every experiment is an Experiment value. Its Needs declares the
+//     RunSpecs — (sequence, variant, key, override) bundles — the
+//     experiment consumes; its Render(suite, w) formats its text artifact
+//     from the suite's cache.
 //  2. RunBatch collects the specs of every selected experiment, deduplicates
 //     them, and executes the union across a bounded worker pool, sharing
 //     dataset generation and running each unique spec exactly once

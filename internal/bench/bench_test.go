@@ -112,10 +112,10 @@ func TestFindExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.ID() != "fig15a" || e.Paper() == "" {
-		t.Errorf("bad experiment identity: %q / %q", e.ID(), e.Paper())
+	if e.ID != "fig15a" || e.Paper == "" {
+		t.Errorf("bad experiment identity: %q / %q", e.ID, e.Paper)
 	}
-	if len(e.Needs()) == 0 {
+	if len(e.Needs) == 0 {
 		t.Error("fig15a declares no needs")
 	}
 	if _, err := Find("nope"); err == nil {
@@ -128,7 +128,7 @@ func TestFindExperiment(t *testing.T) {
 		"fig20", "fig21", "fig22", "fig23", "abl-codec", "abl-tables", "abl-overlap"}
 	var got []string
 	for _, e := range Experiments() {
-		got = append(got, e.ID())
+		got = append(got, e.ID)
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("registry = %v, want %v", got, want)
@@ -145,18 +145,18 @@ func TestNeedsAreWellFormed(t *testing.T) {
 		known[name] = true
 	}
 	for _, e := range Experiments() {
-		for _, spec := range e.Needs() {
+		for _, spec := range e.Needs {
 			if !known[spec.Seq] {
-				t.Errorf("%s: spec names unknown sequence %q", e.ID(), spec.Seq)
+				t.Errorf("%s: spec names unknown sequence %q", e.ID, spec.Seq)
 			}
 			if spec.Key != "" && spec.Override == nil {
-				t.Errorf("%s: keyed spec %s without override", e.ID(), spec.ID())
+				t.Errorf("%s: keyed spec %s without override", e.ID, spec.ID())
 			}
 			if spec.Key == "" && spec.Override != nil {
-				t.Errorf("%s: spec %s has an override but no key (cache collision)", e.ID(), spec.ID())
+				t.Errorf("%s: spec %s has an override but no key (cache collision)", e.ID, spec.ID())
 			}
 			if spec.DatasetOnly() && spec.Key != "" {
-				t.Errorf("%s: dataset-only spec %s with key", e.ID(), spec.ID())
+				t.Errorf("%s: dataset-only spec %s with key", e.ID, spec.ID())
 			}
 		}
 	}

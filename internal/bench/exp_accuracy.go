@@ -10,34 +10,34 @@ import (
 )
 
 func expTable1() Experiment {
-	return expDef{
-		id: "table1", paper: "Table 1 (category comparison)",
-		needs:  specsFor([]string{"Desk"}, VarBaseline, VarAGS, VarDroid),
-		render: (*Suite).Table1,
+	return Experiment{
+		ID: "table1", Paper: "Table 1 (category comparison)",
+		Needs:  specsFor([]string{"Desk"}, VarBaseline, VarAGS, VarDroid),
+		Render: (*Suite).Table1,
 	}
 }
 
 func expTable2() Experiment {
-	return expDef{
-		id: "table2", paper: "Table 2 (ATE RMSE)",
-		needs:  specsFor(scene.TUMNames(), VarBaseline, VarAGS, VarDroid),
-		render: (*Suite).Table2,
+	return Experiment{
+		ID: "table2", Paper: "Table 2 (ATE RMSE)",
+		Needs:  specsFor(scene.TUMNames(), VarBaseline, VarAGS, VarDroid),
+		Render: (*Suite).Table2,
 	}
 }
 
 func expFig14() Experiment {
-	return expDef{
-		id: "fig14", paper: "Fig. 14 (PSNR)",
-		needs:  specsFor(scene.Names(), VarBaseline, VarAGS),
-		render: (*Suite).Fig14,
+	return Experiment{
+		ID: "fig14", Paper: "Fig. 14 (PSNR)",
+		Needs:  specsFor(scene.Names(), VarBaseline, VarAGS),
+		Render: (*Suite).Fig14,
 	}
 }
 
 func expTable4() Experiment {
-	return expDef{
-		id: "table4", paper: "Table 4 (Droid+SplaTAM)",
-		needs:  specsFor(scene.TUMNames(), VarAGS, VarDroid),
-		render: (*Suite).Table4,
+	return Experiment{
+		ID: "table4", Paper: "Table 4 (Droid+SplaTAM)",
+		Needs:  specsFor(scene.TUMNames(), VarAGS, VarDroid),
+		Render: (*Suite).Table4,
 	}
 }
 
@@ -55,10 +55,10 @@ func expFPRate() Experiment {
 	for _, name := range scene.TUMNames() {
 		specs = append(specs, fpSpec(name))
 	}
-	return expDef{
-		id: "fp", paper: "§6.2 (false-positive rate)",
-		needs:  specs,
-		render: (*Suite).FPRate,
+	return Experiment{
+		ID: "fp", Paper: "§6.2 (false-positive rate)",
+		Needs:  specs,
+		Render: (*Suite).FPRate,
 	}
 }
 

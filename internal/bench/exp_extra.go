@@ -17,26 +17,26 @@ import (
 // Extra (non-paper) ablations of this reproduction's own design choices.
 
 func expAblCodec() Experiment {
-	return expDef{
-		id: "abl-codec", paper: "Extra: ME search ablation",
-		needs:  []RunSpec{SeqSpec("Desk")},
-		render: (*Suite).AblCodec,
+	return Experiment{
+		ID: "abl-codec", Paper: "Extra: ME search ablation",
+		Needs:  []RunSpec{SeqSpec("Desk")},
+		Render: (*Suite).AblCodec,
 	}
 }
 
 func expAblTables() Experiment {
-	return expDef{
-		id: "abl-tables", paper: "Extra: logging-buffer capacity sweep",
-		needs:  []RunSpec{Spec("Desk", VarBaseline)},
-		render: (*Suite).AblTables,
+	return Experiment{
+		ID: "abl-tables", Paper: "Extra: logging-buffer capacity sweep",
+		Needs:  []RunSpec{Spec("Desk", VarBaseline)},
+		Render: (*Suite).AblTables,
 	}
 }
 
 func expAblOverlap() Experiment {
-	return expDef{
-		id: "abl-overlap", paper: "Extra: pipelining/scheduler split",
-		needs:  specsFor(scene.TUMNames(), VarAGS),
-		render: (*Suite).AblOverlap,
+	return Experiment{
+		ID: "abl-overlap", Paper: "Extra: pipelining/scheduler split",
+		Needs:  specsFor(scene.TUMNames(), VarAGS),
+		Render: (*Suite).AblOverlap,
 	}
 }
 

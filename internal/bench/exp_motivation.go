@@ -11,42 +11,42 @@ import (
 )
 
 func expFig3() Experiment {
-	return expDef{
-		id: "fig3", paper: "Fig. 3 (tracking vs mapping time)",
-		needs:  specsFor(scene.TUMNames(), VarBaseline),
-		render: (*Suite).Fig3,
+	return Experiment{
+		ID: "fig3", Paper: "Fig. 3 (tracking vs mapping time)",
+		Needs:  specsFor(scene.TUMNames(), VarBaseline),
+		Render: (*Suite).Fig3,
 	}
 }
 
 func expFig4() Experiment {
-	return expDef{
-		id: "fig4", paper: "Fig. 4 (accuracy vs iterations by FC)",
-		needs:  specsFor([]string{"Desk"}, VarBaseline),
-		render: (*Suite).Fig4,
+	return Experiment{
+		ID: "fig4", Paper: "Fig. 4 (accuracy vs iterations by FC)",
+		Needs:  specsFor([]string{"Desk"}, VarBaseline),
+		Render: (*Suite).Fig4,
 	}
 }
 
 func expFig5() Experiment {
-	return expDef{
-		id: "fig5", paper: "Fig. 5 (non-contributory Gaussians)",
-		needs:  specsFor(scene.TUMNames(), VarBaseline),
-		render: (*Suite).Fig5,
+	return Experiment{
+		ID: "fig5", Paper: "Fig. 5 (non-contributory Gaussians)",
+		Needs:  specsFor(scene.TUMNames(), VarBaseline),
+		Render: (*Suite).Fig5,
 	}
 }
 
 func expFig6() Experiment {
-	return expDef{
-		id: "fig6", paper: "Fig. 6 (contribution similarity by FC level)",
-		needs:  specsFor([]string{"Desk", "Desk2"}, VarBaseline),
-		render: (*Suite).Fig6,
+	return Experiment{
+		ID: "fig6", Paper: "Fig. 6 (contribution similarity by FC level)",
+		Needs:  specsFor([]string{"Desk", "Desk2"}, VarBaseline),
+		Render: (*Suite).Fig6,
 	}
 }
 
 func expFig22() Experiment {
-	return expDef{
-		id: "fig22", paper: "Fig. 22 (FC distribution)",
-		needs:  seqSpecs(scene.TUMNames()),
-		render: (*Suite).Fig22,
+	return Experiment{
+		ID: "fig22", Paper: "Fig. 22 (FC distribution)",
+		Needs:  seqSpecs(scene.TUMNames()),
+		Render: (*Suite).Fig22,
 	}
 }
 

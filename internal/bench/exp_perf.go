@@ -11,57 +11,57 @@ import (
 )
 
 func expFig15a() Experiment {
-	return expDef{
-		id: "fig15a", paper: "Fig. 15a (server speedup)",
-		needs:  specsFor(scene.Names(), VarBaseline, VarAGS),
-		render: func(s *Suite, w io.Writer) error { return s.Fig15(w, true) },
+	return Experiment{
+		ID: "fig15a", Paper: "Fig. 15a (server speedup)",
+		Needs:  specsFor(scene.Names(), VarBaseline, VarAGS),
+		Render: func(s *Suite, w io.Writer) error { return s.Fig15(w, true) },
 	}
 }
 
 func expFig15b() Experiment {
-	return expDef{
-		id: "fig15b", paper: "Fig. 15b (edge speedup)",
-		needs:  specsFor(scene.Names(), VarBaseline, VarAGS),
-		render: func(s *Suite, w io.Writer) error { return s.Fig15(w, false) },
+	return Experiment{
+		ID: "fig15b", Paper: "Fig. 15b (edge speedup)",
+		Needs:  specsFor(scene.Names(), VarBaseline, VarAGS),
+		Render: func(s *Suite, w io.Writer) error { return s.Fig15(w, false) },
 	}
 }
 
 func expTable3() Experiment {
-	return expDef{
-		id: "table3", paper: "Table 3 (area)",
-		render: (*Suite).Table3,
+	return Experiment{
+		ID: "table3", Paper: "Table 3 (area)",
+		Render: (*Suite).Table3,
 	}
 }
 
 func expFig16() Experiment {
-	return expDef{
-		id: "fig16", paper: "Fig. 16 (energy efficiency)",
-		needs:  specsFor(scene.Names(), VarBaseline, VarAGS),
-		render: (*Suite).Fig16,
+	return Experiment{
+		ID: "fig16", Paper: "Fig. 16 (energy efficiency)",
+		Needs:  specsFor(scene.Names(), VarBaseline, VarAGS),
+		Render: (*Suite).Fig16,
 	}
 }
 
 func expFig17() Experiment {
-	return expDef{
-		id: "fig17", paper: "Fig. 17 (per-task speedup)",
-		needs:  specsFor(scene.TUMNames(), VarBaseline, VarAGS),
-		render: (*Suite).Fig17,
+	return Experiment{
+		ID: "fig17", Paper: "Fig. 17 (per-task speedup)",
+		Needs:  specsFor(scene.TUMNames(), VarBaseline, VarAGS),
+		Render: (*Suite).Fig17,
 	}
 }
 
 func expFig18() Experiment {
-	return expDef{
-		id: "fig18", paper: "Fig. 18 (contribution ladder)",
-		needs:  specsFor(scene.TUMNames(), VarBaseline, VarMATOnly, VarAGS),
-		render: (*Suite).Fig18,
+	return Experiment{
+		ID: "fig18", Paper: "Fig. 18 (contribution ladder)",
+		Needs:  specsFor(scene.TUMNames(), VarBaseline, VarMATOnly, VarAGS),
+		Render: (*Suite).Fig18,
 	}
 }
 
 func expFig23() Experiment {
-	return expDef{
-		id: "fig23", paper: "Fig. 23 (Gaussian-SLAM generality)",
-		needs:  specsFor(scene.TUMNames(), VarGSLAMBase, VarGSLAMAGS),
-		render: (*Suite).Fig23,
+	return Experiment{
+		ID: "fig23", Paper: "Fig. 23 (Gaussian-SLAM generality)",
+		Needs:  specsFor(scene.TUMNames(), VarGSLAMBase, VarGSLAMAGS),
+		Render: (*Suite).Fig23,
 	}
 }
 

@@ -55,10 +55,10 @@ func expFig19() Experiment {
 	for _, it := range fig19IterTs {
 		specs = append(specs, fig19Spec(it))
 	}
-	return expDef{
-		id: "fig19", paper: "Fig. 19 (Iter_T sensitivity)",
-		needs:  specs,
-		render: (*Suite).Fig19,
+	return Experiment{
+		ID: "fig19", Paper: "Fig. 19 (Iter_T sensitivity)",
+		Needs:  specs,
+		Render: (*Suite).Fig19,
 	}
 }
 
@@ -67,10 +67,10 @@ func expFig20() Experiment {
 	for _, tm := range fig20ThreshMs {
 		specs = append(specs, fig20Spec(tm))
 	}
-	return expDef{
-		id: "fig20", paper: "Fig. 20 (Thresh_M sensitivity)",
-		needs:  specs,
-		render: (*Suite).Fig20,
+	return Experiment{
+		ID: "fig20", Paper: "Fig. 20 (Thresh_M sensitivity)",
+		Needs:  specs,
+		Render: (*Suite).Fig20,
 	}
 }
 
@@ -79,10 +79,10 @@ func expFig21() Experiment {
 	for _, mult := range fig21Mults {
 		specs = append(specs, fig21Spec(mult))
 	}
-	return expDef{
-		id: "fig21", paper: "Fig. 21 (Thresh_N sensitivity)",
-		needs:  specs,
-		render: (*Suite).Fig21,
+	return Experiment{
+		ID: "fig21", Paper: "Fig. 21 (Thresh_N sensitivity)",
+		Needs:  specs,
+		Render: (*Suite).Fig21,
 	}
 }
 

@@ -8,36 +8,22 @@ import (
 
 // Experiment is one regenerable paper artifact, declared as a value: its
 // identity, the RunSpecs it consumes, and a renderer over the warmed cache.
-type Experiment interface {
+// Each exp_*.go file declares its experiments next to their render methods.
+type Experiment struct {
 	// ID is the stable short name used by ags-bench -exp.
-	ID() string
+	ID string
 	// Paper names the table/figure the experiment reproduces.
-	Paper() string
+	Paper string
 	// Needs declares every (sequence, variant, key, override) bundle Render
 	// will consume, so the batch scheduler can execute the union across
 	// experiments before any rendering starts. Dataset-only specs declare
 	// sequences an experiment reads without running the pipeline.
-	Needs() []RunSpec
+	Needs []RunSpec
 	// Render writes the experiment's text artifact to w. All bundle access
 	// goes through Suite.Run with the same specs Needs declared, so in batch
 	// mode it only ever hits the warmed cache.
-	Render(s *Suite, w io.Writer) error
+	Render func(s *Suite, w io.Writer) error
 }
-
-// def is the declarative experiment value behind the registry: two strings,
-// a spec list, and a render function. Each exp_*.go file builds its
-// experiments with it next to their render methods.
-type expDef struct {
-	id     string
-	paper  string
-	needs  []RunSpec
-	render func(*Suite, io.Writer) error
-}
-
-func (d expDef) ID() string                         { return d.id }
-func (d expDef) Paper() string                      { return d.paper }
-func (d expDef) Needs() []RunSpec                   { return append([]RunSpec(nil), d.needs...) }
-func (d expDef) Render(s *Suite, w io.Writer) error { return d.render(s, w) }
 
 // specsFor is the cross product sequences x variants with empty keys — the
 // shape of most experiments' needs.
@@ -94,14 +80,14 @@ func Experiments() []Experiment {
 // Find returns the experiment with the given ID.
 func Find(id string) (Experiment, error) {
 	for _, e := range Experiments() {
-		if e.ID() == id {
+		if e.ID == id {
 			return e, nil
 		}
 	}
 	ids := make([]string, 0)
 	for _, e := range Experiments() {
-		ids = append(ids, e.ID())
+		ids = append(ids, e.ID)
 	}
 	slices.Sort(ids)
-	return nil, fmt.Errorf("bench: unknown experiment %q (known: %v)", id, ids)
+	return Experiment{}, fmt.Errorf("bench: unknown experiment %q (known: %v)", id, ids)
 }

@@ -18,7 +18,7 @@ func PlanSpecs(exps []Experiment) []RunSpec {
 	seen := make(map[string]bool)
 	seqCovered := make(map[string]bool)
 	for _, e := range exps {
-		for _, spec := range e.Needs() {
+		for _, spec := range e.Needs {
 			if seen[spec.ID()] {
 				continue
 			}
@@ -80,7 +80,7 @@ func RunBatch(s *Suite, exps []Experiment, jobs int, out io.Writer) error {
 	}
 	for _, e := range exps {
 		if err := e.Render(s, out); err != nil {
-			return fmt.Errorf("%s: %w", e.ID(), err)
+			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 	}
 	return nil

@@ -15,10 +15,10 @@ import (
 // ATE), so batch output comparisons exercise the real warm/render path
 // without the full experiment cost.
 func fakeExp(id string, specs ...RunSpec) Experiment {
-	return expDef{
-		id: id, paper: "test: " + id,
-		needs: specs,
-		render: func(s *Suite, w io.Writer) error {
+	return Experiment{
+		ID: id, Paper: "test: " + id,
+		Needs: specs,
+		Render: func(s *Suite, w io.Writer) error {
 			for _, spec := range specs {
 				if spec.DatasetOnly() {
 					fmt.Fprintf(w, "%s: %s frames=%d\n", id, spec.Seq, len(s.Sequence(spec.Seq).Frames))
@@ -135,9 +135,9 @@ func TestBatchErrorPropagation(t *testing.T) {
 // TestBatchRenderErrorPropagation: renderer failures carry the experiment id.
 func TestBatchRenderErrorPropagation(t *testing.T) {
 	boom := errors.New("boom")
-	exps := []Experiment{expDef{
-		id: "exploding", paper: "test",
-		render: func(*Suite, io.Writer) error { return boom },
+	exps := []Experiment{Experiment{
+		ID: "exploding", Paper: "test",
+		Render: func(*Suite, io.Writer) error { return boom },
 	}}
 	err := RunBatch(NewSuite(tinyCfg()), exps, 1, io.Discard)
 	if err == nil || !errors.Is(err, boom) || !strings.Contains(err.Error(), "exploding") {

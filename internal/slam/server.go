@@ -111,8 +111,7 @@ func (sv *Server) Open(name string, cfg Config, intr camera.Intrinsics) (*Sessio
 // the index of the next frame the producer should Push. Pushing the remainder
 // of the original stream yields a Close Result digest-identical to the
 // uninterrupted session. Like Open it is a serving venue: it records no trace
-// detail (a snapshot carries none, whichever venue took it), and it renders
-// with one worker whatever the snapshot's configuration says.
+// detail (a snapshot carries none, whichever venue took it).
 func (sv *Server) RestoreSession(name string, snap []byte, held []HeldFrame) (*Session, int, error) {
 	sys, err := restoreSystem(snap, held, sv.pool, serving)
 	if err != nil {

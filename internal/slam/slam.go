@@ -74,8 +74,8 @@
 // (see System). The tail is the longer side, so the producer helps it: once
 // it is through tracking, its join takes tiles and chunks of the tail's
 // passes (the system's splat.Crew, attached to the mapping context): the
-// render and backward passes' tiles, and the chunks of the projection, the
-// cull geometry, Backward's per-splat factors and the Adam step. It does so
+// render and backward passes' tiles, and the chunks of the projection and
+// the Adam step. It does so
 // until the tail is done, rather than blocking, and the tail's passes run on
 // both cores. Who takes which tile or chunk changes no output (see package
 // splat). join always serves: a tail is started by the next ProcessFrame and

@@ -360,11 +360,11 @@ func TestTailOneProcessor(t *testing.T) {
 }
 
 // TestTailHelpedByProducer: the producer takes tiles of its tail's render and
-// backward passes, and chunks of its chunked passes (projection, cull
-// geometry, per-splat factors, Adam steps), while it waits in join, and the
-// run is still the serial schedule's, whose passes run on their callers
-// alone. Mapping is made the longer side by far, so the producer is through
-// tracking while the tail still has passes to run.
+// backward passes, and chunks of its Each passes (projection, Adam steps),
+// while it waits in join, and the run is still the serial schedule's, whose
+// passes run on their callers alone. Mapping is made the longer side by far,
+// so the producer is through tracking while the tail still has passes to
+// run.
 func TestTailHelpedByProducer(t *testing.T) {
 	seq := testSeq(t, "Desk", 5)
 	cfg := fastCfg(tw, th)

@@ -19,10 +19,6 @@ type backwardArena struct {
 	color      []vecmath.Vec3
 	logit      []float64
 	logScale   []float64
-	// Per-splat factors hoisted out of the contribution loop (Gaussian
-	// gradients only): sigmoid'(logit) and the mean squared scale.
-	sigGrad []float64
-	scale2  []float64
 }
 
 // zeroed returns s resized to n with every element cleared, reusing its

@@ -69,9 +69,12 @@ type blendStep struct {
 // blending sequence front-to-back from the blend log res carries, then walks
 // it back-to-front to form the suffix terms of d(pixel)/d(alpha_i). A sparse
 // res's loss and gradients cover its lattice pixels only (see the package
-// doc). With neither gradient selected only the loss is computed. One-shot
-// entry point: the returned Grads lives in a fresh context nobody else holds;
-// hot loops should call (*RenderContext).Backward.
+// doc). With neither gradient selected only the loss is computed. The
+// Gaussian gradients' per-splat factors come from res's splats, that is,
+// from the cloud res was rendered from; cloud sizes the per-ID gradients
+// and must be that cloud. One-shot entry point: the returned Grads lives in
+// a fresh context nobody else holds; hot loops should call
+// (*RenderContext).Backward.
 func Backward(cloud *gauss.Cloud, cam camera.Camera, res *Result, target *frame.Frame, loss LossConfig, opts BackwardOptions) *Grads {
 	return NewRenderContext().Backward(cloud, cam, res, target, loss, opts)
 }
@@ -132,16 +135,7 @@ func (ctx *RenderContext) Backward(cloud *gauss.Cloud, cam camera.Camera, res *R
 	// in the context, reusing one allocation across mapping iterations.
 	ar := &ctx.arena
 	ar.prepare(nt, tiles.TotalEntries(), opts.GaussianGrads)
-	ctx.pass.bw = backwardPass{cloud: cloud, cam: cam, res: res, target: target, loss: loss, opts: opts, norm: norm}
-	if opts.GaussianGrads {
-		// Per-splat factors of the logit and scale gradients, evaluated once
-		// per call rather than once per contribution (Scale is an exp), by a
-		// chunked pass over the splats.
-		ar.sigGrad = resized(ar.sigGrad, len(res.Splats))
-		ar.scale2 = resized(ar.scale2, len(res.Splats))
-		ctx.runChunks(kindHoist, len(res.Splats))
-	}
-
+	ctx.pass.bw = backwardPass{cam: cam, res: res, target: target, loss: loss, opts: opts, norm: norm}
 	ctx.pass.kind = kindBackward
 	ctx.runPass(nt)
 	ctx.pass.bw = backwardPass{} // a context keeps no caller's Result or frame alive
@@ -177,32 +171,14 @@ func mergeTiles(grads *Grads, ar *backwardArena, res *Result, gaussian bool) {
 }
 
 // backwardPass is a Backward call's inputs, which every participant of its
-// passes reads.
+// pass reads.
 type backwardPass struct {
-	cloud  *gauss.Cloud
 	cam    camera.Camera
 	res    *Result
 	target *frame.Frame
 	loss   LossConfig
 	opts   BackwardOptions
 	norm   float64
-}
-
-// hoist computes the per-splat factors of splats lo to hi-1 into the arena:
-// sigmoid'(logit), through the splat's opacity, and the Gaussian's mean
-// squared scale, the mean of the three per-axis squares the Gaussians had
-// when they were anisotropic. That mean is not always bitwise s², and every
-// trained map depends on its bits
-// (TestBackwardScaleFactorIsMeanOfThreeSquares).
-//
-//ags:hotpath
-func (b *backwardPass) hoist(ar *backwardArena, lo, hi int) {
-	for si := lo; si < hi; si++ {
-		s := &b.res.Splats[si]
-		ar.sigGrad[si] = gauss.SigmoidGrad(s.Opacity)
-		sc := b.cloud.At(s.ID).Scale()
-		ar.scale2[si] = (sc*sc + sc*sc + sc*sc) / 3
-	}
 }
 
 // backwardTile accumulates one tile's partials into the context's arena,
@@ -220,7 +196,7 @@ func (ctx *RenderContext) backwardTile(sl *slot, tileIdx int) {
 		tLogit, tLogScale = ar.logit[lo:hi], ar.logScale[lo:hi]
 	}
 	backwardOneTile(b.cam, b.res, b.target, b.loss, b.opts, tileIdx, b.norm,
-		tMean, tColor, tLogit, tLogScale, ar.sigGrad, ar.scale2,
+		tMean, tColor, tLogit, tLogScale,
 		&ar.poseByTile[tileIdx], &ar.lossByTile[tileIdx], &sl.steps)
 }
 
@@ -253,13 +229,13 @@ func pixelLoss(res *Result, target *frame.Frame, x, y, pix int, norm float64,
 // backwardOneTile accumulates one tile's partial reductions. The Gaussian
 // gradient slices are per-tile slots indexed by position in the tile's
 // Gaussian table (NOT by Gaussian ID); Backward folds them into the per-ID
-// output buffers in fixed tile order. sigGrad and scale2 are the per-splat
-// factors Backward hoisted (nil without GaussianGrads).
+// output buffers in fixed tile order. The per-splat factors of the logit and
+// scale gradients are the splats' own (see Splat).
 //
 //ags:hotpath
 func backwardOneTile(cam camera.Camera, res *Result, target *frame.Frame,
 	loss LossConfig, opts BackwardOptions, tileIdx int, norm float64,
-	gMean, gColor []vecmath.Vec3, gLogit, gLogScale, sigGrad, scale2 []float64,
+	gMean, gColor []vecmath.Vec3, gLogit, gLogScale []float64,
 	gPose *vecmath.Twist, lossAcc *float64, scratch *[]blendStep) {
 
 	w, h := cam.Intr.W, cam.Intr.H
@@ -344,7 +320,7 @@ func backwardOneTile(cam camera.Camera, res *Result, target *frame.Frame,
 
 				if opts.GaussianGrads {
 					// d(alpha)/d(logit) = g * sigmoid'(logit).
-					gLogit[li] += dLdA * gs[k] * sigGrad[si]
+					gLogit[li] += dLdA * gs[k] * s.sigGrad
 				}
 
 				// d(alpha)/d(mean2D) = alpha * CovInv * (pix - mean2D),
@@ -368,7 +344,7 @@ func backwardOneTile(cam camera.Camera, res *Result, target *frame.Frame,
 					// Isotropic scale gradient through the 2D covariance:
 					// d(alpha)/d(log s) = alpha * s^2 * (CovInv d)^T JJT (CovInv d).
 					quad := sdx*(s.JJT.M00*sdx+s.JJT.M01*sdy) + sdy*(s.JJT.M10*sdx+s.JJT.M11*sdy)
-					gLogScale[li] += dLdA * c.alpha * scale2[si] * quad
+					gLogScale[li] += dLdA * c.alpha * s.scale2 * quad
 				}
 				if opts.PoseGrads {
 					gPose.V = gPose.V.Add(gpc)

@@ -33,7 +33,6 @@ type RenderContext struct {
 	tiles      Tiles
 	tileCursor []int32    // per-tile write cursor of the CSR build
 	depthKeys  []depthKey // the CSR build's front-to-back order, and its radix sort's other buffer
-	geom       []cullGeom // per-splat cull geometry, one per splat
 	chunkKept  []int32    // per projection chunk: the splats it kept
 	color      frame.Image
 	depth      frame.DepthMap

@@ -19,9 +19,8 @@ const (
 // (RenderContext.Attach): the helper, a goroutine that would otherwise wait
 // for those passes' owner, as a SLAM system's producer waits for its mapping
 // tail. Every pass of such a context is open to it: the render and backward
-// passes' tiles, and the chunks of the per-Gaussian and per-splat stages
-// around them (projection, cull geometry, Backward's per-splat factors) and
-// of the owner's own Each passes (a mapper's Adam step). The helper calls
+// passes' tiles, and the chunks of its Each passes, the projection's and the
+// owner's own (a mapper's Adam step). The helper calls
 // Serve, which takes tiles and chunks of every pass opened while it runs and
 // returns once the owner side calls Dismiss. A helper that arrives late, or
 // not at all, changes nothing but the time a pass takes: every output is
@@ -128,20 +127,17 @@ func (c *Crew) end() {
 func (ctx *RenderContext) Attach(c *Crew) { ctx.crew = c }
 
 // passKind says what a pass's participants take from its cursor: the tiles
-// of a render or a backward pass, or the chunks of a chunked pass over an
-// index range.
+// of a render or a backward pass, or the chunks of an Each pass's index
+// range.
 type passKind uint8
 
 const (
 	kindRender passKind = iota
 	kindBackward
-	kindProject // chunks of Gaussians, projected into their own slot ranges (project)
-	kindCull    // chunks of splats, each given its cull geometry (renderTiles)
-	kindHoist   // chunks of splats, each given Backward's per-splat factors
-	kindEach    // chunks of an Each pass's index range
+	kindEach
 )
 
-// ChunkSize is how many elements of an index range one chunk of a chunked
+// ChunkSize is how many elements of an index range one chunk of an Each
 // pass covers (the last chunk of a range may be shorter).
 const ChunkSize = 128
 
@@ -153,12 +149,11 @@ type passState struct {
 	next atomic.Int32
 	nt   int32
 	kind passKind
-	// n is the length of a chunked pass's index range, and each the work of
-	// an Each pass.
+	// n is the length of an Each pass's index range, and each its work.
 	n    int
 	each Chunker
 	// The inputs of the passes that read more than the context's own state:
-	// a backward pass and its hoist (bw), and a projection (proj).
+	// a backward pass (bw), and a projection, an Each pass's work (proj).
 	bw   backwardPass
 	proj projectPass
 	// mu guards the Result's blend log and contribution log, which
@@ -262,36 +257,15 @@ func (ctx *RenderContext) take(slot int) {
 		case kindBackward:
 			ctx.backwardTile(sl, int(i))
 			sl.tiles++
-		default:
-			ctx.chunk(int(i))
+		case kindEach:
+			lo := int(i) * ChunkSize
+			p.each.Chunk(lo, min(lo+ChunkSize, p.n))
 			sl.chunks++
 		}
 	}
 }
 
-// chunk does chunk c of the open chunked pass: the elements c·ChunkSize up
-// to the next chunk's first or the range's end.
-//
-//ags:hotpath
-func (ctx *RenderContext) chunk(c int) {
-	p := &ctx.pass
-	lo := c * ChunkSize
-	hi := min(lo+ChunkSize, p.n)
-	switch p.kind {
-	case kindProject:
-		ctx.projectChunk(c, lo, hi)
-	case kindCull:
-		for si := lo; si < hi; si++ {
-			ctx.geom[si] = cullGeomOf(&ctx.splats[si])
-		}
-	case kindHoist:
-		p.bw.hoist(&ctx.arena, lo, hi)
-	case kindEach:
-		p.each.Chunk(lo, hi)
-	}
-}
-
-// Chunker is the work of a chunked pass (RenderContext.Each): Chunk does the
+// Chunker is the work of an Each pass (RenderContext.Each): Chunk does the
 // work of the elements lo to hi-1 of the pass's index range. The pass calls
 // it once per chunk, on whichever participant took the chunk, so a Chunker
 // whose chunks write disjoint data and read nothing another chunk writes
@@ -309,16 +283,8 @@ type Chunker interface {
 //
 //ags:hotpath
 func (ctx *RenderContext) Each(n int, w Chunker) {
-	ctx.pass.each = w
-	ctx.runChunks(kindEach, n)
-}
-
-// runChunks runs a chunked pass of the given kind over the index range
-// [0, n), whose inputs the caller has put in the pass state.
-//
-//ags:hotpath
-func (ctx *RenderContext) runChunks(kind passKind, n int) {
-	ctx.pass.kind, ctx.pass.n = kind, n
+	p := &ctx.pass
+	p.kind, p.n, p.each = kindEach, n, w
 	ctx.runPass(ceilDiv(n, ChunkSize))
 }
 

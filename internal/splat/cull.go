@@ -36,8 +36,8 @@ type tileScratch struct {
 
 // cullGeom is the part of a splat's cull box that depends on the splat alone:
 // the cutoff qc and the extents ex, ey of the ellipse d^T Conic d = qc along
-// each axis. renderTiles computes it once per splat and render (cullGeomOf),
-// and cullBox clips it to each tile of the splat's table entries. qc = +Inf
+// each axis. Projection computes it once per splat (Splat.derive), and
+// cullBox clips it to each tile of the splat's table entries. qc = +Inf
 // marks the whole-tile fallback, which leaves ex and ey unused.
 type cullGeom struct {
 	qc, ex, ey float64
@@ -76,14 +76,15 @@ func cullGeomOf(s *Splat) cullGeom {
 }
 
 // cullBox gathers the splat into e, a cullEntry for the tile
-// [x0,x1)x[y0,y1): its geometry g clipped to the tile, the pixels outside
+// [x0,x1)x[y0,y1): its cull geometry clipped to the tile, the pixels outside
 // which the entry provably does not blend (see cullGeomOf). Pixel x has
 // center x+0.5; it is kept when |x+0.5-mx| <= ex+1. It writes e field by
 // field: a returned entry, or a composite literal, is built aside and copied
 // in, a copy per table entry.
 //
 //ags:hotpath
-func cullBox(e *cullEntry, s *Splat, g *cullGeom, x0, y0, x1, y1 int) {
+func cullBox(e *cullEntry, s *Splat, x0, y0, x1, y1 int) {
+	g := &s.cull
 	mx, my := s.Mean2D.X, s.Mean2D.Y
 	e.x0, e.x1, e.y0, e.y1 = int32(x0), int32(x1), int32(y0), int32(y1)
 	e.contrib, e.qc = 0, g.qc

@@ -134,7 +134,6 @@ func (ctx *RenderContext) FootprintBytes() int64 {
 		sliceBytes[int32](cap(ctx.tiles.Entries)) +
 		sliceBytes[int32](cap(ctx.tileCursor)) +
 		sliceBytes[depthKey](cap(ctx.depthKeys)) +
-		sliceBytes[cullGeom](cap(ctx.geom)) +
 		sliceBytes[int32](cap(ctx.chunkKept)) +
 		sliceBytes[vecmath.Vec3](cap(ctx.color.Pix)) +
 		sliceBytes[float64](cap(ctx.depth.D)) +
@@ -154,8 +153,6 @@ func (ctx *RenderContext) FootprintBytes() int64 {
 		sliceBytes[vecmath.Vec3](cap(ctx.gColor)) +
 		sliceBytes[float64](cap(ctx.gLogit)) +
 		sliceBytes[float64](cap(ctx.gLogScale)) +
-		sliceBytes[float64](cap(ctx.arena.sigGrad)) +
-		sliceBytes[float64](cap(ctx.arena.scale2)) +
 		ctx.result.log.bytes() +
 		sliceBytes[int32](cap(ctx.result.logRows)) +
 		sliceBytes[gauss.Gaussian](cap(ctx.frozen.Gaussians))

@@ -204,20 +204,18 @@ func TestFootprintBytes(t *testing.T) {
 		t.Errorf("dropping the scratch slots freed %d footprint bytes, they held %d", got, slotBytes)
 	}
 	// So are the table build's depth keys with the radix sort's other buffer
-	// (the keys' second half), the per-splat cull geometry and the
-	// projection's per-chunk counts.
-	orderBytes := sliceBytes[depthKey](cap(ctx.depthKeys)) + sliceBytes[cullGeom](cap(ctx.geom)) +
-		sliceBytes[int32](cap(ctx.chunkKept))
-	if len(ctx.depthKeys) == 0 || len(ctx.geom) != len(res.Splats) || len(ctx.chunkKept) != ceilDiv(cloud.Len(), ChunkSize) {
-		t.Fatalf("render left %d depth keys, %d cull geometries and %d chunk counts for %d splats of %d Gaussians",
-			len(ctx.depthKeys), len(ctx.geom), len(ctx.chunkKept), len(res.Splats), cloud.Len())
+	// (the keys' second half) and the projection's per-chunk counts.
+	orderBytes := sliceBytes[depthKey](cap(ctx.depthKeys)) + sliceBytes[int32](cap(ctx.chunkKept))
+	if len(ctx.depthKeys) == 0 || len(ctx.chunkKept) != ceilDiv(cloud.Len(), ChunkSize) {
+		t.Fatalf("render left %d depth keys and %d chunk counts for %d splats of %d Gaussians",
+			len(ctx.depthKeys), len(ctx.chunkKept), len(res.Splats), cloud.Len())
 	}
 	if cap(ctx.depthKeys) < 2*len(res.Splats) {
 		t.Fatalf("the depth keys' scratch holds %d keys, want room for %d and the radix sort's %d", cap(ctx.depthKeys), len(res.Splats), len(res.Splats))
 	}
-	ctx.depthKeys, ctx.geom, ctx.chunkKept = nil, nil, nil
+	ctx.depthKeys, ctx.chunkKept = nil, nil
 	if got := used - logBytes - slotBytes - ctx.FootprintBytes(); got != orderBytes {
-		t.Errorf("dropping the depth keys, cull geometry and chunk counts freed %d footprint bytes, they held %d", got, orderBytes)
+		t.Errorf("dropping the depth keys and chunk counts freed %d footprint bytes, they held %d", got, orderBytes)
 	}
 	if got := NewRenderContext().FootprintBytes(); got != 0 {
 		t.Errorf("fresh context footprint %d, want 0", got)

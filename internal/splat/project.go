@@ -17,24 +17,23 @@
 // context (RenderContext.Attach), its helper — a SLAM system's producer,
 // which would otherwise wait for its mapping tail. The package starts no
 // goroutine of its own. A pass's work is its tiles, or the chunks of an index
-// range (ChunkSize elements each): a render is a chunked projection of the
-// Gaussians, a chunked pass giving every splat its cull geometry and a tile
-// pass; a backward pass is a chunked pass over the splats (the per-splat
-// factors of the Gaussian gradients) and a tile pass; and a context's owner
-// runs passes of its own per-element work through RenderContext.Each (a
-// mapper's Adam step). Each participant has a scratch slot of its own (cull
-// scratch, blend staging, blend steps, op counters). A chunk writes its own
-// elements only, and a projection's chunks write their own slot ranges,
-// whose gaps the caller then closes in chunk order. Every reduction that
-// crosses a tile runs over a fixed tree or is exact: raster order within a
-// tile, ascending tile order across tiles for Backward's per-tile float
-// partials, and integer sums for the workload counters and the contribution
-// log, which are exact in any order. The splats, color/depth/silhouette/
-// transmittance images, the contribution log, AlphaOps/BlendOps, and all
-// gradient buffers are therefore byte-identical whichever participant took
-// which tile or chunk, with or without a helper, at any GOMAXPROCS.
-// Callers may rely on this for exact A/B comparisons at full parallelism;
-// Result.Digest and Grads.Digest exist to assert it cheaply.
+// range (ChunkSize elements each) in an Each pass: a render is the projection
+// of the Gaussians, an Each pass, and a tile pass; a backward pass is a tile
+// pass; and a context's owner runs passes of its own per-element work through
+// RenderContext.Each (a mapper's Adam step). Each participant has a scratch
+// slot of its own (cull scratch, blend staging, blend steps, op counters). A
+// chunk writes its own elements only, and a projection's chunks write their
+// own slot ranges, whose gaps the caller then closes in chunk order. Every
+// reduction that crosses a tile runs over a fixed tree or is exact: raster
+// order within a tile, ascending tile order across tiles for Backward's
+// per-tile float partials, and integer sums for the workload counters and the
+// contribution log, which are exact in any order. The splats,
+// color/depth/silhouette/transmittance images, the contribution log,
+// AlphaOps/BlendOps, and all gradient buffers are therefore byte-identical
+// whichever participant took which tile or chunk, with or without a helper,
+// at any GOMAXPROCS. Callers may rely on this for exact A/B comparisons at
+// full parallelism; Result.Digest and Grads.Digest exist to assert it
+// cheaply.
 //
 // A pass's caller returns once the helper, if it joined, has left the pass.
 // A tile or chunk that panics on the helper is recovered there and handed to
@@ -57,14 +56,16 @@
 // kernels this replaced live on in reference_test.go, where every output is
 // compared with theirs byte for byte.
 //
-// What the host pays per pair, per entry and per splat is kept apart. The
-// box's splat-only part — the cutoff with its logarithm and the ellipse's
-// extents with their square roots — is computed once per splat and render
-// and only clipped to each tile. The tables come from one sort of the
-// splats on (depth, index), whose order the fill keeps, so each table is
-// born front to back and no tile sorts. That sort is a stable LSD radix sort
-// on the depths' bits, eight bits a pass, over keys built in index order, so
-// ties keep index order; a digit every key shares is skipped. The one
+// What the host pays per pair, per entry and per splat is kept apart. A splat
+// carries what its tiles read of it: projection computes the box's splat-only
+// part — the cutoff with its logarithm and the ellipse's extents with their
+// square roots — which each tile only clips, and the per-splat factors of
+// Backward's logit and scale gradients, once per splat and render. The tables
+// come from one sort of the splats on (depth, index), whose order the fill
+// keeps, so each table is born front to back and no tile sorts. That sort is
+// a stable LSD radix sort on the depths' bits, eight bits a pass, over keys
+// built in index order, so ties keep index order; a digit every key shares is
+// skipped. The one
 // per-pair transcendental, the falloff's exponential, is the package's own
 // (exp.go): a range reduction onto a 64-entry table of 2^(j/64) and a
 // degree-5 polynomial, within 4 ulp of math.Exp on the falloff's range. It is plain float64 Go with no libm
@@ -215,23 +216,22 @@ type Splat struct {
 	// the conic loses nothing; the per-pixel falloff becomes straight-line
 	// arithmetic with no matrix indirection.
 	ConA, ConB, ConC float64
-}
 
-// ProjectGaussian projects one Gaussian through the camera. ok is false when
-// the Gaussian is behind the near plane or degenerate.
-func ProjectGaussian(g *gauss.Gaussian, cam camera.Camera) (Splat, bool) {
-	var s Splat
-	if !projectInto(&s, g, cam) {
-		return Splat{}, false
-	}
-	s.ID = -1
-	return s, true
+	// What the tile kernels read besides the fields above, computed at
+	// projection: the cull geometry the render's table entries clip to
+	// their tiles, and Backward's per-splat factors of the Gaussian
+	// gradients — sigmoid'(logit), through Opacity, and the Gaussian's mean
+	// squared scale. derive computes the first two from the fields above.
+	cull    cullGeom
+	sigGrad float64
+	scale2  float64
 }
 
 // projectInto projects one Gaussian through the camera into s, field by
-// field, and reports whether it projects (see ProjectGaussian). It leaves s
-// partly written when it does not, and never writes s.ID. Writing in place
-// spares preprocessing a cleared Splat and a copy of it per Gaussian.
+// field, and reports whether it projects: false when the Gaussian is behind
+// the near plane or degenerate. It leaves s partly written when it does
+// not, and writes neither s.ID nor the fields derive computes. Writing in
+// place spares preprocessing a cleared Splat and a copy of it per Gaussian.
 //
 //ags:hotpath
 func projectInto(s *Splat, g *gauss.Gaussian, cam camera.Camera) bool {
@@ -247,7 +247,8 @@ func projectInto(s *Splat, g *gauss.Gaussian, cam camera.Camera) bool {
 	// Sigma2D = J W Sigma3D W^T J^T where W is the view rotation and J the
 	// 2x3 projection Jacobian.
 	w := cam.Pose.R.Mat3()
-	covCam := w.Mul(g.Cov3()).Mul(w.Transpose())
+	sc := g.Scale()
+	covCam := w.Mul(gauss.IsotropicCov(sc)).Mul(w.Transpose())
 	a := covCam.MulVec(du)
 	b := covCam.MulVec(dv)
 	cov := vecmath.Mat2{
@@ -276,21 +277,37 @@ func projectInto(s *Splat, g *gauss.Gaussian, cam camera.Camera) bool {
 		M10: dv.Dot(du), M11: dv.Dot(dv),
 	}
 	s.ConA, s.ConB, s.ConC = inv.M00, inv.M01, inv.M11
+	// The mean of the three per-axis squares the Gaussians had when they
+	// were anisotropic. It is not always bitwise s², and every trained map
+	// depends on its bits (TestBackwardScaleFactorIsMeanOfThreeSquares).
+	s.scale2 = (sc*sc + sc*sc + sc*sc) / 3
 	return true
 }
 
-// projectPass is a projection's inputs, which every participant of its
-// chunked pass reads.
+// derive computes the splat's cull geometry and sigmoid'(logit) from its
+// other fields. Projection calls it on every splat it keeps.
+//
+//ags:hotpath
+func (s *Splat) derive() {
+	s.cull = cullGeomOf(s)
+	s.sigGrad = gauss.SigmoidGrad(s.Opacity)
+}
+
+// projectPass is a projection: its inputs, the splat slots it projects
+// into and, per chunk, how many splats the chunk kept. It is the work of an
+// Each pass over the Gaussian IDs.
 type projectPass struct {
-	cloud *gauss.Cloud
-	cam   camera.Camera
-	skip  []bool
+	cloud  *gauss.Cloud
+	cam    camera.Camera
+	skip   []bool
+	splats []Splat
+	kept   []int32
 }
 
 // project projects every Gaussian in the cloud into the context's splats
 // (step 1 of Fig. 2), culling those that fall outside the image or behind
 // the camera. skip, when non-nil, suppresses Gaussians whose ID is flagged
-// (selective mapping). It is a chunked pass over the Gaussian IDs: room for
+// (selective mapping). It is an Each pass over the Gaussian IDs: room for
 // every Gaussian is made first, at least doubling the capacity when it must
 // grow, and each chunk projects its Gaussians into its own slot range,
 // packed to the range's front, and records how many it kept. The caller then
@@ -305,9 +322,10 @@ func (ctx *RenderContext) project(cloud *gauss.Cloud, cam camera.Camera, skip []
 	}
 	ctx.splats = ctx.splats[:n]
 	ctx.chunkKept = resized(ctx.chunkKept, ceilDiv(n, ChunkSize))
-	ctx.pass.proj = projectPass{cloud: cloud, cam: cam, skip: skip}
-	ctx.runChunks(kindProject, n)
-	ctx.pass.proj = projectPass{} // a context keeps no caller's cloud alive
+	pp := &ctx.pass.proj
+	*pp = projectPass{cloud: cloud, cam: cam, skip: skip, splats: ctx.splats, kept: ctx.chunkKept}
+	ctx.Each(n, pp)
+	*pp = projectPass{} // a context keeps no caller's cloud alive
 	kept := 0
 	for c, k := range ctx.chunkKept {
 		if lo := c * ChunkSize; lo != kept {
@@ -318,18 +336,18 @@ func (ctx *RenderContext) project(cloud *gauss.Cloud, cam camera.Camera, skip []
 	ctx.splats = ctx.splats[:kept]
 }
 
-// projectChunk projects chunk c, the Gaussians lo to hi-1, into the slots
-// of the same range.
+// Chunk projects the Gaussians lo to hi-1, a chunk of the pass, into the
+// slots of the same range.
 //
 //ags:hotpath
-func (ctx *RenderContext) projectChunk(c, lo, hi int) {
-	pp := &ctx.pass.proj
-	ctx.chunkKept[c] = int32(projectRange(ctx.splats[lo:hi], pp.cloud, pp.cam, pp.skip, lo, hi))
+func (pp *projectPass) Chunk(lo, hi int) {
+	pp.kept[lo/ChunkSize] = int32(projectRange(pp.splats[lo:hi], pp.cloud, pp.cam, pp.skip, lo, hi))
 }
 
 // projectRange projects the Gaussians lo to hi-1 of the cloud, in ID order,
 // straight into dst's slots, and returns how many it kept: those skip does
-// not flag that project and whose radius reaches the image.
+// not flag that project and whose radius reaches the image. Every splat it
+// keeps is derived.
 //
 //ags:hotpath
 func projectRange(dst []Splat, cloud *gauss.Cloud, cam camera.Camera, skip []bool, lo, hi int) int {
@@ -349,6 +367,7 @@ func projectRange(dst []Splat, cloud *gauss.Cloud, cam camera.Camera, skip []boo
 			continue
 		}
 		s.ID = id
+		s.derive()
 		n++
 	}
 	return n

@@ -255,8 +255,8 @@ func cmpDepthKey(a, b depthKey) int {
 }
 
 // preprocessInto projects every Gaussian in the cloud in one walk, appending
-// the splats projectRange keeps to splats: the projection a context's
-// chunked pass (project) must reproduce byte for byte, and the splats the
+// the splats projectRange keeps to splats: the projection a context's Each
+// pass (project) must reproduce byte for byte, and the splats the
 // tests build tables from without a context.
 func preprocessInto(splats []Splat, cloud *gauss.Cloud, cam camera.Camera, skip []bool) []Splat {
 	n := len(splats)
@@ -392,9 +392,14 @@ func refBackward(cloud *gauss.Cloud, cam camera.Camera, res *Result, target *fra
 }
 
 // renderSplats runs the production tile pass over already projected splats,
-// so tests can inject splats no projection would produce.
+// so tests can inject splats no projection would produce. It derives each
+// splat again, as projection would have derived it from the fields the
+// test wrote (its scale2 stays the projected Gaussian's).
 func renderSplats(ctx *RenderContext, splats []Splat, cloud *gauss.Cloud, cam camera.Camera, opts Options) *Result {
 	ctx.splats = append(ctx.splats[:0], splats...)
+	for i := range ctx.splats {
+		ctx.splats[i].derive()
+	}
 	buildTilesInto(&ctx.tiles, &ctx.tileCursor, &ctx.depthKeys, ctx.splats, cam.Intr)
 	return ctx.renderTiles(cloud, cam, opts)
 }

@@ -81,12 +81,10 @@ func (ctx *RenderContext) Render(cloud *gauss.Cloud, cam camera.Camera, opts Opt
 }
 
 // renderTiles runs step 3 of Fig. 2 over the context's prepared splats and
-// tiles, starting with each splat's cull geometry (cullGeomOf), which the
-// splat's table entries clip to their tiles: a chunked pass over the splats,
-// then the tile pass. Both are handed out from the pass's cursor (runPass)
-// to the caller and the crew's helper. Pixel buffers
-// are disjoint across tiles, each tile row's blends join the log as one run,
-// and the cross-tile reductions are integers (exact under any association):
+// tiles: a tile pass, handed out from the pass's cursor (runPass) to the
+// caller and the crew's helper. Pixel buffers are disjoint across tiles,
+// each tile row's blends join the log as one run, and the cross-tile
+// reductions are integers (exact under any association):
 // the contribution log, added to tile by tile, and the op counters, merged
 // in slot order. So every Result is byte-identical whoever rendered which
 // tile.
@@ -123,9 +121,6 @@ func (ctx *RenderContext) renderTiles(cloud *gauss.Cloud, cam camera.Camera, opt
 	nt := ctx.tiles.NumTiles()
 	res.logRows = resized(res.logRows, nt*TileSize)
 	res.log.li, res.log.g = res.log.li[:0], res.log.g[:0]
-	ctx.geom = resized(ctx.geom, len(ctx.splats))
-	ctx.runChunks(kindCull, len(ctx.splats))
-
 	ctx.pass.kind = kindRender
 	ctx.runPass(nt)
 	for i := range ctx.slots {
@@ -145,7 +140,7 @@ func (ctx *RenderContext) renderTiles(cloud *gauss.Cloud, cam camera.Camera, opt
 func (ctx *RenderContext) renderTile(sl *slot, tileIdx int) {
 	res := &ctx.result
 	p := &ctx.pass
-	a, b := renderOneTile(res, ctx.geom, tileIdx, &sl.cull, &sl.stage, &p.mu)
+	a, b := renderOneTile(res, tileIdx, &sl.cull, &sl.stage, &p.mu)
 	sl.alphaOps += a
 	sl.blendOps += b
 	if res.NonContrib != nil {
@@ -187,8 +182,7 @@ func (r *Result) addContributions(tileIdx int, ent []cullEntry) {
 // logged pass leaves each entry's blend count in the cull scratch.
 //
 //ags:hotpath
-func renderOneTile(res *Result, geom []cullGeom, tileIdx int,
-	sc *tileScratch, stage *blendLog, mu *sync.Mutex) (alphaOps, blendOps int64) {
+func renderOneTile(res *Result, tileIdx int, sc *tileScratch, stage *blendLog, mu *sync.Mutex) (alphaOps, blendOps int64) {
 	w, h := res.Color.W, res.Color.H
 	logged := res.NonContrib != nil
 
@@ -205,7 +199,7 @@ func renderOneTile(res *Result, geom []cullGeom, tileIdx int,
 
 	ent := resized(sc.ent, len(list))
 	for li, si := range list {
-		cullBox(&ent[li], &splats[si], &geom[si], x0, y0, x1, y1)
+		cullBox(&ent[li], &splats[si], x0, y0, x1, y1)
 	}
 	sc.ent = ent
 

@@ -31,8 +31,8 @@ func centeredGaussian(z, scale, opacity float64, color vecmath.Vec3) gauss.Gauss
 func TestProjectGaussianCenter(t *testing.T) {
 	cam := testCam(64, 48)
 	g := centeredGaussian(2, 0.1, 0.8, vecmath.Vec3{X: 1})
-	s, ok := ProjectGaussian(&g, cam)
-	if !ok {
+	var s Splat
+	if !projectInto(&s, &g, cam) {
 		t.Fatal("projection failed")
 	}
 	if math.Abs(s.Mean2D.X-cam.Intr.Cx) > 1e-9 || math.Abs(s.Mean2D.Y-cam.Intr.Cy) > 1e-9 {
@@ -52,7 +52,7 @@ func TestProjectGaussianCenter(t *testing.T) {
 func TestProjectGaussianBehindCamera(t *testing.T) {
 	cam := testCam(64, 48)
 	g := centeredGaussian(-1, 0.1, 0.8, vecmath.Vec3{})
-	if _, ok := ProjectGaussian(&g, cam); ok {
+	if projectInto(new(Splat), &g, cam) {
 		t.Error("gaussian behind camera projected")
 	}
 }
@@ -60,7 +60,8 @@ func TestProjectGaussianBehindCamera(t *testing.T) {
 func TestSplatEvalPeakAtCenter(t *testing.T) {
 	cam := testCam(64, 48)
 	g := centeredGaussian(2, 0.1, 0.8, vecmath.Vec3{X: 1})
-	s, _ := ProjectGaussian(&g, cam)
+	var s Splat
+	projectInto(&s, &g, cam)
 	peak := s.Eval(s.Mean2D.X, s.Mean2D.Y)
 	if math.Abs(peak-1) > 1e-12 {
 		t.Errorf("peak falloff = %v", peak)
