@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt lint benchmark-module verify determinism bench-batch profile serve-demo
+.PHONY: build test vet fmt lint benchmark-module verify determinism bench-batch profile serve-demo size
 
 build:
 	$(GO) build ./...
@@ -66,3 +66,12 @@ serve-demo:
 # Inspect with: go tool pprof -top cpu.pprof (or mem.pprof).
 profile:
 	$(GO) run ./cmd/ags-bench -exp fig4 -jobs 1 -q -cpuprofile cpu.pprof -memprofile mem.pprof
+
+# Lines of Go in the three parts the size counts in ROADMAP.md and CHANGES.md
+# quote: non-test Go outside benchmarks/ and testdata/, test Go outside them,
+# and the benchmark module.
+GO_SRC = find . -name '*.go' -not -path './benchmarks/*' -not -path '*/testdata/*'
+size:
+	@echo "non-test Go  $$($(GO_SRC) ! -name '*_test.go' -exec cat {} + | wc -l)"
+	@echo "test Go      $$($(GO_SRC) -name '*_test.go' -exec cat {} + | wc -l)"
+	@echo "benchmarks/  $$(find ./benchmarks -name '*.go' -exec cat {} + | wc -l)"

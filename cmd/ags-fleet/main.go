@@ -12,6 +12,8 @@
 //	        # its 100th wire write, truncation offsets seeded by 42
 //
 //	ags-fleet route -nodes 127.0.0.1:7701,127.0.0.1:7702 -seq Desk,Xyz
+//	ags-fleet route -nodes ... -seq Desk -algo droid   # -algo is one of
+//	        baseline, ags, mat, gcm, droid (default ags)
 //	ags-fleet route -nodes ... -seq Desk,Xyz -drain-at 12   # drain the first
 //	        stream's node after 12 frames; its sessions migrate mid-stream
 //	ags-fleet route -nodes ... -seq Desk,Xyz -checkpoint-every 4
@@ -158,24 +160,6 @@ func atLeastOne(name string, v int) error {
 	return nil
 }
 
-// routeConfig is the pipeline configuration route runs -algo with at w x h,
-// or an error naming the algorithms it knows.
-func routeConfig(algo string, w, h int) (slam.Config, error) {
-	cfg := slam.DefaultConfig(w, h)
-	switch algo {
-	case "baseline":
-	case "ags":
-		cfg.EnableMAT, cfg.EnableGCM = true, true
-	case "mat":
-		cfg.EnableMAT = true
-	case "gcm":
-		cfg.EnableGCM = true
-	default:
-		return cfg, fmt.Errorf("-algo %q is not one of baseline, ags, mat, gcm", algo)
-	}
-	return cfg, nil
-}
-
 // dialRouter builds a router over the given comma-separated node addresses.
 func dialRouter(nodes string) (*fleet.Router, error) {
 	addrs := strings.Split(nodes, ",")
@@ -201,7 +185,7 @@ func routeCmd(args []string) error {
 		width   = fs.Int("w", 64, "frame width")
 		height  = fs.Int("h", 48, "frame height")
 		frames  = fs.Int("frames", 24, "frames per sequence")
-		algo    = fs.String("algo", "ags", "baseline | ags | mat | gcm")
+		algo    = fs.String("algo", "ags", "baseline | ags | mat | gcm | droid")
 		drainAt = fs.Int("drain-at", 0, "after this many frames, drain the node serving the first stream (0 = never)")
 		ckEvery = fs.Int("checkpoint-every", 0, "checkpoint-replay recovery: snapshot each stream every N acked frames and survive node death (0 = recovery off)")
 		verify  = fs.Bool("verify", true, "run each sequence locally too and assert the fleet digests match")
@@ -210,7 +194,10 @@ func routeCmd(args []string) error {
 	if *nodes == "" {
 		return fmt.Errorf("ags-fleet route: -nodes is required")
 	}
-	cfg, algoErr := routeConfig(*algo, *width, *height)
+	cfg, algoErr := slam.AlgorithmConfig(*algo)
+	if algoErr != nil {
+		algoErr = fmt.Errorf("-algo: %w", algoErr)
+	}
 	// The drain lands before frame -drain-at, so it needs a frame on either side.
 	checkFlags(
 		atLeastOne("w", *width),

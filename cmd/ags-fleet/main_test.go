@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"ags/internal/slam"
 )
 
 func TestInRange(t *testing.T) {
@@ -41,9 +43,10 @@ func TestInRange(t *testing.T) {
 }
 
 // TestRouteFlags: route refuses a frame side or frame count below 1 and an
-// -algo it does not know (checkFlags exits 2 on them before any sequence is
-// generated or node dialled), and maps each known -algo to its switches.
+// -algo slam.AlgorithmConfig does not know (checkFlags exits 2 on them before
+// any sequence is generated or node dialled), and takes every name it knows.
 func TestRouteFlags(t *testing.T) {
+	algo := func(name string) error { _, err := slam.AlgorithmConfig(name); return err }
 	for _, tc := range []struct {
 		name string
 		err  error
@@ -54,9 +57,10 @@ func TestRouteFlags(t *testing.T) {
 		{"height negative", atLeastOne("h", -48), "-h -48 is out of range"},
 		{"frames zero", atLeastOne("frames", 0), "-frames 0 is out of range"},
 		{"frames many", atLeastOne("frames", 1<<20), ""},
-		{"algo unknown", func() error { _, err := routeConfig("droid", 64, 48); return err }(), `-algo "droid" is not one of baseline, ags, mat, gcm`},
-		{"algo empty", func() error { _, err := routeConfig("", 64, 48); return err }(), "is not one of"},
-		{"algo baseline", func() error { _, err := routeConfig("baseline", 64, 48); return err }(), ""},
+		{"algo unknown", algo("splatam"), `algorithm "splatam" is not one of baseline, ags, mat, gcm, droid`},
+		{"algo empty", algo(""), "is not one of"},
+		{"algo baseline", algo("baseline"), ""},
+		{"algo droid", algo("droid"), ""},
 	} {
 		switch {
 		case tc.want == "" && tc.err != nil:
@@ -65,12 +69,6 @@ func TestRouteFlags(t *testing.T) {
 			t.Errorf("%s: accepted, want an error containing %q", tc.name, tc.want)
 		case tc.want != "" && !strings.Contains(tc.err.Error(), tc.want):
 			t.Errorf("%s: error %q does not contain %q", tc.name, tc.err, tc.want)
-		}
-	}
-	for algo, want := range map[string][2]bool{"baseline": {}, "ags": {true, true}, "mat": {true, false}, "gcm": {false, true}} {
-		cfg, err := routeConfig(algo, 64, 48)
-		if err != nil || [2]bool{cfg.EnableMAT, cfg.EnableGCM} != want {
-			t.Errorf("-algo %s: MAT %v GCM %v (%v), want %v", algo, cfg.EnableMAT, cfg.EnableGCM, err, want)
 		}
 	}
 }

@@ -5,6 +5,7 @@
 //
 //	ags-slam -seq Desk -algo ags
 //	ags-slam -seq Room -algo baseline -frames 60 -w 96 -h 72
+//	ags-slam -seq Desk -algo droid   # coarse tracking only (Table 4)
 //	ags-slam -seq Desk -algo ags -sessions 4   # concurrent streams, one server
 //	ags-slam -seq Desk -snapshot run.snap -snapshot-at 12   # serialize mid-stream
 //	ags-slam -seq Desk -resume run.snap                     # continue it; digests match
@@ -36,7 +37,6 @@ func main() {
 		frames   = flag.Int("frames", 24, "frames in the sequence")
 		iters    = flag.Int("iters", 30, "baseline tracking iterations (N_T)")
 		listSeq  = flag.Bool("listseq", false, "list sequence names and exit")
-		traceOut = flag.String("trace", "", "write the run's operation trace as JSON to this file")
 		sessions = flag.Int("sessions", 1, "run N copies of the sequence as concurrent slam.Server sessions (digest-asserted against a sequential run)")
 
 		pruneOpacity = flag.Float64("prune-opacity", slam.DefaultConfig(1, 1).Mapper.PruneOpacity, "remove Gaussians whose opacity falls below this; the default never fires against opacities seeded at 0.999 — raise it (e.g. 0.25, with -prune-lr-logit 0.2) for real prune pressure")
@@ -59,24 +59,14 @@ func main() {
 		os.Exit(2)
 	}
 
-	cfg := slam.DefaultConfig(*width, *height)
+	cfg, err := slam.AlgorithmConfig(*algo)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "-algo: %v\n", err)
+		os.Exit(2)
+	}
 	cfg.TrackIters = *iters
 	cfg.Mapper.PruneOpacity = *pruneOpacity
 	cfg.Mapper.LRLogit = *pruneLRLogit
-	switch *algo {
-	case "baseline":
-	case "ags":
-		cfg.EnableMAT, cfg.EnableGCM = true, true
-	case "mat":
-		cfg.EnableMAT = true
-	case "gcm":
-		cfg.EnableGCM = true
-	case "droid":
-		cfg.ForceCoarseOnly = true
-	default:
-		fmt.Fprintf(os.Stderr, "unknown algorithm %q\n", *algo)
-		os.Exit(2)
-	}
 
 	fmt.Printf("generating %s (%dx%d, %d frames)...\n", *seqName, *width, *height, *frames)
 	seq, err := scene.Generate(*seqName, scene.Config{Width: *width, Height: *height, Frames: *frames, Seed: 1})
@@ -86,7 +76,7 @@ func main() {
 	}
 
 	if *sessions > 1 {
-		if err := runSessions(cfg, seq, *sessions, *traceOut); err != nil {
+		if err := runSessions(cfg, seq, *sessions); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -202,23 +192,6 @@ func main() {
 	fmt.Printf("  map iterations     %d\n", tot.MapIters)
 	fmt.Printf("  wall time          %s (%.2f s/frame in Go)\n", elapsed.Round(time.Millisecond), elapsed.Seconds()/float64(max(tot.Frames, 1)))
 
-	if *traceOut != "" {
-		tf, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := res.Trace.WriteJSON(tf); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := tf.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("\ntrace written to %s\n", *traceOut)
-	}
-
 	// A resumed run models the frames it processed, the ones its trace holds.
 	switch {
 	case tot.Frames == 0:
@@ -282,9 +255,8 @@ func checkSnapshotAt(at int, path string, resumed, frames int) error {
 // runSessions streams n copies of the sequence as concurrent sessions on one
 // slam.Server and checks every session's Result digest against a sequential
 // slam.Run — the multi-tenant serving mode, with the bounded context pool
-// shared across streams. traceOut, if non-empty, receives the reference
-// run's operation trace (the sessions' traces are digest-identical to it).
-func runSessions(cfg slam.Config, seq *scene.Sequence, n int, traceOut string) error {
+// shared across streams.
+func runSessions(cfg slam.Config, seq *scene.Sequence, n int) error {
 	fmt.Printf("sequential reference run...\n")
 	ref, err := slam.Run(cfg, seq)
 	if err != nil {
@@ -319,21 +291,6 @@ func runSessions(cfg slam.Config, seq *scene.Sequence, n int, traceOut string) e
 	}
 	if err := srv.Close(); err != nil {
 		return err
-	}
-
-	if traceOut != "" {
-		tf, err := os.Create(traceOut)
-		if err != nil {
-			return err
-		}
-		if err := ref.Trace.WriteJSON(tf); err != nil {
-			tf.Close()
-			return err
-		}
-		if err := tf.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("\ntrace written to %s\n", traceOut)
 	}
 
 	ate, err := ref.ATERMSECm()

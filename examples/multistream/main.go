@@ -42,7 +42,10 @@ func main() {
 			log.Fatal(err)
 		}
 
-		cfg := slam.AGSConfig(width, height)
+		cfg, err := slam.AlgorithmConfig("ags")
+		if err != nil {
+			log.Fatal(err)
+		}
 		cfg.TrackIters = 20 // scaled-down N_T for a quick demo
 
 		sess, err := srv.Open(name, cfg, seq.Intr)

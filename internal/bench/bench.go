@@ -216,35 +216,34 @@ func (s *Suite) Sequence(name string) *scene.Sequence {
 	return seq
 }
 
+// gslamPipeline maps each Gaussian-SLAM variant to the pipeline it runs on
+// that backbone, which optimizes sub-maps with more iterations per frame and
+// a shorter keyframe window (§6.6).
+var gslamPipeline = map[Variant]Variant{VarGSLAMBase: VarBaseline, VarGSLAMAGS: VarGCMOnly}
+
 // slamConfig builds the pipeline configuration for a variant. override, if
 // non-nil, may further mutate the config (parameter sweeps).
-func (s *Suite) slamConfig(v Variant, override func(*slam.Config)) slam.Config {
-	cfg := slam.DefaultConfig(s.Cfg.Width, s.Cfg.Height)
+func (s *Suite) slamConfig(v Variant, override func(*slam.Config)) (slam.Config, error) {
+	pipeline, gslam := gslamPipeline[v]
+	if !gslam {
+		pipeline = v
+	}
+	cfg, err := slam.AlgorithmConfig(string(pipeline))
+	if err != nil {
+		return cfg, fmt.Errorf("bench: variant %q: %w", v, err)
+	}
 	cfg.TrackIters = s.Cfg.TrackIters
 	cfg.IterT = s.Cfg.IterT
 	cfg.Mapper.MapIters = s.Cfg.MapIters
 	cfg.Mapper.DensifyStride = s.Cfg.DensifyStride
-	switch v {
-	case VarBaseline:
-	case VarAGS:
-		cfg.EnableMAT, cfg.EnableGCM = true, true
-	case VarMATOnly:
-		cfg.EnableMAT = true
-	case VarGCMOnly:
-		cfg.EnableGCM = true
-	case VarDroid:
-		cfg.ForceCoarseOnly = true
-	case VarGSLAMBase, VarGSLAMAGS:
-		// Gaussian-SLAM optimizes sub-maps with more iterations per frame
-		// and a shorter keyframe window (§6.6).
+	if gslam {
 		cfg.Mapper.MapIters *= 2
 		cfg.Mapper.KeyframeWindow = 4
-		cfg.EnableGCM = v == VarGSLAMAGS
 	}
 	if override != nil {
 		override(&cfg)
 	}
-	return cfg
+	return cfg, nil
 }
 
 // Run returns the cached bundle for the spec, executing the pipeline on
@@ -266,8 +265,12 @@ func (s *Suite) Run(spec RunSpec) (*Bundle, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bench: run %s: %w", id, err)
 		}
+		cfg, err := s.slamConfig(spec.Variant, spec.Override)
+		if err != nil {
+			return nil, err
+		}
 		s.logf("# running %s ...\n", id)
-		res, err := slam.Run(s.slamConfig(spec.Variant, spec.Override), seq)
+		res, err := slam.Run(cfg, seq)
 		if err != nil {
 			return nil, fmt.Errorf("bench: run %s: %w", id, err)
 		}

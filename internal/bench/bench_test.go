@@ -247,10 +247,13 @@ func TestGaussianSLAMBackboneDoesMoreMapping(t *testing.T) {
 		{VarGSLAMBase, VarBaseline},
 		{VarGSLAMAGS, VarGCMOnly},
 	} {
-		want := s.slamConfig(v.plain, nil)
+		want, err := s.slamConfig(v.plain, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		want.Mapper.MapIters *= 2
 		want.Mapper.KeyframeWindow = 4
-		if got := s.slamConfig(v.gslam, nil); got != want {
+		if got, err := s.slamConfig(v.gslam, nil); err != nil || got != want {
 			t.Errorf("%s = %+v,\nwant %s with MapIters x2 and KeyframeWindow 4: %+v", v.gslam, got, v.plain, want)
 		}
 	}

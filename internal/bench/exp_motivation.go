@@ -91,7 +91,11 @@ func (s *Suite) Fig4(w io.Writer) error {
 	seq := b.Seq
 	det := covis.NewDetector()
 	ref := tracker.NewGSRefiner()
-	ref.LR = s.slamConfig(spec.Variant, spec.Override).TrackLR
+	cfg, err := s.slamConfig(spec.Variant, spec.Override)
+	if err != nil {
+		return err
+	}
+	ref.LR = cfg.TrackLR
 	ref.Ctx = splat.NewRenderContext()
 
 	// Classify frames by adjacent covisibility (median split).

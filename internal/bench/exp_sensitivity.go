@@ -30,8 +30,8 @@ func fig20Spec(threshM float64) RunSpec {
 	}
 }
 
-// threshNAt scales the default Thresh_N by the sweep multiplier with the
-// same floor the config applies.
+// threshNAt scales the default Thresh_N by the sweep multiplier, never below
+// 1.
 func threshNAt(def int, mult float64) int {
 	tn := int(float64(def) * mult)
 	if tn < 1 {

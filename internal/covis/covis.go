@@ -33,18 +33,19 @@ type Level int
 // at a time; its results are those of codec.MotionEstimate on the same pair.
 type Detector struct {
 	Cfg codec.Config
-	// Sensitivity scales the normalized SAD before conversion to a score.
-	// Natural video rarely approaches the worst-case SAD (all pixels
-	// saturating the 8-bit range) and motion compensation absorbs most of
-	// the inter-frame difference, so raw normalized SAD would compress all
-	// frames into the top few percent of the scale. The default of 20 maps
-	// typical SLAM frame-to-frame differences across the full [0,1] range at
-	// this reproduction's resolutions (see README: threshold mapping).
-	Sensitivity float64
 
 	planes [3]lumaPlane // most recently used first
 	seen   []uint32
 }
+
+// sensitivity scales the normalized SAD before conversion to a score.
+// Natural video rarely approaches the worst-case SAD (all pixels saturating
+// the 8-bit range) and motion compensation absorbs most of the inter-frame
+// difference, so raw normalized SAD would compress all frames into the top
+// few percent of the scale. 20 maps typical SLAM frame-to-frame differences
+// across the full [0,1] range at this reproduction's resolutions (see README:
+// threshold mapping).
+const sensitivity float64 = 20
 
 // lumaPlane is an image's luma plane, as the detector keeps it.
 type lumaPlane struct {
@@ -54,7 +55,7 @@ type lumaPlane struct {
 
 // NewDetector returns a Detector with the paper's ME configuration.
 func NewDetector() *Detector {
-	return &Detector{Cfg: codec.DefaultConfig(), Sensitivity: 20}
+	return &Detector{Cfg: codec.DefaultConfig()}
 }
 
 // Compare returns the covisibility between two frames and the ME result it
@@ -65,7 +66,7 @@ func (d *Detector) Compare(prev, cur *frame.Image) (Score, *codec.Result, error)
 		return 0, nil, fmt.Errorf("covis: %w", err)
 	}
 	norm := float64(res.SumMinSAD()) / float64(res.MaxPossibleSAD())
-	return Score(min(max(1-d.Sensitivity*norm, 0), 1)), res, nil
+	return Score(min(max(1-sensitivity*norm, 0), 1)), res, nil
 }
 
 // luma returns im's luma plane and makes it the most recently used. An image

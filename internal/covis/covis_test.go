@@ -8,6 +8,7 @@ import (
 	"ags/internal/codec"
 	"ags/internal/frame"
 	"ags/internal/scene"
+	"ags/internal/vecmath"
 )
 
 func TestCompareReturnsItsMotionEstimate(t *testing.T) {
@@ -27,7 +28,7 @@ func TestCompareReturnsItsMotionEstimate(t *testing.T) {
 		t.Error("Compare's result differs from a direct MotionEstimate of the pair")
 	}
 	norm := float64(want.SumMinSAD()) / float64(want.MaxPossibleSAD())
-	if wantScore := Score(1 - d.Sensitivity*norm); score != wantScore {
+	if wantScore := Score(1 - sensitivity*norm); score != wantScore {
 		t.Errorf("score %v, want %v from the returned result", score, wantScore)
 	}
 }
@@ -106,7 +107,7 @@ func TestDetectorCacheMatchesOneShot(t *testing.T) {
 			t.Fatal(err)
 		}
 		norm := float64(want.SumMinSAD()) / float64(want.MaxPossibleSAD())
-		if !reflect.DeepEqual(got, want) || score != Score(min(max(1-d.Sensitivity*norm, 0), 1)) {
+		if !reflect.DeepEqual(got, want) || score != Score(min(max(1-sensitivity*norm, 0), 1)) {
 			t.Fatalf("%s: the detector's comparison differs from a one-shot MotionEstimate", label)
 		}
 	}
@@ -190,17 +191,18 @@ func TestBandBoundaries(t *testing.T) {
 }
 
 func TestScoreClampedToUnitInterval(t *testing.T) {
-	// With high sensitivity, very different frames must clamp to 0 rather
-	// than go negative.
-	seq1 := scene.MustGenerate("Desk", scene.Config{Width: 48, Height: 36, Frames: 1, Seed: 1})
-	seq2 := scene.MustGenerate("Room", scene.Config{Width: 48, Height: 36, Frames: 1, Seed: 2})
-	d := NewDetector()
-	d.Sensitivity = 500
-	s, _, err := d.Compare(seq1.Frames[0].Color, seq2.Frames[0].Color)
+	// An all-black frame against an all-white one is every pixel's worst
+	// SAD, so the scaled SAD is far beyond 1: the score must clamp to
+	// exactly 0 rather than go negative.
+	black, white := frame.NewImage(48, 36), frame.NewImage(48, 36)
+	for i := range white.Pix {
+		white.Pix[i] = vecmath.Vec3{X: 1, Y: 1, Z: 1}
+	}
+	s, _, err := NewDetector().Compare(black, white)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s < 0 || s > 1 {
-		t.Errorf("score %v outside [0,1]", s)
+	if s != 0 {
+		t.Errorf("black against white scored %v, want exactly 0", s)
 	}
 }

@@ -211,14 +211,22 @@ func (n *Node) releaseAdmission() {
 	n.mu.Unlock()
 }
 
+// dropSession closes the connection's session, unbinds it and returns the
+// admission slot it held.
+func (n *Node) dropSession(cs *connState) (*slam.Result, error) {
+	res, err := cs.sess.Close()
+	cs.sess = nil
+	n.releaseAdmission()
+	return res, err
+}
+
 // connState is the per-connection session binding plus the tiny handshake
 // Node.Close uses to stop the handler without racing an in-flight dispatch.
 type connState struct {
 	w        *wire
-	sess     *slam.Session
-	admitted bool
-	replyBuf []byte // reply payload scratch, reused across messages
-	have     []int  // a snapshot request's positions, reused across requests
+	sess     *slam.Session // holds an admission slot while non-nil
+	replyBuf []byte        // reply payload scratch, reused across messages
+	have     []int         // a snapshot request's positions, reused across requests
 
 	mu      sync.Mutex
 	busy    bool // a dispatch is running on the handler goroutine
@@ -265,10 +273,7 @@ func (n *Node) serveConn(c net.Conn, cs *connState) {
 	defer n.wg.Done()
 	defer func() {
 		if cs.sess != nil {
-			cs.sess.Close()
-		}
-		if cs.admitted {
-			n.releaseAdmission()
+			n.dropSession(cs)
 		}
 		cs.w.Close()
 		n.mu.Lock()
@@ -358,7 +363,7 @@ func (n *Node) handleOpen(cs *connState, payload []byte) bool {
 		n.releaseAdmission()
 		return n.replyErr(cs, codeInternal, err.Error())
 	}
-	cs.sess, cs.admitted = sess, true
+	cs.sess = sess
 	return n.replyOK(cs, 0)
 }
 
@@ -384,7 +389,7 @@ func (n *Node) handleRestore(cs *connState, payload []byte) bool {
 		n.releaseAdmission()
 		return n.replyErr(cs, codeInternal, err.Error())
 	}
-	cs.sess, cs.admitted = sess, true
+	cs.sess = sess
 	return n.replyOK(cs, frames)
 }
 
@@ -412,12 +417,7 @@ func (n *Node) handleClose(cs *connState) bool {
 	if cs.sess == nil {
 		return n.replyErr(cs, codeProto, "close before open")
 	}
-	res, err := cs.sess.Close()
-	cs.sess = nil
-	if cs.admitted {
-		cs.admitted = false
-		n.releaseAdmission()
-	}
+	res, err := n.dropSession(cs)
 	if err != nil {
 		return n.replyErr(cs, codeInternal, err.Error())
 	}

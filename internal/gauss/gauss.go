@@ -41,12 +41,8 @@ func (g *Gaussian) Scale() float64 { return math.Exp(g.LogScale) }
 // SetScale stores the standard deviation s in log space.
 func (g *Gaussian) SetScale(s float64) { g.LogScale = math.Log(math.Max(s, 1e-9)) }
 
-// Cov3 returns the world-space 3x3 covariance of the Gaussian: IsotropicCov
-// of its scale.
-func (g *Gaussian) Cov3() vecmath.Mat3 { return IsotropicCov(g.Scale()) }
-
-// IsotropicCov returns the covariance diag(s², s², s²) of a Gaussian of
-// standard deviation s. For every finite s² it is bit for bit the
+// IsotropicCov returns the world-space covariance diag(s², s², s²) of a
+// Gaussian of standard deviation s (Gaussian.Scale). For every finite s² it is bit for bit the
 // R·diag(s²)·Rᵀ of the identity rotation, which the map's Gaussians once
 // carried (TestCov3IsotropicBitwise).
 func IsotropicCov(s float64) vecmath.Mat3 {

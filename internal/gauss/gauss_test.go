@@ -51,7 +51,7 @@ func TestCov3IsSymmetricPSD(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		var g Gaussian
 		g.SetScale(0.1 + rng.Float64())
-		cov := g.Cov3()
+		cov := IsotropicCov(g.Scale())
 		// Symmetry.
 		if cov[1] != cov[3] || cov[2] != cov[6] || cov[5] != cov[7] {
 			t.Fatal("covariance not symmetric")
@@ -70,11 +70,11 @@ func TestCov3IsSymmetricPSD(t *testing.T) {
 	}
 }
 
-// TestCov3IsotropicBitwise pins Cov3 to the covariance the map's Gaussians
-// had when they carried a rotation, always the identity, and three equal
-// log-scales: R·diag(s², s², s²)·Rᵀ with R the identity quaternion's matrix,
-// multiplied out in full. Every render's projection starts from this matrix,
-// so a "simpler" Cov3 that moves one bit moves every digest.
+// TestCov3IsotropicBitwise pins IsotropicCov to the covariance the map's
+// Gaussians had when they carried a rotation, always the identity, and three
+// equal log-scales: R·diag(s², s², s²)·Rᵀ with R the identity quaternion's
+// matrix, multiplied out in full. Every render's projection starts from this
+// matrix, so a "simpler" IsotropicCov that moves one bit moves every digest.
 func TestCov3IsotropicBitwise(t *testing.T) {
 	r := vecmath.QuatIdentity().Mat3()
 	for i := -80; i <= 80; i++ {
@@ -85,10 +85,10 @@ func TestCov3IsotropicBitwise(t *testing.T) {
 			g := Gaussian{LogScale: ls}
 			s := math.Exp(ls)
 			want := r.Mul(vecmath.Diag3(vecmath.Vec3{X: s * s, Y: s * s, Z: s * s})).Mul(r.Transpose())
-			got := g.Cov3()
+			got := IsotropicCov(g.Scale())
 			for j := range got {
 				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-					t.Fatalf("log-scale %v: Cov3 = %v, want R·diag(s²)·Rᵀ = %v bit for bit", ls, got, want)
+					t.Fatalf("log-scale %v: IsotropicCov = %v, want R·diag(s²)·Rᵀ = %v bit for bit", ls, got, want)
 				}
 			}
 		}

@@ -123,7 +123,7 @@ func skewedTrace() *trace.Run {
 	f.Map.RepPerPixelAlpha = trace.Pack(alpha)
 	f.Map.RepPerPixelBlend = trace.Pack(blend)
 	f.Map.Width, f.Map.Height = w, h
-	return &trace.Run{Sequence: "synthetic", Width: w, Height: h, Frames: []trace.FrameTrace{f}}
+	return &trace.Run{Frames: []trace.FrameTrace{f}}
 }
 
 func TestSchedulerHelpsOnSkewedWorkload(t *testing.T) {

@@ -93,9 +93,7 @@ type FrameTrace struct {
 
 // Run is a complete SLAM execution trace.
 type Run struct {
-	Sequence      string
-	Width, Height int
-	Frames        []FrameTrace
+	Frames []FrameTrace
 }
 
 // Totals sums coarse counters across frames.

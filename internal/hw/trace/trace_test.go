@@ -1,10 +1,6 @@
 package trace
 
-import (
-	"bytes"
-	"encoding/json"
-	"testing"
-)
+import "testing"
 
 func TestAccumulate(t *testing.T) {
 	var s RenderStats
@@ -40,7 +36,7 @@ func TestHasDetailNeedsBothPlanes(t *testing.T) {
 }
 
 func TestRunTotals(t *testing.T) {
-	run := &Run{Sequence: "x", Width: 8, Height: 8}
+	run := &Run{}
 	f0 := FrameTrace{Index: 0, IsKeyFrame: true, CodecSADOps: 100, CoarseMACs: 50}
 	f0.Map.Accumulate(1, 2, 3, 4, 5, 6)
 	f1 := FrameTrace{Index: 1, CoarseOnly: true, CodecSADOps: 100}
@@ -69,40 +65,5 @@ func TestEmptyRunTotals(t *testing.T) {
 	tot := (&Run{}).Totals()
 	if tot.Frames != 0 || tot.AlphaOps != 0 {
 		t.Errorf("empty totals: %+v", tot)
-	}
-}
-
-func TestSummarizeAndJSON(t *testing.T) {
-	run := &Run{Sequence: "s", Width: 4, Height: 4}
-	f := FrameTrace{Index: 0, IsKeyFrame: true, NumGaussians: 10, SkippedGaussians: 3, Covisibility: 0.8}
-	f.Track.Accumulate(5, 4, 8, 2, 3, 16)
-	f.Map.Accumulate(7, 6, 12, 4, 5, 16)
-	run.Frames = []FrameTrace{f}
-
-	sum := run.Summarize()
-	if len(sum.Frames) != 1 {
-		t.Fatalf("frames = %d", len(sum.Frames))
-	}
-	fs := sum.Frames[0]
-	if fs.AlphaOps != 12 || fs.BlendOps != 10 || fs.BackwardOps != 20 {
-		t.Errorf("ops: %+v", fs)
-	}
-	if !fs.KeyFrame || fs.Gaussians != 10 || fs.Skipped != 3 {
-		t.Errorf("flags: %+v", fs)
-	}
-	if sum.Totals.Frames != 1 {
-		t.Errorf("totals: %+v", sum.Totals)
-	}
-
-	var buf bytes.Buffer
-	if err := run.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var back Summary
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if back.Sequence != "s" || back.Frames[0].CoarseMACs != 0 {
-		t.Errorf("roundtrip: %+v", back)
 	}
 }

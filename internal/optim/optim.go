@@ -10,12 +10,18 @@ package optim
 
 import "math"
 
+// The standard Adam constants. They are typed so that 1-beta1 and 1-beta2
+// round to float64 as the run-time subtraction does: an untyped 0.9 would make
+// the compiler fold 1-0.9 exactly, one ulp away, and move every trained map.
+const (
+	beta1 float64 = 0.9
+	beta2 float64 = 0.999
+	eps   float64 = 1e-8
+)
+
 // Adam is the Adam optimizer (Kingma & Ba) with bias correction.
 type Adam struct {
 	LR      float64
-	Beta1   float64
-	Beta2   float64
-	Eps     float64
 	m, v    []float64
 	stepNum int
 	// The bias corrections of the step Begin opened.
@@ -24,7 +30,7 @@ type Adam struct {
 
 // NewAdam returns an Adam optimizer with standard betas (0.9, 0.999).
 func NewAdam(lr float64) *Adam {
-	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
+	return &Adam{LR: lr}
 }
 
 // Step applies one Adam update to params.
@@ -46,18 +52,18 @@ func (a *Adam) Begin(n int) {
 		a.stepNum = 0
 	}
 	a.stepNum++
-	a.b1t = 1 - math.Pow(a.Beta1, float64(a.stepNum))
-	a.b2t = 1 - math.Pow(a.Beta2, float64(a.stepNum))
+	a.b1t = 1 - math.Pow(beta1, float64(a.stepNum))
+	a.b2t = 1 - math.Pow(beta2, float64(a.stepNum))
 }
 
 // Update advances parameter i's moments by its gradient g, within the step
 // Begin opened, and returns its value p stepped.
 func (a *Adam) Update(i int, p, g float64) float64 {
-	a.m[i] = a.Beta1*a.m[i] + (1-a.Beta1)*g
-	a.v[i] = a.Beta2*a.v[i] + (1-a.Beta2)*g*g
+	a.m[i] = beta1*a.m[i] + (1-beta1)*g
+	a.v[i] = beta2*a.v[i] + (1-beta2)*g*g
 	mHat := a.m[i] / a.b1t
 	vHat := a.v[i] / a.b2t
-	return p - a.LR*mHat/(math.Sqrt(vHat)+a.Eps)
+	return p - a.LR*mHat/(math.Sqrt(vHat)+eps)
 }
 
 // zeroed returns s resized to n with every element cleared. The parameter

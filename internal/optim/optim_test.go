@@ -67,15 +67,15 @@ func (r *refAdam) step1(a *Adam, params, grads []float64) {
 		r.m, r.v, r.step = make([]float64, len(params)), make([]float64, len(params)), 0
 	}
 	r.step++
-	b1t := 1 - math.Pow(a.Beta1, float64(r.step))
-	b2t := 1 - math.Pow(a.Beta2, float64(r.step))
+	b1t := 1 - math.Pow(beta1, float64(r.step))
+	b2t := 1 - math.Pow(beta2, float64(r.step))
 	for i := range params {
 		g := grads[i]
-		r.m[i] = a.Beta1*r.m[i] + (1-a.Beta1)*g
-		r.v[i] = a.Beta2*r.v[i] + (1-a.Beta2)*g*g
+		r.m[i] = beta1*r.m[i] + (1-beta1)*g
+		r.v[i] = beta2*r.v[i] + (1-beta2)*g*g
 		mHat := r.m[i] / b1t
 		vHat := r.v[i] / b2t
-		params[i] -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)
+		params[i] -= a.LR * mHat / (math.Sqrt(vHat) + eps)
 	}
 }
 
@@ -125,6 +125,18 @@ func TestBeginUpdateMatchesStep(t *testing.T) {
 	split.SetState(slices.Clone(ref.m), slices.Clone(ref.v), ref.step)
 	for s := 0; s < 3; s++ {
 		check("restored", 57)
+	}
+}
+
+// TestAdamComplementsRoundAtRunTime: the compiler's 1-beta1 and 1-beta2 are
+// the float64 subtractions a run-time beta gives. An untyped constant would
+// be folded exactly instead (0x3FB999999999999A for 1-0.9, against the
+// run-time 0x3FB9999999999998), and every trained map would move.
+func TestAdamComplementsRoundAtRunTime(t *testing.T) {
+	for _, c := range []struct{ folded, beta float64 }{{1 - beta1, beta1}, {1 - beta2, beta2}} {
+		if got, want := math.Float64bits(c.folded), math.Float64bits(1-c.beta); got != want {
+			t.Errorf("1-%v = %#x, want the run-time %#x", c.beta, got, want)
+		}
 	}
 }
 

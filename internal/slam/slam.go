@@ -190,12 +190,27 @@ func DefaultConfig(w, h int) Config {
 	}
 }
 
-// AGSConfig is DefaultConfig with both AGS features enabled.
-func AGSConfig(w, h int) Config {
-	cfg := DefaultConfig(w, h)
-	cfg.EnableMAT = true
-	cfg.EnableGCM = true
-	return cfg
+// AlgorithmConfig returns DefaultConfig with the switches of the named
+// variant: "baseline" (SplaTAM-style: none), "ags" (MAT and GCM), "mat",
+// "gcm" (one of the two, Fig. 18), or "droid" (coarse tracking only, the
+// Droid+SplaTAM integration of Table 4). Any other name is refused with the
+// list of names.
+func AlgorithmConfig(name string) (Config, error) {
+	cfg := DefaultConfig(0, 0)
+	switch name {
+	case "baseline":
+	case "ags":
+		cfg.EnableMAT, cfg.EnableGCM = true, true
+	case "mat":
+		cfg.EnableMAT = true
+	case "gcm":
+		cfg.EnableGCM = true
+	case "droid":
+		cfg.ForceCoarseOnly = true
+	default:
+		return Config{}, fmt.Errorf("algorithm %q is not one of baseline, ags, mat, gcm, droid", name)
+	}
+	return cfg, nil
 }
 
 // FrameInfo records per-frame algorithm decisions for analysis.
@@ -803,14 +818,9 @@ func (s *System) Finish(sequence string) *Result {
 		Cloud:    s.mapper.Cloud(),
 		Mapper:   s.mapper,
 		Info:     s.info,
-		Trace: &trace.Run{
-			Sequence: sequence,
-			Width:    s.Intr.W,
-			Height:   s.Intr.H,
-			Frames:   s.traceFrames,
-		},
-		chain: s.chain,
-		ate:   s.ate,
+		Trace:    &trace.Run{Frames: s.traceFrames},
+		chain:    s.chain,
+		ate:      s.ate,
 	}
 }
 

@@ -1,6 +1,7 @@
 package slam
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -239,6 +240,34 @@ func TestScaleThreshN(t *testing.T) {
 	for _, dims := range [][2]int{{640, 480}, {96, 72}, {8, 8}} {
 		if got := DefaultConfig(dims[0], dims[1]).Mapper.ThreshN; got != 450 {
 			t.Errorf("DefaultConfig(%dx%d).Mapper.ThreshN = %d, want 450", dims[0], dims[1], got)
+		}
+	}
+}
+
+// TestAlgorithmConfig: each variant name sets exactly its switches on
+// DefaultConfig and leaves every other field alone, and an unknown name is
+// refused with the list of names.
+func TestAlgorithmConfig(t *testing.T) {
+	for _, tc := range []struct {
+		name                 string
+		mat, gcm, coarseOnly bool
+	}{
+		{"baseline", false, false, false},
+		{"ags", true, true, false},
+		{"mat", true, false, false},
+		{"gcm", false, true, false},
+		{"droid", false, false, true},
+	} {
+		want := DefaultConfig(tw, th)
+		want.EnableMAT, want.EnableGCM, want.ForceCoarseOnly = tc.mat, tc.gcm, tc.coarseOnly
+		if got, err := AlgorithmConfig(tc.name); err != nil || got != want {
+			t.Errorf("AlgorithmConfig(%q) = %+v, %v;\nwant %+v", tc.name, got, err, want)
+		}
+	}
+	for _, name := range []string{"", "AGS", "splatam", "gslam-ags"} {
+		_, err := AlgorithmConfig(name)
+		if want := fmt.Sprintf("algorithm %q is not one of baseline, ags, mat, gcm, droid", name); err == nil || err.Error() != want {
+			t.Errorf("AlgorithmConfig(%q): error %v, want %q", name, err, want)
 		}
 	}
 }

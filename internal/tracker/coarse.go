@@ -24,24 +24,25 @@ import (
 // goroutine at a time, and it recognises a frame it has already built a
 // pyramid for by pointer: a frame handed to it must not be modified afterwards.
 type CoarseAligner struct {
-	// Levels is the number of pyramid levels (coarsest first at /2^(L-1)).
-	Levels int
-	// ItersPerLevel bounds Gauss-Newton iterations at each level.
-	ItersPerLevel int
-	// DepthWeight balances the geometric vs photometric residual.
-	DepthWeight float64
-	// HuberDelta is the robust-loss threshold on residuals.
-	HuberDelta float64
-	// Stride subsamples source pixels for speed (1 = dense).
-	Stride int
-
 	prev, cur pyramidSide
-	levels    []pyramidLevel
+	pyr       [levels]pyramidLevel
 }
 
-// NewCoarseAligner returns an aligner tuned for the reproduction's frame sizes.
+// The aligner's settings, tuned for the reproduction's frame sizes.
+const (
+	// levels is the number of pyramid levels (coarsest at /2^(levels-1)).
+	levels = 3
+	// itersPerLevel bounds Gauss-Newton iterations at each level.
+	itersPerLevel = 12
+	// depthWeight balances the geometric vs photometric residual.
+	depthWeight float64 = 0.7
+	// huberDelta is the robust-loss threshold on residuals.
+	huberDelta float64 = 0.1
+)
+
+// NewCoarseAligner returns an aligner with no pyramid built yet.
 func NewCoarseAligner() *CoarseAligner {
-	return &CoarseAligner{Levels: 3, ItersPerLevel: 12, DepthWeight: 0.7, HuberDelta: 0.1, Stride: 1}
+	return &CoarseAligner{}
 }
 
 // pyramidSide is one frame's half of the pyramid, finest level first. Level 0
@@ -49,7 +50,7 @@ func NewCoarseAligner() *CoarseAligner {
 // luma plane are scratch the side keeps across builds.
 type pyramidSide struct {
 	src    *frame.Frame // the frame the side holds, nil before the first build
-	planes []pyramidPlanes
+	planes [levels]pyramidPlanes
 }
 
 type pyramidPlanes struct {
@@ -58,16 +59,11 @@ type pyramidPlanes struct {
 	luma  []float64
 }
 
-// build fills the side for f at the given number of levels, and does nothing
-// when it already holds exactly that.
-func (s *pyramidSide) build(f *frame.Frame, levels int) {
-	if s.src == f && len(s.planes) == levels {
+// build fills the side for f, and does nothing when it already holds f.
+func (s *pyramidSide) build(f *frame.Frame) {
+	if s.src == f {
 		return
 	}
-	for len(s.planes) < levels {
-		s.planes = append(s.planes, pyramidPlanes{})
-	}
-	s.planes = s.planes[:levels]
 	s.src = f
 	for i := range s.planes {
 		p := &s.planes[i]
@@ -95,10 +91,10 @@ type pyramidLevel struct {
 // to current-camera coordinates (T_rel with p_cur = T_rel * p_prev),
 // starting the optimization from init.
 func (a *CoarseAligner) EstimateRelative(prev, cur *frame.Frame, intr camera.Intrinsics, init vecmath.Pose) vecmath.Pose {
-	levels := a.buildPyramid(prev, cur, intr)
+	pyr := a.buildPyramid(prev, cur, intr)
 	t := init
-	for li := len(levels) - 1; li >= 0; li-- {
-		t = a.solveLevel(&levels[li], t)
+	for li := levels - 1; li >= 0; li-- {
+		t = solveLevel(&pyr[li], t)
 	}
 	return t
 }
@@ -114,24 +110,23 @@ func (a *CoarseAligner) EstimatePose(prev, cur *frame.Frame, intr camera.Intrins
 // the next call. The previous frame's side is usually built already: anchored
 // to a key frame it is the same frame as last call, and frame to frame it is
 // last call's current frame.
-func (a *CoarseAligner) buildPyramid(prev, cur *frame.Frame, intr camera.Intrinsics) []pyramidLevel {
+func (a *CoarseAligner) buildPyramid(prev, cur *frame.Frame, intr camera.Intrinsics) *[levels]pyramidLevel {
 	if a.cur.src == prev {
 		a.prev, a.cur = a.cur, a.prev
 	}
-	a.prev.build(prev, a.Levels)
-	a.cur.build(cur, a.Levels)
-	a.levels = a.levels[:0]
+	a.prev.build(prev)
+	a.cur.build(cur)
 	in := intr
-	for i := 0; i < a.Levels; i++ {
-		a.levels = append(a.levels, pyramidLevel{
+	for i := range a.pyr {
+		a.pyr[i] = pyramidLevel{
 			intr:     in,
 			prevLuma: a.prev.planes[i].luma, prevDepth: a.prev.planes[i].depth,
 			curLuma: a.cur.planes[i].luma, curDepth: a.cur.planes[i].depth,
 			w: in.W, h: in.H,
-		})
+		}
 		in = in.Scaled(2)
 	}
-	return a.levels
+	return &a.pyr
 }
 
 // bilinearScalar samples a flat scalar field bilinearly with border clamp.
@@ -167,20 +162,16 @@ func huberWeight(r, delta float64) float64 {
 	return delta / ar
 }
 
-func (a *CoarseAligner) solveLevel(lv *pyramidLevel, t vecmath.Pose) vecmath.Pose {
-	stride := a.Stride
-	if stride < 1 {
-		stride = 1
-	}
+func solveLevel(lv *pyramidLevel, t vecmath.Pose) vecmath.Pose {
 	lambda := 1e-4
 	prevErr := math.Inf(1)
-	for iter := 0; iter < a.ItersPerLevel; iter++ {
+	for iter := 0; iter < itersPerLevel; iter++ {
 		var h [36]float64
 		var b [6]float64
 		var errSum float64
 		var count int
-		for y := 0; y < lv.h; y += stride {
-			for x := 0; x < lv.w; x += stride {
+		for y := 0; y < lv.h; y++ {
+			for x := 0; x < lv.w; x++ {
 				d := lv.prevDepth.At(x, y)
 				if d <= 0 {
 					continue
@@ -213,8 +204,8 @@ func (a *CoarseAligner) solveLevel(lv *pyramidLevel, t vecmath.Pose) vecmath.Pos
 				var jD vecmath.Vec3
 				haveDepth := dMeas > 0
 				if haveDepth {
-					rD = (pCur.Z - dMeas) * a.DepthWeight
-					jD = vecmath.Vec3{Z: a.DepthWeight}
+					rD = (pCur.Z - dMeas) * depthWeight
+					jD = vecmath.Vec3{Z: depthWeight}
 				}
 
 				// Stack into the 6-dof system: dp/dxi = [I | -[p]x].
@@ -235,10 +226,10 @@ func (a *CoarseAligner) solveLevel(lv *pyramidLevel, t vecmath.Pose) vecmath.Pos
 					}
 					errSum += wgt * r * r
 				}
-				wI := huberWeight(rI, a.HuberDelta)
+				wI := huberWeight(rI, huberDelta)
 				addResidual(rI, jI, wI)
 				if haveDepth {
-					wD := huberWeight(rD, a.HuberDelta)
+					wD := huberWeight(rD, huberDelta)
 					addResidual(rD, jD, wD)
 				}
 				count++

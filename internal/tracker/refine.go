@@ -25,8 +25,7 @@ import (
 // representative planes zero off the lattice, so the hardware models charge
 // the tracking engine for the lattice's work.
 type GSRefiner struct {
-	LR   float64
-	Loss splat.LossConfig
+	LR float64
 	// Deprecated: ignored: a pass's participants are its caller and the
 	// crew's helper (see package splat). It remains only because
 	// benchmarks/layers.go assigns it, and goes with that assignment.
@@ -49,7 +48,7 @@ type GSRefiner struct {
 
 // NewGSRefiner returns a refiner with SplaTAM-style settings.
 func NewGSRefiner() *GSRefiner {
-	return &GSRefiner{LR: 2e-3, Loss: splat.DefaultTrackingLoss()}
+	return &GSRefiner{LR: 2e-3}
 }
 
 // renderOptions is what every tracking pass renders with: the lattice only
@@ -77,7 +76,7 @@ func (r *GSRefiner) RefineBest(cloud *gauss.Cloud, intr camera.Intrinsics, f *fr
 		for _, init := range inits {
 			cam := camera.Camera{Intr: intr, Pose: init}
 			res := r.Ctx.Render(cloud, cam, r.renderOptions())
-			grads := r.Ctx.Backward(cloud, cam, res, f, r.Loss, splat.BackwardOptions{})
+			grads := r.Ctx.Backward(cloud, cam, res, f, splat.DefaultTrackingLoss(), splat.BackwardOptions{})
 			if bestLoss < 0 || grads.Loss < bestLoss {
 				bestLoss = grads.Loss
 				best = init
@@ -104,7 +103,7 @@ func (r *GSRefiner) Refine(cloud *gauss.Cloud, intr camera.Intrinsics, f *frame.
 	for i := 0; i < iters; i++ {
 		cam := camera.Camera{Intr: intr, Pose: pose}
 		res := r.Ctx.Render(cloud, cam, r.renderOptions())
-		grads := r.Ctx.Backward(cloud, cam, res, f, r.Loss, splat.BackwardOptions{PoseGrads: true})
+		grads := r.Ctx.Backward(cloud, cam, res, f, splat.DefaultTrackingLoss(), splat.BackwardOptions{PoseGrads: true})
 		stats.Accumulate(res.AlphaOps, res.BlendOps, 2*res.BlendOps,
 			int64(len(res.Splats)), int64(res.Tiles.TotalEntries()), int64(res.Pixels()))
 		if i == iters-1 && !r.ScalarsOnly {
@@ -129,7 +128,7 @@ func (r *GSRefiner) Refine(cloud *gauss.Cloud, intr camera.Intrinsics, f *frame.
 	if iters > 0 {
 		cam := camera.Camera{Intr: intr, Pose: pose}
 		res := r.Ctx.Render(cloud, cam, r.renderOptions())
-		grads := r.Ctx.Backward(cloud, cam, res, f, r.Loss, splat.BackwardOptions{})
+		grads := r.Ctx.Backward(cloud, cam, res, f, splat.DefaultTrackingLoss(), splat.BackwardOptions{})
 		if grads.Loss < bestLoss {
 			best = pose
 		}

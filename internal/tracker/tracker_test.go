@@ -117,9 +117,8 @@ func TestCoarseAlignerPoseComposition(t *testing.T) {
 
 // TestCoarseAlignerPyramidReuse: an aligner that keeps its pyramids between
 // calls estimates exactly what a fresh one would, in every order the pipeline
-// calls it (anchored to a key frame, frame to frame, a mix of frame sizes and
-// level counts), and a call whose anchor it already holds allocates no
-// pyramid planes again.
+// calls it (anchored to a key frame, frame to frame, a mix of frame sizes),
+// and a call whose anchor it already holds allocates no pyramid planes again.
 func TestCoarseAlignerPyramidReuse(t *testing.T) {
 	seq := scene.MustGenerate("Desk", scene.Config{Width: 64, Height: 48, Frames: 6, Seed: 1})
 	small := scene.MustGenerate("Desk", scene.Config{Width: 32, Height: 24, Frames: 2, Seed: 1})
@@ -127,18 +126,15 @@ func TestCoarseAlignerPyramidReuse(t *testing.T) {
 	calls := []struct {
 		prev, cur *frame.Frame
 		intr      camera.Intrinsics
-		levels    int
 	}{
-		{f[0], f[1], seq.Intr, 3}, {f[0], f[2], seq.Intr, 3}, // key-frame anchor
-		{f[2], f[3], seq.Intr, 3}, {f[3], f[4], seq.Intr, 3}, // frame to frame
-		{f[0], f[5], seq.Intr, 3}, {f[5], f[5], seq.Intr, 3},
-		{g[0], g[1], small.Intr, 3}, {f[4], f[5], seq.Intr, 2}, {f[4], f[3], seq.Intr, 3},
+		{f[0], f[1], seq.Intr}, {f[0], f[2], seq.Intr}, // key-frame anchor
+		{f[2], f[3], seq.Intr}, {f[3], f[4], seq.Intr}, // frame to frame
+		{f[0], f[5], seq.Intr}, {f[5], f[5], seq.Intr},
+		{g[0], g[1], small.Intr}, {f[4], f[5], seq.Intr}, {f[4], f[3], seq.Intr},
 	}
 	kept := NewCoarseAligner()
 	for i, c := range calls {
-		fresh := NewCoarseAligner()
-		fresh.Levels, kept.Levels = c.levels, c.levels
-		want := fresh.EstimateRelative(c.prev, c.cur, c.intr, vecmath.PoseIdentity())
+		want := NewCoarseAligner().EstimateRelative(c.prev, c.cur, c.intr, vecmath.PoseIdentity())
 		if got := kept.EstimateRelative(c.prev, c.cur, c.intr, vecmath.PoseIdentity()); got != want {
 			t.Errorf("call %d: kept aligner estimated %v, a fresh one %v", i, got, want)
 		}
@@ -147,7 +143,6 @@ func TestCoarseAlignerPyramidReuse(t *testing.T) {
 	cold := testing.AllocsPerRun(5, func() {
 		NewCoarseAligner().EstimateRelative(f[0], f[1], seq.Intr, vecmath.PoseIdentity())
 	})
-	kept.Levels = 3
 	cur := 1
 	warm := testing.AllocsPerRun(5, func() {
 		kept.EstimateRelative(f[0], f[cur], seq.Intr, vecmath.PoseIdentity())
