@@ -36,10 +36,12 @@ verify: fmt vet lint benchmark-module
 
 # Determinism and kernel reference gate: run the splat participant
 # equivalence tests (a pass on its caller alone and with a helper racing the
-# caller for tiles and chunks, at several GOMAXPROCS) and the mapper's Adam step as a chunked pass a helper serves
+# caller for tiles and chunks, at several GOMAXPROCS; TestHelperMatchesSerialPass
+# runs Render, Backward and Train) and the mapper's Adam step as a chunked pass a helper serves
 # twice so a scheduling-dependent regression fails loudly instead of hiding
 # behind one lucky interleaving, together with the kernels' independent
-# checks: the full-walk and lattice references, the per-tile table order, the
+# checks: the full-walk and lattice references (each runs Render-then-Backward
+# and Train, on its caller alone and with a helper), the per-tile table order, the
 # radix sort's depth order against the comparator, and the falloff
 # exponential against math.Exp (CI runs this alongside verify).
 determinism:

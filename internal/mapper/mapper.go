@@ -325,8 +325,7 @@ func (m *Mapper) optimize(f *frame.Frame, intr camera.Intrinsics, pose vecmath.P
 		cam := camera.Camera{Intr: intr, Pose: tp}
 		last := i == m.Cfg.MapIters-1
 		opts := splat.Options{Skip: skip, LogContribution: logContrib && last}
-		res := m.Ctx.Render(m.cloud, cam, opts)
-		grads := m.Ctx.Backward(m.cloud, cam, res, tf, loss, splat.BackwardOptions{GaussianGrads: true})
+		res, grads := m.Ctx.Train(m.cloud, cam, opts, tf, loss, splat.BackwardOptions{GaussianGrads: true})
 		m.applyGrads(grads)
 
 		stats.Accumulate(res.AlphaOps, res.BlendOps, 2*res.BlendOps,

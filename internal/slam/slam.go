@@ -74,7 +74,7 @@
 // (see System). The tail is the longer side, so the producer helps it: once
 // it is through tracking, its join takes tiles and chunks of the tail's
 // passes (the system's splat.Crew, attached to the mapping context): the
-// render and backward passes' tiles, and the chunks of the projection and
+// tiles of its render and train passes, and the chunks of the projection and
 // the Adam step. It does so
 // until the tail is done, rather than blocking, and the tail's passes run on
 // both cores. Who takes which tile or chunk changes no output (see package
@@ -579,7 +579,7 @@ func (s *System) runTail(t *mappingTail) {
 // it once it has frozen the map the tail is about to change, so that the
 // frame's tracking runs beside it. The system's crew is attached to ctx, so
 // the producer, once it is through tracking, takes tiles of the tail's
-// render and backward passes in join. A panic in the goroutine is kept for
+// render and train passes in join. A panic in the goroutine is kept for
 // join, and the crew's helper is dismissed once the tail is through.
 func (s *System) startTail(ctx *splat.RenderContext) {
 	t := s.tail

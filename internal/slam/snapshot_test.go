@@ -48,7 +48,9 @@ func runDigest(t *testing.T, cfg Config, name string, frames int) (*Result, [32]
 // when the per-frame history became a hash chain (a digest covers the chain,
 // not the arrays), and again when the renderer's falloff stopped calling
 // math.Exp for an exponential of its own, a few ulp from it, which moves the
-// last bits of blends. It holds in both kinds of venue: Run, which retains each
+// last bits of blends, and again when the training pass began to sum its
+// pixels' loss and gradient terms unnormalized and scale the merged sums by
+// 1/Pixels once, which moves the rounding of every gradient. It holds in both kinds of venue: Run, which retains each
 // frame's trace and tile lists as recorded, and an Open session, which
 // retains no per-frame history. The run's floats depend on whether the compiler fuses multiply-adds,
 // so the digests hold for amd64 only; the other checks hold everywhere.
@@ -58,8 +60,8 @@ func TestPruneDigestPinned(t *testing.T) {
 	for _, sc := range []struct {
 		name, digest string
 	}{
-		{"Desk", "de9475ab6376608295dcff4bcf60a7764915289b2bba5eb50ec4b90d4c778feb"},
-		{"Room", "12c0f559d81d3e592e950ef2deb9f5e24bea773eb593f8d29defe09230b1e580"},
+		{"Desk", "b00f586016c02bfd6ecb115e20909dfad6a7ca2d1d90e4d16267f261e30b4e89"},
+		{"Room", "4274f7e36173239f77ec028047feeabdebb5d0edfb9dcfde76ee05207e63c063"},
 	} {
 		// Eleven frames: the last frame does not prune, so the final map is
 		// the size the last trace frame recorded.

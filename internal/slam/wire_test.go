@@ -24,8 +24,10 @@ import (
 // with its record, behind the hash chain and ATE moments of the five before.
 // The golden lines were written by the encoder the version was introduced
 // with, and re-recorded in place when the renderer's falloff stopped calling
-// math.Exp for an exponential of its own, a few ulp from it: the floats the
-// snapshot carries moved, no format byte did. There is no regeneration switch — a moved format byte takes a
+// math.Exp for an exponential of its own, a few ulp from it, and again when
+// the training pass began to scale its merged loss and gradient sums by
+// 1/Pixels once instead of every pixel's terms: the floats the snapshot
+// carries moved, no format byte did. There is no regeneration switch — a moved format byte takes a
 // SnapshotVersion bump and new files (version 1's were snapshot.sum.golden,
 // version 2's *.v2.sum.golden, and so on to version 10's *.v10.sum.golden;
 // version 11's differ from version 10's in the configuration's dropped
@@ -75,8 +77,10 @@ func TestGoldenSnapshot(t *testing.T) {
 // re-recorded in place when the renderer's falloff stopped calling math.Exp
 // for an exponential of its own, which moved its floats and left the list as
 // it was; version 11's differs from it in the configuration's dropped render
-// worker count, the version word and the checksum only. They pin the
-// decoder on every platform
+// worker count, the version word and the checksum only, and was re-recorded
+// in place when the training pass began to scale its merged loss and
+// gradient sums by 1/Pixels once, which moved its floats again and left the
+// list as it was. They pin the decoder on every platform
 // (the bytes restore and the stream goes on), the encoder on amd64, and they
 // seed FuzzRestoreSession.
 const seedW, seedH, seedFrames = 16, 12, 3

@@ -2,14 +2,14 @@ package splat
 
 import "ags/internal/vecmath"
 
-// backwardArena holds Backward's per-call partial-reduction buffers: the
-// per-tile loss/pose partials and (for Gaussian gradients) the flat
-// per-tile-entry gradient slots addressed through the CSR tile offsets.
-// Per-tile partials size these O(TotalEntries) per call, which
-// dominates the mapping loop's allocation rate at experiment scale, so every
-// RenderContext embeds one arena and recycles it across calls (the one-shot
-// Backward runs in a fresh context and so pays for a fresh arena every
-// call). Buffers are re-zeroed on every prepare,
+// backwardArena holds a training pass's (Train's or Backward's)
+// partial-reduction buffers: the per-tile loss/pose partials and (for
+// Gaussian gradients) the flat per-tile-entry gradient slots addressed
+// through the CSR tile offsets. Per-tile partials size these
+// O(TotalEntries) per call, which dominates the mapping loop's allocation
+// rate at experiment scale, so every RenderContext embeds one arena and
+// recycles it across calls (the one-shot Backward runs in a fresh context
+// and so pays for a fresh arena every call). Buffers are re-zeroed on every prepare,
 // never lazily — the merge order is what guarantees bitwise determinism, and
 // a dirty buffer would break it silently.
 type backwardArena struct {

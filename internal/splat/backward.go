@@ -56,92 +56,107 @@ type BackwardOptions struct {
 	Workers int
 }
 
-// blendStep is one blending step of the pixel being back-propagated, rebuilt
-// front-to-back from the blend log and consumed in reverse order for the
-// suffix-sum alpha gradients.
+// blendStep is one blend of the pixel being rendered, in the order the
+// forward walk formed it: the entry's position in its tile's table, the
+// falloff G, alpha, and the transmittance before it. A pass that trains walks
+// a pixel's steps back to front for the suffix-sum alpha gradients.
 type blendStep struct {
-	alpha float64
-	t     float64 // transmittance *before* this Gaussian
+	li       int32
+	g, alpha float64
+	t        float64 // transmittance *before* this Gaussian
 }
 
 // Backward computes the loss and its gradients for the rendered result res
-// against the target frame (step 4 of Fig. 2). It rebuilds each pixel's
-// blending sequence front-to-back from the blend log res carries, then walks
-// it back-to-front to form the suffix terms of d(pixel)/d(alpha_i). A sparse
-// res's loss and gradients cover its lattice pixels only (see the package
-// doc). With neither gradient selected only the loss is computed. The
-// Gaussian gradients' per-splat factors come from res's splats, that is,
-// from the cloud res was rendered from; cloud sizes the per-ID gradients
-// and must be that cloud. One-shot entry point: the returned Grads lives in
-// a fresh context nobody else holds; hot loops should call
-// (*RenderContext).Backward.
+// against the target frame (step 4 of Fig. 2). It re-walks res's tiles with
+// Train's kernel, which recomputes each pixel's blends from res's splats and
+// tables, bit for bit those of the pass that produced res, and walks them
+// back-to-front to form the suffix terms of d(pixel)/d(alpha_i); so its
+// Grads are Train's. A sparse res's loss and gradients cover its lattice
+// pixels only (see the package doc). With neither gradient selected only the
+// loss is computed. The Gaussian gradients' per-splat factors come from
+// res's splats, that is, from the cloud res was rendered from; cloud sizes
+// the per-ID gradients and must be that cloud. One-shot entry point: the
+// returned Grads lives in a fresh context nobody else holds; hot loops
+// should call (*RenderContext).Train.
 func Backward(cloud *gauss.Cloud, cam camera.Camera, res *Result, target *frame.Frame, loss LossConfig, opts BackwardOptions) *Grads {
 	return NewRenderContext().Backward(cloud, cam, res, target, loss, opts)
 }
 
 // Backward computes loss and gradients into the context's buffers. res may
-// be any Result Render produced (from this context, another, or a one-shot
-// Render): it carries the blend log the pass walks. It is only read, never
-// written — even a Result aliasing this same context stays valid, per the
-// package aliasing rules. The returned Grads aliases the context and is valid
-// until its next Backward call.
+// be any Result Render or Train produced (from this context, another, or a
+// one-shot Render). It is only read, never written — even a Result aliasing
+// this same context stays valid, per the package aliasing rules. The
+// returned Grads aliases the context and is valid until its next Backward
+// or Train call.
 //
 //ags:hotpath
 func (ctx *RenderContext) Backward(cloud *gauss.Cloud, cam camera.Camera, res *Result, target *frame.Frame, loss LossConfig, opts BackwardOptions) *Grads {
-	w, h := cam.Intr.W, cam.Intr.H
+	grads := ctx.startGrads(cloud.Len(), res.Tiles, opts)
+	ctx.runTiles(tilePass{res: res, target: target, loss: loss, opts: opts,
+		viewRT: cam.Pose.R.Mat3().Transpose()})
+	ctx.finishGrads(res, opts.GaussianGrads)
+	return grads
+}
+
+// startGrads readies the context's Grads and partial-reduction arena for a
+// pass that trains over tiles: the per-Gaussian gradients zeroed for n
+// Gaussians if the pass computes them, nil otherwise.
+//
+// Every float reduction that crosses a tile boundary (loss, pose twist,
+// per-Gaussian gradients) is accumulated into per-tile partials and merged
+// serially in ascending tile order (finishGrads). The reduction tree is
+// therefore fixed — raster order within a tile, tile order across tiles —
+// and independent of who took which tile of the pass, so the gradients are
+// byte-identical whoever the participants were. Per-tile gradient slots live
+// in the arena's flat buffers indexed by the tile's CSR offset: entry j of
+// tile t is at Offsets[t]+j. A tile only ever touches Gaussians in its own
+// table, so this is the sparse footprint of the tile's gradient
+// contribution. The arena is embedded in the context, reusing one
+// allocation across mapping iterations.
+//
+//ags:hotpath
+func (ctx *RenderContext) startGrads(n int, tiles *Tiles, opts BackwardOptions) *Grads {
 	grads := &ctx.grads
-	grads.Mean, grads.Color, grads.Logit, grads.LogScale = nil, nil, nil, nil
+	*grads = Grads{}
 	if opts.GaussianGrads {
-		ctx.gMean = zeroed(ctx.gMean, cloud.Len())
-		ctx.gColor = zeroed(ctx.gColor, cloud.Len())
-		ctx.gLogit = zeroed(ctx.gLogit, cloud.Len())
-		ctx.gLogScale = zeroed(ctx.gLogScale, cloud.Len())
+		ctx.gMean = zeroed(ctx.gMean, n)
+		ctx.gColor = zeroed(ctx.gColor, n)
+		ctx.gLogit = zeroed(ctx.gLogit, n)
+		ctx.gLogScale = zeroed(ctx.gLogScale, n)
 		grads.Mean, grads.Color, grads.Logit, grads.LogScale = ctx.gMean, ctx.gColor, ctx.gLogit, ctx.gLogScale
 	}
-	grads.Pose = vecmath.Twist{}
-	grads.Loss = 0
+	ctx.arena.prepare(tiles.NumTiles(), tiles.TotalEntries(), opts.GaussianGrads)
+	return grads
+}
 
-	// Count masked pixels first so gradients are mean- rather than
-	// sum-normalized (stable learning rates across resolutions). A sparse
-	// Result's loss covers its lattice only, whatever the mask.
-	masked := 0
-	step := res.stride()
-	for y := 0; y < h; y += step {
-		for x := 0; x < w; x += step {
-			if !loss.UseSilhouetteMask || res.Silhouette[y*w+x] > loss.SilThreshold {
-				masked++
-			}
+// finishGrads completes a pass that trained over res's tiles: the
+// participants' masked-pixel counts sum to Pixels, mergeTiles folds the
+// tiles' partials, and the loss and every gradient are then scaled once by
+// 1/Pixels, so they are means rather than sums over the masked pixels
+// (learning rates that hold across resolutions). A pass with no masked
+// pixel leaves them zero.
+//
+//ags:hotpath
+func (ctx *RenderContext) finishGrads(res *Result, gaussian bool) {
+	grads := &ctx.grads
+	for i := range ctx.slots {
+		grads.Pixels += ctx.slots[i].pixels
+	}
+	if grads.Pixels == 0 {
+		return
+	}
+	mergeTiles(grads, &ctx.arena, res, gaussian)
+	norm := 1 / float64(grads.Pixels)
+	grads.Loss *= norm
+	grads.Pose = vecmath.Twist{V: grads.Pose.V.Scale(norm), W: grads.Pose.W.Scale(norm)}
+	if gaussian {
+		for id := range grads.Mean {
+			grads.Mean[id] = grads.Mean[id].Scale(norm)
+			grads.Color[id] = grads.Color[id].Scale(norm)
+			grads.Logit[id] *= norm
+			grads.LogScale[id] *= norm
 		}
 	}
-	grads.Pixels = masked
-	if masked == 0 {
-		return grads
-	}
-	norm := 1 / float64(masked)
-
-	// Every float reduction that crosses a tile boundary (loss, pose twist,
-	// per-Gaussian gradients) is accumulated into per-tile partials and
-	// merged serially in ascending tile order below. The reduction tree is
-	// therefore fixed — raster order within a tile, tile order across tiles —
-	// and independent of who took which tile of the pass, so the gradients
-	// are byte-identical whoever the participants were.
-	tiles := res.Tiles
-	nt := tiles.NumTiles()
-
-	// Per-tile gradient slots live in the arena's flat buffers indexed by
-	// the tile's CSR offset: entry j of tile t is at Offsets[t]+j. A tile
-	// only ever touches Gaussians in its own table, so this is the sparse
-	// footprint of the tile's gradient contribution. The arena is embedded
-	// in the context, reusing one allocation across mapping iterations.
-	ar := &ctx.arena
-	ar.prepare(nt, tiles.TotalEntries(), opts.GaussianGrads)
-	ctx.pass.bw = backwardPass{cam: cam, res: res, target: target, loss: loss, opts: opts, norm: norm}
-	ctx.pass.kind = kindBackward
-	ctx.runPass(nt)
-	ctx.pass.bw = backwardPass{} // a context keeps no caller's Result or frame alive
-
-	mergeTiles(grads, ar, res, opts.GaussianGrads)
-	return grads
 }
 
 // mergeTiles folds the arena's per-tile partials into grads: tile 0, 1, ...
@@ -149,7 +164,8 @@ func (ctx *RenderContext) Backward(cloud *gauss.Cloud, cam camera.Camera, res *R
 // its entries in table order. It is a function of its own so that its
 // compiled form, and with it which NaN a sum of two NaNs keeps (the operand
 // order of a commutative add is the register allocator's choice), does not
-// move with edits to Backward: the reference tests compare NaN bits.
+// move with edits to the passes around it: the reference tests compare NaN
+// bits.
 //
 //ags:hotpath
 func mergeTiles(grads *Grads, ar *backwardArena, res *Result, gaussian bool) {
@@ -170,190 +186,115 @@ func mergeTiles(grads *Grads, ar *backwardArena, res *Result, gaussian bool) {
 	}
 }
 
-// backwardPass is a Backward call's inputs, which every participant of its
-// pass reads.
-type backwardPass struct {
-	cam    camera.Camera
-	res    *Result
-	target *frame.Frame
-	loss   LossConfig
-	opts   BackwardOptions
-	norm   float64
+// tileGrads is one tile's partial reductions while its pixels are walked:
+// the Gaussian gradients, per entry of its table (NOT per Gaussian ID; views
+// of the arena's slots, nil without GaussianGrads), the pose twist and the
+// loss.
+type tileGrads struct {
+	mean, color     []vecmath.Vec3
+	logit, logScale []float64
+	pose            vecmath.Twist
+	loss            float64
 }
 
-// backwardTile accumulates one tile's partials into the context's arena,
-// with the slot's blend-step scratch.
+// pixelLoss adds the weighted L1 loss of one unmasked pixel, whose rendered
+// color, raw depth D and silhouette S are c, d and sil, to *lossAcc and
+// returns its gradients w.r.t. those three. Neither the loss nor the
+// gradients are normalized: the pass scales its merged sums by 1/Pixels once
+// (finishGrads).
 //
 //ags:hotpath
-func (ctx *RenderContext) backwardTile(sl *slot, tileIdx int) {
-	b := &ctx.pass.bw
-	ar := &ctx.arena
-	var tMean, tColor []vecmath.Vec3
-	var tLogit, tLogScale []float64
-	if b.opts.GaussianGrads {
-		lo, hi := b.res.Tiles.Offsets[tileIdx], b.res.Tiles.Offsets[tileIdx+1]
-		tMean, tColor = ar.mean[lo:hi], ar.color[lo:hi]
-		tLogit, tLogScale = ar.logit[lo:hi], ar.logScale[lo:hi]
-	}
-	backwardOneTile(b.cam, b.res, b.target, b.loss, b.opts, tileIdx, b.norm,
-		tMean, tColor, tLogit, tLogScale,
-		&ar.poseByTile[tileIdx], &ar.lossByTile[tileIdx], &sl.steps)
-}
-
-// pixelLoss adds the weighted L1 loss of one unmasked pixel to *lossAcc and
-// returns its gradients w.r.t. the rendered color, raw depth D and
-// silhouette S.
-//
-//ags:hotpath
-func pixelLoss(res *Result, target *frame.Frame, x, y, pix int, norm float64,
+func pixelLoss(c vecmath.Vec3, d, sil float64, target *frame.Frame, x, y, pix int,
 	lossAcc *float64) (dLdC vecmath.Vec3, dLdD, dLdS float64) {
 
-	cRend := res.Color.Pix[pix]
 	cGT := target.Color.Pix[pix]
-	dRend := res.Depth.D[pix]
-	sil := res.Silhouette[pix]
 	dGT := target.Depth.At(x, y)
-	diff := cRend.Sub(cGT)
-	*lossAcc += colorWeight * (math.Abs(diff.X) + math.Abs(diff.Y) + math.Abs(diff.Z)) * norm / 3
-	dLdC = vecmath.Vec3{X: sign(diff.X), Y: sign(diff.Y), Z: sign(diff.Z)}.Scale(colorWeight * norm / 3)
+	diff := c.Sub(cGT)
+	*lossAcc += colorWeight * (math.Abs(diff.X) + math.Abs(diff.Y) + math.Abs(diff.Z)) / 3
+	dLdC = vecmath.Vec3{X: sign(diff.X), Y: sign(diff.Y), Z: sign(diff.Z)}.Scale(colorWeight / 3)
 	if dGT > 0 && sil > 1e-6 {
-		dHat := dRend / sil
-		*lossAcc += depthWeight * math.Abs(dHat-dGT) * norm
-		dLdHat := sign(dHat-dGT) * depthWeight * norm
+		dHat := d / sil
+		*lossAcc += depthWeight * math.Abs(dHat-dGT)
+		dLdHat := sign(dHat-dGT) * depthWeight
 		dLdD = dLdHat / sil
-		dLdS = -dLdHat * dRend / (sil * sil)
+		dLdS = -dLdHat * d / (sil * sil)
 	}
 	return dLdC, dLdD, dLdS
 }
 
-// backwardOneTile accumulates one tile's partial reductions. The Gaussian
-// gradient slices are per-tile slots indexed by position in the tile's
-// Gaussian table (NOT by Gaussian ID); Backward folds them into the per-ID
-// output buffers in fixed tile order. The per-splat factors of the logit and
-// scale gradients are the splats' own (see Splat).
+// backPixel walks one pixel's blends back to front and adds its gradients,
+// given the loss's gradients w.r.t. its color, raw depth and silhouette, to
+// the tile's partials. The per-splat factors of the logit and scale
+// gradients are the splats' own (see Splat).
 //
 //ags:hotpath
-func backwardOneTile(cam camera.Camera, res *Result, target *frame.Frame,
-	loss LossConfig, opts BackwardOptions, tileIdx int, norm float64,
-	gMean, gColor []vecmath.Vec3, gLogit, gLogScale []float64,
-	gPose *vecmath.Twist, lossAcc *float64, scratch *[]blendStep) {
+func backPixel(steps []blendStep, list []int32, splats []Splat, px, py float64,
+	dLdC vecmath.Vec3, dLdD, dLdS float64, tp *tilePass, part *tileGrads) {
 
-	w, h := cam.Intr.W, cam.Intr.H
-	tiles := res.Tiles
-	splats := res.Splats
-	tx := tileIdx % tiles.TW
-	ty := tileIdx / tiles.TW
-	list := tiles.ListAt(tileIdx)
-	x0, y0 := tx*TileSize, ty*TileSize
-	x1 := min(x0+TileSize, w)
-	y1 := min(y0+TileSize, h)
-	viewRT := cam.Pose.R.Mat3().Transpose()
-	lossOnly := !opts.GaussianGrads && !opts.PoseGrads
-	log := &res.log
-	steps := *scratch
-	// A sparse Result's off-lattice pixels blended nothing, so they have no
-	// run in the log to step over.
-	step := res.stride()
+	// Reverse walk with suffix accumulators:
+	// dC/dalpha_i = T_i*c_i - S_i/(1-alpha_i), S_i = sum_{j>i} T_j*alpha_j*c_j,
+	// and analogously for the depth and silhouette channels.
+	var sColor vecmath.Vec3
+	var sDepth, sSil float64
+	for k := len(steps) - 1; k >= 0; k-- {
+		c := &steps[k]
+		li := c.li
+		s := &splats[list[li]]
+		wgt := c.t * c.alpha
 
-	for y := y0; y < y1; y += step {
-		pos := int(res.logRows[tileIdx*TileSize+y-y0])
-		for x := x0; x < x1; x += step {
-			pix := y*w + x
-			// The pixel's run of the blend log, whether or not it is masked.
-			n := int(res.PerPixelBlend[pix])
-			lis, gs := log.li[pos:pos+n], log.g[pos:pos+n]
-			pos += n
-			if loss.UseSilhouetteMask && res.Silhouette[pix] <= loss.SilThreshold {
-				continue
-			}
-			dLdC, dLdD, dLdS := pixelLoss(res, target, x, y, pix, norm, lossAcc)
-			if lossOnly {
-				continue
-			}
-			px := float64(x) + 0.5
-			py := float64(y) + 0.5
+		// Color gradient: dC/dcolor_i = T_i*alpha_i.
+		if tp.opts.GaussianGrads {
+			part.color[li] = part.color[li].Add(dLdC.Scale(wgt))
+		}
 
-			// Forward pass over the logged blends: alpha and the
-			// transmittance before each step, in the order Render formed them.
-			if cap(steps) < n {
-				steps = make([]blendStep, n, 2*n)
-			}
-			steps = steps[:n]
-			t := 1.0
-			for k, li := range lis {
-				alpha := clampAlpha(splats[list[li]].Opacity, gs[k])
-				steps[k] = blendStep{alpha: alpha, t: t}
-				t *= 1 - alpha
-			}
+		inv := 1 / (1 - c.alpha)
+		dCdA := s.Color.Scale(c.t).Sub(sColor.Scale(inv))
+		dDdA := c.t*s.Depth - sDepth*inv
+		dSdA := c.t - sSil*inv
+		dLdA := dLdC.Dot(dCdA) + dLdD*dDdA + dLdS*dSdA
 
-			// Reverse walk with suffix accumulators:
-			// dC/dalpha_i = T_i*c_i - S_i/(1-alpha_i), S_i = sum_{j>i} T_j*alpha_j*c_j,
-			// and analogously for the depth and silhouette channels.
-			var sColor vecmath.Vec3
-			var sDepth, sSil float64
-			for k := n - 1; k >= 0; k-- {
-				c := steps[k]
-				li := lis[k]
-				si := list[li]
-				s := &splats[si]
-				wgt := c.t * c.alpha
+		sColor = sColor.Add(s.Color.Scale(wgt))
+		sDepth += wgt * s.Depth
+		sSil += wgt
 
-				// Color gradient: dC/dcolor_i = T_i*alpha_i.
-				if opts.GaussianGrads {
-					gColor[li] = gColor[li].Add(dLdC.Scale(wgt))
-				}
+		// Through the alpha clamp: no gradient when saturated.
+		if c.alpha >= MaxAlpha {
+			continue
+		}
 
-				inv := 1 / (1 - c.alpha)
-				dCdA := s.Color.Scale(c.t).Sub(sColor.Scale(inv))
-				dDdA := c.t*s.Depth - sDepth*inv
-				dSdA := c.t - sSil*inv
-				dLdA := dLdC.Dot(dCdA) + dLdD*dDdA + dLdS*dSdA
+		if tp.opts.GaussianGrads {
+			// d(alpha)/d(logit) = g * sigmoid'(logit).
+			part.logit[li] += dLdA * c.g * s.sigGrad
+		}
 
-				sColor = sColor.Add(s.Color.Scale(wgt))
-				sDepth += wgt * s.Depth
-				sSil += wgt
+		// d(alpha)/d(mean2D) = alpha * CovInv * (pix - mean2D),
+		// through the precomputed conic (== the symmetric inverse
+		// covariance, see Splat).
+		dx := px - s.Mean2D.X
+		dy := py - s.Mean2D.Y
+		sdx := s.ConA*dx + s.ConB*dy
+		sdy := s.ConB*dx + s.ConC*dy
+		dAdMu := vecmath.Vec2{X: c.alpha * sdx, Y: c.alpha * sdy}
+		gMu := dAdMu.Scale(dLdA)
 
-				// Through the alpha clamp: no gradient when saturated.
-				if c.alpha >= MaxAlpha {
-					continue
-				}
+		// Into camera space through the projection Jacobian rows
+		// (d(mean2D)/d(camPt) = J), plus the depth-render dependence
+		// on the camera-space Z.
+		gpc := s.DU.Scale(gMu.X).Add(s.DV.Scale(gMu.Y))
+		gpc.Z += dLdD * wgt // dD/d(depth_i) = T_i*alpha_i
 
-				if opts.GaussianGrads {
-					// d(alpha)/d(logit) = g * sigmoid'(logit).
-					gLogit[li] += dLdA * gs[k] * s.sigGrad
-				}
-
-				// d(alpha)/d(mean2D) = alpha * CovInv * (pix - mean2D),
-				// through the precomputed conic (== the symmetric inverse
-				// covariance, see Splat).
-				dx := px - s.Mean2D.X
-				dy := py - s.Mean2D.Y
-				sdx := s.ConA*dx + s.ConB*dy
-				sdy := s.ConB*dx + s.ConC*dy
-				dAdMu := vecmath.Vec2{X: c.alpha * sdx, Y: c.alpha * sdy}
-				gMu := dAdMu.Scale(dLdA)
-
-				// Into camera space through the projection Jacobian rows
-				// (d(mean2D)/d(camPt) = J), plus the depth-render dependence
-				// on the camera-space Z.
-				gpc := s.DU.Scale(gMu.X).Add(s.DV.Scale(gMu.Y))
-				gpc.Z += dLdD * wgt // dD/d(depth_i) = T_i*alpha_i
-
-				if opts.GaussianGrads {
-					gMean[li] = gMean[li].Add(viewRT.MulVec(gpc))
-					// Isotropic scale gradient through the 2D covariance:
-					// d(alpha)/d(log s) = alpha * s^2 * (CovInv d)^T JJT (CovInv d).
-					quad := sdx*(s.JJT.M00*sdx+s.JJT.M01*sdy) + sdy*(s.JJT.M10*sdx+s.JJT.M11*sdy)
-					gLogScale[li] += dLdA * c.alpha * s.scale2 * quad
-				}
-				if opts.PoseGrads {
-					gPose.V = gPose.V.Add(gpc)
-					gPose.W = gPose.W.Add(s.CamPt.Cross(gpc))
-				}
-			}
+		if tp.opts.GaussianGrads {
+			part.mean[li] = part.mean[li].Add(tp.viewRT.MulVec(gpc))
+			// Isotropic scale gradient through the 2D covariance:
+			// d(alpha)/d(log s) = alpha * s^2 * (CovInv d)^T JJT (CovInv d).
+			quad := sdx*(s.JJT.M00*sdx+s.JJT.M01*sdy) + sdy*(s.JJT.M10*sdx+s.JJT.M11*sdy)
+			part.logScale[li] += dLdA * c.alpha * s.scale2 * quad
+		}
+		if tp.opts.PoseGrads {
+			part.pose.V = part.pose.V.Add(gpc)
+			part.pose.W = part.pose.W.Add(s.CamPt.Cross(gpc))
 		}
 	}
-	*scratch = steps
 }
 
 func sign(x float64) float64 {

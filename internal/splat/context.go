@@ -6,14 +6,13 @@ import (
 	"ags/internal/vecmath"
 )
 
-// RenderContext owns every buffer the forward and backward passes touch: the
-// Result pixel planes, the contribution log, the blend log, each
-// participant's scratch slot (cull scratch, blend staging, blend steps,
-// counters), the projected-splat slice with its per-chunk counts, the CSR
-// tile tables with the depth sort's keys, the backward partial-reduction
-// arena, and the gradient outputs.
-// Reusing one context across frames makes the steady-state render/backward
-// hot path allocation-free — the property the tracker's IterT refinement loop
+// RenderContext owns every buffer its passes touch: the Result pixel planes,
+// the contribution log, each participant's scratch slot (cull scratch, blend
+// steps, counters), the projected-splat slice with its per-chunk counts, the
+// CSR tile tables with the depth sort's keys, the loss and gradient
+// partial-reduction arena, and the gradient outputs.
+// Reusing one context across frames makes the steady-state render/train hot
+// path allocation-free — the property the tracker's IterT refinement loop
 // and the mapper's MapIters training loop run on (see the package doc's
 // lifecycle and aliasing rules). The buffers only some option sets fill (the
 // contribution log, the per-Gaussian gradients) are kept across passes that
@@ -41,7 +40,7 @@ type RenderContext struct {
 	// by logged renders only.
 	nonContrib, touched []int32
 
-	// Backward-pass state.
+	// Training state (Train and Backward).
 	arena backwardArena
 	grads Grads
 	// The per-Gaussian gradients' storage, exposed through grads by passes

@@ -14,8 +14,8 @@ import (
 )
 
 // TestRenderContextAllocationFree pins the point of the tentpole: once a
-// context is warm, the serial render and backward hot path allocates nothing,
-// and neither does a pass a crew's helper joined. The budget is deliberately
+// context is warm, the serial render, backward and train hot path allocates
+// nothing, and neither does a pass a crew's helper joined. The budget is deliberately
 // tiny and fixed — any regression (a buffer that stopped being reused, a
 // closure that started escaping, a pass that describes itself on the heap)
 // fails loudly.
@@ -40,6 +40,11 @@ func TestRenderContextAllocationFree(t *testing.T) {
 		ctx.Backward(cloud, cam, res, target, lc, bopts)
 	}); allocs > budget {
 		t.Errorf("warm contexted backward: %.1f allocs/op, budget %.0f", allocs, budget)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		ctx.Train(cloud, cam, opts, target, lc, bopts)
+	}); allocs != 0 {
+		t.Errorf("warm contexted train: %.1f allocs/op, want 0", allocs)
 	}
 
 	// The pipeline's own sequence on one context: a tracking iteration (an

@@ -18,9 +18,9 @@ const (
 // the passes run through the contexts it is attached to
 // (RenderContext.Attach): the helper, a goroutine that would otherwise wait
 // for those passes' owner, as a SLAM system's producer waits for its mapping
-// tail. Every pass of such a context is open to it: the render and backward
-// passes' tiles, and the chunks of its Each passes, the projection's and the
-// owner's own (a mapper's Adam step). The helper calls
+// tail. Every pass of such a context is open to it: the tiles of its tile
+// passes (Render, Train, Backward), and the chunks of its Each passes, the
+// projection's and the owner's own (a mapper's Adam step). The helper calls
 // Serve, which takes tiles and chunks of every pass opened while it runs and
 // returns once the owner side calls Dismiss. A helper that arrives late, or
 // not at all, changes nothing but the time a pass takes: every output is
@@ -126,17 +126,6 @@ func (c *Crew) end() {
 // no helper.
 func (ctx *RenderContext) Attach(c *Crew) { ctx.crew = c }
 
-// passKind says what a pass's participants take from its cursor: the tiles
-// of a render or a backward pass, or the chunks of an Each pass's index
-// range.
-type passKind uint8
-
-const (
-	kindRender passKind = iota
-	kindBackward
-	kindEach
-)
-
 // ChunkSize is how many elements of an index range one chunk of an Each
 // pass covers (the last chunk of a range may be shorter).
 const ChunkSize = 128
@@ -148,16 +137,16 @@ type passState struct {
 	// adding 1, and stops at a claim past nt.
 	next atomic.Int32
 	nt   int32
-	kind passKind
-	// n is the length of an Each pass's index range, and each its work.
+	// n is the length of an Each pass's index range, and each its work: nil
+	// for a tile pass.
 	n    int
 	each Chunker
 	// The inputs of the passes that read more than the context's own state:
-	// a backward pass (bw), and a projection, an Each pass's work (proj).
-	bw   backwardPass
+	// a tile pass (tile), and a projection, an Each pass's work (proj).
+	tile tilePass
 	proj projectPass
-	// mu guards the Result's blend log and contribution log, which
-	// participants add whole tile rows and whole tiles to.
+	// mu guards the Result's contribution log, which participants add whole
+	// tiles to.
 	mu sync.Mutex
 	// fault is the panic the helper recovered, which the caller raises again
 	// once the pass is through.
@@ -165,18 +154,18 @@ type passState struct {
 }
 
 // slot is one participant's scratch: what it writes while taking tiles, so
-// no two participants share a buffer. Its op counters merge in slot order,
-// and everything else a tile produces is added under the pass's lock or is
-// per tile (Backward's float partials, merged in tile order), so the outputs
-// do not depend on who took which tile.
+// no two participants share a buffer. Its counters merge in slot order, and
+// everything else a tile produces is added under the pass's lock or is per
+// tile (the loss and gradient partials, merged in tile order), so the
+// outputs do not depend on who took which tile.
 type slot struct {
 	cull  tileScratch
-	stage blendLog    // one tile row's blends, before they join the Result's log
-	steps []blendStep // Backward's per-pixel blend steps
-	// tiles, chunks, alphaOps and blendOps count this pass's work of the
-	// slot.
+	steps []blendStep // the blends of the pixel being rendered
+	// tiles, chunks, alphaOps, blendOps and pixels (masked pixels of a pass
+	// that trains) count this pass's work of the slot.
 	tiles, chunks      int
 	alphaOps, blendOps int64
+	pixels             int
 }
 
 // runPass runs the context's prepared pass over nt tiles or chunks: it opens
@@ -193,7 +182,7 @@ func (ctx *RenderContext) runPass(nt int) {
 	p.next.Store(0)
 	for i := range ctx.slots {
 		sl := &ctx.slots[i]
-		sl.tiles, sl.chunks, sl.alphaOps, sl.blendOps = 0, 0, 0, 0
+		sl.tiles, sl.chunks, sl.alphaOps, sl.blendOps, sl.pixels = 0, 0, 0, 0, 0
 	}
 	if ctx.crew != nil {
 		ctx.crew.begin(ctx)
@@ -238,8 +227,8 @@ func (ctx *RenderContext) recoverFault() {
 }
 
 // take claims tiles or chunks from the pass's cursor until it runs out: it
-// renders or back-propagates each tile in the slot's scratch, and does each
-// chunk's share of the pass's work.
+// renders (and back-propagates) each tile in the slot's scratch, and does
+// each chunk's share of the pass's work.
 //
 //ags:hotpath
 func (ctx *RenderContext) take(slot int) {
@@ -250,17 +239,13 @@ func (ctx *RenderContext) take(slot int) {
 		if i >= p.nt {
 			return
 		}
-		switch p.kind {
-		case kindRender:
-			ctx.renderTile(sl, int(i))
-			sl.tiles++
-		case kindBackward:
-			ctx.backwardTile(sl, int(i))
-			sl.tiles++
-		case kindEach:
+		if p.each != nil {
 			lo := int(i) * ChunkSize
 			p.each.Chunk(lo, min(lo+ChunkSize, p.n))
 			sl.chunks++
+		} else {
+			ctx.renderTile(sl, int(i))
+			sl.tiles++
 		}
 	}
 }
@@ -284,7 +269,7 @@ type Chunker interface {
 //ags:hotpath
 func (ctx *RenderContext) Each(n int, w Chunker) {
 	p := &ctx.pass
-	p.kind, p.n, p.each = kindEach, n, w
+	p.n, p.each = n, w
 	ctx.runPass(ceilDiv(n, ChunkSize))
 }
 

@@ -1,9 +1,6 @@
 package splat
 
-import (
-	"math"
-	"sync"
-)
+import "math"
 
 // qCutMax is Splat.Eval's hard cutoff: beyond it the falloff is exactly 0.
 const qCutMax = 12.5
@@ -107,52 +104,3 @@ func cullBox(e *cullEntry, s *Splat, x0, y0, x1, y1 int) {
 }
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
-
-// blendLog is a run of blends: for every blended (pixel, table entry), in
-// raster and table order, the entry's position in its tile's table and the
-// falloff G it was blended with. A Result's log holds one such run per tile
-// row, and Backward recomputes alpha and transmittance from them in the same
-// order instead of re-evaluating the exponentials; a participant's stage
-// holds the row it is rendering.
-type blendLog struct {
-	li []int32
-	g  []float64
-}
-
-// reserve makes room for n records, growing by doubling so a cold context
-// settles in O(log) allocations and a warm one holds at most twice the
-// records of its largest row. It leaves the run at its full capacity: the
-// caller writes by index from the start and keeps the count.
-//
-//ags:hotpath
-func (b *blendLog) reserve(n int) {
-	if cap(b.li) < n {
-		c := max(n, 2*cap(b.li))
-		b.li, b.g = make([]int32, c), make([]float64, c)
-	}
-	b.li, b.g = b.li[:cap(b.li)], b.g[:cap(b.g)]
-}
-
-// add appends src's first n records under mu and returns the offset they
-// start at, growing by doubling. A run of no records takes
-// no lock: any offset locates it.
-//
-//ags:hotpath
-func (b *blendLog) add(src *blendLog, n int, mu *sync.Mutex) int32 {
-	if n == 0 {
-		return 0
-	}
-	mu.Lock()
-	off := len(b.li)
-	if need := off + n; cap(b.li) < need {
-		c := max(need, 2*cap(b.li))
-		li, g := make([]int32, off, c), make([]float64, off, c)
-		copy(li, b.li)
-		copy(g, b.g)
-		b.li, b.g = li, g
-	}
-	b.li = append(b.li, src.li[:n]...)
-	b.g = append(b.g, src.g[:n]...)
-	mu.Unlock()
-	return int32(off)
-}

@@ -42,9 +42,9 @@ func spinHelper(ctx *RenderContext) (stop func()) {
 	}
 }
 
-// TestHelperMatchesSerialPass: a render and a backward pass that a helper
-// joins are byte-identical to the serial pass without one, whoever takes
-// which tile: dense and sparse, with and without the contribution log, for
+// TestHelperMatchesSerialPass: a render, a backward and a train pass that a
+// helper joins are byte-identical to the serial render and backward without
+// one, whoever takes which tile: dense and sparse, with and without the contribution log, for
 // every BackwardOptions combination, at frame sizes whose tile grids are
 // 4x3, 7x3 (partial tiles) and 1x1. The helper must have taken tiles for the
 // test to mean anything.
@@ -82,6 +82,11 @@ func TestHelperMatchesSerialPass(t *testing.T) {
 						helped += ctx.slots[helperSlot].tiles
 						if g.Digest() != wantG {
 							t.Fatalf("%s, rep %d: gradient digest differs from the serial pass", name, rep)
+						}
+						res, g = ctx.Train(cloud, cam, opts, target, lc, bopts)
+						helped += ctx.slots[helperSlot].tiles
+						if res.Digest() != want || g.Digest() != wantG {
+							t.Fatalf("%s, rep %d: the train pass differs from the serial render and backward", name, rep)
 						}
 					}
 				}
@@ -252,8 +257,8 @@ func (w *busyChunks) Chunk(lo, hi int) {
 // helper took comes back as a *tilePanic carrying the helper's stack; either
 // way the pass is closed, the crew is left with no pass open, and the
 // context's next pass is the serial one's. The faulty tiles are those of a
-// backward pass against a target whose colour plane stops short of the last
-// row of tiles; the faulty chunk is the last of an Each pass over a range
+// backward or a train pass against a target whose colour plane stops short
+// of the last row of tiles; the faulty chunk is the last of an Each pass over a range
 // longer than the slice it writes. Either way only the tiles or the chunk
 // the cursor hands out last panic.
 func TestHelperPanicReachesCaller(t *testing.T) {
@@ -280,9 +285,15 @@ func TestHelperPanicReachesCaller(t *testing.T) {
 		fault func()      // the pass with the faulty tiles or chunk
 		next  func() bool // the context's next pass, and whether it is the serial one's
 	}{
-		{"backward tile", "backwardOneTile",
+		{"backward tile", "trainOneTile",
 			func() { ctx.Backward(cloud, cam, res, short, lc, bopts) },
 			func() bool { return ctx.Backward(cloud, cam, res, target, lc, bopts).Digest() == wantG }},
+		{"train tile", "trainOneTile",
+			func() { ctx.Train(cloud, cam, Options{}, short, lc, bopts) },
+			func() bool {
+				r, g := ctx.Train(cloud, cam, Options{}, target, lc, bopts)
+				return r.Digest() == wantRes.Digest() && g.Digest() == wantG
+			}},
 		{"Each chunk", "busyChunks",
 			func() { ctx.Each(len(busy.v)+ChunkSize/2, busy) },
 			func() bool {

@@ -153,8 +153,6 @@ func (ctx *RenderContext) FootprintBytes() int64 {
 		sliceBytes[vecmath.Vec3](cap(ctx.gColor)) +
 		sliceBytes[float64](cap(ctx.gLogit)) +
 		sliceBytes[float64](cap(ctx.gLogScale)) +
-		ctx.result.log.bytes() +
-		sliceBytes[int32](cap(ctx.result.logRows)) +
 		sliceBytes[gauss.Gaussian](cap(ctx.frozen.Gaussians))
 	for i := range ctx.slots {
 		b += ctx.slots[i].bytes()
@@ -165,12 +163,7 @@ func (ctx *RenderContext) FootprintBytes() int64 {
 // bytes is the heap bytes a participant's scratch retains.
 func (sl *slot) bytes() int64 {
 	return sliceBytes[cullEntry](cap(sl.cull.ent)) + sliceBytes[rowSpan](cap(sl.cull.row)) +
-		sl.stage.bytes() + sliceBytes[blendStep](cap(sl.steps))
-}
-
-// bytes is the heap bytes of the log's records.
-func (b *blendLog) bytes() int64 {
-	return sliceBytes[int32](cap(b.li)) + sliceBytes[float64](cap(b.g))
+		sliceBytes[blendStep](cap(sl.steps))
 }
 
 // sliceBytes returns the heap bytes of a slice with capacity n of T.

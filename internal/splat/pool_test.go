@@ -181,26 +181,17 @@ func TestFootprintBytes(t *testing.T) {
 	if p.Acquire() != ctx {
 		t.Fatal("pool did not hand the context back")
 	}
-	// The blend log (12 B per blend) and the participants' scratch slots
-	// (cull scratch, blend staging, blend steps, contribution counts) are
+	// The participants' scratch slots (cull scratch, blend steps) are
 	// counted: dropping them lowers the footprint by exactly their bytes.
-	logBytes := ctx.result.log.bytes()
-	ctx.result.log = blendLog{}
-	if logBytes < 12*res.BlendOps || res.BlendOps == 0 {
-		t.Errorf("blend log holds %d bytes for %d blends", logBytes, res.BlendOps)
-	}
-	if got := used - ctx.FootprintBytes(); got != logBytes {
-		t.Errorf("dropping the blend log freed %d footprint bytes, log held %d", got, logBytes)
-	}
-	if ctx.slots[callerSlot].stage.bytes() == 0 || ctx.slots[callerSlot].cull.ent == nil {
-		t.Fatal("the render left its caller's slot without staging or cull scratch")
+	if cap(ctx.slots[callerSlot].steps) == 0 || ctx.slots[callerSlot].cull.ent == nil {
+		t.Fatal("the render left its caller's slot without blend steps or cull scratch")
 	}
 	var slotBytes int64
 	for i := range ctx.slots {
 		slotBytes += ctx.slots[i].bytes()
 		ctx.slots[i] = slot{}
 	}
-	if got := used - logBytes - ctx.FootprintBytes(); got != slotBytes {
+	if got := used - ctx.FootprintBytes(); got != slotBytes {
 		t.Errorf("dropping the scratch slots freed %d footprint bytes, they held %d", got, slotBytes)
 	}
 	// So are the table build's depth keys with the radix sort's other buffer
@@ -214,7 +205,7 @@ func TestFootprintBytes(t *testing.T) {
 		t.Fatalf("the depth keys' scratch holds %d keys, want room for %d and the radix sort's %d", cap(ctx.depthKeys), len(res.Splats), len(res.Splats))
 	}
 	ctx.depthKeys, ctx.chunkKept = nil, nil
-	if got := used - logBytes - slotBytes - ctx.FootprintBytes(); got != orderBytes {
+	if got := used - slotBytes - ctx.FootprintBytes(); got != orderBytes {
 		t.Errorf("dropping the depth keys and chunk counts freed %d footprint bytes, they held %d", got, orderBytes)
 	}
 	if got := NewRenderContext().FootprintBytes(); got != 0 {

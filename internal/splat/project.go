@@ -11,23 +11,28 @@
 //
 // # Determinism contract
 //
-// Render and Backward are bit-reproducible whoever does their work. Every
-// pass hands out its work from one atomic cursor, and its two participants
-// take it until it runs out: the caller and, where a Crew is attached to the
-// context (RenderContext.Attach), its helper — a SLAM system's producer,
-// which would otherwise wait for its mapping tail. The package starts no
-// goroutine of its own. A pass's work is its tiles, or the chunks of an index
-// range (ChunkSize elements each) in an Each pass: a render is the projection
-// of the Gaussians, an Each pass, and a tile pass; a backward pass is a tile
-// pass; and a context's owner runs passes of its own per-element work through
-// RenderContext.Each (a mapper's Adam step). Each participant has a scratch
-// slot of its own (cull scratch, blend staging, blend steps, op counters). A
-// chunk writes its own elements only, and a projection's chunks write their
-// own slot ranges, whose gaps the caller then closes in chunk order. Every
-// reduction that crosses a tile runs over a fixed tree or is exact: raster
-// order within a tile, ascending tile order across tiles for Backward's
-// per-tile float partials, and integer sums for the workload counters and the
-// contribution log, which are exact in any order. The splats,
+// Render, Train and Backward are bit-reproducible whoever does their work.
+// Every pass hands out its work from one atomic cursor, and its two
+// participants take it until it runs out: the caller and, where a Crew is
+// attached to the context (RenderContext.Attach), its helper — a SLAM
+// system's producer, which would otherwise wait for its mapping tail. The
+// package starts no goroutine of its own. A pass's work is its tiles, or the
+// chunks of an index range (ChunkSize elements each) in an Each pass: a
+// render or a training iteration (Train) is the projection of the Gaussians,
+// an Each pass, and one tile pass, which in Train back-propagates each pixel
+// right after rendering it; Backward is a tile pass over a finished Result;
+// and a context's owner runs passes of its own per-element work through
+// RenderContext.Each (a mapper's Adam step). So a mapping iteration opens
+// three passes (projection, tiles, Adam) and a tracking iteration two. Each
+// participant has a scratch slot of its own (cull scratch, blend steps,
+// counters). A chunk writes its own elements only, and a projection's chunks
+// write their own slot ranges, whose gaps the caller then closes in chunk
+// order. Every reduction that crosses a tile runs over a fixed tree or is
+// exact: raster order within a tile, ascending tile order across tiles for
+// the per-tile loss and gradient partials, which are sums over the pixels,
+// scaled by 1/Pixels once merged, and integer sums for the workload counters,
+// the masked-pixel count and the contribution log, which are exact in any
+// order. The splats,
 // color/depth/silhouette/transmittance images, the contribution log,
 // AlphaOps/BlendOps, and all gradient buffers are therefore byte-identical
 // whichever participant took which tile or chunk, with or without a helper,
@@ -86,9 +91,9 @@
 // transmittance 1, PerPixelAlpha and PerPixelBlend 0. The workload counters
 // therefore count the lattice's work only: AlphaOps and BlendOps sum the
 // lattice's table visits and blends, Touched and NonContrib count each entry
-// at its tile's lattice pixels, Pixels returns the lattice's size, and the
-// blend log holds the lattice's blends. The Result records that it is sparse,
-// and Backward walks the lattice only: its loss, its gradients and
+// at its tile's lattice pixels, and Pixels returns the lattice's size. The
+// Result records that it is sparse, and a sparse Train, like Backward on a
+// sparse Result, walks the lattice only: its loss, its gradients and
 // Grads.Pixels cover lattice pixels, whatever the loss's mask, so an
 // unmasked sparse loss is the dense loss restricted to the lattice
 // (reference_test.go's full-walk kernel, restricted the same way, is the
@@ -96,37 +101,29 @@
 // PSNR evaluation render dense. A context that rendered sparse keeps no
 // trace of it: the next dense render overwrites every pixel.
 //
-// # Blend log
+// # Backward's re-walk
 //
-// Render records every blend it performs — the entry's position in its tile's
-// table and the falloff G, 12 bytes — and Backward walks that log instead of
-// re-evaluating alphas: it recomputes alpha = min(Opacity*G, MaxAlpha) and the
-// transmittance in the order Render formed them, so gradients are bit for bit
-// those of a replay. The log belongs to the Result: one log per Result, made
-// of one run per tile row, each row's offset, and a pixel's run length in
-// PerPixelBlend. A participant stages one row's blends in its own scratch and
-// then appends the row under the pass's lock, recording where it starts, so
-// the rows lie in the order they were finished, and Backward finds each by
-// its offset whatever that order was. So Render and Backward may use
-// different participants, and Backward may take a Result from any context.
-// The log follows the Result's aliasing rules below (a contexted Result's log
-// is overwritten by the context's next Render; a one-shot Result's context
-// renders nothing else) and Backward only reads it. It holds 12 B x BlendOps;
-// the log and each participant's staging grow by doubling and are never
-// shrunk, so a warm context retains at most twice the log of its largest
-// render and twice the blends of its largest row per participant
-// (FootprintBytes counts both).
+// A pixel's gradients depend on nothing but its own blends and the loss's
+// one global scale, 1/Pixels, which is applied to the merged sums once the
+// pass is through. So Train needs no record of the forward pass: each pixel's
+// blends (entry, falloff G, alpha, transmittance) wait in the participant's
+// step scratch until the pixel is walked back. Backward, which takes a Result
+// some earlier pass produced, re-walks its tiles with the same kernel,
+// recomputing each pixel's blends from the Result's splats and tables — bit
+// for bit those of the pass that produced it, since a pixel's blend depends
+// on nothing but the pixel — and writes nothing of the Result. So its Grads
+// are Train's, Render and Backward may use different participants or
+// contexts, and Backward may take a Result from any context.
 //
 // # Render contexts
 //
-// Both passes run inside a RenderContext, which owns every buffer they touch:
-// the Result pixel planes, the contribution log, the blend log, the
-// participants' scratch slots, the projected-splat slice, the CSR tile
-// tables, and the backward pass's partial-reduction arena plus gradient
-// outputs. A long-lived context makes the steady-state hot path
-// allocation-free; the package-level Render and Backward functions are
-// one-shot: each runs in a fresh context of its own and returns that
-// context's output, which nothing else will ever write.
+// Every pass runs inside a RenderContext, which owns every buffer it
+// touches: the Result pixel planes, the contribution log, the participants'
+// scratch slots, the projected-splat slice, the CSR tile tables, and the
+// partial-reduction arena plus gradient outputs. A long-lived context makes
+// the steady-state hot path allocation-free; the package-level Render and
+// Backward functions are one-shot: each runs in a fresh context of its own
+// and returns that context's output, which nothing else will ever write.
 //
 // Multi-stream hosts share contexts through a ContextPool: a bounded LIFO
 // stack with hit/miss/eviction/resident-bytes metrics. Acquire never blocks
@@ -143,18 +140,19 @@
 //     within a call its passes (an Each pass too) are shared with the
 //     crew's helper only, never across contexts. A context goes back to a
 //     pool detached from its crew.
-//   - (*RenderContext).Render returns a *Result whose buffers are owned by
-//     the context and valid until its next Render call. Backward
-//     only reads the Result — it never writes a Result-aliased buffer, and
-//     is contractually barred from doing so — so the render→backward→read
-//     pattern of the tracker/mapper loops is safe. Callers that retain any
-//     Result buffer across renders must copy it first.
-//   - (*RenderContext).Backward likewise returns a *Grads owned by the
-//     context, valid until its next Backward call.
+//   - (*RenderContext).Render and Train return a *Result whose buffers are
+//     owned by the context and valid until its next Render or Train call.
+//     Backward only reads the Result — it never writes a Result-aliased
+//     buffer, and is contractually barred from doing so — so a Result stays
+//     valid through a Backward on it, and the train→read pattern of the
+//     tracker/mapper loops is safe. Callers that retain any Result buffer
+//     across renders must copy it first.
+//   - Train and (*RenderContext).Backward likewise return a *Grads owned by
+//     the context, valid until its next Train or Backward call.
 //   - A context keeps every buffer across calls whose options leave it out:
-//     an unlogged Render keeps the contribution log's storage, a pose-only
-//     Backward the per-Gaussian gradients', and the next pass that computes
-//     them overwrites it. Result and Grads expose such a buffer as nil when
+//     an unlogged pass keeps the contribution log's storage, a pose-only
+//     one the per-Gaussian gradients', and the next pass that computes them
+//     overwrites it. Result and Grads expose such a buffer as nil when
 //     their pass did not compute it.
 //   - The one-shot package functions return caller-owned buffers with no
 //     aliasing: the context they ran in is dropped on return.

@@ -341,8 +341,10 @@ func onLattice(x, y int) bool { return x%LatticeStride == 0 && y%LatticeStride =
 
 // refBackward walks every tile serially through the reference backward
 // kernel and merges the per-tile partials in ascending tile order, as
-// Backward does. With lattice set, the loss covers the lattice pixels only,
-// as a sparse Backward's does.
+// Backward does. As there, the pixels' terms are summed unnormalized (the
+// kernel's norm is 1) and the merged sums are then scaled once by 1/Pixels.
+// With lattice set, the loss covers the lattice pixels only, as a sparse
+// Backward's does.
 func refBackward(cloud *gauss.Cloud, cam camera.Camera, res *Result, target *frame.Frame, loss LossConfig, opts BackwardOptions, lattice bool) *Grads {
 	grads := &Grads{}
 	if opts.GaussianGrads {
@@ -362,7 +364,6 @@ func refBackward(cloud *gauss.Cloud, cam camera.Camera, res *Result, target *fra
 	if grads.Pixels == 0 {
 		return grads
 	}
-	norm := 1 / float64(grads.Pixels)
 	var scratch []refContribution
 	for tileIdx := 0; tileIdx < res.Tiles.NumTiles(); tileIdx++ {
 		n := len(res.Tiles.ListAt(tileIdx))
@@ -374,7 +375,7 @@ func refBackward(cloud *gauss.Cloud, cam camera.Camera, res *Result, target *fra
 		}
 		var pose vecmath.Twist
 		var tileLoss float64
-		refBackwardOneTile(cloud, cam, res, target, loss, opts, tileIdx, norm,
+		refBackwardOneTile(cloud, cam, res, target, loss, opts, tileIdx, 1,
 			tMean, tColor, tLogit, tLogScale, &pose, &tileLoss, &scratch, lattice)
 		grads.Loss += tileLoss
 		grads.Pose = grads.Pose.Add(pose)
@@ -388,20 +389,36 @@ func refBackward(cloud *gauss.Cloud, cam camera.Camera, res *Result, target *fra
 			}
 		}
 	}
+	norm := 1 / float64(grads.Pixels)
+	grads.Loss *= norm
+	grads.Pose = vecmath.Twist{V: grads.Pose.V.Scale(norm), W: grads.Pose.W.Scale(norm)}
+	for id := range grads.Mean {
+		grads.Mean[id] = grads.Mean[id].Scale(norm)
+		grads.Color[id] = grads.Color[id].Scale(norm)
+		grads.Logit[id] *= norm
+		grads.LogScale[id] *= norm
+	}
 	return grads
 }
 
 // renderSplats runs the production tile pass over already projected splats,
-// so tests can inject splats no projection would produce. It derives each
-// splat again, as projection would have derived it from the fields the
-// test wrote (its scale2 stays the projected Gaussian's).
+// so tests can inject splats no projection would produce.
 func renderSplats(ctx *RenderContext, splats []Splat, cloud *gauss.Cloud, cam camera.Camera, opts Options) *Result {
+	res, _ := trainSplats(ctx, splats, cloud, cam, opts, nil, LossConfig{}, BackwardOptions{})
+	return res
+}
+
+// trainSplats is Train over already projected splats. It derives each splat
+// again, as projection would have derived it from the fields the test wrote
+// (its scale2 stays the projected Gaussian's).
+func trainSplats(ctx *RenderContext, splats []Splat, cloud *gauss.Cloud, cam camera.Camera, opts Options,
+	target *frame.Frame, loss LossConfig, bopts BackwardOptions) (*Result, *Grads) {
 	ctx.splats = append(ctx.splats[:0], splats...)
 	for i := range ctx.splats {
 		ctx.splats[i].derive()
 	}
 	buildTilesInto(&ctx.tiles, &ctx.tileCursor, &ctx.depthKeys, ctx.splats, cam.Intr)
-	return ctx.renderTiles(cloud, cam, opts)
+	return ctx.renderTiles(cloud, cam, opts, target, loss, bopts)
 }
 
 // adversarialSplats projects a random cloud and then overwrites splats with
@@ -470,13 +487,13 @@ func adversarialSplats(rng *rand.Rand, cloud *gauss.Cloud, cam camera.Camera) []
 }
 
 // TestKernelsMatchFullWalkReference is the exactness gate of the culled
-// forward kernel and the log-driven backward kernel: on seeded random clouds
-// and on adversarial splats, with and without the contribution log, frame sizes
-// off the tile grid, a Skip set, and every Render x Backward pairing of a
-// context whose passes run on their caller alone and one a helper races the
-// caller for (and a detached one-shot Result), the Result digest (pixels,
-// per-pixel and total counters, contribution log) and the Grads digest equal
-// the full-walk reference.
+// tile kernel, forward and backward: on seeded random clouds and on
+// adversarial splats, with and without the contribution log, frame sizes off
+// the tile grid, a Skip set, every Render x Backward pairing of a context
+// whose passes run on their caller alone and one a helper races the caller
+// for (and a detached one-shot Result), and Train on either context, the
+// Result digest (pixels, per-pixel and total counters, contribution log) and
+// the Grads digest equal the full-walk reference.
 func TestKernelsMatchFullWalkReference(t *testing.T) {
 	logs := []Options{{}, {LogContribution: true}}
 	bopts := []BackwardOptions{
@@ -547,6 +564,19 @@ func TestKernelsMatchFullWalkReference(t *testing.T) {
 						if b.ctx.Backward(cloud, cam, got, target, lc, bo).Digest() != wantG {
 							t.Fatalf("%s, %s render, %s backward, %+v: gradient digest differs from the full-walk reference",
 								name, r.name, b.name, bo)
+						}
+					}
+					for _, b := range ways {
+						var tr *Result
+						var tg *Grads
+						if adversarial {
+							tr, tg = trainSplats(b.ctx, splats, cloud, cam, lo, target, lc, bo)
+						} else {
+							tr, tg = b.ctx.Train(cloud, cam, lo, target, lc, bo)
+						}
+						if tr.Digest() != wantDigest || tg.Digest() != wantG {
+							t.Fatalf("%s, %s train, %+v: Result or gradient digest differs from the full-walk reference",
+								name, b.name, bo)
 						}
 					}
 				}

@@ -1,8 +1,6 @@
 package splat
 
 import (
-	"sync"
-
 	"ags/internal/camera"
 	"ags/internal/frame"
 	"ags/internal/gauss"
@@ -51,46 +49,57 @@ type Result struct {
 	PerPixelAlpha []int32 // stage-1 table visits per pixel
 	AlphaOps      int64   // total alpha (stage-1) table visits
 	BlendOps      int64   // total color-blend (stage-2) operations
-
-	// Blend log for Backward (see the package doc): every blend of the
-	// pass, one run per tile row, and where each run starts, TileSize slots
-	// per tile.
-	log     blendLog
-	logRows []int32
 }
 
 // Render runs the full forward pipeline (steps 1-3 of Fig. 2) for the cloud
 // viewed through cam. It is the one-shot entry point: the returned Result
 // lives in a fresh context nobody else holds, so it is the caller's outright.
 // Hot loops that render every iteration should hold a RenderContext and call
-// its Render instead.
+// its Render or Train instead.
 func Render(cloud *gauss.Cloud, cam camera.Camera, opts Options) *Result {
 	return NewRenderContext().Render(cloud, cam, opts)
 }
 
-// Render runs the forward pipeline into the context's buffers. The returned
-// Result aliases the context and is valid until its next Render call
-// (Backward reads it but never writes it); see the package doc for the
-// full aliasing rules.
+// Render runs the forward pipeline into the context's buffers: Train's pass
+// with no target. The returned Result aliases the context and is valid until
+// its next Render or Train call (Backward reads it but never writes it); see
+// the package doc for the full aliasing rules.
 //
 //ags:hotpath
 func (ctx *RenderContext) Render(cloud *gauss.Cloud, cam camera.Camera, opts Options) *Result {
-	ctx.project(cloud, cam, opts.Skip)
-	buildTilesInto(&ctx.tiles, &ctx.tileCursor, &ctx.depthKeys, ctx.splats, cam.Intr)
-	return ctx.renderTiles(cloud, cam, opts)
+	res, _ := ctx.Train(cloud, cam, opts, nil, LossConfig{}, BackwardOptions{})
+	return res
 }
 
-// renderTiles runs step 3 of Fig. 2 over the context's prepared splats and
-// tiles: a tile pass, handed out from the pass's cursor (runPass) to the
-// caller and the crew's helper. Pixel buffers are disjoint across tiles,
-// each tile row's blends join the log as one run, and the cross-tile
-// reductions are integers (exact under any association):
-// the contribution log, added to tile by tile, and the op counters, merged
-// in slot order. So every Result is byte-identical whoever rendered which
-// tile.
+// Train runs one training iteration's splatting (steps 1-4 of Fig. 2) into
+// the context's buffers: the forward pipeline, whose tile pass
+// back-propagates each pixel against target right after rendering it, so the
+// loss and its gradients come out of the same pass as the Result. The Result
+// is byte-identical to Render's, and the Grads to Backward's on that Result.
+// Both alias the context: the Result is valid until its next Render or
+// Train call, the Grads until its next Train or Backward call. A nil target
+// renders only, and the Grads is nil.
 //
 //ags:hotpath
-func (ctx *RenderContext) renderTiles(cloud *gauss.Cloud, cam camera.Camera, opts Options) *Result {
+func (ctx *RenderContext) Train(cloud *gauss.Cloud, cam camera.Camera, opts Options,
+	target *frame.Frame, loss LossConfig, bopts BackwardOptions) (*Result, *Grads) {
+	ctx.project(cloud, cam, opts.Skip)
+	buildTilesInto(&ctx.tiles, &ctx.tileCursor, &ctx.depthKeys, ctx.splats, cam.Intr)
+	return ctx.renderTiles(cloud, cam, opts, target, loss, bopts)
+}
+
+// renderTiles runs step 3 of Fig. 2, and step 4 with a target, over the
+// context's prepared splats and tiles: a tile pass, handed out from the
+// pass's cursor (runPass) to the caller and the crew's helper. Pixel buffers
+// are disjoint across tiles, the float reductions that cross a tile (the
+// loss and gradients) are per-tile partials merged in tile order, and the
+// rest are integers (exact under any association): the contribution log,
+// added to tile by tile, and the op and masked-pixel counters, merged in slot
+// order. So the Result and Grads are byte-identical whoever took which tile.
+//
+//ags:hotpath
+func (ctx *RenderContext) renderTiles(cloud *gauss.Cloud, cam camera.Camera, opts Options,
+	target *frame.Frame, loss LossConfig, bopts BackwardOptions) (*Result, *Grads) {
 	w, h := cam.Intr.W, cam.Intr.H
 	// The four assigned pixel planes and the two per-pixel counters are fully
 	// overwritten by a dense pass (every pixel belongs to exactly one tile),
@@ -118,35 +127,58 @@ func (ctx *RenderContext) renderTiles(cloud *gauss.Cloud, cam camera.Camera, opt
 		res.NonContrib, res.Touched = ctx.nonContrib, ctx.touched
 	}
 
-	nt := ctx.tiles.NumTiles()
-	res.logRows = resized(res.logRows, nt*TileSize)
-	res.log.li, res.log.g = res.log.li[:0], res.log.g[:0]
-	ctx.pass.kind = kindRender
-	ctx.runPass(nt)
+	tp := tilePass{res: res, write: true}
+	var grads *Grads
+	if target != nil {
+		grads = ctx.startGrads(cloud.Len(), res.Tiles, bopts)
+		tp.target, tp.loss, tp.opts, tp.viewRT = target, loss, bopts, cam.Pose.R.Mat3().Transpose()
+	}
+	ctx.runTiles(tp)
 	for i := range ctx.slots {
 		res.AlphaOps += ctx.slots[i].alphaOps
 		res.BlendOps += ctx.slots[i].blendOps
 	}
-	return res
+	if target != nil {
+		ctx.finishGrads(res, bopts.GaussianGrads)
+	}
+	return res, grads
 }
 
-// renderTile renders one tile in the slot's scratch, appending each row's
-// blends to the Result's log as one run, and then adds its entries' counts to
-// the contribution log, both under the pass's lock. Both are exact whatever
-// order the rows arrive in: Backward finds a run by its offset, and the
-// counts are integers.
+// tilePass is a tile pass's inputs, which every participant reads: the
+// Result whose tiles it walks and, for a pass that trains, the target, the
+// loss and the gradients to compute. Render and Train write the Result they
+// walk (write); Backward's re-walk of a finished Result only reads it.
+type tilePass struct {
+	res    *Result
+	write  bool
+	target *frame.Frame // nil: the pass renders only
+	loss   LossConfig
+	opts   BackwardOptions
+	viewRT vecmath.Mat3 // the camera's rotation transposed: camera-space gradients into the world frame
+}
+
+// runTiles runs the tile pass tp over its Result's tiles.
+//
+//ags:hotpath
+func (ctx *RenderContext) runTiles(tp tilePass) {
+	ctx.pass.tile = tp
+	ctx.runPass(tp.res.Tiles.NumTiles())
+	ctx.pass.tile = tilePass{} // a context keeps no caller's Result or frame alive
+}
+
+// renderTile runs one tile of the pass in the slot's scratch and then, for a
+// logged pass, adds the tile's entries to the contribution log under the
+// pass's lock: the counts are integers, exact whatever order the tiles
+// arrive in.
 //
 //ags:hotpath
 func (ctx *RenderContext) renderTile(sl *slot, tileIdx int) {
-	res := &ctx.result
-	p := &ctx.pass
-	a, b := renderOneTile(res, tileIdx, &sl.cull, &sl.stage, &p.mu)
-	sl.alphaOps += a
-	sl.blendOps += b
-	if res.NonContrib != nil {
-		p.mu.Lock()
-		res.addContributions(tileIdx, sl.cull.ent)
-		p.mu.Unlock()
+	tp := &ctx.pass.tile
+	trainOneTile(tp, tileIdx, sl, &ctx.arena)
+	if tp.write && tp.res.NonContrib != nil {
+		ctx.pass.mu.Lock()
+		tp.res.addContributions(tileIdx, sl.cull.ent)
+		ctx.pass.mu.Unlock()
 	}
 }
 
@@ -170,21 +202,28 @@ func (r *Result) addContributions(tileIdx int, ent []cullEntry) {
 	}
 }
 
-// renderOneTile alpha-blends one tile's pixels (its lattice pixels in a
-// sparse pass) front-to-back with early termination — the innermost forward
-// kernel. It evaluates a table entry only at the pixels of its cull box, and
-// the exponential only within its cutoff (see cullBox), and reconstructs the
-// modelled workload counters, which count table visits rather than host
-// evaluations, from the loop index: a pixel visits every entry up to and
-// including the one that terminated it, and every entry of the table is
-// touched at every rendered pixel of the tile. Each row's blends are
-// recorded in stage and then join the Result's log as one run, under mu; a
-// logged pass leaves each entry's blend count in the cull scratch.
+// trainOneTile alpha-blends one tile's pixels (its lattice pixels in a
+// sparse pass) front-to-back with early termination — the innermost kernel,
+// forward and backward. It evaluates a table entry only at the pixels of its
+// cull box, and the exponential only within its cutoff (see cullBox), and
+// reconstructs the modelled workload counters, which count table visits
+// rather than host evaluations, from the loop index: a pixel visits every
+// entry up to and including the one that terminated it, and every entry of
+// the table is touched at every rendered pixel of the tile. Each pixel's
+// blends go into the slot's steps; a pass that trains then takes the
+// pixel's loss, if the mask keeps it, and walks its steps back to front into
+// the tile's partials in the arena (backPixel). A pass that writes the
+// Result stores each pixel and its counters there, and a logged one leaves
+// each entry's blend count in the cull scratch; Backward's pass writes
+// neither. The slot counts the pass's ops and masked pixels.
 //
 //ags:hotpath
-func renderOneTile(res *Result, tileIdx int, sc *tileScratch, stage *blendLog, mu *sync.Mutex) (alphaOps, blendOps int64) {
+func trainOneTile(tp *tilePass, tileIdx int, sl *slot, ar *backwardArena) {
+	res := tp.res
 	w, h := res.Color.W, res.Color.H
-	logged := res.NonContrib != nil
+	logged := tp.write && res.NonContrib != nil
+	train := tp.target != nil
+	lossOnly := !tp.opts.GaussianGrads && !tp.opts.PoseGrads
 
 	splats, tiles := res.Splats, res.Tiles
 	tx := tileIdx % tiles.TW
@@ -197,27 +236,31 @@ func renderOneTile(res *Result, tileIdx int, sc *tileScratch, stage *blendLog, m
 	// corner visits exactly the lattice pixels.
 	step := res.stride()
 
-	ent := resized(sc.ent, len(list))
+	ent := resized(sl.cull.ent, len(list))
 	for li, si := range list {
 		cullBox(&ent[li], &splats[si], x0, y0, x1, y1)
 	}
-	sc.ent = ent
+	sl.cull.ent = ent
 
-	row := sc.row
+	var part tileGrads
+	if train && tp.opts.GaussianGrads {
+		lo, hi := tiles.Offsets[tileIdx], tiles.Offsets[tileIdx+1]
+		part.mean, part.color = ar.mean[lo:hi], ar.color[lo:hi]
+		part.logit, part.logScale = ar.logit[lo:hi], ar.logScale[lo:hi]
+	}
+	var alphaOps, blendOps int64
+	pixels := 0
+	row, steps := sl.cull.row, sl.steps
 	for y := y0; y < y1; y += step {
 		row = row[:0]
-		// A pixel blends each entry of its row at most once, and only inside
-		// the entry's columns, so the pixel loop below writes the stage by
-		// index without growing it.
-		bound := 0
 		for li := range ent {
 			if e := &ent[li]; int32(y) >= e.y0 && int32(y) < e.y1 {
 				row = append(row, rowSpan{li: int32(li), x0: e.x0, x1: e.x1})
-				bound += int(e.x1 - e.x0)
 			}
 		}
-		stage.reserve(bound)
-		pos := 0
+		// A pixel blends each entry of its row at most once, so the pixel
+		// loop below writes the steps by index without growing them.
+		steps = resized(steps, len(row))
 		py := float64(y) + 0.5
 		for x := x0; x < x1; x += step {
 			px := float64(x) + 0.5
@@ -225,7 +268,7 @@ func renderOneTile(res *Result, tileIdx int, sc *tileScratch, stage *blendLog, m
 			var color vecmath.Vec3
 			var depth, sil float64
 			visited := len(list)
-			pixStart := pos
+			n := 0
 			for _, sp := range row {
 				if int32(x) < sp.x0 || int32(x) >= sp.x1 {
 					continue
@@ -246,8 +289,9 @@ func renderOneTile(res *Result, tileIdx int, sc *tileScratch, stage *blendLog, m
 				if logged {
 					e.contrib++
 				}
-				stage.li[pos], stage.g[pos] = sp.li, g
-				pos++
+				st := &steps[n]
+				st.li, st.g, st.alpha, st.t = sp.li, g, alpha, t
+				n++
 				s := &splats[list[sp.li]]
 				wgt := t * alpha
 				color = color.Add(s.Color.Scale(wgt))
@@ -259,20 +303,38 @@ func renderOneTile(res *Result, tileIdx int, sc *tileScratch, stage *blendLog, m
 					break
 				}
 			}
-			pix := y*w + x
-			res.PerPixelAlpha[pix] = int32(visited)
-			res.PerPixelBlend[pix] = int32(pos - pixStart)
 			alphaOps += int64(visited)
-			res.Color.Pix[pix] = color
-			res.Depth.D[pix] = depth
-			res.Silhouette[pix] = sil
-			res.FinalT[pix] = t
+			blendOps += int64(n)
+			pix := y*w + x
+			if tp.write {
+				res.PerPixelAlpha[pix] = int32(visited)
+				res.PerPixelBlend[pix] = int32(n)
+				res.Color.Pix[pix] = color
+				res.Depth.D[pix] = depth
+				res.Silhouette[pix] = sil
+				res.FinalT[pix] = t
+			}
+			if !train || tp.loss.UseSilhouetteMask && sil <= tp.loss.SilThreshold {
+				continue
+			}
+			// The count is the mask's strict form: a NaN silhouette, which
+			// only a non-finite splat makes, is in the loss but not in Pixels.
+			if !tp.loss.UseSilhouetteMask || sil > tp.loss.SilThreshold {
+				pixels++
+			}
+			dLdC, dLdD, dLdS := pixelLoss(color, depth, sil, tp.target, x, y, pix, &part.loss)
+			if !lossOnly {
+				backPixel(steps[:n], list, splats, px, py, dLdC, dLdD, dLdS, tp, &part)
+			}
 		}
-		res.logRows[tileIdx*TileSize+y-y0] = res.log.add(stage, pos, mu)
-		blendOps += int64(pos)
 	}
-	sc.row = row
-	return alphaOps, blendOps
+	sl.cull.row, sl.steps = row, steps
+	sl.alphaOps += alphaOps
+	sl.blendOps += blendOps
+	sl.pixels += pixels
+	if train {
+		ar.lossByTile[tileIdx], ar.poseByTile[tileIdx] = part.loss, part.pose
+	}
 }
 
 // stride returns the pixel step of the pass that produced r: 1 for a dense

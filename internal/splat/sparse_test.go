@@ -131,14 +131,19 @@ func latticeInTile(tiles *Tiles, ti, w, h int) int {
 // count, pose twist (and Gaussian gradients) are the full-walk reference's
 // over the dense reference render restricted to the lattice, with and without
 // the silhouette mask: the lattice is what the loss covers, whatever the mask.
+// A sparse Train, with and without a helper, gives the sparse render's Result
+// and the same gradients.
 func TestSparseBackwardMatchesLatticeReference(t *testing.T) {
 	tracking := DefaultTrackingLoss()
 	tracking.SilThreshold = 0.5
 	losses := []LossConfig{DefaultMappingLoss(), tracking}
 	bopts := []BackwardOptions{{PoseGrads: true}, {GaussianGrads: true, PoseGrads: true}, {}}
 	ctx := NewRenderContext()
+	ways, stop := twoWays()
+	defer stop()
 	for _, sc := range sparseScenes() {
 		sparse := sc.render(NewRenderContext(), Options{Sparse: true})
+		wantRes := sparse.Digest()
 		ref := refRender(sc.splats, sc.cloud.Len(), sc.cam, Options{})
 		for _, lc := range losses {
 			for _, bo := range bopts {
@@ -150,6 +155,13 @@ func TestSparseBackwardMatchesLatticeReference(t *testing.T) {
 				}
 				if got.Digest() != want.Digest() {
 					t.Fatalf("%s, %+v, %+v: gradient digest differs from the lattice reference", sc.name, lc, bo)
+				}
+				for _, w := range ways {
+					tr, tg := trainSplats(w.ctx, sc.splats, sc.cloud, sc.cam, Options{Sparse: true}, sc.target, lc, bo)
+					if tr.Digest() != wantRes || tg.Digest() != want.Digest() {
+						t.Fatalf("%s, %+v, %+v, %s train: Result or gradient digest differs from the sparse render and the lattice reference",
+							sc.name, lc, bo, w.name)
+					}
 				}
 			}
 		}

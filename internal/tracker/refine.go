@@ -1,6 +1,8 @@
 package tracker
 
 import (
+	"math"
+
 	"ags/internal/camera"
 	"ags/internal/frame"
 	"ags/internal/gauss"
@@ -59,8 +61,11 @@ func (r *GSRefiner) renderOptions() splat.Options {
 }
 
 // RefineBest evaluates the loss at each candidate initialization (one
-// forward render and one loss-only Backward each: with neither gradient
-// selected the pass stops after the loss) and refines from the best one.
+// loss-only Train each: with neither gradient selected the pass takes the
+// loss and walks no pixel back) and refines from the best one. A candidate
+// whose pass keeps no pixel under the silhouette mask sees none of the map:
+// its loss, 0 over nothing, ranks after every candidate with pixels (see
+// rankLoss).
 // SplaTAM-style trackers use a constant-velocity initialization that
 // overshoots badly at motion reversals; keeping the previous pose as a
 // fallback candidate caps the initial error at the true inter-frame motion.
@@ -72,18 +77,26 @@ func (r *GSRefiner) RefineBest(cloud *gauss.Cloud, intr camera.Intrinsics, f *fr
 	}
 	best := inits[0]
 	if len(inits) > 1 {
-		bestLoss := -1.0
+		bestLoss := math.Inf(1)
 		for _, init := range inits {
 			cam := camera.Camera{Intr: intr, Pose: init}
-			res := r.Ctx.Render(cloud, cam, r.renderOptions())
-			grads := r.Ctx.Backward(cloud, cam, res, f, splat.DefaultTrackingLoss(), splat.BackwardOptions{})
-			if bestLoss < 0 || grads.Loss < bestLoss {
-				bestLoss = grads.Loss
+			_, grads := r.Ctx.Train(cloud, cam, r.renderOptions(), f, splat.DefaultTrackingLoss(), splat.BackwardOptions{})
+			if l := rankLoss(grads); l < bestLoss {
+				bestLoss = l
 				best = init
 			}
 		}
 	}
 	return r.Refine(cloud, intr, f, best, iters)
+}
+
+// rankLoss is the loss a tracking pass is ranked by: its loss, or +Inf for a
+// pass that kept no pixel, whose loss of 0 says nothing about the pose.
+func rankLoss(g *splat.Grads) float64 {
+	if g.Pixels == 0 {
+		return math.Inf(1)
+	}
+	return g.Loss
 }
 
 // Refine optimizes the camera pose for the frame, starting from init, for
@@ -99,11 +112,10 @@ func (r *GSRefiner) Refine(cloud *gauss.Cloud, intr camera.Intrinsics, f *frame.
 	adam := optim.NewAdam(r.LR)
 	var params, prev [6]float64
 	best := init
-	bestLoss := -1.0
+	bestLoss := math.Inf(1)
 	for i := 0; i < iters; i++ {
 		cam := camera.Camera{Intr: intr, Pose: pose}
-		res := r.Ctx.Render(cloud, cam, r.renderOptions())
-		grads := r.Ctx.Backward(cloud, cam, res, f, splat.DefaultTrackingLoss(), splat.BackwardOptions{PoseGrads: true})
+		res, grads := r.Ctx.Train(cloud, cam, r.renderOptions(), f, splat.DefaultTrackingLoss(), splat.BackwardOptions{PoseGrads: true})
 		stats.Accumulate(res.AlphaOps, res.BlendOps, 2*res.BlendOps,
 			int64(len(res.Splats)), int64(res.Tiles.TotalEntries()), int64(res.Pixels()))
 		if i == iters-1 && !r.ScalarsOnly {
@@ -111,8 +123,8 @@ func (r *GSRefiner) Refine(cloud *gauss.Cloud, intr camera.Intrinsics, f *frame.
 			// tile lists.
 			res.PackDetail(&stats, false)
 		}
-		if bestLoss < 0 || grads.Loss < bestLoss {
-			bestLoss = grads.Loss
+		if l := rankLoss(grads); l < bestLoss {
+			bestLoss = l
 			best = pose
 		}
 		g := [6]float64{grads.Pose.V.X, grads.Pose.V.Y, grads.Pose.V.Z, grads.Pose.W.X, grads.Pose.W.Y, grads.Pose.W.Z}
@@ -127,9 +139,8 @@ func (r *GSRefiner) Refine(cloud *gauss.Cloud, intr camera.Intrinsics, f *frame.
 	// Evaluate the final pose too, so the best-seen pose is returned.
 	if iters > 0 {
 		cam := camera.Camera{Intr: intr, Pose: pose}
-		res := r.Ctx.Render(cloud, cam, r.renderOptions())
-		grads := r.Ctx.Backward(cloud, cam, res, f, splat.DefaultTrackingLoss(), splat.BackwardOptions{})
-		if grads.Loss < bestLoss {
+		_, grads := r.Ctx.Train(cloud, cam, r.renderOptions(), f, splat.DefaultTrackingLoss(), splat.BackwardOptions{})
+		if rankLoss(grads) < bestLoss {
 			best = pose
 		}
 	}

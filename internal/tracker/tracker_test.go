@@ -271,3 +271,27 @@ func TestTileIDListsMapSplatsToGaussians(t *testing.T) {
 		t.Fatalf("the offsets end at %d of %d IDs", next, lists.IDs.Len())
 	}
 }
+
+// TestRefineBestRanksBlindCandidateLast: a candidate that sees none of the
+// map (turned half round, so every Gaussian is behind the camera and the
+// silhouette mask keeps no pixel: a loss of 0 over nothing) loses to the
+// ground-truth pose, whichever of the two comes first.
+func TestRefineBestRanksBlindCandidateLast(t *testing.T) {
+	seq := scene.MustGenerate("Desk", scene.Config{Width: 64, Height: 48, Frames: 1, Seed: 1})
+	f := seq.Frames[0]
+	cloud := buildCloudFromFrame(f, seq.Intr, 2)
+	gt := f.GTPose
+	blind := gt.Retract(vecmath.Twist{W: vecmath.Vec3{Y: math.Pi}})
+	r := NewGSRefiner()
+	r.Ctx = splat.NewRenderContext()
+	_, g := r.Ctx.Train(cloud, camera.Camera{Intr: seq.Intr, Pose: blind}, r.renderOptions(), f,
+		splat.DefaultTrackingLoss(), splat.BackwardOptions{})
+	if g.Pixels != 0 {
+		t.Fatalf("the half-turned pose keeps %d pixels; the test needs one that sees none of the map", g.Pixels)
+	}
+	for i, inits := range [][]vecmath.Pose{{gt, blind}, {blind, gt}} {
+		if got, _ := r.RefineBest(cloud, seq.Intr, f, inits, 0); got != gt {
+			t.Errorf("order %d: RefineBest picked %+v, not the ground truth", i, got)
+		}
+	}
+}
