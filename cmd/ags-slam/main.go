@@ -151,15 +151,16 @@ func main() {
 	// the snapshot, for a resumed run. ATE and the digest cover the stream.
 	ran := *seq
 	ran.Frames = seq.Frames[startIdx:]
-	for i, info := range res.Info {
+	for i := range res.Trace.Frames {
+		ft := &res.Trace.Frames[i]
 		inf := ""
-		if info.CoarseOnly {
+		if ft.CoarseOnly {
 			inf += " coarse-only"
 		}
-		if info.IsKeyFrame {
+		if ft.IsKeyFrame {
 			inf += " keyframe"
 		}
-		fmt.Printf("  frame %2d: FC %.2f%s\n", ran.Frames[i].Index, float64(info.Covisibility), inf)
+		fmt.Printf("  frame %2d: FC %.2f%s\n", ran.Frames[i].Index, ft.Covisibility, inf)
 	}
 
 	ate, err := res.ATERMSECm()

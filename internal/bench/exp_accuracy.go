@@ -216,9 +216,9 @@ func (s *Suite) FPRate(w io.Writer) error {
 		}
 		var sum float64
 		n := 0
-		for _, inf := range b.Result.Info {
-			if inf.FPValid {
-				sum += inf.FPRate
+		for i := range b.Result.Trace.Frames {
+			if ft := &b.Result.Trace.Frames[i]; ft.FPValid {
+				sum += ft.FPRate
 				n++
 			}
 		}

@@ -112,7 +112,10 @@ import (
 // dropped-update count, which no router read; its messages still carry
 // slam's version 8 snapshots and configurations. Version 10's OPEN carries
 // slam's version 11 configuration, which drops the render worker count.
-const ProtocolVersion = 10
+// Version 11's OPEN carries slam's version 12 configuration, which drops
+// Thresh_T and the skip criterion's contributing-pixel bound, and its
+// snapshots are slam's version 12, which records each frame decision once.
+const ProtocolVersion = 11
 
 const (
 	protoMagic = "AGSF"

@@ -112,7 +112,7 @@ func skewedTrace() *trace.Run {
 		alphaOps += int64(alpha[i])
 		blendOps += int64(blend[i])
 	}
-	f := trace.FrameTrace{Index: 0, IsKeyFrame: true, NumGaussians: 3000}
+	f := trace.FrameTrace{IsKeyFrame: true, NumGaussians: 3000}
 	f.Map.Iters = 10
 	f.Map.AlphaOps = alphaOps * 10
 	f.Map.BlendOps = blendOps * 10

@@ -72,12 +72,14 @@ func (s *RenderStats) Accumulate(alphaOps, blendOps, backwardOps, splats, tileEn
 	s.Pixels += pixels
 }
 
-// FrameTrace is the per-frame record of everything the pipeline did.
+// FrameTrace is the per-frame record of everything the pipeline decided and
+// did: the frame's three decisions (its FC score, key or non-key, coarse-only
+// or refined), the work they cost and the map they left.
 type FrameTrace struct {
-	Index        int
-	Covisibility float64 // FC score vs the reference frame in [0,1]
-	IsKeyFrame   bool    // full mapping (vs selective)
-	CoarseOnly   bool    // tracking skipped 3DGS refinement
+	Covisibility    float64 // FC score vs the previous frame in [0,1]
+	KeyCovisibility float64 // FC score vs the last key frame in [0,1]
+	IsKeyFrame      bool    // full mapping (vs selective)
+	CoarseOnly      bool    // tracking skipped 3DGS refinement
 
 	CodecSADOps int64 // ME absolute-difference ops (free on AGS, charged on GPU)
 	CoarseMACs  int64 // backbone MACs for coarse pose estimation
@@ -89,6 +91,12 @@ type FrameTrace struct {
 	SkippedGaussians int // Gaussians suppressed by selective mapping
 
 	PrunedGaussians int // removed by the frame's opacity prune, which runs after the counts above
+
+	// FPRate is the skip prediction's false-positive rate at this frame,
+	// which a selective mapping tail measures when the run asks for it
+	// (slam.Config.EvalFPRate); FPValid says it did.
+	FPRate  float64
+	FPValid bool
 }
 
 // Run is a complete SLAM execution trace.

@@ -37,9 +37,9 @@ func TestHasDetailNeedsBothPlanes(t *testing.T) {
 
 func TestRunTotals(t *testing.T) {
 	run := &Run{}
-	f0 := FrameTrace{Index: 0, IsKeyFrame: true, CodecSADOps: 100, CoarseMACs: 50}
+	f0 := FrameTrace{IsKeyFrame: true, CodecSADOps: 100, CoarseMACs: 50}
 	f0.Map.Accumulate(1, 2, 3, 4, 5, 6)
-	f1 := FrameTrace{Index: 1, CoarseOnly: true, CodecSADOps: 100}
+	f1 := FrameTrace{CoarseOnly: true, CodecSADOps: 100}
 	f1.Track.Accumulate(10, 20, 30, 40, 50, 60)
 	run.Frames = []FrameTrace{f0, f1}
 

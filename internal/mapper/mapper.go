@@ -32,6 +32,14 @@ const (
 	// Learning rates of the mean, colour and log-scale groups; the logit
 	// group's is Config.LRLogit.
 	lrMean, lrColor, lrScale = 1e-3, 5e-3, 1e-3
+	// contribPixMax is the largest number of contributing pixels a Gaussian
+	// may have and still be skipped. The paper's count-only criterion assumes
+	// trained-3DGS splat statistics; with SplaTAM-style pixel-scale Gaussians
+	// every contributor also has a large weak-tail footprint, so we
+	// additionally require (near-)zero contributing pixels — matching Fig. 5's
+	// "no impact on pixel color" definition and the paper's FP metric (see
+	// README: threshold mapping).
+	contribPixMax = 1
 )
 
 // Config controls mapping behavior.
@@ -43,14 +51,6 @@ type Config struct {
 	// holds at every resolution: the count is bounded by the Gaussian's tile
 	// footprint (tiles x 256 pixels), which does not grow with the image.
 	ThreshN int
-	// ContribPixMax is the largest number of contributing pixels a Gaussian
-	// may have and still be skipped. The paper's count-only criterion assumes
-	// trained-3DGS splat statistics; with SplaTAM-style pixel-scale Gaussians
-	// every contributor also has a large weak-tail footprint, so we
-	// additionally require (near-)zero contributing pixels — matching Fig. 5's
-	// "no impact on pixel color" definition and the paper's FP metric (see
-	// README: threshold mapping).
-	ContribPixMax int
 	// DensifyStride seeds one Gaussian per stride x stride pixel block.
 	DensifyStride int
 	// PruneOpacity removes Gaussians whose opacity falls below this.
@@ -76,7 +76,6 @@ func DefaultConfig() Config {
 	return Config{
 		MapIters:       15,
 		ThreshN:        450,
-		ContribPixMax:  1,
 		DensifyStride:  1,
 		PruneOpacity:   0.005,
 		LRLogit:        2e-2,
@@ -353,13 +352,13 @@ func (m *Mapper) recordContribution(res *splat.Result) {
 			nonContrib = res.NonContrib[id]
 			contrib = res.Touched[id] - nonContrib
 		}
-		m.skipSet[id] = m.Cfg.contributesNowhere(contrib) && int(nonContrib) > m.Cfg.ThreshN
+		m.skipSet[id] = contributesNowhere(contrib) && int(nonContrib) > m.Cfg.ThreshN
 	}
 }
 
 // contributesNowhere is the comparison both the skip prediction and its
-// ground truth make: contrib contributing pixels are at most ContribPixMax.
-func (c *Config) contributesNowhere(contrib int32) bool { return int(contrib) <= c.ContribPixMax }
+// ground truth make: contrib contributing pixels are at most contribPixMax.
+func contributesNowhere(contrib int32) bool { return contrib <= contribPixMax }
 
 // NonContributory returns the ground truth the skip prediction is scored
 // against (§6.2's false-positive rate, Fig. 5 and Fig. 6): the IDs of the
@@ -372,7 +371,7 @@ func (c *Config) NonContributory(res *splat.Result) (ids map[int]bool, inTables 
 			continue // culled before the Gaussian tables; not in any table
 		}
 		inTables++
-		if c.contributesNowhere(touched - res.NonContrib[id]) {
+		if contributesNowhere(touched - res.NonContrib[id]) {
 			ids[id] = true
 		}
 	}

@@ -151,7 +151,7 @@ func TestContributionRecordingAndSkipSet(t *testing.T) {
 			nonContrib, contrib = res.NonContrib[id], res.Touched[id]-res.NonContrib[id]
 		}
 		any = any || nonContrib > 0
-		if want := int(contrib) <= cfg.ContribPixMax && int(nonContrib) > cfg.ThreshN; s != want {
+		if want := contrib <= contribPixMax && int(nonContrib) > cfg.ThreshN; s != want {
 			t.Fatalf("skip[%d]=%v but contrib=%d noncontrib=%d", id, s, contrib, nonContrib)
 		}
 	}

@@ -38,10 +38,10 @@ func TestPruneKeepsTraceHistory(t *testing.T) {
 			l := &ft.Map.RepTileLists
 			got := l.IDs.AppendTo(nil)
 			if !slices.Equal(got, ids[i]) || !slices.Equal(l.Offsets.AppendTo(nil), offsets[i]) {
-				t.Errorf("%s: frame %d's tile lists changed after its tail ended", name, ft.Index)
+				t.Errorf("%s: frame %d's tile lists changed after its tail ended", name, i)
 			}
 			if j := slices.IndexFunc(got, func(id int32) bool { return id < 0 || int(id) >= ft.NumGaussians }); j >= 0 {
-				t.Errorf("%s: frame %d names Gaussian %d, outside the %d it rendered", name, ft.Index, got[j], ft.NumGaussians)
+				t.Errorf("%s: frame %d names Gaussian %d, outside the %d it rendered", name, i, got[j], ft.NumGaussians)
 			}
 			listed += len(got)
 		}

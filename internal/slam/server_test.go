@@ -54,17 +54,16 @@ func assertSameRun(t *testing.T, want, got *Result) {
 			t.Errorf("frame %d: pose %+v != %+v", i, got.Poses[i], want.Poses[i])
 		}
 	}
-	for i := range want.Info {
-		w, g := want.Info[i], got.Info[i]
-		if w.Covisibility != g.Covisibility || w.KeyCovisibility != g.KeyCovisibility ||
-			w.IsKeyFrame != g.IsKeyFrame || w.CoarseOnly != g.CoarseOnly || w.RefineIters != g.RefineIters {
-			t.Errorf("frame %d: info %+v != %+v", i, g, w)
-		}
-	}
 	for i := range want.Trace.Frames {
-		if want.Trace.Frames[i].CodecSADOps != got.Trace.Frames[i].CodecSADOps {
-			t.Errorf("frame %d: CodecSADOps %d != %d", i,
-				got.Trace.Frames[i].CodecSADOps, want.Trace.Frames[i].CodecSADOps)
+		w, g := &want.Trace.Frames[i], &got.Trace.Frames[i]
+		if w.Covisibility != g.Covisibility || w.KeyCovisibility != g.KeyCovisibility ||
+			w.IsKeyFrame != g.IsKeyFrame || w.CoarseOnly != g.CoarseOnly || w.Track.Iters != g.Track.Iters {
+			t.Errorf("frame %d: decisions (FC %v, key FC %v, key %v, coarse-only %v, %d refine iterations) != (%v, %v, %v, %v, %d)", i,
+				g.Covisibility, g.KeyCovisibility, g.IsKeyFrame, g.CoarseOnly, g.Track.Iters,
+				w.Covisibility, w.KeyCovisibility, w.IsKeyFrame, w.CoarseOnly, w.Track.Iters)
+		}
+		if w.CodecSADOps != g.CodecSADOps {
+			t.Errorf("frame %d: CodecSADOps %d != %d", i, g.CodecSADOps, w.CodecSADOps)
 		}
 	}
 }
@@ -91,8 +90,8 @@ func TestSessionMatchesDirectSystem(t *testing.T) {
 		if gotATE, err := got.ATERMSECm(); err != nil || gotATE != wantATE {
 			t.Errorf("session ATE %v (%v), direct %v", gotATE, err, wantATE)
 		}
-		if got.Poses != nil || got.Info != nil || len(got.Trace.Frames) != 0 {
-			t.Errorf("the session kept %d poses, %d infos and %d trace frames", len(got.Poses), len(got.Info), len(got.Trace.Frames))
+		if got.Poses != nil || got.Trace.Frames != nil {
+			t.Errorf("the session kept %d poses and %d trace frames", len(got.Poses), len(got.Trace.Frames))
 		}
 	})
 }

@@ -17,8 +17,9 @@
 //
 // Venues: where a system runs is decided once, when it is built, and never by
 // an option. It decides one thing: the per-frame history. Every venue folds
-// each frame's record (poses, decisions and trace scalars: op totals, map
-// size) into a hash chain and ATE moments when its mapping tail joins; an
+// each frame's record (its poses and the scalars of its trace.FrameTrace,
+// which holds each of the frame's decisions once beside its op totals and
+// map size) into a hash chain and ATE moments when its mapping tail joins; an
 // offline venue also keeps the records, with, for the cycle-level hardware
 // models, the representative iteration's per-pixel planes, once for tracking
 // and once for mapping, and the mapping task's tile lists
@@ -131,10 +132,9 @@ type Config struct {
 
 	// TrackIters is N_T, the baseline tracking iterations per frame.
 	TrackIters int
-	// IterT is the refinement iteration count for low-covisibility frames.
+	// IterT is the refinement iteration count for frames whose covisibility
+	// with the previous frame is threshT or less.
 	IterT int
-	// ThreshT is the covisibility above which refinement is skipped (0.90).
-	ThreshT float64
 	// ThreshM is the covisibility (vs the last key frame) above which a
 	// frame is a non-key frame. The paper uses 50% of its SAD scale; on this
 	// reproduction's covisibility scale the equivalent operating point is
@@ -171,17 +171,21 @@ type Config struct {
 	Workers int
 }
 
+// threshT is Thresh_T, the covisibility with the previous frame above which
+// a MAT frame skips refinement and keeps its coarse pose: the paper's 90%, in
+// every run.
+const threshT = 0.90
+
 // DefaultConfig returns the paper's hyper-parameters scaled to this
 // reproduction (see README: threshold mapping): N_T 200→60, N_M 30→15,
-// Iter_T 20→6, Thresh_T 90%, Thresh_M 50% (0.75 on the reproduction's
-// covisibility scale) and Thresh_N 450, unscaled (mapper.DefaultConfig).
+// Iter_T 20→6, Thresh_M 50% (0.75 on the reproduction's covisibility scale)
+// and Thresh_N 450, unscaled (mapper.DefaultConfig). Thresh_T is threshT and
 // Thresh_alpha is splat.MinAlpha, 1/255, in every run. No setting depends on
 // the frame size w x h.
 func DefaultConfig(w, h int) Config {
 	return Config{
 		TrackIters:    60,
 		IterT:         6,
-		ThreshT:       0.90,
 		ThreshM:       0.75,
 		Mapper:        mapper.DefaultConfig(),
 		TrackLR:       5e-3,
@@ -213,32 +217,26 @@ func AlgorithmConfig(name string) (Config, error) {
 	return cfg, nil
 }
 
-// FrameInfo records per-frame algorithm decisions for analysis.
-type FrameInfo struct {
-	Covisibility    covis.Score // vs previous frame
-	KeyCovisibility covis.Score // vs last key frame
-	IsKeyFrame      bool
-	CoarseOnly      bool
-	RefineIters     int
-	FPRate          float64 // only when EvalFPRate and non-key
-	FPValid         bool
-}
-
 // Result is the output of a SLAM run. In every venue it holds the stream's
 // frame count, its map and its history as a running digest (the hash chain
-// Digest covers and the moments ATERMSECm solves). Poses, Info and
-// Trace.Frames are the per-frame history, one entry per frame in stream
-// order, which only an offline venue keeps (see the package doc): all of it
-// from New, Run and Server.Run, the frames processed after the snapshot from
-// Restore, none from a serving session.
+// Digest covers and the moments ATERMSECm solves). Poses and Trace.Frames are
+// the per-frame history, one entry per frame in stream order, which only an
+// offline venue keeps (see the package doc): all of it from New, Run and
+// Server.Run, the frames processed after the snapshot from Restore, none from
+// a serving session. A frame's trace is its whole record but the poses: its
+// decisions, the work they cost and the map they left.
 type Result struct {
 	Sequence string
 	Frames   int
 	Poses    []vecmath.Pose
 	Cloud    *gauss.Cloud
 	Mapper   *mapper.Mapper
-	Info     []FrameInfo
 	Trace    *trace.Run
+	// Info is Trace.Frames, the same slice.
+	//
+	// Deprecated: read Trace.Frames. It remains only because
+	// benchmarks/layers.go reads it, and goes with that read.
+	Info []trace.FrameTrace
 
 	chain [32]byte
 	ate   metrics.ATEMoments
@@ -257,7 +255,7 @@ func (r *Result) ATERMSECm() (float64, error) {
 //
 // A System is driven from one goroutine, which, while it waits for a tail in
 // join, also takes tiles of the tail's passes. ProcessFrame returns with the
-// frame's pose and FrameInfo committed and its mapping tail pending, holding
+// frame's pose and decisions committed and its mapping tail pending, holding
 // no render context: nothing of a system runs behind its caller's back. The
 // next ProcessFrame freezes the map into its tracking context, starts the
 // tail on the system's one tail goroutine (startTail), tracks its own frame
@@ -304,13 +302,12 @@ type System struct {
 	// chain and ate are the stream's history: the hash chain and the ATE
 	// moments every joined frame's record was folded into (fold), so ate.N
 	// counts those frames. An offline venue (history set) also keeps the
-	// records' poses, FrameInfos and traces.
+	// records' poses and traces.
 	chain       [32]byte
 	ate         metrics.ATEMoments
 	foldBuf     []byte
 	history     bool
 	poses       []vecmath.Pose
-	info        []FrameInfo
 	traceFrames []trace.FrameTrace
 
 	// tail is the last accepted frame's mapping tail, pending or in flight;
@@ -393,7 +390,7 @@ func (s *System) Close() { s.join() }
 //     the previous tail is joined.
 //   - The middle settles the pose (pose refinement against the frozen map)
 //     and commits every decision the next front reads: the pose, the
-//     velocity, the key-frame anchor, the frame's FrameInfo.
+//     velocity, the key-frame anchor, the frame's decisions in its trace.
 //   - The tracking context goes back to the pool, then the join waits for
 //     the previous tail and hands its mapping context back: the reverse of
 //     the order they were drawn in, so the pool's stack keeps each context in
@@ -409,7 +406,7 @@ func (s *System) Close() { s.join() }
 // join outside ProcessFrame (Mapper, Finish, Close) likewise refines against
 // the map that join left.
 //
-// At return the frame's pose and FrameInfo are final, but for its
+// At return the frame's pose and decisions are final, but for its
 // false-positive rate, which its tail measures, and FrameCount counts it;
 // the map, the history and anything derived from them are read through a
 // method that joins (see System). A panic in the tail resurfaces from the
@@ -421,13 +418,12 @@ func (s *System) ProcessFrame(f *frame.Frame) error {
 	if s.frameCount == 1 {
 		s.join() // the second frame refines against the bootstrap map
 	}
-	ft := &trace.FrameTrace{Index: s.frameCount}
-	var info FrameInfo
-	pose, err := s.trackBeside(f, ft, &info)
+	var ft trace.FrameTrace
+	pose, err := s.trackBeside(f, &ft)
 	if err != nil {
 		return fmt.Errorf("slam: frame %d: %w", s.frameCount, err)
 	}
-	s.commit(f, pose, ft, &info)
+	s.commit(f, pose, &ft)
 	return nil
 }
 
@@ -436,7 +432,7 @@ func (s *System) ProcessFrame(f *frame.Frame) error {
 // it is done. The mapping context is drawn first and handed back last, so the
 // pool's LIFO stack gives each context the same role frame after frame and
 // the tracking context never grows to a mapping render's size.
-func (s *System) trackBeside(f *frame.Frame, ft *trace.FrameTrace, info *FrameInfo) (vecmath.Pose, error) {
+func (s *System) trackBeside(f *frame.Frame, ft *trace.FrameTrace) (vecmath.Pose, error) {
 	var mapCtx *splat.RenderContext
 	if s.tail != nil {
 		mapCtx = s.pool.Acquire()
@@ -449,37 +445,37 @@ func (s *System) trackBeside(f *frame.Frame, ft *trace.FrameTrace, info *FrameIn
 		defer s.join()
 	}
 	defer s.pool.Release(ctx)
-	return s.track(f, ctx, cloud, ft, info)
+	return s.track(f, ctx, cloud, ft)
 }
 
 // commit accepts a tracked frame once the previous frame's tail is joined:
 // it makes the frame the previous frame, adds it to the mapper's key-frame
 // window if it joins it, leaves its mapping tail pending with its record
-// (pose, ground truth, FrameInfo, trace) and moves the frame count on.
-func (s *System) commit(f *frame.Frame, pose vecmath.Pose, ft *trace.FrameTrace, info *FrameInfo) {
+// (pose, ground truth, trace) and moves the frame count on.
+func (s *System) commit(f *frame.Frame, pose vecmath.Pose, ft *trace.FrameTrace) {
 	s.prevFrame = f
-	if s.joinsWindow(s.frameCount, info.IsKeyFrame) {
+	if s.joinsWindow(s.frameCount, ft.IsKeyFrame) {
 		s.mapper.AddKeyframe(f, s.frameCount, pose)
 	}
-	s.tail = s.newTail(s.frameCount, f, record{pose: pose, gt: f.GTPose, info: *info, ft: ft})
+	s.tail = s.newTail(s.frameCount, f, record{pose: pose, gt: f.GTPose, ft: *ft})
 	s.frameCount++
 }
 
 // track is a frame's front and middle, run against cloud (the map, frozen
 // into ctx while a tail runs beside): the first frame's bootstrap, or the
 // front and the pose refinement of any later one. It returns the frame's
-// pose with its FrameInfo and trace filled in, or the front's error with
-// nothing committed.
-func (s *System) track(f *frame.Frame, ctx *splat.RenderContext, cloud *gauss.Cloud, ft *trace.FrameTrace, info *FrameInfo) (vecmath.Pose, error) {
+// pose with its decisions and tracking work filled into ft, or the front's
+// error with nothing committed.
+func (s *System) track(f *frame.Frame, ctx *splat.RenderContext, cloud *gauss.Cloud, ft *trace.FrameTrace) (vecmath.Pose, error) {
 	if s.frameCount == 0 {
-		return s.bootstrap(f, ft, info), nil
+		return s.bootstrap(f, ft), nil
 	}
 	fr, err := s.front(f)
 	if err != nil {
 		return vecmath.Pose{}, err
 	}
 	s.refiner.Ctx = ctx
-	pose := s.step(f, &fr, cloud, ft, info)
+	pose := s.step(f, &fr, cloud, ft)
 	s.refiner.Ctx = nil
 	return pose, nil
 }
@@ -498,13 +494,12 @@ func checkFrame(f *frame.Frame, intr *camera.Intrinsics) error {
 }
 
 // record is what a frame adds to the stream's history once its tail is
-// joined: its pose, its ground-truth pose, its FrameInfo and its
-// FrameTrace, whose front and middle parts the frame fills in and whose
-// mapping part and false-positive rate its tail does.
+// joined: its pose, its ground-truth pose and its FrameTrace, whose decisions
+// and tracking work the frame fills in and whose mapping work and
+// false-positive rate its tail does.
 type record struct {
 	pose, gt vecmath.Pose
-	info     FrameInfo
-	ft       *trace.FrameTrace
+	ft       trace.FrameTrace
 }
 
 // mappingTail is one accepted frame's mapping tail, held as data so that a
@@ -530,7 +525,7 @@ type mappingTail struct {
 // (or, for the first frame, bootstrap) accepted with record rec: a GCM
 // non-key frame maps selectively, every other frame densifies and maps fully.
 func (s *System) newTail(pos int, f *frame.Frame, rec record) *mappingTail {
-	return &mappingTail{pos: pos, f: f, rec: rec, selective: s.Cfg.EnableGCM && !rec.info.IsKeyFrame}
+	return &mappingTail{pos: pos, f: f, rec: rec, selective: s.Cfg.EnableGCM && !rec.ft.IsKeyFrame}
 }
 
 // joinsWindow says whether the frame at position pos, a key frame or not,
@@ -553,14 +548,14 @@ func (s *System) joinsWindow(pos int, key bool) bool {
 // and the configuration, and writes the mapper and the tail, nothing a front
 // or a middle reads.
 func (s *System) runTail(t *mappingTail) {
-	ft := t.rec.ft
+	ft := &t.rec.ft
 	if t.restored {
 		defer func(v bool) { s.mapper.ScalarsOnly = v }(s.mapper.ScalarsOnly)
 		s.mapper.ScalarsOnly = true
 	}
 	if t.selective {
 		if s.Cfg.EvalFPRate {
-			t.rec.info.FPRate, t.rec.info.FPValid = s.measureFPRate(t.rec.pose), true
+			ft.FPRate, ft.FPValid = s.measureFPRate(t.rec.pose), true
 		}
 		ft.SkippedGaussians = s.mapper.NumSkipped()
 		ft.Map = s.mapper.SelectiveMapping(t.f, s.Intr, t.rec.pose)
@@ -646,8 +641,7 @@ func (s *System) fold(t *mappingTail) {
 	s.ate.Add(t.rec.pose.Center(), t.rec.gt.Center())
 	if s.history && !t.restored {
 		s.poses = append(s.poses, t.rec.pose)
-		s.info = append(s.info, t.rec.info)
-		s.traceFrames = append(s.traceFrames, *t.rec.ft)
+		s.traceFrames = append(s.traceFrames, t.rec.ft)
 	}
 }
 
@@ -669,13 +663,11 @@ func (s *System) FrameCount() int { return s.frameCount }
 
 // bootstrap anchors the first frame at its ground-truth pose (the SLAM
 // convention: the first camera defines the world frame); its tail builds the
-// initial map.
-func (s *System) bootstrap(f *frame.Frame, ft *trace.FrameTrace, info *FrameInfo) vecmath.Pose {
+// initial map. The frame is its own key frame, covisible with itself.
+func (s *System) bootstrap(f *frame.Frame, ft *trace.FrameTrace) vecmath.Pose {
 	pose := f.GTPose
+	ft.Covisibility, ft.KeyCovisibility = 1, 1
 	ft.IsKeyFrame = true
-	info.IsKeyFrame = true
-	info.Covisibility = 1
-	info.KeyCovisibility = 1
 	s.setKeyFrame(f, pose)
 	s.prevPose = pose
 	return pose
@@ -738,55 +730,40 @@ func (s *System) front(f *frame.Frame) (frontOut, error) {
 // map) and commits the pose, the velocity and the key-frame anchor. The
 // key-frame decision depends on the front's key covisibility and the
 // configuration alone, so the next front can read its outcome before the
-// mapping it selects has run.
-func (s *System) step(f *frame.Frame, fr *frontOut, cloud *gauss.Cloud, ft *trace.FrameTrace, info *FrameInfo) vecmath.Pose {
-	info.Covisibility = fr.fc
-	info.KeyCovisibility = fr.keyFC
+// mapping it selects has run. Each decision is written to ft once.
+func (s *System) step(f *frame.Frame, fr *frontOut, cloud *gauss.Cloud, ft *trace.FrameTrace) vecmath.Pose {
 	ft.Covisibility = float64(fr.fc)
+	ft.KeyCovisibility = float64(fr.keyFC)
 	ft.CodecSADOps = fr.sadOps
 	ft.CoarseMACs = fr.coarseMACs
 
 	// --- Tracking. ---
 	var pose vecmath.Pose
-	if s.Cfg.EnableMAT || s.Cfg.ForceCoarseOnly {
-		switch {
-		case s.Cfg.ForceCoarseOnly, float64(fr.fc) > s.Cfg.ThreshT:
-			pose = fr.coarse
-			info.CoarseOnly = true
-			ft.CoarseOnly = true
-		default:
-			pose, ft.Track = s.refiner.Refine(cloud, s.Intr, f, fr.coarse, s.Cfg.IterT)
-			info.RefineIters = s.Cfg.IterT
-		}
-	} else {
+	switch {
+	case !s.Cfg.EnableMAT && !s.Cfg.ForceCoarseOnly:
 		// Baseline: constant-velocity initialization (with the previous pose
 		// as fallback for motion reversals) + N_T iterations.
 		inits := []vecmath.Pose{s.prevRel.Compose(s.prevPose), s.prevPose}
 		pose, ft.Track = s.refiner.RefineBest(cloud, s.Intr, f, inits, s.Cfg.TrackIters)
-		info.RefineIters = s.Cfg.TrackIters
+	case s.Cfg.ForceCoarseOnly, ft.Covisibility > threshT:
+		pose, ft.CoarseOnly = fr.coarse, true
+	default:
+		pose, ft.Track = s.refiner.Refine(cloud, s.Intr, f, fr.coarse, s.Cfg.IterT)
 	}
 	s.prevRel = pose.Compose(s.prevPose.Inverse())
 	s.prevPose = pose
 
 	// --- Key-frame decision (the tail maps by it, see newTail). ---
-	covisible := float64(fr.keyFC) > s.Cfg.ThreshM
-	switch {
-	case s.Cfg.EnableGCM && covisible:
-		// Non-key frame: selective mapping with the recorded skip set.
-	case s.Cfg.EnableGCM:
-		// New key frame: densify, full mapping, refresh contribution.
-		ft.IsKeyFrame = true
-		info.IsKeyFrame = true
+	// A GCM frame still covisible with the key frame is a non-key frame,
+	// mapped selectively with the recorded skip set; every other frame is a
+	// key frame (densify, full mapping, and on GCM a refreshed contribution
+	// record). The anchor key frame advances whenever covisibility with the
+	// old one decays, which on the baseline path keeps coarse-only variants
+	// drift-bounded too.
+	covisible := ft.KeyCovisibility > s.Cfg.ThreshM
+	ft.IsKeyFrame = !s.Cfg.EnableGCM || !covisible
+	if !covisible {
 		s.setKeyFrame(f, pose)
-	default:
-		// Baseline mapping: densify + full mapping every frame. The anchor
-		// key frame advances whenever covisibility with the old one decays,
-		// keeping coarse-only variants drift-bounded too.
-		ft.IsKeyFrame = true
-		info.IsKeyFrame = true
-		if !covisible {
-			s.setKeyFrame(f, pose)
-		}
 	}
 	return pose
 }
@@ -817,8 +794,8 @@ func (s *System) Finish(sequence string) *Result {
 		Poses:    s.poses,
 		Cloud:    s.mapper.Cloud(),
 		Mapper:   s.mapper,
-		Info:     s.info,
 		Trace:    &trace.Run{Frames: s.traceFrames},
+		Info:     s.traceFrames,
 		chain:    s.chain,
 		ate:      s.ate,
 	}

@@ -58,11 +58,11 @@ func TestBaselineRunTracksSequence(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Baseline: every frame is a key frame, none coarse-only.
-	for i, inf := range res.Info {
-		if !inf.IsKeyFrame {
+	for i, ft := range res.Trace.Frames {
+		if !ft.IsKeyFrame {
 			t.Errorf("baseline frame %d not a key frame", i)
 		}
-		if inf.CoarseOnly {
+		if ft.CoarseOnly {
 			t.Errorf("baseline frame %d coarse-only", i)
 		}
 	}
@@ -73,9 +73,6 @@ func TestAGSRunSkipsWorkOnHighCovisibility(t *testing.T) {
 	cfg := fastAGS(tw, th)
 	cfg.Mapper.DensifyStride = 1
 	cfg.Mapper.MapIters = 8
-	// The short 10-frame test sequence moves faster per frame than the
-	// experiment-scale datasets; open the gate correspondingly.
-	cfg.ThreshT = 0.82
 	res, err := Run(cfg, seq)
 	if err != nil {
 		t.Fatal(err)
@@ -127,11 +124,11 @@ func TestForceCoarseOnlyNeverRefines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, inf := range res.Info[1:] {
-		if !inf.CoarseOnly {
+	for i, ft := range res.Trace.Frames[1:] {
+		if !ft.CoarseOnly {
 			t.Errorf("frame %d refined despite ForceCoarseOnly", i+1)
 		}
-		if inf.RefineIters != 0 {
+		if ft.Track.Iters != 0 {
 			t.Errorf("frame %d has refine iters", i+1)
 		}
 	}
@@ -220,11 +217,11 @@ func TestFPRateMeasurement(t *testing.T) {
 		t.Fatal(err)
 	}
 	var seen bool
-	for _, inf := range res.Info {
-		if inf.FPValid {
+	for _, ft := range res.Trace.Frames {
+		if ft.FPValid {
 			seen = true
-			if inf.FPRate < 0 || inf.FPRate > 1 {
-				t.Errorf("FP rate %v out of range", inf.FPRate)
+			if ft.FPRate < 0 || ft.FPRate > 1 {
+				t.Errorf("FP rate %v out of range", ft.FPRate)
 			}
 		}
 	}

@@ -10,7 +10,6 @@ import (
 
 	"ags/internal/binfmt"
 	"ags/internal/camera"
-	"ags/internal/covis"
 	"ags/internal/frame"
 	"ags/internal/gauss"
 	"ags/internal/hw/trace"
@@ -74,16 +73,22 @@ const (
 	// key-frame window already holds the tail's frame), the tail's partial
 	// trace frame last among the traces, and a flag that says the tail is
 	// pending. The tail's frame is the previous frame and its mapping follows
-	// from the last FrameInfo and the configuration.
+	// from its recorded key-frame decision and the configuration.
 	// Version 10 holds the history as its running digest, the hash chain and
 	// the ATE moments (counting the frames processed but a pending tail's), in
-	// place of every frame's poses, FrameInfo and trace scalars, and the
-	// pending tail as one record (pose, ground truth, FrameInfo, partial
+	// place of every frame's poses, decisions and trace scalars, and the
+	// pending tail as one record (pose, ground truth, decisions, partial
 	// trace): a snapshot grows with the map, not with the stream's age.
 	// Version 11 drops the configuration's render worker count, which
 	// nothing reads since a splat pass's participants are its caller and
 	// the producer's help.
-	SnapshotVersion = 11
+	// Version 12 records each of a frame's decisions once: the record is the
+	// two poses and the frame's trace, which holds the key-frame covisibility
+	// and the false-positive rate too, without the stream position (the
+	// chain's order says it) and the refinement iterations (the tracking
+	// task's). The configuration drops Thresh_T and the skip criterion's
+	// contributing-pixel bound, which are constants.
+	SnapshotVersion = 12
 
 	snapshotHeader = len(snapshotMagic) + 4 // magic, version
 )
@@ -499,7 +504,6 @@ func encodeConfig(e *binfmt.Enc, c *Config) {
 	e.Bool(c.ForceCoarseOnly)
 	e.I64(int64(c.TrackIters))
 	e.I64(int64(c.IterT))
-	e.F64(c.ThreshT)
 	e.F64(c.ThreshM)
 	encodeMapperConfig(e, &c.Mapper)
 	e.F64(c.TrackLR)
@@ -514,7 +518,6 @@ func decodeConfig(d *binfmt.Dec, c *Config) {
 	c.ForceCoarseOnly = d.Bool()
 	c.TrackIters = int(d.I64())
 	c.IterT = int(d.I64())
-	c.ThreshT = d.F64()
 	c.ThreshM = d.F64()
 	decodeMapperConfig(d, &c.Mapper)
 	c.TrackLR = d.F64()
@@ -526,7 +529,6 @@ func decodeConfig(d *binfmt.Dec, c *Config) {
 func encodeMapperConfig(e *binfmt.Enc, c *mapper.Config) {
 	e.I64(int64(c.MapIters))
 	e.I64(int64(c.ThreshN))
-	e.I64(int64(c.ContribPixMax))
 	e.I64(int64(c.DensifyStride))
 	e.F64(c.PruneOpacity)
 	e.F64(c.LRLogit)
@@ -536,7 +538,6 @@ func encodeMapperConfig(e *binfmt.Enc, c *mapper.Config) {
 func decodeMapperConfig(d *binfmt.Dec, c *mapper.Config) {
 	c.MapIters = int(d.I64())
 	c.ThreshN = int(d.I64())
-	c.ContribPixMax = int(d.I64())
 	c.DensifyStride = int(d.I64())
 	c.PruneOpacity = d.F64()
 	c.LRLogit = d.F64()
@@ -594,16 +595,9 @@ func decodeFrame(d *binfmt.Dec) *frame.Frame {
 func encodeRecord(e *binfmt.Enc, r *record) {
 	putPose(e, r.pose)
 	putPose(e, r.gt)
-	in, ft := &r.info, r.ft
-	e.F64(float64(in.Covisibility))
-	e.F64(float64(in.KeyCovisibility))
-	e.Bool(in.IsKeyFrame)
-	e.Bool(in.CoarseOnly)
-	e.I64(int64(in.RefineIters))
-	e.F64(in.FPRate)
-	e.Bool(in.FPValid)
-	e.I64(int64(ft.Index))
+	ft := &r.ft
 	e.F64(ft.Covisibility)
+	e.F64(ft.KeyCovisibility)
 	e.Bool(ft.IsKeyFrame)
 	e.Bool(ft.CoarseOnly)
 	e.I64(ft.CodecSADOps)
@@ -613,20 +607,15 @@ func encodeRecord(e *binfmt.Enc, r *record) {
 	e.I64(int64(ft.NumGaussians))
 	e.I64(int64(ft.SkippedGaussians))
 	e.I64(int64(ft.PrunedGaussians))
+	e.F64(ft.FPRate)
+	e.Bool(ft.FPValid)
 }
 
 func decodeRecord(d *binfmt.Dec) record {
-	r := record{pose: getPose(d), gt: getPose(d), ft: &trace.FrameTrace{}}
-	in, ft := &r.info, r.ft
-	in.Covisibility = covis.Score(d.F64())
-	in.KeyCovisibility = covis.Score(d.F64())
-	in.IsKeyFrame = d.Bool()
-	in.CoarseOnly = d.Bool()
-	in.RefineIters = int(d.I64())
-	in.FPRate = d.F64()
-	in.FPValid = d.Bool()
-	ft.Index = int(d.I64())
+	r := record{pose: getPose(d), gt: getPose(d)}
+	ft := &r.ft
 	ft.Covisibility = d.F64()
+	ft.KeyCovisibility = d.F64()
 	ft.IsKeyFrame = d.Bool()
 	ft.CoarseOnly = d.Bool()
 	ft.CodecSADOps = d.I64()
@@ -636,6 +625,8 @@ func decodeRecord(d *binfmt.Dec) record {
 	ft.NumGaussians = int(d.I64())
 	ft.SkippedGaussians = int(d.I64())
 	ft.PrunedGaussians = int(d.I64())
+	ft.FPRate = d.F64()
+	ft.FPValid = d.Bool()
 	return r
 }
 

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"ags/internal/frame"
 	"ags/internal/metrics"
 	"ags/internal/scene"
+	"ags/internal/vecmath"
 )
 
 // pruneCfg is fastAGS with pruning aggressive enough to actually remove
@@ -50,7 +52,10 @@ func runDigest(t *testing.T, cfg Config, name string, frames int) (*Result, [32]
 // math.Exp for an exponential of its own, a few ulp from it, which moves the
 // last bits of blends, and again when the training pass began to sum its
 // pixels' loss and gradient terms unnormalized and scale the merged sums by
-// 1/Pixels once, which moves the rounding of every gradient. It holds in both kinds of venue: Run, which retains each
+// 1/Pixels once, which moves the rounding of every gradient, and again when
+// a frame's record began to carry each decision once (the chain hashes
+// shorter records; every pose, map and trace scalar reads as before). It
+// holds in both kinds of venue: Run, which retains each
 // frame's trace and tile lists as recorded, and an Open session, which
 // retains no per-frame history. The run's floats depend on whether the compiler fuses multiply-adds,
 // so the digests hold for amd64 only; the other checks hold everywhere.
@@ -60,8 +65,8 @@ func TestPruneDigestPinned(t *testing.T) {
 	for _, sc := range []struct {
 		name, digest string
 	}{
-		{"Desk", "b00f586016c02bfd6ecb115e20909dfad6a7ca2d1d90e4d16267f261e30b4e89"},
-		{"Room", "4274f7e36173239f77ec028047feeabdebb5d0edfb9dcfde76ee05207e63c063"},
+		{"Desk", "fc1c8c5c0d689622fab668bb2b1c3cf066124c90ef53397670405f62ca6c1f4e"},
+		{"Room", "c113055fc734e6571d3a2f83da09ace271d976b1433389485230abf849e7cf4e"},
 	} {
 		// Eleven frames: the last frame does not prune, so the final map is
 		// the size the last trace frame recorded.
@@ -174,8 +179,8 @@ func TestSnapshotRoundTripSystem(t *testing.T) {
 // frame's mapping tail pending, so one taken after any frame k (k = 1 holds
 // the bootstrap tail) restores into a system with that tail pending, in the
 // offline and the serving venue, and pushing the rest of the stream reaches
-// the uninterrupted digest. A version 10 snapshot, whose configuration held
-// a render worker count, is refused by its version word.
+// the uninterrupted digest. A version 11 snapshot, whose record held the
+// frame's decisions twice, is refused by its version word.
 func TestSnapshotPendingTailRestores(t *testing.T) {
 	const frames = 5
 	// Half the tests' usual frame side: the test runs twenty restores, five
@@ -249,10 +254,10 @@ func TestSnapshotPendingTailRestores(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	v10 := snapshotBytes(t)
-	binary.LittleEndian.PutUint32(v10[len(snapshotMagic):], 10)
-	if _, err := Restore(bytes.NewReader(v10)); err == nil || !strings.Contains(err.Error(), "snapshot version 10, this build reads 11") {
-		t.Errorf("a version 10 snapshot: %v, want it refused by its version", err)
+	v11 := snapshotBytes(t)
+	binary.LittleEndian.PutUint32(v11[len(snapshotMagic):], 11)
+	if _, err := Restore(bytes.NewReader(v11)); err == nil || !strings.Contains(err.Error(), "snapshot version 11, this build reads 12") {
+		t.Errorf("a version 11 snapshot: %v, want it refused by its version", err)
 	}
 }
 
@@ -620,5 +625,93 @@ func TestRestoreSessionRefusesShortMoments(t *testing.T) {
 	}
 	if err := sv.Close(); err != nil { // the refused restore left no session open
 		t.Fatal(err)
+	}
+}
+
+// recordDetail names the fields of a frame's trace that a record leaves
+// behind: a task's representative-iteration detail and the image size it was
+// recorded at (see encodeStats).
+var recordDetail = map[string]bool{
+	"RepPerPixelBlend": true, "RepPerPixelAlpha": true, "RepTileLists": true, "Width": true, "Height": true,
+}
+
+// recordScalars appends the scalar fields of the struct v, nested structs'
+// included and the detail left out, each named by its path from name.
+func recordScalars(t *testing.T, dst []reflect.Value, names []string, v reflect.Value, name string) ([]reflect.Value, []string) {
+	t.Helper()
+	for i := range v.NumField() {
+		f, sf := v.Field(i), v.Type().Field(i)
+		if recordDetail[sf.Name] {
+			continue
+		}
+		path := name + "." + sf.Name
+		switch f.Kind() {
+		case reflect.Struct:
+			dst, names = recordScalars(t, dst, names, f, path)
+		case reflect.Bool, reflect.Int, reflect.Int64, reflect.Float64:
+			dst, names = append(dst, f), append(names, path)
+		default:
+			t.Fatalf("%s: a %s, which the round trip does not know how to set", path, f.Kind())
+		}
+	}
+	return dst, names
+}
+
+// TestRecordRoundTrip: a frame's record survives encodeRecord and
+// decodeRecord field for field. Every scalar of its trace is set to a value
+// no other field holds, and each bool is the one set in a round of its own,
+// so a field the encoding drops, swaps or re-types, or one added to
+// trace.FrameTrace and not to the encoding, fails here.
+func TestRecordRoundTrip(t *testing.T) {
+	var in record
+	in.pose = vecmath.Pose{R: vecmath.Quat{W: 0.5, X: -0.5, Y: 0.25, Z: -0.25}, T: vecmath.Vec3{X: 1.5, Y: 2.5, Z: 3.5}}
+	in.gt = vecmath.Pose{R: vecmath.Quat{W: 0.75, X: 0.125, Y: -0.125, Z: 0.375}, T: vecmath.Vec3{X: -4.5, Y: 5.5, Z: -6.5}}
+	fields, names := recordScalars(t, nil, nil, reflect.ValueOf(&in.ft).Elem(), "FrameTrace")
+	var bools []int
+	for i, f := range fields {
+		if f.Kind() == reflect.Bool {
+			bools = append(bools, i)
+		}
+	}
+	for round, on := range bools {
+		for i, f := range fields {
+			v := round*len(fields) + i + 1
+			switch f.Kind() {
+			case reflect.Bool:
+				f.SetBool(i == on)
+			case reflect.Float64:
+				f.SetFloat(float64(v) + 0.25)
+			default:
+				f.SetInt(int64(v))
+			}
+		}
+		var e binfmt.Enc
+		encodeRecord(&e, &in)
+		d := binfmt.NewDec(e.Buf)
+		out := decodeRecord(d)
+		if err := d.Finish("record"); err != nil {
+			t.Fatal(err)
+		}
+		if out.pose != in.pose || out.gt != in.gt {
+			t.Errorf("poses %v, %v came back as %v, %v", in.pose, in.gt, out.pose, out.gt)
+		}
+		got, _ := recordScalars(t, nil, nil, reflect.ValueOf(&out.ft).Elem(), "FrameTrace")
+		for i := range fields {
+			if w, g := fields[i].Interface(), got[i].Interface(); w != g {
+				t.Errorf("round %d: %s is %v, came back as %v", round, names[i], w, g)
+			}
+		}
+	}
+}
+
+// TestFirstRecordIsCovisible: the first frame is its own key frame, so its
+// record reads covisibility 1 with the previous and with the key frame.
+func TestFirstRecordIsCovisible(t *testing.T) {
+	res, err := Run(fastAGS(tw, th), testSeq(t, "Desk", 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ft := &res.Trace.Frames[0]; ft.Covisibility != 1 || ft.KeyCovisibility != 1 || !ft.IsKeyFrame {
+		t.Errorf("frame 0: covisibility %v, key covisibility %v, key frame %v; want 1, 1, true", ft.Covisibility, ft.KeyCovisibility, ft.IsKeyFrame)
 	}
 }

@@ -59,14 +59,13 @@ func serialFrame(t *testing.T, sys *System, f *frame.Frame) {
 	if sys.frameCount == 1 {
 		sys.join()
 	}
-	ft := &trace.FrameTrace{Index: sys.frameCount}
-	var info FrameInfo
-	pose, err := sys.track(f, splat.NewRenderContext(), sys.mapper.Cloud(), ft, &info)
+	var ft trace.FrameTrace
+	pose, err := sys.track(f, splat.NewRenderContext(), sys.mapper.Cloud(), &ft)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sys.join()
-	sys.commit(f, pose, ft, &info)
+	sys.commit(f, pose, &ft)
 }
 
 // serialReference drives a system through serialFrame, with a join after the
@@ -130,8 +129,8 @@ func TestScheduleRefinesBeforePreviousTail(t *testing.T) {
 				}
 				// The frame's record waits in its pending tail until the
 				// next frame joins it.
-				rec := sys.tail.rec
-				if i == 0 || rec.info.CoarseOnly {
+				rec := &sys.tail.rec
+				if i == 0 || rec.ft.CoarseOnly {
 					continue
 				}
 				ref := tracker.NewGSRefiner()

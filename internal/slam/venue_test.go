@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"runtime"
+	"slices"
 	"testing"
 
 	"ags/internal/frame"
@@ -25,7 +26,7 @@ func traceDetail(t *testing.T, frames []trace.FrameTrace) (tasks, detailed int) 
 		}{{"track", ft.Track.Iters, ft.Track.HasDetail()}, {"map", ft.Map.Iters, ft.Map.HasDetail()}} {
 			switch {
 			case s.iters == 0 && s.has:
-				t.Errorf("frame %d: %s ran no iteration but carries detail", ft.Index, s.name)
+				t.Errorf("trace frame %d: %s ran no iteration but carries detail", i, s.name)
 			case s.iters > 0:
 				tasks++
 				if s.has {
@@ -183,12 +184,13 @@ func TestVenueMatrix(t *testing.T) {
 				if got, err := v.res.ATERMSECm(); err != nil || got != wantATE {
 					t.Errorf("%s: ATE %v (%v), standalone %v", v.venue, got, err, wantATE)
 				}
-				if len(v.res.Poses) != v.kept || len(v.res.Info) != v.kept || len(v.res.Trace.Frames) != v.kept {
-					t.Errorf("%s: %d poses, %d infos and %d trace frames kept, want %d each",
-						v.venue, len(v.res.Poses), len(v.res.Info), len(v.res.Trace.Frames), v.kept)
+				if len(v.res.Poses) != v.kept || len(v.res.Trace.Frames) != v.kept {
+					t.Errorf("%s: %d poses and %d trace frames kept, want %d each",
+						v.venue, len(v.res.Poses), len(v.res.Trace.Frames), v.kept)
 				}
-				if v.kept > 0 && v.res.Trace.Frames[0].Index != frames-v.kept {
-					t.Errorf("%s: the history starts at frame %d, want %d", v.venue, v.res.Trace.Frames[0].Index, frames-v.kept)
+				if first := frames - v.kept; v.kept > 0 && (v.res.Poses[0] != ref.Poses[first] ||
+					v.res.Trace.Frames[0].Covisibility != ref.Trace.Frames[first].Covisibility) {
+					t.Errorf("%s: the history does not start at frame %d", v.venue, first)
 				}
 				if tasks, detailed := traceDetail(t, v.res.Trace.Frames); detailed != tasks || v.kept > 0 && tasks == 0 {
 					t.Errorf("%s: %d of %d tasks carry detail, want all of some", v.venue, detailed, tasks)
@@ -241,6 +243,14 @@ func TestSnapshotBytesIndependentOfVenue(t *testing.T) {
 					snap = offline
 				}
 			}
+			// The standalone system goes on to the end: the history a
+			// restore keeps is its history from frame k on.
+			for _, f := range seq.Frames[k:] {
+				if err := sys.ProcessFrame(f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			whole := sys.Finish(seq.Name)
 			sys.Close()
 			if _, err := sess.Close(); err != nil {
 				t.Fatal(err)
@@ -257,7 +267,7 @@ func TestSnapshotBytesIndependentOfVenue(t *testing.T) {
 			}
 			res := restored.Finish(seq.Name)
 			restored.Close()
-			if len(res.Trace.Frames) != frames-k || res.Trace.Frames[0].Index != k {
+			if len(res.Trace.Frames) != frames-k || !slices.Equal(res.Poses, whole.Poses[k:]) {
 				t.Errorf("%s at frame %d: the restored system kept %d trace frames, want the %d after the restore", name, k, len(res.Trace.Frames), frames-k)
 			}
 			if tasks, d := traceDetail(t, res.Trace.Frames); tasks == 0 || d != tasks {

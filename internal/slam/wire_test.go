@@ -16,22 +16,22 @@ import (
 	"ags/internal/scene"
 )
 
-// TestGoldenSnapshot pins SnapshotVersion 11 by length and SHA-256: the
+// TestGoldenSnapshot pins SnapshotVersion 12 by length and SHA-256: the
 // AGSSNAP of a fixed-seed AGS run with pruning on, six frames in, once as
 // Snapshot writes it (every frame body inline) and once as a fleet checkpoint
 // is taken (by a requester that holds every frame pushed, so the frame table
 // is positions only). Either holds the sixth frame's mapping tail pending,
 // with its record, behind the hash chain and ATE moments of the five before.
 // The golden lines were written by the encoder the version was introduced
-// with, and re-recorded in place when the renderer's falloff stopped calling
-// math.Exp for an exponential of its own, a few ulp from it, and again when
-// the training pass began to scale its merged loss and gradient sums by
-// 1/Pixels once instead of every pixel's terms: the floats the snapshot
-// carries moved, no format byte did. There is no regeneration switch — a moved format byte takes a
+// with. There is no regeneration switch — a moved format byte takes a
 // SnapshotVersion bump and new files (version 1's were snapshot.sum.golden,
-// version 2's *.v2.sum.golden, and so on to version 10's *.v10.sum.golden;
-// version 11's differ from version 10's in the configuration's dropped
-// render worker count, the version word and the checksum only). The
+// version 2's *.v2.sum.golden, and so on to version 11's *.v11.sum.golden,
+// which were re-recorded in place when the training pass began to scale its
+// merged loss and gradient sums by 1/Pixels once, moving the floats and no
+// format byte). Version 12's differ from version 11's in the configuration's
+// dropped Thresh_T and contributing-pixel bound, the pending tail's record
+// (each decision once, no stream position or refinement count), the hash
+// chain over those records, the version word and the checksum. The
 // run is an offline one, which keeps trace detail in memory; neither snapshot
 // carries it. The run's floats depend on whether the compiler fuses
 // multiply-adds, so the lines hold for amd64 only.
@@ -55,8 +55,8 @@ func TestGoldenSnapshot(t *testing.T) {
 		file string
 		snap []byte
 	}{
-		{"snapshot.v11.sum.golden", buf.Bytes()},
-		{"snapshot-lean.v11.sum.golden", sys.AppendSnapshot(nil, []int{0, 1, 2, 3, 4, 5})},
+		{"snapshot.v12.sum.golden", buf.Bytes()},
+		{"snapshot-lean.v12.sum.golden", sys.AppendSnapshot(nil, []int{0, 1, 2, 3, 4, 5})},
 	} {
 		want, err := os.ReadFile(filepath.Join("testdata", g.file))
 		if err != nil {
@@ -70,17 +70,13 @@ func TestGoldenSnapshot(t *testing.T) {
 
 // The restore seed is a whole small restore, in bytes: a lean snapshot of a
 // 16x12 AGS run three frames in, its third frame's tail pending
-// (restore.v11.golden), and the frames it leaves out, as a count and then
+// (restore.v12.golden), and the frames it leaves out, as a count and then
 // position and length-prefixed AppendFrame bytes each
-// (restore-frames.v11.golden, the shape fleet's RESTORE gives the list; the
-// same bytes as version 9's and 10's lists). Version 10's snapshot was
-// re-recorded in place when the renderer's falloff stopped calling math.Exp
-// for an exponential of its own, which moved its floats and left the list as
-// it was; version 11's differs from it in the configuration's dropped render
-// worker count, the version word and the checksum only, and was re-recorded
-// in place when the training pass began to scale its merged loss and
-// gradient sums by 1/Pixels once, which moved its floats again and left the
-// list as it was. They pin the decoder on every platform
+// (restore-frames.v12.golden, the shape fleet's RESTORE gives the list; the
+// same bytes as version 9's to 11's lists). Version 12's snapshot differs
+// from version 11's in the configuration's two dropped constants, the
+// pending tail's record and the hash chain over the records before it, the
+// version word and the checksum. They pin the decoder on every platform
 // (the bytes restore and the stream goes on), the encoder on amd64, and they
 // seed FuzzRestoreSession.
 const seedW, seedH, seedFrames = 16, 12, 3
@@ -98,11 +94,11 @@ func seedSeq() *scene.Sequence {
 
 func readSeed(t testing.TB) (snap, list []byte) {
 	t.Helper()
-	snap, err := os.ReadFile(filepath.Join("testdata", "restore.v11.golden"))
+	snap, err := os.ReadFile(filepath.Join("testdata", "restore.v12.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	list, err = os.ReadFile(filepath.Join("testdata", "restore-frames.v11.golden"))
+	list, err = os.ReadFile(filepath.Join("testdata", "restore-frames.v12.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}

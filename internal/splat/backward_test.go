@@ -275,6 +275,42 @@ func TestBackwardSilhouetteMask(t *testing.T) {
 	}
 }
 
+// TestMaskedPassExcludesNaNSilhouette: a splat whose opacity is NaN blends
+// NaN into the silhouette of every pixel of its tiles. The silhouette mask
+// keeps a pixel only where its silhouette exceeds the threshold, so those
+// pixels are in neither the loss nor Pixels: a training pass over them gives
+// a finite loss, Pixels counts exactly the pixels whose silhouette exceeds
+// the threshold, and loss and count are the full-walk reference's.
+func TestMaskedPassExcludesNaNSilhouette(t *testing.T) {
+	cloud, cam, target := testScene(t)
+	splats := preprocessInto(nil, cloud, cam, nil)
+	// Within the bottom-right tile, so the other tiles keep their pixels.
+	splats[0].Mean2D, splats[0].Radius = vecmath.Vec2{X: 28, Y: 20}, 2
+	splats[0].Opacity = math.NaN()
+	loss := LossConfig{UseSilhouetteMask: true, SilThreshold: 0.5}
+	bopts := BackwardOptions{GaussianGrads: true, PoseGrads: true}
+	res, grads := trainSplats(NewRenderContext(), splats, cloud, cam, Options{}, target, loss, bopts)
+	var nan, kept int
+	for _, sil := range res.Silhouette {
+		switch {
+		case math.IsNaN(sil):
+			nan++
+		case sil > loss.SilThreshold:
+			kept++
+		}
+	}
+	if nan == 0 || kept == 0 {
+		t.Fatalf("%d NaN and %d kept silhouettes: the test exercises nothing", nan, kept)
+	}
+	if grads.Pixels != kept || math.IsNaN(grads.Loss) || math.IsInf(grads.Loss, 0) {
+		t.Errorf("loss %v over %d pixels, want a finite loss over the %d kept (%d NaN silhouettes)", grads.Loss, grads.Pixels, kept, nan)
+	}
+	ref := refBackward(cloud, cam, res, target, loss, bopts, false)
+	if ref.Pixels != grads.Pixels || math.Float64bits(ref.Loss) != math.Float64bits(grads.Loss) {
+		t.Errorf("loss %v over %d pixels, the reference's %v over %d", grads.Loss, grads.Pixels, ref.Loss, ref.Pixels)
+	}
+}
+
 // TestBackwardDeterministicAcrossWorkers: a backward pass that a helper
 // joins gives the one-shot pass's loss and gradients.
 func TestBackwardDeterministicAcrossWorkers(t *testing.T) {

@@ -126,7 +126,7 @@ func refBackwardOneTile(cloud *gauss.Cloud, cam camera.Camera, res *Result, targ
 			if lattice && !onLattice(x, y) {
 				continue
 			}
-			if loss.UseSilhouetteMask && res.Silhouette[pix] <= loss.SilThreshold {
+			if loss.UseSilhouetteMask && !(res.Silhouette[pix] > loss.SilThreshold) {
 				continue
 			}
 			px := float64(x) + 0.5

@@ -314,14 +314,13 @@ func trainOneTile(tp *tilePass, tileIdx int, sl *slot, ar *backwardArena) {
 				res.Silhouette[pix] = sil
 				res.FinalT[pix] = t
 			}
-			if !train || tp.loss.UseSilhouetteMask && sil <= tp.loss.SilThreshold {
+			// The mask keeps a pixel whose silhouette exceeds the threshold,
+			// so a NaN silhouette, which only a non-finite splat makes, is
+			// in neither the loss nor Pixels.
+			if !train || tp.loss.UseSilhouetteMask && !(sil > tp.loss.SilThreshold) {
 				continue
 			}
-			// The count is the mask's strict form: a NaN silhouette, which
-			// only a non-finite splat makes, is in the loss but not in Pixels.
-			if !tp.loss.UseSilhouetteMask || sil > tp.loss.SilThreshold {
-				pixels++
-			}
+			pixels++
 			dLdC, dLdD, dLdS := pixelLoss(color, depth, sil, tp.target, x, y, pix, &part.loss)
 			if !lossOnly {
 				backPixel(steps[:n], list, splats, px, py, dLdC, dLdD, dLdS, tp, &part)
