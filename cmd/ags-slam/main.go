@@ -9,8 +9,6 @@
 //	ags-slam -seq Desk -algo ags -sessions 4   # concurrent streams, one server
 //	ags-slam -seq Desk -snapshot run.snap -snapshot-at 12   # serialize mid-stream
 //	ags-slam -seq Desk -resume run.snap                     # continue it; digests match
-//	ags-slam -seq Desk -prune-opacity 0.25 -prune-lr-logit 0.2   # real prune pressure
-//	        (the default threshold never fires: Gaussians are seeded at 0.999 opacity)
 package main
 
 import (
@@ -22,7 +20,6 @@ import (
 	"sync"
 	"time"
 
-	"ags/internal/gauss"
 	"ags/internal/hw/platform"
 	"ags/internal/scene"
 	"ags/internal/slam"
@@ -39,11 +36,9 @@ func main() {
 		listSeq  = flag.Bool("listseq", false, "list sequence names and exit")
 		sessions = flag.Int("sessions", 1, "run N copies of the sequence as concurrent slam.Server sessions (digest-asserted against a sequential run)")
 
-		pruneOpacity = flag.Float64("prune-opacity", slam.DefaultConfig(1, 1).Mapper.PruneOpacity, "remove Gaussians whose opacity falls below this; the default never fires against opacities seeded at 0.999 — raise it (e.g. 0.25, with -prune-lr-logit 0.2) for real prune pressure")
-		pruneLRLogit = flag.Float64("prune-lr-logit", slam.DefaultConfig(1, 1).Mapper.LRLogit, "opacity-logit learning rate; turn up alongside -prune-opacity so opacities can actually collapse within short runs")
-		snapPath     = flag.String("snapshot", "", "write a binary session snapshot to this file")
-		snapAt       = flag.Int("snapshot-at", 0, "take the snapshot after this many frames (0 = after the last frame)")
-		resumePath   = flag.String("resume", "", "restore the run from this snapshot and process the remaining frames (config flags come from the snapshot)")
+		snapPath   = flag.String("snapshot", "", "write a binary session snapshot to this file")
+		snapAt     = flag.Int("snapshot-at", 0, "take the snapshot after this many frames (0 = after the last frame)")
+		resumePath = flag.String("resume", "", "restore the run from this snapshot and process the remaining frames (config flags come from the snapshot)")
 	)
 	flag.Parse()
 
@@ -54,7 +49,7 @@ func main() {
 		return
 	}
 
-	if err := checkRunFlags(*sessions, *iters, *resumePath, *snapPath, *snapAt, *pruneOpacity, *pruneLRLogit); err != nil {
+	if err := checkRunFlags(*sessions, *iters, *resumePath, *snapPath, *snapAt); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -65,8 +60,6 @@ func main() {
 		os.Exit(2)
 	}
 	cfg.TrackIters = *iters
-	cfg.Mapper.PruneOpacity = *pruneOpacity
-	cfg.Mapper.LRLogit = *pruneLRLogit
 
 	fmt.Printf("generating %s (%dx%d, %d frames)...\n", *seqName, *width, *height, *frames)
 	seq, err := scene.Generate(*seqName, scene.Config{Width: *width, Height: *height, Frames: *frames, Seed: 1})
@@ -184,8 +177,6 @@ func main() {
 	fmt.Printf("  PSNR               %.2f dB\n", psnr)
 	dig := res.Digest()
 	fmt.Printf("  gaussians          %d\n", res.Cloud.Len())
-	fmt.Printf("  pruned             %d (%.1f KiB reclaimed)\n",
-		tot.PrunedGaussians, float64(tot.PrunedGaussians*gauss.SlotBytes)/1024)
 	fmt.Printf("  digest             %x\n", dig[:8])
 	fmt.Printf("  key frames         %d / %d\n", tot.KeyFrames, tot.Frames)
 	fmt.Printf("  coarse-only frames %d\n", tot.CoarseOnly)
@@ -211,10 +202,9 @@ func main() {
 
 // checkRunFlags refuses the flag values that would otherwise be ignored or
 // silently mean something else: -sessions below 1; -sessions above 1 together
-// with -resume, -snapshot or -snapshot-at, which only a single run reads; a
-// negative -iters (no tracking iterations); a -prune-opacity outside [0, 1) (at 1 or above every Gaussian is pruned);
-// and a negative -prune-lr-logit.
-func checkRunFlags(sessions, iters int, resume, snapshot string, snapshotAt int, pruneOpacity, pruneLRLogit float64) error {
+// with -resume, -snapshot or -snapshot-at, which only a single run reads;
+// and a negative -iters (no tracking iterations).
+func checkRunFlags(sessions, iters int, resume, snapshot string, snapshotAt int) error {
 	var errs []error
 	switch {
 	case sessions < 1:
@@ -224,12 +214,6 @@ func checkRunFlags(sessions, iters int, resume, snapshot string, snapshotAt int,
 	}
 	if iters < 0 {
 		errs = append(errs, fmt.Errorf("-iters %d is out of range: want 0 or more", iters))
-	}
-	if !(pruneOpacity >= 0 && pruneOpacity < 1) {
-		errs = append(errs, fmt.Errorf("-prune-opacity %v is out of range: want [0, 1)", pruneOpacity))
-	}
-	if !(pruneLRLogit >= 0) {
-		errs = append(errs, fmt.Errorf("-prune-lr-logit %v is out of range: want 0 or more", pruneLRLogit))
 	}
 	return errors.Join(errs...)
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -9,8 +8,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-
-	"ags/internal/slam"
 )
 
 // TestMain runs the test binary as ags-slam itself when AGS_SLAM_MAIN is
@@ -91,37 +88,26 @@ func TestCheckSnapshotAt(t *testing.T) {
 }
 
 func TestCheckRunFlags(t *testing.T) {
-	def := slam.DefaultConfig(1, 1).Mapper
-	op, lr := def.PruneOpacity, def.LRLogit // the flags' defaults
 	for _, tc := range []struct {
-		name                  string
-		sessions, iters       int
-		resume, snapshot      string
-		snapshotAt            int
-		pruneOpacity, pruneLR float64
-		want                  string // "" = accepted; otherwise a substring of the error
+		name             string
+		sessions, iters  int
+		resume, snapshot string
+		snapshotAt       int
+		want             string // "" = accepted; otherwise a substring of the error
 	}{
-		{"defaults", 1, 30, "", "", 0, op, lr, ""},
-		{"single run with every snapshot flag", 1, 30, "r.snap", "w.snap", 6, op, lr, ""},
-		{"sessions", 4, 30, "", "", 0, op, lr, ""},
-		{"no tracking iterations", 1, 0, "", "", 0, op, lr, ""},
-		{"prune pressure", 1, 30, "", "", 0, 0.25, 0.2, ""},
-		{"no pruning, frozen opacities", 1, 30, "", "", 0, 0, 0, ""},
-		{"zero sessions", 0, 30, "", "", 0, op, lr, "want 1 or more"},
-		{"negative sessions", -2, 30, "", "", 0, op, lr, "want 1 or more"},
-		{"sessions with -resume", 2, 30, "/nonexistent.snap", "", 0, op, lr, "want -sessions 1"},
-		{"sessions with -snapshot", 2, 30, "", "x.snap", 0, op, lr, "want -sessions 1"},
-		{"sessions with -snapshot-at", 2, 30, "", "", 3, op, lr, "want -sessions 1"},
-		{"negative iters", 1, -5, "", "", 0, op, lr, "-iters -5 is out of range: want 0 or more"},
-		{"both refused", 1, -1, "", "", 0, 2, lr, "-prune-opacity 2"},
-		{"prune opacity 1 prunes every Gaussian", 1, 30, "", "", 0, 1, lr, "-prune-opacity 1 is out of range: want [0, 1)"},
-		{"prune opacity above 1", 1, 30, "", "", 0, 2, lr, "-prune-opacity 2 is out of range: want [0, 1)"},
-		{"negative prune opacity", 1, 30, "", "", 0, -0.1, lr, "-prune-opacity -0.1 is out of range"},
-		{"NaN prune opacity", 1, 30, "", "", 0, math.NaN(), lr, "-prune-opacity NaN is out of range"},
-		{"negative prune lr", 1, 30, "", "", 0, op, -0.2, "-prune-lr-logit -0.2 is out of range: want 0 or more"},
-		{"NaN prune lr", 1, 30, "", "", 0, op, math.NaN(), "-prune-lr-logit NaN is out of range"},
+		{"defaults", 1, 30, "", "", 0, ""},
+		{"single run with every snapshot flag", 1, 30, "r.snap", "w.snap", 6, ""},
+		{"sessions", 4, 30, "", "", 0, ""},
+		{"no tracking iterations", 1, 0, "", "", 0, ""},
+		{"zero sessions", 0, 30, "", "", 0, "want 1 or more"},
+		{"negative sessions", -2, 30, "", "", 0, "want 1 or more"},
+		{"sessions with -resume", 2, 30, "/nonexistent.snap", "", 0, "want -sessions 1"},
+		{"sessions with -snapshot", 2, 30, "", "x.snap", 0, "want -sessions 1"},
+		{"sessions with -snapshot-at", 2, 30, "", "", 3, "want -sessions 1"},
+		{"negative iters", 1, -5, "", "", 0, "-iters -5 is out of range: want 0 or more"},
+		{"both refused", 0, -1, "", "", 0, "-iters -1"},
 	} {
-		err := checkRunFlags(tc.sessions, tc.iters, tc.resume, tc.snapshot, tc.snapshotAt, tc.pruneOpacity, tc.pruneLR)
+		err := checkRunFlags(tc.sessions, tc.iters, tc.resume, tc.snapshot, tc.snapshotAt)
 		switch {
 		case tc.want == "" && err != nil:
 			t.Errorf("%s: refused: %v", tc.name, err)

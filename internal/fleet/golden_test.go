@@ -15,7 +15,7 @@ import (
 	"ags/internal/vecmath"
 )
 
-// The golden files pin ProtocolVersion 11 byte for byte: one complete AGSF
+// The golden files pin ProtocolVersion 12 byte for byte: one complete AGSF
 // message per payload-bearing verb, each framed by appendMessage. They were
 // written once, by the encoders this version was introduced with, and there is
 // no regeneration switch — a byte that moves is a wire break, which takes a
@@ -35,10 +35,13 @@ import (
 // detail, which no message here carries); version 9's, <verb>.v9.golden,
 // whose RESULT dropped the trajectory error, the pruned count and the
 // dropped-update count; version 10's, <verb>.v10.golden, whose OPEN carried
-// the configuration without the render worker count; and version 11's is
-// <verb>.v11.golden, whose OPEN carries the configuration without Thresh_T
-// and the skip criterion's contributing-pixel bound, and which differs from
-// version 10's elsewhere in the version byte and the checksum over it only.
+// the configuration without the render worker count; version 11's,
+// <verb>.v11.golden, whose OPEN carried the configuration without Thresh_T
+// and the skip criterion's contributing-pixel bound; and version 12's is
+// <verb>.v12.golden, whose OPEN carries the configuration without the prune
+// cadence, the opacity threshold and the logit learning rate, and which
+// differs from version 11's elsewhere in the version byte and the checksum
+// over it only.
 
 // goldenConfig sets every slam.Config field the wire carries to a distinct
 // non-zero value, so a reordered, dropped or re-typed field moves a byte. It
@@ -48,11 +51,9 @@ func goldenConfig() slam.Config {
 		EnableMAT: true, EnableGCM: true, ForceCoarseOnly: true,
 		TrackIters: 11, IterT: 3, ThreshM: 0.625,
 		Mapper: mapper.Config{
-			MapIters: 7, ThreshN: 13, DensifyStride: 2,
-			PruneOpacity: 0.125, LRLogit: 0.003, KeyframeWindow: 5,
+			MapIters: 7, ThreshN: 13, DensifyStride: 2, KeyframeWindow: 5,
 		},
-		TrackLR: 0.0625, KeyframeEvery: 19, PruneEvery: 23,
-		EvalFPRate: true,
+		TrackLR: 0.0625, KeyframeEvery: 19, EvalFPRate: true,
 	}
 }
 
@@ -108,7 +109,7 @@ func goldenMessages() []goldenMessage {
 
 // goldenFile names the current version's golden file for a message.
 func goldenFile(name string) string {
-	return filepath.Join("testdata", name+".v11.golden")
+	return filepath.Join("testdata", name+".v12.golden")
 }
 
 func TestGoldenMessages(t *testing.T) {
@@ -118,7 +119,7 @@ func TestGoldenMessages(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := appendMessage(nil, m.v, m.p); !bytes.Equal(got, want) {
-			t.Errorf("%s: message bytes moved (%d bytes, golden %d) — a ProtocolVersion 11 wire break", m.name, len(got), len(want))
+			t.Errorf("%s: message bytes moved (%d bytes, golden %d) — a ProtocolVersion 12 wire break", m.name, len(got), len(want))
 		}
 	}
 }

@@ -239,9 +239,9 @@ func TestHostileRestoreIsRefusedNotFatal(t *testing.T) {
 // TestKeyframeEveryZeroOpenIsNotFatal: an open whose config carries
 // KeyframeEvery 0 with both AGS switches off passes DecodeConfig. The baseline
 // mapping path used to take frameCount modulo it, so the second push panicked
-// inside the session goroutine and took the node down. Zero means "never", as
-// for PruneEvery: the stream runs, the node still answers PING, and a second
-// stream finishes with its sequential digest.
+// inside the session goroutine and took the node down. Zero means "never":
+// the stream runs, the node still answers PING, and a second stream finishes
+// with its sequential digest.
 func TestKeyframeEveryZeroOpenIsNotFatal(t *testing.T) {
 	hostileCfg := fastCfg()
 	hostileCfg.EnableMAT, hostileCfg.EnableGCM = false, false

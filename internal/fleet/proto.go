@@ -115,7 +115,10 @@ import (
 // Version 11's OPEN carries slam's version 12 configuration, which drops
 // Thresh_T and the skip criterion's contributing-pixel bound, and its
 // snapshots are slam's version 12, which records each frame decision once.
-const ProtocolVersion = 11
+// Version 12's OPEN carries slam's version 13 configuration, which drops the
+// prune settings, and its snapshots are slam's version 13, whose records drop
+// the pruned count.
+const ProtocolVersion = 12
 
 const (
 	protoMagic = "AGSF"

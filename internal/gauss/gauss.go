@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"unsafe"
 
 	"ags/internal/vecmath"
 )
@@ -21,10 +20,6 @@ type Gaussian struct {
 	Color    vecmath.Vec3 // RGB in [0,1] (stored unclamped, clamped at render)
 	Logit    float64      // opacity in logit space; Opacity() = sigmoid(Logit)
 }
-
-// SlotBytes is the resident size of one cloud slot, the unit of the
-// reclaimed-bytes accounting of a prune.
-const SlotBytes = int(unsafe.Sizeof(Gaussian{}))
 
 // Opacity returns the Gaussian's opacity in (0,1).
 func (g *Gaussian) Opacity() float64 { return Sigmoid(g.Logit) }
@@ -52,13 +47,9 @@ func IsotropicCov(s float64) vecmath.Mat3 {
 
 // Cloud is the growable set of Gaussians representing the scene. IDs are
 // positions in the backing slice, and every slot holds a live Gaussian: Add
-// appends and Remove deletes, so there are no dead slots to skip. IDs are
-// stable between removals; across one they are stable up to the remap Remove
-// returns, through which the map's owner filters its ID-keyed rows (the skip
-// set and the optimizer moments). Remove keeps the survivors' relative order,
-// which is what keeps projection, tile build and blending order (and
-// therefore every rendered pixel) bit-identical to a render that merely
-// skipped the removed Gaussians.
+// appends and nothing removes, so a Gaussian's ID is its position for the
+// whole stream, and the map's owner keys its per-Gaussian rows (the skip set
+// and the optimizer moments) by it.
 type Cloud struct {
 	Gaussians []Gaussian
 }
@@ -78,35 +69,6 @@ func (c *Cloud) NumActive() int { return len(c.Gaussians) }
 func (c *Cloud) Add(g Gaussian) int {
 	c.Gaussians = append(c.Gaussians, g)
 	return len(c.Gaussians) - 1
-}
-
-// Remove deletes every Gaussian drop reports true for (drop sees each
-// Gaussian once, in ID order) and returns the old→new ID permutation with the
-// number removed. Survivors map to [0, kept) in their relative order and
-// removed IDs map to -1. Removing nothing returns nil, 0 (the identity) and
-// allocates nothing.
-func (c *Cloud) Remove(drop func(*Gaussian) bool) (remap []int32, n int) {
-	kept := 0
-	for id := range c.Gaussians {
-		if drop(&c.Gaussians[id]) {
-			if remap == nil {
-				remap = make([]int32, len(c.Gaussians))
-				for i := range id {
-					remap[i] = int32(i)
-				}
-			}
-			remap[id] = -1
-			continue
-		}
-		if remap != nil {
-			remap[id] = int32(kept)
-			c.Gaussians[kept] = c.Gaussians[id]
-		}
-		kept++
-	}
-	n = len(c.Gaussians) - kept
-	c.Gaussians = c.Gaussians[:kept]
-	return remap, n
 }
 
 // At returns a pointer to the Gaussian with the given ID.

@@ -95,31 +95,12 @@ func TestCov3IsotropicBitwise(t *testing.T) {
 	}
 }
 
-func TestCloudAddPrune(t *testing.T) {
-	c := NewCloud(4)
-	id0 := c.Add(Gaussian{Logit: -5})
-	id1 := c.Add(Gaussian{Logit: 5})
-	if id0 != 0 || id1 != 1 {
-		t.Fatalf("ids = %d,%d", id0, id1)
-	}
-	if c.NumActive() != 2 {
-		t.Fatalf("NumActive = %d", c.NumActive())
-	}
-	remap, n := c.Remove(func(g *Gaussian) bool { return g.Opacity() < 0.5 })
-	if n != 1 || c.Len() != 1 || c.NumActive() != 1 {
-		t.Fatalf("removed %d, Len=%d NumActive=%d", n, c.Len(), c.NumActive())
-	}
-	if remap[id1] != 0 || c.At(0).Logit != 5 {
-		t.Errorf("removal kept the wrong Gaussian (remap %v)", remap)
-	}
-}
-
 func TestCloudCloneIndependent(t *testing.T) {
 	c := NewCloud(1)
 	c.Add(Gaussian{Color: vecmath.Vec3{X: 1}})
 	cp := c.Clone()
 	cp.At(0).Color = vecmath.Vec3{Y: 1}
-	cp.Remove(func(*Gaussian) bool { return true })
+	cp.Add(Gaussian{})
 	if c.Len() != 1 || c.At(0).Color.X != 1 {
 		t.Error("clone aliases original")
 	}
@@ -170,5 +151,27 @@ func TestSigmoidGradNumeric(t *testing.T) {
 		if math.Abs(num-ana) > 1e-6 {
 			t.Errorf("grad at %v: num %v ana %v", x, num, ana)
 		}
+	}
+}
+
+func numberedGaussian(i int) Gaussian {
+	g := Gaussian{
+		Mean:  vecmath.Vec3{X: float64(i), Y: 1, Z: 2},
+		Color: vecmath.Vec3{X: 0.5, Y: 0.5, Z: 0.5},
+	}
+	g.SetScale(0.1)
+	g.SetOpacity(0.9)
+	return g
+}
+
+func TestSetAllRecountsActive(t *testing.T) {
+	c := NewCloud(0)
+	gs := []Gaussian{numberedGaussian(0), numberedGaussian(1), numberedGaussian(2)}
+	c.SetAll(gs)
+	if c.NumActive() != 3 || c.Len() != 3 {
+		t.Fatalf("active %d len %d, want 3/3", c.NumActive(), c.Len())
+	}
+	if c.At(1) != &gs[1] {
+		t.Fatal("SetAll copied the slice instead of adopting it")
 	}
 }

@@ -90,8 +90,6 @@ type FrameTrace struct {
 	NumGaussians     int // Gaussians in the map when the frame was processed
 	SkippedGaussians int // Gaussians suppressed by selective mapping
 
-	PrunedGaussians int // removed by the frame's opacity prune, which runs after the counts above
-
 	// FPRate is the skip prediction's false-positive rate at this frame,
 	// which a selective mapping tail measures when the run asks for it
 	// (slam.Config.EvalFPRate); FPValid says it did.
@@ -119,12 +117,15 @@ type Totals struct {
 	TileEntries   int64
 	SplatsTouched int64
 
-	PrunedGaussians int
-	// CompactedSlots equals PrunedGaussians.
+	// PrunedGaussians is 0.
 	//
-	// Deprecated: the map has no dead slots, so a prune frees exactly the
-	// slots it removes. It remains only because benchmarks/layers.go reads
-	// it, and goes with that read.
+	// Deprecated: nothing removes a Gaussian from the map. It remains only
+	// because benchmarks/layers.go reads it, and goes with that read.
+	PrunedGaussians int
+	// CompactedSlots is 0.
+	//
+	// Deprecated: the map has no dead slots. It remains only because
+	// benchmarks/layers.go reads it, and goes with that read.
 	CompactedSlots int
 }
 
@@ -149,8 +150,6 @@ func (r *Run) Totals() Totals {
 		t.CoarseMACs += f.CoarseMACs
 		t.TileEntries += f.Track.TileEntries + f.Map.TileEntries
 		t.SplatsTouched += f.Track.Splats + f.Map.Splats
-		t.PrunedGaussians += f.PrunedGaussians
 	}
-	t.CompactedSlots = t.PrunedGaussians
 	return t
 }

@@ -29,9 +29,8 @@ const (
 	// depthErrThresh: observed pixels whose depth error exceeds this
 	// fraction of the measurement get new Gaussians too.
 	depthErrThresh = 0.05
-	// Learning rates of the mean, colour and log-scale groups; the logit
-	// group's is Config.LRLogit.
-	lrMean, lrColor, lrScale = 1e-3, 5e-3, 1e-3
+	// Learning rates of the mean, colour, opacity-logit and log-scale groups.
+	lrMean, lrColor, lrLogit, lrScale = 1e-3, 5e-3, 2e-2, 1e-3
 	// contribPixMax is the largest number of contributing pixels a Gaussian
 	// may have and still be skipped. The paper's count-only criterion assumes
 	// trained-3DGS splat statistics; with SplaTAM-style pixel-scale Gaussians
@@ -53,19 +52,6 @@ type Config struct {
 	ThreshN int
 	// DensifyStride seeds one Gaussian per stride x stride pixel block.
 	DensifyStride int
-	// PruneOpacity removes Gaussians whose opacity falls below this.
-	//
-	// The default (0.005) is a safety valve, not an active policy: new
-	// Gaussians are seeded at opacity 0.999 and the default LRLogit moves
-	// logits far too slowly for any to collapse below it within this
-	// reproduction's sequence lengths, so pruning never fires unless the
-	// threshold is raised (or LRLogit turned up) explicitly. Runs that want
-	// real prune pressure must override it — see ags-slam's -prune-opacity
-	// flag and the pruning tests' override (PruneOpacity 0.25 with
-	// LRLogit 0.2).
-	PruneOpacity float64
-	// LRLogit is the opacity-logit learning rate.
-	LRLogit float64
 	// KeyframeWindow is how many past keyframes mapping samples from.
 	KeyframeWindow int
 }
@@ -77,8 +63,6 @@ func DefaultConfig() Config {
 		MapIters:       15,
 		ThreshN:        450,
 		DensifyStride:  1,
-		PruneOpacity:   0.005,
-		LRLogit:        2e-2,
 		KeyframeWindow: 8,
 	}
 }
@@ -137,7 +121,7 @@ func New(cfg Config) *Mapper {
 		rng:      newPRNG(seed),
 		optMean:  *optim.NewAdam(lrMean),
 		optColor: *optim.NewAdam(lrColor),
-		optLogit: *optim.NewAdam(cfg.LRLogit),
+		optLogit: *optim.NewAdam(lrLogit),
 		optScale: *optim.NewAdam(lrScale),
 	}
 }
@@ -258,37 +242,18 @@ func (m *Mapper) growSkipSet() {
 	}
 }
 
-// Prune removes the Gaussians whose opacity collapsed (see
-// gauss.Cloud.Remove) and filters every ID-keyed row the mapper retains — the
-// skip set and the per-group Adam moments — through the old→new permutation,
-// so mapping continues bit-identically to a timeline in which the pruned
-// Gaussians were merely never rendered again. It returns how many Gaussians
-// it removed; when that is none it allocates nothing.
-func (m *Mapper) Prune() int {
-	thresh := m.Cfg.PruneOpacity
-	remap, pruned := m.cloud.Remove(func(g *gauss.Gaussian) bool { return g.Opacity() < thresh })
-	if pruned == 0 {
-		return 0
-	}
-	n := m.cloud.Len()
-	skip := make([]bool, n)
-	for old, nw := range remap {
-		if nw >= 0 {
-			skip[nw] = m.skipSet[old]
-		}
-	}
-	m.skipSet = skip
-	for _, g := range m.optGroups() {
-		g.adam.Remap(g.stride, remap, n)
-	}
-	return pruned
-}
+// Prune returns 0.
+//
+// Deprecated: the map only grows (Densify adds, nothing removes), so a
+// Gaussian's ID is its position for the whole stream. It remains only because
+// benchmarks/layers.go calls it, and goes with that call.
+func (m *Mapper) Prune() int { return 0 }
 
 // Compact returns nil, 0.
 //
-// Deprecated: the map has no dead slots (Prune removes what it prunes), so
-// there is nothing to compact. It remains only because benchmarks/layers.go
-// calls it, and goes with that call.
+// Deprecated: the map has no dead slots, so there is nothing to compact. It
+// remains only because benchmarks/layers.go calls it, and goes with that
+// call.
 func (m *Mapper) Compact() (remap []int32, freed int) { return nil, 0 }
 
 // FullMapping runs N_M training iterations with every Gaussian (key

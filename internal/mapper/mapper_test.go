@@ -201,49 +201,6 @@ func TestSelectiveMappingPreservesQuality(t *testing.T) {
 	}
 }
 
-func TestPrune(t *testing.T) {
-	seq := scene.MustGenerate("Desk", scene.Config{Width: 32, Height: 24, Frames: 1, Seed: 1})
-	f := seq.Frames[0]
-	m := newMapper(smallCfg())
-	m.Densify(f, seq.Intr, f.GTPose)
-	before := m.Cloud().Len()
-	survivor := *m.Cloud().At(5)
-	// Collapse a few opacities manually.
-	for id := 0; id < 5; id++ {
-		m.Cloud().At(id).SetOpacity(0.001)
-	}
-	if n := m.Prune(); n != 5 {
-		t.Errorf("pruned %d, want 5", n)
-	}
-	if m.Cloud().Len() != before-5 || len(m.skipSet) != before-5 {
-		t.Errorf("cloud %d, skip set %d after the prune; want %d", m.Cloud().Len(), len(m.skipSet), before-5)
-	}
-	if *m.Cloud().At(0) != survivor {
-		t.Error("the first survivor did not move to ID 0")
-	}
-	if n := m.Prune(); n != 0 {
-		t.Errorf("a second prune removed %d", n)
-	}
-}
-
-// TestPruneNothingAllocatesNothing: Prune runs every PruneEvery frames on
-// every workload and almost always finds nothing to remove; then it must not
-// allocate.
-func TestPruneNothingAllocatesNothing(t *testing.T) {
-	seq := scene.MustGenerate("Desk", scene.Config{Width: 32, Height: 24, Frames: 1, Seed: 1})
-	f := seq.Frames[0]
-	m := newMapper(smallCfg())
-	m.Densify(f, seq.Intr, f.GTPose)
-	m.FullMapping(f, seq.Intr, f.GTPose)
-	if allocs := testing.AllocsPerRun(20, func() {
-		if n := m.Prune(); n != 0 {
-			t.Fatalf("pruned %d", n)
-		}
-	}); allocs != 0 {
-		t.Fatalf("a prune that removes nothing allocates %v times", allocs)
-	}
-}
-
 func TestKeyframeWindowBounded(t *testing.T) {
 	seq := scene.MustGenerate("Desk", scene.Config{Width: 32, Height: 24, Frames: 12, Seed: 1})
 	cfg := smallCfg()

@@ -76,12 +76,12 @@ func (m *Mapper) ExportState() State {
 var ErrSkipSet = errors.New("mapper: skip set does not match the cloud")
 
 // ImportState restores a snapshot: the inverse of ExportState, over a mapper
-// freshly built with the same Config. The optimizers keep the config's
-// learning rates and take the snapshot's moments and step counters (a group
-// the snapshot does not name stays never-stepped), so the first post-restore
-// mapping iteration steps exactly as the uninterrupted run's would have. The
-// state may come from outside the process, so a skip set of another length
-// than the cloud, and optimizer state that Adam.Step or Adam.Remap could not
+// freshly built with the same Config. The optimizers keep their learning
+// rates (package constants) and take the snapshot's moments and step counters
+// (a group the snapshot does not name stays never-stepped), so the first
+// post-restore mapping iteration steps exactly as the uninterrupted run's
+// would have. The state may come from outside the process, so a skip set of
+// another length than the cloud, and optimizer state that Adam.Step could not
 // index safely, are refused here, not adopted.
 func (m *Mapper) ImportState(st State) error {
 	if err := st.Cloud.Validate(); err != nil {

@@ -26,8 +26,7 @@ func detached(st State) State {
 // TestOptimizerStateRoundTrip: a mapper rebuilt from its exported state maps
 // the next frame bit for bit as the one that was never interrupted — map
 // parameters and all four optimizers' moments — whether the optimizers have
-// never stepped (no group is exported), have stepped, or were remapped by a
-// prune.
+// never stepped (no group is exported) or have stepped.
 func TestOptimizerStateRoundTrip(t *testing.T) {
 	seq := scene.MustGenerate("Desk", scene.Config{Width: 32, Height: 24, Frames: 2, Seed: 1})
 	f0, f1 := seq.Frames[0], seq.Frames[1]
@@ -50,19 +49,6 @@ func TestOptimizerStateRoundTrip(t *testing.T) {
 	}{
 		{"never stepped", seeded, nil, cfg.MapIters},
 		{"stepped", stepped, []string{"color", "logit", "mean", "scale"}, 2 * cfg.MapIters},
-		{"compacted", func(m *Mapper) {
-			stepped(m)
-			before := m.cloud.Len()
-			for _, id := range []int{3, 4, 10} {
-				m.cloud.At(id).SetOpacity(0)
-			}
-			if n := m.Prune(); n != 3 {
-				t.Fatalf("the prune removed %d Gaussians, want 3", n)
-			}
-			if mm, _, _ := m.optMean.State(); len(mm) != 3*(before-3) {
-				t.Fatalf("the prune left %d mean moments for %d Gaussians", len(mm), before-3)
-			}
-		}, []string{"color", "logit", "mean", "scale"}, 2 * cfg.MapIters},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			a := newMapper(cfg)
@@ -101,36 +87,10 @@ func TestOptimizerStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCompactResetsStaleMoments: moments that no longer cover the cloud (it
-// grew since the last step) are dropped by a prune, as Adam.Remap documents,
-// and such a mapper exports no optimizer group.
-func TestCompactResetsStaleMoments(t *testing.T) {
-	seq := scene.MustGenerate("Desk", scene.Config{Width: 32, Height: 24, Frames: 1, Seed: 1})
-	f := seq.Frames[0]
-	m := newMapper(smallCfg())
-	m.Densify(f, seq.Intr, f.GTPose)
-	m.FullMapping(f, seq.Intr, f.GTPose)
-	if m.Densify(f, seq.Intr, f.GTPose) == 0 {
-		t.Fatal("re-densifying added nothing: the moments are not stale")
-	}
-	m.cloud.At(0).SetOpacity(0)
-	if n := m.Prune(); n != 1 {
-		t.Fatalf("the prune removed %d Gaussians, want 1", n)
-	}
-	for _, g := range m.optGroups() {
-		if mm, vv, step := g.adam.State(); mm != nil || vv != nil || step != 0 {
-			t.Errorf("%s: stale moments survived the prune (%d values, step %d)", g.name, len(mm), step)
-		}
-	}
-	if st := m.ExportState(); len(st.Opt) != 0 {
-		t.Errorf("exported %d optimizer groups after the reset", len(st.Opt))
-	}
-}
-
 // TestImportStateRejectsBadOptimizerState: optimizer state arrives from
 // snapshots, which arrive from the network. Each of these would index out of
-// range in Adam.Step or Adam.Remap, or silently train a group at a rate the
-// config never named, if it were adopted. So would a skip set of another
+// range in Adam.Step, or silently train a group at a rate the mapper never
+// named, if it were adopted. So would a skip set of another
 // length than the cloud: a short one used to be padded, and a long one carried
 // and re-encoded in every snapshot after.
 func TestImportStateRejectsBadOptimizerState(t *testing.T) {

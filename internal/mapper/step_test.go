@@ -77,7 +77,7 @@ func TestApplyGradsMatchesFlatSteps(t *testing.T) {
 			}()
 		}
 		ref := gauss.NewCloud(0)
-		refOpt := [4]*optim.Adam{optim.NewAdam(lrMean), optim.NewAdam(lrColor), optim.NewAdam(cfg.LRLogit), optim.NewAdam(lrScale)}
+		refOpt := [4]*optim.Adam{optim.NewAdam(lrMean), optim.NewAdam(lrColor), optim.NewAdam(lrLogit), optim.NewAdam(lrScale)}
 		add := func(k int) {
 			for i := 0; i < k; i++ {
 				g := gauss.Gaussian{Mean: vec(4, -2), LogScale: rng.NormFloat64() - 3, Color: vec(2, -0.5), Logit: 3 * rng.NormFloat64()}

@@ -78,43 +78,6 @@ func zeroed(s []float64, n int) []float64 {
 	return s
 }
 
-// Reset clears moments and the step counter.
-func (a *Adam) Reset() {
-	a.m, a.v = nil, nil
-	a.stepNum = 0
-}
-
-// Remap rebuilds the first and second moments through an ID permutation: the
-// parameter vector is treated as len(remap) blocks of stride elements, block
-// old moves to block remap[old], and blocks that map to -1 are dropped, which
-// leaves newN blocks. The step counter is preserved — a remapped optimizer
-// continues the surviving blocks' moment streams exactly, which is what keeps
-// a prune's removal bit-transparent: without it, the next Step would see a
-// changed length and silently reinitialize. A never-stepped optimizer remaps
-// to itself.
-func (a *Adam) Remap(stride int, remap []int32, newN int) {
-	if a.m == nil {
-		return
-	}
-	if len(a.m) != stride*len(remap) {
-		// Stale moments (the parameter vector grew since the last Step): the
-		// next Step would reinitialize in the un-remapped timeline too, so
-		// mirror that instead of manufacturing a length that would dodge it.
-		a.Reset()
-		return
-	}
-	m := make([]float64, stride*newN)
-	v := make([]float64, stride*newN)
-	for old, nw := range remap {
-		if nw < 0 {
-			continue
-		}
-		copy(m[int(nw)*stride:(int(nw)+1)*stride], a.m[old*stride:(old+1)*stride])
-		copy(v[int(nw)*stride:(int(nw)+1)*stride], a.v[old*stride:(old+1)*stride])
-	}
-	a.m, a.v = m, v
-}
-
 // State returns the optimizer's moments and step counter (shared slices —
 // callers serialize, they don't mutate).
 func (a *Adam) State() (m, v []float64, step int) { return a.m, a.v, a.stepNum }

@@ -43,18 +43,6 @@ func TestAdamFirstStepIsLRSized(t *testing.T) {
 	}
 }
 
-func TestAdamReset(t *testing.T) {
-	x := []float64{0}
-	opt := NewAdam(0.01)
-	opt.Step(x, []float64{1})
-	opt.Reset()
-	y := []float64{0}
-	opt.Step(y, []float64{1})
-	if math.Abs(x[0]-y[0]) > 1e-12 {
-		t.Error("reset did not restore initial state")
-	}
-}
-
 // refAdam is the flat-slice Adam step Begin and Update were split from, kept
 // as the reference they must reproduce bit for bit.
 type refAdam struct {

@@ -17,8 +17,7 @@ import (
 // per-frame history, digests the same as an offline run.
 //
 // The map hash covers every Gaussian in ID order, each as a snapshot encodes
-// it. A prune keeps the survivors' order, so the hash does not depend on when
-// Gaussians were removed (TestPruneDigestPinned).
+// it (TestPruneDigestPinned).
 func (r *Result) Digest() [32]byte {
 	h := sha256.New()
 	e := binfmt.Enc{Buf: make([]byte, 0, 64)}

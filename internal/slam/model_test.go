@@ -19,23 +19,18 @@ func benchConfig(ags bool) Config {
 }
 
 // TestTraceDetailModelPinned pins what the platform models make of offline
-// traces: the benchmark's three System workloads (unperturbed frames) and a
-// prune-heavy Desk run, whose tile lists stay as recorded across its prunes
-// (each model replays a frame's lists on their own, so desk_prune's totals
-// held when prunes stopped rewriting them). Each AGS model replays the
-// per-pixel planes and, on the mapping side, the tile lists; A100-AGS charges
-// the lists' bytes; the rest read scalars only. The constants were the totals
-// the same runs gave when the detail was held as int32 slices, which held
-// that packing it changed no value any model reads; they were re-recorded
-// when tracking became sparse, which moves the tracking task's planes and
-// scalars, and again when refinement moved beside the previous frame's
-// mapping tail, which moves every refined pose (desk_prune refines no frame
-// and its window never holds more than the first frame, so it kept its
-// values both times). The runs' floats
-// depend on whether the compiler fuses multiply-adds, so the constants hold
-// for amd64 only. The test checks values, not concurrency, and the race
-// detector would make it a minute longer, so it skips under the detector; CI
-// runs it in the format-pin step.
+// traces: the benchmark's three System workloads (unperturbed frames). Each
+// AGS model replays the per-pixel planes and, on the mapping side, the tile
+// lists; A100-AGS charges the lists' bytes; the rest read scalars only. The
+// constants were the totals the same runs gave when the detail was held as
+// int32 slices, which held that packing it changed no value any model reads;
+// they were re-recorded when tracking became sparse, which moves the tracking
+// task's planes and scalars, and again when refinement moved beside the
+// previous frame's mapping tail, which moves every refined pose. The runs'
+// floats depend on whether the compiler fuses multiply-adds, so the
+// constants hold for amd64 only. The test checks values, not concurrency,
+// and the race detector would make it a minute longer, so it skips under the
+// detector; CI runs it in the format-pin step.
 func TestTraceDetailModelPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("model totals recorded on amd64")
@@ -43,8 +38,6 @@ func TestTraceDetailModelPinned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("ten seconds of pipeline runs, eight times slower under the race detector")
 	}
-	prune := benchConfig(true)
-	prune.Mapper.PruneOpacity, prune.Mapper.LRLogit = 0.25, 0.2
 	platforms := []platform.Platform{
 		platform.AGSEdge(), platform.AGSServer(), platform.AGSServer().WithScheduler(false),
 		platform.A100(), platform.A100().WithAGSAlgorithm(), platform.Xavier(),
@@ -87,16 +80,6 @@ func TestTraceDetailModelPinned(t *testing.T) {
 			{5.722538422141512e+07, 1.0872823002068872},
 			{2.2364094196905047e+07, 1.3865738402081131},
 		}},
-		{"desk_prune", "Desk", 16, prune, []total{
-			{5.89153075e+06, 0.051309350887200005},
-			{3.691544755555557e+06, 0.07993995319275554},
-			{4.168040755555557e+06, 0.08899337719275556},
-			{1.0574240265811965e+07, 0.634454415948718},
-			{3.1169273639049664e+07, 1.8701564183429797},
-			{4.9478132561071716e+07, 0.890606386099291},
-			{2.172623398782414e+07, 0.41279844576865854},
-			{8.0588621166616585e+06, 0.49964945123302285},
-		}},
 	} {
 		res, err := Run(r.cfg, scene.MustGenerate(r.seq, scene.Config{Width: 64, Height: 48, Frames: r.frames, Seed: 1}))
 		if err != nil {
@@ -104,9 +87,6 @@ func TestTraceDetailModelPinned(t *testing.T) {
 		}
 		if tasks, detailed := traceDetail(t, res.Trace.Frames); detailed != tasks {
 			t.Errorf("%s: %d of %d tasks carry detail", r.name, detailed, tasks)
-		}
-		if r.name == "desk_prune" && res.Trace.Totals().PrunedGaussians == 0 {
-			t.Errorf("%s: nothing was pruned; the totals do not cover a prune", r.name)
 		}
 		for i, p := range platforms {
 			b := platform.RunTotal(p, res.Trace)

@@ -33,8 +33,8 @@
 //     frame's record with the detail of every task that ran an iteration
 //     (Restore from its first new frame on: a snapshot carries the history
 //     as its digest). A frame's detail is recorded once and never
-//     rewritten: its tile lists name Gaussians of the map it rendered,
-//     whatever a later prune renumbers.
+//     rewritten: its tile lists name Gaussians by the IDs they keep for the
+//     whole stream, since the map only grows.
 //   - Server.Open and Server.RestoreSession are the serving venues, the only
 //     ones a fleet node uses. Nothing on the serving path reads the per-frame
 //     history, so they keep none and the tracker and mapper build no detail.
@@ -146,12 +146,6 @@ type Config struct {
 	// KeyframeEvery adds every k-th frame to the multi-view mapping window
 	// on the baseline mapping path (0 = never).
 	KeyframeEvery int
-	// PruneEvery runs opacity pruning every k frames (0 = never). A prune
-	// removes the Gaussians it prunes from the live map and filters the
-	// mapper's ID-keyed rows (skip set, optimizer moments) through the
-	// old→new remap (see mapper.Prune). Retained traces stay as recorded:
-	// each frame's tile lists name IDs of the map that frame rendered.
-	PruneEvery int
 	// EvalFPRate runs an extra contribution-logged render on every non-key
 	// frame to measure the false-positive rate of the skip prediction.
 	EvalFPRate bool
@@ -190,7 +184,6 @@ func DefaultConfig(w, h int) Config {
 		Mapper:        mapper.DefaultConfig(),
 		TrackLR:       5e-3,
 		KeyframeEvery: 4,
-		PruneEvery:    8,
 	}
 }
 
@@ -397,7 +390,7 @@ func (s *System) Close() { s.join() }
 //     its role. The frame count moves on.
 //   - The frame joins the mapper's key-frame window if it is one of its
 //     frames, and its tail (the false-positive measurement, Densify, full or
-//     selective mapping, Prune) is left pending with the frame's record,
+//     selective mapping) is left pending with the frame's record,
 //     holding no context, for the next call, whose join folds the record
 //     into the stream's history.
 //
@@ -457,7 +450,7 @@ func (s *System) commit(f *frame.Frame, pose vecmath.Pose, ft *trace.FrameTrace)
 	if s.joinsWindow(s.frameCount, ft.IsKeyFrame) {
 		s.mapper.AddKeyframe(f, s.frameCount, pose)
 	}
-	s.tail = s.newTail(s.frameCount, f, record{pose: pose, gt: f.GTPose, ft: *ft})
+	s.tail = s.newTail(f, record{pose: pose, gt: f.GTPose, ft: *ft})
 	s.frameCount++
 }
 
@@ -508,7 +501,6 @@ type record struct {
 // chose. done is nil while the tail is pending and, once startTail has put it
 // on a goroutine, receives nil or what the tail panicked with, exactly once.
 type mappingTail struct {
-	pos int
 	f   *frame.Frame
 	rec record
 	// selective is a non-key frame's selective mapping; otherwise the tail
@@ -521,11 +513,11 @@ type mappingTail struct {
 	done     chan *tailPanic
 }
 
-// newTail is the mapping tail of the frame at position pos, which the middle
-// (or, for the first frame, bootstrap) accepted with record rec: a GCM
-// non-key frame maps selectively, every other frame densifies and maps fully.
-func (s *System) newTail(pos int, f *frame.Frame, rec record) *mappingTail {
-	return &mappingTail{pos: pos, f: f, rec: rec, selective: s.Cfg.EnableGCM && !rec.ft.IsKeyFrame}
+// newTail is the mapping tail of frame f, which the middle (or, for the first
+// frame, bootstrap) accepted with record rec: a GCM non-key frame maps
+// selectively, every other frame densifies and maps fully.
+func (s *System) newTail(f *frame.Frame, rec record) *mappingTail {
+	return &mappingTail{f: f, rec: rec, selective: s.Cfg.EnableGCM && !rec.ft.IsKeyFrame}
 }
 
 // joinsWindow says whether the frame at position pos, a key frame or not,
@@ -543,10 +535,9 @@ func (s *System) joinsWindow(pos int, key bool) bool {
 }
 
 // runTail is the tail's work, on whichever goroutine runs it, through the
-// mapper's context: the mapping and the end-of-frame map maintenance, with
-// their outcome written to the tail's record. It reads the tail, the mapper
-// and the configuration, and writes the mapper and the tail, nothing a front
-// or a middle reads.
+// mapper's context: the mapping, with its outcome written to the tail's
+// record. It reads the tail, the mapper and the configuration, and writes the
+// mapper and the tail, nothing a front or a middle reads.
 func (s *System) runTail(t *mappingTail) {
 	ft := &t.rec.ft
 	if t.restored {
@@ -564,9 +555,6 @@ func (s *System) runTail(t *mappingTail) {
 		ft.Map = s.mapper.FullMapping(t.f, s.Intr, t.rec.pose)
 	}
 	ft.NumGaussians = s.mapper.Cloud().Len()
-	if s.Cfg.PruneEvery > 0 && (t.pos+1)%s.Cfg.PruneEvery == 0 {
-		ft.PrunedGaussians = s.mapper.Prune()
-	}
 }
 
 // startTail puts the pending mapping tail on the system's one tail goroutine,

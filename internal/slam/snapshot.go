@@ -88,7 +88,10 @@ const (
 	// chain's order says it) and the refinement iterations (the tracking
 	// task's). The configuration drops Thresh_T and the skip criterion's
 	// contributing-pixel bound, which are constants.
-	SnapshotVersion = 12
+	// Version 13 drops opacity pruning: the record loses the frame's pruned
+	// count and the configuration the prune cadence, the opacity threshold
+	// and the logit learning rate, which is a constant.
+	SnapshotVersion = 13
 
 	snapshotHeader = len(snapshotMagic) + 4 // magic, version
 )
@@ -353,7 +356,7 @@ func decodeSystem(d *binfmt.Dec, held []HeldFrame, pool *splat.ContextPool, v ve
 		if sys.frameCount == 0 {
 			d.Fail("pending mapping tail with 0 frames processed")
 		} else {
-			sys.tail = sys.newTail(sys.frameCount-1, sys.prevFrame, decodeRecord(d))
+			sys.tail = sys.newTail(sys.prevFrame, decodeRecord(d))
 			sys.tail.restored = true
 			sys.ate.N--
 		}
@@ -508,7 +511,6 @@ func encodeConfig(e *binfmt.Enc, c *Config) {
 	encodeMapperConfig(e, &c.Mapper)
 	e.F64(c.TrackLR)
 	e.I64(int64(c.KeyframeEvery))
-	e.I64(int64(c.PruneEvery))
 	e.Bool(c.EvalFPRate)
 }
 
@@ -522,7 +524,6 @@ func decodeConfig(d *binfmt.Dec, c *Config) {
 	decodeMapperConfig(d, &c.Mapper)
 	c.TrackLR = d.F64()
 	c.KeyframeEvery = int(d.I64())
-	c.PruneEvery = int(d.I64())
 	c.EvalFPRate = d.Bool()
 }
 
@@ -530,8 +531,6 @@ func encodeMapperConfig(e *binfmt.Enc, c *mapper.Config) {
 	e.I64(int64(c.MapIters))
 	e.I64(int64(c.ThreshN))
 	e.I64(int64(c.DensifyStride))
-	e.F64(c.PruneOpacity)
-	e.F64(c.LRLogit)
 	e.I64(int64(c.KeyframeWindow))
 }
 
@@ -539,8 +538,6 @@ func decodeMapperConfig(d *binfmt.Dec, c *mapper.Config) {
 	c.MapIters = int(d.I64())
 	c.ThreshN = int(d.I64())
 	c.DensifyStride = int(d.I64())
-	c.PruneOpacity = d.F64()
-	c.LRLogit = d.F64()
 	c.KeyframeWindow = int(d.I64())
 }
 
@@ -606,7 +603,6 @@ func encodeRecord(e *binfmt.Enc, r *record) {
 	encodeStats(e, &ft.Map)
 	e.I64(int64(ft.NumGaussians))
 	e.I64(int64(ft.SkippedGaussians))
-	e.I64(int64(ft.PrunedGaussians))
 	e.F64(ft.FPRate)
 	e.Bool(ft.FPValid)
 }
@@ -624,7 +620,6 @@ func decodeRecord(d *binfmt.Dec) record {
 	decodeStats(d, &ft.Map)
 	ft.NumGaussians = int(d.I64())
 	ft.SkippedGaussians = int(d.I64())
-	ft.PrunedGaussians = int(d.I64())
 	ft.FPRate = d.F64()
 	ft.FPValid = d.Bool()
 	return r

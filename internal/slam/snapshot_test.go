@@ -18,18 +18,6 @@ import (
 	"ags/internal/vecmath"
 )
 
-// pruneCfg is fastAGS with pruning aggressive enough to actually remove
-// Gaussians in a short run (the default PruneOpacity of 0.005 never fires
-// against opacities seeded at 0.999 — the logit learning rate bounds how far
-// opacity can fall in a few frames).
-func pruneCfg(w, h int) Config {
-	cfg := fastAGS(w, h)
-	cfg.Mapper.LRLogit = 0.2
-	cfg.PruneEvery = 2
-	cfg.Mapper.PruneOpacity = 0.25
-	return cfg
-}
-
 func runDigest(t *testing.T, cfg Config, name string, frames int) (*Result, [32]byte) {
 	t.Helper()
 	res, err := Run(cfg, testSeq(t, name, frames))
@@ -39,10 +27,11 @@ func runDigest(t *testing.T, cfg Config, name string, frames int) (*Result, [32]
 	return res, res.Digest()
 }
 
-// TestPruneDigestPinned pins the digests of pruneCfg runs on Desk and Room.
-// The constants were what the same frames digested to when a prune left dead
-// slots behind and nothing compacted them, which held that removing pruned
-// Gaussians at once changed no output bit; they were re-recorded when
+// TestPruneDigestPinned pins the digests of fastAGS runs on Desk and Room.
+// Until opacity pruning was deleted it ran them with a prune every second
+// frame; the constants were what the same frames digested to when a prune
+// left dead slots behind and nothing compacted them, which held that removing
+// pruned Gaussians at once changed no output bit; they were re-recorded when
 // tracking became sparse (the refiner renders a pixel lattice), which moves
 // every refined pose, and again when refinement moved beside the previous
 // frame's mapping (a frame refines against the map as it stood before that
@@ -54,22 +43,22 @@ func runDigest(t *testing.T, cfg Config, name string, frames int) (*Result, [32]
 // pixels' loss and gradient terms unnormalized and scale the merged sums by
 // 1/Pixels once, which moves the rounding of every gradient, and again when
 // a frame's record began to carry each decision once (the chain hashes
-// shorter records; every pose, map and trace scalar reads as before). It
-// holds in both kinds of venue: Run, which retains each
-// frame's trace and tile lists as recorded, and an Open session, which
-// retains no per-frame history. The run's floats depend on whether the compiler fuses multiply-adds,
-// so the digests hold for amd64 only; the other checks hold everywhere.
+// shorter records; every pose, map and trace scalar reads as before), and
+// again when pruning was deleted, which took the prune settings off these
+// runs and the pruned count off every record. It holds in both kinds of
+// venue: Run, which retains each frame's trace and tile lists as recorded,
+// and an Open session, which retains no per-frame history. The run's floats
+// depend on whether the compiler fuses multiply-adds, so the digests hold for
+// amd64 only; the other checks hold everywhere.
 func TestPruneDigestPinned(t *testing.T) {
-	cfg := pruneCfg(tw, th)
+	cfg := fastAGS(tw, th)
 	srv := NewServer(ServerConfig{})
 	for _, sc := range []struct {
 		name, digest string
 	}{
-		{"Desk", "fc1c8c5c0d689622fab668bb2b1c3cf066124c90ef53397670405f62ca6c1f4e"},
-		{"Room", "c113055fc734e6571d3a2f83da09ace271d976b1433389485230abf849e7cf4e"},
+		{"Desk", "919e9f87977ef85e32e24d9f885cd22d630bd6d9705fd452bdd797ae15fc55dc"},
+		{"Room", "adfebe678bc7222ca8a40975309f47999ef676372e8b1ec15d4942bfcd691aa6"},
 	} {
-		// Eleven frames: the last frame does not prune, so the final map is
-		// the size the last trace frame recorded.
 		seq := testSeq(t, sc.name, 11)
 		for _, venue := range []struct {
 			name   string
@@ -95,10 +84,6 @@ func TestPruneDigestPinned(t *testing.T) {
 				}
 				continue
 			}
-			tot := res.Trace.Totals()
-			if tot.PrunedGaussians == 0 {
-				t.Fatalf("%s/%s: prune config never fired; the test exercises nothing", sc.name, venue.name)
-			}
 			if last := res.Trace.Frames[len(res.Trace.Frames)-1]; res.Cloud.Len() != last.NumGaussians {
 				t.Errorf("%s/%s: map holds %d Gaussians, the last frame recorded %d", sc.name, venue.name, res.Cloud.Len(), last.NumGaussians)
 			}
@@ -112,10 +97,10 @@ func TestPruneDigestPinned(t *testing.T) {
 // TestSnapshotRoundTripSystem: snapshot a system mid-stream, restore it, push
 // the remaining frames, and the Result digest must equal the uninterrupted
 // run's — at the first frame, mid-stream, and at the last frame, on two
-// scenes, with pruning active so the snapshot carries a recently pruned map.
+// scenes.
 func TestSnapshotRoundTripSystem(t *testing.T) {
 	const frames = 10
-	cfg := pruneCfg(tw, th)
+	cfg := fastAGS(tw, th)
 	for _, scene := range []string{"Desk", "Xyz"} {
 		seq := testSeq(t, scene, frames)
 
@@ -193,7 +178,6 @@ func TestSnapshotPendingTailRestores(t *testing.T) {
 	}{
 		{"baseline", fastCfg(tw, th)},
 		{"ags", fastAGS(tw, th)},
-		{"prune", pruneCfg(tw, th)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want := directRun(t, tc.cfg, seq).Digest()
@@ -212,7 +196,7 @@ func TestSnapshotPendingTailRestores(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if sys.tail == nil || sys.tail.pos != k-1 {
+				if sys.tail == nil || sys.tail.f != seq.Frames[k-1] {
 					t.Fatalf("k=%d: no pending tail of frame %d to snapshot", k, k-1)
 				}
 				snaps[0] = sys.AppendSnapshot(nil, nil)
@@ -228,7 +212,7 @@ func TestSnapshotPendingTailRestores(t *testing.T) {
 				if err != nil {
 					t.Fatalf("k=%d: restore: %v", k, err)
 				}
-				if tail := restored.tail; tail == nil || tail.pos != k-1 || tail.f != restored.prevFrame || !tail.restored {
+				if tail := restored.tail; tail == nil || tail.f != restored.prevFrame || tail.f.Index != seq.Frames[k-1].Index || !tail.restored {
 					t.Fatalf("k=%d: the restored system has no pending tail of frame %d", k, k-1)
 				}
 				for _, f := range seq.Frames[k:] {
@@ -254,10 +238,10 @@ func TestSnapshotPendingTailRestores(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	v11 := snapshotBytes(t)
-	binary.LittleEndian.PutUint32(v11[len(snapshotMagic):], 11)
-	if _, err := Restore(bytes.NewReader(v11)); err == nil || !strings.Contains(err.Error(), "snapshot version 11, this build reads 12") {
-		t.Errorf("a version 11 snapshot: %v, want it refused by its version", err)
+	v12 := snapshotBytes(t)
+	binary.LittleEndian.PutUint32(v12[len(snapshotMagic):], 12)
+	if _, err := Restore(bytes.NewReader(v12)); err == nil || !strings.Contains(err.Error(), "snapshot version 12, this build reads 13") {
+		t.Errorf("a version 12 snapshot: %v, want it refused by its version", err)
 	}
 }
 
@@ -266,7 +250,7 @@ func TestSnapshotPendingTailRestores(t *testing.T) {
 // the snapshot and fed the remainder closes with the identical digest.
 func TestSessionSnapshotRestore(t *testing.T) {
 	const frames = 10
-	cfg := pruneCfg(tw, th)
+	cfg := fastAGS(tw, th)
 	seq := testSeq(t, "Desk", frames)
 
 	_, want := runDigest(t, cfg, "Desk", frames)

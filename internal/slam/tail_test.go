@@ -26,9 +26,8 @@ import (
 
 // tailCfgs are the configurations the tail tests cover: the three mapping
 // paths (selective, key-frame, baseline), the coarse-only variant whose front
-// is the whole of tracking, the false-positive measurement that renders at
-// the start of a selective tail, and one whose prunes remove Gaussians inside
-// tails of a short run.
+// is the whole of tracking, and the false-positive measurement that renders
+// at the start of a selective tail.
 func tailCfgs() []struct {
 	name string
 	cfg  Config
@@ -45,7 +44,6 @@ func tailCfgs() []struct {
 		{"baseline", fastCfg(tw, th)},
 		{"coarse-only", coarse},
 		{"fp-rate", fp},
-		{"prune", pruneCfg(tw, th)},
 	}
 }
 
@@ -166,9 +164,6 @@ func TestJoinPointMatrix(t *testing.T) {
 	for _, tc := range tailCfgs() {
 		t.Run(tc.name, func(t *testing.T) {
 			want, wantRes := serialReference(t, tc.cfg, seq, nil)
-			if tc.name == "prune" && wantRes.Trace.Totals().PrunedGaussians == 0 {
-				t.Fatal("nothing was pruned: the configuration exercises nothing")
-			}
 
 			each := New(tc.cfg, seq.Intr)
 			defer each.Close()
@@ -230,7 +225,7 @@ func TestJoinPointMatrix(t *testing.T) {
 // Close each run the pending tail) with the race detector quiet.
 func TestTailRaceSystem(t *testing.T) {
 	seq := testSeq(t, "Desk", 9)
-	cfg := pruneCfg(tw, th)
+	cfg := fastAGS(tw, th)
 	_, want := serialReference(t, cfg, seq, func(i int) bool { return i%4 == 1 || i%4 == 2 })
 	sys := New(cfg, seq.Intr)
 	defer sys.Close()

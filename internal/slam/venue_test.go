@@ -85,7 +85,7 @@ func TestRunTraceCarriesDetail(t *testing.T) {
 // the standalone system's snapshot snapshots the same bytes again.
 func TestVenueMatrix(t *testing.T) {
 	const frames, k = 8, 4
-	for name, cfg := range map[string]Config{"baseline": fastCfg(tw, th), "ags+compact": pruneCfg(tw, th)} {
+	for name, cfg := range map[string]Config{"baseline": fastCfg(tw, th), "ags": fastAGS(tw, th)} {
 		t.Run(name, func(t *testing.T) {
 			seq := testSeq(t, "Xyz", frames)
 			srv := NewServer(ServerConfig{})
@@ -212,7 +212,7 @@ func TestVenueMatrix(t *testing.T) {
 // on.
 func TestSnapshotBytesIndependentOfVenue(t *testing.T) {
 	const frames = 7
-	for name, cfg := range map[string]Config{"baseline": fastCfg(tw, th), "prune": pruneCfg(tw, th)} {
+	for name, cfg := range map[string]Config{"baseline": fastCfg(tw, th), "ags": fastAGS(tw, th)} {
 		seq := testSeq(t, "Desk", frames)
 		srv := NewServer(ServerConfig{})
 		for _, k := range []int{1, 5} {

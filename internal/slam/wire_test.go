@@ -16,8 +16,8 @@ import (
 	"ags/internal/scene"
 )
 
-// TestGoldenSnapshot pins SnapshotVersion 12 by length and SHA-256: the
-// AGSSNAP of a fixed-seed AGS run with pruning on, six frames in, once as
+// TestGoldenSnapshot pins SnapshotVersion 13 by length and SHA-256: the
+// AGSSNAP of a fixed-seed AGS run, six frames in, once as
 // Snapshot writes it (every frame body inline) and once as a fleet checkpoint
 // is taken (by a requester that holds every frame pushed, so the frame table
 // is positions only). Either holds the sixth frame's mapping tail pending,
@@ -28,10 +28,15 @@ import (
 // version 2's *.v2.sum.golden, and so on to version 11's *.v11.sum.golden,
 // which were re-recorded in place when the training pass began to scale its
 // merged loss and gradient sums by 1/Pixels once, moving the floats and no
-// format byte). Version 12's differ from version 11's in the configuration's
-// dropped Thresh_T and contributing-pixel bound, the pending tail's record
-// (each decision once, no stream position or refinement count), the hash
-// chain over those records, the version word and the checksum. The
+// format byte). Version 12's differed from version 11's in the
+// configuration's dropped Thresh_T and contributing-pixel bound, the pending
+// tail's record (each decision once, no stream position or refinement
+// count), the hash chain over those records, the version word and the
+// checksum. Version 13's are of the same run without its prune settings
+// (a prune every second frame, an opacity threshold of 0.25 and a logit
+// learning rate of 0.2), which version 12 ran, so the map itself differs too;
+// the configuration drops those three values and the record the pruned
+// count. The
 // run is an offline one, which keeps trace detail in memory; neither snapshot
 // carries it. The run's floats depend on whether the compiler fuses
 // multiply-adds, so the lines hold for amd64 only.
@@ -40,7 +45,7 @@ func TestGoldenSnapshot(t *testing.T) {
 		t.Skip("golden snapshot recorded on amd64")
 	}
 	seq := testSeq(t, "Desk", 6)
-	sys := New(pruneCfg(tw, th), seq.Intr)
+	sys := New(fastAGS(tw, th), seq.Intr)
 	defer sys.Close()
 	for _, f := range seq.Frames {
 		if err := sys.ProcessFrame(f); err != nil {
@@ -55,8 +60,8 @@ func TestGoldenSnapshot(t *testing.T) {
 		file string
 		snap []byte
 	}{
-		{"snapshot.v12.sum.golden", buf.Bytes()},
-		{"snapshot-lean.v12.sum.golden", sys.AppendSnapshot(nil, []int{0, 1, 2, 3, 4, 5})},
+		{"snapshot.v13.sum.golden", buf.Bytes()},
+		{"snapshot-lean.v13.sum.golden", sys.AppendSnapshot(nil, []int{0, 1, 2, 3, 4, 5})},
 	} {
 		want, err := os.ReadFile(filepath.Join("testdata", g.file))
 		if err != nil {
@@ -70,13 +75,13 @@ func TestGoldenSnapshot(t *testing.T) {
 
 // The restore seed is a whole small restore, in bytes: a lean snapshot of a
 // 16x12 AGS run three frames in, its third frame's tail pending
-// (restore.v12.golden), and the frames it leaves out, as a count and then
+// (restore.v13.golden), and the frames it leaves out, as a count and then
 // position and length-prefixed AppendFrame bytes each
-// (restore-frames.v12.golden, the shape fleet's RESTORE gives the list; the
-// same bytes as version 9's to 11's lists). Version 12's snapshot differs
-// from version 11's in the configuration's two dropped constants, the
-// pending tail's record and the hash chain over the records before it, the
-// version word and the checksum. They pin the decoder on every platform
+// (restore-frames.v13.golden, the shape fleet's RESTORE gives the list; the
+// same bytes as version 9's to 12's lists). Version 13's snapshot differs
+// from version 12's in the configuration's three dropped prune settings, the
+// pending tail's record (no pruned count) and the hash chain over the
+// records before it, the version word and the checksum. They pin the decoder on every platform
 // (the bytes restore and the stream goes on), the encoder on amd64, and they
 // seed FuzzRestoreSession.
 const seedW, seedH, seedFrames = 16, 12, 3
@@ -94,11 +99,11 @@ func seedSeq() *scene.Sequence {
 
 func readSeed(t testing.TB) (snap, list []byte) {
 	t.Helper()
-	snap, err := os.ReadFile(filepath.Join("testdata", "restore.v12.golden"))
+	snap, err := os.ReadFile(filepath.Join("testdata", "restore.v13.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	list, err = os.ReadFile(filepath.Join("testdata", "restore-frames.v12.golden"))
+	list, err = os.ReadFile(filepath.Join("testdata", "restore-frames.v13.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
