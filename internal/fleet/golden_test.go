@@ -15,7 +15,7 @@ import (
 	"ags/internal/vecmath"
 )
 
-// The golden files pin ProtocolVersion 12 byte for byte: one complete AGSF
+// The golden files pin ProtocolVersion 13 byte for byte: one complete AGSF
 // message per payload-bearing verb, each framed by appendMessage. They were
 // written once, by the encoders this version was introduced with, and there is
 // no regeneration switch — a byte that moves is a wire break, which takes a
@@ -37,11 +37,13 @@ import (
 // dropped-update count; version 10's, <verb>.v10.golden, whose OPEN carried
 // the configuration without the render worker count; version 11's,
 // <verb>.v11.golden, whose OPEN carried the configuration without Thresh_T
-// and the skip criterion's contributing-pixel bound; and version 12's is
-// <verb>.v12.golden, whose OPEN carries the configuration without the prune
-// cadence, the opacity threshold and the logit learning rate, and which
-// differs from version 11's elsewhere in the version byte and the checksum
-// over it only.
+// and the skip criterion's contributing-pixel bound; version 12's,
+// <verb>.v12.golden, whose OPEN carried the configuration without the prune
+// cadence, the opacity threshold and the logit learning rate; and version
+// 13's is <verb>.v13.golden, which differs from version 12's in the version
+// byte and the checksum over it only (slam's snapshot version 14 stores the
+// mapper's optimizer as one moment vector pair, which no message here
+// carries).
 
 // goldenConfig sets every slam.Config field the wire carries to a distinct
 // non-zero value, so a reordered, dropped or re-typed field moves a byte. It
@@ -109,7 +111,7 @@ func goldenMessages() []goldenMessage {
 
 // goldenFile names the current version's golden file for a message.
 func goldenFile(name string) string {
-	return filepath.Join("testdata", name+".v12.golden")
+	return filepath.Join("testdata", name+".v13.golden")
 }
 
 func TestGoldenMessages(t *testing.T) {
@@ -119,7 +121,7 @@ func TestGoldenMessages(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := appendMessage(nil, m.v, m.p); !bytes.Equal(got, want) {
-			t.Errorf("%s: message bytes moved (%d bytes, golden %d) — a ProtocolVersion 12 wire break", m.name, len(got), len(want))
+			t.Errorf("%s: message bytes moved (%d bytes, golden %d) — a ProtocolVersion 13 wire break", m.name, len(got), len(want))
 		}
 	}
 }

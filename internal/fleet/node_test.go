@@ -170,16 +170,20 @@ func TestHostileRestoreIsRefusedNotFatal(t *testing.T) {
 	}
 	snap := sys.AppendSnapshot(nil, nil)
 	sys.Close()
-	// The snapshot ends with the "scale" optimizer group: name, step, first
-	// moments, second moments, then the SHA-256. Drop the last second moment
-	// and say so in the vector's length (slam's TestRestoreRejectsDamage
-	// crafts the same bytes).
+	// The snapshot ends with the mapper's optimizer: step, first moments,
+	// second moments (n values each behind their length, the longest such
+	// pair), then the SHA-256. Drop the last second moment and say so in the
+	// vector's length (slam's TestRestoreRejectsDamage crafts the same bytes).
 	body := snap[:len(snap)-sha256.Size]
-	at := bytes.LastIndex(body, []byte("scale")) + len("scale") + 8
-	n := int(binary.LittleEndian.Uint64(body[at:]))
-	at += 8 + 8*n
-	if at+8+8*n != len(body) {
-		t.Fatalf("the snapshot does not end with two %d-value moment vectors", n)
+	n, at := (len(body)-16)/16, 0
+	for ; n > 0; n-- {
+		at = len(body) - 8 - 8*n
+		if binary.LittleEndian.Uint64(body[at:]) == uint64(n) && binary.LittleEndian.Uint64(body[at-8-8*n:]) == uint64(n) {
+			break
+		}
+	}
+	if n == 0 {
+		t.Fatal("the snapshot does not end with two moment vectors")
 	}
 	body = body[:len(body)-8]
 	binary.LittleEndian.PutUint64(body[at:], uint64(n-1))

@@ -117,8 +117,10 @@ import (
 // snapshots are slam's version 12, which records each frame decision once.
 // Version 12's OPEN carries slam's version 13 configuration, which drops the
 // prune settings, and its snapshots are slam's version 13, whose records drop
-// the pruned count.
-const ProtocolVersion = 12
+// the pruned count. Version 13's SNAPSHOT and RESTORE carry slam's version
+// 14 snapshots, whose mapper optimizer is one step counter and two moment
+// vectors.
+const ProtocolVersion = 13
 
 const (
 	protoMagic = "AGSF"

@@ -168,8 +168,14 @@ type Frame struct {
 // frame would be an index out of range somewhere inside the pipeline.
 var ErrPlaneSize = errors.New("pixel plane length does not match its dimensions")
 
+// ErrNonFinite is what Validate wraps when a colour or depth sample is NaN or
+// infinite: one such sample reaches every Gaussian through the loss and
+// leaves the whole map non-finite.
+var ErrNonFinite = errors.New("non-finite sample")
+
 // Validate reports whether the frame's buffers are consistent: both planes
-// present, of one size, and each exactly W x H long.
+// present, of one size, each exactly W x H long, and every sample finite (a
+// depth of zero or below is a pixel with no measurement).
 func (f *Frame) Validate() error {
 	if f.Color == nil || f.Depth == nil {
 		return fmt.Errorf("frame %d: missing color or depth", f.Index)
@@ -184,6 +190,16 @@ func (f *Frame) Validate() error {
 	}
 	if !planeHolds(len(f.Depth.D), w, h) {
 		return fmt.Errorf("frame %d: depth plane of %d pixels declared %dx%d: %w", f.Index, len(f.Depth.D), w, h, ErrPlaneSize)
+	}
+	for i, c := range f.Color.Pix {
+		if !c.IsFinite() {
+			return fmt.Errorf("frame %d: colour %v at pixel %d: %w", f.Index, c, i, ErrNonFinite)
+		}
+	}
+	for i, d := range f.Depth.D {
+		if math.IsNaN(d) || math.IsInf(d, 0) {
+			return fmt.Errorf("frame %d: depth %v at pixel %d: %w", f.Index, d, i, ErrNonFinite)
+		}
 	}
 	return nil
 }

@@ -123,6 +123,30 @@ func TestFrameValidate(t *testing.T) {
 			t.Errorf("%s: Validate = %v, want ErrPlaneSize", name, err)
 		}
 	}
+	// A NaN or infinite sample in either plane poisons every Gaussian the
+	// loss reaches: refused by name. Zero and negative depths are pixels with
+	// no measurement and pass.
+	for name, edit := range map[string]func(f *Frame){
+		"NaN colour":     func(f *Frame) { f.Color.Pix[5].Y = math.NaN() },
+		"+Inf colour":    func(f *Frame) { f.Color.Pix[15].Z = math.Inf(1) },
+		"NaN depth":      func(f *Frame) { f.Depth.D[3] = math.NaN() },
+		"+Inf depth":     func(f *Frame) { f.Depth.D[0] = math.Inf(1) },
+		"-Inf depth":     func(f *Frame) { f.Depth.D[9] = math.Inf(-1) },
+		"negative depth": nil,
+	} {
+		f := &Frame{Color: NewImage(4, 4), Depth: NewDepthMap(4, 4)}
+		f.Depth.D[7], f.Depth.D[8] = -1, 2
+		if edit == nil {
+			if err := f.Validate(); err != nil {
+				t.Errorf("%s: Validate = %v, want nil", name, err)
+			}
+			continue
+		}
+		edit(f)
+		if err := f.Validate(); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("%s: Validate = %v, want ErrNonFinite", name, err)
+		}
+	}
 }
 
 func TestMeanAbsDiff(t *testing.T) {

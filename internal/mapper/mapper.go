@@ -29,8 +29,12 @@ const (
 	// depthErrThresh: observed pixels whose depth error exceeds this
 	// fraction of the measurement get new Gaussians too.
 	depthErrThresh = 0.05
-	// Learning rates of the mean, colour, opacity-logit and log-scale groups.
+	// Learning rates of the means, colours, opacity logits and log-scales.
 	lrMean, lrColor, lrLogit, lrScale = 1e-3, 5e-3, 2e-2, 1e-3
+	// perGaussian is how many parameters a Gaussian trains: the Adam moments
+	// of Gaussian id are elements perGaussian·id to perGaussian·id+7, its
+	// mean (3), colour (3), logit and log-scale in that order.
+	perGaussian = 8
 	// contribPixMax is the largest number of contributing pixels a Gaussian
 	// may have and still be skipped. The paper's count-only criterion assumes
 	// trained-3DGS splat statistics; with SplaTAM-style pixel-scale Gaussians
@@ -97,11 +101,9 @@ type Mapper struct {
 
 	cloud *gauss.Cloud
 	rng   *prng
-	// One Adam per parameter group, as SplaTAM trains them, each at its own
-	// learning rate: means and colors are 3 values per Gaussian, logits and
-	// log-scales 1. The set is fixed; optGroups names it for the code that
-	// treats the four alike.
-	optMean, optColor, optLogit, optScale optim.Adam
+	// opt steps every Gaussian parameter, each at its kind's learning rate
+	// (SplaTAM's parameter groups), perGaussian moments per Gaussian.
+	opt optim.Adam
 	// step is the Adam step applyGrads has open, which the participants of
 	// its pass read.
 	step adamStep
@@ -116,32 +118,9 @@ type Mapper struct {
 // New returns an empty mapper.
 func New(cfg Config) *Mapper {
 	return &Mapper{
-		Cfg:      cfg,
-		cloud:    gauss.NewCloud(4096),
-		rng:      newPRNG(seed),
-		optMean:  *optim.NewAdam(lrMean),
-		optColor: *optim.NewAdam(lrColor),
-		optLogit: *optim.NewAdam(lrLogit),
-		optScale: *optim.NewAdam(lrScale),
-	}
-}
-
-// optGroup is one of the mapper's optimizers with its snapshot name and the
-// number of parameters it holds per Gaussian.
-type optGroup struct {
-	name   string
-	stride int
-	adam   *optim.Adam
-}
-
-// optGroups lists the four optimizers in the order a snapshot stores them
-// (by name).
-func (m *Mapper) optGroups() [4]optGroup {
-	return [4]optGroup{
-		{"color", 3, &m.optColor},
-		{"logit", 1, &m.optLogit},
-		{"mean", 3, &m.optMean},
-		{"scale", 1, &m.optScale},
+		Cfg:   cfg,
+		cloud: gauss.NewCloud(4096),
+		rng:   newPRNG(seed),
 	}
 }
 
@@ -228,7 +207,7 @@ func (m *Mapper) Densify(f *frame.Frame, intr camera.Intrinsics, pose vecmath.Po
 		}
 	}
 	if added > 0 {
-		// Optimizer moments are invalidated by the size change; each Adam
+		// Optimizer moments are invalidated by the size change; the Adam
 		// reinitializes automatically on its next step. The skip set grows
 		// with new Gaussians defaulting to "not skipped".
 		m.growSkipSet()
@@ -343,28 +322,24 @@ func (c *Config) NonContributory(res *splat.Result) (ids map[int]bool, inTables 
 	return ids, inTables
 }
 
-// applyGrads steps the per-group Adam optimizers over the Gaussians where they
-// lie: a chunked pass over the Gaussian IDs (splat.RenderContext.Each, so the
-// crew's helper takes chunks of it as it takes tiles) updates each Gaussian's
-// mean and colour (elements 3·id to 3·id+2 of their groups), logit and
-// log-scale (element id), and clamps the stepped colour to [0, 1]. Every
-// element takes Adam's one arithmetic path, so the map's bits equal those of
-// a Step over a flattened copy (TestApplyGradsMatchesFlatSteps).
+// applyGrads takes one Adam step over the Gaussians where they lie: a chunked
+// pass over the Gaussian IDs (splat.RenderContext.Each, so the crew's helper
+// takes chunks of it as it takes tiles) updates each Gaussian's eight
+// parameters, each at its kind's learning rate, and clamps the stepped colour
+// to [0, 1]. Every element takes Adam's one arithmetic path, so the map's bits
+// equal those of one flat Step per kind (TestApplyGradsMatchesFlatSteps).
 //
 //ags:hotpath
 func (m *Mapper) applyGrads(grads *splat.Grads) {
 	n := m.cloud.Len()
-	m.optMean.Begin(3 * n)
-	m.optColor.Begin(3 * n)
-	m.optLogit.Begin(n)
-	m.optScale.Begin(n)
+	m.opt.Begin(perGaussian * n)
 	m.step = adamStep{m: m, grads: grads}
 	m.Ctx.Each(n, &m.step)
 	m.step = adamStep{}
 }
 
 // adamStep is the work of applyGrads's pass: the mapper whose Gaussians and
-// optimizers it steps, and the gradients it applies. Once Begin has opened
+// optimizer it steps, and the gradients it applies. Once Begin has opened
 // the step, an element's Update touches that element alone, so chunks of
 // Gaussian IDs step independently.
 type adamStep struct {
@@ -376,21 +351,22 @@ type adamStep struct {
 //
 //ags:hotpath
 func (s *adamStep) Chunk(lo, hi int) {
-	m, grads := s.m, s.grads
+	m, grads, opt := s.m, s.grads, &s.m.opt
 	for id := lo; id < hi; id++ {
 		g := m.cloud.At(id)
 		gm, gc := grads.Mean[id], grads.Color[id]
+		i := perGaussian * id
 		g.Mean = vecmath.Vec3{
-			X: m.optMean.Update(3*id, g.Mean.X, gm.X),
-			Y: m.optMean.Update(3*id+1, g.Mean.Y, gm.Y),
-			Z: m.optMean.Update(3*id+2, g.Mean.Z, gm.Z),
+			X: opt.Update(i, g.Mean.X, gm.X, lrMean),
+			Y: opt.Update(i+1, g.Mean.Y, gm.Y, lrMean),
+			Z: opt.Update(i+2, g.Mean.Z, gm.Z, lrMean),
 		}
 		g.Color = vecmath.Vec3{
-			X: m.optColor.Update(3*id, g.Color.X, gc.X),
-			Y: m.optColor.Update(3*id+1, g.Color.Y, gc.Y),
-			Z: m.optColor.Update(3*id+2, g.Color.Z, gc.Z),
+			X: opt.Update(i+3, g.Color.X, gc.X, lrColor),
+			Y: opt.Update(i+4, g.Color.Y, gc.Y, lrColor),
+			Z: opt.Update(i+5, g.Color.Z, gc.Z, lrColor),
 		}.Clamp(0, 1)
-		g.Logit = m.optLogit.Update(id, g.Logit, grads.Logit[id])
-		g.LogScale = m.optScale.Update(id, g.LogScale, grads.LogScale[id])
+		g.Logit = opt.Update(i+6, g.Logit, grads.Logit[id], lrLogit)
+		g.LogScale = opt.Update(i+7, g.LogScale, grads.LogScale[id], lrScale)
 	}
 }

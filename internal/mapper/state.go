@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"ags/internal/gauss"
 )
@@ -35,14 +34,6 @@ func (p *prng) Intn(n int) int {
 	return int(hi)
 }
 
-// OptGroupState is one Adam group's serialized moment state. Name is one of
-// "color", "logit", "mean" and "scale".
-type OptGroupState struct {
-	Name string
-	Step int
-	M, V []float64
-}
-
 // State is everything a Mapper carries between frames, exposed with exported
 // fields so package slam can serialize it into a session snapshot. Slices are
 // shared with the mapper on export and adopted on import — snapshot code
@@ -52,10 +43,17 @@ type State struct {
 	SkipSet   []bool // one flag per cloud slot
 	Keyframes []Keyframe
 	RNG       uint64
-	Opt       []OptGroupState // the groups that have stepped, sorted by name
+	// The optimizer's step counter and moments: none before its first step,
+	// eight per Gaussian after it (see perGaussian).
+	Step int
+	M, V []float64
 }
 
-// ExportState captures the mapper's inter-frame state for a snapshot.
+// ExportState captures the mapper's inter-frame state for a snapshot. Moments
+// of a map that has grown since the last step are left out, with the step
+// counter, since the next step starts them afresh anyway (optim.Adam.Begin):
+// an exported state holds no moments at step 0 and eight per Gaussian after
+// it.
 func (m *Mapper) ExportState() State {
 	st := State{
 		Cloud:     m.cloud,
@@ -63,10 +61,8 @@ func (m *Mapper) ExportState() State {
 		Keyframes: m.keyframes,
 		RNG:       m.rng.state,
 	}
-	for _, g := range m.optGroups() {
-		if mm, vv, step := g.adam.State(); step > 0 {
-			st.Opt = append(st.Opt, OptGroupState{Name: g.name, Step: step, M: mm, V: vv})
-		}
+	if mm, vv, step := m.opt.State(); len(mm) == perGaussian*m.cloud.Len() {
+		st.Step, st.M, st.V = step, mm, vv
 	}
 	return st
 }
@@ -76,13 +72,13 @@ func (m *Mapper) ExportState() State {
 var ErrSkipSet = errors.New("mapper: skip set does not match the cloud")
 
 // ImportState restores a snapshot: the inverse of ExportState, over a mapper
-// freshly built with the same Config. The optimizers keep their learning
-// rates (package constants) and take the snapshot's moments and step counters
-// (a group the snapshot does not name stays never-stepped), so the first
-// post-restore mapping iteration steps exactly as the uninterrupted run's
-// would have. The state may come from outside the process, so a skip set of
-// another length than the cloud, and optimizer state that Adam.Step could not
-// index safely, are refused here, not adopted.
+// freshly built with the same Config. The optimizer takes the snapshot's
+// moments and step counter, so the first post-restore mapping iteration steps
+// exactly as the uninterrupted run's would have. The state may come from
+// outside the process, so a skip set of another length than the cloud, and
+// optimizer state that ExportState does not produce (a negative step, moments
+// at step 0, or other than eight per Gaussian after it), are refused here,
+// not adopted.
 func (m *Mapper) ImportState(st State) error {
 	if err := st.Cloud.Validate(); err != nil {
 		return err
@@ -90,24 +86,18 @@ func (m *Mapper) ImportState(st State) error {
 	if len(st.SkipSet) != st.Cloud.Len() {
 		return fmt.Errorf("%w: %d flags for %d slots", ErrSkipSet, len(st.SkipSet), st.Cloud.Len())
 	}
-	groups := m.optGroups()
-	var seen [len(groups)]bool
-	for _, sg := range st.Opt {
-		i := slices.IndexFunc(groups[:], func(g optGroup) bool { return g.name == sg.Name })
-		switch {
-		case i < 0:
-			return fmt.Errorf("mapper: unknown optimizer group %q", sg.Name)
-		case seen[i]:
-			return fmt.Errorf("mapper: optimizer group %q repeated", sg.Name)
-		case sg.Step < 0:
-			return fmt.Errorf("mapper: optimizer group %q at step %d", sg.Name, sg.Step)
-		case len(sg.M) != len(sg.V) || len(sg.M)%groups[i].stride != 0:
-			return fmt.Errorf("mapper: optimizer group %q holds %d first and %d second moments, want equal multiples of %d",
-				sg.Name, len(sg.M), len(sg.V), groups[i].stride)
-		}
-		seen[i] = true
-		groups[i].adam.SetState(sg.M, sg.V, sg.Step)
+	want := perGaussian * st.Cloud.Len()
+	if st.Step == 0 {
+		want = 0
 	}
+	switch {
+	case st.Step < 0:
+		return fmt.Errorf("mapper: optimizer at step %d", st.Step)
+	case len(st.M) != want || len(st.V) != want:
+		return fmt.Errorf("mapper: optimizer at step %d holds %d first and %d second moments for %d Gaussians, want %d each",
+			st.Step, len(st.M), len(st.V), st.Cloud.Len(), want)
+	}
+	m.opt.SetState(st.M, st.V, st.Step)
 	m.cloud = st.Cloud
 	m.skipSet = st.SkipSet
 	m.keyframes = st.Keyframes

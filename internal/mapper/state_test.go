@@ -15,18 +15,14 @@ func detached(st State) State {
 	st.Cloud = st.Cloud.Clone()
 	st.SkipSet = slices.Clone(st.SkipSet)
 	st.Keyframes = slices.Clone(st.Keyframes)
-	st.Opt = slices.Clone(st.Opt)
-	for i := range st.Opt {
-		st.Opt[i].M = slices.Clone(st.Opt[i].M)
-		st.Opt[i].V = slices.Clone(st.Opt[i].V)
-	}
+	st.M, st.V = slices.Clone(st.M), slices.Clone(st.V)
 	return st
 }
 
 // TestOptimizerStateRoundTrip: a mapper rebuilt from its exported state maps
 // the next frame bit for bit as the one that was never interrupted — map
-// parameters and all four optimizers' moments — whether the optimizers have
-// never stepped (no group is exported) or have stepped.
+// parameters and the optimizer's moments — whether the optimizer has never
+// stepped (no moments are exported) or has stepped (eight per Gaussian).
 func TestOptimizerStateRoundTrip(t *testing.T) {
 	seq := scene.MustGenerate("Desk", scene.Config{Width: 32, Height: 24, Frames: 2, Seed: 1})
 	f0, f1 := seq.Frames[0], seq.Frames[1]
@@ -44,22 +40,22 @@ func TestOptimizerStateRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		prepare func(m *Mapper)
-		groups  []string // exported, in snapshot order
-		steps   int      // of every optimizer once the second frame is mapped
+		step    int // exported
+		steps   int // of the optimizer once the second frame is mapped
 	}{
-		{"never stepped", seeded, nil, cfg.MapIters},
-		{"stepped", stepped, []string{"color", "logit", "mean", "scale"}, 2 * cfg.MapIters},
+		{"never stepped", seeded, 0, cfg.MapIters},
+		{"stepped", stepped, cfg.MapIters, 2 * cfg.MapIters},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			a := newMapper(cfg)
 			tc.prepare(a)
 			st := a.ExportState()
-			var names []string
-			for _, g := range st.Opt {
-				names = append(names, g.Name)
+			moments := perGaussian * a.cloud.Len()
+			if tc.step == 0 {
+				moments = 0
 			}
-			if !slices.Equal(names, tc.groups) {
-				t.Fatalf("exported optimizer groups %v, want %v", names, tc.groups)
+			if st.Step != tc.step || len(st.M) != moments || len(st.V) != moments {
+				t.Fatalf("exported step %d with %d and %d moments, want step %d with %d each", st.Step, len(st.M), len(st.V), tc.step, moments)
 			}
 
 			b := newMapper(cfg)
@@ -71,28 +67,25 @@ func TestOptimizerStateRoundTrip(t *testing.T) {
 			if !reflect.DeepEqual(a.cloud.Gaussians, b.cloud.Gaussians) || !reflect.DeepEqual(a.skipSet, b.skipSet) {
 				t.Error("the restored mapper trained a different map or skip set")
 			}
-			ga, gb := a.optGroups(), b.optGroups()
-			for i := range ga {
-				ma, va, sa := ga[i].adam.State()
-				mb, vb, sb := gb[i].adam.State()
-				// The moment streams continue: they do not restart at f1.
-				if sa != tc.steps {
-					t.Errorf("%s: at step %d after mapping the second frame, want %d", ga[i].name, sa, tc.steps)
-				}
-				if sa != sb || !slices.Equal(ma, mb) || !slices.Equal(va, vb) {
-					t.Errorf("%s: restored optimizer diverged (step %d vs %d)", ga[i].name, sa, sb)
-				}
+			ma, va, sa := a.opt.State()
+			mb, vb, sb := b.opt.State()
+			// The moment stream continues: it does not restart at f1.
+			if sa != tc.steps {
+				t.Errorf("at step %d after mapping the second frame, want %d", sa, tc.steps)
+			}
+			if sa != sb || !slices.Equal(ma, mb) || !slices.Equal(va, vb) {
+				t.Errorf("restored optimizer diverged (step %d vs %d)", sa, sb)
 			}
 		})
 	}
 }
 
 // TestImportStateRejectsBadOptimizerState: optimizer state arrives from
-// snapshots, which arrive from the network. Each of these would index out of
-// range in Adam.Step, or silently train a group at a rate the mapper never
-// named, if it were adopted. So would a skip set of another
-// length than the cloud: a short one used to be padded, and a long one carried
-// and re-encoded in every snapshot after.
+// snapshots, which arrive from the network. Each of these is a state no run
+// exports, and the moment rows would index out of range in Adam.Update, or
+// step the map from moments of another size, if they were adopted. So would
+// a skip set of another length than the cloud: a short one used to be padded,
+// and a long one carried and re-encoded in every snapshot after.
 func TestImportStateRejectsBadOptimizerState(t *testing.T) {
 	seq := scene.MustGenerate("Desk", scene.Config{Width: 32, Height: 24, Frames: 1, Seed: 1})
 	f := seq.Frames[0]
@@ -105,14 +98,16 @@ func TestImportStateRejectsBadOptimizerState(t *testing.T) {
 		damage func(st *State)
 		want   string
 	}{
-		{"short second moments", func(st *State) { st.Opt[2].V = st.Opt[2].V[:len(st.Opt[2].V)-3] }, "second moments"},
-		{"short first moments", func(st *State) { st.Opt[0].M = st.Opt[0].M[:3] }, "second moments"},
-		{"off-stride length", func(st *State) {
-			st.Opt[2].M, st.Opt[2].V = st.Opt[2].M[:4], st.Opt[2].V[:4]
-		}, "multiples of 3"},
-		{"unknown group", func(st *State) { st.Opt[1].Name = "rotation" }, "unknown"},
-		{"repeated group", func(st *State) { st.Opt[3] = st.Opt[2] }, "repeated"},
-		{"negative step", func(st *State) { st.Opt[0].Step = -1 }, "step -1"},
+		{"short second moments", func(st *State) { st.V = st.V[:len(st.V)-1] }, "second moments"},
+		{"short first moments", func(st *State) { st.M = st.M[:3] }, "second moments"},
+		{"moments at step 0", func(st *State) { st.Step = 0 }, "want 0 each"},
+		{"seven per Gaussian", func(st *State) {
+			n := st.Cloud.Len()
+			st.M, st.V = st.M[:7*n], st.V[:7*n]
+		}, "for 192 Gaussians, want 1536 each"},
+		{"one Gaussian short", func(st *State) { st.M, st.V = st.M[:len(st.M)-8], st.V[:len(st.V)-8] }, "want 1536 each"},
+		{"none after step 0", func(st *State) { st.M, st.V = nil, nil }, "want 1536 each"},
+		{"negative step", func(st *State) { st.Step = -1 }, "step -1"},
 		{"short skip set", func(st *State) { st.SkipSet = st.SkipSet[:len(st.SkipSet)-1] }, "skip set"},
 		{"long skip set", func(st *State) { st.SkipSet = append(st.SkipSet, true) }, "skip set"},
 	} {

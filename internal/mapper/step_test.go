@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ags/internal/frame"
 	"ags/internal/gauss"
 	"ags/internal/optim"
 	"ags/internal/scene"
@@ -12,11 +13,12 @@ import (
 	"ags/internal/vecmath"
 )
 
-// flatApplyGrads is the optimizer step applyGrads replaced, kept as its
-// reference: flatten the map into one vector per group, step each group's Adam
-// over its vector, clamp the colours and write the vectors back. opt holds the
-// groups in the order mean, color, logit, scale.
-func flatApplyGrads(c *gauss.Cloud, opt [4]*optim.Adam, grads *splat.Grads) {
+// flatApplyGrads is the optimizer step of the mapper's earlier design, kept
+// as applyGrads's reference: one Adam per parameter group, each stepping its
+// group flattened into one vector at the group's learning rate, then the
+// colours clamped and the vectors written back. opt holds the groups in the
+// order mean, color, logit, scale.
+func flatApplyGrads(c *gauss.Cloud, opt *[4]optim.Adam, grads *splat.Grads) {
 	n := c.Len()
 	means, meanG := make([]float64, 3*n), make([]float64, 3*n)
 	colors, colorG := make([]float64, 3*n), make([]float64, 3*n)
@@ -31,16 +33,40 @@ func flatApplyGrads(c *gauss.Cloud, opt [4]*optim.Adam, grads *splat.Grads) {
 		colorG[3*id], colorG[3*id+1], colorG[3*id+2] = grads.Color[id].X, grads.Color[id].Y, grads.Color[id].Z
 		logitG[id], scaleG[id] = grads.Logit[id], grads.LogScale[id]
 	}
-	opt[0].Step(means, meanG)
-	opt[1].Step(colors, colorG)
-	opt[2].Step(logits, logitG)
-	opt[3].Step(scales, scaleG)
+	opt[0].Step(means, meanG, lrMean)
+	opt[1].Step(colors, colorG, lrColor)
+	opt[2].Step(logits, logitG, lrLogit)
+	opt[3].Step(scales, scaleG, lrScale)
 	for id := 0; id < n; id++ {
 		g := c.At(id)
 		g.Mean = vecmath.Vec3{X: means[3*id], Y: means[3*id+1], Z: means[3*id+2]}
 		g.Color = vecmath.Vec3{X: colors[3*id], Y: colors[3*id+1], Z: colors[3*id+2]}.Clamp(0, 1)
 		g.Logit, g.LogScale = logits[id], scales[id]
 	}
+}
+
+// interleaved returns the four group optimizers' moments in the mapper's
+// layout, perGaussian per Gaussian (mean, colour, logit, log-scale), and
+// their step counter, or -1 if the groups are at different steps.
+func interleaved(opt *[4]optim.Adam) (m, v []float64, step int) {
+	strides := [4]int{3, 3, 1, 1}
+	step = -1
+	for k := range opt {
+		gm, gv, gs := opt[k].State()
+		if k > 0 && gs != step {
+			return nil, nil, -1
+		}
+		step = gs
+		if k == 0 {
+			m, v = make([]float64, perGaussian*len(gm)/3), make([]float64, perGaussian*len(gv)/3)
+		}
+		at := [4]int{0, 3, 6, 7}[k]
+		for i := range gm {
+			id, j := i/strides[k], i%strides[k]
+			m[perGaussian*id+at+j], v[perGaussian*id+at+j] = gm[i], gv[i]
+		}
+	}
+	return m, v, step
 }
 
 // gaussianBits returns a Gaussian's eight parameters as bit patterns.
@@ -53,20 +79,25 @@ func gaussianBits(g *gauss.Gaussian) [8]uint64 {
 	}
 }
 
-// TestApplyGradsMatchesFlatSteps: stepping the Gaussians in place is bit for
-// bit the flatten → four Steps → clamp → unflatten reference, moments
-// included, on a map whose colours start outside [0, 1] and which grows
-// midway (every group reinitialises). The step is a chunked pass of the
-// mapper's context, so it runs once on its caller alone and once with a
-// crew's helper serving that context, on a map of a few chunks and a part.
+// TestApplyGradsMatchesFlatSteps: the mapper's one Adam, stepping the
+// Gaussians in place with each parameter at its kind's learning rate, is bit
+// for bit the earlier design's four per-group optimizers (flatten → one Step
+// per group → clamp → unflatten), moments included, on a map whose colours
+// start outside [0, 1] and which Densify grows three times (every moment
+// restarts). Midway the mapper is replaced by one restored from its exported
+// state, once right after a step and once after a growth that no step has
+// followed yet, and the restored mapper continues the reference's stream. The
+// step is a chunked pass of the mapper's context, so the test runs once on
+// its caller alone and once with a crew's helper serving that context, on a
+// map of a few chunks and a part.
 func TestApplyGradsMatchesFlatSteps(t *testing.T) {
+	seq := scene.MustGenerate("Desk", scene.Config{Width: 48, Height: 36, Frames: 4, Seed: 1})
 	for _, helped := range []bool{false, true} {
 		rng := rand.New(rand.NewSource(3))
 		vec := func(scale, offset float64) vecmath.Vec3 {
 			return vecmath.Vec3{X: offset + scale*rng.Float64(), Y: offset + scale*rng.Float64(), Z: offset + scale*rng.Float64()}
 		}
-		cfg := DefaultConfig()
-		m := newMapper(cfg)
+		m := newMapper(smallCfg())
 		crew := splat.NewCrew()
 		served := make(chan struct{})
 		if helped {
@@ -77,18 +108,38 @@ func TestApplyGradsMatchesFlatSteps(t *testing.T) {
 			}()
 		}
 		ref := gauss.NewCloud(0)
-		refOpt := [4]*optim.Adam{optim.NewAdam(lrMean), optim.NewAdam(lrColor), optim.NewAdam(lrLogit), optim.NewAdam(lrScale)}
-		add := func(k int) {
-			for i := 0; i < k; i++ {
-				g := gauss.Gaussian{Mean: vec(4, -2), LogScale: rng.NormFloat64() - 3, Color: vec(2, -0.5), Logit: 3 * rng.NormFloat64()}
-				m.cloud.Add(g)
-				ref.Add(g)
+		var refOpt [4]optim.Adam
+		for i := 0; i < 2*splat.ChunkSize+40; i++ {
+			g := gauss.Gaussian{Mean: vec(4, -2), LogScale: rng.NormFloat64() - 3, Color: vec(2, -0.5), Logit: 3 * rng.NormFloat64()}
+			m.cloud.Add(g)
+			ref.Add(g)
+		}
+		grow := func(f *frame.Frame) {
+			before := m.cloud.Len()
+			if m.Densify(f, seq.Intr, f.GTPose) == 0 {
+				t.Fatalf("helped %v: Densify added nothing from frame %d", helped, f.Index)
+			}
+			for id := before; id < m.cloud.Len(); id++ {
+				ref.Add(*m.cloud.At(id))
 			}
 		}
-		add(2*splat.ChunkSize + 40)
-		for it := 0; it < 12; it++ {
-			if it == 6 {
-				add(13)
+		restore := func() {
+			r := New(m.Cfg)
+			r.Ctx = m.Ctx
+			if err := r.ImportState(detached(m.ExportState())); err != nil {
+				t.Fatalf("helped %v: %v", helped, err)
+			}
+			m = r
+		}
+		for it := 0; it < 16; it++ {
+			switch it {
+			case 4, 9:
+				grow(seq.Frames[it/4])
+			case 7:
+				restore()
+			case 13:
+				grow(seq.Frames[3])
+				restore()
 			}
 			n := m.cloud.Len()
 			grads := &splat.Grads{
@@ -100,18 +151,16 @@ func TestApplyGradsMatchesFlatSteps(t *testing.T) {
 				grads.Logit[id], grads.LogScale[id] = rng.NormFloat64(), rng.NormFloat64()
 			}
 			m.applyGrads(grads)
-			flatApplyGrads(ref, refOpt, grads)
+			flatApplyGrads(ref, &refOpt, grads)
 			for id := 0; id < n; id++ {
 				if got, want := gaussianBits(m.cloud.At(id)), gaussianBits(ref.At(id)); got != want {
 					t.Fatalf("helped %v, iteration %d, Gaussian %d: in place %+v, reference %+v", helped, it, id, *m.cloud.At(id), *ref.At(id))
 				}
 			}
-			for i, a := range []*optim.Adam{&m.optMean, &m.optColor, &m.optLogit, &m.optScale} {
-				gm, gv, gs := a.State()
-				wm, wv, ws := refOpt[i].State()
-				if gs != ws || !sameBits(gm, wm) || !sameBits(gv, wv) {
-					t.Fatalf("helped %v, iteration %d: group %d's moments differ from the reference's", helped, it, i)
-				}
+			gm, gv, gs := m.opt.State()
+			wm, wv, ws := interleaved(&refOpt)
+			if gs != ws || !sameBits(gm, wm) || !sameBits(gv, wv) {
+				t.Fatalf("helped %v, iteration %d: the moments at step %d differ from the groups' at step %d", helped, it, gs, ws)
 			}
 		}
 		if helped {

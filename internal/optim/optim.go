@@ -1,11 +1,14 @@
 // Package optim implements Adam, the first-order optimizer 3DGS training uses
-// for both pose tracking and Gaussian mapping (matching SplaTAM). A step is
-// Begin(n) over an n-element parameter vector, then Update once per element:
-// callers whose parameters live in their own structures (mapper.Mapper steps
-// the Gaussians of its map in place) update them where they lie, and Step is
-// that loop over a flat slice. There is one arithmetic path, so both ways of
-// stepping give the same bits. A caller with several parameter groups owns one
-// Adam per group.
+// for both pose tracking and Gaussian mapping (matching SplaTAM). An Adam is
+// the moments of one parameter vector and its step counter; the learning rate
+// is an argument of every step, so one Adam steps parameters that train at
+// different rates (mapper.Mapper's eight per Gaussian) as SplaTAM's parameter
+// groups do. A step is Begin(n) over an n-element parameter vector, then
+// Update once per element: callers whose parameters live in their own
+// structures (mapper.Mapper steps the Gaussians of its map in place) update
+// them where they lie, and Step is that loop over a flat slice. There is one
+// arithmetic path, so both ways of stepping give the same bits. The zero
+// Adam has never stepped.
 package optim
 
 import "math"
@@ -21,23 +24,17 @@ const (
 
 // Adam is the Adam optimizer (Kingma & Ba) with bias correction.
 type Adam struct {
-	LR      float64
 	m, v    []float64
 	stepNum int
 	// The bias corrections of the step Begin opened.
 	b1t, b2t float64
 }
 
-// NewAdam returns an Adam optimizer with standard betas (0.9, 0.999).
-func NewAdam(lr float64) *Adam {
-	return &Adam{LR: lr}
-}
-
-// Step applies one Adam update to params.
-func (a *Adam) Step(params, grads []float64) {
+// Step applies one Adam update at learning rate lr to params.
+func (a *Adam) Step(params, grads []float64, lr float64) {
 	a.Begin(len(params))
 	for i, p := range params {
-		params[i] = a.Update(i, p, grads[i])
+		params[i] = a.Update(i, p, grads[i], lr)
 	}
 }
 
@@ -57,13 +54,13 @@ func (a *Adam) Begin(n int) {
 }
 
 // Update advances parameter i's moments by its gradient g, within the step
-// Begin opened, and returns its value p stepped.
-func (a *Adam) Update(i int, p, g float64) float64 {
+// Begin opened, and returns its value p stepped at learning rate lr.
+func (a *Adam) Update(i int, p, g, lr float64) float64 {
 	a.m[i] = beta1*a.m[i] + (1-beta1)*g
 	a.v[i] = beta2*a.v[i] + (1-beta2)*g*g
 	mHat := a.m[i] / a.b1t
 	vHat := a.v[i] / a.b2t
-	return p - a.LR*mHat/(math.Sqrt(vHat)+eps)
+	return p - lr*mHat/(math.Sqrt(vHat)+eps)
 }
 
 // zeroed returns s resized to n with every element cleared. The parameter

@@ -19,9 +19,9 @@ func quadGrad(x, c []float64) []float64 {
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	x := []float64{5, -3, 0.5}
 	c := []float64{1, 2, -1}
-	opt := NewAdam(0.1)
+	var opt Adam
 	for i := 0; i < 1500; i++ {
-		opt.Step(x, quadGrad(x, c))
+		opt.Step(x, quadGrad(x, c), 0.1)
 	}
 	for i := range x {
 		if math.Abs(x[i]-c[i]) > 1e-3 {
@@ -35,8 +35,8 @@ func TestAdamFirstStepIsLRSized(t *testing.T) {
 	// regardless of gradient scale.
 	for _, scale := range []float64{1e-4, 1, 1e4} {
 		x := []float64{0}
-		opt := NewAdam(0.01)
-		opt.Step(x, []float64{scale})
+		var opt Adam
+		opt.Step(x, []float64{scale}, 0.01)
 		if math.Abs(math.Abs(x[0])-0.01) > 1e-4 {
 			t.Errorf("first step with grad %v moved %v", scale, x[0])
 		}
@@ -50,7 +50,7 @@ type refAdam struct {
 	step int
 }
 
-func (r *refAdam) step1(a *Adam, params, grads []float64) {
+func (r *refAdam) step1(lr float64, params, grads []float64) {
 	if len(r.m) != len(params) {
 		r.m, r.v, r.step = make([]float64, len(params)), make([]float64, len(params)), 0
 	}
@@ -63,7 +63,7 @@ func (r *refAdam) step1(a *Adam, params, grads []float64) {
 		r.v[i] = beta2*r.v[i] + (1-beta2)*g*g
 		mHat := r.m[i] / b1t
 		vHat := r.v[i] / b2t
-		params[i] -= a.LR * mHat / (math.Sqrt(vHat) + eps)
+		params[i] -= lr * mHat / (math.Sqrt(vHat) + eps)
 	}
 }
 
@@ -79,17 +79,18 @@ func TestBeginUpdateMatchesStep(t *testing.T) {
 		}
 		return out
 	}
-	stepped, split := NewAdam(0.01), NewAdam(0.01)
+	const lr = 0.01
+	var stepped, split Adam
 	var ref refAdam
 	check := func(label string, n int) {
 		want := vec(n, 1)
 		viaStep, viaUpdate := slices.Clone(want), slices.Clone(want)
 		grads := vec(n, 1e-2)
-		ref.step1(stepped, want, grads)
-		stepped.Step(viaStep, grads)
+		ref.step1(lr, want, grads)
+		stepped.Step(viaStep, grads, lr)
 		split.Begin(n)
 		for i := n - 1; i >= 0; i-- {
-			viaUpdate[i] = split.Update(i, viaUpdate[i], grads[i])
+			viaUpdate[i] = split.Update(i, viaUpdate[i], grads[i], lr)
 		}
 		for i := range want {
 			if math.Float64bits(viaStep[i]) != math.Float64bits(want[i]) || math.Float64bits(viaUpdate[i]) != math.Float64bits(want[i]) {
@@ -129,9 +130,9 @@ func TestAdamComplementsRoundAtRunTime(t *testing.T) {
 }
 
 func TestAdamHandlesParamSizeChange(t *testing.T) {
-	opt := NewAdam(0.01)
-	opt.Step([]float64{0, 0}, []float64{1, 1})
+	var opt Adam
+	opt.Step([]float64{0, 0}, []float64{1, 1}, 0.01)
 	// Growing the parameter vector (densification adds Gaussians) must not
 	// panic; state is reinitialized.
-	opt.Step([]float64{0, 0, 0}, []float64{1, 1, 1})
+	opt.Step([]float64{0, 0, 0}, []float64{1, 1, 1}, 0.01)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"errors"
+	"math"
 	"slices"
 	"testing"
 
@@ -222,6 +223,10 @@ func TestRestoreRefusesMismatchedHeldFrames(t *testing.T) {
 	}
 	short := wireFrame(t, seq.Frames[missing[0]])
 	short.Depth.D = short.Depth.D[:10]
+	nanColor := wireFrame(t, seq.Frames[missing[0]])
+	nanColor.Color.Pix[7].Y = math.NaN()
+	infDepth := wireFrame(t, seq.Frames[missing[0]])
+	infDepth.Depth.D[11] = math.Inf(1)
 	small := wireFrame(t, scene.MustGenerate("Desk", scene.Config{Width: tw / 2, Height: th / 2, Frames: 1, Seed: 1}).Frames[0])
 
 	srv := NewServer(ServerConfig{})
@@ -236,6 +241,8 @@ func TestRestoreRefusesMismatchedHeldFrames(t *testing.T) {
 		{"duplicate", append(good()[:1], good()...)},
 		{"nil frame", append(good()[1:], HeldFrame{Pos: missing[0]})},
 		{"short depth plane", append(good()[1:], HeldFrame{Pos: missing[0], Frame: short})},
+		{"NaN colour", append(good()[1:], HeldFrame{Pos: missing[0], Frame: nanColor})},
+		{"+Inf depth", append(good()[1:], HeldFrame{Pos: missing[0], Frame: infDepth})},
 		{"wrong size", append(good()[1:], HeldFrame{Pos: missing[0], Frame: small})},
 	} {
 		if _, _, err := srv.RestoreSession(tc.name, lean, tc.held); !errors.Is(err, ErrFrameTable) {

@@ -91,7 +91,11 @@ const (
 	// Version 13 drops opacity pruning: the record loses the frame's pruned
 	// count and the configuration the prune cadence, the opacity threshold
 	// and the logit learning rate, which is a constant.
-	SnapshotVersion = 13
+	// Version 14 stores the mapper's optimizer as one step counter and two
+	// moment vectors, eight values per Gaussian, where it stored the groups
+	// that had stepped (mean, colour, logit, scale) by name, each with a step
+	// counter of its own: the groups always stepped together.
+	SnapshotVersion = 14
 
 	snapshotHeader = len(snapshotMagic) + 4 // magic, version
 )
@@ -295,7 +299,7 @@ func encodeSystem(e *binfmt.Enc, s *System, have []int) {
 	}
 
 	// Mapper state: cloud, skip set, keyframe window (as frame table
-	// references), RNG and optimizer moments.
+	// references), RNG, and the optimizer's step and moments.
 	encodeCloud(e, st.Cloud)
 	e.Bools(st.SkipSet)
 	e.U64(uint64(len(st.Keyframes)))
@@ -304,13 +308,9 @@ func encodeSystem(e *binfmt.Enc, s *System, have []int) {
 		putPose(e, kf.Pose)
 	}
 	e.U64(st.RNG)
-	e.U64(uint64(len(st.Opt)))
-	for _, g := range st.Opt {
-		e.Str(g.Name)
-		e.I64(int64(g.Step))
-		e.F64s(g.M)
-		e.F64s(g.V)
-	}
+	e.I64(int64(st.Step))
+	e.F64s(st.M)
+	e.F64s(st.V)
 }
 
 func decodeSystem(d *binfmt.Dec, held []HeldFrame, pool *splat.ContextPool, v venue) *System {
@@ -374,13 +374,9 @@ func decodeSystem(d *binfmt.Dec, held []HeldFrame, pool *splat.ContextPool, v ve
 		st.Keyframes[i] = mapper.Keyframe{Frame: kf.f, Pos: kf.pos, Pose: getPose(d)}
 	}
 	st.RNG = d.U64()
-	st.Opt = make([]mapper.OptGroupState, d.Len(8))
-	for i := range st.Opt {
-		st.Opt[i].Name = d.Str()
-		st.Opt[i].Step = int(d.I64())
-		st.Opt[i].M = d.F64s()
-		st.Opt[i].V = d.F64s()
-	}
+	st.Step = int(d.I64())
+	st.M = d.F64s()
+	st.V = d.F64s()
 	if d.Err() != nil {
 		return nil
 	}

@@ -238,10 +238,10 @@ func TestSnapshotPendingTailRestores(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	v12 := snapshotBytes(t)
-	binary.LittleEndian.PutUint32(v12[len(snapshotMagic):], 12)
-	if _, err := Restore(bytes.NewReader(v12)); err == nil || !strings.Contains(err.Error(), "snapshot version 12, this build reads 13") {
-		t.Errorf("a version 12 snapshot: %v, want it refused by its version", err)
+	v13 := snapshotBytes(t)
+	binary.LittleEndian.PutUint32(v13[len(snapshotMagic):], 13)
+	if _, err := Restore(bytes.NewReader(v13)); err == nil || !strings.Contains(err.Error(), "snapshot version 13, this build reads 14") {
+		t.Errorf("a version 13 snapshot: %v, want it refused by its version", err)
 	}
 }
 
@@ -487,21 +487,23 @@ func reframeBody(t *testing.T, body []byte, edit func(*frame.Frame)) []byte {
 	return AppendFrame(nil, f)
 }
 
-// shortSecondMoments returns snap with the second-moment vector of its last
-// optimizer group ("scale") one value short and the checksum redone: bytes
-// any peer can produce, framed and summed like a real snapshot.
+// shortSecondMoments returns snap with the optimizer's second-moment vector,
+// the payload's last, one value short and the checksum redone: bytes any peer
+// can produce, framed and summed like a real snapshot.
 func shortSecondMoments(t *testing.T, snap []byte) []byte {
 	t.Helper()
 	body := snap[:len(snap)-sha256.Size]
-	at := bytes.LastIndex(body, []byte("scale"))
-	if at < 0 {
-		t.Fatal("the snapshot holds no scale optimizer group")
+	// The payload ends with the first and the second moments, n values each
+	// behind their length: the longest such pair is the one.
+	n, at := (len(body)-16)/16, 0
+	for ; n > 0; n-- {
+		at = len(body) - 8 - 8*n // the second moments' length
+		if binary.LittleEndian.Uint64(body[at:]) == uint64(n) && binary.LittleEndian.Uint64(body[at-8-8*n:]) == uint64(n) {
+			break
+		}
 	}
-	at += len("scale") + 8 // past the name and the step counter
-	n := int(binary.LittleEndian.Uint64(body[at:]))
-	at += 8 + 8*n // past the first moments, at the second moments' length
-	if at+8+8*n != len(body) || binary.LittleEndian.Uint64(body[at:]) != uint64(n) {
-		t.Fatalf("the snapshot does not end with two %d-value moment vectors", n)
+	if n == 0 {
+		t.Fatal("the snapshot does not end with two moment vectors")
 	}
 	out := append([]byte(nil), body[:len(body)-8]...)
 	binary.LittleEndian.PutUint64(out[at:], uint64(n-1))
@@ -593,7 +595,7 @@ func TestRestoreSessionRefusesShortMoments(t *testing.T) {
 	if _, _, err := sv.RestoreSession("hostile", shortSecondMoments(t, snap), nil); err == nil {
 		t.Fatal("a snapshot with mismatched optimizer moments was restored")
 	} else if !strings.Contains(err.Error(), "second moments") {
-		t.Errorf("restore refused with %q, want the optimizer group named", err)
+		t.Errorf("restore refused with %q, want the second moments named", err)
 	}
 	for _, f := range seq.Frames[2:] {
 		if err := tenant.Push(f); err != nil {

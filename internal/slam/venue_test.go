@@ -3,6 +3,7 @@ package slam
 import (
 	"bytes"
 	"errors"
+	"math"
 	"runtime"
 	"slices"
 	"testing"
@@ -281,29 +282,43 @@ func TestSnapshotBytesIndependentOfVenue(t *testing.T) {
 }
 
 // TestMalformedFrameFailsOneSession: a frame whose colour or depth plane is
-// shorter than its declared size is refused by name before the pipeline
-// indexes it. It used to be an index out of range inside ProcessFrame, which
-// took the whole server process and every other tenant with it. The stream that pushed it fails at
-// the frame it had reached; the server's other session never notices.
+// shorter than its declared size, or holds a NaN or infinite sample, is
+// refused by name before the pipeline reads it. A short plane used to be an
+// index out of range inside ProcessFrame, which took the whole server process
+// and every other tenant with it; a non-finite sample left the session's map
+// non-finite with no error, and its own snapshots unrestorable. The stream
+// that pushed it fails at the frame it had reached; the server's other
+// session never notices.
 func TestMalformedFrameFailsOneSession(t *testing.T) {
 	const frames, at = 6, 2
 	seq := scene.MustGenerate("Desk", scene.Config{Width: 32, Height: 24, Frames: frames, Seed: 1})
-	short := map[string]func(*frame.Frame){
-		"color": func(f *frame.Frame) {
+	malformed := map[string]struct {
+		edit func(*frame.Frame)
+		want error
+	}{
+		"short color": {func(f *frame.Frame) {
 			f.Color = &frame.Image{W: f.Color.W, H: f.Color.H, Pix: f.Color.Pix[:len(f.Color.Pix)/2]}
-		},
-		"depth": func(f *frame.Frame) {
+		}, frame.ErrPlaneSize},
+		"short depth": {func(f *frame.Frame) {
 			f.Depth = &frame.DepthMap{W: f.Depth.W, H: f.Depth.H, D: f.Depth.D[:len(f.Depth.D)/2]}
-		},
+		}, frame.ErrPlaneSize},
+		"NaN color": {func(f *frame.Frame) {
+			f.Color = &frame.Image{W: f.Color.W, H: f.Color.H, Pix: slices.Clone(f.Color.Pix)}
+			f.Color.Pix[100].X = math.NaN()
+		}, frame.ErrNonFinite},
+		"+Inf depth": {func(f *frame.Frame) {
+			f.Depth = &frame.DepthMap{W: f.Depth.W, H: f.Depth.H, D: slices.Clone(f.Depth.D)}
+			f.Depth.D[200] = math.Inf(1)
+		}, frame.ErrNonFinite},
 	}
-	for plane, truncate := range short {
+	for plane, m := range malformed {
 		cfg := fastAGS(32, 24)
 		ref, err := Run(cfg, seq)
 		if err != nil {
 			t.Fatal(err)
 		}
 		bad := *seq.Frames[at]
-		truncate(&bad)
+		m.edit(&bad)
 
 		srv := NewServer(ServerConfig{})
 		good, err := srv.Open(seq.Name, cfg, seq.Intr)
@@ -324,14 +339,14 @@ func TestMalformedFrameFailsOneSession(t *testing.T) {
 		}
 		// The push that carries the frame fails, and every later push and
 		// Close report why.
-		if err := poisoned.Push(&bad); !errors.Is(err, frame.ErrPlaneSize) {
-			t.Errorf("%s: push of the malformed frame = %v, want ErrPlaneSize", plane, err)
+		if err := poisoned.Push(&bad); !errors.Is(err, m.want) {
+			t.Errorf("%s: push of the malformed frame = %v, want %v", plane, err, m.want)
 		}
-		if err := poisoned.Push(seq.Frames[at]); !errors.Is(err, frame.ErrPlaneSize) {
-			t.Errorf("%s: push after the malformed frame = %v, want ErrPlaneSize", plane, err)
+		if err := poisoned.Push(seq.Frames[at]); !errors.Is(err, m.want) {
+			t.Errorf("%s: push after the malformed frame = %v, want %v", plane, err, m.want)
 		}
-		if res, err := poisoned.Close(); !errors.Is(err, frame.ErrPlaneSize) || res != nil {
-			t.Errorf("%s: Close = (%v, %v), want ErrPlaneSize and no result", plane, res, err)
+		if res, err := poisoned.Close(); !errors.Is(err, m.want) || res != nil {
+			t.Errorf("%s: Close = (%v, %v), want %v and no result", plane, res, err, m.want)
 		}
 		if n := poisoned.sys.FrameCount(); n != at {
 			t.Errorf("%s: the refused frame left the system at frame %d, want %d", plane, n, at)

@@ -16,7 +16,7 @@ import (
 	"ags/internal/scene"
 )
 
-// TestGoldenSnapshot pins SnapshotVersion 13 by length and SHA-256: the
+// TestGoldenSnapshot pins SnapshotVersion 14 by length and SHA-256: the
 // AGSSNAP of a fixed-seed AGS run, six frames in, once as
 // Snapshot writes it (every frame body inline) and once as a fleet checkpoint
 // is taken (by a requester that holds every frame pushed, so the frame table
@@ -36,8 +36,9 @@ import (
 // (a prune every second frame, an opacity threshold of 0.25 and a logit
 // learning rate of 0.2), which version 12 ran, so the map itself differs too;
 // the configuration drops those three values and the record the pruned
-// count. The
-// run is an offline one, which keeps trace detail in memory; neither snapshot
+// count. Version 14's differ from version 13's in the mapper's optimizer
+// state (one step counter and two moment vectors, no named groups), the
+// version word and the checksum. The run is an offline one, which keeps trace detail in memory; neither snapshot
 // carries it. The run's floats depend on whether the compiler fuses
 // multiply-adds, so the lines hold for amd64 only.
 func TestGoldenSnapshot(t *testing.T) {
@@ -60,8 +61,8 @@ func TestGoldenSnapshot(t *testing.T) {
 		file string
 		snap []byte
 	}{
-		{"snapshot.v13.sum.golden", buf.Bytes()},
-		{"snapshot-lean.v13.sum.golden", sys.AppendSnapshot(nil, []int{0, 1, 2, 3, 4, 5})},
+		{"snapshot.v14.sum.golden", buf.Bytes()},
+		{"snapshot-lean.v14.sum.golden", sys.AppendSnapshot(nil, []int{0, 1, 2, 3, 4, 5})},
 	} {
 		want, err := os.ReadFile(filepath.Join("testdata", g.file))
 		if err != nil {
@@ -75,13 +76,13 @@ func TestGoldenSnapshot(t *testing.T) {
 
 // The restore seed is a whole small restore, in bytes: a lean snapshot of a
 // 16x12 AGS run three frames in, its third frame's tail pending
-// (restore.v13.golden), and the frames it leaves out, as a count and then
+// (restore.v14.golden), and the frames it leaves out, as a count and then
 // position and length-prefixed AppendFrame bytes each
-// (restore-frames.v13.golden, the shape fleet's RESTORE gives the list; the
-// same bytes as version 9's to 12's lists). Version 13's snapshot differs
-// from version 12's in the configuration's three dropped prune settings, the
-// pending tail's record (no pruned count) and the hash chain over the
-// records before it, the version word and the checksum. They pin the decoder on every platform
+// (restore-frames.v14.golden, the shape fleet's RESTORE gives the list; the
+// same bytes as version 9's to 13's lists). Version 14's snapshot differs
+// from version 13's in the mapper's optimizer state (one step counter and
+// two moment vectors where version 13 named four groups, each with a step
+// counter), the version word and the checksum. They pin the decoder on every platform
 // (the bytes restore and the stream goes on), the encoder on amd64, and they
 // seed FuzzRestoreSession.
 const seedW, seedH, seedFrames = 16, 12, 3
@@ -99,11 +100,11 @@ func seedSeq() *scene.Sequence {
 
 func readSeed(t testing.TB) (snap, list []byte) {
 	t.Helper()
-	snap, err := os.ReadFile(filepath.Join("testdata", "restore.v13.golden"))
+	snap, err := os.ReadFile(filepath.Join("testdata", "restore.v14.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	list, err = os.ReadFile(filepath.Join("testdata", "restore-frames.v13.golden"))
+	list, err = os.ReadFile(filepath.Join("testdata", "restore-frames.v14.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,8 @@ import "ags/internal/vecmath"
 // through the CSR tile offsets. Per-tile partials size these
 // O(TotalEntries) per call, which dominates the mapping loop's allocation
 // rate at experiment scale, so every RenderContext embeds one arena and
-// recycles it across calls (the one-shot Backward runs in a fresh context
-// and so pays for a fresh arena every call). Buffers are re-zeroed on every prepare,
+// recycles it across calls (a fresh context pays for a fresh arena on its
+// first call). Buffers are re-zeroed on every prepare,
 // never lazily — the merge order is what guarantees bitwise determinism, and
 // a dirty buffer would break it silently.
 type backwardArena struct {

@@ -67,27 +67,21 @@ type blendStep struct {
 }
 
 // Backward computes the loss and its gradients for the rendered result res
-// against the target frame (step 4 of Fig. 2). It re-walks res's tiles with
-// Train's kernel, which recomputes each pixel's blends from res's splats and
-// tables, bit for bit those of the pass that produced res, and walks them
-// back-to-front to form the suffix terms of d(pixel)/d(alpha_i); so its
-// Grads are Train's. A sparse res's loss and gradients cover its lattice
-// pixels only (see the package doc). With neither gradient selected only the
-// loss is computed. The Gaussian gradients' per-splat factors come from
-// res's splats, that is, from the cloud res was rendered from; cloud sizes
-// the per-ID gradients and must be that cloud. One-shot entry point: the
-// returned Grads lives in a fresh context nobody else holds; hot loops
-// should call (*RenderContext).Train.
-func Backward(cloud *gauss.Cloud, cam camera.Camera, res *Result, target *frame.Frame, loss LossConfig, opts BackwardOptions) *Grads {
-	return NewRenderContext().Backward(cloud, cam, res, target, loss, opts)
-}
-
-// Backward computes loss and gradients into the context's buffers. res may
-// be any Result Render or Train produced (from this context, another, or a
-// one-shot Render). It is only read, never written — even a Result aliasing
-// this same context stays valid, per the package aliasing rules. The
-// returned Grads aliases the context and is valid until its next Backward
-// or Train call.
+// against the target frame (step 4 of Fig. 2), into the context's buffers.
+// It re-walks res's tiles with Train's kernel, which recomputes each pixel's
+// blends from res's splats and tables, bit for bit those of the pass that
+// produced res, and walks them back-to-front to form the suffix terms of
+// d(pixel)/d(alpha_i); so its Grads are Train's. A sparse res's loss and
+// gradients cover its lattice pixels only (see the package doc). With
+// neither gradient selected only the loss is computed. The Gaussian
+// gradients' per-splat factors come from res's splats, that is, from the
+// cloud res was rendered from; cloud sizes the per-ID gradients and must be
+// that cloud. res may be any Result Render or Train produced (from this
+// context, another, or a one-shot Render). It is only read, never written —
+// even a Result aliasing this same context stays valid, per the package
+// aliasing rules. The returned Grads aliases the context and is valid until
+// its next Backward or Train call; hot loops that render every iteration
+// call Train instead.
 //
 //ags:hotpath
 func (ctx *RenderContext) Backward(cloud *gauss.Cloud, cam camera.Camera, res *Result, target *frame.Frame, loss LossConfig, opts BackwardOptions) *Grads {
@@ -130,46 +124,22 @@ func (ctx *RenderContext) startGrads(n int, tiles *Tiles, opts BackwardOptions) 
 }
 
 // finishGrads completes a pass that trained over res's tiles: the
-// participants' masked-pixel counts sum to Pixels, mergeTiles folds the
-// tiles' partials, and the loss and every gradient are then scaled once by
-// 1/Pixels, so they are means rather than sums over the masked pixels
-// (learning rates that hold across resolutions). A pass with no masked
-// pixel leaves them zero.
+// participants' masked-pixel counts sum to Pixels, the tiles' partials are
+// folded in (tile 0, 1, ... regardless of which participant produced each
+// partial, and within a tile its entries in table order), and the loss and
+// every gradient are then scaled once by 1/Pixels, so they are means rather
+// than sums over the masked pixels (learning rates that hold across
+// resolutions). A pass with no masked pixel leaves them zero.
 //
 //ags:hotpath
 func (ctx *RenderContext) finishGrads(res *Result, gaussian bool) {
-	grads := &ctx.grads
+	grads, ar, tiles := &ctx.grads, &ctx.arena, res.Tiles
 	for i := range ctx.slots {
 		grads.Pixels += ctx.slots[i].pixels
 	}
 	if grads.Pixels == 0 {
 		return
 	}
-	mergeTiles(grads, &ctx.arena, res, gaussian)
-	norm := 1 / float64(grads.Pixels)
-	grads.Loss *= norm
-	grads.Pose = vecmath.Twist{V: grads.Pose.V.Scale(norm), W: grads.Pose.W.Scale(norm)}
-	if gaussian {
-		for id := range grads.Mean {
-			grads.Mean[id] = grads.Mean[id].Scale(norm)
-			grads.Color[id] = grads.Color[id].Scale(norm)
-			grads.Logit[id] *= norm
-			grads.LogScale[id] *= norm
-		}
-	}
-}
-
-// mergeTiles folds the arena's per-tile partials into grads: tile 0, 1, ...
-// regardless of which participant produced each partial, and within a tile
-// its entries in table order. It is a function of its own so that its
-// compiled form, and with it which NaN a sum of two NaNs keeps (the operand
-// order of a commutative add is the register allocator's choice), does not
-// move with edits to the passes around it: the reference tests compare NaN
-// bits.
-//
-//ags:hotpath
-func mergeTiles(grads *Grads, ar *backwardArena, res *Result, gaussian bool) {
-	tiles := res.Tiles
 	for tileIdx := 0; tileIdx < tiles.NumTiles(); tileIdx++ {
 		grads.Loss += ar.lossByTile[tileIdx]
 		grads.Pose = grads.Pose.Add(ar.poseByTile[tileIdx])
@@ -182,6 +152,17 @@ func mergeTiles(grads *Grads, ar *backwardArena, res *Result, gaussian bool) {
 				grads.Logit[id] += ar.logit[base+j]
 				grads.LogScale[id] += ar.logScale[base+j]
 			}
+		}
+	}
+	norm := 1 / float64(grads.Pixels)
+	grads.Loss *= norm
+	grads.Pose = vecmath.Twist{V: grads.Pose.V.Scale(norm), W: grads.Pose.W.Scale(norm)}
+	if gaussian {
+		for id := range grads.Mean {
+			grads.Mean[id] = grads.Mean[id].Scale(norm)
+			grads.Color[id] = grads.Color[id].Scale(norm)
+			grads.Logit[id] *= norm
+			grads.LogScale[id] *= norm
 		}
 	}
 }

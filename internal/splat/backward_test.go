@@ -26,7 +26,7 @@ func signOf(x float64) float64 {
 // computing any gradients.
 func lossOf(cloud *gauss.Cloud, cam camera.Camera, target *frame.Frame, lc LossConfig) float64 {
 	res := Render(cloud, cam, Options{})
-	g := Backward(cloud, cam, res, target, lc, BackwardOptions{})
+	g := NewRenderContext().Backward(cloud, cam, res, target, lc, BackwardOptions{})
 	return g.Loss
 }
 
@@ -64,7 +64,7 @@ func TestBackwardColorGradientNumeric(t *testing.T) {
 	cloud, cam, target := testScene(t)
 	lc := DefaultMappingLoss()
 	res := Render(cloud, cam, Options{})
-	grads := Backward(cloud, cam, res, target, lc, BackwardOptions{GaussianGrads: true})
+	grads := NewRenderContext().Backward(cloud, cam, res, target, lc, BackwardOptions{GaussianGrads: true})
 	const h = 1e-5
 	for id := 0; id < cloud.Len(); id++ {
 		orig := cloud.At(id).Color.X
@@ -85,7 +85,7 @@ func TestBackwardLogitGradientNumeric(t *testing.T) {
 	cloud, cam, target := testScene(t)
 	lc := DefaultMappingLoss()
 	res := Render(cloud, cam, Options{})
-	grads := Backward(cloud, cam, res, target, lc, BackwardOptions{GaussianGrads: true})
+	grads := NewRenderContext().Backward(cloud, cam, res, target, lc, BackwardOptions{GaussianGrads: true})
 	const h = 1e-5
 	for id := 0; id < cloud.Len(); id++ {
 		orig := cloud.At(id).Logit
@@ -107,7 +107,7 @@ func TestBackwardMeanGradientDirection(t *testing.T) {
 	cloud, cam, target := testScene(t)
 	lc := DefaultMappingLoss()
 	res := Render(cloud, cam, Options{})
-	grads := Backward(cloud, cam, res, target, lc, BackwardOptions{GaussianGrads: true})
+	grads := NewRenderContext().Backward(cloud, cam, res, target, lc, BackwardOptions{GaussianGrads: true})
 	const h = 1e-4
 	var dotSum, numNorm, anaNorm float64
 	for id := 0; id < cloud.Len(); id++ {
@@ -155,7 +155,7 @@ func TestBackwardPoseGradientDirection(t *testing.T) {
 	cloud, cam, target := testScene(t)
 	lc := DefaultMappingLoss()
 	res := Render(cloud, cam, Options{})
-	grads := Backward(cloud, cam, res, target, lc, BackwardOptions{PoseGrads: true})
+	grads := NewRenderContext().Backward(cloud, cam, res, target, lc, BackwardOptions{PoseGrads: true})
 	const h = 1e-5
 	num := make([]float64, 6)
 	for axis := 0; axis < 6; axis++ {
@@ -210,7 +210,7 @@ func TestBackwardScaleGradientDescends(t *testing.T) {
 	before := lossOf(cloud, cam, target, lc)
 	for iter := 0; iter < 60; iter++ {
 		res := Render(cloud, cam, Options{})
-		grads := Backward(cloud, cam, res, target, lc, BackwardOptions{GaussianGrads: true})
+		grads := NewRenderContext().Backward(cloud, cam, res, target, lc, BackwardOptions{GaussianGrads: true})
 		g := cloud.At(0)
 		// Sign-based descent on the single parameter: robust to the L1
 		// loss's gradient-magnitude discontinuities.
@@ -246,7 +246,7 @@ func TestBackwardScaleFactorIsMeanOfThreeSquares(t *testing.T) {
 	target := &frame.Frame{Color: tgt.Color, Depth: tgt.NormalizedDepth()}
 	lc, bo := DefaultMappingLoss(), BackwardOptions{GaussianGrads: true}
 	res := Render(cloud, cam, Options{})
-	got := Backward(cloud, cam, res, target, lc, bo).LogScale
+	got := NewRenderContext().Backward(cloud, cam, res, target, lc, bo).LogScale
 	want := refBackward(cloud, cam, res, target, lc, bo, false).LogScale
 	trained := 0
 	for id := range want {
@@ -265,8 +265,8 @@ func TestBackwardScaleFactorIsMeanOfThreeSquares(t *testing.T) {
 func TestBackwardSilhouetteMask(t *testing.T) {
 	cloud, cam, target := testScene(t)
 	res := Render(cloud, cam, Options{})
-	masked := Backward(cloud, cam, res, target, DefaultTrackingLoss(), BackwardOptions{})
-	unmasked := Backward(cloud, cam, res, target, DefaultMappingLoss(), BackwardOptions{})
+	masked := NewRenderContext().Backward(cloud, cam, res, target, DefaultTrackingLoss(), BackwardOptions{})
+	unmasked := NewRenderContext().Backward(cloud, cam, res, target, DefaultMappingLoss(), BackwardOptions{})
 	if masked.Pixels >= unmasked.Pixels {
 		t.Errorf("mask did not reduce pixels: %d vs %d", masked.Pixels, unmasked.Pixels)
 	}
@@ -311,36 +311,12 @@ func TestMaskedPassExcludesNaNSilhouette(t *testing.T) {
 	}
 }
 
-// TestBackwardDeterministicAcrossWorkers: a backward pass that a helper
-// joins gives the one-shot pass's loss and gradients.
-func TestBackwardDeterministicAcrossWorkers(t *testing.T) {
-	cloud, cam, target := testScene(t)
-	lc := DefaultMappingLoss()
-	res := Render(cloud, cam, Options{})
-	bopts := BackwardOptions{GaussianGrads: true, PoseGrads: true}
-	g1 := Backward(cloud, cam, res, target, lc, bopts)
-	ctx := NewRenderContext()
-	defer spinHelper(ctx)()
-	g8 := ctx.Backward(cloud, cam, res, target, lc, bopts)
-	if math.Abs(g1.Loss-g8.Loss) > 1e-12 {
-		t.Errorf("loss differs with a helper: %v vs %v", g1.Loss, g8.Loss)
-	}
-	for id := range g1.Color {
-		if g1.Color[id].Sub(g8.Color[id]).Norm() > 1e-9 {
-			t.Fatalf("color grad differs at %d", id)
-		}
-	}
-	if g1.Pose.V.Sub(g8.Pose.V).Norm() > 1e-9 {
-		t.Error("pose grad differs with a helper")
-	}
-}
-
 func TestBackwardEmptySceneIsZero(t *testing.T) {
 	cam := testCam(16, 16)
 	cloud := gauss.NewCloud(0)
 	res := Render(cloud, cam, Options{})
 	target := &frame.Frame{Color: frame.NewImage(16, 16), Depth: frame.NewDepthMap(16, 16)}
-	g := Backward(cloud, cam, res, target, DefaultMappingLoss(), BackwardOptions{GaussianGrads: true, PoseGrads: true})
+	g := NewRenderContext().Backward(cloud, cam, res, target, DefaultMappingLoss(), BackwardOptions{GaussianGrads: true, PoseGrads: true})
 	if g.Loss != 0 {
 		t.Errorf("empty scene loss = %v", g.Loss)
 	}
@@ -372,15 +348,15 @@ func TestTrackingConvergesOnSmallOffset(t *testing.T) {
 	startErr := est.Pose.TranslationTo(cam.Pose)
 
 	lc := DefaultMappingLoss()
-	adam := optim.NewAdam(2e-3)
+	var adam optim.Adam
 	params := make([]float64, 6)
 	for iter := 0; iter < 150; iter++ {
 		res := Render(cloud, est, Options{})
-		grads := Backward(cloud, est, res, target, lc, BackwardOptions{PoseGrads: true})
+		grads := NewRenderContext().Backward(cloud, est, res, target, lc, BackwardOptions{PoseGrads: true})
 		g := []float64{grads.Pose.V.X, grads.Pose.V.Y, grads.Pose.V.Z, grads.Pose.W.X, grads.Pose.W.Y, grads.Pose.W.Z}
 		prev := make([]float64, 6)
 		copy(prev, params)
-		adam.Step(params, g)
+		adam.Step(params, g, 2e-3)
 		step := vecmath.Twist{
 			V: vecmath.Vec3{X: params[0] - prev[0], Y: params[1] - prev[1], Z: params[2] - prev[2]},
 			W: vecmath.Vec3{X: params[3] - prev[3], Y: params[4] - prev[4], Z: params[5] - prev[5]},

@@ -24,8 +24,7 @@ import (
 // A RenderContext is not safe for concurrent use: one goroutine calls it,
 // and only the helper of the crew attached to it (Attach) takes tiles and
 // chunks of its passes beside that goroutine. Callers without one use the
-// one-shot package functions Render and Backward, which run in a fresh
-// context each.
+// one-shot Render, which runs in a fresh context each call.
 type RenderContext struct {
 	// Forward-pass state.
 	splats     []Splat

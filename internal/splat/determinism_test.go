@@ -79,69 +79,6 @@ func determinismTarget(cloud *gauss.Cloud, cam camera.Camera) *frame.Frame {
 	return &frame.Frame{Color: res.Color, Depth: res.NormalizedDepth()}
 }
 
-// TestRenderDeterminismAcrossWorkerCounts asserts the forward contract:
-// identical SHA-256 over every output buffer and identical AlphaOps/BlendOps
-// with and without a helper, at every GOMAXPROCS.
-func TestRenderDeterminismAcrossWorkerCounts(t *testing.T) {
-	cloud, cam := determinismScene()
-	opts := Options{LogContribution: true}
-	ref := Render(cloud, cam, opts)
-	want := ref.Digest()
-	ways, stop := twoWays()
-	defer stop()
-	for _, procs := range workerCounts() {
-		t.Run(fmt.Sprintf("workers=%d", procs), func(t *testing.T) {
-			defer withProcs(procs)()
-			for _, w := range ways {
-				got := w.ctx.Render(cloud, cam, opts)
-				if got.AlphaOps != ref.AlphaOps || got.BlendOps != ref.BlendOps {
-					t.Errorf("%s: op counters differ: alpha %d/%d blend %d/%d",
-						w.name, got.AlphaOps, ref.AlphaOps, got.BlendOps, ref.BlendOps)
-				}
-				if got.Digest() != want {
-					t.Errorf("%s: render digest differs from the one-shot reference", w.name)
-				}
-			}
-		})
-	}
-}
-
-// TestBackwardDeterminismAcrossWorkerCounts asserts the backward contract:
-// the full render+backward composition, with and without a helper and at
-// every GOMAXPROCS, is byte-identical to the one-shot reference (gradients,
-// pose twist, loss, pixel count).
-func TestBackwardDeterminismAcrossWorkerCounts(t *testing.T) {
-	cloud, cam := determinismScene()
-	target := determinismTarget(cloud, cam)
-	bopts := BackwardOptions{GaussianGrads: true, PoseGrads: true}
-	ways, stop := twoWays()
-	defer stop()
-	for _, lc := range []LossConfig{DefaultMappingLoss(), DefaultTrackingLoss()} {
-		refRes := Render(cloud, cam, Options{})
-		refG := Backward(cloud, cam, refRes, target, lc, bopts)
-		wantRes, wantG := refRes.Digest(), refG.Digest()
-		for _, procs := range workerCounts() {
-			name := fmt.Sprintf("masked=%v/workers=%d", lc.UseSilhouetteMask, procs)
-			t.Run(name, func(t *testing.T) {
-				defer withProcs(procs)()
-				for _, w := range ways {
-					res := w.ctx.Render(cloud, cam, Options{})
-					if res.Digest() != wantRes {
-						t.Fatalf("%s: render digest differs from the one-shot reference", w.name)
-					}
-					g := w.ctx.Backward(cloud, cam, res, target, lc, bopts)
-					if math.Float64bits(g.Loss) != math.Float64bits(refG.Loss) {
-						t.Errorf("%s: loss not bit-identical: %v vs %v", w.name, g.Loss, refG.Loss)
-					}
-					if g.Digest() != wantG {
-						t.Errorf("%s: gradient digest differs from the one-shot reference", w.name)
-					}
-				}
-			})
-		}
-	}
-}
-
 // TestBackwardArenaDeterminism asserts the gradient-arena contract: a
 // context's recycled partial buffers (including deliberately dirtied,
 // size-mismatched reuses) produce gradients bitwise identical to a fresh
@@ -152,7 +89,7 @@ func TestBackwardArenaDeterminism(t *testing.T) {
 	target := determinismTarget(cloud, cam)
 	lc := DefaultMappingLoss()
 	res := Render(cloud, cam, Options{})
-	ref := Backward(cloud, cam, res, target, lc,
+	ref := NewRenderContext().Backward(cloud, cam, res, target, lc,
 		BackwardOptions{GaussianGrads: true, PoseGrads: true})
 	want := ref.Digest()
 
@@ -197,7 +134,7 @@ func TestBackwardArenaReducesAllocs(t *testing.T) {
 		ctx.Backward(cloud, cam, res, target, lc, opts)
 	})
 	fresh := testing.AllocsPerRun(10, func() {
-		Backward(cloud, cam, res, target, lc, opts)
+		NewRenderContext().Backward(cloud, cam, res, target, lc, opts)
 	})
 	// The arena removes the offsets/loss/pose partials and all four gradient
 	// slot buffers (7 allocations) from the steady state.

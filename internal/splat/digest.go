@@ -10,7 +10,7 @@ import (
 )
 
 // Digest returns a SHA-256 over every output buffer the determinism contract
-// covers: color, depth, silhouette, transmittance, per-pixel workload
+// covers: color, depth, silhouette, per-pixel workload
 // counters, the contribution log, and the AlphaOps/BlendOps totals. Two
 // Results are byte-identical exactly when their digests are equal, so tests
 // and benches compare digests instead of walking buffers.
@@ -21,7 +21,6 @@ func (r *Result) Digest() [32]byte {
 	hashVec3s(h, r.Color.Pix)
 	hashF64s(h, r.Depth.D)
 	hashF64s(h, r.Silhouette)
-	hashF64s(h, r.FinalT)
 	hashI32s(h, r.PerPixelAlpha)
 	hashI32s(h, r.PerPixelBlend)
 	hashI32s(h, r.NonContrib)

@@ -12,9 +12,11 @@ import (
 	"testing"
 	"unsafe"
 
+	"ags/internal/camera"
 	"ags/internal/frame"
 	"ags/internal/gauss"
 	"ags/internal/optim"
+	"ags/internal/vecmath"
 )
 
 // spinHelper attaches a crew to ctx and runs its helper side on a goroutine
@@ -42,56 +44,125 @@ func spinHelper(ctx *RenderContext) (stop func()) {
 	}
 }
 
+// helperScene is one scene of TestHelperMatchesSerialPass's table.
+type helperScene struct {
+	name   string
+	cloud  *gauss.Cloud
+	cam    camera.Camera
+	target *frame.Frame
+}
+
+// helperScenes returns the scenes the helper equivalence table renders: the
+// determinism scene at frame sizes whose tile grids are 4x3, 7x3 (partial
+// tiles) and 1x1, a cloud with no Gaussian (every tile table empty), one tiny
+// Gaussian confined to a single interior tile, and two random clouds. Every
+// target is the perturbed determinism scene, so every loss is non-zero.
+func helperScenes() []helperScene {
+	det, _ := determinismScene()
+	rng := rand.New(rand.NewSource(17))
+	single := gauss.NewCloud(1)
+	g := gauss.Gaussian{Mean: vecmath.Vec3{X: 0.02, Y: 0.38, Z: 2}, Color: vecmath.Vec3{X: 0.3, Y: 0.6, Z: 0.9}}
+	g.SetScale(0.02)
+	g.SetOpacity(0.7)
+	single.Add(g)
+	var out []helperScene
+	for _, c := range []struct {
+		name  string
+		cloud *gauss.Cloud
+		w, h  int
+	}{
+		{"scene 64x48", det, 64, 48},
+		{"scene 97x33", det, 97, 33},
+		{"scene 16x16", det, 16, 16},
+		{"empty", gauss.NewCloud(0), 48, 32},
+		{"single tile", single, 48, 32},
+		{"random 9", randomCloud(rng, 9), 48, 32},
+		{"random 28", randomCloud(rng, 28), 48, 32},
+	} {
+		cam := testCam(c.w, c.h)
+		out = append(out, helperScene{c.name, c.cloud, cam, determinismTarget(det, cam)})
+	}
+	return out
+}
+
 // TestHelperMatchesSerialPass: a render, a backward and a train pass that a
 // helper joins are byte-identical to the serial render and backward without
-// one, whoever takes which tile: dense and sparse, with and without the contribution log, for
-// every BackwardOptions combination, at frame sizes whose tile grids are
-// 4x3, 7x3 (partial tiles) and 1x1. The helper must have taken tiles for the
-// test to mean anything.
+// one, whoever takes which tile, at every GOMAXPROCS of workerCounts: for
+// every scene of helperScenes, dense and sparse, with and without the
+// contribution log, under the unmasked mapping loss and the
+// silhouette-masked tracking loss, for every BackwardOptions combination. A
+// Backward on another context's Result is the serial one's too, both ways: the
+// helped context's on the serial render, and a plain context's on the helped
+// render. The helper must have taken tiles for the test to mean anything.
 func TestHelperMatchesSerialPass(t *testing.T) {
-	cloud, _ := determinismScene()
-	ctx := NewRenderContext()
+	type row struct {
+		sc   helperScene
+		opts Options
+		res  *Result // the serial render, in a context of its own
+		want [32]byte
+		// The serial Backward's digests, by loss (mapping, tracking) and by
+		// BackwardOptions (bit 0 GaussianGrads, bit 1 PoseGrads).
+		wantG [2][4][32]byte
+	}
+	losses := [2]LossConfig{DefaultMappingLoss(), DefaultTrackingLoss()}
+	bopts := func(b int) BackwardOptions { return BackwardOptions{GaussianGrads: b&1 != 0, PoseGrads: b&2 != 0} }
+	var rows []row
+	for _, sc := range helperScenes() {
+		for _, sparse := range []bool{false, true} {
+			for _, logged := range []bool{false, true} {
+				r := row{sc: sc, opts: Options{Sparse: sparse, LogContribution: logged}}
+				r.res = NewRenderContext().Render(sc.cloud, sc.cam, r.opts)
+				r.want = r.res.Digest()
+				for l, lc := range losses {
+					for b := range 4 {
+						r.wantG[l][b] = NewRenderContext().Backward(sc.cloud, sc.cam, r.res, sc.target, lc, bopts(b)).Digest()
+					}
+				}
+				rows = append(rows, r)
+			}
+		}
+	}
+
+	ctx, plain := NewRenderContext(), NewRenderContext()
 	stop := spinHelper(ctx)
 	defer stop()
 	helped := 0
-	for _, sz := range []struct{ w, h int }{{64, 48}, {97, 33}, {16, 16}} {
-		cam := testCam(sz.w, sz.h)
-		target := determinismTarget(cloud, cam)
-		for _, sparse := range []bool{false, true} {
-			for _, logged := range []bool{false, true} {
-				for b := range 4 {
-					opts := Options{Sparse: sparse, LogContribution: logged}
-					bopts := BackwardOptions{GaussianGrads: b&1 != 0, PoseGrads: b&2 != 0}
-					lc := DefaultMappingLoss()
-					if sparse {
-						lc = DefaultTrackingLoss()
+	for _, procs := range workerCounts() {
+		t.Run(fmt.Sprintf("workers=%d", procs), func(t *testing.T) {
+			defer withProcs(procs)()
+			for _, r := range rows {
+				sc := r.sc
+				name := fmt.Sprintf("%s sparse %v logged %v", sc.name, r.opts.Sparse, r.opts.LogContribution)
+				res := ctx.Render(sc.cloud, sc.cam, r.opts)
+				helped += ctx.slots[helperSlot].tiles
+				if res.Digest() != r.want {
+					t.Fatalf("%s: render digest differs from the serial pass", name)
+				}
+				for l, lc := range losses {
+					for b := range 4 {
+						bo := bopts(b)
+						g := ctx.Backward(sc.cloud, sc.cam, res, sc.target, lc, bo)
+						helped += ctx.slots[helperSlot].tiles
+						if g.Digest() != r.wantG[l][b] {
+							t.Fatalf("%s, %+v, %+v: gradient digest differs from the serial pass", name, lc, bo)
+						}
+						if ctx.Backward(sc.cloud, sc.cam, r.res, sc.target, lc, bo).Digest() != r.wantG[l][b] ||
+							plain.Backward(sc.cloud, sc.cam, res, sc.target, lc, bo).Digest() != r.wantG[l][b] {
+							t.Fatalf("%s, %+v, %+v: a backward on another context's render differs from the serial pass", name, lc, bo)
+						}
 					}
-					ref := NewRenderContext()
-					wantRes := ref.Render(cloud, cam, opts)
-					want := wantRes.Digest()
-					wantG := ref.Backward(cloud, cam, wantRes, target, lc, bopts).Digest()
-
-					name := fmt.Sprintf("%dx%d sparse %v logged %v %+v", sz.w, sz.h, sparse, logged, bopts)
-					for rep := range 3 {
-						res := ctx.Render(cloud, cam, opts)
+				}
+				for l, lc := range losses {
+					for b := range 4 {
+						res, g := ctx.Train(sc.cloud, sc.cam, r.opts, sc.target, lc, bopts(b))
 						helped += ctx.slots[helperSlot].tiles
-						if res.Digest() != want {
-							t.Fatalf("%s, rep %d: render digest differs from the serial pass", name, rep)
-						}
-						g := ctx.Backward(cloud, cam, res, target, lc, bopts)
-						helped += ctx.slots[helperSlot].tiles
-						if g.Digest() != wantG {
-							t.Fatalf("%s, rep %d: gradient digest differs from the serial pass", name, rep)
-						}
-						res, g = ctx.Train(cloud, cam, opts, target, lc, bopts)
-						helped += ctx.slots[helperSlot].tiles
-						if res.Digest() != want || g.Digest() != wantG {
-							t.Fatalf("%s, rep %d: the train pass differs from the serial render and backward", name, rep)
+						if res.Digest() != r.want || g.Digest() != r.wantG[l][b] {
+							t.Fatalf("%s, %+v, %+v: the train pass differs from the serial render and backward", name, lc, bopts(b))
 						}
 					}
 				}
 			}
-		}
+		})
 	}
 	if helped == 0 && runtime.GOMAXPROCS(0) > 1 {
 		t.Fatal("the helper took no tile of any pass")
@@ -197,11 +268,10 @@ func TestHelperChunkPassesMatchSerial(t *testing.T) {
 
 			params := slices.Clone(c.params)
 			wantP := slices.Clone(c.params)
-			ref := optim.NewAdam(0.01)
-			ref.Step(wantP, c.grads)
-			a := optim.NewAdam(0.01)
+			var ref, a optim.Adam
+			ref.Step(wantP, c.grads, 0.01)
 			a.Begin(len(params))
-			ctx.Each(len(params), &adamChunks{a: a, p: params, g: c.grads})
+			ctx.Each(len(params), &adamChunks{a: &a, p: params, g: c.grads})
 			gm, gv, _ := a.State()
 			wm, wv, _ := ref.State()
 			if !bytes.Equal(bytesOf(params), bytesOf(wantP)) || !bytes.Equal(bytesOf(gm), bytesOf(wm)) || !bytes.Equal(bytesOf(gv), bytesOf(wv)) {
@@ -233,7 +303,7 @@ type adamChunks struct {
 
 func (w *adamChunks) Chunk(lo, hi int) {
 	for i := lo; i < hi; i++ {
-		w.p[i] = w.a.Update(i, w.p[i], w.g[i])
+		w.p[i] = w.a.Update(i, w.p[i], w.g[i], 0.01)
 	}
 }
 

@@ -138,7 +138,6 @@ func (ctx *RenderContext) FootprintBytes() int64 {
 		sliceBytes[vecmath.Vec3](cap(ctx.color.Pix)) +
 		sliceBytes[float64](cap(ctx.depth.D)) +
 		sliceBytes[float64](cap(ctx.result.Silhouette)) +
-		sliceBytes[float64](cap(ctx.result.FinalT)) +
 		sliceBytes[int32](cap(ctx.result.PerPixelBlend)) +
 		sliceBytes[int32](cap(ctx.result.PerPixelAlpha)) +
 		sliceBytes[int32](cap(ctx.nonContrib)) +

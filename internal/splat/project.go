@@ -33,7 +33,7 @@
 // scaled by 1/Pixels once merged, and integer sums for the workload counters,
 // the masked-pixel count and the contribution log, which are exact in any
 // order. The splats,
-// color/depth/silhouette/transmittance images, the contribution log,
+// color/depth/silhouette images, the contribution log,
 // AlphaOps/BlendOps, and all gradient buffers are therefore byte-identical
 // whichever participant took which tile or chunk, with or without a helper,
 // at any GOMAXPROCS. Callers may rely on this for exact A/B comparisons at
@@ -88,7 +88,7 @@
 // bit-identical to the dense render's, in all four planes and both per-pixel
 // counters, because a pixel's blend depends on nothing but the pixel. Every
 // off-lattice pixel is written empty: colour, depth and silhouette 0,
-// transmittance 1, PerPixelAlpha and PerPixelBlend 0. The workload counters
+// PerPixelAlpha and PerPixelBlend 0. The workload counters
 // therefore count the lattice's work only: AlphaOps and BlendOps sum the
 // lattice's table visits and blends, Touched and NonContrib count each entry
 // at its tile's lattice pixels, and Pixels returns the lattice's size. The
@@ -121,9 +121,9 @@
 // touches: the Result pixel planes, the contribution log, the participants'
 // scratch slots, the projected-splat slice, the CSR tile tables, and the
 // partial-reduction arena plus gradient outputs. A long-lived context makes
-// the steady-state hot path allocation-free; the package-level Render and
-// Backward functions are one-shot: each runs in a fresh context of its own
-// and returns that context's output, which nothing else will ever write.
+// the steady-state hot path allocation-free; the package-level Render is
+// one-shot: it runs in a fresh context of its own and returns that context's
+// output, which nothing else will ever write.
 //
 // Multi-stream hosts share contexts through a ContextPool: a bounded LIFO
 // stack with hit/miss/eviction/resident-bytes metrics. Acquire never blocks
@@ -147,15 +147,15 @@
 //     valid through a Backward on it, and the train→read pattern of the
 //     tracker/mapper loops is safe. Callers that retain any Result buffer
 //     across renders must copy it first.
-//   - Train and (*RenderContext).Backward likewise return a *Grads owned by
-//     the context, valid until its next Train or Backward call.
+//   - Train and Backward likewise return a *Grads owned by the context,
+//     valid until its next Train or Backward call.
 //   - A context keeps every buffer across calls whose options leave it out:
 //     an unlogged pass keeps the contribution log's storage, a pose-only
 //     one the per-Gaussian gradients', and the next pass that computes them
 //     overwrites it. Result and Grads expose such a buffer as nil when
 //     their pass did not compute it.
-//   - The one-shot package functions return caller-owned buffers with no
-//     aliasing: the context they ran in is dropped on return.
+//   - The one-shot Render returns caller-owned buffers with no aliasing: the
+//     context it ran in is dropped on return.
 //   - A context re-sizes itself lazily from the intrinsics and cloud of
 //     each call, so mixed frame sizes are safe (and tested).
 //   - Contexted and one-shot calls are byte-identical to each other — the

@@ -34,7 +34,6 @@ type Result struct {
 	Color      *frame.Image
 	Depth      *frame.DepthMap
 	Silhouette []float64 // accumulated alpha per pixel in [0,1]
-	FinalT     []float64 // final transmittance per pixel
 	Sparse     bool      // rendered the tracking lattice only (Options.Sparse)
 
 	Splats []Splat
@@ -101,7 +100,7 @@ func (ctx *RenderContext) Train(cloud *gauss.Cloud, cam camera.Camera, opts Opti
 func (ctx *RenderContext) renderTiles(cloud *gauss.Cloud, cam camera.Camera, opts Options,
 	target *frame.Frame, loss LossConfig, bopts BackwardOptions) (*Result, *Grads) {
 	w, h := cam.Intr.W, cam.Intr.H
-	// The four assigned pixel planes and the two per-pixel counters are fully
+	// The three assigned pixel planes and the two per-pixel counters are fully
 	// overwritten by a dense pass (every pixel belongs to exactly one tile),
 	// so they are resized without clearing; a sparse pass empties them first
 	// and overwrites its lattice. The accumulated counters are re-zeroed.
@@ -111,7 +110,6 @@ func (ctx *RenderContext) renderTiles(cloud *gauss.Cloud, cam camera.Camera, opt
 	res.Color = &ctx.color
 	res.Depth = &ctx.depth
 	res.Silhouette = resized(res.Silhouette, w*h)
-	res.FinalT = resized(res.FinalT, w*h)
 	res.Splats = ctx.splats
 	res.Tiles = &ctx.tiles
 	res.PerPixelBlend = resized(res.PerPixelBlend, w*h)
@@ -312,7 +310,6 @@ func trainOneTile(tp *tilePass, tileIdx int, sl *slot, ar *backwardArena) {
 				res.Color.Pix[pix] = color
 				res.Depth.D[pix] = depth
 				res.Silhouette[pix] = sil
-				res.FinalT[pix] = t
 			}
 			// The mask keeps a pixel whose silhouette exceeds the threshold,
 			// so a NaN silhouette, which only a non-finite splat makes, is
@@ -353,7 +350,7 @@ func (r *Result) Pixels() int {
 }
 
 // empty writes every pixel as one no Gaussian reached: colour, depth and
-// silhouette 0, transmittance 1, and no table visits or blends. A sparse
+// silhouette 0, and no table visits or blends. A sparse
 // pass starts from it, so its off-lattice pixels hold nothing a previous
 // render of the context left there.
 //
@@ -362,9 +359,6 @@ func (r *Result) empty() {
 	clear(r.Color.Pix)
 	clear(r.Depth.D)
 	clear(r.Silhouette)
-	for i := range r.FinalT {
-		r.FinalT[i] = 1
-	}
 	clear(r.PerPixelBlend)
 	clear(r.PerPixelAlpha)
 }

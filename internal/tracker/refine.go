@@ -109,7 +109,7 @@ func rankLoss(g *splat.Grads) float64 {
 func (r *GSRefiner) Refine(cloud *gauss.Cloud, intr camera.Intrinsics, f *frame.Frame, init vecmath.Pose, iters int) (vecmath.Pose, trace.RenderStats) {
 	var stats trace.RenderStats
 	pose := init
-	adam := optim.NewAdam(r.LR)
+	var adam optim.Adam
 	var params, prev [6]float64
 	best := init
 	bestLoss := math.Inf(1)
@@ -129,7 +129,7 @@ func (r *GSRefiner) Refine(cloud *gauss.Cloud, intr camera.Intrinsics, f *frame.
 		}
 		g := [6]float64{grads.Pose.V.X, grads.Pose.V.Y, grads.Pose.V.Z, grads.Pose.W.X, grads.Pose.W.Y, grads.Pose.W.Z}
 		prev = params
-		adam.Step(params[:], g[:])
+		adam.Step(params[:], g[:], r.LR)
 		step := vecmath.Twist{
 			V: vecmath.Vec3{X: params[0] - prev[0], Y: params[1] - prev[1], Z: params[2] - prev[2]},
 			W: vecmath.Vec3{X: params[3] - prev[3], Y: params[4] - prev[4], Z: params[5] - prev[5]},
