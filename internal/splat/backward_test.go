@@ -311,6 +311,30 @@ func TestMaskedPassExcludesNaNSilhouette(t *testing.T) {
 	}
 }
 
+// TestBackwardDeterministicAcrossWorkers: a backward pass that a helper
+// joins gives the one-shot pass's loss and gradients.
+func TestBackwardDeterministicAcrossWorkers(t *testing.T) {
+	cloud, cam, target := testScene(t)
+	lc := DefaultMappingLoss()
+	res := Render(cloud, cam, Options{})
+	bopts := BackwardOptions{GaussianGrads: true, PoseGrads: true}
+	g1 := NewRenderContext().Backward(cloud, cam, res, target, lc, bopts)
+	ctx := NewRenderContext()
+	defer spinHelper(ctx)()
+	g8 := ctx.Backward(cloud, cam, res, target, lc, bopts)
+	if math.Abs(g1.Loss-g8.Loss) > 1e-12 {
+		t.Errorf("loss differs with a helper: %v vs %v", g1.Loss, g8.Loss)
+	}
+	for id := range g1.Color {
+		if g1.Color[id].Sub(g8.Color[id]).Norm() > 1e-9 {
+			t.Fatalf("color grad differs at %d", id)
+		}
+	}
+	if g1.Pose.V.Sub(g8.Pose.V).Norm() > 1e-9 {
+		t.Error("pose grad differs with a helper")
+	}
+}
+
 func TestBackwardEmptySceneIsZero(t *testing.T) {
 	cam := testCam(16, 16)
 	cloud := gauss.NewCloud(0)

@@ -1,6 +1,7 @@
 package splat
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -182,6 +183,38 @@ func TestRenderContextMixedSizeReuse(t *testing.T) {
 		if gotG != wantG {
 			t.Fatalf("backward %d (%dx%d): contexted digest diverged from fresh one-shot", i, cam.Intr.W, cam.Intr.H)
 		}
+	}
+}
+
+// TestRenderContextDeterminismAcrossWorkerCounts mirrors the one-shot
+// determinism suite for the contexted path: a warm context, with and without
+// a helper, must reproduce the one-shot reference bit for bit at every
+// GOMAXPROCS.
+func TestRenderContextDeterminismAcrossWorkerCounts(t *testing.T) {
+	cloud, cam := determinismScene()
+	target := determinismTarget(cloud, cam)
+	lc := DefaultMappingLoss()
+	opts := Options{LogContribution: true}
+	bopts := BackwardOptions{GaussianGrads: true, PoseGrads: true}
+	ref := Render(cloud, cam, opts)
+	refG := NewRenderContext().Backward(cloud, cam, ref, target, lc, bopts)
+	wantRes, wantG := ref.Digest(), refG.Digest()
+
+	ways, stop := twoWays()
+	defer stop()
+	for _, procs := range workerCounts() {
+		t.Run(fmt.Sprintf("workers=%d", procs), func(t *testing.T) {
+			defer withProcs(procs)()
+			for _, w := range ways {
+				res := w.ctx.Render(cloud, cam, opts)
+				if res.Digest() != wantRes {
+					t.Errorf("%s: contexted render digest differs from the one-shot reference", w.name)
+				}
+				if g := w.ctx.Backward(cloud, cam, res, target, lc, bopts); g.Digest() != wantG {
+					t.Errorf("%s: contexted backward digest differs from the one-shot reference", w.name)
+				}
+			}
+		})
 	}
 }
 

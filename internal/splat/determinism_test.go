@@ -79,6 +79,69 @@ func determinismTarget(cloud *gauss.Cloud, cam camera.Camera) *frame.Frame {
 	return &frame.Frame{Color: res.Color, Depth: res.NormalizedDepth()}
 }
 
+// TestRenderDeterminismAcrossWorkerCounts asserts the forward contract:
+// identical SHA-256 over every output buffer and identical AlphaOps/BlendOps
+// with and without a helper, at every GOMAXPROCS.
+func TestRenderDeterminismAcrossWorkerCounts(t *testing.T) {
+	cloud, cam := determinismScene()
+	opts := Options{LogContribution: true}
+	ref := Render(cloud, cam, opts)
+	want := ref.Digest()
+	ways, stop := twoWays()
+	defer stop()
+	for _, procs := range workerCounts() {
+		t.Run(fmt.Sprintf("workers=%d", procs), func(t *testing.T) {
+			defer withProcs(procs)()
+			for _, w := range ways {
+				got := w.ctx.Render(cloud, cam, opts)
+				if got.AlphaOps != ref.AlphaOps || got.BlendOps != ref.BlendOps {
+					t.Errorf("%s: op counters differ: alpha %d/%d blend %d/%d",
+						w.name, got.AlphaOps, ref.AlphaOps, got.BlendOps, ref.BlendOps)
+				}
+				if got.Digest() != want {
+					t.Errorf("%s: render digest differs from the one-shot reference", w.name)
+				}
+			}
+		})
+	}
+}
+
+// TestBackwardDeterminismAcrossWorkerCounts asserts the backward contract:
+// the full render+backward composition, with and without a helper and at
+// every GOMAXPROCS, is byte-identical to the one-shot reference (gradients,
+// pose twist, loss, pixel count).
+func TestBackwardDeterminismAcrossWorkerCounts(t *testing.T) {
+	cloud, cam := determinismScene()
+	target := determinismTarget(cloud, cam)
+	bopts := BackwardOptions{GaussianGrads: true, PoseGrads: true}
+	ways, stop := twoWays()
+	defer stop()
+	for _, lc := range []LossConfig{DefaultMappingLoss(), DefaultTrackingLoss()} {
+		refRes := Render(cloud, cam, Options{})
+		refG := NewRenderContext().Backward(cloud, cam, refRes, target, lc, bopts)
+		wantRes, wantG := refRes.Digest(), refG.Digest()
+		for _, procs := range workerCounts() {
+			name := fmt.Sprintf("masked=%v/workers=%d", lc.UseSilhouetteMask, procs)
+			t.Run(name, func(t *testing.T) {
+				defer withProcs(procs)()
+				for _, w := range ways {
+					res := w.ctx.Render(cloud, cam, Options{})
+					if res.Digest() != wantRes {
+						t.Fatalf("%s: render digest differs from the one-shot reference", w.name)
+					}
+					g := w.ctx.Backward(cloud, cam, res, target, lc, bopts)
+					if math.Float64bits(g.Loss) != math.Float64bits(refG.Loss) {
+						t.Errorf("%s: loss not bit-identical: %v vs %v", w.name, g.Loss, refG.Loss)
+					}
+					if g.Digest() != wantG {
+						t.Errorf("%s: gradient digest differs from the one-shot reference", w.name)
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestBackwardArenaDeterminism asserts the gradient-arena contract: a
 // context's recycled partial buffers (including deliberately dirtied,
 // size-mismatched reuses) produce gradients bitwise identical to a fresh

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ags/internal/frame"
 	"ags/internal/gauss"
 	"ags/internal/vecmath"
 )
@@ -134,6 +135,55 @@ func TestPropertyContributionAccounting(t *testing.T) {
 		return touchedSum == coverage
 	}
 	cfg := &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(13))}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestPropertyShardMergeMatchesSingleShard: for randomized clouds — including
+// clouds with no splats at all (every tile list empty) and clouds whose
+// footprint spans a single tile — the per-tile gradient partials merged by
+// a Backward whose tiles a helper races the caller for are bitwise equal to
+// the one-shot pass's, whose caller takes every tile, and so is the helped
+// Render's digest.
+func TestPropertyShardMergeMatchesSingleShard(t *testing.T) {
+	cam := testCam(48, 32) // 3x2 tile grid
+	lc := DefaultMappingLoss()
+	helped := NewRenderContext()
+	defer spinHelper(helped)()
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var cloud *gauss.Cloud
+		switch rng.Intn(5) {
+		case 0:
+			// Degenerate: nothing to shard, every tile list is empty.
+			cloud = gauss.NewCloud(0)
+		case 1:
+			// One tiny splat confined to a single interior tile.
+			cloud = gauss.NewCloud(1)
+			g := gauss.Gaussian{
+				Mean:  vecmath.Vec3{X: 0.02, Y: 0.38, Z: 2},
+				Color: vecmath.Vec3{X: rng.Float64(), Y: rng.Float64(), Z: rng.Float64()},
+			}
+			g.SetScale(0.02)
+			g.SetOpacity(0.3 + 0.6*rng.Float64())
+			cloud.Add(g)
+		default:
+			cloud = randomCloud(rng, 1+rng.Intn(28))
+		}
+		tgtRes := Render(randomCloud(rng, 3), cam, Options{})
+		target := &frame.Frame{Color: tgtRes.Color, Depth: tgtRes.NormalizedDepth()}
+
+		opts := Options{LogContribution: true}
+		bopts := BackwardOptions{GaussianGrads: true, PoseGrads: true}
+		refRes := Render(cloud, cam, opts)
+		refG := NewRenderContext().Backward(cloud, cam, refRes, target, lc, bopts)
+
+		res := helped.Render(cloud, cam, opts)
+		g := helped.Backward(cloud, cam, res, target, lc, bopts)
+		return res.Digest() == refRes.Digest() && g.Digest() == refG.Digest()
+	}
+	cfg := &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(17))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ags/internal/camera"
+	"ags/internal/frame"
 	"ags/internal/gauss"
 	"ags/internal/vecmath"
 )
@@ -171,6 +172,29 @@ func TestContributionLogging(t *testing.T) {
 	// The faint gaussian must be non-contributory almost everywhere.
 	if res.Touched[faintID] > 0 && float64(res.NonContrib[faintID]) < 0.9*float64(res.Touched[faintID]) {
 		t.Errorf("faint gaussian: %d/%d non-contributory", res.NonContrib[faintID], res.Touched[faintID])
+	}
+}
+
+// TestRenderDeterministicAcrossWorkers: a render that a helper joins gives
+// the one-shot render's pixels and op counts.
+func TestRenderDeterministicAcrossWorkers(t *testing.T) {
+	cam := testCam(64, 48)
+	cloud := gauss.NewCloud(20)
+	for i := 0; i < 20; i++ {
+		g := centeredGaussian(1.5+0.2*float64(i), 0.15, 0.7, vecmath.Vec3{X: float64(i) / 20, Y: 0.3, Z: 0.5})
+		g.Mean.X = 0.3 * math.Sin(float64(i))
+		g.Mean.Y = 0.2 * math.Cos(float64(i)*1.7)
+		cloud.Add(g)
+	}
+	r1 := Render(cloud, cam, Options{})
+	ctx := NewRenderContext()
+	defer spinHelper(ctx)()
+	r8 := ctx.Render(cloud, cam, Options{})
+	if d := frame.MeanAbsDiff(r1.Color, r8.Color); d != 0 {
+		t.Errorf("a helper changed output by %v", d)
+	}
+	if r1.BlendOps != r8.BlendOps || r1.AlphaOps != r8.AlphaOps {
+		t.Errorf("op counts differ: %d/%d vs %d/%d", r1.BlendOps, r1.AlphaOps, r8.BlendOps, r8.AlphaOps)
 	}
 }
 

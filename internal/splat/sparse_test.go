@@ -180,6 +180,37 @@ func lossBits(g *Grads) [8]uint64 {
 		math.Float64bits(w.X), math.Float64bits(w.Y), math.Float64bits(w.Z)}
 }
 
+// TestSparseDeterminismAcrossWorkerCounts: the sparse render and its
+// Backward are byte-identical to the one-shot pass for every pairing of a
+// render and a backward context with and without a helper, at every
+// GOMAXPROCS.
+func TestSparseDeterminismAcrossWorkerCounts(t *testing.T) {
+	cloud, cam := determinismScene()
+	target := determinismTarget(cloud, cam)
+	opts := Options{Sparse: true, LogContribution: true}
+	bo := BackwardOptions{GaussianGrads: true, PoseGrads: true}
+	ref := Render(cloud, cam, opts)
+	wantRes := ref.Digest()
+	wantG := NewRenderContext().Backward(cloud, cam, ref, target, DefaultTrackingLoss(), bo).Digest()
+	ways, stop := twoWays()
+	defer stop()
+	for _, procs := range workerCounts() {
+		restore := withProcs(procs)
+		for _, r := range ways {
+			res := r.ctx.Render(cloud, cam, opts)
+			if res.Digest() != wantRes {
+				t.Errorf("GOMAXPROCS %d, %s: sparse render digest differs from the one-shot pass", procs, r.name)
+			}
+			for _, b := range ways {
+				if b.ctx.Backward(cloud, cam, res, target, DefaultTrackingLoss(), bo).Digest() != wantG {
+					t.Errorf("GOMAXPROCS %d, %s render, %s backward: sparse gradient digest differs from the one-shot pass", procs, r.name, b.name)
+				}
+			}
+		}
+		restore()
+	}
+}
+
 // TestSparseThenDenseMatchesFreshContext: a context that rendered sparse
 // (a tracking pass) and then renders dense (a mapping pass) gives the bytes a
 // fresh context gives, so no off-lattice plane of the tracking pass reaches
